@@ -2,7 +2,7 @@
 //!
 //! The relay data plane ([`crate::relay`]) is the one place this
 //! reproduction touches *real* kernel readiness machinery — the very
-//! subsystem the paper is about. This module wraps exactly the five
+//! subsystem the paper is about. This module wraps exactly the
 //! primitives it needs, declared straight against the C runtime in the
 //! same hand-rolled style as the JIT's `execmem.rs` (no new crate
 //! dependencies):
@@ -23,6 +23,11 @@
 //!   [`splice_to_pipe`]/[`splice_from_pipe`] reporting would-block, EOF,
 //!   and not-supported as distinct outcomes so the relay can fall back
 //!   to its scratch-buffer copy path.
+//! * [`accept_nonblocking`] / [`connect_nonblocking`] — the two socket
+//!   calls std only offers in blocking form: `accept4(SOCK_NONBLOCK)`
+//!   hands the acceptor a stream that needs no further `fcntl`, and
+//!   `socket(SOCK_NONBLOCK)` + `connect` → `EINPROGRESS` lets a worker
+//!   open a backend leg without ever blocking outside `epoll_wait`.
 //!
 //! Non-Linux hosts get a stub whose constructors report `Unsupported`
 //! ([`supported`] returns `false`); the relay then runs its portable
@@ -31,7 +36,8 @@
 #[cfg(target_os = "linux")]
 mod imp {
     use std::io;
-    use std::os::fd::RawFd;
+    use std::net::{SocketAddr, SocketAddrV6, TcpListener, TcpStream};
+    use std::os::fd::{AsRawFd, FromRawFd, RawFd};
     use std::sync::Arc;
 
     const EPOLL_CLOEXEC: i32 = 0o2000000;
@@ -192,20 +198,17 @@ mod imp {
             let r = Reactor {
                 epfd,
                 wake: Arc::new(OwnedFd(efd)),
-                scratch: vec![
-                    EpollEvent {
-                        events: 0,
-                        data: 0
-                    };
-                    EVENTS_PER_WAIT
-                ],
+                scratch: vec![EpollEvent { events: 0, data: 0 }; EVENTS_PER_WAIT],
             };
             r.ctl(EPOLL_CTL_ADD, efd, EPOLLIN, WAKE_TOKEN)?;
             Ok(r)
         }
 
         fn ctl(&self, op: i32, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
-            let mut ev = EpollEvent { events, data: token };
+            let mut ev = EpollEvent {
+                events,
+                data: token,
+            };
             // SAFETY: `ev` is a live, correctly-laid-out epoll_event for
             // the duration of the call; the kernel copies it out.
             let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) };
@@ -240,9 +243,9 @@ mod imp {
             self.ctl(EPOLL_CTL_ADD, fd, EPOLLIN, token)
         }
 
-        /// Remove a registration. Closing the fd would drop it from the
-        /// epoll set anyway; deregistering first keeps already-fetched
-        /// stale events the only spurious source.
+        /// Remove a registration while keeping the fd open. Closing an
+        /// fd (one that was never duplicated) drops it from the epoll set
+        /// by itself, which is how the relay retires its sockets.
         pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
             self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
         }
@@ -383,61 +386,194 @@ mod imp {
         }
     }
 
-    fn splice_result(n: isize, zero_is_eof: bool) -> io::Result<Splice> {
-        if n > 0 {
-            return Ok(Splice::Moved(n as usize));
-        }
-        if n == 0 {
-            return Ok(if zero_is_eof {
-                Splice::Eof
-            } else {
-                Splice::WouldBlock
-            });
-        }
-        let err = io::Error::last_os_error();
-        match err.kind() {
-            io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted => Ok(Splice::WouldBlock),
-            _ if matches!(err.raw_os_error(), Some(EINVAL) | Some(ENOSYS)) => {
-                Ok(Splice::Unsupported)
+    /// One nonblocking splice, classified. `EINTR` retries here so that
+    /// `WouldBlock` always means a real `EAGAIN` — the relay clears its
+    /// "source may be readable" bit on nothing else.
+    fn splice_once(
+        fd_in: RawFd,
+        fd_out: RawFd,
+        len: usize,
+        zero_is_eof: bool,
+    ) -> io::Result<Splice> {
+        loop {
+            // SAFETY: both fds are alive (owned by the caller or its
+            // pipe pair); null offsets are required for socket/pipe ends.
+            let n = unsafe {
+                splice(
+                    fd_in,
+                    std::ptr::null_mut(),
+                    fd_out,
+                    std::ptr::null_mut(),
+                    len,
+                    SPLICE_F_MOVE | SPLICE_F_NONBLOCK,
+                )
+            };
+            if n > 0 {
+                return Ok(Splice::Moved(n as usize));
             }
-            _ => Err(err),
+            if n == 0 {
+                return Ok(if zero_is_eof {
+                    Splice::Eof
+                } else {
+                    Splice::WouldBlock
+                });
+            }
+            let err = io::Error::last_os_error();
+            return match err.kind() {
+                io::ErrorKind::Interrupted => continue,
+                io::ErrorKind::WouldBlock => Ok(Splice::WouldBlock),
+                _ if matches!(err.raw_os_error(), Some(EINVAL) | Some(ENOSYS)) => {
+                    Ok(Splice::Unsupported)
+                }
+                _ => Err(err),
+            };
         }
     }
 
     /// Splice up to `len` bytes from a socket into the pipe (the fill
     /// half). `Eof` means the peer half-closed.
     pub fn splice_to_pipe(src: RawFd, pipe: &PipePair, len: usize) -> io::Result<Splice> {
-        // SAFETY: both fds are alive (owned by caller/pair); null
-        // offsets are required for socket/pipe ends.
-        let n = unsafe {
-            splice(
-                src,
-                std::ptr::null_mut(),
-                pipe.wr,
-                std::ptr::null_mut(),
-                len,
-                SPLICE_F_MOVE | SPLICE_F_NONBLOCK,
-            )
-        };
-        splice_result(n, true)
+        splice_once(src, pipe.wr, len, true)
     }
 
     /// Splice up to `len` buffered bytes from the pipe out to a socket
     /// (the flush half). `WouldBlock` is the destination's backpressure.
     pub fn splice_from_pipe(pipe: &PipePair, dst: RawFd, len: usize) -> io::Result<Splice> {
-        // SAFETY: both fds are alive (owned by pair/caller); null
-        // offsets are required for socket/pipe ends.
-        let n = unsafe {
-            splice(
-                pipe.rd,
-                std::ptr::null_mut(),
-                dst,
-                std::ptr::null_mut(),
-                len,
-                SPLICE_F_MOVE | SPLICE_F_NONBLOCK,
-            )
-        };
-        splice_result(n, false)
+        splice_once(pipe.rd, dst, len, false)
+    }
+
+    const AF_INET: u16 = 2;
+    const AF_INET6: u16 = 10;
+    const SOCK_STREAM: i32 = 1;
+    // `SOCK_NONBLOCK`/`SOCK_CLOEXEC` equal `O_NONBLOCK`/`O_CLOEXEC`, and
+    // like them (and `EINPROGRESS`) carry the asm-generic values on every
+    // architecture this crate builds for (x86-64, aarch64).
+    const SOCK_NONBLOCK: i32 = O_NONBLOCK;
+    const SOCK_CLOEXEC: i32 = O_CLOEXEC;
+    const EINPROGRESS: i32 = 115;
+
+    /// Kernel ABI socket address, sized and aligned for `sockaddr_in6`
+    /// (28 bytes; `sockaddr_in` uses the first 16). Linux lays both out
+    /// identically on every architecture: native-endian `sa_family` at
+    /// 0, big-endian port at 2, then the address — so the fields are
+    /// written bytewise instead of through per-arch structs.
+    #[repr(C, align(4))]
+    struct SockAddr([u8; 28]);
+
+    impl SockAddr {
+        /// The address and the `socklen_t` the kernel expects with it.
+        fn encode(addr: &SocketAddr) -> (SockAddr, u32) {
+            let mut b = [0u8; 28];
+            b[2..4].copy_from_slice(&addr.port().to_be_bytes());
+            let len = match addr {
+                SocketAddr::V4(a) => {
+                    b[0..2].copy_from_slice(&AF_INET.to_ne_bytes());
+                    b[4..8].copy_from_slice(&a.ip().octets());
+                    16
+                }
+                SocketAddr::V6(a) => {
+                    b[0..2].copy_from_slice(&AF_INET6.to_ne_bytes());
+                    b[4..8].copy_from_slice(&a.flowinfo().to_ne_bytes());
+                    b[8..24].copy_from_slice(&a.ip().octets());
+                    b[24..28].copy_from_slice(&a.scope_id().to_ne_bytes());
+                    28
+                }
+            };
+            (SockAddr(b), len)
+        }
+
+        /// `None` for a family other than IPv4/IPv6 (no TCP listener
+        /// yields one).
+        fn decode(&self) -> Option<SocketAddr> {
+            let b = &self.0;
+            let port = u16::from_be_bytes([b[2], b[3]]);
+            let word = |at: usize| u32::from_ne_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]]);
+            match u16::from_ne_bytes([b[0], b[1]]) {
+                AF_INET => Some(SocketAddr::from(([b[4], b[5], b[6], b[7]], port))),
+                AF_INET6 => {
+                    let mut ip = [0u8; 16];
+                    ip.copy_from_slice(&b[8..24]);
+                    Some(SocketAddr::V6(SocketAddrV6::new(
+                        ip.into(),
+                        port,
+                        word(4),
+                        word(24),
+                    )))
+                }
+                _ => None,
+            }
+        }
+    }
+
+    extern "C" {
+        fn accept4(fd: i32, addr: *mut SockAddr, len: *mut u32, flags: i32) -> i32;
+        fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
+        fn connect(fd: i32, addr: *const SockAddr, len: u32) -> i32;
+    }
+
+    /// `accept4(SOCK_NONBLOCK | SOCK_CLOEXEC)`: the accepted stream is
+    /// already nonblocking and the peer address comes back from the same
+    /// syscall, so the hand-off needs no `fcntl`/`getpeername` after it.
+    pub fn accept_nonblocking(listener: &TcpListener) -> io::Result<(TcpStream, SocketAddr)> {
+        loop {
+            let mut addr = SockAddr([0; 28]);
+            let mut len = std::mem::size_of::<SockAddr>() as u32;
+            // SAFETY: the listener fd is alive for the borrow; `addr`
+            // and `len` are live out-params, `len` holding `addr`'s size.
+            let fd = unsafe {
+                accept4(
+                    listener.as_raw_fd(),
+                    &mut addr,
+                    &mut len,
+                    SOCK_NONBLOCK | SOCK_CLOEXEC,
+                )
+            };
+            if fd < 0 {
+                let err = io::Error::last_os_error();
+                if err.kind() == io::ErrorKind::Interrupted {
+                    continue;
+                }
+                return Err(err);
+            }
+            // SAFETY: `fd` is a fresh socket returned by accept4 that
+            // nothing else owns.
+            let stream = unsafe { TcpStream::from_raw_fd(fd) };
+            let peer = addr
+                .decode()
+                .ok_or_else(|| io::Error::from(io::ErrorKind::InvalidData))?;
+            return Ok((stream, peer));
+        }
+    }
+
+    /// Start a TCP connect that never blocks: `socket(SOCK_NONBLOCK |
+    /// SOCK_CLOEXEC)` then `connect`, where `EINPROGRESS` is success.
+    /// The caller registers the stream with its [`Reactor`] and reads
+    /// the verdict with [`TcpStream::take_error`] (`SO_ERROR`) on the
+    /// first writable/closed event — which also fires for a connect
+    /// that completed before registration, so both cases take one path.
+    pub fn connect_nonblocking(addr: &SocketAddr) -> io::Result<TcpStream> {
+        let (sa, len) = SockAddr::encode(addr);
+        let family = if addr.is_ipv4() { AF_INET } else { AF_INET6 };
+        // SAFETY: plain syscall, no pointers.
+        let fd = unsafe { socket(family as i32, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) };
+        if fd < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        // SAFETY: `fd` is a fresh socket nothing else owns; from here the
+        // stream closes it on every path.
+        let stream = unsafe { TcpStream::from_raw_fd(fd) };
+        // SAFETY: `sa` holds `len` initialised bytes of a sockaddr for
+        // the socket's family and outlives the call.
+        let rc = unsafe { connect(fd, &sa, len) };
+        if rc < 0 {
+            let err = io::Error::last_os_error();
+            // EINTR on a nonblocking connect leaves it running in the
+            // kernel exactly like EINPROGRESS.
+            if err.raw_os_error() != Some(EINPROGRESS) && err.kind() != io::ErrorKind::Interrupted {
+                return Err(err);
+            }
+        }
+        Ok(stream)
     }
 
     const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
@@ -452,9 +588,10 @@ mod imp {
         fn clock_gettime(clk: i32, tp: *mut Timespec) -> i32;
     }
 
-    /// CPU time consumed by the calling thread, in nanoseconds. The
-    /// relay workers sample this each loop pass so [`crate::relay::
-    /// RelayStats`] can report bytes moved *per CPU-second* — the metric
+    /// CPU time consumed by the calling thread, in nanoseconds — a real
+    /// syscall, unlike the vDSO wall clocks, so the relay workers sample
+    /// it at most once a millisecond. It lets [`crate::relay::
+    /// RelayStats`] report bytes moved *per CPU-second* — the metric
     /// where zero-copy shows up even when the wire itself (e.g.
     /// loopback) is memcpy-bound on both endpoints.
     pub fn thread_cpu_ns() -> u64 {
@@ -475,6 +612,7 @@ mod imp {
 #[cfg(not(target_os = "linux"))]
 mod imp {
     use std::io;
+    use std::net::{SocketAddr, TcpListener, TcpStream};
     use std::os::fd::RawFd;
 
     /// Epoll is Linux-only: the relay runs its portable sleep-poll loop.
@@ -599,6 +737,23 @@ mod imp {
         match pipe.0 {}
     }
 
+    /// Portable stand-in for `accept4(SOCK_NONBLOCK)`: accept, then
+    /// switch the stream to nonblocking.
+    pub fn accept_nonblocking(listener: &TcpListener) -> io::Result<(TcpStream, SocketAddr)> {
+        let (stream, peer) = listener.accept()?;
+        stream.set_nonblocking(true)?;
+        Ok((stream, peer))
+    }
+
+    /// Always fails on non-Linux targets: only a reactor worker connects
+    /// this way, and no [`Reactor`] exists here.
+    pub fn connect_nonblocking(_addr: &SocketAddr) -> io::Result<TcpStream> {
+        Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "nonblocking connect requires the Linux reactor",
+        ))
+    }
+
     /// Stub: per-thread CPU accounting is only wired up on Linux.
     pub fn thread_cpu_ns() -> u64 {
         0
@@ -606,14 +761,14 @@ mod imp {
 }
 
 pub use imp::{
-    splice_from_pipe, splice_to_pipe, supported, thread_cpu_ns, Event, PipePair, Reactor, Splice,
-    Waker, PIPE_CAPACITY, WAKE_TOKEN,
+    accept_nonblocking, connect_nonblocking, splice_from_pipe, splice_to_pipe, supported,
+    thread_cpu_ns, Event, PipePair, Reactor, Splice, Waker, PIPE_CAPACITY, WAKE_TOKEN,
 };
 
 #[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
-    use std::io::Write;
+    use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
     use std::os::fd::AsRawFd;
 
@@ -715,7 +870,6 @@ mod tests {
             other => panic!("expected Moved, got {other:?}"),
         };
         assert_eq!(m, 9);
-        use std::io::Read;
         let mut got = [0u8; 16];
         let mut c2 = client2;
         c2.set_read_timeout(Some(std::time::Duration::from_secs(2)))
@@ -730,6 +884,62 @@ mod tests {
             splice_to_pipe(server.as_raw_fd(), &pipe, 4096).unwrap(),
             Splice::Eof
         ));
+    }
+
+    #[test]
+    fn nonblocking_accept_and_connect_complete_through_events() {
+        // Both address families cross the hand-written sockaddr layout in
+        // both directions (connect encodes, accept decodes).
+        for bind in ["127.0.0.1:0", "[::1]:0"] {
+            let Ok(listener) = TcpListener::bind(bind) else {
+                eprintln!("SKIP: cannot bind {bind}");
+                continue;
+            };
+            listener.set_nonblocking(true).unwrap();
+            let addr = listener.local_addr().unwrap();
+            let mut r = Reactor::new().expect("epoll");
+            let out = connect_nonblocking(&addr).expect("connect starts");
+            r.register(out.as_raw_fd(), 9).unwrap();
+            let mut events = Vec::new();
+            // Success is an event, never a blocked call.
+            assert!(r.wait(&mut events, 1000).unwrap() >= 1);
+            assert!(events.iter().any(|e| e.token == 9 && e.writable));
+            assert!(
+                out.take_error().unwrap().is_none(),
+                "SO_ERROR after connect"
+            );
+            let (inn, peer) = accept_nonblocking(&listener).expect("accept");
+            assert_eq!(
+                peer,
+                out.local_addr().unwrap(),
+                "{bind}: peer decoded wrong"
+            );
+            // SOCK_NONBLOCK took: an empty read is EAGAIN, not a hang.
+            let mut byte = [0u8; 1];
+            let err = (&inn).read(&mut byte).expect_err("nothing was sent");
+            assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock);
+            let err = accept_nonblocking(&listener).expect_err("backlog is empty");
+            assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock);
+
+            // Refusal is the call's own error when loopback delivers the
+            // RST inside `connect`, else a closed event with the errno in
+            // SO_ERROR.
+            drop(listener);
+            let err = match connect_nonblocking(&addr) {
+                Err(e) => e,
+                Ok(out) => {
+                    r.register(out.as_raw_fd(), 11).unwrap();
+                    loop {
+                        assert!(r.wait(&mut events, 1000).unwrap() >= 1, "no refusal event");
+                        if events.iter().any(|e| e.token == 11 && e.closed) {
+                            break;
+                        }
+                    }
+                    out.take_error().unwrap().expect("SO_ERROR set")
+                }
+            };
+            assert_eq!(err.kind(), std::io::ErrorKind::ConnectionRefused);
+        }
     }
 
     #[test]

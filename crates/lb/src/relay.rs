@@ -10,13 +10,18 @@
 //!
 //! * **`Reactor`** (default on Linux) — each worker owns an epoll set
 //!   ([`crate::reactor`]): both relay legs register edge-triggered, the
-//!   acceptor's hand-off rings an eventfd, and the worker pumps exactly
-//!   the connections the kernel reported ready. An idle worker blocks in
-//!   `epoll_wait`; an idle *connection* is never touched at all. With
-//!   `splice: true` each direction stages bytes in a pooled kernel pipe
-//!   and moves them socket→pipe→socket with splice(2) — zero userspace
-//!   copies — demoting per direction to the scratch-buffer path when the
-//!   kernel refuses (`EINVAL`/`ENOSYS`).
+//!   acceptor's hand-off rings an eventfd, the backend leg is opened
+//!   with a nonblocking connect that completes as an event, and the
+//!   worker issues exactly the I/O the kernel reported possible — a
+//!   direction is read only while its source may be readable, flushed
+//!   only while it holds bytes. `epoll_wait` is the one call that
+//!   blocks; an idle *connection* is never touched at all. With
+//!   `splice: true` a direction that proves to carry bulk (a read fills
+//!   the scratch buffer) moves to a pooled kernel pipe and from then on
+//!   travels socket→pipe→socket with splice(2) — zero userspace copies —
+//!   demoting back to the scratch-buffer path only when the kernel
+//!   refuses (`EINVAL`/`ENOSYS`). Small messages and short connections
+//!   stay on the copy path, which is the cheaper one at their size.
 //! * **`SleepPoll`** — the portable baseline: poll every connection each
 //!   iteration through the shared scratch buffer and sleep 200 µs when
 //!   everything would block. Kept as the latency/CPU reference the
@@ -36,15 +41,16 @@
 //! a hard per-connection deadline.
 
 use crate::reactor::{self, PipePair, Reactor, Splice, Waker, WAKE_TOKEN};
-use crate::server::{accept_loop, flow_hash, GroupSync, LbStats, ACCEPT_BURST};
+use crate::server::{accept_loop, GroupSync, Handoff, LbStats, ACCEPT_BURST};
 use bytes::BytesMut;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use hermes_backend::{BackendId, BackendPool, TableCache};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError};
+use hermes_backend::{Admission, BackendId, BackendPool, TableCache};
 use hermes_core::sched::SchedConfig;
 use hermes_core::sdk::{SyncTarget, WorkerSession};
 use hermes_core::wst::Wst;
 use hermes_ebpf::{ExecTier, ReuseportGroup};
-use std::io::{Read, Write};
+use std::collections::VecDeque;
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -52,8 +58,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Backend connect timeout: long enough for loopback/LAN, short enough
-/// that walking a few dead candidates stays well under a second.
+/// Deadline for one backend connect attempt: long enough for
+/// loopback/LAN, short enough that walking a few dead candidates stays
+/// well under a second.
 const CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
 
 /// Hard ceiling on one relay's lifetime: a stuck peer must not pin worker
@@ -61,7 +68,8 @@ const CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
 const RELAY_DEADLINE: Duration = Duration::from_secs(30);
 
 /// Scratch buffer size for copy-path byte moves (shared per worker across
-/// all of its relays).
+/// all of its relays). Also the size signal for the splice path: a read
+/// that fills it marks its direction as bulk.
 const SCRATCH_BYTES: usize = 16 * 1024;
 
 /// Bytes requested per splice fill — the staging pipe's capacity, so one
@@ -82,9 +90,12 @@ const REACTOR_WAIT_MS: i32 = 25;
 /// fires for a silent peer, so expiry is clocked, not event-driven.
 const SWEEP_INTERVAL: Duration = Duration::from_secs(1);
 
-/// Pipes kept for reuse per worker (two per spliced connection); beyond
-/// this they are closed instead, bounding idle fd consumption.
+/// Pipes kept for reuse per worker (one per bulk direction); beyond this
+/// they are closed instead, bounding idle fd consumption.
 const PIPE_POOL_CAP: usize = 2 * ACCEPT_BURST;
+
+/// Minimum spacing of a worker's thread-CPU-clock reads.
+const CPU_SAMPLE_NS: u64 = 1_000_000;
 
 /// How the relay workers learn about I/O readiness and move bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -93,11 +104,13 @@ pub enum RelayMode {
     /// 200 µs when everything would block.
     SleepPoll,
     /// Per-worker epoll reactor (Linux): readiness-driven pumps, eventfd
-    /// hand-off wakeups, zero idle cost. `splice` additionally moves
-    /// bytes kernel-to-kernel through pooled pipes, demoting per
-    /// direction to the copy path when the kernel refuses.
+    /// hand-off wakeups, event-driven backend connects, zero idle cost.
+    /// `splice` additionally moves a direction's bytes kernel-to-kernel
+    /// through a pooled pipe once it proves to carry bulk (a read fills
+    /// the scratch buffer), demoting it back to the copy path only when
+    /// the kernel refuses.
     Reactor {
-        /// Enable the splice(2) zero-copy fast path.
+        /// Enable the splice(2) zero-copy path for bulk directions.
         splice: bool,
     },
 }
@@ -131,16 +144,24 @@ pub struct RelayStats {
     /// the kernel reports readiness — it stays flat across idle seconds,
     /// which the idle-CPU test asserts.
     pub pumps: AtomicU64,
+    /// `read`/`write`/`splice` calls issued by pump passes: with `pumps`,
+    /// what a wakeup costs as a count rather than a time.
+    pub io_calls: AtomicU64,
+    /// Of `io_calls`, those that returned `EAGAIN` — a read confirming
+    /// its source is drained, or a write meeting a full destination.
+    pub would_block: AtomicU64,
     /// Bytes moved kernel-to-kernel by the splice fast path.
     pub splice_bytes: AtomicU64,
-    /// Relay directions demoted from splice to the copy path.
+    /// Relay directions demoted from splice to the copy path, or kept on
+    /// it because no pipe could be opened.
     pub splice_fallbacks: AtomicU64,
     /// Relays whose backend id had no `per_backend` slot (late table
     /// versions can reference backends added after startup sizing).
     pub unindexed_backends: AtomicU64,
-    /// Thread CPU nanoseconds burned by relay workers, sampled each loop
-    /// pass via `CLOCK_THREAD_CPUTIME_ID`. Dividing bytes relayed by
-    /// this yields bytes-per-CPU-second — the metric where the splice
+    /// Thread CPU nanoseconds burned by relay workers, read from
+    /// `CLOCK_THREAD_CPUTIME_ID` at most once per millisecond of a
+    /// worker's loop and once more when it exits. Dividing bytes relayed
+    /// by this yields bytes-per-CPU-second — the metric where the splice
     /// path's skipped userspace copies show up even on links (loopback)
     /// whose wall throughput is memcpy-bound at the endpoints.
     pub cpu_ns: AtomicU64,
@@ -161,6 +182,12 @@ impl RelayStats {
                 self.unindexed_backends.fetch_add(1, Ordering::Relaxed);
             }
         }
+    }
+
+    /// Count a connect attempt beyond the pinned candidate.
+    fn note_retry(&self) {
+        self.connect_retries.fetch_add(1, Ordering::Relaxed);
+        hermes_trace::trace_count!(hermes_trace::CounterId::BackendRetries);
     }
 }
 
@@ -230,12 +257,12 @@ impl RelayLb {
             "compiled dispatch admitted without a translation proof"
         );
 
-        let mut senders: Vec<Sender<TcpStream>> = Vec::with_capacity(workers);
+        let mut senders = Vec::with_capacity(workers);
         let mut accept_wakers: Vec<Option<Waker>> = Vec::with_capacity(workers);
         let mut wakers: Vec<Waker> = Vec::new();
         let mut handles = Vec::with_capacity(workers);
         for id in 0..workers {
-            let (tx, rx) = bounded::<TcpStream>(1024);
+            let (tx, rx) = bounded::<Handoff>(1024);
             senders.push(tx);
             let session = WorkerSession::new(
                 Arc::clone(&wst),
@@ -258,7 +285,7 @@ impl RelayLb {
             accept_wakers.push(waker.clone());
             wakers.extend(waker);
             handles.push(std::thread::spawn(move || match engine {
-                Some((reactor, splice)) => relay_worker_reactor_loop(
+                Some((reactor, splice)) => ReactorWorker::new(
                     id,
                     rx,
                     reactor,
@@ -268,8 +295,8 @@ impl RelayLb {
                     backends,
                     stats,
                     relay_stats,
-                    shutdown,
-                ),
+                )
+                .run(&shutdown),
                 None => relay_worker_loop(
                     id,
                     rx,
@@ -287,7 +314,15 @@ impl RelayLb {
             let shutdown = Arc::clone(&shutdown);
             let stats = Arc::clone(&stats);
             std::thread::spawn(move || {
-                accept_loop(listener, senders, accept_wakers, group, stats, shutdown);
+                accept_loop(
+                    listener,
+                    senders,
+                    accept_wakers,
+                    true,
+                    group,
+                    stats,
+                    shutdown,
+                );
             })
         };
 
@@ -349,6 +384,49 @@ impl Drop for RelayLb {
     }
 }
 
+/// Folds the owning worker thread's CPU time into [`RelayStats::cpu_ns`].
+/// `CLOCK_THREAD_CPUTIME_ID` is a real syscall (the wall clocks are
+/// vDSO reads), so a busy loop reads it once per [`CPU_SAMPLE_NS`] rather
+/// than once per pass; the drop at loop exit folds in the remainder.
+struct CpuMeter {
+    rstats: Arc<RelayStats>,
+    last_cpu: u64,
+    /// Loop-clock time from which the next read is due.
+    due_ns: u64,
+}
+
+impl CpuMeter {
+    fn new(rstats: Arc<RelayStats>) -> CpuMeter {
+        CpuMeter {
+            rstats,
+            last_cpu: reactor::thread_cpu_ns(),
+            due_ns: 0,
+        }
+    }
+
+    /// Call once per loop pass with the loop's own clock.
+    fn tick(&mut self, now_ns: u64) {
+        if now_ns >= self.due_ns {
+            self.due_ns = now_ns + CPU_SAMPLE_NS;
+            self.sample();
+        }
+    }
+
+    fn sample(&mut self) {
+        let cpu = reactor::thread_cpu_ns();
+        self.rstats
+            .cpu_ns
+            .fetch_add(cpu.saturating_sub(self.last_cpu), Ordering::Relaxed);
+        self.last_cpu = cpu;
+    }
+}
+
+impl Drop for CpuMeter {
+    fn drop(&mut self) {
+        self.sample();
+    }
+}
+
 /// Outcome of one pump pass over a relay.
 enum Pump {
     /// Still alive.
@@ -387,26 +465,28 @@ struct DirPass {
     moved: u64,
     /// Bytes of `moved` that travelled the zero-copy splice path.
     spliced: u64,
+    /// `read`/`write`/`splice` calls issued.
+    io_calls: u64,
+    /// Of `io_calls`, those that returned `EAGAIN`.
+    would_block: u64,
     /// Stopped at the fairness cap, not on would-block (see [`Pump`]).
     more: bool,
-    /// This pass demoted the direction from splice to the copy path.
-    demoted: bool,
+    /// Splice fallbacks: the kernel refused and the direction was
+    /// demoted, or no pipe could be opened to promote it.
+    fallbacks: u64,
+}
+
+/// How a flush of a direction's store ended.
+enum Flushed {
+    /// Every staged byte reached the destination.
+    Drained,
+    /// The destination's send buffer is full (`EAGAIN`).
+    Blocked,
+    /// The kernel refused the splice (`EINVAL`/`ENOSYS`): demote.
+    Unsupported,
 }
 
 impl DirBuf {
-    /// Build a direction store: a pooled (or fresh) pipe when splicing,
-    /// the userspace buffer otherwise — or when no pipe can be opened
-    /// (fd exhaustion), which counts as a splice fallback.
-    fn new(splice: bool, pipes: &mut Vec<PipePair>, fallbacks: &mut u64) -> DirBuf {
-        if splice {
-            match pipes.pop().map(Ok).unwrap_or_else(PipePair::new) {
-                Ok(pipe) => return DirBuf::Splice { pipe, buffered: 0 },
-                Err(_) => *fallbacks += 1,
-            }
-        }
-        DirBuf::Copy(BytesMut::with_capacity(SCRATCH_BYTES))
-    }
-
     /// No byte is waiting to be delivered.
     fn is_drained(&self) -> bool {
         match self {
@@ -415,53 +495,90 @@ impl DirBuf {
         }
     }
 
-    /// Pump `src` → `dst` through this store: flush what is buffered,
-    /// read more only when the buffer is empty (strict backpressure —
-    /// the pipe's 64 KiB capacity is the splice path's bound), capped at
-    /// [`MOVES_PER_PUMP`]. Propagates half-close once `src`'s EOF is
-    /// fully flushed. A kernel splice refusal demotes to the copy path
-    /// (recovering pipe bytes) and retries within the same call.
-    fn pump(
-        &mut self,
-        src: &mut TcpStream,
-        dst: &mut TcpStream,
-        src_eof: &mut bool,
-        dst_shut: &mut bool,
-        scratch: &mut [u8],
-    ) -> std::io::Result<DirPass> {
-        let mut pass = DirPass::default();
-        loop {
-            match self {
-                DirBuf::Copy(buf) => {
-                    let (moved, more) = pump_copy(src, dst, buf, src_eof, scratch)?;
-                    pass.moved += moved;
-                    pass.more = more;
-                }
-                DirBuf::Splice { pipe, buffered } => {
-                    match pump_splice(src, dst, pipe, buffered, src_eof)? {
-                        Some((moved, more)) => {
-                            pass.moved += moved;
-                            pass.spliced += moved;
-                            pass.more = more;
+    /// Deliver what is staged to `dst`, until drained or `EAGAIN`.
+    fn flush(&mut self, dst: &mut TcpStream, pass: &mut DirPass) -> std::io::Result<Flushed> {
+        match self {
+            DirBuf::Copy(buf) => {
+                while !buf.is_empty() {
+                    pass.io_calls += 1;
+                    match dst.write(&buf[..]) {
+                        Ok(0) => return Err(ErrorKind::WriteZero.into()),
+                        Ok(n) => {
+                            pass.moved += n as u64;
+                            if n == buf.len() {
+                                buf.clear(); // keeps the allocation for the next fill
+                            } else {
+                                let _ = buf.split_to(n);
+                            }
                         }
-                        None => {
-                            self.demote(scratch)?;
-                            pass.demoted = true;
-                            continue; // finish the pass on the copy path
+                        Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                            pass.would_block += 1;
+                            return Ok(Flushed::Blocked);
                         }
+                        Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                        Err(e) => return Err(e),
                     }
                 }
             }
-            break;
+            DirBuf::Splice { pipe, buffered } => {
+                while *buffered > 0 {
+                    pass.io_calls += 1;
+                    match reactor::splice_from_pipe(pipe, dst.as_raw_fd(), *buffered)? {
+                        Splice::Moved(n) => {
+                            *buffered -= n.min(*buffered);
+                            pass.moved += n as u64;
+                            pass.spliced += n as u64;
+                        }
+                        // A zero-length pipe read with buffered > 0 cannot
+                        // happen; fold it into would-block rather than
+                        // trust it.
+                        Splice::WouldBlock | Splice::Eof => {
+                            pass.would_block += 1;
+                            return Ok(Flushed::Blocked);
+                        }
+                        Splice::Unsupported => return Ok(Flushed::Unsupported),
+                    }
+                }
+            }
         }
-        if *src_eof && self.is_drained() && !*dst_shut {
-            // Half-close: the reader saw EOF and everything it buffered
-            // has been delivered — tell the other side no more bytes are
-            // coming, while its responses keep flowing the opposite way.
-            let _ = dst.shutdown(Shutdown::Write);
-            *dst_shut = true;
+        Ok(Flushed::Drained)
+    }
+
+    /// Stage one buffer-full from `src` into the (drained) store: one
+    /// `read` through `scratch`, or one splice into the pipe.
+    fn fill(
+        &mut self,
+        src: &mut TcpStream,
+        scratch: &mut [u8],
+        pass: &mut DirPass,
+    ) -> std::io::Result<Splice> {
+        let got = match self {
+            DirBuf::Copy(buf) => loop {
+                pass.io_calls += 1;
+                match src.read(scratch) {
+                    Ok(0) => break Splice::Eof,
+                    Ok(n) => {
+                        buf.extend_from_slice(&scratch[..n]);
+                        break Splice::Moved(n);
+                    }
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => break Splice::WouldBlock,
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e),
+                }
+            },
+            DirBuf::Splice { pipe, buffered } => {
+                pass.io_calls += 1;
+                let got = reactor::splice_to_pipe(src.as_raw_fd(), pipe, SPLICE_WINDOW)?;
+                if let Splice::Moved(n) = got {
+                    *buffered += n;
+                }
+                got
+            }
+        };
+        if matches!(got, Splice::WouldBlock) {
+            pass.would_block += 1;
         }
-        Ok(pass)
+        Ok(got)
     }
 
     /// Demote to the copy path, recovering any bytes already staged in
@@ -495,111 +612,135 @@ impl DirBuf {
     }
 }
 
-/// Copy-path pump: flush buffered bytes, refill through `scratch` only
-/// when empty. Returns `(bytes_delivered, more)` where `more` means the
-/// pass ended at the move cap with deliverable work remaining.
-fn pump_copy(
-    src: &mut TcpStream,
-    dst: &mut TcpStream,
-    buf: &mut BytesMut,
-    src_eof: &mut bool,
-    scratch: &mut [u8],
-) -> std::io::Result<(u64, bool)> {
-    use std::io::ErrorKind;
-    let mut moved = 0u64;
-    let mut dst_blocked = false;
-    let mut src_blocked = false;
-    'moves: for _ in 0..MOVES_PER_PUMP {
-        while !buf.is_empty() {
-            match dst.write(&buf[..]) {
-                Ok(0) => return Err(ErrorKind::WriteZero.into()),
-                Ok(n) => {
-                    let _ = buf.split_to(n);
-                    moved += n as u64;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    dst_blocked = true;
-                    break 'moves;
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        if *src_eof {
-            break;
-        }
-        match src.read(scratch) {
-            Ok(0) => {
-                *src_eof = true;
-                break;
-            }
-            Ok(n) => buf.extend_from_slice(&scratch[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                src_blocked = true;
-                break;
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    // More deliverable work remains iff the destination still accepts
-    // bytes and either the buffer holds some or the source may yield more.
-    let more = !dst_blocked && (!buf.is_empty() || (!*src_eof && !src_blocked));
-    Ok((moved, more))
+/// Where a direction stands on moving to the splice path. The choice is
+/// made from the traffic itself: 64 B messages cost less through one
+/// `read` + `write` than through two splices, and a connection that
+/// never sends more never touches a pipe; bulk pays the copy path for
+/// its first scratch-full only.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Promote {
+    /// Not (or no longer) a candidate: the mode has no splice, the
+    /// direction already moved, or the kernel or the fd table refused.
+    Off,
+    /// Copying, and watching for a `read` that fills the scratch buffer.
+    Watching,
+    /// Such a read happened: move as soon as the staged bytes are flushed.
+    Due,
 }
 
-/// Splice-path pump: same flush-then-refill shape as [`pump_copy`], but
-/// both moves are kernel-to-kernel through the pipe. `Ok(None)` means the
-/// kernel refused (`EINVAL`/`ENOSYS`): the caller must demote this
-/// direction to the copy path.
-fn pump_splice(
-    src: &mut TcpStream,
-    dst: &mut TcpStream,
-    pipe: &PipePair,
-    buffered: &mut usize,
-    src_eof: &mut bool,
-) -> std::io::Result<Option<(u64, bool)>> {
-    let mut moved = 0u64;
-    let mut dst_blocked = false;
-    let mut src_blocked = false;
-    'moves: for _ in 0..MOVES_PER_PUMP {
-        while *buffered > 0 {
-            match reactor::splice_from_pipe(pipe, dst.as_raw_fd(), *buffered)? {
+/// One relay direction: its byte store, and what is known about the two
+/// sockets it joins — which is what decides the I/O a pump issues.
+struct Direction {
+    store: DirBuf,
+    /// The source may hold bytes (or an EOF) to read. Set when the relay
+    /// is registered and by every `readable|closed` event on the source
+    /// leg; cleared only by a read that really returned `EAGAIN`, or by
+    /// EOF. A short read proves nothing (the next segment may have
+    /// landed meanwhile), and the `EAGAIN` is also what re-arms the
+    /// edge-triggered registration — so a pass reads on until it gets one.
+    src_ready: bool,
+    /// The source reached end-of-stream.
+    src_eof: bool,
+    /// The half-close was passed on to the destination.
+    dst_shut: bool,
+    promote: Promote,
+}
+
+impl Direction {
+    fn new(splice: bool) -> Direction {
+        Direction {
+            // Unallocated until the first read, sized by what arrives.
+            store: DirBuf::Copy(BytesMut::new()),
+            src_ready: true,
+            src_eof: false,
+            dst_shut: false,
+            promote: if splice {
+                Promote::Watching
+            } else {
+                Promote::Off
+            },
+        }
+    }
+
+    /// Pump `src` → `dst`, issuing only I/O that can succeed: nothing at
+    /// all unless the source may be readable or bytes are staged; then
+    /// flush what is staged, and read more only once the store is empty
+    /// (strict backpressure — the store's size is the bound), up to
+    /// [`MOVES_PER_PUMP`] buffer-fulls. Moves to the splice path, within
+    /// the pass, once a scratch-filling read has been flushed; a kernel
+    /// splice refusal demotes back (recovering pipe bytes) and the pass
+    /// carries on. Propagates half-close once `src`'s EOF is flushed.
+    fn pump(
+        &mut self,
+        src: &mut TcpStream,
+        dst: &mut TcpStream,
+        scratch: &mut [u8],
+        pipes: &mut Vec<PipePair>,
+    ) -> std::io::Result<DirPass> {
+        let mut pass = DirPass::default();
+        if !self.src_ready && self.store.is_drained() {
+            return Ok(pass);
+        }
+        let mut fills = MOVES_PER_PUMP;
+        loop {
+            match self.store.flush(dst, &mut pass)? {
+                Flushed::Drained => {}
+                Flushed::Blocked => break,
+                Flushed::Unsupported => {
+                    self.demote(scratch, &mut pass)?;
+                    continue;
+                }
+            }
+            if self.promote == Promote::Due {
+                self.promote = Promote::Off;
+                match pipes.pop().map(Ok).unwrap_or_else(PipePair::new) {
+                    Ok(pipe) => self.store = DirBuf::Splice { pipe, buffered: 0 },
+                    // fd exhaustion: this direction stays on the copy path.
+                    Err(_) => pass.fallbacks += 1,
+                }
+            }
+            if !self.src_ready {
+                break;
+            }
+            if fills == 0 {
+                pass.more = true;
+                break;
+            }
+            fills -= 1;
+            match self.store.fill(src, scratch, &mut pass)? {
                 Splice::Moved(n) => {
-                    *buffered -= n.min(*buffered);
-                    moved += n as u64;
+                    if n == scratch.len() && self.promote == Promote::Watching {
+                        self.promote = Promote::Due;
+                    }
                 }
-                // A zero-length pipe read with buffered > 0 cannot
-                // happen; fold it into would-block rather than trust it.
-                Splice::WouldBlock | Splice::Eof => {
-                    dst_blocked = true;
-                    break 'moves;
+                Splice::WouldBlock => self.src_ready = false,
+                Splice::Eof => {
+                    self.src_eof = true;
+                    self.src_ready = false;
                 }
-                Splice::Unsupported => return Ok(None),
+                Splice::Unsupported => self.demote(scratch, &mut pass)?,
             }
         }
-        if *src_eof {
-            break;
+        if self.src_eof && self.store.is_drained() && !self.dst_shut {
+            // Half-close: the reader saw EOF and everything it buffered
+            // has been delivered — tell the other side no more bytes are
+            // coming, while its responses keep flowing the opposite way.
+            let _ = dst.shutdown(Shutdown::Write);
+            self.dst_shut = true;
         }
-        match reactor::splice_to_pipe(src.as_raw_fd(), pipe, SPLICE_WINDOW)? {
-            Splice::Moved(n) => *buffered += n,
-            Splice::WouldBlock => {
-                src_blocked = true;
-                break;
-            }
-            Splice::Eof => {
-                *src_eof = true;
-                break;
-            }
-            Splice::Unsupported => return Ok(None),
-        }
+        Ok(pass)
     }
-    let more = !dst_blocked && (*buffered > 0 || (!*src_eof && !src_blocked));
-    Ok(Some((moved, more)))
+
+    /// The kernel refused to splice: continue on the copy path for good.
+    fn demote(&mut self, scratch: &mut [u8], pass: &mut DirPass) -> std::io::Result<()> {
+        self.promote = Promote::Off;
+        pass.fallbacks += 1;
+        self.store.demote(scratch)
+    }
 }
 
-/// One established relay: client socket, backend socket, and the
-/// in-flight byte store for each direction.
+/// One established relay: client socket, backend socket, and the two
+/// directions between them.
 struct RelayConn {
     client: TcpStream,
     backend: TcpStream,
@@ -607,14 +748,10 @@ struct RelayConn {
     /// Table version this connection was admitted under (observability:
     /// proves which snapshot the routing decision came from).
     admitted_version: u64,
-    /// Client → backend byte store.
-    up: DirBuf,
-    /// Backend → client byte store.
-    down: DirBuf,
-    client_eof: bool,
-    backend_eof: bool,
-    backend_shut: bool,
-    client_shut: bool,
+    /// Client → backend.
+    up: Direction,
+    /// Backend → client.
+    down: Direction,
     bytes_up: u64,
     bytes_down: u64,
     deadline: Instant,
@@ -627,86 +764,92 @@ impl RelayConn {
         backend_id: BackendId,
         version: u64,
         splice: bool,
-        pipes: &mut Vec<PipePair>,
-        rstats: &RelayStats,
     ) -> Self {
-        let mut fallbacks = 0u64;
-        let up = DirBuf::new(splice, pipes, &mut fallbacks);
-        let down = DirBuf::new(splice, pipes, &mut fallbacks);
-        if fallbacks > 0 {
-            rstats.splice_fallbacks.fetch_add(fallbacks, Ordering::Relaxed);
-            hermes_trace::trace_count!(hermes_trace::CounterId::SpliceFallbacks, fallbacks);
-        }
         Self {
             client,
             backend,
             backend_id,
             admitted_version: version,
-            up,
-            down,
-            client_eof: false,
-            backend_eof: false,
-            backend_shut: false,
-            client_shut: false,
+            up: Direction::new(splice),
+            down: Direction::new(splice),
             bytes_up: 0,
             bytes_down: 0,
             deadline: Instant::now() + RELAY_DEADLINE,
         }
     }
 
+    /// The kernel reported `readable|closed` on a leg (0 = client,
+    /// 1 = backend): the direction it feeds has something to read.
+    fn source_ready(&mut self, leg: u64) {
+        let dir = if leg == 0 {
+            &mut self.up
+        } else {
+            &mut self.down
+        };
+        dir.src_ready = !dir.src_eof;
+    }
+
     /// Move bytes in both directions until the sockets would block (or
-    /// the per-pump cap). Returns the relay's life status.
-    fn pump(&mut self, scratch: &mut [u8], rstats: &RelayStats) -> Pump {
-        if Instant::now() >= self.deadline {
+    /// the per-pump cap). Returns the relay's life status. `now` is the
+    /// caller's clock for the deadline check (one read serves a pass).
+    fn pump(
+        &mut self,
+        now: Instant,
+        scratch: &mut [u8],
+        pipes: &mut Vec<PipePair>,
+        rstats: &RelayStats,
+    ) -> Pump {
+        if now >= self.deadline {
             return Pump::Dead;
         }
         rstats.pumps.fetch_add(1, Ordering::Relaxed);
-        let up = self.up.pump(
-            &mut self.client,
-            &mut self.backend,
-            &mut self.client_eof,
-            &mut self.backend_shut,
-            scratch,
-        );
-        let down = self.down.pump(
-            &mut self.backend,
-            &mut self.client,
-            &mut self.backend_eof,
-            &mut self.client_shut,
-            scratch,
-        );
-        match (up, down) {
-            (Ok(u), Ok(d)) => {
-                self.bytes_up += u.moved;
-                self.bytes_down += d.moved;
-                let spliced = u.spliced + d.spliced;
-                if spliced > 0 {
-                    rstats.splice_bytes.fetch_add(spliced, Ordering::Relaxed);
-                    hermes_trace::trace_count!(hermes_trace::CounterId::SpliceBytes, spliced);
-                }
-                let demoted = u.demoted as u64 + d.demoted as u64;
-                if demoted > 0 {
-                    rstats.splice_fallbacks.fetch_add(demoted, Ordering::Relaxed);
-                    hermes_trace::trace_count!(hermes_trace::CounterId::SpliceFallbacks, demoted);
-                }
-                let drained = self.up.is_drained() && self.down.is_drained();
-                if self.client_eof && self.backend_eof && drained {
-                    Pump::Done
-                } else {
-                    Pump::Progress {
-                        moved: u.moved + d.moved,
-                        more: u.more || d.more,
-                    }
-                }
+        let up = self
+            .up
+            .pump(&mut self.client, &mut self.backend, scratch, pipes);
+        let down = self
+            .down
+            .pump(&mut self.backend, &mut self.client, scratch, pipes);
+        let (Ok(u), Ok(d)) = (up, down) else {
+            return Pump::Dead;
+        };
+        self.bytes_up += u.moved;
+        self.bytes_down += d.moved;
+        let io_calls = u.io_calls + d.io_calls;
+        if io_calls > 0 {
+            rstats.io_calls.fetch_add(io_calls, Ordering::Relaxed);
+        }
+        let would_block = u.would_block + d.would_block;
+        if would_block > 0 {
+            rstats.would_block.fetch_add(would_block, Ordering::Relaxed);
+        }
+        let spliced = u.spliced + d.spliced;
+        if spliced > 0 {
+            rstats.splice_bytes.fetch_add(spliced, Ordering::Relaxed);
+            hermes_trace::trace_count!(hermes_trace::CounterId::SpliceBytes, spliced);
+        }
+        let fallbacks = u.fallbacks + d.fallbacks;
+        if fallbacks > 0 {
+            rstats
+                .splice_fallbacks
+                .fetch_add(fallbacks, Ordering::Relaxed);
+            hermes_trace::trace_count!(hermes_trace::CounterId::SpliceFallbacks, fallbacks);
+        }
+        let drained = self.up.store.is_drained() && self.down.store.is_drained();
+        if self.up.src_eof && self.down.src_eof && drained {
+            Pump::Done
+        } else {
+            Pump::Progress {
+                moved: u.moved + d.moved,
+                more: u.more || d.more,
             }
-            _ => Pump::Dead,
         }
     }
 }
 
 /// Teardown bookkeeping shared by both worker loops: fold the relay's
 /// byte counts into the shared stats, notify the session/trace, and
-/// recycle drained pipes. Dropping the sockets closes both legs.
+/// recycle drained pipes. Dropping the sockets closes both legs, which
+/// also takes them out of the worker's epoll set.
 fn finish_conn<T: SyncTarget>(
     conn: RelayConn,
     rstats: &RelayStats,
@@ -717,7 +860,9 @@ fn finish_conn<T: SyncTarget>(
 ) {
     rstats.relayed.fetch_add(1, Ordering::Relaxed);
     rstats.bytes_up.fetch_add(conn.bytes_up, Ordering::Relaxed);
-    rstats.bytes_down.fetch_add(conn.bytes_down, Ordering::Relaxed);
+    rstats
+        .bytes_down
+        .fetch_add(conn.bytes_down, Ordering::Relaxed);
     session.conn_closed();
     hermes_trace::trace_event!(
         now,
@@ -727,260 +872,442 @@ fn finish_conn<T: SyncTarget>(
         conn.admitted_version
     );
     let RelayConn { up, down, .. } = conn;
-    up.reclaim(pipes);
-    down.reclaim(pipes);
+    up.store.reclaim(pipes);
+    down.store.reclaim(pipes);
 }
 
-/// Admit a freshly dispatched client against the current table version and
-/// connect it to a backend, walking the admitted candidate order on
-/// connect failure. `None` drops the client (no candidate reachable).
-fn open_relay(
+/// A reactor slot's tenant.
+enum Slot {
+    /// The backend connect is in flight. Only the backend leg is
+    /// registered; the client's bytes wait in its socket buffer.
+    Connecting(Connecting),
+    /// Both legs registered, bytes moving.
+    Relay(RelayConn),
+}
+
+/// A client admitted against a table version whose backend leg is still
+/// connecting — the state that lets a slow backend delay only its own
+/// client instead of the worker.
+struct Connecting {
     client: TcpStream,
-    pool: &BackendPool,
-    cache: &mut TableCache,
-    backends: &[SocketAddr],
-    rstats: &RelayStats,
-    splice: bool,
-    pipes: &mut Vec<PipePair>,
-) -> Option<RelayConn> {
-    let hash = match (client.peer_addr(), client.local_addr()) {
-        (Ok(peer), Ok(local)) => flow_hash(&peer, &local),
-        _ => return None, // peer vanished between accept and hand-off
-    };
-    let table = pool.cached(cache);
-    let Some(adm) = table.admit(hash) else {
-        rstats.failed_connects.fetch_add(1, Ordering::Relaxed);
-        return None; // nothing admits new connections right now
-    };
-    let mut attempt = 0;
-    while let Some(b) = adm.candidate(attempt) {
-        if attempt > 0 {
-            rstats.connect_retries.fetch_add(1, Ordering::Relaxed);
-            hermes_trace::trace_count!(hermes_trace::CounterId::BackendRetries);
-        }
-        // A candidate beyond the startup address list (a late table
-        // version referencing backends this process never learned
-        // addresses for) is skipped like a failed connect.
-        let connected = backends
-            .get(b)
-            .map(|addr| TcpStream::connect_timeout(addr, CONNECT_TIMEOUT));
-        match connected {
-            Some(Ok(backend)) => {
-                let _ = client.set_nonblocking(true);
-                let _ = client.set_nodelay(true);
-                let _ = backend.set_nonblocking(true);
-                let _ = backend.set_nodelay(true);
-                rstats.note_backend(b);
-                return Some(RelayConn::new(
-                    client,
-                    backend,
-                    b,
-                    adm.version(),
-                    splice,
-                    pipes,
-                    rstats,
-                ));
-            }
-            _ => attempt += 1,
-        }
-    }
-    rstats.failed_connects.fetch_add(1, Ordering::Relaxed);
-    None
+    /// The socket of attempt `attempt`, registered under the slot's
+    /// backend token (the registration carries over to the relay).
+    backend: TcpStream,
+    backend_id: BackendId,
+    /// The pin: later attempts walk `adm.candidate(n)` within it.
+    adm: Admission,
+    attempt: usize,
+    /// When this attempt is given up and the next candidate tried.
+    deadline: Instant,
+    /// A writable/closed event arrived: `SO_ERROR` holds the verdict.
+    resolved: bool,
 }
 
 /// The reactor relay worker: the Fig. 9 loop shape where "wait for
-/// events" is a real `epoll_wait` — readiness edges and the acceptor's
-/// eventfd ring are the only things that move it. Idle connections cost
-/// nothing; an idle worker sleeps in the kernel.
-#[allow(clippy::too_many_arguments)]
-fn relay_worker_reactor_loop<T: SyncTarget>(
+/// events" is a real `epoll_wait` — readiness edges, connect completions
+/// and the acceptor's eventfd ring are the only things that move it, and
+/// it is the only call that blocks. Idle connections cost nothing; an
+/// idle worker sleeps in the kernel.
+struct ReactorWorker<T: SyncTarget> {
     id: usize,
-    rx: Receiver<TcpStream>,
-    mut reactor: Reactor,
+    rx: Receiver<Handoff>,
+    reactor: Reactor,
     splice: bool,
-    mut session: WorkerSession<T>,
+    session: WorkerSession<T>,
     pool: Arc<BackendPool>,
     backends: Arc<Vec<SocketAddr>>,
     stats: Arc<LbStats>,
     rstats: Arc<RelayStats>,
-    shutdown: Arc<AtomicBool>,
-) {
-    let epoch = Instant::now();
-    let now_ns = move || epoch.elapsed().as_nanos() as u64;
-    let lane = id as u32;
-    let mut cache = TableCache::new();
-    // Slot-addressed connection table: fd tokens are `slot*2` (client
-    // leg) and `slot*2 + 1` (backend leg), so a readiness event maps
-    // straight back to its relay. Freed slots are reused; a stale event
-    // for a torn-down slot finds `None` (or a new tenant, which tolerates
-    // the spurious pump) and is dropped.
-    let mut slots: Vec<Option<RelayConn>> = Vec::new();
-    let mut free: Vec<usize> = Vec::new();
-    let mut live = 0usize;
-    let mut pipes: Vec<PipePair> = Vec::new();
-    let mut scratch = vec![0u8; SCRATCH_BYTES];
-    let mut events: Vec<reactor::Event> = Vec::new();
-    // Slots that stopped at the fairness cap: under edge-triggered epoll
-    // their remaining work will never re-announce itself, so they carry
-    // over to the next iteration (which polls instead of blocking).
-    let mut ready: Vec<usize> = Vec::new();
-    let mut due: Vec<usize> = Vec::new();
-    let mut last_sweep = Instant::now();
-    let mut disconnected = false;
-    let mut last_cpu = reactor::thread_cpu_ns();
-    loop {
-        session.loop_top(now_ns());
-        let cpu = reactor::thread_cpu_ns();
-        rstats
-            .cpu_ns
-            .fetch_add(cpu.saturating_sub(last_cpu), Ordering::Relaxed);
-        last_cpu = cpu;
-        let timeout = if !ready.is_empty() || !rx.is_empty() {
+    epoch: Instant,
+    cache: TableCache,
+    /// Slot-addressed connection table: fd tokens are `slot*2` (client
+    /// leg) and `slot*2 + 1` (backend leg), so a readiness event maps
+    /// straight back to its tenant. Freed slots are reused; events are
+    /// decoded before a pass admits or tears down anything, so one never
+    /// reaches a later tenant.
+    slots: Vec<Option<Slot>>,
+    free: Vec<usize>,
+    /// Occupied slots (connecting or relaying).
+    live: usize,
+    /// Slots in [`Slot::Connecting`]; `connect_deadlines` is only
+    /// meaningful while this is non-zero.
+    connecting: usize,
+    /// `(deadline, slot)` per connect attempt, oldest first (every
+    /// attempt gets the same [`CONNECT_TIMEOUT`], so start order is
+    /// deadline order). An entry whose attempt already resolved is stale
+    /// and skipped when it surfaces.
+    connect_deadlines: VecDeque<(Instant, usize)>,
+    pipes: Vec<PipePair>,
+    scratch: Vec<u8>,
+    events: Vec<reactor::Event>,
+    /// Slots that stopped at the fairness cap: under edge-triggered epoll
+    /// their remaining work will never re-announce itself, so they carry
+    /// over to the next pass (which polls instead of blocking).
+    ready: Vec<usize>,
+    /// Slots owed service this pass.
+    due: Vec<usize>,
+    /// The clock as read when this pass's wait returned: what every
+    /// deadline in the pass is compared against.
+    now: Instant,
+    /// The last pass admitted a full burst, so the channel may hold more
+    /// hand-offs than the eventfd will announce again.
+    backlog: bool,
+    last_sweep: Instant,
+}
+
+impl<T: SyncTarget> ReactorWorker<T> {
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        id: usize,
+        rx: Receiver<Handoff>,
+        reactor: Reactor,
+        splice: bool,
+        session: WorkerSession<T>,
+        pool: Arc<BackendPool>,
+        backends: Arc<Vec<SocketAddr>>,
+        stats: Arc<LbStats>,
+        rstats: Arc<RelayStats>,
+    ) -> Self {
+        ReactorWorker {
+            id,
+            rx,
+            reactor,
+            splice,
+            session,
+            pool,
+            backends,
+            stats,
+            rstats,
+            epoch: Instant::now(),
+            cache: TableCache::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            live: 0,
+            connecting: 0,
+            connect_deadlines: VecDeque::new(),
+            pipes: Vec::new(),
+            scratch: vec![0u8; SCRATCH_BYTES],
+            events: Vec::new(),
+            ready: Vec::new(),
+            due: Vec::new(),
+            now: Instant::now(),
+            backlog: false,
+            last_sweep: Instant::now(),
+        }
+    }
+
+    fn now_ns(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
+    }
+
+    fn lane(&self) -> u32 {
+        self.id as u32
+    }
+
+    /// Loop until `shutdown` is set and every hand-off and relay drained.
+    fn run(&mut self, shutdown: &AtomicBool) {
+        let mut cpu = CpuMeter::new(Arc::clone(&self.rstats));
+        let mut now_ns = self.now_ns();
+        loop {
+            self.session.loop_top(now_ns);
+            cpu.tick(now_ns);
+            let handoffs = self.fetch();
+            self.handle(handoffs);
+            self.sweep();
+            // The end of this pass is the top of the next: one clock
+            // read stamps both the schedule and the loop entry.
+            now_ns = self.now_ns();
+            let decision = self.session.schedule_only(now_ns);
+            self.session.sync_only(decision.bitmap);
+            if shutdown.load(Ordering::SeqCst) && self.rx.is_empty() && self.live == 0 {
+                return;
+            }
+        }
+    }
+
+    /// Fig. 9 lines 13–14: wait for events, then publish how many this
+    /// pass owes — queued hand-offs plus slots due service — so the WST
+    /// shows a busy worker as busy. Returns the hand-offs to admit.
+    fn fetch(&mut self) -> usize {
+        let timeout = if !self.ready.is_empty() || self.backlog {
             0
         } else {
-            REACTOR_WAIT_MS
+            self.idle_timeout_ms()
         };
-        let fetched_events = reactor.wait(&mut events, timeout).unwrap_or(0);
-        if fetched_events > 0 {
+        let fetched = self.reactor.wait(&mut self.events, timeout).unwrap_or(0);
+        self.now = Instant::now();
+        if fetched > 0 {
             hermes_trace::trace_count!(hermes_trace::CounterId::ReactorWakeups);
         }
-        if events.iter().any(|e| e.token == WAKE_TOKEN) {
-            reactor.drain_wake();
-        }
 
-        // Admit a burst of newly dispatched connections (the eventfd ring
-        // said the channel has some; cap mirrors the accept burst).
-        let mut fetched = 0usize;
-        while fetched < ACCEPT_BURST {
-            match rx.try_recv() {
-                Ok(stream) => {
-                    fetched += 1;
-                    stats.accepted[id].fetch_add(1, Ordering::Relaxed);
-                    let Some(conn) = open_relay(
-                        stream, &pool, &mut cache, &backends, &rstats, splice, &mut pipes,
-                    ) else {
-                        continue;
-                    };
-                    session.conn_opened();
-                    hermes_trace::trace_event!(
-                        now_ns(),
-                        hermes_trace::EventKind::ConnOpen,
-                        lane,
-                        conn.backend_id,
-                        conn.admitted_version
-                    );
-                    let slot = free.pop().unwrap_or_else(|| {
-                        slots.push(None);
-                        slots.len() - 1
-                    });
-                    let cfd = conn.client.as_raw_fd();
-                    let bfd = conn.backend.as_raw_fd();
-                    slots[slot] = Some(conn);
-                    live += 1;
-                    let token = (slot as u64) * 2;
-                    if reactor.register(cfd, token).is_ok()
-                        && reactor.register(bfd, token + 1).is_ok()
-                    {
-                        // Edge-triggered contract: readiness that predates
-                        // registration never replays, so pump once now.
-                        ready.push(slot);
-                    } else {
-                        let _ = reactor.deregister(cfd);
-                        let c = slots[slot].take().expect("just inserted");
-                        finish_conn(c, &rstats, &mut session, lane, now_ns(), &mut pipes);
-                        live -= 1;
-                        free.push(slot);
+        // Readiness → owed service: note what each event says is now
+        // possible, and mark its slot due.
+        self.due.clear();
+        let mut rung = false;
+        for e in &self.events {
+            if e.token == WAKE_TOKEN {
+                self.reactor.drain_wake();
+                rung = true;
+                continue;
+            }
+            let slot = (e.token / 2) as usize;
+            match self.slots.get_mut(slot).and_then(|s| s.as_mut()) {
+                Some(Slot::Relay(conn)) => {
+                    if e.readable || e.closed {
+                        conn.source_ready(e.token & 1);
                     }
                 }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    disconnected = true;
-                    break;
-                }
+                Some(Slot::Connecting(c)) => c.resolved |= e.writable || e.closed,
+                None => continue, // stale event for a torn-down slot
+            }
+            self.due.push(slot);
+        }
+        // Connect attempts past their deadline are due a retry.
+        while let Some(&(deadline, slot)) = self.connect_deadlines.front() {
+            if deadline > self.now {
+                break;
+            }
+            self.connect_deadlines.pop_front();
+            if matches!(&self.slots[slot], Some(Slot::Connecting(c)) if c.deadline <= self.now) {
+                self.due.push(slot);
             }
         }
-        session.events_fetched(fetched);
-        for _ in 0..fetched {
-            session.event_handled();
+        // Merge the carried-over fairness-cap list, deduplicated — a
+        // relay whose both legs fired is still serviced once.
+        self.due.append(&mut self.ready);
+        self.due.sort_unstable();
+        self.due.dedup();
+
+        // The acceptor rings the eventfd after every send, so the channel
+        // is worth a look only when it rang (or a burst cap left some
+        // behind); the cap mirrors the accept burst.
+        let handoffs = if rung || self.backlog {
+            self.rx.len().min(ACCEPT_BURST)
+        } else {
+            0
+        };
+        self.backlog = handoffs == ACCEPT_BURST;
+        self.session.events_fetched(handoffs + self.due.len());
+        handoffs
+    }
+
+    /// How long an idle wait may last: the regular idle wait, cut short
+    /// to the nearest connect deadline.
+    fn idle_timeout_ms(&self) -> i32 {
+        match self.connect_deadlines.front() {
+            // Rounded up, so the deadline has passed on wakeup.
+            Some(&(deadline, _)) => {
+                let left = deadline.saturating_duration_since(Instant::now());
+                (left.as_millis() as i32 + 1).min(REACTOR_WAIT_MS)
+            }
+            None => REACTOR_WAIT_MS,
         }
+    }
 
-        // Readiness → owed pumps: decode fd events to slots and merge the
-        // carried-over fairness-cap list (deduplicated — a relay whose
-        // both legs fired still pumps once, and one pump serves both
-        // directions anyway).
-        due.clear();
-        due.extend(
-            events
-                .iter()
-                .filter(|e| e.token != WAKE_TOKEN)
-                .map(|e| (e.token / 2) as usize),
-        );
-        due.append(&mut ready);
-        due.sort_unstable();
-        due.dedup();
-
+    /// Fig. 9 lines 15–19: handle what [`fetch`](Self::fetch) reported,
+    /// one `event_handled` per hand-off admitted and per slot serviced.
+    fn handle(&mut self, handoffs: usize) {
+        for _ in 0..handoffs {
+            if let Ok(handoff) = self.rx.try_recv() {
+                self.admit(handoff);
+            }
+            self.session.event_handled();
+        }
         let mut moved = 0u64;
-        let mut pumped = 0usize;
-        for i in 0..due.len() {
-            let slot = due[i];
-            let Some(conn) = slots.get_mut(slot).and_then(|s| s.as_mut()) else {
-                continue; // stale event for a torn-down slot
-            };
-            pumped += 1;
-            match conn.pump(&mut scratch, &rstats) {
-                Pump::Progress { moved: n, more } => {
-                    moved += n;
-                    if more {
-                        ready.push(slot);
-                    }
-                }
-                Pump::Done | Pump::Dead => {
-                    let c = slots[slot].take().expect("pumped a live slot");
-                    let _ = reactor.deregister(c.client.as_raw_fd());
-                    let _ = reactor.deregister(c.backend.as_raw_fd());
-                    finish_conn(c, &rstats, &mut session, lane, now_ns(), &mut pipes);
-                    live -= 1;
-                    free.push(slot);
-                }
-            }
+        for i in 0..self.due.len() {
+            moved += self.service(self.due[i]);
+            self.session.event_handled();
         }
-        if fetched_events > 0 {
+        if !self.events.is_empty() {
             hermes_trace::trace_event!(
-                now_ns(),
+                self.now_ns(),
                 hermes_trace::EventKind::RelayWakeup,
-                lane,
-                fetched_events,
-                pumped
+                self.lane(),
+                self.events.len(),
+                self.due.len()
             );
         }
-        if moved > 0 || fetched > 0 {
+        if moved > 0 || handoffs > 0 {
             hermes_trace::trace_count!(hermes_trace::CounterId::RelayBursts);
             hermes_trace::trace_count!(hermes_trace::CounterId::RelayBytes, moved);
         }
+    }
 
-        // Deadline sweep: epoll never fires for a silent peer, so expiry
-        // is reaped on a coarse clock. Comparisons only — no pumps — so
-        // idle connections stay untouched (the idle-CPU property).
-        if live > 0 && last_sweep.elapsed() >= SWEEP_INTERVAL {
-            last_sweep = Instant::now();
-            let now = Instant::now();
-            for slot in 0..slots.len() {
-                let expired = matches!(&slots[slot], Some(c) if now >= c.deadline);
-                if expired {
-                    let c = slots[slot].take().expect("matched Some");
-                    let _ = reactor.deregister(c.client.as_raw_fd());
-                    let _ = reactor.deregister(c.backend.as_raw_fd());
-                    finish_conn(c, &rstats, &mut session, lane, now_ns(), &mut pipes);
-                    live -= 1;
-                    free.push(slot);
+    /// Admit a freshly dispatched client against the current table
+    /// version (pinning it) and start connecting to its backend.
+    fn admit(&mut self, (client, hash): Handoff) {
+        self.stats.accepted[self.id].fetch_add(1, Ordering::Relaxed);
+        let table = self.pool.cached(&mut self.cache);
+        let Some(adm) = table.admit(hash) else {
+            // Nothing admits new connections right now.
+            self.rstats.failed_connects.fetch_add(1, Ordering::Relaxed);
+            return;
+        };
+        let _ = client.set_nodelay(true);
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            self.slots.len() - 1
+        });
+        self.live += 1;
+        self.connect(slot, client, adm, 0);
+    }
+
+    /// Start connecting `client`'s backend leg at candidate `attempt` of
+    /// its admission, walking on past candidates that fail on the spot;
+    /// with none left the client is dropped and the slot freed.
+    fn connect(&mut self, slot: usize, client: TcpStream, adm: Admission, mut attempt: usize) {
+        while let Some(backend_id) = adm.candidate(attempt) {
+            if attempt > 0 {
+                self.rstats.note_retry();
+            }
+            // A candidate beyond the startup address list (a late table
+            // version referencing backends this process never learned
+            // addresses for) is skipped like a failed connect.
+            let started = self
+                .backends
+                .get(backend_id)
+                .and_then(|addr| reactor::connect_nonblocking(addr).ok())
+                .filter(|b| {
+                    self.reactor
+                        .register(b.as_raw_fd(), slot as u64 * 2 + 1)
+                        .is_ok()
+                });
+            if let Some(backend) = started {
+                let deadline = self.now + CONNECT_TIMEOUT;
+                self.connecting += 1;
+                self.connect_deadlines.push_back((deadline, slot));
+                self.slots[slot] = Some(Slot::Connecting(Connecting {
+                    client,
+                    backend,
+                    backend_id,
+                    adm,
+                    attempt,
+                    deadline,
+                    resolved: false,
+                }));
+                return;
+            }
+            attempt += 1;
+        }
+        self.rstats.failed_connects.fetch_add(1, Ordering::Relaxed);
+        self.release(slot);
+    }
+
+    /// Settle a connecting slot that is due: on success register the
+    /// client leg and turn the slot into a relay (`true`); on failure or
+    /// deadline move on to the next candidate; otherwise leave it be.
+    fn finish_connect(&mut self, slot: usize) -> bool {
+        let Some(Slot::Connecting(c)) = self.slots[slot].take() else {
+            return false;
+        };
+        let connected = if c.resolved {
+            matches!(c.backend.take_error(), Ok(None))
+        } else if self.now < c.deadline {
+            self.slots[slot] = Some(Slot::Connecting(c));
+            return false;
+        } else {
+            false
+        };
+        self.connecting -= 1;
+        if self.connecting == 0 {
+            self.connect_deadlines.clear();
+        }
+        if !connected {
+            // Dropping the abandoned socket closes it, which also takes
+            // it out of the epoll set.
+            self.connect(slot, c.client, c.adm, c.attempt + 1);
+            return false;
+        }
+        if self
+            .reactor
+            .register(c.client.as_raw_fd(), slot as u64 * 2)
+            .is_err()
+        {
+            self.rstats.failed_connects.fetch_add(1, Ordering::Relaxed);
+            self.release(slot);
+            return false;
+        }
+        let _ = c.backend.set_nodelay(true);
+        self.rstats.note_backend(c.backend_id);
+        self.session.conn_opened();
+        hermes_trace::trace_event!(
+            self.now_ns(),
+            hermes_trace::EventKind::ConnOpen,
+            self.lane(),
+            c.backend_id,
+            c.adm.version()
+        );
+        self.slots[slot] = Some(Slot::Relay(RelayConn::new(
+            c.client,
+            c.backend,
+            c.backend_id,
+            c.adm.version(),
+            self.splice,
+        )));
+        true
+    }
+
+    /// Service one due slot: settle its connect if it is still
+    /// connecting, then pump. A relay is pumped the moment it is
+    /// established — `EPOLL_CTL_ADD` does report readiness that predates
+    /// it, but only at the next wait, and the client's first bytes are
+    /// usually already there. Returns the bytes moved.
+    fn service(&mut self, slot: usize) -> u64 {
+        if matches!(self.slots[slot], Some(Slot::Connecting(_))) && !self.finish_connect(slot) {
+            return 0;
+        }
+        let Some(Slot::Relay(conn)) = self.slots[slot].as_mut() else {
+            return 0;
+        };
+        match conn.pump(self.now, &mut self.scratch, &mut self.pipes, &self.rstats) {
+            Pump::Progress { moved, more } => {
+                if more {
+                    self.ready.push(slot);
                 }
+                moved
+            }
+            Pump::Done | Pump::Dead => {
+                self.finish_relay(slot);
+                0
             }
         }
+    }
 
-        let decision = session.schedule_only(now_ns());
-        session.sync_only(decision.bitmap);
-        if (disconnected || shutdown.load(Ordering::SeqCst)) && rx.is_empty() && live == 0 {
+    /// Tear down the relay in `slot` and free the slot.
+    fn finish_relay(&mut self, slot: usize) {
+        if let Some(Slot::Relay(conn)) = self.slots[slot].take() {
+            let lane = self.lane();
+            let now = self.now.duration_since(self.epoch).as_nanos() as u64;
+            finish_conn(
+                conn,
+                &self.rstats,
+                &mut self.session,
+                lane,
+                now,
+                &mut self.pipes,
+            );
+        }
+        self.release(slot);
+    }
+
+    fn release(&mut self, slot: usize) {
+        self.live -= 1;
+        self.free.push(slot);
+    }
+
+    /// Deadline sweep: epoll never fires for a silent peer, so expiry is
+    /// reaped on a coarse clock. Comparisons only — no pumps — so idle
+    /// connections stay untouched (the idle-CPU property).
+    fn sweep(&mut self) {
+        let now = self.now;
+        if self.live == 0 || now.duration_since(self.last_sweep) < SWEEP_INTERVAL {
             return;
+        }
+        self.last_sweep = now;
+        for slot in 0..self.slots.len() {
+            if matches!(&self.slots[slot], Some(Slot::Relay(c)) if now >= c.deadline) {
+                self.finish_relay(slot);
+            }
         }
     }
 }
@@ -992,7 +1319,7 @@ fn relay_worker_reactor_loop<T: SyncTarget>(
 #[allow(clippy::too_many_arguments)]
 fn relay_worker_loop<T: SyncTarget>(
     id: usize,
-    rx: Receiver<TcpStream>,
+    rx: Receiver<Handoff>,
     mut session: WorkerSession<T>,
     pool: Arc<BackendPool>,
     backends: Arc<Vec<SocketAddr>>,
@@ -1005,23 +1332,33 @@ fn relay_worker_loop<T: SyncTarget>(
     let lane = id as u32;
     let mut cache = TableCache::new();
     let mut conns: Vec<RelayConn> = Vec::new();
+    // Never filled (this loop does not splice); `finish_conn` wants one.
     let mut pipes: Vec<PipePair> = Vec::new();
     let mut scratch = vec![0u8; SCRATCH_BYTES];
-    let mut last_cpu = reactor::thread_cpu_ns();
+    let mut cpu = CpuMeter::new(Arc::clone(&rstats));
     loop {
-        session.loop_top(now_ns());
-        let cpu = reactor::thread_cpu_ns();
-        rstats
-            .cpu_ns
-            .fetch_add(cpu.saturating_sub(last_cpu), Ordering::Relaxed);
-        last_cpu = cpu;
+        let now = now_ns();
+        session.loop_top(now);
+        cpu.tick(now);
         // Fetch a burst of newly dispatched connections. Block (the 5 ms
         // epoll_wait stand-in) only when there is nothing to pump.
         let mut fetched = 0usize;
         if conns.is_empty() {
             match rx.recv_timeout(Duration::from_millis(5)) {
-                Ok(stream) => {
-                    admit(stream, &mut conns, id, lane, &now_ns, &mut session, &pool, &mut cache, &backends, &stats, &rstats, &mut pipes);
+                Ok(handoff) => {
+                    admit(
+                        handoff,
+                        &mut conns,
+                        id,
+                        lane,
+                        &now_ns,
+                        &mut session,
+                        &pool,
+                        &mut cache,
+                        &backends,
+                        &stats,
+                        &rstats,
+                    );
                     fetched += 1;
                 }
                 Err(RecvTimeoutError::Timeout) => {}
@@ -1030,8 +1367,20 @@ fn relay_worker_loop<T: SyncTarget>(
         }
         while fetched < ACCEPT_BURST {
             match rx.try_recv() {
-                Ok(stream) => {
-                    admit(stream, &mut conns, id, lane, &now_ns, &mut session, &pool, &mut cache, &backends, &stats, &rstats, &mut pipes);
+                Ok(handoff) => {
+                    admit(
+                        handoff,
+                        &mut conns,
+                        id,
+                        lane,
+                        &now_ns,
+                        &mut session,
+                        &pool,
+                        &mut cache,
+                        &backends,
+                        &stats,
+                        &rstats,
+                    );
                     fetched += 1;
                 }
                 Err(_) => break,
@@ -1043,10 +1392,13 @@ fn relay_worker_loop<T: SyncTarget>(
         }
 
         // Pump every live relay once through the shared scratch buffer.
+        // No kernel readiness here: every source counts as readable.
         let mut moved = 0u64;
         let mut i = 0;
         while i < conns.len() {
-            match conns[i].pump(&mut scratch, &rstats) {
+            conns[i].source_ready(0);
+            conns[i].source_ready(1);
+            match conns[i].pump(Instant::now(), &mut scratch, &mut pipes, &rstats) {
                 Pump::Progress { moved: n, .. } => {
                     moved += n;
                     i += 1;
@@ -1076,10 +1428,10 @@ fn relay_worker_loop<T: SyncTarget>(
 
 /// Accept-side bookkeeping for one dispatched client: WST + stats +
 /// trace, then admission and backend connect. (Sleep-poll loop only; the
-/// reactor loop inlines this to also register fds.)
+/// reactor worker connects without blocking.)
 #[allow(clippy::too_many_arguments)]
 fn admit<T: SyncTarget>(
-    stream: TcpStream,
+    handoff: Handoff,
     conns: &mut Vec<RelayConn>,
     id: usize,
     lane: u32,
@@ -1090,12 +1442,9 @@ fn admit<T: SyncTarget>(
     backends: &[SocketAddr],
     stats: &LbStats,
     rstats: &RelayStats,
-    pipes: &mut Vec<PipePair>,
 ) {
     stats.accepted[id].fetch_add(1, Ordering::Relaxed);
-    // The sleep-poll baseline never splices: it is the copy-path
-    // reference the bench compares the reactor modes against.
-    if let Some(conn) = open_relay(stream, pool, cache, backends, rstats, false, pipes) {
+    if let Some(conn) = open_relay(handoff, pool, cache, backends, rstats) {
         session.conn_opened();
         hermes_trace::trace_event!(
             now_ns(),
@@ -1106,6 +1455,46 @@ fn admit<T: SyncTarget>(
         );
         conns.push(conn);
     }
+}
+
+/// The sleep-poll loop's admission: pin the client to the current table
+/// version and connect it to a backend with a *blocking* connect,
+/// walking the admitted candidate order on failure. `None` drops the
+/// client (no candidate reachable). Never splices: this loop is the
+/// copy-path reference the bench compares the reactor modes against.
+fn open_relay(
+    (client, hash): Handoff,
+    pool: &BackendPool,
+    cache: &mut TableCache,
+    backends: &[SocketAddr],
+    rstats: &RelayStats,
+) -> Option<RelayConn> {
+    let table = pool.cached(cache);
+    let Some(adm) = table.admit(hash) else {
+        rstats.failed_connects.fetch_add(1, Ordering::Relaxed);
+        return None; // nothing admits new connections right now
+    };
+    let mut attempt = 0;
+    while let Some(b) = adm.candidate(attempt) {
+        if attempt > 0 {
+            rstats.note_retry();
+        }
+        // A candidate beyond the startup address list is skipped like a
+        // failed connect (see `ReactorWorker::connect`).
+        let connected = backends
+            .get(b)
+            .map(|addr| TcpStream::connect_timeout(addr, CONNECT_TIMEOUT));
+        if let Some(Ok(backend)) = connected {
+            let _ = client.set_nodelay(true);
+            let _ = backend.set_nonblocking(true);
+            let _ = backend.set_nodelay(true);
+            rstats.note_backend(b);
+            return Some(RelayConn::new(client, backend, b, adm.version(), false));
+        }
+        attempt += 1;
+    }
+    rstats.failed_connects.fetch_add(1, Ordering::Relaxed);
+    None
 }
 
 #[cfg(test)]
@@ -1126,35 +1515,28 @@ mod tests {
         modes
     }
 
-    /// A line-greeting echo backend: sends `hello-<id>\n` on connect, then
-    /// echoes every byte until client EOF, then closes.
-    fn spawn_echo_backend(id: usize) -> (SocketAddr, Arc<AtomicBool>) {
+    /// A backend on an ephemeral loopback port that runs `serve` on its
+    /// own thread for every connection (blocking socket, 5 s read
+    /// timeout, `TCP_NODELAY`) until the returned flag is set.
+    fn spawn_backend(
+        serve: impl Fn(TcpStream) + Send + Sync + 'static,
+    ) -> (SocketAddr, Arc<AtomicBool>) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind backend");
         let addr = listener.local_addr().unwrap();
         listener.set_nonblocking(true).unwrap();
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
+        let serve = Arc::new(serve);
         std::thread::spawn(move || {
             while !stop2.load(Ordering::SeqCst) {
                 match listener.accept() {
-                    Ok((mut s, _)) => {
+                    Ok((s, _)) => {
+                        let serve = Arc::clone(&serve);
                         std::thread::spawn(move || {
+                            let _ = s.set_nonblocking(false);
                             let _ = s.set_read_timeout(Some(Duration::from_secs(5)));
                             let _ = s.set_nodelay(true);
-                            if s.write_all(format!("hello-{id}\n").as_bytes()).is_err() {
-                                return;
-                            }
-                            let mut chunk = [0u8; 1024];
-                            loop {
-                                match s.read(&mut chunk) {
-                                    Ok(0) | Err(_) => break,
-                                    Ok(n) => {
-                                        if s.write_all(&chunk[..n]).is_err() {
-                                            break;
-                                        }
-                                    }
-                                }
-                            }
+                            serve(s);
                         });
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -1167,46 +1549,65 @@ mod tests {
         (addr, stop)
     }
 
+    /// A line-greeting echo backend: sends `hello-<id>\n` on connect, then
+    /// echoes every byte until client EOF, then closes.
+    fn spawn_echo_backend(id: usize) -> (SocketAddr, Arc<AtomicBool>) {
+        spawn_backend(move |mut s| {
+            if s.write_all(format!("hello-{id}\n").as_bytes()).is_err() {
+                return;
+            }
+            let mut chunk = [0u8; 1024];
+            loop {
+                match s.read(&mut chunk) {
+                    Ok(0) | Err(_) => break,
+                    Ok(n) => {
+                        if s.write_all(&chunk[..n]).is_err() {
+                            break;
+                        }
+                    }
+                }
+            }
+        })
+    }
+
     /// A backend that half-closes *first*: sends `bye\n`, shuts down its
     /// write side immediately, then keeps reading and recording whatever
     /// the client sends until EOF.
     fn spawn_closer_backend() -> (SocketAddr, Arc<AtomicBool>, Arc<Mutex<Vec<u8>>>) {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind backend");
-        let addr = listener.local_addr().unwrap();
-        listener.set_nonblocking(true).unwrap();
-        let stop = Arc::new(AtomicBool::new(false));
+        spawn_recording_backend(true)
+    }
+
+    /// A backend that records whatever the client sends until EOF. With
+    /// `farewell` it first sends `bye\n` and half-closes; without, it
+    /// never writes a byte.
+    fn spawn_recording_backend(
+        farewell: bool,
+    ) -> (SocketAddr, Arc<AtomicBool>, Arc<Mutex<Vec<u8>>>) {
         let received = Arc::new(Mutex::new(Vec::new()));
-        let stop2 = Arc::clone(&stop);
         let received2 = Arc::clone(&received);
-        std::thread::spawn(move || {
-            while !stop2.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((mut s, _)) => {
-                        let received = Arc::clone(&received2);
-                        std::thread::spawn(move || {
-                            let _ = s.set_read_timeout(Some(Duration::from_secs(5)));
-                            let _ = s.set_nodelay(true);
-                            if s.write_all(b"bye\n").is_err() {
-                                return;
-                            }
-                            let _ = s.shutdown(Shutdown::Write);
-                            let mut chunk = [0u8; 1024];
-                            loop {
-                                match s.read(&mut chunk) {
-                                    Ok(0) | Err(_) => break,
-                                    Ok(n) => received.lock().unwrap().extend_from_slice(&chunk[..n]),
-                                }
-                            }
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    Err(_) => break,
+        let (addr, stop) = spawn_backend(move |mut s| {
+            if farewell {
+                if s.write_all(b"bye\n").is_err() {
+                    return;
+                }
+                let _ = s.shutdown(Shutdown::Write);
+            }
+            let mut chunk = [0u8; 16 * 1024];
+            loop {
+                match s.read(&mut chunk) {
+                    Ok(0) | Err(_) => break,
+                    Ok(n) => received2.lock().unwrap().extend_from_slice(&chunk[..n]),
                 }
             }
         });
         (addr, stop, received)
+    }
+
+    /// A backend that sends `payload` on connect and closes.
+    fn spawn_source_backend(payload: Arc<Vec<u8>>) -> (SocketAddr, Arc<AtomicBool>) {
+        spawn_backend(move |mut s| {
+            let _ = s.write_all(&payload);
+        })
     }
 
     /// Connect through the relay, read the greeting, exchange one echo
@@ -1254,6 +1655,423 @@ mod tests {
         }
     }
 
+    /// The acceptor's half of a hand-driven reactor worker.
+    struct RigAcceptor {
+        listener: TcpListener,
+        tx: crossbeam::channel::Sender<Handoff>,
+        waker: Waker,
+    }
+
+    impl RigAcceptor {
+        fn addr(&self) -> SocketAddr {
+            self.listener.local_addr().unwrap()
+        }
+
+        /// What `accept_loop` does for one connection: accept (blocking
+        /// until a client has connected), hash, hand off, ring.
+        fn hand_off_one(&self) {
+            let (stream, peer) = reactor::accept_nonblocking(&self.listener).expect("accept");
+            let hash = crate::server::flow_hash(&peer, &self.addr());
+            self.tx.send((stream, hash)).expect("worker alive");
+            self.waker.wake();
+        }
+    }
+
+    /// A reactor worker on a one-row WST that the test steps (or runs)
+    /// itself, so its private state can be read between steps.
+    fn reactor_rig(
+        backends: Vec<SocketAddr>,
+        splice: bool,
+    ) -> (ReactorWorker<fn(hermes_core::WorkerBitmap)>, RigAcceptor) {
+        fn publish_nowhere(_: hermes_core::WorkerBitmap) {}
+        let reactor = Reactor::new().expect("epoll");
+        let waker = reactor.waker();
+        let (tx, rx) = bounded::<Handoff>(1024);
+        let session = WorkerSession::new(
+            Arc::new(Wst::new(1)),
+            0,
+            SchedConfig::default(),
+            Arc::new(publish_nowhere as fn(hermes_core::WorkerBitmap)),
+        );
+        let stats = Arc::new(LbStats {
+            accepted: vec![AtomicU64::new(0)],
+            ..LbStats::default()
+        });
+        let rstats = Arc::new(RelayStats {
+            per_backend: (0..backends.len()).map(|_| AtomicU64::new(0)).collect(),
+            ..RelayStats::default()
+        });
+        let worker = ReactorWorker::new(
+            0,
+            rx,
+            reactor,
+            splice,
+            session,
+            Arc::new(BackendPool::new(backends.len())),
+            Arc::new(backends),
+            stats,
+            rstats,
+        );
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind rig");
+        (
+            worker,
+            RigAcceptor {
+                listener,
+                tx,
+                waker,
+            },
+        )
+    }
+
+    #[test]
+    fn wst_row_shows_readiness_events_while_they_are_pending() {
+        if !reactor::supported() {
+            eprintln!("SKIP: reactor requires Linux");
+            return;
+        }
+        let (echo, stop) = spawn_echo_backend(0);
+        let (mut worker, acceptor) = reactor_rig(vec![echo], true);
+        let wst = Arc::clone(worker.session.wst());
+        let pending = || wst.worker(0).snapshot().pending_events;
+
+        // A burst of three hand-offs, then stop the worker between "events
+        // fetched" and "events handled": the row must say three.
+        let mut waiting: Vec<TcpStream> = (0..3)
+            .map(|_| {
+                let c = TcpStream::connect(acceptor.addr()).unwrap();
+                acceptor.hand_off_one();
+                c.set_nonblocking(true).unwrap();
+                c
+            })
+            .collect();
+        let handoffs = worker.fetch();
+        assert_eq!(handoffs, 3);
+        assert_eq!(pending(), 3, "hand-offs fetched but not yet admitted");
+        worker.handle(handoffs);
+        assert_eq!(pending(), 0, "row not back to zero at loop end");
+
+        // From here on nothing arrives by hand-off: connect completions
+        // and greetings are readiness events, and they must show too.
+        let mut readiness_shown = 0;
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !waiting.is_empty() {
+            assert!(
+                Instant::now() < deadline,
+                "clients never got their greetings"
+            );
+            let handoffs = worker.fetch();
+            assert_eq!(handoffs, 0);
+            assert_eq!(pending() as usize, worker.due.len());
+            readiness_shown += worker.due.len();
+            worker.handle(handoffs);
+            assert_eq!(pending(), 0, "row not back to zero at loop end");
+            let mut greeting = [0u8; 8];
+            waiting.retain_mut(|c| !matches!(c.read(&mut greeting), Ok(8)));
+        }
+        assert!(
+            readiness_shown >= 3,
+            "readiness events never reached the WST"
+        );
+        stop.store(true, Ordering::SeqCst);
+    }
+
+    #[test]
+    fn short_connections_never_touch_a_pipe() {
+        if !reactor::supported() {
+            eprintln!("SKIP: reactor requires Linux");
+            return;
+        }
+        let (echo, stop) = spawn_echo_backend(0);
+        let (mut worker, acceptor) = reactor_rig(vec![echo], true);
+        let addr = acceptor.addr();
+        // Run the worker's real loop over `n` connections, then stop it so
+        // its pipe pool can be looked at.
+        let serve = |worker: &mut ReactorWorker<_>, n: usize, payload: &str| {
+            let shutdown = AtomicBool::new(false);
+            std::thread::scope(|s| {
+                s.spawn(|| worker.run(&shutdown));
+                s.spawn(|| (0..n).for_each(|_| acceptor.hand_off_one()));
+                for _ in 0..n {
+                    assert_eq!(relay_round_trip(addr, payload), 0);
+                }
+                shutdown.store(true, Ordering::SeqCst);
+                acceptor.waker.wake();
+            });
+        };
+        serve(&mut worker, 8, &"x".repeat(63));
+        assert_eq!(worker.rstats.relayed.load(Ordering::Relaxed), 8);
+        assert_eq!(worker.rstats.splice_bytes.load(Ordering::Relaxed), 0);
+        assert!(
+            worker.pipes.is_empty(),
+            "a 64 B echo took a pipe from the pool"
+        );
+        // The contrast: a payload of several scratch-fulls promotes, and
+        // its pipe comes back to the pool when the relay ends.
+        serve(&mut worker, 1, &"x".repeat(4 * SCRATCH_BYTES));
+        assert!(worker.rstats.splice_bytes.load(Ordering::Relaxed) > 0);
+        assert!(
+            !worker.pipes.is_empty(),
+            "the bulk direction's pipe was not pooled"
+        );
+        assert_eq!(worker.rstats.splice_fallbacks.load(Ordering::Relaxed), 0);
+        stop.store(true, Ordering::SeqCst);
+    }
+
+    #[test]
+    fn bulk_directions_move_to_splice_after_their_first_scratch_full() {
+        if !reactor::supported() {
+            eprintln!("SKIP: reactor requires Linux");
+            return;
+        }
+        let payload: Arc<Vec<u8>> = Arc::new((0..4 << 20).map(|i| (i % 251) as u8).collect());
+        // `Reactor { splice: false }` must never promote, however bulky.
+        for splice in [true, false] {
+            let mode = RelayMode::Reactor { splice };
+            let check = |rstats: &RelayStats, what: &str| {
+                let moved = rstats.bytes_up.load(Ordering::Relaxed)
+                    + rstats.bytes_down.load(Ordering::Relaxed);
+                let spliced = rstats.splice_bytes.load(Ordering::Relaxed);
+                assert!(
+                    moved >= payload.len() as u64,
+                    "{what}: relay lost count of bytes"
+                );
+                if splice {
+                    assert!(
+                        spliced * 100 >= moved * 99,
+                        "{what}: only {spliced} of {moved} bytes spliced — promotion is late"
+                    );
+                    assert_eq!(rstats.splice_fallbacks.load(Ordering::Relaxed), 0, "{what}");
+                } else {
+                    assert_eq!(spliced, 0, "{what}: copy mode spliced");
+                }
+            };
+
+            let (addr, stop, received) = spawn_closer_backend();
+            let lb = RelayLb::start_with_mode("127.0.0.1:0", 1, vec![addr], mode).expect("bind");
+            let mut s = TcpStream::connect(lb.local_addr()).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            s.write_all(&payload).unwrap();
+            s.shutdown(Shutdown::Write).unwrap();
+            let mut down = Vec::new();
+            s.read_to_end(&mut down).expect("drain to backend EOF");
+            assert_eq!(down, b"bye\n");
+            let got = await_received(&received, payload.len());
+            assert!(got == *payload, "{mode:?}: upload corrupted");
+            let rstats = Arc::clone(lb.relay_stats());
+            lb.shutdown();
+            check(&rstats, "upload");
+            stop.store(true, Ordering::SeqCst);
+
+            let (addr, stop) = spawn_source_backend(Arc::clone(&payload));
+            let lb = RelayLb::start_with_mode("127.0.0.1:0", 1, vec![addr], mode).expect("bind");
+            let mut s = TcpStream::connect(lb.local_addr()).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            let mut got = Vec::with_capacity(payload.len());
+            s.read_to_end(&mut got).expect("drain to backend EOF");
+            assert!(got == *payload, "{mode:?}: download corrupted");
+            drop(s);
+            let rstats = Arc::clone(lb.relay_stats());
+            lb.shutdown();
+            check(&rstats, "download");
+            stop.store(true, Ordering::SeqCst);
+        }
+    }
+
+    /// `(io_calls, would_block, pumps)` once the worker has gone quiet.
+    fn settled_io_counters(rstats: &RelayStats) -> (u64, u64, u64) {
+        let read = || {
+            (
+                rstats.io_calls.load(Ordering::Relaxed),
+                rstats.would_block.load(Ordering::Relaxed),
+                rstats.pumps.load(Ordering::Relaxed),
+            )
+        };
+        let mut last = read();
+        loop {
+            std::thread::sleep(Duration::from_millis(30));
+            let now = read();
+            if now == last {
+                return now;
+            }
+            last = now;
+        }
+    }
+
+    #[test]
+    fn a_wakeup_issues_only_the_io_the_kernel_announced() {
+        if !reactor::supported() {
+            eprintln!("SKIP: reactor requires Linux");
+            return;
+        }
+        for splice in [false, true] {
+            let mode = RelayMode::Reactor { splice };
+
+            // 1 000 sequential 64 B ping-pongs are 2 000 direction-moves,
+            // each one wakeup: read, write, and the read that confirms
+            // EAGAIN. The direction the event did not name costs nothing.
+            let (addr, stop) = spawn_echo_backend(0);
+            let lb = RelayLb::start_with_mode("127.0.0.1:0", 1, vec![addr], mode).expect("bind");
+            let mut s = TcpStream::connect(lb.local_addr()).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            s.set_nodelay(true).unwrap();
+            let mut greeting = [0u8; 8];
+            s.read_exact(&mut greeting).unwrap();
+            let (ping, mut pong) = ([0x5Au8; 64], [0u8; 64]);
+            let rstats = Arc::clone(lb.relay_stats());
+            let (io0, wb0, pumps0) = settled_io_counters(&rstats);
+            for _ in 0..1000 {
+                s.write_all(&ping).unwrap();
+                s.read_exact(&mut pong).unwrap();
+                assert_eq!(pong, ping);
+            }
+            let (io, wb, pumps) = settled_io_counters(&rstats);
+            let (io, wb, pumps) = (io - io0, wb - wb0, pumps - pumps0);
+            assert!(io <= 3 * 2000, "{mode:?}: {io} I/O calls for 2000 moves");
+            assert!(wb <= pumps, "{mode:?}: {wb} EAGAINs over {pumps} wakeups");
+            assert_eq!(rstats.splice_bytes.load(Ordering::Relaxed), 0, "{mode:?}");
+            drop(s);
+            lb.shutdown();
+            stop.store(true, Ordering::SeqCst);
+
+            // A backend that never writes: once the down direction has
+            // met its first EAGAIN, only the up direction does I/O.
+            let (addr, stop, received) = spawn_recording_backend(false);
+            let lb = RelayLb::start_with_mode("127.0.0.1:0", 1, vec![addr], mode).expect("bind");
+            let mut s = TcpStream::connect(lb.local_addr()).unwrap();
+            s.set_nodelay(true).unwrap();
+            s.write_all(&ping).unwrap();
+            await_received(&received, 64);
+            let rstats = Arc::clone(lb.relay_stats());
+            let (io0, ..) = settled_io_counters(&rstats);
+            for i in 2..=101 {
+                s.write_all(&ping).unwrap();
+                await_received(&received, 64 * i);
+            }
+            let (io, ..) = settled_io_counters(&rstats);
+            assert!(
+                io - io0 <= 3 * 100,
+                "{mode:?}: {} I/O calls for 100 one-way moves — the idle direction was polled",
+                io - io0
+            );
+            drop(s);
+            lb.shutdown();
+            stop.store(true, Ordering::SeqCst);
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn pending_connect_stalls_neither_sibling_relays_nor_the_retry() {
+        extern "C" {
+            fn listen(fd: i32, backlog: i32) -> i32;
+        }
+        // Candidate 0 listens with a backlog of one and never accepts.
+        // Once its accept queue is full the kernel drops further SYNs, so
+        // a connect to it neither succeeds nor fails: it stays pending.
+        let hole = TcpListener::bind("127.0.0.1:0").unwrap();
+        // SAFETY: plain syscall on a live listening socket, no pointers;
+        // listen() on a listening socket only updates its backlog.
+        assert_eq!(unsafe { listen(hole.as_raw_fd(), 1) }, 0);
+        let hole_addr = hole.local_addr().unwrap();
+        // Fill the queue: of eight connects only the first few complete;
+        // the rest stay in SYN_SENT and are closed again.
+        let mut fillers: Vec<TcpStream> = (0..8)
+            .map(|_| reactor::connect_nonblocking(&hole_addr).expect("connect starts"))
+            .collect();
+        std::thread::sleep(Duration::from_millis(100));
+        fillers.retain(|s| s.peer_addr().is_ok());
+        assert!(
+            (1..8).contains(&fillers.len()),
+            "{} of 8 connects completed: the backlog never filled",
+            fillers.len()
+        );
+        let (live_addr, stop) = spawn_echo_backend(1);
+        let lb = RelayLb::start("127.0.0.1:0", 1, vec![hole_addr, live_addr]).expect("bind");
+        let addr = lb.local_addr();
+        let rstats = Arc::clone(lb.relay_stats());
+        let greet = |s: &mut TcpStream| {
+            s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            let mut greeting = [0u8; 8];
+            s.read_exact(&mut greeting).expect("greeting");
+            assert_eq!(
+                &greeting, b"hello-1\n",
+                "served by the never-accepting backend"
+            );
+        };
+
+        // The sibling: one established relay on the same (only) worker,
+        // echoing for as long as the test runs.
+        let mut sibling = TcpStream::connect(addr).unwrap();
+        sibling.set_nodelay(true).unwrap();
+        greet(&mut sibling);
+        let done = Arc::new(AtomicBool::new(false));
+        let pinger = {
+            let done = Arc::clone(&done);
+            std::thread::spawn(move || {
+                let (ping, mut pong) = ([0xC3u8; 64], [0u8; 64]);
+                let (mut pings, mut worst) = (0u32, Duration::ZERO);
+                while !done.load(Ordering::SeqCst) {
+                    let t0 = Instant::now();
+                    sibling.write_all(&ping).unwrap();
+                    sibling.read_exact(&mut pong).unwrap();
+                    worst = worst.max(t0.elapsed());
+                    pings += 1;
+                }
+                (pings, worst)
+            })
+        };
+
+        // New clients until one is pinned to candidate 0: it waits out the
+        // attempt's deadline, then candidate 1 serves it after one retry.
+        let mut waited = None;
+        for _ in 0..64 {
+            let retries = rstats.connect_retries.load(Ordering::Relaxed);
+            let t0 = Instant::now();
+            let mut c = TcpStream::connect(addr).unwrap();
+            greet(&mut c);
+            match rstats.connect_retries.load(Ordering::Relaxed) - retries {
+                0 => continue,
+                1 => waited = Some(t0.elapsed()),
+                n => panic!("{n} retries for one client with one dead candidate"),
+            }
+            break;
+        }
+        done.store(true, Ordering::SeqCst);
+        let (pings, worst) = pinger.join().unwrap();
+        let waited = waited.expect("64 clients and none was pinned to candidate 0");
+        assert!(
+            waited >= CONNECT_TIMEOUT - Duration::from_millis(50),
+            "the connect to candidate 0 was not pending: client served after {waited:?}"
+        );
+        assert!(pings > 0);
+        assert!(
+            worst < Duration::from_millis(50),
+            "a sibling echo took {worst:?} while the connect was pending"
+        );
+        assert_eq!(rstats.failed_connects.load(Ordering::Relaxed), 0);
+        // The abandoned attempt's socket is closed — and with that out of
+        // the worker's epoll set: nothing is still trying to reach
+        // candidate 0 (an open one would sit in SYN_SENT for minutes).
+        let SocketAddr::V4(hole_v4) = hole_addr else {
+            panic!("bound an IPv4 address");
+        };
+        let remote = format!(
+            "{:08X}:{:04X}",
+            u32::from_le_bytes(hole_v4.ip().octets()),
+            hole_v4.port()
+        );
+        const SYN_SENT: &str = "02";
+        let table = std::fs::read_to_string("/proc/net/tcp").expect("/proc/net/tcp");
+        let pending = table
+            .lines()
+            .map(|l| l.split_whitespace().collect::<Vec<_>>())
+            .filter(|f| f.len() > 3 && f[2] == remote && f[3] == SYN_SENT)
+            .count();
+        assert_eq!(pending, 0, "an abandoned connect attempt is still open");
+        lb.shutdown();
+        stop.store(true, Ordering::SeqCst);
+    }
+
     #[test]
     fn relays_end_to_end_and_spreads_across_backends() {
         let backends: Vec<_> = (0..4).map(spawn_echo_backend).collect();
@@ -1265,22 +2083,30 @@ mod tests {
         for i in 0..24 {
             used.insert(relay_round_trip(addr, &format!("ping-{i}")));
         }
+        // One payload of several scratch-fulls: the size at which the
+        // auto mode moves a direction onto the splice path.
+        relay_round_trip(addr, &"bulk".repeat(SCRATCH_BYTES));
         let rstats = Arc::clone(lb.relay_stats());
         lb.shutdown();
-        assert!(used.len() >= 2, "all relays landed on one backend: {used:?}");
+        assert!(
+            used.len() >= 2,
+            "all relays landed on one backend: {used:?}"
+        );
         let landed: u64 = rstats
             .per_backend
             .iter()
             .map(|a| a.load(Ordering::Relaxed))
             .sum();
-        assert_eq!(landed, 24);
-        assert_eq!(rstats.relayed.load(Ordering::Relaxed), 24);
+        assert_eq!(landed, 25);
+        assert_eq!(rstats.relayed.load(Ordering::Relaxed), 25);
         assert_eq!(rstats.failed_connects.load(Ordering::Relaxed), 0);
         // Greeting + echo flowed down; payload flowed up.
-        assert!(rstats.bytes_down.load(Ordering::Relaxed) > rstats.bytes_up.load(Ordering::Relaxed));
+        assert!(
+            rstats.bytes_down.load(Ordering::Relaxed) > rstats.bytes_up.load(Ordering::Relaxed)
+        );
         if reactor::supported() {
             // The auto mode splices on Linux; the default path must have
-            // actually taken it.
+            // actually taken it for the bulk payload.
             assert!(
                 rstats.splice_bytes.load(Ordering::Relaxed) > 0,
                 "auto mode on Linux moved no bytes through splice"
@@ -1297,8 +2123,8 @@ mod tests {
             // Client EOF first: the echo backend answers until the client
             // shuts its write side, then the relay drains and closes.
             let (echo_addr, echo_stop) = spawn_echo_backend(0);
-            let lb = RelayLb::start_with_mode("127.0.0.1:0", 1, vec![echo_addr], mode)
-                .expect("bind");
+            let lb =
+                RelayLb::start_with_mode("127.0.0.1:0", 1, vec![echo_addr], mode).expect("bind");
             std::thread::sleep(Duration::from_millis(15));
             relay_round_trip(lb.local_addr(), "client-eof-first");
             lb.shutdown();
@@ -1438,7 +2264,8 @@ mod tests {
         std::thread::sleep(Duration::from_secs(1));
         let after = rstats.pumps.load(Ordering::Relaxed);
         assert_eq!(
-            after, before,
+            after,
+            before,
             "reactor pumped an idle connection {} times across an idle second",
             after - before
         );
@@ -1537,7 +2364,12 @@ mod tests {
         let mut r = BufReader::new(s.try_clone().unwrap());
         let mut greeting = String::new();
         r.read_line(&mut greeting).unwrap();
-        let pinned: usize = greeting.trim().strip_prefix("hello-").unwrap().parse().unwrap();
+        let pinned: usize = greeting
+            .trim()
+            .strip_prefix("hello-")
+            .unwrap()
+            .parse()
+            .unwrap();
 
         // Drain that backend: new admissions must avoid it…
         assert!(lb.pool().set_health(pinned, HealthState::Draining, 0));

@@ -28,6 +28,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// What the acceptor hands a worker: the accepted stream and the flow
+/// hash it dispatched on, so the worker never asks the kernel for the
+/// addresses again.
+pub(crate) type Handoff = (TcpStream, u32);
+
 pub(crate) struct GroupSync(pub(crate) Arc<ReuseportGroup>);
 
 impl SyncTarget for GroupSync {
@@ -101,10 +106,10 @@ impl TcpLb {
             "compiled dispatch admitted without a translation proof"
         );
 
-        let mut senders: Vec<Sender<TcpStream>> = Vec::with_capacity(workers);
+        let mut senders: Vec<Sender<Handoff>> = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for id in 0..workers {
-            let (tx, rx) = bounded::<TcpStream>(1024);
+            let (tx, rx) = bounded::<Handoff>(1024);
             senders.push(tx);
             let session = WorkerSession::new(
                 Arc::clone(&wst),
@@ -124,10 +129,11 @@ impl TcpLb {
             let shutdown = Arc::clone(&shutdown);
             let stats = Arc::clone(&stats);
             // HTTP workers block on their channel, not in epoll: no
-            // wakers needed (the channel send itself unblocks them).
+            // wakers needed (the channel send itself unblocks them), and
+            // they serve with blocking reads, so no nonblocking accept.
             let wakers = (0..senders.len()).map(|_| None).collect();
             std::thread::spawn(move || {
-                accept_loop(listener, senders, wakers, group, stats, shutdown);
+                accept_loop(listener, senders, wakers, false, group, stats, shutdown);
             })
         };
 
@@ -186,11 +192,11 @@ impl TcpLb {
         let wsts: Vec<Arc<Wst>> = (0..groups)
             .map(|_| Arc::new(Wst::new(group_size)))
             .collect();
-        let mut senders: Vec<Sender<TcpStream>> = Vec::with_capacity(workers);
+        let mut senders: Vec<Sender<Handoff>> = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for global in 0..workers {
             let (g, local) = (global / group_size, global % group_size);
-            let (tx, rx) = bounded::<TcpStream>(1024);
+            let (tx, rx) = bounded::<Handoff>(1024);
             senders.push(tx);
             let session = WorkerSession::new(
                 Arc::clone(&wsts[g]),
@@ -297,11 +303,13 @@ impl AcceptWaiter {
 
 /// The "kernel": drain the accept backlog into a burst, hash, run the
 /// dispatch program once for the whole burst, hand off. Shared by the
-/// HTTP front end and the byte relay ([`crate::relay`]).
+/// HTTP front end and the byte relay ([`crate::relay`]), which asks for
+/// its streams `nonblocking` straight from the accept.
 pub(crate) fn accept_loop(
     listener: TcpListener,
-    senders: Vec<Sender<TcpStream>>,
+    senders: Vec<Sender<Handoff>>,
     wakers: Vec<Option<Waker>>,
+    nonblocking: bool,
     group: Arc<ReuseportGroup>,
     stats: Arc<LbStats>,
     shutdown: Arc<AtomicBool>,
@@ -320,7 +328,12 @@ pub(crate) fn accept_loop(
         pending.clear();
         hashes.clear();
         while pending.len() < ACCEPT_BURST {
-            match listener.accept() {
+            let accepted = if nonblocking {
+                reactor::accept_nonblocking(&listener)
+            } else {
+                listener.accept()
+            };
+            match accepted {
                 Ok((stream, peer)) => {
                     hashes.push(flow_hash(&peer, &local));
                     pending.push(stream);
@@ -344,7 +357,7 @@ pub(crate) fn accept_loop(
         );
         hermes_trace::trace_count!(hermes_trace::CounterId::AcceptBursts);
         hermes_trace::trace_count!(hermes_trace::CounterId::AcceptedConns, pending.len());
-        for (stream, out) in pending.drain(..).zip(&outcomes) {
+        for ((stream, out), &hash) in pending.drain(..).zip(&outcomes).zip(&hashes) {
             let worker = match *out {
                 DispatchOutcome::Directed(w) => {
                     stats.directed.fetch_add(1, Ordering::Relaxed);
@@ -357,7 +370,7 @@ pub(crate) fn accept_loop(
             };
             // A full worker queue applies backpressure by blocking the
             // acceptor — the accept-queue semantics of the kernel.
-            if senders[worker].send(stream).is_err() {
+            if senders[worker].send((stream, hash)).is_err() {
                 return; // workers gone: shutting down
             }
             // Reactor workers sleep in epoll_wait: ring their eventfd so
@@ -374,7 +387,7 @@ pub(crate) fn accept_loop(
 /// as a `GroupDispatch` flight-recorder event.
 fn accept_loop_sharded(
     listener: TcpListener,
-    senders: Vec<Sender<TcpStream>>,
+    senders: Vec<Sender<Handoff>>,
     group: Arc<GroupedReuseportGroup>,
     stats: Arc<LbStats>,
     shutdown: Arc<AtomicBool>,
@@ -430,7 +443,7 @@ fn accept_loop_sharded(
                 hash,
                 ((out.group as u64) << 32) | worker as u64
             );
-            if senders[worker].send(stream).is_err() {
+            if senders[worker].send((stream, hash)).is_err() {
                 return; // workers gone: shutting down
             }
         }
@@ -455,7 +468,7 @@ pub(crate) fn flow_hash(peer: &SocketAddr, local: &SocketAddr) -> u32 {
 fn worker_loop<T: SyncTarget>(
     id: usize,
     lane: u32,
-    rx: Receiver<TcpStream>,
+    rx: Receiver<Handoff>,
     mut session: WorkerSession<T>,
     mut proxy: Proxy,
     stats: Arc<LbStats>,
@@ -466,7 +479,7 @@ fn worker_loop<T: SyncTarget>(
     loop {
         session.loop_top(now_ns());
         match rx.recv_timeout(Duration::from_millis(5)) {
-            Ok(stream) => {
+            Ok((stream, _hash)) => {
                 session.events_fetched(1);
                 session.conn_opened();
                 stats.accepted[id].fetch_add(1, Ordering::Relaxed);

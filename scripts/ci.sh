@@ -4,29 +4,60 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo fmt --check"
+# Every lane is opened with `step`; a lane that cannot run on this host says
+# `skip` instead of passing silently. The table printed on exit lists each
+# lane as ran, SKIP or FAILED, so a green run shows what it did not check.
+LANES=()
+lane=""
+lane_status=""
+close_lane() {
+  [ -z "$lane" ] || LANES+=("$lane_status"$'\t'"$lane")
+  lane=""
+}
+step() {
+  close_lane
+  lane="$1"
+  lane_status="ran"
+  echo "==> $1"
+}
+skip() {
+  lane_status="SKIP"
+  echo "SKIP: $1"
+}
+summary() {
+  [ "$1" -eq 0 ] || lane_status="FAILED"
+  close_lane
+  printf '\n%-7s %s\n' "status" "lane"
+  local l
+  for l in "${LANES[@]}"; do
+    printf '%-7s %s\n' "${l%%$'\t'*}" "${l#*$'\t'}"
+  done
+}
+trap 'summary $?' EXIT
+
+step "cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy (warnings are errors)"
+step "cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo build --release"
+step "cargo build --release"
 cargo build --workspace --release
 
-echo "==> cargo build --release --features trace (flight recorder compiled in)"
+step "cargo build --release --features trace (flight recorder compiled in)"
 # The trace feature must never rot: both feature states build release.
 cargo build --workspace --release --features trace
 
-echo "==> cargo test"
+step "cargo test"
 cargo test --workspace -q
 
-echo "==> ebpf soundness differential suite (checked vs fast vs compiled vs jit)"
+step "ebpf soundness differential suite (checked vs fast vs compiled vs jit)"
 # The tier ladder's safety argument: accepted programs never trap, and
 # every earned execution tier — including emitted x86-64 machine code —
 # returns the checked interpreter's exact result, single-shot and batched.
 cargo test --release -q -p hermes-ebpf --test soundness
 
-echo "==> jit-soundness (mutation kills, W^X lifecycle, resolve-cache proof)"
+step "jit-soundness (mutation kills, W^X lifecycle, resolve-cache proof)"
 # The jit tier's trust argument beyond the differential: seeded
 # single-defect emitters must be caught (by the emit-time jump audit or
 # the sweep), executable memory is never writable+executable and unmaps
@@ -36,14 +67,14 @@ cargo test --release -q -p hermes-ebpf --test jit_mutants
 cargo test --release -q -p hermes-ebpf --test execmem_lifecycle
 cargo test --release -q -p hermes-ebpf --features trace --test slot_cache
 
-echo "==> simnet_throughput --smoke (event-engine regression gate)"
+step "simnet_throughput --smoke (event-engine regression gate)"
 # Fails if wheel events/sec drops >20% below the checked-in baseline.
 # Regenerate results/BENCH_simnet.json with a full (non-smoke) run when
 # the engine legitimately changes speed.
 cargo run --release -p hermes-bench --bin simnet_throughput -- \
   --smoke --baseline results/BENCH_simnet.json --no-write
 
-echo "==> dispatch_throughput --smoke (dispatch-tier regression gate)"
+step "dispatch_throughput --smoke (dispatch-tier regression gate)"
 # Fails if flat compiled dispatches/sec drops >20% below the checked-in
 # baseline, if the compiled tier stops beating the checked interpreter by
 # >= 2x on either Algorithm 2 program, if the jit tier (when earned)
@@ -54,13 +85,13 @@ echo "==> dispatch_throughput --smoke (dispatch-tier regression gate)"
 cargo run --release -p hermes-bench --bin dispatch_throughput -- \
   --smoke --baseline results/BENCH_dispatch.json --no-write
 
-echo "==> grouped dispatch differential fuzz (native oracle vs every tier)"
+step "grouped dispatch differential fuzz (native oracle vs every tier)"
 # The sharded plane's safety argument: the two-level grouped program
 # agrees with the native GroupedConnDispatcher oracle bit-for-bit across
 # checked/fast/compiled tiers and batch, over swept shapes and bitmaps.
 cargo test --release -q -p hermes-ebpf --test soundness grouped
 
-echo "==> scale_throughput --smoke (sharded-plane scaling gate)"
+step "scale_throughput --smoke (sharded-plane scaling gate)"
 # Fails if the compiled grouped tier stops beating the interpreted
 # grouped tier by >= 2.5x at any swept scale (64x1 .. 256x4), if grouped
 # compiled dispatch costs > 1.3x flat compiled dispatch per connection,
@@ -70,7 +101,7 @@ echo "==> scale_throughput --smoke (sharded-plane scaling gate)"
 cargo run --release -p hermes-bench --bin scale_throughput -- \
   --smoke --baseline results/BENCH_scale.json --no-write
 
-echo "==> fleet-determinism (merge-order independence of the device pool)"
+step "fleet-determinism (merge-order independence of the device pool)"
 # The fleet parallelism safety argument: the same seed at threads ∈
 # {1, 2, 8} yields byte-identical cluster reports for every dispatch
 # mode, mixed-mode clusters, fault schedules, pool-side workload
@@ -78,7 +109,7 @@ echo "==> fleet-determinism (merge-order independence of the device pool)"
 # determines the output bytes.
 cargo test --release -q -p hermes-simnet --test fleet_determinism
 
-echo "==> fleet_throughput --smoke (fleet scaling + memory gate)"
+step "fleet_throughput --smoke (fleet scaling + memory gate)"
 # Fails if any device's connection-table arena exceeds the 8 MiB budget,
 # if the fleet fingerprint differs across thread counts (determinism is
 # re-checked at bench scale), or if threads=1 events/sec regresses >20%
@@ -90,7 +121,7 @@ echo "==> fleet_throughput --smoke (fleet scaling + memory gate)"
 cargo run --release -p hermes-bench --bin fleet_throughput -- \
   --smoke --baseline results/BENCH_fleet.json --no-write
 
-echo "==> backend-churn consistency (versioned tables under drain + flap)"
+step "backend-churn consistency (versioned tables under drain + flap)"
 # The backend data plane's acceptance property: 12k in-flight connections
 # ride out a rolling drain plus a backend flap with zero misroutes (no
 # request leaves a still-serving pinned backend), zero dropped responses,
@@ -98,20 +129,28 @@ echo "==> backend-churn consistency (versioned tables under drain + flap)"
 # across fleet thread counts.
 cargo test --release -q -p hermes-simnet --test backend_churn
 
-echo "==> relay-reactor (epoll reactor + splice data plane suite, both feature states)"
+step "relay-reactor (epoll reactor + splice data plane suite, both feature states)"
 # The relay's I/O engines: the raw-syscall reactor module (epoll/eventfd/
-# pipe/splice contracts), the RelayMode matrix (half-close in all three
+# pipe/splice contracts, accept4 and the nonblocking connect in both
+# address families), the RelayMode matrix (half-close in all three
 # orders, slow-reader backpressure through bounded pipes, splice demotion
-# byte recovery), the idle-CPU property (a reactor worker makes zero pump
+# byte recovery), the size-adaptive store (bulk moves to splice after its
+# first scratch-full, a 64 B echo never touches a pipe, copy mode never
+# promotes), the per-wakeup I/O budget (<= 3 calls per direction-move,
+# none on a direction the kernel did not name), the event-driven connect
+# (a never-answering candidate stalls neither its worker's established
+# relays nor the retry), the WST row showing readiness events while they
+# are pending, the idle-CPU property (a reactor worker makes zero pump
 # passes across an idle second; the sleep-poll baseline provably does
-# not), and the late-table-version per_backend clamp. Run with trace on
-# too so the RelayWakeup/SpliceBytes instrumentation never rots in either
-# feature state.
+# not), and the late-table-version per_backend clamp. Both filters run
+# with trace on too so the RelayWakeup/SpliceBytes instrumentation never
+# rots in either feature state.
 cargo test --release -q -p hermes-lb reactor
 cargo test --release -q -p hermes-lb relay
+cargo test --release -q -p hermes-lb --features trace reactor
 cargo test --release -q -p hermes-lb --features trace relay
 
-echo "==> relay_throughput --smoke (end-to-end latency + churn-consistency + reactor gate)"
+step "relay_throughput --smoke (end-to-end latency + churn-consistency + reactor gate)"
 # Drives four backend scenarios (steady / flap / rolling drain / slow
 # backend) through the full LB -> backend path and fails if any scenario
 # misroutes or drops a request, if the rolling drain displaces in-flight
@@ -129,13 +168,13 @@ echo "==> relay_throughput --smoke (end-to-end latency + churn-consistency + rea
 cargo run --release -p hermes-bench --bin relay_throughput -- \
   --smoke --baseline results/BENCH_relay.json --no-write
 
-echo "==> trace determinism (simulation byte-identical with recorder on/off)"
+step "trace determinism (simulation byte-identical with recorder on/off)"
 # Tracing is an observer, never an actor: the simnet report must not
 # change when the flight recorder runs, and the recorded stream must be
 # reproducible run-over-run (sim-time stamps, no wall clock).
 cargo test --release -q -p hermes-simnet --features trace --test trace_determinism
 
-echo "==> trace_overhead --smoke (flight-recorder cost gates)"
+step "trace_overhead --smoke (flight-recorder cost gates)"
 # Feature on: one traced event must cost <= 25 ns on the hot path (and
 # not creep past the checked-in baseline); runtime-disabled <= 10 ns.
 cargo run --release -p hermes-bench --features trace --bin trace_overhead -- \
@@ -144,20 +183,22 @@ cargo run --release -p hermes-bench --features trace --bin trace_overhead -- \
 cargo run --release -p hermes-bench --bin trace_overhead -- \
   --smoke --gate --no-write
 
-echo "==> aarch64 cross-check (jit portable-fallback + reactor packed-struct lane)"
+step "aarch64 cross-check (jit portable-fallback + reactor packed-struct lane)"
 # The jit tier is x86-64-only behind cfg; this lane proves the portable
 # fallback (compiled-tier ceiling, stub JitProgram) still typechecks on a
 # 64-bit non-x86 target so a cfg regression cannot hide on x86 hosts.
 # hermes-lb rides along because the reactor's EpollEvent layout is also
-# arch-conditional (packed on x86-64 only).
+# arch-conditional (packed on x86-64 only), and its socket FFI (accept4,
+# socket, connect, the bytewise sockaddr) must typecheck against a second
+# architecture's C ABI types.
 if rustup target list --installed 2>/dev/null | grep -q '^aarch64-unknown-linux-gnu$'; then
   cargo check --target aarch64-unknown-linux-gnu -p hermes-ebpf
   cargo check --target aarch64-unknown-linux-gnu -p hermes-lb
 else
-  echo "SKIP: aarch64-unknown-linux-gnu target absent (install: rustup target add aarch64-unknown-linux-gnu)"
+  skip "aarch64-unknown-linux-gnu target absent (install: rustup target add aarch64-unknown-linux-gnu)"
 fi
 
-echo "==> undocumented-unsafe grep gate"
+step "undocumented-unsafe grep gate"
 # Every `unsafe` block must carry a `// SAFETY:` comment within the three
 # lines above it. The jit tier introduced the workspace's first real
 # unsafe (mmap/mprotect FFI, the sealed-buffer entry call), so this is no
@@ -174,7 +215,7 @@ while IFS=: read -r file line _; do
 done < <(grep -rn --include='*.rs' -E '(^|[^a-zA-Z0-9_"])unsafe[[:space:]]*(\{|fn|impl)' crates/ src/ 2>/dev/null || true)
 [ "$bad" -eq 0 ] || { echo "undocumented unsafe gate failed"; exit 1; }
 
-echo "==> miri (nightly): lock-free ring / selmap / validator under the interpreter"
+step "miri (nightly): lock-free ring / selmap / validator under the interpreter"
 # Scoped to the concurrency-bearing modules plus the symbolic validator:
 # full-workspace miri would take hours and trips on FFI-free but slow
 # proptest suites. Skipped tests (documented, not silent):
@@ -189,10 +230,10 @@ if rustup run nightly cargo miri --version >/dev/null 2>&1; then
   MIRIFLAGS="-Zmiri-disable-isolation" rustup run nightly cargo miri test \
     -p hermes-ebpf --lib validate
 else
-  echo "SKIP: miri unavailable (install: rustup component add miri --toolchain nightly)"
+  skip "miri unavailable (install: rustup component add miri --toolchain nightly)"
 fi
 
-echo "==> thread sanitizer (nightly): trace + core test suites"
+step "thread sanitizer (nightly): trace + core test suites"
 # TSan needs -Zbuild-std (instrumented std), which needs rust-src.
 host="$(rustc -vV | sed -n 's/^host: //p')"
 if rustup run nightly rustc --print sysroot >/dev/null 2>&1 \
@@ -201,10 +242,10 @@ if rustup run nightly rustc --print sysroot >/dev/null 2>&1 \
     rustup run nightly cargo test -Zbuild-std --target "$host" \
     -p hermes-trace -p hermes-core --lib -q
 else
-  echo "SKIP: nightly rust-src unavailable (install: rustup component add rust-src --toolchain nightly)"
+  skip "nightly rust-src unavailable (install: rustup component add rust-src --toolchain nightly)"
 fi
 
-echo "==> loom model checking: SPSC trace ring + SelMap elision"
+step "loom model checking: SPSC trace ring + SelMap elision"
 # The loom tests live behind cfg(loom) in crates/trace/src/ring.rs and
 # crates/core/src/selmap.rs. Loom is not a workspace dependency (the build
 # must stay offline), so this lane runs only when it has been wired up
@@ -214,7 +255,7 @@ if grep -q '^loom' crates/trace/Cargo.toml crates/core/Cargo.toml 2>/dev/null; t
   RUSTFLAGS="--cfg loom" cargo test -p hermes-trace --lib --release loom_
   RUSTFLAGS="--cfg loom" cargo test -p hermes-core --lib --release loom_
 else
-  echo "SKIP: loom not wired up (add loom = \"0.7\" to hermes-trace and hermes-core [dependencies])"
+  skip "loom not wired up (add loom = \"0.7\" to hermes-trace and hermes-core [dependencies])"
 fi
 
 echo "CI gate passed."
