@@ -25,11 +25,10 @@
 //! byte per backend — so an old table can observe that its pinned backend
 //! died without any republish reaching it.
 //!
-//! The crate also absorbs the §7 "Experiences" models that previously
-//! lived in `hermes_core::backend`: the synchronized-round-robin-restart
-//! imbalance ([`RoundRobin`], [`fleet_distribution`]) and the
-//! keep-alive connection-pool fragmentation ([`PoolSim`]). `hermes-core`
-//! re-exports them from here, so there is one source of truth.
+//! The crate also holds the §7 "Experiences" models: the
+//! synchronized-round-robin-restart imbalance ([`RoundRobin`],
+//! [`fleet_distribution`]) and the keep-alive connection-pool
+//! fragmentation ([`PoolSim`]).
 
 pub mod health;
 pub mod pool;

@@ -24,20 +24,9 @@
 //! P99 against the checked-in baseline (25% margin: the figure is
 //! simulated-time, so it only moves when the model legitimately changes).
 //!
-//! A second, **real-socket** section A/B-tests the relay's I/O engines
-//! over loopback TCP ([`hermes_lb::relay::RelayMode`]): ping-pong RTT
-//! latency (P50/P99), streamed throughput through a sink backend (wall
-//! MiB/s *and* MiB per relay-CPU-second), and an idle-pump count per
-//! mode. On Linux it gates (a) the epoll reactor's RTT P99 at or below
-//! the sleep-poll baseline minus the idle-wakeup tax, (b) splice moving
-//! more bytes per relay-CPU-second than the copy path (wall throughput
-//! is deliberately ungated: loopback "transmit" is a memcpy at each
-//! endpoint, so the writer/sink threads bound wall speed for both paths
-//! — zero-copy's win is the relay thread not touching the bytes),
-//! (c) zero pumps across an idle window under the reactor (and nonzero
-//! under sleep-poll), and (d) zero splice demotions on plain TCP. These
-//! are wall-clock figures: they run on real sockets, unlike the
-//! simulated section above.
+//! The relay's real-socket figures are not measured here: the end-to-end
+//! benchmark (`benchmark/`, workloads `keepalive` and `bulk_*`) reports
+//! them against the one relay engine that ships.
 //!
 //! Flags:
 //!   --smoke            2k connections, 3s horizon (CI gate)
@@ -46,16 +35,10 @@
 //!   --no-write         measure and check only, leave the baseline file
 
 use hermes_core::FlowKey;
-use hermes_lb::reactor;
-use hermes_lb::relay::{RelayLb, RelayMode};
 use hermes_simnet::{BackendSimConfig, Mode, SimConfig, Simulator};
 use hermes_simnet::metrics::DeviceReport;
 use hermes_workload::{ConnectionSpec, RequestSpec, Workload};
-use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 const WORKERS: usize = 8;
 const BACKENDS: usize = 8;
@@ -164,258 +147,6 @@ fn run_scenario(name: &'static str, conns: usize, horizon_ns: u64) -> ScenarioRe
     }
 }
 
-// ---------------------------------------------------------------------------
-// Real-socket section: RelayMode A/B over loopback TCP.
-// ---------------------------------------------------------------------------
-
-/// Warmup round trips discarded before latency recording starts.
-const RTT_WARMUP: usize = 50;
-/// Ping-pong payload per round trip.
-const RTT_PAYLOAD: usize = 64;
-/// The idle-wakeup tax the reactor must beat: the sleep-poll loop parks
-/// 200 µs between polls, so a round trip crossing one sleeping worker
-/// eats up to that per direction. The reactor wakes on the readiness
-/// edge; its P99 must undercut sleep-poll's by at least this much.
-const IDLE_TAX_US: f64 = 100.0;
-
-/// One [`RelayMode`]'s real-socket figures (wall-clock).
-#[derive(Clone, Debug)]
-struct RealModeResult {
-    name: &'static str,
-    p50_us: f64,
-    p99_us: f64,
-    throughput_bps: f64,
-    /// Streamed bytes per relay-worker CPU-second. Wall throughput on
-    /// loopback is memcpy-bound at the *endpoints* (writer + sink), so
-    /// zero-copy's win shows up here: the relay thread touches no bytes
-    /// in userspace and burns far less CPU per byte moved.
-    cpu_bytes_per_sec: f64,
-    /// Pump passes across a 500 ms window with one idle connection open.
-    idle_pumps: u64,
-    splice_bytes: u64,
-    splice_fallbacks: u64,
-}
-
-/// A loopback echo server: every accepted connection echoes bytes until
-/// client EOF, then closes. Drives the RTT latency and idle probes.
-fn spawn_echo(stop: Arc<AtomicBool>) -> SocketAddr {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind echo backend");
-    let addr = listener.local_addr().unwrap();
-    listener.set_nonblocking(true).unwrap();
-    std::thread::spawn(move || {
-        while !stop.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((mut s, _)) => {
-                    std::thread::spawn(move || {
-                        let _ = s.set_read_timeout(Some(Duration::from_secs(30)));
-                        let _ = s.set_nodelay(true);
-                        let mut chunk = [0u8; 16 * 1024];
-                        loop {
-                            match s.read(&mut chunk) {
-                                Ok(0) | Err(_) => return,
-                                Ok(n) => {
-                                    if s.write_all(&chunk[..n]).is_err() {
-                                        return;
-                                    }
-                                }
-                            }
-                        }
-                    });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Err(_) => return,
-            }
-        }
-    });
-    addr
-}
-
-/// A loopback sink server: drains everything until client EOF, then acks
-/// with the byte count (LE u64) so the client can clock full delivery —
-/// the stop condition for the throughput probe.
-fn spawn_sink(stop: Arc<AtomicBool>) -> SocketAddr {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind sink backend");
-    let addr = listener.local_addr().unwrap();
-    listener.set_nonblocking(true).unwrap();
-    std::thread::spawn(move || {
-        while !stop.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((mut s, _)) => {
-                    std::thread::spawn(move || {
-                        let _ = s.set_read_timeout(Some(Duration::from_secs(30)));
-                        let mut total = 0u64;
-                        let mut chunk = [0u8; 64 * 1024];
-                        loop {
-                            match s.read(&mut chunk) {
-                                Ok(0) => break,
-                                Ok(n) => total += n as u64,
-                                Err(_) => return,
-                            }
-                        }
-                        let _ = s.write_all(&total.to_le_bytes());
-                    });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Err(_) => return,
-            }
-        }
-    });
-    addr
-}
-
-/// Nearest-rank percentile over an ascending-sorted sample.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
-/// Measure one mode: RTT latency + idle pumps through an echo relay, then
-/// streamed throughput (best of `trials`) through a sink relay. One
-/// worker everywhere so the idle-pump figure is a single loop's count.
-fn run_real_mode(
-    name: &'static str,
-    mode: RelayMode,
-    rtts: usize,
-    stream_bytes: usize,
-    trials: usize,
-) -> RealModeResult {
-    // --- RTT latency + idle probe against an echo backend ---
-    let stop = Arc::new(AtomicBool::new(false));
-    let echo = spawn_echo(Arc::clone(&stop));
-    let lb = RelayLb::start_with_mode("127.0.0.1:0", 1, vec![echo], mode).expect("bind relay");
-    std::thread::sleep(Duration::from_millis(15)); // first bitmaps
-    let mut s = TcpStream::connect(lb.local_addr()).expect("connect relay");
-    s.set_nodelay(true).unwrap();
-    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    let payload = [0x42u8; RTT_PAYLOAD];
-    let mut back = [0u8; RTT_PAYLOAD];
-    let mut lat = Vec::with_capacity(rtts);
-    for i in 0..rtts + RTT_WARMUP {
-        let t0 = Instant::now();
-        s.write_all(&payload).expect("rtt write");
-        s.read_exact(&mut back).expect("rtt read");
-        if i >= RTT_WARMUP {
-            lat.push(t0.elapsed().as_secs_f64() * 1e6);
-        }
-    }
-    lat.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    // Idle probe: the connection stays open but silent; count pump passes.
-    std::thread::sleep(Duration::from_millis(150)); // quiesce in-flight edges
-    let rstats = Arc::clone(lb.relay_stats());
-    let before = rstats.pumps.load(Ordering::Relaxed);
-    std::thread::sleep(Duration::from_millis(500));
-    let idle_pumps = rstats.pumps.load(Ordering::Relaxed) - before;
-    drop(s);
-    lb.shutdown();
-    stop.store(true, Ordering::SeqCst);
-    let mut splice_bytes = rstats.splice_bytes.load(Ordering::Relaxed);
-    let mut splice_fallbacks = rstats.splice_fallbacks.load(Ordering::Relaxed);
-
-    // --- streamed throughput against a sink backend ---
-    let stop = Arc::new(AtomicBool::new(false));
-    let sink = spawn_sink(Arc::clone(&stop));
-    let lb = RelayLb::start_with_mode("127.0.0.1:0", 1, vec![sink], mode).expect("bind relay");
-    std::thread::sleep(Duration::from_millis(15));
-    let chunk = vec![0xA5u8; 256 * 1024];
-    let mut best_bps = 0.0f64;
-    let cpu_rstats = Arc::clone(lb.relay_stats());
-    let cpu_before = cpu_rstats.cpu_ns.load(Ordering::Relaxed);
-    for _ in 0..trials {
-        let mut s = TcpStream::connect(lb.local_addr()).expect("connect relay");
-        s.set_nodelay(true).unwrap();
-        s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-        let t0 = Instant::now();
-        let mut left = stream_bytes;
-        while left > 0 {
-            let n = left.min(chunk.len());
-            s.write_all(&chunk[..n]).expect("stream write");
-            left -= n;
-        }
-        s.shutdown(Shutdown::Write).unwrap();
-        let mut ack = [0u8; 8];
-        s.read_exact(&mut ack).expect("sink ack");
-        let delivered = u64::from_le_bytes(ack);
-        assert_eq!(
-            delivered as usize, stream_bytes,
-            "sink saw {delivered} of {stream_bytes} streamed bytes"
-        );
-        best_bps = best_bps.max(stream_bytes as f64 / t0.elapsed().as_secs_f64());
-    }
-    // Workers fold thread CPU into the counter at each loop top; give the
-    // final pump pass one wakeup interval to land before sampling.
-    std::thread::sleep(Duration::from_millis(60));
-    let cpu_ns = cpu_rstats
-        .cpu_ns
-        .load(Ordering::Relaxed)
-        .saturating_sub(cpu_before)
-        .max(1);
-    let cpu_bytes_per_sec = (trials * stream_bytes) as f64 / (cpu_ns as f64 / 1e9);
-    let rstats = Arc::clone(lb.relay_stats());
-    lb.shutdown();
-    stop.store(true, Ordering::SeqCst);
-    splice_bytes += rstats.splice_bytes.load(Ordering::Relaxed);
-    splice_fallbacks += rstats.splice_fallbacks.load(Ordering::Relaxed);
-
-    RealModeResult {
-        name,
-        p50_us: percentile(&lat, 0.50),
-        p99_us: percentile(&lat, 0.99),
-        throughput_bps: best_bps,
-        cpu_bytes_per_sec,
-        idle_pumps,
-        splice_bytes,
-        splice_fallbacks,
-    }
-}
-
-/// Run every mode this host supports: the sleep-poll baseline everywhere,
-/// plus both reactor variants where epoll exists.
-fn run_real_section(smoke: bool) -> (bool, Vec<RealModeResult>) {
-    let supported = reactor::supported();
-    let (rtts, stream_bytes, trials) = if smoke {
-        (400, 16usize << 20, 2)
-    } else {
-        (1500, 64usize << 20, 3)
-    };
-    let mut modes: Vec<(&'static str, RelayMode)> = vec![("sleep_poll", RelayMode::SleepPoll)];
-    if supported {
-        modes.push(("reactor", RelayMode::Reactor { splice: false }));
-        modes.push(("reactor_splice", RelayMode::Reactor { splice: true }));
-    }
-    let results = modes
-        .into_iter()
-        .map(|(name, mode)| {
-            let r = run_real_mode(name, mode, rtts, stream_bytes, trials);
-            println!(
-                "  {:<14} RTT P50 {:>7.1} us  P99 {:>7.1} us  stream {:>8.1} MiB/s  {:>7.0} MiB/cpu-s  idle pumps {:>5}  spliced {:>9} B",
-                r.name,
-                r.p50_us,
-                r.p99_us,
-                r.throughput_bps / (1024.0 * 1024.0),
-                r.cpu_bytes_per_sec / (1024.0 * 1024.0),
-                r.idle_pumps,
-                r.splice_bytes
-            );
-            r
-        })
-        .collect();
-    (supported, results)
-}
-
-fn real_mode_json(r: &RealModeResult) -> String {
-    format!(
-        "      \"{}\": {{\n        \"p50_us\": {:.2},\n        \"p99_us\": {:.2},\n        \"throughput_bps\": {:.0},\n        \"cpu_bytes_per_sec\": {:.0},\n        \"idle_pumps\": {},\n        \"splice_bytes\": {},\n        \"splice_fallbacks\": {}\n      }}",
-        r.name, r.p50_us, r.p99_us, r.throughput_bps, r.cpu_bytes_per_sec, r.idle_pumps, r.splice_bytes, r.splice_fallbacks
-    )
-}
-
 fn scenario_json(s: &ScenarioResult) -> String {
     format!(
         "    \"{}\": {{\n      \"completed\": {},\n      \"p50_ms\": {:.4},\n      \"p99_ms\": {:.4},\n      \"rps\": {:.1},\n      \"pinned\": {},\n      \"retried\": {},\n      \"fell_back\": {},\n      \"misroutes\": {},\n      \"dropped_responses\": {},\n      \"versions_published\": {}\n    }}",
@@ -439,20 +170,16 @@ fn render_json(
     smoke: bool,
     wall_seconds: f64,
     results: &[ScenarioResult],
-    real_supported: bool,
-    real: &[RealModeResult],
 ) -> String {
     let blocks: Vec<String> = results.iter().map(scenario_json).collect();
-    let real_blocks: Vec<String> = real.iter().map(real_mode_json).collect();
     let steady_p99 = results
         .iter()
         .find(|s| s.name == "steady")
         .map(|s| format!("{:.4}", s.p99_ms))
         .unwrap_or_else(|| "null".into());
     format!(
-        "{{\n  \"benchmark\": \"relay_throughput\",\n  \"scenario\": \"{BACKENDS} backends x {WORKERS} workers / Hermes / {conns} conns x {REQS_PER_CONN} reqs\",\n  \"conns\": {conns},\n  \"reqs_per_conn\": {REQS_PER_CONN},\n  \"backends\": {BACKENDS},\n  \"mean_service_ns\": {MEAN_SERVICE_NS},\n  \"horizon_ns\": {horizon_ns},\n  \"smoke\": {smoke},\n  \"wall_seconds\": {wall_seconds:.3},\n  \"scenarios\": {{\n{}\n  }},\n  \"real_socket\": {{\n    \"supported\": {real_supported},\n    \"modes\": {{\n{}\n    }}\n  }},\n  \"steady_p99_ms\": {steady_p99}\n}}\n",
-        blocks.join(",\n"),
-        real_blocks.join(",\n")
+        "{{\n  \"benchmark\": \"relay_throughput\",\n  \"scenario\": \"{BACKENDS} backends x {WORKERS} workers / Hermes / {conns} conns x {REQS_PER_CONN} reqs\",\n  \"conns\": {conns},\n  \"reqs_per_conn\": {REQS_PER_CONN},\n  \"backends\": {BACKENDS},\n  \"mean_service_ns\": {MEAN_SERVICE_NS},\n  \"horizon_ns\": {horizon_ns},\n  \"smoke\": {smoke},\n  \"wall_seconds\": {wall_seconds:.3},\n  \"scenarios\": {{\n{}\n  }},\n  \"steady_p99_ms\": {steady_p99}\n}}\n",
+        blocks.join(",\n")
     )
 }
 
@@ -513,15 +240,6 @@ fn main() {
         })
         .collect();
 
-    println!(
-        "  real-socket relay modes ({}):",
-        if reactor::supported() {
-            "sleep_poll / reactor / reactor_splice"
-        } else {
-            "sleep_poll only — epoll unsupported here"
-        }
-    );
-    let (real_supported, real_results) = run_real_section(smoke);
     let wall_seconds = start.elapsed().as_secs_f64();
 
     let mut failed = false;
@@ -549,81 +267,6 @@ fn main() {
     }
     if !failed {
         println!("  consistency gates: zero misroutes / drops everywhere, drain displaced nothing — ok");
-    }
-
-    // Real-socket gates (Linux only: elsewhere just the baseline ran).
-    if real_supported {
-        let get = |n: &str| {
-            real_results
-                .iter()
-                .find(|r| r.name == n)
-                .unwrap_or_else(|| panic!("mode {n} did not run"))
-        };
-        let sleep = get("sleep_poll");
-        let reactor_copy = get("reactor");
-        let splice = get("reactor_splice");
-        for r in [reactor_copy, splice] {
-            // The reactor must beat sleep-poll by at least the idle-wakeup
-            // tax it exists to remove.
-            if r.p99_us > sleep.p99_us - IDLE_TAX_US {
-                eprintln!(
-                    "REACTOR LATENCY: {} RTT P99 {:.1} us must undercut sleep-poll {:.1} us by {IDLE_TAX_US} us",
-                    r.name, r.p99_us, sleep.p99_us
-                );
-                failed = true;
-            }
-            // The idle-CPU property: no readiness, no pumps.
-            if r.idle_pumps != 0 {
-                eprintln!(
-                    "REACTOR IDLE: {} pumped {} times across an idle half-second",
-                    r.name, r.idle_pumps
-                );
-                failed = true;
-            }
-        }
-        // The contrast figure: sleep-poll *does* burn pumps while idle.
-        if sleep.idle_pumps == 0 {
-            eprintln!("BASELINE IDLE: sleep-poll unexpectedly made zero idle pumps");
-            failed = true;
-        }
-        // Zero-copy must move more bytes per relay-CPU-second than the
-        // copy path. (Wall throughput is NOT gated: on loopback the wire
-        // itself is a memcpy at each endpoint, so the writer and sink
-        // threads bound wall speed for both paths — splice's win is the
-        // relay thread no longer touching the bytes.)
-        if splice.cpu_bytes_per_sec <= reactor_copy.cpu_bytes_per_sec {
-            eprintln!(
-                "SPLICE CPU EFFICIENCY: splice {:.0} MiB/cpu-s did not beat copy {:.0} MiB/cpu-s",
-                splice.cpu_bytes_per_sec / (1024.0 * 1024.0),
-                reactor_copy.cpu_bytes_per_sec / (1024.0 * 1024.0)
-            );
-            failed = true;
-        }
-        // Splice engaged (and never demoted) on plain TCP; the copy mode
-        // must not have touched the splice path at all.
-        if splice.splice_bytes == 0 || splice.splice_fallbacks != 0 {
-            eprintln!(
-                "SPLICE PATH: spliced {} bytes with {} demotions (want >0 and 0)",
-                splice.splice_bytes, splice.splice_fallbacks
-            );
-            failed = true;
-        }
-        if reactor_copy.splice_bytes != 0 {
-            eprintln!("SPLICE PATH: copy mode moved bytes through splice");
-            failed = true;
-        }
-        if !failed {
-            println!(
-                "  real-socket gates: reactor P99 {:.1} us vs sleep-poll {:.1} us, splice {:.0} vs copy {:.0} MiB/cpu-s, idle pumps {}/{}/{} — ok",
-                reactor_copy.p99_us,
-                sleep.p99_us,
-                splice.cpu_bytes_per_sec / (1024.0 * 1024.0),
-                reactor_copy.cpu_bytes_per_sec / (1024.0 * 1024.0),
-                sleep.idle_pumps,
-                reactor_copy.idle_pumps,
-                splice.idle_pumps
-            );
-        }
     }
 
     if let Some(path) = baseline {
@@ -658,15 +301,7 @@ fn main() {
     }
 
     if !no_write {
-        let json = render_json(
-            conns,
-            horizon_ns,
-            smoke,
-            wall_seconds,
-            &results,
-            real_supported,
-            &real_results,
-        );
+        let json = render_json(conns, horizon_ns, smoke, wall_seconds, &results);
         if let Some(dir) = std::path::Path::new(&out).parent() {
             std::fs::create_dir_all(dir).expect("create output directory");
         }
@@ -703,48 +338,16 @@ mod tests {
             .collect()
     }
 
-    fn sample_real_results() -> Vec<RealModeResult> {
-        [("sleep_poll", 450.0, 2800u64), ("reactor", 80.0, 0), ("reactor_splice", 75.0, 0)]
-            .into_iter()
-            .map(|(name, p99, idle)| RealModeResult {
-                name,
-                p50_us: p99 / 2.0,
-                p99_us: p99,
-                throughput_bps: 1.5e9,
-                cpu_bytes_per_sec: if name == "reactor_splice" { 5.5e9 } else { 2.2e9 },
-                idle_pumps: idle,
-                splice_bytes: if name == "reactor_splice" { 1 << 24 } else { 0 },
-                splice_fallbacks: 0,
-            })
-            .collect()
-    }
-
     #[test]
     fn baseline_parse_reads_the_steady_p99() {
-        let json = render_json(
-            12_000,
-            6_000_000_000,
-            false,
-            1.25,
-            &sample_results(),
-            true,
-            &sample_real_results(),
-        );
+        let json = render_json(12_000, 6_000_000_000, false, 1.25, &sample_results());
         assert_eq!(baseline_steady_p99(&json), Some(1.5));
         assert_eq!(baseline_steady_p99("not json"), None);
     }
 
     #[test]
     fn rendered_json_carries_the_gated_quantities() {
-        let json = render_json(
-            12_000,
-            6_000_000_000,
-            true,
-            1.25,
-            &sample_results(),
-            true,
-            &sample_real_results(),
-        );
+        let json = render_json(12_000, 6_000_000_000, true, 1.25, &sample_results());
         for needle in [
             "\"benchmark\": \"relay_throughput\"",
             "\"smoke\": true",
@@ -754,31 +357,11 @@ mod tests {
             "\"slow\":",
             "\"misroutes\": 0",
             "\"dropped_responses\": 0",
-            "\"real_socket\":",
-            "\"supported\": true",
-            "\"sleep_poll\":",
-            "\"reactor\":",
-            "\"reactor_splice\":",
-            "\"idle_pumps\": 0",
-            "\"cpu_bytes_per_sec\": 5500000000",
-            "\"splice_fallbacks\": 0",
             "\"steady_p99_ms\": 1.5",
         ] {
             assert!(json.contains(needle), "missing {needle} in:\n{json}");
         }
-        // The baseline key must stay parseable with the real-socket block
-        // in place (older baselines gate against it).
         assert_eq!(baseline_steady_p99(&json), Some(1.5));
-    }
-
-    #[test]
-    fn percentile_uses_nearest_rank() {
-        let sorted: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(percentile(&sorted, 0.50), 50.0);
-        assert_eq!(percentile(&sorted, 0.99), 99.0);
-        assert_eq!(percentile(&sorted, 1.0), 100.0);
-        assert_eq!(percentile(&[42.0], 0.99), 42.0);
-        assert_eq!(percentile(&[], 0.5), 0.0);
     }
 
     #[test]

@@ -63,7 +63,6 @@
 //! assert!(worker.is_some());
 //! ```
 
-pub mod backend;
 pub mod bitmap;
 pub mod canary;
 pub mod costmodel;

@@ -21,13 +21,14 @@
 //!   of answering in-process each connection is admitted against a
 //!   versioned [`hermes_backend::BackendPool`] snapshot, connected to a
 //!   real backend (retrying the admitted candidate order on failure), and
-//!   byte-relayed with half-close and backpressure handling.
+//!   byte-relayed with half-close and backpressure handling. Its workers
+//!   are epoll event loops, so it requires Linux.
 //! * [`reactor`] — raw-syscall I/O event notification for the relay and
 //!   the acceptor: an epoll set per worker (edge-triggered for relay
 //!   legs, level-triggered for listeners), an eventfd waker for
 //!   cross-thread hand-off, and splice(2) pipe plumbing for zero-copy
-//!   byte moves. Non-Linux hosts get an API-compatible stub that reports
-//!   itself unsupported.
+//!   byte moves. Non-Linux hosts get an API-compatible stub whose
+//!   constructors report `Unsupported`.
 //!
 //! The substitution vs. production: the paper attaches dispatch at the
 //! kernel's reuseport hook so the *kernel* places each SYN; a portable
@@ -61,7 +62,7 @@ pub mod server;
 pub mod prelude {
     pub use crate::http::{Request, Response, StatusCode};
     pub use crate::proxy::{EchoUpstream, Proxy, Upstream};
-    pub use crate::relay::{RelayLb, RelayMode, RelayStats};
+    pub use crate::relay::{RelayLb, RelayStats};
     pub use crate::router::{Router, Rule};
     pub use crate::server::TcpLb;
 }

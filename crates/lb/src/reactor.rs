@@ -29,9 +29,9 @@
 //!   `socket(SOCK_NONBLOCK)` + `connect` → `EINPROGRESS` lets a worker
 //!   open a backend leg without ever blocking outside `epoll_wait`.
 //!
-//! Non-Linux hosts get a stub whose constructors report `Unsupported`
-//! ([`supported`] returns `false`); the relay then runs its portable
-//! sleep-poll loop and the copy path, preserving behaviour exactly.
+//! Non-Linux hosts get a stub whose constructors report `Unsupported`,
+//! so the crate type-checks everywhere: there the relay refuses to
+//! start, and the HTTP front end's acceptor falls back to a timed sleep.
 
 #[cfg(target_os = "linux")]
 mod imp {
@@ -42,7 +42,6 @@ mod imp {
 
     const EPOLL_CLOEXEC: i32 = 0o2000000;
     const EPOLL_CTL_ADD: i32 = 1;
-    const EPOLL_CTL_DEL: i32 = 2;
     const EPOLLIN: u32 = 0x001;
     const EPOLLOUT: u32 = 0x004;
     const EPOLLERR: u32 = 0x008;
@@ -96,11 +95,6 @@ mod imp {
         fn read(fd: i32, buf: *mut core::ffi::c_void, count: usize) -> isize;
         fn write(fd: i32, buf: *const core::ffi::c_void, count: usize) -> isize;
         fn close(fd: i32) -> i32;
-    }
-
-    /// This platform has the reactor and splice fast path.
-    pub fn supported() -> bool {
-        true
     }
 
     /// Event token reserved for the reactor's own wake eventfd.
@@ -226,7 +220,10 @@ mod imp {
         /// Register a relay socket edge-triggered for both directions
         /// plus peer-half-close. The owner must pump to `EAGAIN` after
         /// every event (and once right after registering) or edges are
-        /// lost — that is the contract the relay's pump loop keeps.
+        /// lost — that is the contract the relay's pump loop keeps. There
+        /// is no deregistration: closing an fd (one that was never
+        /// duplicated) drops it from the set, which is how the relay
+        /// retires its sockets.
         pub fn register(&self, fd: RawFd, token: u64) -> io::Result<()> {
             self.ctl(
                 EPOLL_CTL_ADD,
@@ -241,13 +238,6 @@ mod imp {
         /// burst-capped acceptor never strands connections.
         pub fn register_read(&self, fd: RawFd, token: u64) -> io::Result<()> {
             self.ctl(EPOLL_CTL_ADD, fd, EPOLLIN, token)
-        }
-
-        /// Remove a registration while keeping the fd open. Closing an
-        /// fd (one that was never duplicated) drops it from the epoll set
-        /// by itself, which is how the relay retires its sockets.
-        pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
         }
 
         /// Block up to `timeout_ms` (0 = poll, -1 = forever) for ready
@@ -615,11 +605,6 @@ mod imp {
     use std::net::{SocketAddr, TcpListener, TcpStream};
     use std::os::fd::RawFd;
 
-    /// Epoll is Linux-only: the relay runs its portable sleep-poll loop.
-    pub fn supported() -> bool {
-        false
-    }
-
     /// Event token reserved for the reactor's own wake eventfd.
     pub const WAKE_TOKEN: u64 = u64::MAX;
 
@@ -676,11 +661,6 @@ mod imp {
 
         /// Unreachable on non-Linux targets.
         pub fn register_read(&self, _fd: RawFd, _token: u64) -> io::Result<()> {
-            match self.0 {}
-        }
-
-        /// Unreachable on non-Linux targets.
-        pub fn deregister(&self, _fd: RawFd) -> io::Result<()> {
             match self.0 {}
         }
 
@@ -761,8 +741,8 @@ mod imp {
 }
 
 pub use imp::{
-    accept_nonblocking, connect_nonblocking, splice_from_pipe, splice_to_pipe, supported,
-    thread_cpu_ns, Event, PipePair, Reactor, Splice, Waker, PIPE_CAPACITY, WAKE_TOKEN,
+    accept_nonblocking, connect_nonblocking, splice_from_pipe, splice_to_pipe, thread_cpu_ns,
+    Event, PipePair, Reactor, Splice, Waker, PIPE_CAPACITY, WAKE_TOKEN,
 };
 
 #[cfg(all(test, target_os = "linux"))]
@@ -817,8 +797,6 @@ mod tests {
         let n = r.wait(&mut events, 1000).unwrap();
         assert!(n >= 1, "no event for peer close");
         assert!(events.iter().any(|e| e.token == 7 && e.closed));
-
-        r.deregister(server.as_raw_fd()).unwrap();
     }
 
     #[test]

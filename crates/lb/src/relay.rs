@@ -6,26 +6,26 @@
 //! connected to the selected backend (walking the admitted table's
 //! deterministic candidate order on connect failure), and then pumped.
 //!
-//! How bytes move depends on [`RelayMode`]:
+//! Each worker owns an epoll set ([`crate::reactor`]) and is the Fig. 9
+//! loop with a real `epoll_wait` in it: both relay legs register
+//! edge-triggered, the acceptor's hand-off rings an eventfd, the backend
+//! leg is opened with a nonblocking connect that completes as an event,
+//! and the worker issues exactly the I/O the kernel reported possible — a
+//! direction is read only while its source may be readable, flushed only
+//! while it holds bytes. `epoll_wait` is the one call that blocks; an
+//! idle *connection* is never touched at all.
 //!
-//! * **`Reactor`** (default on Linux) — each worker owns an epoll set
-//!   ([`crate::reactor`]): both relay legs register edge-triggered, the
-//!   acceptor's hand-off rings an eventfd, the backend leg is opened
-//!   with a nonblocking connect that completes as an event, and the
-//!   worker issues exactly the I/O the kernel reported possible — a
-//!   direction is read only while its source may be readable, flushed
-//!   only while it holds bytes. `epoll_wait` is the one call that
-//!   blocks; an idle *connection* is never touched at all. With
-//!   `splice: true` a direction that proves to carry bulk (a read fills
-//!   the scratch buffer) moves to a pooled kernel pipe and from then on
-//!   travels socket→pipe→socket with splice(2) — zero userspace copies —
-//!   demoting back to the scratch-buffer path only when the kernel
-//!   refuses (`EINVAL`/`ENOSYS`). Small messages and short connections
-//!   stay on the copy path, which is the cheaper one at their size.
-//! * **`SleepPoll`** — the portable baseline: poll every connection each
-//!   iteration through the shared scratch buffer and sleep 200 µs when
-//!   everything would block. Kept as the latency/CPU reference the
-//!   `relay_throughput` bench gates the reactor against.
+//! How a direction's bytes move is decided from the bytes themselves:
+//! every direction starts on the copy path (one `read` + one `write`
+//! through the worker's scratch buffer, the cheaper pair for small
+//! messages), and one that proves to carry bulk — a read fills the
+//! scratch buffer — moves to a pooled kernel pipe and from then on
+//! travels socket→pipe→socket with splice(2), zero userspace copies. It
+//! returns to the copy path only when the kernel refuses
+//! (`EINVAL`/`ENOSYS`), and stays there when no pipe can be opened.
+//!
+//! The data plane requires Linux: elsewhere [`Reactor::new`] reports
+//! `Unsupported` and so does [`RelayLb::start`].
 //!
 //! Consistency: a connection resolves its backend *once*, at admission,
 //! against the table version current at accept time. Later churn (drain,
@@ -33,29 +33,30 @@
 //! relays keep their TCP peer until either side closes. That is exactly
 //! the frozen-snapshot contract the simnet churn suite proves at scale.
 //!
-//! Per-connection relay state handles the edges identically in every
-//! mode: half-close (EOF on one side propagates `shutdown(Write)` to the
+//! Per-connection relay state handles the edges on either path alike:
+//! half-close (EOF on one side propagates `shutdown(Write)` to the
 //! other once buffered bytes drain), strict backpressure (a side is read
 //! only when its forwarding buffer — userspace or pipe — is empty),
 //! connect failure (retry the next candidate in the admitted table), and
 //! a hard per-connection deadline.
 
-use crate::reactor::{self, PipePair, Reactor, Splice, Waker, WAKE_TOKEN};
-use crate::server::{accept_loop, GroupSync, Handoff, LbStats, ACCEPT_BURST};
+use crate::reactor::{self, PipePair, Reactor, Splice, WAKE_TOKEN};
+use crate::server::{
+    assert_dispatch_admitted, place_flat, sync_flat, Handoff, LbStats, Running, ACCEPT_BURST,
+};
 use bytes::BytesMut;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError};
+use crossbeam::channel::{bounded, Receiver};
 use hermes_backend::{Admission, BackendId, BackendPool, TableCache};
 use hermes_core::sched::SchedConfig;
 use hermes_core::sdk::{SyncTarget, WorkerSession};
 use hermes_core::wst::Wst;
-use hermes_ebpf::{ExecTier, ReuseportGroup};
+use hermes_ebpf::ReuseportGroup;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Deadline for one backend connect attempt: long enough for
@@ -97,36 +98,6 @@ const PIPE_POOL_CAP: usize = 2 * ACCEPT_BURST;
 /// Minimum spacing of a worker's thread-CPU-clock reads.
 const CPU_SAMPLE_NS: u64 = 1_000_000;
 
-/// How the relay workers learn about I/O readiness and move bytes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RelayMode {
-    /// Portable baseline: poll every connection each iteration and sleep
-    /// 200 µs when everything would block.
-    SleepPoll,
-    /// Per-worker epoll reactor (Linux): readiness-driven pumps, eventfd
-    /// hand-off wakeups, event-driven backend connects, zero idle cost.
-    /// `splice` additionally moves a direction's bytes kernel-to-kernel
-    /// through a pooled pipe once it proves to carry bulk (a read fills
-    /// the scratch buffer), demoting it back to the copy path only when
-    /// the kernel refuses.
-    Reactor {
-        /// Enable the splice(2) zero-copy path for bulk directions.
-        splice: bool,
-    },
-}
-
-impl RelayMode {
-    /// The best mode this host supports: reactor + splice on Linux, the
-    /// portable sleep-poll loop elsewhere.
-    pub fn auto() -> RelayMode {
-        if reactor::supported() {
-            RelayMode::Reactor { splice: true }
-        } else {
-            RelayMode::SleepPoll
-        }
-    }
-}
-
 /// Relay-specific counters (dispatch counters live in [`LbStats`]).
 #[derive(Debug, Default)]
 pub struct RelayStats {
@@ -140,9 +111,9 @@ pub struct RelayStats {
     pub connect_retries: AtomicU64,
     /// Client connections dropped because no admitted candidate accepted.
     pub failed_connects: AtomicU64,
-    /// Relay pump passes executed. Under the reactor this moves only when
-    /// the kernel reports readiness — it stays flat across idle seconds,
-    /// which the idle-CPU test asserts.
+    /// Relay pump passes executed. Moves only when the kernel reports
+    /// readiness — it stays flat across idle seconds, which the idle-CPU
+    /// test asserts.
     pub pumps: AtomicU64,
     /// `read`/`write`/`splice` calls issued by pump passes: with `pumps`,
     /// what a wakeup costs as a count rather than a time.
@@ -193,49 +164,30 @@ impl RelayStats {
 
 /// A running TCP relay LB.
 pub struct RelayLb {
-    local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    wakers: Vec<Waker>,
-    stats: Arc<LbStats>,
+    running: Running,
     relay_stats: Arc<RelayStats>,
     pool: Arc<BackendPool>,
 }
 
 impl RelayLb {
     /// Bind `addr`, spawn `workers` relay workers over `backends`, and
-    /// start accepting, in the best mode this host supports
-    /// ([`RelayMode::auto`]). The pool starts with every backend
-    /// `Healthy`; drive churn through [`RelayLb::pool`].
+    /// start accepting. The pool starts with every backend `Healthy`;
+    /// drive churn through [`RelayLb::pool`].
+    ///
+    /// Every worker's epoll set is opened before any thread is spawned:
+    /// a host that cannot provide one (no Linux epoll, fd exhaustion)
+    /// fails the start with [`Reactor::new`]'s error.
     pub fn start(
         addr: impl ToSocketAddrs,
         workers: usize,
         backends: Vec<SocketAddr>,
     ) -> std::io::Result<RelayLb> {
-        RelayLb::start_with_mode(addr, workers, backends, RelayMode::auto())
-    }
-
-    /// [`RelayLb::start`] with an explicit [`RelayMode`] — the A/B hook
-    /// the latency bench and the mode-matrix tests drive. A `Reactor`
-    /// request degrades per worker to `SleepPoll` if epoll setup fails
-    /// (and always on non-Linux hosts).
-    pub fn start_with_mode(
-        addr: impl ToSocketAddrs,
-        workers: usize,
-        backends: Vec<SocketAddr>,
-        mode: RelayMode,
-    ) -> std::io::Result<RelayLb> {
         assert!((1..=64).contains(&workers), "1..=64 workers");
         assert!(!backends.is_empty(), "relay needs at least one backend");
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(LbStats {
-            accepted: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            ..LbStats::default()
-        });
+        let reactors = (0..workers)
+            .map(|_| Reactor::new())
+            .collect::<std::io::Result<Vec<_>>>()?;
+        let (listener, mut running) = Running::bind(addr, workers)?;
         let relay_stats = Arc::new(RelayStats {
             per_backend: (0..backends.len()).map(|_| AtomicU64::new(0)).collect(),
             ..RelayStats::default()
@@ -244,95 +196,41 @@ impl RelayLb {
         let backends = Arc::new(backends);
         let wst = Arc::new(Wst::new(workers));
         let group = Arc::new(ReuseportGroup::new(workers));
-        // Same admission bar as the HTTP front end: statically verified
-        // and translation-validated dispatch only.
-        assert_eq!(
+        assert_dispatch_admitted(
             group.tier(),
-            ExecTier::native_ceiling(),
-            "dispatch program failed static verification:\n{}",
-            group.analysis().render(group.program())
-        );
-        assert!(
-            group.validation().blocks_proven() > 0,
-            "compiled dispatch admitted without a translation proof"
+            group.analysis(),
+            group.program(),
+            group.validation(),
         );
 
         let mut senders = Vec::with_capacity(workers);
-        let mut accept_wakers: Vec<Option<Waker>> = Vec::with_capacity(workers);
-        let mut wakers: Vec<Waker> = Vec::new();
+        let mut wakers = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
-        for id in 0..workers {
+        for (id, reactor) in reactors.into_iter().enumerate() {
             let (tx, rx) = bounded::<Handoff>(1024);
             senders.push(tx);
+            // The acceptor needs the waker before the worker starts.
+            wakers.push(reactor.waker());
             let session = WorkerSession::new(
                 Arc::clone(&wst),
                 id,
                 SchedConfig::default(),
-                Arc::new(GroupSync(Arc::clone(&group))),
+                Arc::new(sync_flat(Arc::clone(&group))),
             );
-            let stats = Arc::clone(&stats);
+            let stats = Arc::clone(&running.stats);
             let relay_stats = Arc::clone(&relay_stats);
-            let shutdown = Arc::clone(&shutdown);
+            let shutdown = Arc::clone(&running.shutdown);
             let pool = Arc::clone(&pool);
             let backends = Arc::clone(&backends);
-            // Build the reactor on this thread so the acceptor has the
-            // waker before the worker starts; hand the reactor across.
-            let engine = match mode {
-                RelayMode::Reactor { splice } => Reactor::new().ok().map(|r| (r, splice)),
-                RelayMode::SleepPoll => None,
-            };
-            let waker = engine.as_ref().map(|(r, _)| r.waker());
-            accept_wakers.push(waker.clone());
-            wakers.extend(waker);
-            handles.push(std::thread::spawn(move || match engine {
-                Some((reactor, splice)) => ReactorWorker::new(
-                    id,
-                    rx,
-                    reactor,
-                    splice,
-                    session,
-                    pool,
-                    backends,
-                    stats,
-                    relay_stats,
-                )
-                .run(&shutdown),
-                None => relay_worker_loop(
-                    id,
-                    rx,
-                    session,
-                    pool,
-                    backends,
-                    stats,
-                    relay_stats,
-                    shutdown,
-                ),
+            handles.push(std::thread::spawn(move || {
+                ReactorWorker::new(id, rx, reactor, session, pool, backends, stats, relay_stats)
+                    .run(&shutdown)
             }));
         }
 
-        let acceptor = {
-            let shutdown = Arc::clone(&shutdown);
-            let stats = Arc::clone(&stats);
-            std::thread::spawn(move || {
-                accept_loop(
-                    listener,
-                    senders,
-                    accept_wakers,
-                    true,
-                    group,
-                    stats,
-                    shutdown,
-                );
-            })
-        };
-
+        running.start(listener, senders, wakers, handles, true, place_flat(group));
         Ok(RelayLb {
-            local_addr,
-            shutdown,
-            acceptor: Some(acceptor),
-            workers: handles,
-            wakers,
-            stats,
+            running,
             relay_stats,
             pool,
         })
@@ -340,12 +238,12 @@ impl RelayLb {
 
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.running.local_addr
     }
 
     /// Dispatch counters (accepts, directed/fallback).
     pub fn stats(&self) -> &Arc<LbStats> {
-        &self.stats
+        &self.running.stats
     }
 
     /// Relay counters (bytes, retries, per-backend spread).
@@ -361,26 +259,7 @@ impl RelayLb {
 
     /// Stop accepting, drain relays, join threads.
     pub fn shutdown(mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Reactor workers may be asleep in epoll_wait: ring them out.
-        for w in &self.wakers {
-            w.wake();
-        }
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-impl Drop for RelayLb {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        for w in &self.wakers {
-            w.wake();
-        }
+        self.running.stop();
     }
 }
 
@@ -619,8 +498,8 @@ impl DirBuf {
 /// its first scratch-full only.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Promote {
-    /// Not (or no longer) a candidate: the mode has no splice, the
-    /// direction already moved, or the kernel or the fd table refused.
+    /// No longer a candidate: the direction already moved, or the kernel
+    /// or the fd table refused.
     Off,
     /// Copying, and watching for a `read` that fills the scratch buffer.
     Watching,
@@ -647,18 +526,14 @@ struct Direction {
 }
 
 impl Direction {
-    fn new(splice: bool) -> Direction {
+    fn new() -> Direction {
         Direction {
             // Unallocated until the first read, sized by what arrives.
             store: DirBuf::Copy(BytesMut::new()),
             src_ready: true,
             src_eof: false,
             dst_shut: false,
-            promote: if splice {
-                Promote::Watching
-            } else {
-                Promote::Off
-            },
+            promote: Promote::Watching,
         }
     }
 
@@ -758,20 +633,14 @@ struct RelayConn {
 }
 
 impl RelayConn {
-    fn new(
-        client: TcpStream,
-        backend: TcpStream,
-        backend_id: BackendId,
-        version: u64,
-        splice: bool,
-    ) -> Self {
+    fn new(client: TcpStream, backend: TcpStream, backend_id: BackendId, version: u64) -> Self {
         Self {
             client,
             backend,
             backend_id,
             admitted_version: version,
-            up: Direction::new(splice),
-            down: Direction::new(splice),
+            up: Direction::new(),
+            down: Direction::new(),
             bytes_up: 0,
             bytes_down: 0,
             deadline: Instant::now() + RELAY_DEADLINE,
@@ -846,36 +715,6 @@ impl RelayConn {
     }
 }
 
-/// Teardown bookkeeping shared by both worker loops: fold the relay's
-/// byte counts into the shared stats, notify the session/trace, and
-/// recycle drained pipes. Dropping the sockets closes both legs, which
-/// also takes them out of the worker's epoll set.
-fn finish_conn<T: SyncTarget>(
-    conn: RelayConn,
-    rstats: &RelayStats,
-    session: &mut WorkerSession<T>,
-    lane: u32,
-    now: u64,
-    pipes: &mut Vec<PipePair>,
-) {
-    rstats.relayed.fetch_add(1, Ordering::Relaxed);
-    rstats.bytes_up.fetch_add(conn.bytes_up, Ordering::Relaxed);
-    rstats
-        .bytes_down
-        .fetch_add(conn.bytes_down, Ordering::Relaxed);
-    session.conn_closed();
-    hermes_trace::trace_event!(
-        now,
-        hermes_trace::EventKind::ConnClose,
-        lane,
-        conn.backend_id,
-        conn.admitted_version
-    );
-    let RelayConn { up, down, .. } = conn;
-    up.store.reclaim(pipes);
-    down.store.reclaim(pipes);
-}
-
 /// A reactor slot's tenant.
 enum Slot {
     /// The backend connect is in flight. Only the backend leg is
@@ -903,7 +742,7 @@ struct Connecting {
     resolved: bool,
 }
 
-/// The reactor relay worker: the Fig. 9 loop shape where "wait for
+/// The relay worker: the Fig. 9 loop shape where "wait for
 /// events" is a real `epoll_wait` — readiness edges, connect completions
 /// and the acceptor's eventfd ring are the only things that move it, and
 /// it is the only call that blocks. Idle connections cost nothing; an
@@ -912,7 +751,6 @@ struct ReactorWorker<T: SyncTarget> {
     id: usize,
     rx: Receiver<Handoff>,
     reactor: Reactor,
-    splice: bool,
     session: WorkerSession<T>,
     pool: Arc<BackendPool>,
     backends: Arc<Vec<SocketAddr>>,
@@ -961,7 +799,6 @@ impl<T: SyncTarget> ReactorWorker<T> {
         id: usize,
         rx: Receiver<Handoff>,
         reactor: Reactor,
-        splice: bool,
         session: WorkerSession<T>,
         pool: Arc<BackendPool>,
         backends: Arc<Vec<SocketAddr>>,
@@ -972,7 +809,6 @@ impl<T: SyncTarget> ReactorWorker<T> {
             id,
             rx,
             reactor,
-            splice,
             session,
             pool,
             backends,
@@ -1242,7 +1078,6 @@ impl<T: SyncTarget> ReactorWorker<T> {
             c.backend,
             c.backend_id,
             c.adm.version(),
-            self.splice,
         )));
         true
     }
@@ -1273,19 +1108,30 @@ impl<T: SyncTarget> ReactorWorker<T> {
         }
     }
 
-    /// Tear down the relay in `slot` and free the slot.
+    /// Tear down the relay in `slot` and free the slot: fold its byte
+    /// counts into the shared stats, notify the session/trace, and
+    /// recycle drained pipes. Dropping the sockets closes both legs,
+    /// which also takes them out of the epoll set.
     fn finish_relay(&mut self, slot: usize) {
         if let Some(Slot::Relay(conn)) = self.slots[slot].take() {
-            let lane = self.lane();
-            let now = self.now.duration_since(self.epoch).as_nanos() as u64;
-            finish_conn(
-                conn,
-                &self.rstats,
-                &mut self.session,
-                lane,
-                now,
-                &mut self.pipes,
+            self.rstats.relayed.fetch_add(1, Ordering::Relaxed);
+            self.rstats
+                .bytes_up
+                .fetch_add(conn.bytes_up, Ordering::Relaxed);
+            self.rstats
+                .bytes_down
+                .fetch_add(conn.bytes_down, Ordering::Relaxed);
+            self.session.conn_closed();
+            hermes_trace::trace_event!(
+                self.now.duration_since(self.epoch).as_nanos() as u64,
+                hermes_trace::EventKind::ConnClose,
+                self.lane(),
+                conn.backend_id,
+                conn.admitted_version
             );
+            let RelayConn { up, down, .. } = conn;
+            up.store.reclaim(&mut self.pipes);
+            down.store.reclaim(&mut self.pipes);
         }
         self.release(slot);
     }
@@ -1312,208 +1158,14 @@ impl<T: SyncTarget> ReactorWorker<T> {
     }
 }
 
-/// The sleep-poll relay worker: the pre-reactor baseline. Polls every
-/// live relay each iteration and sleeps 200 µs when everything would
-/// block — kept as the portable fallback and as the A/B reference the
-/// latency bench gates the reactor against.
-#[allow(clippy::too_many_arguments)]
-fn relay_worker_loop<T: SyncTarget>(
-    id: usize,
-    rx: Receiver<Handoff>,
-    mut session: WorkerSession<T>,
-    pool: Arc<BackendPool>,
-    backends: Arc<Vec<SocketAddr>>,
-    stats: Arc<LbStats>,
-    rstats: Arc<RelayStats>,
-    shutdown: Arc<AtomicBool>,
-) {
-    let epoch = Instant::now();
-    let now_ns = move || epoch.elapsed().as_nanos() as u64;
-    let lane = id as u32;
-    let mut cache = TableCache::new();
-    let mut conns: Vec<RelayConn> = Vec::new();
-    // Never filled (this loop does not splice); `finish_conn` wants one.
-    let mut pipes: Vec<PipePair> = Vec::new();
-    let mut scratch = vec![0u8; SCRATCH_BYTES];
-    let mut cpu = CpuMeter::new(Arc::clone(&rstats));
-    loop {
-        let now = now_ns();
-        session.loop_top(now);
-        cpu.tick(now);
-        // Fetch a burst of newly dispatched connections. Block (the 5 ms
-        // epoll_wait stand-in) only when there is nothing to pump.
-        let mut fetched = 0usize;
-        if conns.is_empty() {
-            match rx.recv_timeout(Duration::from_millis(5)) {
-                Ok(handoff) => {
-                    admit(
-                        handoff,
-                        &mut conns,
-                        id,
-                        lane,
-                        &now_ns,
-                        &mut session,
-                        &pool,
-                        &mut cache,
-                        &backends,
-                        &stats,
-                        &rstats,
-                    );
-                    fetched += 1;
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return,
-            }
-        }
-        while fetched < ACCEPT_BURST {
-            match rx.try_recv() {
-                Ok(handoff) => {
-                    admit(
-                        handoff,
-                        &mut conns,
-                        id,
-                        lane,
-                        &now_ns,
-                        &mut session,
-                        &pool,
-                        &mut cache,
-                        &backends,
-                        &stats,
-                        &rstats,
-                    );
-                    fetched += 1;
-                }
-                Err(_) => break,
-            }
-        }
-        session.events_fetched(fetched);
-        for _ in 0..fetched {
-            session.event_handled();
-        }
-
-        // Pump every live relay once through the shared scratch buffer.
-        // No kernel readiness here: every source counts as readable.
-        let mut moved = 0u64;
-        let mut i = 0;
-        while i < conns.len() {
-            conns[i].source_ready(0);
-            conns[i].source_ready(1);
-            match conns[i].pump(Instant::now(), &mut scratch, &mut pipes, &rstats) {
-                Pump::Progress { moved: n, .. } => {
-                    moved += n;
-                    i += 1;
-                }
-                Pump::Done | Pump::Dead => {
-                    // Dropping the RelayConn closes both sockets; Dead
-                    // relays leave only the counters as residue.
-                    let c = conns.swap_remove(i);
-                    finish_conn(c, &rstats, &mut session, lane, now_ns(), &mut pipes);
-                }
-            }
-        }
-        if moved > 0 || fetched > 0 {
-            hermes_trace::trace_count!(hermes_trace::CounterId::RelayBursts);
-            hermes_trace::trace_count!(hermes_trace::CounterId::RelayBytes, moved);
-        } else if !conns.is_empty() {
-            // Everything would block: yield briefly instead of spinning.
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        let decision = session.schedule_only(now_ns());
-        session.sync_only(decision.bitmap);
-        if shutdown.load(Ordering::SeqCst) && rx.is_empty() && conns.is_empty() {
-            return;
-        }
-    }
-}
-
-/// Accept-side bookkeeping for one dispatched client: WST + stats +
-/// trace, then admission and backend connect. (Sleep-poll loop only; the
-/// reactor worker connects without blocking.)
-#[allow(clippy::too_many_arguments)]
-fn admit<T: SyncTarget>(
-    handoff: Handoff,
-    conns: &mut Vec<RelayConn>,
-    id: usize,
-    lane: u32,
-    now_ns: &impl Fn() -> u64,
-    session: &mut WorkerSession<T>,
-    pool: &BackendPool,
-    cache: &mut TableCache,
-    backends: &[SocketAddr],
-    stats: &LbStats,
-    rstats: &RelayStats,
-) {
-    stats.accepted[id].fetch_add(1, Ordering::Relaxed);
-    if let Some(conn) = open_relay(handoff, pool, cache, backends, rstats) {
-        session.conn_opened();
-        hermes_trace::trace_event!(
-            now_ns(),
-            hermes_trace::EventKind::ConnOpen,
-            lane,
-            conn.backend_id,
-            conn.admitted_version
-        );
-        conns.push(conn);
-    }
-}
-
-/// The sleep-poll loop's admission: pin the client to the current table
-/// version and connect it to a backend with a *blocking* connect,
-/// walking the admitted candidate order on failure. `None` drops the
-/// client (no candidate reachable). Never splices: this loop is the
-/// copy-path reference the bench compares the reactor modes against.
-fn open_relay(
-    (client, hash): Handoff,
-    pool: &BackendPool,
-    cache: &mut TableCache,
-    backends: &[SocketAddr],
-    rstats: &RelayStats,
-) -> Option<RelayConn> {
-    let table = pool.cached(cache);
-    let Some(adm) = table.admit(hash) else {
-        rstats.failed_connects.fetch_add(1, Ordering::Relaxed);
-        return None; // nothing admits new connections right now
-    };
-    let mut attempt = 0;
-    while let Some(b) = adm.candidate(attempt) {
-        if attempt > 0 {
-            rstats.note_retry();
-        }
-        // A candidate beyond the startup address list is skipped like a
-        // failed connect (see `ReactorWorker::connect`).
-        let connected = backends
-            .get(b)
-            .map(|addr| TcpStream::connect_timeout(addr, CONNECT_TIMEOUT));
-        if let Some(Ok(backend)) = connected {
-            let _ = client.set_nodelay(true);
-            let _ = backend.set_nonblocking(true);
-            let _ = backend.set_nodelay(true);
-            rstats.note_backend(b);
-            return Some(RelayConn::new(client, backend, b, adm.version(), false));
-        }
-        attempt += 1;
-    }
-    rstats.failed_connects.fetch_add(1, Ordering::Relaxed);
-    None
-}
-
-#[cfg(test)]
+#[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
+    use crate::reactor::Waker;
     use hermes_backend::HealthState;
     use std::io::{BufRead, BufReader};
+    use std::net::TcpListener;
     use std::sync::Mutex;
-
-    /// Every mode this host can run: the portable sleep-poll baseline
-    /// everywhere, plus both reactor variants on Linux.
-    fn modes_under_test() -> Vec<RelayMode> {
-        let mut modes = vec![RelayMode::SleepPoll];
-        if reactor::supported() {
-            modes.push(RelayMode::Reactor { splice: false });
-            modes.push(RelayMode::Reactor { splice: true });
-        }
-        modes
-    }
 
     /// A backend on an ephemeral loopback port that runs `serve` on its
     /// own thread for every connection (blocking socket, 5 s read
@@ -1681,7 +1333,6 @@ mod tests {
     /// itself, so its private state can be read between steps.
     fn reactor_rig(
         backends: Vec<SocketAddr>,
-        splice: bool,
     ) -> (ReactorWorker<fn(hermes_core::WorkerBitmap)>, RigAcceptor) {
         fn publish_nowhere(_: hermes_core::WorkerBitmap) {}
         let reactor = Reactor::new().expect("epoll");
@@ -1705,7 +1356,6 @@ mod tests {
             0,
             rx,
             reactor,
-            splice,
             session,
             Arc::new(BackendPool::new(backends.len())),
             Arc::new(backends),
@@ -1725,12 +1375,8 @@ mod tests {
 
     #[test]
     fn wst_row_shows_readiness_events_while_they_are_pending() {
-        if !reactor::supported() {
-            eprintln!("SKIP: reactor requires Linux");
-            return;
-        }
         let (echo, stop) = spawn_echo_backend(0);
-        let (mut worker, acceptor) = reactor_rig(vec![echo], true);
+        let (mut worker, acceptor) = reactor_rig(vec![echo]);
         let wst = Arc::clone(worker.session.wst());
         let pending = || wst.worker(0).snapshot().pending_events;
 
@@ -1777,12 +1423,8 @@ mod tests {
 
     #[test]
     fn short_connections_never_touch_a_pipe() {
-        if !reactor::supported() {
-            eprintln!("SKIP: reactor requires Linux");
-            return;
-        }
         let (echo, stop) = spawn_echo_backend(0);
-        let (mut worker, acceptor) = reactor_rig(vec![echo], true);
+        let (mut worker, acceptor) = reactor_rig(vec![echo]);
         let addr = acceptor.addr();
         // Run the worker's real loop over `n` connections, then stop it so
         // its pipe pool can be looked at.
@@ -1819,62 +1461,50 @@ mod tests {
 
     #[test]
     fn bulk_directions_move_to_splice_after_their_first_scratch_full() {
-        if !reactor::supported() {
-            eprintln!("SKIP: reactor requires Linux");
-            return;
-        }
         let payload: Arc<Vec<u8>> = Arc::new((0..4 << 20).map(|i| (i % 251) as u8).collect());
-        // `Reactor { splice: false }` must never promote, however bulky.
-        for splice in [true, false] {
-            let mode = RelayMode::Reactor { splice };
-            let check = |rstats: &RelayStats, what: &str| {
-                let moved = rstats.bytes_up.load(Ordering::Relaxed)
-                    + rstats.bytes_down.load(Ordering::Relaxed);
-                let spliced = rstats.splice_bytes.load(Ordering::Relaxed);
-                assert!(
-                    moved >= payload.len() as u64,
-                    "{what}: relay lost count of bytes"
-                );
-                if splice {
-                    assert!(
-                        spliced * 100 >= moved * 99,
-                        "{what}: only {spliced} of {moved} bytes spliced — promotion is late"
-                    );
-                    assert_eq!(rstats.splice_fallbacks.load(Ordering::Relaxed), 0, "{what}");
-                } else {
-                    assert_eq!(spliced, 0, "{what}: copy mode spliced");
-                }
-            };
+        let check = |rstats: &RelayStats, what: &str| {
+            let moved =
+                rstats.bytes_up.load(Ordering::Relaxed) + rstats.bytes_down.load(Ordering::Relaxed);
+            let spliced = rstats.splice_bytes.load(Ordering::Relaxed);
+            assert!(
+                moved >= payload.len() as u64,
+                "{what}: relay lost count of bytes"
+            );
+            assert!(
+                spliced * 100 >= moved * 99,
+                "{what}: only {spliced} of {moved} bytes spliced — promotion is late"
+            );
+            assert_eq!(rstats.splice_fallbacks.load(Ordering::Relaxed), 0, "{what}");
+        };
 
-            let (addr, stop, received) = spawn_closer_backend();
-            let lb = RelayLb::start_with_mode("127.0.0.1:0", 1, vec![addr], mode).expect("bind");
-            let mut s = TcpStream::connect(lb.local_addr()).unwrap();
-            s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-            s.write_all(&payload).unwrap();
-            s.shutdown(Shutdown::Write).unwrap();
-            let mut down = Vec::new();
-            s.read_to_end(&mut down).expect("drain to backend EOF");
-            assert_eq!(down, b"bye\n");
-            let got = await_received(&received, payload.len());
-            assert!(got == *payload, "{mode:?}: upload corrupted");
-            let rstats = Arc::clone(lb.relay_stats());
-            lb.shutdown();
-            check(&rstats, "upload");
-            stop.store(true, Ordering::SeqCst);
+        let (addr, stop, received) = spawn_closer_backend();
+        let lb = RelayLb::start("127.0.0.1:0", 1, vec![addr]).expect("bind");
+        let mut s = TcpStream::connect(lb.local_addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        s.write_all(&payload).unwrap();
+        s.shutdown(Shutdown::Write).unwrap();
+        let mut down = Vec::new();
+        s.read_to_end(&mut down).expect("drain to backend EOF");
+        assert_eq!(down, b"bye\n");
+        let got = await_received(&received, payload.len());
+        assert!(got == *payload, "upload corrupted");
+        let rstats = Arc::clone(lb.relay_stats());
+        lb.shutdown();
+        check(&rstats, "upload");
+        stop.store(true, Ordering::SeqCst);
 
-            let (addr, stop) = spawn_source_backend(Arc::clone(&payload));
-            let lb = RelayLb::start_with_mode("127.0.0.1:0", 1, vec![addr], mode).expect("bind");
-            let mut s = TcpStream::connect(lb.local_addr()).unwrap();
-            s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-            let mut got = Vec::with_capacity(payload.len());
-            s.read_to_end(&mut got).expect("drain to backend EOF");
-            assert!(got == *payload, "{mode:?}: download corrupted");
-            drop(s);
-            let rstats = Arc::clone(lb.relay_stats());
-            lb.shutdown();
-            check(&rstats, "download");
-            stop.store(true, Ordering::SeqCst);
-        }
+        let (addr, stop) = spawn_source_backend(Arc::clone(&payload));
+        let lb = RelayLb::start("127.0.0.1:0", 1, vec![addr]).expect("bind");
+        let mut s = TcpStream::connect(lb.local_addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut got = Vec::with_capacity(payload.len());
+        s.read_to_end(&mut got).expect("drain to backend EOF");
+        assert!(got == *payload, "download corrupted");
+        drop(s);
+        let rstats = Arc::clone(lb.relay_stats());
+        lb.shutdown();
+        check(&rstats, "download");
+        stop.store(true, Ordering::SeqCst);
     }
 
     /// `(io_calls, would_block, pumps)` once the worker has gone quiet.
@@ -1899,67 +1529,58 @@ mod tests {
 
     #[test]
     fn a_wakeup_issues_only_the_io_the_kernel_announced() {
-        if !reactor::supported() {
-            eprintln!("SKIP: reactor requires Linux");
-            return;
-        }
-        for splice in [false, true] {
-            let mode = RelayMode::Reactor { splice };
-
-            // 1 000 sequential 64 B ping-pongs are 2 000 direction-moves,
-            // each one wakeup: read, write, and the read that confirms
-            // EAGAIN. The direction the event did not name costs nothing.
-            let (addr, stop) = spawn_echo_backend(0);
-            let lb = RelayLb::start_with_mode("127.0.0.1:0", 1, vec![addr], mode).expect("bind");
-            let mut s = TcpStream::connect(lb.local_addr()).unwrap();
-            s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-            s.set_nodelay(true).unwrap();
-            let mut greeting = [0u8; 8];
-            s.read_exact(&mut greeting).unwrap();
-            let (ping, mut pong) = ([0x5Au8; 64], [0u8; 64]);
-            let rstats = Arc::clone(lb.relay_stats());
-            let (io0, wb0, pumps0) = settled_io_counters(&rstats);
-            for _ in 0..1000 {
-                s.write_all(&ping).unwrap();
-                s.read_exact(&mut pong).unwrap();
-                assert_eq!(pong, ping);
-            }
-            let (io, wb, pumps) = settled_io_counters(&rstats);
-            let (io, wb, pumps) = (io - io0, wb - wb0, pumps - pumps0);
-            assert!(io <= 3 * 2000, "{mode:?}: {io} I/O calls for 2000 moves");
-            assert!(wb <= pumps, "{mode:?}: {wb} EAGAINs over {pumps} wakeups");
-            assert_eq!(rstats.splice_bytes.load(Ordering::Relaxed), 0, "{mode:?}");
-            drop(s);
-            lb.shutdown();
-            stop.store(true, Ordering::SeqCst);
-
-            // A backend that never writes: once the down direction has
-            // met its first EAGAIN, only the up direction does I/O.
-            let (addr, stop, received) = spawn_recording_backend(false);
-            let lb = RelayLb::start_with_mode("127.0.0.1:0", 1, vec![addr], mode).expect("bind");
-            let mut s = TcpStream::connect(lb.local_addr()).unwrap();
-            s.set_nodelay(true).unwrap();
+        // 1 000 sequential 64 B ping-pongs are 2 000 direction-moves,
+        // each one wakeup: read, write, and the read that confirms
+        // EAGAIN. The direction the event did not name costs nothing.
+        let (addr, stop) = spawn_echo_backend(0);
+        let lb = RelayLb::start("127.0.0.1:0", 1, vec![addr]).expect("bind");
+        let mut s = TcpStream::connect(lb.local_addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        s.set_nodelay(true).unwrap();
+        let mut greeting = [0u8; 8];
+        s.read_exact(&mut greeting).unwrap();
+        let (ping, mut pong) = ([0x5Au8; 64], [0u8; 64]);
+        let rstats = Arc::clone(lb.relay_stats());
+        let (io0, wb0, pumps0) = settled_io_counters(&rstats);
+        for _ in 0..1000 {
             s.write_all(&ping).unwrap();
-            await_received(&received, 64);
-            let rstats = Arc::clone(lb.relay_stats());
-            let (io0, ..) = settled_io_counters(&rstats);
-            for i in 2..=101 {
-                s.write_all(&ping).unwrap();
-                await_received(&received, 64 * i);
-            }
-            let (io, ..) = settled_io_counters(&rstats);
-            assert!(
-                io - io0 <= 3 * 100,
-                "{mode:?}: {} I/O calls for 100 one-way moves — the idle direction was polled",
-                io - io0
-            );
-            drop(s);
-            lb.shutdown();
-            stop.store(true, Ordering::SeqCst);
+            s.read_exact(&mut pong).unwrap();
+            assert_eq!(pong, ping);
         }
+        let (io, wb, pumps) = settled_io_counters(&rstats);
+        let (io, wb, pumps) = (io - io0, wb - wb0, pumps - pumps0);
+        assert!(io <= 3 * 2000, "{io} I/O calls for 2000 moves");
+        assert!(wb <= pumps, "{wb} EAGAINs over {pumps} wakeups");
+        assert_eq!(rstats.splice_bytes.load(Ordering::Relaxed), 0);
+        drop(s);
+        lb.shutdown();
+        stop.store(true, Ordering::SeqCst);
+
+        // A backend that never writes: once the down direction has met
+        // its first EAGAIN, only the up direction does I/O.
+        let (addr, stop, received) = spawn_recording_backend(false);
+        let lb = RelayLb::start("127.0.0.1:0", 1, vec![addr]).expect("bind");
+        let mut s = TcpStream::connect(lb.local_addr()).unwrap();
+        s.set_nodelay(true).unwrap();
+        s.write_all(&ping).unwrap();
+        await_received(&received, 64);
+        let rstats = Arc::clone(lb.relay_stats());
+        let (io0, ..) = settled_io_counters(&rstats);
+        for i in 2..=101 {
+            s.write_all(&ping).unwrap();
+            await_received(&received, 64 * i);
+        }
+        let (io, ..) = settled_io_counters(&rstats);
+        assert!(
+            io - io0 <= 3 * 100,
+            "{} I/O calls for 100 one-way moves — the idle direction was polled",
+            io - io0
+        );
+        drop(s);
+        lb.shutdown();
+        stop.store(true, Ordering::SeqCst);
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
     fn pending_connect_stalls_neither_sibling_relays_nor_the_retry() {
         extern "C" {
@@ -2083,8 +1704,8 @@ mod tests {
         for i in 0..24 {
             used.insert(relay_round_trip(addr, &format!("ping-{i}")));
         }
-        // One payload of several scratch-fulls: the size at which the
-        // auto mode moves a direction onto the splice path.
+        // One payload of several scratch-fulls: the size at which a
+        // direction moves onto the splice path.
         relay_round_trip(addr, &"bulk".repeat(SCRATCH_BYTES));
         let rstats = Arc::clone(lb.relay_stats());
         lb.shutdown();
@@ -2104,153 +1725,179 @@ mod tests {
         assert!(
             rstats.bytes_down.load(Ordering::Relaxed) > rstats.bytes_up.load(Ordering::Relaxed)
         );
-        if reactor::supported() {
-            // The auto mode splices on Linux; the default path must have
-            // actually taken it for the bulk payload.
-            assert!(
-                rstats.splice_bytes.load(Ordering::Relaxed) > 0,
-                "auto mode on Linux moved no bytes through splice"
-            );
-        }
+        assert!(
+            rstats.splice_bytes.load(Ordering::Relaxed) > 0,
+            "the bulk payload moved no bytes through splice"
+        );
         for (_, stop) in backends {
             stop.store(true, Ordering::SeqCst);
         }
     }
 
     #[test]
-    fn half_close_matrix_across_modes() {
-        for mode in modes_under_test() {
-            // Client EOF first: the echo backend answers until the client
-            // shuts its write side, then the relay drains and closes.
-            let (echo_addr, echo_stop) = spawn_echo_backend(0);
-            let lb =
-                RelayLb::start_with_mode("127.0.0.1:0", 1, vec![echo_addr], mode).expect("bind");
-            std::thread::sleep(Duration::from_millis(15));
-            relay_round_trip(lb.local_addr(), "client-eof-first");
-            lb.shutdown();
-            echo_stop.store(true, Ordering::SeqCst);
+    fn half_close_in_all_three_orders() {
+        // Client EOF first: the echo backend answers until the client
+        // shuts its write side, then the relay drains and closes.
+        let (echo_addr, echo_stop) = spawn_echo_backend(0);
+        let lb = RelayLb::start("127.0.0.1:0", 1, vec![echo_addr]).expect("bind");
+        std::thread::sleep(Duration::from_millis(15));
+        relay_round_trip(lb.local_addr(), "client-eof-first");
+        lb.shutdown();
+        echo_stop.store(true, Ordering::SeqCst);
 
-            // Backend EOF first: the backend half-closes immediately; the
-            // client must still be able to push bytes upstream afterwards.
-            let (addr, stop, received) = spawn_closer_backend();
-            let lb = RelayLb::start_with_mode("127.0.0.1:0", 1, vec![addr], mode).expect("bind");
-            std::thread::sleep(Duration::from_millis(15));
-            let mut s = TcpStream::connect(lb.local_addr()).unwrap();
-            s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-            let mut down = Vec::new();
-            let mut r = s.try_clone().unwrap();
-            r.read_to_end(&mut down).expect("drain to backend EOF");
-            assert_eq!(down, b"bye\n", "{mode:?}: backend farewell corrupted");
-            s.write_all(b"after-backend-eof").unwrap();
-            s.shutdown(Shutdown::Write).unwrap();
-            let got = await_received(&received, "after-backend-eof".len());
-            assert_eq!(got, b"after-backend-eof", "{mode:?}");
-            lb.shutdown();
-            stop.store(true, Ordering::SeqCst);
+        // Backend EOF first: the backend half-closes immediately; the
+        // client must still be able to push bytes upstream afterwards.
+        let (addr, stop, received) = spawn_closer_backend();
+        let lb = RelayLb::start("127.0.0.1:0", 1, vec![addr]).expect("bind");
+        std::thread::sleep(Duration::from_millis(15));
+        let mut s = TcpStream::connect(lb.local_addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut down = Vec::new();
+        let mut r = s.try_clone().unwrap();
+        r.read_to_end(&mut down).expect("drain to backend EOF");
+        assert_eq!(down, b"bye\n", "backend farewell corrupted");
+        s.write_all(b"after-backend-eof").unwrap();
+        s.shutdown(Shutdown::Write).unwrap();
+        let got = await_received(&received, "after-backend-eof".len());
+        assert_eq!(got, b"after-backend-eof");
+        lb.shutdown();
+        stop.store(true, Ordering::SeqCst);
 
-            // Simultaneous: both sides half-close without waiting for the
-            // other; every byte in flight must still be delivered.
-            let (addr, stop, received) = spawn_closer_backend();
-            let lb = RelayLb::start_with_mode("127.0.0.1:0", 1, vec![addr], mode).expect("bind");
-            std::thread::sleep(Duration::from_millis(15));
-            let mut s = TcpStream::connect(lb.local_addr()).unwrap();
-            s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-            s.write_all(b"both-sides-close").unwrap();
-            s.shutdown(Shutdown::Write).unwrap();
-            let mut down = Vec::new();
-            s.read_to_end(&mut down).expect("drain to backend EOF");
-            assert_eq!(down, b"bye\n", "{mode:?}: simultaneous close lost bytes");
-            let got = await_received(&received, "both-sides-close".len());
-            assert_eq!(got, b"both-sides-close", "{mode:?}");
-            let rstats = Arc::clone(lb.relay_stats());
-            lb.shutdown();
-            assert_eq!(
-                rstats.relayed.load(Ordering::Relaxed),
-                1,
-                "{mode:?}: a relay leaked past shutdown"
-            );
-            if mode == (RelayMode::Reactor { splice: true }) {
-                assert_eq!(
-                    rstats.splice_fallbacks.load(Ordering::Relaxed),
-                    0,
-                    "splice demoted on plain TCP sockets"
-                );
+        // Simultaneous: both sides half-close without waiting for the
+        // other; every byte in flight must still be delivered.
+        let (addr, stop, received) = spawn_closer_backend();
+        let lb = RelayLb::start("127.0.0.1:0", 1, vec![addr]).expect("bind");
+        std::thread::sleep(Duration::from_millis(15));
+        let mut s = TcpStream::connect(lb.local_addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        s.write_all(b"both-sides-close").unwrap();
+        s.shutdown(Shutdown::Write).unwrap();
+        let mut down = Vec::new();
+        s.read_to_end(&mut down).expect("drain to backend EOF");
+        assert_eq!(down, b"bye\n", "simultaneous close lost bytes");
+        let got = await_received(&received, "both-sides-close".len());
+        assert_eq!(got, b"both-sides-close");
+        let rstats = Arc::clone(lb.relay_stats());
+        lb.shutdown();
+        assert_eq!(
+            rstats.relayed.load(Ordering::Relaxed),
+            1,
+            "a relay leaked past shutdown"
+        );
+        assert_eq!(
+            rstats.splice_fallbacks.load(Ordering::Relaxed),
+            0,
+            "splice demoted on plain TCP sockets"
+        );
+        stop.store(true, Ordering::SeqCst);
+    }
+
+    /// Push `payload` through an echo relay on `s` while a deliberately
+    /// slow reader collects what comes back: it dribbles its first reads
+    /// so every staging buffer between backend and client fills to
+    /// capacity. Returns everything read up to EOF (greeting included).
+    fn echo_past_slow_reader(mut s: TcpStream, payload: &[u8]) -> Vec<u8> {
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut reader = s.try_clone().unwrap();
+        let want = payload.len();
+        let collector = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(150));
+            let mut got = Vec::with_capacity(want + 16);
+            let mut small = [0u8; 512];
+            for _ in 0..32 {
+                match reader.read(&mut small) {
+                    Ok(0) | Err(_) => return got,
+                    Ok(n) => got.extend_from_slice(&small[..n]),
+                }
+                std::thread::sleep(Duration::from_millis(2));
             }
-            stop.store(true, Ordering::SeqCst);
-        }
+            let mut chunk = [0u8; 16 * 1024];
+            loop {
+                match reader.read(&mut chunk) {
+                    Ok(0) | Err(_) => break,
+                    Ok(n) => got.extend_from_slice(&chunk[..n]),
+                }
+            }
+            got
+        });
+        s.write_all(payload).unwrap();
+        s.shutdown(Shutdown::Write).unwrap();
+        collector.join().unwrap()
+    }
+
+    /// greeting (`hello-0\n`) + the full echoed payload, byte for byte.
+    fn assert_greeted_echo(got: &[u8], payload: &[u8]) {
+        assert_eq!(got.len(), 8 + payload.len(), "bytes lost");
+        assert_eq!(&got[..8], b"hello-0\n");
+        assert!(got[8..] == *payload, "payload corrupted");
     }
 
     #[test]
     fn slow_reader_backpressure_survives_bounded_pipes() {
-        // 1 MiB through bounded staging (a capacity-limited pipe or the
-        // 16 KiB scratch buffer) against a deliberately slow client
+        // 1 MiB through a capacity-limited pipe against a slow client
         // reader: backpressure must throttle the backend->client
-        // direction without losing or reordering a byte, in every mode.
+        // direction without losing or reordering a byte.
         let payload: Vec<u8> = (0..1024 * 1024).map(|i| (i % 251) as u8).collect();
-        for mode in modes_under_test() {
-            let (addr, stop) = spawn_echo_backend(0);
-            let lb = RelayLb::start_with_mode("127.0.0.1:0", 1, vec![addr], mode).expect("bind");
-            std::thread::sleep(Duration::from_millis(15));
-            let mut s = TcpStream::connect(lb.local_addr()).unwrap();
-            s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-            let mut reader = s.try_clone().unwrap();
-            let want = payload.len();
-            let collector = std::thread::spawn(move || {
-                // Slow start: dribble the first reads so every staging
-                // buffer between backend and client fills to capacity.
-                std::thread::sleep(Duration::from_millis(150));
-                let mut got = Vec::with_capacity(want + 16);
-                let mut small = [0u8; 512];
-                for _ in 0..32 {
-                    match reader.read(&mut small) {
-                        Ok(0) | Err(_) => return got,
-                        Ok(n) => got.extend_from_slice(&small[..n]),
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                let mut chunk = [0u8; 16 * 1024];
-                loop {
-                    match reader.read(&mut chunk) {
-                        Ok(0) | Err(_) => break,
-                        Ok(n) => got.extend_from_slice(&chunk[..n]),
-                    }
-                }
-                got
-            });
-            s.write_all(&payload).unwrap();
-            s.shutdown(Shutdown::Write).unwrap();
-            let got = collector.join().unwrap();
-            let rstats = Arc::clone(lb.relay_stats());
-            lb.shutdown();
-            // greeting ("hello-0\n" = 8 bytes) + the full echoed payload.
-            assert_eq!(got.len(), 8 + payload.len(), "{mode:?}: bytes lost");
-            assert_eq!(&got[..8], b"hello-0\n", "{mode:?}");
-            assert_eq!(&got[8..], &payload[..], "{mode:?}: payload corrupted");
-            if mode == (RelayMode::Reactor { splice: true }) {
-                assert!(
-                    rstats.splice_bytes.load(Ordering::Relaxed) as usize >= payload.len(),
-                    "splice path moved too few bytes"
-                );
-                assert_eq!(rstats.splice_fallbacks.load(Ordering::Relaxed), 0);
+        let (addr, stop) = spawn_echo_backend(0);
+        let lb = RelayLb::start("127.0.0.1:0", 1, vec![addr]).expect("bind");
+        std::thread::sleep(Duration::from_millis(15));
+        let s = TcpStream::connect(lb.local_addr()).unwrap();
+        let got = echo_past_slow_reader(s, &payload);
+        let rstats = Arc::clone(lb.relay_stats());
+        lb.shutdown();
+        assert_greeted_echo(&got, &payload);
+        assert!(
+            rstats.splice_bytes.load(Ordering::Relaxed) as usize >= payload.len(),
+            "splice path moved too few bytes"
+        );
+        assert_eq!(rstats.splice_fallbacks.load(Ordering::Relaxed), 0);
+        stop.store(true, Ordering::SeqCst);
+    }
+
+    #[test]
+    fn copy_path_alone_carries_bulk_past_a_slow_reader() {
+        // Production reaches `Promote::Off` on a copy store after a
+        // kernel splice refusal or when `pipe2` hits EMFILE; pin a relay
+        // there from its first byte and push the same 1 MiB through the
+        // 16 KiB scratch buffer.
+        let payload: Vec<u8> = (0..1024 * 1024).map(|i| (i % 251) as u8).collect();
+        let (echo, stop) = spawn_echo_backend(0);
+        let (mut worker, acceptor) = reactor_rig(vec![echo]);
+        let s = TcpStream::connect(acceptor.addr()).unwrap();
+        acceptor.hand_off_one();
+        // Step the worker by hand until the backend connect completes
+        // (the client has sent nothing, so no read can have promoted).
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            assert!(Instant::now() < deadline, "backend connect never settled");
+            let handoffs = worker.fetch();
+            worker.handle(handoffs);
+            if let Some(Some(Slot::Relay(conn))) = worker.slots.first_mut() {
+                conn.up.promote = Promote::Off;
+                conn.down.promote = Promote::Off;
+                break;
             }
-            stop.store(true, Ordering::SeqCst);
         }
+        let shutdown = AtomicBool::new(false);
+        let got = std::thread::scope(|scope| {
+            scope.spawn(|| worker.run(&shutdown));
+            let got = echo_past_slow_reader(s, &payload);
+            shutdown.store(true, Ordering::SeqCst);
+            acceptor.waker.wake();
+            got
+        });
+        assert_greeted_echo(&got, &payload);
+        assert_eq!(worker.rstats.relayed.load(Ordering::Relaxed), 1);
+        assert_eq!(worker.rstats.splice_bytes.load(Ordering::Relaxed), 0);
+        assert_eq!(worker.rstats.splice_fallbacks.load(Ordering::Relaxed), 0);
+        assert!(worker.pipes.is_empty(), "a pinned-off relay took a pipe");
+        stop.store(true, Ordering::SeqCst);
     }
 
     #[test]
     fn reactor_worker_idles_without_pumping() {
-        if !reactor::supported() {
-            eprintln!("SKIP: reactor requires Linux");
-            return;
-        }
         let (addr, stop) = spawn_echo_backend(0);
-        let lb = RelayLb::start_with_mode(
-            "127.0.0.1:0",
-            1,
-            vec![addr],
-            RelayMode::Reactor { splice: true },
-        )
-        .expect("bind");
+        let lb = RelayLb::start("127.0.0.1:0", 1, vec![addr]).expect("bind");
         std::thread::sleep(Duration::from_millis(15));
         // Hold one live but idle relay open across the measurement.
         let mut s = TcpStream::connect(lb.local_addr()).unwrap();
@@ -2280,34 +1927,6 @@ mod tests {
         stop.store(true, Ordering::SeqCst);
     }
 
-    #[test]
-    fn sleep_poll_worker_burns_pumps_while_idle() {
-        // The contrast figure for the idle-CPU property: the baseline
-        // loop keeps polling an idle connection.
-        let (addr, stop) = spawn_echo_backend(0);
-        let lb = RelayLb::start_with_mode("127.0.0.1:0", 1, vec![addr], RelayMode::SleepPoll)
-            .expect("bind");
-        std::thread::sleep(Duration::from_millis(15));
-        let s = TcpStream::connect(lb.local_addr()).unwrap();
-        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let mut r = BufReader::new(s.try_clone().unwrap());
-        let mut greeting = String::new();
-        r.read_line(&mut greeting).unwrap();
-        let rstats = Arc::clone(lb.relay_stats());
-        let before = rstats.pumps.load(Ordering::Relaxed);
-        std::thread::sleep(Duration::from_millis(300));
-        let after = rstats.pumps.load(Ordering::Relaxed);
-        assert!(
-            after > before,
-            "sleep-poll loop unexpectedly stopped polling its idle connection"
-        );
-        drop(r);
-        drop(s);
-        lb.shutdown();
-        stop.store(true, Ordering::SeqCst);
-    }
-
-    #[cfg(target_os = "linux")]
     #[test]
     fn splice_demotion_recovers_pipe_bytes() {
         // Stage bytes in a splice direction's pipe, then demote: the
@@ -2444,7 +2063,7 @@ mod tests {
 
     #[test]
     fn half_close_with_large_payload_exercises_backpressure() {
-        // 64 KiB through the default-mode staging buffers: the echo path
+        // 64 KiB through the staging buffers: the echo path
         // must chunk through the relay's strict-backpressure stores, and
         // half-close must still deliver every byte after the client stops
         // sending.

@@ -14,12 +14,13 @@ use crate::proxy::Proxy;
 use crate::reactor::{self, Reactor, Waker};
 use bytes::BytesMut;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
-use hermes_core::dispatch::DispatchOutcome;
 use hermes_core::sched::SchedConfig;
 use hermes_core::sdk::{SyncTarget, WorkerSession};
 use hermes_core::wst::Wst;
-use hermes_core::FlowKey;
-use hermes_ebpf::{ExecTier, GroupedReuseportGroup, ReuseportGroup};
+use hermes_core::{FlowKey, WorkerBitmap};
+use hermes_ebpf::insn::Insn;
+use hermes_ebpf::validate::ValidationCert;
+use hermes_ebpf::{AnalysisReport, ExecTier, GroupedReuseportGroup, ReuseportGroup};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
@@ -33,25 +34,15 @@ use std::time::Duration;
 /// addresses again.
 pub(crate) type Handoff = (TcpStream, u32);
 
-pub(crate) struct GroupSync(pub(crate) Arc<ReuseportGroup>);
+/// Where the dispatch program put one connection of a burst: the global
+/// worker id, and whether the userspace bitmap directed the choice (as
+/// opposed to the reuseport hash fallback).
+pub(crate) type Placement = (usize, bool);
 
-impl SyncTarget for GroupSync {
-    fn sync(&self, bitmap: hermes_core::WorkerBitmap) {
-        self.0.sync_bitmap(bitmap);
-    }
-}
-
-/// Sync target for one shard of a sharded deployment: publishes into that
-/// group's selection map (redundant stores elided inside the grouped map).
-struct ShardSync {
-    group: Arc<GroupedReuseportGroup>,
-    index: usize,
-}
-
-impl SyncTarget for ShardSync {
-    fn sync(&self, bitmap: hermes_core::WorkerBitmap) {
-        self.group.sync_group_bitmap(self.index, bitmap);
-    }
+/// Where a flat LB's workers publish their bitmaps: the one group's
+/// selection map.
+pub(crate) fn sync_flat(group: Arc<ReuseportGroup>) -> impl Fn(WorkerBitmap) + Send + Sync {
+    move |bitmap| group.sync_bitmap(bitmap)
 }
 
 /// Counters shared with callers for observability/tests.
@@ -67,83 +58,137 @@ pub struct LbStats {
     pub fallback: AtomicU64,
 }
 
-/// A running TCP L7 LB.
-pub struct TcpLb {
-    local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    stats: Arc<LbStats>,
+/// What every LB is, whatever its workers do: the bound address, the
+/// shared stats, and the threads with what stops them.
+pub(crate) struct Running {
+    pub(crate) local_addr: SocketAddr,
+    pub(crate) stats: Arc<LbStats>,
+    pub(crate) shutdown: Arc<AtomicBool>,
+    /// Workers that sleep in `epoll_wait` and must be rung out of it.
+    wakers: Vec<Waker>,
+    /// The acceptor, then the workers: joined in that order.
+    threads: Vec<JoinHandle<()>>,
 }
+
+impl Running {
+    /// Bind the (nonblocking) listener and size the stats to `workers`.
+    /// No thread runs yet.
+    pub(crate) fn bind(
+        addr: impl ToSocketAddrs,
+        workers: usize,
+    ) -> std::io::Result<(TcpListener, Running)> {
+        let listener = TcpListener::bind(addr)?;
+        listener.set_nonblocking(true)?;
+        let running = Running {
+            local_addr: listener.local_addr()?,
+            stats: Arc::new(LbStats {
+                accepted: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+                ..LbStats::default()
+            }),
+            shutdown: Arc::new(AtomicBool::new(false)),
+            wakers: Vec::new(),
+            threads: Vec::new(),
+        };
+        Ok((listener, running))
+    }
+
+    /// Start the acceptor over `listener` (see [`accept_loop`] for the
+    /// arguments passed through) and take over the spawned `workers`.
+    pub(crate) fn start(
+        &mut self,
+        listener: TcpListener,
+        senders: Vec<Sender<Handoff>>,
+        wakers: Vec<Waker>,
+        workers: Vec<JoinHandle<()>>,
+        nonblocking: bool,
+        place: impl FnMut(u64, &[u32], &mut Vec<Placement>) + Send + 'static,
+    ) {
+        self.wakers = wakers.clone();
+        let (stats, shutdown) = (Arc::clone(&self.stats), Arc::clone(&self.shutdown));
+        self.threads.push(std::thread::spawn(move || {
+            accept_loop(
+                listener,
+                senders,
+                wakers,
+                nonblocking,
+                place,
+                stats,
+                shutdown,
+            )
+        }));
+        self.threads.extend(workers);
+    }
+
+    /// Stop accepting, let the workers drain, join every thread.
+    pub(crate) fn stop(&mut self) {
+        self.signal();
+        for t in self.threads.drain(..) {
+            let _ = t.join();
+        }
+    }
+
+    fn signal(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        for w in &self.wakers {
+            w.wake();
+        }
+    }
+}
+
+impl Drop for Running {
+    fn drop(&mut self) {
+        self.signal();
+    }
+}
+
+/// The bar a dispatch program clears before any LB serves on it: the
+/// static analysis proved it clean (it runs on the platform's ceiling
+/// tier), and the translation validator certified the compiled artifact
+/// bit-exact against checked semantics.
+pub(crate) fn assert_dispatch_admitted(
+    tier: ExecTier,
+    analysis: &AnalysisReport,
+    program: &[Insn],
+    validation: &ValidationCert,
+) {
+    assert_eq!(
+        tier,
+        ExecTier::native_ceiling(),
+        "dispatch program failed static verification:\n{}",
+        analysis.render(program)
+    );
+    assert!(
+        validation.blocks_proven() > 0,
+        "compiled dispatch admitted without a translation proof"
+    );
+}
+
+/// A running TCP L7 LB.
+pub struct TcpLb(Running);
 
 impl TcpLb {
     /// Bind `addr`, spawn `workers` worker threads serving `proxy`, and
     /// start accepting.
     pub fn start(addr: impl ToSocketAddrs, workers: usize, proxy: Proxy) -> std::io::Result<TcpLb> {
         assert!((1..=64).contains(&workers), "1..=64 workers");
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(LbStats {
-            accepted: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            ..LbStats::default()
-        });
-        let wst = Arc::new(Wst::new(workers));
+        let (listener, running) = Running::bind(addr, workers)?;
         let group = Arc::new(ReuseportGroup::new(workers));
-        // Serve only on a statically verified *and validated* dispatch
-        // program: the analysis must have proven it clean (zero warnings)
-        // and the translation validator must have certified the compiled
-        // artifact bit-exact against checked semantics.
-        assert_eq!(
+        assert_dispatch_admitted(
             group.tier(),
-            ExecTier::native_ceiling(),
-            "dispatch program failed static verification:\n{}",
-            group.analysis().render(group.program())
+            group.analysis(),
+            group.program(),
+            group.validation(),
         );
-        assert!(
-            group.validation().blocks_proven() > 0,
-            "compiled dispatch admitted without a translation proof"
-        );
-
-        let mut senders: Vec<Sender<Handoff>> = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for id in 0..workers {
-            let (tx, rx) = bounded::<Handoff>(1024);
-            senders.push(tx);
-            let session = WorkerSession::new(
-                Arc::clone(&wst),
-                id,
-                SchedConfig::default(),
-                Arc::new(GroupSync(Arc::clone(&group))),
-            );
-            let stats = Arc::clone(&stats);
-            let shutdown = Arc::clone(&shutdown);
-            let proxy = proxy.for_worker(id);
-            handles.push(std::thread::spawn(move || {
-                worker_loop(id, id as u32, rx, session, proxy, stats, shutdown)
-            }));
-        }
-
-        let acceptor = {
-            let shutdown = Arc::clone(&shutdown);
-            let stats = Arc::clone(&stats);
-            // HTTP workers block on their channel, not in epoll: no
-            // wakers needed (the channel send itself unblocks them), and
-            // they serve with blocking reads, so no nonblocking accept.
-            let wakers = (0..senders.len()).map(|_| None).collect();
-            std::thread::spawn(move || {
-                accept_loop(listener, senders, wakers, false, group, stats, shutdown);
-            })
+        let wst = Arc::new(Wst::new(workers));
+        let session = |id: usize| {
+            let sync = Arc::new(sync_flat(Arc::clone(&group)));
+            let session = WorkerSession::new(Arc::clone(&wst), id, SchedConfig::default(), sync);
+            (session, id as u32)
         };
-
-        Ok(TcpLb {
-            local_addr,
-            shutdown,
-            acceptor: Some(acceptor),
-            workers: handles,
-            stats,
-        })
+        let place = place_flat(Arc::clone(&group));
+        Ok(TcpLb::serve(
+            listener, running, workers, proxy, session, place,
+        ))
     }
 
     /// Bind `addr` and serve `groups * group_size` workers sharded into
@@ -164,101 +209,79 @@ impl TcpLb {
         assert!((1..=64).contains(&groups), "1..=64 groups");
         assert!((1..=64).contains(&group_size), "1..=64 workers per group");
         let workers = groups * group_size;
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(LbStats {
-            accepted: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            ..LbStats::default()
-        });
+        let (listener, running) = Running::bind(addr, workers)?;
         let group = Arc::new(GroupedReuseportGroup::new(groups, group_size));
-        // Serve only on the lock-free, *validated* compiled tier: the
-        // analysis must have proven every run-time map fd bounded to a
-        // registered bank, and the translation validator must have
-        // certified the compiled artifact bit-exact against checked
-        // semantics.
-        assert_eq!(
+        assert_dispatch_admitted(
             group.tier(),
-            ExecTier::native_ceiling(),
-            "grouped dispatch program failed static verification:\n{}",
-            group.analysis().render(group.program())
+            group.analysis(),
+            group.program(),
+            group.validation(),
         );
-        assert!(
-            group.validation().blocks_proven() > 0,
-            "grouped compiled dispatch admitted without a translation proof"
-        );
-
         let wsts: Vec<Arc<Wst>> = (0..groups)
             .map(|_| Arc::new(Wst::new(group_size)))
             .collect();
+        let session = |global: usize| {
+            let (g, local) = (global / group_size, global % group_size);
+            let lane = hermes_trace::grouped_lane(g, group_size, local);
+            // Each shard publishes into its own group's selection map
+            // (redundant stores are elided inside the grouped map).
+            let shard = Arc::clone(&group);
+            let sync = Arc::new(move |bitmap: WorkerBitmap| shard.sync_group_bitmap(g, bitmap));
+            let session =
+                WorkerSession::new(Arc::clone(&wsts[g]), local, SchedConfig::default(), sync)
+                    .with_trace_lane(lane);
+            (session, lane)
+        };
+        let place = place_sharded(Arc::clone(&group));
+        Ok(TcpLb::serve(
+            listener, running, workers, proxy, session, place,
+        ))
+    }
+
+    /// Spawn one HTTP worker per global id — `session` gives each its
+    /// scheduling session and flight-recorder lane — then the acceptor
+    /// that feeds them through `place`.
+    fn serve<T: SyncTarget + 'static>(
+        listener: TcpListener,
+        mut running: Running,
+        workers: usize,
+        proxy: Proxy,
+        session: impl Fn(usize) -> (WorkerSession<T>, u32),
+        place: impl FnMut(u64, &[u32], &mut Vec<Placement>) + Send + 'static,
+    ) -> TcpLb {
         let mut senders: Vec<Sender<Handoff>> = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
-        for global in 0..workers {
-            let (g, local) = (global / group_size, global % group_size);
+        for id in 0..workers {
             let (tx, rx) = bounded::<Handoff>(1024);
             senders.push(tx);
-            let session = WorkerSession::new(
-                Arc::clone(&wsts[g]),
-                local,
-                SchedConfig::default(),
-                Arc::new(ShardSync {
-                    group: Arc::clone(&group),
-                    index: g,
-                }),
-            )
-            .with_trace_lane(hermes_trace::grouped_lane(g, group_size, local));
-            let lane = hermes_trace::grouped_lane(g, group_size, local);
-            let stats = Arc::clone(&stats);
-            let shutdown = Arc::clone(&shutdown);
-            let proxy = proxy.for_worker(global);
+            let (session, lane) = session(id);
+            let stats = Arc::clone(&running.stats);
+            let shutdown = Arc::clone(&running.shutdown);
+            let proxy = proxy.for_worker(id);
             handles.push(std::thread::spawn(move || {
-                worker_loop(global, lane, rx, session, proxy, stats, shutdown)
+                worker_loop(id, lane, rx, session, proxy, stats, shutdown)
             }));
         }
-
-        let acceptor = {
-            let shutdown = Arc::clone(&shutdown);
-            let stats = Arc::clone(&stats);
-            std::thread::spawn(move || {
-                accept_loop_sharded(listener, senders, group, stats, shutdown);
-            })
-        };
-
-        Ok(TcpLb {
-            local_addr,
-            shutdown,
-            acceptor: Some(acceptor),
-            workers: handles,
-            stats,
-        })
+        // HTTP workers block on their channel, not in epoll: no wakers
+        // (the channel send itself unblocks them), and they serve with
+        // blocking reads, so no nonblocking accept.
+        running.start(listener, senders, Vec::new(), handles, false, place);
+        TcpLb(running)
     }
 
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.0.local_addr
     }
 
     /// Shared counters.
     pub fn stats(&self) -> &Arc<LbStats> {
-        &self.stats
+        &self.0.stats
     }
 
     /// Stop accepting, drain workers, join threads.
     pub fn shutdown(mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-impl Drop for TcpLb {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.0.stop();
     }
 }
 
@@ -266,12 +289,15 @@ impl Drop for TcpLb {
 /// workspace-wide batch geometry shared with the runtime driver.
 pub(crate) const ACCEPT_BURST: usize = hermes_core::DISPATCH_BATCH;
 
+/// How long the acceptor stays away from a listener whose `accept` ran
+/// out of fds or memory. The listener is level-triggered, so waiting on
+/// it would return at once and spin; a clocked pause lets closes land.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
+
 /// Event-driven wait for the acceptor: the listening socket sits in a
 /// (level-triggered) epoll set, so an idle acceptor blocks in the kernel
-/// and wakes the moment a SYN completes — instead of the former 500 µs
-/// sleep-poll, which burned wakeups while idle and added up to half a
-/// millisecond of accept latency. Falls back to the sleep when epoll is
-/// unavailable (non-Linux hosts, fd exhaustion).
+/// and wakes the moment a SYN completes. Falls back to a 500 µs sleep
+/// when epoll is unavailable (non-Linux hosts, fd exhaustion).
 pub(crate) struct AcceptWaiter {
     reactor: Option<Reactor>,
     events: Vec<reactor::Event>,
@@ -301,16 +327,44 @@ impl AcceptWaiter {
     }
 }
 
+/// What a failed `accept` means for the burst being drained. No errno
+/// ends the acceptor: an LB that stops accepting is down for good.
+#[derive(Debug, PartialEq, Eq)]
+enum AcceptFailure {
+    /// `EAGAIN`: the backlog is empty, the burst is complete.
+    Drained,
+    /// `ECONNABORTED` (the client reset before it was accepted) or
+    /// `EINTR`: that call produced nothing, the next one may.
+    NextConn,
+    /// `EMFILE`/`ENFILE`/`ENOBUFS`/`ENOMEM`, or anything unforeseen:
+    /// retrying at once would fail the same way, so dispatch what was
+    /// drained and stay off the listener for [`ACCEPT_BACKOFF`].
+    BackOff,
+}
+
+fn classify_accept_error(e: &std::io::Error) -> AcceptFailure {
+    match e.kind() {
+        std::io::ErrorKind::WouldBlock => AcceptFailure::Drained,
+        std::io::ErrorKind::ConnectionAborted | std::io::ErrorKind::Interrupted => {
+            AcceptFailure::NextConn
+        }
+        _ => AcceptFailure::BackOff,
+    }
+}
+
 /// The "kernel": drain the accept backlog into a burst, hash, run the
-/// dispatch program once for the whole burst, hand off. Shared by the
-/// HTTP front end and the byte relay ([`crate::relay`]), which asks for
-/// its streams `nonblocking` straight from the accept.
-pub(crate) fn accept_loop(
+/// dispatch program once for the whole burst, hand off, ring the worker.
+/// Shared by the HTTP front ends and the byte relay ([`crate::relay`]),
+/// which asks for its streams `nonblocking` straight from the accept and
+/// passes its workers' `wakers` (empty when workers block on the channel
+/// itself). `place` is the dispatch step: it appends one [`Placement`]
+/// per hash, and gets the burst's flight-recorder timestamp.
+fn accept_loop(
     listener: TcpListener,
     senders: Vec<Sender<Handoff>>,
-    wakers: Vec<Option<Waker>>,
+    wakers: Vec<Waker>,
     nonblocking: bool,
-    group: Arc<ReuseportGroup>,
+    mut place: impl FnMut(u64, &[u32], &mut Vec<Placement>),
     stats: Arc<LbStats>,
     shutdown: Arc<AtomicBool>,
 ) {
@@ -319,7 +373,7 @@ pub(crate) fn accept_loop(
     let mut waiter = AcceptWaiter::new(&listener);
     let mut pending: Vec<TcpStream> = Vec::with_capacity(ACCEPT_BURST);
     let mut hashes: Vec<u32> = Vec::with_capacity(ACCEPT_BURST);
-    let mut outcomes: Vec<DispatchOutcome> = Vec::with_capacity(ACCEPT_BURST);
+    let mut placed: Vec<Placement> = Vec::with_capacity(ACCEPT_BURST);
     while !shutdown.load(Ordering::SeqCst) {
         // Drain whatever the kernel has queued, up to one burst: under
         // load this amortises the map-registry resolution and bitmap load
@@ -327,6 +381,7 @@ pub(crate) fn accept_loop(
         // dispatch (batch of one).
         pending.clear();
         hashes.clear();
+        let mut back_off = false;
         while pending.len() < ACCEPT_BURST {
             let accepted = if nonblocking {
                 reactor::accept_nonblocking(&listener)
@@ -338,104 +393,89 @@ pub(crate) fn accept_loop(
                     hashes.push(flow_hash(&peer, &local));
                     pending.push(stream);
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => return,
+                Err(e) => match classify_accept_error(&e) {
+                    AcceptFailure::NextConn => {}
+                    AcceptFailure::Drained => break,
+                    AcceptFailure::BackOff => {
+                        back_off = true;
+                        break;
+                    }
+                },
             }
         }
-        if pending.is_empty() {
-            waiter.wait();
-            continue;
-        }
-        outcomes.clear();
-        group.dispatch_batch(&hashes, &mut outcomes);
-        hermes_trace::trace_event!(
-            epoch.elapsed().as_nanos() as u64,
-            hermes_trace::EventKind::AcceptBurst,
-            hermes_trace::KERNEL_LANE,
-            pending.len(),
-            outcomes.iter().filter(|o| o.is_directed()).count()
-        );
-        hermes_trace::trace_count!(hermes_trace::CounterId::AcceptBursts);
-        hermes_trace::trace_count!(hermes_trace::CounterId::AcceptedConns, pending.len());
-        for ((stream, out), &hash) in pending.drain(..).zip(&outcomes).zip(&hashes) {
-            let worker = match *out {
-                DispatchOutcome::Directed(w) => {
-                    stats.directed.fetch_add(1, Ordering::Relaxed);
-                    w
-                }
-                DispatchOutcome::Fallback(w) => {
-                    stats.fallback.fetch_add(1, Ordering::Relaxed);
-                    w
-                }
+        let burst = pending.len();
+        if burst > 0 {
+            // Only the flight recorder reads the burst's timestamp.
+            let now = if hermes_trace::ENABLED {
+                epoch.elapsed().as_nanos() as u64
+            } else {
+                0
             };
-            // A full worker queue applies backpressure by blocking the
-            // acceptor — the accept-queue semantics of the kernel.
-            if senders[worker].send((stream, hash)).is_err() {
-                return; // workers gone: shutting down
+            placed.clear();
+            place(now, &hashes, &mut placed);
+            hermes_trace::trace_event!(
+                now,
+                hermes_trace::EventKind::AcceptBurst,
+                hermes_trace::KERNEL_LANE,
+                burst,
+                placed.iter().filter(|p| p.1).count()
+            );
+            hermes_trace::trace_count!(hermes_trace::CounterId::AcceptBursts);
+            hermes_trace::trace_count!(hermes_trace::CounterId::AcceptedConns, burst);
+            for ((stream, &(worker, directed)), &hash) in
+                pending.drain(..).zip(&placed).zip(&hashes)
+            {
+                let path = if directed {
+                    &stats.directed
+                } else {
+                    &stats.fallback
+                };
+                path.fetch_add(1, Ordering::Relaxed);
+                // A full worker queue applies backpressure by blocking the
+                // acceptor — the accept-queue semantics of the kernel.
+                if senders[worker].send((stream, hash)).is_err() {
+                    return; // workers gone: shutting down
+                }
+                // Reactor workers sleep in epoll_wait: ring their eventfd so
+                // the hand-off is picked up now, not at the next idle timeout.
+                if let Some(w) = wakers.get(worker) {
+                    w.wake();
+                }
             }
-            // Reactor workers sleep in epoll_wait: ring their eventfd so
-            // the hand-off is picked up now, not at the next idle timeout.
-            if let Some(w) = &wakers[worker] {
-                w.wake();
-            }
+        }
+        if back_off {
+            std::thread::sleep(ACCEPT_BACKOFF);
+        } else if burst == 0 {
+            waiter.wait();
         }
     }
 }
 
-/// The sharded "kernel": identical burst shape to [`accept_loop`], but the
-/// two-level program picks group then worker, and each decision is recorded
-/// as a `GroupDispatch` flight-recorder event.
-fn accept_loop_sharded(
-    listener: TcpListener,
-    senders: Vec<Sender<Handoff>>,
-    group: Arc<GroupedReuseportGroup>,
-    stats: Arc<LbStats>,
-    shutdown: Arc<AtomicBool>,
-) {
-    let local = listener.local_addr().expect("bound");
-    let epoch = std::time::Instant::now();
-    let mut waiter = AcceptWaiter::new(&listener);
-    let group_size = group.group_size();
-    let mut pending: Vec<TcpStream> = Vec::with_capacity(ACCEPT_BURST);
-    let mut hashes: Vec<u32> = Vec::with_capacity(ACCEPT_BURST);
-    let mut outcomes: Vec<hermes_ebpf::GroupedOutcome> = Vec::with_capacity(ACCEPT_BURST);
-    while !shutdown.load(Ordering::SeqCst) {
-        pending.clear();
-        hashes.clear();
-        while pending.len() < ACCEPT_BURST {
-            match listener.accept() {
-                Ok((stream, peer)) => {
-                    hashes.push(flow_hash(&peer, &local));
-                    pending.push(stream);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => return,
-            }
-        }
-        if pending.is_empty() {
-            waiter.wait();
-            continue;
-        }
+/// Flat placement: the Algorithm 2 program over one worker group.
+pub(crate) fn place_flat(
+    group: Arc<ReuseportGroup>,
+) -> impl FnMut(u64, &[u32], &mut Vec<Placement>) {
+    let mut outcomes = Vec::with_capacity(ACCEPT_BURST);
+    move |_now, hashes, placed| {
         outcomes.clear();
-        group.dispatch_batch(&hashes, &mut outcomes);
-        let now = epoch.elapsed().as_nanos() as u64;
-        hermes_trace::trace_event!(
-            now,
-            hermes_trace::EventKind::AcceptBurst,
-            hermes_trace::KERNEL_LANE,
-            pending.len(),
-            outcomes.iter().filter(|o| o.directed).count()
-        );
-        hermes_trace::trace_count!(hermes_trace::CounterId::AcceptBursts);
-        hermes_trace::trace_count!(hermes_trace::CounterId::AcceptedConns, pending.len());
-        hermes_trace::trace_count!(hermes_trace::CounterId::GroupDispatches, pending.len());
-        for ((stream, out), &hash) in pending.drain(..).zip(&outcomes).zip(&hashes) {
+        group.dispatch_batch(hashes, &mut outcomes);
+        placed.extend(outcomes.iter().map(|o| (o.worker(), o.is_directed())));
+    }
+}
+
+/// Sharded placement: the two-level program picks group then worker, and
+/// each decision is recorded as a `GroupDispatch` flight-recorder event.
+fn place_sharded(
+    group: Arc<GroupedReuseportGroup>,
+) -> impl FnMut(u64, &[u32], &mut Vec<Placement>) {
+    let group_size = group.group_size();
+    let mut outcomes = Vec::with_capacity(ACCEPT_BURST);
+    move |now, hashes, placed| {
+        outcomes.clear();
+        group.dispatch_batch(hashes, &mut outcomes);
+        hermes_trace::trace_count!(hermes_trace::CounterId::GroupDispatches, hashes.len());
+        for (out, &hash) in outcomes.iter().zip(hashes) {
             let worker = out.global(group_size);
-            if out.directed {
-                stats.directed.fetch_add(1, Ordering::Relaxed);
-            } else {
-                stats.fallback.fetch_add(1, Ordering::Relaxed);
-            }
             hermes_trace::trace_event!(
                 now,
                 hermes_trace::EventKind::GroupDispatch,
@@ -443,9 +483,7 @@ fn accept_loop_sharded(
                 hash,
                 ((out.group as u64) << 32) | worker as u64
             );
-            if senders[worker].send((stream, hash)).is_err() {
-                return; // workers gone: shutting down
-            }
+            placed.push((worker, out.directed));
         }
     }
 }
@@ -654,6 +692,62 @@ mod tests {
         assert!(
             *accepted.iter().max().unwrap() < 24,
             "one worker took all: {accepted:?}"
+        );
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn no_accept_errno_ends_the_acceptor() {
+        let classify = |errno| classify_accept_error(&std::io::Error::from_raw_os_error(errno));
+        let (eintr, eagain, enomem, enfile, emfile) = (4, 11, 12, 23, 24);
+        let (eproto, econnaborted, enobufs) = (71, 103, 105);
+        assert_eq!(classify(eagain), AcceptFailure::Drained);
+        // A client that reset before the accept took only itself out.
+        assert_eq!(classify(econnaborted), AcceptFailure::NextConn);
+        assert_eq!(classify(eintr), AcceptFailure::NextConn);
+        for exhausted in [emfile, enfile, enobufs, enomem] {
+            assert_eq!(classify(exhausted), AcceptFailure::BackOff, "{exhausted}");
+        }
+        // An errno nobody planned for must pause the loop, not spin it.
+        assert_eq!(classify(eproto), AcceptFailure::BackOff);
+    }
+
+    #[test]
+    fn flat_and_one_group_place_identically() {
+        // "groups = 1 *is* flat": the two placement steps the one accept
+        // loop runs must agree hash for hash, on the worker and on the
+        // directed/fallback split, whatever bitmap userspace published.
+        const WORKERS: usize = 8;
+        let flat = Arc::new(ReuseportGroup::new(WORKERS));
+        let sharded = Arc::new(GroupedReuseportGroup::new(1, WORKERS));
+        let mut place_a = place_flat(Arc::clone(&flat));
+        let mut place_b = place_sharded(Arc::clone(&sharded));
+        let hashes: Vec<u32> = (0..4096u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+        let bitmaps = [
+            WorkerBitmap::EMPTY,
+            WorkerBitmap::from_workers([3]),
+            WorkerBitmap::from_workers([1, 4]),
+            WorkerBitmap::from_workers([0, 2, 5, 6, 7]),
+            WorkerBitmap::all(WORKERS),
+        ];
+        let (mut directed, mut fallback) = (0, 0);
+        for bitmap in bitmaps {
+            flat.sync_bitmap(bitmap);
+            sharded.sync_group_bitmap(0, bitmap);
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            // Burst by burst, as the accept loop calls them.
+            for burst in hashes.chunks(ACCEPT_BURST) {
+                place_a(0, burst, &mut a);
+                place_b(0, burst, &mut b);
+            }
+            assert_eq!(a.len(), hashes.len());
+            assert_eq!(a, b, "flat and groups=1 disagree under {bitmap:?}");
+            directed += a.iter().filter(|p| p.1).count();
+            fallback += a.iter().filter(|p| !p.1).count();
+        }
+        assert!(
+            directed > 0 && fallback > 0,
+            "the bitmaps must exercise both paths: {directed} directed, {fallback} fallback"
         );
     }
 

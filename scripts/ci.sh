@@ -32,6 +32,10 @@ summary() {
   for l in "${LANES[@]}"; do
     printf '%-7s %s\n' "${l%%$'\t'*}" "${l#*$'\t'}"
   done
+  # Non-test lines per crate, so the LOC figures CHANGES.md quotes can be
+  # reproduced from any CI log.
+  echo
+  scripts/loc.sh || true
 }
 trap 'summary $?' EXIT
 
@@ -130,41 +134,35 @@ step "backend-churn consistency (versioned tables under drain + flap)"
 cargo test --release -q -p hermes-simnet --test backend_churn
 
 step "relay-reactor (epoll reactor + splice data plane suite, both feature states)"
-# The relay's I/O engines: the raw-syscall reactor module (epoll/eventfd/
-# pipe/splice contracts, accept4 and the nonblocking connect in both
-# address families), the RelayMode matrix (half-close in all three
-# orders, slow-reader backpressure through bounded pipes, splice demotion
-# byte recovery), the size-adaptive store (bulk moves to splice after its
-# first scratch-full, a 64 B echo never touches a pipe, copy mode never
-# promotes), the per-wakeup I/O budget (<= 3 calls per direction-move,
-# none on a direction the kernel did not name), the event-driven connect
-# (a never-answering candidate stalls neither its worker's established
-# relays nor the retry), the WST row showing readiness events while they
-# are pending, the idle-CPU property (a reactor worker makes zero pump
-# passes across an idle second; the sleep-poll baseline provably does
-# not), and the late-table-version per_backend clamp. Both filters run
-# with trace on too so the RelayWakeup/SpliceBytes instrumentation never
-# rots in either feature state.
+# The relay engine: the raw-syscall reactor module (epoll/eventfd/pipe/
+# splice contracts, accept4 and the nonblocking connect in both address
+# families), half-close in all three orders, slow-reader backpressure
+# through bounded pipes and — pinned to the copy path — through the
+# scratch buffer alone, splice demotion byte recovery, the size-adaptive
+# store (bulk moves to splice after its first scratch-full, a 64 B echo
+# never touches a pipe), the per-wakeup I/O budget (<= 3 calls per
+# direction-move, none on a direction the kernel did not name), the
+# event-driven connect (a never-answering candidate stalls neither its
+# worker's established relays nor the retry), the WST row showing
+# readiness events while they are pending, the idle-CPU property (zero
+# pump passes across an idle second), and the late-table-version
+# per_backend clamp. The suite is Linux-only by cfg, not by self-skip.
+# Both filters run with trace on too so the RelayWakeup/SpliceBytes
+# instrumentation never rots in either feature state.
 cargo test --release -q -p hermes-lb reactor
 cargo test --release -q -p hermes-lb relay
 cargo test --release -q -p hermes-lb --features trace reactor
 cargo test --release -q -p hermes-lb --features trace relay
 
-step "relay_throughput --smoke (end-to-end latency + churn-consistency + reactor gate)"
+step "relay_throughput --smoke (simulated end-to-end latency + churn-consistency gate)"
 # Drives four backend scenarios (steady / flap / rolling drain / slow
-# backend) through the full LB -> backend path and fails if any scenario
-# misroutes or drops a request, if the rolling drain displaces in-flight
-# traffic (retries or fallbacks), or if steady-scenario P99 drifts >25%
-# above the checked-in baseline. Latency is simulated time, so the gate
-# catches model regressions, not host noise. The real-socket section then
-# A/Bs the relay modes over loopback and fails if the epoll reactor's RTT
-# P99 stops undercutting the sleep-poll baseline by the idle-wakeup tax,
-# if the splice path stops beating the copy path on bytes moved per
-# relay-CPU-second (wall throughput is ungated: loopback is memcpy-bound
-# at the endpoints for both paths), if a reactor worker
-# pumps during an idle window (or the baseline doesn't), or if splice
-# demotes on plain TCP. Regenerate results/BENCH_relay.json with a full
-# (non-smoke) run when the backend model legitimately changes.
+# backend) through the simulated LB -> backend path and fails if any
+# scenario misroutes or drops a request, if the rolling drain displaces
+# in-flight traffic (retries or fallbacks), or if steady-scenario P99
+# drifts >25% above the checked-in baseline. Latency is simulated time,
+# so the gate catches model regressions, not host noise. Regenerate
+# results/BENCH_relay.json with a full (non-smoke) run when the backend
+# model legitimately changes.
 cargo run --release -p hermes-bench --bin relay_throughput -- \
   --smoke --baseline results/BENCH_relay.json --no-write
 
