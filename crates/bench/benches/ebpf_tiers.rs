@@ -1,13 +1,12 @@
-//! The four execution tiers vs the native oracle.
+//! The three execution tiers vs the native oracle.
 //!
 //! The verifier/compiler ladder's payoff on the per-connection critical
 //! path: the same Algorithm 2 bytecode executed by (a) the checked
 //! interpreter with pc/stack/div/shift guards on every step, (b) the
-//! unchecked fast path the analysis proofs admit, (c) the load-time
-//! compiled basic-block program with fused SWAR popcounts and direct
-//! helper calls, and (d) the jit tier — the validated compiled stream
-//! lowered to native x86-64 with map addresses baked in — against the
-//! native `ConnDispatcher` oracle as the floor. Batched variants
+//! load-time compiled basic-block program with fused SWAR popcounts and
+//! direct helper calls, and (c) the jit tier — the validated compiled
+//! stream lowered to native x86-64 with map addresses baked in — against
+//! the native `ConnDispatcher` oracle as the floor. Batched variants
 //! amortize the map-registry resolution and bitmap load over a
 //! 64-connection burst. Also measures the two-level
 //! (grouped, dynamic-fd) program and the analysis itself (a load-time,
@@ -63,12 +62,7 @@ fn bench_tiers(c: &mut Criterion) {
     let vm = Vm::load_analyzed(prog.insns().to_vec(), &ctx).expect("program analyzes");
     vm.prepare_jit(&maps);
     assert_eq!(vm.tier(), ExecTier::native_ceiling());
-    for tier in [
-        ExecTier::Checked,
-        ExecTier::Fast,
-        ExecTier::Compiled,
-        ExecTier::Jit,
-    ] {
+    for tier in [ExecTier::Checked, ExecTier::Compiled, ExecTier::Jit] {
         if tier > vm.tier() {
             continue;
         }

@@ -116,7 +116,6 @@ fn flat_registry(workers: usize) -> MapRegistry {
 /// public `run_batch` API on whatever ceiling tier it rides.
 struct ProgramResults {
     checked: VariantResult,
-    fast: VariantResult,
     compiled: VariantResult,
     jit: Option<VariantResult>,
     batch: VariantResult,
@@ -158,7 +157,6 @@ fn measure_program(vm: &Vm, maps: &MapRegistry, hashes: &[u32], runs: usize) -> 
     };
     ProgramResults {
         checked: measure(hashes, runs, tier_pass(ExecTier::Checked)),
-        fast: measure(hashes, runs, tier_pass(ExecTier::Fast)),
         compiled: measure(hashes, runs, tier_pass(ExecTier::Compiled)),
         jit: (vm.tier() == ExecTier::Jit)
             .then(|| measure(hashes, runs, tier_pass(ExecTier::Jit))),
@@ -180,9 +178,8 @@ fn program_json(p: &ProgramResults) -> String {
     };
     format!
     (
-        "{{\n      \"checked\": {},\n      \"fast\": {},\n      \"compiled\": {},{}\n      \"batch64\": {}\n    }}",
+        "{{\n      \"checked\": {},\n      \"compiled\": {},{}\n      \"batch64\": {}\n    }}",
         json_block(&p.checked),
-        json_block(&p.fast),
         json_block(&p.compiled),
         jit,
         json_block(&p.batch)
@@ -244,7 +241,6 @@ fn print_variant(name: &str, r: &VariantResult) {
 fn print_program(label: &str, p: &ProgramResults) {
     println!("{label}:");
     print_variant("checked", &p.checked);
-    print_variant("fast", &p.fast);
     print_variant("compiled", &p.compiled);
     if let Some(jit) = &p.jit {
         print_variant("jit", jit);
@@ -439,14 +435,12 @@ mod tests {
         let native = variant(900.0);
         let flat = ProgramResults {
             checked: variant(100.0),
-            fast: variant(300.0),
             compiled: variant(700.0),
             jit: Some(variant(2000.0)),
             batch: variant(2100.0),
         };
         let grouped = ProgramResults {
             checked: variant(90.0),
-            fast: variant(250.0),
             compiled: variant(600.0),
             jit: Some(variant(1800.0)),
             batch: variant(1900.0),
@@ -465,14 +459,12 @@ mod tests {
         let native = variant(900.0);
         let flat = ProgramResults {
             checked: variant(100.0),
-            fast: variant(300.0),
             compiled: variant(700.0),
             jit: None,
             batch: variant(800.0),
         };
         let grouped = ProgramResults {
             checked: variant(90.0),
-            fast: variant(250.0),
             compiled: variant(600.0),
             jit: None,
             batch: variant(650.0),

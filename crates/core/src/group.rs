@@ -192,26 +192,21 @@ impl GroupScheduler {
 /// workers is 4096 workers — far past the paper's 256-worker scale point.
 pub const MAX_DISPATCH_GROUPS: usize = 64;
 
-/// One grouped dispatch decision.
+/// Where one new connection went.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct GroupedDispatch {
-    /// Level-1 group the flow hashed into.
-    pub group: usize,
-    /// Level-2 outcome within that group (local worker id).
-    pub outcome: DispatchOutcome,
+pub struct Placement {
     /// Flattened global worker id (`group * group_size + local`).
-    pub global: WorkerId,
-}
-
-impl GroupedDispatch {
-    /// True when the userspace bitmap directed the level-2 choice.
-    pub fn is_directed(&self) -> bool {
-        self.outcome.is_directed()
-    }
+    pub worker: WorkerId,
+    /// Level-1 group the flow hashed into (0 in a one-group deployment).
+    pub group: usize,
+    /// Whether the userspace bitmap directed the choice (false ⇒ reuseport
+    /// hash fallback within the group).
+    pub directed: bool,
 }
 
 /// Kernel-side two-level dispatch over per-group selection maps — the
-/// native counterpart of the grouped eBPF program, shaped for bursts.
+/// native counterpart of the grouped eBPF program, shaped for bursts, and
+/// with one group the counterpart of the flat one.
 ///
 /// Holds one `(SelMap, ConnDispatcher)` pair per group. A new connection
 /// picks its group by `reciprocal_scale` over the flow hash (level 1), then
@@ -219,6 +214,9 @@ impl GroupedDispatch {
 /// [`dispatch_batch`](Self::dispatch_batch) loads every group's bitmap,
 /// mask, and candidate count **once per burst**, so per-connection work is
 /// one scale plus one rank-select regardless of group count.
+///
+/// A pure decision procedure: it touches no flight-recorder counter (the
+/// layer above tallies, once, whatever executes the decision).
 #[derive(Debug)]
 pub struct GroupedConnDispatcher {
     groups: Vec<(Arc<SelMap>, ConnDispatcher)>,
@@ -285,17 +283,18 @@ impl GroupedConnDispatcher {
     }
 
     /// Full two-level dispatch for one connection.
-    pub fn dispatch(&self, hash: u32) -> GroupedDispatch {
-        let g = self.group_for(hash);
-        let (sel, d) = &self.groups[g];
-        let outcome = d.dispatch(sel.load(), hash);
-        let out = GroupedDispatch {
-            group: g,
-            outcome,
-            global: g * self.group_size + outcome.worker(),
+    pub fn dispatch(&self, hash: u32) -> Placement {
+        let group = self.group_for(hash);
+        let (sel, d) = &self.groups[group];
+        let (local, directed) = match d.select(sel.load(), hash) {
+            Some(local) => (local, true),
+            None => (d.reuseport_select(hash), false),
         };
-        hermes_trace::trace_count!(hermes_trace::CounterId::GroupDispatches);
-        out
+        Placement {
+            worker: group * self.group_size + local,
+            group,
+            directed,
+        }
     }
 
     /// Dispatch a whole arrival burst: every group's bitmap is loaded and
@@ -303,7 +302,7 @@ impl GroupedConnDispatcher {
     /// rank-select (or the reuseport fallback). Decisions are appended to
     /// `out` in arrival order and are identical to per-hash
     /// [`dispatch`](Self::dispatch) calls under a stable bitmap.
-    pub fn dispatch_batch(&self, hashes: &[u32], out: &mut Vec<GroupedDispatch>) {
+    pub fn dispatch_batch(&self, hashes: &[u32], out: &mut Vec<Placement>) {
         let mut masked = [WorkerBitmap::EMPTY; MAX_DISPATCH_GROUPS];
         let mut counts = [0u32; MAX_DISPATCH_GROUPS];
         for (g, (sel, d)) in self.groups.iter().enumerate() {
@@ -312,23 +311,21 @@ impl GroupedConnDispatcher {
             counts[g] = m.count();
         }
         out.reserve(hashes.len());
-        hermes_trace::trace_count!(hermes_trace::CounterId::DispatchBatches);
-        hermes_trace::trace_count!(hermes_trace::CounterId::GroupDispatches, hashes.len());
         for &h in hashes {
-            let g = self.group_for(h);
-            let outcome = if counts[g] > 1 {
-                let nth = reciprocal_scale(h, counts[g]) + 1;
-                let local = masked[g]
+            let group = self.group_for(h);
+            let (local, directed) = if counts[group] > 1 {
+                let nth = reciprocal_scale(h, counts[group]) + 1;
+                let local = masked[group]
                     .nth_set_bit(nth)
                     .expect("nth in 1..=count must exist");
-                DispatchOutcome::Directed(local)
+                (local, true)
             } else {
-                DispatchOutcome::Fallback(self.groups[g].1.reuseport_select(h))
+                (self.groups[group].1.reuseport_select(h), false)
             };
-            out.push(GroupedDispatch {
-                group: g,
-                outcome,
-                global: g * self.group_size + outcome.worker(),
+            out.push(Placement {
+                worker: group * self.group_size + local,
+                group,
+                directed,
             });
         }
     }
@@ -469,9 +466,8 @@ mod tests {
             // Batch == single-shot == the scheduler's own two-level path.
             assert_eq!(*got, d.dispatch(h), "hash {h:#x}");
             assert_eq!(got.group, reciprocal_scale(h, 4) as usize);
-            assert_eq!(got.global, got.group * 4 + got.outcome.worker());
-            assert!(got.is_directed());
-            assert_ne!(got.outcome.worker(), 1, "overloaded worker selected");
+            assert!(got.directed);
+            assert_ne!(got.worker - got.group * 4, 1, "overloaded worker selected");
         }
     }
 
@@ -488,11 +484,8 @@ mod tests {
         let hashes: Vec<u32> = (0..256u32).map(|i| i.wrapping_mul(0x517C_C1B7)).collect();
         d.dispatch_batch(&hashes, &mut batch);
         for out in &batch {
-            match out.group {
-                0 => assert!(out.is_directed()),
-                _ => assert!(!out.is_directed(), "empty bitmap must fall back"),
-            }
-            assert!(out.outcome.worker() < 4);
+            assert_eq!(out.directed, out.group == 0, "empty bitmap must fall back");
+            assert!(out.worker - out.group * 4 < 4);
         }
     }
 

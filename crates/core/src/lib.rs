@@ -80,7 +80,7 @@ pub mod wst;
 
 pub use bitmap::{WorkerBitmap, MAX_WORKERS_PER_GROUP};
 pub use dispatch::ConnDispatcher;
-pub use group::{GroupedConnDispatcher, GroupedDispatch, MAX_DISPATCH_GROUPS};
+pub use group::{GroupedConnDispatcher, Placement, MAX_DISPATCH_GROUPS};
 pub use hash::FlowKey;
 pub use sched::{FilterStage, SchedConfig, SchedDecision, Scheduler};
 pub use sdk::{SyncTarget, WorkerSession};

@@ -33,8 +33,8 @@
 //!
 //! Programs that cannot be proven safe are *rejected* ([`AnalysisError`]),
 //! exactly as `bpf(BPF_PROG_LOAD)` refuses them. Programs whose report is
-//! clean (no warnings) are eligible for the [`crate::vm::Vm`] fast path,
-//! which elides the runtime checks the analysis made redundant.
+//! clean (no warnings) are eligible for the [`crate::vm::Vm`] compiled
+//! tier, which elides the runtime checks the analysis made redundant.
 //!
 //! ## Scope notes
 //!
@@ -790,7 +790,7 @@ impl InsnFacts {
 }
 
 /// A non-fatal finding: the program is admissible but not eligible for the
-/// unchecked fast path.
+/// unchecked compiled tier.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AnalysisWarning {
     /// Instruction can never execute.
@@ -964,8 +964,7 @@ impl AnalysisReport {
         &self.warnings
     }
 
-    /// No warnings: the program qualifies for the proven-safe VM fast
-    /// path.
+    /// No warnings: the program qualifies for the proven tiers.
     pub fn is_clean(&self) -> bool {
         self.warnings.is_empty()
     }
@@ -1029,7 +1028,7 @@ fn arg_reg(i: usize) -> usize {
 ///
 /// On success the returned [`AnalysisReport`] lists per-instruction proven
 /// facts; a clean report (no warnings) makes the program eligible for
-/// [`crate::vm::Vm`]'s unchecked fast path. Rejection mirrors
+/// [`crate::vm::Vm`]'s unchecked compiled tier. Rejection mirrors
 /// `BPF_PROG_LOAD`: the program never runs.
 pub fn analyze(prog: &[Insn], ctx: &AnalysisCtx) -> Result<AnalysisReport, AnalysisError> {
     verify(prog)?;

@@ -1,11 +1,11 @@
-//! The top execution tier: load-time compilation of clean-analysis
+//! The portable ceiling tier: load-time compilation of clean-analysis
 //! programs into a direct-threaded basic-block stream.
 //!
-//! The proven-safe interpreter ([`crate::vm`]'s `FastInsn` path) already
-//! dropped every runtime check the analysis discharged, but it still pays
-//! fetch/decode per instruction and a map-registry lock per helper call.
-//! This module removes those last constant factors, the way a JIT would,
-//! while staying in safe Rust:
+//! The checked interpreter ([`crate::vm`]) validates every pc move, stack
+//! access and helper argument at run time, and pays fetch/decode per
+//! instruction and a map-registry lock per helper call. This module drops
+//! the checks the analysis discharged and removes those constant factors,
+//! the way a JIT would, while staying in safe Rust:
 //!
 //! * **Basic blocks.** The program is split at jump targets (it is
 //!   loop-free, so blocks form a DAG). Straight-line code inside a block
@@ -24,7 +24,7 @@
 //!   executor resolves each slot's fd against the registry **once per run
 //!   — or once per batch** — instead of taking a registry lock inside
 //!   every helper call. The bounds checks stay discharged by the
-//!   [`crate::analysis`] proofs, exactly as on the `FastInsn` path; socket
+//!   [`crate::analysis`] proofs; socket
 //!   selection keeps its runtime `-ENOENT` check because that is part of
 //!   Algorithm 2's semantics, not a safety check.
 //!

@@ -11,13 +11,11 @@
 //! `fd = sel_base + reciprocal_scale(hash, groups)` — and likewise for
 //! the per-group sockarrays. Everything else is the Algorithm 2 ladder.
 
-use crate::analysis::{AnalysisCtx, AnalysisReport};
-use crate::asm::Assembler;
-use crate::helpers::{HELPER_MAP_LOOKUP, HELPER_RECIPROCAL_SCALE, HELPER_SK_SELECT_REUSEPORT};
-use crate::insn::{Alu, Cond, Insn, Reg};
+use crate::helpers::{HELPER_MAP_LOOKUP, HELPER_RECIPROCAL_SCALE};
+use crate::insn::{Alu, Insn, Reg};
 use crate::maps::{ArrayMap, MapRef, MapRegistry, SockArrayMap};
-use crate::program::emit_popcount;
-use crate::vm::{ExecResult, ExecTier, Vm};
+use crate::program::{assemble, AttachedProgram};
+use crate::vm::ExecResult;
 use hermes_core::bitmap::WorkerBitmap;
 use hermes_core::hash::reciprocal_scale;
 use std::sync::Arc;
@@ -45,155 +43,89 @@ impl GroupedOutcome {
 /// two-level program attached.
 #[derive(Debug)]
 pub struct GroupedReuseportGroup {
-    registry: MapRegistry,
+    attached: AttachedProgram,
     sel_maps: Vec<Arc<ArrayMap>>,
-    vm: Vm,
     groups: usize,
     group_size: usize,
-    /// Stack slot layout note: the program stores the chosen group in
-    /// [fp-8] so the host can recover it from... actually the host
-    /// recomputes it; kept for documentation.
-    _sock_maps: Vec<Arc<SockArrayMap>>,
+}
+
+impl std::ops::Deref for GroupedReuseportGroup {
+    type Target = AttachedProgram;
+
+    fn deref(&self) -> &AttachedProgram {
+        &self.attached
+    }
 }
 
 impl GroupedReuseportGroup {
     /// Build `groups` groups of `group_size` workers each, all sockets
     /// registered (socket handle = *global* worker id).
+    ///
+    /// The program computes its map fds at run time, but analysis bounds
+    /// each helper's fd to a contiguous registered bank, so every call
+    /// compiles to a lock-free pre-resolved bank step — asserted here —
+    /// and the jit bakes each bank's pointer table into the emitted code:
+    /// no registry access on the per-connection path.
     pub fn new(groups: usize, group_size: usize) -> Self {
         assert!(groups >= 1, "need at least one group");
-        assert!(
-            (1..=hermes_core::MAX_WORKERS_PER_GROUP).contains(&group_size),
-            "group size must be 1..=64"
-        );
         let registry = MapRegistry::new();
-        let mut sel_maps = Vec::with_capacity(groups);
-        let mut sock_maps = Vec::with_capacity(groups);
         // Register all selection maps first (consecutive fds from 0),
         // then all sockarrays (consecutive fds from `groups`).
-        for _ in 0..groups {
-            let m = Arc::new(ArrayMap::new(1));
-            registry.register(MapRef::Array(Arc::clone(&m)));
-            sel_maps.push(m);
-        }
+        let sel_maps: Vec<Arc<ArrayMap>> = (0..groups)
+            .map(|_| {
+                let m = Arc::new(ArrayMap::new(1));
+                registry.register(MapRef::Array(Arc::clone(&m)));
+                m
+            })
+            .collect();
         for g in 0..groups {
-            let m = Arc::new(SockArrayMap::new(group_size));
+            let m = SockArrayMap::new(group_size);
             for w in 0..group_size {
                 m.register(w, g * group_size + w);
             }
-            registry.register(MapRef::SockArray(Arc::clone(&m)));
-            sock_maps.push(m);
+            registry.register(MapRef::SockArray(Arc::new(m)));
         }
-        let prog = Self::build_program(groups, group_size);
-        // `from_registry` freezes the fd table — the `BPF_PROG_LOAD`
-        // moment. All resolution below is lock-free against the frozen
-        // snapshot.
-        let ctx = AnalysisCtx::from_registry(&registry);
-        let vm = Vm::load_analyzed(prog, &ctx).expect("grouped dispatch program must analyze");
-        // Reaching the tier is not enough: the translation validator must
-        // have certified the compiled artifact against checked semantics.
-        assert!(
-            vm.validation().is_some(),
-            "grouped compiled dispatch must carry a validation certificate: {:?}",
-            vm.validation_error()
-        );
-        // Eagerly lower to native code where the platform supports it —
-        // the banked fd lookups are baked into the emitted code, so the
-        // grouped per-connection path is registry-free on the jit tier too.
-        vm.prepare_jit(&registry);
+        let attached = AttachedProgram::attach(registry, Self::build_program(groups, group_size));
         assert_eq!(
-            vm.tier(),
-            ExecTier::native_ceiling(),
-            "grouped dispatch program must reach the platform execution ceiling"
-        );
-        let compiled = vm.compiled().expect("compiled tier present");
-        assert_eq!(
-            compiled.dyn_helper_calls(),
+            attached
+                .vm()
+                .compiled()
+                .expect("attached on the compiled tier")
+                .dyn_helper_calls(),
             0,
-            "grouped dispatch must pre-resolve its map banks: no registry \
-             access on the per-connection path"
+            "grouped dispatch must pre-resolve its map banks"
         );
         Self {
-            registry,
+            attached,
             sel_maps,
-            vm,
             groups,
             group_size,
-            _sock_maps: sock_maps,
         }
     }
 
-    /// Assemble the two-level program.
-    ///
-    /// Register plan: R6 = hash, R7 = bitmap, R8 = n/pos, R9 = rank,
-    /// and the computed group index parked in stack slot [fp-8].
-    ///
-    /// As in the single-level program, a group size of one makes the
-    /// `n > 1` guard unsatisfiable, so the fallback is emitted directly
-    /// rather than shipping provably dead code.
+    /// Assemble the two-level program: Algorithm 2 with the group index
+    /// `g = reciprocal_scale(hash, groups)` parked in stack slot [fp-8],
+    /// the bitmap read from map fd `g` and the socket committed through
+    /// sockarray fd `groups + g`.
     fn build_program(groups: usize, group_size: usize) -> Vec<Insn> {
-        if group_size == 1 {
-            let mut a = Assembler::new();
-            a.mov_imm(Reg::R0, 0);
-            a.exit();
-            return a.finish();
-        }
-        let group_mask = WorkerBitmap::all(group_size).0;
-        let mut a = Assembler::new();
-        let fallback = a.label();
-
-        a.mov(Reg::R6, Reg::R1); // hash
-                                 // Level 1: g = reciprocal_scale(hash, groups); park it on the stack.
-        a.mov(Reg::R1, Reg::R6);
-        a.mov_imm(Reg::R2, groups as i64);
-        a.call(HELPER_RECIPROCAL_SCALE);
-        a.stx_stack(-8, Reg::R0);
-
-        // Level 2 lookup: C = map_lookup(sel_base + g, 0); sel_base = 0.
-        a.ldx_stack(Reg::R1, -8);
-        a.mov_imm(Reg::R2, 0);
-        a.call(HELPER_MAP_LOOKUP);
-        a.mov(Reg::R7, Reg::R0);
-        a.alu_imm(Alu::And, Reg::R7, group_mask as i64);
-
-        // n = popcount(C); guard n > 1.
-        a.mov(Reg::R8, Reg::R7);
-        emit_popcount(&mut a, Reg::R8, Reg::R3);
-        a.jmp_imm(Cond::Le, Reg::R8, 1, fallback);
-
-        // Nth = reciprocal_scale(hash, n) + 1.
-        a.mov(Reg::R1, Reg::R6);
-        a.mov(Reg::R2, Reg::R8);
-        a.call(HELPER_RECIPROCAL_SCALE);
-        a.mov(Reg::R9, Reg::R0);
-        a.alu_imm(Alu::Add, Reg::R9, 1);
-
-        // Rank-select ladder (identical to the single-level program).
-        a.mov_imm(Reg::R8, 0);
-        for width in [32i64, 16, 8, 4, 2, 1] {
-            let skip = a.label();
-            a.mov(Reg::R2, Reg::R7);
-            a.alu(Alu::Rsh, Reg::R2, Reg::R8);
-            a.alu_imm(Alu::And, Reg::R2, ((1u64 << width) - 1) as i64);
-            emit_popcount(&mut a, Reg::R2, Reg::R3);
-            a.jmp(Cond::Ge, Reg::R2, Reg::R9, skip);
-            a.alu(Alu::Sub, Reg::R9, Reg::R2);
-            a.alu_imm(Alu::Add, Reg::R8, width);
-            a.bind(skip);
-        }
-
-        // Commit via the group's sockarray: fd = groups + g.
-        a.ldx_stack(Reg::R1, -8);
-        a.alu_imm(Alu::Add, Reg::R1, groups as i64);
-        a.mov(Reg::R2, Reg::R8);
-        a.call(HELPER_SK_SELECT_REUSEPORT);
-        a.jmp_imm(Cond::Ne, Reg::R0, 0, fallback);
-        a.mov_imm(Reg::R0, 1);
-        a.exit();
-
-        a.bind(fallback);
-        a.mov_imm(Reg::R0, 0);
-        a.exit();
-        a.finish()
+        assemble(
+            group_size,
+            |a| {
+                // Level 1: pick the group, park it on the stack.
+                a.mov(Reg::R1, Reg::R6);
+                a.mov_imm(Reg::R2, groups as i64);
+                a.call(HELPER_RECIPROCAL_SCALE);
+                a.stx_stack(-8, Reg::R0);
+                // Level 2 lookup: C = map_lookup(sel_base + g, 0); sel_base = 0.
+                a.ldx_stack(Reg::R1, -8);
+                a.mov_imm(Reg::R2, 0);
+                a.call(HELPER_MAP_LOOKUP);
+            },
+            |a| {
+                a.ldx_stack(Reg::R1, -8);
+                a.alu_imm(Alu::Add, Reg::R1, groups as i64);
+            },
+        )
     }
 
     /// Groups in the deployment.
@@ -201,99 +133,43 @@ impl GroupedReuseportGroup {
         self.groups
     }
 
-    /// The analysis report the attached program was admitted under.
-    pub fn analysis(&self) -> &AnalysisReport {
-        self.vm.analysis().expect("loaded via load_analyzed")
-    }
-
-    /// The attached bytecode.
-    pub fn program(&self) -> &[crate::insn::Insn] {
-        self.vm.program()
-    }
-
-    /// True when dispatch runs on the proven-safe fast path (always, by
-    /// construction).
-    pub fn is_fast_path(&self) -> bool {
-        self.vm.is_fast_path()
-    }
-
-    /// Execution tier the attached program runs on —
-    /// [`ExecTier::native_ceiling`] always, by construction. The grouped
-    /// program computes its map fds at run time, but analysis bounds each
-    /// helper's fd to a contiguous registered bank, so every call compiles
-    /// to a lock-free pre-resolved bank step (`dyn_helper_calls()` is zero
-    /// by the construction assert) — and the jit bakes each bank's
-    /// pointer table straight into the emitted code.
-    pub fn tier(&self) -> ExecTier {
-        self.vm.tier()
-    }
-
-    /// The translation-validation certificate the compiled tier was
-    /// admitted under — present always, by construction.
-    pub fn validation(&self) -> &crate::validate::ValidationCert {
-        self.vm.validation().expect("certified at construction")
-    }
-
-    /// The VM the program is loaded in (tier benchmarks and tests).
-    pub fn vm(&self) -> &Vm {
-        &self.vm
-    }
-
-    /// The map registry the program dispatches against (tier benchmarks
-    /// and tests).
-    pub fn registry(&self) -> &MapRegistry {
-        &self.registry
-    }
-
     /// Workers per group.
     pub fn group_size(&self) -> usize {
         self.group_size
     }
 
-    /// Userspace sync for one group's bitmap. Skips the store (and the
-    /// cross-core cache traffic it would cause) when the published bits
-    /// already match.
+    /// Userspace sync: store one group's scheduling bitmap.
     pub fn sync_group_bitmap(&self, group: usize, bitmap: WorkerBitmap) {
-        let map = &self.sel_maps[group];
-        if map.lookup_fast(0) != bitmap.0 {
-            map.update(0, bitmap.0);
-        }
+        self.sel_maps[group].update(0, bitmap.0);
+        hermes_trace::trace_count!(hermes_trace::CounterId::KernelBitmapSyncs);
+    }
+
+    /// One group's current bitmap (monitoring).
+    pub fn group_bitmap(&self, group: usize) -> WorkerBitmap {
+        WorkerBitmap(self.sel_maps[group].lookup_fast(0))
     }
 
     /// Kernel-side dispatch: run the program; on fallback, hash within
     /// the (deterministically known) level-1 group.
     pub fn dispatch(&self, hash: u32) -> GroupedOutcome {
-        let result = self
-            .vm
-            .run(hash, &self.registry, 0)
-            .expect("verified program cannot fault");
-        self.outcome(hash, result)
+        self.outcome(hash, self.run(hash))
     }
 
-    /// Dispatch a whole arrival burst through the compiled tier, appending
-    /// decisions (identical to per-hash [`dispatch`](Self::dispatch)) to
-    /// `out` in order.
+    /// Dispatch a whole arrival burst, appending decisions (identical to
+    /// per-hash [`dispatch`](Self::dispatch)) to `out` in order.
     pub fn dispatch_batch(&self, hashes: &[u32], out: &mut Vec<GroupedOutcome>) {
         out.reserve(hashes.len());
-        if let Some(jit) = self.vm.prepare_jit(&self.registry) {
-            hermes_trace::trace_count!(hermes_trace::CounterId::VmRunsJit, hashes.len());
-            for &hash in hashes {
-                out.push(self.outcome(hash, jit.run(hash, 0)));
-            }
-            return;
-        }
-        let compiled = self
-            .vm
-            .compiled()
-            .expect("constructed on the compiled tier");
-        let resolved = compiled.resolve(&self.registry);
-        for &hash in hashes {
-            let result = compiled.exec(hash, &self.registry, 0, &resolved);
-            out.push(self.outcome(hash, result));
-        }
+        self.dispatch_each(hashes, |outcome| out.push(outcome));
+    }
+
+    /// [`dispatch_batch`](Self::dispatch_batch) into a caller-chosen sink.
+    #[inline]
+    pub(crate) fn dispatch_each(&self, hashes: &[u32], mut each: impl FnMut(GroupedOutcome)) {
+        self.run_each(hashes, |hash, result| each(self.outcome(hash, result)));
     }
 
     /// Map a program execution result onto the grouped decision.
+    #[inline]
     fn outcome(&self, hash: u32, result: ExecResult) -> GroupedOutcome {
         let group = reciprocal_scale(hash, self.groups as u32) as usize;
         if result.return_value != 0 {
@@ -316,6 +192,7 @@ impl GroupedReuseportGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vm::ExecTier;
     use hermes_core::dispatch::ConnDispatcher;
     use proptest::prelude::*;
 

@@ -193,52 +193,6 @@ pub fn call_helper(
     }
 }
 
-/// Helper dispatch for the proven-safe VM fast path.
-///
-/// Callable only for programs whose [`crate::analysis`] report is clean:
-/// the array-map fd is then known to be bound and the element index proven
-/// in bounds, so the `Option` plumbing of the checked path is replaced by
-/// direct indexing ([`crate::maps::ArrayMap::lookup_fast`]). Socket
-/// selection keeps its runtime check — `-ENOENT` on an empty slot is part
-/// of Algorithm 2's semantics (worker crash ⇒ fallback), not a verifier
-/// responsibility.
-#[inline]
-pub fn call_helper_fast(
-    helper: u32,
-    args: [u64; 5],
-    maps: &MapRegistry,
-    ctx: &mut HelperCtx,
-) -> u64 {
-    match helper {
-        HELPER_MAP_LOOKUP => maps
-            .array(args[0] as u32)
-            .expect("analysis proved the array fd bound")
-            .lookup_fast(args[1] as usize),
-        HELPER_RECIPROCAL_SCALE => {
-            let val = args[0] as u32;
-            let range = args[1] as u32;
-            if range == 0 {
-                0
-            } else {
-                (val as u64 * range as u64) >> 32
-            }
-        }
-        HELPER_SK_SELECT_REUSEPORT => {
-            let fd = args[0] as u32;
-            let key = args[1] as usize;
-            match maps.sockarray(fd).and_then(|m| m.lookup(key)) {
-                Some(sock) => {
-                    ctx.selected_sock = Some(sock);
-                    0
-                }
-                None => ENOENT_RET,
-            }
-        }
-        HELPER_KTIME_GET_NS => ctx.now_ns,
-        other => unreachable!("verifier admits only known helpers, got {other}"),
-    }
-}
-
 /// Error: bytecode called a helper id the kernel does not export.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct UnknownHelper(pub u32);

@@ -144,7 +144,7 @@ impl Alu {
     ///
     /// Only sound when [`crate::analysis`] has proven, for this exact
     /// instruction, that divisors are nonzero and shift amounts are `< 64`
-    /// — the proven-safe fast path of [`crate::vm::Vm`]. This stays safe
+    /// — the compiled tier of [`crate::vm::Vm`]. This stays safe
     /// Rust: a violated proof panics (division by zero, debug-mode shift
     /// overflow) instead of corrupting state.
     #[inline]

@@ -21,16 +21,21 @@
 //!   ban the paper works under), all paths reach `exit`, no writes to R10,
 //!   stack accesses in bounds, known helper ids, registers
 //!   defined-before-use.
-//! * [`vm`] — the interpreter, with the per-connection reuseport context
-//!   (the kernel-precomputed 4-tuple hash) in R1 at entry.
+//! * [`vm`] — the checked interpreter, with the per-connection reuseport
+//!   context (the kernel-precomputed 4-tuple hash) in R1 at entry, and the
+//!   execution ladder above it: Checked → Compiled → Jit.
 //! * [`maps`] — `BPF_MAP_TYPE_ARRAY` (atomic u64 elements, shared with
 //!   userspace — the `M_Sel` map of Algorithm 1/2) and
 //!   `BPF_MAP_TYPE_REUSEPORT_SOCKARRAY` (`M_socket`).
 //! * [`helpers`] — the kernel-provided functions the paper names:
 //!   `bpf_map_lookup_elem`, `reciprocal_scale`, `bpf_sk_select_reuseport`.
 //! * [`program`] — the Algorithm 2 connection-dispatch program assembled
-//!   from all of the above, plus [`program::ReuseportGroup`], the
-//!   attach-point abstraction the simulator and runtime dispatch through.
+//!   from all of the above, plus [`program::ReuseportGroup`], the program
+//!   attached with its two maps; [`group_program`] — the §7 two-level
+//!   variant that picks its maps by group first.
+//! * [`plane`] — [`DispatchPlane`], the one attach point the load
+//!   balancer, the threaded runtime and the simulator place connections
+//!   through, whichever program (or core's native oracle) executes.
 //! * [`validate`] — translation validation for the compiled tier: every
 //!   [`compile::CompiledProgram`] is proven bit-exactly equivalent to the
 //!   checked interpreter's semantics, block by block, before [`vm::Vm`]
@@ -62,6 +67,7 @@ pub mod helpers;
 pub mod insn;
 pub mod jit;
 pub mod maps;
+pub mod plane;
 pub mod program;
 pub mod validate;
 pub mod verifier;
@@ -74,7 +80,8 @@ pub use group_program::{GroupedOutcome, GroupedReuseportGroup};
 pub use insn::{Insn, Op, Reg};
 pub use jit::{JitError, JitMutation, JitProgram};
 pub use maps::{ArrayMap, MapKind, MapRegistry, SockArrayMap};
-pub use program::{DispatchProgram, ReuseportGroup};
+pub use plane::{DispatchPlane, Placement};
+pub use program::{AttachedProgram, DispatchProgram, ReuseportGroup};
 pub use validate::{validate, ValidationCert, ValidationError};
 pub use verifier::{verify, VerifyError};
 pub use vm::{ExecError, ExecResult, ExecTier, Vm};

@@ -42,7 +42,7 @@ impl ArrayMap {
         self.elems.get(key).map(|e| e.load(Ordering::Acquire))
     }
 
-    /// `bpf_map_lookup_elem` on the proven-safe fast path: the analysis
+    /// `bpf_map_lookup_elem` on the proven tiers: the analysis
     /// pass has shown `key < len()` for every execution, so the `Option`
     /// branch of [`lookup`](Self::lookup) is elided. Safe Rust indexing is
     /// kept — a violated proof panics loudly instead of reading stray

@@ -24,6 +24,7 @@ use crate::asm::Assembler;
 use crate::helpers::{HELPER_MAP_LOOKUP, HELPER_RECIPROCAL_SCALE, HELPER_SK_SELECT_REUSEPORT};
 use crate::insn::{Alu, Cond, Insn, Reg};
 use crate::maps::{ArrayMap, MapKind, MapRef, MapRegistry, SockArrayMap};
+use crate::validate::ValidationCert;
 use crate::vm::{ExecResult, ExecTier, Vm};
 use hermes_core::bitmap::WorkerBitmap;
 use hermes_core::dispatch::DispatchOutcome;
@@ -32,7 +33,6 @@ use hermes_core::WorkerId;
 use std::sync::Arc;
 
 /// Emit SWAR popcount of `x` into `x` itself, using `scratch` (clobbered).
-/// Shared with the two-level program in [`crate::group_program`].
 pub(crate) fn emit_popcount(a: &mut Assembler, x: Reg, scratch: Reg) {
     // x -= (x >> 1) & 0x5555...
     a.mov(scratch, x);
@@ -55,55 +55,38 @@ pub(crate) fn emit_popcount(a: &mut Assembler, x: Reg, scratch: Reg) {
     a.alu_imm(Alu::Rsh, x, 56);
 }
 
-/// A built (and buildable) dispatch program, carrying the proof of its own
-/// safety: the [`AnalysisReport`] produced against the map layout it was
-/// assembled for.
-#[derive(Clone, Debug)]
-pub struct DispatchProgram {
-    insns: Vec<Insn>,
-    report: AnalysisReport,
-}
-
-impl DispatchProgram {
-    /// Assemble Algorithm 2 for a group of `workers` sockets, reading the
-    /// bitmap from array-map `sel_fd` (key 0) and committing the socket via
-    /// sockarray `sock_fd`.
-    ///
-    /// Register plan: R6 = hash, R7 = bitmap C, R8 = n then pos,
-    /// R9 = remaining rank r, R2/R3 = scratch.
-    ///
-    /// For a single-worker group the `n > 1` guard can never pass (the
-    /// masked bitmap has at most one set bit), so the fallback program is
-    /// emitted directly — the abstract interpreter would otherwise prove
-    /// everything below the guard dead.
-    pub fn build(sel_fd: u32, sock_fd: u32, workers: usize) -> Self {
-        assert!(
-            (1..=hermes_core::MAX_WORKERS_PER_GROUP).contains(&workers),
-            "1..=64 workers per group"
-        );
-        let ctx = AnalysisCtx::new().bind(sel_fd, MapKind::Array, 1).bind(
-            sock_fd,
-            MapKind::SockArray,
-            workers,
-        );
-        if workers == 1 {
-            let mut a = Assembler::new();
-            a.mov_imm(Reg::R0, 0);
-            a.exit();
-            return Self::finish(a, &ctx);
-        }
-        let group_mask = WorkerBitmap::all(workers).0;
-        let mut a = Assembler::new();
+/// Assemble Algorithm 2 over one group of `group_size` sockets — the one
+/// emitter behind the flat program and the two-level one
+/// ([`crate::group_program`]), which differ only in how they name their
+/// maps: `load_bitmap` emits the lookup that leaves the group's bitmap C
+/// in R0, `sock_fd` leaves the group's sockarray fd in R1. Both run with
+/// the hash saved in R6 and may use the stack.
+///
+/// Register plan: R6 = hash, R7 = bitmap C, R8 = n then pos,
+/// R9 = remaining rank r, R2/R3 = scratch.
+///
+/// For a single-socket group the `n > 1` guard can never pass (the masked
+/// bitmap has at most one set bit), so only the fallback return is emitted
+/// — the abstract interpreter would otherwise prove everything below the
+/// guard dead.
+pub(crate) fn assemble(
+    group_size: usize,
+    load_bitmap: impl FnOnce(&mut Assembler),
+    sock_fd: impl FnOnce(&mut Assembler),
+) -> Vec<Insn> {
+    assert!(
+        (1..=hermes_core::MAX_WORKERS_PER_GROUP).contains(&group_size),
+        "1..=64 workers per group"
+    );
+    let mut a = Assembler::new();
+    if group_size > 1 {
         let fallback = a.label();
-
         // Save ctx hash; load C.
         a.mov(Reg::R6, Reg::R1);
-        a.mov_imm(Reg::R1, sel_fd as i64);
-        a.mov_imm(Reg::R2, 0);
-        a.call(HELPER_MAP_LOOKUP);
+        load_bitmap(&mut a);
         a.mov(Reg::R7, Reg::R0);
         // Defensive mask: never select past the group.
-        a.alu_imm(Alu::And, Reg::R7, group_mask as i64);
+        a.alu_imm(Alu::And, Reg::R7, WorkerBitmap::all(group_size).0 as i64);
 
         // n = popcount(C) in R8.
         a.mov(Reg::R8, Reg::R7);
@@ -128,12 +111,7 @@ impl DispatchProgram {
             // low = popcount((C >> pos) & ((1 << width) - 1))
             a.mov(Reg::R2, Reg::R7);
             a.alu(Alu::Rsh, Reg::R2, Reg::R8);
-            let mask = if width == 64 {
-                -1i64
-            } else {
-                ((1u64 << width) - 1) as i64
-            };
-            a.alu_imm(Alu::And, Reg::R2, mask);
+            a.alu_imm(Alu::And, Reg::R2, ((1u64 << width) - 1) as i64);
             emit_popcount(&mut a, Reg::R2, Reg::R3);
             // if low >= r: answer is in the low half, keep pos.
             a.jmp(Cond::Ge, Reg::R2, Reg::R9, skip);
@@ -144,28 +122,60 @@ impl DispatchProgram {
         }
 
         // Commit: bpf_sk_select_reuseport(M_socket, pos).
-        a.mov_imm(Reg::R1, sock_fd as i64);
+        sock_fd(&mut a);
         a.mov(Reg::R2, Reg::R8);
         a.call(HELPER_SK_SELECT_REUSEPORT);
         // Non-zero return (ENOENT: socket slot empty) ⇒ fall back.
         a.jmp_imm(Cond::Ne, Reg::R0, 0, fallback);
         a.mov_imm(Reg::R0, 1);
         a.exit();
-
         a.bind(fallback);
-        a.mov_imm(Reg::R0, 0);
-        a.exit();
-
-        Self::finish(a, &ctx)
     }
+    a.mov_imm(Reg::R0, 0);
+    a.exit();
+    a.finish()
+}
 
-    /// Run the abstract interpreter over the freshly assembled program.
-    /// Any failure or warning is a bug in this emitter, not in user input,
-    /// so it panics — the compile-time analogue of `BPF_PROG_LOAD` refusing
-    /// our own program.
-    fn finish(a: Assembler, ctx: &AnalysisCtx) -> Self {
-        let insns = a.finish();
-        let report = analyze(&insns, ctx).expect("dispatch program must analyze");
+/// The flat Algorithm 2 program: bitmap in array-map `sel_fd` (key 0),
+/// sockets in sockarray `sock_fd`, both constant fds.
+fn assemble_flat(sel_fd: u32, sock_fd: u32, workers: usize) -> Vec<Insn> {
+    assemble(
+        workers,
+        |a| {
+            a.mov_imm(Reg::R1, sel_fd as i64);
+            a.mov_imm(Reg::R2, 0);
+            a.call(HELPER_MAP_LOOKUP);
+        },
+        |a| {
+            a.mov_imm(Reg::R1, sock_fd as i64);
+        },
+    )
+}
+
+/// A built (and buildable) dispatch program, carrying the proof of its own
+/// safety: the [`AnalysisReport`] produced against the map layout it was
+/// assembled for.
+#[derive(Clone, Debug)]
+pub struct DispatchProgram {
+    insns: Vec<Insn>,
+    report: AnalysisReport,
+}
+
+impl DispatchProgram {
+    /// Assemble Algorithm 2 for a group of `workers` sockets, reading the
+    /// bitmap from array-map `sel_fd` (key 0) and committing the socket via
+    /// sockarray `sock_fd`, and run the abstract interpreter over it. Any
+    /// failure or warning is a bug in the emitter, not in user input, so it
+    /// panics — the compile-time analogue of `BPF_PROG_LOAD` refusing our
+    /// own program.
+    pub fn build(sel_fd: u32, sock_fd: u32, workers: usize) -> Self {
+        let insns = assemble_flat(sel_fd, sock_fd, workers);
+        let ctx = AnalysisCtx::new().bind(sel_fd, MapKind::Array, 1).bind(
+            sock_fd,
+            MapKind::SockArray,
+            workers,
+        );
+        let report = analyze(&insns, &ctx).expect("dispatch program must analyze");
         assert!(
             report.is_clean(),
             "dispatch program must be warning-free:\n{}",
@@ -197,6 +207,96 @@ impl DispatchProgram {
     }
 }
 
+/// A dispatch program loaded and attached at the reuseport hook, with the
+/// maps it runs against. [`ReuseportGroup`] and
+/// [`crate::GroupedReuseportGroup`] both deref to this, so what is known
+/// about the attached program reads the same on either.
+#[derive(Debug)]
+pub struct AttachedProgram {
+    registry: MapRegistry,
+    vm: Vm,
+}
+
+impl AttachedProgram {
+    /// `BPF_PROG_LOAD` plus attach, and the one admission bar every
+    /// consumer serves behind: freeze `registry`'s fd table, prove `prog`
+    /// clean against it, require the translation validator's certificate
+    /// for the compiled artifact, lower to native code where the platform
+    /// has an emitter (so the first connection does not pay for emission),
+    /// and require the platform's ceiling tier. Anything less is a bug in
+    /// this crate's emitters, so it panics.
+    pub(crate) fn attach(registry: MapRegistry, prog: Vec<Insn>) -> Self {
+        let ctx = AnalysisCtx::from_registry(&registry);
+        let vm = Vm::load_analyzed(prog, &ctx).expect("dispatch program must analyze");
+        let proven = vm.validation().map_or(0, ValidationCert::blocks_proven);
+        assert!(
+            proven > 0,
+            "compiled dispatch must carry a translation proof: {:?}\n{}",
+            vm.validation_error(),
+            vm.analysis()
+                .expect("loaded via load_analyzed")
+                .render(vm.program())
+        );
+        vm.prepare_jit(&registry);
+        assert_eq!(
+            vm.tier(),
+            ExecTier::native_ceiling(),
+            "dispatch program must reach the platform execution ceiling"
+        );
+        Self { registry, vm }
+    }
+
+    /// The analysis report the attached program was admitted under.
+    pub fn analysis(&self) -> &AnalysisReport {
+        self.vm.analysis().expect("loaded via load_analyzed")
+    }
+
+    /// The attached bytecode.
+    pub fn program(&self) -> &[Insn] {
+        self.vm.program()
+    }
+
+    /// Execution tier the attached program runs on —
+    /// [`ExecTier::native_ceiling`] always, by construction: the jit tier
+    /// on x86-64 Linux, the compiled tier elsewhere.
+    pub fn tier(&self) -> ExecTier {
+        self.vm.tier()
+    }
+
+    /// The translation-validation certificate the compiled tier was
+    /// admitted under — present always, by construction.
+    pub fn validation(&self) -> &ValidationCert {
+        self.vm.validation().expect("certified at construction")
+    }
+
+    /// The VM the program is loaded in (tier benchmarks and tests).
+    pub fn vm(&self) -> &Vm {
+        &self.vm
+    }
+
+    /// The map registry the program dispatches against (tier benchmarks
+    /// and tests).
+    pub fn registry(&self) -> &MapRegistry {
+        &self.registry
+    }
+
+    /// One program execution for a connection with 4-tuple hash `hash`.
+    pub(crate) fn run(&self, hash: u32) -> ExecResult {
+        self.vm
+            .run(hash, &self.registry, 0)
+            .expect("verified program cannot fault")
+    }
+
+    /// One program execution per hash of an arrival burst, map slots
+    /// resolved once for the burst (see [`Vm::run_each`]).
+    #[inline]
+    pub(crate) fn run_each(&self, hashes: &[u32], each: impl FnMut(u32, ExecResult)) {
+        self.vm
+            .run_each(hashes, &self.registry, 0, each)
+            .expect("verified program cannot fault")
+    }
+}
+
 /// A reuseport group with the Hermes program attached — the moral
 /// equivalent of `setsockopt(SO_ATTACH_REUSEPORT_EBPF)` plus its two maps.
 ///
@@ -215,11 +315,18 @@ impl DispatchProgram {
 /// ```
 #[derive(Debug)]
 pub struct ReuseportGroup {
-    registry: MapRegistry,
+    attached: AttachedProgram,
     sel_map: Arc<ArrayMap>,
     sock_map: Arc<SockArrayMap>,
-    vm: Vm,
     workers: usize,
+}
+
+impl std::ops::Deref for ReuseportGroup {
+    type Target = AttachedProgram;
+
+    fn deref(&self) -> &AttachedProgram {
+        &self.attached
+    }
 }
 
 impl ReuseportGroup {
@@ -235,75 +342,13 @@ impl ReuseportGroup {
         for w in 0..workers {
             sock_map.register(w, w);
         }
-        let prog = DispatchProgram::build(sel_fd, sock_fd, workers);
-        // Re-analyze against the *live* registry (not the layout `build`
-        // assumed) and load: clean proof ⇒ the VM runs the unchecked fast
-        // path for every connection.
-        let ctx = AnalysisCtx::from_registry(&registry);
-        let vm = Vm::load_analyzed(prog.insns, &ctx).expect("dispatch program must analyze");
-        // Reaching the tier is not enough: the translation validator must
-        // have certified the compiled artifact against checked semantics.
-        assert!(
-            vm.validation().is_some(),
-            "compiled dispatch must carry a validation certificate: {:?}",
-            vm.validation_error()
-        );
-        // Eagerly lower to native code where the platform supports it, so
-        // the first connection does not pay the emission cost and `tier()`
-        // reports the tier dispatch will actually run on.
-        vm.prepare_jit(&registry);
-        assert_eq!(
-            vm.tier(),
-            ExecTier::native_ceiling(),
-            "dispatch program must reach the platform execution ceiling"
-        );
+        let prog = assemble_flat(sel_fd, sock_fd, workers);
         Self {
-            registry,
+            attached: AttachedProgram::attach(registry, prog),
             sel_map,
             sock_map,
-            vm,
             workers,
         }
-    }
-
-    /// The analysis report the attached program was admitted under.
-    pub fn analysis(&self) -> &AnalysisReport {
-        self.vm.analysis().expect("loaded via load_analyzed")
-    }
-
-    /// The attached bytecode.
-    pub fn program(&self) -> &[Insn] {
-        self.vm.program()
-    }
-
-    /// True when dispatch runs on the proven-safe fast path (always, by
-    /// construction).
-    pub fn is_fast_path(&self) -> bool {
-        self.vm.is_fast_path()
-    }
-
-    /// Execution tier the attached program runs on —
-    /// [`ExecTier::native_ceiling`] always, by construction: the jit tier
-    /// on x86-64 Linux, the compiled tier elsewhere.
-    pub fn tier(&self) -> ExecTier {
-        self.vm.tier()
-    }
-
-    /// The translation-validation certificate the compiled tier was
-    /// admitted under — present always, by construction.
-    pub fn validation(&self) -> &crate::validate::ValidationCert {
-        self.vm.validation().expect("certified at construction")
-    }
-
-    /// The VM the program is loaded in (tier benchmarks and tests).
-    pub fn vm(&self) -> &Vm {
-        &self.vm
-    }
-
-    /// The map registry the program dispatches against (tier benchmarks
-    /// and tests).
-    pub fn registry(&self) -> &MapRegistry {
-        &self.registry
     }
 
     /// Workers (sockets) in the group.
@@ -319,7 +364,7 @@ impl ReuseportGroup {
 
     /// Current bitmap (monitoring).
     pub fn bitmap(&self) -> WorkerBitmap {
-        WorkerBitmap(self.sel_map.lookup(0).unwrap_or(0))
+        WorkerBitmap(self.sel_map.lookup_fast(0))
     }
 
     /// Remove a worker's socket (crash/drain): the program will fall back
@@ -339,53 +384,36 @@ impl ReuseportGroup {
     /// reuseport selection (hash scaled over the group, skipping to the
     /// program's behavior exactly matches `ConnDispatcher::dispatch`).
     pub fn dispatch(&self, hash: u32) -> DispatchOutcome {
-        let result = self
-            .vm
-            .run(hash, &self.registry, 0)
-            .expect("verified program cannot fault");
-        self.outcome(hash, result)
+        self.outcome(hash, self.run(hash))
     }
 
     /// Kernel-side dispatch of a whole arrival burst: one program execution
     /// per hash, with the compiled tier's constant-fd map slots resolved
-    /// **once for the batch** (see [`Vm::run_batch`]). Decisions are
+    /// **once for the batch** (see [`Vm::run_each`]). Decisions are
     /// appended to `out` in order and are identical to per-hash
     /// [`dispatch`](Self::dispatch) calls — the bitmap is read per
     /// execution from the same atomic element, and userspace sync is
     /// already asynchronous with respect to arrivals.
     pub fn dispatch_batch(&self, hashes: &[u32], out: &mut Vec<DispatchOutcome>) {
         out.reserve(hashes.len());
-        hermes_trace::trace_count!(hermes_trace::CounterId::DispatchBatches);
-        hermes_trace::trace_count!(hermes_trace::CounterId::BatchedFlows, hashes.len());
-        if let Some(jit) = self.vm.prepare_jit(&self.registry) {
-            hermes_trace::trace_count!(hermes_trace::CounterId::VmRunsJit, hashes.len());
-            for &hash in hashes {
-                out.push(self.outcome(hash, jit.run(hash, 0)));
-            }
-            return;
-        }
-        let compiled = self
-            .vm
-            .compiled()
-            .expect("constructed on the compiled tier");
-        let resolved = compiled.resolve(&self.registry);
-        hermes_trace::trace_count!(hermes_trace::CounterId::VmRunsCompiled, hashes.len());
-        for &hash in hashes {
-            let result = compiled.exec(hash, &self.registry, 0, &resolved);
-            out.push(self.outcome(hash, result));
-        }
+        self.dispatch_each(hashes, |outcome| out.push(outcome));
+    }
+
+    /// [`dispatch_batch`](Self::dispatch_batch) into a caller-chosen sink.
+    #[inline]
+    pub(crate) fn dispatch_each(&self, hashes: &[u32], mut each: impl FnMut(DispatchOutcome)) {
+        self.run_each(hashes, |hash, result| each(self.outcome(hash, result)));
     }
 
     /// Map a program execution result onto the dispatch decision.
+    #[inline]
     fn outcome(&self, hash: u32, result: ExecResult) -> DispatchOutcome {
         if result.return_value != 0 {
             let sock = result
                 .selected_sock
                 .expect("successful program must have committed a socket");
-            hermes_trace::trace_count!(hermes_trace::CounterId::DirectedDispatches);
             DispatchOutcome::Directed(sock as WorkerId)
         } else {
-            hermes_trace::trace_count!(hermes_trace::CounterId::FallbackDispatches);
             DispatchOutcome::Fallback(reciprocal_scale(hash, self.workers as u32) as WorkerId)
         }
     }
@@ -393,10 +421,7 @@ impl ReuseportGroup {
     /// Instructions executed for one dispatch at the current bitmap — the
     /// Table 5 "dispatcher" overhead, in instruction counts.
     pub fn dispatch_cost(&self, hash: u32) -> usize {
-        self.vm
-            .run(hash, &self.registry, 0)
-            .expect("verified program cannot fault")
-            .insns_executed
+        self.run(hash).insns_executed
     }
 }
 

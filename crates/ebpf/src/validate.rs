@@ -41,7 +41,7 @@
 //! `< 64`, a division only if its divisor is provably nonzero. Where the
 //! local lattice cannot see the bound (e.g. a shift amount computed in an
 //! earlier block), the obligation is discharged by the analysis facts that
-//! already license the fast tier ([`InsnFacts::SHIFT_BOUNDED`],
+//! already license unchecked execution ([`InsnFacts::SHIFT_BOUNDED`],
 //! [`InsnFacts::DIV_NONZERO`], [`InsnFacts::MAP_KEY_BOUNDED`],
 //! [`InsnFacts::HELPER_TYPED`]). Every obligation is discharged
 //! symbolically or by a named analysis fact — none by fuzzing.
@@ -51,9 +51,9 @@
 //! compiled program and stores the cert *with* the compiled program, making
 //! certificate-free admission to [`crate::vm::ExecTier::Compiled`]
 //! unrepresentable. A program that compiles but fails validation is demoted
-//! to the fast tier and the error kept for diagnostics — the construction
-//! asserts in the runtime driver, lb server and simnet modes turn that
-//! demotion into a loud failure.
+//! to the checked tier and the error kept for diagnostics — the attach
+//! constructors ([`crate::program::AttachedProgram`]) turn that demotion
+//! into a loud failure.
 //!
 //! Blocks are validated independently with fresh entry symbols, so the
 //! proof quantifies over *all* entry states — stronger than needed (only
@@ -678,7 +678,7 @@ impl<'a> Validator<'a> {
     /// Discharge the checked-vs-unchecked gap for one ALU application:
     /// shifts must be provably `< 64`, divisors provably nonzero. Proven
     /// locally by the expression's [`Tnum`] when possible, else by the
-    /// analysis fact that already licenses the fast tier.
+    /// analysis fact that already licenses unchecked execution.
     fn alu_obligation(&mut self, op: Alu, src: ExprId, at: usize) -> Result<(), String> {
         match op {
             Alu::Lsh | Alu::Rsh | Alu::Arsh => {

@@ -1,5 +1,5 @@
-//! The bytecode interpreter: a checked reference path and a proven-safe
-//! fast path.
+//! The bytecode interpreter (the checked reference path) and the tier
+//! ladder above it.
 //!
 //! Executes a *verified* program against a map registry and a reuseport
 //! context. The verifier has already ruled out loops, bad jumps, and
@@ -12,18 +12,18 @@
 //! abstract interpreter ([`crate::analysis`]). When the analysis report is
 //! *clean* — every division proven nonzero, every shift proven `< 64`,
 //! every map index proven in bounds, no dead code — the bytecode is
-//! lowered once into a [`FastInsn`] stream and executed without the
-//! runtime checks the proofs made redundant: no pc bounds test, absolute
-//! jump targets, precomputed stack bases, unguarded div/mod and shifts,
-//! and direct map indexing in helpers. This mirrors how the kernel earns
-//! its in-kernel execution speed: the verifier pays at load time so the
-//! per-packet path doesn't.
+//! compiled once ([`crate::compile`]) into a stream that runs without the
+//! runtime checks the proofs made redundant, and, once the translation
+//! validator has certified that stream, lowered to native code
+//! ([`crate::jit`]). This mirrors how the kernel earns its in-kernel
+//! execution speed: the verifier pays at load time so the per-packet path
+//! doesn't. The ladder is Checked → Compiled → Jit.
 
 use crate::analysis::{analyze, AnalysisCtx, AnalysisError, AnalysisReport};
 use crate::compile::CompiledProgram;
 use crate::disasm::disasm_insn;
-use crate::helpers::{call_helper, call_helper_fast, HelperCtx};
-use crate::insn::{Alu, Cond, Insn, Op, Reg, Src, NUM_REGS, STACK_SIZE};
+use crate::helpers::{call_helper, HelperCtx};
+use crate::insn::{Insn, Op, Reg, Src, NUM_REGS, STACK_SIZE};
 use crate::jit::JitProgram;
 use crate::maps::MapRegistry;
 use crate::validate::{validate, ValidationCert, ValidationError};
@@ -37,9 +37,6 @@ pub enum ExecTier {
     /// Checked reference interpreter: every pc move, stack access, and
     /// helper argument validated at run time.
     Checked,
-    /// Proven-safe interpreter over the lowered [`FastInsn`] stream:
-    /// runtime checks discharged by the analysis proofs.
-    Fast,
     /// Basic-block compiled stream ([`crate::compile`]): no per-insn
     /// fetch/decode, fused popcounts, helper calls resolved to direct code
     /// with constant-fd maps bound once per run (or batch).
@@ -54,11 +51,11 @@ pub enum ExecTier {
 
 impl ExecTier {
     /// Stable numeric code used in flight-recorder payloads
-    /// (`EventKind::VmLoad` payload `a`).
+    /// (`EventKind::VmLoad` payload `a`). 1 was the retired lowered
+    /// interpreter; recorded traces keep decoding.
     pub fn trace_code(self) -> u64 {
         match self {
             ExecTier::Checked => 0,
-            ExecTier::Fast => 1,
             ExecTier::Compiled => 2,
             ExecTier::Jit => 3,
         }
@@ -66,9 +63,8 @@ impl ExecTier {
 
     /// The highest tier a certified dispatch program can reach on this
     /// build target: [`ExecTier::Jit`] where the emitter exists, else
-    /// [`ExecTier::Compiled`]. Construction asserts in the runtime
-    /// driver, lb server, and simnet use this so the same check is
-    /// strict on x86-64 Linux and portable elsewhere.
+    /// [`ExecTier::Compiled`]. The attach constructors assert it, so the
+    /// same check is strict on x86-64 Linux and portable elsewhere.
     pub fn native_ceiling() -> ExecTier {
         if cfg!(all(target_arch = "x86_64", target_os = "linux")) {
             ExecTier::Jit
@@ -81,7 +77,6 @@ impl ExecTier {
     fn run_counter(self) -> hermes_trace::CounterId {
         match self {
             ExecTier::Checked => hermes_trace::CounterId::VmRunsChecked,
-            ExecTier::Fast => hermes_trace::CounterId::VmRunsFast,
             ExecTier::Compiled => hermes_trace::CounterId::VmRunsCompiled,
             ExecTier::Jit => hermes_trace::CounterId::VmRunsJit,
         }
@@ -92,7 +87,6 @@ impl std::fmt::Display for ExecTier {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ExecTier::Checked => write!(f, "checked"),
-            ExecTier::Fast => write!(f, "fast"),
             ExecTier::Compiled => write!(f, "compiled"),
             ExecTier::Jit => write!(f, "jit"),
         }
@@ -167,108 +161,19 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// Fast-path source operand: immediates pre-converted to `u64`.
-#[derive(Clone, Copy, Debug)]
-enum FastSrc {
-    Reg(u8),
-    Imm(u64),
-}
-
-/// One lowered instruction for the proven-safe path: jump offsets resolved
-/// to absolute targets, stack offsets resolved to byte bases, so the hot
-/// loop does no address arithmetic or bounds tests.
-#[derive(Clone, Copy, Debug)]
-enum FastInsn {
-    Alu {
-        op: Alu,
-        dst: u8,
-        src: FastSrc,
-    },
-    Ja {
-        target: u32,
-    },
-    Jmp {
-        cond: Cond,
-        dst: u8,
-        src: FastSrc,
-        target: u32,
-    },
-    Stx {
-        base: u32,
-        src: u8,
-    },
-    Ldx {
-        dst: u8,
-        base: u32,
-    },
-    Call {
-        helper: u32,
-    },
-    Exit,
-}
-
-fn lower_src(src: Src) -> FastSrc {
-    match src {
-        Src::Reg(r) => FastSrc::Reg(r.0),
-        Src::Imm(i) => FastSrc::Imm(i as u64),
-    }
-}
-
-/// Lower verified bytecode into the fast stream. Only called for programs
-/// with a clean analysis report, so every offset is already proven valid.
-fn lower(prog: &[Insn]) -> Vec<FastInsn> {
-    prog.iter()
-        .enumerate()
-        .map(|(at, insn)| match insn.0 {
-            Op::Alu { op, dst, src } => FastInsn::Alu {
-                op,
-                dst: dst.0,
-                src: lower_src(src),
-            },
-            Op::Ja { off } => FastInsn::Ja {
-                target: (at as i64 + 1 + off as i64) as u32,
-            },
-            Op::Jmp {
-                cond,
-                dst,
-                src,
-                off,
-            } => FastInsn::Jmp {
-                cond,
-                dst: dst.0,
-                src: lower_src(src),
-                target: (at as i64 + 1 + off as i64) as u32,
-            },
-            Op::StxStack { off, src } => FastInsn::Stx {
-                base: (STACK_SIZE as i64 + off as i64) as u32,
-                src: src.0,
-            },
-            Op::LdxStack { dst, off } => FastInsn::Ldx {
-                dst: dst.0,
-                base: (STACK_SIZE as i64 + off as i64) as u32,
-            },
-            Op::Call { helper } => FastInsn::Call { helper },
-            Op::Exit => FastInsn::Exit,
-        })
-        .collect()
-}
-
 /// A loaded (verified) program plus its execution engine.
 #[derive(Clone, Debug)]
 pub struct Vm {
     prog: Vec<Insn>,
-    /// Lowered stream, present only when the analysis proved the program
-    /// clean (see module docs).
-    fast: Option<Vec<FastInsn>>,
-    /// Basic-block compiled stream (the top tier), built alongside `fast`
-    /// for clean programs — and admitted only with its translation-
+    /// Basic-block compiled stream, built for programs the analysis proved
+    /// clean (see module docs) — and admitted only with its translation-
     /// validation certificate. Pairing the program with the cert in one
     /// `Option` makes certificate-free compiled execution unrepresentable:
     /// there is no state where [`Vm::run`] could reach the compiled tier
     /// without [`crate::validate::validate`] having proven it.
     compiled: Option<(CompiledProgram, ValidationCert)>,
     /// Why translation validation demoted this program off the compiled
-    /// tier, when it did (the program then runs on the fast tier).
+    /// tier, when it did (the program then runs on the checked tier).
     validation_error: Option<ValidationError>,
     /// Analysis report, present when loaded via [`Vm::load_analyzed`].
     report: Option<AnalysisReport>,
@@ -288,7 +193,6 @@ impl Vm {
         verify(&prog)?;
         let vm = Self {
             prog,
-            fast: None,
             compiled: None,
             validation_error: None,
             report: None,
@@ -300,22 +204,21 @@ impl Vm {
 
     /// Load a program through the full abstract interpreter, binding map
     /// fds against `ctx`. Rejects programs the analysis cannot prove safe.
-    /// A clean report (no warnings) enables the proven tiers — the lowered
-    /// fast stream and the block-compiled top tier; otherwise execution
+    /// A clean report (no warnings) enables the proven tiers — the
+    /// block-compiled stream and the jit above it; otherwise execution
     /// falls back to the checked interpreter.
     ///
     /// The compiled tier is additionally gated on translation validation
     /// ([`crate::validate`]): the compiled stream is admitted only with a
     /// [`ValidationCert`] proving it bit-exactly equivalent to the checked
     /// interpreter's semantics. A program that compiles but fails
-    /// validation is demoted to the fast tier and the first undischarged
+    /// validation is demoted to the checked tier and the first undischarged
     /// obligation retained in [`Vm::validation_error`].
     pub fn load_analyzed(prog: Vec<Insn>, ctx: &AnalysisCtx) -> Result<Self, AnalysisError> {
         let report = analyze(&prog, ctx)?;
-        let clean = report.is_clean();
-        let fast = clean.then(|| lower(&prog));
         let mut validation_error = None;
-        let compiled = clean
+        let compiled = report
+            .is_clean()
             .then(|| CompiledProgram::compile(&prog, ctx, &report))
             .and_then(|cp| match validate(&prog, &cp, ctx, &report) {
                 Ok(cert) => Some((cp, cert)),
@@ -326,7 +229,6 @@ impl Vm {
             });
         let vm = Self {
             prog,
-            fast,
             compiled,
             validation_error,
             report: Some(report),
@@ -359,11 +261,6 @@ impl Vm {
         &self.prog
     }
 
-    /// True when the proven-safe fast path is active.
-    pub fn is_fast_path(&self) -> bool {
-        self.fast.is_some()
-    }
-
     /// Highest execution tier this program qualified for. [`Vm::load`]
     /// yields [`ExecTier::Checked`]; [`Vm::load_analyzed`] with a clean
     /// report yields [`ExecTier::Compiled`]; a successful
@@ -373,8 +270,6 @@ impl Vm {
             ExecTier::Jit
         } else if self.compiled.is_some() {
             ExecTier::Compiled
-        } else if self.fast.is_some() {
-            ExecTier::Fast
         } else {
             ExecTier::Checked
         }
@@ -447,8 +342,8 @@ impl Vm {
     /// highest tier the analysis earned: native code when the registry is
     /// frozen and [`Vm::prepare_jit`] succeeds (the frozen-registry gate
     /// keeps a bare `run` from freezing `maps` as a side effect), else
-    /// compiled → fast → checked. The tier counter records the path
-    /// actually taken.
+    /// compiled → checked. The tier counter records the path actually
+    /// taken.
     pub fn run(
         &self,
         ctx_hash: u32,
@@ -467,16 +362,8 @@ impl Vm {
             hermes_trace::trace_count!(ExecTier::Compiled.run_counter());
             return Ok(compiled.run(ctx_hash, maps, now_ns));
         }
-        match &self.fast {
-            Some(fast) => {
-                hermes_trace::trace_count!(ExecTier::Fast.run_counter());
-                Ok(Self::run_fast(fast, ctx_hash, maps, now_ns))
-            }
-            None => {
-                hermes_trace::trace_count!(ExecTier::Checked.run_counter());
-                self.run_checked(ctx_hash, maps, now_ns)
-            }
-        }
+        hermes_trace::trace_count!(ExecTier::Checked.run_counter());
+        self.run_checked(ctx_hash, maps, now_ns)
     }
 
     /// Run on a *specific* tier — the differential-testing and benchmark
@@ -492,13 +379,6 @@ impl Vm {
         hermes_trace::trace_count!(tier.run_counter());
         match tier {
             ExecTier::Checked => self.run_checked(ctx_hash, maps, now_ns),
-            ExecTier::Fast => {
-                let fast = self
-                    .fast
-                    .as_ref()
-                    .expect("program did not earn the fast tier");
-                Ok(Self::run_fast(fast, ctx_hash, maps, now_ns))
-            }
             ExecTier::Compiled => {
                 let (compiled, _cert) = self
                     .compiled
@@ -515,24 +395,24 @@ impl Vm {
         }
     }
 
-    /// Run the program once per hash in `hashes`, appending results to
-    /// `out`. On the compiled tier the constant-fd map slots are resolved
-    /// **once for the whole batch** — the per-connection registry cost the
-    /// batched dispatch path exists to amortize. Lower tiers degrade to a
-    /// per-hash loop with identical results.
-    pub fn run_batch(
+    /// Run the program once per hash in `hashes`, handing each hash and its
+    /// result to `each` in order. On the compiled tier the constant-fd map
+    /// slots are resolved **once for the whole batch** — the per-connection
+    /// registry cost the batched dispatch path exists to amortize. Lower
+    /// tiers degrade to a per-hash loop with identical results.
+    #[inline]
+    pub fn run_each(
         &self,
         hashes: &[u32],
         maps: &MapRegistry,
         now_ns: u64,
-        out: &mut Vec<ExecResult>,
+        mut each: impl FnMut(u32, ExecResult),
     ) -> Result<(), ExecError> {
-        out.reserve(hashes.len());
         if maps.is_frozen() {
             if let Some(jit) = self.prepare_jit(maps) {
                 hermes_trace::trace_count!(hermes_trace::CounterId::VmRunsJit, hashes.len());
                 for &hash in hashes {
-                    out.push(jit.run(hash, now_ns));
+                    each(hash, jit.run(hash, now_ns));
                 }
                 return Ok(());
             }
@@ -541,14 +421,26 @@ impl Vm {
             hermes_trace::trace_count!(hermes_trace::CounterId::VmRunsCompiled, hashes.len());
             let resolved = compiled.resolve(maps);
             for &hash in hashes {
-                out.push(compiled.exec(hash, maps, now_ns, &resolved));
+                each(hash, compiled.exec(hash, maps, now_ns, &resolved));
             }
             return Ok(());
         }
         for &hash in hashes {
-            out.push(self.run(hash, maps, now_ns)?);
+            each(hash, self.run(hash, maps, now_ns)?);
         }
         Ok(())
+    }
+
+    /// [`run_each`](Self::run_each), appending the results to `out`.
+    pub fn run_batch(
+        &self,
+        hashes: &[u32],
+        maps: &MapRegistry,
+        now_ns: u64,
+        out: &mut Vec<ExecResult>,
+    ) -> Result<(), ExecError> {
+        out.reserve(hashes.len());
+        self.run_each(hashes, maps, now_ns, |_, result| out.push(result))
     }
 
     /// The checked reference interpreter: every pc move, stack access, and
@@ -667,89 +559,6 @@ impl Vm {
             return None;
         }
         Some(addr as usize)
-    }
-
-    /// The proven-safe interpreter. Every check the reference path performs
-    /// at run time was discharged statically: the analysis proved divisors
-    /// nonzero and shifts bounded (so [`Alu::eval_unchecked`]), the
-    /// verifier proved jump targets and stack offsets in frame (so plain
-    /// indexing off precomputed absolutes), and map indices were proven in
-    /// bounds (so [`call_helper_fast`]). Termination is structural: no
-    /// back-edges means pc strictly increases between revisits, and every
-    /// path ends in `Exit`.
-    fn run_fast(fast: &[FastInsn], ctx_hash: u32, maps: &MapRegistry, now_ns: u64) -> ExecResult {
-        let mut regs = [0u64; NUM_REGS];
-        let mut stack = [0u8; STACK_SIZE];
-        regs[Reg::R1.idx()] = ctx_hash as u64;
-        regs[Reg::R10.idx()] = STACK_SIZE as u64;
-        let mut helper_ctx = HelperCtx {
-            selected_sock: None,
-            now_ns,
-        };
-        let mut pc = 0usize;
-        let mut executed = 0usize;
-
-        loop {
-            executed += 1;
-            let insn = fast[pc];
-            pc += 1;
-            match insn {
-                FastInsn::Alu { op, dst, src } => {
-                    let s = match src {
-                        FastSrc::Reg(r) => regs[r as usize],
-                        FastSrc::Imm(v) => v,
-                    };
-                    regs[dst as usize] = op.eval_unchecked(regs[dst as usize], s);
-                }
-                FastInsn::Ja { target } => {
-                    pc = target as usize;
-                }
-                FastInsn::Jmp {
-                    cond,
-                    dst,
-                    src,
-                    target,
-                } => {
-                    let s = match src {
-                        FastSrc::Reg(r) => regs[r as usize],
-                        FastSrc::Imm(v) => v,
-                    };
-                    if cond.eval(regs[dst as usize], s) {
-                        pc = target as usize;
-                    }
-                }
-                FastInsn::Stx { base, src } => {
-                    let base = base as usize;
-                    stack[base..base + 8].copy_from_slice(&regs[src as usize].to_le_bytes());
-                }
-                FastInsn::Ldx { dst, base } => {
-                    let base = base as usize;
-                    let mut buf = [0u8; 8];
-                    buf.copy_from_slice(&stack[base..base + 8]);
-                    regs[dst as usize] = u64::from_le_bytes(buf);
-                }
-                FastInsn::Call { helper } => {
-                    let args = [
-                        regs[Reg::R1.idx()],
-                        regs[Reg::R2.idx()],
-                        regs[Reg::R3.idx()],
-                        regs[Reg::R4.idx()],
-                        regs[Reg::R5.idx()],
-                    ];
-                    regs[Reg::R0.idx()] = call_helper_fast(helper, args, maps, &mut helper_ctx);
-                    // Same ABI clobber as the checked path, so the two
-                    // paths stay observationally identical.
-                    regs[1..=5].fill(0);
-                }
-                FastInsn::Exit => {
-                    return ExecResult {
-                        return_value: regs[Reg::R0.idx()],
-                        selected_sock: helper_ctx.selected_sock,
-                        insns_executed: executed,
-                    };
-                }
-            }
-        }
     }
 }
 
@@ -875,13 +684,13 @@ mod tests {
     }
 
     #[test]
-    fn analyzed_clean_program_takes_fast_path() {
+    fn analyzed_clean_program_takes_the_compiled_tier() {
         use crate::analysis::AnalysisCtx;
         use crate::helpers::HELPER_MAP_LOOKUP;
         use crate::maps::{ArrayMap, MapKind, MapRef};
         use std::sync::Arc;
 
-        // hash & 7 indexes an 8-element array; provable, so fast.
+        // hash & 7 indexes an 8-element array; provable, so compiled.
         let maps = MapRegistry::new();
         let array = Arc::new(ArrayMap::new(8));
         for k in 0..8 {
@@ -899,15 +708,15 @@ mod tests {
         let prog = a.finish();
 
         let ctx = AnalysisCtx::new().bind(fd, MapKind::Array, 8);
-        let fast_vm = Vm::load_analyzed(prog.clone(), &ctx).expect("clean");
-        assert!(fast_vm.is_fast_path());
-        assert!(fast_vm.analysis().unwrap().is_clean());
+        let proven_vm = Vm::load_analyzed(prog.clone(), &ctx).expect("clean");
+        assert_eq!(proven_vm.tier(), ExecTier::Compiled);
+        assert!(proven_vm.analysis().unwrap().is_clean());
         let checked_vm = Vm::load(prog).expect("verifies");
         for hash in [0u32, 1, 7, 8, 0xdead_beef, u32::MAX] {
             assert_eq!(
-                fast_vm.run(hash, &maps, 0).unwrap(),
+                proven_vm.run(hash, &maps, 0).unwrap(),
                 checked_vm.run(hash, &maps, 0).unwrap(),
-                "fast/checked divergence at hash {hash:#x}"
+                "compiled/checked divergence at hash {hash:#x}"
             );
         }
     }
@@ -916,7 +725,7 @@ mod tests {
     fn warned_program_falls_back_to_checked_path() {
         use crate::analysis::AnalysisCtx;
 
-        // Shift by the raw hash: may exceed 63, warning → no fast path,
+        // Shift by the raw hash: may exceed 63, warning → no proven tier,
         // but execution still works (the checked VM masks the shift).
         let mut a = Assembler::new();
         a.mov_imm(Reg::R0, 1);
@@ -924,7 +733,7 @@ mod tests {
         a.alu(Alu::Lsh, Reg::R0, Reg::R2);
         a.exit();
         let vm = Vm::load_analyzed(a.finish(), &AnalysisCtx::new()).expect("warns, loads");
-        assert!(!vm.is_fast_path());
+        assert_eq!(vm.tier(), ExecTier::Checked);
         assert!(!vm.analysis().unwrap().is_clean());
         let r = vm.run(65, &MapRegistry::new(), 0).unwrap();
         assert_eq!(r.return_value, 2, "checked path masks the shift");
@@ -958,9 +767,7 @@ mod tests {
         assert!(checked.compiled().is_none());
         let compiled = Vm::load_analyzed(prog, &AnalysisCtx::new()).unwrap();
         assert_eq!(compiled.tier(), ExecTier::Compiled);
-        assert!(compiled.is_fast_path());
-        assert!(ExecTier::Checked < ExecTier::Fast && ExecTier::Fast < ExecTier::Compiled);
-        assert!(ExecTier::Compiled < ExecTier::Jit);
+        assert!(ExecTier::Checked < ExecTier::Compiled && ExecTier::Compiled < ExecTier::Jit);
         assert!(ExecTier::native_ceiling() >= ExecTier::Compiled);
     }
 
@@ -986,9 +793,7 @@ mod tests {
         let maps = MapRegistry::new();
         for hash in [0u32, 1, 1000, 0xdead_beef, u32::MAX] {
             let checked = vm.run_tier(ExecTier::Checked, hash, &maps, 0).unwrap();
-            let fast = vm.run_tier(ExecTier::Fast, hash, &maps, 0).unwrap();
             let compiled = vm.run_tier(ExecTier::Compiled, hash, &maps, 0).unwrap();
-            assert_eq!(checked, fast, "checked/fast at {hash:#x}");
             assert_eq!(checked, compiled, "checked/compiled at {hash:#x}");
         }
     }
@@ -1070,7 +875,6 @@ mod tests {
         ];
         let vm = Vm {
             prog,
-            fast: None,
             compiled: None,
             validation_error: None,
             report: None,
@@ -1091,7 +895,7 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_runs_sk_select_with_runtime_fallback() {
+    fn compiled_tier_runs_sk_select_with_runtime_fallback() {
         use crate::analysis::AnalysisCtx;
         use crate::helpers::{ENOENT_RET, HELPER_SK_SELECT_REUSEPORT};
         use crate::maps::{MapKind, MapRef, SockArrayMap};
@@ -1110,12 +914,12 @@ mod tests {
         a.exit();
         let ctx = AnalysisCtx::new().bind(fd, MapKind::SockArray, 4);
         let vm = Vm::load_analyzed(a.finish(), &ctx).expect("clean");
-        assert!(vm.is_fast_path());
+        assert_eq!(vm.tier(), ExecTier::Compiled);
         // Slot 2 is populated: success, socket committed.
         let hit = vm.run(2, &maps, 0).unwrap();
         assert_eq!(hit.return_value, 0);
         assert_eq!(hit.selected_sock, Some(77));
-        // Slot 1 is empty: the fast path keeps the runtime ENOENT check.
+        // Slot 1 is empty: the proven tier keeps the runtime ENOENT check.
         let miss = vm.run(1, &maps, 0).unwrap();
         assert_eq!(miss.return_value, ENOENT_RET);
         assert_eq!(miss.selected_sock, None);

@@ -1,6 +1,6 @@
 //! Soundness fuzzing for the abstract interpreter: any program
 //! [`Vm::load_analyzed`] accepts must never trap at run time, and when the
-//! report is clean the unchecked fast path must be observationally
+//! report is clean the unchecked proven tiers must be observationally
 //! identical to the checked interpreter — across randomized context
 //! hashes, map contents, and socket registrations.
 //!
@@ -257,12 +257,7 @@ fn check_soundness(seed: &[u8], hashes: &[u32], vals: &[u64; ARRAY_SIZE], regist
         let c = checked
             .run(hash, &registry, 0)
             .unwrap_or_else(|e| panic!("accepted program trapped (checked): {e}"));
-        for tier in [
-            ExecTier::Checked,
-            ExecTier::Fast,
-            ExecTier::Compiled,
-            ExecTier::Jit,
-        ] {
+        for tier in [ExecTier::Checked, ExecTier::Compiled, ExecTier::Jit] {
             if tier > earned {
                 continue;
             }
@@ -427,12 +422,7 @@ fn check_dispatch_tiers(bits: u64, hash: u32, workers: usize) {
         "Algorithm 2 must reach the platform ceiling"
     );
     let c = checked.run(hash, &registry, 0).unwrap();
-    for tier in [
-        ExecTier::Checked,
-        ExecTier::Fast,
-        ExecTier::Compiled,
-        ExecTier::Jit,
-    ] {
+    for tier in [ExecTier::Checked, ExecTier::Compiled, ExecTier::Jit] {
         if tier > analyzed.tier() {
             continue;
         }
@@ -472,7 +462,7 @@ fn dispatch_programs_are_tier_identical() {
             let c = vm
                 .run_tier(ExecTier::Checked, h, grouped.registry(), 0)
                 .unwrap();
-            for tier in [ExecTier::Fast, ExecTier::Compiled, ExecTier::Jit] {
+            for tier in [ExecTier::Compiled, ExecTier::Jit] {
                 if tier > vm.tier() {
                     continue;
                 }
@@ -491,12 +481,10 @@ fn dispatch_programs_are_tier_identical() {
 /// Grouped-dispatch differential oracle. Loads `bitmaps[g]` into group
 /// `g`'s selection map on both planes, then asserts for every hash:
 ///
-/// * the checked interpreter, the unchecked fast path, the compiled
-///   (pre-resolved bank) tier, and the jit (where earned) return
-///   byte-identical `ExecResult`s;
+/// * the checked interpreter, the compiled (pre-resolved bank) tier, and
+///   the jit (where earned) return byte-identical `ExecResult`s;
 /// * `run_batch` over the compiled tier equals the single-shot runs;
-/// * the bytecode decision (group, local worker, directed flag, global
-///   flattening) equals the native [`GroupedConnDispatcher`] — the §7
+/// * the bytecode decision (group, directed flag, flattened worker) equals the native [`GroupedConnDispatcher`] — the §7
 ///   two-level composition the scheduler side publishes into — for both
 ///   its single-shot and batched paths.
 fn check_grouped_dispatch(groups: usize, group_size: usize, bitmaps: &[u64], hashes: &[u32]) {
@@ -527,7 +515,7 @@ fn check_grouped_dispatch(groups: usize, group_size: usize, bitmaps: &[u64], has
         let c = vm
             .run_tier(ExecTier::Checked, h, g.registry(), 0)
             .expect("interpreted grouped run trapped");
-        for tier in [ExecTier::Fast, ExecTier::Compiled, ExecTier::Jit] {
+        for tier in [ExecTier::Compiled, ExecTier::Jit] {
             if tier > vm.tier() {
                 continue;
             }
@@ -538,19 +526,13 @@ fn check_grouped_dispatch(groups: usize, group_size: usize, bitmaps: &[u64], has
         let want = oracle.dispatch(h);
         assert_eq!(got.group, want.group, "level-1 group diverged on {h:#x}");
         assert_eq!(
-            got.local,
-            want.outcome.worker(),
-            "level-2 worker diverged on {h:#x}"
-        );
-        assert_eq!(
-            got.directed,
-            want.is_directed(),
+            got.directed, want.directed,
             "directed flag diverged on {h:#x}"
         );
         assert_eq!(
             got.global(group_size),
-            want.global,
-            "global flattening diverged on {h:#x}"
+            want.worker,
+            "level-2 worker diverged on {h:#x}"
         );
         singles.push(c);
     }
@@ -566,13 +548,12 @@ fn check_grouped_dispatch(groups: usize, group_size: usize, bitmaps: &[u64], has
     for ((&h, e), n) in hashes.iter().zip(&ebpf_outs).zip(&native_outs) {
         assert_eq!(e.group, n.group, "batched group diverged on {h:#x}");
         assert_eq!(
-            e.local,
-            n.outcome.worker(),
+            e.global(group_size),
+            n.worker,
             "batched worker diverged on {h:#x}"
         );
         assert_eq!(
-            e.directed,
-            n.is_directed(),
+            e.directed, n.directed,
             "batched directed flag diverged on {h:#x}"
         );
     }

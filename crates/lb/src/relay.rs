@@ -41,16 +41,15 @@
 //! a hard per-connection deadline.
 
 use crate::reactor::{self, PipePair, Reactor, Splice, WAKE_TOKEN};
-use crate::server::{
-    assert_dispatch_admitted, place_flat, sync_flat, Handoff, LbStats, Running, ACCEPT_BURST,
-};
+use crate::server::{Handoff, LbStats, Running, ACCEPT_BURST};
 use bytes::BytesMut;
 use crossbeam::channel::{bounded, Receiver};
 use hermes_backend::{Admission, BackendId, BackendPool, TableCache};
 use hermes_core::sched::SchedConfig;
 use hermes_core::sdk::{SyncTarget, WorkerSession};
 use hermes_core::wst::Wst;
-use hermes_ebpf::ReuseportGroup;
+use hermes_core::WorkerBitmap;
+use hermes_ebpf::DispatchPlane;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
@@ -195,13 +194,7 @@ impl RelayLb {
         let pool = Arc::new(BackendPool::new(backends.len()));
         let backends = Arc::new(backends);
         let wst = Arc::new(Wst::new(workers));
-        let group = Arc::new(ReuseportGroup::new(workers));
-        assert_dispatch_admitted(
-            group.tier(),
-            group.analysis(),
-            group.program(),
-            group.validation(),
-        );
+        let plane = Arc::new(DispatchPlane::bytecode(1, workers));
 
         let mut senders = Vec::with_capacity(workers);
         let mut wakers = Vec::with_capacity(workers);
@@ -215,7 +208,10 @@ impl RelayLb {
                 Arc::clone(&wst),
                 id,
                 SchedConfig::default(),
-                Arc::new(sync_flat(Arc::clone(&group))),
+                Arc::new({
+                    let plane = Arc::clone(&plane);
+                    move |bitmap: WorkerBitmap| plane.sync(0, bitmap)
+                }),
             );
             let stats = Arc::clone(&running.stats);
             let relay_stats = Arc::clone(&relay_stats);
@@ -228,7 +224,7 @@ impl RelayLb {
             }));
         }
 
-        running.start(listener, senders, wakers, handles, true, place_flat(group));
+        running.start(listener, senders, wakers, handles, true, plane);
         Ok(RelayLb {
             running,
             relay_stats,

@@ -5,8 +5,8 @@
 //! portable std-only process cannot open N reuseport sockets, so an
 //! acceptor thread stands in for the kernel: it accepts, computes the
 //! connection hash, runs the *same verified eBPF dispatch program*
-//! (`hermes_ebpf::ReuseportGroup`), and hands the socket to the chosen
-//! worker over a channel. Workers run the Fig. 9 loop via the core SDK:
+//! (behind `hermes_ebpf::DispatchPlane`), and hands the socket to the
+//! chosen worker over a channel. Workers run the Fig. 9 loop via the core SDK:
 //! status hooks around a 5 ms-timeout receive, run-to-completion
 //! connection handling, `schedule_and_sync` at the loop end.
 
@@ -18,9 +18,7 @@ use hermes_core::sched::SchedConfig;
 use hermes_core::sdk::{SyncTarget, WorkerSession};
 use hermes_core::wst::Wst;
 use hermes_core::{FlowKey, WorkerBitmap};
-use hermes_ebpf::insn::Insn;
-use hermes_ebpf::validate::ValidationCert;
-use hermes_ebpf::{AnalysisReport, ExecTier, GroupedReuseportGroup, ReuseportGroup};
+use hermes_ebpf::{DispatchPlane, Placement};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
@@ -33,17 +31,6 @@ use std::time::Duration;
 /// hash it dispatched on, so the worker never asks the kernel for the
 /// addresses again.
 pub(crate) type Handoff = (TcpStream, u32);
-
-/// Where the dispatch program put one connection of a burst: the global
-/// worker id, and whether the userspace bitmap directed the choice (as
-/// opposed to the reuseport hash fallback).
-pub(crate) type Placement = (usize, bool);
-
-/// Where a flat LB's workers publish their bitmaps: the one group's
-/// selection map.
-pub(crate) fn sync_flat(group: Arc<ReuseportGroup>) -> impl Fn(WorkerBitmap) + Send + Sync {
-    move |bitmap| group.sync_bitmap(bitmap)
-}
 
 /// Counters shared with callers for observability/tests.
 #[derive(Debug, Default)]
@@ -101,7 +88,7 @@ impl Running {
         wakers: Vec<Waker>,
         workers: Vec<JoinHandle<()>>,
         nonblocking: bool,
-        place: impl FnMut(u64, &[u32], &mut Vec<Placement>) + Send + 'static,
+        plane: Arc<DispatchPlane>,
     ) {
         self.wakers = wakers.clone();
         let (stats, shutdown) = (Arc::clone(&self.stats), Arc::clone(&self.shutdown));
@@ -111,7 +98,7 @@ impl Running {
                 senders,
                 wakers,
                 nonblocking,
-                place,
+                plane,
                 stats,
                 shutdown,
             )
@@ -141,65 +128,20 @@ impl Drop for Running {
     }
 }
 
-/// The bar a dispatch program clears before any LB serves on it: the
-/// static analysis proved it clean (it runs on the platform's ceiling
-/// tier), and the translation validator certified the compiled artifact
-/// bit-exact against checked semantics.
-pub(crate) fn assert_dispatch_admitted(
-    tier: ExecTier,
-    analysis: &AnalysisReport,
-    program: &[Insn],
-    validation: &ValidationCert,
-) {
-    assert_eq!(
-        tier,
-        ExecTier::native_ceiling(),
-        "dispatch program failed static verification:\n{}",
-        analysis.render(program)
-    );
-    assert!(
-        validation.blocks_proven() > 0,
-        "compiled dispatch admitted without a translation proof"
-    );
-}
-
 /// A running TCP L7 LB.
 pub struct TcpLb(Running);
 
 impl TcpLb {
     /// Bind `addr`, spawn `workers` worker threads serving `proxy`, and
-    /// start accepting.
+    /// start accepting: one group, the paper's flat program.
     pub fn start(addr: impl ToSocketAddrs, workers: usize, proxy: Proxy) -> std::io::Result<TcpLb> {
         assert!((1..=64).contains(&workers), "1..=64 workers");
-        let (listener, running) = Running::bind(addr, workers)?;
-        let group = Arc::new(ReuseportGroup::new(workers));
-        assert_dispatch_admitted(
-            group.tier(),
-            group.analysis(),
-            group.program(),
-            group.validation(),
-        );
-        let wst = Arc::new(Wst::new(workers));
-        let session = |id: usize| {
-            let sync = Arc::new(sync_flat(Arc::clone(&group)));
-            let session = WorkerSession::new(Arc::clone(&wst), id, SchedConfig::default(), sync);
-            (session, id as u32)
-        };
-        let place = place_flat(Arc::clone(&group));
-        Ok(TcpLb::serve(
-            listener, running, workers, proxy, session, place,
-        ))
+        TcpLb::serve(addr, DispatchPlane::bytecode(1, workers), proxy)
     }
 
     /// Bind `addr` and serve `groups * group_size` workers sharded into
     /// per-group Worker Status Tables with the two-level (§7) dispatch
     /// program in front — the >64-worker deployment shape.
-    ///
-    /// Each shard runs its own scheduler instances over its own WST and
-    /// publishes into its own selection map; the acceptor runs the grouped
-    /// program once per accept burst. Worker threads keep group-local ids
-    /// (the WST is per group) while stats and proxies index the flattened
-    /// global id.
     pub fn start_sharded(
         addr: impl ToSocketAddrs,
         groups: usize,
@@ -208,53 +150,40 @@ impl TcpLb {
     ) -> std::io::Result<TcpLb> {
         assert!((1..=64).contains(&groups), "1..=64 groups");
         assert!((1..=64).contains(&group_size), "1..=64 workers per group");
+        TcpLb::serve(addr, DispatchPlane::bytecode(groups, group_size), proxy)
+    }
+
+    /// Spawn one HTTP worker per global id, then the acceptor that feeds
+    /// them through `plane`.
+    ///
+    /// Each group runs its own scheduler instances over its own WST and
+    /// publishes into its own selection map; the acceptor runs the program
+    /// once per accept burst. Worker threads keep group-local ids (the WST
+    /// is per group) while stats and proxies index the flattened global id.
+    fn serve(
+        addr: impl ToSocketAddrs,
+        plane: DispatchPlane,
+        proxy: Proxy,
+    ) -> std::io::Result<TcpLb> {
+        let (groups, group_size) = (plane.groups(), plane.group_size());
         let workers = groups * group_size;
-        let (listener, running) = Running::bind(addr, workers)?;
-        let group = Arc::new(GroupedReuseportGroup::new(groups, group_size));
-        assert_dispatch_admitted(
-            group.tier(),
-            group.analysis(),
-            group.program(),
-            group.validation(),
-        );
+        let (listener, mut running) = Running::bind(addr, workers)?;
+        let plane = Arc::new(plane);
         let wsts: Vec<Arc<Wst>> = (0..groups)
             .map(|_| Arc::new(Wst::new(group_size)))
             .collect();
-        let session = |global: usize| {
-            let (g, local) = (global / group_size, global % group_size);
-            let lane = hermes_trace::grouped_lane(g, group_size, local);
-            // Each shard publishes into its own group's selection map
-            // (redundant stores are elided inside the grouped map).
-            let shard = Arc::clone(&group);
-            let sync = Arc::new(move |bitmap: WorkerBitmap| shard.sync_group_bitmap(g, bitmap));
-            let session =
-                WorkerSession::new(Arc::clone(&wsts[g]), local, SchedConfig::default(), sync)
-                    .with_trace_lane(lane);
-            (session, lane)
-        };
-        let place = place_sharded(Arc::clone(&group));
-        Ok(TcpLb::serve(
-            listener, running, workers, proxy, session, place,
-        ))
-    }
-
-    /// Spawn one HTTP worker per global id — `session` gives each its
-    /// scheduling session and flight-recorder lane — then the acceptor
-    /// that feeds them through `place`.
-    fn serve<T: SyncTarget + 'static>(
-        listener: TcpListener,
-        mut running: Running,
-        workers: usize,
-        proxy: Proxy,
-        session: impl Fn(usize) -> (WorkerSession<T>, u32),
-        place: impl FnMut(u64, &[u32], &mut Vec<Placement>) + Send + 'static,
-    ) -> TcpLb {
         let mut senders: Vec<Sender<Handoff>> = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for id in 0..workers {
             let (tx, rx) = bounded::<Handoff>(1024);
             senders.push(tx);
-            let (session, lane) = session(id);
+            let (g, local) = (id / group_size, id % group_size);
+            let lane = hermes_trace::grouped_lane(g, group_size, local);
+            let shard = Arc::clone(&plane);
+            let sync = Arc::new(move |bitmap: WorkerBitmap| shard.sync(g, bitmap));
+            let session =
+                WorkerSession::new(Arc::clone(&wsts[g]), local, SchedConfig::default(), sync)
+                    .with_trace_lane(lane);
             let stats = Arc::clone(&running.stats);
             let shutdown = Arc::clone(&running.shutdown);
             let proxy = proxy.for_worker(id);
@@ -265,8 +194,8 @@ impl TcpLb {
         // HTTP workers block on their channel, not in epoll: no wakers
         // (the channel send itself unblocks them), and they serve with
         // blocking reads, so no nonblocking accept.
-        running.start(listener, senders, Vec::new(), handles, false, place);
-        TcpLb(running)
+        running.start(listener, senders, Vec::new(), handles, false, plane);
+        Ok(TcpLb(running))
     }
 
     /// The bound address (useful with port 0).
@@ -357,14 +286,14 @@ fn classify_accept_error(e: &std::io::Error) -> AcceptFailure {
 /// Shared by the HTTP front ends and the byte relay ([`crate::relay`]),
 /// which asks for its streams `nonblocking` straight from the accept and
 /// passes its workers' `wakers` (empty when workers block on the channel
-/// itself). `place` is the dispatch step: it appends one [`Placement`]
-/// per hash, and gets the burst's flight-recorder timestamp.
+/// itself). `plane` is the dispatch step; a sharded plane's decisions are
+/// also recorded one by one as `GroupDispatch` flight-recorder events.
 fn accept_loop(
     listener: TcpListener,
     senders: Vec<Sender<Handoff>>,
     wakers: Vec<Waker>,
     nonblocking: bool,
-    mut place: impl FnMut(u64, &[u32], &mut Vec<Placement>),
+    plane: Arc<DispatchPlane>,
     stats: Arc<LbStats>,
     shutdown: Arc<AtomicBool>,
 ) {
@@ -374,6 +303,7 @@ fn accept_loop(
     let mut pending: Vec<TcpStream> = Vec::with_capacity(ACCEPT_BURST);
     let mut hashes: Vec<u32> = Vec::with_capacity(ACCEPT_BURST);
     let mut placed: Vec<Placement> = Vec::with_capacity(ACCEPT_BURST);
+    let sharded = plane.groups() > 1;
     while !shutdown.load(Ordering::SeqCst) {
         // Drain whatever the kernel has queued, up to one burst: under
         // load this amortises the map-registry resolution and bitmap load
@@ -412,20 +342,27 @@ fn accept_loop(
                 0
             };
             placed.clear();
-            place(now, &hashes, &mut placed);
+            plane.dispatch_batch(&hashes, &mut placed);
             hermes_trace::trace_event!(
                 now,
                 hermes_trace::EventKind::AcceptBurst,
                 hermes_trace::KERNEL_LANE,
                 burst,
-                placed.iter().filter(|p| p.1).count()
+                placed.iter().filter(|p| p.directed).count()
             );
             hermes_trace::trace_count!(hermes_trace::CounterId::AcceptBursts);
             hermes_trace::trace_count!(hermes_trace::CounterId::AcceptedConns, burst);
-            for ((stream, &(worker, directed)), &hash) in
-                pending.drain(..).zip(&placed).zip(&hashes)
-            {
-                let path = if directed {
+            for ((stream, p), &hash) in pending.drain(..).zip(&placed).zip(&hashes) {
+                if sharded {
+                    hermes_trace::trace_event!(
+                        now,
+                        hermes_trace::EventKind::GroupDispatch,
+                        hermes_trace::KERNEL_LANE,
+                        hash,
+                        ((p.group as u64) << 32) | p.worker as u64
+                    );
+                }
+                let path = if p.directed {
                     &stats.directed
                 } else {
                     &stats.fallback
@@ -433,12 +370,12 @@ fn accept_loop(
                 path.fetch_add(1, Ordering::Relaxed);
                 // A full worker queue applies backpressure by blocking the
                 // acceptor — the accept-queue semantics of the kernel.
-                if senders[worker].send((stream, hash)).is_err() {
+                if senders[p.worker].send((stream, hash)).is_err() {
                     return; // workers gone: shutting down
                 }
                 // Reactor workers sleep in epoll_wait: ring their eventfd so
                 // the hand-off is picked up now, not at the next idle timeout.
-                if let Some(w) = wakers.get(worker) {
+                if let Some(w) = wakers.get(p.worker) {
                     w.wake();
                 }
             }
@@ -447,43 +384,6 @@ fn accept_loop(
             std::thread::sleep(ACCEPT_BACKOFF);
         } else if burst == 0 {
             waiter.wait();
-        }
-    }
-}
-
-/// Flat placement: the Algorithm 2 program over one worker group.
-pub(crate) fn place_flat(
-    group: Arc<ReuseportGroup>,
-) -> impl FnMut(u64, &[u32], &mut Vec<Placement>) {
-    let mut outcomes = Vec::with_capacity(ACCEPT_BURST);
-    move |_now, hashes, placed| {
-        outcomes.clear();
-        group.dispatch_batch(hashes, &mut outcomes);
-        placed.extend(outcomes.iter().map(|o| (o.worker(), o.is_directed())));
-    }
-}
-
-/// Sharded placement: the two-level program picks group then worker, and
-/// each decision is recorded as a `GroupDispatch` flight-recorder event.
-fn place_sharded(
-    group: Arc<GroupedReuseportGroup>,
-) -> impl FnMut(u64, &[u32], &mut Vec<Placement>) {
-    let group_size = group.group_size();
-    let mut outcomes = Vec::with_capacity(ACCEPT_BURST);
-    move |now, hashes, placed| {
-        outcomes.clear();
-        group.dispatch_batch(hashes, &mut outcomes);
-        hermes_trace::trace_count!(hermes_trace::CounterId::GroupDispatches, hashes.len());
-        for (out, &hash) in outcomes.iter().zip(hashes) {
-            let worker = out.global(group_size);
-            hermes_trace::trace_event!(
-                now,
-                hermes_trace::EventKind::GroupDispatch,
-                hermes_trace::KERNEL_LANE,
-                hash,
-                ((out.group as u64) << 32) | worker as u64
-            );
-            placed.push((worker, out.directed));
         }
     }
 }
@@ -710,45 +610,6 @@ mod tests {
         }
         // An errno nobody planned for must pause the loop, not spin it.
         assert_eq!(classify(eproto), AcceptFailure::BackOff);
-    }
-
-    #[test]
-    fn flat_and_one_group_place_identically() {
-        // "groups = 1 *is* flat": the two placement steps the one accept
-        // loop runs must agree hash for hash, on the worker and on the
-        // directed/fallback split, whatever bitmap userspace published.
-        const WORKERS: usize = 8;
-        let flat = Arc::new(ReuseportGroup::new(WORKERS));
-        let sharded = Arc::new(GroupedReuseportGroup::new(1, WORKERS));
-        let mut place_a = place_flat(Arc::clone(&flat));
-        let mut place_b = place_sharded(Arc::clone(&sharded));
-        let hashes: Vec<u32> = (0..4096u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
-        let bitmaps = [
-            WorkerBitmap::EMPTY,
-            WorkerBitmap::from_workers([3]),
-            WorkerBitmap::from_workers([1, 4]),
-            WorkerBitmap::from_workers([0, 2, 5, 6, 7]),
-            WorkerBitmap::all(WORKERS),
-        ];
-        let (mut directed, mut fallback) = (0, 0);
-        for bitmap in bitmaps {
-            flat.sync_bitmap(bitmap);
-            sharded.sync_group_bitmap(0, bitmap);
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            // Burst by burst, as the accept loop calls them.
-            for burst in hashes.chunks(ACCEPT_BURST) {
-                place_a(0, burst, &mut a);
-                place_b(0, burst, &mut b);
-            }
-            assert_eq!(a.len(), hashes.len());
-            assert_eq!(a, b, "flat and groups=1 disagree under {bitmap:?}");
-            directed += a.iter().filter(|p| p.1).count();
-            fallback += a.iter().filter(|p| !p.1).count();
-        }
-        assert!(
-            directed > 0 && fallback > 0,
-            "the bitmaps must exercise both paths: {directed} directed, {fallback} fallback"
-        );
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! A *real* multi-threaded Hermes deployment: OS threads running the
 //! modified epoll event loop of Fig. 9 against a shared lock-free WST, with
 //! connection dispatch through the same kernel-side logic the paper
-//! attaches via `SO_ATTACH_REUSEPORT_EBPF` (here: the verified bytecode of
-//! `hermes-ebpf`, or the native oracle).
+//! attaches via `SO_ATTACH_REUSEPORT_EBPF` (here: the verified bytecode
+//! behind `hermes_ebpf::DispatchPlane`).
 //!
 //! Where the simulator (`hermes-simnet`) gives deterministic, scalable
 //! replays for the comparative tables, this crate exercises the *actual

@@ -15,9 +15,8 @@
 //! * **reuseport** — per-worker sockets, stateless 4-tuple hashing at SYN
 //!   time (Fig. 2b);
 //! * **Hermes** — reuseport sockets with the userspace-directed bitmap
-//!   dispatch of Algorithms 1 and 2, either through the native
-//!   `hermes_core::ConnDispatcher` or the verified bytecode program of
-//!   `hermes-ebpf`;
+//!   dispatch of Algorithms 1 and 2 behind `hermes_ebpf::DispatchPlane`,
+//!   executed by core's native oracle or the verified bytecode program;
 //! * **userspace dispatcher** — the §2.2 workaround: one worker fetches all
 //!   events and re-distributes to the others.
 //!

@@ -8,33 +8,15 @@
 
 use crate::config::Mode;
 use crate::metrics::SchedStats;
-use hermes_core::dispatch::{ConnDispatcher, DispatchOutcome};
 use hermes_core::group::{GroupBy, GroupScheduler};
 use hermes_core::sched::{SchedConfig, Scheduler};
-use hermes_core::selmap::SelMap;
 use hermes_core::status::WorkerStatus;
 use hermes_core::wst::{SnapshotCache, Wst};
-use hermes_core::{FlowKey, GroupedConnDispatcher};
-use hermes_ebpf::{ExecTier, GroupedReuseportGroup, ReuseportGroup};
+use hermes_core::FlowKey;
+use hermes_ebpf::{DispatchPlane, Placement};
 use std::sync::Arc;
 
-/// Sharded (§7) dispatch-plane state: per-group WSTs, schedulers, and
-/// selection maps, with the two-level dispatcher (native or bytecode)
-/// in front. Constructed when `SimConfig::groups` is set.
-struct ShardedState {
-    /// Per-group WSTs + the shared per-group selection maps.
-    sched: GroupScheduler,
-    /// Native two-level burst dispatcher sharing the scheduler's maps.
-    dispatcher: GroupedConnDispatcher,
-    /// Bytecode twin (grouped program, compiled lock-free tier).
-    ebpf: Option<GroupedReuseportGroup>,
-    /// Reusable grouped-outcome buffers for batched dispatch.
-    native_buf: Vec<hermes_core::GroupedDispatch>,
-    ebpf_buf: Vec<hermes_ebpf::GroupedOutcome>,
-    group_size: usize,
-}
-
-/// Hermes state bundle: WST + scheduler + the kernel-side dispatch path
+/// Hermes state bundle: WST + scheduler + the kernel-side dispatch plane
 /// (native oracle or verified bytecode — decision-identical, tested so).
 pub struct HermesState {
     /// The shared worker status table (flat deployments; sharded ones
@@ -44,131 +26,79 @@ pub struct HermesState {
     /// Epoch-tagged snapshot buffer for the scheduler (no per-call
     /// allocation; unchanged WSTs skip the snapshot copy).
     snap_cache: SnapshotCache,
-    native: (Arc<SelMap>, ConnDispatcher),
-    ebpf: Option<ReuseportGroup>,
-    /// Reusable outcome buffer for batched dispatch (no per-tick
-    /// allocation).
-    batch_buf: Vec<DispatchOutcome>,
-    /// §7 sharded plane (set when the sim runs with a `groups` knob).
-    sharded: Option<ShardedState>,
+    /// §7 per-group WSTs and schedulers (set when the sim runs with a
+    /// `groups` knob; the flat table above is then unused).
+    sharded: Option<GroupScheduler>,
+    /// Where bitmaps are published and SYNs placed.
+    plane: DispatchPlane,
     /// Scheduler/dispatch statistics (Fig. 14).
     pub stats: SchedStats,
 }
 
 impl HermesState {
     fn new(workers: usize, config: SchedConfig, use_ebpf: bool, groups: Option<usize>) -> Self {
-        let sharded = groups.map(|g| {
-            assert!(
-                g >= 1 && workers.is_multiple_of(g),
-                "workers must divide evenly into groups"
-            );
-            let group_size = workers / g;
-            let sched = GroupScheduler::new(workers, group_size, GroupBy::FlowHash, config.clone());
-            let dispatcher = GroupedConnDispatcher::from_scheduler(&sched);
-            ShardedState {
-                sched,
-                dispatcher,
-                ebpf: use_ebpf.then(|| {
-                    let e = GroupedReuseportGroup::new(g, group_size);
-                    // The grouped program must be proven onto the compiled
-                    // tier (validator certificate) with every map fd
-                    // pre-resolved (lock-free banks) before the simulator
-                    // trusts it.
-                    assert_eq!(
-                        e.tier(),
-                        ExecTier::native_ceiling(),
-                        "grouped dispatch program failed verification"
-                    );
-                    assert!(
-                        e.validation().blocks_proven() > 0,
-                        "grouped compiled dispatch admitted without a proof"
-                    );
-                    e
-                }),
-                native_buf: Vec::new(),
-                ebpf_buf: Vec::new(),
-                group_size,
-            }
-        });
+        let group_count = groups.unwrap_or(1);
+        assert!(
+            group_count >= 1 && workers.is_multiple_of(group_count),
+            "workers must divide evenly into groups"
+        );
+        let group_size = workers / group_count;
+        let plane = if use_ebpf {
+            DispatchPlane::bytecode(group_count, group_size)
+        } else {
+            DispatchPlane::native(group_count, group_size)
+        };
         Self {
             wst: Arc::new(Wst::new(workers)),
-            scheduler: Scheduler::new(config),
+            scheduler: Scheduler::new(config.clone()),
             snap_cache: SnapshotCache::new(),
-            native: (Arc::new(SelMap::new()), ConnDispatcher::new(workers)),
-            ebpf: (use_ebpf && sharded.is_none()).then(|| {
-                let g = ReuseportGroup::new(workers);
-                // The bytecode twin must be admitted by the static analysis
-                // with zero warnings — and *proven* onto the compiled tier
-                // by the translation validator — before the simulator
-                // trusts it.
-                assert_eq!(
-                    g.tier(),
-                    ExecTier::native_ceiling(),
-                    "dispatch program failed verification"
-                );
-                assert!(
-                    g.validation().blocks_proven() > 0,
-                    "compiled dispatch admitted without a proof"
-                );
-                g
-            }),
-            batch_buf: Vec::new(),
-            sharded,
+            sharded: groups
+                .map(|_| GroupScheduler::new(workers, group_size, GroupBy::FlowHash, config)),
+            plane,
             stats: SchedStats::default(),
         }
     }
 
     /// Workers-per-group stride, when the plane is sharded.
     pub fn group_size(&self) -> Option<usize> {
-        self.sharded.as_ref().map(|s| s.group_size)
+        self.sharded.as_ref().map(|_| self.plane.group_size())
     }
 
     /// The group a global worker id belongs to (`None` when flat).
     pub fn group_of(&self, worker: usize) -> Option<usize> {
-        self.sharded.as_ref().map(|s| worker / s.group_size)
+        self.group_size().map(|size| worker / size)
     }
 
     /// Status cell for global worker `w` — the flat table, or the owning
     /// group's table in a sharded plane.
     pub fn worker(&self, w: usize) -> &WorkerStatus {
+        let size = self.plane.group_size();
         match &self.sharded {
-            Some(s) => s
-                .sched
-                .group(w / s.group_size)
-                .wst()
-                .worker(w % s.group_size),
+            Some(s) => s.group(w / size).wst().worker(w % size),
             None => self.wst.worker(w),
         }
     }
 
     /// `schedule_and_sync` (Algorithm 1) as run from worker `worker`'s
     /// event loop: run the cascade and publish the bitmap to the
-    /// kernel-visible map. Sharded planes schedule only the calling
-    /// worker's group — each group's bitmap is maintained by its own
-    /// workers, exactly as §7 prescribes.
+    /// kernel-visible map (redundant republishes are elided and counted,
+    /// just like the real runtime's sync path). Sharded planes schedule
+    /// only the calling worker's group — each group's bitmap is maintained
+    /// by its own workers, exactly as §7 prescribes.
     pub fn schedule_and_sync(&mut self, worker: usize, now_ns: u64) {
-        let decision = match &mut self.sharded {
+        let (group, decision) = match &self.sharded {
             Some(s) => {
-                let g = worker / s.group_size;
-                let decision = s.sched.schedule_group(g, now_ns);
-                if let Some(e) = &s.ebpf {
-                    e.sync_group_bitmap(g, decision.bitmap);
-                }
-                decision
+                let g = worker / self.plane.group_size();
+                (g, s.schedule_group(g, now_ns))
             }
             None => {
                 let decision =
                     self.scheduler
                         .schedule_into(&self.wst, now_ns, &mut self.snap_cache);
-                // Redundant republishes are elided (and counted) just like
-                // the real runtime's sync path.
-                self.native.0.store_if_changed(decision.bitmap);
-                if let Some(g) = &self.ebpf {
-                    g.sync_bitmap(decision.bitmap);
-                }
-                decision
+                (0, decision)
             }
         };
+        self.plane.sync(group, decision.bitmap);
         self.stats.calls += 1;
         self.stats.selected_sum += u64::from(decision.bitmap.count());
         self.stats.alive_sum += u64::from(decision.alive.count());
@@ -177,30 +107,17 @@ impl HermesState {
     /// Boot-time sync: publish an initial bitmap for every group (one
     /// scheduler pass per group; a flat plane is one group).
     pub fn schedule_boot(&mut self, now_ns: u64) {
-        match self
-            .sharded
-            .as_ref()
-            .map(|s| (s.sched.group_count(), s.group_size))
-        {
-            Some((count, size)) => {
-                for g in 0..count {
-                    self.schedule_and_sync(g * size, now_ns);
-                }
-            }
-            None => self.schedule_and_sync(0, now_ns),
+        for g in 0..self.plane.groups() {
+            self.schedule_and_sync(g * self.plane.group_size(), now_ns);
         }
     }
 
     /// Kernel-side dispatch of one SYN (Algorithm 2; two-level when
     /// sharded), returning the *global* worker id.
     pub fn dispatch(&mut self, flow: &FlowKey) -> usize {
-        let (directed, w) = self.select(flow);
-        if directed {
-            self.stats.directed_dispatches += 1;
-        } else {
-            self.stats.fallback_dispatches += 1;
-        }
-        w
+        let placed = self.plane.dispatch(flow.hash());
+        self.tally(&[placed]);
+        placed.worker
     }
 
     /// Kernel-side dispatch of a same-instant SYN burst through one
@@ -208,89 +125,26 @@ impl HermesState {
     /// loaded once for the whole burst. Decisions (and the Fig. 14
     /// counters) are identical to per-SYN [`dispatch`](Self::dispatch)
     /// calls — userspace cannot republish the bitmap between two events
-    /// carrying the same timestamp. Workers are appended to `out` in
+    /// carrying the same timestamp. Placements are appended to `out` in
     /// arrival order.
-    pub fn dispatch_batch(&mut self, hashes: &[u32], out: &mut Vec<usize>) {
-        if let Some(s) = &mut self.sharded {
-            out.reserve(hashes.len());
-            match &s.ebpf {
-                Some(e) => {
-                    s.ebpf_buf.clear();
-                    e.dispatch_batch(hashes, &mut s.ebpf_buf);
-                    for o in &s.ebpf_buf {
-                        if o.directed {
-                            self.stats.directed_dispatches += 1;
-                        } else {
-                            self.stats.fallback_dispatches += 1;
-                        }
-                        out.push(o.global(s.group_size));
-                    }
-                }
-                None => {
-                    s.native_buf.clear();
-                    s.dispatcher.dispatch_batch(hashes, &mut s.native_buf);
-                    for o in &s.native_buf {
-                        if o.is_directed() {
-                            self.stats.directed_dispatches += 1;
-                        } else {
-                            self.stats.fallback_dispatches += 1;
-                        }
-                        out.push(o.global);
-                    }
-                }
-            }
-            return;
-        }
-        self.batch_buf.clear();
-        match &self.ebpf {
-            Some(g) => g.dispatch_batch(hashes, &mut self.batch_buf),
-            None => self
-                .native
-                .1
-                .dispatch_batch(self.native.0.load(), hashes, &mut self.batch_buf),
-        }
-        out.reserve(self.batch_buf.len());
-        for o in &self.batch_buf {
-            match *o {
-                DispatchOutcome::Directed(w) => {
-                    self.stats.directed_dispatches += 1;
-                    out.push(w);
-                }
-                DispatchOutcome::Fallback(w) => {
-                    self.stats.fallback_dispatches += 1;
-                    out.push(w);
-                }
-            }
-        }
+    pub fn dispatch_batch(&mut self, hashes: &[u32], out: &mut Vec<Placement>) {
+        let start = out.len();
+        self.plane.dispatch_batch(hashes, out);
+        self.tally(&out[start..]);
     }
 
     /// Dispatch decision without touching the per-SYN statistics — used by
     /// degradation re-homing (Appendix C), which is not a new connection
     /// and must not inflate the Fig. 14 counters.
     pub fn redirect(&self, flow: &FlowKey) -> usize {
-        self.select(flow).1
+        self.plane.dispatch(flow.hash()).worker
     }
 
-    /// `(directed, global_worker)` for one flow through whichever plane is
-    /// configured.
-    fn select(&self, flow: &FlowKey) -> (bool, usize) {
-        if let Some(s) = &self.sharded {
-            return match &s.ebpf {
-                Some(e) => {
-                    let o = e.dispatch(flow.hash());
-                    (o.directed, o.global(s.group_size))
-                }
-                None => {
-                    let o = s.dispatcher.dispatch(flow.hash());
-                    (o.is_directed(), o.global)
-                }
-            };
-        }
-        let out = match &self.ebpf {
-            Some(g) => g.dispatch(flow.hash()),
-            None => self.native.1.dispatch(self.native.0.load(), flow.hash()),
-        };
-        (out.is_directed(), out.worker())
+    /// Fig. 14's directed/fallback split.
+    fn tally(&mut self, placed: &[Placement]) {
+        let directed = placed.iter().filter(|p| p.directed).count() as u64;
+        self.stats.directed_dispatches += directed;
+        self.stats.fallback_dispatches += placed.len() as u64 - directed;
     }
 }
 
@@ -589,6 +443,7 @@ mod tests {
                 .collect();
             let mut batch = Vec::new();
             batched.hermes_mut().dispatch_batch(&hashes, &mut batch);
+            let batch: Vec<usize> = batch.iter().map(|p| p.worker).collect();
             assert_eq!(batch, singles, "use_ebpf={use_ebpf}");
             let (s, b) = (single.hermes().unwrap(), batched.hermes().unwrap());
             assert_eq!(s.stats.directed_dispatches, b.stats.directed_dispatches);

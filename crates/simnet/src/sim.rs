@@ -89,7 +89,7 @@ pub struct Simulator<'w> {
     conns_buf: Vec<f64>,
     waiting_buf: Vec<(usize, u64)>,
     syn_hash_buf: Vec<u32>,
-    syn_worker_buf: Vec<usize>,
+    syn_worker_buf: Vec<hermes_ebpf::Placement>,
     // Measurement state.
     events_processed: u64,
     worker_reports: Vec<WorkerReport>,
@@ -375,11 +375,11 @@ impl<'w> Simulator<'w> {
             self.conns.set_enqueue_ns(c, self.now);
             self.syn_hash_buf.push(spec.flow.hash());
         }
-        let mut workers = std::mem::take(&mut self.syn_worker_buf);
-        workers.clear();
+        let mut placed = std::mem::take(&mut self.syn_worker_buf);
+        placed.clear();
         self.dispatcher
             .hermes_mut()
-            .dispatch_batch(&self.syn_hash_buf, &mut workers);
+            .dispatch_batch(&self.syn_hash_buf, &mut placed);
         hermes_trace::trace_event!(
             self.now,
             hermes_trace::EventKind::SimSynBurst,
@@ -388,7 +388,8 @@ impl<'w> Simulator<'w> {
             burst[0]
         );
         hermes_trace::trace_count!(hermes_trace::CounterId::SimSyns, burst.len());
-        for (&c, &w) in burst.iter().zip(&workers) {
+        for (&c, p) in burst.iter().zip(&placed) {
+            let w = p.worker;
             self.conns.set_worker(c, w);
             self.workers[w].pending.push_back(IoEvent::Accept(c));
             self.notify(w);
@@ -410,7 +411,7 @@ impl<'w> Simulator<'w> {
                 );
             }
         }
-        self.syn_worker_buf = workers;
+        self.syn_worker_buf = placed;
     }
 
     fn on_request_ready(&mut self, conn: ConnId, req: usize) {

@@ -7,170 +7,109 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Identity of one monotonic counter. The discriminant is the registry index.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[repr(usize)]
-pub enum CounterId {
-    /// Scheduler passes (Algorithm 1 full runs).
-    SchedPasses = 0,
-    /// Workers rejected by some cascading-filter stage.
-    SchedStageRejects = 1,
-    /// Admit-bitmap publishes from worker sessions to the kernel map.
-    BitmapPublishes = 2,
-    /// Kernel-side bitmap syncs observed by the sel map.
-    KernelBitmapSyncs = 3,
-    /// WST snapshot reuses (epoch unchanged).
-    WstSnapshotHits = 4,
-    /// WST snapshots rebuilt because the epoch moved.
-    WstSnapshotMisses = 5,
-    /// Flows dispatched to a bitmap-admitted worker.
-    DirectedDispatches = 6,
-    /// Flows that fell back to hashing over all alive workers.
-    FallbackDispatches = 7,
-    /// `dispatch_batch` invocations.
-    DispatchBatches = 8,
-    /// Flows carried by those batches.
-    BatchedFlows = 9,
-    /// VM executions on the checked (interpreter) tier.
-    VmRunsChecked = 10,
-    /// VM executions on the fast (unchecked interpreter) tier.
-    VmRunsFast = 11,
-    /// VM executions on the compiled tier.
-    VmRunsCompiled = 12,
-    /// Accept bursts drained by the lb server.
-    AcceptBursts = 13,
-    /// Connections accepted by the lb server.
-    AcceptedConns = 14,
-    /// Proxied connections completed by lb workers.
-    ProxiedConns = 15,
-    /// Pacer deadlines that were already overdue on entry.
-    PacerDeadlineMisses = 16,
-    /// Worst single pacer overshoot in nanoseconds (max-ratchet).
-    PacerMaxOvershootNs = 17,
-    /// Simulated SYN arrivals.
-    SimSyns = 18,
-    /// Simulated worker wakes.
-    SimWakes = 19,
-    /// Simulated dispatch decisions.
-    SimDispatches = 20,
-    /// Redundant bitmap syncs elided by `store_if_changed`.
-    BitmapSyncSkips = 21,
-    /// Grouped (two-level) dispatch decisions.
-    GroupDispatches = 22,
-    /// Grouped workers that could not be assigned a trace lane (lane
-    /// space is 64 wide; a 256-worker deployment overflows it).
-    TraceLaneOverflows = 23,
-    /// Basic blocks proven equivalent by the translation validator.
-    ValidatorBlocksProven = 24,
-    /// Symbolic machine steps executed by the translation validator.
-    ValidatorSymbolicSteps = 25,
-    /// Validation certificates issued (compiled-tier admissions proven).
-    ValidatorCertsIssued = 26,
-    /// VM executions on the jit (native x86-64) tier.
-    VmRunsJit = 27,
-    /// Constant-fd slot resolutions built from the registry (cache
-    /// misses); a warm frozen-registry dispatch loop holds this at one.
-    VmResolveBuilds = 28,
-    /// Payload bytes moved by the relay loop (both directions).
-    RelayBytes = 29,
-    /// Relay pump bursts (one per worker-loop iteration with active
-    /// connections).
-    RelayBursts = 30,
-    /// Backend connect/resolve retries beyond the pinned backend.
-    BackendRetries = 31,
-    /// Payload bytes moved kernel-to-kernel by the relay's splice(2)
-    /// fast path (counted as they leave the pipe toward the peer).
-    SpliceBytes = 32,
-    /// Relay directions demoted from splice to the scratch-copy path
-    /// (`EINVAL`/`ENOSYS` from the kernel, or inspection required).
-    SpliceFallbacks = 33,
-    /// Relay reactor `epoll_wait` returns that carried ≥ 1 ready event.
-    ReactorWakeups = 34,
+/// Declares [`CounterId`] with its registry order, `COUNT`, `ALL` and
+/// `name()` from one list, so a counter is added or retired on one line.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $id:ident => $name:literal,)+) => {
+        /// Identity of one monotonic counter. The discriminant is the
+        /// in-process registry index (exports key on [`CounterId::name`]).
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        #[repr(usize)]
+        pub enum CounterId {
+            $($(#[$doc])* $id,)+
+        }
+
+        impl CounterId {
+            /// Number of counters in the registry.
+            pub const COUNT: usize = [$($name,)+].len();
+
+            /// Every counter, in registry order.
+            pub const ALL: [CounterId; CounterId::COUNT] = [$(CounterId::$id,)+];
+
+            /// Stable dotted name used in exports.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(CounterId::$id => $name,)+
+                }
+            }
+        }
+    };
 }
 
-impl CounterId {
-    /// Number of counters in the registry.
-    pub const COUNT: usize = 35;
-
-    /// Every counter, in registry order.
-    pub const ALL: [CounterId; CounterId::COUNT] = [
-        CounterId::SchedPasses,
-        CounterId::SchedStageRejects,
-        CounterId::BitmapPublishes,
-        CounterId::KernelBitmapSyncs,
-        CounterId::WstSnapshotHits,
-        CounterId::WstSnapshotMisses,
-        CounterId::DirectedDispatches,
-        CounterId::FallbackDispatches,
-        CounterId::DispatchBatches,
-        CounterId::BatchedFlows,
-        CounterId::VmRunsChecked,
-        CounterId::VmRunsFast,
-        CounterId::VmRunsCompiled,
-        CounterId::AcceptBursts,
-        CounterId::AcceptedConns,
-        CounterId::ProxiedConns,
-        CounterId::PacerDeadlineMisses,
-        CounterId::PacerMaxOvershootNs,
-        CounterId::SimSyns,
-        CounterId::SimWakes,
-        CounterId::SimDispatches,
-        CounterId::BitmapSyncSkips,
-        CounterId::GroupDispatches,
-        CounterId::TraceLaneOverflows,
-        CounterId::ValidatorBlocksProven,
-        CounterId::ValidatorSymbolicSteps,
-        CounterId::ValidatorCertsIssued,
-        CounterId::VmRunsJit,
-        CounterId::VmResolveBuilds,
-        CounterId::RelayBytes,
-        CounterId::RelayBursts,
-        CounterId::BackendRetries,
-        CounterId::SpliceBytes,
-        CounterId::SpliceFallbacks,
-        CounterId::ReactorWakeups,
-    ];
-
-    /// Stable dotted name used in exports.
-    pub fn name(self) -> &'static str {
-        match self {
-            CounterId::SchedPasses => "sched.passes",
-            CounterId::SchedStageRejects => "sched.stage_rejects",
-            CounterId::BitmapPublishes => "bitmap.publishes",
-            CounterId::KernelBitmapSyncs => "bitmap.kernel_syncs",
-            CounterId::WstSnapshotHits => "wst.snapshot_hits",
-            CounterId::WstSnapshotMisses => "wst.snapshot_misses",
-            CounterId::DirectedDispatches => "dispatch.directed",
-            CounterId::FallbackDispatches => "dispatch.fallback",
-            CounterId::DispatchBatches => "dispatch.batches",
-            CounterId::BatchedFlows => "dispatch.batched_flows",
-            CounterId::VmRunsChecked => "vm.runs_checked",
-            CounterId::VmRunsFast => "vm.runs_fast",
-            CounterId::VmRunsCompiled => "vm.runs_compiled",
-            CounterId::AcceptBursts => "lb.accept_bursts",
-            CounterId::AcceptedConns => "lb.accepted_conns",
-            CounterId::ProxiedConns => "lb.proxied_conns",
-            CounterId::PacerDeadlineMisses => "pacer.deadline_misses",
-            CounterId::PacerMaxOvershootNs => "pacer.max_overshoot_ns",
-            CounterId::SimSyns => "sim.syns",
-            CounterId::SimWakes => "sim.wakes",
-            CounterId::SimDispatches => "sim.dispatches",
-            CounterId::BitmapSyncSkips => "bitmap.sync_skips",
-            CounterId::GroupDispatches => "dispatch.grouped",
-            CounterId::TraceLaneOverflows => "trace.lane_overflows",
-            CounterId::ValidatorBlocksProven => "validate.blocks_proven",
-            CounterId::ValidatorSymbolicSteps => "validate.symbolic_steps",
-            CounterId::ValidatorCertsIssued => "validate.certs_issued",
-            CounterId::VmRunsJit => "vm.runs_jit",
-            CounterId::VmResolveBuilds => "vm.resolve_builds",
-            CounterId::RelayBytes => "relay.bytes",
-            CounterId::RelayBursts => "relay.bursts",
-            CounterId::BackendRetries => "backend.retries",
-            CounterId::SpliceBytes => "relay.splice_bytes",
-            CounterId::SpliceFallbacks => "relay.splice_fallbacks",
-            CounterId::ReactorWakeups => "relay.reactor_wakeups",
-        }
-    }
+counters! {
+    /// Scheduler passes (Algorithm 1 full runs).
+    SchedPasses => "sched.passes",
+    /// Workers rejected by some cascading-filter stage.
+    SchedStageRejects => "sched.stage_rejects",
+    /// Admit-bitmap publishes from worker sessions to the kernel map.
+    BitmapPublishes => "bitmap.publishes",
+    /// Kernel-side bitmap syncs observed by the sel map.
+    KernelBitmapSyncs => "bitmap.kernel_syncs",
+    /// WST snapshot reuses (epoch unchanged).
+    WstSnapshotHits => "wst.snapshot_hits",
+    /// WST snapshots rebuilt because the epoch moved.
+    WstSnapshotMisses => "wst.snapshot_misses",
+    /// Flows dispatched to a bitmap-admitted worker.
+    DirectedDispatches => "dispatch.directed",
+    /// Flows that fell back to hashing over all alive workers.
+    FallbackDispatches => "dispatch.fallback",
+    /// `dispatch_batch` invocations.
+    DispatchBatches => "dispatch.batches",
+    /// Flows carried by those batches.
+    BatchedFlows => "dispatch.batched_flows",
+    /// VM executions on the checked (interpreter) tier.
+    VmRunsChecked => "vm.runs_checked",
+    /// VM executions on the compiled tier.
+    VmRunsCompiled => "vm.runs_compiled",
+    /// Accept bursts drained by the lb server.
+    AcceptBursts => "lb.accept_bursts",
+    /// Connections accepted by the lb server.
+    AcceptedConns => "lb.accepted_conns",
+    /// Proxied connections completed by lb workers.
+    ProxiedConns => "lb.proxied_conns",
+    /// Pacer deadlines that were already overdue on entry.
+    PacerDeadlineMisses => "pacer.deadline_misses",
+    /// Worst single pacer overshoot in nanoseconds (max-ratchet).
+    PacerMaxOvershootNs => "pacer.max_overshoot_ns",
+    /// Simulated SYN arrivals.
+    SimSyns => "sim.syns",
+    /// Simulated worker wakes.
+    SimWakes => "sim.wakes",
+    /// Simulated dispatch decisions.
+    SimDispatches => "sim.dispatches",
+    /// Redundant bitmap syncs elided by `store_if_changed`.
+    BitmapSyncSkips => "bitmap.sync_skips",
+    /// Grouped (two-level) dispatch decisions.
+    GroupDispatches => "dispatch.grouped",
+    /// Grouped workers that could not be assigned a trace lane (lane
+    /// space is 64 wide; a 256-worker deployment overflows it).
+    TraceLaneOverflows => "trace.lane_overflows",
+    /// Basic blocks proven equivalent by the translation validator.
+    ValidatorBlocksProven => "validate.blocks_proven",
+    /// Symbolic machine steps executed by the translation validator.
+    ValidatorSymbolicSteps => "validate.symbolic_steps",
+    /// Validation certificates issued (compiled-tier admissions proven).
+    ValidatorCertsIssued => "validate.certs_issued",
+    /// VM executions on the jit (native x86-64) tier.
+    VmRunsJit => "vm.runs_jit",
+    /// Constant-fd slot resolutions built from the registry (cache
+    /// misses); a warm frozen-registry dispatch loop holds this at one.
+    VmResolveBuilds => "vm.resolve_builds",
+    /// Payload bytes moved by the relay loop (both directions).
+    RelayBytes => "relay.bytes",
+    /// Relay pump bursts (one per worker-loop iteration with active
+    /// connections).
+    RelayBursts => "relay.bursts",
+    /// Backend connect/resolve retries beyond the pinned backend.
+    BackendRetries => "backend.retries",
+    /// Payload bytes moved kernel-to-kernel by the relay's splice(2)
+    /// fast path (counted as they leave the pipe toward the peer).
+    SpliceBytes => "relay.splice_bytes",
+    /// Relay directions demoted from splice to the scratch-copy path
+    /// (`EINVAL`/`ENOSYS` from the kernel, or inspection required).
+    SpliceFallbacks => "relay.splice_fallbacks",
+    /// Relay reactor `epoll_wait` returns that carried ≥ 1 ready event.
+    ReactorWakeups => "relay.reactor_wakeups",
 }
 
 /// One counter on its own cache line.

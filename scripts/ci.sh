@@ -55,7 +55,7 @@ cargo build --workspace --release --features trace
 step "cargo test"
 cargo test --workspace -q
 
-step "ebpf soundness differential suite (checked vs fast vs compiled vs jit)"
+step "ebpf soundness differential suite (checked vs compiled vs jit)"
 # The tier ladder's safety argument: accepted programs never trap, and
 # every earned execution tier — including emitted x86-64 machine code —
 # returns the checked interpreter's exact result, single-shot and batched.
@@ -70,6 +70,23 @@ step "jit-soundness (mutation kills, W^X lifecycle, resolve-cache proof)"
 cargo test --release -q -p hermes-ebpf --test jit_mutants
 cargo test --release -q -p hermes-ebpf --test execmem_lifecycle
 cargo test --release -q -p hermes-ebpf --features trace --test slot_cache
+
+step "dispatch-plane counters (every shape visible to the counter registry)"
+# All four plane shapes — {native, bytecode} x {one group, many} — must
+# count each flow once as directed or fallback, each batch and its flows
+# once, and each bitmap publish as one store or one elided repeat. The
+# grouped shapes used to read 0. Needs the recorder compiled in.
+cargo test --release -q -p hermes-ebpf --features trace --test plane_counters
+
+step "runtime-repeat (hermes-runtime's live-thread tests, 20 runs in a row)"
+# The crate that held the repo's one known flake (two live runtimes
+# compared while their bitmaps were republished asynchronously; the
+# property now lives in the plane's deterministic test). Its remaining
+# tests spin real threads against wall-clock bounds, so one green run
+# says little: ROADMAP item 1's exit is 20/20.
+for run in $(seq 1 20); do
+  cargo test --release -q -p hermes-runtime || { echo "runtime-repeat: run $run of 20 failed"; exit 1; }
+done
 
 step "simnet_throughput --smoke (event-engine regression gate)"
 # Fails if wheel events/sec drops >20% below the checked-in baseline.
@@ -92,7 +109,7 @@ cargo run --release -p hermes-bench --bin dispatch_throughput -- \
 step "grouped dispatch differential fuzz (native oracle vs every tier)"
 # The sharded plane's safety argument: the two-level grouped program
 # agrees with the native GroupedConnDispatcher oracle bit-for-bit across
-# checked/fast/compiled tiers and batch, over swept shapes and bitmaps.
+# checked/compiled/jit tiers and batch, over swept shapes and bitmaps.
 cargo test --release -q -p hermes-ebpf --test soundness grouped
 
 step "scale_throughput --smoke (sharded-plane scaling gate)"
