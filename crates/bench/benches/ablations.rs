@@ -16,7 +16,7 @@ use hermes_core::hash::FlowKey;
 use hermes_core::sched::{FilterStage, SchedConfig, Scheduler};
 use hermes_core::selmap::SelMap;
 use hermes_core::wst::Wst;
-use hermes_core::{ConnDispatcher, WorkerBitmap};
+use hermes_core::{ConnDispatcher, WorkerBitmap, WorkerSnapshot, MAX_WORKERS_PER_GROUP};
 use hermes_ebpf::ReuseportGroup;
 use parking_lot::Mutex;
 use std::hint::black_box;
@@ -65,11 +65,8 @@ fn ablation_wst_lock(c: &mut Criterion) {
         b.iter(|| locked.update(black_box(5), black_box(42)))
     });
     g.bench_function("lockfree_snapshot", |b| {
-        let mut buf = Vec::new();
-        b.iter(|| {
-            lock_free.snapshot_into(&mut buf);
-            black_box(buf.len())
-        })
+        let mut rows = [WorkerSnapshot::default(); MAX_WORKERS_PER_GROUP];
+        b.iter(|| black_box(lock_free.snapshot_into(&mut rows).len()))
     });
     g.bench_function("mutex_snapshot", |b| {
         b.iter(|| black_box(locked.snapshot().len()))

@@ -12,7 +12,7 @@ use hermes_core::hash::{jhash_3words, reciprocal_scale, FlowKey};
 use hermes_core::sched::{SchedConfig, Scheduler};
 use hermes_core::selmap::SelMap;
 use hermes_core::wst::Wst;
-use hermes_core::WorkerBitmap;
+use hermes_core::{WorkerBitmap, WorkerSnapshot, MAX_WORKERS_PER_GROUP};
 use hermes_ebpf::ReuseportGroup;
 use std::hint::black_box;
 use std::time::Duration;
@@ -40,11 +40,8 @@ fn bench_wst(c: &mut Criterion) {
         })
     });
     g.bench_function("snapshot_32_workers", |b| {
-        let mut buf = Vec::with_capacity(32);
-        b.iter(|| {
-            wst.snapshot_into(&mut buf);
-            black_box(buf.len())
-        })
+        let mut rows = [WorkerSnapshot::default(); MAX_WORKERS_PER_GROUP];
+        b.iter(|| black_box(wst.snapshot_into(&mut rows).len()))
     });
     g.finish();
 }
@@ -61,8 +58,16 @@ fn bench_scheduler(c: &mut Criterion) {
             wst.worker(w).conn_delta((w % 13) as i64 * 3);
         }
         let sched = Scheduler::new(SchedConfig::default());
-        g.bench_function(format!("algorithm1_{n}_workers"), |b| {
-            b.iter(|| black_box(sched.schedule(&wst, black_box(1_100_000))))
+        // The loop-resident shape: a worker stamps its own row, then runs
+        // the pass (an unchanged table is not something a worker loop ever
+        // schedules over).
+        let mut now = 1_100_000u64;
+        g.bench_function(format!("row_write_then_pass_{n}_workers"), |b| {
+            b.iter(|| {
+                now += 1;
+                wst.worker(now as usize % n).enter_loop(now);
+                black_box(sched.schedule(&wst, black_box(now)))
+            })
         });
     }
     g.finish();

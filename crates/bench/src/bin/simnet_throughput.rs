@@ -1,19 +1,33 @@
-//! Event-engine throughput harness: the perf trajectory of the simulator
+//! Simulator throughput harness: the perf trajectory of the simulator
 //! core, tracked as `results/BENCH_simnet.json` from PR 2 on.
 //!
-//! Runs the Case-3 medium-load scenario (low CPS, long-lived connections —
-//! the workload whose pending-event population stresses the event queue
-//! hardest) under both event engines — the binary-heap reference and the
-//! hierarchical timer wheel — and reports events/sec and ns/event for
-//! each, plus the wheel-over-heap speedup. Both engines execute the exact
-//! same event sequence (see `crates/simnet/tests/engine_equivalence.rs`),
-//! so the wall-clock ratio isolates the engine cost.
+//! Two questions, one file:
+//!
+//! * **What does the event engine cost?** The Case-3 medium-load scenario
+//!   (low CPS, long-lived connections — the workload whose pending-event
+//!   population stresses the event queue hardest) runs under both event
+//!   engines — the binary-heap reference and the hierarchical timer wheel —
+//!   and reports events/sec and ns/event for each, plus the wheel-over-heap
+//!   speedup. Both engines execute the exact same event sequence (see
+//!   `crates/simnet/tests/engine_equivalence.rs`), so the wall-clock ratio
+//!   isolates the engine cost.
+//! * **What does Hermes cost per worker loop?** Case 1 heavy — Table 3's
+//!   high-CPS workload, a scheduler pass per loop iteration of every worker
+//!   — runs under `Mode::Hermes` and under `Mode::Reuseport`; the wall-time
+//!   ratio of the two is the per-loop Hermes tax (WST hooks, Algorithm 1,
+//!   bitmap sync, Algorithm 2) as the simulator pays it.
+//!
+//! Every row is the best of N timed runs after a warm-up (N = 5, or 1 with
+//! `--smoke`), and carries the coefficient of variation across the N so a
+//! reader can tell a quiet host from a noisy one. The file records the
+//! host's core count and CPU model and the commit it was measured at.
 //!
 //! Flags:
 //!   --smoke            short horizon, single measured run (CI gate)
 //!   --out PATH         write JSON here (default results/BENCH_simnet.json)
 //!   --baseline PATH    compare against a checked-in baseline; exit 1 if
-//!                      wheel events/sec regresses more than 20%
+//!                      wheel or Case-1 Hermes events/sec regresses more
+//!                      than 20%
 //!   --no-write         measure and check only, leave the baseline file
 //!   --workers N        worker processes (default 32)
 //!   --horizon-s N      simulated seconds (default 10; smoke uses 2)
@@ -22,31 +36,33 @@
 //! against a baseline measured on a possibly different machine, so the
 //! 20% margin is deliberately generous; regenerate the baseline with
 //! `cargo run --release -p hermes-bench --bin simnet_throughput` when the
-//! engine legitimately changes speed.
+//! simulator legitimately changes speed.
 
 use hermes_simnet::{Engine, Mode, SimConfig, Simulator};
-use hermes_workload::{Case, CaseLoad};
+use hermes_workload::{Case, CaseLoad, Workload};
 use std::time::Instant;
 
 const SEED: u64 = 42;
 const DEFAULT_WORKERS: usize = 32;
 const DEFAULT_HORIZON_S: u64 = 10;
 const SMOKE_HORIZON_S: u64 = 2;
+const FULL_RUNS: usize = 5;
 const REGRESSION_FRAC: f64 = 0.20;
 
 #[derive(Clone, Copy, Debug)]
-struct EngineResult {
+struct RowResult {
     events: u64,
     wall_seconds: f64,
     events_per_sec: f64,
     ns_per_event: f64,
+    /// Standard deviation over mean of the timed runs' wall seconds.
+    cov: f64,
 }
 
-fn run_once(engine: Engine, workers: usize, horizon_ns: u64) -> (u64, f64) {
-    let wl = Case::Case3.workload(CaseLoad::Medium, workers, horizon_ns, SEED);
-    let mut cfg = SimConfig::new(workers, Mode::Hermes);
+fn run_once(wl: &Workload, workers: usize, mode: Mode, engine: Engine) -> (u64, f64) {
+    let mut cfg = SimConfig::new(workers, mode);
     cfg.engine = engine;
-    let sim = Simulator::new(cfg, &wl);
+    let sim = Simulator::new(cfg, wl);
     let start = Instant::now();
     let report = sim.run();
     let secs = start.elapsed().as_secs_f64();
@@ -54,52 +70,117 @@ fn run_once(engine: Engine, workers: usize, horizon_ns: u64) -> (u64, f64) {
 }
 
 /// Best-of-`runs` wall time (the least-interfered-with run) after one
-/// untimed warmup.
-fn measure(engine: Engine, workers: usize, horizon_ns: u64, runs: usize) -> EngineResult {
-    run_once(engine, workers, horizon_ns); // warmup: faults, page cache, etc.
-    let mut best: Option<(u64, f64)> = None;
-    for _ in 0..runs {
-        let (events, secs) = run_once(engine, workers, horizon_ns);
-        if best.is_none_or(|(_, b)| secs < b) {
-            best = Some((events, secs));
-        }
-    }
-    let (events, wall_seconds) = best.expect("runs >= 1");
-    EngineResult {
+/// untimed warmup, with the spread of the timed runs beside it.
+fn measure(wl: &Workload, workers: usize, mode: Mode, engine: Engine, runs: usize) -> RowResult {
+    run_once(wl, workers, mode, engine); // warmup: faults, page cache, etc.
+    let timed: Vec<(u64, f64)> = (0..runs)
+        .map(|_| run_once(wl, workers, mode, engine))
+        .collect();
+    let (events, wall_seconds) = timed
+        .iter()
+        .copied()
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .expect("runs >= 1");
+    let mean = timed.iter().map(|r| r.1).sum::<f64>() / runs as f64;
+    let var = timed.iter().map(|r| (r.1 - mean).powi(2)).sum::<f64>() / runs as f64;
+    RowResult {
         events,
         wall_seconds,
         events_per_sec: events as f64 / wall_seconds,
         ns_per_event: wall_seconds * 1e9 / events as f64,
+        cov: var.sqrt() / mean,
     }
 }
 
-fn json_block(r: &EngineResult) -> String {
+fn print_row(label: &str, r: &RowResult) {
+    println!(
+        "  {label:<15}: {:>12} events  {:>8.3}s  {:>12.0} events/sec  {:>7.1} ns/event  CoV {:.3}",
+        r.events, r.wall_seconds, r.events_per_sec, r.ns_per_event, r.cov
+    );
+}
+
+fn json_block(r: &RowResult) -> String {
     format!(
-        "{{\n      \"events\": {},\n      \"wall_seconds\": {:.6},\n      \"events_per_sec\": {:.1},\n      \"ns_per_event\": {:.2}\n    }}",
-        r.events, r.wall_seconds, r.events_per_sec, r.ns_per_event
+        "{{\n      \"events\": {},\n      \"wall_seconds\": {:.6},\n      \"events_per_sec\": {:.1},\n      \"ns_per_event\": {:.2},\n      \"cov\": {:.4}\n    }}",
+        r.events, r.wall_seconds, r.events_per_sec, r.ns_per_event, r.cov
     )
+}
+
+/// Where and at what commit the numbers were taken.
+struct Provenance {
+    host_cores: usize,
+    cpu_model: String,
+    commit: String,
+    repeats: usize,
+}
+
+impl Provenance {
+    fn capture(repeats: usize) -> Self {
+        let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|info| {
+                let line = info.lines().find(|l| l.starts_with("model name"))?;
+                Some(line.split_once(':')?.1.trim().to_string())
+            })
+            .unwrap_or_else(|| "unknown".into());
+        let commit = std::process::Command::new("git")
+            .args(["describe", "--always", "--dirty", "--abbrev=12"])
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+            .unwrap_or_else(|| "unknown".into());
+        Self {
+            host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            cpu_model,
+            commit,
+            repeats,
+        }
+    }
+}
+
+struct Results {
+    heap: RowResult,
+    wheel: RowResult,
+    case1_hermes: RowResult,
+    case1_reuseport: RowResult,
+}
+
+impl Results {
+    /// The per-loop Hermes tax: Case 1 heavy's wall time under Hermes over
+    /// the same traffic's under reuseport.
+    fn hermes_over_reuseport(&self) -> f64 {
+        self.case1_hermes.wall_seconds / self.case1_reuseport.wall_seconds
+    }
 }
 
 fn render_json(
     workers: usize,
     horizon_ns: u64,
     smoke: bool,
-    heap: &EngineResult,
-    wheel: &EngineResult,
+    host: &Provenance,
+    r: &Results,
 ) -> String {
     format!(
-        "{{\n  \"benchmark\": \"simnet_throughput\",\n  \"scenario\": \"Case3-Medium / Hermes / {workers} workers\",\n  \"seed\": {SEED},\n  \"horizon_ns\": {horizon_ns},\n  \"smoke\": {smoke},\n  \"engines\": {{\n    \"heap\": {},\n    \"wheel\": {}\n  }},\n  \"speedup_wheel_over_heap\": {:.2}\n}}\n",
-        json_block(heap),
-        json_block(wheel),
-        wheel.events_per_sec / heap.events_per_sec
+        "{{\n  \"benchmark\": \"simnet_throughput\",\n  \"scenario\": \"Case3-Medium / Hermes / {workers} workers\",\n  \"seed\": {SEED},\n  \"horizon_ns\": {horizon_ns},\n  \"smoke\": {smoke},\n  \"host_cores\": {},\n  \"cpu_model\": \"{}\",\n  \"commit\": \"{}\",\n  \"repeats\": {},\n  \"engines\": {{\n    \"heap\": {},\n    \"wheel\": {}\n  }},\n  \"speedup_wheel_over_heap\": {:.2},\n  \"case1_heavy\": {{\n    \"case1_hermes\": {},\n    \"case1_reuseport\": {}\n  }},\n  \"wall_ratio_hermes_over_reuseport\": {:.2}\n}}\n",
+        host.host_cores,
+        host.cpu_model.replace(['"', '\\'], " "),
+        host.commit,
+        host.repeats,
+        json_block(&r.heap),
+        json_block(&r.wheel),
+        r.wheel.events_per_sec / r.heap.events_per_sec,
+        json_block(&r.case1_hermes),
+        json_block(&r.case1_reuseport),
+        r.hermes_over_reuseport()
     )
 }
 
-/// Pull `"events_per_sec": <number>` out of the `"wheel"` block of a
+/// Pull `"events_per_sec": <number>` out of the `"<row>"` block of a
 /// baseline file without a JSON dependency (the bench crate has none).
-fn baseline_wheel_eps(contents: &str) -> Option<f64> {
-    let wheel = contents.find("\"wheel\"")?;
-    let tail = &contents[wheel..];
+fn baseline_eps(contents: &str, row: &str) -> Option<f64> {
+    let block = contents.find(&format!("\"{row}\""))?;
+    let tail = &contents[block..];
     let key = "\"events_per_sec\":";
     let at = tail.find(key)? + key.len();
     let rest = tail[at..].trim_start();
@@ -107,6 +188,23 @@ fn baseline_wheel_eps(contents: &str) -> Option<f64> {
         .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
         .unwrap_or(rest.len());
     rest[..end].parse().ok()
+}
+
+/// One gated row against the baseline; `Err` carries the message to print.
+fn check_row(contents: &str, row: &str, measured: f64) -> Result<String, String> {
+    let base = baseline_eps(contents, row)
+        .ok_or_else(|| format!("baseline has no {row} events_per_sec field"))?;
+    let floor = base * (1.0 - REGRESSION_FRAC);
+    if measured < floor {
+        Err(format!(
+            "REGRESSION: {row} {measured:.0} events/sec is more than {:.0}% below baseline {base:.0} (floor {floor:.0})",
+            REGRESSION_FRAC * 100.0
+        ))
+    } else {
+        Ok(format!(
+            "  baseline check: {row} {measured:.0} events/sec vs baseline {base:.0} (floor {floor:.0}) — ok"
+        ))
+    }
 }
 
 fn main() {
@@ -146,24 +244,24 @@ fn main() {
     } else {
         DEFAULT_HORIZON_S
     }) * 1_000_000_000;
-    let runs = if smoke { 1 } else { 3 };
+    let runs = if smoke { 1 } else { FULL_RUNS };
+    let host = Provenance::capture(runs);
 
     println!(
-        "simnet_throughput: Case3-Medium / Hermes / {workers} workers, {}s horizon, {runs} run(s) per engine{}",
+        "simnet_throughput: {workers} workers, {}s horizon, {runs} run(s) per row, {} host core(s), {} @ {}{}",
         horizon_ns / 1_000_000_000,
+        host.host_cores,
+        host.cpu_model,
+        host.commit,
         if smoke { " [smoke]" } else { "" }
     );
 
-    let heap = measure(Engine::Heap, workers, horizon_ns, runs);
-    println!(
-        "  heap : {:>12} events  {:>8.3}s  {:>12.0} events/sec  {:>7.1} ns/event",
-        heap.events, heap.wall_seconds, heap.events_per_sec, heap.ns_per_event
-    );
-    let wheel = measure(Engine::Wheel, workers, horizon_ns, runs);
-    println!(
-        "  wheel: {:>12} events  {:>8.3}s  {:>12.0} events/sec  {:>7.1} ns/event",
-        wheel.events, wheel.wall_seconds, wheel.events_per_sec, wheel.ns_per_event
-    );
+    println!(" Case3-Medium / Hermes, both event engines:");
+    let case3 = Case::Case3.workload(CaseLoad::Medium, workers, horizon_ns, SEED);
+    let heap = measure(&case3, workers, Mode::Hermes, Engine::Heap, runs);
+    print_row("heap", &heap);
+    let wheel = measure(&case3, workers, Mode::Hermes, Engine::Wheel, runs);
+    print_row("wheel", &wheel);
     assert_eq!(
         heap.events, wheel.events,
         "engines must execute the same event sequence"
@@ -173,33 +271,40 @@ fn main() {
         wheel.events_per_sec / heap.events_per_sec
     );
 
+    println!(" Case1-Heavy, Hermes against reuseport (wheel engine):");
+    let case1 = Case::Case1.workload(CaseLoad::Heavy, workers, horizon_ns, SEED);
+    let case1_hermes = measure(&case1, workers, Mode::Hermes, Engine::Wheel, runs);
+    print_row("case1_hermes", &case1_hermes);
+    let case1_reuseport = measure(&case1, workers, Mode::Reuseport, Engine::Wheel, runs);
+    print_row("case1_reuseport", &case1_reuseport);
+    let results = Results {
+        heap,
+        wheel,
+        case1_hermes,
+        case1_reuseport,
+    };
+    println!(
+        "  wall ratio (Hermes over reuseport): {:.2}x",
+        results.hermes_over_reuseport()
+    );
+
     let mut failed = false;
     if let Some(path) = baseline {
         match std::fs::read_to_string(&path) {
-            Ok(contents) => match baseline_wheel_eps(&contents) {
-                Some(base) => {
-                    let floor = base * (1.0 - REGRESSION_FRAC);
-                    if wheel.events_per_sec < floor {
-                        eprintln!(
-                            "REGRESSION: wheel {:.0} events/sec is more than {:.0}% below baseline {:.0} (floor {:.0})",
-                            wheel.events_per_sec,
-                            REGRESSION_FRAC * 100.0,
-                            base,
-                            floor
-                        );
-                        failed = true;
-                    } else {
-                        println!(
-                            "  baseline check: {:.0} events/sec vs baseline {:.0} (floor {:.0}) — ok",
-                            wheel.events_per_sec, base, floor
-                        );
+            Ok(contents) => {
+                for (row, measured) in [
+                    ("wheel", results.wheel.events_per_sec),
+                    ("case1_hermes", results.case1_hermes.events_per_sec),
+                ] {
+                    match check_row(&contents, row, measured) {
+                        Ok(line) => println!("{line}"),
+                        Err(line) => {
+                            eprintln!("{line}");
+                            failed = true;
+                        }
                     }
                 }
-                None => {
-                    eprintln!("baseline {path} has no wheel events_per_sec field");
-                    failed = true;
-                }
-            },
+            }
             Err(e) => {
                 eprintln!("cannot read baseline {path}: {e}");
                 failed = true;
@@ -208,7 +313,7 @@ fn main() {
     }
 
     if !no_write {
-        let json = render_json(workers, horizon_ns, smoke, &heap, &wheel);
+        let json = render_json(workers, horizon_ns, smoke, &host, &results);
         if let Some(dir) = std::path::Path::new(&out).parent() {
             std::fs::create_dir_all(dir).expect("create output directory");
         }
@@ -225,23 +330,39 @@ fn main() {
 mod tests {
     use super::*;
 
+    fn row(events_per_sec: f64) -> RowResult {
+        RowResult {
+            events: 100,
+            wall_seconds: 100.0 / events_per_sec,
+            events_per_sec,
+            ns_per_event: 1e9 / events_per_sec,
+            cov: 0.01,
+        }
+    }
+
     #[test]
-    fn baseline_parse_finds_the_wheel_block() {
-        let heap = EngineResult {
-            events: 100,
-            wall_seconds: 2.0,
-            events_per_sec: 50.0,
-            ns_per_event: 2e7,
+    fn baseline_parse_finds_each_gated_row() {
+        let results = Results {
+            heap: row(50.0),
+            wheel: row(100.0),
+            case1_hermes: row(400.0),
+            case1_reuseport: row(800.0),
         };
-        let wheel = EngineResult {
-            events: 100,
-            wall_seconds: 1.0,
-            events_per_sec: 100.0,
-            ns_per_event: 1e7,
+        let host = Provenance {
+            host_cores: 2,
+            cpu_model: "Some \"quoted\" CPU".into(),
+            commit: "abcdef012345".into(),
+            repeats: 5,
         };
-        let json = render_json(8, 1_000_000_000, false, &heap, &wheel);
-        // Must pick the wheel block's figure, not the heap's.
-        assert_eq!(baseline_wheel_eps(&json), Some(100.0));
-        assert_eq!(baseline_wheel_eps("not json"), None);
+        let json = render_json(8, 1_000_000_000, false, &host, &results);
+        // Must pick the named block's figure, not a neighbour's.
+        assert_eq!(baseline_eps(&json, "wheel"), Some(100.0));
+        assert_eq!(baseline_eps(&json, "case1_hermes"), Some(400.0));
+        assert_eq!(baseline_eps("not json", "wheel"), None);
+        assert!(json.contains("\"wall_ratio_hermes_over_reuseport\": 2.00"));
+        assert!(json.contains("\"cpu_model\": \"Some  quoted  CPU\""));
+        assert!(check_row(&json, "case1_hermes", 330.0).is_ok());
+        assert!(check_row(&json, "case1_hermes", 310.0).is_err());
+        assert!(check_row(&json, "no_such_row", 1.0).is_err());
     }
 }

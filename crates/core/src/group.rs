@@ -149,10 +149,16 @@ impl GroupScheduler {
     /// sees ([`SelMap::store_if_changed`]) — in steady state, per-group
     /// schedulers converge and re-publish nothing.
     pub fn schedule_group(&self, g: usize, now_ns: u64) -> SchedDecision {
-        let group = &self.groups[g];
-        let decision = self.scheduler.schedule(&group.wst, now_ns);
-        group.sel.store_if_changed(decision.bitmap);
+        let decision = self.schedule_only(g, now_ns);
+        self.groups[g].sel.store_if_changed(decision.bitmap);
         decision
+    }
+
+    /// The scheduling half of [`schedule_group`](Self::schedule_group)
+    /// alone, for callers that publish somewhere other than the group's own
+    /// selection map (the simulator's dispatch plane).
+    pub fn schedule_only(&self, g: usize, now_ns: u64) -> SchedDecision {
+        self.scheduler.schedule(&self.groups[g].wst, now_ns)
     }
 
     /// Run the scheduler for every group (used by harnesses; production

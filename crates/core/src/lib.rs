@@ -82,11 +82,11 @@ pub use bitmap::{WorkerBitmap, MAX_WORKERS_PER_GROUP};
 pub use dispatch::ConnDispatcher;
 pub use group::{GroupedConnDispatcher, Placement, MAX_DISPATCH_GROUPS};
 pub use hash::FlowKey;
-pub use sched::{FilterStage, SchedConfig, SchedDecision, Scheduler};
+pub use sched::{FilterStage, SchedConfig, SchedDecision, Scheduler, SnapshotCache};
 pub use sdk::{SyncTarget, WorkerSession};
 pub use selmap::{SelMap, SockArray};
 pub use status::{WorkerSnapshot, WorkerStatus};
-pub use wst::{SnapshotCache, Wst};
+pub use wst::Wst;
 
 /// Identifies a worker within one LB device (dense, 0-based).
 pub type WorkerId = usize;

@@ -16,9 +16,9 @@
 //! cheap enough to run at the end of every epoll event loop iteration
 //! (§5.3.2).
 
-use crate::bitmap::WorkerBitmap;
+use crate::bitmap::{WorkerBitmap, MAX_WORKERS_PER_GROUP};
 use crate::status::WorkerSnapshot;
-use crate::wst::{SnapshotCache, Wst};
+use crate::wst::Wst;
 
 /// One stage of the cascade; reorderable for the filter-order ablation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -91,6 +91,9 @@ pub struct SchedDecision {
 #[derive(Clone, Debug)]
 pub struct Scheduler {
     config: SchedConfig,
+    /// Whether the cascade contains FilterTime. When it does not (ablation
+    /// orders), `alive` takes one extra sweep after the cascade.
+    has_time_stage: bool,
 }
 
 impl Scheduler {
@@ -101,7 +104,11 @@ impl Scheduler {
             "theta_frac must be a finite non-negative fraction"
         );
         assert!(!config.stages.is_empty(), "at least one filter stage");
-        Self { config }
+        let has_time_stage = config.stages.contains(&FilterStage::Time);
+        Self {
+            config,
+            has_time_stage,
+        }
     }
 
     /// Borrow the configuration.
@@ -109,57 +116,57 @@ impl Scheduler {
         &self.config
     }
 
-    /// Run the cascade over a snapshot taken at `now_ns`.
+    /// Run the cascade over the table as it reads at `now_ns`.
     ///
     /// This is `schedule_and_sync` minus the sync: the caller stores
     /// `decision.bitmap` into a [`crate::SelMap`] (and, in the eBPF-backed
-    /// deployments, into the `BPF_MAP_TYPE_ARRAY` slot). Allocates a
-    /// snapshot buffer per call — loop-resident callers should hold a
-    /// [`SnapshotCache`] and use [`Scheduler::schedule_into`] instead.
+    /// deployments, into the `BPF_MAP_TYPE_ARRAY` slot). The table is
+    /// copied once into a 64-row scratch on the stack, so a pass allocates
+    /// nothing and is cheap enough for the end of *every* event loop
+    /// iteration (§5.3.2). There is no cache in front of the copy: every
+    /// loop-resident caller has just written its own row.
     pub fn schedule(&self, wst: &Wst, now_ns: u64) -> SchedDecision {
-        let mut buf = Vec::with_capacity(wst.workers());
-        wst.snapshot_into(&mut buf);
-        self.schedule_from_snapshot(&buf, now_ns)
+        let mut rows = [WorkerSnapshot::default(); MAX_WORKERS_PER_GROUP];
+        self.schedule_from_snapshot(wst.snapshot_into(&mut rows), now_ns)
     }
 
-    /// Allocation-free `schedule`: snapshots through the caller-held
-    /// epoch-tagged cache, so an unchanged WST costs one epoch read and
-    /// zero metric loads. This is the per-loop-iteration entry point
-    /// (§5.3.2 runs the scheduler at the end of *every* event loop pass).
+    /// [`schedule`](Self::schedule) under the name and signature the
+    /// end-to-end benchmark harness calls (benchmark/README.md, "Public
+    /// items the harness calls"); the third argument is unused.
     pub fn schedule_into(
         &self,
         wst: &Wst,
         now_ns: u64,
-        cache: &mut SnapshotCache,
+        _cache: &mut SnapshotCache,
     ) -> SchedDecision {
-        let snapshot = wst.snapshot_cached(cache);
-        self.schedule_from_snapshot(snapshot, now_ns)
+        self.schedule(wst, now_ns)
     }
 
-    /// Run the cascade over an already-taken snapshot (for tests, the
-    /// simulator, and re-entrant use).
-    pub fn schedule_from_snapshot(
-        &self,
-        snapshot: &[WorkerSnapshot],
-        now_ns: u64,
-    ) -> SchedDecision {
-        debug_assert!(snapshot.len() <= 64);
-        let mut selected = WorkerBitmap::all(snapshot.len());
+    /// Run the cascade over an already-taken snapshot of at most 64 rows —
+    /// the one scheduler kernel; every other entry point ends here.
+    ///
+    /// Each stage is a branch-free sweep over the rows that builds a `u64`
+    /// lane mask, so the working set of a pass is the snapshot and one
+    /// word. The counters are taken to be counts (below 2⁵³, as any `Wst`
+    /// reports them): that is what makes the integer sums exact.
+    pub fn schedule_from_snapshot(&self, rows: &[WorkerSnapshot], now_ns: u64) -> SchedDecision {
+        assert!(rows.len() <= MAX_WORKERS_PER_GROUP, "at most 64 rows");
+        let mut selected = WorkerBitmap::all(rows.len()).0;
         let mut alive = selected;
         for (stage_idx, stage) in self.config.stages.iter().enumerate() {
-            let before = selected.count();
+            let before = selected;
             let stage_code = match stage {
                 FilterStage::Time => {
-                    selected = self.filter_time(snapshot, selected, now_ns);
+                    selected &= self.fresh(rows, now_ns);
                     alive = selected;
                     0u64
                 }
                 FilterStage::Connections => {
-                    selected = self.filter_count(snapshot, selected, |s| s.connections as f64);
+                    selected = self.below_average(rows, selected, |r| r.connections);
                     1
                 }
                 FilterStage::PendingEvents => {
-                    selected = self.filter_count(snapshot, selected, |s| s.pending_events as f64);
+                    selected = self.below_average(rows, selected, |r| r.pending_events);
                     2
                 }
             };
@@ -168,80 +175,93 @@ impl Scheduler {
                 hermes_trace::EventKind::SchedStage,
                 hermes_trace::CONTROL_LANE,
                 ((stage_idx as u64) << 32) | stage_code,
-                selected.0
+                selected
             );
             hermes_trace::trace_count!(
                 hermes_trace::CounterId::SchedStageRejects,
-                u64::from(before - selected.count())
+                u64::from(before.count_ones() - selected.count_ones())
             );
         }
-        // If Time never ran (ablation orders), alive === the last state
-        // after construction; recompute it for consistency.
-        if !self.config.stages.contains(&FilterStage::Time) {
-            alive = self.filter_time(snapshot, WorkerBitmap::all(snapshot.len()), now_ns);
+        if !self.has_time_stage {
+            alive = self.fresh(rows, now_ns);
         }
         hermes_trace::trace_event!(
             now_ns,
             hermes_trace::EventKind::SchedDecision,
             hermes_trace::CONTROL_LANE,
-            selected.0,
-            alive.0
+            selected,
+            alive
         );
         hermes_trace::trace_count!(hermes_trace::CounterId::SchedPasses);
         SchedDecision {
-            bitmap: selected,
-            alive,
+            bitmap: WorkerBitmap(selected),
+            alive: WorkerBitmap(alive),
         }
     }
 
-    /// FilterTime (Algorithm 1 lines 9–10): keep workers whose loop-entry
-    /// timestamp is fresher than the hang threshold.
-    fn filter_time(
-        &self,
-        snapshot: &[WorkerSnapshot],
-        input: WorkerBitmap,
-        now_ns: u64,
-    ) -> WorkerBitmap {
-        let mut out = WorkerBitmap::EMPTY;
-        for id in input.iter() {
-            if !snapshot[id].is_hung(now_ns, self.config.hang_threshold_ns) {
-                out.insert(id);
-            }
-        }
-        out
+    /// FilterTime (Algorithm 1 lines 9–10) as a lane mask: bit `i` is set
+    /// when row `i`'s loop-entry timestamp is fresher than the hang
+    /// threshold.
+    fn fresh(&self, rows: &[WorkerSnapshot], now_ns: u64) -> u64 {
+        let threshold = self.config.hang_threshold_ns;
+        lanes(rows, |row| !row.is_hung(now_ns, threshold))
     }
 
-    /// FilterCount (Algorithm 1 lines 11–13): keep workers whose metric is
-    /// below the average over the *surviving* set plus θ.
-    fn filter_count<F: Fn(&WorkerSnapshot) -> f64>(
+    /// FilterCount (Algorithm 1 lines 11–13) as a lane mask: of the lanes
+    /// in `input`, keep those whose metric is below the average over
+    /// `input` plus θ.
+    ///
+    /// The sum is taken in integers and converted once. That is exact: the
+    /// metrics are connection and event counts, so the sum stays far below
+    /// 2⁵³ and equals the sum of the lanes' `f64` values in any order.
+    fn below_average(
         &self,
-        snapshot: &[WorkerSnapshot],
-        input: WorkerBitmap,
-        metric: F,
-    ) -> WorkerBitmap {
-        let n = input.count();
-        if n == 0 {
+        rows: &[WorkerSnapshot],
+        input: u64,
+        metric: impl Fn(&WorkerSnapshot) -> i64,
+    ) -> u64 {
+        let survivors = input.count_ones();
+        if survivors == 0 {
             return input;
         }
-        let sum: f64 = input.iter().map(|id| metric(&snapshot[id])).sum();
-        let avg = sum / n as f64;
-        let theta = self.config.theta_frac * avg;
-        let mut out = WorkerBitmap::EMPTY;
-        for id in input.iter() {
-            // Strict `<` per Algorithm 1 line 13 (`R_i < Avg + θ`), except
-            // when every survivor has the identical value (avg + θ == value,
-            // θ possibly 0): then the filter would empty the set for no
+        // Branch-free masked sum: `rest` holds the input lanes from this row
+        // up, this row's in bit 0, and `-(bit)` is all ones or zero.
+        let (sum, _) = rows.iter().fold((0i64, input), |(sum, rest), row| {
+            (sum + (metric(row) & -((rest & 1) as i64)), rest >> 1)
+        });
+        let avg = sum as f64 / f64::from(survivors);
+        let limit = avg + self.config.theta_frac * avg;
+        // Strict `<` per Algorithm 1 line 13 (`R_i < Avg + θ`).
+        let below = lanes(rows, |row| (metric(row) as f64) < limit) & input;
+        if below == 0 {
+            // Every survivor has the identical value (avg + θ == value, θ
+            // possibly 0): the filter would empty the set for no
             // informational gain, so an all-equal set passes through.
-            if metric(&snapshot[id]) < avg + theta {
-                out.insert(id);
-            }
-        }
-        if out.is_empty() {
-            // All survivors share the metric value; keep them all.
             input
         } else {
-            out
+            below
         }
+    }
+}
+
+/// Lane mask of a per-row predicate: bit `i` is `keep(&rows[i])`. Folds from
+/// the last row down, so each step shifts the mask by one rather than a bit
+/// by its lane id.
+fn lanes(rows: &[WorkerSnapshot], keep: impl Fn(&WorkerSnapshot) -> bool) -> u64 {
+    rows.iter()
+        .rev()
+        .fold(0, |mask, row| mask << 1 | u64::from(keep(row)))
+}
+
+/// Placeholder for the third argument of [`Scheduler::schedule_into`]; it
+/// holds nothing.
+#[derive(Debug, Default)]
+pub struct SnapshotCache;
+
+impl SnapshotCache {
+    /// The placeholder.
+    pub fn new() -> Self {
+        Self
     }
 }
 
@@ -402,26 +422,21 @@ mod tests {
     }
 
     #[test]
-    fn schedule_into_matches_schedule_and_caches() {
+    fn schedule_into_is_schedule() {
         let wst = Wst::new(4);
         for w in 0..4 {
             wst.worker(w).enter_loop(1_000);
         }
         wst.worker(3).conn_delta(200);
         let s = sched();
-        let mut cache = SnapshotCache::new();
-        let a = s.schedule(&wst, 1_050);
-        let b = s.schedule_into(&wst, 1_050, &mut cache);
-        assert_eq!(a, b);
-        // Unchanged table: the second pass is a cache hit with the same
-        // decision.
-        let c = s.schedule_into(&wst, 1_050, &mut cache);
-        assert_eq!(b, c);
-        assert_eq!(cache.hits, 1);
-        // New writes flow through.
+        let mut unused = SnapshotCache::new();
+        assert_eq!(
+            s.schedule(&wst, 1_050),
+            s.schedule_into(&wst, 1_050, &mut unused)
+        );
+        // No cache in front of the table: a write is seen by the next pass.
         wst.worker(0).conn_delta(500);
-        let d = s.schedule_into(&wst, 1_060, &mut cache);
-        assert!(!d.bitmap.contains(0));
+        assert!(!s.schedule(&wst, 1_060).bitmap.contains(0));
     }
 
     #[test]

@@ -31,7 +31,7 @@
 use crate::bitmap::WorkerBitmap;
 use crate::sched::{SchedConfig, SchedDecision, Scheduler};
 use crate::selmap::SelMap;
-use crate::wst::{SnapshotCache, Wst};
+use crate::wst::Wst;
 use crate::WorkerId;
 use std::sync::Arc;
 
@@ -64,9 +64,6 @@ pub struct WorkerSession<T: SyncTarget> {
     scheduler: Scheduler,
     target: Arc<T>,
     sched_calls: u64,
-    /// Epoch-tagged snapshot buffer: scheduling allocates nothing, and an
-    /// unchanged table skips the snapshot copy entirely.
-    snap_cache: SnapshotCache,
     /// Timestamp of the most recent schedule call, so a split
     /// [`sync_only`](Self::sync_only) can stamp its publish event with the
     /// loop iteration's time rather than 0.
@@ -88,7 +85,6 @@ impl<T: SyncTarget> WorkerSession<T> {
             scheduler: Scheduler::new(config),
             target,
             sched_calls: 0,
-            snap_cache: SnapshotCache::new(),
             last_now_ns: 0,
             trace_lane: id as u32,
         }
@@ -144,9 +140,7 @@ impl<T: SyncTarget> WorkerSession<T> {
     /// Fig. 9 line 20: run Algorithm 1 over the whole table and publish
     /// the bitmap. Returns the decision for the caller's own telemetry.
     pub fn schedule_and_sync(&mut self, now_ns: u64) -> SchedDecision {
-        let decision = self
-            .scheduler
-            .schedule_into(&self.wst, now_ns, &mut self.snap_cache);
+        let decision = self.scheduler.schedule(&self.wst, now_ns);
         self.last_now_ns = now_ns;
         self.target.sync(decision.bitmap);
         self.publish_trace(now_ns, decision.bitmap);
@@ -161,12 +155,10 @@ impl<T: SyncTarget> WorkerSession<T> {
 
     /// The scheduling half of [`schedule_and_sync`](Self::schedule_and_sync)
     /// alone — for callers that instrument the scheduler and the map sync
-    /// separately (Table 5's "Scheduler" vs "System call" columns). Takes
-    /// `&mut self` for the session's snapshot cache.
+    /// separately (Table 5's "Scheduler" vs "System call" columns).
     pub fn schedule_only(&mut self, now_ns: u64) -> SchedDecision {
         self.last_now_ns = now_ns;
-        self.scheduler
-            .schedule_into(&self.wst, now_ns, &mut self.snap_cache)
+        self.scheduler.schedule(&self.wst, now_ns)
     }
 
     /// The publish half: push a previously computed bitmap.
@@ -177,16 +169,16 @@ impl<T: SyncTarget> WorkerSession<T> {
     }
 
     /// Flight-recorder hook for a bitmap publish: records the bitmap next
-    /// to the WST epoch it was derived from, so a trace can answer "how far
-    /// did the kernel's view lag behind the table". Compiles out without
-    /// the `trace` feature.
+    /// to the number of passes this session had published before it
+    /// (monotone per lane), so a trace can answer "how many passes behind
+    /// was the kernel's view". Compiles out without the `trace` feature.
     fn publish_trace(&self, now_ns: u64, bitmap: WorkerBitmap) {
         hermes_trace::trace_event!(
             now_ns,
             hermes_trace::EventKind::BitmapPublish,
             self.trace_lane,
             bitmap.0,
-            self.wst.epoch()
+            self.sched_calls
         );
         hermes_trace::trace_count!(hermes_trace::CounterId::BitmapPublishes);
     }
@@ -236,8 +228,8 @@ mod tests {
 
     #[test]
     fn closure_sync_target() {
-        let hits = Arc::new(AtomicU64::new(0));
-        let h2 = Arc::clone(&hits);
+        let syncs = Arc::new(AtomicU64::new(0));
+        let h2 = Arc::clone(&syncs);
         let target = Arc::new(move |_bm: WorkerBitmap| {
             h2.fetch_add(1, Ordering::Relaxed);
         });
@@ -246,7 +238,7 @@ mod tests {
         let mut s = WorkerSession::new(wst, 0, SchedConfig::default(), target);
         s.schedule_and_sync(100);
         s.schedule_and_sync(200);
-        assert_eq!(hits.load(Ordering::Relaxed), 2);
+        assert_eq!(syncs.load(Ordering::Relaxed), 2);
     }
 
     #[test]

@@ -27,11 +27,6 @@ pub struct WorkerStatus {
     /// Concurrent connections accumulated on this worker
     /// (`shm_conn_count` in Fig. 9).
     connections: AtomicI64,
-    /// Monotonic write counter bumped by every mutator: lets snapshot
-    /// readers skip re-reading a slot whose version has not moved (the
-    /// epoch-tagged snapshot cache). Staleness races are benign for the
-    /// same reason cross-field skew is (§5.3.1).
-    version: AtomicU64,
 }
 
 impl Default for WorkerStatus {
@@ -48,21 +43,13 @@ impl WorkerStatus {
             loop_enter_ns: AtomicU64::new(0),
             pending_events: AtomicI64::new(0),
             connections: AtomicI64::new(0),
-            version: AtomicU64::new(0),
         }
-    }
-
-    /// Bump the write counter after a mutation.
-    #[inline]
-    fn touch(&self) {
-        self.version.fetch_add(1, Ordering::Release);
     }
 
     /// `shm_avail_update(current_time)` — record event-loop entry.
     #[inline]
     pub fn enter_loop(&self, now_ns: u64) {
         self.loop_enter_ns.store(now_ns, Ordering::Release);
-        self.touch();
     }
 
     /// `shm_busy_count(event_num)` — add newly returned events to the
@@ -70,14 +57,12 @@ impl WorkerStatus {
     #[inline]
     pub fn add_pending(&self, n: i64) {
         self.pending_events.fetch_add(n, Ordering::Relaxed);
-        self.touch();
     }
 
     /// `shm_busy_count(-1)` — one event handled (Fig. 9 line 18).
     #[inline]
     pub fn event_done(&self) {
         self.pending_events.fetch_sub(1, Ordering::Relaxed);
-        self.touch();
     }
 
     /// `shm_conn_count(±1)` — connection established (+1, Fig. 9 line 25)
@@ -85,13 +70,6 @@ impl WorkerStatus {
     #[inline]
     pub fn conn_delta(&self, delta: i64) {
         self.connections.fetch_add(delta, Ordering::Relaxed);
-        self.touch();
-    }
-
-    /// Current write-counter value (see [`crate::wst::Wst::epoch`]).
-    #[inline]
-    pub fn version(&self) -> u64 {
-        self.version.load(Ordering::Acquire)
     }
 
     /// Loop-entry timestamp in nanoseconds.
@@ -129,12 +107,11 @@ impl WorkerStatus {
         self.loop_enter_ns.store(0, Ordering::Release);
         self.pending_events.store(0, Ordering::Relaxed);
         self.connections.store(0, Ordering::Relaxed);
-        self.touch();
     }
 }
 
 /// A point-in-time copy of one worker's metrics.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkerSnapshot {
     /// Last event-loop entry (ns).
     pub loop_enter_ns: u64,
@@ -219,22 +196,6 @@ mod tests {
         assert_eq!(s.snapshot().loop_enter_ns, 0);
         assert_eq!(s.pending(), 0);
         assert_eq!(s.connections(), 0);
-    }
-
-    #[test]
-    fn every_mutator_bumps_version() {
-        let s = WorkerStatus::new();
-        assert_eq!(s.version(), 0);
-        s.enter_loop(1);
-        s.add_pending(2);
-        s.event_done();
-        s.conn_delta(1);
-        s.reset();
-        assert_eq!(s.version(), 5);
-        // Reads leave the version alone.
-        let _ = s.snapshot();
-        let _ = s.pending();
-        assert_eq!(s.version(), 5);
     }
 
     #[test]

@@ -51,44 +51,19 @@ impl Wst {
         &self.slots[id]
     }
 
-    /// Snapshot into a caller-provided buffer, avoiding allocation on the
-    /// scheduling fast path. The buffer is cleared first. Reads are
-    /// lock-free; cross-worker and cross-field skew is possible and
-    /// acceptable (§5.3.1).
-    pub fn snapshot_into(&self, out: &mut Vec<WorkerSnapshot>) {
-        out.clear();
-        out.extend(self.slots.iter().map(WorkerStatus::snapshot));
-    }
-
-    /// A cheap fingerprint of the table's write history: the wrapping sum
-    /// of every slot's write counter. Unchanged epoch ⇒ no slot was
-    /// mutated since (collisions would need exactly 2⁶⁴ interleaved
-    /// writes between reads). Used by [`Wst::snapshot_cached`] to skip
-    /// re-reading an unchanged table.
-    pub fn epoch(&self) -> u64 {
-        self.slots
-            .iter()
-            .fold(0u64, |acc, s| acc.wrapping_add(s.version()))
-    }
-
-    /// Snapshot through an epoch-tagged cache: when no worker has written
-    /// since the cache was filled, the previous snapshot is returned
-    /// without touching the per-worker metric atomics. Staleness races
-    /// (a write landing between the epoch read and the copy) leave the
-    /// cache one write behind — exactly the skew §5.3.1 already accepts.
-    pub fn snapshot_cached<'c>(&self, cache: &'c mut SnapshotCache) -> &'c [WorkerSnapshot] {
-        let epoch = self.epoch();
-        if !cache.primed || cache.epoch != epoch || cache.buf.len() != self.workers() {
-            self.snapshot_into(&mut cache.buf);
-            cache.epoch = epoch;
-            cache.primed = true;
-            cache.misses += 1;
-            hermes_trace::trace_count!(hermes_trace::CounterId::WstSnapshotMisses);
-        } else {
-            cache.hits += 1;
-            hermes_trace::trace_count!(hermes_trace::CounterId::WstSnapshotHits);
+    /// Copy every slot into the front of a caller-provided 64-row scratch
+    /// and return the filled prefix — no allocation on the scheduling path.
+    /// Reads are lock-free; cross-worker and cross-field skew is possible
+    /// and acceptable (§5.3.1).
+    pub fn snapshot_into<'a>(
+        &self,
+        out: &'a mut [WorkerSnapshot; crate::MAX_WORKERS_PER_GROUP],
+    ) -> &'a [WorkerSnapshot] {
+        let rows = &mut out[..self.slots.len()];
+        for (row, slot) in rows.iter_mut().zip(self.slots.iter()) {
+            *row = slot.snapshot();
         }
-        &cache.buf
+        rows
     }
 
     /// Reset every slot (full LB restart).
@@ -99,30 +74,14 @@ impl Wst {
     }
 }
 
-/// Caller-held state for [`Wst::snapshot_cached`]: the reusable snapshot
-/// buffer plus the epoch it was taken at.
-#[derive(Debug, Default)]
-pub struct SnapshotCache {
-    buf: Vec<WorkerSnapshot>,
-    epoch: u64,
-    primed: bool,
-    /// Lookups answered from the cached buffer.
-    pub hits: u64,
-    /// Lookups that had to re-read the table.
-    pub misses: u64,
-}
-
-impl SnapshotCache {
-    /// An empty (unprimed) cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    fn scratch() -> [WorkerSnapshot; crate::MAX_WORKERS_PER_GROUP] {
+        [WorkerSnapshot::default(); crate::MAX_WORKERS_PER_GROUP]
+    }
 
     #[test]
     fn construction_bounds() {
@@ -147,61 +106,23 @@ mod tests {
         let wst = Wst::new(3);
         wst.worker(0).conn_delta(5);
         wst.worker(2).add_pending(7);
-        let mut snap = Vec::new();
-        wst.snapshot_into(&mut snap);
+        let mut rows = scratch();
+        let snap = wst.snapshot_into(&mut rows);
+        assert_eq!(snap.len(), 3);
         assert_eq!(snap[0].connections, 5);
         assert_eq!(snap[1].connections, 0);
         assert_eq!(snap[2].pending_events, 7);
     }
 
     #[test]
-    fn snapshot_into_reuses_buffer() {
+    fn snapshot_into_refills_the_prefix() {
         let wst = Wst::new(4);
-        let mut buf = Vec::new();
-        wst.snapshot_into(&mut buf);
-        assert_eq!(buf.len(), 4);
+        let mut rows = scratch();
+        assert_eq!(wst.snapshot_into(&mut rows).len(), 4);
         wst.worker(1).conn_delta(1);
-        wst.snapshot_into(&mut buf);
-        assert_eq!(buf.len(), 4);
-        assert_eq!(buf[1].connections, 1);
-    }
-
-    #[test]
-    fn epoch_moves_only_on_writes() {
-        let wst = Wst::new(3);
-        let e0 = wst.epoch();
-        wst.snapshot_into(&mut Vec::new());
-        assert_eq!(wst.epoch(), e0, "reads must not move the epoch");
-        wst.worker(1).conn_delta(1);
-        assert_ne!(wst.epoch(), e0);
-    }
-
-    #[test]
-    fn snapshot_cached_skips_unchanged_tables() {
-        let wst = Wst::new(4);
-        let mut cache = SnapshotCache::new();
-        assert_eq!(wst.snapshot_cached(&mut cache).len(), 4);
-        assert_eq!((cache.hits, cache.misses), (0, 1));
-        // No writes since: served from cache.
-        let _ = wst.snapshot_cached(&mut cache);
-        let _ = wst.snapshot_cached(&mut cache);
-        assert_eq!((cache.hits, cache.misses), (2, 1));
-        // A write invalidates; the refilled buffer sees it.
-        wst.worker(2).add_pending(5);
-        let snap = wst.snapshot_cached(&mut cache);
-        assert_eq!(snap[2].pending_events, 5);
-        assert_eq!((cache.hits, cache.misses), (2, 2));
-    }
-
-    #[test]
-    fn snapshot_cached_rejects_foreign_cache_size() {
-        // A cache primed on one table must refill on a differently-sized
-        // table rather than serve the wrong shape.
-        let a = Wst::new(2);
-        let b = Wst::new(5);
-        let mut cache = SnapshotCache::new();
-        assert_eq!(a.snapshot_cached(&mut cache).len(), 2);
-        assert_eq!(b.snapshot_cached(&mut cache).len(), 5);
+        let snap = wst.snapshot_into(&mut rows);
+        assert_eq!(snap.len(), 4);
+        assert_eq!(snap[1].connections, 1);
     }
 
     #[test]
@@ -210,9 +131,9 @@ mod tests {
         wst.worker(0).enter_loop(9);
         wst.worker(1).conn_delta(3);
         wst.reset();
-        let mut snap = Vec::new();
-        wst.snapshot_into(&mut snap);
-        assert!(snap
+        let mut rows = scratch();
+        assert!(wst
+            .snapshot_into(&mut rows)
             .iter()
             .all(|s| s.loop_enter_ns == 0 && s.pending_events == 0 && s.connections == 0));
     }
@@ -240,10 +161,9 @@ mod tests {
         let reader = {
             let t = Arc::clone(&wst);
             std::thread::spawn(move || {
-                let mut snap = Vec::new();
+                let mut rows = scratch();
                 for _ in 0..2_000 {
-                    t.snapshot_into(&mut snap);
-                    assert_eq!(snap.len(), 8);
+                    assert_eq!(t.snapshot_into(&mut rows).len(), 8);
                 }
             })
         };

@@ -8,27 +8,22 @@
 
 use crate::config::Mode;
 use crate::metrics::SchedStats;
-use hermes_core::group::{GroupBy, GroupScheduler};
-use hermes_core::sched::{SchedConfig, Scheduler};
+use hermes_core::group::{GroupBy, GroupScheduler, GroupedWorker};
+use hermes_core::sched::SchedConfig;
 use hermes_core::status::WorkerStatus;
-use hermes_core::wst::{SnapshotCache, Wst};
 use hermes_core::FlowKey;
 use hermes_ebpf::{DispatchPlane, Placement};
-use std::sync::Arc;
 
-/// Hermes state bundle: WST + scheduler + the kernel-side dispatch plane
-/// (native oracle or verified bytecode — decision-identical, tested so).
+/// Hermes state bundle: per-group WSTs + scheduler + the kernel-side
+/// dispatch plane (native oracle or verified bytecode — decision-identical,
+/// tested so).
 pub struct HermesState {
-    /// The shared worker status table (flat deployments; sharded ones
-    /// route through [`worker`](Self::worker) to per-group tables).
-    pub wst: Arc<Wst>,
-    scheduler: Scheduler,
-    /// Epoch-tagged snapshot buffer for the scheduler (no per-call
-    /// allocation; unchanged WSTs skip the snapshot copy).
-    snap_cache: SnapshotCache,
-    /// §7 per-group WSTs and schedulers (set when the sim runs with a
-    /// `groups` knob; the flat table above is then unused).
-    sharded: Option<GroupScheduler>,
+    /// §7 per-group WSTs and the scheduler that runs over each; the flat
+    /// deployment is the one-group case.
+    sched: GroupScheduler,
+    /// Group coordinates of every global worker id, so the WST hooks of
+    /// every simulated loop pass resolve their row without a division.
+    rows: Vec<GroupedWorker>,
     /// Where bitmaps are published and SYNs placed.
     plane: DispatchPlane,
     /// Scheduler/dispatch statistics (Fig. 14).
@@ -48,56 +43,30 @@ impl HermesState {
         } else {
             DispatchPlane::native(group_count, group_size)
         };
+        let sched = GroupScheduler::new(workers, group_size, GroupBy::FlowHash, config);
         Self {
-            wst: Arc::new(Wst::new(workers)),
-            scheduler: Scheduler::new(config.clone()),
-            snap_cache: SnapshotCache::new(),
-            sharded: groups
-                .map(|_| GroupScheduler::new(workers, group_size, GroupBy::FlowHash, config)),
+            rows: (0..workers).map(|w| sched.locate(w)).collect(),
+            sched,
             plane,
             stats: SchedStats::default(),
         }
     }
 
-    /// Workers-per-group stride, when the plane is sharded.
-    pub fn group_size(&self) -> Option<usize> {
-        self.sharded.as_ref().map(|_| self.plane.group_size())
-    }
-
-    /// The group a global worker id belongs to (`None` when flat).
-    pub fn group_of(&self, worker: usize) -> Option<usize> {
-        self.group_size().map(|size| worker / size)
-    }
-
-    /// Status cell for global worker `w` — the flat table, or the owning
-    /// group's table in a sharded plane.
+    /// Status cell for global worker `w`, in its group's table.
     pub fn worker(&self, w: usize) -> &WorkerStatus {
-        let size = self.plane.group_size();
-        match &self.sharded {
-            Some(s) => s.group(w / size).wst().worker(w % size),
-            None => self.wst.worker(w),
-        }
+        let at = self.rows[w];
+        self.sched.group(at.group).wst().worker(at.local)
     }
 
     /// `schedule_and_sync` (Algorithm 1) as run from worker `worker`'s
-    /// event loop: run the cascade and publish the bitmap to the
-    /// kernel-visible map (redundant republishes are elided and counted,
-    /// just like the real runtime's sync path). Sharded planes schedule
-    /// only the calling worker's group — each group's bitmap is maintained
-    /// by its own workers, exactly as §7 prescribes.
+    /// event loop: run the cascade over the calling worker's group — each
+    /// group's bitmap is maintained by its own workers, exactly as §7
+    /// prescribes — and publish the bitmap to the kernel-visible map
+    /// (redundant republishes are elided and counted, just like the real
+    /// runtime's sync path).
     pub fn schedule_and_sync(&mut self, worker: usize, now_ns: u64) {
-        let (group, decision) = match &self.sharded {
-            Some(s) => {
-                let g = worker / self.plane.group_size();
-                (g, s.schedule_group(g, now_ns))
-            }
-            None => {
-                let decision =
-                    self.scheduler
-                        .schedule_into(&self.wst, now_ns, &mut self.snap_cache);
-                (0, decision)
-            }
-        };
+        let group = self.rows[worker].group;
+        let decision = self.sched.schedule_only(group, now_ns);
         self.plane.sync(group, decision.bitmap);
         self.stats.calls += 1;
         self.stats.selected_sum += u64::from(decision.bitmap.count());
@@ -400,9 +369,9 @@ mod tests {
         {
             let h = d.hermes_mut();
             for w in 0..4 {
-                h.wst.worker(w).enter_loop(1_000_000);
+                h.worker(w).enter_loop(1_000_000);
             }
-            h.wst.worker(0).conn_delta(1_000); // overload worker 0
+            h.worker(0).conn_delta(1_000); // overload worker 0
             h.schedule_and_sync(0, 1_100_000);
             assert_eq!(h.stats.calls, 1);
             assert_eq!(h.stats.selected_sum, 3);
@@ -424,9 +393,9 @@ mod tests {
                 {
                     let h = d.hermes_mut();
                     for w in 0..8 {
-                        h.wst.worker(w).enter_loop(1_000_000);
+                        h.worker(w).enter_loop(1_000_000);
                     }
-                    h.wst.worker(3).conn_delta(50);
+                    h.worker(3).conn_delta(50);
                     h.schedule_and_sync(0, 1_050_000);
                 }
                 d
@@ -458,10 +427,10 @@ mod tests {
             {
                 let h = d.hermes_mut();
                 for w in 0..8 {
-                    h.wst.worker(w).enter_loop(1_000_000);
+                    h.worker(w).enter_loop(1_000_000);
                 }
-                h.wst.worker(2).conn_delta(50);
-                h.wst.worker(5).conn_delta(50);
+                h.worker(2).conn_delta(50);
+                h.worker(5).conn_delta(50);
                 h.schedule_and_sync(0, 1_050_000);
             }
             d

@@ -324,15 +324,6 @@ impl<'w> Simulator<'w> {
                 c
             );
             hermes_trace::trace_count!(hermes_trace::CounterId::SimDispatches);
-            if let Some(g) = self.dispatcher.hermes().and_then(|h| h.group_of(w)) {
-                hermes_trace::trace_event!(
-                    self.now,
-                    hermes_trace::EventKind::GroupDispatch,
-                    self.kernel_lane(),
-                    spec.flow.hash(),
-                    ((g as u64) << 32) | w as u64
-                );
-            }
             // The accept notification lands on the epoll instance that owns
             // the socket — the dispatcher worker (0) in userspace mode.
             let target = if matches!(self.dispatcher, Dispatcher::Userspace) {
@@ -401,13 +392,13 @@ impl<'w> Simulator<'w> {
                 c
             );
             hermes_trace::trace_count!(hermes_trace::CounterId::SimDispatches);
-            if let Some(g) = self.dispatcher.hermes().and_then(|h| h.group_of(w)) {
+            if self.cfg.groups.is_some() {
                 hermes_trace::trace_event!(
                     self.now,
                     hermes_trace::EventKind::GroupDispatch,
                     self.kernel_lane(),
                     self.wl.conns[c].flow.hash(),
-                    ((g as u64) << 32) | w as u64
+                    ((p.group as u64) << 32) | w as u64
                 );
             }
         }

@@ -45,10 +45,6 @@ counters! {
     BitmapPublishes => "bitmap.publishes",
     /// Kernel-side bitmap syncs observed by the sel map.
     KernelBitmapSyncs => "bitmap.kernel_syncs",
-    /// WST snapshot reuses (epoch unchanged).
-    WstSnapshotHits => "wst.snapshot_hits",
-    /// WST snapshots rebuilt because the epoch moved.
-    WstSnapshotMisses => "wst.snapshot_misses",
     /// Flows dispatched to a bitmap-admitted worker.
     DirectedDispatches => "dispatch.directed",
     /// Flows that fell back to hashing over all alive workers.

@@ -22,7 +22,8 @@ pub enum EventKind {
     /// A full scheduler pass finished. `a` = admitted bitmap, `b` = alive bitmap.
     SchedDecision = 2,
     /// A worker published its admit bitmap to the kernel map.
-    /// `a` = bitmap, `b` = WST epoch at publish.
+    /// `a` = bitmap, `b` = passes the publishing session had synced before
+    /// this one (monotone per lane).
     BitmapPublish = 3,
     /// A dispatch program was loaded/verified. `a` = exec tier code
     /// (0 = Checked, 1 = Fast, 2 = Compiled, 3 = Jit), `b` = instruction

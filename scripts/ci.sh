@@ -88,10 +88,22 @@ for run in $(seq 1 20); do
   cargo test --release -q -p hermes-runtime || { echo "runtime-repeat: run $run of 20 failed"; exit 1; }
 done
 
-step "simnet_throughput --smoke (event-engine regression gate)"
-# Fails if wheel events/sec drops >20% below the checked-in baseline.
-# Regenerate results/BENCH_simnet.json with a full (non-smoke) run when
-# the engine legitimately changes speed.
+step "scheduler kernel (differential vs literal Algorithm 1, zero allocations, golden sim fingerprints)"
+# One scheduler read path, three proofs: the mask kernel agrees with a
+# per-id f64 Algorithm 1 on every table shape and stage order; a counting
+# global allocator sees no allocation across 10 000 loop-resident passes
+# (schedule, schedule_group, schedule_and_sync); and whole simulator runs
+# reproduce the decision sums recorded before the kernel was fused.
+cargo test --release -q -p hermes-core --test sched_differential
+cargo test --release -q -p hermes-core --test no_alloc
+cargo test --release -q -p hermes-core --features trace --test no_alloc
+cargo test --release -q -p hermes-simnet --test golden_fingerprint
+
+step "simnet_throughput --smoke (event-engine + per-loop Hermes tax regression gate)"
+# Fails if wheel events/sec (Case 3 medium) or Hermes events/sec on
+# Case 1 heavy drops >20% below the checked-in baseline. Regenerate
+# results/BENCH_simnet.json with a full (non-smoke) run when the
+# simulator or the scheduler pass legitimately changes speed.
 cargo run --release -p hermes-bench --bin simnet_throughput -- \
   --smoke --baseline results/BENCH_simnet.json --no-write
 
