@@ -4,11 +4,12 @@
 //! Two questions, one file:
 //!
 //! * **What does the event engine cost?** The Case-3 medium-load scenario
-//!   (low CPS, long-lived connections — the workload whose pending-event
-//!   population stresses the event queue hardest) runs under both event
-//!   engines — the binary-heap reference and the hierarchical timer wheel —
-//!   and reports events/sec and ns/event for each, plus the wheel-over-heap
-//!   speedup. Both engines execute the exact same event sequence (see
+//!   (low CPS, long-lived connections — the workload with the most events
+//!   pending at once, ~1 100 now that only live events are queued) runs
+//!   under both event engines — the binary-heap reference and the
+//!   hierarchical timer wheel — and reports events/sec, ns/event and the
+//!   peak pending count for each, plus the wheel-over-heap speedup. Both
+//!   engines execute the exact same event sequence (see
 //!   `crates/simnet/tests/engine_equivalence.rs`), so the wall-clock ratio
 //!   isolates the engine cost.
 //! * **What does Hermes cost per worker loop?** Case 1 heavy — Table 3's
@@ -52,6 +53,8 @@ const REGRESSION_FRAC: f64 = 0.20;
 #[derive(Clone, Copy, Debug)]
 struct RowResult {
     events: u64,
+    /// Most events the queue held at once (`DeviceReport::peak_pending_events`).
+    peak_pending: u64,
     wall_seconds: f64,
     events_per_sec: f64,
     ns_per_event: f64,
@@ -59,24 +62,24 @@ struct RowResult {
     cov: f64,
 }
 
-fn run_once(wl: &Workload, workers: usize, mode: Mode, engine: Engine) -> (u64, f64) {
+fn run_once(wl: &Workload, workers: usize, mode: Mode, engine: Engine) -> (u64, f64, u64) {
     let mut cfg = SimConfig::new(workers, mode);
     cfg.engine = engine;
     let sim = Simulator::new(cfg, wl);
     let start = Instant::now();
     let report = sim.run();
     let secs = start.elapsed().as_secs_f64();
-    (report.events_processed, secs)
+    (report.events_processed, secs, report.peak_pending_events)
 }
 
 /// Best-of-`runs` wall time (the least-interfered-with run) after one
 /// untimed warmup, with the spread of the timed runs beside it.
 fn measure(wl: &Workload, workers: usize, mode: Mode, engine: Engine, runs: usize) -> RowResult {
     run_once(wl, workers, mode, engine); // warmup: faults, page cache, etc.
-    let timed: Vec<(u64, f64)> = (0..runs)
+    let timed: Vec<(u64, f64, u64)> = (0..runs)
         .map(|_| run_once(wl, workers, mode, engine))
         .collect();
-    let (events, wall_seconds) = timed
+    let (events, wall_seconds, peak_pending) = timed
         .iter()
         .copied()
         .min_by(|a, b| a.1.total_cmp(&b.1))
@@ -85,6 +88,7 @@ fn measure(wl: &Workload, workers: usize, mode: Mode, engine: Engine, runs: usiz
     let var = timed.iter().map(|r| (r.1 - mean).powi(2)).sum::<f64>() / runs as f64;
     RowResult {
         events,
+        peak_pending,
         wall_seconds,
         events_per_sec: events as f64 / wall_seconds,
         ns_per_event: wall_seconds * 1e9 / events as f64,
@@ -94,15 +98,15 @@ fn measure(wl: &Workload, workers: usize, mode: Mode, engine: Engine, runs: usiz
 
 fn print_row(label: &str, r: &RowResult) {
     println!(
-        "  {label:<15}: {:>12} events  {:>8.3}s  {:>12.0} events/sec  {:>7.1} ns/event  CoV {:.3}",
-        r.events, r.wall_seconds, r.events_per_sec, r.ns_per_event, r.cov
+        "  {label:<15}: {:>12} events  {:>8.3}s  {:>12.0} events/sec  {:>7.1} ns/event  CoV {:.3}  peak pending {}",
+        r.events, r.wall_seconds, r.events_per_sec, r.ns_per_event, r.cov, r.peak_pending
     );
 }
 
 fn json_block(r: &RowResult) -> String {
     format!(
-        "{{\n      \"events\": {},\n      \"wall_seconds\": {:.6},\n      \"events_per_sec\": {:.1},\n      \"ns_per_event\": {:.2},\n      \"cov\": {:.4}\n    }}",
-        r.events, r.wall_seconds, r.events_per_sec, r.ns_per_event, r.cov
+        "{{\n      \"events\": {},\n      \"peak_pending_events\": {},\n      \"wall_seconds\": {:.6},\n      \"events_per_sec\": {:.1},\n      \"ns_per_event\": {:.2},\n      \"cov\": {:.4}\n    }}",
+        r.events, r.peak_pending, r.wall_seconds, r.events_per_sec, r.ns_per_event, r.cov
     )
 }
 
@@ -333,6 +337,7 @@ mod tests {
     fn row(events_per_sec: f64) -> RowResult {
         RowResult {
             events: 100,
+            peak_pending: 7,
             wall_seconds: 100.0 / events_per_sec,
             events_per_sec,
             ns_per_event: 1e9 / events_per_sec,
@@ -360,6 +365,7 @@ mod tests {
         assert_eq!(baseline_eps(&json, "case1_hermes"), Some(400.0));
         assert_eq!(baseline_eps("not json", "wheel"), None);
         assert!(json.contains("\"wall_ratio_hermes_over_reuseport\": 2.00"));
+        assert_eq!(json.matches("\"peak_pending_events\": 7").count(), 4);
         assert!(json.contains("\"cpu_model\": \"Some  quoted  CPU\""));
         assert!(check_row(&json, "case1_hermes", 330.0).is_ok());
         assert!(check_row(&json, "case1_hermes", 310.0).is_err());

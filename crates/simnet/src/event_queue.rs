@@ -2,8 +2,10 @@
 //!
 //! The simulator needs one operation pair — `push(t, ev)` / `pop() ->
 //! (t, ev)` in nondecreasing `t` order, FIFO within a timestamp — executed
-//! hundreds of millions of times per evaluation sweep. Two engines
-//! implement it:
+//! hundreds of millions of times per evaluation sweep, plus
+//! `pop_before(limit)`, which lets it merge the queue with the workload's
+//! scripted arrivals (never queued) without disturbing the queue's clock.
+//! Two engines implement it:
 //!
 //! * [`TimerWheel`] — a hierarchical timing wheel (Varghese–Lauck style,
 //!   as in kernel timers and tokio): 11 levels of 64 slots each cover the
@@ -122,8 +124,8 @@ impl<E: Copy> TimerWheel<E> {
         self.len == 0
     }
 
-    /// Arena nodes ever allocated (peak concurrent events, thanks to the
-    /// free list).
+    /// Arena nodes ever allocated: the peak number of events pending at
+    /// once (nodes recycle through the free list).
     pub fn arena_size(&self) -> usize {
         self.nodes.len()
     }
@@ -174,6 +176,21 @@ impl<E: Copy> TimerWheel<E> {
 
     /// Remove and return the earliest event (FIFO among equal times).
     pub fn pop(&mut self) -> Option<(u64, E)> {
+        self.pop_through(u64::MAX)
+    }
+
+    /// [`pop`](Self::pop), but only an event strictly earlier than `limit`.
+    /// A refusal leaves the wheel clock short of `limit`, so the caller can
+    /// handle something of its own at `limit` and push from there unclamped.
+    pub fn pop_before(&mut self, limit: u64) -> Option<(u64, E)> {
+        self.pop_through(limit.checked_sub(1)?)
+    }
+
+    /// The earliest event if its time is `<= last`. It refuses before it
+    /// changes anything: an overflow slot starting after `last` is not
+    /// cascaded (that would advance the clock to its start), a near-wheel
+    /// node later than `last` is not unlinked.
+    fn pop_through(&mut self, last: u64) -> Option<(u64, E)> {
         if self.len == 0 {
             return None;
         }
@@ -187,6 +204,9 @@ impl<E: Copy> TimerWheel<E> {
                 let slot = pending0.trailing_zeros() as usize;
                 let idx = self.heads[slot] as usize;
                 let node = self.nodes[idx];
+                if node.t > last {
+                    return None;
+                }
                 self.heads[slot] = node.next;
                 if node.next == NIL {
                     self.tails[slot] = NIL;
@@ -220,6 +240,9 @@ impl<E: Copy> TimerWheel<E> {
                 };
                 let slot_start = upper | (slot << shift);
                 debug_assert!(slot_start >= self.elapsed);
+                if slot_start > last {
+                    return None;
+                }
                 self.elapsed = slot_start;
                 let s = level * SLOTS + slot as usize;
                 let mut idx = self.heads[s];
@@ -279,6 +302,8 @@ pub struct HeapQueue<E> {
     /// Timestamp of the last pop; pushes clamp to it, mirroring the
     /// wheel's behaviour exactly.
     elapsed: u64,
+    /// Most events ever pending at once (the wheel's `arena_size`).
+    peak: usize,
 }
 
 impl<E: Copy> Default for HeapQueue<E> {
@@ -294,6 +319,7 @@ impl<E: Copy> HeapQueue<E> {
             heap: BinaryHeap::new(),
             seq: 0,
             elapsed: 0,
+            peak: 0,
         }
     }
 
@@ -316,6 +342,7 @@ impl<E: Copy> HeapQueue<E> {
             seq: self.seq,
             ev,
         }));
+        self.peak = self.peak.max(self.heap.len());
     }
 
     /// Remove and return the earliest event (FIFO among equal times).
@@ -323,6 +350,11 @@ impl<E: Copy> HeapQueue<E> {
         let Reverse(item) = self.heap.pop()?;
         self.elapsed = item.t;
         Some((item.t, item.ev))
+    }
+
+    /// [`pop`](Self::pop), but only an event strictly earlier than `limit`.
+    pub fn pop_before(&mut self, limit: u64) -> Option<(u64, E)> {
+        (self.heap.peek()?.0.t < limit).then(|| self.pop())?
     }
 }
 
@@ -363,11 +395,29 @@ impl<E: Copy> EventQueue<E> {
         }
     }
 
+    /// [`pop`](Self::pop), but only an event strictly earlier than `limit`
+    /// (see [`TimerWheel::pop_before`]).
+    #[inline]
+    pub fn pop_before(&mut self, limit: u64) -> Option<(u64, E)> {
+        match self {
+            EventQueue::Wheel(q) => q.pop_before(limit),
+            EventQueue::Heap(q) => q.pop_before(limit),
+        }
+    }
+
     /// Pending events.
     pub fn len(&self) -> usize {
         match self {
             EventQueue::Wheel(q) => q.len(),
             EventQueue::Heap(q) => q.len(),
+        }
+    }
+
+    /// Most events ever pending at once.
+    pub fn peak_len(&self) -> usize {
+        match self {
+            EventQueue::Wheel(q) => q.arena_size(),
+            EventQueue::Heap(q) => q.peak,
         }
     }
 
@@ -458,6 +508,133 @@ mod tests {
             assert_eq!(w.pop(), h.pop());
         }
         assert!(h.is_empty());
+    }
+
+    /// The contract both engines implement, as a sorted `Vec`: `(t, seq)`
+    /// order, pushes clamped to the last popped time.
+    #[derive(Default)]
+    struct Model {
+        items: Vec<(u64, u64, u32)>,
+        seq: u64,
+        elapsed: u64,
+    }
+
+    impl Model {
+        fn push(&mut self, t: u64, ev: u32) {
+            self.seq += 1;
+            let key = (t.max(self.elapsed), self.seq, ev);
+            let at = self.items.partition_point(|&it| it < key);
+            self.items.insert(at, key);
+        }
+
+        fn pop_before(&mut self, limit: u64) -> Option<(u64, u32)> {
+            let &(t, _, ev) = self.items.first().filter(|it| it.0 < limit)?;
+            self.items.remove(0);
+            self.elapsed = t;
+            Some((t, ev))
+        }
+    }
+
+    /// Push to, and pop from, the model and both engines in lockstep.
+    #[derive(Default)]
+    struct Lockstep {
+        model: Model,
+        wheel: TimerWheel<u32>,
+        heap: HeapQueue<u32>,
+    }
+
+    impl Lockstep {
+        fn push(&mut self, t: u64, ev: u32) {
+            self.model.push(t, ev);
+            self.wheel.push(t, ev);
+            self.heap.push(t, ev);
+        }
+
+        fn pop_before(&mut self, limit: u64) -> Option<(u64, u32)> {
+            let want = self.model.pop_before(limit);
+            assert_eq!(self.wheel.pop_before(limit), want, "wheel, limit {limit}");
+            assert_eq!(self.heap.pop_before(limit), want, "heap, limit {limit}");
+            want
+        }
+
+        fn pop(&mut self) -> Option<(u64, u32)> {
+            let want = self.model.pop_before(u64::MAX);
+            assert_eq!(self.wheel.pop(), want, "wheel pop");
+            assert_eq!(self.heap.pop(), want, "heap pop");
+            want
+        }
+    }
+
+    #[test]
+    fn pop_before_matches_the_model_on_both_engines() {
+        for seed in 1..=8u64 {
+            let mut q = Lockstep::default();
+            let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            // The caller's clock, as the simulator keeps it: the time of the
+            // last event it ran — popped, or its own at a refused limit.
+            let mut now = 0u64;
+            let (mut refused, mut popped) = (0u32, 0u32);
+            for round in 0..30_000u32 {
+                let r = splitmix(&mut rng);
+                let delta = (r >> 16) % (1u64 << ((r >> 8) % 36));
+                match r % 8 {
+                    0..=3 => q.push(now + delta, round),
+                    4..=6 => match q.pop_before(now + delta) {
+                        Some((t, _)) => {
+                            popped += 1;
+                            now = t;
+                        }
+                        None => {
+                            refused += 1;
+                            now += delta;
+                        }
+                    },
+                    _ => now = q.pop().map_or(now, |(t, _)| t),
+                }
+                assert_eq!(q.wheel.len(), q.model.items.len());
+                assert_eq!(q.heap.len(), q.model.items.len());
+            }
+            assert!(
+                refused > 1_000 && popped > 1_000,
+                "seed {seed}: {refused}/{popped}"
+            );
+            while q.pop().is_some() {}
+            assert!(q.wheel.is_empty() && q.heap.is_empty());
+            assert_eq!(q.wheel.arena_size(), q.heap.peak, "peak population");
+        }
+    }
+
+    #[test]
+    fn refused_pop_does_not_clamp_a_push_before_the_refused_slot() {
+        // The clock-clamp trap. 1000 lives in an overflow slot starting at
+        // 960; refusing it must not cascade that slot, which would move the
+        // clock to 960 and deliver the push at 700 late.
+        let mut q = Lockstep::default();
+        q.push(1_000, 1);
+        assert_eq!(q.pop_before(500), None);
+        q.push(700, 2);
+        q.push(500, 3);
+        assert_eq!(q.pop_before(1_000), Some((500, 3)));
+        assert_eq!(q.pop(), Some((700, 2)));
+        // A limit inside the refused event's slot may cascade it (clock to
+        // 960, short of the limit) and must still refuse the event.
+        assert_eq!(q.pop_before(980), None);
+        q.push(980, 4);
+        assert_eq!(q.pop(), Some((980, 4)));
+        assert_eq!(q.pop(), Some((1_000, 1)));
+    }
+
+    #[test]
+    fn pop_before_is_strict() {
+        for t in [0u64, 5, 64, 1_000, 1 << 40] {
+            let mut q = Lockstep::default();
+            q.push(t, 1);
+            q.push(t, 2);
+            assert_eq!(q.pop_before(t), None, "limit == time must refuse");
+            assert_eq!(q.pop_before(t + 1), Some((t, 1)));
+            assert_eq!(q.pop_before(t + 1), Some((t, 2)));
+            assert_eq!(q.pop_before(u64::MAX), None);
+        }
     }
 
     #[test]

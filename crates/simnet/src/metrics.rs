@@ -166,6 +166,11 @@ pub struct DeviceReport {
     /// parallel arrays plus the pooled waiting-list nodes). The per-device
     /// memory budget reported by `fleet_throughput` and gated in CI.
     pub conn_table_bytes: u64,
+    /// Most events the event queue ever held at once. It holds only live
+    /// events (wakes, batch ends, closes, timers) — scripted arrivals are
+    /// streamed past it — so this tracks workers and open connections, not
+    /// the workload's length.
+    pub peak_pending_events: u64,
     /// Backend-plane routing counters; `None` when the run had no backend
     /// plane configured.
     pub backend: Option<BackendReport>,
@@ -283,6 +288,7 @@ mod tests {
             nic_queue_packets: Vec::new(),
             rst_reschedules: 0,
             conn_table_bytes: 0,
+            peak_pending_events: 0,
             backend: None,
         }
     }

@@ -10,10 +10,16 @@
 //!      ──(Hermes hooks: WST + schedule_and_sync)──► next loop iteration
 //! ```
 //!
-//! Determinism: the event queue breaks timestamp ties by insertion
-//! sequence (FIFO, under both the timer-wheel and heap engines of
-//! [`crate::event_queue`]), so identical inputs replay identically under
-//! every mode.
+//! *Scripted* events — every `Syn` and `RequestReady` the workload
+//! dictates — are never queued: the workload is sorted, so a small heap of
+//! each in-play connection's next scripted event yields them in order.
+//! *Live* events — whatever a handler schedules — go through
+//! [`crate::event_queue`]; `Simulator::next_event` merges the two.
+//!
+//! Determinism: at one nanosecond scripted events run before live ones,
+//! scripted ones in `(connection, Syn, request index)` order and live ones
+//! in insertion order (FIFO, under both the timer-wheel and heap engines),
+//! so identical inputs replay identically under every mode.
 //!
 //! The hot path is allocation-free in steady state: events recycle
 //! through the wheel's arena, the per-`epoll_wait` batch and the sampling
@@ -29,6 +35,8 @@ use crate::ports::PortTable;
 use crate::state::{ConnId, ConnTable, IoEvent, Phase, WorkerState};
 use hermes_metrics::Histogram;
 use hermes_workload::Workload;
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// Scheduled simulation event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,7 +72,13 @@ enum Ev {
 pub struct Simulator<'w> {
     cfg: SimConfig,
     wl: &'w Workload,
+    /// Live events only; scripted ones come from `scripted`.
     queue: EventQueue<Ev>,
+    /// `(time, conn, step)` of the next scripted event of each connection in
+    /// play — the next one to arrive (`wl.conns` is sorted) and every arrived
+    /// one whose script is not exhausted. Step 0 is the `Syn`, step `r + 1`
+    /// `RequestReady` `r`: the tuple order is the tie-break.
+    scripted: BinaryHeap<Reverse<(u64, ConnId, usize)>>,
     now: u64,
     workers: Vec<WorkerState>,
     conns: ConnTable,
@@ -110,9 +124,21 @@ pub struct Simulator<'w> {
 }
 
 impl<'w> Simulator<'w> {
-    /// Build a simulator over a sealed workload.
+    /// Build a simulator over a sealed workload. Panics on an unsealed one:
+    /// scripted events stream in workload order, so it would run reordered.
     pub fn new(cfg: SimConfig, wl: &'w Workload) -> Self {
         cfg.validate();
+        let sealed = wl.conns.is_sorted_by_key(|c| c.arrival_ns)
+            && wl
+                .conns
+                .iter()
+                .all(|c| c.requests.is_sorted_by_key(|r| r.start_offset_ns));
+        assert!(
+            sealed,
+            "workload `{}` is not sealed: connections must be sorted by arrival \
+             (Workload::seal does that) and each connection's requests by start offset",
+            wl.name
+        );
         let n = cfg.workers;
         let dispatcher =
             Dispatcher::with_groups(cfg.mode, n, cfg.hermes.clone(), cfg.use_ebpf, cfg.groups);
@@ -139,6 +165,7 @@ impl<'w> Simulator<'w> {
             ports,
             conn_port,
             queue: EventQueue::new(cfg.engine),
+            scripted: BinaryHeap::new(),
             batch_buf: Vec::with_capacity(cfg.max_events),
             counts_buf: Vec::with_capacity(n),
             idle_buf: Vec::with_capacity(n),
@@ -191,17 +218,56 @@ impl<'w> Simulator<'w> {
         self.device_lane.unwrap_or(hermes_trace::KERNEL_LANE)
     }
 
-    /// Seed the queue: arrivals, request readiness, worker boot, sampling,
-    /// faults.
-    fn prime(&mut self) {
-        for (id, spec) in self.wl.conns.iter().enumerate() {
-            self.push(spec.arrival_ns, Ev::Syn(id));
-            for (r, req) in spec.requests.iter().enumerate() {
-                self.push(
-                    spec.arrival_ns.saturating_add(req.start_offset_ns),
-                    Ev::RequestReady { conn: id, req: r },
-                );
+    /// Time of the earliest scripted event still to run, and whether it is
+    /// a `Syn` (else a `RequestReady`).
+    #[inline]
+    fn scripted_head(&self) -> Option<(u64, bool)> {
+        let &Reverse((t, _, step)) = self.scripted.peek()?;
+        Some((t, step == 0))
+    }
+
+    /// Run the earliest scripted event: its connection's next step replaces
+    /// it in place (one sift), and a `Syn` brings the next arrival into play.
+    fn release_scripted(&mut self) -> Ev {
+        let conns = &self.wl.conns;
+        let mut head = self.scripted.peek_mut().expect("a scripted event");
+        let Reverse((_, conn, step)) = *head;
+        let spec = &conns[conn];
+        match spec.requests.get(step) {
+            Some(r) => {
+                let at = spec.arrival_ns.saturating_add(r.start_offset_ns);
+                *head = Reverse((at, conn, step + 1));
+                drop(head);
             }
+            None => drop(PeekMut::pop(head)),
+        }
+        if let Some(req) = step.checked_sub(1) {
+            return Ev::RequestReady { conn, req };
+        }
+        if let Some(next) = conns.get(conn + 1) {
+            self.scripted.push(Reverse((next.arrival_ns, conn + 1, 0)));
+        }
+        Ev::Syn(conn)
+    }
+
+    /// The next event: the scripted stream merged with the live queue. A
+    /// live event runs first only if strictly earlier than the scripted
+    /// head — the order one queue gave when every scripted event was
+    /// inserted before any live one.
+    #[inline]
+    fn next_event(&mut self) -> Option<(u64, Ev)> {
+        let Some((t, _)) = self.scripted_head() else {
+            return self.queue.pop();
+        };
+        let live = self.queue.pop_before(t);
+        live.or_else(|| Some((t, self.release_scripted())))
+    }
+
+    /// Seed the first arrival, and the queue: worker boot, sampling, faults,
+    /// probes, backend churn.
+    fn prime(&mut self) {
+        if let Some(first) = self.wl.conns.first() {
+            self.scripted.push(Reverse((first.arrival_ns, 0, 0)));
         }
         // Workers boot idle at t=0: loop entry recorded, timeout armed,
         // and (for Hermes) an initial all-available bitmap synced — the
@@ -239,13 +305,12 @@ impl<'w> Simulator<'w> {
     pub fn run(mut self) -> DeviceReport {
         // In Hermes mode, consecutive SYNs carrying the same timestamp are
         // drained into one burst and dispatched through a single batched
-        // Algorithm 2 run. `carried` holds the first event popped past the
-        // end of a burst; it is processed on the next loop turn, so overall
-        // event order is exactly what the per-event loop would produce.
+        // Algorithm 2 run. Only the scripted stream is asked — a live event
+        // at this instant runs after every scripted one anyway — so nothing
+        // is popped ahead of its turn.
         let mut syn_burst: Vec<ConnId> = Vec::new();
-        let mut carried: Option<(u64, Ev)> = None;
         let batch_syns = self.dispatcher.hermes().is_some();
-        while let Some((t, ev)) = carried.take().or_else(|| self.queue.pop()) {
+        while let Some((t, ev)) = self.next_event() {
             if t > self.wl.duration_ns {
                 break;
             }
@@ -255,17 +320,12 @@ impl<'w> Simulator<'w> {
                 Ev::Syn(c) if batch_syns => {
                     syn_burst.clear();
                     syn_burst.push(c);
-                    while let Some((t2, ev2)) = self.queue.pop() {
-                        match ev2 {
-                            Ev::Syn(c2) if t2 == t => {
-                                self.events_processed += 1;
-                                syn_burst.push(c2);
-                            }
-                            other => {
-                                carried = Some((t2, other));
-                                break;
-                            }
-                        }
+                    while self.scripted_head() == Some((t, true)) {
+                        self.events_processed += 1;
+                        let Ev::Syn(c2) = self.release_scripted() else {
+                            unreachable!("step 0 is a Syn")
+                        };
+                        syn_burst.push(c2);
                     }
                     let burst = std::mem::take(&mut syn_burst);
                     self.on_syn_burst(&burst);
@@ -965,6 +1025,7 @@ impl<'w> Simulator<'w> {
             nic_queue_packets: self.nic.counts().to_vec(),
             rst_reschedules: self.rst_reschedules,
             conn_table_bytes: self.conns.memory_bytes(),
+            peak_pending_events: self.queue.peak_len() as u64,
             backend: self.backend.as_ref().map(|p| p.report()),
         }
     }
@@ -1249,6 +1310,195 @@ mod tests {
         assert_eq!(b.dropped_responses, 0);
         assert_eq!(b.versions_published, 3);
         assert_eq!(r.completed_requests, 2_000, "flap must not lose requests");
+    }
+
+    /// Connections `(arrival, request offsets)`, one cheap two-event
+    /// request per offset; ids are positions (arrivals must be sorted).
+    fn scripted_workload(conns: &[(u64, &[u64])]) -> Workload {
+        let mut w = Workload::new("scripted", NANOS_PER_SEC);
+        for (i, &(arrival_ns, offsets)) in conns.iter().enumerate() {
+            let request = |&start_offset_ns| RequestSpec {
+                start_offset_ns,
+                service_ns: 20_000,
+                events: 2,
+                size_bytes: 100,
+            };
+            w.push(ConnectionSpec {
+                arrival_ns,
+                flow: FlowKey::new(0x0a00_0000 + i as u32 * 7919, 1000 + i as u16, 1, 443),
+                tenant: 0,
+                port: 443,
+                requests: offsets.iter().map(request).collect(),
+                linger_ns: None,
+            });
+        }
+        w
+    }
+
+    /// Pull events without running them, up to and including time `until`
+    /// (well before the first boot timeout or sample).
+    fn pull(sim: &mut Simulator, until: u64) -> Vec<(u64, Ev)> {
+        let mut out = Vec::new();
+        while let Some((t, ev)) = sim.next_event() {
+            if t > until {
+                break;
+            }
+            out.push((t, ev));
+        }
+        out
+    }
+
+    fn ready(conn: ConnId, req: usize) -> Ev {
+        Ev::RequestReady { conn, req }
+    }
+
+    #[test]
+    fn live_events_on_a_scripted_nanosecond_run_after_the_scripted_ones() {
+        let wl = scripted_workload(&[(1_000, &[0]), (2_000, &[500])]).seal();
+        let mut sim = Simulator::new(SimConfig::new(2, Mode::Reuseport), &wl);
+        let wake = Ev::Wake {
+            worker: 0,
+            generation: 99,
+        };
+        let done = Ev::BatchDone {
+            worker: 1,
+            batch_cost: 7,
+        };
+        // Pushed before anything scripted has run, as a handler at an
+        // earlier instant would; each lands exactly on a scripted time.
+        sim.push(999, Ev::Sample);
+        sim.push(1_000, wake);
+        sim.push(2_000, done);
+        sim.push(2_500, Ev::Close(0));
+        assert_eq!(
+            pull(&mut sim, 10_000),
+            vec![
+                (999, Ev::Sample),
+                (1_000, Ev::Syn(0)),
+                (1_000, ready(0, 0)),
+                (1_000, wake),
+                (2_000, Ev::Syn(1)),
+                (2_000, done),
+                (2_500, ready(1, 0)),
+                (2_500, Ev::Close(0)),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_handler_at_a_scripted_instant_can_schedule_right_after_it() {
+        // The wheel holds one far event; refusing it for the scripted head
+        // must not move the wheel clock past that head, or the wake the
+        // head's handler pushes (now + wake_ns) would be clamped later.
+        let wl = scripted_workload(&[(1_000, &[0])]).seal();
+        let mut sim = Simulator::new(SimConfig::new(1, Mode::Reuseport), &wl);
+        assert_eq!(sim.next_event(), Some((1_000, Ev::Syn(0))));
+        sim.push(1_001, Ev::Sample);
+        assert_eq!(
+            pull(&mut sim, 10_000),
+            vec![(1_000, ready(0, 0)), (1_001, Ev::Sample)]
+        );
+    }
+
+    #[test]
+    fn equal_arrivals_release_in_id_order_with_their_requests_between() {
+        let wl = scripted_workload(&[
+            (1_000, &[0, 0, 10]),
+            (1_000, &[0]),
+            (1_000, &[5, 10]),
+            (1_005, &[]),
+        ])
+        .seal();
+        let mut sim = Simulator::new(SimConfig::new(2, Mode::Reuseport), &wl);
+        assert_eq!(
+            pull(&mut sim, 10_000),
+            vec![
+                // A connection's Syn precedes its own offset-0 request, and
+                // equal-offset requests of one connection keep index order.
+                (1_000, Ev::Syn(0)),
+                (1_000, ready(0, 0)),
+                (1_000, ready(0, 1)),
+                (1_000, Ev::Syn(1)),
+                (1_000, ready(1, 0)),
+                (1_000, Ev::Syn(2)),
+                // Across connections at one instant: by connection id, a
+                // request of an older connection before a younger one's Syn.
+                (1_005, ready(2, 0)),
+                (1_005, Ev::Syn(3)),
+                (1_010, ready(0, 2)),
+                (1_010, ready(2, 1)),
+            ]
+        );
+        assert_eq!(sim.scripted_head(), None);
+    }
+
+    #[test]
+    fn same_instant_syn_burst_keeps_its_length_and_placements() {
+        // Three clumps of six connections, 100 ms apart; first requests
+        // 100 µs after the SYN, so nothing scripted separates a clump's SYNs.
+        let offsets: &[u64] = &[100_000];
+        let conns: Vec<(u64, &[u64])> = (0..18)
+            .map(|i| (1_000_000 + (i / 6) * 100_000_000, offsets))
+            .collect();
+        let mut wl = scripted_workload(&conns).seal();
+        wl.duration_ns = 400_000_000;
+        for c in &mut wl.conns {
+            c.requests[0].service_ns = 300_000;
+        }
+        // The burst the run loop forms is the run of Syns at one instant.
+        let mut sim = Simulator::new(SimConfig::new(8, Mode::Hermes), &wl);
+        let first: Vec<_> = pull(&mut sim, 1_000_000);
+        assert_eq!(
+            first,
+            (0..6).map(|c| (1_000_000, Ev::Syn(c))).collect::<Vec<_>>()
+        );
+        // Per-worker accepts as recorded at the commit before scripted
+        // events left the queue (native and bytecode dispatch alike).
+        for use_ebpf in [false, true] {
+            let mut cfg = SimConfig::new(8, Mode::Hermes);
+            cfg.use_ebpf = use_ebpf;
+            let r = Simulator::new(cfg, &wl).run();
+            let accepted: Vec<u64> = r.workers.iter().map(|w| w.accepted).collect();
+            assert_eq!(accepted, [3, 3, 1, 2, 3, 1, 3, 2]);
+            assert_eq!(r.sched.directed_dispatches, 18);
+            assert_eq!(r.completed_requests, 18);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "Workload::seal")]
+    fn unsorted_arrivals_are_rejected() {
+        let wl = scripted_workload(&[(2_000, &[0]), (1_000, &[0])]);
+        Simulator::new(SimConfig::new(2, Mode::Hermes), &wl);
+    }
+
+    #[test]
+    #[should_panic(expected = "requests by start offset")]
+    fn unsorted_request_offsets_are_rejected() {
+        let mut wl = scripted_workload(&[(1_000, &[0, 50])]).seal();
+        wl.conns[0].requests[0].start_offset_ns = 100;
+        Simulator::new(SimConfig::new(2, Mode::Hermes), &wl);
+    }
+
+    #[test]
+    fn the_queue_holds_only_live_events() {
+        // Case 1 heavy's shape on 32 workers: 67 200 connections a second,
+        // one two-event request each. Every one of the 134 400 scripted
+        // events used to sit in the queue before the first ran.
+        let wl = uniform_workload(67_200, 14_880, 380_000);
+        for mode in [Mode::Hermes, Mode::Reuseport] {
+            let mut cfg = SimConfig::new(32, mode);
+            for engine in [crate::Engine::Wheel, crate::Engine::Heap] {
+                cfg.engine = engine;
+                let r = Simulator::new(cfg.clone(), &wl).run();
+                assert_eq!(r.completed_requests, 67_200);
+                assert!(
+                    r.peak_pending_events < 4_096,
+                    "{mode:?}/{engine:?}: {} events pending at once",
+                    r.peak_pending_events
+                );
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! constants must not depend on which `rand` build is linked.
 
 use hermes_core::FlowKey;
-use hermes_simnet::{Mode, SimConfig, Simulator};
+use hermes_simnet::{
+    backend::HealthState, BackendChurnEvent, BackendSimConfig, Fault, Mode, SimConfig, Simulator,
+};
 use hermes_workload::{ConnectionSpec, RequestSpec, Workload};
 
 const WORKERS: usize = 32;
@@ -82,6 +84,10 @@ fn run(wl: &Workload, groups: Option<usize>, use_ebpf: bool) -> Golden {
     let mut cfg = SimConfig::new(WORKERS, Mode::Hermes);
     cfg.groups = groups;
     cfg.use_ebpf = use_ebpf;
+    run_cfg(wl, cfg)
+}
+
+fn run_cfg(wl: &Workload, cfg: SimConfig) -> Golden {
     let r = Simulator::new(cfg, wl).run();
     Golden {
         events_processed: r.events_processed,
@@ -130,3 +136,229 @@ fn two_group_plane_matches_the_recorded_run() {
         );
     }
 }
+
+// ---------------------------------------------------------------------
+// Shapes Case 1 never reaches. Recorded at the commit *before* scripted
+// arrivals left the event queue (they are now streamed from the sorted
+// workload and merged with the queue), so the merge's tie-break — scripted
+// before live at one nanosecond, scripted by (connection, request index) —
+// is pinned against what the single queue did.
+// ---------------------------------------------------------------------
+
+/// Case 3's shape — few long-lived connections, each streaming 200 cheap
+/// one-event requests at think-time offsets, closing after a linger — with
+/// every time on a 100 µs grid, so the run is full of ties: connections
+/// arriving in same-instant clumps, requests of different connections on
+/// one nanosecond, zero think times (equal offsets within a connection),
+/// and live wakes landing on scripted instants.
+fn case3_shaped() -> Workload {
+    const GRID_NS: u64 = 100_000;
+    let mut rng = SEED ^ 3;
+    let mut wl = Workload::new("case3-shaped", HORIZON_NS);
+    let mut at = 0u64;
+    loop {
+        at += exp_ns(1_250_000, &mut rng).div_ceil(GRID_NS) * GRID_NS;
+        if at >= HORIZON_NS {
+            break;
+        }
+        let clump = match splitmix(&mut rng) % 16 {
+            0..=11 => 1,
+            r => r - 10,
+        };
+        for _ in 0..clump {
+            let r = splitmix(&mut rng);
+            let tenant = (r % 200) as u16;
+            let port = 20_000 + tenant;
+            let mut offset = 0u64;
+            let requests = (0..200)
+                .map(|i| {
+                    if i > 0 {
+                        offset += exp_ns(2_000_000, &mut rng) / GRID_NS * GRID_NS;
+                    }
+                    RequestSpec {
+                        start_offset_ns: offset,
+                        service_ns: exp_ns(35_000, &mut rng).max(1),
+                        events: 1,
+                        size_bytes: 600,
+                    }
+                })
+                .collect();
+            wl.push(ConnectionSpec {
+                arrival_ns: at,
+                flow: FlowKey::new((r >> 32) as u32, (r >> 16) as u16, 0x0a00_0001, port),
+                tenant,
+                port,
+                requests,
+                linger_ns: Some(50_000_000),
+            });
+        }
+    }
+    wl.seal()
+}
+
+#[test]
+fn case3_shape_matches_the_recorded_runs() {
+    let wl = case3_shaped();
+    // The shape is what it claims: clumps, ties and zero think times exist.
+    assert!(wl
+        .conns
+        .windows(2)
+        .any(|w| w[0].arrival_ns == w[1].arrival_ns));
+    assert!(wl.conns.iter().any(|c| c
+        .requests
+        .windows(2)
+        .any(|w| w[0].start_offset_ns == w[1].start_offset_ns)));
+
+    assert_eq!(
+        run_cfg(&wl, SimConfig::new(WORKERS, Mode::Hermes)),
+        CASE3_HERMES
+    );
+    let mut grouped = SimConfig::new(WORKERS, Mode::Hermes);
+    grouped.groups = Some(2);
+    assert_eq!(run_cfg(&wl, grouped), CASE3_TWO_GROUPS);
+    assert_eq!(
+        run_cfg(&wl, SimConfig::new(WORKERS, Mode::Reuseport)),
+        CASE3_REUSEPORT
+    );
+    assert_eq!(
+        run_cfg(&wl, SimConfig::new(WORKERS, Mode::ExclusiveLifo)),
+        CASE3_EXCLUSIVE
+    );
+}
+
+#[test]
+fn case1_shape_under_non_hermes_modes_matches_the_recorded_runs() {
+    let wl = case1_heavy_shaped();
+    assert_eq!(
+        run_cfg(&wl, SimConfig::new(WORKERS, Mode::Reuseport)),
+        CASE1_REUSEPORT
+    );
+    assert_eq!(
+        run_cfg(&wl, SimConfig::new(WORKERS, Mode::ExclusiveLifo)),
+        CASE1_EXCLUSIVE
+    );
+}
+
+#[test]
+fn hang_and_crash_run_matches_the_recorded_run() {
+    let mut cfg = SimConfig::new(WORKERS, Mode::Hermes);
+    cfg.faults = vec![
+        Fault::Hang {
+            worker: 3,
+            at_ns: 200_000_000,
+            duration_ns: 300_000_000,
+        },
+        Fault::Crash {
+            worker: 7,
+            at_ns: 500_000_000,
+        },
+    ];
+    assert_eq!(run_cfg(&case1_heavy_shaped(), cfg), CASE1_FAULTS);
+}
+
+#[test]
+fn probed_run_matches_the_recorded_run() {
+    let mut cfg = SimConfig::new(WORKERS, Mode::Hermes);
+    // On the workload's grid, so probe ticks tie with scripted events.
+    cfg.probe_interval_ns = Some(10_000_000);
+    assert_eq!(run_cfg(&case3_shaped(), cfg), CASE3_PROBED);
+}
+
+#[test]
+fn backend_churn_run_matches_the_recorded_run() {
+    let mut cfg = SimConfig::new(WORKERS, Mode::Hermes);
+    let mut backend = BackendSimConfig::rolling_drain(8, 200_000, 200_000_000, 100_000_000, 4);
+    backend.churn.push(BackendChurnEvent {
+        at_ns: 400_000_000,
+        backend: 6,
+        to: HealthState::Down,
+    });
+    backend.churn.push(BackendChurnEvent {
+        at_ns: 700_000_000,
+        backend: 6,
+        to: HealthState::Healthy,
+    });
+    cfg.backend = Some(backend);
+    assert_eq!(run_cfg(&case3_shaped(), cfg), CASE3_BACKEND_CHURN);
+}
+
+const CASE3_HERMES: Golden = Golden {
+    events_processed: 586_169,
+    completed_requests: 195_854,
+    p99_ns: 238_592,
+    sched_calls: 138_624,
+    selected_sum: 3_389_352,
+    alive_sum: 4_435_968,
+};
+
+const CASE3_TWO_GROUPS: Golden = Golden {
+    events_processed: 535_236,
+    completed_requests: 195_854,
+    p99_ns: 272_384,
+    sched_calls: 125_106,
+    selected_sum: 1_258_984,
+    alive_sum: 2_001_696,
+};
+
+const CASE3_REUSEPORT: Golden = Golden {
+    events_processed: 585_165,
+    completed_requests: 195_853,
+    p99_ns: 240_640,
+    sched_calls: 0,
+    selected_sum: 0,
+    alive_sum: 0,
+};
+
+const CASE3_EXCLUSIVE: Golden = Golden {
+    events_processed: 285_918,
+    completed_requests: 195_835,
+    p99_ns: 11_075_584,
+    sched_calls: 0,
+    selected_sum: 0,
+    alive_sum: 0,
+};
+
+const CASE1_REUSEPORT: Golden = Golden {
+    events_processed: 290_279,
+    completed_requests: 67_709,
+    p99_ns: 9_306_112,
+    sched_calls: 0,
+    selected_sum: 0,
+    alive_sum: 0,
+};
+
+const CASE1_EXCLUSIVE: Golden = Golden {
+    events_processed: 185_586,
+    completed_requests: 50_990,
+    p99_ns: 350_224_384,
+    sched_calls: 0,
+    selected_sum: 0,
+    alive_sum: 0,
+};
+
+const CASE1_FAULTS: Golden = Golden {
+    events_processed: 314_680,
+    completed_requests: 67_506,
+    p99_ns: 4_456_448,
+    sched_calls: 76_202,
+    selected_sum: 1_469_636,
+    alive_sum: 2_393_254,
+};
+
+const CASE3_PROBED: Golden = Golden {
+    events_processed: 591_142,
+    completed_requests: 195_854,
+    p99_ns: 238_592,
+    sched_calls: 140_325,
+    selected_sum: 3_427_619,
+    alive_sum: 4_490_400,
+};
+
+const CASE3_BACKEND_CHURN: Golden = Golden {
+    events_processed: 782_139,
+    completed_requests: 195_811,
+    p99_ns: 987_136,
+    sched_calls: 138_663,
+    selected_sum: 3_390_471,
+    alive_sum: 4_437_216,
+};

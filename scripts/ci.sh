@@ -99,6 +99,22 @@ cargo test --release -q -p hermes-core --test no_alloc
 cargo test --release -q -p hermes-core --features trace --test no_alloc
 cargo test --release -q -p hermes-simnet --test golden_fingerprint
 
+step "event merge (pop_before model, scripted/live tie-break, golden fingerprints; both feature states)"
+# Scripted arrivals are streamed from the sorted workload and merged with
+# the live event queue. Three proofs that the merge is the order one queue
+# gave: both engines' `pop_before` against a sorted-Vec model (with the
+# clock-clamp and strict-limit traps as named schedules); the tie-break
+# rule, the sealed-workload panics and the live-only queue population on
+# the simulator itself; and whole runs of every shape (Case 1 and Case 3
+# traffic, faults, probes, backend churn, two groups, reuseport and
+# exclusive) against constants recorded before the change.
+cargo test --release -q -p hermes-simnet --lib event_queue
+cargo test --release -q -p hermes-simnet --lib sim::tests
+cargo test --release -q -p hermes-simnet --test golden_fingerprint
+cargo test --release -q -p hermes-simnet --features trace --lib event_queue
+cargo test --release -q -p hermes-simnet --features trace --lib sim::tests
+cargo test --release -q -p hermes-simnet --features trace --test golden_fingerprint
+
 step "simnet_throughput --smoke (event-engine + per-loop Hermes tax regression gate)"
 # Fails if wheel events/sec (Case 3 medium) or Hermes events/sec on
 # Case 1 heavy drops >20% below the checked-in baseline. Regenerate
