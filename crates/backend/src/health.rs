@@ -111,7 +111,9 @@ impl HealthCells {
     /// All-`Healthy` cells for `n` backends.
     pub fn new(n: usize) -> Self {
         Self {
-            cells: (0..n).map(|_| AtomicU8::new(HealthState::Healthy as u8)).collect(),
+            cells: (0..n)
+                .map(|_| AtomicU8::new(HealthState::Healthy as u8))
+                .collect(),
         }
     }
 

@@ -113,7 +113,11 @@ impl BackendPool {
             .collect();
         let version = inner.next_version;
         inner.next_version += 1;
-        inner.table = Arc::new(BackendTable::build(version, admit, Arc::clone(&self.health)));
+        inner.table = Arc::new(BackendTable::build(
+            version,
+            admit,
+            Arc::clone(&self.health),
+        ));
         self.version.store(version, Ordering::Relaxed);
         let kind = match to {
             HealthState::Healthy | HealthState::Slow => EventKind::BackendUp,

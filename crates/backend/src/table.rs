@@ -204,7 +204,11 @@ impl Admission {
 mod tests {
     use super::*;
 
-    fn table(version: u64, admit: Vec<BackendId>, pool: usize) -> (Arc<BackendTable>, Arc<HealthCells>) {
+    fn table(
+        version: u64,
+        admit: Vec<BackendId>,
+        pool: usize,
+    ) -> (Arc<BackendTable>, Arc<HealthCells>) {
         let health = Arc::new(HealthCells::new(pool));
         (
             Arc::new(BackendTable::build(version, admit, Arc::clone(&health))),

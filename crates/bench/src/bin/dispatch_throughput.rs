@@ -158,8 +158,7 @@ fn measure_program(vm: &Vm, maps: &MapRegistry, hashes: &[u32], runs: usize) -> 
     ProgramResults {
         checked: measure(hashes, runs, tier_pass(ExecTier::Checked)),
         compiled: measure(hashes, runs, tier_pass(ExecTier::Compiled)),
-        jit: (vm.tier() == ExecTier::Jit)
-            .then(|| measure(hashes, runs, tier_pass(ExecTier::Jit))),
+        jit: (vm.tier() == ExecTier::Jit).then(|| measure(hashes, runs, tier_pass(ExecTier::Jit))),
         batch: measure(hashes, runs, batch_pass),
     }
 }
@@ -176,8 +175,7 @@ fn program_json(p: &ProgramResults) -> String {
         Some(j) => format!("\n      \"jit\": {},", json_block(j)),
         None => String::new(),
     };
-    format!
-    (
+    format!(
         "{{\n      \"checked\": {},\n      \"compiled\": {},{}\n      \"batch64\": {}\n    }}",
         json_block(&p.checked),
         json_block(&p.compiled),

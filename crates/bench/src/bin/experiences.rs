@@ -8,8 +8,8 @@
 //! 4. static "last-added" port assignment failing under tenant skew
 //!    (why the multi-port workaround of §7 does not work).
 
-use hermes_bench::banner;
 use hermes_backend::{fleet_distribution, PoolModel, PoolSim, RestartPolicy};
+use hermes_bench::banner;
 use hermes_core::canary::DrainModel;
 use hermes_metrics::ascii::line_plot;
 use hermes_metrics::table::Table;

@@ -101,10 +101,7 @@ fn run_fleet(devices: usize, threads: usize, horizon_ns: u64) -> (ClusterReport,
             FLEET_SEED,
             d,
         );
-        (
-            SimConfig::new(WORKERS_PER_DEVICE, Mode::Hermes),
-            wl,
-        )
+        (SimConfig::new(WORKERS_PER_DEVICE, Mode::Hermes), wl)
     });
     (report, start.elapsed().as_secs_f64())
 }
@@ -202,7 +199,11 @@ fn main() {
         }
     }
 
-    let devices = devices.unwrap_or(if smoke { SMOKE_DEVICES } else { DEFAULT_DEVICES });
+    let devices = devices.unwrap_or(if smoke {
+        SMOKE_DEVICES
+    } else {
+        DEFAULT_DEVICES
+    });
     let horizon_ns = horizon_s.unwrap_or(if smoke {
         SMOKE_HORIZON_S
     } else {
@@ -354,10 +355,7 @@ fn main() {
         // Smoke runs gate against the baseline's smoke-scenario reference;
         // full runs against the full threads_1 figure.
         let (parsed, field) = match std::fs::read_to_string(&path) {
-            Ok(contents) if smoke => (
-                baseline_smoke_t1_eps(&contents),
-                "smoke_t1_events_per_sec",
-            ),
+            Ok(contents) if smoke => (baseline_smoke_t1_eps(&contents), "smoke_t1_events_per_sec"),
             Ok(contents) => (baseline_t1_eps(&contents), "threads_1 events_per_sec"),
             Err(e) => {
                 eprintln!("cannot read baseline {path}: {e}");

@@ -35,8 +35,8 @@
 //!   --no-write         measure and check only, leave the baseline file
 
 use hermes_core::FlowKey;
-use hermes_simnet::{BackendSimConfig, Mode, SimConfig, Simulator};
 use hermes_simnet::metrics::DeviceReport;
+use hermes_simnet::{BackendSimConfig, Mode, SimConfig, Simulator};
 use hermes_workload::{ConnectionSpec, RequestSpec, Workload};
 use std::time::Instant;
 
@@ -255,8 +255,14 @@ fn main() {
             failed = true;
         }
     }
-    let steady = results.iter().find(|s| s.name == "steady").expect("steady ran");
-    let drain = results.iter().find(|s| s.name == "drain").expect("drain ran");
+    let steady = results
+        .iter()
+        .find(|s| s.name == "steady")
+        .expect("steady ran");
+    let drain = results
+        .iter()
+        .find(|s| s.name == "drain")
+        .expect("drain ran");
     // Draining alone must never displace in-flight traffic.
     if drain.retried != 0 || drain.fell_back != 0 {
         eprintln!(
@@ -266,7 +272,9 @@ fn main() {
         failed = true;
     }
     if !failed {
-        println!("  consistency gates: zero misroutes / drops everywhere, drain displaced nothing — ok");
+        println!(
+            "  consistency gates: zero misroutes / drops everywhere, drain displaced nothing — ok"
+        );
     }
 
     if let Some(path) = baseline {

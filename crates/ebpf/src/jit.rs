@@ -86,7 +86,10 @@ impl std::fmt::Display for JitError {
             }
             JitError::WritesFramePointer => write!(f, "program writes R10"),
             JitError::BadJumpTarget { at } => {
-                write!(f, "emitted jump at byte {at} lands outside the audited target set")
+                write!(
+                    f,
+                    "emitted jump at byte {at} lands outside the audited target set"
+                )
             }
             JitError::Map(e) => write!(f, "mapping code pages failed: {e}"),
         }
@@ -116,9 +119,7 @@ pub enum JitMutation {
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod imp {
     use super::{JitError, JitMutation};
-    use crate::compile::{
-        BrSrc, CompiledProgram, ResolvedBank, Step, Terminator, M1, M2, M3, M4,
-    };
+    use crate::compile::{BrSrc, CompiledProgram, ResolvedBank, Step, Terminator, M1, M2, M3, M4};
     use crate::execmem::{CodeBuf, ExecBuf};
     use crate::helpers::ENOENT_RET;
     use crate::insn::{Alu, Cond, STACK_SIZE};
@@ -822,7 +823,8 @@ mod imp {
             let f = self.asm.jcc_rel32(CC_AE);
             self.fixups.push((f, FixTarget::Fault));
             self.asm.shift_ri(4, RCX, 4); // ×16 = sizeof(BankEntry)
-            self.asm.mov_ri(RAX, bank_tables[bank as usize].as_ptr() as usize as u64);
+            self.asm
+                .mov_ri(RAX, bank_tables[bank as usize].as_ptr() as usize as u64);
             self.asm.load_idx1_disp8(RDX, RAX, RCX, 8);
             self.asm.load_idx1_disp8(RAX, RAX, RCX, 0);
         }
@@ -1032,9 +1034,11 @@ mod imp {
             // The register convention pins R10's home to the constant
             // STACK_SIZE; the verifier already forbids R10 writes, so
             // this trips only on hand-built Step streams.
-            let writes_r10 = cp.blocks.iter().flat_map(|b| b.steps.iter()).any(|s| {
-                step_writes(s) & 1 << 10 != 0
-            });
+            let writes_r10 = cp
+                .blocks
+                .iter()
+                .flat_map(|b| b.steps.iter())
+                .any(|s| step_writes(s) & 1 << 10 != 0);
             if writes_r10 {
                 return Err(JitError::WritesFramePointer);
             }

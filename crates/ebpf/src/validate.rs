@@ -748,7 +748,13 @@ impl<'a> Validator<'a> {
     /// is bound with the expected kind. Under these facts,
     /// `bank[R1 - base]` reads exactly fd `R1` — the fd the interpreter
     /// would resolve.
-    fn bank_obligation(&mut self, bank: u8, base: u32, want: MapKind, at: usize) -> Result<(), String> {
+    fn bank_obligation(
+        &mut self,
+        bank: u8,
+        base: u32,
+        want: MapKind,
+        at: usize,
+    ) -> Result<(), String> {
         let Some(&spec) = self.compiled.banks.get(bank as usize) else {
             return Err(format!("bank {bank} out of range"));
         };
@@ -758,7 +764,9 @@ impl<'a> Validator<'a> {
             len,
         } = spec;
         if kind != want {
-            return Err(format!("bank {bank} holds {kind:?} fds, step needs {want:?}"));
+            return Err(format!(
+                "bank {bank} holds {kind:?} fds, step needs {want:?}"
+            ));
         }
         if spec_base != base {
             return Err(format!(
@@ -1163,7 +1171,10 @@ pub fn mutate(p: &CompiledProgram, m: Mutation) -> Option<CompiledProgram> {
                 if let Some(Step::MovImm { dst: 0, imm }) = blk.steps.last().copied() {
                     let mut steps = blk.steps.to_vec();
                     let last = steps.len() - 1;
-                    steps[last] = Step::MovImm { dst: 0, imm: imm ^ 1 };
+                    steps[last] = Step::MovImm {
+                        dst: 0,
+                        imm: imm ^ 1,
+                    };
                     blk.steps = steps.into_boxed_slice();
                     done = true;
                     break;
@@ -1221,15 +1232,13 @@ pub fn mutate(p: &CompiledProgram, m: Mutation) -> Option<CompiledProgram> {
             }
             done
         }
-        Mutation::DropRetire => {
-            match blocks.iter_mut().find(|blk| blk.retired > 0) {
-                Some(blk) => {
-                    blk.retired -= 1;
-                    true
-                }
-                None => false,
+        Mutation::DropRetire => match blocks.iter_mut().find(|blk| blk.retired > 0) {
+            Some(blk) => {
+                blk.retired -= 1;
+                true
             }
-        }
+            None => false,
+        },
         Mutation::SwapBranchEdges => {
             let mut done = false;
             for blk in blocks.iter_mut() {
@@ -1484,7 +1493,10 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "wall-clock budget is meaningless under the interpreter")]
+    #[cfg_attr(
+        miri,
+        ignore = "wall-clock budget is meaningless under the interpreter"
+    )]
     fn validation_cost_stays_under_load_time_budget() {
         // The acceptance bar is < 5 ms per program at load time; even in
         // debug builds the symbolic pass should clear it with huge margin.

@@ -286,19 +286,21 @@ impl Vm {
     #[inline]
     pub fn prepare_jit(&self, maps: &MapRegistry) -> Option<&JitProgram> {
         let (cp, cert) = self.compiled.as_ref()?;
-        let jit = self.jit.get_or_init(|| match JitProgram::emit(cp, cert, maps) {
-            Ok(j) => {
-                hermes_trace::trace_event!(
-                    0u64,
-                    hermes_trace::EventKind::JitLoad,
-                    hermes_trace::KERNEL_LANE,
-                    j.code_len(),
-                    j.block_count()
-                );
-                Some(Arc::new(j))
-            }
-            Err(_) => None,
-        });
+        let jit = self
+            .jit
+            .get_or_init(|| match JitProgram::emit(cp, cert, maps) {
+                Ok(j) => {
+                    hermes_trace::trace_event!(
+                        0u64,
+                        hermes_trace::EventKind::JitLoad,
+                        hermes_trace::KERNEL_LANE,
+                        j.code_len(),
+                        j.block_count()
+                    );
+                    Some(Arc::new(j))
+                }
+                Err(_) => None,
+            });
         let jit = jit.as_ref()?;
         jit.table_matches(maps).then(|| &**jit)
     }

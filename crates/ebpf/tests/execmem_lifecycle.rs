@@ -32,7 +32,10 @@ fn perms_of(addr: usize) -> Option<String> {
 fn code_buf_is_writable_not_executable() {
     let buf = CodeBuf::with_code(&[0xc3]).expect("mmap");
     let perms = perms_of(buf.addr() as usize).expect("mapping present");
-    assert!(perms.starts_with("rw-"), "fill-stage mapping is {perms}, want rw-");
+    assert!(
+        perms.starts_with("rw-"),
+        "fill-stage mapping is {perms}, want rw-"
+    );
 }
 
 #[test]
@@ -40,7 +43,10 @@ fn sealed_buf_is_executable_not_writable() {
     let buf = CodeBuf::with_code(&[0xc3]).expect("mmap");
     let exec = buf.seal().expect("mprotect");
     let perms = perms_of(exec.addr() as usize).expect("mapping present");
-    assert!(perms.starts_with("r-x"), "sealed mapping is {perms}, want r-x");
+    assert!(
+        perms.starts_with("r-x"),
+        "sealed mapping is {perms}, want r-x"
+    );
 }
 
 #[test]
@@ -79,7 +85,10 @@ fn dropping_unsealed_buf_unmaps_too() {
         buf.addr() as usize
     };
     if let Some(p) = perms_of(addr) {
-        assert!(!p.contains('x'), "dropped fill buffer became executable: {p}");
+        assert!(
+            !p.contains('x'),
+            "dropped fill buffer became executable: {p}"
+        );
     }
 }
 
@@ -93,10 +102,21 @@ mod jit_reuse {
     fn double_prepare_reuses_the_same_code() {
         let g = ReuseportGroup::new(8);
         assert_eq!(g.tier(), ExecTier::Jit);
-        let a = g.vm().prepare_jit(g.registry()).expect("jit earned").code_addr();
-        let b = g.vm().prepare_jit(g.registry()).expect("jit earned").code_addr();
+        let a = g
+            .vm()
+            .prepare_jit(g.registry())
+            .expect("jit earned")
+            .code_addr();
+        let b = g
+            .vm()
+            .prepare_jit(g.registry())
+            .expect("jit earned")
+            .code_addr();
         assert_eq!(a, b, "second prepare_jit re-emitted");
         let perms = super::perms_of(a as usize).expect("jit mapping present");
-        assert!(perms.starts_with("r-x"), "live jit code is {perms}, want r-x");
+        assert!(
+            perms.starts_with("r-x"),
+            "live jit code is {perms}, want r-x"
+        );
     }
 }

@@ -16,10 +16,10 @@
 
 #![cfg(all(target_arch = "x86_64", target_os = "linux"))]
 
+use hermes_ebpf::maps::{ArrayMap, MapRef, MapRegistry, SockArrayMap};
 use hermes_ebpf::{
     AnalysisCtx, DispatchProgram, ExecTier, JitError, JitMutation, JitProgram, MapKind, Vm,
 };
-use hermes_ebpf::maps::{ArrayMap, MapRef, MapRegistry, SockArrayMap};
 use std::sync::Arc;
 
 const ARRAY_FD: u32 = 0;
@@ -122,6 +122,10 @@ fn unmutated_emission_passes_the_same_sweep() {
         let want = vm
             .run_tier(ExecTier::Checked, hash, &registry, 0)
             .expect("checked run cannot trap");
-        assert_eq!(jit.run(hash, 0), want, "honest emitter diverged on {hash:#x}");
+        assert_eq!(
+            jit.run(hash, 0),
+            want,
+            "honest emitter diverged on {hash:#x}"
+        );
     }
 }

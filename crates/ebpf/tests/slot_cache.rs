@@ -45,7 +45,8 @@ fn warm_dispatch_loop_resolves_maps_at_most_once() {
 
     let builds = hermes_trace::counter_get(CounterId::VmResolveBuilds) - builds_before;
     let runs = hermes_trace::counter_get(CounterId::VmRunsCompiled) - compiled_before
-        + hermes_trace::counter_get(CounterId::VmRunsJit) - jit_before;
+        + hermes_trace::counter_get(CounterId::VmRunsJit)
+        - jit_before;
     assert_eq!(runs, 2 * N, "loop did not run on the proven tiers");
     assert_eq!(
         builds, 0,

@@ -396,11 +396,9 @@ POST /b HTTP/1.1\r\nContent-Length: 3\r\n\r\nxyz";
 
     #[test]
     fn three_pipelined_requests_in_one_buffer_keep_order_and_bodies() {
-        let mut b = buf(
-            b"POST /1 HTTP/1.1\r\nContent-Length: 4\r\n\r\naaaa\
+        let mut b = buf(b"POST /1 HTTP/1.1\r\nContent-Length: 4\r\n\r\naaaa\
 GET /2 HTTP/1.1\r\nHost: h\r\n\r\n\
-POST /3 HTTP/1.1\r\nContent-Length: 1\r\n\r\nz",
-        );
+POST /3 HTTP/1.1\r\nContent-Length: 1\r\n\r\nz");
         let mut got = Vec::new();
         while let Some(req) = parse_request(&mut b).unwrap() {
             got.push(req);

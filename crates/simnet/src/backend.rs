@@ -64,7 +64,10 @@ impl BackendSimConfig {
     /// retry against their admitted table; new connections never see it.
     pub fn flap(n: usize, mean_ns: u64, victim: BackendId, down_at_ns: u64, up_at_ns: u64) -> Self {
         assert!(victim < n, "flap victim out of range");
-        assert!(down_at_ns < up_at_ns, "flap must go down before it comes up");
+        assert!(
+            down_at_ns < up_at_ns,
+            "flap must go down before it comes up"
+        );
         let mut cfg = Self::steady(n, mean_ns);
         cfg.churn.push(BackendChurnEvent {
             at_ns: down_at_ns,
@@ -121,7 +124,10 @@ impl BackendSimConfig {
 
     /// Validate invariants (called by `SimConfig::validate`).
     pub fn validate(&self) {
-        assert!(!self.profiles.is_empty(), "backend plane needs >= 1 backend");
+        assert!(
+            !self.profiles.is_empty(),
+            "backend plane needs >= 1 backend"
+        );
         for e in &self.churn {
             assert!(
                 e.backend < self.profiles.len(),
@@ -310,10 +316,7 @@ mod tests {
         for (c, &h) in hashes.iter().enumerate() {
             let (b, _) = plane.route(c, h, 0).expect("siblings still serve");
             assert_ne!(b, 2, "down backend must not serve");
-            if matches!(
-                plane.admissions[c].as_ref().map(|a| a.pinned()),
-                Some(2)
-            ) {
+            if matches!(plane.admissions[c].as_ref().map(|a| a.pinned()), Some(2)) {
                 retried += 1;
             }
         }

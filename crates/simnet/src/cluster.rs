@@ -97,7 +97,10 @@ impl ClusterReport {
 
     /// Connections still established at the horizon, fleet-wide.
     pub fn live_connections(&self) -> u64 {
-        self.devices.iter().map(DeviceReport::live_connections).sum()
+        self.devices
+            .iter()
+            .map(DeviceReport::live_connections)
+            .sum()
     }
 
     /// Total bytes held in per-device connection tables.

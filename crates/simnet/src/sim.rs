@@ -161,7 +161,9 @@ impl<'w> Simulator<'w> {
             busy_at_last_sample: vec![0; n],
             conns,
             dispatcher,
-            device_lane: cfg.device_index.map(|d| hermes_trace::device_lane(d as usize)),
+            device_lane: cfg
+                .device_index
+                .map(|d| hermes_trace::device_lane(d as usize)),
             ports,
             conn_port,
             queue: EventQueue::new(cfg.engine),
@@ -340,9 +342,7 @@ impl<'w> Simulator<'w> {
                 Ev::FaultAt(i) => self.on_fault(i),
                 Ev::ProbeTick => self.on_probe_tick(),
                 Ev::BackendChurn(i) => self.on_backend_churn(i),
-                Ev::BackendDone { conn, req, backend } => {
-                    self.on_backend_done(conn, req, backend)
-                }
+                Ev::BackendDone { conn, req, backend } => self.on_backend_done(conn, req, backend),
             }
         }
         self.finish()

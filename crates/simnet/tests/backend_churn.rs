@@ -12,11 +12,11 @@
 //! the backend plane lives entirely inside each device's simulator, so the
 //! cluster layer's merge order must not leak into the routing counters.
 
+use hermes_core::FlowKey;
+use hermes_simnet::backend::HealthState;
 use hermes_simnet::{
     run_fleet_with, BackendChurnEvent, BackendSimConfig, ClusterReport, Mode, SimConfig, Simulator,
 };
-use hermes_core::FlowKey;
-use hermes_simnet::backend::HealthState;
 use hermes_workload::{ConnectionSpec, RequestSpec, Workload};
 
 const CONNS: usize = 12_000;
@@ -65,13 +65,8 @@ fn churn_workload(conns: usize) -> Workload {
 /// (one draining, the flap victim), and only the flap victim ever stops
 /// serving in-flight traffic — so no admitted version can expire.
 fn churn_script() -> BackendSimConfig {
-    let mut cfg = BackendSimConfig::rolling_drain(
-        BACKENDS,
-        MEAN_SERVICE_NS,
-        1_000_000_000,
-        250_000_000,
-        6,
-    );
+    let mut cfg =
+        BackendSimConfig::rolling_drain(BACKENDS, MEAN_SERVICE_NS, 1_000_000_000, 250_000_000, 6);
     cfg.churn.push(BackendChurnEvent {
         at_ns: 1_500_000_000,
         backend: 6,
@@ -108,7 +103,10 @@ fn every_in_flight_connection_completes_against_its_admitted_version() {
     assert_eq!(b.admitted, CONNS as u64, "every accepted conn admitted");
 
     // The consistency invariants.
-    assert_eq!(b.misroutes, 0, "request left a still-serving pinned backend");
+    assert_eq!(
+        b.misroutes, 0,
+        "request left a still-serving pinned backend"
+    );
     assert_eq!(b.dropped_responses, 0, "request found no serving backend");
     assert_eq!(
         b.fell_back, 0,

@@ -12,9 +12,7 @@
 //! histograms, per-worker accepts, scheduler stats, balance series, or
 //! memory accounting fails the suite.
 
-use hermes_simnet::{
-    run_cluster_threaded, run_fleet_with, ClusterReport, Fault, Mode, SimConfig,
-};
+use hermes_simnet::{run_cluster_threaded, run_fleet_with, ClusterReport, Fault, Mode, SimConfig};
 use hermes_workload::scenario::fleet_device_case;
 use hermes_workload::{Case, CaseLoad};
 

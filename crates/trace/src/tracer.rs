@@ -216,13 +216,10 @@ mod tests {
         // different OS threads asking for the same device get the same
         // lane, and distinct in-range devices never alias.
         let main_lanes: Vec<u32> = (0..MAX_WORKER_LANES).map(device_lane).collect();
-        let other_lanes = std::thread::spawn(|| {
-            (0..MAX_WORKER_LANES)
-                .map(device_lane)
-                .collect::<Vec<u32>>()
-        })
-        .join()
-        .unwrap();
+        let other_lanes =
+            std::thread::spawn(|| (0..MAX_WORKER_LANES).map(device_lane).collect::<Vec<u32>>())
+                .join()
+                .unwrap();
         assert_eq!(main_lanes, other_lanes);
         for (d, &lane) in main_lanes.iter().enumerate() {
             assert_eq!(lane, d as u32);

@@ -80,7 +80,10 @@ mod tests {
     fn sampling_is_deterministic_and_order_free() {
         let p = BackendServiceProfile::new(200_000);
         let a: Vec<u64> = (0..100).map(|r| p.sample_ns(0xdead_beef, r)).collect();
-        let b: Vec<u64> = (0..100).rev().map(|r| p.sample_ns(0xdead_beef, r)).collect();
+        let b: Vec<u64> = (0..100)
+            .rev()
+            .map(|r| p.sample_ns(0xdead_beef, r))
+            .collect();
         let b_fwd: Vec<u64> = b.into_iter().rev().collect();
         assert_eq!(a, b_fwd, "samples must not depend on draw order");
     }
@@ -89,7 +92,9 @@ mod tests {
     fn mean_is_roughly_respected() {
         let p = BackendServiceProfile::new(100_000);
         let n = 20_000u64;
-        let sum: u64 = (0..n).map(|i| p.sample_ns(i as u32, (i % 7) as usize)).sum();
+        let sum: u64 = (0..n)
+            .map(|i| p.sample_ns(i as u32, (i % 7) as usize))
+            .sum();
         let avg = sum as f64 / n as f64;
         // The 8× tail cap trims the true mean slightly; accept ±10%.
         assert!(
@@ -107,10 +112,7 @@ mod tests {
             let s = slow.sample_ns(h, 0);
             // Same uniform draw underneath, so the ratio is exactly 4
             // except where the tail cap bites.
-            assert!(
-                s >= f,
-                "slow draw {s} must not undercut healthy draw {f}"
-            );
+            assert!(s >= f, "slow draw {s} must not undercut healthy draw {f}");
         }
     }
 

@@ -58,10 +58,10 @@ pub use hermes_workload as workload;
 
 /// Convenient single-import surface for examples and downstream users.
 pub mod prelude {
+    pub use hermes_backend::{Admission, BackendPool, BackendTable, HealthState, TableCache};
     pub use hermes_core::{
         ConnDispatcher, FlowKey, SchedConfig, SchedDecision, Scheduler, SelMap, WorkerBitmap, Wst,
     };
-    pub use hermes_backend::{Admission, BackendPool, BackendTable, HealthState, TableCache};
     pub use hermes_ebpf::ReuseportGroup;
     pub use hermes_metrics::{Cdf, Histogram, Summary};
     pub use hermes_runtime::{ConnectionScript, LbRuntime, RuntimeConfig};
