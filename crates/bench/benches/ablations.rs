@@ -10,7 +10,7 @@
 //! * native dispatch vs interpreted eBPF bytecode (the non-intrusiveness
 //!   tax, §5.4).
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use hermes_bench::time_it;
 use hermes_core::group::{GroupBy, GroupScheduler};
 use hermes_core::hash::FlowKey;
 use hermes_core::sched::{FilterStage, SchedConfig, Scheduler};
@@ -18,9 +18,8 @@ use hermes_core::selmap::SelMap;
 use hermes_core::wst::Wst;
 use hermes_core::{ConnDispatcher, WorkerBitmap, WorkerSnapshot, MAX_WORKERS_PER_GROUP};
 use hermes_ebpf::ReuseportGroup;
-use parking_lot::Mutex;
 use std::hint::black_box;
-use std::time::Duration;
+use std::sync::Mutex;
 
 /// The rejected alternative to the lock-free WST: one mutex around a
 /// plain table (what "just use a lock" would look like).
@@ -35,51 +34,41 @@ impl LockedWst {
         }
     }
     fn update(&self, w: usize, now: u64) {
-        let mut t = self.table.lock();
+        let mut t = self.table.lock().expect("no updater panics");
         t[w].0 = now;
         t[w].1 += 4;
         t[w].2 += 1;
         t[w].1 -= 4;
     }
     fn snapshot(&self) -> Vec<(u64, i64, i64)> {
-        self.table.lock().clone()
+        self.table.lock().expect("no updater panics").clone()
     }
 }
 
-fn ablation_wst_lock(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_wst_lock");
-    g.measurement_time(Duration::from_millis(900));
-    g.warm_up_time(Duration::from_millis(300));
+fn ablation_wst_lock() {
     let lock_free = Wst::new(32);
     let locked = LockedWst::new(32);
-    g.bench_function("lockfree_update", |b| {
-        b.iter(|| {
-            let w = lock_free.worker(5);
-            w.enter_loop(black_box(42));
-            w.add_pending(4);
-            w.conn_delta(1);
-            w.add_pending(-4);
-        })
+    time_it("ablation_wst_lock/lockfree_update", || {
+        let w = lock_free.worker(5);
+        w.enter_loop(black_box(42));
+        w.add_pending(4);
+        w.conn_delta(1);
+        w.add_pending(-4);
     });
-    g.bench_function("mutex_update", |b| {
-        b.iter(|| locked.update(black_box(5), black_box(42)))
+    time_it("ablation_wst_lock/mutex_update", || {
+        locked.update(black_box(5), black_box(42))
     });
-    g.bench_function("lockfree_snapshot", |b| {
-        let mut rows = [WorkerSnapshot::default(); MAX_WORKERS_PER_GROUP];
-        b.iter(|| black_box(lock_free.snapshot_into(&mut rows).len()))
+    let mut rows = [WorkerSnapshot::default(); MAX_WORKERS_PER_GROUP];
+    time_it("ablation_wst_lock/lockfree_snapshot", || {
+        lock_free.snapshot_into(&mut rows).len()
     });
-    g.bench_function("mutex_snapshot", |b| {
-        b.iter(|| black_box(locked.snapshot().len()))
+    time_it("ablation_wst_lock/mutex_snapshot", || {
+        locked.snapshot().len()
     });
-    g.finish();
 
     // Uncontended, the mutex looks cheap; §5.3.1's argument is about
     // *concurrent* updaters plus a scheduler reader. Measure wall time
     // for 4 writer threads × N updates each, both ways.
-    let mut g = c.benchmark_group("ablation_wst_lock_contended");
-    g.measurement_time(Duration::from_secs(2));
-    g.warm_up_time(Duration::from_millis(400));
-    g.sample_size(10);
     fn contended<W: Sync>(
         threads: usize,
         per_thread: u64,
@@ -96,55 +85,42 @@ fn ablation_wst_lock(c: &mut Criterion) {
             }
         });
     }
-    g.bench_function("lockfree_4writers", |b| {
-        let wst = Wst::new(4);
-        b.iter(|| {
-            contended(4, 5_000, &wst, |t, w| {
-                let s = t.worker(w);
-                s.enter_loop(1);
-                s.add_pending(1);
-                s.add_pending(-1);
-            })
+    let wst = Wst::new(4);
+    time_it("ablation_wst_lock_contended/lockfree_4writers", || {
+        contended(4, 5_000, &wst, |t, w| {
+            let s = t.worker(w);
+            s.enter_loop(1);
+            s.add_pending(1);
+            s.add_pending(-1);
         })
     });
-    g.bench_function("mutex_4writers", |b| {
-        let locked = LockedWst::new(4);
-        b.iter(|| contended(4, 5_000, &locked, |t, w| t.update(w, 1)))
+    let locked = LockedWst::new(4);
+    time_it("ablation_wst_lock_contended/mutex_4writers", || {
+        contended(4, 5_000, &locked, |t, w| t.update(w, 1))
     });
-    g.finish();
 }
 
 /// The rejected alternative to the u64 bitmap: a locked boolean array.
-fn ablation_bitmap(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_bitmap_sync");
-    g.measurement_time(Duration::from_millis(900));
-    g.warm_up_time(Duration::from_millis(300));
+fn ablation_bitmap() {
     let sel = SelMap::new();
-    g.bench_function("atomic_u64_bitmap", |b| {
-        b.iter(|| {
-            sel.store(WorkerBitmap(black_box(0xF0F0)));
-            black_box(sel.load())
-        })
+    time_it("ablation_bitmap_sync/atomic_u64_bitmap", || {
+        sel.store(WorkerBitmap(black_box(0xF0F0)));
+        sel.load()
     });
     let locked: Mutex<Vec<bool>> = Mutex::new(vec![false; 64]);
-    g.bench_function("locked_bool_array", |b| {
-        b.iter(|| {
-            {
-                let mut v = locked.lock();
-                for (i, slot) in v.iter_mut().enumerate() {
-                    *slot = (black_box(0xF0F0u64) >> i) & 1 == 1;
-                }
+    time_it("ablation_bitmap_sync/locked_bool_array", || {
+        {
+            let mut v = locked.lock().expect("single thread");
+            for (i, slot) in v.iter_mut().enumerate() {
+                *slot = (black_box(0xF0F0u64) >> i) & 1 == 1;
             }
-            black_box(locked.lock().iter().filter(|&&x| x).count())
-        })
+        }
+        let v = locked.lock().expect("single thread");
+        v.iter().filter(|&&x| x).count()
     });
-    g.finish();
 }
 
-fn ablation_filter_order(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_filter_order");
-    g.measurement_time(Duration::from_millis(900));
-    g.warm_up_time(Duration::from_millis(300));
+fn ablation_filter_order() {
     let wst = Wst::new(32);
     for w in 0..32 {
         wst.worker(w)
@@ -161,24 +137,20 @@ fn ablation_filter_order(c: &mut Criterion) {
         ],
         ..SchedConfig::default()
     });
-    g.bench_function("paper_order_time_conn_event", |b| {
-        b.iter(|| black_box(paper.schedule(&wst, 1_100_000)))
+    time_it("ablation_filter_order/paper_order_time_conn_event", || {
+        paper.schedule(&wst, 1_100_000)
     });
-    g.bench_function("reversed_order", |b| {
-        b.iter(|| black_box(reversed.schedule(&wst, 1_100_000)))
+    time_it("ablation_filter_order/reversed_order", || {
+        reversed.schedule(&wst, 1_100_000)
     });
-    g.finish();
 }
 
-fn ablation_groups(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_groups");
-    g.measurement_time(Duration::from_millis(900));
-    g.warm_up_time(Duration::from_millis(300));
+fn ablation_groups() {
     let single = ConnDispatcher::new(64);
     let sel = SelMap::new();
     sel.store(WorkerBitmap::all(64));
-    g.bench_function("single_level_64", |b| {
-        b.iter(|| black_box(single.dispatch(sel.load(), black_box(0xABCD_EF01))))
+    time_it("ablation_groups/single_level_64", || {
+        single.dispatch(sel.load(), black_box(0xABCD_EF01))
     });
     let two_level = GroupScheduler::new(128, 64, GroupBy::FlowHash, SchedConfig::default());
     for gi in 0..two_level.group_count() {
@@ -188,36 +160,29 @@ fn ablation_groups(c: &mut Criterion) {
     }
     two_level.schedule_all(1_100_000);
     let flow = FlowKey::new(1, 2, 3, 4);
-    g.bench_function("two_level_128", |b| {
-        b.iter(|| black_box(two_level.dispatch(black_box(&flow))))
+    time_it("ablation_groups/two_level_128", || {
+        two_level.dispatch(black_box(&flow))
     });
-    g.finish();
 }
 
-fn ablation_ebpf_vs_native(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_ebpf_vs_native");
-    g.measurement_time(Duration::from_millis(900));
-    g.warm_up_time(Duration::from_millis(300));
+fn ablation_ebpf_vs_native() {
     let native = ConnDispatcher::new(32);
     let sel = SelMap::new();
     sel.store(WorkerBitmap(0xFFFF_0000_FF00));
-    g.bench_function("native", |b| {
-        b.iter(|| black_box(native.dispatch(sel.load(), black_box(7777))))
+    time_it("ablation_ebpf_vs_native/native", || {
+        native.dispatch(sel.load(), black_box(7777))
     });
     let group = ReuseportGroup::new(32);
     group.sync_bitmap(WorkerBitmap(0xFF00_FF00));
-    g.bench_function("ebpf_interpreted", |b| {
-        b.iter(|| black_box(group.dispatch(black_box(7777))))
+    time_it("ablation_ebpf_vs_native/ebpf_interpreted", || {
+        group.dispatch(black_box(7777))
     });
-    g.finish();
 }
 
-criterion_group!(
-    benches,
-    ablation_wst_lock,
-    ablation_bitmap,
-    ablation_filter_order,
-    ablation_groups,
-    ablation_ebpf_vs_native
-);
-criterion_main!(benches);
+fn main() {
+    ablation_wst_lock();
+    ablation_bitmap();
+    ablation_filter_order();
+    ablation_groups();
+    ablation_ebpf_vs_native();
+}

@@ -5,17 +5,11 @@
 //! the relative costs echo the modes' real bookkeeping weight (shared
 //! wait-queue walking vs per-socket hashing vs Hermes scheduling).
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use hermes_bench::time_it;
 use hermes_simnet::{Mode, SimConfig};
 use hermes_workload::{Case, CaseLoad};
-use std::hint::black_box;
-use std::time::Duration;
 
-fn bench_modes(c: &mut Criterion) {
-    let mut g = c.benchmark_group("simulate_case1_light_1s");
-    g.measurement_time(Duration::from_secs(2));
-    g.warm_up_time(Duration::from_millis(500));
-    g.sample_size(10);
+fn main() {
     let wl = Case::Case1.workload(CaseLoad::Light, 4, 1_000_000_000, 99);
     for mode in [
         Mode::ExclusiveLifo,
@@ -25,24 +19,14 @@ fn bench_modes(c: &mut Criterion) {
         Mode::Hermes,
         Mode::UserspaceDispatcher,
     ] {
-        g.bench_function(format!("{mode:?}"), |b| {
-            b.iter(|| {
-                let r = hermes_simnet::run(&wl, SimConfig::new(4, mode));
-                black_box(r.completed_requests)
-            })
+        time_it(&format!("simulate_case1_light_1s/{mode:?}"), || {
+            hermes_simnet::run(&wl, SimConfig::new(4, mode)).completed_requests
         });
     }
     // The fidelity tax of routing every dispatch through the bytecode VM.
     let mut cfg = SimConfig::new(4, Mode::Hermes);
     cfg.use_ebpf = true;
-    g.bench_function("Hermes_ebpf_backed", |b| {
-        b.iter(|| {
-            let r = hermes_simnet::run(&wl, cfg.clone());
-            black_box(r.completed_requests)
-        })
+    time_it("simulate_case1_light_1s/Hermes_ebpf_backed", || {
+        hermes_simnet::run(&wl, cfg.clone()).completed_requests
     });
-    g.finish();
 }
-
-criterion_group!(benches, bench_modes);
-criterion_main!(benches);

@@ -12,13 +12,12 @@
 //! (grouped, dynamic-fd) program and the analysis itself (a load-time,
 //! not per-connection, cost).
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use hermes_bench::time_it;
 use hermes_core::{ConnDispatcher, WorkerBitmap};
 use hermes_ebpf::maps::{ArrayMap, MapRef, MapRegistry, SockArrayMap};
 use hermes_ebpf::{AnalysisCtx, DispatchProgram, ExecTier, GroupedReuseportGroup, Vm};
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Duration;
 
 const WORKERS: usize = 64;
 const BITMAP: u64 = 0x0000_F0F0_A5A5_3C3C;
@@ -44,19 +43,15 @@ fn burst_hashes() -> Vec<u32> {
         .collect()
 }
 
-fn bench_tiers(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ebpf_tiers");
-    g.measurement_time(Duration::from_millis(900));
-    g.warm_up_time(Duration::from_millis(300));
-
+fn main() {
     let prog = DispatchProgram::build(0, 1, WORKERS);
     let maps = registry();
     let ctx = AnalysisCtx::from_registry(&maps);
     let hashes = burst_hashes();
 
     let oracle = ConnDispatcher::new(WORKERS);
-    g.bench_function("native_oracle", |b| {
-        b.iter(|| black_box(oracle.dispatch(WorkerBitmap(BITMAP), black_box(0x1234_5678))))
+    time_it("ebpf_tiers/native_oracle", || {
+        oracle.dispatch(WorkerBitmap(BITMAP), black_box(0x1234_5678))
     });
 
     let vm = Vm::load_analyzed(prog.insns().to_vec(), &ctx).expect("program analyzes");
@@ -66,8 +61,8 @@ fn bench_tiers(c: &mut Criterion) {
         if tier > vm.tier() {
             continue;
         }
-        g.bench_function(format!("{tier}_tier"), |b| {
-            b.iter(|| black_box(vm.run_tier(tier, black_box(0x1234_5678), &maps, 0).unwrap()))
+        time_it(&format!("ebpf_tiers/{tier}_tier"), || {
+            vm.run_tier(tier, black_box(0x1234_5678), &maps, 0).unwrap()
         });
     }
 
@@ -75,13 +70,11 @@ fn bench_tiers(c: &mut Criterion) {
     // On x86-64 `run_batch` dispatches through the jit; the row keeps its
     // historical name so baselines stay comparable.
     let mut out = Vec::with_capacity(BURST);
-    g.bench_function("compiled_batch64", |b| {
-        b.iter(|| {
-            out.clear();
-            vm.run_batch(black_box(&hashes), &maps, 0, &mut out)
-                .unwrap();
-            black_box(out.len())
-        })
+    time_it("ebpf_tiers/compiled_batch64", || {
+        out.clear();
+        vm.run_batch(black_box(&hashes), &maps, 0, &mut out)
+            .unwrap();
+        out.len()
     });
 
     // Load-time cost of native emission (mmap + lower + seal), isolated
@@ -89,27 +82,23 @@ fn bench_tiers(c: &mut Criterion) {
     if vm.tier() == ExecTier::Jit {
         let cp = vm.compiled().expect("compiled tier earned");
         let cert = vm.validation().expect("certificate issued");
-        g.bench_function("jit_emit_dispatch_program", |b| {
-            b.iter(|| {
-                black_box(hermes_ebpf::JitProgram::emit(cp, cert, &maps).expect("jit emission"))
-            })
+        time_it("ebpf_tiers/jit_emit_dispatch_program", || {
+            hermes_ebpf::JitProgram::emit(cp, cert, &maps).expect("jit emission")
         });
     }
 
     // Load-time cost of the proof + compilation (amortized over every
     // connection the program then serves).
-    g.bench_function("analyze_and_compile_dispatch_program", |b| {
-        b.iter(|| {
-            black_box(Vm::load_analyzed(black_box(prog.insns().to_vec()), &ctx).expect("analyzes"))
-        })
+    time_it("ebpf_tiers/analyze_and_compile_dispatch_program", || {
+        Vm::load_analyzed(black_box(prog.insns().to_vec()), &ctx).expect("analyzes")
     });
 
     // Load-time cost of the translation proof alone (EXPERIMENTS.md
     // budget: < 5 ms per program; in practice tens of microseconds).
     let report = vm.analysis().expect("loaded via load_analyzed");
     let cp = vm.compiled().expect("compiled tier earned");
-    g.bench_function("validate_cost_flat", |b| {
-        b.iter(|| black_box(hermes_ebpf::validate(prog.insns(), cp, &ctx, report).expect("proves")))
+    time_it("ebpf_tiers/validate_cost_flat", || {
+        hermes_ebpf::validate(prog.insns(), cp, &ctx, report).expect("proves")
     });
 
     // Two-level program (dynamic-fd compiled path), single and batched.
@@ -118,16 +107,14 @@ fn bench_tiers(c: &mut Criterion) {
         grouped.sync_group_bitmap(grp, WorkerBitmap(0xA5A5));
     }
     assert_eq!(grouped.tier(), ExecTier::native_ceiling());
-    g.bench_function("grouped_compiled", |b| {
-        b.iter(|| black_box(grouped.dispatch(black_box(0x1234_5678))))
+    time_it("ebpf_tiers/grouped_compiled", || {
+        grouped.dispatch(black_box(0x1234_5678))
     });
     let mut grouped_out = Vec::with_capacity(BURST);
-    g.bench_function("grouped_compiled_batch64", |b| {
-        b.iter(|| {
-            grouped_out.clear();
-            grouped.dispatch_batch(black_box(&hashes), &mut grouped_out);
-            black_box(grouped_out.len())
-        })
+    time_it("ebpf_tiers/grouped_compiled_batch64", || {
+        grouped_out.clear();
+        grouped.dispatch_batch(black_box(&hashes), &mut grouped_out);
+        grouped_out.len()
     });
 
     // Translation proof for the grouped program (bank obligations
@@ -135,17 +122,8 @@ fn bench_tiers(c: &mut Criterion) {
     let grouped_ctx = AnalysisCtx::from_registry(grouped.registry());
     let grouped_report = grouped.analysis();
     let grouped_cp = grouped.vm().compiled().expect("compiled tier earned");
-    g.bench_function("validate_cost_grouped", |b| {
-        b.iter(|| {
-            black_box(
-                hermes_ebpf::validate(grouped.program(), grouped_cp, &grouped_ctx, grouped_report)
-                    .expect("proves"),
-            )
-        })
+    time_it("ebpf_tiers/validate_cost_grouped", || {
+        hermes_ebpf::validate(grouped.program(), grouped_cp, &grouped_ctx, grouped_report)
+            .expect("proves")
     });
-
-    g.finish();
 }
-
-criterion_group!(benches, bench_tiers);
-criterion_main!(benches);

@@ -15,12 +15,11 @@
 //! The whole-simulation number lives in `src/bin/simnet_throughput.rs`;
 //! this bench explains *why* it moves.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use hermes_bench::time_it;
 use hermes_simnet::{Engine, EventQueue};
 use std::hint::black_box;
-use std::time::Duration;
 
-/// Deterministic 64-bit mix (splitmix64) — no rand dependency in benches.
+/// Deterministic, stateless 64-bit mix (splitmix64's finaliser).
 fn mix(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -63,27 +62,15 @@ fn burst(engine: Engine, width: usize, rounds: usize) -> u64 {
     acc
 }
 
-fn bench_event_engine(c: &mut Criterion) {
-    let mut g = c.benchmark_group("event_engine");
-    g.measurement_time(Duration::from_millis(900));
-    g.warm_up_time(Duration::from_millis(300));
-
+fn main() {
     for pending in [64usize, 4_096, 65_536] {
         for engine in [Engine::Heap, Engine::Wheel] {
-            g.bench_function(format!("churn/{}/{}", engine.name(), pending), |b| {
-                b.iter(|| black_box(churn(engine, black_box(pending), 10_000)))
-            });
+            let name = format!("event_engine/churn/{}/{pending}", engine.name());
+            time_it(&name, || churn(engine, black_box(pending), 10_000));
         }
     }
-
     for engine in [Engine::Heap, Engine::Wheel] {
-        g.bench_function(format!("burst512/{}", engine.name()), |b| {
-            b.iter(|| black_box(burst(engine, black_box(512), 16)))
-        });
+        let name = format!("event_engine/burst512/{}", engine.name());
+        time_it(&name, || burst(engine, black_box(512), 16));
     }
-
-    g.finish();
 }
-
-criterion_group!(benches, bench_event_engine);
-criterion_main!(benches);

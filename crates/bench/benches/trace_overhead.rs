@@ -1,60 +1,44 @@
-//! Criterion micro-benchmarks of the flight-recorder hot path.
+//! Micro-benchmarks of the flight-recorder hot path.
 //!
 //! The `trace_overhead` *binary* owns the gated cost contract (it runs a
 //! differential loop and enforces the <= 25 ns/event budget); this bench
-//! gives Criterion-grade statistics for the individual operations: an
-//! event emit with the recorder on, the runtime-disabled branch, a
-//! counter bump, and a full-lane drain. Built without `--features trace`
-//! every instrumented body collapses to its baseline — benchmarking that
-//! build shows the compiled-out macros at work.
+//! times the individual operations: an event emit with the recorder on,
+//! the runtime-disabled branch, a counter bump, and a full-lane drain.
+//! Built without `--features trace` every instrumented body collapses to
+//! its baseline — benchmarking that build shows the compiled-out macros
+//! at work.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use hermes_bench::time_it;
 use hermes_trace::{CounterId, EventKind};
 use std::hint::black_box;
-use std::time::Duration;
 
-fn bench_emit(c: &mut Criterion) {
-    let mut g = c.benchmark_group("trace");
-    g.measurement_time(Duration::from_millis(900));
-    g.warm_up_time(Duration::from_millis(300));
-
+fn main() {
     hermes_trace::reset();
     hermes_trace::set_enabled(true);
-    g.bench_function("emit_enabled", |b| {
-        let mut i = 0u64;
-        b.iter(|| {
-            i = i.wrapping_add(1);
-            hermes_trace::trace_event!(i, EventKind::Dispatch, (i & 63) as u32, black_box(i), 0u64);
-        })
+    let mut i = 0u64;
+    time_it("trace/emit_enabled", || {
+        i = i.wrapping_add(1);
+        hermes_trace::trace_event!(i, EventKind::Dispatch, (i & 63) as u32, black_box(i), 0u64);
     });
 
     hermes_trace::set_enabled(false);
-    g.bench_function("emit_runtime_disabled", |b| {
-        let mut i = 0u64;
-        b.iter(|| {
-            i = i.wrapping_add(1);
-            hermes_trace::trace_event!(i, EventKind::Dispatch, (i & 63) as u32, black_box(i), 0u64);
-        })
+    time_it("trace/emit_runtime_disabled", || {
+        i = i.wrapping_add(1);
+        hermes_trace::trace_event!(i, EventKind::Dispatch, (i & 63) as u32, black_box(i), 0u64);
     });
     hermes_trace::set_enabled(true);
 
-    g.bench_function("counter_add", |b| {
-        b.iter(|| hermes_trace::trace_count!(CounterId::SimSyns, black_box(1u64)))
+    time_it("trace/counter_add", || {
+        hermes_trace::trace_count!(CounterId::SimSyns, black_box(1u64))
     });
 
-    g.bench_function("drain_full_recorder", |b| {
-        b.iter(|| {
-            hermes_trace::reset();
-            for i in 0..1_000u64 {
-                hermes_trace::trace_event!(i, EventKind::SimSyn, (i & 63) as u32, i, i);
-            }
-            black_box(hermes_trace::drain().len())
-        })
+    time_it("trace/drain_full_recorder", || {
+        hermes_trace::reset();
+        for i in 0..1_000u64 {
+            hermes_trace::trace_event!(i, EventKind::SimSyn, (i & 63) as u32, i, i);
+        }
+        hermes_trace::drain().len()
     });
 
     hermes_trace::reset();
-    g.finish();
 }
-
-criterion_group!(benches, bench_emit);
-criterion_main!(benches);

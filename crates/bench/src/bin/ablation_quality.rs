@@ -1,6 +1,6 @@
 //! Quality-side ablations: how the paper's design choices affect
-//! *outcomes* (latency, balance), complementing the cost-side Criterion
-//! benches in `benches/ablations.rs`.
+//! *outcomes* (latency, balance), complementing the cost-side benches in
+//! `benches/ablations.rs`.
 //!
 //! 1. **Filter order** (§5.2.2): Time → Connections → PendingEvents vs
 //!    permutations.

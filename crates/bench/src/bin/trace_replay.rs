@@ -1,6 +1,6 @@
 //! Capture-and-replay demonstration: the Table 3 methodology as a tool.
 //!
-//! Generates a Case-2 capture, saves it as a JSON trace, reloads it, and
+//! Generates a Case-2 capture, saves it as a text trace, reloads it, and
 //! replays the *identical* traffic under all three modes at 1×/2×/3× by
 //! time-compression — the paper's "replayed traffic at 2 to 3 times the
 //! original rate".
@@ -31,7 +31,7 @@ fn main() {
         "§6.2 methodology: capture, save, replay at 1x/2x/3x",
     );
     let captured = Case::Case2.workload(CaseLoad::Light, WORKERS, 10_000_000_000, 1234);
-    let path = std::env::temp_dir().join("hermes_case2_capture.json");
+    let path = std::env::temp_dir().join("hermes_case2_capture.trace");
     trace::save(&captured, &path).expect("save trace");
     let loaded = trace::load(&path).expect("load trace");
     println!(

@@ -1,7 +1,8 @@
 //! # hermes-bench
 //!
 //! The evaluation harness: one binary per table/figure of the paper (see
-//! `src/bin/`), plus Criterion micro-benchmarks and ablations (`benches/`).
+//! `src/bin/`), plus micro-benchmarks and ablations (`benches/`, plain
+//! `harness = false` mains over [`time_it`]).
 //! This library holds the shared experiment parameters and output helpers
 //! so every harness prints comparable, diff-friendly results.
 //!
@@ -10,9 +11,11 @@
 //! imbalance ratios, crossovers) is the reproduction target, and
 //! EXPERIMENTS.md records paper-vs-measured for each experiment.
 
-use hermes_metrics::NANOS_PER_SEC;
+use hermes_metrics::{Summary, NANOS_PER_SEC};
 use hermes_simnet::{DeviceReport, Mode, SimConfig};
 use hermes_workload::Workload;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 /// Workers per simulated LB device. The paper's devices are 32-core VMs;
 /// 8 keeps harness runtimes laptop-friendly while preserving every
@@ -65,6 +68,46 @@ pub fn banner(id: &str, paper_ref: &str) {
         DURATION_NS / NANOS_PER_SEC
     );
     println!("==================================================================");
+}
+
+/// Time one benchmark body and print a row: warm up for 200 ms (which also
+/// sizes a batch of calls to about 20 ms), time 25 batches, report the
+/// median nanoseconds per call and the batches' coefficient of variation.
+///
+/// `cargo bench` starts a bench target with `--bench`; started without it
+/// (`cargo test --benches`) the body runs once, as a smoke test.
+pub fn time_it<O>(name: &str, mut body: impl FnMut() -> O) {
+    const WARM_UP: Duration = Duration::from_millis(200);
+    const BATCH: Duration = Duration::from_millis(20);
+    const BATCHES: usize = 25;
+    if !std::env::args().any(|a| a == "--bench") {
+        black_box(body());
+        println!("{name:<56} ran once (not under `cargo bench`)");
+        return;
+    }
+    // The clock is read only at powers of two, so that reading it does not
+    // show in the per-call estimate of a nanosecond-sized body.
+    let start = Instant::now();
+    let mut calls = 0u64;
+    while !calls.is_power_of_two() || start.elapsed() < WARM_UP {
+        black_box(body());
+        calls += 1;
+    }
+    let per_call = start.elapsed().as_secs_f64() / calls as f64;
+    let batch = ((BATCH.as_secs_f64() / per_call) as u64).max(1);
+    let mut samples = Summary::with_capacity(BATCHES);
+    for _ in 0..BATCHES {
+        let t = Instant::now();
+        for _ in 0..batch {
+            black_box(body());
+        }
+        samples.record(t.elapsed().as_nanos() as f64 / batch as f64);
+    }
+    println!(
+        "{name:<56} {:>12} ns/call  (cov {:.1}%, {BATCHES} x {batch} calls)",
+        fmt(samples.p50()),
+        100.0 * samples.stddev() / samples.mean()
+    );
 }
 
 #[cfg(test)]

@@ -166,7 +166,7 @@ impl ConnDispatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use hermes_metrics::rng::for_each_case;
 
     #[test]
     fn directs_within_bitmap() {
@@ -272,26 +272,32 @@ mod tests {
         ConnDispatcher::new(65);
     }
 
-    proptest! {
-        /// Whatever the bitmap and hash, dispatch returns a valid worker.
-        #[test]
-        fn dispatch_total_and_in_range(bits: u64, hash: u32, workers in 1usize..=64) {
-            let d = ConnDispatcher::new(workers);
-            let out = d.dispatch(WorkerBitmap(bits), hash);
-            prop_assert!(out.worker() < workers);
+    /// Whatever the bitmap and hash, dispatch returns a valid worker.
+    #[test]
+    fn dispatch_total_and_in_range() {
+        for_each_case(256, |g| {
+            let (bm, hash) = (WorkerBitmap::arbitrary(g), g.next_u64() as u32);
+            let workers = 1 + g.index(64);
+            let out = ConnDispatcher::new(workers).dispatch(bm, hash);
+            assert!(out.worker() < workers, "{bm:?} hash {hash} of {workers}");
             if out.is_directed() {
-                prop_assert!(WorkerBitmap(bits).contains(out.worker()));
+                assert!(bm.contains(out.worker()), "{bm:?} hash {hash}");
             }
-        }
+        });
+    }
 
-        /// With >1 candidates the directed path is always taken and always
-        /// lands inside the candidate set.
-        #[test]
-        fn directed_iff_guard_passes(bits: u64, hash: u32) {
-            let d = ConnDispatcher::new(64);
-            let bm = WorkerBitmap(bits);
+    /// With >1 candidates the directed path is always taken; with fewer,
+    /// never.
+    #[test]
+    fn directed_iff_guard_passes() {
+        let d = ConnDispatcher::new(64);
+        let mut fallbacks = 0;
+        for_each_case(256, |g| {
+            let (bm, hash) = (WorkerBitmap::arbitrary(g), g.next_u64() as u32);
             let out = d.dispatch(bm, hash);
-            prop_assert_eq!(out.is_directed(), bm.count() > 1);
-        }
+            assert_eq!(out.is_directed(), bm.count() > 1, "{bm:?} hash {hash}");
+            fallbacks += u32::from(!out.is_directed());
+        });
+        assert!(fallbacks > 0, "no case had fewer than two candidates");
     }
 }

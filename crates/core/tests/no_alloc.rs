@@ -25,12 +25,14 @@ struct Counting;
 // `GlobalAlloc` contract; the only addition is a bump of a `const`-initialised
 // thread-local `Cell<u64>`, which needs no allocation and has no destructor.
 unsafe impl GlobalAlloc for Counting {
+    // SAFETY: the caller meets `GlobalAlloc::alloc`'s requirements.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
         // SAFETY: the caller's obligations for `alloc` are passed through.
         unsafe { System.alloc(layout) }
     }
 
+    // SAFETY: the caller meets `GlobalAlloc::dealloc`'s requirements.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         // SAFETY: `ptr` came from `System.alloc` above with this `layout`.
         unsafe { System.dealloc(ptr, layout) }

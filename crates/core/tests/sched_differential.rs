@@ -9,11 +9,12 @@
 //! and θ. Counter values keep each sum below 2⁵³, the bound under which the
 //! integer sum and the `f64` sum are the same number.
 //!
-//! Tables come from a seeded splitmix stream, so the cases are the same on
-//! every run and every host.
+//! Tables come from the workspace's seeded generator (raw states, so the
+//! streams are the ones these cases were first written against).
 
 use hermes_core::{FilterStage, SchedConfig, SchedDecision, Scheduler, WorkerBitmap};
 use hermes_core::{WorkerSnapshot, Wst};
+use hermes_metrics::SplitMix64;
 
 use FilterStage::{Connections, PendingEvents, Time};
 
@@ -101,20 +102,8 @@ impl Reference {
     }
 }
 
-struct SplitMix(u64);
-
-impl SplitMix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound
-    }
+fn below(rng: &mut SplitMix64, bound: u64) -> u64 {
+    rng.next_u64() % bound
 }
 
 /// How one table's counters are drawn.
@@ -142,36 +131,36 @@ const SHAPES: [Shape; 5] = [
     Shape::Huge,
 ];
 
-fn counter(shape: Shape, equal: i64, rng: &mut SplitMix) -> i64 {
+fn counter(shape: Shape, equal: i64, rng: &mut SplitMix64) -> i64 {
     match shape {
-        Shape::Small => rng.below(8) as i64,
+        Shape::Small => below(rng, 8) as i64,
         Shape::AllEqual => equal,
         Shape::Sparse => {
-            if rng.below(4) == 0 {
-                rng.below(500) as i64
+            if below(rng, 4) == 0 {
+                below(rng, 500) as i64
             } else {
                 0
             }
         }
-        Shape::Signed => rng.below(12) as i64 - 4,
-        Shape::Huge => rng.below(1 << 46) as i64,
+        Shape::Signed => below(rng, 12) as i64 - 4,
+        Shape::Huge => below(rng, 1 << 46) as i64,
     }
 }
 
 /// `n` rows: most fresh, some hung, some that never entered the loop, some
 /// stamped after `NOW_NS` (another thread's clock read landing later).
-fn table(n: usize, shape: Shape, hung_one_in: u64, rng: &mut SplitMix) -> Vec<WorkerSnapshot> {
-    let equal = rng.below(1_000) as i64;
+fn table(n: usize, shape: Shape, hung_one_in: u64, rng: &mut SplitMix64) -> Vec<WorkerSnapshot> {
+    let equal = below(rng, 1_000) as i64;
     let mut rows: Vec<WorkerSnapshot> = (0..n)
         .map(|_| {
-            let loop_enter_ns = if rng.below(hung_one_in) == 0 {
-                match rng.below(3) {
+            let loop_enter_ns = if below(rng, hung_one_in) == 0 {
+                match below(rng, 3) {
                     0 => 0,
                     1 => NOW_NS - HANG_NS, // exactly at the threshold: hung
-                    _ => rng.below(NOW_NS - HANG_NS),
+                    _ => below(rng, NOW_NS - HANG_NS),
                 }
             } else {
-                NOW_NS - HANG_NS + 1 + rng.below(HANG_NS + 50)
+                NOW_NS - HANG_NS + 1 + below(rng, HANG_NS + 50)
             };
             WorkerSnapshot {
                 loop_enter_ns,
@@ -181,9 +170,9 @@ fn table(n: usize, shape: Shape, hung_one_in: u64, rng: &mut SplitMix) -> Vec<Wo
         })
         .collect();
     if let Shape::Huge = shape {
-        let at = rng.below(n as u64) as usize;
+        let at = below(rng, n as u64) as usize;
         rows[at].connections = 1 << 52;
-        rows[rng.below(n as u64) as usize].pending_events = 1 << 52;
+        rows[below(rng, n as u64) as usize].pending_events = 1 << 52;
     }
     rows
 }
@@ -203,13 +192,13 @@ fn pair(theta_frac: f64, stages: &[FilterStage]) -> (Scheduler, Reference) {
     (kernel, reference)
 }
 
-fn thetas(rng: &mut SplitMix) -> [f64; 4] {
-    [0.0, 0.5, 0.75, rng.below(3_000) as f64 / 1_000.0]
+fn thetas(rng: &mut SplitMix64) -> [f64; 4] {
+    [0.0, 0.5, 0.75, below(rng, 3_000) as f64 / 1_000.0]
 }
 
 #[test]
 fn kernel_matches_algorithm_1_on_snapshots() {
-    let mut rng = SplitMix(0x4845_524d_4553);
+    let mut rng = SplitMix64::from_state(0x4845_524d_4553);
     let mut cases = 0u32;
     let mut trimmed = 0u32;
     let mut emptied = 0u32;
@@ -248,17 +237,17 @@ fn kernel_matches_algorithm_1_through_a_live_table() {
     // `Wst`. Rows are driven below zero (a decrement racing ahead of its
     // batched increment), which the table reports clamped to 0: the
     // reference reads the clamped per-row snapshots.
-    let mut rng = SplitMix(0x5753_5421);
+    let mut rng = SplitMix64::from_state(0x5753_5421);
     for n in [1usize, 2, 7, 8, 32, 63, 64] {
         for round in 0..40 {
             let wst = Wst::new(n);
             for w in 0..n {
                 let row = wst.worker(w);
-                if rng.below(5) != 0 {
-                    row.enter_loop(NOW_NS - rng.below(HANG_NS));
+                if below(&mut rng, 5) != 0 {
+                    row.enter_loop(NOW_NS - below(&mut rng, HANG_NS));
                 }
-                row.add_pending(rng.below(12) as i64 - 4);
-                row.conn_delta(rng.below(40) as i64 - 10);
+                row.add_pending(below(&mut rng, 12) as i64 - 4);
+                row.conn_delta(below(&mut rng, 40) as i64 - 10);
             }
             let rows: Vec<WorkerSnapshot> = (0..n).map(|w| wst.worker(w).snapshot()).collect();
             assert!(rows

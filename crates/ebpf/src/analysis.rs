@@ -1301,7 +1301,8 @@ fn resolve_fd_range(
             expected: "a map fd scalar",
         });
     }
-    let span = reg.umax - reg.umin + 1;
+    // An unconstrained scalar spans all 2⁶⁴ values: saturate, do not wrap.
+    let span = (reg.umax - reg.umin).saturating_add(1);
     if span > MAX_FD_FAN {
         return Err(AnalysisError::FdRangeTooWide { at, span });
     }
@@ -1616,6 +1617,26 @@ mod tests {
         assert_eq!(
             analyze(&prog, &AnalysisCtx::new()),
             Err(AnalysisError::UnboundMapFd { at: 2, fd: 9 })
+        );
+    }
+
+    #[test]
+    fn unconstrained_fd_is_too_wide_not_an_overflow() {
+        // r1 = ktime(): any of 2⁶⁴ values. The span must saturate; it used
+        // to wrap to 0 (a panic in debug builds, a walk over fds otherwise).
+        let mut a = Assembler::new();
+        a.call(crate::helpers::HELPER_KTIME_GET_NS);
+        a.mov(Reg::R1, Reg::R0);
+        a.mov_imm(Reg::R2, 0);
+        a.call(HELPER_MAP_LOOKUP);
+        a.exit();
+        let prog = a.finish();
+        assert_eq!(
+            analyze(&prog, &ctx_one_array(4)),
+            Err(AnalysisError::FdRangeTooWide {
+                at: 3,
+                span: u64::MAX
+            })
         );
     }
 

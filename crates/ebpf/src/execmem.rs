@@ -103,6 +103,11 @@ mod imp {
             self.len
         }
 
+        /// True for a zero-length mapping.
+        pub fn is_empty(&self) -> bool {
+            self.len == 0
+        }
+
         /// Flip the pages read-execute, consuming the writable handle.
         /// This is the single W→X transition: the mapping goes RW → RX
         /// with one `mprotect`, never passing through RWX.
@@ -143,6 +148,11 @@ mod imp {
         /// Mapping length in bytes.
         pub fn len(&self) -> usize {
             self.len
+        }
+
+        /// True for a zero-length mapping.
+        pub fn is_empty(&self) -> bool {
+            self.len == 0
         }
     }
 

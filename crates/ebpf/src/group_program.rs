@@ -194,7 +194,7 @@ mod tests {
     use super::*;
     use crate::vm::ExecTier;
     use hermes_core::dispatch::ConnDispatcher;
-    use proptest::prelude::*;
+    use hermes_metrics::rng::for_each_case;
 
     #[test]
     fn program_verifies_for_varied_shapes() {
@@ -266,27 +266,25 @@ mod tests {
         assert!(saw_directed && saw_fallback);
     }
 
-    proptest! {
-        /// The grouped bytecode agrees with the native composition:
-        /// level-1 reciprocal_scale + level-2 ConnDispatcher per group.
-        #[test]
-        fn grouped_bytecode_matches_native(
-            bitmaps in prop::collection::vec(any::<u64>(), 1..6),
-            hash: u32,
-            group_size in 1usize..=64,
-        ) {
-            let groups = bitmaps.len();
-            let g = GroupedReuseportGroup::new(groups, group_size);
+    /// The grouped bytecode agrees with the native composition:
+    /// level-1 reciprocal_scale + level-2 ConnDispatcher per group.
+    #[test]
+    fn grouped_bytecode_matches_native() {
+        for_each_case(256, |g| {
+            let groups = 1 + g.index(5);
+            let bitmaps: Vec<u64> = (0..groups).map(|_| g.next_u64()).collect();
+            let (hash, group_size) = (g.next_u64() as u32, 1 + g.index(64));
+            let grouped = GroupedReuseportGroup::new(groups, group_size);
             for (i, &b) in bitmaps.iter().enumerate() {
-                g.sync_group_bitmap(i, WorkerBitmap(b));
+                grouped.sync_group_bitmap(i, WorkerBitmap(b));
             }
-            let out = g.dispatch(hash);
+            let out = grouped.dispatch(hash);
             let expect_group = reciprocal_scale(hash, groups as u32) as usize;
-            prop_assert_eq!(out.group, expect_group);
-            let native = ConnDispatcher::new(group_size)
-                .dispatch(WorkerBitmap(bitmaps[expect_group]), hash);
-            prop_assert_eq!(out.local, native.worker());
-            prop_assert_eq!(out.directed, native.is_directed());
-        }
+            assert_eq!(out.group, expect_group, "hash {hash:#x} of {groups} groups");
+            let native =
+                ConnDispatcher::new(group_size).dispatch(WorkerBitmap(bitmaps[expect_group]), hash);
+            assert_eq!(out.local, native.worker(), "hash {hash:#x} {bitmaps:x?}");
+            assert_eq!(out.directed, native.is_directed());
+        });
     }
 }

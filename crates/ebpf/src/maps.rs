@@ -6,9 +6,8 @@
 //! `BPF_MAP_TYPE_REUSEPORT_SOCKARRAY` populated at program init. Maps are
 //! registered in a [`MapRegistry`] and referenced from bytecode by fd.
 
-use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// `BPF_MAP_TYPE_ARRAY` with `u64` values: index-keyed, atomic per element.
 #[derive(Debug)]
@@ -197,6 +196,9 @@ pub struct MapRegistry {
     frozen: OnceLock<Frozen>,
 }
 
+/// The lock is held only across a `Vec::push` or a read of the table.
+const POISONED: &str = "a thread panicked while registering a map";
+
 impl MapRegistry {
     /// Empty registry.
     pub fn new() -> Self {
@@ -210,7 +212,7 @@ impl MapRegistry {
             self.frozen.get().is_none(),
             "map registry is frozen: register all maps before program load"
         );
-        let mut maps = self.maps.write();
+        let mut maps = self.maps.write().expect(POISONED);
         maps.push(map);
         (maps.len() - 1) as u32
     }
@@ -220,7 +222,7 @@ impl MapRegistry {
     /// the first frozen-table resolution.
     pub fn freeze(&self) {
         self.frozen.get_or_init(|| {
-            let maps = self.maps.read();
+            let maps = self.maps.read().expect(POISONED);
             let layout = maps
                 .iter()
                 .enumerate()
@@ -253,7 +255,7 @@ impl MapRegistry {
     pub fn get(&self, fd: u32) -> Option<MapRef> {
         match self.frozen.get() {
             Some(f) => f.table.get(fd as usize).cloned(),
-            None => self.maps.read().get(fd as usize).cloned(),
+            None => self.maps.read().expect(POISONED).get(fd as usize).cloned(),
         }
     }
 

@@ -432,11 +432,7 @@ impl<'a> Validator<'a> {
 
     fn validate_block(&mut self, b: usize) -> Result<(), ValidationError> {
         let start = self.starts[b];
-        let end = self
-            .starts
-            .get(b + 1)
-            .copied()
-            .unwrap_or_else(|| self.prog.len());
+        let end = self.starts.get(b + 1).copied().unwrap_or(self.prog.len());
         let block = &self.compiled.blocks[b];
         let last = self.prog[end - 1].0;
         let has_term = matches!(last, Op::Ja { .. } | Op::Jmp { .. } | Op::Exit);
@@ -1041,11 +1037,7 @@ fn block_structure(prog: &[Insn]) -> Result<(Vec<usize>, Vec<u32>), String> {
                     leader[at + 1] = true;
                 }
             }
-            Op::Exit => {
-                if at + 1 < n {
-                    leader[at + 1] = true;
-                }
-            }
+            Op::Exit if at + 1 < n => leader[at + 1] = true,
             _ => {}
         }
     }

@@ -20,7 +20,8 @@ fn every_plane_shape_counts_each_flow_and_each_sync_once() {
     let hashes: Vec<u32> = (0..FLOWS as u32)
         .map(|i| i.wrapping_mul(0x9E37_79B9))
         .collect();
-    let shapes: [(&str, fn(usize, usize) -> DispatchPlane, usize); 4] = [
+    type Build = fn(usize, usize) -> DispatchPlane;
+    let shapes: [(&str, Build, usize); 4] = [
         ("native flat", DispatchPlane::native, 1),
         ("native grouped", DispatchPlane::native, 2),
         ("bytecode flat", DispatchPlane::bytecode, 1),

@@ -4,10 +4,9 @@
 //! identical to the checked interpreter — across randomized context
 //! hashes, map contents, and socket registrations.
 //!
-//! The generator and the oracle are plain functions; proptest drives them
-//! with random seeds, and a deterministic LCG sweep keeps coverage (and an
-//! acceptance-rate floor asserting the property is not vacuous) in plain
-//! `cargo test`.
+//! The generator and the oracle are plain functions, driven by seeded cases
+//! from the workspace generator and by an older LCG sweep that also holds
+//! an acceptance-rate floor asserting the property is not vacuous.
 
 use hermes_ebpf::helpers::{
     HELPER_KTIME_GET_NS, HELPER_MAP_LOOKUP, HELPER_RECIPROCAL_SCALE, HELPER_SK_SELECT_REUSEPORT,
@@ -15,7 +14,7 @@ use hermes_ebpf::helpers::{
 use hermes_ebpf::insn::{Alu, Cond, Insn, Op, Reg, Src};
 use hermes_ebpf::maps::{ArrayMap, MapRef, MapRegistry, SockArrayMap};
 use hermes_ebpf::{AnalysisCtx, ExecTier, MapKind, Vm};
-use proptest::prelude::*;
+use hermes_metrics::rng::for_each_case;
 use std::sync::Arc;
 
 const ARRAY_SIZE: usize = 4;
@@ -279,8 +278,7 @@ fn check_soundness(seed: &[u8], hashes: &[u32], vals: &[u64; ARRAY_SIZE], regist
     true
 }
 
-/// Deterministic sweep so soundness coverage does not depend on proptest:
-/// 600 LCG-derived programs, each run over four hashes. Also asserts the
+/// Deterministic sweep: 600 LCG-derived programs, each run over four hashes. Also asserts the
 /// generator's acceptance rate stays high enough to be meaningful.
 #[test]
 fn lcg_sweep_accepted_programs_never_trap() {
@@ -353,41 +351,41 @@ fn negative_seeds_are_rejected() {
     assert!(Vm::load_analyzed(div_by_reg, &test_ctx()).is_err());
 }
 
-proptest! {
-    /// Random seeds: accepted programs never trap and both execution paths
-    /// agree, whatever the maps hold.
-    #[test]
-    fn accepted_programs_never_trap(
-        seed in prop::collection::vec(any::<u8>(), 6..80),
-        hashes in prop::collection::vec(any::<u32>(), 1..6),
-        vals in [any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()],
-        registered: u8,
-    ) {
-        check_soundness(&seed, &hashes, &vals, registered);
-    }
-
-    /// The shipped dispatch program under the fuzz harness: every earned
-    /// execution tier (jit included on x86-64) agrees for every bitmap,
-    /// hash, and registration set.
-    #[test]
-    fn dispatch_program_tiers_match_checked(bits: u64, hash: u32, workers in 1usize..=64) {
-        check_dispatch_tiers(bits, hash, workers);
-    }
-
-    /// The grouped (bounded-dynamic-fd) program under the fuzz harness:
-    /// every tier, the batched path, and the native two-level oracle agree
-    /// for random group shapes, bitmaps, and hashes.
-    #[test]
-    fn grouped_dispatch_matches_native_oracle(
-        bitmaps in prop::collection::vec(any::<u64>(), 1..6),
-        hashes in prop::collection::vec(any::<u32>(), 1..8),
-        group_size in 1usize..=64,
-    ) {
-        check_grouped_dispatch(bitmaps.len(), group_size, &bitmaps, &hashes);
-    }
+/// Random seeds: accepted programs never trap and both execution paths
+/// agree, whatever the maps hold.
+#[test]
+fn accepted_programs_never_trap() {
+    for_each_case(256, |g| {
+        let seed: Vec<u8> = (0..6 + g.index(74)).map(|_| g.next_u64() as u8).collect();
+        let hashes: Vec<u32> = (0..1 + g.index(5)).map(|_| g.next_u64() as u32).collect();
+        let vals = [(); ARRAY_SIZE].map(|()| g.next_u64());
+        check_soundness(&seed, &hashes, &vals, g.next_u64() as u8);
+    });
 }
 
-/// Oracle shared by the proptest above and the deterministic sweep below:
+/// The shipped dispatch program under the fuzz harness: every earned
+/// execution tier (jit included on x86-64) agrees for every bitmap,
+/// hash, and registration set.
+#[test]
+fn dispatch_program_tiers_match_checked() {
+    for_each_case(256, |g| {
+        check_dispatch_tiers(g.next_u64(), g.next_u64() as u32, 1 + g.index(64));
+    });
+}
+
+/// The grouped (bounded-dynamic-fd) program under the fuzz harness:
+/// every tier, the batched path, and the native two-level oracle agree
+/// for random group shapes, bitmaps, and hashes.
+#[test]
+fn grouped_dispatch_matches_native_oracle() {
+    for_each_case(256, |g| {
+        let bitmaps: Vec<u64> = (0..1 + g.index(5)).map(|_| g.next_u64()).collect();
+        let hashes: Vec<u32> = (0..1 + g.index(7)).map(|_| g.next_u64() as u32).collect();
+        check_grouped_dispatch(bitmaps.len(), 1 + g.index(64), &bitmaps, &hashes);
+    });
+}
+
+/// Oracle shared by the seeded cases above and the deterministic sweep below:
 /// build the Algorithm 2 program for `workers`, load the bitmap, and
 /// assert every earned tier returns the checked interpreter's exact
 /// `ExecResult`.
@@ -431,8 +429,8 @@ fn check_dispatch_tiers(bits: u64, hash: u32, workers: usize) {
     }
 }
 
-/// Deterministic three-tier differential over both Algorithm 2 programs,
-/// independent of proptest: the flat program across group sizes and
+/// Deterministic three-tier differential over both Algorithm 2 programs:
+/// the flat program across group sizes and
 /// bitmaps, and the grouped (dynamic-fd) program batch-vs-single.
 #[test]
 fn dispatch_programs_are_tier_identical() {

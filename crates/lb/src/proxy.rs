@@ -6,9 +6,9 @@
 //! (workers share nothing but the WST), so `handle` needs `&mut self` and
 //! no locks — the run-to-completion shape of the paper's workers.
 
-use crate::http::{parse_request, HttpError, Request, Response, StatusCode};
+use crate::http::{parse_request, HttpError, Request, RequestBuf, Response, StatusCode};
 use crate::router::Router;
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use hermes_backend::{RestartPolicy, RoundRobin};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -119,7 +119,7 @@ impl Proxy {
     /// Drive the full byte-level exchange: feed `input` through the
     /// parser and return the wire bytes to write back. `None` means more
     /// input is needed (incomplete request).
-    pub fn handle_bytes(&mut self, input: &mut BytesMut) -> Option<Bytes> {
+    pub fn handle_bytes(&mut self, input: &mut RequestBuf) -> Option<Bytes> {
         match parse_request(input) {
             Ok(Some(req)) => Some(self.serve(&req).encode()),
             Ok(None) => None,
@@ -200,16 +200,16 @@ mod tests {
     #[test]
     fn byte_level_happy_path_and_errors() {
         let mut p = proxy();
-        let mut b = BytesMut::from(&b"GET /api/x HTTP/1.1\r\nHost: h\r\n\r\n"[..]);
+        let mut b = RequestBuf::from(&b"GET /api/x HTTP/1.1\r\nHost: h\r\n\r\n"[..]);
         let out = p.handle_bytes(&mut b).expect("complete request");
         assert!(std::str::from_utf8(&out)
             .unwrap()
             .starts_with("HTTP/1.1 200"));
 
-        let mut partial = BytesMut::from(&b"GET /api"[..]);
+        let mut partial = RequestBuf::from(&b"GET /api"[..]);
         assert!(p.handle_bytes(&mut partial).is_none());
 
-        let mut bad = BytesMut::from(&b"NOT HTTP AT ALL\r\n\r\n"[..]);
+        let mut bad = RequestBuf::from(&b"NOT HTTP AT ALL\r\n\r\n"[..]);
         let out = p.handle_bytes(&mut bad).expect("error response");
         assert!(std::str::from_utf8(&out)
             .unwrap()

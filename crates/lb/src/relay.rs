@@ -41,9 +41,8 @@
 //! a hard per-connection deadline.
 
 use crate::reactor::{self, PipePair, Reactor, Splice, WAKE_TOKEN};
-use crate::server::{Handoff, LbStats, Running, ACCEPT_BURST};
+use crate::server::{Handoff, LbStats, Running, ACCEPT_BURST, HANDOFF_QUEUE};
 use bytes::BytesMut;
-use crossbeam::channel::{bounded, Receiver};
 use hermes_backend::{Admission, BackendId, BackendPool, TableCache};
 use hermes_core::sched::SchedConfig;
 use hermes_core::sdk::{SyncTarget, WorkerSession};
@@ -55,6 +54,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -200,7 +200,7 @@ impl RelayLb {
         let mut wakers = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for (id, reactor) in reactors.into_iter().enumerate() {
-            let (tx, rx) = bounded::<Handoff>(1024);
+            let (tx, rx) = sync_channel(HANDOFF_QUEUE);
             senders.push(tx);
             // The acceptor needs the waker before the worker starts.
             wakers.push(reactor.waker());
@@ -780,6 +780,8 @@ struct ReactorWorker<T: SyncTarget> {
     ready: Vec<usize>,
     /// Slots owed service this pass.
     due: Vec<usize>,
+    /// Hand-offs taken off the channel this pass, not yet admitted.
+    inbox: Vec<Handoff>,
     /// The clock as read when this pass's wait returned: what every
     /// deadline in the pass is compared against.
     now: Instant,
@@ -822,6 +824,7 @@ impl<T: SyncTarget> ReactorWorker<T> {
             events: Vec::new(),
             ready: Vec::new(),
             due: Vec::new(),
+            inbox: Vec::with_capacity(ACCEPT_BURST),
             now: Instant::now(),
             backlog: false,
             last_sweep: Instant::now(),
@@ -851,8 +854,16 @@ impl<T: SyncTarget> ReactorWorker<T> {
             now_ns = self.now_ns();
             let decision = self.session.schedule_only(now_ns);
             self.session.sync_only(decision.bitmap);
-            if shutdown.load(Ordering::SeqCst) && self.rx.is_empty() && self.live == 0 {
-                return;
+            if shutdown.load(Ordering::SeqCst) && self.live == 0 {
+                // Leave only once the channel is empty (or its senders are
+                // gone); a hand-off still queued goes to the next pass.
+                match self.rx.try_recv() {
+                    Ok(handoff) => {
+                        self.inbox.push(handoff);
+                        self.backlog = true;
+                    }
+                    Err(_) => return,
+                }
             }
         }
     }
@@ -913,11 +924,15 @@ impl<T: SyncTarget> ReactorWorker<T> {
         // The acceptor rings the eventfd after every send, so the channel
         // is worth a look only when it rang (or a burst cap left some
         // behind); the cap mirrors the accept burst.
-        let handoffs = if rung || self.backlog {
-            self.rx.len().min(ACCEPT_BURST)
-        } else {
-            0
-        };
+        if rung || self.backlog {
+            while self.inbox.len() < ACCEPT_BURST {
+                match self.rx.try_recv() {
+                    Ok(handoff) => self.inbox.push(handoff),
+                    Err(_) => break,
+                }
+            }
+        }
+        let handoffs = self.inbox.len();
         self.backlog = handoffs == ACCEPT_BURST;
         self.session.events_fetched(handoffs + self.due.len());
         handoffs
@@ -939,12 +954,12 @@ impl<T: SyncTarget> ReactorWorker<T> {
     /// Fig. 9 lines 15–19: handle what [`fetch`](Self::fetch) reported,
     /// one `event_handled` per hand-off admitted and per slot serviced.
     fn handle(&mut self, handoffs: usize) {
-        for _ in 0..handoffs {
-            if let Ok(handoff) = self.rx.try_recv() {
-                self.admit(handoff);
-            }
+        let mut inbox = std::mem::take(&mut self.inbox);
+        for handoff in inbox.drain(..handoffs) {
+            self.admit(handoff);
             self.session.event_handled();
         }
+        self.inbox = inbox;
         let mut moved = 0u64;
         for i in 0..self.due.len() {
             moved += self.service(self.due[i]);
@@ -1274,7 +1289,7 @@ mod tests {
             .unwrap_or_else(|| panic!("bad greeting {greeting:?}"))
             .parse()
             .unwrap();
-        write!(s, "{payload}\n").unwrap();
+        writeln!(s, "{payload}").unwrap();
         let mut echoed = String::new();
         r.read_line(&mut echoed).expect("echo");
         assert_eq!(echoed.trim(), payload);
@@ -1306,7 +1321,7 @@ mod tests {
     /// The acceptor's half of a hand-driven reactor worker.
     struct RigAcceptor {
         listener: TcpListener,
-        tx: crossbeam::channel::Sender<Handoff>,
+        tx: std::sync::mpsc::SyncSender<Handoff>,
         waker: Waker,
     }
 
@@ -1333,7 +1348,7 @@ mod tests {
         fn publish_nowhere(_: hermes_core::WorkerBitmap) {}
         let reactor = Reactor::new().expect("epoll");
         let waker = reactor.waker();
-        let (tx, rx) = bounded::<Handoff>(1024);
+        let (tx, rx) = sync_channel(HANDOFF_QUEUE);
         let session = WorkerSession::new(
             Arc::new(Wst::new(1)),
             0,
@@ -1367,6 +1382,62 @@ mod tests {
                 waker,
             },
         )
+    }
+
+    #[test]
+    fn a_worker_that_stops_draining_blocks_the_acceptor_at_1024_handoffs() {
+        use std::sync::mpsc::TrySendError;
+        // The only backend is down, so every admission is refused on the
+        // spot and draining the queue opens no backend connection.
+        let (mut worker, acceptor) = reactor_rig(vec!["127.0.0.1:1".parse().unwrap()]);
+        assert!(worker.pool.set_health(0, HealthState::Down, 0));
+        let _client = TcpStream::connect(acceptor.addr()).unwrap();
+        let (accepted, _) = reactor::accept_nonblocking(&acceptor.listener).expect("accept");
+        let handoff = || -> Handoff {
+            let dup = accepted
+                .try_clone()
+                .expect("a full queue is 1 024 streams: needs ~1 100 fds");
+            (dup, 0)
+        };
+
+        // The worker is not stepped: its queue takes 1 024 and no more.
+        for held in 0..HANDOFF_QUEUE {
+            assert!(acceptor.tx.try_send(handoff()).is_ok(), "full at {held}");
+        }
+        assert!(matches!(
+            acceptor.tx.try_send(handoff()),
+            Err(TrySendError::Full(_))
+        ));
+        let mut sent = HANDOFF_QUEUE as u64;
+        acceptor.waker.wake();
+
+        // A send into the full queue returns once the worker takes a burst.
+        std::thread::scope(|scope| {
+            let blocked = scope.spawn(|| acceptor.tx.send(handoff()).expect("worker alive"));
+            let handoffs = worker.fetch();
+            assert_eq!(handoffs, ACCEPT_BURST);
+            worker.handle(handoffs);
+            blocked.join().expect("blocked send");
+        });
+        sent += 1;
+
+        // Shutdown with the queue full again: the worker admits all of it
+        // and returns.
+        while acceptor.tx.try_send(handoff()).is_ok() {
+            sent += 1;
+        }
+        worker.run(&AtomicBool::new(true));
+        assert_eq!(worker.stats.accepted[0].load(Ordering::Relaxed), sent);
+        // So does one that was sent but not yet rung in: the last look at
+        // the channel before leaving finds it.
+        acceptor.tx.try_send(handoff()).expect("room");
+        worker.run(&AtomicBool::new(true));
+        assert_eq!(worker.stats.accepted[0].load(Ordering::Relaxed), sent + 1);
+        assert_eq!(
+            worker.rstats.failed_connects.load(Ordering::Relaxed),
+            sent + 1
+        );
+        assert!(worker.rx.try_recv().is_err(), "hand-offs left behind");
     }
 
     #[test]
@@ -1913,7 +1984,7 @@ mod tests {
             after - before
         );
         // The connection is still perfectly alive after the idle window.
-        write!(s, "warm\n").unwrap();
+        writeln!(s, "warm").unwrap();
         let mut echoed = String::new();
         r.read_line(&mut echoed).unwrap();
         assert_eq!(echoed.trim(), "warm");
@@ -1997,7 +2068,7 @@ mod tests {
             );
         }
         // …while the established relay keeps serving through it.
-        write!(s, "still-here\n").unwrap();
+        writeln!(s, "still-here").unwrap();
         let mut echoed = String::new();
         r.read_line(&mut echoed).unwrap();
         assert_eq!(echoed.trim(), "still-here");

@@ -10,10 +10,9 @@
 //! status hooks around a 5 ms-timeout receive, run-to-completion
 //! connection handling, `schedule_and_sync` at the loop end.
 
+use crate::http::RequestBuf;
 use crate::proxy::Proxy;
 use crate::reactor::{self, Reactor, Waker};
-use bytes::BytesMut;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use hermes_core::sched::SchedConfig;
 use hermes_core::sdk::{SyncTarget, WorkerSession};
 use hermes_core::wst::Wst;
@@ -23,6 +22,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -31,6 +31,11 @@ use std::time::Duration;
 /// hash it dispatched on, so the worker never asks the kernel for the
 /// addresses again.
 pub(crate) type Handoff = (TcpStream, u32);
+
+/// Hand-offs a worker's `sync_channel` holds: a worker that stops draining
+/// blocks the acceptor at this many streams — the accept-queue semantics of
+/// the kernel — instead of growing without limit.
+pub(crate) const HANDOFF_QUEUE: usize = 1024;
 
 /// Counters shared with callers for observability/tests.
 #[derive(Debug, Default)]
@@ -84,7 +89,7 @@ impl Running {
     pub(crate) fn start(
         &mut self,
         listener: TcpListener,
-        senders: Vec<Sender<Handoff>>,
+        senders: Vec<SyncSender<Handoff>>,
         wakers: Vec<Waker>,
         workers: Vec<JoinHandle<()>>,
         nonblocking: bool,
@@ -172,10 +177,10 @@ impl TcpLb {
         let wsts: Vec<Arc<Wst>> = (0..groups)
             .map(|_| Arc::new(Wst::new(group_size)))
             .collect();
-        let mut senders: Vec<Sender<Handoff>> = Vec::with_capacity(workers);
+        let mut senders = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for id in 0..workers {
-            let (tx, rx) = bounded::<Handoff>(1024);
+            let (tx, rx) = sync_channel(HANDOFF_QUEUE);
             senders.push(tx);
             let (g, local) = (id / group_size, id % group_size);
             let lane = hermes_trace::grouped_lane(g, group_size, local);
@@ -290,7 +295,7 @@ fn classify_accept_error(e: &std::io::Error) -> AcceptFailure {
 /// also recorded one by one as `GroupDispatch` flight-recorder events.
 fn accept_loop(
     listener: TcpListener,
-    senders: Vec<Sender<Handoff>>,
+    senders: Vec<SyncSender<Handoff>>,
     wakers: Vec<Waker>,
     nonblocking: bool,
     plane: Arc<DispatchPlane>,
@@ -416,6 +421,7 @@ fn worker_loop<T: SyncTarget>(
     let now_ns = move || epoch.elapsed().as_nanos() as u64;
     loop {
         session.loop_top(now_ns());
+        let mut idle = false;
         match rx.recv_timeout(Duration::from_millis(5)) {
             Ok((stream, _hash)) => {
                 session.events_fetched(1);
@@ -442,12 +448,15 @@ fn worker_loop<T: SyncTarget>(
             }
             Err(RecvTimeoutError::Timeout) => {
                 session.events_fetched(0);
+                idle = true;
             }
             Err(RecvTimeoutError::Disconnected) => return,
         }
         let decision = session.schedule_only(now_ns());
         session.sync_only(decision.bitmap);
-        if shutdown.load(Ordering::SeqCst) && rx.is_empty() {
+        // Stop only once a receive has found the queue empty: hand-offs
+        // queued before the flag went up are still served.
+        if idle && shutdown.load(Ordering::SeqCst) {
             return;
         }
     }
@@ -458,7 +467,7 @@ fn worker_loop<T: SyncTarget>(
 fn serve_connection(mut stream: TcpStream, proxy: &mut Proxy, stats: &LbStats) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
     let _ = stream.set_nodelay(true);
-    let mut buf = BytesMut::with_capacity(4096);
+    let mut buf = RequestBuf::with_capacity(4096);
     let mut chunk = [0u8; 4096];
     // Hard per-connection deadline: a client trickling bytes just under
     // the read timeout must not pin this worker (slow-loris) or stall

@@ -337,70 +337,98 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+mod properties {
     use super::*;
-    use proptest::prelude::*;
+    use crate::rng::{for_each_case, SplitMix64};
 
-    proptest! {
-        /// Quantiles are monotone in q and bracketed by min/max.
-        #[test]
-        fn quantiles_monotone_and_bracketed(values in prop::collection::vec(0u64..1_000_000_000, 1..200)) {
+    /// `min_len..max_len` values, each below `bound`.
+    fn values(g: &mut SplitMix64, min_len: usize, max_len: usize, bound: u64) -> Vec<u64> {
+        let len = min_len + g.index(max_len - min_len);
+        (0..len).map(|_| g.next_u64() % bound).collect()
+    }
+
+    /// Quantiles are monotone in q and bracketed by min/max.
+    #[test]
+    fn quantiles_monotone_and_bracketed() {
+        for_each_case(256, |g| {
             let mut h = Histogram::latency();
-            for &v in &values {
+            for v in values(g, 1, 200, 1_000_000_000) {
                 h.record(v);
             }
             let qs = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0];
             let mut prev = 0u64;
             for &q in &qs {
                 let v = h.value_at_quantile(q);
-                prop_assert!(v >= prev, "quantile not monotone at {q}");
-                prop_assert!(v >= h.min() && v <= h.max());
+                assert!(v >= prev, "quantile not monotone at {q}");
+                assert!(v >= h.min() && v <= h.max());
                 prev = v;
             }
-        }
+        });
+    }
 
-        /// Merging two histograms equals recording everything into one.
-        #[test]
-        fn merge_equals_union(a in prop::collection::vec(0u64..1_000_000, 0..100),
-                              b in prop::collection::vec(0u64..1_000_000, 0..100)) {
+    /// Merging two histograms equals recording everything into one.
+    #[test]
+    fn merge_equals_union() {
+        for_each_case(256, |g| {
             let mut ha = Histogram::latency();
             let mut hb = Histogram::latency();
             let mut hu = Histogram::latency();
-            for &v in &a { ha.record(v); hu.record(v); }
-            for &v in &b { hb.record(v); hu.record(v); }
-            ha.merge(&hb);
-            prop_assert_eq!(ha.count(), hu.count());
-            prop_assert_eq!(ha.min(), hu.min());
-            prop_assert_eq!(ha.max(), hu.max());
-            for &q in &[0.5, 0.9, 0.99] {
-                prop_assert_eq!(ha.value_at_quantile(q), hu.value_at_quantile(q));
+            for v in values(g, 0, 100, 1_000_000) {
+                ha.record(v);
+                hu.record(v);
             }
-        }
+            for v in values(g, 0, 100, 1_000_000) {
+                hb.record(v);
+                hu.record(v);
+            }
+            ha.merge(&hb);
+            assert_eq!(ha.count(), hu.count());
+            assert_eq!(ha.min(), hu.min());
+            assert_eq!(ha.max(), hu.max());
+            for &q in &[0.5, 0.9, 0.99] {
+                assert_eq!(ha.value_at_quantile(q), hu.value_at_quantile(q));
+            }
+        });
+    }
 
-        /// The bucketed quantile stays within the configured relative error
-        /// of the exact order statistic.
-        #[test]
-        fn quantile_error_bound(values in prop::collection::vec(1u64..u64::MAX / 2, 10..300)) {
+    /// The bucketed quantile stays within the configured relative error
+    /// of the exact order statistic.
+    #[test]
+    fn quantile_error_bound() {
+        for_each_case(256, |g| {
             let mut h = Histogram::new(7);
-            let mut sorted = values.clone();
-            for &v in &values { h.record(v); }
+            let mut sorted: Vec<u64> = values(g, 10, 300, u64::MAX / 2 - 1)
+                .iter()
+                .map(|v| v + 1)
+                .collect();
+            for &v in &sorted {
+                h.record(v);
+            }
             sorted.sort_unstable();
             for &q in &[0.5, 0.9, 0.99] {
                 let rank = ((q * sorted.len() as f64).ceil() as usize).max(1) - 1;
                 let exact = sorted[rank];
                 let approx = h.value_at_quantile(q);
                 let err = (approx as f64 - exact as f64).abs() / exact as f64;
-                prop_assert!(err <= 1.0 / 128.0 + 1e-9, "q={q} exact={exact} approx={approx}");
+                assert!(
+                    err <= 1.0 / 128.0 + 1e-9,
+                    "q={q} exact={exact} approx={approx}"
+                );
             }
-        }
+        });
+    }
 
-        /// Bucket iteration conserves the recorded count and mean-sum.
-        #[test]
-        fn buckets_conserve_count(values in prop::collection::vec(0u64..1_000_000_000, 0..200)) {
+    /// Bucket iteration conserves the recorded count.
+    #[test]
+    fn buckets_conserve_count() {
+        for_each_case(256, |g| {
+            let values = values(g, 0, 200, 1_000_000_000);
             let mut h = Histogram::latency();
-            for &v in &values { h.record(v); }
+            for &v in &values {
+                h.record(v);
+            }
             let total: u64 = h.iter_buckets().map(|(_, c)| c).sum();
-            prop_assert_eq!(total, values.len() as u64);
-        }
+            assert_eq!(total, values.len() as u64);
+        });
     }
 }

@@ -15,6 +15,8 @@
 //!   traces (Fig. 3, Fig. 13).
 //! * [`table`] — aligned plain-text table rendering for regenerated tables.
 //! * [`ascii`] — plain-text line/CDF plots for regenerated figures.
+//! * [`SplitMix64`] — the seeded generator behind every workload and every
+//!   randomized test in the workspace.
 //!
 //! Everything here is deterministic and allocation-conscious; nothing in the
 //! measurement path takes a lock.
@@ -22,6 +24,7 @@
 pub mod ascii;
 pub mod cdf;
 pub mod histogram;
+pub mod rng;
 pub mod summary;
 pub mod table;
 pub mod timeseries;
@@ -29,6 +32,7 @@ pub mod welford;
 
 pub use cdf::Cdf;
 pub use histogram::Histogram;
+pub use rng::SplitMix64;
 pub use summary::Summary;
 pub use timeseries::TimeSeries;
 pub use welford::Welford;

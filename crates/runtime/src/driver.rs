@@ -4,13 +4,13 @@
 use crate::clock::Clock;
 use crate::report::{ComponentOverhead, RuntimeReport};
 use crate::worker::{run_worker, Task, WorkerCtx, WorkerOutput};
-use crossbeam::channel::{unbounded, Sender};
 use hermes_core::sched::SchedConfig;
 use hermes_core::sdk::WorkerSession;
 use hermes_core::wst::Wst;
 use hermes_core::WorkerBitmap;
 use hermes_ebpf::{DispatchPlane, Placement};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -103,7 +103,7 @@ impl LbRuntime {
         for g in 0..groups {
             let wst = Arc::new(Wst::new(group_size));
             for local in 0..group_size {
-                let (tx, rx) = unbounded();
+                let (tx, rx) = channel();
                 senders.push(tx);
                 let shard = Arc::clone(&plane);
                 let session = WorkerSession::new(

@@ -94,29 +94,42 @@ impl Pacer {
     /// wait completed on time; positive when the caller is running behind
     /// schedule and the tick fired immediately).
     pub fn pace(&mut self) -> Duration {
+        match self.advance(Instant::now()) {
+            Ok(deadline) => self.wait_until(deadline),
+            Err(overshoot) => overshoot,
+        }
+    }
+
+    /// The schedule, with no clock in it: advance by one tick as seen at
+    /// `entry`. `Ok(deadline)` when the tick's deadline has not passed (the
+    /// caller owes a wait for it); `Err(overshoot)` when it already had —
+    /// a miss, counted, and nothing to wait for.
+    fn advance(&mut self, entry: Instant) -> Result<Instant, Duration> {
         let deadline = self.next;
         self.next += self.interval;
-        let entry = Instant::now();
-        if entry > deadline {
-            // Missed: the schedule slipped before we even started waiting.
-            let overshoot = entry - deadline;
-            let overshoot_ns = overshoot.as_nanos() as u64;
-            self.missed += 1;
-            self.max_overshoot_ns = self.max_overshoot_ns.max(overshoot_ns);
-            hermes_trace::trace_event!(
-                deadline.duration_since(self.epoch).as_nanos() as u64,
-                hermes_trace::EventKind::PacerMiss,
-                hermes_trace::CONTROL_LANE,
-                overshoot_ns,
-                self.missed
-            );
-            hermes_trace::trace_count!(hermes_trace::CounterId::PacerDeadlineMisses);
-            hermes_trace::trace_count_max!(
-                hermes_trace::CounterId::PacerMaxOvershootNs,
-                overshoot_ns
-            );
-            return overshoot;
+        if entry <= deadline {
+            return Ok(deadline);
         }
+        // Missed: the schedule slipped before we even started waiting.
+        let overshoot = entry - deadline;
+        let overshoot_ns = overshoot.as_nanos() as u64;
+        self.missed += 1;
+        self.max_overshoot_ns = self.max_overshoot_ns.max(overshoot_ns);
+        hermes_trace::trace_event!(
+            deadline.duration_since(self.epoch).as_nanos() as u64,
+            hermes_trace::EventKind::PacerMiss,
+            hermes_trace::CONTROL_LANE,
+            overshoot_ns,
+            self.missed
+        );
+        hermes_trace::trace_count!(hermes_trace::CounterId::PacerDeadlineMisses);
+        hermes_trace::trace_count_max!(hermes_trace::CounterId::PacerMaxOvershootNs, overshoot_ns);
+        Err(overshoot)
+    }
+
+    /// Park, then spin, until `deadline`; returns how far past it the
+    /// clock was when the wait ended.
+    fn wait_until(&self, deadline: Instant) -> Duration {
         loop {
             let now = Instant::now();
             if now >= deadline {
@@ -135,94 +148,92 @@ impl Pacer {
     }
 }
 
+// The accounting tests drive `advance` with instants they make up, so what
+// they assert does not depend on how the host schedules the test thread;
+// the two tests that really wait assert only that a wait never ends early.
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const MS: Duration = Duration::from_millis(1);
+
+    /// A pacer and its zero point (the first deadline is `t0 + interval`).
+    fn pacer(interval: Duration) -> (Pacer, Instant) {
+        let p = Pacer::new(interval);
+        let t0 = p.next - interval;
+        (p, t0)
+    }
+
     #[test]
-    fn holds_the_long_run_rate() {
-        let interval = Duration::from_micros(500);
-        let ticks = 20u32;
-        let mut pacer = Pacer::new(interval);
-        let start = Instant::now();
-        for _ in 0..ticks {
-            pacer.pace();
+    fn deadlines_are_absolute_so_jitter_does_not_accumulate() {
+        let (mut p, t0) = pacer(2 * MS);
+        // Entries land anywhere inside their interval — early, late, on the
+        // dot — and the n-th deadline is still t0 + n * interval.
+        for (n, jitter_us) in [(1u32, 0u64), (2, 1_900), (3, 5), (4, 2_000), (5, 1_234)] {
+            let entry = t0 + 2 * MS * (n - 1) + Duration::from_micros(jitter_us);
+            assert_eq!(p.advance(entry), Ok(t0 + 2 * MS * n), "tick {n}");
         }
-        let elapsed = start.elapsed();
-        let target = interval * ticks;
-        assert!(
-            elapsed >= target,
-            "finished early: {elapsed:?} for a {target:?} schedule"
-        );
-        // Absolute deadlines mean per-tick jitter must not accumulate:
-        // even on a loaded CI box the whole run should track the schedule
-        // far tighter than naive sleep's worst case.
-        assert!(
-            elapsed < target + Duration::from_millis(50),
-            "schedule drifted: {elapsed:?} for a {target:?} schedule"
-        );
+        assert_eq!(p.missed_deadlines(), 0);
+        assert_eq!(p.max_overshoot_ns(), 0);
     }
 
     #[test]
     fn overdue_ticks_fire_immediately_and_catch_up() {
-        let interval = Duration::from_millis(1);
-        let mut pacer = Pacer::new(interval);
-        pacer.pace();
-        // Fall three intervals behind schedule.
-        std::thread::sleep(Duration::from_millis(4));
-        let t = Instant::now();
-        let lateness = pacer.pace();
-        assert!(
-            lateness >= Duration::from_millis(2),
-            "lateness {lateness:?}"
-        );
-        // The overdue ticks must not each wait a full interval.
-        pacer.pace();
-        pacer.pace();
-        assert!(
-            t.elapsed() < Duration::from_millis(2),
-            "catch-up ticks blocked: {:?}",
-            t.elapsed()
-        );
+        let (mut p, t0) = pacer(MS);
+        assert_eq!(p.advance(t0), Ok(t0 + MS));
+        // Fall behind: tick 2 is entered 3.5 intervals after it was due.
+        // It and the next three find their deadlines passed and owe no
+        // wait; tick 6 is back on schedule.
+        let late = t0 + 2 * MS + 7 * MS / 2;
+        assert_eq!(p.advance(late), Err(7 * MS / 2));
+        assert_eq!(p.advance(late), Err(5 * MS / 2));
+        assert_eq!(p.advance(late), Err(3 * MS / 2));
+        assert_eq!(p.advance(late), Err(MS / 2));
+        assert_eq!(p.advance(late), Ok(t0 + 6 * MS));
+        assert_eq!(p.missed_deadlines(), 4);
+        assert_eq!(p.max_overshoot_ns(), 3_500_000);
     }
 
     #[test]
-    fn on_time_ticks_report_zero_or_tiny_lateness() {
-        let mut pacer = Pacer::new(Duration::from_millis(2));
-        let lateness = pacer.pace();
-        assert!(lateness < Duration::from_millis(1), "lateness {lateness:?}");
-    }
-
-    #[test]
-    fn miss_accounting_counts_overdue_ticks() {
-        let interval = Duration::from_millis(1);
-        let mut pacer = Pacer::new(interval);
-        // The first tick may or may not miss depending on scheduler noise;
-        // measure deltas from here on.
-        pacer.pace();
-        let base = pacer.missed_deadlines();
-        // Fall several intervals behind: the next two catch-up ticks find
-        // their deadlines already expired and must both count as misses.
-        std::thread::sleep(Duration::from_millis(4));
-        pacer.pace();
-        pacer.pace();
-        assert_eq!(pacer.missed_deadlines(), base + 2);
-        assert!(
-            pacer.max_overshoot_ns() >= 1_000_000,
-            "max overshoot {} ns",
-            pacer.max_overshoot_ns()
+    fn a_tick_entered_at_or_before_its_deadline_is_not_a_miss() {
+        let (mut p, t0) = pacer(2 * MS);
+        assert_eq!(p.advance(t0 + 2 * MS), Ok(t0 + 2 * MS), "on the dot");
+        assert_eq!(
+            p.advance(t0 + 2 * MS),
+            Ok(t0 + 4 * MS),
+            "a whole interval early"
         );
+        assert_eq!(
+            p.advance(t0 + 6 * MS + Duration::from_nanos(1)),
+            Err(Duration::from_nanos(1)),
+            "one nanosecond late"
+        );
+        assert_eq!(p.missed_deadlines(), 1);
+        assert_eq!(p.max_overshoot_ns(), 1);
     }
 
     #[test]
-    fn zero_spin_window_still_paces() {
-        let interval = Duration::from_micros(300);
-        let mut pacer = Pacer::with_spin_window(interval, Duration::ZERO);
-        let start = Instant::now();
-        for _ in 0..4 {
-            pacer.pace();
+    fn pace_reports_a_miss_without_waiting_and_lateness_from_the_deadline() {
+        let (mut p, _) = pacer(MS);
+        // Put the schedule a second behind the clock: the tick is overdue.
+        p.next -= Duration::from_secs(1);
+        let lateness = p.pace();
+        assert!(lateness >= Duration::from_secs(1) - MS, "{lateness:?}");
+        assert_eq!(p.missed_deadlines(), 1);
+        assert_eq!(p.max_overshoot_ns(), lateness.as_nanos() as u64);
+    }
+
+    #[test]
+    fn a_wait_never_ends_before_its_deadline() {
+        for spin_window in [DEFAULT_SPIN_WINDOW, Duration::ZERO] {
+            let interval = Duration::from_micros(300);
+            let mut pacer = Pacer::with_spin_window(interval, spin_window);
+            let first_deadline = pacer.next;
+            for _ in 0..4 {
+                pacer.pace();
+            }
+            assert!(Instant::now() >= first_deadline + interval * 3);
+            assert_eq!(pacer.interval(), interval);
         }
-        assert!(start.elapsed() >= interval * 4);
-        assert_eq!(pacer.interval(), interval);
     }
 }

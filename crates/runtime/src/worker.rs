@@ -12,9 +12,9 @@
 
 use crate::clock::{spin_for_ns, Clock};
 use crate::report::ComponentOverhead;
-use crossbeam::channel::{Receiver, RecvTimeoutError};
 use hermes_core::sdk::{SyncTarget, WorkerSession};
 use hermes_metrics::Histogram;
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
 /// One unit of work delivered to a worker's "epoll instance".
@@ -90,12 +90,14 @@ pub fn run_worker<T: SyncTarget>(mut ctx: WorkerCtx<T>) -> WorkerOutput {
         ctx.session.loop_top(ctx.clock.now_ns());
         out.overhead.counter_ns += t.elapsed().as_nanos() as u64;
 
-        // ---- epoll_wait(...) ----
-        batch.clear();
-        match ctx.rx.recv_timeout(ctx.epoll_timeout) {
-            Ok(task) => batch.push(task),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => shutting_down = true,
+        // ---- epoll_wait(...) ---- (no wait when the shutdown check below
+        // left the task it found in the batch)
+        if batch.is_empty() {
+            match ctx.rx.recv_timeout(ctx.epoll_timeout) {
+                Ok(task) => batch.push(task),
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => shutting_down = true,
+            }
         }
         while batch.len() < ctx.max_events {
             match ctx.rx.try_recv() {
@@ -156,8 +158,13 @@ pub fn run_worker<T: SyncTarget>(mut ctx: WorkerCtx<T>) -> WorkerOutput {
         out.overhead.sync_ns += t.elapsed().as_nanos() as u64;
         out.sched_calls += 1;
 
-        if shutting_down && ctx.rx.is_empty() {
-            return out;
+        // Leave once shutting down with the queue empty (or disconnected);
+        // a task still there opens the next pass.
+        if shutting_down {
+            match ctx.rx.try_recv() {
+                Ok(task) => batch.push(task),
+                Err(_) => return out,
+            }
         }
     }
 }
@@ -165,10 +172,10 @@ pub fn run_worker<T: SyncTarget>(mut ctx: WorkerCtx<T>) -> WorkerOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
     use hermes_core::sched::SchedConfig;
     use hermes_core::selmap::SelMap;
     use hermes_core::wst::Wst;
+    use std::sync::mpsc::channel;
     use std::sync::Arc;
 
     fn spawn_one(
@@ -190,7 +197,7 @@ mod tests {
 
     #[test]
     fn worker_processes_tasks_and_exits_on_shutdown() {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let wst = Arc::new(Wst::new(1));
         let sel = Arc::new(SelMap::new());
         let clock = Clock::new();
@@ -215,9 +222,41 @@ mod tests {
         assert!(sel.update_count() >= 1);
     }
 
+    /// Shutdown costs no extra `epoll_wait`: the pass that handles it is
+    /// the last one even when the batch cap and the queue's end coincide,
+    /// and a task queued behind it is handled without waiting.
+    #[test]
+    fn shutdown_at_the_batch_cap_returns_without_another_wait() {
+        let run = |tasks: &[Task], max_events| {
+            let (tx, rx) = channel();
+            tasks.iter().for_each(|t| tx.send(t.clone()).unwrap());
+            let out = run_worker(WorkerCtx {
+                rx,
+                session: WorkerSession::new(
+                    Arc::new(Wst::new(1)),
+                    0,
+                    SchedConfig::default(),
+                    Arc::new(SelMap::new()),
+                ),
+                clock: Clock::new(),
+                epoll_timeout: Duration::from_secs(2), // a regression shows in the pass count
+                max_events,
+            });
+            drop(tx);
+            (out.sched_calls, out.accepted)
+        };
+        use Task::{Accept, Shutdown};
+        // The batch fills to the cap exactly as the queue empties.
+        assert_eq!(run(&[Accept, Accept, Accept, Shutdown], 4), (1, 3));
+        // `Shutdown` is left for a second pass, which finds it at once.
+        assert_eq!(run(&[Accept, Accept, Accept, Accept, Shutdown], 4), (2, 4));
+        // Tasks behind `Shutdown` are drained, one pass per batch.
+        assert_eq!(run(&[Shutdown, Accept, Accept], 1), (3, 2));
+    }
+
     #[test]
     fn idle_worker_schedules_every_timeout() {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let wst = Arc::new(Wst::new(1));
         let sel = Arc::new(SelMap::new());
         let clock = Clock::new();
@@ -232,7 +271,7 @@ mod tests {
 
     #[test]
     fn probe_latency_recorded_separately() {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let wst = Arc::new(Wst::new(1));
         let sel = Arc::new(SelMap::new());
         let clock = Clock::new();

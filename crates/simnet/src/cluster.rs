@@ -16,7 +16,8 @@
 //! Devices are independent in the paper's deployment (§6.1): no state is
 //! shared between LBs, so a fleet run is embarrassingly parallel.
 //! [`run_cluster_threaded`] and [`run_fleet_with`] fan devices out over a
-//! crossbeam scoped work pool. Determinism is preserved by construction:
+//! scoped work pool (`std::thread::scope`). Determinism is preserved by
+//! construction:
 //!
 //! 1. each device's event stream is already byte-deterministic (the
 //!    engine-equivalence suite), and a device never reads another
@@ -140,9 +141,10 @@ where
     }
     let next = AtomicUsize::new(0);
     let slots: Mutex<Vec<Option<DeviceReport>>> = Mutex::new((0..devices).map(|_| None).collect());
-    crossbeam::thread::scope(|s| {
+    // Joins every worker and re-raises a worker's panic.
+    std::thread::scope(|s| {
         for _ in 0..threads {
-            s.spawn(|_| loop {
+            s.spawn(|| loop {
                 let d = next.fetch_add(1, Ordering::Relaxed);
                 if d >= devices {
                     break;
@@ -151,8 +153,7 @@ where
                 slots.lock().expect("pool panicked")[d] = Some(report);
             });
         }
-    })
-    .expect("device pool panicked");
+    });
     ClusterReport {
         devices: slots
             .into_inner()

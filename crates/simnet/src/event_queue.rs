@@ -430,15 +430,7 @@ impl<E: Copy> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// SplitMix64: cheap deterministic pseudo-randomness for stress tests.
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
+    use hermes_metrics::SplitMix64;
 
     #[test]
     fn pops_in_time_order() {
@@ -488,10 +480,10 @@ mod tests {
     fn random_interleaving_matches_heap() {
         let mut w = TimerWheel::new();
         let mut h = HeapQueue::new();
-        let mut rng = 0x1234_5678u64;
+        let mut rng = SplitMix64::from_state(0x1234_5678);
         let mut now = 0u64;
         for round in 0..20_000 {
-            let r = splitmix(&mut rng);
+            let r = rng.next_u64();
             if r % 3 < 2 || w.is_empty() {
                 // Push at now + a delta spanning many magnitudes.
                 let exp = (r >> 8) % 40;
@@ -569,13 +561,13 @@ mod tests {
     fn pop_before_matches_the_model_on_both_engines() {
         for seed in 1..=8u64 {
             let mut q = Lockstep::default();
-            let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let mut rng = SplitMix64::from_state(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
             // The caller's clock, as the simulator keeps it: the time of the
             // last event it ran — popped, or its own at a refused limit.
             let mut now = 0u64;
             let (mut refused, mut popped) = (0u32, 0u32);
             for round in 0..30_000u32 {
-                let r = splitmix(&mut rng);
+                let r = rng.next_u64();
                 let delta = (r >> 16) % (1u64 << ((r >> 8) % 36));
                 match r % 8 {
                     0..=3 => q.push(now + delta, round),
@@ -717,9 +709,9 @@ mod tests {
         // Everything lands inside one 64 ns level-0 window.
         let mut w = TimerWheel::new();
         let mut h = HeapQueue::new();
-        let mut rng = 42u64;
+        let mut rng = SplitMix64::from_state(42);
         for i in 0..1_000u32 {
-            let t = splitmix(&mut rng) % 64;
+            let t = rng.next_u64() % 64;
             w.push(t, i);
             h.push(t, i);
         }

@@ -8,17 +8,17 @@
 //! queue-level interleaving check lives in `event_queue.rs` unit tests).
 //!
 //! Structure note: the property bodies live in plain helper functions
-//! that the fixed-seed `#[test]`s call directly, and a `proptest!` block
-//! additionally drives them over randomized parameters when the real
-//! proptest crate is available.
+//! that the fixed-seed `#[test]`s call directly and two seeded sweeps
+//! drive over drawn parameters.
 
+use hermes_metrics::rng::for_each_case;
 use hermes_simnet::{DeviceReport, Engine, Fault, Mode, SimConfig, Simulator};
 use hermes_workload::{Case, CaseLoad};
 
 /// Everything a run can legitimately differ on is covered by `Debug`:
 /// latency histograms, per-worker accepted counts, balance series,
 /// scheduler stats, events_processed. Byte-identical Debug output is the
-/// strongest cheap fingerprint we have (no serde in this crate).
+/// strongest cheap fingerprint we have.
 fn fingerprint(r: &DeviceReport) -> String {
     format!("{r:?}")
 }
@@ -226,42 +226,28 @@ fn same_seed_runs_are_byte_identical() {
     }
 }
 
-// Randomized sweep over the same property bodies when the real proptest
-// crate is present (the offline stub compiles this out).
-mod random {
-    // Unused under the offline proptest stub, which expands `proptest!`
-    // to nothing; the real crate uses both.
-    #[allow(unused_imports)]
-    use super::*;
-    #[allow(unused_imports)]
-    use proptest::prelude::*;
+// Seeded sweeps over the same property bodies (8 whole-simulation pairs
+// each: a case is two 0.7 s runs).
+#[test]
+fn engines_agree_on_random_workloads() {
+    for_each_case(8, |g| {
+        assert_engines_equivalent(
+            Scenario {
+                case: CASES[g.index(4)],
+                load: LOADS[g.index(3)],
+                mode: Mode::Hermes,
+                workers: 2 + g.index(4),
+                duration_ns: 700_000_000,
+                seed: g.next_u64() % 1_000_000,
+            },
+            &[],
+        );
+    });
+}
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(8))]
-
-        #[test]
-        fn engines_agree_on_random_workloads(
-            case_ix in 0usize..4,
-            load_ix in 0usize..3,
-            workers in 2usize..6,
-            seed in 0u64..1_000_000,
-        ) {
-            assert_engines_equivalent(
-                Scenario {
-                    case: CASES[case_ix],
-                    load: LOADS[load_ix],
-                    mode: Mode::Hermes,
-                    workers,
-                    duration_ns: 700_000_000,
-                    seed,
-                },
-                &[],
-            );
-        }
-
-        #[test]
-        fn runs_are_deterministic_for_random_seeds(seed in 0u64..1_000_000) {
-            assert_run_deterministic(Engine::Wheel, seed);
-        }
-    }
+#[test]
+fn runs_are_deterministic_for_random_seeds() {
+    for_each_case(8, |g| {
+        assert_run_deterministic(Engine::Wheel, g.next_u64() % 1_000_000)
+    });
 }

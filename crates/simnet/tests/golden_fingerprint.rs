@@ -7,41 +7,36 @@
 //! placements it steers every other number, so "decision-identical" is a
 //! test rather than a claim.
 //!
-//! The traffic has Case 1 heavy's shape — 2 100 connections per second per
-//! worker, one two-event request of ~380 µs each, 2 000 tenant ports — but
-//! is generated here from integer arithmetic on a splitmix stream, not by
-//! `Case::Case1.workload`: that goes through the `rand` crate, and pinned
-//! constants must not depend on which `rand` build is linked.
+//! Most of the traffic has Case 1 heavy's shape — 2 100 connections per
+//! second per worker, one two-event request of ~380 µs each, 2 000 tenant
+//! ports — generated here from integer arithmetic on the workspace
+//! generator (raw states: the constants predate its seed whitening), so
+//! those constants pin the simulator alone. `CASE1_HEAVY_GENERATED` goes
+//! through `Case::Case1.workload` and so pins generator, distributions and
+//! simulator together.
 
 use hermes_core::FlowKey;
+use hermes_metrics::SplitMix64;
 use hermes_simnet::{
     backend::HealthState, BackendChurnEvent, BackendSimConfig, Fault, Mode, SimConfig, Simulator,
 };
-use hermes_workload::{ConnectionSpec, RequestSpec, Workload};
+use hermes_workload::{Case, CaseLoad, ConnectionSpec, RequestSpec, Workload};
 
 const WORKERS: usize = 32;
 const HORIZON_NS: u64 = 1_000_000_000;
 const SEED: u64 = 42;
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Roughly exponential with the given mean, integers only (no libm in the
 /// fingerprint): a geometric whole part (a leading-zero count, mean 1) plus
 /// a uniform fraction (mean ½), in units of ⅔ of the mean.
-fn exp_ns(mean_ns: u64, state: &mut u64) -> u64 {
+fn exp_ns(mean_ns: u64, rng: &mut SplitMix64) -> u64 {
     let unit = mean_ns * 2 / 3;
-    let whole = u64::from(splitmix(state).leading_zeros());
-    unit * whole + ((unit * (splitmix(state) & 0xffff)) >> 16)
+    let whole = u64::from(rng.next_u64().leading_zeros());
+    unit * whole + ((unit * (rng.next_u64() & 0xffff)) >> 16)
 }
 
 fn case1_heavy_shaped() -> Workload {
-    let mut rng = SEED;
+    let mut rng = SplitMix64::from_state(SEED);
     let gap_ns = 1_000_000_000 / (2_100 * WORKERS as u64);
     let mut wl = Workload::new("case1-heavy-shaped", HORIZON_NS);
     let mut at = 0u64;
@@ -50,7 +45,7 @@ fn case1_heavy_shaped() -> Workload {
         if at >= HORIZON_NS {
             break;
         }
-        let r = splitmix(&mut rng);
+        let r = rng.next_u64();
         let tenant = (r % 2_000) as u16;
         let port = 20_000 + tenant;
         wl.push(ConnectionSpec {
@@ -137,6 +132,31 @@ fn two_group_plane_matches_the_recorded_run() {
     }
 }
 
+/// One second of the benchmark's `sim_case1` input (`Case1`, heavy, 32
+/// workers, seed 42; 66 920 connections). Recorded in the build that
+/// produced every checked-in result, before the generator moved in-repo.
+const CASE1_HEAVY_GENERATED: Golden = Golden {
+    events_processed: 322_191,
+    completed_requests: 66_901,
+    p99_ns: 4_259_840,
+    sched_calls: 80_713,
+    selected_sum: 1_613_356,
+    alive_sum: 2_582_816,
+};
+
+#[test]
+fn generated_case1_heavy_matches_the_recorded_run() {
+    let wl = Case::Case1.workload(CaseLoad::Heavy, WORKERS, HORIZON_NS, SEED);
+    assert_eq!(wl.conns.len(), 66_920);
+    for use_ebpf in [false, true] {
+        assert_eq!(
+            run(&wl, None, use_ebpf),
+            CASE1_HEAVY_GENERATED,
+            "use_ebpf={use_ebpf}"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------
 // Shapes Case 1 never reaches. Recorded at the commit *before* scripted
 // arrivals left the event queue (they are now streamed from the sorted
@@ -153,7 +173,7 @@ fn two_group_plane_matches_the_recorded_run() {
 /// and live wakes landing on scripted instants.
 fn case3_shaped() -> Workload {
     const GRID_NS: u64 = 100_000;
-    let mut rng = SEED ^ 3;
+    let mut rng = SplitMix64::from_state(SEED ^ 3);
     let mut wl = Workload::new("case3-shaped", HORIZON_NS);
     let mut at = 0u64;
     loop {
@@ -161,12 +181,12 @@ fn case3_shaped() -> Workload {
         if at >= HORIZON_NS {
             break;
         }
-        let clump = match splitmix(&mut rng) % 16 {
+        let clump = match rng.next_u64() % 16 {
             0..=11 => 1,
             r => r - 10,
         };
         for _ in 0..clump {
-            let r = splitmix(&mut rng);
+            let r = rng.next_u64();
             let tenant = (r % 200) as u16;
             let port = 20_000 + tenant;
             let mut offset = 0u64;

@@ -177,10 +177,12 @@ mod tests {
 
     #[test]
     fn summary_breaks_grouped_dispatch_out_by_group() {
+        // Payload: group in the high word, global worker in the low.
+        let placed = |group: u64, worker: u64| (group << 32) | worker;
         let records = vec![
-            rec(10, EventKind::GroupDispatch, 64, 0xabc, (0u64 << 32) | 3),
-            rec(20, EventKind::GroupDispatch, 64, 0xdef, (0u64 << 32) | 5),
-            rec(30, EventKind::GroupDispatch, 64, 0x123, (2u64 << 32) | 130),
+            rec(10, EventKind::GroupDispatch, 64, 0xabc, placed(0, 3)),
+            rec(20, EventKind::GroupDispatch, 64, 0xdef, placed(0, 5)),
+            rec(30, EventKind::GroupDispatch, 64, 0x123, placed(2, 130)),
         ];
         let s = summary(&records, &[], 0);
         assert!(s.contains("Grouped dispatch"), "{s}");

@@ -249,6 +249,29 @@ mod tests {
         assert!(max as f64 / p50 as f64 > 5.0, "tail ratio");
     }
 
+    /// The benchmark's `sim_case1` input, summed. Recorded with the
+    /// generator every checked-in result was produced with, before that
+    /// generator moved into `hermes-metrics`: if this moves, every
+    /// `results/` file and every recorded benchmark run is from another
+    /// stream.
+    #[test]
+    fn case1_heavy_seed_42_is_the_recorded_workload() {
+        let wl = Case::Case1.workload(CaseLoad::Heavy, 32, 30 * NANOS_PER_SEC, 42);
+        let (mut arrivals, mut services, mut hashes) = (0u64, 0u64, 0u64);
+        for c in &wl.conns {
+            arrivals = arrivals.wrapping_add(c.arrival_ns);
+            hashes = hashes.wrapping_add(u64::from(c.flow.hash()));
+            for r in &c.requests {
+                services = services.wrapping_add(r.service_ns);
+            }
+        }
+        assert_eq!(wl.conns.len(), 2_016_205);
+        assert_eq!(wl.request_count(), 2_016_205);
+        assert_eq!(arrivals, 30_277_221_829_750_652);
+        assert_eq!(services, 766_552_550_388);
+        assert_eq!(hashes, 4_330_749_438_573_108);
+    }
+
     #[test]
     fn workloads_are_deterministic_per_seed() {
         let a = Case::Case2.workload(CaseLoad::Medium, 4, NANOS_PER_SEC, 42);

@@ -45,10 +45,9 @@ pub use tenant::{TenantProfile, TenantSet};
 
 /// Deterministic RNG used across all generators: experiments must be
 /// reproducible run-to-run.
-pub type Rng = rand::rngs::StdRng;
+pub type Rng = hermes_metrics::SplitMix64;
 
 /// Construct the workspace-standard RNG from a seed.
 pub fn rng(seed: u64) -> Rng {
-    use rand::SeedableRng;
-    Rng::seed_from_u64(seed)
+    Rng::new(seed)
 }

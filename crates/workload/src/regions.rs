@@ -140,8 +140,7 @@ impl Region {
 
     /// Expected traffic-weighted case for one connection draw.
     pub fn sample_case(&self, rng: &mut crate::Rng) -> Case {
-        use rand::RngExt as _;
-        let u: f64 = rng.random();
+        let u = rng.f64();
         let mut acc = 0.0;
         for (i, &w) in self.case_mix.iter().enumerate() {
             acc += w;

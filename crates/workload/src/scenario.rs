@@ -58,15 +58,14 @@ impl Default for SurgeConfig {
 /// burst (quantitative trading's "sudden traffic bursts if certain trading
 /// conditions are met").
 pub fn surge(config: SurgeConfig, seed: u64) -> Workload {
-    use rand::RngExt as _;
     let mut rng = crate::rng(seed);
     let surge_at = config.ramp_ns + config.quiet_ns;
     let horizon = surge_at + config.surge_window_ns + config.drain_ns;
     let service = Exp::with_mean(config.burst_service_ns);
     let mut w = Workload::new("fig3-surge", horizon);
     for i in 0..config.connections {
-        let arrival = (config.ramp_ns as f64 * rng.random::<f64>()) as u64;
-        let fire_at = surge_at + (config.surge_window_ns as f64 * rng.random::<f64>()) as u64;
+        let arrival = (config.ramp_ns as f64 * rng.f64()) as u64;
+        let fire_at = surge_at + (config.surge_window_ns as f64 * rng.f64()) as u64;
         let mut requests = Vec::with_capacity(config.burst_requests as usize + 1);
         // A handshake-time request so placement costs something immediately.
         requests.push(RequestSpec {

@@ -10,10 +10,9 @@
 //! under every dispatch mode — the comparison structure of Table 3.
 
 use hermes_core::FlowKey;
-use serde::{Deserialize, Serialize};
 
 /// One application-layer request on a connection.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RequestSpec {
     /// When the request's first event becomes readable, relative to
     /// connection establishment (ns).
@@ -38,7 +37,7 @@ impl RequestSpec {
 }
 
 /// One client connection through the LB.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ConnectionSpec {
     /// SYN arrival time (ns from experiment start).
     pub arrival_ns: u64,
@@ -68,7 +67,7 @@ impl ConnectionSpec {
 }
 
 /// A complete experiment input.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Workload {
     /// Human-readable name (appears in harness output).
     pub name: String,

@@ -112,7 +112,6 @@ impl TenantSet {
         conn_seq: u32,
         rng: &mut crate::Rng,
     ) -> ConnectionSpec {
-        use rand::RngExt as _;
         let profile = &self.tenants[tenant];
         let n_requests = (profile.requests_per_conn.sample(rng).round() as usize).max(1);
         let mut requests = Vec::with_capacity(n_requests);
@@ -135,12 +134,7 @@ impl TenantSet {
         let port = self.port_of(tenant);
         ConnectionSpec {
             arrival_ns,
-            flow: FlowKey::new(
-                src_ip,
-                src_port ^ (rng.random::<u16>() & 0x3ff),
-                self.vip,
-                port,
-            ),
+            flow: FlowKey::new(src_ip, src_port ^ (rng.u16() & 0x3ff), self.vip, port),
             tenant: tenant as u16,
             port,
             requests,

@@ -39,6 +39,11 @@ summary() {
 }
 trap 'summary $?' EXIT
 
+# One probe decides how every `cargo <subcommand> ...` below reaches the one
+# third-party crate; see scripts/registry.sh.
+. scripts/registry.sh
+step "registry: $REGISTRY"
+
 step "cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -54,6 +59,12 @@ cargo build --workspace --release --features trace
 
 step "cargo test"
 cargo test --workspace -q
+
+step "bench targets run (every benches/*.rs body once)"
+# The six `harness = false` bench mains time nothing unless started by
+# `cargo bench`; started this way each of their 41 bodies runs once, so a
+# bench that panics or no longer reaches its tier fails CI.
+cargo test --release -q -p hermes-bench --benches
 
 step "ebpf soundness differential suite (checked vs compiled vs jit)"
 # The tier ladder's safety argument: accepted programs never trap, and
@@ -261,16 +272,16 @@ done < <(grep -rn --include='*.rs' -E '(^|[^a-zA-Z0-9_"])unsafe[[:space:]]*(\{|f
 step "miri (nightly): lock-free ring / selmap / validator under the interpreter"
 # Scoped to the concurrency-bearing modules plus the symbolic validator:
 # full-workspace miri would take hours and trips on FFI-free but slow
-# proptest suites. Skipped tests (documented, not silent):
+# seeded-case suites. Skipped tests (documented, not silent):
 #   - ring::tests::concurrent_producer_consumer_loses_nothing — 100k-op
 #     stress loop; minutes under the interpreter, and the loom lane covers
 #     the same protocol exhaustively at small scale.
 if rustup run nightly cargo miri --version >/dev/null 2>&1; then
-  MIRIFLAGS="-Zmiri-disable-isolation" rustup run nightly cargo miri test \
+  MIRIFLAGS="-Zmiri-disable-isolation" rustup run nightly cargo miri test ${REGISTRY_FLAGS[@]+"${REGISTRY_FLAGS[@]}"} \
     -p hermes-trace --lib ring -- --skip concurrent_producer_consumer_loses_nothing
-  MIRIFLAGS="-Zmiri-disable-isolation" rustup run nightly cargo miri test \
+  MIRIFLAGS="-Zmiri-disable-isolation" rustup run nightly cargo miri test ${REGISTRY_FLAGS[@]+"${REGISTRY_FLAGS[@]}"} \
     -p hermes-core --lib selmap
-  MIRIFLAGS="-Zmiri-disable-isolation" rustup run nightly cargo miri test \
+  MIRIFLAGS="-Zmiri-disable-isolation" rustup run nightly cargo miri test ${REGISTRY_FLAGS[@]+"${REGISTRY_FLAGS[@]}"} \
     -p hermes-ebpf --lib validate
 else
   skip "miri unavailable (install: rustup component add miri --toolchain nightly)"
@@ -282,7 +293,7 @@ host="$(rustc -vV | sed -n 's/^host: //p')"
 if rustup run nightly rustc --print sysroot >/dev/null 2>&1 \
    && [ -d "$(rustup run nightly rustc --print sysroot)/lib/rustlib/src/rust/library" ]; then
   RUSTFLAGS="-Zsanitizer=thread" RUSTDOCFLAGS="-Zsanitizer=thread" \
-    rustup run nightly cargo test -Zbuild-std --target "$host" \
+    rustup run nightly cargo test ${REGISTRY_FLAGS[@]+"${REGISTRY_FLAGS[@]}"} -Zbuild-std --target "$host" \
     -p hermes-trace -p hermes-core --lib -q
 else
   skip "nightly rust-src unavailable (install: rustup component add rust-src --toolchain nightly)"
@@ -290,15 +301,28 @@ fi
 
 step "loom model checking: SPSC trace ring + SelMap elision"
 # The loom tests live behind cfg(loom) in crates/trace/src/ring.rs and
-# crates/core/src/selmap.rs. Loom is not a workspace dependency (the build
-# must stay offline), so this lane runs only when it has been wired up
-# locally: add `loom = "0.7"` to [dependencies] of hermes-trace and
-# hermes-core, then re-run this script.
+# crates/core/src/selmap.rs. Loom is not a workspace dependency (the
+# dependency-closure lane below refuses it, so the wiring cannot be
+# committed), and this lane runs only when it has been wired up locally:
+# add `loom = "0.7"` to [dependencies] of hermes-trace and hermes-core,
+# then re-run this script.
 if grep -q '^loom' crates/trace/Cargo.toml crates/core/Cargo.toml 2>/dev/null; then
   RUSTFLAGS="--cfg loom" cargo test -p hermes-trace --lib --release loom_
   RUSTFLAGS="--cfg loom" cargo test -p hermes-core --lib --release loom_
 else
   skip "loom not wired up (add loom = \"0.7\" to hermes-trace and hermes-core [dependencies])"
 fi
+
+step "dependency closure (std, the workspace, and bytes)"
+# The build's trust argument: nothing from outside this repository is
+# compiled in except `bytes`, and only hermes-lb names it. A second
+# third-party crate in any manifest, used or not, fails here — including
+# a locally wired `loom`, which is why this lane comes after that one.
+outside="$(cargo tree --workspace -e normal,dev,build --prefix none |
+  awk -v root="$PWD" 'NF && !index($0, "(" root "/crates/") && !index($0, "(" root ")") { print $1 }' |
+  sort -u | tr '\n' ' ')"
+[ "$outside" = "bytes " ] || { echo "packages from outside the workspace: $outside(want: bytes)"; exit 1; }
+named="$(grep -lE '^bytes\b' Cargo.toml crates/*/Cargo.toml | tr '\n' ' ')"
+[ "$named" = "Cargo.toml crates/lb/Cargo.toml " ] || { echo "bytes is named by: $named"; exit 1; }
 
 echo "CI gate passed."

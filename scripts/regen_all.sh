@@ -3,6 +3,8 @@
 # Usage: scripts/regen_all.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
+. scripts/registry.sh
+echo "registry: $REGISTRY"
 mkdir -p results
 cargo build --release -p hermes-bench
 for bin in table1 table2 table3 table4 table5 \
