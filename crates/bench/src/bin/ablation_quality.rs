@@ -111,10 +111,11 @@ fn main() {
         t.row([name.to_string(), fmt(avg), fmt(p99), fmt(sd)]);
     }
     println!("{t}");
-    println!("Observed shapes: the load-bearing choice is the *time filter* — dropping");
-    println!("it lets hung workers keep receiving traffic (case 2 P99 +50%). Filter");
-    println!("order and scheduling timing move results only a few percent (our");
-    println!("scheduler syncs ~20k/s, so staleness windows are tiny), and the n>1");
-    println!("guard rarely triggers when bitmaps stay wide — consistent with the");
-    println!("paper presenting them as robustness guards rather than perf levers.");
+    println!("Reading the tables: each first row is the paper's choice. The choices");
+    println!("move Case 2 heavy by a few percent to low tens of percent and the");
+    println!("others hardly at all (our scheduler syncs ~20k/s, so staleness windows");
+    println!("are tiny), and the n>1 guard rarely triggers when bitmaps stay wide —");
+    println!("consistent with the paper presenting them as robustness guards rather");
+    println!("than perf levers. EXPERIMENTS.md reads the rows and records how they");
+    println!("moved with the random stream.");
 }

@@ -1,473 +1,236 @@
-//! Dispatch-tier throughput harness: the perf trajectory of the
-//! per-connection dispatch path, tracked as `results/BENCH_dispatch.json`
-//! from PR 3 on.
+//! Dispatch-tier throughput harness: the per-connection dispatch path at
+//! every execution tier and every deployment shape, as ratios of things this
+//! process measured in alternation. A full run records them in
+//! `results/BENCH_dispatch.json`.
 //!
-//! Runs both Algorithm 2 programs — the flat single-group program and the
-//! two-level grouped (dynamic-fd) program — through every execution tier
-//! (including the jit tier on x86-64 Linux) over the same hash stream and
-//! reports ns/dispatch and dispatches/sec for each, plus the speedups the
-//! compilation tier, native emission, and batching buy. The tiers are
-//! decision-identical by construction (differentially fuzzed in
-//! `crates/ebpf/tests/soundness.rs`), so the wall-clock ratios isolate
-//! execution cost. The `batch64` row measures the public `run_batch`
-//! API, which rides the highest earned tier — jit where present.
+//! One hash stream goes through the flat single-group Algorithm 2 program
+//! (64 workers) and through the two-level grouped (dynamic-fd) program at
+//! 4×16 and at 64×1 … 256×4 (64 workers per group — the §7 shape where one
+//! 64-bit bitmap no longer covers the fleet). Each program runs on the
+//! checked interpreter, the compiled tier, the jit tier where the platform
+//! has one, and through `run_batch` in 64-connection bursts (which rides the
+//! highest earned tier). The tiers are decision-identical by construction
+//! (differentially fuzzed in `crates/ebpf/tests/soundness.rs`), so the ratios
+//! isolate execution cost. Every grouped shape also times the flat compiled
+//! program in the same rounds: the grouped program does strictly more work
+//! (level-1 group selection plus a per-group map resolve), and the gate is
+//! how close its compiled tier stays to flat dispatch.
 //!
-//! Flags:
-//!   --smoke            fewer dispatches (CI gate)
-//!   --out PATH         write JSON here (default results/BENCH_dispatch.json)
-//!   --baseline PATH    compare against a checked-in baseline; exit 1 if
-//!                      flat compiled dispatches/sec regresses more than
-//!                      20%, if compiled fails to beat checked by >= 2x on
-//!                      either program, if the jit (when earned) fails to
-//!                      beat compiled by >= 2x, or if the 64-burst batch
-//!                      falls behind single-shot ceiling-tier dispatch by
-//!                      more than the resolve-cache tolerance
-//!   --no-write         measure and check only, leave the baseline file
-//!   --workers N        reuseport group size (default 64)
-//!
-//! The throughput gate compares *dispatch speed on this machine* against a
-//! baseline measured on a possibly different machine, so the 20% margin is
-//! deliberately generous; the tier-ratio gates are machine-independent.
-//! Regenerate the baseline with
-//! `cargo run --release -p hermes-bench --bin dispatch_throughput` when the
-//! dispatch path legitimately changes speed.
+//! Flags: `--smoke` (half the stream and a third of the rounds, never
+//! writes), `--out PATH`.
+//! EXPERIMENTS.md "Gates that measure both sides" has the runs the bounds
+//! were read off and the seeded regressions they catch.
 
+use hermes_bench::gate::{Clock, Gates, Json, Side};
+use hermes_bench::{flat_registry, fmt};
 use hermes_core::{ConnDispatcher, WorkerBitmap};
-use hermes_ebpf::maps::{ArrayMap, MapRef, MapRegistry, SockArrayMap};
+use hermes_ebpf::maps::MapRegistry;
 use hermes_ebpf::{AnalysisCtx, DispatchProgram, ExecTier, GroupedReuseportGroup, Vm};
 use std::hint::black_box;
-use std::sync::Arc;
-use std::time::Instant;
 
-const DEFAULT_WORKERS: usize = 64;
+const FLAT_WORKERS: usize = 64;
 const BITMAP: u64 = 0x0000_F0F0_A5A5_3C3C;
 /// Batch geometry under test — the workspace-wide accept/dispatch burst.
 const BURST: usize = hermes_core::DISPATCH_BATCH;
-const DEFAULT_DISPATCHES: usize = 1 << 20;
-const SMOKE_DISPATCHES: usize = 1 << 17;
-const REGRESSION_FRAC: f64 = 0.20;
-/// Acceptance floor: the compiled tier must beat the checked interpreter
-/// by at least this factor on both programs.
+/// Grouped deployment shapes, `(groups, workers per group)`.
+const SHAPES: [(usize, usize); 5] = [(4, 16), (1, 64), (2, 64), (3, 64), (4, 64)];
+/// The compiled tier must beat the checked interpreter by this on every
+/// program. (The 64-per-group shapes were held to 2.5 until PR 18; the ratio
+/// moves between 2.3 and 3.8 from one process to the next, whatever the
+/// order inside it, so 2.5 failed runs of an unchanged tree.)
 const COMPILED_OVER_CHECKED_FLOOR: f64 = 2.0;
-/// Acceptance floor: the jit tier (when earned) must beat the compiled
-/// tier by at least this factor on both programs.
+/// The jit tier, where earned, must beat the compiled tier by this.
 const JIT_OVER_COMPILED_FLOOR: f64 = 2.0;
-/// The 64-burst batch must stay within noise of single-shot dispatch on
-/// the same (ceiling) tier. Historically the floor was 1.0 — batching won
-/// by amortizing per-run map resolution — but the frozen-registry resolve
-/// cache (see EXPERIMENTS.md, grouped-batch investigation) collapsed the
-/// single-shot resolve to one refcount bump, so batch ≈ single is now the
-/// *expected* result and only a real regression drops below 0.95.
+/// The 64-burst batch must stay within noise of single-shot dispatch on the
+/// same (ceiling) tier: since the frozen-registry resolve cache collapsed the
+/// single-shot resolve to one refcount bump, batch ≈ single is the expected
+/// result (EXPERIMENTS.md, grouped-batch investigation) and only a batch path
+/// that re-resolves per call drops under this.
 const BATCH_OVER_SINGLE_FLOOR: f64 = 0.95;
+/// Compiled grouped dispatch may cost at most this multiple of compiled flat
+/// dispatch per connection.
+const GROUPED_OVER_FLAT_CEILING: f64 = 1.3;
 
-#[derive(Clone, Copy, Debug)]
-struct VariantResult {
-    dispatches: usize,
-    wall_seconds: f64,
-    ns_per_dispatch: f64,
-    dispatches_per_sec: f64,
-}
-
-/// Pseudorandom but deterministic hash stream (same constants as the
-/// runtime driver's scripted flows).
+/// Pseudorandom but deterministic hash stream (same constants as the runtime
+/// driver's scripted flows).
 fn hash_stream(n: usize) -> Vec<u32> {
     (0..n as u32)
         .map(|i| i.wrapping_mul(0x9E37_79B9).rotate_left(11) ^ 0xA5A5_5A5A)
         .collect()
 }
 
-/// Best-of-`runs` wall time for one full pass over the hash stream, after
-/// one untimed warmup pass. `pass` returns an accumulator so the work
-/// cannot be optimized away.
-fn measure(hashes: &[u32], runs: usize, mut pass: impl FnMut(&[u32]) -> u64) -> VariantResult {
-    black_box(pass(hashes)); // warmup
-    let mut best = f64::INFINITY;
-    for _ in 0..runs {
-        let t = Instant::now();
-        let acc = pass(hashes);
-        let secs = t.elapsed().as_secs_f64();
-        black_box(acc);
-        best = best.min(secs);
-    }
-    VariantResult {
-        dispatches: hashes.len(),
-        wall_seconds: best,
-        ns_per_dispatch: best * 1e9 / hashes.len() as f64,
-        dispatches_per_sec: hashes.len() as f64 / best,
-    }
+/// Every group selects a different worker subset, as live schedulers do.
+fn group_bitmap(group: usize, group_size: usize) -> WorkerBitmap {
+    let rotated = BITMAP.rotate_left(group as u32 * 13);
+    // Narrower groups keep a fixed half-and-half pattern: a rotation can
+    // leave their low bits empty, and an empty bitmap times the fallback.
+    WorkerBitmap(if group_size == 64 { rotated } else { 0xA5A5 })
 }
 
-/// Live maps mirroring [`hermes_ebpf::ReuseportGroup::new`].
-fn flat_registry(workers: usize) -> MapRegistry {
-    let registry = MapRegistry::new();
-    let sel = Arc::new(ArrayMap::new(1));
-    sel.update(0, BITMAP);
-    registry.register(MapRef::Array(sel));
-    let socks = Arc::new(SockArrayMap::new(workers));
-    for w in 0..workers {
-        socks.register(w, w);
-    }
-    registry.register(MapRef::SockArray(socks));
-    registry
-}
-
-/// Tier + batch sweep over one loaded program. `jit` is `None` on
-/// platforms where native emission is unavailable; `batch` measures the
-/// public `run_batch` API on whatever ceiling tier it rides.
-struct ProgramResults {
-    checked: VariantResult,
-    compiled: VariantResult,
-    jit: Option<VariantResult>,
-    batch: VariantResult,
-}
-
-impl ProgramResults {
-    /// Single-shot throughput of the tier `run_batch` actually uses —
-    /// the honest denominator for the batch-over-single ratio.
-    fn ceiling_single(&self) -> &VariantResult {
-        self.jit.as_ref().unwrap_or(&self.compiled)
-    }
-}
-
-fn measure_program(vm: &Vm, maps: &MapRegistry, hashes: &[u32], runs: usize) -> ProgramResults {
-    vm.prepare_jit(maps);
-    assert_eq!(
-        vm.tier(),
-        ExecTier::native_ceiling(),
-        "program must reach the platform ceiling tier"
-    );
-    let tier_pass = |tier: ExecTier| {
-        move |hs: &[u32]| {
-            let mut acc = 0u64;
-            for &h in hs {
-                acc = acc.wrapping_add(vm.run_tier(tier, h, maps, 0).unwrap().return_value);
-            }
-            acc
-        }
-    };
-    let mut out = Vec::with_capacity(BURST);
-    let batch_pass = |hs: &[u32]| {
+/// One timed pass of `vm` over the stream, one dispatch at a time on `tier`.
+fn single<'a>(
+    vm: &'a Vm,
+    maps: &'a MapRegistry,
+    hashes: &'a [u32],
+    tier: ExecTier,
+) -> impl FnMut(&mut Clock) + 'a {
+    move |_| {
         let mut acc = 0u64;
-        for chunk in hs.chunks(BURST) {
+        for &h in hashes {
+            acc = acc.wrapping_add(vm.run_tier(tier, h, maps, 0).unwrap().return_value);
+        }
+        black_box(acc);
+    }
+}
+
+/// Time one loaded program on every tier — a grouped shape in alternation
+/// with the compiled tier of `flat`, the flat program — state its gates under
+/// `label`, and return its rows.
+fn sweep(
+    gates: &mut Gates,
+    label: &str,
+    (vm, maps): (&Vm, &MapRegistry),
+    hashes: &[u32],
+    flat: Option<(&Vm, &MapRegistry)>,
+) -> Json {
+    vm.prepare_jit(maps);
+    gates.check(
+        &format!("{label} reaches the platform's ceiling tier"),
+        vm.tier() == ExecTier::native_ceiling(),
+        format!("{} of {}", vm.tier(), ExecTier::native_ceiling()),
+    );
+    let has_jit = vm.tier() == ExecTier::Jit;
+    let ceiling = if has_jit { "jit" } else { "compiled" };
+    let mut checked = single(vm, maps, hashes, ExecTier::Checked);
+    let mut compiled = single(vm, maps, hashes, ExecTier::Compiled);
+    let mut jit = single(vm, maps, hashes, ExecTier::Jit);
+    let mut out = Vec::with_capacity(BURST);
+    let mut batch = |_: &mut Clock| {
+        let mut acc = 0u64;
+        for chunk in hashes.chunks(BURST) {
             out.clear();
             vm.run_batch(chunk, maps, 0, &mut out).unwrap();
             acc = acc.wrapping_add(out.iter().map(|r| r.return_value).sum::<u64>());
         }
-        acc
+        black_box(acc);
     };
-    ProgramResults {
-        checked: measure(hashes, runs, tier_pass(ExecTier::Checked)),
-        compiled: measure(hashes, runs, tier_pass(ExecTier::Compiled)),
-        jit: (vm.tier() == ExecTier::Jit).then(|| measure(hashes, runs, tier_pass(ExecTier::Jit))),
-        batch: measure(hashes, runs, batch_pass),
+    let mut sides: Vec<Side> = vec![("checked", &mut checked), ("compiled", &mut compiled)];
+    if has_jit {
+        sides.push(("jit", &mut jit));
     }
-}
+    sides.push(("batch64", &mut batch));
+    let mut flat = flat.map(|(vm, maps)| single(vm, maps, hashes, ExecTier::Compiled));
+    let grouped = flat.is_some();
+    if let Some(flat) = &mut flat {
+        sides.push(("flat compiled", flat));
+    }
+    let samples = gates.alternate(&mut sides);
 
-fn json_block(r: &VariantResult) -> String {
-    format!(
-        "{{ \"dispatches\": {}, \"wall_seconds\": {:.6}, \"ns_per_dispatch\": {:.2}, \"dispatches_per_sec\": {:.1} }}",
-        r.dispatches, r.wall_seconds, r.ns_per_dispatch, r.dispatches_per_sec
-    )
-}
-
-fn program_json(p: &ProgramResults) -> String {
-    let jit = match &p.jit {
-        Some(j) => format!("\n      \"jit\": {},", json_block(j)),
-        None => String::new(),
-    };
-    format!(
-        "{{\n      \"checked\": {},\n      \"compiled\": {},{}\n      \"batch64\": {}\n    }}",
-        json_block(&p.checked),
-        json_block(&p.compiled),
-        jit,
-        json_block(&p.batch)
-    )
-}
-
-fn render_json(
-    workers: usize,
-    smoke: bool,
-    native: &VariantResult,
-    flat: &ProgramResults,
-    grouped: &ProgramResults,
-) -> String {
-    let jit_speedups = match (&flat.jit, &grouped.jit) {
-        (Some(fj), Some(gj)) => format!(
-            "\n  \"speedup_jit_over_compiled_flat\": {:.2},\n  \"speedup_jit_over_compiled_grouped\": {:.2},",
-            fj.dispatches_per_sec / flat.compiled.dispatches_per_sec,
-            gj.dispatches_per_sec / grouped.compiled.dispatches_per_sec,
-        ),
-        _ => String::new(),
-    };
-    format!(
-        "{{\n  \"benchmark\": \"dispatch_throughput\",\n  \"scenario\": \"Algorithm 2 / {workers} workers / bitmap {BITMAP:#018x}\",\n  \"smoke\": {smoke},\n  \"native_oracle\": {},\n  \"programs\": {{\n    \"flat\": {},\n    \"grouped\": {}\n  }},\n  \"speedup_compiled_over_checked_flat\": {:.2},\n  \"speedup_compiled_over_checked_grouped\": {:.2},{}\n  \"speedup_batch64_over_single_flat\": {:.2},\n  \"speedup_batch64_over_single_grouped\": {:.2}\n}}\n",
-        json_block(native),
-        program_json(flat),
-        program_json(grouped),
-        flat.compiled.dispatches_per_sec / flat.checked.dispatches_per_sec,
-        grouped.compiled.dispatches_per_sec / grouped.checked.dispatches_per_sec,
-        jit_speedups,
-        flat.batch.dispatches_per_sec / flat.ceiling_single().dispatches_per_sec,
-        grouped.batch.dispatches_per_sec / grouped.ceiling_single().dispatches_per_sec,
-    )
-}
-
-/// Pull `"dispatches_per_sec": <number>` out of the `"compiled"` block of
-/// the `"flat"` program in a baseline file without a JSON dependency (the
-/// bench crate has none).
-fn baseline_flat_compiled_dps(contents: &str) -> Option<f64> {
-    let flat = contents.find("\"flat\"")?;
-    let tail = &contents[flat..];
-    let compiled = tail.find("\"compiled\":")?;
-    let tail = &tail[compiled..];
-    let key = "\"dispatches_per_sec\":";
-    let at = tail.find(key)? + key.len();
-    let rest = tail[at..].trim_start();
-    let end = rest
-        .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn print_variant(name: &str, r: &VariantResult) {
-    println!(
-        "  {name:<24} {:>9} dispatches  {:>8.4}s  {:>12.0} dispatches/sec  {:>8.1} ns/dispatch",
-        r.dispatches, r.wall_seconds, r.dispatches_per_sec, r.ns_per_dispatch
-    );
-}
-
-fn print_program(label: &str, p: &ProgramResults) {
     println!("{label}:");
-    print_variant("checked", &p.checked);
-    print_variant("compiled", &p.compiled);
-    if let Some(jit) = &p.jit {
-        print_variant("jit", jit);
+    let n = hashes.len() as u64;
+    let mut rows = Json::new();
+    for (side, _) in &sides {
+        let row = Json::throughput(side, "dispatch", n, &mut samples.of(side));
+        rows = rows.block(side, row);
     }
-    print_variant("batch64", &p.batch);
+    let mut compiled_over_checked = samples.ratio("checked", "compiled");
+    gates.at_least(
+        &format!("{label} compiled / checked"),
+        &mut compiled_over_checked,
+        COMPILED_OVER_CHECKED_FLOOR,
+    );
+    rows = rows.timed("speedup_compiled_over_checked", &mut compiled_over_checked);
+    if ExecTier::native_ceiling() == ExecTier::Jit {
+        // A program that did not earn the tier has no samples, which FAILS.
+        let mut jit_over_compiled = samples.ratio("compiled", "jit");
+        gates.at_least(
+            &format!("{label} jit / compiled"),
+            &mut jit_over_compiled,
+            JIT_OVER_COMPILED_FLOOR,
+        );
+        rows = rows.timed("speedup_jit_over_compiled", &mut jit_over_compiled);
+    } else {
+        gates.skip(
+            &format!("{label} jit / compiled"),
+            "no jit tier on this target".into(),
+        );
+    }
+    let mut batch_over_single = samples.ratio(ceiling, "batch64");
+    if grouped {
+        let mut over_flat = samples.ratio("compiled", "flat compiled");
+        gates.at_most(
+            &format!("{label} compiled / flat compiled"),
+            &mut over_flat,
+            GROUPED_OVER_FLAT_CEILING,
+        );
+        rows = rows.timed("ns_vs_flat_compiled", &mut over_flat);
+        gates.report(
+            &format!("{label} batch64 / {ceiling}"),
+            fmt(batch_over_single.p50()),
+        );
+    } else {
+        gates.at_least(
+            &format!("{label} batch64 / {ceiling}"),
+            &mut batch_over_single,
+            BATCH_OVER_SINGLE_FLOOR,
+        );
+    }
+    rows.timed("speedup_batch64_over_single", &mut batch_over_single)
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut no_write = false;
-    let mut out = String::from("results/BENCH_dispatch.json");
-    let mut baseline: Option<String> = None;
-    let mut workers = DEFAULT_WORKERS;
+    // A full run is more rounds of a stream twice as long, not a few rounds
+    // of a long one: the checked tier already takes 0.1 s a pass at 2^17.
+    let mut gates = Gates::from_args("dispatch_throughput", "results/BENCH_dispatch.json", 8, 24);
+    let hashes = hash_stream(if gates.smoke() { 1 << 17 } else { 1 << 18 });
 
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--no-write" => no_write = true,
-            "--out" => out = args.next().expect("--out needs a path"),
-            "--baseline" => baseline = Some(args.next().expect("--baseline needs a path")),
-            "--workers" => {
-                workers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--workers needs a count")
-            }
-            other => panic!("unknown flag {other:?}"),
-        }
-    }
-
-    let dispatches = if smoke {
-        SMOKE_DISPATCHES
-    } else {
-        DEFAULT_DISPATCHES
-    };
-    // Best-of-3 even in smoke: the batch-vs-single ratio gate needs the
-    // least-interfered-with run of each variant, and smoke passes are
-    // cheap enough to afford it.
-    let runs = 3;
-    let hashes = hash_stream(dispatches);
-
-    println!(
-        "dispatch_throughput: Algorithm 2 / {workers} workers, {dispatches} dispatches, {runs} run(s) per variant{}",
-        if smoke { " [smoke]" } else { "" }
-    );
-
-    let oracle = ConnDispatcher::new(workers);
-    let native = measure(&hashes, runs, |hs| {
+    let oracle = ConnDispatcher::new(FLAT_WORKERS);
+    let native = gates.alternate(&mut [("native_oracle", &mut |_| {
         let mut acc = 0u64;
-        for &h in hs {
+        for &h in &hashes {
             acc = acc.wrapping_add(oracle.dispatch(WorkerBitmap(BITMAP), h).worker() as u64);
         }
-        acc
-    });
-    print_variant("native_oracle", &native);
-
-    let prog = DispatchProgram::build(0, 1, workers);
-    let maps = flat_registry(workers);
-    let ctx = AnalysisCtx::from_registry(&maps);
-    let flat_vm = Vm::load_analyzed(prog.insns().to_vec(), &ctx).expect("flat program analyzes");
-    let flat = measure_program(&flat_vm, &maps, &hashes, runs);
-    print_program("flat", &flat);
-
-    let grouped_deploy = GroupedReuseportGroup::new(4, 16);
-    for grp in 0..grouped_deploy.groups() {
-        grouped_deploy.sync_group_bitmap(grp, WorkerBitmap(0xA5A5));
-    }
-    let grouped = measure_program(
-        grouped_deploy.vm(),
-        grouped_deploy.registry(),
-        &hashes,
-        runs,
+        black_box(acc);
+    })]);
+    let n = hashes.len() as u64;
+    let native = Json::throughput(
+        "native_oracle",
+        "dispatch",
+        n,
+        &mut native.of("native_oracle"),
     );
-    print_program("grouped", &grouped);
 
-    let flat_speedup = flat.compiled.dispatches_per_sec / flat.checked.dispatches_per_sec;
-    let grouped_speedup = grouped.compiled.dispatches_per_sec / grouped.checked.dispatches_per_sec;
-    let flat_batch = flat.batch.dispatches_per_sec / flat.ceiling_single().dispatches_per_sec;
-    let grouped_batch =
-        grouped.batch.dispatches_per_sec / grouped.ceiling_single().dispatches_per_sec;
-    println!("  compiled over checked: flat {flat_speedup:.2}x, grouped {grouped_speedup:.2}x");
-    if let (Some(fj), Some(gj)) = (&flat.jit, &grouped.jit) {
-        println!(
-            "  jit over compiled:     flat {:.2}x, grouped {:.2}x",
-            fj.dispatches_per_sec / flat.compiled.dispatches_per_sec,
-            gj.dispatches_per_sec / grouped.compiled.dispatches_per_sec
+    let prog = DispatchProgram::build(0, 1, FLAT_WORKERS);
+    let flat_maps = flat_registry(FLAT_WORKERS, BITMAP);
+    let ctx = AnalysisCtx::from_registry(&flat_maps);
+    let flat_vm = Vm::load_analyzed(prog.insns().to_vec(), &ctx).expect("flat program analyzes");
+    let flat = sweep(&mut gates, "flat", (&flat_vm, &flat_maps), &hashes, None);
+
+    let mut scales = Json::new();
+    for (groups, group_size) in SHAPES {
+        let deploy = GroupedReuseportGroup::new(groups, group_size);
+        for g in 0..groups {
+            deploy.sync_group_bitmap(g, group_bitmap(g, group_size));
+        }
+        let label = format!("{}x{groups}", groups * group_size);
+        let rows = sweep(
+            &mut gates,
+            &label,
+            (deploy.vm(), deploy.registry()),
+            &hashes,
+            Some((&flat_vm, &flat_maps)),
         );
-    }
-    println!("  batch64 over single:   flat {flat_batch:.2}x, grouped {grouped_batch:.2}x");
-
-    let mut failed = false;
-    if baseline.is_some() {
-        let mut gates = vec![
-            (
-                "flat compiled/checked".to_string(),
-                flat_speedup,
-                COMPILED_OVER_CHECKED_FLOOR,
-            ),
-            (
-                "grouped compiled/checked".to_string(),
-                grouped_speedup,
-                COMPILED_OVER_CHECKED_FLOOR,
-            ),
-            (
-                "flat batch64/single".to_string(),
-                flat_batch,
-                BATCH_OVER_SINGLE_FLOOR,
-            ),
-        ];
-        if let (Some(fj), Some(gj)) = (&flat.jit, &grouped.jit) {
-            gates.push((
-                "flat jit/compiled".to_string(),
-                fj.dispatches_per_sec / flat.compiled.dispatches_per_sec,
-                JIT_OVER_COMPILED_FLOOR,
-            ));
-            gates.push((
-                "grouped jit/compiled".to_string(),
-                gj.dispatches_per_sec / grouped.compiled.dispatches_per_sec,
-                JIT_OVER_COMPILED_FLOOR,
-            ));
-        }
-        for (what, ratio, floor) in gates {
-            if ratio < floor {
-                eprintln!("REGRESSION: {what} speedup {ratio:.2}x is below the {floor:.2}x floor");
-                failed = true;
-            }
-        }
-    }
-    if let Some(path) = baseline {
-        match std::fs::read_to_string(&path) {
-            Ok(contents) => match baseline_flat_compiled_dps(&contents) {
-                Some(base) => {
-                    let floor = base * (1.0 - REGRESSION_FRAC);
-                    if flat.compiled.dispatches_per_sec < floor {
-                        eprintln!(
-                            "REGRESSION: flat compiled {:.0} dispatches/sec is more than {:.0}% below baseline {:.0} (floor {:.0})",
-                            flat.compiled.dispatches_per_sec,
-                            REGRESSION_FRAC * 100.0,
-                            base,
-                            floor
-                        );
-                        failed = true;
-                    } else {
-                        println!(
-                            "  baseline check: {:.0} dispatches/sec vs baseline {:.0} (floor {:.0}) — ok",
-                            flat.compiled.dispatches_per_sec, base, floor
-                        );
-                    }
-                }
-                None => {
-                    eprintln!("baseline {path} has no flat compiled dispatches_per_sec field");
-                    failed = true;
-                }
-            },
-            Err(e) => {
-                eprintln!("cannot read baseline {path}: {e}");
-                failed = true;
-            }
-        }
+        scales = scales.block(&label, rows);
     }
 
-    if !no_write {
-        let json = render_json(workers, smoke, &native, &flat, &grouped);
-        if let Some(dir) = std::path::Path::new(&out).parent() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-        std::fs::write(&out, json).expect("write BENCH_dispatch.json");
-        println!("  wrote {out}");
-    }
-
-    if failed {
-        std::process::exit(1);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn variant(dps: f64) -> VariantResult {
-        VariantResult {
-            dispatches: 1000,
-            wall_seconds: 1000.0 / dps,
-            ns_per_dispatch: 1e9 / dps,
-            dispatches_per_sec: dps,
-        }
-    }
-
-    #[test]
-    fn baseline_parse_finds_the_flat_compiled_block() {
-        let native = variant(900.0);
-        let flat = ProgramResults {
-            checked: variant(100.0),
-            compiled: variant(700.0),
-            jit: Some(variant(2000.0)),
-            batch: variant(2100.0),
-        };
-        let grouped = ProgramResults {
-            checked: variant(90.0),
-            compiled: variant(600.0),
-            jit: Some(variant(1800.0)),
-            batch: variant(1900.0),
-        };
-        let json = render_json(64, false, &native, &flat, &grouped);
-        // Must pick the flat program's single-shot compiled figure — not
-        // the batch, jit, or grouped figures, and not the oracle's.
-        assert_eq!(baseline_flat_compiled_dps(&json), Some(700.0));
-        assert_eq!(baseline_flat_compiled_dps("not json"), None);
-    }
-
-    #[test]
-    fn baseline_parse_survives_a_jitless_baseline() {
-        // A baseline written on a non-x86-64 host has no jit rows; the
-        // parser must still find the flat compiled block.
-        let native = variant(900.0);
-        let flat = ProgramResults {
-            checked: variant(100.0),
-            compiled: variant(700.0),
-            jit: None,
-            batch: variant(800.0),
-        };
-        let grouped = ProgramResults {
-            checked: variant(90.0),
-            compiled: variant(600.0),
-            jit: None,
-            batch: variant(650.0),
-        };
-        let json = render_json(64, false, &native, &flat, &grouped);
-        assert_eq!(baseline_flat_compiled_dps(&json), Some(700.0));
-    }
+    gates.finish(
+        Json::new()
+            .text(
+                "scenario",
+                &format!("Algorithm 2 / flat {FLAT_WORKERS} workers, bitmap {BITMAP:#018x}"),
+            )
+            .block("native_oracle", native)
+            .block("flat", flat)
+            .block("scales", scales),
+    )
 }

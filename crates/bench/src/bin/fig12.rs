@@ -7,65 +7,29 @@
 //! model and report the monthly unit-cost curves and the peak reduction
 //! (paper: 18.9 %).
 //!
-//! The traffic basis is the *measured* 363-device fleet: month 0 is the
-//! fleet RPS from `results/BENCH_fleet.json` (the `fleet_throughput`
-//! harness), and the cost model is calibrated so carrying it at the
+//! The traffic basis is the *simulated* 363-device fleet: month 0 is
+//! [`FLEET_RPS`], the request rate a full `fleet_throughput` run completes
+//! (and re-checks), and the cost model is calibrated so carrying it at the
 //! pre-Hermes 30 % threshold takes exactly the 363 deployed devices.
-//! Without a bench file (fresh checkout) the harness falls back to the
-//! synthetic mid-size-region basis the original extrapolation used.
 
-use hermes_bench::banner;
+use hermes_bench::{banner, FLEET_RPS};
 use hermes_core::costmodel::{peak_reduction, CostModel};
 use hermes_metrics::ascii::line_plot;
 
 /// The paper's region: 363 devices.
 const FLEET_DEVICES: u32 = 363;
-/// Synthetic fallback basis (the pre-fleet-bench extrapolation).
-const SYNTHETIC_BASE_TRAFFIC: f64 = 2_000.0;
-
-/// Pull `"fleet_rps": <number>` out of BENCH_fleet.json without a JSON
-/// dependency (the bench crate has none).
-fn parse_fleet_rps(contents: &str) -> Option<f64> {
-    let key = "\"fleet_rps\":";
-    let at = contents.find(key)? + key.len();
-    let rest = contents[at..].trim_start();
-    let end = rest
-        .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
 
 fn main() {
     banner(
         "Fig 12",
         "§6.2 'Unit cost of cloud infra before/after Hermes'",
     );
-    let measured = std::fs::read_to_string("results/BENCH_fleet.json")
-        .ok()
-        .as_deref()
-        .and_then(parse_fleet_rps)
-        .filter(|rps| *rps > 0.0);
-    let (before, after, base_traffic) = match measured {
-        Some(rps) => {
-            println!(
-                "traffic basis: measured fleet {rps:.0} rps across {FLEET_DEVICES} devices (results/BENCH_fleet.json)"
-            );
-            let (b, a) = CostModel::calibrated_pair(rps, FLEET_DEVICES);
-            (b, a, rps)
-        }
-        None => {
-            println!(
-                "traffic basis: synthetic {SYNTHETIC_BASE_TRAFFIC:.0} units (no results/BENCH_fleet.json — run fleet_throughput for the measured basis)"
-            );
-            (
-                CostModel::before_hermes(),
-                CostModel::after_hermes(),
-                SYNTHETIC_BASE_TRAFFIC,
-            )
-        }
-    };
+    println!(
+        "traffic basis: simulated fleet {FLEET_RPS:.0} rps across {FLEET_DEVICES} devices (fleet_throughput)"
+    );
+    let (before, after) = CostModel::calibrated_pair(FLEET_RPS, FLEET_DEVICES);
     // 24 months of ~8% m/m traffic growth from the month-0 basis.
-    let traffic: Vec<f64> = (0..24).map(|m| base_traffic * 1.08f64.powi(m)).collect();
+    let traffic: Vec<f64> = (0..24).map(|m| FLEET_RPS * 1.08f64.powi(m)).collect();
     println!(
         "month 0 provisioning: {} VMs before / {} after (threshold 30% -> 40%)",
         before.vms_required(traffic[0]),
@@ -106,16 +70,4 @@ fn main() {
         / b.len() as f64;
     println!("peak monthly unit-cost reduction: {peak:.1}%   mean: {mean_red:.1}%");
     println!("Paper: peak reduction 18.9% (threshold 30% -> 40%; ideal asymptote 25%).");
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fleet_rps_parse() {
-        let json = "{\n  \"benchmark\": \"fleet_throughput\",\n  \"fleet_rps\": 224102.4,\n  \"sweeps\": {}\n}\n";
-        assert_eq!(parse_fleet_rps(json), Some(224102.4));
-        assert_eq!(parse_fleet_rps("{}"), None);
-    }
 }

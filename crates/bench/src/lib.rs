@@ -4,18 +4,23 @@
 //! `src/bin/`), plus micro-benchmarks and ablations (`benches/`, plain
 //! `harness = false` mains over [`time_it`]).
 //! This library holds the shared experiment parameters and output helpers
-//! so every harness prints comparable, diff-friendly results.
+//! so every harness prints comparable, diff-friendly results, and [`gate`],
+//! the harness under the five binaries `scripts/ci.sh` runs as gates.
 //!
 //! Absolute numbers come from a simulator on a laptop, not Alibaba's
 //! testbed; per DESIGN.md the *shape* of each result (ordering of modes,
 //! imbalance ratios, crossovers) is the reproduction target, and
 //! EXPERIMENTS.md records paper-vs-measured for each experiment.
 
-use hermes_metrics::{Summary, NANOS_PER_SEC};
+pub mod gate;
+
+use hermes_ebpf::maps::{ArrayMap, MapRef, MapRegistry, SockArrayMap};
+use hermes_metrics::NANOS_PER_SEC;
 use hermes_simnet::{DeviceReport, Mode, SimConfig};
 use hermes_workload::Workload;
+use std::cell::Cell;
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 
 /// Workers per simulated LB device. The paper's devices are 32-core VMs;
 /// 8 keeps harness runtimes laptop-friendly while preserving every
@@ -27,6 +32,12 @@ pub const DURATION_NS: u64 = 10 * NANOS_PER_SEC;
 
 /// Workspace-standard experiment seed.
 pub const SEED: u64 = 42;
+
+/// Requests per second the 363-device fleet of `fleet_throughput` completes
+/// (Case 3 medium, 10 s, seed 363): simulated, so the same on every host. A
+/// full `fleet_throughput` run fails if it measures anything else; `fig12`
+/// calibrates its cost model on it.
+pub const FLEET_RPS: f64 = 16_270_389.8;
 
 /// Run one workload under one mode with default configuration.
 pub fn run_mode(wl: &Workload, mode: Mode, workers: usize) -> DeviceReport {
@@ -70,43 +81,52 @@ pub fn banner(id: &str, paper_ref: &str) {
     println!("==================================================================");
 }
 
-/// Time one benchmark body and print a row: warm up for 200 ms (which also
-/// sizes a batch of calls to about 20 ms), time 25 batches, report the
-/// median nanoseconds per call and the batches' coefficient of variation.
+/// Live maps for a flat Algorithm 2 program over `workers` sockets with
+/// `bitmap` selected, mirroring [`hermes_ebpf::ReuseportGroup::new`].
+pub fn flat_registry(workers: usize, bitmap: u64) -> MapRegistry {
+    let registry = MapRegistry::new();
+    let sel = Arc::new(ArrayMap::new(1));
+    sel.update(0, bitmap);
+    registry.register(MapRef::Array(sel));
+    let socks = Arc::new(SockArrayMap::new(workers));
+    for w in 0..workers {
+        socks.register(w, w);
+    }
+    registry.register(MapRef::SockArray(socks));
+    registry
+}
+
+/// Time one benchmark body and print a row: double a batch of calls until it
+/// takes 20 ms, then hand it to the gate sampler as a comparison with one
+/// side — a warm-up batch, 25 timed ones — and report the median nanoseconds
+/// per call and the batches' coefficient of variation.
 ///
 /// `cargo bench` starts a bench target with `--bench`; started without it
 /// (`cargo test --benches`) the body runs once, as a smoke test.
 pub fn time_it<O>(name: &str, mut body: impl FnMut() -> O) {
-    const WARM_UP: Duration = Duration::from_millis(200);
-    const BATCH: Duration = Duration::from_millis(20);
+    const BATCH_SECONDS: f64 = 0.020;
     const BATCHES: usize = 25;
     if !std::env::args().any(|a| a == "--bench") {
         black_box(body());
         println!("{name:<56} ran once (not under `cargo bench`)");
         return;
     }
-    // The clock is read only at powers of two, so that reading it does not
-    // show in the per-call estimate of a nanosecond-sized body.
-    let start = Instant::now();
-    let mut calls = 0u64;
-    while !calls.is_power_of_two() || start.elapsed() < WARM_UP {
-        black_box(body());
-        calls += 1;
-    }
-    let per_call = start.elapsed().as_secs_f64() / calls as f64;
-    let batch = ((BATCH.as_secs_f64() / per_call) as u64).max(1);
-    let mut samples = Summary::with_capacity(BATCHES);
-    for _ in 0..BATCHES {
-        let t = Instant::now();
-        for _ in 0..batch {
+    let mut clock = gate::Clock::wall();
+    let calls = Cell::new(1u64);
+    let mut batch = |_: &mut gate::Clock| {
+        for _ in 0..calls.get() {
             black_box(body());
         }
-        samples.record(t.elapsed().as_nanos() as f64 / batch as f64);
+    };
+    while clock.time(&mut batch) < BATCH_SECONDS {
+        calls.set(calls.get() * 2);
     }
+    let mut samples = clock.alternate(BATCHES, &mut [(name, &mut batch)]).of(name);
     println!(
-        "{name:<56} {:>12} ns/call  (cov {:.1}%, {BATCHES} x {batch} calls)",
-        fmt(samples.p50()),
-        100.0 * samples.stddev() / samples.mean()
+        "{name:<56} {:>12} ns/call  (cov {:.1}%, {BATCHES} x {} calls)",
+        fmt(samples.p50() * 1e9 / calls.get() as f64),
+        100.0 * samples.stddev() / samples.mean(),
+        calls.get()
     );
 }
 

@@ -30,8 +30,8 @@ const DEFAULT_SPIN_WINDOW: Duration = Duration::from_micros(50);
 /// use hermes_runtime::Pacer;
 /// use std::time::{Duration, Instant};
 ///
+/// let start = Instant::now(); // before the pacer: its deadlines count from `new`
 /// let mut pacer = Pacer::new(Duration::from_micros(200));
-/// let start = Instant::now();
 /// for _ in 0..5 {
 ///     pacer.pace(); // blocks until the next 200 µs boundary
 /// }

@@ -7,152 +7,105 @@
 //! as four `u64` words — timestamp, packed kind+worker, payload `a`, payload
 //! `b` — so a push is four relaxed atomic stores and a cursor bump.
 
-/// What happened. The discriminant is the on-wire `u16` stored in the ring.
-///
-/// Payload conventions (`a`, `b`) are documented per variant; timestamps are
-/// nanoseconds on the emitting clock (monotonic runtime clock, or sim time).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[repr(u16)]
-pub enum EventKind {
-    /// Decoder fallback for a kind value this build does not know.
-    Unknown = 0,
+/// Declares [`EventKind`] with its wire discriminants, `ALL`, `from_u16`
+/// and `name()` from one list, so a kind is added on one line. The
+/// discriminants are written out because they are the wire format: a kind
+/// keeps its number for good.
+macro_rules! event_kinds {
+    ($($(#[$doc:meta])* $kind:ident = $wire:literal => $name:literal,)+) => {
+        /// What happened. The discriminant is the on-wire `u16` stored in the ring.
+        ///
+        /// Payload conventions (`a`, `b`) are documented per variant; timestamps are
+        /// nanoseconds on the emitting clock (monotonic runtime clock, or sim time).
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        #[repr(u16)]
+        pub enum EventKind {
+            /// Decoder fallback for a kind value this build does not know.
+            Unknown = 0,
+            $($(#[$doc])* $kind = $wire,)+
+        }
+
+        impl EventKind {
+            /// Every kind the decoder knows, in discriminant order (excluding
+            /// [`EventKind::Unknown`]). Drives the per-kind summary table.
+            pub const ALL: [EventKind; [$($wire,)+].len()] = [$(EventKind::$kind,)+];
+
+            /// Decode a wire discriminant, mapping unknown values to
+            /// [`EventKind::Unknown`] rather than failing the drain.
+            pub fn from_u16(v: u16) -> Self {
+                match v {
+                    $($wire => EventKind::$kind,)+
+                    _ => EventKind::Unknown,
+                }
+            }
+
+            /// Stable dotted name used in exports (`sched.stage`, `sim.syn`, ...).
+            pub fn name(self) -> &'static str {
+                match self {
+                    EventKind::Unknown => "unknown",
+                    $(EventKind::$kind => $name,)+
+                }
+            }
+        }
+    };
+}
+
+event_kinds! {
     /// One cascading-filter stage ran. `a` = `stage_index << 32 | stage_code`
     /// (0 = Time, 1 = Connections, 2 = PendingEvents), `b` = surviving bitmap.
-    SchedStage = 1,
+    SchedStage = 1 => "sched.stage",
     /// A full scheduler pass finished. `a` = admitted bitmap, `b` = alive bitmap.
-    SchedDecision = 2,
+    SchedDecision = 2 => "sched.decision",
     /// A worker published its admit bitmap to the kernel map.
     /// `a` = bitmap, `b` = passes the publishing session had synced before
     /// this one (monotone per lane).
-    BitmapPublish = 3,
+    BitmapPublish = 3 => "bitmap.publish",
     /// A dispatch program was loaded/verified. `a` = exec tier code
     /// (0 = Checked, 1 = Fast, 2 = Compiled, 3 = Jit), `b` = instruction
     /// count.
-    VmLoad = 4,
+    VmLoad = 4 => "vm.load",
     /// A batch of flows went through `dispatch_batch`.
     /// `a` = batch length, `b` = directed (non-fallback) count.
-    DispatchBatch = 5,
+    DispatchBatch = 5 => "dispatch.batch",
     /// A single flow was dispatched. `a` = flow hash, `b` = chosen worker.
-    Dispatch = 6,
+    Dispatch = 6 => "dispatch.one",
     /// The lb acceptor drained one accept burst.
     /// `a` = burst length, `b` = directed count.
-    AcceptBurst = 7,
+    AcceptBurst = 7 => "lb.accept_burst",
     /// A proxied connection was handed to a worker. `a` = connection token.
-    ConnOpen = 8,
+    ConnOpen = 8 => "lb.conn_open",
     /// A proxied connection finished. `a` = connection token, `b` = requests served.
-    ConnClose = 9,
+    ConnClose = 9 => "lb.conn_close",
     /// A `Pacer` deadline was already in the past on entry.
     /// `a` = overshoot in nanoseconds, `b` = total misses so far.
-    PacerMiss = 10,
+    PacerMiss = 10 => "pacer.miss",
     /// Simulated SYN arrival. `a` = connection id, `b` = flow hash.
-    SimSyn = 11,
+    SimSyn = 11 => "sim.syn",
     /// Same-timestamp SYN burst drained as one batch.
     /// `a` = burst length, `b` = first connection id.
-    SimSynBurst = 12,
+    SimSynBurst = 12 => "sim.syn_burst",
     /// Simulated worker wake (epoll return). `a` = events fetched, `b` = blocked ns.
-    SimWake = 13,
+    SimWake = 13 => "sim.wake",
     /// Simulated dispatch decision. `a` = flow hash, `b` = chosen worker.
-    SimDispatch = 14,
+    SimDispatch = 14 => "sim.dispatch",
     /// Grouped (two-level) dispatch decision.
     /// `a` = flow hash, `b` = `group << 32 | global_worker`.
-    GroupDispatch = 15,
+    GroupDispatch = 15 => "dispatch.group",
     /// A certified program was lowered to native code by the JIT.
     /// `a` = emitted code size in bytes, `b` = basic blocks lowered.
-    JitLoad = 16,
+    JitLoad = 16 => "vm.jit_load",
     /// A backend entered service (`Healthy`/`Slow`).
     /// `a` = backend id, `b` = published table version.
-    BackendUp = 17,
+    BackendUp = 17 => "backend.up",
     /// A backend started draining: serves in-flight, admits nothing new.
     /// `a` = backend id, `b` = published table version.
-    BackendDrain = 18,
+    BackendDrain = 18 => "backend.drain",
     /// A backend went down: in-flight connections must retry elsewhere.
     /// `a` = backend id, `b` = published table version.
-    BackendDown = 19,
+    BackendDown = 19 => "backend.down",
     /// A relay reactor worker woke from `epoll_wait` with work to do.
     /// `a` = ready fd events returned, `b` = relays pumped on this wake.
-    RelayWakeup = 20,
-}
-
-impl EventKind {
-    /// Every kind the decoder knows, in discriminant order (excluding
-    /// [`EventKind::Unknown`]). Drives the per-kind summary table.
-    pub const ALL: [EventKind; 20] = [
-        EventKind::SchedStage,
-        EventKind::SchedDecision,
-        EventKind::BitmapPublish,
-        EventKind::VmLoad,
-        EventKind::DispatchBatch,
-        EventKind::Dispatch,
-        EventKind::AcceptBurst,
-        EventKind::ConnOpen,
-        EventKind::ConnClose,
-        EventKind::PacerMiss,
-        EventKind::SimSyn,
-        EventKind::SimSynBurst,
-        EventKind::SimWake,
-        EventKind::SimDispatch,
-        EventKind::GroupDispatch,
-        EventKind::JitLoad,
-        EventKind::BackendUp,
-        EventKind::BackendDrain,
-        EventKind::BackendDown,
-        EventKind::RelayWakeup,
-    ];
-
-    /// Decode a wire discriminant, mapping unknown values to
-    /// [`EventKind::Unknown`] rather than failing the drain.
-    pub fn from_u16(v: u16) -> Self {
-        match v {
-            1 => EventKind::SchedStage,
-            2 => EventKind::SchedDecision,
-            3 => EventKind::BitmapPublish,
-            4 => EventKind::VmLoad,
-            5 => EventKind::DispatchBatch,
-            6 => EventKind::Dispatch,
-            7 => EventKind::AcceptBurst,
-            8 => EventKind::ConnOpen,
-            9 => EventKind::ConnClose,
-            10 => EventKind::PacerMiss,
-            11 => EventKind::SimSyn,
-            12 => EventKind::SimSynBurst,
-            13 => EventKind::SimWake,
-            14 => EventKind::SimDispatch,
-            15 => EventKind::GroupDispatch,
-            16 => EventKind::JitLoad,
-            17 => EventKind::BackendUp,
-            18 => EventKind::BackendDrain,
-            19 => EventKind::BackendDown,
-            20 => EventKind::RelayWakeup,
-            _ => EventKind::Unknown,
-        }
-    }
-
-    /// Stable dotted name used in exports (`sched.stage`, `sim.syn`, ...).
-    pub fn name(self) -> &'static str {
-        match self {
-            EventKind::Unknown => "unknown",
-            EventKind::SchedStage => "sched.stage",
-            EventKind::SchedDecision => "sched.decision",
-            EventKind::BitmapPublish => "bitmap.publish",
-            EventKind::VmLoad => "vm.load",
-            EventKind::DispatchBatch => "dispatch.batch",
-            EventKind::Dispatch => "dispatch.one",
-            EventKind::AcceptBurst => "lb.accept_burst",
-            EventKind::ConnOpen => "lb.conn_open",
-            EventKind::ConnClose => "lb.conn_close",
-            EventKind::PacerMiss => "pacer.miss",
-            EventKind::SimSyn => "sim.syn",
-            EventKind::SimSynBurst => "sim.syn_burst",
-            EventKind::SimWake => "sim.wake",
-            EventKind::SimDispatch => "sim.dispatch",
-            EventKind::GroupDispatch => "dispatch.group",
-            EventKind::JitLoad => "vm.jit_load",
-            EventKind::BackendUp => "backend.up",
-            EventKind::BackendDrain => "backend.drain",
-            EventKind::BackendDown => "backend.down",
-            EventKind::RelayWakeup => "relay.wakeup",
-        }
-    }
+    RelayWakeup = 20 => "relay.wakeup",
 }
 
 /// One decoded flight-recorder event.
@@ -216,10 +169,18 @@ mod tests {
 
     #[test]
     fn all_kinds_round_trip_and_have_unique_names() {
-        let mut names = std::collections::HashSet::new();
-        for k in EventKind::ALL {
+        // One macro row per kind: the wire numbers are 1..=ALL.len() with no
+        // gap, and everything outside them decodes to `Unknown`.
+        assert_eq!(EventKind::ALL.len(), 20);
+        let mut names = std::collections::HashSet::from(["unknown"]);
+        for (i, k) in EventKind::ALL.into_iter().enumerate() {
+            assert_eq!(k as u16 as usize, i + 1);
             assert_eq!(EventKind::from_u16(k as u16), k);
             assert!(names.insert(k.name()), "duplicate name {}", k.name());
+        }
+        assert_eq!(EventKind::Unknown.name(), "unknown");
+        for wire in [0, 21, 22, u16::MAX] {
+            assert_eq!(EventKind::from_u16(wire), EventKind::Unknown);
         }
     }
 }

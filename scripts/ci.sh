@@ -6,7 +6,8 @@ cd "$(dirname "$0")/.."
 
 # Every lane is opened with `step`; a lane that cannot run on this host says
 # `skip` instead of passing silently. The table printed on exit lists each
-# lane as ran, SKIP or FAILED, so a green run shows what it did not check.
+# lane as ran, SKIP (with the reason) or FAILED, so a green run shows what it
+# did not check.
 LANES=()
 lane=""
 lane_status=""
@@ -22,7 +23,28 @@ step() {
 }
 skip() {
   lane_status="SKIP"
+  lane="$lane: $1"
   echo "SKIP: $1"
+}
+# A gate lane: `gate <cargo run arguments naming one hermes-bench gate binary>`
+# runs it with --smoke (which never writes). Each gate compares two things the
+# binary measures itself, in alternation; none reads a file, and none is
+# retried. A gate that FAILED is recorded and the lanes after it still run;
+# the script exits non-zero after the summary. A check the binary could not
+# make on this host (its table says SKIP) becomes a SKIP row of its own.
+FAILED_GATES=0
+gate() {
+  local log row name="$lane"
+  log="$(mktemp)"
+  if ! cargo run --release -q -p hermes-bench "$@" -- --smoke 2>&1 | tee "$log"; then
+    lane_status="FAILED"
+    FAILED_GATES=$((FAILED_GATES + 1))
+  fi
+  close_lane
+  while IFS= read -r row; do
+    LANES+=("SKIP"$'\t'"$name: $(echo "$row" | sed -E 's/^  SKIP +//; s/  +/: /')")
+  done < <(grep -E '^  SKIP ' "$log" || true)
+  rm -f "$log"
 }
 summary() {
   [ "$1" -eq 0 ] || lane_status="FAILED"
@@ -62,7 +84,7 @@ cargo test --workspace -q
 
 step "bench targets run (every benches/*.rs body once)"
 # The six `harness = false` bench mains time nothing unless started by
-# `cargo bench`; started this way each of their 41 bodies runs once, so a
+# `cargo bench`; started this way each of their bodies runs once, so a
 # bench that panics or no longer reaches its tier fails CI.
 cargo test --release -q -p hermes-bench --benches
 
@@ -126,40 +148,30 @@ cargo test --release -q -p hermes-simnet --features trace --lib event_queue
 cargo test --release -q -p hermes-simnet --features trace --lib sim::tests
 cargo test --release -q -p hermes-simnet --features trace --test golden_fingerprint
 
-step "simnet_throughput --smoke (event-engine + per-loop Hermes tax regression gate)"
-# Fails if wheel events/sec (Case 3 medium) or Hermes events/sec on
-# Case 1 heavy drops >20% below the checked-in baseline. Regenerate
-# results/BENCH_simnet.json with a full (non-smoke) run when the
-# simulator or the scheduler pass legitimately changes speed.
-cargo run --release -p hermes-bench --bin simnet_throughput -- \
-  --smoke --baseline results/BENCH_simnet.json --no-write
+step "simnet_throughput --smoke (event-engine and per-loop Hermes tax gates)"
+# Gates, each the median of 16 alternating rounds: Case 1 heavy under Hermes
+# costs <= 2.3x its wall time under reuseport (the per-loop tax: WST hooks,
+# Algorithm 1, bitmap sync, Algorithm 2; ~1.9x today, 2.65x before the fused
+# scheduler kernel); the timer wheel costs <= 1.0x the binary heap's wall time
+# on Case 3 medium (~0.9x today); both engines process the same number of
+# events and hold the same peak pending count.
+gate --bin simnet_throughput
 
-step "dispatch_throughput --smoke (dispatch-tier regression gate)"
-# Fails if flat compiled dispatches/sec drops >20% below the checked-in
-# baseline, if the compiled tier stops beating the checked interpreter by
-# >= 2x on either Algorithm 2 program, if the jit tier (when earned)
-# stops beating the compiled tier by >= 2x, or if the 64-burst batch
-# falls more than 5% behind single-shot ceiling-tier dispatch.
-# Regenerate results/BENCH_dispatch.json with a full (non-smoke) run when
-# the dispatch path legitimately changes speed.
-cargo run --release -p hermes-bench --bin dispatch_throughput -- \
-  --smoke --baseline results/BENCH_dispatch.json --no-write
+step "dispatch_throughput --smoke (dispatch-tier and sharded-plane ratio gates)"
+# Gates, each the median of 8 alternating rounds over one hash stream, for
+# the flat program and for the grouped program at 4x16 and 64x1 .. 256x4:
+# every program reaches the platform's ceiling tier; the compiled tier beats
+# the checked interpreter by >= 2x; the jit tier, where the platform has one,
+# beats the compiled tier by >= 2x; the flat 64-burst batch stays >= 0.95x
+# single-shot dispatch on the same tier; compiled grouped dispatch costs
+# <= 1.3x compiled flat dispatch per connection at every shape.
+gate --bin dispatch_throughput
 
 step "grouped dispatch differential fuzz (native oracle vs every tier)"
 # The sharded plane's safety argument: the two-level grouped program
 # agrees with the native GroupedConnDispatcher oracle bit-for-bit across
 # checked/compiled/jit tiers and batch, over swept shapes and bitmaps.
 cargo test --release -q -p hermes-ebpf --test soundness grouped
-
-step "scale_throughput --smoke (sharded-plane scaling gate)"
-# Fails if the compiled grouped tier stops beating the interpreted
-# grouped tier by >= 2.5x at any swept scale (64x1 .. 256x4), if grouped
-# compiled dispatch costs > 1.3x flat compiled dispatch per connection,
-# or if the 256x4 compiled dispatches/sec regresses >20% against the
-# checked-in baseline. Regenerate results/BENCH_scale.json with a full
-# (non-smoke) run when the dispatch path legitimately changes speed.
-cargo run --release -p hermes-bench --bin scale_throughput -- \
-  --smoke --baseline results/BENCH_scale.json --no-write
 
 step "fleet-determinism (merge-order independence of the device pool)"
 # The fleet parallelism safety argument: the same seed at threads ∈
@@ -169,17 +181,15 @@ step "fleet-determinism (merge-order independence of the device pool)"
 # determines the output bytes.
 cargo test --release -q -p hermes-simnet --test fleet_determinism
 
-step "fleet_throughput --smoke (fleet scaling + memory gate)"
-# Fails if any device's connection-table arena exceeds the 8 MiB budget,
-# if the fleet fingerprint differs across thread counts (determinism is
-# re-checked at bench scale), or if threads=1 events/sec regresses >20%
-# below the checked-in baseline. The >= 2x scaling-at-4-threads sub-gate
-# self-SKIPs (with a printed notice) on hosts with < 4 cores — the
-# single-core CI box cannot exhibit parallel speedup. Regenerate
-# results/BENCH_fleet.json with a full (non-smoke) 363-device run when
-# the fleet path legitimately changes speed.
-cargo run --release -p hermes-bench --bin fleet_throughput -- \
-  --smoke --baseline results/BENCH_fleet.json --no-write
+step "fleet_throughput --smoke (fleet determinism, memory and pool gates)"
+# Gates over 24 devices run serially and through the pool at 4 threads, 6
+# alternating rounds: every pass produces the same fleet fingerprint
+# (determinism re-checked at bench scale); no device's connection-table arena
+# exceeds 8 MiB; the pool delivers >= 0.8x the serial loop's events/sec (a
+# floor a host of any size can show). The >= 2x scaling check at 4 threads
+# needs >= 4 cores and is a SKIP row below on a smaller host. The >= 1 M
+# live-connection floor belongs to the full 363-device run.
+gate --bin fleet_throughput
 
 step "backend-churn consistency (versioned tables under drain + flap)"
 # The backend data plane's acceptance property: 12k in-flight connections
@@ -210,17 +220,13 @@ cargo test --release -q -p hermes-lb relay
 cargo test --release -q -p hermes-lb --features trace reactor
 cargo test --release -q -p hermes-lb --features trace relay
 
-step "relay_throughput --smoke (simulated end-to-end latency + churn-consistency gate)"
-# Drives four backend scenarios (steady / flap / rolling drain / slow
-# backend) through the simulated LB -> backend path and fails if any
-# scenario misroutes or drops a request, if the rolling drain displaces
-# in-flight traffic (retries or fallbacks), or if steady-scenario P99
-# drifts >25% above the checked-in baseline. Latency is simulated time,
-# so the gate catches model regressions, not host noise. Regenerate
-# results/BENCH_relay.json with a full (non-smoke) run when the backend
-# model legitimately changes.
-cargo run --release -p hermes-bench --bin relay_throughput -- \
-  --smoke --baseline results/BENCH_relay.json --no-write
+step "relay_throughput --smoke (churn-consistency gates)"
+# Gates, all exact, over four backend scenarios (steady / flap / rolling
+# drain / slow backend) through the simulated LB -> backend path: every
+# request completes, zero misroutes and zero dropped responses in each, and
+# the rolling drain retries nothing and falls back nowhere. The scenario
+# latencies are simulated time; golden_fingerprint pins that model exactly.
+gate --bin relay_throughput
 
 step "trace determinism (simulation byte-identical with recorder on/off)"
 # Tracing is an observer, never an actor: the simnet report must not
@@ -228,14 +234,18 @@ step "trace determinism (simulation byte-identical with recorder on/off)"
 # reproducible run-over-run (sim-time stamps, no wall clock).
 cargo test --release -q -p hermes-simnet --features trace --test trace_determinism
 
-step "trace_overhead --smoke (flight-recorder cost gates)"
-# Feature on: one traced event must cost <= 25 ns on the hot path (and
-# not creep past the checked-in baseline); runtime-disabled <= 10 ns.
-cargo run --release -p hermes-bench --features trace --bin trace_overhead -- \
-  --smoke --gate --baseline results/BENCH_trace.json --no-write
-# Feature off: the same macros must compile to nothing — zero overhead.
-cargo run --release -p hermes-bench --bin trace_overhead -- \
-  --smoke --gate --no-write
+step "trace_overhead --smoke --features trace (flight-recorder producer cost)"
+# Gates, each the median of 8 alternating rounds against the same loop without
+# the macro, with nothing reading the rings while the clock runs: one recorded
+# event costs the producer <= 14 ns, one runtime-disabled event <= 3 ns, and
+# every event emitted was drained with none dropped. The figure beside a
+# concurrent drainer is printed and gates nothing.
+gate --features trace --bin trace_overhead
+
+step "trace_overhead --smoke (feature off: records nothing, costs nothing)"
+# Gates: the same macros compiled out cost <= 3 ns over the plain loop (timer
+# noise) and the recorder holds no event afterwards.
+gate --bin trace_overhead
 
 step "aarch64 cross-check (jit portable-fallback + reactor packed-struct lane)"
 # The jit tier is x86-64-only behind cfg; this lane proves the portable
@@ -325,4 +335,6 @@ outside="$(cargo tree --workspace -e normal,dev,build --prefix none |
 named="$(grep -lE '^bytes\b' Cargo.toml crates/*/Cargo.toml | tr '\n' ' ')"
 [ "$named" = "Cargo.toml crates/lb/Cargo.toml " ] || { echo "bytes is named by: $named"; exit 1; }
 
+close_lane
+[ "$FAILED_GATES" -eq 0 ] || { echo "$FAILED_GATES gate lane(s) FAILED."; exit 1; }
 echo "CI gate passed."
