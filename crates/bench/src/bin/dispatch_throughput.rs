@@ -16,6 +16,9 @@
 //! (level-1 group selection plus a per-group map resolve), and the gate is
 //! how close its compiled tier stays to flat dispatch.
 //!
+//! A sample is one pass over the stream, sixteen on the jit tier (single-shot
+//! and batched), where one pass is too short to time on a shared host.
+//!
 //! Flags: `--smoke` (half the stream and a third of the rounds, never
 //! writes), `--out PATH`.
 //! EXPERIMENTS.md "Gates that measure both sides" has the runs the bounds
@@ -51,6 +54,12 @@ const BATCH_OVER_SINGLE_FLOOR: f64 = 0.95;
 /// dispatch per connection.
 const GROUPED_OVER_FLAT_CEILING: f64 = 1.3;
 
+/// Passes over the stream per timed sample on the jit tier, single-shot and
+/// batched. One pass is 2 ms there, short enough for a single host hiccup to
+/// move a round's batch / single ratio by 15 %: at one pass per sample the
+/// flat ratio's median read 0.94 once in 40 smoke runs of an unchanged tree.
+const JIT_PASSES: u64 = 16;
+
 /// Pseudorandom but deterministic hash stream (same constants as the runtime
 /// driver's scripted flows).
 fn hash_stream(n: usize) -> Vec<u32> {
@@ -67,17 +76,21 @@ fn group_bitmap(group: usize, group_size: usize) -> WorkerBitmap {
     WorkerBitmap(if group_size == 64 { rotated } else { 0xA5A5 })
 }
 
-/// One timed pass of `vm` over the stream, one dispatch at a time on `tier`.
+/// One timed sample of `vm`: `passes` over the stream, one dispatch at a time
+/// on `tier`.
 fn single<'a>(
     vm: &'a Vm,
     maps: &'a MapRegistry,
     hashes: &'a [u32],
     tier: ExecTier,
+    passes: u64,
 ) -> impl FnMut(&mut Clock) + 'a {
     move |_| {
         let mut acc = 0u64;
-        for &h in hashes {
-            acc = acc.wrapping_add(vm.run_tier(tier, h, maps, 0).unwrap().return_value);
+        for _ in 0..passes {
+            for &h in hashes {
+                acc = acc.wrapping_add(vm.run_tier(tier, h, maps, 0).unwrap().return_value);
+            }
         }
         black_box(acc);
     }
@@ -100,37 +113,50 @@ fn sweep(
         format!("{} of {}", vm.tier(), ExecTier::native_ceiling()),
     );
     let has_jit = vm.tier() == ExecTier::Jit;
-    let ceiling = if has_jit { "jit" } else { "compiled" };
-    let mut checked = single(vm, maps, hashes, ExecTier::Checked);
-    let mut compiled = single(vm, maps, hashes, ExecTier::Compiled);
-    let mut jit = single(vm, maps, hashes, ExecTier::Jit);
+    // The batch rides the ceiling tier, so it is sampled like that tier.
+    let (ceiling, ceiling_passes) = if has_jit {
+        ("jit", JIT_PASSES)
+    } else {
+        ("compiled", 1)
+    };
+    let mut checked = single(vm, maps, hashes, ExecTier::Checked, 1);
+    let mut compiled = single(vm, maps, hashes, ExecTier::Compiled, 1);
+    let mut jit = single(vm, maps, hashes, ExecTier::Jit, JIT_PASSES);
     let mut out = Vec::with_capacity(BURST);
     let mut batch = |_: &mut Clock| {
         let mut acc = 0u64;
-        for chunk in hashes.chunks(BURST) {
-            out.clear();
-            vm.run_batch(chunk, maps, 0, &mut out).unwrap();
-            acc = acc.wrapping_add(out.iter().map(|r| r.return_value).sum::<u64>());
+        for _ in 0..ceiling_passes {
+            for chunk in hashes.chunks(BURST) {
+                out.clear();
+                vm.run_batch(chunk, maps, 0, &mut out).unwrap();
+                acc = acc.wrapping_add(out.iter().map(|r| r.return_value).sum::<u64>());
+            }
         }
         black_box(acc);
     };
+    // Neighbours in a round are compared: the flat reference sits next to the
+    // compiled tier it is the reference for, the batch next to its tier.
     let mut sides: Vec<Side> = vec![("checked", &mut checked), ("compiled", &mut compiled)];
-    if has_jit {
-        sides.push(("jit", &mut jit));
-    }
-    sides.push(("batch64", &mut batch));
-    let mut flat = flat.map(|(vm, maps)| single(vm, maps, hashes, ExecTier::Compiled));
+    let mut passes = vec![1, 1];
+    let mut flat = flat.map(|(vm, maps)| single(vm, maps, hashes, ExecTier::Compiled, 1));
     let grouped = flat.is_some();
     if let Some(flat) = &mut flat {
         sides.push(("flat compiled", flat));
+        passes.push(1);
     }
+    if has_jit {
+        sides.push(("jit", &mut jit));
+        passes.push(JIT_PASSES);
+    }
+    sides.push(("batch64", &mut batch));
+    passes.push(ceiling_passes);
     let samples = gates.alternate(&mut sides);
 
     println!("{label}:");
-    let n = hashes.len() as u64;
     let mut rows = Json::new();
-    for (side, _) in &sides {
-        let row = Json::throughput(side, "dispatch", n, &mut samples.of(side));
+    for ((side, _), passes) in sides.iter().zip(passes) {
+        let dispatches = hashes.len() as u64 * passes;
+        let row = Json::throughput(side, "dispatch", dispatches, &mut samples.of(side));
         rows = rows.block(side, row);
     }
     let mut compiled_over_checked = samples.ratio("checked", "compiled");
@@ -142,7 +168,9 @@ fn sweep(
     rows = rows.timed("speedup_compiled_over_checked", &mut compiled_over_checked);
     if ExecTier::native_ceiling() == ExecTier::Jit {
         // A program that did not earn the tier has no samples, which FAILS.
-        let mut jit_over_compiled = samples.ratio("compiled", "jit");
+        let mut jit_over_compiled = samples.pairwise("compiled", "jit", |compiled, jit| {
+            compiled * JIT_PASSES as f64 / jit
+        });
         gates.at_least(
             &format!("{label} jit / compiled"),
             &mut jit_over_compiled,

@@ -19,7 +19,7 @@
 //!   `if false { .. }`: arguments still type-check, then the whole call is
 //!   dead-code eliminated — the hot paths pay literally nothing. With the
 //!   feature **on**, each macro is one runtime-switch branch plus the ring
-//!   write (target ≤ ~25 ns; see `results/BENCH_trace.json`).
+//!   write (gated at ≤ 14 ns, ~8 measured; see `results/BENCH_trace.json`).
 //! * [`chrome_json`] / [`summary`] — drain/export into chrome://tracing
 //!   JSON or an ASCII per-kind table.
 //!
