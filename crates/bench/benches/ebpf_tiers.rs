@@ -21,7 +21,7 @@ fn main() {
     let maps = flat_registry(WORKERS, BITMAP);
     let ctx = AnalysisCtx::from_registry(&maps);
 
-    let vm = Vm::load_analyzed(prog.insns().to_vec(), &ctx).expect("program analyzes");
+    let vm = Vm::load_analyzed(prog.clone(), &ctx).expect("program analyzes");
     vm.prepare_jit(&maps);
     assert_eq!(vm.tier(), ExecTier::native_ceiling());
 
@@ -38,15 +38,15 @@ fn main() {
     // The proof + compilation (amortized over every connection the program
     // then serves).
     time_it("ebpf_tiers/analyze_and_compile_dispatch_program", || {
-        Vm::load_analyzed(black_box(prog.insns().to_vec()), &ctx).expect("analyzes")
+        Vm::load_analyzed(black_box(prog.clone()), &ctx).expect("analyzes")
     });
 
     // The translation proof alone (EXPERIMENTS.md budget: < 5 ms per
     // program; in practice tens of microseconds).
-    let report = vm.analysis().expect("loaded via load_analyzed");
+    let report = vm.analysis();
     let cp = vm.compiled().expect("compiled tier earned");
     time_it("ebpf_tiers/validate_cost_flat", || {
-        hermes_ebpf::validate(prog.insns(), cp, &ctx, report).expect("proves")
+        hermes_ebpf::validate(&prog, cp, &ctx, report).expect("proves")
     });
 
     // The same for the grouped program (bank obligations included).

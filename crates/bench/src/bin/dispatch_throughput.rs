@@ -89,7 +89,7 @@ fn single<'a>(
         let mut acc = 0u64;
         for _ in 0..passes {
             for &h in hashes {
-                acc = acc.wrapping_add(vm.run_tier(tier, h, maps, 0).unwrap().return_value);
+                acc = acc.wrapping_add(vm.run_tier(tier, h, maps).unwrap().return_value);
             }
         }
         black_box(acc);
@@ -128,7 +128,7 @@ fn sweep(
         for _ in 0..ceiling_passes {
             for chunk in hashes.chunks(BURST) {
                 out.clear();
-                vm.run_batch(chunk, maps, 0, &mut out).unwrap();
+                vm.run_batch(chunk, maps, &mut out).unwrap();
                 acc = acc.wrapping_add(out.iter().map(|r| r.return_value).sum::<u64>());
             }
         }
@@ -231,7 +231,7 @@ fn main() {
     let prog = DispatchProgram::build(0, 1, FLAT_WORKERS);
     let flat_maps = flat_registry(FLAT_WORKERS, BITMAP);
     let ctx = AnalysisCtx::from_registry(&flat_maps);
-    let flat_vm = Vm::load_analyzed(prog.insns().to_vec(), &ctx).expect("flat program analyzes");
+    let flat_vm = Vm::load_analyzed(prog, &ctx).expect("flat program analyzes");
     let flat = sweep(&mut gates, "flat", (&flat_vm, &flat_maps), &hashes, None);
 
     let mut scales = Json::new();

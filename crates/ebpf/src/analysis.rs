@@ -1,29 +1,45 @@
-//! Abstract interpretation over verified bytecode — the kernel verifier's
-//! second half.
+//! Program admission: the one pass every program goes through before it may
+//! run — this crate's `bpf(BPF_PROG_LOAD)`.
 //!
-//! [`crate::verifier`] enforces *structural* safety: bounded size, forward
-//! jumps, def-before-use. The real Linux verifier goes much further: it
-//! tracks, per register and program path, a conservative description of
-//! every value the register may hold — an unsigned range `[umin, umax]`
-//! (with signed `[smin, smax]` derived), plus "known bits" (`struct tnum`:
-//! a `value`/`mask` pair where mask bits are unknown) — and uses those
-//! facts to prove memory accesses in bounds *before* the program runs.
-//! That proof is why eBPF map access costs no bounds check on the hot
-//! path, which for the paper's per-connection dispatch program (§5.1.3,
-//! Algorithm 2) is the entire point of being in the kernel.
+//! §5.1.3: "for security and performance reasons, eBPF's programmability is
+//! limited: it does not support loops, recursive calls, or complex hash
+//! computations." [`analyze`] enforces the classic-verifier discipline the
+//! paper designs Algorithm 2 under, in the four steps of a kernel-style
+//! verifier (ebpf-analyzer's architecture, SNIPPETS.md):
 //!
-//! This module reproduces that discipline:
+//! 1. **Decode.** Every instruction is well-formed on its own: the program
+//!    is non-empty and at most [`MAX_INSNS`] long, R10 (the frame pointer)
+//!    is never written, stack accesses are 8-byte aligned within the
+//!    512-byte frame, only known helper ids are called.
+//! 2. **Control-flow graph.** Every jump target is in bounds, so the edge
+//!    set is well defined.
+//! 3. **Graph checks.** Every edge goes **strictly forward** (no back-edges
+//!    ⇒ termination is structural and program order is a topological
+//!    order) and the last instruction is `exit`, so no path falls off the
+//!    end. Unreachable code is found by step 4, which also discounts
+//!    branches it proves dead, and reported as a warning.
+//! 4. **Abstract interpretation.** One forward pass tracks, per register
+//!    and stack slot, a conservative description of every value it may
+//!    hold — type tag (scalar / frame pointer / uninitialized), unsigned
+//!    range `[umin, umax]` and "known bits" (the kernel's `struct tnum`: a
+//!    `value`/`mask` pair where mask bits are unknown) — and rejects on the
+//!    first unsafe state.
 //!
-//! * per-register abstract state: type tag (scalar / frame pointer /
-//!   uninitialized), `[umin, umax]` range and a [`Tnum`] of known bits,
-//!   propagated through every ALU op with the kernel's transfer functions
-//!   (`tnum_add`, `tnum_and`, ... from `kernel/bpf/tnum.c`);
+//! Steps 1–3 are one linear scan (`check_structure`); step 4 is the rest
+//! of this module:
+//!
+//! * every ALU op propagates ranges and known bits with the kernel's
+//!   transfer functions (`tnum_add`, `tnum_and`, ... from
+//!   `kernel/bpf/tnum.c`);
 //! * path-sensitive branch refinement: each conditional jump tightens the
 //!   ranges on its taken and fall-through edges (`reg_set_min_max`), and
-//!   statically infeasible edges are pruned;
-//! * per-path state join at merge points (range hull + tnum union), in a
-//!   single forward pass — sound because the verifier has already banned
-//!   back-edges;
+//!   statically infeasible edges are pruned, as the kernel's verifier does;
+//! * per-path state join at merge points (range hull + tnum union; a
+//!   register or slot written on only one path joins to *uninitialized*);
+//! * defined-before-use from the type tags: reading a register or loading a
+//!   stack slot that is uninitialized on some path reaching the read is an
+//!   error (R1 = context and R10 = fp are defined at entry; helper calls
+//!   define R0 and clobber R1–R5);
 //! * helper call checking against the [`crate::helpers::HELPER_SIGNATURES`]
 //!   table: argument type tags, array-map element indices proven in bounds
 //!   against the bound [`AnalysisCtx`] map layout, divisors proven
@@ -31,10 +47,13 @@
 //! * dead-code detection and a structured [`AnalysisReport`] of per-insn
 //!   proven facts and warnings.
 //!
-//! Programs that cannot be proven safe are *rejected* ([`AnalysisError`]),
-//! exactly as `bpf(BPF_PROG_LOAD)` refuses them. Programs whose report is
-//! clean (no warnings) are eligible for the [`crate::vm::Vm`] compiled
-//! tier, which elides the runtime checks the analysis made redundant.
+//! That proof is why eBPF map access costs no bounds check on the hot
+//! path, which for the paper's per-connection dispatch program (§5.1.3,
+//! Algorithm 2) is the entire point of being in the kernel. Programs that
+//! cannot be proven safe are *rejected* ([`AnalysisError`]), exactly as
+//! `bpf(BPF_PROG_LOAD)` refuses them. Programs whose report is clean (no
+//! warnings) are eligible for the [`crate::vm::Vm`] compiled tier, which
+//! elides the runtime checks the analysis made redundant.
 //!
 //! ## Scope notes
 //!
@@ -49,9 +68,8 @@
 //!   the index is statically bounded but never demands one.
 
 use crate::helpers::{signature, ArgKind, RetKind, ENOENT_RET};
-use crate::insn::{Alu, Cond, Insn, Op, Reg, Src, NUM_REGS, STACK_SIZE};
+use crate::insn::{Alu, Cond, Insn, Op, Reg, Src, MAX_INSNS, NUM_REGS, STACK_SIZE};
 use crate::maps::{MapKind, MapRegistry};
-use crate::verifier::{verify, VerifyError};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -394,8 +412,8 @@ fn pow2_bound(x: u64) -> u64 {
 /// ALU transfer function over scalars (`adjust_scalar_min_max_vals`).
 /// `a` is the destination's current value, `b` the source operand.
 fn alu_transfer(op: Alu, a: &AbsVal, b: &AbsVal) -> AbsVal {
-    // Arithmetic on a frame pointer (or an uninitialized register that
-    // slipped past structural verification) degrades to unknown.
+    // Arithmetic on a frame pointer degrades to unknown (the caller has
+    // already rejected uninitialized operands).
     if op != Alu::Mov && (a.kind != Kind::Scalar || b.kind != Kind::Scalar) {
         return AbsVal::unknown();
     }
@@ -819,11 +837,64 @@ impl fmt::Display for AnalysisWarning {
     }
 }
 
-/// Why the abstract interpreter rejected a program.
+/// Why a program was refused admission.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AnalysisError {
-    /// Structural verification failed first.
-    Verify(VerifyError),
+    /// Program has no instructions.
+    Empty,
+    /// Program exceeds [`MAX_INSNS`].
+    TooLong(usize),
+    /// Jump at `at` targets `target`, outside the program.
+    JumpOutOfBounds {
+        /// Jump instruction index.
+        at: usize,
+        /// Computed absolute target.
+        target: i64,
+    },
+    /// Jump at `at` targets an earlier or same instruction — a loop.
+    BackEdge {
+        /// Jump instruction index.
+        at: usize,
+        /// Computed absolute target.
+        target: usize,
+    },
+    /// The last instruction is not `exit`: execution can run off the end.
+    FallsOffEnd,
+    /// Instruction at `at` writes the read-only frame pointer.
+    WritesFramePointer {
+        /// Offending instruction index.
+        at: usize,
+    },
+    /// Stack access at `at` is out of frame or misaligned.
+    BadStackAccess {
+        /// Offending instruction index.
+        at: usize,
+        /// Byte offset used.
+        off: i32,
+    },
+    /// Call at `at` names a helper the kernel does not export.
+    UnknownHelper {
+        /// Offending instruction index.
+        at: usize,
+        /// Helper id.
+        helper: u32,
+    },
+    /// Instruction at `at` reads register `reg` (for a call: helper
+    /// argument `reg`) that is unwritten on some path reaching it.
+    UninitRegister {
+        /// Offending instruction index.
+        at: usize,
+        /// Register read.
+        reg: u8,
+    },
+    /// Instruction at `at` loads stack slot `off`, which is unwritten on
+    /// some path reaching it.
+    UninitStack {
+        /// Offending instruction index.
+        at: usize,
+        /// Byte offset loaded.
+        off: i32,
+    },
     /// Division or modulo by a register that may be zero.
     DivByPossiblyZero {
         /// Offending instruction index.
@@ -849,13 +920,6 @@ pub enum AnalysisError {
         /// What the signature demands.
         expected: &'static str,
     },
-    /// Helper argument is read but never written on some path.
-    UninitHelperArg {
-        /// Offending call-site index.
-        at: usize,
-        /// Argument number (1-based, R1..R5).
-        arg: u8,
-    },
     /// A map fd the context does not bind.
     UnboundMapFd {
         /// Offending call-site index.
@@ -875,7 +939,30 @@ pub enum AnalysisError {
 impl fmt::Display for AnalysisError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            AnalysisError::Verify(e) => write!(f, "structural verification failed: {e}"),
+            AnalysisError::Empty => write!(f, "empty program"),
+            AnalysisError::TooLong(n) => write!(f, "program too long: {n} > {MAX_INSNS}"),
+            AnalysisError::JumpOutOfBounds { at, target } => {
+                write!(f, "insn {at}: jump target {target} out of bounds")
+            }
+            AnalysisError::BackEdge { at, target } => {
+                write!(f, "insn {at}: back-edge to {target} (loops forbidden)")
+            }
+            AnalysisError::FallsOffEnd => write!(f, "execution can fall off program end"),
+            AnalysisError::WritesFramePointer { at } => {
+                write!(f, "insn {at}: write to read-only frame pointer R10")
+            }
+            AnalysisError::BadStackAccess { at, off } => {
+                write!(f, "insn {at}: bad stack access at offset {off}")
+            }
+            AnalysisError::UnknownHelper { at, helper } => {
+                write!(f, "insn {at}: unknown helper {helper}")
+            }
+            AnalysisError::UninitRegister { at, reg } => {
+                write!(f, "insn {at}: read of uninitialized register r{reg}")
+            }
+            AnalysisError::UninitStack { at, off } => {
+                write!(f, "insn {at}: load of uninitialized stack slot {off}")
+            }
             AnalysisError::DivByPossiblyZero { at } => {
                 write!(f, "insn {at}: division/modulo by possibly-zero register")
             }
@@ -892,9 +979,6 @@ impl fmt::Display for AnalysisError {
                 f,
                 "insn {at}: helper {helper} argument r{arg} must be {expected}"
             ),
-            AnalysisError::UninitHelperArg { at, arg } => {
-                write!(f, "insn {at}: helper argument r{arg} may be uninitialized")
-            }
             AnalysisError::UnboundMapFd { at, fd } => {
                 write!(
                     f,
@@ -912,12 +996,6 @@ impl fmt::Display for AnalysisError {
 }
 
 impl std::error::Error for AnalysisError {}
-
-impl From<VerifyError> for AnalysisError {
-    fn from(e: VerifyError) -> Self {
-        AnalysisError::Verify(e)
-    }
-}
 
 /// The fd interval one helper call site was proven to stay within, with
 /// every candidate checked against the bound layout. Recorded so
@@ -1024,19 +1102,75 @@ fn arg_reg(i: usize) -> usize {
     i + 1
 }
 
-/// Run the abstract interpreter over a (structurally verified) program.
+/// Steps 1–3 of admission (module docs): everything that can be decided
+/// from the instructions and their jump edges alone, in one linear scan.
+/// What it leaves the abstract interpreter to rely on: `prog` is non-empty,
+/// every successor index is in bounds and greater than its instruction's,
+/// every stack offset names a slot, every helper id has a signature.
+fn check_structure(prog: &[Insn]) -> Result<(), AnalysisError> {
+    let Some(last) = prog.last() else {
+        return Err(AnalysisError::Empty);
+    };
+    if prog.len() > MAX_INSNS {
+        return Err(AnalysisError::TooLong(prog.len()));
+    }
+    for (at, insn) in prog.iter().enumerate() {
+        match insn.0 {
+            Op::Ja { off } | Op::Jmp { off, .. } => {
+                let target = at as i64 + 1 + off as i64;
+                if target < 0 || target >= prog.len() as i64 {
+                    return Err(AnalysisError::JumpOutOfBounds { at, target });
+                }
+                let target = target as usize;
+                if target <= at {
+                    return Err(AnalysisError::BackEdge { at, target });
+                }
+            }
+            Op::Alu { dst, .. } | Op::LdxStack { dst, .. } if dst == Reg::R10 => {
+                return Err(AnalysisError::WritesFramePointer { at });
+            }
+            Op::LdxStack { off, .. } | Op::StxStack { off, .. }
+                if off >= 0 || off < -(STACK_SIZE as i32) || off % 8 != 0 =>
+            {
+                return Err(AnalysisError::BadStackAccess { at, off });
+            }
+            Op::Call { helper } if signature(helper).is_none() => {
+                return Err(AnalysisError::UnknownHelper { at, helper });
+            }
+            _ => {}
+        }
+    }
+    // Jumps only go forward and stay in bounds, so a final jump was refused
+    // above and a final `exit` closes every path.
+    if last.0 != Op::Exit {
+        return Err(AnalysisError::FallsOffEnd);
+    }
+    Ok(())
+}
+
+/// Index of the 8-byte slot at frame offset `off` (validated by
+/// [`check_structure`]).
+fn stack_slot(off: i32) -> usize {
+    ((-off) / 8 - 1) as usize
+}
+
+/// Admit a program: the structural scan, then the abstract interpreter —
+/// the only way bytecode becomes runnable ([`crate::vm::Vm::load_analyzed`]
+/// calls nothing else).
 ///
 /// On success the returned [`AnalysisReport`] lists per-instruction proven
 /// facts; a clean report (no warnings) makes the program eligible for
 /// [`crate::vm::Vm`]'s unchecked compiled tier. Rejection mirrors
 /// `BPF_PROG_LOAD`: the program never runs.
 pub fn analyze(prog: &[Insn], ctx: &AnalysisCtx) -> Result<AnalysisReport, AnalysisError> {
-    verify(prog)?;
+    check_structure(prog)?;
     let n = prog.len();
     let mut facts = vec![InsnFacts::default(); n];
     let mut notes = vec![String::new(); n];
     let mut warnings = Vec::new();
     let mut fd_ranges: Vec<Option<FdRange>> = vec![None; n];
+    // All edges go forward, so one in-order pass visits every instruction
+    // after all its predecessors: `incoming[at]` is final when read.
     let mut incoming: Vec<Option<AbsState>> = vec![None; n];
     incoming[0] = Some(AbsState::entry());
 
@@ -1050,13 +1184,27 @@ pub fn analyze(prog: &[Insn], ctx: &AnalysisCtx) -> Result<AnalysisReport, Analy
             continue; // dead code: reported after the pass
         };
         facts[at].insert(InsnFacts::REACHABLE);
+        // Defined-before-use: the value of `reg`, or the rejection.
+        let read = |state: &AbsState, reg: Reg| -> Result<AbsVal, AnalysisError> {
+            let v = state.regs[reg.idx()];
+            if v.kind == Kind::Uninit {
+                return Err(AnalysisError::UninitRegister { at, reg: reg.0 });
+            }
+            Ok(v)
+        };
+        let read_src = |state: &AbsState, src: Src| match src {
+            Src::Reg(r) => read(state, r),
+            Src::Imm(i) => Ok(AbsVal::constant(i as u64)),
+        };
         match prog[at].0 {
             Op::Alu { op, dst, src } => {
-                let b = match src {
-                    Src::Reg(r) => state.regs[r.idx()],
-                    Src::Imm(i) => AbsVal::constant(i as u64),
+                // Mov defines dst without reading it; others read-modify.
+                let a = if op == Alu::Mov {
+                    state.regs[dst.idx()]
+                } else {
+                    read(&state, dst)?
                 };
-                let a = state.regs[dst.idx()];
+                let b = read_src(&state, src)?;
                 match op {
                     Alu::Div | Alu::Mod => {
                         if b.kind != Kind::Scalar || b.possibly_zero() {
@@ -1092,11 +1240,8 @@ pub fn analyze(prog: &[Insn], ctx: &AnalysisCtx) -> Result<AnalysisReport, Analy
                 off,
             } => {
                 let target = (at as i64 + 1 + off as i64) as usize;
-                let b = match src {
-                    Src::Reg(r) => state.regs[r.idx()],
-                    Src::Imm(i) => AbsVal::constant(i as u64),
-                };
-                let a = state.regs[dst.idx()];
+                let a = read(&state, dst)?;
+                let b = read_src(&state, src)?;
                 let apply = |state: &AbsState, d: AbsVal, s: AbsVal| {
                     let mut st = state.clone();
                     st.regs[dst.idx()] = d;
@@ -1120,13 +1265,14 @@ pub fn analyze(prog: &[Insn], ctx: &AnalysisCtx) -> Result<AnalysisReport, Analy
                 }
             }
             Op::StxStack { off, src } => {
-                let slot = ((-off) / 8 - 1) as usize;
-                state.stack[slot] = state.regs[src.idx()];
+                state.stack[stack_slot(off)] = read(&state, src)?;
                 merge(&mut incoming[at + 1], &state);
             }
             Op::LdxStack { dst, off } => {
-                let slot = ((-off) / 8 - 1) as usize;
-                let v = state.stack[slot];
+                let v = state.stack[stack_slot(off)];
+                if v.kind == Kind::Uninit {
+                    return Err(AnalysisError::UninitStack { at, off });
+                }
                 if v.kind == Kind::Scalar && !(v.umin == 0 && v.umax == u64::MAX) {
                     notes[at] = format!("r{} in [{}, {}]", dst.0, v.umin, v.umax);
                 }
@@ -1146,7 +1292,7 @@ pub fn analyze(prog: &[Insn], ctx: &AnalysisCtx) -> Result<AnalysisReport, Analy
                 merge(&mut incoming[at + 1], &state);
             }
             Op::Exit => {
-                // R0 liveness already enforced structurally; no successors.
+                read(&state, Reg::R0)?;
             }
         }
     }
@@ -1179,7 +1325,7 @@ fn apply_call(
     notes: &mut [String],
     fd_ranges: &mut [Option<FdRange>],
 ) -> Result<(), AnalysisError> {
-    let sig = signature(helper).expect("structural verifier admits only known helpers");
+    let sig = signature(helper).expect("check_structure admits only known helpers");
     // Captured before the call clobbers R1-R5: reciprocal_scale models its
     // result from the range argument.
     let scale_range = state.regs[Reg::R2.idx()];
@@ -1191,7 +1337,7 @@ fn apply_call(
             ArgKind::Unused => {}
             ArgKind::Scalar | ArgKind::MapKey => {
                 if reg.kind == Kind::Uninit {
-                    return Err(AnalysisError::UninitHelperArg { at, arg: argno });
+                    return Err(AnalysisError::UninitRegister { at, reg: argno });
                 }
                 if reg.kind != Kind::Scalar {
                     return Err(AnalysisError::BadHelperArg {
@@ -1291,7 +1437,7 @@ fn resolve_fd_range(
     ctx: &AnalysisCtx,
 ) -> Result<usize, AnalysisError> {
     if reg.kind == Kind::Uninit {
-        return Err(AnalysisError::UninitHelperArg { at, arg: argno });
+        return Err(AnalysisError::UninitRegister { at, reg: argno });
     }
     if reg.kind != Kind::Scalar {
         return Err(AnalysisError::BadHelperArg {
@@ -1337,7 +1483,6 @@ mod tests {
     use super::*;
     use crate::asm::Assembler;
     use crate::helpers::{HELPER_MAP_LOOKUP, HELPER_RECIPROCAL_SCALE};
-    use crate::insn::{Alu, Cond, Reg};
 
     fn ctx_one_array(size: usize) -> AnalysisCtx {
         AnalysisCtx::new().bind(0, MapKind::Array, size)
@@ -1622,10 +1767,13 @@ mod tests {
 
     #[test]
     fn unconstrained_fd_is_too_wide_not_an_overflow() {
-        // r1 = ktime(): any of 2⁶⁴ values. The span must saturate; it used
-        // to wrap to 0 (a panic in debug builds, a walk over fds otherwise).
+        // r1 = a map element: any of 2⁶⁴ values. The span must saturate; it
+        // used to wrap to 0 (a panic in debug builds, a walk over fds
+        // otherwise).
         let mut a = Assembler::new();
-        a.call(crate::helpers::HELPER_KTIME_GET_NS);
+        a.mov_imm(Reg::R1, 0);
+        a.mov_imm(Reg::R2, 0);
+        a.call(HELPER_MAP_LOOKUP);
         a.mov(Reg::R1, Reg::R0);
         a.mov_imm(Reg::R2, 0);
         a.call(HELPER_MAP_LOOKUP);
@@ -1634,7 +1782,7 @@ mod tests {
         assert_eq!(
             analyze(&prog, &ctx_one_array(4)),
             Err(AnalysisError::FdRangeTooWide {
-                at: 3,
+                at: 5,
                 span: u64::MAX
             })
         );
@@ -1665,7 +1813,7 @@ mod tests {
         let prog = a.finish();
         assert_eq!(
             analyze(&prog, &AnalysisCtx::new()),
-            Err(AnalysisError::UninitHelperArg { at: 1, arg: 2 })
+            Err(AnalysisError::UninitRegister { at: 1, reg: 2 })
         );
     }
 
@@ -1748,13 +1896,227 @@ mod tests {
         ));
     }
 
+    // -- the structural rules and defined-before-use ------------------------
+
+    fn mov_imm(dst: Reg, imm: i64) -> Insn {
+        Insn(Op::Alu {
+            op: Alu::Mov,
+            dst,
+            src: Src::Imm(imm),
+        })
+    }
+
+    fn asm(build: impl FnOnce(&mut Assembler)) -> Vec<Insn> {
+        let mut a = Assembler::new();
+        build(&mut a);
+        a.finish()
+    }
+
+    /// Each structural and defined-before-use rule, with the program that
+    /// breaks it: the variant and the instruction index are both pinned.
     #[test]
-    fn structural_failure_surfaces_as_verify_error() {
-        let prog = vec![Insn(Op::Ja { off: -1 })];
-        assert!(matches!(
-            analyze(&prog, &AnalysisCtx::new()),
-            Err(AnalysisError::Verify(_))
-        ));
+    fn every_structural_and_uninit_rule_rejects_at_its_instruction() {
+        use AnalysisError as E;
+        let too_long = {
+            let mut prog = vec![mov_imm(Reg::R0, 0); MAX_INSNS];
+            prog.push(Insn(Op::Exit));
+            prog
+        };
+        let mut cases: Vec<(&str, Vec<Insn>, AnalysisError)> = vec![
+            ("empty", vec![], E::Empty),
+            ("too long", too_long, E::TooLong(MAX_INSNS + 1)),
+            (
+                "back-edge",
+                asm(|a| {
+                    let top = a.label();
+                    a.bind(top);
+                    a.mov_imm(Reg::R0, 0);
+                    a.ja(top);
+                }),
+                E::BackEdge { at: 1, target: 0 },
+            ),
+            (
+                "self jump",
+                vec![mov_imm(Reg::R0, 0), Insn(Op::Ja { off: -1 })],
+                E::BackEdge { at: 1, target: 1 },
+            ),
+            (
+                "jump out of bounds",
+                vec![Insn(Op::Ja { off: 5 }), Insn(Op::Exit)],
+                E::JumpOutOfBounds { at: 0, target: 6 },
+            ),
+            (
+                "jump before the program",
+                vec![Insn(Op::Ja { off: -3 }), Insn(Op::Exit)],
+                E::JumpOutOfBounds { at: 0, target: -2 },
+            ),
+            (
+                "falls off the end",
+                vec![mov_imm(Reg::R0, 0)],
+                E::FallsOffEnd,
+            ),
+            (
+                "writes the frame pointer",
+                vec![mov_imm(Reg::R10, 0), Insn(Op::Exit)],
+                E::WritesFramePointer { at: 0 },
+            ),
+            (
+                "loads into the frame pointer",
+                asm(|a| {
+                    a.mov_imm(Reg::R0, 0);
+                    a.stx_stack(-8, Reg::R0);
+                    a.ldx_stack(Reg::R10, -8);
+                    a.exit();
+                }),
+                E::WritesFramePointer { at: 2 },
+            ),
+            (
+                "unknown helper",
+                asm(|a| {
+                    a.mov_imm(Reg::R1, 0);
+                    a.call(999);
+                    a.exit();
+                }),
+                E::UnknownHelper { at: 1, helper: 999 },
+            ),
+            (
+                "uninitialized register read",
+                asm(|a| {
+                    a.mov(Reg::R0, Reg::R7); // R7 never written
+                    a.exit();
+                }),
+                E::UninitRegister { at: 0, reg: 7 },
+            ),
+            (
+                "call clobbers its argument registers",
+                asm(|a| {
+                    a.mov_imm(Reg::R2, 5);
+                    a.call(HELPER_RECIPROCAL_SCALE); // R1 is live (context)
+                    a.mov(Reg::R0, Reg::R2);
+                    a.exit();
+                }),
+                E::UninitRegister { at: 2, reg: 2 },
+            ),
+            (
+                "register set on one branch only",
+                asm(|a| {
+                    let join = a.label();
+                    a.mov_imm(Reg::R0, 0);
+                    a.jmp_imm(Cond::Eq, Reg::R1, 0, join);
+                    a.mov_imm(Reg::R6, 1);
+                    a.bind(join);
+                    a.mov(Reg::R0, Reg::R6);
+                    a.exit();
+                }),
+                E::UninitRegister { at: 3, reg: 6 },
+            ),
+            (
+                "exit without r0",
+                vec![Insn(Op::Exit)],
+                E::UninitRegister { at: 0, reg: 0 },
+            ),
+            (
+                "uninitialized stack load",
+                asm(|a| {
+                    a.ldx_stack(Reg::R0, -8);
+                    a.exit();
+                }),
+                E::UninitStack { at: 0, off: -8 },
+            ),
+            (
+                "stack slot stored on one branch only",
+                asm(|a| {
+                    let join = a.label();
+                    a.mov_imm(Reg::R0, 0);
+                    a.jmp_imm(Cond::Eq, Reg::R1, 0, join);
+                    a.stx_stack(-16, Reg::R0);
+                    a.bind(join);
+                    a.ldx_stack(Reg::R0, -16);
+                    a.exit();
+                }),
+                E::UninitStack { at: 3, off: -16 },
+            ),
+        ];
+        for off in [0, 8, -4, -520] {
+            cases.push((
+                "bad stack offset",
+                asm(|a| {
+                    a.mov_imm(Reg::R0, 0);
+                    a.stx_stack(off, Reg::R0);
+                    a.exit();
+                }),
+                E::BadStackAccess { at: 1, off },
+            ));
+        }
+        for (name, prog, want) in cases {
+            assert_eq!(analyze(&prog, &AnalysisCtx::new()), Err(want), "{name}");
+        }
+    }
+
+    #[test]
+    fn sound_programs_pass_the_same_rules() {
+        let admitted = [
+            (
+                "context and frame pointer are live at entry",
+                asm(|a| {
+                    a.mov(Reg::R0, Reg::R1);
+                    a.mov(Reg::R2, Reg::R10);
+                    a.exit();
+                }),
+                true,
+            ),
+            (
+                "register defined on both paths",
+                asm(|a| {
+                    let else_l = a.label();
+                    let join_l = a.label();
+                    a.mov_imm(Reg::R0, 0);
+                    a.jmp_imm(Cond::Eq, Reg::R1, 0, else_l);
+                    a.mov_imm(Reg::R6, 1);
+                    a.ja(join_l);
+                    a.bind(else_l);
+                    a.mov_imm(Reg::R6, 2);
+                    a.bind(join_l);
+                    a.mov(Reg::R0, Reg::R6);
+                    a.exit();
+                }),
+                true,
+            ),
+            (
+                "lowest slot of the frame",
+                asm(|a| {
+                    a.mov_imm(Reg::R0, 0);
+                    a.stx_stack(-(STACK_SIZE as i32), Reg::R0);
+                    a.exit();
+                }),
+                true,
+            ),
+            (
+                // Unreachable instructions are not interpreted (like pruned
+                // states): the R9 read would be an error if they were.
+                "dead code after exit is a warning",
+                asm(|a| {
+                    a.mov_imm(Reg::R0, 0);
+                    a.exit();
+                    a.mov(Reg::R0, Reg::R9);
+                    a.exit();
+                }),
+                false,
+            ),
+        ];
+        for (name, prog, clean) in admitted {
+            let report =
+                analyze(&prog, &AnalysisCtx::new()).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(report.is_clean(), clean, "{name}");
+        }
+    }
+
+    #[test]
+    fn error_display_is_informative() {
+        let e = AnalysisError::BackEdge { at: 3, target: 1 };
+        assert!(e.to_string().contains("back-edge"));
+        let e = AnalysisError::UninitRegister { at: 0, reg: 6 };
+        assert!(e.to_string().contains("r6"));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Label-based assembler for building verified programs.
+//! Label-based assembler for building programs.
 //!
 //! The dispatch program of Algorithm 2 contains a handful of forward
 //! branches (the `n > 1` guard and the rank-select ladder); hand-computing
@@ -155,257 +155,6 @@ impl Assembler {
     }
 }
 
-/// Error from [`parse_listing`], carrying the 1-based source line.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParseError {
-    /// 1-based line number in the listing.
-    pub line: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-fn parse_reg(tok: &str, line: usize) -> Result<Reg, ParseError> {
-    let err = || ParseError {
-        line,
-        message: format!("expected register, got `{tok}`"),
-    };
-    let n: u8 = tok
-        .strip_prefix('r')
-        .ok_or_else(err)?
-        .parse()
-        .map_err(|_| err())?;
-    if n as usize >= crate::insn::NUM_REGS {
-        return Err(err());
-    }
-    Ok(Reg(n))
-}
-
-/// Parse an immediate as the disassembler prints it: decimal `i64`
-/// (possibly negative) or `0x…` hex rendered from the `u64` bit pattern.
-fn parse_imm(tok: &str, line: usize) -> Result<i64, ParseError> {
-    let err = || ParseError {
-        line,
-        message: format!("expected immediate, got `{tok}`"),
-    };
-    if let Some(hex) = tok.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16)
-            .map(|v| v as i64)
-            .map_err(|_| err())
-    } else {
-        tok.parse().map_err(|_| err())
-    }
-}
-
-fn parse_src(tok: &str, line: usize) -> Result<Src, ParseError> {
-    if tok.starts_with('r') {
-        parse_reg(tok, line).map(Src::Reg)
-    } else {
-        parse_imm(tok, line).map(Src::Imm)
-    }
-}
-
-/// Absolute jump target `-> N` back to the eBPF-relative offset.
-fn rel_off(at: usize, target: &str, line: usize) -> Result<i32, ParseError> {
-    let t: i64 = target.trim().parse().map_err(|_| ParseError {
-        line,
-        message: format!("bad jump target `{target}`"),
-    })?;
-    i32::try_from(t - (at as i64 + 1)).map_err(|_| ParseError {
-        line,
-        message: format!("jump target {t} out of range"),
-    })
-}
-
-fn parse_stack_off(tok: &str, line: usize) -> Result<i32, ParseError> {
-    let err = || ParseError {
-        line,
-        message: format!("expected `[fp<off>]`, got `{tok}`"),
-    };
-    let inner = tok
-        .strip_prefix("[fp")
-        .and_then(|s| s.strip_suffix(']'))
-        .ok_or_else(err)?;
-    inner.parse().map_err(|_| err())
-}
-
-fn alu_by_name(name: &str) -> Option<Alu> {
-    Some(match name {
-        "mov" => Alu::Mov,
-        "add" => Alu::Add,
-        "sub" => Alu::Sub,
-        "mul" => Alu::Mul,
-        "and" => Alu::And,
-        "or" => Alu::Or,
-        "xor" => Alu::Xor,
-        "lsh" => Alu::Lsh,
-        "rsh" => Alu::Rsh,
-        "arsh" => Alu::Arsh,
-        "div" => Alu::Div,
-        "mod" => Alu::Mod,
-        _ => return None,
-    })
-}
-
-fn cond_by_name(name: &str) -> Option<Cond> {
-    Some(match name {
-        "jeq" => Cond::Eq,
-        "jne" => Cond::Ne,
-        "jgt" => Cond::Gt,
-        "jge" => Cond::Ge,
-        "jlt" => Cond::Lt,
-        "jle" => Cond::Le,
-        _ => return None,
-    })
-}
-
-/// Parse a [`crate::disasm::disasm`] listing back into bytecode.
-///
-/// Inverse of the disassembler: `parse_listing(&disasm(&prog)) == prog`
-/// for every program (property- and snapshot-tested). Blank lines and
-/// `; …` comments — including the fact margins printed by
-/// [`crate::analysis::AnalysisReport::render`] — are ignored, so an
-/// annotated report body round-trips too. Instruction indices must be
-/// dense and ascending from 0; absolute `-> N` jump targets are converted
-/// back to relative offsets.
-///
-/// ```
-/// use hermes_ebpf::asm::parse_listing;
-/// use hermes_ebpf::disasm::disasm;
-/// let prog = parse_listing("0: mov r0, 0\n1: exit").unwrap();
-/// assert_eq!(disasm(&prog), "0: mov r0, 0\n1: exit");
-/// ```
-pub fn parse_listing(text: &str) -> Result<Vec<Insn>, ParseError> {
-    let mut out = Vec::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = lineno + 1;
-        let src_line = raw.split(';').next().unwrap_or("").trim();
-        if src_line.is_empty() {
-            continue;
-        }
-        let at = out.len();
-        let body = match src_line.split_once(':') {
-            Some((idx, rest)) => {
-                let idx: usize = idx.trim().parse().map_err(|_| ParseError {
-                    line,
-                    message: format!("bad instruction index `{}`", idx.trim()),
-                })?;
-                if idx != at {
-                    return Err(ParseError {
-                        line,
-                        message: format!("expected instruction index {at}, got {idx}"),
-                    });
-                }
-                rest.trim()
-            }
-            None => {
-                return Err(ParseError {
-                    line,
-                    message: format!("missing `N:` index prefix in `{src_line}`"),
-                })
-            }
-        };
-        let (mnemonic, rest) = match body.split_once(char::is_whitespace) {
-            Some((m, r)) => (m, r.trim()),
-            None => (body, ""),
-        };
-        let operands: Vec<&str> = if rest.is_empty() {
-            Vec::new()
-        } else {
-            rest.split(',').map(str::trim).collect()
-        };
-        let expect_args = |n: usize| -> Result<(), ParseError> {
-            if operands.len() == n {
-                Ok(())
-            } else {
-                Err(ParseError {
-                    line,
-                    message: format!(
-                        "`{mnemonic}` expects {n} operand(s), got {}",
-                        operands.len()
-                    ),
-                })
-            }
-        };
-        let op = if let Some(alu) = alu_by_name(mnemonic) {
-            expect_args(2)?;
-            Op::Alu {
-                op: alu,
-                dst: parse_reg(operands[0], line)?,
-                src: parse_src(operands[1], line)?,
-            }
-        } else if let Some(cond) = cond_by_name(mnemonic) {
-            expect_args(2)?;
-            let (src_tok, target) = operands[1].split_once("->").ok_or_else(|| ParseError {
-                line,
-                message: format!("`{mnemonic}` needs a `-> target`"),
-            })?;
-            Op::Jmp {
-                cond,
-                dst: parse_reg(operands[0], line)?,
-                src: parse_src(src_tok.trim(), line)?,
-                off: rel_off(at, target, line)?,
-            }
-        } else {
-            match mnemonic {
-                "ja" => {
-                    let target = body.split_once("->").ok_or_else(|| ParseError {
-                        line,
-                        message: "`ja` needs a `-> target`".to_string(),
-                    })?;
-                    Op::Ja {
-                        off: rel_off(at, target.1, line)?,
-                    }
-                }
-                "stx" => {
-                    expect_args(2)?;
-                    Op::StxStack {
-                        off: parse_stack_off(operands[0], line)?,
-                        src: parse_reg(operands[1], line)?,
-                    }
-                }
-                "ldx" => {
-                    expect_args(2)?;
-                    Op::LdxStack {
-                        dst: parse_reg(operands[0], line)?,
-                        off: parse_stack_off(operands[1], line)?,
-                    }
-                }
-                "call" => {
-                    expect_args(1)?;
-                    let helper = operands[0]
-                        .strip_prefix('#')
-                        .and_then(|h| h.parse().ok())
-                        .ok_or_else(|| ParseError {
-                            line,
-                            message: format!("expected `#helper`, got `{}`", operands[0]),
-                        })?;
-                    Op::Call { helper }
-                }
-                "exit" => {
-                    expect_args(0)?;
-                    Op::Exit
-                }
-                other => {
-                    return Err(ParseError {
-                        line,
-                        message: format!("unknown mnemonic `{other}`"),
-                    })
-                }
-            }
-        };
-        out.push(Insn(op));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -461,62 +210,9 @@ mod tests {
     }
 
     #[test]
-    fn parse_listing_round_trips_every_insn_kind() {
-        let text = "0: mov r0, 0x12345678\n\
-                    1: mov r6, r1\n\
-                    2: add r6, 5\n\
-                    3: stx [fp-8], r6\n\
-                    4: ldx r2, [fp-8]\n\
-                    5: jgt r2, 7 -> 7\n\
-                    6: call #2\n\
-                    7: ja -> 9\n\
-                    8: sub r2, -3\n\
-                    9: exit";
-        let prog = parse_listing(text).unwrap();
-        assert_eq!(crate::disasm::disasm(&prog), text);
-    }
-
-    #[test]
-    fn parse_listing_ignores_comments_and_blank_lines() {
-        let text = "0: mov r0, 0  ; r0 in [0, 0]\n\n1: exit ; done";
-        let prog = parse_listing(text).unwrap();
-        assert_eq!(prog.len(), 2);
-        assert_eq!(prog[1].0, Op::Exit);
-    }
-
-    #[test]
-    fn parse_listing_rejects_gapped_indices() {
-        let err = parse_listing("0: mov r0, 0\n2: exit").unwrap_err();
-        assert_eq!(err.line, 2);
-        assert!(err.message.contains("expected instruction index 1"));
-    }
-
-    #[test]
-    fn parse_listing_rejects_unknown_mnemonic_and_bad_register() {
-        assert!(parse_listing("0: frob r1, 2").is_err());
-        assert!(parse_listing("0: mov r11, 2").is_err());
-        assert!(parse_listing("0: mov rx, 2").is_err());
-        assert!(parse_listing("0: jeq r1, 2").is_err()); // missing target
-        assert!(parse_listing("mov r0, 0").is_err()); // missing index
-    }
-
-    #[test]
-    fn parse_listing_hex_imm_preserves_bit_pattern() {
-        // disasm prints negative immediates > 0xFFFF as u64 hex; parsing
-        // must restore the same i64 bits.
-        let mut a = Assembler::new();
-        a.alu_imm(Alu::And, Reg::R1, -2);
-        a.mov_imm(Reg::R2, -100_000);
-        a.exit();
-        let prog = a.finish();
-        let text = crate::disasm::disasm(&prog);
-        assert_eq!(parse_listing(&text).unwrap(), prog);
-    }
-
-    #[test]
     fn backward_labels_resolve_to_negative_offsets() {
         // The assembler permits back-edges; rejecting them is the
-        // *verifier's* job (tested there).
+        // *analysis'* job (tested there).
         let mut a = Assembler::new();
         let top = a.label();
         a.bind(top);

@@ -18,15 +18,18 @@
 //!   — is recognized structurally and fused into a single [`Step`] that
 //!   reproduces the exact register effects (including the scratch
 //!   register's final value) of the unfused sequence, for *all* inputs.
-//! * **Direct helper calls.** `reciprocal_scale` and `bpf_ktime_get_ns`
-//!   become inline ops. Map helpers whose fd operand is a compile-time
-//!   constant (per-block constant propagation) are bound to a *slot*: the
-//!   executor resolves each slot's fd against the registry **once per run
-//!   — or once per batch** — instead of taking a registry lock inside
-//!   every helper call. The bounds checks stay discharged by the
-//!   [`crate::analysis`] proofs; socket
-//!   selection keeps its runtime `-ENOENT` check because that is part of
-//!   Algorithm 2's semantics, not a safety check.
+//! * **Direct helper calls.** `reciprocal_scale` becomes an inline op. Map
+//!   helpers whose fd operand is a compile-time constant (per-block
+//!   constant propagation) are bound to a *slot*, and those whose fd the
+//!   analysis bounded to a contiguous registered range to a *bank*: the
+//!   executor resolves slots and banks against the registry **once per
+//!   run — or once per batch** — instead of taking a registry lock inside
+//!   every helper call. A call site that is neither makes
+//!   `CompiledProgram::compile` decline, and the program stays on the
+//!   checked interpreter. The bounds checks stay discharged by the
+//!   [`crate::analysis`] proofs; socket selection keeps its runtime
+//!   `-ENOENT` check because that is part of Algorithm 2's semantics, not
+//!   a safety check.
 //!
 //! Compilation is only ever invoked for programs whose analysis report is
 //! clean ([`crate::analysis::AnalysisReport::is_clean`]); the unchecked
@@ -37,8 +40,7 @@
 
 use crate::analysis::{AnalysisCtx, AnalysisReport};
 use crate::helpers::{
-    ENOENT_RET, HELPER_KTIME_GET_NS, HELPER_MAP_LOOKUP, HELPER_RECIPROCAL_SCALE,
-    HELPER_SK_SELECT_REUSEPORT,
+    ENOENT_RET, HELPER_MAP_LOOKUP, HELPER_RECIPROCAL_SCALE, HELPER_SK_SELECT_REUSEPORT,
 };
 use crate::insn::{Alu, Cond, Insn, Op, Reg, Src, NUM_REGS, STACK_SIZE};
 use crate::maps::{ArrayMap, MapKind, MapRef, MapRegistry, SockArrayMap};
@@ -58,15 +60,15 @@ pub(crate) const POPCOUNT_LEN: usize = 15;
 
 /// Maximum constant-fd map slots pre-resolved per program. Algorithm 2
 /// uses two (selection map + sockarray); the cap only bounds the resolved
-/// array on the stack — further constant fds fall back to the dynamic path.
+/// array on the stack — a program with more is not compiled.
 const MAX_CONST_SLOTS: usize = 8;
 
 /// Maximum pre-resolved fd banks per program (the grouped program needs
 /// two: the selmap bank and the sockarray bank).
 const MAX_BANKS: usize = 4;
 
-/// Maximum fds per bank — bounds the resolved table, not correctness;
-/// wider proven ranges fall back to the dynamic path. 64 covers every
+/// Maximum fds per bank — bounds the resolved table, not correctness; a
+/// program with a wider proven range is not compiled. 64 covers every
 /// group-count the bitmap dispatch plane can shard into.
 const MAX_BANK_LEN: u64 = 64;
 
@@ -111,8 +113,6 @@ pub(crate) enum Step {
     },
     /// `reciprocal_scale(r1, r2)` inlined; clobbers R1–R5 like any call.
     ReciprocalScale,
-    /// `bpf_ktime_get_ns()` inlined.
-    KtimeGetNs,
     /// `bpf_map_lookup_elem` with a compile-time-constant array fd: reads
     /// through pre-resolved slot `slot`, key from R2 (proven in bounds).
     LookupConst {
@@ -125,8 +125,6 @@ pub(crate) enum Step {
         bank: u8,
         base: u32,
     },
-    /// `bpf_map_lookup_elem` with a runtime-computed, unprovable fd.
-    LookupDyn,
     /// `bpf_sk_select_reuseport` with a constant sockarray fd.
     SkSelectConst {
         slot: u8,
@@ -137,8 +135,6 @@ pub(crate) enum Step {
         bank: u8,
         base: u32,
     },
-    /// `bpf_sk_select_reuseport` with a runtime-computed, unprovable fd.
-    SkSelectDyn,
 }
 
 /// How a basic block ends. Targets are *block* indices, resolved at
@@ -332,18 +328,25 @@ impl Consts {
 }
 
 impl CompiledProgram {
-    /// Lower a verified, clean-analysis program. `ctx` is the map layout
-    /// the analysis ran against; it classifies constant fds by kind so the
-    /// right pre-resolved access path is emitted. `report` supplies the
+    /// Lower a clean-analysis program. `ctx` is the map layout the analysis
+    /// ran against; it classifies constant fds by kind so the right
+    /// pre-resolved access path is emitted. `report` supplies the
     /// per-call-site fd intervals the analysis proved, turning bounded
     /// dynamic fds (the grouped program's per-group map banks) into
-    /// pre-resolved bank indexes.
+    /// pre-resolved bank indexes. `None` when some map helper's fd operand
+    /// is neither (see [`Self::compile_call`]): there is no compiled step
+    /// that consults the registry per call.
     ///
     /// Panics on malformed input (out-of-range jump targets, code past
-    /// `exit` that is not a jump target) — impossible for programs that
-    /// passed the verifier, which is the only way this is reached.
-    pub(crate) fn compile(prog: &[Insn], ctx: &AnalysisCtx, report: &AnalysisReport) -> Self {
-        assert!(!prog.is_empty(), "verified programs are non-empty");
+    /// `exit` that is not a jump target) — impossible for programs
+    /// [`crate::analysis::analyze`] admitted, which is the only way this
+    /// is reached.
+    pub(crate) fn compile(
+        prog: &[Insn],
+        ctx: &AnalysisCtx,
+        report: &AnalysisReport,
+    ) -> Option<Self> {
+        assert!(!prog.is_empty(), "admitted programs are non-empty");
         // Pass 1: find block leaders — entry, every jump target, and every
         // instruction following a control transfer.
         let mut leader = vec![false; prog.len()];
@@ -452,7 +455,7 @@ impl CompiledProgram {
                             report,
                             &mut const_fds,
                             &mut banks,
-                        ));
+                        )?);
                         konst.clobber_call();
                         retired += 1;
                     }
@@ -498,21 +501,20 @@ impl CompiledProgram {
                 retired,
             });
         }
-        Self {
+        Some(Self {
             blocks: blocks.into_boxed_slice(),
             const_fds: const_fds.into_boxed_slice(),
             banks: banks.into_boxed_slice(),
             bank_cache: OnceLock::new(),
             slot_cache: OnceLock::new(),
             fused_popcounts,
-        }
+        })
     }
 
     /// Resolve one helper call site into a direct step: a constant-fd slot
     /// when block-local constant propagation pins the fd, else a
     /// pre-resolved bank when the analysis proved the fd stays inside a
-    /// contiguous registered range of the right kind, else the dynamic
-    /// registry path.
+    /// contiguous registered range of the right kind, else `None`.
     #[allow(clippy::too_many_arguments)]
     fn compile_call(
         at: usize,
@@ -522,7 +524,7 @@ impl CompiledProgram {
         report: &AnalysisReport,
         const_fds: &mut Vec<(u32, MapKind)>,
         banks: &mut Vec<BankSpec>,
-    ) -> Step {
+    ) -> Option<Step> {
         let slot_for = |const_fds: &mut Vec<(u32, MapKind)>, fd: u64, want: MapKind| {
             let bound = ctx.fd_layout(fd)?;
             if bound.0 != want {
@@ -567,25 +569,22 @@ impl CompiledProgram {
             Some(((banks.len() - 1) as u8, spec.base))
         };
         match helper {
-            HELPER_RECIPROCAL_SCALE => Step::ReciprocalScale,
-            HELPER_KTIME_GET_NS => Step::KtimeGetNs,
+            HELPER_RECIPROCAL_SCALE => Some(Step::ReciprocalScale),
             HELPER_MAP_LOOKUP => konst.0[1]
                 .and_then(|fd| slot_for(const_fds, fd, MapKind::Array))
                 .map(|slot| Step::LookupConst { slot })
                 .or_else(|| {
                     bank_for(banks, MapKind::Array)
                         .map(|(bank, base)| Step::LookupBank { bank, base })
-                })
-                .unwrap_or(Step::LookupDyn),
+                }),
             HELPER_SK_SELECT_REUSEPORT => konst.0[1]
                 .and_then(|fd| slot_for(const_fds, fd, MapKind::SockArray))
                 .map(|slot| Step::SkSelectConst { slot })
                 .or_else(|| {
                     bank_for(banks, MapKind::SockArray)
                         .map(|(bank, base)| Step::SkSelectBank { bank, base })
-                })
-                .unwrap_or(Step::SkSelectDyn),
-            other => unreachable!("verifier admits only known helpers, got {other}"),
+                }),
+            other => unreachable!("analysis admits only known helpers, got {other}"),
         }
     }
 
@@ -608,17 +607,6 @@ impl CompiledProgram {
     /// Number of bounded dynamic-fd banks compiled in.
     pub fn bank_count(&self) -> usize {
         self.banks.len()
-    }
-
-    /// Helper call sites left on the dynamic registry path — the only
-    /// steps that may take a lock per call (and only until the registry
-    /// freezes). Zero means the per-connection path is lock-free.
-    pub fn dyn_helper_calls(&self) -> usize {
-        self.blocks
-            .iter()
-            .flat_map(|b| b.steps.iter())
-            .filter(|s| matches!(s, Step::LookupDyn | Step::SkSelectDyn))
-            .count()
     }
 
     /// Resolve the constant-fd slots against `maps`. Called once per run
@@ -706,13 +694,7 @@ impl CompiledProgram {
     /// Execute against pre-resolved map slots. Observationally identical
     /// to the checked interpreter for clean programs: same return value,
     /// same selected socket, same retired-instruction count.
-    pub(crate) fn exec(
-        &self,
-        ctx_hash: u32,
-        maps: &MapRegistry,
-        now_ns: u64,
-        resolved: &ResolvedMaps,
-    ) -> ExecResult {
+    pub(crate) fn exec(&self, ctx_hash: u32, resolved: &ResolvedMaps) -> ExecResult {
         let mut regs = [0u64; NUM_REGS];
         let mut stack = [0u8; STACK_SIZE];
         regs[Reg::R1.idx()] = ctx_hash as u64;
@@ -765,10 +747,6 @@ impl CompiledProgram {
                         };
                         regs[1..=5].fill(0);
                     }
-                    Step::KtimeGetNs => {
-                        regs[0] = now_ns;
-                        regs[1..=5].fill(0);
-                    }
                     Step::LookupConst { slot } => {
                         let ResolvedSlot::Array(m) = &resolved.slots[slot as usize] else {
                             unreachable!("analysis proved the array fd bound")
@@ -784,13 +762,6 @@ impl CompiledProgram {
                         // R1 proven in [base, base+len) by the analysis.
                         let idx = (regs[1] - base as u64) as usize;
                         regs[0] = bank[idx].lookup_fast(regs[2] as usize);
-                        regs[1..=5].fill(0);
-                    }
-                    Step::LookupDyn => {
-                        regs[0] = maps
-                            .array(regs[1] as u32)
-                            .expect("analysis proved the array fd bound")
-                            .lookup_fast(regs[2] as usize);
                         regs[1..=5].fill(0);
                     }
                     Step::SkSelectConst { slot } => {
@@ -813,19 +784,6 @@ impl CompiledProgram {
                         };
                         let idx = (regs[1] - base as u64) as usize;
                         regs[0] = match bank[idx].lookup(regs[2] as usize) {
-                            Some(sock) => {
-                                selected = Some(sock);
-                                0
-                            }
-                            None => ENOENT_RET,
-                        };
-                        regs[1..=5].fill(0);
-                    }
-                    Step::SkSelectDyn => {
-                        regs[0] = match maps
-                            .sockarray(regs[1] as u32)
-                            .and_then(|m| m.lookup(regs[2] as usize))
-                        {
                             Some(sock) => {
                                 selected = Some(sock);
                                 0
@@ -867,9 +825,8 @@ impl CompiledProgram {
     }
 
     /// Single execution: resolve the constant-fd slots, then run.
-    pub(crate) fn run(&self, ctx_hash: u32, maps: &MapRegistry, now_ns: u64) -> ExecResult {
-        let resolved = self.resolve(maps);
-        self.exec(ctx_hash, maps, now_ns, &resolved)
+    pub(crate) fn run(&self, ctx_hash: u32, maps: &MapRegistry) -> ExecResult {
+        self.exec(ctx_hash, &self.resolve(maps))
     }
 
     /// Execute *without* a [`crate::validate::ValidationCert`]. Test-only
@@ -879,8 +836,8 @@ impl CompiledProgram {
     /// [`crate::vm::Vm::run`], which only reaches the compiled tier with a
     /// cert in hand.
     #[doc(hidden)]
-    pub fn run_uncertified(&self, ctx_hash: u32, maps: &MapRegistry, now_ns: u64) -> ExecResult {
-        self.run(ctx_hash, maps, now_ns)
+    pub fn run_uncertified(&self, ctx_hash: u32, maps: &MapRegistry) -> ExecResult {
+        self.run(ctx_hash, maps)
     }
 }
 
@@ -890,14 +847,19 @@ mod tests {
     use crate::asm::Assembler;
     use crate::maps::MapRef;
     use crate::program::{emit_popcount, DispatchProgram};
-    use crate::vm::Vm;
+    use crate::vm::{ExecTier, Vm};
     use hermes_core::bitmap::WorkerBitmap;
 
+    /// `prog` loaded, and compiled a second time on its own. The checked
+    /// interpreter inside the `Vm` is what every test here compares with.
     fn compiled(prog: Vec<Insn>, ctx: &AnalysisCtx) -> (Vm, CompiledProgram) {
-        let vm = Vm::load_analyzed(prog.clone(), ctx).expect("clean");
-        let report = crate::analysis::analyze(&prog, ctx).expect("analyzes");
-        let cp = CompiledProgram::compile(&prog, ctx, &report);
+        let vm = Vm::load_analyzed(prog, ctx).expect("clean");
+        let cp = CompiledProgram::compile(vm.program(), ctx, vm.analysis()).expect("compiles");
         (vm, cp)
+    }
+
+    fn checked(vm: &Vm, hash: u32, maps: &MapRegistry) -> ExecResult {
+        vm.run_tier(ExecTier::Checked, hash, maps).unwrap()
     }
 
     #[test]
@@ -915,24 +877,21 @@ mod tests {
         assert_eq!(cp.fused_popcounts(), 1);
         let maps = MapRegistry::new();
         for hash in [0u32, 1, 0b1011, 0xdead_beef, u32::MAX] {
-            assert_eq!(cp.run(hash, &maps, 0), vm.run(hash, &maps, 0).unwrap());
+            assert_eq!(cp.run(hash, &maps), checked(&vm, hash, &maps));
         }
     }
 
     #[test]
     fn dispatch_program_fuses_all_seven_popcounts() {
-        let prog = DispatchProgram::build(0, 1, 64);
         let ctx = AnalysisCtx::new()
             .bind(0, MapKind::Array, 1)
             .bind(1, MapKind::SockArray, 64);
-        let report = crate::analysis::analyze(prog.insns(), &ctx).expect("analyzes");
-        let cp = CompiledProgram::compile(prog.insns(), &ctx, &report);
+        let (_, cp) = compiled(DispatchProgram::build(0, 1, 64), &ctx);
         assert_eq!(cp.fused_popcounts(), 7);
         // Both map fds become pre-resolved constant slots.
         let fds: Vec<u32> = cp.const_map_fds().collect();
         assert_eq!(fds, vec![0, 1]);
         assert_eq!(cp.bank_count(), 0);
-        assert_eq!(cp.dyn_helper_calls(), 0);
     }
 
     #[test]
@@ -946,17 +905,14 @@ mod tests {
             socks.register(w, w);
         }
         sel.update(0, WorkerBitmap::from_workers([1, 4, 9, 13]).0);
-        let prog = DispatchProgram::build(sel_fd, sock_fd, 16);
         let ctx = AnalysisCtx::from_registry(&maps);
-        let checked = Vm::load(prog.insns().to_vec()).expect("verifies");
-        let report = crate::analysis::analyze(prog.insns(), &ctx).expect("analyzes");
-        let cp = CompiledProgram::compile(prog.insns(), &ctx, &report);
+        let (vm, cp) = compiled(DispatchProgram::build(sel_fd, sock_fd, 16), &ctx);
         let resolved = cp.resolve(&maps);
         for i in 0..1_000u32 {
             let h = i.wrapping_mul(0x9E37_79B9);
             assert_eq!(
-                cp.exec(h, &maps, 0, &resolved),
-                checked.run(h, &maps, 0).unwrap(),
+                cp.exec(h, &resolved),
+                checked(&vm, h, &maps),
                 "divergence at hash {h:#x}"
             );
         }
@@ -985,11 +941,10 @@ mod tests {
         let ctx = AnalysisCtx::from_registry(&maps);
         let (vm, cp) = compiled(prog, &ctx);
         assert_eq!(cp.bank_count(), 1);
-        assert_eq!(cp.dyn_helper_calls(), 0);
         for hash in 0..16u32 {
-            let got = cp.run(hash, &maps, 0);
+            let got = cp.run(hash, &maps);
             assert_eq!(got.return_value, 100 + (hash & 3) as u64);
-            assert_eq!(got, vm.run(hash, &maps, 0).unwrap());
+            assert_eq!(got, checked(&vm, hash, &maps));
         }
         // The bank cache is keyed to this registry's frozen table; a
         // different (also frozen) registry must resolve fresh, not reuse it.
@@ -1000,8 +955,45 @@ mod tests {
             other.register(MapRef::Array(m));
         }
         other.freeze();
-        assert_eq!(cp.run(2, &other, 0).return_value, 202);
-        assert_eq!(cp.run(2, &maps, 0).return_value, 102);
+        assert_eq!(cp.run(2, &other).return_value, 202);
+        assert_eq!(cp.run(2, &maps).return_value, 102);
+    }
+
+    #[test]
+    fn unbankable_dynamic_fd_stays_on_the_checked_tier() {
+        // fd = hash & 2 is 0 or 2, both arrays, so the program is admitted
+        // with a clean report; but fd 1, inside the interval, is a
+        // sockarray, so the fd is neither a constant nor a bank index.
+        // Nothing compiled consults the registry per call: compile declines.
+        let mut a = Assembler::new();
+        a.alu_imm(Alu::And, Reg::R1, 2);
+        a.mov_imm(Reg::R2, 0);
+        a.call(crate::helpers::HELPER_MAP_LOOKUP);
+        a.exit();
+        let prog = a.finish();
+
+        let maps = MapRegistry::new();
+        for fd in 0..3u64 {
+            if fd == 1 {
+                maps.register(MapRef::SockArray(Arc::new(SockArrayMap::new(1))));
+            } else {
+                let m = Arc::new(ArrayMap::new(1));
+                m.update(0, 100 + fd);
+                maps.register(MapRef::Array(m));
+            }
+        }
+        let ctx = AnalysisCtx::from_registry(&maps);
+        let vm = Vm::load_analyzed(prog, &ctx).expect("admitted");
+        assert!(vm.analysis().is_clean());
+        assert!(CompiledProgram::compile(vm.program(), &ctx, vm.analysis()).is_none());
+        assert_eq!(vm.tier(), ExecTier::Checked);
+        assert!(vm.validation_error().is_none(), "declined, not demoted");
+        assert!(vm.prepare_jit(&maps).is_none());
+        for hash in 0..8u32 {
+            let got = vm.run(hash, &maps).unwrap();
+            assert_eq!(got.return_value, 100 + (hash & 2) as u64);
+            assert_eq!(got, checked(&vm, hash, &maps));
+        }
     }
 
     #[test]
@@ -1021,8 +1013,7 @@ mod tests {
         let (vm, cp) = compiled(prog, &ctx);
         let maps = MapRegistry::new();
         for hash in [7u32, 8] {
-            let want = vm.run(hash, &maps, 0).unwrap();
-            assert_eq!(cp.run(hash, &maps, 0), want);
+            assert_eq!(cp.run(hash, &maps), checked(&vm, hash, &maps));
         }
     }
 }

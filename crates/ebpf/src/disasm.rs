@@ -114,11 +114,11 @@ mod tests {
     #[test]
     fn dispatch_program_listing_is_complete_and_loop_free() {
         let prog = DispatchProgram::build(0, 1, 32);
-        let text = disasm(prog.insns());
+        let text = disasm(&prog);
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), prog.len());
         // Every jump target printed must be strictly forward — a readable
-        // witness of the verifier's no-back-edge rule.
+        // witness of the analysis' no-back-edge rule.
         for (i, line) in lines.iter().enumerate() {
             if let Some(pos) = line.find("-> ") {
                 let target: i64 = line[pos + 3..].trim().parse().unwrap();

@@ -63,9 +63,10 @@ impl GroupedReuseportGroup {
     ///
     /// The program computes its map fds at run time, but analysis bounds
     /// each helper's fd to a contiguous registered bank, so every call
-    /// compiles to a lock-free pre-resolved bank step — asserted here —
-    /// and the jit bakes each bank's pointer table into the emitted code:
-    /// no registry access on the per-connection path.
+    /// compiles to a lock-free pre-resolved bank step (a program with any
+    /// other kind of call is not compiled, and attaching demands the
+    /// ceiling tier) and the jit bakes each bank's pointer table into the
+    /// emitted code: no registry access on the per-connection path.
     pub fn new(groups: usize, group_size: usize) -> Self {
         assert!(groups >= 1, "need at least one group");
         let registry = MapRegistry::new();
@@ -85,18 +86,8 @@ impl GroupedReuseportGroup {
             }
             registry.register(MapRef::SockArray(Arc::new(m)));
         }
-        let attached = AttachedProgram::attach(registry, Self::build_program(groups, group_size));
-        assert_eq!(
-            attached
-                .vm()
-                .compiled()
-                .expect("attached on the compiled tier")
-                .dyn_helper_calls(),
-            0,
-            "grouped dispatch must pre-resolve its map banks"
-        );
         Self {
-            attached,
+            attached: AttachedProgram::attach(registry, Self::build_program(groups, group_size)),
             sel_maps,
             groups,
             group_size,

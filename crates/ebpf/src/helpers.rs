@@ -26,20 +26,8 @@ pub const HELPER_RECIPROCAL_SCALE: u32 = 2;
 /// Side effect: records the selected socket on the execution context.
 pub const HELPER_SK_SELECT_REUSEPORT: u32 = 3;
 
-/// Helper id: `bpf_ktime_get_ns() -> monotonic ns` (available for
-/// experiments/extensions; the dispatch program does not use it).
-pub const HELPER_KTIME_GET_NS: u32 = 4;
-
 /// `-ENOENT` as returned by `bpf_sk_select_reuseport` on an empty slot.
 pub const ENOENT_RET: u64 = (-2i64) as u64;
-
-/// All known helper ids, for verifier validation.
-pub const KNOWN_HELPERS: [u32; 4] = [
-    HELPER_MAP_LOOKUP,
-    HELPER_RECIPROCAL_SCALE,
-    HELPER_SK_SELECT_REUSEPORT,
-    HELPER_KTIME_GET_NS,
-];
 
 /// Static type of one helper argument, as the kernel's `bpf_func_proto`
 /// `arg_type` array declares them. The abstract-interpretation pass
@@ -93,8 +81,9 @@ pub struct HelperSig {
     pub ret: RetKind,
 }
 
-/// Signatures of every exported helper, indexed by the analysis pass.
-pub const HELPER_SIGNATURES: [HelperSig; 4] = [
+/// Signatures of every exported helper, indexed by the analysis pass; a
+/// helper id without an entry here is unknown and refused at load.
+pub const HELPER_SIGNATURES: [HelperSig; 3] = [
     HelperSig {
         helper: HELPER_MAP_LOOKUP,
         name: "bpf_map_lookup_elem",
@@ -131,12 +120,6 @@ pub const HELPER_SIGNATURES: [HelperSig; 4] = [
         ],
         ret: RetKind::StatusOrEnoent,
     },
-    HelperSig {
-        helper: HELPER_KTIME_GET_NS,
-        name: "bpf_ktime_get_ns",
-        args: [ArgKind::Unused; 5],
-        ret: RetKind::AnyScalar,
-    },
 ];
 
 /// Look up the signature for a helper id.
@@ -149,9 +132,6 @@ pub fn signature(helper: u32) -> Option<&'static HelperSig> {
 pub struct HelperCtx {
     /// Socket selected by `bpf_sk_select_reuseport`, if any.
     pub selected_sock: Option<usize>,
-    /// Monotonic time source for `bpf_ktime_get_ns` (injected for
-    /// determinism; a real kernel reads the clock).
-    pub now_ns: u64,
 }
 
 /// Dispatch a helper call. `args` are R1..=R5 at the call site; the return
@@ -188,7 +168,6 @@ pub fn call_helper(
                 None => Ok(ENOENT_RET),
             }
         }
-        HELPER_KTIME_GET_NS => Ok(ctx.now_ns),
         other => Err(UnknownHelper(other)),
     }
 }
@@ -278,17 +257,6 @@ mod tests {
         .unwrap();
         assert_eq!(v, ENOENT_RET);
         assert_eq!(ctx2.selected_sock, None);
-    }
-
-    #[test]
-    fn ktime_reads_injected_clock() {
-        let (reg, _, _) = setup();
-        let mut ctx = HelperCtx {
-            now_ns: 777,
-            ..HelperCtx::default()
-        };
-        let v = call_helper(HELPER_KTIME_GET_NS, [0; 5], &reg, &mut ctx).unwrap();
-        assert_eq!(v, 777);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Eleven 64-bit registers. By eBPF convention: R0 holds return values,
 //! R1–R5 carry helper-call arguments (and R1 the program context at entry),
 //! R6–R9 are callee-saved scratch, R10 is the read-only frame pointer.
-//! Conditional jumps carry a *relative forward* offset; the verifier rejects
+//! Conditional jumps carry a *relative forward* offset; admission rejects
 //! backward targets, which is what rules loops out.
 
 /// A register name.

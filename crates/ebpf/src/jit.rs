@@ -11,9 +11,9 @@
 //! * the frozen map table baked in: constant-fd slots and
 //!   [`ResolvedBank`] base/len tables become immediate operands — zero
 //!   registry traffic, zero `Arc` traffic, zero locks per dispatch;
-//! * helper calls inlined: `reciprocal_scale` is four instructions,
-//!   `bpf_ktime_get_ns` a stack reload, map lookups a guarded indexed
-//!   load, `bpf_sk_select_reuseport` a compare-and-store;
+//! * helper calls inlined: `reciprocal_scale` is four instructions, map
+//!   lookups a guarded indexed load, `bpf_sk_select_reuseport` a
+//!   compare-and-store;
 //! * the fused SWAR popcount window collapsed to a single `POPCNT`
 //!   instruction when the scratch register is provably dead (a small
 //!   cross-block liveness pass over the forward DAG) and the CPU has it.
@@ -49,17 +49,13 @@ pub enum JitError {
     /// The build target is not x86-64 Linux; the compiled tier remains
     /// the ceiling.
     UnsupportedArch,
-    /// The program contains a dynamic-fd helper call (`LookupDyn` /
-    /// `SkSelectDyn`), which needs the live registry; those stay
-    /// interpreted. Algorithm 2 programs have none.
-    DynamicHelper,
     /// A constant-fd slot or bank fd did not resolve in the registry the
     /// JIT was asked to bake against.
     UnresolvedMap {
         /// The fd that failed to resolve.
         fd: u32,
     },
-    /// The program writes R10 — the verifier forbids this, and the JIT's
+    /// The program writes R10 — the analysis forbids this, and the JIT's
     /// register convention pins R10's home to a constant, so emission
     /// refuses rather than miscompile.
     WritesFramePointer,
@@ -78,9 +74,6 @@ impl std::fmt::Display for JitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             JitError::UnsupportedArch => write!(f, "jit requires x86-64 Linux"),
-            JitError::DynamicHelper => {
-                write!(f, "program uses a dynamic-fd helper; staying interpreted")
-            }
             JitError::UnresolvedMap { fd } => {
                 write!(f, "map fd {fd} did not resolve in the target registry")
             }
@@ -163,11 +156,9 @@ mod imp {
     // [rsp+0 .. rsp+512)   eBPF stack (byte-addressed, little-endian,
     //                      exactly the interpreter's `[u8; 512]`)
     // [rsp+512]            selected socket (u64::MAX = none)
-    // [rsp+520]            now_ns (entry arg 1, spilled)
-    // [rsp+528]            out-pointer (entry arg 2, spilled)
+    // [rsp+520]            out-pointer (entry arg 1, spilled)
     const SELECTED_OFF: u32 = STACK_SIZE as u32;
-    const NOW_OFF: u32 = SELECTED_OFF + 8;
-    const OUT_OFF: u32 = NOW_OFF + 8;
+    const OUT_OFF: u32 = SELECTED_OFF + 8;
     const FRAME: i32 = OUT_OFF as i32 + 8;
 
     // Condition codes for Jcc (0x0F 0x80|cc). eBPF compares are
@@ -501,29 +492,22 @@ mod imp {
             Step::StxStack { .. } => 0,
             Step::Popcount { x, scratch } => (1 << x) | (1 << scratch),
             Step::ReciprocalScale
-            | Step::KtimeGetNs
             | Step::LookupConst { .. }
             | Step::LookupBank { .. }
-            | Step::LookupDyn
             | Step::SkSelectConst { .. }
-            | Step::SkSelectBank { .. }
-            | Step::SkSelectDyn => 0b11_1111,
+            | Step::SkSelectBank { .. } => 0b11_1111,
         }
     }
 
     fn step_reads(s: &Step) -> u16 {
         match *s {
-            Step::MovImm { .. } | Step::LdxStack { .. } | Step::KtimeGetNs => 0,
+            Step::MovImm { .. } | Step::LdxStack { .. } => 0,
             Step::MovReg { src, .. } => 1 << src,
             Step::AluImm { dst, .. } => 1 << dst,
             Step::AluReg { dst, src, .. } => (1 << dst) | (1 << src),
             Step::StxStack { src, .. } => 1 << src,
             Step::Popcount { x, .. } => 1 << x,
-            Step::ReciprocalScale
-            | Step::LookupBank { .. }
-            | Step::LookupDyn
-            | Step::SkSelectBank { .. }
-            | Step::SkSelectDyn => 0b110,
+            Step::ReciprocalScale | Step::LookupBank { .. } | Step::SkSelectBank { .. } => 0b110,
             Step::LookupConst { .. } | Step::SkSelectConst { .. } => 1 << 2,
         }
     }
@@ -572,7 +556,7 @@ mod imp {
 
     /// Signature of the emitted entry point. `out` receives
     /// `[selected, executed, fault]`.
-    type EntryFn = unsafe extern "sysv64" fn(hash: u64, now_ns: u64, out: *mut u64) -> u64;
+    type EntryFn = unsafe extern "sysv64" fn(hash: u64, out: *mut u64) -> u64;
 
     /// A certified program lowered to native x86-64 code, plus ownership
     /// of everything the baked immediates point into.
@@ -648,10 +632,9 @@ mod imp {
                 self.asm.push(r);
             }
             self.asm.alu_ri(5, RSP, FRAME);
-            // Spill entry args 1/2; arg 0 (the hash) is already in RDI,
-            // which is exactly eBPF R1's home.
-            self.asm.store_rsp(NOW_OFF, RSI);
-            self.asm.store_rsp(OUT_OFF, RDX);
+            // Spill entry arg 1; arg 0 (the hash) is already in RDI, which
+            // is exactly eBPF R1's home.
+            self.asm.store_rsp(OUT_OFF, RSI);
             self.asm.store_imm_rsp(SELECTED_OFF, -1);
             // Zero-init exactly the stack bytes any LdxStack can read:
             // with identical stores, every byte a load observes is then
@@ -730,10 +713,6 @@ mod imp {
                     self.asm.mov_rr(hw(0), RAX);
                     self.zero_r1_r5();
                 }
-                Step::KtimeGetNs => {
-                    self.asm.load_rsp(hw(0), NOW_OFF);
-                    self.zero_r1_r5();
-                }
                 Step::LookupConst { slot } => {
                     let JitSlot::Array(m) = &slots[slot as usize] else {
                         unreachable!("emit checked slot kinds");
@@ -798,9 +777,6 @@ mod imp {
                     let end = self.asm.here();
                     self.asm.patch(done, end);
                     self.zero_r1_r5();
-                }
-                Step::LookupDyn | Step::SkSelectDyn => {
-                    unreachable!("emit rejects dynamic helpers up front")
                 }
             }
         }
@@ -1028,11 +1004,8 @@ mod imp {
             maps: &MapRegistry,
             mutation: Option<JitMutation>,
         ) -> Result<JitProgram, JitError> {
-            if cp.dyn_helper_calls() > 0 {
-                return Err(JitError::DynamicHelper);
-            }
             // The register convention pins R10's home to the constant
-            // STACK_SIZE; the verifier already forbids R10 writes, so
+            // STACK_SIZE; the analysis already forbids R10 writes, so
             // this trips only on hand-built Step streams.
             let writes_r10 = cp
                 .blocks
@@ -1155,7 +1128,7 @@ mod imp {
                 .map_err(|err| JitError::Map(err.to_string()))?;
             // `buf` is a sealed RX mapping whose first byte is the
             // prologue emitted above with exactly the EntryFn ABI
-            // (sysv64, three integer args, integer return).
+            // (sysv64, two integer args, integer return).
             // SAFETY: the code behind the fn pointer is valid for the
             // transmuted signature and outlives it (both live in `self`).
             let entry: EntryFn = unsafe { std::mem::transmute(buf.addr()) };
@@ -1177,12 +1150,12 @@ mod imp {
         /// an analysis proof was violated at run time (the JIT analogue
         /// of `lookup_fast`'s panic).
         #[inline]
-        pub fn run(&self, ctx_hash: u32, now_ns: u64) -> ExecResult {
+        pub fn run(&self, ctx_hash: u32) -> ExecResult {
             let mut out = [u64::MAX, 0, 0];
             // SAFETY: `entry` is the sealed RX buffer owned by
             // `self.buf`; emitted code touches only its frame, `out`,
             // and map buffers kept alive by `_slots` / `_banks`.
-            let ret = unsafe { (self.entry)(ctx_hash as u64, now_ns, out.as_mut_ptr()) };
+            let ret = unsafe { (self.entry)(ctx_hash as u64, out.as_mut_ptr()) };
             assert_eq!(
                 out[2], 0,
                 "jit bounds guard tripped: an analysis proof was violated at run time"
@@ -1256,7 +1229,7 @@ mod imp {
         }
 
         /// Unreachable: no constructor exists on this target.
-        pub fn run(&self, _ctx_hash: u32, _now_ns: u64) -> ExecResult {
+        pub fn run(&self, _ctx_hash: u32) -> ExecResult {
             match self.never {}
         }
 

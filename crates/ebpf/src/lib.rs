@@ -16,14 +16,18 @@
 //!   (R0–R10, R10 = read-only frame pointer), 64-bit ALU, forward
 //!   conditional jumps, helper calls, a 512-byte stack.
 //! * [`asm`] — a label-based assembler for building programs.
-//! * [`verifier`] — static checks before a program may run: bounded size,
-//!   in-bounds jump targets, **no back-edges** (the classic-verifier loop
-//!   ban the paper works under), all paths reach `exit`, no writes to R10,
-//!   stack accesses in bounds, known helper ids, registers
-//!   defined-before-use.
-//! * [`vm`] — the checked interpreter, with the per-connection reuseport
-//!   context (the kernel-precomputed 4-tuple hash) in R1 at entry, and the
-//!   execution ladder above it: Checked → Compiled → Jit.
+//! * [`analysis`] — admission, the one pass before a program may run
+//!   ([`analyze`]): a structural scan (bounded size, in-bounds jump
+//!   targets, **no back-edges** — the classic-verifier loop ban the paper
+//!   works under — every path ends in `exit`, no writes to R10, stack
+//!   accesses in bounds, known helper ids), then a kernel-verifier-style
+//!   abstract interpreter (ranges and known bits per register and stack
+//!   slot, branch refinement, registers and slots defined before use,
+//!   helper arguments typed, map keys proven in bounds).
+//! * [`vm`] — [`Vm::load_analyzed`], the only way to load, and the checked
+//!   interpreter, with the per-connection reuseport context (the
+//!   kernel-precomputed 4-tuple hash) in R1 at entry, and the execution
+//!   ladder above it: Checked → Compiled → Jit.
 //! * [`maps`] — `BPF_MAP_TYPE_ARRAY` (atomic u64 elements, shared with
 //!   userspace — the `M_Sel` map of Algorithm 1/2) and
 //!   `BPF_MAP_TYPE_REUSEPORT_SOCKARRAY` (`M_socket`).
@@ -51,7 +55,7 @@
 //! ## Documented simplifications
 //!
 //! * `bpf_map_lookup_elem` returns the element *value* in R0 rather than a
-//!   pointer into map memory; the verifier therefore needs no pointer-type
+//!   pointer into map memory; the analysis therefore needs no pointer-type
 //!   tracking. Atomicity of the underlying element is preserved.
 //! * The context (R1) is the 32-bit connection hash itself rather than a
 //!   pointer to `sk_reuseport_md`; the hash is the only context field the
@@ -70,11 +74,10 @@ pub mod maps;
 pub mod plane;
 pub mod program;
 pub mod validate;
-pub mod verifier;
 pub mod vm;
 
 pub use analysis::{analyze, AnalysisCtx, AnalysisError, AnalysisReport, FdRange};
-pub use asm::{parse_listing, Assembler, ParseError};
+pub use asm::Assembler;
 pub use compile::CompiledProgram;
 pub use group_program::{GroupedOutcome, GroupedReuseportGroup};
 pub use insn::{Insn, Op, Reg};
@@ -83,5 +86,4 @@ pub use maps::{ArrayMap, MapKind, MapRegistry, SockArrayMap};
 pub use plane::{DispatchPlane, Placement};
 pub use program::{AttachedProgram, DispatchProgram, ReuseportGroup};
 pub use validate::{validate, ValidationCert, ValidationError};
-pub use verifier::{verify, VerifyError};
 pub use vm::{ExecError, ExecResult, ExecTier, Vm};

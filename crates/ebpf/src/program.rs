@@ -17,13 +17,13 @@
 //! implements them "based on [Bit Twiddling Hacks / Hamming weight]" because
 //! the verifier forbids loops. Here they are emitted as straight-line SWAR
 //! popcount and a six-rung forward-branching rank-select ladder, and the
-//! whole program passes this crate's verifier.
+//! whole program passes this crate's analysis with a clean report.
 
-use crate::analysis::{analyze, AnalysisCtx, AnalysisReport};
+use crate::analysis::{AnalysisCtx, AnalysisReport};
 use crate::asm::Assembler;
 use crate::helpers::{HELPER_MAP_LOOKUP, HELPER_RECIPROCAL_SCALE, HELPER_SK_SELECT_REUSEPORT};
 use crate::insn::{Alu, Cond, Insn, Reg};
-use crate::maps::{ArrayMap, MapKind, MapRef, MapRegistry, SockArrayMap};
+use crate::maps::{ArrayMap, MapRef, MapRegistry, SockArrayMap};
 use crate::validate::ValidationCert;
 use crate::vm::{ExecResult, ExecTier, Vm};
 use hermes_core::bitmap::WorkerBitmap;
@@ -136,74 +136,27 @@ pub(crate) fn assemble(
     a.finish()
 }
 
-/// The flat Algorithm 2 program: bitmap in array-map `sel_fd` (key 0),
-/// sockets in sockarray `sock_fd`, both constant fds.
-fn assemble_flat(sel_fd: u32, sock_fd: u32, workers: usize) -> Vec<Insn> {
-    assemble(
-        workers,
-        |a| {
-            a.mov_imm(Reg::R1, sel_fd as i64);
-            a.mov_imm(Reg::R2, 0);
-            a.call(HELPER_MAP_LOOKUP);
-        },
-        |a| {
-            a.mov_imm(Reg::R1, sock_fd as i64);
-        },
-    )
-}
-
-/// A built (and buildable) dispatch program, carrying the proof that it is
-/// safe to run: the [`AnalysisReport`] produced against the map layout it
-/// was assembled for.
-#[derive(Clone, Debug)]
-pub struct DispatchProgram {
-    insns: Vec<Insn>,
-    report: AnalysisReport,
-}
+/// The flat Algorithm 2 program, as bytecode. Admission — analysis,
+/// translation validation, the tier ceiling — happens where the program is
+/// attached ([`ReuseportGroup::new`]) or loaded ([`Vm::load_analyzed`]).
+pub struct DispatchProgram;
 
 impl DispatchProgram {
     /// Assemble Algorithm 2 for a group of `workers` sockets, reading the
     /// bitmap from array-map `sel_fd` (key 0) and committing the socket via
-    /// sockarray `sock_fd`, and run the abstract interpreter over it. Any
-    /// failure or warning is a bug in the emitter, not in user input, so it
-    /// panics — the compile-time analogue of `BPF_PROG_LOAD` refusing our
-    /// own program.
-    pub fn build(sel_fd: u32, sock_fd: u32, workers: usize) -> Self {
-        let insns = assemble_flat(sel_fd, sock_fd, workers);
-        let ctx = AnalysisCtx::new().bind(sel_fd, MapKind::Array, 1).bind(
-            sock_fd,
-            MapKind::SockArray,
+    /// sockarray `sock_fd`, both constant fds.
+    pub fn build(sel_fd: u32, sock_fd: u32, workers: usize) -> Vec<Insn> {
+        assemble(
             workers,
-        );
-        let report = analyze(&insns, &ctx).expect("dispatch program must analyze");
-        assert!(
-            report.is_clean(),
-            "dispatch program must be warning-free:\n{}",
-            report.render(&insns)
-        );
-        Self { insns, report }
-    }
-
-    /// The instruction stream (for loading into a [`Vm`] or inspection).
-    pub fn insns(&self) -> &[Insn] {
-        &self.insns
-    }
-
-    /// The proven facts and warnings for this program (always clean, by
-    /// construction).
-    pub fn analysis(&self) -> &AnalysisReport {
-        &self.report
-    }
-
-    /// Instruction count — the paper's "avoid making eBPF programs overly
-    /// complex" concern, quantified.
-    pub fn len(&self) -> usize {
-        self.insns.len()
-    }
-
-    /// Whether the program is empty (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.insns.is_empty()
+            |a| {
+                a.mov_imm(Reg::R1, sel_fd as i64);
+                a.mov_imm(Reg::R2, 0);
+                a.call(HELPER_MAP_LOOKUP);
+            },
+            |a| {
+                a.mov_imm(Reg::R1, sock_fd as i64);
+            },
+        )
     }
 }
 
@@ -233,9 +186,7 @@ impl AttachedProgram {
             proven > 0,
             "compiled dispatch must carry a translation proof: {:?}\n{}",
             vm.validation_error(),
-            vm.analysis()
-                .expect("loaded via load_analyzed")
-                .render(vm.program())
+            vm.analysis().render(vm.program())
         );
         vm.prepare_jit(&registry);
         assert_eq!(
@@ -248,7 +199,7 @@ impl AttachedProgram {
 
     /// The analysis report the attached program was admitted under.
     pub fn analysis(&self) -> &AnalysisReport {
-        self.vm.analysis().expect("loaded via load_analyzed")
+        self.vm.analysis()
     }
 
     /// The attached bytecode.
@@ -283,8 +234,8 @@ impl AttachedProgram {
     /// One program execution for a connection with 4-tuple hash `hash`.
     pub(crate) fn run(&self, hash: u32) -> ExecResult {
         self.vm
-            .run(hash, &self.registry, 0)
-            .expect("verified program cannot fault")
+            .run(hash, &self.registry)
+            .expect("admitted program cannot fault")
     }
 
     /// One program execution per hash of an arrival burst, map slots
@@ -292,8 +243,8 @@ impl AttachedProgram {
     #[inline]
     pub(crate) fn run_each(&self, hashes: &[u32], each: impl FnMut(u32, ExecResult)) {
         self.vm
-            .run_each(hashes, &self.registry, 0, each)
-            .expect("verified program cannot fault")
+            .run_each(hashes, &self.registry, each)
+            .expect("admitted program cannot fault")
     }
 }
 
@@ -342,7 +293,7 @@ impl ReuseportGroup {
         for w in 0..workers {
             sock_map.register(w, w);
         }
-        let prog = assemble_flat(sel_fd, sock_fd, workers);
+        let prog = DispatchProgram::build(sel_fd, sock_fd, workers);
         Self {
             attached: AttachedProgram::attach(registry, prog),
             sel_map,
@@ -380,7 +331,7 @@ impl ReuseportGroup {
 
     /// Kernel-side dispatch of one new connection with 4-tuple hash `hash`.
     ///
-    /// Runs the verified bytecode; on program fallback applies the default
+    /// Runs the attached bytecode; on program fallback applies the default
     /// reuseport selection (hash scaled over the group, skipping to the
     /// program's behavior exactly matches `ConnDispatcher::dispatch`).
     pub fn dispatch(&self, hash: u32) -> DispatchOutcome {
@@ -428,22 +379,8 @@ impl ReuseportGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verifier::verify;
     use hermes_core::dispatch::ConnDispatcher;
     use hermes_metrics::rng::for_each_case;
-
-    #[test]
-    fn program_verifies_for_all_group_sizes() {
-        for workers in [1usize, 2, 7, 32, 63, 64] {
-            let prog = DispatchProgram::build(0, 1, workers);
-            assert!(verify(prog.insns()).is_ok(), "workers={workers}");
-            assert!(
-                prog.len() < 256,
-                "program unexpectedly large: {}",
-                prog.len()
-            );
-        }
-    }
 
     #[test]
     fn directed_dispatch_lands_in_bitmap() {
@@ -491,10 +428,12 @@ mod tests {
     #[test]
     fn group_runs_on_the_native_ceiling_tier() {
         use crate::vm::ExecTier;
-        for workers in [1usize, 2, 64] {
+        for workers in [1usize, 2, 7, 32, 63, 64] {
             let g = ReuseportGroup::new(workers);
             assert_eq!(g.tier(), ExecTier::native_ceiling(), "workers={workers}");
             assert!(g.analysis().is_clean());
+            let len = g.program().len();
+            assert!(len < 256, "program unexpectedly large: {len}");
         }
     }
 

@@ -69,9 +69,7 @@ use crate::analysis::{AnalysisCtx, AnalysisReport, FdRange, InsnFacts, Tnum};
 use crate::compile::{
     BankSpec, Block, BrSrc, CompiledProgram, Step, Terminator, M1, M2, M3, M4, POPCOUNT_LEN,
 };
-use crate::helpers::{
-    HELPER_KTIME_GET_NS, HELPER_MAP_LOOKUP, HELPER_RECIPROCAL_SCALE, HELPER_SK_SELECT_REUSEPORT,
-};
+use crate::helpers::{HELPER_MAP_LOOKUP, HELPER_RECIPROCAL_SCALE, HELPER_SK_SELECT_REUSEPORT};
 use crate::insn::{Alu, Insn, Op, Src, NUM_REGS, STACK_SIZE};
 use crate::maps::MapKind;
 
@@ -173,8 +171,6 @@ enum Node {
     Alu(Alu, ExprId, ExprId),
     /// `reciprocal_scale(a, b)` — uninterpreted, identical on both tiers.
     Scale(ExprId, ExprId),
-    /// `bpf_ktime_get_ns()` — one constant per execution on both tiers.
-    Ktime,
     /// R0 of the block's `k`-th map-helper effect (value read from the
     /// map / status of the selection). Meaningful only alongside the
     /// effect-sequence equality check, which pins what effect `k` *is*.
@@ -255,7 +251,7 @@ impl Interner {
                     _ => Tnum::UNKNOWN,
                 }
             }
-            Node::EntryReg(_) | Node::EntryStack(_) | Node::Ktime | Node::Ret(_) => Tnum::UNKNOWN,
+            Node::EntryReg(_) | Node::EntryStack(_) | Node::Ret(_) => Tnum::UNKNOWN,
         }
     }
 }
@@ -268,7 +264,7 @@ struct Effect {
     kind: EffectKind,
     /// The fd the machine *observably reads*: the interpreter's R1 operand
     /// on the reference side; the pre-resolved constant (const slots) or
-    /// the proven-equal R1 (banks, dyn) on the compiled side.
+    /// the proven-equal R1 (banks) on the compiled side.
     fd: ExprId,
     key: ExprId,
 }
@@ -565,10 +561,6 @@ impl<'a> Validator<'a> {
                 let r = self.intern.intern(Node::Scale(st.regs[1], st.regs[2]));
                 st.clobber_call(&mut self.intern, r);
             }
-            HELPER_KTIME_GET_NS => {
-                let r = self.intern.intern(Node::Ktime);
-                st.clobber_call(&mut self.intern, r);
-            }
             HELPER_MAP_LOOKUP => {
                 let fd = st.regs[1];
                 self.push_effect(st, EffectKind::Lookup, fd);
@@ -624,10 +616,6 @@ impl<'a> Validator<'a> {
                 let r = self.intern.intern(Node::Scale(st.regs[1], st.regs[2]));
                 st.clobber_call(&mut self.intern, r);
             }
-            Step::KtimeGetNs => {
-                let r = self.intern.intern(Node::Ktime);
-                st.clobber_call(&mut self.intern, r);
-            }
             Step::LookupConst { slot } => {
                 let fd = self.const_slot_obligation(slot, MapKind::Array, at)?;
                 self.require_fact(at, InsnFacts::MAP_KEY_BOUNDED, "lookup key in bounds")?;
@@ -649,21 +637,6 @@ impl<'a> Validator<'a> {
             }
             Step::SkSelectBank { bank, base } => {
                 self.bank_obligation(bank, base, MapKind::SockArray, at)?;
-                let fd = st.regs[1];
-                self.push_effect(st, EffectKind::SkSelect, fd);
-            }
-            Step::LookupDyn => {
-                // The dynamic path still indexes with `lookup_fast` and
-                // unwraps the registry hit, unlike the totalized checked
-                // helper: both licenses are required.
-                self.require_fact(at, InsnFacts::HELPER_TYPED, "lookup fd bound as an array")?;
-                self.require_fact(at, InsnFacts::MAP_KEY_BOUNDED, "lookup key in bounds")?;
-                let fd = st.regs[1];
-                self.push_effect(st, EffectKind::Lookup, fd);
-            }
-            Step::SkSelectDyn => {
-                // Fully totalized on both tiers (missing fd or key ⇒
-                // ENOENT): no license needed beyond effect equality.
                 let fd = st.regs[1];
                 self.push_effect(st, EffectKind::SkSelect, fd);
             }
@@ -1367,10 +1340,10 @@ mod tests {
             socks.register(w, w);
         }
         sel.update(0, WorkerBitmap::from_workers([1, 4, 9, 13]).0);
-        let prog = DispatchProgram::build(sel_fd, sock_fd, 16).insns().to_vec();
+        let prog = DispatchProgram::build(sel_fd, sock_fd, 16);
         let ctx = AnalysisCtx::from_registry(&maps);
         let report = analyze(&prog, &ctx).expect("analyzes");
-        let cp = CompiledProgram::compile(&prog, &ctx, &report);
+        let cp = CompiledProgram::compile(&prog, &ctx, &report).expect("compiles");
         (prog, ctx, report, cp)
     }
 
@@ -1410,7 +1383,7 @@ mod tests {
             socks.register(w, w);
         }
         maps.register(MapRef::SockArray(socks));
-        let prog = DispatchProgram::build(0, 1, 8).insns().to_vec();
+        let prog = DispatchProgram::build(0, 1, 8);
         let ctx = AnalysisCtx::from_registry(&maps);
         let vm = Vm::load_analyzed(prog, &ctx).expect("clean");
         assert_eq!(vm.tier(), ExecTier::Compiled);
@@ -1430,7 +1403,7 @@ mod tests {
         let prog = a.finish();
         let ctx = AnalysisCtx::new();
         let report = analyze(&prog, &ctx).expect("analyzes");
-        let cp = CompiledProgram::compile(&prog, &ctx, &report);
+        let cp = CompiledProgram::compile(&prog, &ctx, &report).expect("compiles");
         assert_eq!(cp.fused_popcounts(), 1);
         let cert = validate(&prog, &cp, &ctx, &report).expect("fused window proves");
         assert_eq!(cert.fused_windows_proven(), 1);
@@ -1454,19 +1427,19 @@ mod tests {
         }
         let ctx = AnalysisCtx::from_registry(&maps);
         let report = analyze(&prog, &ctx).expect("analyzes");
-        let cp = CompiledProgram::compile(&prog, &ctx, &report);
+        let cp = CompiledProgram::compile(&prog, &ctx, &report).expect("compiles");
         assert_eq!(cp.bank_count(), 1);
         validate(&prog, &cp, &ctx, &report).expect("bank obligations discharge");
     }
 
     #[test]
     fn trivial_single_worker_fallback_validates() {
-        let prog = DispatchProgram::build(0, 1, 1).insns().to_vec();
+        let prog = DispatchProgram::build(0, 1, 1);
         let ctx = AnalysisCtx::new()
             .bind(0, MapKind::Array, 1)
             .bind(1, MapKind::SockArray, 1);
         let report = analyze(&prog, &ctx).expect("analyzes");
-        let cp = CompiledProgram::compile(&prog, &ctx, &report);
+        let cp = CompiledProgram::compile(&prog, &ctx, &report).expect("compiles");
         validate(&prog, &cp, &ctx, &report).expect("trivial program proves");
     }
 
@@ -1535,7 +1508,7 @@ mod tests {
         let prog = a.finish();
         let ctx = AnalysisCtx::new();
         let report = analyze(&prog, &ctx).expect("analyzes");
-        let cp = CompiledProgram::compile(&prog, &ctx, &report);
+        let cp = CompiledProgram::compile(&prog, &ctx, &report).expect("compiles");
         assert_eq!(cp.fused_popcounts(), 1);
         // Break the source ladder *after* compiling: swap the final shift
         // for a no-op mov. The fused step no longer matches the source.

@@ -1,23 +1,22 @@
 //! The bytecode interpreter (the checked reference path) and the tier
 //! ladder above it.
 //!
-//! Executes a *verified* program against a map registry and a reuseport
-//! context. The verifier has already ruled out loops, bad jumps, and
-//! uninitialized reads, so the interpreter can be a straight-line fetch /
-//! decode / execute loop; residual runtime errors (which indicate a
-//! verifier bug, not a program bug) surface as [`ExecError`] rather than
-//! being silently masked.
+//! Executes an *admitted* program against a map registry and a reuseport
+//! context. [`Vm::load_analyzed`] is the only constructor and
+//! [`crate::analysis::analyze`] its first act, so loops, bad jumps and
+//! uninitialized reads are already ruled out and the interpreter can be a
+//! straight-line fetch / decode / execute loop; residual runtime errors
+//! (which indicate an analysis bug, not a program bug) surface as
+//! [`ExecError`] rather than being silently masked.
 //!
-//! Programs loaded through [`Vm::load_analyzed`] additionally run the
-//! abstract interpreter ([`crate::analysis`]). When the analysis report is
-//! *clean* — every division proven nonzero, every shift proven `< 64`,
-//! every map index proven in bounds, no dead code — the bytecode is
-//! compiled once ([`crate::compile`]) into a stream that runs without the
-//! runtime checks the proofs made redundant, and, once the translation
-//! validator has certified that stream, lowered to native code
-//! ([`crate::jit`]). This mirrors how the kernel earns its in-kernel
-//! execution speed: the verifier pays at load time so the per-packet path
-//! doesn't. The ladder is Checked → Compiled → Jit.
+//! When the analysis report is *clean* — every division proven nonzero,
+//! every shift proven `< 64`, every map index proven in bounds, no dead
+//! code — the bytecode is compiled once ([`crate::compile`]) into a stream
+//! that runs without the runtime checks the proofs made redundant, and,
+//! once the translation validator has certified that stream, lowered to
+//! native code ([`crate::jit`]). This mirrors how the kernel earns its
+//! in-kernel execution speed: the verifier pays at load time so the
+//! per-packet path doesn't. The ladder is Checked → Compiled → Jit.
 
 use crate::analysis::{analyze, AnalysisCtx, AnalysisError, AnalysisReport};
 use crate::compile::CompiledProgram;
@@ -27,7 +26,6 @@ use crate::insn::{Insn, Op, Reg, Src, NUM_REGS, STACK_SIZE};
 use crate::jit::JitProgram;
 use crate::maps::MapRegistry;
 use crate::validate::{validate, ValidationCert, ValidationError};
-use crate::verifier::{verify, VerifyError};
 use std::sync::{Arc, OnceLock};
 
 /// Execution tier a program qualifies for — the ladder the analysis pays
@@ -105,8 +103,8 @@ pub struct ExecResult {
     pub insns_executed: usize,
 }
 
-/// Runtime failure (a verified program should never hit these; they exist
-/// to fail loudly instead of corrupting state if the verifier were wrong).
+/// Runtime failure (an admitted program should never hit these; they exist
+/// to fail loudly instead of corrupting state if the analysis were wrong).
 /// Each variant pins the faulting instruction so the `Display` rendering
 /// names the exact site — index plus disassembled mnemonic — instead of a
 /// bare offset.
@@ -161,7 +159,7 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// A loaded (verified) program plus its execution engine.
+/// A loaded (analyzed) program plus its execution engine.
 #[derive(Clone, Debug)]
 pub struct Vm {
     prog: Vec<Insn>,
@@ -175,38 +173,24 @@ pub struct Vm {
     /// Why translation validation demoted this program off the compiled
     /// tier, when it did (the program then runs on the checked tier).
     validation_error: Option<ValidationError>,
-    /// Analysis report, present when loaded via [`Vm::load_analyzed`].
-    report: Option<AnalysisReport>,
+    /// The report the program was admitted under.
+    report: AnalysisReport,
     /// Lazily-built native code ([`Vm::prepare_jit`]): `None` inside the
     /// `OnceLock` records that emission was attempted and declined (wrong
-    /// target, dynamic helpers, unresolved fds), so the decision is made
-    /// once. Only a compiled-tier program — cert in hand — ever attempts
-    /// emission, extending the cert gate to the jit tier.
+    /// target, unresolved fds), so the decision is made once. Only a
+    /// compiled-tier program — cert in hand — ever attempts emission,
+    /// extending the cert gate to the jit tier.
     jit: OnceLock<Option<Arc<JitProgram>>>,
 }
 
 impl Vm {
-    /// Load a program, verifying it first — mirroring `bpf(BPF_PROG_LOAD)`,
-    /// which refuses unverifiable programs. Runs on the checked path; use
-    /// [`Vm::load_analyzed`] to qualify for the proven tiers.
-    pub fn load(prog: Vec<Insn>) -> Result<Self, VerifyError> {
-        verify(&prog)?;
-        let vm = Self {
-            prog,
-            compiled: None,
-            validation_error: None,
-            report: None,
-            jit: OnceLock::new(),
-        };
-        vm.trace_load();
-        Ok(vm)
-    }
-
-    /// Load a program through the full abstract interpreter, binding map
-    /// fds against `ctx`. Rejects programs the analysis cannot prove safe.
-    /// A clean report (no warnings) enables the proven tiers — the
-    /// block-compiled stream and the jit above it; otherwise execution
-    /// falls back to the checked interpreter.
+    /// Load a program — mirroring `bpf(BPF_PROG_LOAD)`, which refuses what
+    /// it cannot prove safe: run [`analyze`], binding map fds against
+    /// `ctx`. A clean report (no warnings) enables the proven tiers — the
+    /// block-compiled stream and the jit above it; otherwise, and when a
+    /// helper's fd operand is neither constant nor bank-bounded
+    /// (`CompiledProgram::compile` declines), execution stays on the
+    /// checked interpreter.
     ///
     /// The compiled tier is additionally gated on translation validation
     /// ([`crate::validate`]): the compiled stream is admitted only with a
@@ -220,6 +204,7 @@ impl Vm {
         let compiled = report
             .is_clean()
             .then(|| CompiledProgram::compile(&prog, ctx, &report))
+            .flatten()
             .and_then(|cp| match validate(&prog, &cp, ctx, &report) {
                 Ok(cert) => Some((cp, cert)),
                 Err(e) => {
@@ -231,29 +216,22 @@ impl Vm {
             prog,
             compiled,
             validation_error,
-            report: Some(report),
+            report,
             jit: OnceLock::new(),
         };
-        vm.trace_load();
-        Ok(vm)
-    }
-
-    /// Flight-recorder hook: record which execution tier this load earned
-    /// (payload: tier code, instruction count). Compiles out without the
-    /// `trace` feature.
-    fn trace_load(&self) {
         hermes_trace::trace_event!(
             0u64,
             hermes_trace::EventKind::VmLoad,
             hermes_trace::KERNEL_LANE,
-            self.tier().trace_code(),
-            self.prog.len()
+            vm.tier().trace_code(),
+            vm.prog.len()
         );
+        Ok(vm)
     }
 
-    /// Analysis report, when loaded via [`Vm::load_analyzed`].
-    pub fn analysis(&self) -> Option<&AnalysisReport> {
-        self.report.as_ref()
+    /// The analysis report the program was admitted under.
+    pub fn analysis(&self) -> &AnalysisReport {
+        &self.report
     }
 
     /// The loaded bytecode.
@@ -261,10 +239,10 @@ impl Vm {
         &self.prog
     }
 
-    /// Highest execution tier this program qualified for. [`Vm::load`]
-    /// yields [`ExecTier::Checked`]; [`Vm::load_analyzed`] with a clean
-    /// report yields [`ExecTier::Compiled`]; a successful
-    /// [`Vm::prepare_jit`] lifts that to [`ExecTier::Jit`].
+    /// Highest execution tier this program qualified for: a clean report
+    /// whose compiled stream validated yields [`ExecTier::Compiled`], a
+    /// successful [`Vm::prepare_jit`] lifts that to [`ExecTier::Jit`], and
+    /// anything less runs on [`ExecTier::Checked`].
     pub fn tier(&self) -> ExecTier {
         if matches!(self.jit.get(), Some(Some(_))) {
             ExecTier::Jit
@@ -279,10 +257,9 @@ impl Vm {
     /// (freezing it if needed — this is load time, the `BPF_PROG_LOAD`
     /// moment), or return the already-emitted code. Returns `None` when
     /// the program lacks a [`ValidationCert`] (the jit inherits the
-    /// compiled tier's admission gate), when the target has no emitter,
-    /// when the program needs dynamic helpers, or when the code was baked
-    /// against a *different* frozen registry than `maps` — all clean
-    /// fallbacks to the compiled tier.
+    /// compiled tier's admission gate), when the target has no emitter, or
+    /// when the code was baked against a *different* frozen registry than
+    /// `maps` — all clean fallbacks to the compiled tier.
     #[inline]
     pub fn prepare_jit(&self, maps: &MapRegistry) -> Option<&JitProgram> {
         let (cp, cert) = self.compiled.as_ref()?;
@@ -334,7 +311,7 @@ impl Vm {
         self.prog.len()
     }
 
-    /// True when the program is empty (cannot happen post-verification).
+    /// True when the program is empty (cannot happen: analysis refuses it).
     pub fn is_empty(&self) -> bool {
         self.prog.is_empty()
     }
@@ -346,26 +323,21 @@ impl Vm {
     /// keeps a bare `run` from freezing `maps` as a side effect), else
     /// compiled → checked. The tier counter records the path actually
     /// taken.
-    pub fn run(
-        &self,
-        ctx_hash: u32,
-        maps: &MapRegistry,
-        now_ns: u64,
-    ) -> Result<ExecResult, ExecError> {
+    pub fn run(&self, ctx_hash: u32, maps: &MapRegistry) -> Result<ExecResult, ExecError> {
         if maps.is_frozen() {
             if let Some(jit) = self.prepare_jit(maps) {
                 hermes_trace::trace_count!(ExecTier::Jit.run_counter());
-                return Ok(jit.run(ctx_hash, now_ns));
+                return Ok(jit.run(ctx_hash));
             }
         }
         // Destructuring the pair is the admission check: the compiled
         // stream is only reachable alongside its ValidationCert.
         if let Some((compiled, _cert)) = &self.compiled {
             hermes_trace::trace_count!(ExecTier::Compiled.run_counter());
-            return Ok(compiled.run(ctx_hash, maps, now_ns));
+            return Ok(compiled.run(ctx_hash, maps));
         }
         hermes_trace::trace_count!(ExecTier::Checked.run_counter());
-        self.run_checked(ctx_hash, maps, now_ns)
+        self.run_checked(ctx_hash, maps)
     }
 
     /// Run on a *specific* tier — the differential-testing and benchmark
@@ -376,23 +348,22 @@ impl Vm {
         tier: ExecTier,
         ctx_hash: u32,
         maps: &MapRegistry,
-        now_ns: u64,
     ) -> Result<ExecResult, ExecError> {
         hermes_trace::trace_count!(tier.run_counter());
         match tier {
-            ExecTier::Checked => self.run_checked(ctx_hash, maps, now_ns),
+            ExecTier::Checked => self.run_checked(ctx_hash, maps),
             ExecTier::Compiled => {
                 let (compiled, _cert) = self
                     .compiled
                     .as_ref()
                     .expect("program did not earn the compiled tier");
-                Ok(compiled.run(ctx_hash, maps, now_ns))
+                Ok(compiled.run(ctx_hash, maps))
             }
             ExecTier::Jit => {
                 let jit = self
                     .prepare_jit(maps)
                     .expect("program did not earn the jit tier");
-                Ok(jit.run(ctx_hash, now_ns))
+                Ok(jit.run(ctx_hash))
             }
         }
     }
@@ -407,14 +378,13 @@ impl Vm {
         &self,
         hashes: &[u32],
         maps: &MapRegistry,
-        now_ns: u64,
         mut each: impl FnMut(u32, ExecResult),
     ) -> Result<(), ExecError> {
         if maps.is_frozen() {
             if let Some(jit) = self.prepare_jit(maps) {
                 hermes_trace::trace_count!(hermes_trace::CounterId::VmRunsJit, hashes.len());
                 for &hash in hashes {
-                    each(hash, jit.run(hash, now_ns));
+                    each(hash, jit.run(hash));
                 }
                 return Ok(());
             }
@@ -423,12 +393,12 @@ impl Vm {
             hermes_trace::trace_count!(hermes_trace::CounterId::VmRunsCompiled, hashes.len());
             let resolved = compiled.resolve(maps);
             for &hash in hashes {
-                each(hash, compiled.exec(hash, maps, now_ns, &resolved));
+                each(hash, compiled.exec(hash, &resolved));
             }
             return Ok(());
         }
         for &hash in hashes {
-            each(hash, self.run(hash, maps, now_ns)?);
+            each(hash, self.run(hash, maps)?);
         }
         Ok(())
     }
@@ -438,31 +408,22 @@ impl Vm {
         &self,
         hashes: &[u32],
         maps: &MapRegistry,
-        now_ns: u64,
         out: &mut Vec<ExecResult>,
     ) -> Result<(), ExecError> {
         out.reserve(hashes.len());
-        self.run_each(hashes, maps, now_ns, |_, result| out.push(result))
+        self.run_each(hashes, maps, |_, result| out.push(result))
     }
 
     /// The checked reference interpreter: every pc move, stack access, and
     /// helper argument is validated at run time.
-    fn run_checked(
-        &self,
-        ctx_hash: u32,
-        maps: &MapRegistry,
-        now_ns: u64,
-    ) -> Result<ExecResult, ExecError> {
+    fn run_checked(&self, ctx_hash: u32, maps: &MapRegistry) -> Result<ExecResult, ExecError> {
         let mut regs = [0u64; NUM_REGS];
         let mut stack = [0u8; STACK_SIZE];
         regs[Reg::R1.idx()] = ctx_hash as u64;
         // R10 points one past the top of the stack; slots are addressed by
         // negative offsets.
         regs[Reg::R10.idx()] = STACK_SIZE as u64;
-        let mut helper_ctx = HelperCtx {
-            selected_sock: None,
-            now_ns,
-        };
+        let mut helper_ctx = HelperCtx::default();
         let mut pc: i64 = 0;
         let mut executed = 0usize;
 
@@ -537,7 +498,7 @@ impl Vm {
                     })?;
                     regs[Reg::R0.idx()] = ret;
                     // Clobber caller-saved registers as the ABI declares, so
-                    // a program that slipped past a verifier bug cannot rely
+                    // a program that slipped past an analysis bug cannot rely
                     // on stale argument values.
                     regs[1..=5].fill(0);
                 }
@@ -571,9 +532,11 @@ mod tests {
     use crate::helpers::HELPER_RECIPROCAL_SCALE;
     use crate::insn::{Alu, Cond};
 
+    /// What the checked interpreter makes of `prog`.
     fn run(prog: Vec<Insn>, hash: u32) -> ExecResult {
-        let vm = Vm::load(prog).expect("verifies");
-        vm.run(hash, &MapRegistry::new(), 0).expect("executes")
+        let vm = Vm::load_analyzed(prog, &AnalysisCtx::new()).expect("analyzes");
+        vm.run_tier(ExecTier::Checked, hash, &MapRegistry::new())
+            .expect("executes")
     }
 
     #[test]
@@ -682,12 +645,11 @@ mod tests {
         a.bind(top);
         a.mov_imm(Reg::R0, 0);
         a.ja(top);
-        assert!(Vm::load(a.finish()).is_err());
+        assert!(Vm::load_analyzed(a.finish(), &AnalysisCtx::new()).is_err());
     }
 
     #[test]
     fn analyzed_clean_program_takes_the_compiled_tier() {
-        use crate::analysis::AnalysisCtx;
         use crate::helpers::HELPER_MAP_LOOKUP;
         use crate::maps::{ArrayMap, MapKind, MapRef};
         use std::sync::Arc;
@@ -710,14 +672,13 @@ mod tests {
         let prog = a.finish();
 
         let ctx = AnalysisCtx::new().bind(fd, MapKind::Array, 8);
-        let proven_vm = Vm::load_analyzed(prog.clone(), &ctx).expect("clean");
-        assert_eq!(proven_vm.tier(), ExecTier::Compiled);
-        assert!(proven_vm.analysis().unwrap().is_clean());
-        let checked_vm = Vm::load(prog).expect("verifies");
+        let vm = Vm::load_analyzed(prog, &ctx).expect("clean");
+        assert_eq!(vm.tier(), ExecTier::Compiled);
+        assert!(vm.analysis().is_clean());
         for hash in [0u32, 1, 7, 8, 0xdead_beef, u32::MAX] {
             assert_eq!(
-                proven_vm.run(hash, &maps, 0).unwrap(),
-                checked_vm.run(hash, &maps, 0).unwrap(),
+                vm.run(hash, &maps).unwrap(),
+                vm.run_tier(ExecTier::Checked, hash, &maps).unwrap(),
                 "compiled/checked divergence at hash {hash:#x}"
             );
         }
@@ -725,8 +686,6 @@ mod tests {
 
     #[test]
     fn warned_program_falls_back_to_checked_path() {
-        use crate::analysis::AnalysisCtx;
-
         // Shift by the raw hash: may exceed 63, warning → no proven tier,
         // but execution still works (the checked VM masks the shift).
         let mut a = Assembler::new();
@@ -736,15 +695,13 @@ mod tests {
         a.exit();
         let vm = Vm::load_analyzed(a.finish(), &AnalysisCtx::new()).expect("warns, loads");
         assert_eq!(vm.tier(), ExecTier::Checked);
-        assert!(!vm.analysis().unwrap().is_clean());
-        let r = vm.run(65, &MapRegistry::new(), 0).unwrap();
+        assert!(!vm.analysis().is_clean());
+        let r = vm.run(65, &MapRegistry::new()).unwrap();
         assert_eq!(r.return_value, 2, "checked path masks the shift");
     }
 
     #[test]
     fn load_analyzed_rejects_unprovable_program() {
-        use crate::analysis::{AnalysisCtx, AnalysisError};
-
         let mut a = Assembler::new();
         a.mov_imm(Reg::R0, 10);
         a.mov(Reg::R2, Reg::R1);
@@ -757,17 +714,11 @@ mod tests {
     }
 
     #[test]
-    fn tier_ladder_matches_load_path() {
-        use crate::analysis::AnalysisCtx;
-
+    fn tier_ladder_is_ordered() {
         let mut a = Assembler::new();
         a.mov_imm(Reg::R0, 7);
         a.exit();
-        let prog = a.finish();
-        let checked = Vm::load(prog.clone()).unwrap();
-        assert_eq!(checked.tier(), ExecTier::Checked);
-        assert!(checked.compiled().is_none());
-        let compiled = Vm::load_analyzed(prog, &AnalysisCtx::new()).unwrap();
+        let compiled = Vm::load_analyzed(a.finish(), &AnalysisCtx::new()).unwrap();
         assert_eq!(compiled.tier(), ExecTier::Compiled);
         assert!(ExecTier::Checked < ExecTier::Compiled && ExecTier::Compiled < ExecTier::Jit);
         assert!(ExecTier::native_ceiling() >= ExecTier::Compiled);
@@ -775,7 +726,6 @@ mod tests {
 
     #[test]
     fn run_tier_agrees_across_all_tiers() {
-        use crate::analysis::AnalysisCtx;
         use crate::helpers::HELPER_RECIPROCAL_SCALE;
 
         // Branchy program with a helper call: covers blocks + direct call.
@@ -794,15 +744,14 @@ mod tests {
         assert_eq!(vm.tier(), ExecTier::Compiled);
         let maps = MapRegistry::new();
         for hash in [0u32, 1, 1000, 0xdead_beef, u32::MAX] {
-            let checked = vm.run_tier(ExecTier::Checked, hash, &maps, 0).unwrap();
-            let compiled = vm.run_tier(ExecTier::Compiled, hash, &maps, 0).unwrap();
+            let checked = vm.run_tier(ExecTier::Checked, hash, &maps).unwrap();
+            let compiled = vm.run_tier(ExecTier::Compiled, hash, &maps).unwrap();
             assert_eq!(checked, compiled, "checked/compiled at {hash:#x}");
         }
     }
 
     #[test]
     fn run_batch_matches_single_runs_and_resolves_once() {
-        use crate::analysis::AnalysisCtx;
         use crate::helpers::HELPER_MAP_LOOKUP;
         use crate::maps::{ArrayMap, MapKind, MapRef};
         use std::sync::Arc;
@@ -823,16 +772,16 @@ mod tests {
         let vm = Vm::load_analyzed(a.finish(), &ctx).expect("clean");
         let hashes: Vec<u32> = (0..64u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
         let mut batch = Vec::new();
-        vm.run_batch(&hashes, &maps, 0, &mut batch).unwrap();
+        vm.run_batch(&hashes, &maps, &mut batch).unwrap();
         assert_eq!(batch.len(), hashes.len());
         for (h, got) in hashes.iter().zip(&batch) {
-            assert_eq!(*got, vm.run(*h, &maps, 0).unwrap());
+            assert_eq!(*got, vm.run(*h, &maps).unwrap());
         }
     }
 
     #[test]
     fn exec_error_display_names_the_faulting_insn() {
-        // Construct error values directly: a verified program cannot reach
+        // Construct error values directly: an admitted program cannot reach
         // them, which is exactly why the Display path needs its own test.
         let stx = Insn(Op::StxStack {
             off: -1024,
@@ -864,7 +813,7 @@ mod tests {
 
     #[test]
     fn checked_interpreter_reports_faulting_site() {
-        // Bypass the verifier (which would reject this) to prove the
+        // Bypass the analysis (which would reject this) to prove the
         // checked interpreter pins the faulting instruction index.
         let prog = vec![
             Insn(Op::Alu {
@@ -879,11 +828,11 @@ mod tests {
             prog,
             compiled: None,
             validation_error: None,
-            report: None,
+            report: AnalysisReport::default(),
             jit: OnceLock::new(),
         };
         let err = vm
-            .run(0, &MapRegistry::new(), 0)
+            .run(0, &MapRegistry::new())
             .expect_err("unknown helper must fault");
         assert_eq!(
             err,
@@ -898,7 +847,6 @@ mod tests {
 
     #[test]
     fn compiled_tier_runs_sk_select_with_runtime_fallback() {
-        use crate::analysis::AnalysisCtx;
         use crate::helpers::{ENOENT_RET, HELPER_SK_SELECT_REUSEPORT};
         use crate::maps::{MapKind, MapRef, SockArrayMap};
         use std::sync::Arc;
@@ -918,11 +866,11 @@ mod tests {
         let vm = Vm::load_analyzed(a.finish(), &ctx).expect("clean");
         assert_eq!(vm.tier(), ExecTier::Compiled);
         // Slot 2 is populated: success, socket committed.
-        let hit = vm.run(2, &maps, 0).unwrap();
+        let hit = vm.run(2, &maps).unwrap();
         assert_eq!(hit.return_value, 0);
         assert_eq!(hit.selected_sock, Some(77));
         // Slot 1 is empty: the proven tier keeps the runtime ENOENT check.
-        let miss = vm.run(1, &maps, 0).unwrap();
+        let miss = vm.run(1, &maps).unwrap();
         assert_eq!(miss.return_value, ENOENT_RET);
         assert_eq!(miss.selected_sock, None);
     }

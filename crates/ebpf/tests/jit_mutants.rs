@@ -35,7 +35,7 @@ fn dispatch_fixture(bits: u64) -> (Vm, MapRegistry) {
         MapKind::SockArray,
         WORKERS,
     );
-    let vm = Vm::load_analyzed(prog.insns().to_vec(), &ctx).expect("dispatch program analyzes");
+    let vm = Vm::load_analyzed(prog, &ctx).expect("dispatch program analyzes");
     let registry = MapRegistry::new();
     let arr = Arc::new(ArrayMap::new(1));
     arr.update(0, bits);
@@ -66,9 +66,9 @@ fn divergences(mutation: JitMutation, bits: u64) -> usize {
             .wrapping_add(1442695040888963407);
         let hash = (state >> 33) as u32;
         let want = vm
-            .run_tier(ExecTier::Checked, hash, &registry, 0)
+            .run_tier(ExecTier::Checked, hash, &registry)
             .expect("checked run cannot trap");
-        if mutant.run(hash, 0) != want {
+        if mutant.run(hash) != want {
             diverged += 1;
         }
     }
@@ -120,12 +120,8 @@ fn unmutated_emission_passes_the_same_sweep() {
             .wrapping_add(1442695040888963407);
         let hash = (state >> 33) as u32;
         let want = vm
-            .run_tier(ExecTier::Checked, hash, &registry, 0)
+            .run_tier(ExecTier::Checked, hash, &registry)
             .expect("checked run cannot trap");
-        assert_eq!(
-            jit.run(hash, 0),
-            want,
-            "honest emitter diverged on {hash:#x}"
-        );
+        assert_eq!(jit.run(hash), want, "honest emitter diverged on {hash:#x}");
     }
 }

@@ -1,56 +1,9 @@
-//! Listing round-trip tests: `disasm` → [`parse_listing`] must reproduce
-//! the exact bytecode for both shipped Algorithm 2 programs, the reparsed
-//! program must earn the *same* analysis report, and the report renderer
-//! output is pinned by a golden snapshot.
+//! The analysis report renderer's output, pinned by a golden snapshot.
 
-use hermes_ebpf::asm::parse_listing;
-use hermes_ebpf::disasm::disasm;
 use hermes_ebpf::helpers::HELPER_MAP_LOOKUP;
 use hermes_ebpf::insn::{Alu, Reg};
 use hermes_ebpf::maps::MapKind;
-use hermes_ebpf::{
-    analyze, AnalysisCtx, Assembler, DispatchProgram, GroupedReuseportGroup, ReuseportGroup,
-};
-
-#[test]
-fn dispatch_program_round_trips_through_the_disassembler() {
-    for workers in [1usize, 2, 7, 32, 63, 64] {
-        let prog = DispatchProgram::build(0, 1, workers);
-        let text = disasm(prog.insns());
-        let back = parse_listing(&text).unwrap_or_else(|e| panic!("workers={workers}: {e}"));
-        assert_eq!(back.as_slice(), prog.insns(), "workers={workers}");
-    }
-}
-
-#[test]
-fn grouped_program_round_trips_through_the_disassembler() {
-    for (groups, size) in [(1usize, 64usize), (2, 64), (4, 32), (16, 8), (128, 1)] {
-        let g = GroupedReuseportGroup::new(groups, size);
-        let text = disasm(g.program());
-        let back =
-            parse_listing(&text).unwrap_or_else(|e| panic!("groups={groups} size={size}: {e}"));
-        assert_eq!(back.as_slice(), g.program(), "groups={groups} size={size}");
-    }
-}
-
-#[test]
-fn reassembled_bytecode_earns_the_same_analysis_report() {
-    let prog = DispatchProgram::build(0, 1, 8);
-    let ctx = AnalysisCtx::new()
-        .bind(0, MapKind::Array, 1)
-        .bind(1, MapKind::SockArray, 8);
-    let back = parse_listing(&disasm(prog.insns())).unwrap();
-    let report = analyze(&back, &ctx).expect("reparsed program must analyze");
-    assert_eq!(&report, prog.analysis());
-    assert!(report.is_clean());
-}
-
-#[test]
-fn live_group_listing_parses_back_to_the_attached_bytecode() {
-    let group = ReuseportGroup::new(32);
-    let back = parse_listing(&disasm(group.program())).unwrap();
-    assert_eq!(back.as_slice(), group.program());
-}
+use hermes_ebpf::{analyze, AnalysisCtx, Assembler};
 
 /// Small fixed program exercising the renderer: a masked map lookup (clean
 /// facts in the margin) followed by a shift by an unbounded register (the

@@ -22,7 +22,7 @@ fn warm_dispatch_loop_resolves_maps_at_most_once() {
     // Warm every path once: single-shot, compiled run_tier, and a batch.
     g.dispatch(1);
     g.vm()
-        .run_tier(ExecTier::Compiled, 1, g.registry(), 0)
+        .run_tier(ExecTier::Compiled, 1, g.registry())
         .unwrap();
     let mut out = Vec::new();
     g.dispatch_batch(&[1, 2, 3], &mut out);
@@ -39,7 +39,7 @@ fn warm_dispatch_loop_resolves_maps_at_most_once() {
     // cache hit against the frozen registry.
     for i in 0..N as u32 {
         g.vm()
-            .run_tier(ExecTier::Compiled, i, g.registry(), 0)
+            .run_tier(ExecTier::Compiled, i, g.registry())
             .unwrap();
     }
 

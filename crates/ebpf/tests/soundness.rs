@@ -9,7 +9,7 @@
 //! an acceptance-rate floor asserting the property is not vacuous.
 
 use hermes_ebpf::helpers::{
-    HELPER_KTIME_GET_NS, HELPER_MAP_LOOKUP, HELPER_RECIPROCAL_SCALE, HELPER_SK_SELECT_REUSEPORT,
+    HELPER_MAP_LOOKUP, HELPER_RECIPROCAL_SCALE, HELPER_SK_SELECT_REUSEPORT,
 };
 use hermes_ebpf::insn::{Alu, Cond, Insn, Op, Reg, Src};
 use hermes_ebpf::maps::{ArrayMap, MapRef, MapRegistry, SockArrayMap};
@@ -126,8 +126,8 @@ fn gen_program(seed: &[u8]) -> Vec<Insn> {
                 stored_slots |= 1 << slot;
             }
             11 => {
-                // Only load slots already written; the structural verifier
-                // rejects uninitialized stack reads outright.
+                // Only load slots already written; the analysis rejects
+                // uninitialized stack reads outright.
                 let slot = b % 4;
                 if stored_slots & (1 << slot) != 0 {
                     body.push(Op::LdxStack {
@@ -151,7 +151,7 @@ fn gen_program(seed: &[u8]) -> Vec<Insn> {
             _ => {
                 // Helper call with argument setup; reinitialize R1-R5
                 // afterwards so later uses survive the clobber.
-                match b % 4 {
+                match b % 3 {
                     0 => {
                         body.push(Op::Alu {
                             op: Alu::Mov,
@@ -189,7 +189,7 @@ fn gen_program(seed: &[u8]) -> Vec<Insn> {
                             helper: HELPER_RECIPROCAL_SCALE,
                         });
                     }
-                    2 => {
+                    _ => {
                         body.push(Op::Alu {
                             op: Alu::Mov,
                             dst: Reg(1),
@@ -202,11 +202,6 @@ fn gen_program(seed: &[u8]) -> Vec<Insn> {
                         });
                         body.push(Op::Call {
                             helper: HELPER_SK_SELECT_REUSEPORT,
-                        });
-                    }
-                    _ => {
-                        body.push(Op::Call {
-                            helper: HELPER_KTIME_GET_NS,
                         });
                     }
                 }
@@ -244,7 +239,6 @@ fn check_soundness(seed: &[u8], hashes: &[u32], vals: &[u64; ARRAY_SIZE], regist
         Ok(vm) => vm,
         Err(_) => return false,
     };
-    let checked = Vm::load(prog.clone()).expect("analysis acceptance implies verification");
     let registry = test_registry(vals, registered);
     // Attempt native lowering: compiled-tier programs with constant map
     // fds earn the jit tier on x86-64 Linux; everything else keeps its
@@ -253,15 +247,15 @@ fn check_soundness(seed: &[u8], hashes: &[u32], vals: &[u64; ARRAY_SIZE], regist
     let earned = analyzed.tier();
     let mut singles = Vec::with_capacity(hashes.len());
     for &hash in hashes {
-        let c = checked
-            .run(hash, &registry, 0)
+        let c = analyzed
+            .run_tier(ExecTier::Checked, hash, &registry)
             .unwrap_or_else(|e| panic!("accepted program trapped (checked): {e}"));
-        for tier in [ExecTier::Checked, ExecTier::Compiled, ExecTier::Jit] {
+        for tier in [ExecTier::Compiled, ExecTier::Jit] {
             if tier > earned {
                 continue;
             }
             let r = analyzed
-                .run_tier(tier, hash, &registry, 0)
+                .run_tier(tier, hash, &registry)
                 .unwrap_or_else(|e| panic!("accepted program trapped ({tier}): {e}"));
             assert_eq!(r, c, "{tier} tier diverged from checked on hash {hash:#x}");
         }
@@ -272,7 +266,7 @@ fn check_soundness(seed: &[u8], hashes: &[u32], vals: &[u64; ARRAY_SIZE], regist
     // single decision.
     let mut batch = Vec::new();
     analyzed
-        .run_batch(hashes, &registry, 0, &mut batch)
+        .run_batch(hashes, &registry, &mut batch)
         .unwrap_or_else(|e| panic!("accepted program trapped (batch): {e}"));
     assert_eq!(batch, singles, "batched run diverged from single-shot runs");
     true
@@ -397,13 +391,12 @@ fn check_dispatch_tiers(bits: u64, hash: u32, workers: usize) {
         MapKind::SockArray,
         workers,
     );
-    let analyzed = Vm::load_analyzed(prog.insns().to_vec(), &ctx).unwrap();
+    let analyzed = Vm::load_analyzed(prog, &ctx).unwrap();
     assert_eq!(
         analyzed.tier(),
         ExecTier::Compiled,
         "Algorithm 2 must reach the top proven tier"
     );
-    let checked = Vm::load(prog.insns().to_vec()).unwrap();
     let registry = MapRegistry::new();
     let arr = Arc::new(ArrayMap::new(1));
     arr.update(0, bits);
@@ -419,12 +412,14 @@ fn check_dispatch_tiers(bits: u64, hash: u32, workers: usize) {
         ExecTier::native_ceiling(),
         "Algorithm 2 must reach the platform ceiling"
     );
-    let c = checked.run(hash, &registry, 0).unwrap();
-    for tier in [ExecTier::Checked, ExecTier::Compiled, ExecTier::Jit] {
+    let c = analyzed
+        .run_tier(ExecTier::Checked, hash, &registry)
+        .unwrap();
+    for tier in [ExecTier::Compiled, ExecTier::Jit] {
         if tier > analyzed.tier() {
             continue;
         }
-        let r = analyzed.run_tier(tier, hash, &registry, 0).unwrap();
+        let r = analyzed.run_tier(tier, hash, &registry).unwrap();
         assert_eq!(r, c, "{tier} diverged on bits {bits:#x} hash {hash:#x}");
     }
 }
@@ -458,20 +453,20 @@ fn dispatch_programs_are_tier_identical() {
         .iter()
         .map(|&h| {
             let c = vm
-                .run_tier(ExecTier::Checked, h, grouped.registry(), 0)
+                .run_tier(ExecTier::Checked, h, grouped.registry())
                 .unwrap();
             for tier in [ExecTier::Compiled, ExecTier::Jit] {
                 if tier > vm.tier() {
                     continue;
                 }
-                let r = vm.run_tier(tier, h, grouped.registry(), 0).unwrap();
+                let r = vm.run_tier(tier, h, grouped.registry()).unwrap();
                 assert_eq!(r, c, "grouped {tier} diverged on hash {h:#x}");
             }
             c
         })
         .collect();
     let mut batch = Vec::new();
-    vm.run_batch(&hashes, grouped.registry(), 0, &mut batch)
+    vm.run_batch(&hashes, grouped.registry(), &mut batch)
         .unwrap();
     assert_eq!(batch, singles);
 }
@@ -511,13 +506,13 @@ fn check_grouped_dispatch(groups: usize, group_size: usize, bitmaps: &[u64], has
     let mut singles = Vec::with_capacity(hashes.len());
     for &h in hashes {
         let c = vm
-            .run_tier(ExecTier::Checked, h, g.registry(), 0)
+            .run_tier(ExecTier::Checked, h, g.registry())
             .expect("interpreted grouped run trapped");
         for tier in [ExecTier::Compiled, ExecTier::Jit] {
             if tier > vm.tier() {
                 continue;
             }
-            let r = vm.run_tier(tier, h, g.registry(), 0).unwrap();
+            let r = vm.run_tier(tier, h, g.registry()).unwrap();
             assert_eq!(r, c, "grouped {tier} diverged on hash {h:#x}");
         }
         let got = g.dispatch(h);
@@ -535,7 +530,7 @@ fn check_grouped_dispatch(groups: usize, group_size: usize, bitmaps: &[u64], has
         singles.push(c);
     }
     let mut batch = Vec::new();
-    vm.run_batch(hashes, g.registry(), 0, &mut batch)
+    vm.run_batch(hashes, g.registry(), &mut batch)
         .expect("batched grouped run trapped");
     assert_eq!(batch, singles, "run_batch diverged from single-shot runs");
     let mut ebpf_outs = Vec::new();

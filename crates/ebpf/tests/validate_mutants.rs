@@ -133,8 +133,8 @@ fn weakened_guard_mutant_needs_a_lucky_fuzz_draw() {
     for bits in 1..=u64::from(u16::MAX) {
         flat.sync_bitmap(WorkerBitmap(bits));
         let hash = (bits as u32).wrapping_mul(2_654_435_761);
-        let pristine = cp.run_uncertified(hash, flat.registry(), 0);
-        let mutated = mutant.run_uncertified(hash, flat.registry(), 0);
+        let pristine = cp.run_uncertified(hash, flat.registry());
+        let mutated = mutant.run_uncertified(hash, flat.registry());
         if pristine != mutated {
             // The divergence mode: pristine falls back (n <= 1 takes the
             // guard), the mutant commits the lone admitted worker.

@@ -121,7 +121,7 @@ pub fn parse_request(buf: &mut RequestBuf) -> Result<Option<Request>, HttpError>
             return Err(HttpError::Version);
         }
         let mut headers = Vec::new();
-        let mut content_length = 0usize;
+        let mut content_length = None;
         for line in lines {
             let (name, value) = line.split_once(':').ok_or(HttpError::Malformed)?;
             if name.is_empty() || name.contains(' ') {
@@ -129,11 +129,26 @@ pub fn parse_request(buf: &mut RequestBuf) -> Result<Option<Request>, HttpError>
             }
             let name = name.to_ascii_lowercase();
             let value = value.trim().to_string();
+            // Anything that could make the next hop frame this request
+            // differently is refused, not guessed at: a body this parser
+            // cannot delimit (it would read the chunks as the next
+            // pipelined request), two lengths that disagree, and a length
+            // that is not plain digits (`usize::from_str` takes a sign).
+            if name == "transfer-encoding" {
+                return Err(HttpError::Malformed);
+            }
             if name == "content-length" {
-                content_length = value.parse().map_err(|_| HttpError::Malformed)?;
-                if content_length > MAX_BODY_BYTES {
+                if !value.bytes().all(|b| b.is_ascii_digit()) {
+                    return Err(HttpError::Malformed);
+                }
+                let length: usize = value.parse().map_err(|_| HttpError::Malformed)?;
+                if content_length.is_some_and(|seen| seen != length) {
+                    return Err(HttpError::Malformed);
+                }
+                if length > MAX_BODY_BYTES {
                     return Err(HttpError::BodyTooLarge);
                 }
+                content_length = Some(length);
             }
             headers.push((name, value));
         }
@@ -141,7 +156,7 @@ pub fn parse_request(buf: &mut RequestBuf) -> Result<Option<Request>, HttpError>
             method.to_string(),
             target.to_string(),
             headers,
-            content_length,
+            content_length.unwrap_or(0),
         )
     };
     let total = head_end + 4 + content_length;
@@ -313,6 +328,9 @@ mod tests {
             b"GET / HTTP/1.1\r\nNoColonHere\r\n\r\n", // bad header
             b"GET / HTTP/1.1 extra\r\n\r\n",          // extra token
             b"GET / HTTP/1.1\r\nContent-Length: x\r\n\r\n",
+            b"POST / HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello", // signed length
+            b"POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 0\r\n\r\nhello",
+            b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
         ] {
             let mut b = buf(bad);
             assert!(parse_request(&mut b).is_err(), "accepted {bad:?}");

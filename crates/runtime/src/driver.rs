@@ -26,12 +26,12 @@ pub struct RuntimeConfig {
     pub max_events: usize,
     /// Scheduler tuning.
     pub sched: SchedConfig,
-    /// Shard workers into this many two-level dispatch groups (§7). `None`
-    /// is one group: the flat single-bitmap plane. `workers` must divide
-    /// evenly into groups of at most 64, each with its own WST, selection
-    /// map, and per-worker scheduler; dispatch picks the group by flow hash
-    /// (level 1) then rank-selects within it (level 2).
-    pub groups: Option<usize>,
+    /// Shard workers into this many two-level dispatch groups (§7); one
+    /// group, the default, is the flat single-bitmap plane. `workers` must
+    /// divide evenly into groups of at most 64, each with its own WST,
+    /// selection map, and per-worker scheduler; dispatch picks the group by
+    /// flow hash (level 1) then rank-selects within it (level 2).
+    pub groups: usize,
 }
 
 impl RuntimeConfig {
@@ -42,14 +42,14 @@ impl RuntimeConfig {
             epoll_timeout: Duration::from_millis(5),
             max_events: hermes_core::DISPATCH_BATCH,
             sched: SchedConfig::default(),
-            groups: None,
+            groups: 1,
         }
     }
 
     /// Defaults for `workers` workers sharded into `groups` groups.
     pub fn grouped(workers: usize, groups: usize) -> Self {
         Self {
-            groups: Some(groups),
+            groups,
             ..Self::new(workers)
         }
     }
@@ -88,7 +88,7 @@ impl LbRuntime {
     /// over *its group's* table only, so scheduling cost stays O(group) as
     /// the deployment scales past 64 workers.
     pub fn start(config: RuntimeConfig) -> Self {
-        let groups = config.groups.unwrap_or(1);
+        let groups = config.groups;
         assert!(groups >= 1, "need at least one group");
         assert_eq!(
             config.workers % groups,

@@ -135,10 +135,9 @@ pub struct SimConfig {
     /// the native oracle (slower to simulate, byte-identical decisions).
     pub use_ebpf: bool,
     /// Shard the Hermes plane into this many worker groups (§7 two-level
-    /// dispatch: per-group WSTs, schedulers, and selection maps). `None`
-    /// runs the flat single-group plane; `Some(1)` is decision-identical
-    /// to flat. Ignored by non-Hermes modes.
-    pub groups: Option<usize>,
+    /// dispatch: per-group WSTs, schedulers, and selection maps). One
+    /// group, the default, is the flat plane. Ignored by non-Hermes modes.
+    pub groups: usize,
     /// Run `schedule_and_sync` at the *start* of the loop instead of the
     /// end (§5.3.2 scheduling-timing ablation).
     pub sched_at_loop_start: bool,
@@ -193,7 +192,7 @@ impl SimConfig {
             costs: CostParams::default(),
             hermes: SchedConfig::default(),
             use_ebpf: false,
-            groups: None,
+            groups: 1,
             sched_at_loop_start: false,
             engine: Engine::default(),
             sample_interval_ns: 100 * NANOS_PER_MILLI,
@@ -220,13 +219,11 @@ impl SimConfig {
             self.sample_interval_ns > 0,
             "sampling interval must be positive"
         );
-        if let Some(g) = self.groups {
-            assert!((1..=64).contains(&g), "1..=64 worker groups");
-            assert!(
-                self.workers.is_multiple_of(g),
-                "workers must divide evenly into groups"
-            );
-        }
+        assert!((1..=64).contains(&self.groups), "1..=64 worker groups");
+        assert!(
+            self.workers.is_multiple_of(self.groups),
+            "workers must divide evenly into groups"
+        );
         if self.mode == Mode::UserspaceDispatcher {
             assert!(
                 self.workers >= 2,

@@ -31,8 +31,7 @@ pub struct HermesState {
 }
 
 impl HermesState {
-    fn new(workers: usize, config: SchedConfig, use_ebpf: bool, groups: Option<usize>) -> Self {
-        let group_count = groups.unwrap_or(1);
+    fn new(workers: usize, config: SchedConfig, use_ebpf: bool, group_count: usize) -> Self {
         assert!(
             group_count >= 1 && workers.is_multiple_of(group_count),
             "workers must divide evenly into groups"
@@ -157,19 +156,15 @@ pub enum WakeOrder {
 }
 
 impl Dispatcher {
-    /// Build the dispatcher for a mode (flat Hermes plane).
-    pub fn new(mode: Mode, workers: usize, hermes: SchedConfig, use_ebpf: bool) -> Self {
-        Self::with_groups(mode, workers, hermes, use_ebpf, None)
-    }
-
     /// Build the dispatcher for a mode, sharding the Hermes plane into
-    /// `groups` worker groups when set (non-Hermes modes ignore it).
-    pub fn with_groups(
+    /// `groups` worker groups (one is the flat plane; non-Hermes modes
+    /// ignore it).
+    pub fn new(
         mode: Mode,
         workers: usize,
         hermes: SchedConfig,
         use_ebpf: bool,
-        groups: Option<usize>,
+        groups: usize,
     ) -> Self {
         match mode {
             Mode::ExclusiveLifo => Dispatcher::Shared {
@@ -295,7 +290,7 @@ mod tests {
 
     #[test]
     fn lifo_prefers_most_recently_registered() {
-        let mut d = Dispatcher::new(Mode::ExclusiveLifo, 4, cfg(), false);
+        let mut d = Dispatcher::new(Mode::ExclusiveLifo, 4, cfg(), false, 1);
         assert_eq!(wake(&mut d, &[true, true, true, true]), vec![3]);
         assert_eq!(wake(&mut d, &[true, true, false, false]), vec![1]);
         assert!(wake(&mut d, &[false, false, false, false]).is_empty());
@@ -303,7 +298,7 @@ mod tests {
 
     #[test]
     fn fifo_prefers_first_registered() {
-        let mut d = Dispatcher::new(Mode::IoUringFifo, 4, cfg(), false);
+        let mut d = Dispatcher::new(Mode::IoUringFifo, 4, cfg(), false, 1);
         assert_eq!(wake(&mut d, &[true, true, true, true]), vec![0]);
         assert_eq!(wake(&mut d, &[false, false, true, true]), vec![2]);
         assert!(wake(&mut d, &[false; 4]).is_empty());
@@ -311,7 +306,7 @@ mod tests {
 
     #[test]
     fn round_robin_rotates() {
-        let mut d = Dispatcher::new(Mode::RoundRobin, 3, cfg(), false);
+        let mut d = Dispatcher::new(Mode::RoundRobin, 3, cfg(), false, 1);
         assert_eq!(wake(&mut d, &[true, true, true]), vec![0]);
         assert_eq!(wake(&mut d, &[true, true, true]), vec![1]);
         assert_eq!(wake(&mut d, &[true, true, true]), vec![2]);
@@ -323,13 +318,13 @@ mod tests {
 
     #[test]
     fn wake_all_wakes_every_idle_waiter() {
-        let mut d = Dispatcher::new(Mode::WakeAll, 4, cfg(), false);
+        let mut d = Dispatcher::new(Mode::WakeAll, 4, cfg(), false, 1);
         assert_eq!(wake(&mut d, &[true, false, true, true]), vec![0, 2, 3]);
     }
 
     #[test]
     fn pick_wake_clears_the_reused_buffer() {
-        let mut d = Dispatcher::new(Mode::WakeAll, 4, cfg(), false);
+        let mut d = Dispatcher::new(Mode::WakeAll, 4, cfg(), false, 1);
         let mut out = vec![99, 98];
         d.pick_wake(&[false, true, false, false], &mut out);
         assert_eq!(out, vec![1]);
@@ -339,7 +334,7 @@ mod tests {
 
     #[test]
     fn reuseport_assignment_is_sticky_and_in_range() {
-        let mut d = Dispatcher::new(Mode::Reuseport, 8, cfg(), false);
+        let mut d = Dispatcher::new(Mode::Reuseport, 8, cfg(), false, 1);
         let flow = FlowKey::new(1, 2, 3, 4);
         let a = d.assign_at_syn(&flow, &[]).unwrap();
         let b = d.assign_at_syn(&flow, &[]).unwrap();
@@ -350,14 +345,14 @@ mod tests {
 
     #[test]
     fn shared_modes_defer_assignment() {
-        let mut d = Dispatcher::new(Mode::ExclusiveLifo, 4, cfg(), false);
+        let mut d = Dispatcher::new(Mode::ExclusiveLifo, 4, cfg(), false, 1);
         assert_eq!(d.assign_at_syn(&FlowKey::new(1, 2, 3, 4), &[]), None);
         assert!(!d.assigns_at_syn());
     }
 
     #[test]
     fn userspace_picks_least_loaded_backend() {
-        let mut d = Dispatcher::new(Mode::UserspaceDispatcher, 4, cfg(), false);
+        let mut d = Dispatcher::new(Mode::UserspaceDispatcher, 4, cfg(), false, 1);
         // conn_counts: dispatcher=0 (ignored), backends 1..: 5, 2, 9.
         let w = d.assign_at_syn(&FlowKey::new(1, 2, 3, 4), &[0, 5, 2, 9]);
         assert_eq!(w, Some(2));
@@ -365,7 +360,7 @@ mod tests {
 
     #[test]
     fn hermes_dispatch_tracks_stats_and_respects_bitmap() {
-        let mut d = Dispatcher::new(Mode::Hermes, 4, cfg(), false);
+        let mut d = Dispatcher::new(Mode::Hermes, 4, cfg(), false, 1);
         {
             let h = d.hermes_mut();
             for w in 0..4 {
@@ -389,7 +384,7 @@ mod tests {
     fn hermes_batch_dispatch_matches_per_syn() {
         for use_ebpf in [false, true] {
             let mk = || {
-                let mut d = Dispatcher::new(Mode::Hermes, 8, cfg(), use_ebpf);
+                let mut d = Dispatcher::new(Mode::Hermes, 8, cfg(), use_ebpf, 1);
                 {
                     let h = d.hermes_mut();
                     for w in 0..8 {
@@ -423,7 +418,7 @@ mod tests {
     #[test]
     fn hermes_ebpf_path_agrees_with_native() {
         let mk = |ebpf| {
-            let mut d = Dispatcher::new(Mode::Hermes, 8, cfg(), ebpf);
+            let mut d = Dispatcher::new(Mode::Hermes, 8, cfg(), ebpf, 1);
             {
                 let h = d.hermes_mut();
                 for w in 0..8 {

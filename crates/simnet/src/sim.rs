@@ -140,8 +140,7 @@ impl<'w> Simulator<'w> {
             wl.name
         );
         let n = cfg.workers;
-        let dispatcher =
-            Dispatcher::with_groups(cfg.mode, n, cfg.hermes.clone(), cfg.use_ebpf, cfg.groups);
+        let dispatcher = Dispatcher::new(cfg.mode, n, cfg.hermes.clone(), cfg.use_ebpf, cfg.groups);
         // Dense port table from the workload, plus per-connection port
         // indices resolved once up front.
         let ports = PortTable::new(wl.conns.iter().map(|c| c.port));
@@ -452,7 +451,7 @@ impl<'w> Simulator<'w> {
                 c
             );
             hermes_trace::trace_count!(hermes_trace::CounterId::SimDispatches);
-            if self.cfg.groups.is_some() {
+            if self.cfg.groups > 1 {
                 hermes_trace::trace_event!(
                     self.now,
                     hermes_trace::EventKind::GroupDispatch,

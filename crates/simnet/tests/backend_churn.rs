@@ -140,25 +140,51 @@ fn every_in_flight_connection_completes_against_its_admitted_version() {
 }
 
 #[test]
-fn draining_alone_never_displaces_a_request() {
-    // Drain-only script: every resolution must stay pinned.
+fn only_a_backend_that_stops_serving_displaces_a_request() {
+    // No churn, a rolling drain over every backend, and one backend at 8x
+    // service time: each keeps every backend serving its pinned
+    // connections, so every resolution must stay pinned.
     let wl = churn_workload(4_000);
-    let mut cfg = SimConfig::new(8, Mode::Hermes);
-    cfg.backend = Some(BackendSimConfig::rolling_drain(
-        BACKENDS,
-        MEAN_SERVICE_NS,
-        1_000_000_000,
-        250_000_000,
-        BACKENDS,
-    ));
-    let r = Simulator::new(cfg, &wl).run();
-    let b = r.backend.as_ref().expect("backend plane configured");
-    assert_eq!(r.completed_requests, 4_000 * REQS_PER_CONN as u64);
-    assert_eq!(b.retried, 0, "drain displaced in-flight traffic");
-    assert_eq!(b.misroutes, 0);
-    assert_eq!(b.fell_back, 0);
-    assert_eq!(b.dropped_responses, 0);
-    assert_eq!(b.pinned, 4_000 * REQS_PER_CONN as u64);
+    let requests = 4_000 * REQS_PER_CONN as u64;
+    let p99_ms = [
+        (
+            "steady",
+            BackendSimConfig::steady(BACKENDS, MEAN_SERVICE_NS),
+        ),
+        (
+            "drain",
+            BackendSimConfig::rolling_drain(
+                BACKENDS,
+                MEAN_SERVICE_NS,
+                1_000_000_000,
+                250_000_000,
+                BACKENDS,
+            ),
+        ),
+        (
+            "slow",
+            BackendSimConfig::slow_backend(BACKENDS, MEAN_SERVICE_NS, 3, 8.0),
+        ),
+    ]
+    .map(|(name, script)| {
+        let mut cfg = SimConfig::new(8, Mode::Hermes);
+        cfg.backend = Some(script);
+        let r = Simulator::new(cfg, &wl).run();
+        let b = r.backend.as_ref().expect("backend plane configured");
+        assert_eq!(r.completed_requests, requests, "{name}");
+        assert_eq!(b.retried, 0, "{name} displaced in-flight traffic");
+        assert_eq!(b.misroutes, 0, "{name}");
+        assert_eq!(b.fell_back, 0, "{name}");
+        assert_eq!(b.dropped_responses, 0, "{name}");
+        assert_eq!(b.pinned, requests, "{name}");
+        r.p99_latency_ms()
+    });
+    // Degraded but serving: routing is untouched and only the tail moves.
+    let [steady, _, slow] = p99_ms;
+    assert!(
+        slow > steady,
+        "a backend at 8x service time left P99 at {slow} ms (steady {steady} ms)"
+    );
 }
 
 fn fleet_fingerprint(r: &ClusterReport) -> String {

@@ -75,7 +75,7 @@ struct Golden {
     alive_sum: u64,
 }
 
-fn run(wl: &Workload, groups: Option<usize>, use_ebpf: bool) -> Golden {
+fn run(wl: &Workload, groups: usize, use_ebpf: bool) -> Golden {
     let mut cfg = SimConfig::new(WORKERS, Mode::Hermes);
     cfg.groups = groups;
     cfg.use_ebpf = use_ebpf;
@@ -116,7 +116,7 @@ const TWO_GROUPS: Golden = Golden {
 fn flat_plane_matches_the_recorded_run() {
     let wl = case1_heavy_shaped();
     for use_ebpf in [false, true] {
-        assert_eq!(run(&wl, None, use_ebpf), FLAT, "use_ebpf={use_ebpf}");
+        assert_eq!(run(&wl, 1, use_ebpf), FLAT, "use_ebpf={use_ebpf}");
     }
 }
 
@@ -124,11 +124,7 @@ fn flat_plane_matches_the_recorded_run() {
 fn two_group_plane_matches_the_recorded_run() {
     let wl = case1_heavy_shaped();
     for use_ebpf in [false, true] {
-        assert_eq!(
-            run(&wl, Some(2), use_ebpf),
-            TWO_GROUPS,
-            "use_ebpf={use_ebpf}"
-        );
+        assert_eq!(run(&wl, 2, use_ebpf), TWO_GROUPS, "use_ebpf={use_ebpf}");
     }
 }
 
@@ -150,7 +146,7 @@ fn generated_case1_heavy_matches_the_recorded_run() {
     assert_eq!(wl.conns.len(), 66_920);
     for use_ebpf in [false, true] {
         assert_eq!(
-            run(&wl, None, use_ebpf),
+            run(&wl, 1, use_ebpf),
             CASE1_HEAVY_GENERATED,
             "use_ebpf={use_ebpf}"
         );
@@ -234,7 +230,7 @@ fn case3_shape_matches_the_recorded_runs() {
         CASE3_HERMES
     );
     let mut grouped = SimConfig::new(WORKERS, Mode::Hermes);
-    grouped.groups = Some(2);
+    grouped.groups = 2;
     assert_eq!(run_cfg(&wl, grouped), CASE3_TWO_GROUPS);
     assert_eq!(
         run_cfg(&wl, SimConfig::new(WORKERS, Mode::Reuseport)),

@@ -1,15 +1,11 @@
 //! Sharded-plane equivalence and determinism.
 //!
 //! The `groups` knob shards the Hermes plane into per-group WSTs,
-//! schedulers, and selection maps (§7). Three contracts pin it down:
+//! schedulers, and selection maps (§7). Two contracts pin it down:
 //!
-//! 1. `groups = Some(1)` is the flat plane in a one-group coat: level-1
-//!    `reciprocal_scale(hash, 1)` is always 0 and level-2 is the ordinary
-//!    Algorithm 2 over the same worker set, so a run must produce a
-//!    **byte-identical** [`hermes_simnet::DeviceReport`].
-//! 2. The grouped native oracle and the grouped eBPF bytecode make
+//! 1. The grouped native oracle and the grouped eBPF bytecode make
 //!    identical decisions, so whole runs agree byte for byte.
-//! 3. Same seed ⇒ same report, with any group count.
+//! 2. Same seed ⇒ same report, with any group count.
 
 use hermes_simnet::{DeviceReport, Mode, SimConfig, Simulator};
 use hermes_workload::{Case, CaseLoad};
@@ -20,7 +16,7 @@ fn fingerprint(r: &DeviceReport) -> String {
     format!("{r:?}")
 }
 
-fn run(workers: usize, groups: Option<usize>, use_ebpf: bool, seed: u64) -> DeviceReport {
+fn run(workers: usize, groups: usize, use_ebpf: bool, seed: u64) -> DeviceReport {
     let wl = Case::Case3.workload(CaseLoad::Light, workers, 1_200_000_000, seed);
     let mut cfg = SimConfig::new(workers, Mode::Hermes);
     cfg.groups = groups;
@@ -29,29 +25,10 @@ fn run(workers: usize, groups: Option<usize>, use_ebpf: bool, seed: u64) -> Devi
 }
 
 #[test]
-fn one_group_is_byte_identical_to_flat() {
-    for seed in [3u64, 77, 4242] {
-        for use_ebpf in [false, true] {
-            let flat = run(6, None, use_ebpf, seed);
-            let grouped = run(6, Some(1), use_ebpf, seed);
-            assert_eq!(
-                flat.accepted_connections, grouped.accepted_connections,
-                "seed {seed} ebpf {use_ebpf}: accepts diverge"
-            );
-            assert_eq!(
-                fingerprint(&flat),
-                fingerprint(&grouped),
-                "seed {seed} ebpf {use_ebpf}: groups=Some(1) must replay the flat plane"
-            );
-        }
-    }
-}
-
-#[test]
 fn grouped_ebpf_and_native_agree_end_to_end() {
     for (workers, groups) in [(8usize, 2usize), (12, 3), (8, 4)] {
-        let native = run(workers, Some(groups), false, 99);
-        let ebpf = run(workers, Some(groups), true, 99);
+        let native = run(workers, groups, false, 99);
+        let ebpf = run(workers, groups, true, 99);
         assert_eq!(
             fingerprint(&native),
             fingerprint(&ebpf),
@@ -62,8 +39,8 @@ fn grouped_ebpf_and_native_agree_end_to_end() {
 
 #[test]
 fn grouped_runs_are_deterministic_and_spread_work() {
-    let a = run(8, Some(2), false, 7);
-    let b = run(8, Some(2), false, 7);
+    let a = run(8, 2, false, 7);
+    let b = run(8, 2, false, 7);
     assert_eq!(fingerprint(&a), fingerprint(&b), "same-seed runs differ");
     // Both groups' workers accept connections: level 1 sprays across
     // groups, level 2 balances within each.
@@ -78,6 +55,6 @@ fn grouped_runs_are_deterministic_and_spread_work() {
 fn ragged_group_split_is_rejected() {
     let wl = Case::Case3.workload(CaseLoad::Light, 7, 200_000_000, 1);
     let mut cfg = SimConfig::new(7, Mode::Hermes);
-    cfg.groups = Some(2);
+    cfg.groups = 2;
     Simulator::new(cfg, &wl).run();
 }

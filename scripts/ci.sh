@@ -121,18 +121,19 @@ for run in $(seq 1 20); do
   cargo test --release -q -p hermes-runtime || { echo "runtime-repeat: run $run of 20 failed"; exit 1; }
 done
 
-step "scheduler kernel (differential vs literal Algorithm 1, zero allocations, golden sim fingerprints)"
-# One scheduler read path, three proofs: the mask kernel agrees with a
+step "scheduler kernel (differential vs literal Algorithm 1, zero allocations)"
+# One scheduler read path, two proofs here: the mask kernel agrees with a
 # per-id f64 Algorithm 1 on every table shape and stage order; a counting
 # global allocator sees no allocation across 10 000 loop-resident passes
-# (schedule, schedule_group, schedule_and_sync); and whole simulator runs
-# reproduce the decision sums recorded before the kernel was fused.
+# (schedule, schedule_group, schedule_and_sync). The third — whole simulator
+# runs reproduce the decision sums recorded before the kernel was fused — is
+# golden_fingerprint, which runs once per feature state: in "cargo test"
+# above and with the recorder compiled in below.
 cargo test --release -q -p hermes-core --test sched_differential
 cargo test --release -q -p hermes-core --test no_alloc
 cargo test --release -q -p hermes-core --features trace --test no_alloc
-cargo test --release -q -p hermes-simnet --test golden_fingerprint
 
-step "event merge (pop_before model, scripted/live tie-break, golden fingerprints; both feature states)"
+step "event merge (pop_before model, scripted/live tie-break; both feature states; golden fingerprints with trace)"
 # Scripted arrivals are streamed from the sorted workload and merged with
 # the live event queue. Three proofs that the merge is the order one queue
 # gave: both engines' `pop_before` against a sorted-Vec model (with the
@@ -140,10 +141,10 @@ step "event merge (pop_before model, scripted/live tie-break, golden fingerprint
 # rule, the sealed-workload panics and the live-only queue population on
 # the simulator itself; and whole runs of every shape (Case 1 and Case 3
 # traffic, faults, probes, backend churn, two groups, reuseport and
-# exclusive) against constants recorded before the change.
+# exclusive) against constants recorded before the change — with the
+# recorder compiled in here; "cargo test" above ran them without it.
 cargo test --release -q -p hermes-simnet --lib event_queue
 cargo test --release -q -p hermes-simnet --lib sim::tests
-cargo test --release -q -p hermes-simnet --test golden_fingerprint
 cargo test --release -q -p hermes-simnet --features trace --lib event_queue
 cargo test --release -q -p hermes-simnet --features trace --lib sim::tests
 cargo test --release -q -p hermes-simnet --features trace --test golden_fingerprint
@@ -196,7 +197,8 @@ step "backend-churn consistency (versioned tables under drain + flap)"
 # ride out a rolling drain plus a backend flap with zero misroutes (no
 # request leaves a still-serving pinned backend), zero dropped responses,
 # and zero live-table fallbacks — and the whole scenario is byte-identical
-# across fleet thread counts.
+# across fleet thread counts. A steady pool, a drain-only script and one
+# backend at 8x service time displace nothing.
 cargo test --release -q -p hermes-simnet --test backend_churn
 
 step "relay-reactor (epoll reactor + splice data plane suite, both feature states)"
@@ -219,14 +221,6 @@ cargo test --release -q -p hermes-lb reactor
 cargo test --release -q -p hermes-lb relay
 cargo test --release -q -p hermes-lb --features trace reactor
 cargo test --release -q -p hermes-lb --features trace relay
-
-step "relay_throughput --smoke (churn-consistency gates)"
-# Gates, all exact, over four backend scenarios (steady / flap / rolling
-# drain / slow backend) through the simulated LB -> backend path: every
-# request completes, zero misroutes and zero dropped responses in each, and
-# the rolling drain retries nothing and falls back nowhere. The scenario
-# latencies are simulated time; golden_fingerprint pins that model exactly.
-gate --bin relay_throughput
 
 step "trace determinism (simulation byte-identical with recorder on/off)"
 # Tracing is an observer, never an actor: the simnet report must not
