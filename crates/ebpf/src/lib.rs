@@ -37,13 +37,15 @@
 //!   from all of the above, plus [`program::ReuseportGroup`], the program
 //!   attached with its two maps; [`group_program`] — the §7 two-level
 //!   variant that picks its maps by group first.
-//! * [`plane`] — [`DispatchPlane`], the one attach point the load
-//!   balancer, the threaded runtime and the simulator place connections
-//!   through, whichever program (or core's native oracle) executes.
+//! * [`plane`] — [`DispatchPlane`], the one attach point the threaded
+//!   runtime and the simulator place connections through, whichever program
+//!   (or core's native oracle) executes; the load balancers' test oracle.
 //! * [`validate`] — translation validation for the compiled tier: every
 //!   [`compile::CompiledProgram`] is proven bit-exactly equivalent to the
 //!   checked interpreter's semantics, block by block, before [`vm::Vm`]
 //!   will execute it.
+//! * [`kernel`] — the flat program lowered to kernel eBPF, loaded with raw
+//!   `bpf(2)` (the kernel's own verifier) and attached to real listeners.
 //! * [`jit`] + [`execmem`] — the top tier on x86-64 Linux: the validated
 //!   compiled stream lowered to native machine code in W^X pages, with
 //!   map addresses baked in and helpers inlined — the userspace analogue
@@ -52,7 +54,7 @@
 //! The bytecode program is property-tested for exact equivalence with the
 //! native oracle `hermes_core::ConnDispatcher` over all bitmaps and hashes.
 //!
-//! ## Documented simplifications
+//! ## Documented simplifications ([`kernel`] undoes both when it lowers)
 //!
 //! * `bpf_map_lookup_elem` returns the element *value* in R0 rather than a
 //!   pointer into map memory; the analysis therefore needs no pointer-type
@@ -70,6 +72,8 @@ pub mod group_program;
 pub mod helpers;
 pub mod insn;
 pub mod jit;
+#[cfg(unix)]
+pub mod kernel;
 pub mod maps;
 pub mod plane;
 pub mod program;

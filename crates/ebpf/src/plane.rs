@@ -14,7 +14,7 @@
 //! ```
 //!
 //! Userspace schedulers publish with [`sync`](DispatchPlane::sync); the
-//! acceptor (or the simulator's SYN path) places with
+//! runtime's driver (or the simulator's SYN path) places with
 //! [`dispatch`](DispatchPlane::dispatch) /
 //! [`dispatch_batch`](DispatchPlane::dispatch_batch). The {flat, grouped} ×
 //! {oracle, bytecode} cross product is matched here and nowhere else, the
@@ -160,9 +160,9 @@ impl DispatchPlane {
     }
 }
 
-/// `SelMap::store_if_changed` for the bytecode maps: `store` only a bitmap
-/// that differs from the `current` one.
-fn publish(current: WorkerBitmap, bitmap: WorkerBitmap, store: impl FnOnce()) {
+/// `SelMap::store_if_changed` for the bytecode maps and the kernel's:
+/// `store` only a bitmap that differs from the `current` one.
+pub(crate) fn publish(current: WorkerBitmap, bitmap: WorkerBitmap, store: impl FnOnce()) {
     if current == bitmap {
         hermes_trace::trace_count!(CounterId::BitmapSyncSkips);
     } else {

@@ -16,7 +16,7 @@
 //! `CountNonZeroBits` and `FindNthNonZeroBit` cannot be helpers — the paper
 //! implements them "based on [Bit Twiddling Hacks / Hamming weight]" because
 //! the verifier forbids loops. Here they are emitted as straight-line SWAR
-//! popcount and a six-rung forward-branching rank-select ladder, and the
+//! popcount and a forward-branching rank-select ladder of at most six rungs, and the
 //! whole program passes this crate's analysis with a clean report.
 
 use crate::analysis::{AnalysisCtx, AnalysisReport};
@@ -103,10 +103,13 @@ pub(crate) fn assemble(
         a.alu_imm(Alu::Add, Reg::R9, 1);
 
         // FindNthNonZeroBit(C, Nth): pos = 0 in R8 (n no longer needed);
-        // six rungs with widths 32..1, each counting the set bits of the
-        // low half of the remaining window and branching forward.
+        // rungs of widths 32..1, each counting the set bits of the low half
+        // of the remaining window and branching forward — only those
+        // narrower than the group: C is masked to `group_size` bits, so a
+        // wider rung always finds all n bits in its low half and keeps pos.
         a.mov_imm(Reg::R8, 0);
-        for width in [32i64, 16, 8, 4, 2, 1] {
+        let reach = group_size.next_power_of_two() as i64;
+        for width in [32i64, 16, 8, 4, 2, 1].into_iter().filter(|&w| w < reach) {
             let skip = a.label();
             // low = popcount((C >> pos) & ((1 << width) - 1))
             a.mov(Reg::R2, Reg::R7);

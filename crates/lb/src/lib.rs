@@ -13,29 +13,29 @@
 //! * [`proxy`] — parse → route → pick a backend (round-robin with the §7
 //!   randomized-restart fix) → forward → respond, with 400/404/502
 //!   handling.
-//! * [`server`] — a real TCP front end: an acceptor thread dispatches
-//!   accepted connections to worker threads through the Hermes closed
-//!   loop (shared WST, per-worker scheduling via the SDK, kernel-side
-//!   bitmap dispatch), each worker running the Fig. 9 event-loop shape.
+//! * [`server`] — a real TCP front end: every worker owns a listener of
+//!   one `SO_REUSEPORT` group, the kernel places each connection on one of
+//!   them by running the dispatch program at the group's reuseport hook,
+//!   and the workers close the Hermes loop (shared WST, per-worker
+//!   scheduling via the SDK, the bitmap stored into the program's mmap'd
+//!   map), each running the Fig. 9 event-loop shape.
 //! * [`relay`] — the backend data plane: the same front end, but instead
 //!   of answering in-process each connection is admitted against a
 //!   versioned [`hermes_backend::BackendPool`] snapshot, connected to a
 //!   real backend (retrying the admitted candidate order on failure), and
 //!   byte-relayed with half-close and backpressure handling. Its workers
-//!   are epoll event loops, so it requires Linux.
-//! * [`reactor`] — raw-syscall I/O event notification for the relay and
-//!   the acceptor: an epoll set per worker (edge-triggered for relay
-//!   legs, level-triggered for listeners), an eventfd waker for
-//!   cross-thread hand-off, and splice(2) pipe plumbing for zero-copy
-//!   byte moves. Non-Linux hosts get an API-compatible stub whose
-//!   constructors report `Unsupported`.
+//!   are epoll event loops.
+//! * [`reactor`] — raw-syscall I/O event notification: an epoll set per
+//!   worker (edge-triggered for relay legs, level-triggered for its
+//!   listener), the `SO_REUSEPORT` listener itself, an eventfd waker for
+//!   shutdown, and splice(2) pipe plumbing for zero-copy byte moves.
+//!   Non-Linux hosts get an API-compatible stub whose constructors report
+//!   `Unsupported`.
 //!
-//! The substitution vs. production: the paper attaches dispatch at the
-//! kernel's reuseport hook so the *kernel* places each SYN; a portable
-//! std-only process cannot bind N reuseport sockets, so the acceptor
-//! thread plays the kernel — it runs the same verified dispatch program
-//! per connection and hands the socket to the chosen worker. Placement
-//! decisions are byte-identical to the eBPF path.
+//! Both load balancers need Linux. Steering needs `bpf(2)` (`CAP_BPF` and
+//! `CAP_NET_ADMIN`, or root): without it nothing is attached, the kernel's
+//! reuseport hash places every connection, and [`server::Dispatch`] says
+//! so.
 //!
 //! ```no_run
 //! use hermes_lb::prelude::*;

@@ -12,36 +12,38 @@
 //!   EPOLLRDHUP | EPOLLET`); the owning worker must therefore drain each
 //!   readiness edge to `EAGAIN` before blocking again, which is what the
 //!   relay's pump loop does. Listeners register **level-triggered**
-//!   read-only, so an undrained accept backlog keeps the acceptor awake.
-//! * [`Waker`] — the cross-thread half of the eventfd: the acceptor
-//!   bumps it after queueing a connection on a worker's channel, turning
-//!   the hand-off into an epoll event instead of a timeout race. The fd
-//!   is shared by `Arc`, so a waker can never write into a recycled
-//!   descriptor after its reactor died.
+//!   read-only, so an undrained accept backlog keeps their worker awake —
+//!   and can be disarmed while `accept` is failing for want of fds.
+//! * [`Waker`] — the cross-thread half of the eventfd: shutdown rings it
+//!   so a worker asleep in `epoll_wait` sees the flag now, not at its next
+//!   timeout. The fd is shared by `Arc`, so a waker can never write into a
+//!   recycled descriptor after its reactor died.
 //! * [`PipePair`] — a nonblocking pipe for the splice(2) zero-copy path:
 //!   bytes move socket → pipe → socket entirely inside the kernel, with
 //!   [`splice_to_pipe`]/[`splice_from_pipe`] reporting would-block, EOF,
 //!   and not-supported as distinct outcomes so the relay can fall back
 //!   to its scratch-buffer copy path.
-//! * [`accept_nonblocking`] / [`connect_nonblocking`] — the two socket
-//!   calls std only offers in blocking form: `accept4(SOCK_NONBLOCK)`
-//!   hands the acceptor a stream that needs no further `fcntl`, and
-//!   `socket(SOCK_NONBLOCK)` + `connect` → `EINPROGRESS` lets a worker
-//!   open a backend leg without ever blocking outside `epoll_wait`.
+//! * [`listen_reuseport`] / [`accept_nonblocking`] /
+//!   [`connect_nonblocking`] — the socket calls std does not offer: a
+//!   listener that joins an `SO_REUSEPORT` group before it binds (one per
+//!   worker, so the kernel can place a SYN on any of them),
+//!   `accept4(SOCK_NONBLOCK)` for a stream that needs no further `fcntl`,
+//!   and `socket(SOCK_NONBLOCK)` + `connect` → `EINPROGRESS`, which lets a
+//!   worker open a backend leg without ever blocking outside `epoll_wait`.
 //!
 //! Non-Linux hosts get a stub whose constructors report `Unsupported`,
-//! so the crate type-checks everywhere: there the relay refuses to
-//! start, and the HTTP front end's acceptor falls back to a timed sleep.
+//! so the crate type-checks everywhere: there neither LB starts.
 
 #[cfg(target_os = "linux")]
 mod imp {
     use std::io;
     use std::net::{SocketAddr, SocketAddrV6, TcpListener, TcpStream};
-    use std::os::fd::{AsRawFd, FromRawFd, RawFd};
+    use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
     use std::sync::Arc;
 
     const EPOLL_CLOEXEC: i32 = 0o2000000;
     const EPOLL_CTL_ADD: i32 = 1;
+    const EPOLL_CTL_MOD: i32 = 3;
     const EPOLLIN: u32 = 0x001;
     const EPOLLOUT: u32 = 0x004;
     const EPOLLERR: u32 = 0x008;
@@ -94,16 +96,28 @@ mod imp {
         ) -> isize;
         fn read(fd: i32, buf: *mut core::ffi::c_void, count: usize) -> isize;
         fn write(fd: i32, buf: *const core::ffi::c_void, count: usize) -> isize;
-        fn close(fd: i32) -> i32;
     }
 
     /// Event token reserved for the reactor's own wake eventfd.
     pub const WAKE_TOKEN: u64 = u64::MAX;
 
+    /// Event token a worker's listener is registered under.
+    pub const LISTEN_TOKEN: u64 = u64::MAX - 1;
+
+    /// What a descriptor-creating call returned, owned — or its errno.
+    fn owned(fd: i32) -> io::Result<OwnedFd> {
+        if fd < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        // SAFETY: a fresh descriptor the call just returned; nothing else
+        // owns it.
+        Ok(unsafe { OwnedFd::from_raw_fd(fd) })
+    }
+
     /// Number of ready events fetched per `epoll_wait` — sized to the
     /// workspace dispatch batch (64 connections → 128 relay legs) plus
-    /// the wake channel.
-    const EVENTS_PER_WAIT: usize = 129;
+    /// the wake channel and the listener.
+    const EVENTS_PER_WAIT: usize = 130;
 
     /// One decoded readiness event.
     #[derive(Clone, Copy, Debug)]
@@ -118,21 +132,9 @@ mod imp {
         pub closed: bool,
     }
 
-    /// An fd owned jointly by a [`Reactor`] and any [`Waker`]s cloned
-    /// from it; closed when the last owner drops.
-    #[derive(Debug)]
-    struct OwnedFd(RawFd);
-
-    impl Drop for OwnedFd {
-        fn drop(&mut self) {
-            // SAFETY: `self.0` was returned by eventfd() and is owned
-            // exclusively by this handle; Drop runs at most once.
-            unsafe { close(self.0) };
-        }
-    }
-
     /// Cross-thread wake handle: bumping it makes the owning reactor's
-    /// `wait` return with a [`WAKE_TOKEN`] event.
+    /// `wait` return with a [`WAKE_TOKEN`] event. The eventfd is owned
+    /// jointly with the [`Reactor`] and closed when the last owner drops.
     #[derive(Clone, Debug)]
     pub struct Waker(Arc<OwnedFd>);
 
@@ -145,7 +147,7 @@ mod imp {
             // 8-byte buffer — the eventfd write contract.
             unsafe {
                 write(
-                    self.0 .0,
+                    self.0.as_raw_fd(),
                     (&raw const one).cast::<core::ffi::c_void>(),
                     std::mem::size_of::<u64>(),
                 )
@@ -155,7 +157,7 @@ mod imp {
 
     /// An epoll instance plus its eventfd wake channel.
     pub struct Reactor {
-        epfd: RawFd,
+        epfd: OwnedFd,
         wake: Arc<OwnedFd>,
         /// Scratch for `epoll_wait` output, reused across calls.
         scratch: Vec<EpollEvent>,
@@ -177,24 +179,15 @@ mod imp {
         /// [`drain_wake`]: Reactor::drain_wake
         pub fn new() -> io::Result<Reactor> {
             // SAFETY: plain syscall, no pointers.
-            let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-            if epfd < 0 {
-                return Err(io::Error::last_os_error());
-            }
+            let epfd = owned(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
             // SAFETY: plain syscall, no pointers.
-            let efd = unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) };
-            if efd < 0 {
-                let err = io::Error::last_os_error();
-                // SAFETY: epfd was just created and is otherwise unowned.
-                unsafe { close(epfd) };
-                return Err(err);
-            }
+            let wake = owned(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })?;
             let r = Reactor {
                 epfd,
-                wake: Arc::new(OwnedFd(efd)),
+                wake: Arc::new(wake),
                 scratch: vec![EpollEvent { events: 0, data: 0 }; EVENTS_PER_WAIT],
             };
-            r.ctl(EPOLL_CTL_ADD, efd, EPOLLIN, WAKE_TOKEN)?;
+            r.ctl(EPOLL_CTL_ADD, r.wake.as_raw_fd(), EPOLLIN, WAKE_TOKEN)?;
             Ok(r)
         }
 
@@ -205,7 +198,7 @@ mod imp {
             };
             // SAFETY: `ev` is a live, correctly-laid-out epoll_event for
             // the duration of the call; the kernel copies it out.
-            let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) };
+            let rc = unsafe { epoll_ctl(self.epfd.as_raw_fd(), op, fd, &mut ev) };
             if rc < 0 {
                 return Err(io::Error::last_os_error());
             }
@@ -235,9 +228,18 @@ mod imp {
 
         /// Register a listener level-triggered read-only: the reactor
         /// stays ready while the accept backlog is non-empty, so a
-        /// burst-capped acceptor never strands connections.
+        /// burst-capped accept pass never strands connections.
         pub fn register_read(&self, fd: RawFd, token: u64) -> io::Result<()> {
             self.ctl(EPOLL_CTL_ADD, fd, EPOLLIN, token)
+        }
+
+        /// Disarm (`armed == false`) or re-arm a [`register_read`]
+        /// registration: a level-triggered listener whose `accept` keeps
+        /// failing would otherwise end every wait at once.
+        ///
+        /// [`register_read`]: Reactor::register_read
+        pub fn arm_read(&self, fd: RawFd, token: u64, armed: bool) -> io::Result<()> {
+            self.ctl(EPOLL_CTL_MOD, fd, if armed { EPOLLIN } else { 0 }, token)
         }
 
         /// Block up to `timeout_ms` (0 = poll, -1 = forever) for ready
@@ -249,7 +251,7 @@ mod imp {
             // the kernel writes at most that many.
             let n = unsafe {
                 epoll_wait(
-                    self.epfd,
+                    self.epfd.as_raw_fd(),
                     self.scratch.as_mut_ptr(),
                     EVENTS_PER_WAIT as i32,
                     timeout_ms,
@@ -283,20 +285,11 @@ mod imp {
             // when already drained is fine and ignored).
             unsafe {
                 read(
-                    self.wake.0,
+                    self.wake.as_raw_fd(),
                     (&raw mut buf).cast::<core::ffi::c_void>(),
                     std::mem::size_of::<u64>(),
                 )
             };
-        }
-    }
-
-    impl Drop for Reactor {
-        fn drop(&mut self) {
-            // SAFETY: `epfd` came from epoll_create1 and is owned
-            // exclusively by this reactor; Drop runs at most once. (The
-            // wake eventfd is Arc-owned and closes with its last owner.)
-            unsafe { close(self.epfd) };
         }
     }
 
@@ -320,8 +313,8 @@ mod imp {
     /// pipe is always drained — `buffered == 0` — by construction).
     #[derive(Debug)]
     pub struct PipePair {
-        rd: RawFd,
-        wr: RawFd,
+        rd: OwnedFd,
+        wr: OwnedFd,
     }
 
     impl PipePair {
@@ -341,8 +334,8 @@ mod imp {
                 fcntl(fds[0], F_SETPIPE_SZ, PIPE_CAPACITY as i32);
             }
             Ok(PipePair {
-                rd: fds[0],
-                wr: fds[1],
+                rd: owned(fds[0])?,
+                wr: owned(fds[1])?,
             })
         }
 
@@ -353,7 +346,7 @@ mod imp {
         /// buffered than asked.
         pub fn drain_into(&self, buf: &mut [u8]) -> io::Result<usize> {
             // SAFETY: `buf` is a live unique borrow of `buf.len()` bytes.
-            let n = unsafe { read(self.rd, buf.as_mut_ptr().cast(), buf.len()) };
+            let n = unsafe { read(self.rd.as_raw_fd(), buf.as_mut_ptr().cast(), buf.len()) };
             if n < 0 {
                 let err = io::Error::last_os_error();
                 if err.kind() == io::ErrorKind::WouldBlock {
@@ -362,17 +355,6 @@ mod imp {
                 return Err(err);
             }
             Ok(n as usize)
-        }
-    }
-
-    impl Drop for PipePair {
-        fn drop(&mut self) {
-            // SAFETY: both fds came from pipe2 and are owned exclusively
-            // by this pair; Drop runs at most once.
-            unsafe {
-                close(self.rd);
-                close(self.wr);
-            }
         }
     }
 
@@ -423,13 +405,13 @@ mod imp {
     /// Splice up to `len` bytes from a socket into the pipe (the fill
     /// half). `Eof` means the peer half-closed.
     pub fn splice_to_pipe(src: RawFd, pipe: &PipePair, len: usize) -> io::Result<Splice> {
-        splice_once(src, pipe.wr, len, true)
+        splice_once(src, pipe.wr.as_raw_fd(), len, true)
     }
 
     /// Splice up to `len` buffered bytes from the pipe out to a socket
     /// (the flush half). `WouldBlock` is the destination's backpressure.
     pub fn splice_from_pipe(pipe: &PipePair, dst: RawFd, len: usize) -> io::Result<Splice> {
-        splice_once(pipe.rd, dst, len, false)
+        splice_once(pipe.rd.as_raw_fd(), dst, len, false)
     }
 
     const AF_INET: u16 = 2;
@@ -499,11 +481,60 @@ mod imp {
         fn accept4(fd: i32, addr: *mut SockAddr, len: *mut u32, flags: i32) -> i32;
         fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
         fn connect(fd: i32, addr: *const SockAddr, len: u32) -> i32;
+        fn bind(fd: i32, addr: *const SockAddr, len: u32) -> i32;
+        fn listen(fd: i32, backlog: i32) -> i32;
+        fn setsockopt(fd: i32, level: i32, name: i32, val: *const i32, len: u32) -> i32;
+    }
+
+    const SOL_SOCKET: i32 = 1;
+    const SO_REUSEADDR: i32 = 2;
+    const SO_REUSEPORT: i32 = 15;
+    const IPPROTO_TCP: i32 = 6;
+    const TCP_NODELAY: i32 = 1;
+    /// Connections the kernel queues per listener before refusing more
+    /// (capped by `net.core.somaxconn`): what a worker that stops
+    /// accepting can fall behind by.
+    const LISTEN_BACKLOG: i32 = 1024;
+
+    /// A fresh nonblocking TCP socket for `addr`'s family, owned at once
+    /// so every later failure closes it.
+    fn tcp_socket(addr: &SocketAddr) -> io::Result<OwnedFd> {
+        let family = if addr.is_ipv4() { AF_INET } else { AF_INET6 };
+        // SAFETY: plain syscall, no pointers.
+        owned(unsafe { socket(family as i32, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) })
+    }
+
+    /// A nonblocking listener on `addr` that is a member of the
+    /// `SO_REUSEPORT` group of every other listener so bound there: the
+    /// kernel places each new connection on one member's accept queue.
+    /// `TCP_NODELAY` is set here once, and accepted sockets inherit it.
+    pub fn listen_reuseport(addr: &SocketAddr) -> io::Result<TcpListener> {
+        let sock = tcp_socket(addr)?;
+        let (sa, len) = SockAddr::encode(addr);
+        let on: i32 = 1;
+        let options = [
+            (SOL_SOCKET, SO_REUSEADDR),
+            (SOL_SOCKET, SO_REUSEPORT),
+            (IPPROTO_TCP, TCP_NODELAY),
+        ];
+        for (level, name) in options {
+            // SAFETY: `on` is a live 4-byte option value for the call.
+            if unsafe { setsockopt(sock.as_raw_fd(), level, name, &on, 4) } < 0 {
+                return Err(io::Error::last_os_error());
+            }
+        }
+        let fd = sock.as_raw_fd();
+        // SAFETY: `sa` holds `len` initialised bytes of a sockaddr for the
+        // socket's family and outlives the call; `listen` takes no pointer.
+        if unsafe { bind(fd, &sa, len) < 0 || listen(fd, LISTEN_BACKLOG) < 0 } {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(TcpListener::from(sock))
     }
 
     /// `accept4(SOCK_NONBLOCK | SOCK_CLOEXEC)`: the accepted stream is
     /// already nonblocking and the peer address comes back from the same
-    /// syscall, so the hand-off needs no `fcntl`/`getpeername` after it.
+    /// syscall, so the worker needs no `fcntl`/`getpeername` after it.
     pub fn accept_nonblocking(listener: &TcpListener) -> io::Result<(TcpStream, SocketAddr)> {
         loop {
             let mut addr = SockAddr([0; 28]);
@@ -543,18 +574,10 @@ mod imp {
     /// that completed before registration, so both cases take one path.
     pub fn connect_nonblocking(addr: &SocketAddr) -> io::Result<TcpStream> {
         let (sa, len) = SockAddr::encode(addr);
-        let family = if addr.is_ipv4() { AF_INET } else { AF_INET6 };
-        // SAFETY: plain syscall, no pointers.
-        let fd = unsafe { socket(family as i32, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) };
-        if fd < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        // SAFETY: `fd` is a fresh socket nothing else owns; from here the
-        // stream closes it on every path.
-        let stream = unsafe { TcpStream::from_raw_fd(fd) };
+        let stream = TcpStream::from(tcp_socket(addr)?);
         // SAFETY: `sa` holds `len` initialised bytes of a sockaddr for
         // the socket's family and outlives the call.
-        let rc = unsafe { connect(fd, &sa, len) };
+        let rc = unsafe { connect(stream.as_raw_fd(), &sa, len) };
         if rc < 0 {
             let err = io::Error::last_os_error();
             // EINTR on a nonblocking connect leaves it running in the
@@ -607,6 +630,9 @@ mod imp {
 
     /// Event token reserved for the reactor's own wake eventfd.
     pub const WAKE_TOKEN: u64 = u64::MAX;
+
+    /// Event token a worker's listener is registered under.
+    pub const LISTEN_TOKEN: u64 = u64::MAX - 1;
 
     /// Capacity the Linux implementation requests for splice pipes —
     /// kept here so capacity-derived sizing compiles everywhere.
@@ -665,6 +691,11 @@ mod imp {
         }
 
         /// Unreachable on non-Linux targets.
+        pub fn arm_read(&self, _fd: RawFd, _token: u64, _armed: bool) -> io::Result<()> {
+            match self.0 {}
+        }
+
+        /// Unreachable on non-Linux targets.
         pub fn wait(&mut self, _out: &mut Vec<Event>, _timeout_ms: i32) -> io::Result<usize> {
             match self.0 {}
         }
@@ -717,6 +748,11 @@ mod imp {
         match pipe.0 {}
     }
 
+    /// Always fails on non-Linux targets: no LB starts without it.
+    pub fn listen_reuseport(_addr: &SocketAddr) -> io::Result<TcpListener> {
+        Err(io::ErrorKind::Unsupported.into())
+    }
+
     /// Portable stand-in for `accept4(SOCK_NONBLOCK)`: accept, then
     /// switch the stream to nonblocking.
     pub fn accept_nonblocking(listener: &TcpListener) -> io::Result<(TcpStream, SocketAddr)> {
@@ -741,8 +777,9 @@ mod imp {
 }
 
 pub use imp::{
-    accept_nonblocking, connect_nonblocking, splice_from_pipe, splice_to_pipe, thread_cpu_ns,
-    Event, PipePair, Reactor, Splice, Waker, PIPE_CAPACITY, WAKE_TOKEN,
+    accept_nonblocking, connect_nonblocking, listen_reuseport, splice_from_pipe, splice_to_pipe,
+    thread_cpu_ns, Event, PipePair, Reactor, Splice, Waker, LISTEN_TOKEN, PIPE_CAPACITY,
+    WAKE_TOKEN,
 };
 
 #[cfg(all(test, target_os = "linux"))]

@@ -1,122 +1,183 @@
-//! A real TCP front end with Hermes-dispatched worker threads.
+//! A real TCP front end whose workers the kernel dispatches to.
 //!
-//! Shape (and its one substitution): in production the kernel's reuseport
-//! hook places each SYN directly onto a worker's listening socket. A
-//! portable std-only process cannot open N reuseport sockets, so an
-//! acceptor thread stands in for the kernel: it accepts, computes the
-//! connection hash, runs the *same verified eBPF dispatch program*
-//! (behind `hermes_ebpf::DispatchPlane`), and hands the socket to the
-//! chosen worker over a channel. Workers run the Fig. 9 loop via the core SDK:
-//! status hooks around a 5 ms-timeout receive, run-to-completion
-//! connection handling, `schedule_and_sync` at the loop end.
+//! Shape: every worker owns a listening socket of one `SO_REUSEPORT`
+//! group, and the kernel's reuseport hook places each SYN on one of them.
+//! What runs at the hook is the paper's Algorithm 2 — this workspace's
+//! flat dispatch program, lowered and loaded by [`hermes_ebpf::kernel`] —
+//! reading the bitmap the workers' schedulers store into its mmap'd map:
+//!
+//! ```text
+//! scheduler ─▶ mmap store ─▶ kernel program ─▶ listener[w] ─▶ worker w
+//! ```
+//!
+//! No thread exists to accept: a worker accepts from its own listener.
+//! HTTP workers run the Fig. 9 loop via the core SDK — status hooks around
+//! a 5 ms-bounded wait on the listener, run-to-completion connection
+//! handling, schedule and sync at the loop end; relay workers
+//! ([`crate::relay`]) keep the listener in their epoll set.
+//!
+//! Where the kernel refuses `bpf(2)` (no `CAP_BPF` + `CAP_NET_ADMIN`, no
+//! `CONFIG_BPF_SYSCALL`) nothing is attached and the kernel's own
+//! reuseport hash places every connection — Algorithm 2's `n <= 1` branch,
+//! always — on the same accept path. [`Dispatch`] says which it is.
 
 use crate::http::RequestBuf;
 use crate::proxy::Proxy;
-use crate::reactor::{self, Reactor, Waker};
+use crate::reactor::{self, Reactor, Waker, LISTEN_TOKEN};
 use hermes_core::sched::SchedConfig;
 use hermes_core::sdk::{SyncTarget, WorkerSession};
 use hermes_core::wst::Wst;
 use hermes_core::{FlowKey, WorkerBitmap};
-use hermes_ebpf::{DispatchPlane, Placement};
+use hermes_ebpf::kernel::KernelDispatch;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// What the acceptor hands a worker: the accepted stream and the flow
-/// hash it dispatched on, so the worker never asks the kernel for the
-/// addresses again.
-pub(crate) type Handoff = (TcpStream, u32);
-
-/// Hand-offs a worker's `sync_channel` holds: a worker that stops draining
-/// blocks the acceptor at this many streams — the accept-queue semantics of
-/// the kernel — instead of growing without limit.
-pub(crate) const HANDOFF_QUEUE: usize = 1024;
-
 /// Counters shared with callers for observability/tests.
 #[derive(Debug, Default)]
 pub struct LbStats {
-    /// Connections accepted per worker.
+    /// Connections accepted per worker, counted by the worker.
     pub accepted: Vec<AtomicU64>,
     /// Requests served (all workers).
     pub requests: AtomicU64,
-    /// Dispatches that took the directed bitmap path.
+    /// Connections the dispatch program placed through the bitmap. Counted
+    /// by the program in its map; folded in here by `stats()` and `shutdown`.
     pub directed: AtomicU64,
-    /// Dispatches that fell back to hashing.
+    /// Connections left to the kernel's reuseport hash: by the program
+    /// (folded in like `directed`), or all of them under
+    /// [`Dispatch::HashOnly`].
     pub fallback: AtomicU64,
 }
 
+/// Who places a new connection on a worker's listener.
+#[derive(Debug)]
+pub enum Dispatch {
+    /// The Algorithm 2 program at the group's reuseport hook, steered by
+    /// the bitmap the schedulers store.
+    Ebpf(KernelDispatch),
+    /// `bpf(2)` was refused (the error says how): nothing is attached and
+    /// the kernel's reuseport hash places every connection.
+    HashOnly(std::io::Error),
+}
+
+impl SyncTarget for Dispatch {
+    fn sync(&self, bitmap: WorkerBitmap) {
+        if let Dispatch::Ebpf(kernel) = self {
+            kernel.sync(bitmap);
+        }
+    }
+}
+
+impl std::fmt::Display for Dispatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Dispatch::Ebpf(_) => write!(f, "ebpf"),
+            Dispatch::HashOnly(refusal) => write!(f, "hash-only ({refusal})"),
+        }
+    }
+}
+
 /// What every LB is, whatever its workers do: the bound address, the
-/// shared stats, and the threads with what stops them.
+/// shared stats, the dispatch mode, and the threads with what stops them.
 pub(crate) struct Running {
     pub(crate) local_addr: SocketAddr,
-    pub(crate) stats: Arc<LbStats>,
+    stats: Arc<LbStats>,
     pub(crate) shutdown: Arc<AtomicBool>,
-    /// Workers that sleep in `epoll_wait` and must be rung out of it.
+    pub(crate) dispatch: Arc<Dispatch>,
+    wst: Arc<Wst>,
+    /// Workers sleep in `epoll_wait`: shutdown rings them out of it.
     wakers: Vec<Waker>,
-    /// The acceptor, then the workers: joined in that order.
-    threads: Vec<JoinHandle<()>>,
+    pub(crate) threads: Vec<JoinHandle<()>>,
 }
 
 impl Running {
-    /// Bind the (nonblocking) listener and size the stats to `workers`.
-    /// No thread runs yet.
+    /// Bind one listener per worker on `addr` (one reuseport group; a port
+    /// of 0 is chosen by the first and shared by the rest), each registered
+    /// level-triggered under [`LISTEN_TOKEN`] in the epoll set its worker
+    /// will wait on, and attach the dispatch program to the group. No
+    /// thread runs yet.
     pub(crate) fn bind(
         addr: impl ToSocketAddrs,
         workers: usize,
-    ) -> std::io::Result<(TcpListener, Running)> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
+    ) -> std::io::Result<(Vec<(Listener, Reactor)>, Running)> {
+        assert!((1..=64).contains(&workers), "1..=64 workers");
+        // Like `TcpListener::bind`: the first address that binds.
+        let mut first = Err(std::io::ErrorKind::InvalidInput.into());
+        for candidate in addr.to_socket_addrs()? {
+            first = reactor::listen_reuseport(&candidate);
+            if first.is_ok() {
+                break;
+            }
+        }
+        let first = first?;
+        let local_addr = first.local_addr()?;
+        let mut sockets = vec![first];
+        for _ in 1..workers {
+            sockets.push(reactor::listen_reuseport(&local_addr)?);
+        }
+        let fds: Vec<_> = sockets.iter().map(AsRawFd::as_raw_fd).collect();
+        let dispatch = match KernelDispatch::attach(&fds) {
+            Ok(kernel) => Dispatch::Ebpf(kernel),
+            Err(refusal) => Dispatch::HashOnly(refusal),
+        };
+        let stats = Arc::new(LbStats {
+            accepted: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+            ..LbStats::default()
+        });
+        let (mut members, mut wakers) = (Vec::new(), Vec::new());
+        for (id, socket) in sockets.into_iter().enumerate() {
+            let reactor = Reactor::new()?;
+            reactor.register_read(socket.as_raw_fd(), LISTEN_TOKEN)?;
+            wakers.push(reactor.waker());
+            let listener = Listener {
+                socket,
+                local: local_addr,
+                id,
+                stats: Arc::clone(&stats),
+                hash_only: matches!(dispatch, Dispatch::HashOnly(_)),
+            };
+            members.push((listener, reactor));
+        }
         let running = Running {
-            local_addr: listener.local_addr()?,
-            stats: Arc::new(LbStats {
-                accepted: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-                ..LbStats::default()
-            }),
+            local_addr,
+            stats,
             shutdown: Arc::new(AtomicBool::new(false)),
-            wakers: Vec::new(),
+            dispatch: Arc::new(dispatch),
+            wst: Arc::new(Wst::new(workers)),
+            wakers,
             threads: Vec::new(),
         };
-        Ok((listener, running))
+        Ok((members, running))
     }
 
-    /// Start the acceptor over `listener` (see [`accept_loop`] for the
-    /// arguments passed through) and take over the spawned `workers`.
-    pub(crate) fn start(
-        &mut self,
-        listener: TcpListener,
-        senders: Vec<SyncSender<Handoff>>,
-        wakers: Vec<Waker>,
-        workers: Vec<JoinHandle<()>>,
-        nonblocking: bool,
-        plane: Arc<DispatchPlane>,
-    ) {
-        self.wakers = wakers.clone();
-        let (stats, shutdown) = (Arc::clone(&self.stats), Arc::clone(&self.shutdown));
-        self.threads.push(std::thread::spawn(move || {
-            accept_loop(
-                listener,
-                senders,
-                wakers,
-                nonblocking,
-                plane,
-                stats,
-                shutdown,
-            )
-        }));
-        self.threads.extend(workers);
+    /// Worker `id`'s handle on the shared WST, publishing to the dispatch.
+    pub(crate) fn session(&self, id: usize) -> WorkerSession<Dispatch> {
+        let (wst, dispatch) = (Arc::clone(&self.wst), Arc::clone(&self.dispatch));
+        WorkerSession::new(wst, id, SchedConfig::default(), dispatch)
     }
 
-    /// Stop accepting, let the workers drain, join every thread.
+    /// The shared counters, with the program's two folded in.
+    pub(crate) fn stats(&self) -> &Arc<LbStats> {
+        if let Dispatch::Ebpf(kernel) = &*self.dispatch {
+            let (directed, fallback) = kernel.counters();
+            self.stats.directed.store(directed, Ordering::Relaxed);
+            self.stats.fallback.store(fallback, Ordering::Relaxed);
+        }
+        &self.stats
+    }
+
+    /// Raise the flag, let every worker drain its listener and its
+    /// connections, join them, fold the program's counters one last time.
     pub(crate) fn stop(&mut self) {
         self.signal();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
+        self.stats();
     }
 
     fn signal(&self) {
@@ -137,69 +198,19 @@ impl Drop for Running {
 pub struct TcpLb(Running);
 
 impl TcpLb {
-    /// Bind `addr`, spawn `workers` worker threads serving `proxy`, and
-    /// start accepting: one group, the paper's flat program.
+    /// Bind `addr` with one listener per worker, spawn `workers` worker
+    /// threads serving `proxy`, each accepting from its own listener.
+    /// Requires Linux (`SO_REUSEPORT` groups, epoll).
     pub fn start(addr: impl ToSocketAddrs, workers: usize, proxy: Proxy) -> std::io::Result<TcpLb> {
-        assert!((1..=64).contains(&workers), "1..=64 workers");
-        TcpLb::serve(addr, DispatchPlane::bytecode(1, workers), proxy)
-    }
-
-    /// Bind `addr` and serve `groups * group_size` workers sharded into
-    /// per-group Worker Status Tables with the two-level (§7) dispatch
-    /// program in front — the >64-worker deployment shape.
-    pub fn start_sharded(
-        addr: impl ToSocketAddrs,
-        groups: usize,
-        group_size: usize,
-        proxy: Proxy,
-    ) -> std::io::Result<TcpLb> {
-        assert!((1..=64).contains(&groups), "1..=64 groups");
-        assert!((1..=64).contains(&group_size), "1..=64 workers per group");
-        TcpLb::serve(addr, DispatchPlane::bytecode(groups, group_size), proxy)
-    }
-
-    /// Spawn one HTTP worker per global id, then the acceptor that feeds
-    /// them through `plane`.
-    ///
-    /// Each group runs its own scheduler instances over its own WST and
-    /// publishes into its own selection map; the acceptor runs the program
-    /// once per accept burst. Worker threads keep group-local ids (the WST
-    /// is per group) while stats and proxies index the flattened global id.
-    fn serve(
-        addr: impl ToSocketAddrs,
-        plane: DispatchPlane,
-        proxy: Proxy,
-    ) -> std::io::Result<TcpLb> {
-        let (groups, group_size) = (plane.groups(), plane.group_size());
-        let workers = groups * group_size;
-        let (listener, mut running) = Running::bind(addr, workers)?;
-        let plane = Arc::new(plane);
-        let wsts: Vec<Arc<Wst>> = (0..groups)
-            .map(|_| Arc::new(Wst::new(group_size)))
-            .collect();
-        let mut senders = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for id in 0..workers {
-            let (tx, rx) = sync_channel(HANDOFF_QUEUE);
-            senders.push(tx);
-            let (g, local) = (id / group_size, id % group_size);
-            let lane = hermes_trace::grouped_lane(g, group_size, local);
-            let shard = Arc::clone(&plane);
-            let sync = Arc::new(move |bitmap: WorkerBitmap| shard.sync(g, bitmap));
-            let session =
-                WorkerSession::new(Arc::clone(&wsts[g]), local, SchedConfig::default(), sync)
-                    .with_trace_lane(lane);
-            let stats = Arc::clone(&running.stats);
+        let (members, mut running) = Running::bind(addr, workers)?;
+        for (listener, reactor) in members {
+            let session = running.session(listener.id);
+            let proxy = proxy.for_worker(listener.id);
             let shutdown = Arc::clone(&running.shutdown);
-            let proxy = proxy.for_worker(id);
-            handles.push(std::thread::spawn(move || {
-                worker_loop(id, lane, rx, session, proxy, stats, shutdown)
+            running.threads.push(std::thread::spawn(move || {
+                worker_loop(listener, reactor, session, proxy, shutdown)
             }));
         }
-        // HTTP workers block on their channel, not in epoll: no wakers
-        // (the channel send itself unblocks them), and they serve with
-        // blocking reads, so no nonblocking accept.
-        running.start(listener, senders, Vec::new(), handles, false, plane);
         Ok(TcpLb(running))
     }
 
@@ -210,7 +221,12 @@ impl TcpLb {
 
     /// Shared counters.
     pub fn stats(&self) -> &Arc<LbStats> {
-        &self.0.stats
+        self.0.stats()
+    }
+
+    /// Who places connections: the attached program, or the kernel's hash.
+    pub fn dispatch(&self) -> &Dispatch {
+        &self.0.dispatch
     }
 
     /// Stop accepting, drain workers, join threads.
@@ -219,60 +235,27 @@ impl TcpLb {
     }
 }
 
-/// Largest accept burst dispatched through one batched program run — the
-/// workspace-wide batch geometry shared with the runtime driver.
+/// Largest burst a worker accepts in one pass — the workspace-wide batch
+/// geometry shared with the runtime driver.
 pub(crate) const ACCEPT_BURST: usize = hermes_core::DISPATCH_BATCH;
 
-/// How long the acceptor stays away from a listener whose `accept` ran
-/// out of fds or memory. The listener is level-triggered, so waiting on
-/// it would return at once and spin; a clocked pause lets closes land.
-const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
-
-/// Event-driven wait for the acceptor: the listening socket sits in a
-/// (level-triggered) epoll set, so an idle acceptor blocks in the kernel
-/// and wakes the moment a SYN completes. Falls back to a 500 µs sleep
-/// when epoll is unavailable (non-Linux hosts, fd exhaustion).
-pub(crate) struct AcceptWaiter {
-    reactor: Option<Reactor>,
-    events: Vec<reactor::Event>,
-}
-
-impl AcceptWaiter {
-    pub(crate) fn new(listener: &TcpListener) -> AcceptWaiter {
-        let reactor = Reactor::new()
-            .ok()
-            .filter(|r| r.register_read(listener.as_raw_fd(), 0).is_ok());
-        AcceptWaiter {
-            reactor,
-            events: Vec::new(),
-        }
-    }
-
-    /// Block until the listener is (probably) readable. Bounded at 5 ms
-    /// either way so the shutdown flag stays responsive; level-triggered
-    /// registration means a still-nonempty backlog re-reports immediately.
-    pub(crate) fn wait(&mut self) {
-        match &mut self.reactor {
-            Some(r) => {
-                let _ = r.wait(&mut self.events, 5);
-            }
-            None => std::thread::sleep(Duration::from_micros(500)),
-        }
-    }
-}
+/// How long a worker stays away from a listener whose `accept` ran out of
+/// fds or memory. The listener is level-triggered, so waiting on it would
+/// return at once and spin; a clocked pause lets closes land.
+pub(crate) const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 
 /// What a failed `accept` means for the burst being drained. No errno
-/// ends the acceptor: an LB that stops accepting is down for good.
+/// ends a worker's accepting: an LB that stops accepting is down for good.
 #[derive(Debug, PartialEq, Eq)]
-enum AcceptFailure {
+pub(crate) enum AcceptFailure {
     /// `EAGAIN`: the backlog is empty, the burst is complete.
     Drained,
     /// `ECONNABORTED` (the client reset before it was accepted) or
     /// `EINTR`: that call produced nothing, the next one may.
     NextConn,
     /// `EMFILE`/`ENFILE`/`ENOBUFS`/`ENOMEM`, or anything unforeseen:
-    /// retrying at once would fail the same way, so dispatch what was
-    /// drained and stay off the listener for [`ACCEPT_BACKOFF`].
+    /// retrying at once would fail the same way, so stay off the listener
+    /// for [`ACCEPT_BACKOFF`].
     BackOff,
 }
 
@@ -286,115 +269,40 @@ fn classify_accept_error(e: &std::io::Error) -> AcceptFailure {
     }
 }
 
-/// The "kernel": drain the accept backlog into a burst, hash, run the
-/// dispatch program once for the whole burst, hand off, ring the worker.
-/// Shared by the HTTP front ends and the byte relay ([`crate::relay`]),
-/// which asks for its streams `nonblocking` straight from the accept and
-/// passes its workers' `wakers` (empty when workers block on the channel
-/// itself). `plane` is the dispatch step; a sharded plane's decisions are
-/// also recorded one by one as `GroupDispatch` flight-recorder events.
-fn accept_loop(
-    listener: TcpListener,
-    senders: Vec<SyncSender<Handoff>>,
-    wakers: Vec<Waker>,
-    nonblocking: bool,
-    plane: Arc<DispatchPlane>,
-    stats: Arc<LbStats>,
-    shutdown: Arc<AtomicBool>,
-) {
-    let local = listener.local_addr().expect("bound");
-    let epoch = std::time::Instant::now();
-    let mut waiter = AcceptWaiter::new(&listener);
-    let mut pending: Vec<TcpStream> = Vec::with_capacity(ACCEPT_BURST);
-    let mut hashes: Vec<u32> = Vec::with_capacity(ACCEPT_BURST);
-    let mut placed: Vec<Placement> = Vec::with_capacity(ACCEPT_BURST);
-    let sharded = plane.groups() > 1;
-    while !shutdown.load(Ordering::SeqCst) {
-        // Drain whatever the kernel has queued, up to one burst: under
-        // load this amortises the map-registry resolution and bitmap load
-        // over the whole burst; when idle it degrades to per-connection
-        // dispatch (batch of one).
-        pending.clear();
-        hashes.clear();
-        let mut back_off = false;
-        while pending.len() < ACCEPT_BURST {
-            let accepted = if nonblocking {
-                reactor::accept_nonblocking(&listener)
-            } else {
-                listener.accept()
-            };
-            match accepted {
-                Ok((stream, peer)) => {
-                    hashes.push(flow_hash(&peer, &local));
-                    pending.push(stream);
-                }
-                Err(e) => match classify_accept_error(&e) {
-                    AcceptFailure::NextConn => {}
-                    AcceptFailure::Drained => break,
-                    AcceptFailure::BackOff => {
-                        back_off = true;
-                        break;
-                    }
-                },
-            }
+/// One worker's member of the LB's reuseport group — the accept path of
+/// both LBs in both dispatch modes.
+pub(crate) struct Listener {
+    pub(crate) socket: TcpListener,
+    pub(crate) local: SocketAddr,
+    /// The owning worker: the socket-array slot and the `accepted` index.
+    pub(crate) id: usize,
+    pub(crate) stats: Arc<LbStats>,
+    /// No program counts placements: each accept is a hash placement.
+    pub(crate) hash_only: bool,
+}
+
+impl Listener {
+    /// Accept one queued connection and count it: the stream (nonblocking
+    /// if asked, `TCP_NODELAY` inherited from the listener) and the flow
+    /// hash its backend is admitted on.
+    pub(crate) fn accept(&self, nonblocking: bool) -> Result<(TcpStream, u32), AcceptFailure> {
+        let accepted = if nonblocking {
+            reactor::accept_nonblocking(&self.socket)
+        } else {
+            self.socket.accept()
+        };
+        let (stream, peer) = accepted.map_err(|e| classify_accept_error(&e))?;
+        self.stats.accepted[self.id].fetch_add(1, Ordering::Relaxed);
+        if self.hash_only {
+            self.stats.fallback.fetch_add(1, Ordering::Relaxed);
         }
-        let burst = pending.len();
-        if burst > 0 {
-            // Only the flight recorder reads the burst's timestamp.
-            let now = if hermes_trace::ENABLED {
-                epoch.elapsed().as_nanos() as u64
-            } else {
-                0
-            };
-            placed.clear();
-            plane.dispatch_batch(&hashes, &mut placed);
-            hermes_trace::trace_event!(
-                now,
-                hermes_trace::EventKind::AcceptBurst,
-                hermes_trace::KERNEL_LANE,
-                burst,
-                placed.iter().filter(|p| p.directed).count()
-            );
-            hermes_trace::trace_count!(hermes_trace::CounterId::AcceptBursts);
-            hermes_trace::trace_count!(hermes_trace::CounterId::AcceptedConns, burst);
-            for ((stream, p), &hash) in pending.drain(..).zip(&placed).zip(&hashes) {
-                if sharded {
-                    hermes_trace::trace_event!(
-                        now,
-                        hermes_trace::EventKind::GroupDispatch,
-                        hermes_trace::KERNEL_LANE,
-                        hash,
-                        ((p.group as u64) << 32) | p.worker as u64
-                    );
-                }
-                let path = if p.directed {
-                    &stats.directed
-                } else {
-                    &stats.fallback
-                };
-                path.fetch_add(1, Ordering::Relaxed);
-                // A full worker queue applies backpressure by blocking the
-                // acceptor — the accept-queue semantics of the kernel.
-                if senders[p.worker].send((stream, hash)).is_err() {
-                    return; // workers gone: shutting down
-                }
-                // Reactor workers sleep in epoll_wait: ring their eventfd so
-                // the hand-off is picked up now, not at the next idle timeout.
-                if let Some(w) = wakers.get(p.worker) {
-                    w.wake();
-                }
-            }
-        }
-        if back_off {
-            std::thread::sleep(ACCEPT_BACKOFF);
-        } else if burst == 0 {
-            waiter.wait();
-        }
+        Ok((stream, flow_hash(&peer, &self.local)))
     }
 }
 
-/// The kernel-precomputed 4-tuple hash, from the socket addresses.
-pub(crate) fn flow_hash(peer: &SocketAddr, local: &SocketAddr) -> u32 {
+/// A hash of the connection's 4-tuple, for backend admission. (Not the
+/// hash the kernel dispatched on: that one is keyed by a boot-time secret.)
+fn flow_hash(peer: &SocketAddr, local: &SocketAddr) -> u32 {
     let ip_bits = |a: &SocketAddr| match a.ip() {
         std::net::IpAddr::V4(v4) => u32::from(v4),
         std::net::IpAddr::V6(v6) => {
@@ -405,35 +313,37 @@ pub(crate) fn flow_hash(peer: &SocketAddr, local: &SocketAddr) -> u32 {
     FlowKey::new(ip_bits(peer), peer.port(), ip_bits(local), local.port()).hash()
 }
 
-/// One worker: Fig. 9's loop over a socket channel. `id` indexes stats
-/// (global worker id); `lane` is the flight-recorder lane (equal to `id`
-/// flat, `grouped_lane(..)` sharded).
+/// One worker: Fig. 9's loop over its own listener.
 fn worker_loop<T: SyncTarget>(
-    id: usize,
-    lane: u32,
-    rx: Receiver<Handoff>,
+    listener: Listener,
+    mut reactor: Reactor,
     mut session: WorkerSession<T>,
     mut proxy: Proxy,
-    stats: Arc<LbStats>,
     shutdown: Arc<AtomicBool>,
 ) {
     let epoch = std::time::Instant::now();
     let now_ns = move || epoch.elapsed().as_nanos() as u64;
+    let (stats, lane) = (Arc::clone(&listener.stats), listener.id as u32);
+    let mut events = Vec::new();
     loop {
         session.loop_top(now_ns());
-        let mut idle = false;
-        match rx.recv_timeout(Duration::from_millis(5)) {
+        // An idle worker blocks in the kernel on its own listener. Bounded
+        // at 5 ms so the WST row stays fresh; a still-nonempty backlog, or
+        // the shutdown ring (never drained here), ends the wait at once.
+        let _ = reactor.wait(&mut events, 5);
+        let accepted = listener.accept(false);
+        session.events_fetched(usize::from(accepted.is_ok()));
+        match accepted {
             Ok((stream, _hash)) => {
-                session.events_fetched(1);
                 session.conn_opened();
-                stats.accepted[id].fetch_add(1, Ordering::Relaxed);
                 hermes_trace::trace_event!(
                     now_ns(),
                     hermes_trace::EventKind::ConnOpen,
                     lane,
-                    stats.accepted[id].load(Ordering::Relaxed),
+                    stats.accepted[listener.id].load(Ordering::Relaxed),
                     0u64
                 );
+                hermes_trace::trace_count!(hermes_trace::CounterId::AcceptedConns);
                 serve_connection(stream, &mut proxy, &stats);
                 session.event_handled();
                 session.conn_closed();
@@ -446,19 +356,15 @@ fn worker_loop<T: SyncTarget>(
                 );
                 hermes_trace::trace_count!(hermes_trace::CounterId::ProxiedConns);
             }
-            Err(RecvTimeoutError::Timeout) => {
-                session.events_fetched(0);
-                idle = true;
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
+            // Stop only once an accept has found the queue empty:
+            // connections queued before the flag went up are still served.
+            Err(AcceptFailure::Drained) if shutdown.load(Ordering::SeqCst) => return,
+            Err(AcceptFailure::Drained | AcceptFailure::NextConn) => {}
+            // Nothing else to do on this thread: sleep the back-off out.
+            Err(AcceptFailure::BackOff) => std::thread::sleep(ACCEPT_BACKOFF),
         }
         let decision = session.schedule_only(now_ns());
         session.sync_only(decision.bitmap);
-        // Stop only once a receive has found the queue empty: hand-offs
-        // queued before the flag went up are still served.
-        if idle && shutdown.load(Ordering::SeqCst) {
-            return;
-        }
     }
 }
 
@@ -466,7 +372,6 @@ fn worker_loop<T: SyncTarget>(
 /// idle timeout.
 fn serve_connection(mut stream: TcpStream, proxy: &mut Proxy, stats: &LbStats) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let _ = stream.set_nodelay(true);
     let mut buf = RequestBuf::with_capacity(4096);
     let mut chunk = [0u8; 4096];
     // Hard per-connection deadline: a client trickling bytes just under
@@ -499,7 +404,7 @@ fn serve_connection(mut stream: TcpStream, proxy: &mut Proxy, stats: &LbStats) {
     }
 }
 
-#[cfg(test)]
+#[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
     use crate::proxy::EchoUpstream;
@@ -577,36 +482,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_lb_serves_and_spreads_across_groups() {
-        // 2 groups × 2 workers: small enough for the test host, but every
-        // sharded code path (per-group WSTs, grouped program, global
-        // flattening) is exercised.
-        let lb = TcpLb::start_sharded("127.0.0.1:0", 2, 2, demo_proxy()).expect("bind");
-        let addr = lb.local_addr();
-        std::thread::sleep(Duration::from_millis(15)); // first bitmaps
-        for i in 0..24 {
-            let resp = http_get(addr, &format!("/api/s{i}"));
-            assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
-        }
-        let stats = Arc::clone(lb.stats());
-        lb.shutdown();
-        let accepted: Vec<u64> = stats
-            .accepted
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .collect();
-        assert_eq!(accepted.len(), 4, "stats indexed by global worker id");
-        assert_eq!(accepted.iter().sum::<u64>(), 24);
-        assert_eq!(stats.requests.load(Ordering::Relaxed), 24);
-        assert!(
-            *accepted.iter().max().unwrap() < 24,
-            "one worker took all: {accepted:?}"
-        );
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn no_accept_errno_ends_the_acceptor() {
+    fn no_accept_errno_ends_a_workers_accepting() {
         let classify = |errno| classify_accept_error(&std::io::Error::from_raw_os_error(errno));
         let (eintr, eagain, enomem, enfile, emfile) = (4, 11, 12, 23, 24);
         let (eproto, econnaborted, enobufs) = (71, 103, 105);
@@ -619,12 +495,6 @@ mod tests {
         }
         // An errno nobody planned for must pause the loop, not spin it.
         assert_eq!(classify(eproto), AcceptFailure::BackOff);
-    }
-
-    #[test]
-    #[should_panic(expected = "1..=64 groups")]
-    fn sharded_lb_rejects_zero_groups() {
-        let _ = TcpLb::start_sharded("127.0.0.1:0", 0, 4, demo_proxy());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! A complete L7 load balancer serving real HTTP over TCP, with Hermes
-//! dispatching accepted connections to worker threads: the paper's system
-//! in miniature, end to end.
+//! steering the kernel's choice among the workers' listening sockets: the
+//! paper's system in miniature, end to end.
 //!
 //! Run with: `cargo run --release --example http_lb`
 //! (then try: `curl http://127.0.0.1:<port>/api/users`)
@@ -32,7 +32,10 @@ fn main() {
     let workers = 4;
     let lb = TcpLb::start("127.0.0.1:0", workers, proxy).expect("bind");
     let addr = lb.local_addr();
-    println!("L7 LB listening on {addr} with {workers} Hermes-dispatched workers\n");
+    println!("L7 LB listening on {addr} with {workers} Hermes-dispatched workers");
+    // `ebpf`: Algorithm 2 runs at the listeners' reuseport hook. `hash-only
+    // (..)`: the kernel refused bpf(2) and places by its own hash.
+    println!("kernel dispatch: {}\n", lb.dispatch());
     std::thread::sleep(Duration::from_millis(20));
 
     // Drive some client traffic at it.

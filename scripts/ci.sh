@@ -46,6 +46,21 @@ gate() {
   done < <(grep -E '^  SKIP ' "$log" || true)
   rm -f "$log"
 }
+# Steering tests: `steering <cargo test arguments>` runs tests that need
+# bpf(2). Each prints `SKIP: bpf(2) refused (<errno>)` and returns where the
+# kernel refuses it; those are not passes, so they become one SKIP row of the
+# open lane, with the count and the reason.
+steering() {
+  local log name="$lane" n
+  log="$(mktemp)"
+  cargo test --release -q "$@" -- --nocapture 2>&1 | tee "$log"
+  # (Not anchored: under -q a progress dot can precede the line.)
+  n="$(grep -c 'SKIP: bpf(2) refused' "$log" || true)"
+  if [ "$n" -gt 0 ]; then
+    LANES+=("SKIP"$'\t'"${name%% (*}: $n steering test(s): $(grep -m1 -o 'bpf(2) refused.*' "$log")")
+  fi
+  rm -f "$log"
+}
 summary() {
   [ "$1" -eq 0 ] || lane_status="FAILED"
   close_lane
@@ -65,6 +80,16 @@ trap 'summary $?' EXIT
 # third-party crate; see scripts/registry.sh.
 . scripts/registry.sh
 step "registry: $REGISTRY"
+
+step "kernel dispatch: probing"
+# Which mode the load balancers will run in on this host: `ebpf` when the
+# kernel loads and attaches the dispatch program, `hash-only (<reason>)` when
+# it refuses bpf(2) (no CAP_BPF + CAP_NET_ADMIN, no CONFIG_BPF_SYSCALL). The
+# steering tests in the relay-reactor lane run either way and report SKIPs.
+mode="$(cargo test -q -p hermes-ebpf --test kernel_verifier probe_prints_the_dispatch_mode -- --nocapture 2>/dev/null |
+  sed -n 's/^kernel dispatch: //p' | head -n1 || true)"
+lane="kernel dispatch: ${mode:-probe did not run}"
+echo "$lane"
 
 step "cargo fmt --check"
 cargo fmt --all -- --check
@@ -214,13 +239,24 @@ step "relay-reactor (epoll reactor + splice data plane suite, both feature state
 # worker's established relays nor the retry), the WST row showing
 # readiness events while they are pending, the idle-CPU property (zero
 # pump passes across an idle second), and the late-table-version
-# per_backend clamp. The suite is Linux-only by cfg, not by self-skip.
-# Both filters run with trace on too so the RelayWakeup/SpliceBytes
-# instrumentation never rots in either feature state.
+# per_backend clamp, the nine socket calls a connection costs beyond its
+# pumps, and a listener's backlog served (not reset) at shutdown. The suite
+# is Linux-only by cfg, not by self-skip. Both filters run with trace on
+# too so the RelayWakeup/SpliceBytes/AcceptBurst instrumentation never rots
+# in either feature state. Then the accept path's own tests, in whichever
+# dispatch mode the host offers (first row of this table): the kernel's
+# verifier against `analyze` and the shipped program at every group size;
+# kernel placements against the DispatchPlane oracle on the hashes the
+# program recorded, and the hash-only mode under a thread that dropped its
+# capabilities; 50 start/shutdown cycles leaving no fd and no mapping, and
+# fd exhaustion neither spinning a worker nor stalling its relays.
 cargo test --release -q -p hermes-lb reactor
 cargo test --release -q -p hermes-lb relay
 cargo test --release -q -p hermes-lb --features trace reactor
 cargo test --release -q -p hermes-lb --features trace relay
+steering -p hermes-ebpf --test kernel_verifier
+steering -p hermes-lb --test kernel_dispatch
+steering -p hermes-lb --test fds
 
 step "trace determinism (simulation byte-identical with recorder on/off)"
 # Tracing is an observer, never an actor: the simnet report must not
