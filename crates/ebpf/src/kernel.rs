@@ -27,13 +27,11 @@ use crate::maps::MapKind;
 use crate::program::DispatchProgram;
 use hermes_core::sdk::SyncTarget;
 use hermes_core::WorkerBitmap;
-use std::collections::BTreeMap;
 use std::ffi::c_void;
 use std::io;
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// One kernel eBPF instruction, `struct bpf_insn`: opcode, `dst_reg` (low
 /// nibble) and `src_reg` (high nibble), offset, immediate.
@@ -256,8 +254,8 @@ pub struct LoadedProgram {
 
 impl LoadedProgram {
     /// Create the maps (the socket array with `socks` slots), lower `prog`
-    /// against them and `BPF_PROG_LOAD` it. `Err` carries the kernel's
-    /// errno — and, for a program the verifier refused, its log.
+    /// against them and `BPF_PROG_LOAD` it. `Err` is the kernel's errno, or
+    /// — not a [`refused`] `bpf(2)` — `InvalidData` and its verifier's log.
     pub fn new(prog: &[Insn], report: &AnalysisReport, socks: usize) -> io::Result<LoadedProgram> {
         // map_type, key_size, value_size, max_entries, map_flags
         let shared = std::mem::size_of::<Shared>() as u32;
@@ -278,26 +276,21 @@ impl LoadedProgram {
         let _ = bpf(BPF_PROG_LOAD, &load);
         let said = String::from_utf8_lossy(&log);
         let said = said.trim_end_matches('\0').trim_end();
-        Err(io::Error::new(refused.kind(), format!("{refused}: {said}")))
+        if said.is_empty() {
+            return Err(refused); // the verifier never ran
+        }
+        let verdict = format!("{refused}: {said}");
+        Err(io::Error::new(io::ErrorKind::InvalidData, verdict))
     }
 
-    /// The flat Algorithm 2 program for `workers` sockets: assembled and
-    /// admitted by [`analyze`] (once per size and process: it is pure, and
-    /// a third of a cold start), lowered, admitted by the kernel.
+    /// The flat Algorithm 2 program for `workers` sockets: assembled,
+    /// admitted by [`analyze`], lowered, admitted by the kernel.
     pub fn flat(workers: usize) -> io::Result<LoadedProgram> {
-        type Admitted = (Vec<Insn>, AnalysisReport);
-        static FLAT: Mutex<BTreeMap<usize, Admitted>> = Mutex::new(BTreeMap::new());
-        let mut flat = FLAT
-            .lock()
-            .expect("no holder panics: the kernel refuses by errno");
-        let (prog, report) = flat.entry(workers).or_insert_with(|| {
-            let prog = DispatchProgram::build(SEL_FD, SOCK_FD, workers);
-            let ctx = AnalysisCtx::new().bind(SEL_FD, MapKind::Array, 1);
-            let ctx = ctx.bind(SOCK_FD, MapKind::SockArray, workers);
-            let report = analyze(&prog, &ctx).expect("the flat program analyzes");
-            (prog, report)
-        });
-        LoadedProgram::new(prog, report, workers)
+        let prog = DispatchProgram::build(SEL_FD, SOCK_FD, workers);
+        let ctx = AnalysisCtx::new().bind(SEL_FD, MapKind::Array, 1);
+        let ctx = ctx.bind(SOCK_FD, MapKind::SockArray, workers);
+        let report = analyze(&prog, &ctx).expect("the flat program analyzes");
+        LoadedProgram::new(&prog, &report, workers)
     }
 }
 
@@ -319,8 +312,8 @@ impl KernelDispatch {
     /// Load the flat program for `listeners.len()` workers, put listener
     /// `w` in socket-array slot `w` and attach the program to the group
     /// (every fd must be a listening `SO_REUSEPORT` socket of one group).
-    /// `Err` is the kernel's refusal — `EPERM` without `CAP_BPF` +
-    /// `CAP_NET_ADMIN`, `ENOSYS` — and leaves the group placing by hash.
+    /// `Err` leaves the group placing by hash; [`refused`] tells a host
+    /// without `bpf(2)` from a step that should not have failed.
     pub fn attach(listeners: &[RawFd]) -> io::Result<KernelDispatch> {
         let loaded = LoadedProgram::flat(listeners.len())?;
         let socks = loaded.socks.as_raw_fd() as u32;
@@ -385,11 +378,20 @@ impl Drop for KernelDispatch {
     }
 }
 
+/// Whether `e` is the host refusing `bpf(2)` itself — `EPERM` without
+/// `CAP_BPF` + `CAP_NET_ADMIN`, `ENOSYS`, a target with no such syscall —
+/// the one failure that means "place by hash" and not "a bug here".
+pub fn refused(e: &io::Error) -> bool {
+    use io::ErrorKind::{PermissionDenied, Unsupported};
+    matches!(e.kind(), PermissionDenied | Unsupported)
+}
+
 // Raw `bpf(2)` / `setsockopt` / `mmap` against the C runtime, as `execmem.rs`.
-#[cfg(target_arch = "x86_64")]
-const SYS_BPF: i64 = 321;
-#[cfg(not(target_arch = "x86_64"))]
-const SYS_BPF: i64 = 280; // asm-generic (aarch64)
+const SYS_BPF: Option<i64> = match () {
+    _ if cfg!(all(target_os = "linux", target_arch = "x86_64")) => Some(321),
+    _ if cfg!(all(target_os = "linux", target_arch = "aarch64")) => Some(280), // asm-generic
+    _ => None,
+};
 const BPF_MAP_CREATE: i64 = 0;
 const BPF_MAP_UPDATE_ELEM: i64 = 2;
 const BPF_PROG_LOAD: i64 = 5;
@@ -418,15 +420,15 @@ struct MapUpdate(u32, u32, u64, u64, u64);
 #[repr(C)]
 struct ProgLoad(u32, u32, u64, u64, u32, u32, u64);
 
-/// One `bpf(2)` command. Off Linux there is no such syscall.
+/// One `bpf(2)` command; `Unsupported` where [`SYS_BPF`] has no number.
 fn bpf<T>(cmd: i64, attr: &T) -> io::Result<i32> {
-    if !cfg!(target_os = "linux") {
+    let Some(sys_bpf) = SYS_BPF else {
         return Err(io::ErrorKind::Unsupported.into());
-    }
+    };
     // SAFETY: `attr` is a live, fully initialised prefix of `union
     // bpf_attr` passed with its own size; the buffers it points to are
     // kept alive by the caller for the duration of the call.
-    let rc = unsafe { syscall(SYS_BPF, cmd, attr as *const T, std::mem::size_of::<T>()) };
+    let rc = unsafe { syscall(sys_bpf, cmd, attr as *const T, std::mem::size_of::<T>()) };
     if rc < 0 {
         return Err(io::Error::last_os_error());
     }

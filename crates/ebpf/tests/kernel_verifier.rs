@@ -8,18 +8,20 @@
 #![cfg(target_os = "linux")]
 
 use hermes_ebpf::insn::{Cond, Reg};
-use hermes_ebpf::kernel::{LoadedProgram, SEL_FD, SOCK_FD};
+use hermes_ebpf::kernel::{refused, LoadedProgram, SEL_FD, SOCK_FD};
 use hermes_ebpf::maps::MapKind;
 use hermes_ebpf::{analyze, AnalysisCtx, AnalysisReport, Assembler, DispatchProgram, Insn};
 
 /// `false` (after printing the SKIP line) when this host refuses `bpf(2)`.
+/// Any other failure of the one-worker program fails the test.
 fn bpf_allowed() -> bool {
     match LoadedProgram::flat(1) {
         Ok(_) => true,
-        Err(e) => {
+        Err(e) if refused(&e) => {
             println!("SKIP: bpf(2) refused ({e})");
             false
         }
+        Err(e) => panic!("bpf(2) is allowed, the shipped program is not: {e}"),
     }
 }
 
@@ -28,7 +30,8 @@ fn probe_prints_the_dispatch_mode() {
     // The line `scripts/ci.sh` puts in its lane table.
     match LoadedProgram::flat(1) {
         Ok(_) => println!("kernel dispatch: ebpf"),
-        Err(e) => println!("kernel dispatch: hash-only ({e})"),
+        Err(e) if refused(&e) => println!("kernel dispatch: hash-only ({e})"),
+        Err(e) => panic!("bpf(2) is allowed, the shipped program is not: {e}"),
     }
 }
 
@@ -101,6 +104,10 @@ fn both_verifiers_give_the_same_verdict() {
         let theirs = LoadedProgram::new(&prog, &AnalysisReport::default(), 1);
         assert!(ours.is_err(), "analyze admitted a program that {what}");
         let theirs = theirs.expect_err(&format!("the kernel admitted a program that {what}"));
+        assert!(
+            !refused(&theirs),
+            "a verdict that reads as no bpf(2): {theirs}"
+        );
         println!("{what}: ours {:?}; theirs {theirs}", ours.unwrap_err());
     }
 }

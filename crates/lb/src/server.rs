@@ -28,7 +28,7 @@ use hermes_core::sched::SchedConfig;
 use hermes_core::sdk::{SyncTarget, WorkerSession};
 use hermes_core::wst::Wst;
 use hermes_core::{FlowKey, WorkerBitmap};
-use hermes_ebpf::kernel::KernelDispatch;
+use hermes_ebpf::kernel::{self, KernelDispatch};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
@@ -122,7 +122,10 @@ impl Running {
         let fds: Vec<_> = sockets.iter().map(AsRawFd::as_raw_fd).collect();
         let dispatch = match KernelDispatch::attach(&fds) {
             Ok(kernel) => Dispatch::Ebpf(kernel),
-            Err(refusal) => Dispatch::HashOnly(refusal),
+            Err(e) if kernel::refused(&e) => Dispatch::HashOnly(e),
+            // The host has `bpf(2)` and would not take the program, a map
+            // or the attach: a bug here, not a mode to run in.
+            Err(e) => return Err(e),
         };
         let stats = Arc::new(LbStats {
             accepted: (0..workers).map(|_| AtomicU64::new(0)).collect(),

@@ -9,7 +9,7 @@
 
 use hermes_core::sdk::SyncTarget;
 use hermes_core::WorkerBitmap;
-use hermes_ebpf::kernel::KernelDispatch;
+use hermes_ebpf::kernel::{refused, KernelDispatch};
 use hermes_ebpf::DispatchPlane;
 use hermes_lb::reactor::{accept_nonblocking, listen_reuseport};
 use std::net::{TcpListener, TcpStream};
@@ -47,10 +47,11 @@ fn the_kernel_places_where_the_oracle_says() {
     let fds: Vec<_> = listeners.iter().map(AsRawFd::as_raw_fd).collect();
     let kernel = match KernelDispatch::attach(&fds) {
         Ok(kernel) => kernel,
-        Err(e) => {
+        Err(e) if refused(&e) => {
             println!("SKIP: bpf(2) refused ({e})");
             return;
         }
+        Err(e) => panic!("bpf(2) is allowed, attaching is not: {e}"),
     };
     let oracle = DispatchPlane::bytecode(1, WORKERS);
     let publish = |bitmap: WorkerBitmap| {
@@ -111,7 +112,12 @@ fn the_kernel_places_where_the_oracle_says() {
 /// Clear the calling thread's effective capabilities (threads it spawns
 /// inherit that), so `bpf(2)` answers `EPERM` as it does to a process
 /// without `CAP_BPF` + `CAP_NET_ADMIN`. Permitted ones stay: nothing else
-/// in the process changes.
+/// in the process changes. (Only where `capget`'s number is known here.)
+#[cfg(any(
+    target_arch = "x86_64",
+    target_arch = "aarch64",
+    target_arch = "riscv64"
+))]
 fn drop_effective_capabilities() {
     extern "C" {
         fn syscall(num: i64, ...) -> i64;
@@ -119,7 +125,7 @@ fn drop_effective_capabilities() {
     #[cfg(target_arch = "x86_64")]
     const SYS_CAPGET: i64 = 125;
     #[cfg(not(target_arch = "x86_64"))]
-    const SYS_CAPGET: i64 = 90; // asm-generic (aarch64)
+    const SYS_CAPGET: i64 = 90; // asm-generic
     const SYS_CAPSET: i64 = SYS_CAPGET + 1;
     // `_LINUX_CAPABILITY_VERSION_3`, this thread.
     let header: [u32; 2] = [0x2008_0522, 0];
@@ -134,6 +140,11 @@ fn drop_effective_capabilities() {
     assert_eq!(unsafe { syscall(SYS_CAPSET, &header, &data) }, 0);
 }
 
+#[cfg(any(
+    target_arch = "x86_64",
+    target_arch = "aarch64",
+    target_arch = "riscv64"
+))]
 #[test]
 fn without_bpf_the_kernels_hash_places_and_the_lb_says_so() {
     use hermes_lb::prelude::*;

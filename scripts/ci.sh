@@ -86,6 +86,8 @@ step "kernel dispatch: probing"
 # kernel loads and attaches the dispatch program, `hash-only (<reason>)` when
 # it refuses bpf(2) (no CAP_BPF + CAP_NET_ADMIN, no CONFIG_BPF_SYSCALL). The
 # steering tests in the relay-reactor lane run either way and report SKIPs.
+# (A host that has bpf(2) and turns the program down is neither: the probe
+# panics, this row reads "probe did not run", and the steering lane fails.)
 mode="$(cargo test -q -p hermes-ebpf --test kernel_verifier probe_prints_the_dispatch_mode -- --nocapture 2>/dev/null |
   sed -n 's/^kernel dispatch: //p' | head -n1 || true)"
 lane="kernel dispatch: ${mode:-probe did not run}"
