@@ -1755,10 +1755,22 @@ mod tests {
             fillers.len()
         );
         let (live_addr, stop) = spawn_echo_backend(1);
-        let lb = RelayLb::start("127.0.0.1:0", 1, vec![hole_addr, live_addr]).expect("bind");
-        let addr = lb.local_addr();
-        let rstats = Arc::clone(lb.relay_stats());
+        // Stepped by the test, pass by pass, so that the worker's own view
+        // of its connect attempts can be read between passes.
+        let mut worker = reactor_rig(vec![hole_addr, live_addr]);
+        let addr = worker.listener.local;
+        let rstats = Arc::clone(&worker.rstats);
+        let step = |worker: &mut ReactorWorker<_>| {
+            let accepted = worker.fetch();
+            worker.handle(accepted);
+        };
+        let connecting_to_hole = |worker: &ReactorWorker<_>| {
+            let mut slots = worker.slots.iter().flatten();
+            slots.any(|s| matches!(s, Slot::Connecting(c) if c.backend_id == 0))
+        };
+        let unserved = |c: &TcpStream| matches!(c.peek(&mut [0u8; 1]), Err(e) if e.kind() == ErrorKind::WouldBlock);
         let greet = |s: &mut TcpStream| {
+            s.set_nonblocking(false).unwrap();
             s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
             let mut greeting = [0u8; 8];
             s.read_exact(&mut greeting).expect("greeting");
@@ -1768,31 +1780,16 @@ mod tests {
             );
         };
 
-        // Connect attempts to candidate 0 the kernel still has open: rows
-        // of its socket table in SYN_SENT with the hole as remote address.
-        let SocketAddr::V4(hole_v4) = hole_addr else {
-            panic!("bound an IPv4 address");
-        };
-        let remote = format!(
-            "{:08X}:{:04X}",
-            u32::from_le_bytes(hole_v4.ip().octets()),
-            hole_v4.port()
-        );
-        let pending_connects = || {
-            const SYN_SENT: &str = "02";
-            let table = std::fs::read_to_string("/proc/net/tcp").expect("/proc/net/tcp");
-            table
-                .lines()
-                .map(|l| l.split_whitespace().collect::<Vec<_>>())
-                .filter(|f| f.len() > 3 && f[2] == remote && f[3] == SYN_SENT)
-                .count()
-        };
-
         // The sibling: one established relay on the same (only) worker,
         // echoing for as long as the test runs and counting the echoes it
         // has started and those it has got back.
         let mut sibling = TcpStream::connect(addr).unwrap();
         sibling.set_nodelay(true).unwrap();
+        sibling.set_nonblocking(true).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while unserved(&sibling) && Instant::now() < deadline {
+            step(&mut worker);
+        }
         greet(&mut sibling);
         let done = Arc::new(AtomicBool::new(false));
         let (started, completed) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
@@ -1815,11 +1812,12 @@ mod tests {
 
         // New clients until one is pinned to candidate 0: it waits out the
         // attempt's deadline, then candidate 1 serves it after one retry.
-        // While a client waits for its greeting, watch for its worker's
-        // connect to candidate 0 and count the sibling echoes that lie
-        // wholly inside the time it is pending: started after one sighting
-        // of the pending connect, back before another. A worker blocked in
-        // `connect` completes none, however long the host takes over it.
+        // While a client waits for its greeting, count the sibling echoes
+        // that lie wholly inside the time its connect to candidate 0 is
+        // pending: started after one pass left the attempt open, back when
+        // a later pass still had. A worker blocked in `connect` has settled
+        // the attempt by the end of the pass that started it, so no pass
+        // ever leaves one open.
         let mut waited = None;
         let mut echoes_while_pending = 0;
         for _ in 0..64 {
@@ -1829,13 +1827,12 @@ mod tests {
             c.set_nonblocking(true).unwrap();
             let mut started_while_pending = None;
             // (`greet` fails a client still unserved after the deadline.)
-            while t0.elapsed() < Duration::from_secs(5)
-                && matches!(c.peek(&mut [0u8; 1]), Err(e) if e.kind() == ErrorKind::WouldBlock)
-            {
-                let back = completed.load(Ordering::SeqCst);
-                if pending_connects() == 0 {
+            while t0.elapsed() < Duration::from_secs(5) && unserved(&c) {
+                step(&mut worker);
+                if !connecting_to_hole(&worker) {
                     continue;
                 }
+                let back = completed.load(Ordering::SeqCst);
                 match started_while_pending {
                     None => started_while_pending = Some(started.load(Ordering::SeqCst)),
                     Some(first) => {
@@ -1843,7 +1840,6 @@ mod tests {
                     }
                 }
             }
-            c.set_nonblocking(false).unwrap();
             greet(&mut c);
             match rstats.connect_retries.load(Ordering::Relaxed) - retries {
                 0 => continue,
@@ -1853,6 +1849,10 @@ mod tests {
             break;
         }
         done.store(true, Ordering::SeqCst);
+        // The pinger's last echo needs the worker too.
+        while !pinger.is_finished() {
+            step(&mut worker);
+        }
         pinger.join().unwrap();
         let waited = waited.expect("64 clients and none was pinned to candidate 0");
         assert!(
@@ -1866,13 +1866,26 @@ mod tests {
         assert_eq!(rstats.failed_connects.load(Ordering::Relaxed), 0);
         // The abandoned attempt's socket is closed — and with that out of
         // the worker's epoll set: nothing is still trying to reach
-        // candidate 0 (an open one would sit in SYN_SENT for minutes).
-        assert_eq!(
-            pending_connects(),
-            0,
-            "an abandoned connect attempt is still open"
+        // candidate 0 (an open one would sit in SYN_SENT for minutes). One
+        // look at the kernel's socket table, with no clock running: rows in
+        // SYN_SENT with the hole as remote address.
+        assert_eq!(worker.connecting, 0);
+        let SocketAddr::V4(hole_v4) = hole_addr else {
+            panic!("bound an IPv4 address");
+        };
+        let remote = format!(
+            "{:08X}:{:04X}",
+            u32::from_le_bytes(hole_v4.ip().octets()),
+            hole_v4.port()
         );
-        lb.shutdown();
+        const SYN_SENT: &str = "02";
+        let table = std::fs::read_to_string("/proc/net/tcp").expect("/proc/net/tcp");
+        let still_open = table
+            .lines()
+            .map(|l| l.split_whitespace().collect::<Vec<_>>())
+            .filter(|f| f.len() > 3 && f[2] == remote && f[3] == SYN_SENT)
+            .count();
+        assert_eq!(still_open, 0, "an abandoned connect attempt is still open");
         stop.store(true, Ordering::SeqCst);
     }
 
@@ -2015,12 +2028,30 @@ mod tests {
         assert!(got[8..] == *payload, "payload corrupted");
     }
 
+    /// What the sockets towards a client that reads nothing can take
+    /// before a write to it would block: a send buffer grown as far as it
+    /// can (`tcp_wmem` max) and a receive buffer at its starting size
+    /// (`tcp_rmem` default; it grows as the application reads).
+    fn unread_capacity() -> usize {
+        let sysctl = |name: &str, field: usize, default: usize| {
+            let text = std::fs::read_to_string(format!("/proc/sys/net/ipv4/{name}")).ok();
+            let value = text.and_then(|t| t.split_whitespace().nth(field)?.parse().ok());
+            value.unwrap_or(default)
+        };
+        sysctl("tcp_wmem", 2, 4 << 20) + sysctl("tcp_rmem", 1, 128 << 10)
+    }
+
     #[test]
     fn slow_reader_backpressure_survives_bounded_pipes() {
-        // 1 MiB through a capacity-limited pipe against a slow client
-        // reader: backpressure must throttle the backend->client
-        // direction without losing or reordering a byte.
-        let payload: Vec<u8> = (0..1024 * 1024).map(|i| (i % 251) as u8).collect();
+        // Through a capacity-limited pipe against a slow client reader:
+        // backpressure must throttle the backend->client direction without
+        // losing or reordering a byte. The upload is bulk from its first
+        // read; the echo comes back in 1 KiB writes and moves to splice only
+        // once the client's sockets have pushed back and a scratch-full has
+        // piled up behind them — which a payload they could hold whole
+        // would leave to chance. A MiB more than they can hold does not.
+        let len = unread_capacity() + (1 << 20);
+        let payload: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
         let (addr, stop) = spawn_echo_backend(0);
         let lb = RelayLb::start("127.0.0.1:0", 1, vec![addr]).expect("bind");
         std::thread::sleep(Duration::from_millis(15));
