@@ -1,5 +1,5 @@
-//! The harness under the four gate binaries (`simnet_throughput`,
-//! `dispatch_throughput`, `fleet_throughput`, `trace_overhead`).
+//! The harness under the three gate binaries (`simnet_throughput`,
+//! `fleet_throughput`, `trace_overhead`).
 //!
 //! A timing gate never reads a number from another run. Both sides of a
 //! comparison are measured by this process in alternation ([`Clock::alternate`]:

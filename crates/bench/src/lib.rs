@@ -5,7 +5,8 @@
 //! `harness = false` mains over [`time_it`]).
 //! This library holds the shared experiment parameters and output helpers
 //! so every harness prints comparable, diff-friendly results, and [`gate`],
-//! the harness under the five binaries `scripts/ci.sh` runs as gates.
+//! the harness under the binaries `scripts/ci.sh` runs as gates, and
+//! [`Pacer`], the open-loop clock of `table5`'s clients.
 //!
 //! Absolute numbers come from a simulator on a laptop, not Alibaba's
 //! testbed; per DESIGN.md the *shape* of each result (ordering of modes,
@@ -13,14 +14,15 @@
 //! EXPERIMENTS.md records paper-vs-measured for each experiment.
 
 pub mod gate;
+pub mod pacer;
 
-use hermes_ebpf::maps::{ArrayMap, MapRef, MapRegistry, SockArrayMap};
+pub use pacer::Pacer;
+
 use hermes_metrics::NANOS_PER_SEC;
 use hermes_simnet::{DeviceReport, Mode, SimConfig};
 use hermes_workload::Workload;
 use std::cell::Cell;
 use std::hint::black_box;
-use std::sync::Arc;
 
 /// Workers per simulated LB device. The paper's devices are 32-core VMs;
 /// 8 keeps harness runtimes laptop-friendly while preserving every
@@ -79,21 +81,6 @@ pub fn banner(id: &str, paper_ref: &str) {
         DURATION_NS / NANOS_PER_SEC
     );
     println!("==================================================================");
-}
-
-/// Live maps for a flat Algorithm 2 program over `workers` sockets with
-/// `bitmap` selected, mirroring [`hermes_ebpf::ReuseportGroup::new`].
-pub fn flat_registry(workers: usize, bitmap: u64) -> MapRegistry {
-    let registry = MapRegistry::new();
-    let sel = Arc::new(ArrayMap::new(1));
-    sel.update(0, bitmap);
-    registry.register(MapRef::Array(sel));
-    let socks = Arc::new(SockArrayMap::new(workers));
-    for w in 0..workers {
-        socks.register(w, w);
-    }
-    registry.register(MapRef::SockArray(socks));
-    registry
 }
 
 /// Time one benchmark body and print a row: double a batch of calls until it

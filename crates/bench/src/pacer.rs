@@ -1,8 +1,8 @@
 //! Deadline-based submission pacing.
 //!
-//! The driver's open-loop traffic generators need a fixed inter-arrival
-//! gap. `thread::sleep(gap)` per iteration is the obvious way to get one,
-//! but it compounds two errors: the OS routinely overshoots short sleeps
+//! `table5`'s open-loop clients need a fixed inter-arrival gap.
+//! `thread::sleep(gap)` per iteration is the obvious way to get one, but it
+//! compounds two errors: the OS routinely overshoots short sleeps
 //! by tens of microseconds, and the overshoot *accumulates* because each
 //! sleep is relative to whenever the previous iteration happened to
 //! finish. At a 30 µs target gap the realised rate can be off by 2–3×.
@@ -11,23 +11,23 @@
 //! at `start + n * interval`, independent of jitter in earlier ticks — and
 //! each wait parks the thread only to within a small window of the
 //! deadline, busy-spinning the rest. Parking keeps the CPU free for the
-//! worker threads the generator is driving; the spin tail gives the
+//! load balancer the generator is driving; the spin tail gives the
 //! precision `sleep` cannot. A caller that falls behind schedule is not
 //! punished: overdue ticks return immediately until the schedule is
 //! caught up, preserving the long-run rate.
 
 use std::time::{Duration, Instant};
 
-/// Default spin window: park until this close to the deadline, then spin.
-/// 50 µs comfortably covers typical `sleep`/`park_timeout` overshoot on a
-/// loaded box without burning meaningful CPU.
-const DEFAULT_SPIN_WINDOW: Duration = Duration::from_micros(50);
+/// Spin window: park until this close to the deadline, then spin. 50 µs
+/// comfortably covers typical `sleep`/`park_timeout` overshoot on a loaded
+/// box without burning meaningful CPU.
+const SPIN_WINDOW: Duration = Duration::from_micros(50);
 
 /// A fixed-rate ticker with an absolute deadline schedule and a
 /// park-then-spin wait.
 ///
 /// ```
-/// use hermes_runtime::Pacer;
+/// use hermes_bench::Pacer;
 /// use std::time::{Duration, Instant};
 ///
 /// let start = Instant::now(); // before the pacer: its deadlines count from `new`
@@ -42,7 +42,6 @@ pub struct Pacer {
     /// Next absolute deadline.
     next: Instant,
     interval: Duration,
-    spin_window: Duration,
     /// Creation instant — the zero point for trace timestamps.
     epoch: Instant,
     /// Ticks whose deadline had already passed when `pace` was entered.
@@ -54,27 +53,14 @@ pub struct Pacer {
 impl Pacer {
     /// Pacer ticking every `interval`, first tick one interval from now.
     pub fn new(interval: Duration) -> Self {
-        Self::with_spin_window(interval, DEFAULT_SPIN_WINDOW)
-    }
-
-    /// Pacer with an explicit spin window (the tail of each wait that
-    /// busy-spins instead of parking). A zero window parks all the way to
-    /// the deadline — lowest CPU, sleep-grade precision.
-    pub fn with_spin_window(interval: Duration, spin_window: Duration) -> Self {
         let epoch = Instant::now();
         Self {
             next: epoch + interval,
             interval,
-            spin_window,
             epoch,
             missed: 0,
             max_overshoot_ns: 0,
         }
-    }
-
-    /// The configured inter-tick interval.
-    pub fn interval(&self) -> Duration {
-        self.interval
     }
 
     /// Deadlines that had already passed when [`Pacer::pace`] was entered —
@@ -136,10 +122,10 @@ impl Pacer {
                 return now - deadline;
             }
             let remaining = deadline - now;
-            if remaining > self.spin_window {
+            if remaining > SPIN_WINDOW {
                 // Coarse phase: park, leaving the spin window as margin
                 // for overshoot. Spurious wakeups just re-enter the loop.
-                std::thread::park_timeout(remaining - self.spin_window);
+                std::thread::park_timeout(remaining - SPIN_WINDOW);
             } else {
                 // Fine phase: busy-wait the last few microseconds.
                 std::hint::spin_loop();
@@ -225,15 +211,12 @@ mod tests {
 
     #[test]
     fn a_wait_never_ends_before_its_deadline() {
-        for spin_window in [DEFAULT_SPIN_WINDOW, Duration::ZERO] {
-            let interval = Duration::from_micros(300);
-            let mut pacer = Pacer::with_spin_window(interval, spin_window);
-            let first_deadline = pacer.next;
-            for _ in 0..4 {
-                pacer.pace();
-            }
-            assert!(Instant::now() >= first_deadline + interval * 3);
-            assert_eq!(pacer.interval(), interval);
+        let interval = Duration::from_micros(300);
+        let mut pacer = Pacer::new(interval);
+        let first_deadline = pacer.next;
+        for _ in 0..4 {
+            pacer.pace();
         }
+        assert!(Instant::now() >= first_deadline + interval * 3);
     }
 }

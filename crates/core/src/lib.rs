@@ -31,8 +31,8 @@
 //! worker per group ⇒ pure reuseport).
 //!
 //! The crate is deliberately runtime-agnostic: the discrete-event simulator
-//! (`hermes-simnet`), the real threaded runtime (`hermes-runtime`), and the
-//! eBPF-bytecode dispatch program (`hermes-ebpf`) all consume these types.
+//! (`hermes-simnet`), the load balancers' worker threads (`hermes-lb`), and
+//! the eBPF-bytecode dispatch program (`hermes-ebpf`) all consume these types.
 //!
 //! ## Quick example
 //!
@@ -91,8 +91,8 @@ pub use wst::Wst;
 /// Identifies a worker within one LB device (dense, 0-based).
 pub type WorkerId = usize;
 
-/// Shared batch geometry for the dispatch path: the lb server drains up to
-/// this many accepts per burst, the threaded runtime sizes `submit_batch`
-/// event capacity with it, and flight-recorder batch events report lengths
-/// against it. One constant so the layers cannot drift apart.
+/// Shared batch geometry for the dispatch path: the lb workers drain up to
+/// this many accepts per burst, the dispatch plane's batches are tested at
+/// it, and flight-recorder batch events report lengths against it. One
+/// constant so the layers cannot drift apart.
 pub const DISPATCH_BATCH: usize = 64;

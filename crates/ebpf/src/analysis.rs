@@ -51,9 +51,9 @@
 //! path, which for the paper's per-connection dispatch program (§5.1.3,
 //! Algorithm 2) is the entire point of being in the kernel. Programs that
 //! cannot be proven safe are *rejected* ([`AnalysisError`]), exactly as
-//! `bpf(BPF_PROG_LOAD)` refuses them. Programs whose report is clean (no
-//! warnings) are eligible for the [`crate::vm::Vm`] compiled tier, which
-//! elides the runtime checks the analysis made redundant.
+//! `bpf(BPF_PROG_LOAD)` refuses them. A clean report (no warnings) is what
+//! the attach constructors demand ([`crate::program::AttachedProgram`]);
+//! [`crate::kernel`] lowers from the same report.
 //!
 //! ## Scope notes
 //!
@@ -745,15 +745,10 @@ impl AnalysisCtx {
             .ok()
             .and_then(|fd| self.maps.get(&fd).copied())
     }
-
-    /// Kind and size bound at `fd`, if any — used by [`crate::compile`] to
-    /// classify compile-time-constant fd operands.
-    pub(crate) fn fd_layout(&self, fd: u64) -> Option<(MapKind, usize)> {
-        self.get(fd)
-    }
 }
 
-/// Per-instruction facts the analysis proved (bitset).
+/// Per-instruction facts the analysis proved (bitset): the margin notes of
+/// [`AnalysisReport::render`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct InsnFacts(u16);
 
@@ -807,8 +802,8 @@ impl InsnFacts {
     }
 }
 
-/// A non-fatal finding: the program is admissible but not eligible for the
-/// unchecked compiled tier.
+/// A non-fatal finding: the program is admissible (the interpreter checks
+/// what was not proven) but not attachable.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AnalysisWarning {
     /// Instruction can never execute.
@@ -999,11 +994,10 @@ impl std::error::Error for AnalysisError {}
 
 /// The fd interval one helper call site was proven to stay within, with
 /// every candidate checked against the bound layout. Recorded so
-/// [`crate::compile`] can turn a bounded *dynamic* fd — the grouped
-/// program's `sel_base + group` pattern — into a pre-resolved bank index
-/// instead of a per-call registry lookup. Exact because the analysis is a
-/// single forward pass over a loop-free, forward-jump-only program: each
-/// call site is visited exactly once with all predecessor states merged.
+/// [`crate::kernel`]'s lowering can name the one kernel map a call
+/// addresses. Exact because the analysis is a single forward pass over a
+/// loop-free, forward-jump-only program: each call site is visited exactly
+/// once with all predecessor states merged.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FdRange {
     /// Map kind every candidate fd was proven to be.
@@ -1042,19 +1036,9 @@ impl AnalysisReport {
         &self.warnings
     }
 
-    /// No warnings: the program qualifies for the proven tiers.
+    /// No warnings: the program may be attached.
     pub fn is_clean(&self) -> bool {
         self.warnings.is_empty()
-    }
-
-    /// Number of analyzed instructions.
-    pub fn len(&self) -> usize {
-        self.facts.len()
-    }
-
-    /// True for the empty report (no program analyzed).
-    pub fn is_empty(&self) -> bool {
-        self.facts.is_empty()
     }
 
     /// Render the report as an annotated listing — `bpftool prog dump`
@@ -1159,9 +1143,8 @@ fn stack_slot(off: i32) -> usize {
 /// calls nothing else).
 ///
 /// On success the returned [`AnalysisReport`] lists per-instruction proven
-/// facts; a clean report (no warnings) makes the program eligible for
-/// [`crate::vm::Vm`]'s unchecked compiled tier. Rejection mirrors
-/// `BPF_PROG_LOAD`: the program never runs.
+/// facts and the warnings, if any. Rejection mirrors `BPF_PROG_LOAD`: the
+/// program never runs.
 pub fn analyze(prog: &[Insn], ctx: &AnalysisCtx) -> Result<AnalysisReport, AnalysisError> {
     check_structure(prog)?;
     let n = prog.len();

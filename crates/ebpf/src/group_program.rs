@@ -61,12 +61,9 @@ impl GroupedReuseportGroup {
     /// Build `groups` groups of `group_size` workers each, all sockets
     /// registered (socket handle = *global* worker id).
     ///
-    /// The program computes its map fds at run time, but analysis bounds
-    /// each helper's fd to a contiguous registered bank, so every call
-    /// compiles to a lock-free pre-resolved bank step (a program with any
-    /// other kind of call is not compiled, and attaching demands the
-    /// ceiling tier) and the jit bakes each bank's pointer table into the
-    /// emitted code: no registry access on the per-connection path.
+    /// The program computes its map fds at run time; analysis bounds each
+    /// helper's fd to a contiguous registered bank of one kind, so every
+    /// candidate a call can name was checked at attach.
     pub fn new(groups: usize, group_size: usize) -> Self {
         assert!(groups >= 1, "need at least one group");
         let registry = MapRegistry::new();
@@ -137,7 +134,7 @@ impl GroupedReuseportGroup {
 
     /// One group's current bitmap (monitoring).
     pub fn group_bitmap(&self, group: usize) -> WorkerBitmap {
-        WorkerBitmap(self.sel_maps[group].lookup_fast(0))
+        WorkerBitmap(self.sel_maps[group].lookup(0).expect("one element"))
     }
 
     /// Kernel-side dispatch: run the program; on fallback, hash within
@@ -183,7 +180,6 @@ impl GroupedReuseportGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vm::ExecTier;
     use hermes_core::dispatch::ConnDispatcher;
     use hermes_metrics::rng::for_each_case;
 
@@ -197,9 +193,9 @@ mod tests {
     }
 
     #[test]
-    fn grouped_program_runs_on_the_native_ceiling_tier() {
+    fn grouped_program_attaches_clean() {
         let g = GroupedReuseportGroup::new(4, 16);
-        assert_eq!(g.tier(), ExecTier::native_ceiling());
+        assert_eq!(g.tier().trace_code(), 0);
         assert!(g.analysis().is_clean());
     }
 

@@ -138,32 +138,6 @@ impl Alu {
             }
         }
     }
-
-    /// Apply the operation with the totalizing guards elided: plain
-    /// division/modulo and unmasked shifts.
-    ///
-    /// Only sound when [`crate::analysis`] has proven, for this exact
-    /// instruction, that divisors are nonzero and shift amounts are `< 64`
-    /// — the compiled tier of [`crate::vm::Vm`]. This stays safe
-    /// Rust: a violated proof panics (division by zero, debug-mode shift
-    /// overflow) instead of corrupting state.
-    #[inline]
-    pub fn eval_unchecked(self, dst: u64, src: u64) -> u64 {
-        match self {
-            Alu::Mov => src,
-            Alu::Add => dst.wrapping_add(src),
-            Alu::Sub => dst.wrapping_sub(src),
-            Alu::Mul => dst.wrapping_mul(src),
-            Alu::And => dst & src,
-            Alu::Or => dst | src,
-            Alu::Xor => dst ^ src,
-            Alu::Lsh => dst << src,
-            Alu::Rsh => dst >> src,
-            Alu::Arsh => ((dst as i64) >> src) as u64,
-            Alu::Div => dst / src,
-            Alu::Mod => dst % src,
-        }
-    }
 }
 
 /// One instruction.

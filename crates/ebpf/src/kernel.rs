@@ -1,7 +1,7 @@
 //! Algorithm 2 in the real kernel.
 //!
 //! The flat program [`DispatchProgram::build`] emits — the one this
-//! crate's [`analyze`] admits and its tiers execute — is lowered here to
+//! crate's [`analyze`] admits and its interpreter executes — is lowered here to
 //! kernel eBPF, loaded with raw `bpf(2)` as `BPF_PROG_TYPE_SK_REUSEPORT`
 //! (so the kernel's verifier admits the same source) and attached to a
 //! group of `SO_REUSEPORT` listeners, one per worker, which it picks
@@ -259,21 +259,22 @@ impl LoadedProgram {
     pub fn new(prog: &[Insn], report: &AnalysisReport, socks: usize) -> io::Result<LoadedProgram> {
         // map_type, key_size, value_size, max_entries, map_flags
         let shared = std::mem::size_of::<Shared>() as u32;
-        let sel = bpf_fd(BPF_MAP_CREATE, &[MAP_TYPE_ARRAY, 4, shared, 1, F_MMAPABLE])?;
-        let sockarray = [MAP_TYPE_REUSEPORT_SOCKARRAY, 4, 8, socks as u32, 0];
-        let socks = bpf_fd(BPF_MAP_CREATE, &sockarray)?;
+        let mut array = [MAP_TYPE_ARRAY, 4, shared, 1, F_MMAPABLE];
+        let sel = bpf_fd(BPF_MAP_CREATE, &mut array)?;
+        let mut sockarray = [MAP_TYPE_REUSEPORT_SOCKARRAY, 4, 8, socks as u32, 0];
+        let socks = bpf_fd(BPF_MAP_CREATE, &mut sockarray)?;
         let insns = lower(prog, report, [sel.as_raw_fd(), socks.as_raw_fd()])?;
         let (len, insns) = (insns.len() as u32, insns.as_ptr() as u64);
         let gpl = c"GPL".as_ptr() as u64;
         let mut load = ProgLoad(PROG_TYPE_SK_REUSEPORT, len, insns, gpl, 0, 0, 0);
-        let refused = match bpf_fd(BPF_PROG_LOAD, &load) {
+        let refused = match bpf_fd(BPF_PROG_LOAD, &mut load) {
             Ok(prog) => return Ok(LoadedProgram { sel, socks, prog }),
             Err(e) => e,
         };
         // Once more with a log, so the error says what the verifier said.
         let mut log = vec![0u8; 64 * 1024];
         (load.4, load.5, load.6) = (1, log.len() as u32, log.as_mut_ptr() as u64);
-        let _ = bpf(BPF_PROG_LOAD, &load);
+        let _ = bpf(BPF_PROG_LOAD, &mut load);
         let said = String::from_utf8_lossy(&log);
         let said = said.trim_end_matches('\0').trim_end();
         if said.is_empty() {
@@ -295,11 +296,13 @@ impl LoadedProgram {
 }
 
 /// The flat program attached to a reuseport group, seen from userspace:
-/// the mapped map value. The sockets hold the program, the program its
-/// maps, this mapping the bitmap's: closing them and dropping this frees all.
+/// the mapped map value, and the program's fd to ask the kernel about it.
+/// The sockets hold the program, the program its maps, this mapping the
+/// bitmap's: closing them and dropping this frees all.
 #[derive(Debug)]
 pub struct KernelDispatch {
     shared: NonNull<Shared>,
+    prog: OwnedFd,
 }
 
 // SAFETY: `shared` points at a live mapping of atomics that is unmapped
@@ -320,7 +323,7 @@ impl KernelDispatch {
         for (slot, &fd) in listeners.iter().enumerate() {
             let (key, value) = (slot as u32, fd as u64);
             let (key, value) = (&raw const key as u64, &raw const value as u64);
-            bpf(BPF_MAP_UPDATE_ELEM, &MapUpdate(socks, 0, key, value, 0))?;
+            bpf(BPF_MAP_UPDATE_ELEM, &mut MapUpdate(socks, 0, key, value, 0))?;
         }
         let (prog, len) = (loaded.prog.as_raw_fd(), std::mem::size_of::<Shared>());
         let (group, opt) = (listeners[0], (&raw const prog).cast());
@@ -336,7 +339,8 @@ impl KernelDispatch {
             return Err(io::Error::last_os_error());
         }
         let shared = NonNull::new(ptr.cast()).expect("mmap placed the mapping");
-        Ok(KernelDispatch { shared })
+        let prog = loaded.prog;
+        Ok(KernelDispatch { shared, prog })
     }
 
     fn shared(&self) -> &Shared {
@@ -356,6 +360,28 @@ impl KernelDispatch {
     pub fn last_hash(&self) -> u32 {
         self.shared().hash.load(Ordering::Relaxed) as u32
     }
+
+    /// `(run_cnt, run_time_ns)`: how often the kernel ran the attached
+    /// program and for how long in all, counted only while some process
+    /// holds [`enable_stats`] open — `bpf_prog_info` as
+    /// `BPF_OBJ_GET_INFO_BY_FD` fills it.
+    pub fn run_stats(&self) -> io::Result<(u64, u64)> {
+        // `struct bpf_prog_info` up to `run_time_ns` and `run_cnt`, its
+        // 25th and 26th 8-byte words; the kernel fills what it is given.
+        let mut info = [0u64; 26];
+        let (fd, len) = (self.prog.as_raw_fd() as u32, size_of_val(&info) as u32);
+        bpf(
+            BPF_OBJ_GET_INFO_BY_FD,
+            &mut ObjInfo(fd, len, info.as_mut_ptr() as u64),
+        )?;
+        Ok((info[25], info[24]))
+    }
+}
+
+/// Have the kernel count the runs and the run time of every loaded program
+/// for as long as the returned fd stays open (`BPF_ENABLE_STATS`).
+pub fn enable_stats() -> io::Result<OwnedFd> {
+    bpf_fd(BPF_ENABLE_STATS, &mut [STATS_RUN_TIME])
 }
 
 impl SyncTarget for KernelDispatch {
@@ -386,7 +412,7 @@ pub fn refused(e: &io::Error) -> bool {
     matches!(e.kind(), PermissionDenied | Unsupported)
 }
 
-// Raw `bpf(2)` / `setsockopt` / `mmap` against the C runtime, as `execmem.rs`.
+// Raw `bpf(2)` / `setsockopt` / `mmap` against the C runtime, as `lb/reactor.rs`.
 const SYS_BPF: Option<i64> = match () {
     _ if cfg!(all(target_os = "linux", target_arch = "x86_64")) => Some(321),
     _ if cfg!(all(target_os = "linux", target_arch = "aarch64")) => Some(280), // asm-generic
@@ -395,6 +421,9 @@ const SYS_BPF: Option<i64> = match () {
 const BPF_MAP_CREATE: i64 = 0;
 const BPF_MAP_UPDATE_ELEM: i64 = 2;
 const BPF_PROG_LOAD: i64 = 5;
+const BPF_OBJ_GET_INFO_BY_FD: i64 = 15;
+const BPF_ENABLE_STATS: i64 = 32;
+const STATS_RUN_TIME: u32 = 0;
 const MAP_TYPE_ARRAY: u32 = 2;
 const MAP_TYPE_REUSEPORT_SOCKARRAY: u32 = 20;
 const F_MMAPABLE: u32 = 1 << 10;
@@ -416,19 +445,23 @@ extern "C" {
 /// `map_fd`, padding, `key`, `value`, `flags`.
 #[repr(C)]
 struct MapUpdate(u32, u32, u64, u64, u64);
+/// `bpf_fd`, `info_len`, `info`.
+#[repr(C)]
+struct ObjInfo(u32, u32, u64);
 /// `prog_type`, `insn_cnt`, `insns`, `license`, `log_level`, `log_size`, `log_buf`.
 #[repr(C)]
 struct ProgLoad(u32, u32, u64, u64, u32, u32, u64);
 
 /// One `bpf(2)` command; `Unsupported` where [`SYS_BPF`] has no number.
-fn bpf<T>(cmd: i64, attr: &T) -> io::Result<i32> {
+fn bpf<T>(cmd: i64, attr: &mut T) -> io::Result<i32> {
     let Some(sys_bpf) = SYS_BPF else {
         return Err(io::ErrorKind::Unsupported.into());
     };
+    // A command may write back into `attr` (a length), hence `&mut`.
     // SAFETY: `attr` is a live, fully initialised prefix of `union
     // bpf_attr` passed with its own size; the buffers it points to are
     // kept alive by the caller for the duration of the call.
-    let rc = unsafe { syscall(sys_bpf, cmd, attr as *const T, std::mem::size_of::<T>()) };
+    let rc = unsafe { syscall(sys_bpf, cmd, attr as *mut T, std::mem::size_of::<T>()) };
     if rc < 0 {
         return Err(io::Error::last_os_error());
     }
@@ -436,7 +469,7 @@ fn bpf<T>(cmd: i64, attr: &T) -> io::Result<i32> {
 }
 
 /// A `bpf(2)` command that returns a new fd.
-fn bpf_fd<T>(cmd: i64, attr: &T) -> io::Result<OwnedFd> {
+fn bpf_fd<T>(cmd: i64, attr: &mut T) -> io::Result<OwnedFd> {
     // SAFETY: the command succeeded, so its result is an fd it created
     // and nothing else owns.
     bpf(cmd, attr).map(|fd| unsafe { OwnedFd::from_raw_fd(fd) })

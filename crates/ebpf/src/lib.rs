@@ -26,8 +26,8 @@
 //!   helper arguments typed, map keys proven in bounds).
 //! * [`vm`] — [`Vm::load_analyzed`], the only way to load, and the checked
 //!   interpreter, with the per-connection reuseport context (the
-//!   kernel-precomputed 4-tuple hash) in R1 at entry, and the execution
-//!   ladder above it: Checked → Compiled → Jit.
+//!   kernel-precomputed 4-tuple hash) in R1 at entry: the one userspace
+//!   execution, and the reference every differential test compares against.
 //! * [`maps`] — `BPF_MAP_TYPE_ARRAY` (atomic u64 elements, shared with
 //!   userspace — the `M_Sel` map of Algorithm 1/2) and
 //!   `BPF_MAP_TYPE_REUSEPORT_SOCKARRAY` (`M_socket`).
@@ -37,19 +37,12 @@
 //!   from all of the above, plus [`program::ReuseportGroup`], the program
 //!   attached with its two maps; [`group_program`] — the §7 two-level
 //!   variant that picks its maps by group first.
-//! * [`plane`] — [`DispatchPlane`], the one attach point the threaded
-//!   runtime and the simulator place connections through, whichever program
-//!   (or core's native oracle) executes; the load balancers' test oracle.
-//! * [`validate`] — translation validation for the compiled tier: every
-//!   [`compile::CompiledProgram`] is proven bit-exactly equivalent to the
-//!   checked interpreter's semantics, block by block, before [`vm::Vm`]
-//!   will execute it.
+//! * [`plane`] — [`DispatchPlane`], the one attach point the simulator
+//!   places connections through, whichever program (or core's native
+//!   oracle) executes; the load balancers' test oracle.
 //! * [`kernel`] — the flat program lowered to kernel eBPF, loaded with raw
-//!   `bpf(2)` (the kernel's own verifier) and attached to real listeners.
-//! * [`jit`] + [`execmem`] — the top tier on x86-64 Linux: the validated
-//!   compiled stream lowered to native machine code in W^X pages, with
-//!   map addresses baked in and helpers inlined — the userspace analogue
-//!   of the kernel's eBPF JIT.
+//!   `bpf(2)` and attached to real listeners: the kernel's own verifier
+//!   and JIT are the execution engine of everything that ships.
 //!
 //! The bytecode program is property-tested for exact equivalence with the
 //! native oracle `hermes_core::ConnDispatcher` over all bitmaps and hashes.
@@ -65,29 +58,22 @@
 
 pub mod analysis;
 pub mod asm;
-pub mod compile;
 pub mod disasm;
-pub mod execmem;
 pub mod group_program;
 pub mod helpers;
 pub mod insn;
-pub mod jit;
 #[cfg(unix)]
 pub mod kernel;
 pub mod maps;
 pub mod plane;
 pub mod program;
-pub mod validate;
 pub mod vm;
 
 pub use analysis::{analyze, AnalysisCtx, AnalysisError, AnalysisReport, FdRange};
 pub use asm::Assembler;
-pub use compile::CompiledProgram;
 pub use group_program::{GroupedOutcome, GroupedReuseportGroup};
 pub use insn::{Insn, Op, Reg};
-pub use jit::{JitError, JitMutation, JitProgram};
 pub use maps::{ArrayMap, MapKind, MapRegistry, SockArrayMap};
 pub use plane::{DispatchPlane, Placement};
 pub use program::{AttachedProgram, DispatchProgram, ReuseportGroup};
-pub use validate::{validate, ValidationCert, ValidationError};
 pub use vm::{ExecError, ExecResult, ExecTier, Vm};

@@ -41,26 +41,6 @@ impl ArrayMap {
         self.elems.get(key).map(|e| e.load(Ordering::Acquire))
     }
 
-    /// `bpf_map_lookup_elem` on the proven tiers: the analysis
-    /// pass has shown `key < len()` for every execution, so the `Option`
-    /// branch of [`lookup`](Self::lookup) is elided. Safe Rust indexing is
-    /// kept — a violated proof panics loudly instead of reading stray
-    /// memory.
-    #[inline]
-    pub fn lookup_fast(&self, key: usize) -> u64 {
-        self.elems[key].load(Ordering::Acquire)
-    }
-
-    /// Raw base pointer of the element buffer, for the JIT to bake into
-    /// emitted code as an immediate. The buffer address is stable for the
-    /// life of the map (`Box<[AtomicU64]>` never reallocates), and the
-    /// JIT'd program keeps the owning `Arc<ArrayMap>` alive, so baked
-    /// addresses never dangle.
-    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-    pub(crate) fn elems_ptr(&self) -> *const AtomicU64 {
-        self.elems.as_ptr()
-    }
-
     /// `bpf_map_update_elem` from userspace: store `value` at `key`.
     /// Returns false when the key is out of range.
     #[inline]
@@ -75,9 +55,8 @@ impl ArrayMap {
     }
 }
 
-/// Sentinel for an empty sockarray slot. `pub(crate)` so the JIT can
-/// compare against it in emitted code.
-pub(crate) const NO_SOCK: usize = usize::MAX;
+/// Sentinel for an empty sockarray slot.
+const NO_SOCK: usize = usize::MAX;
 
 /// `BPF_MAP_TYPE_REUSEPORT_SOCKARRAY`: worker index → socket handle.
 #[derive(Debug)]
@@ -124,14 +103,6 @@ impl SockArrayMap {
         }
     }
 
-    /// Raw base pointer of the slot buffer, for the JIT to bake into
-    /// emitted code as an immediate. Same stability argument as
-    /// [`ArrayMap::elems_ptr`].
-    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-    pub(crate) fn slots_ptr(&self) -> *const AtomicUsize {
-        self.slots.as_ptr()
-    }
-
     /// Socket handle at `key`, `None` when empty or out of range.
     #[inline]
     pub fn lookup(&self, key: usize) -> Option<usize> {
@@ -171,11 +142,10 @@ impl std::fmt::Display for MapKind {
 
 /// The immutable post-freeze snapshot: a dense fd-indexed table plus the
 /// layout the abstract interpreter binds against. Published once through a
-/// `OnceLock`; every hot-path resolution after that is a plain slice index
-/// with no lock and no refcount traffic.
+/// `OnceLock`; every resolution after that is a slice index with no lock.
 #[derive(Debug)]
 struct Frozen {
-    table: Arc<[MapRef]>,
+    table: Box<[MapRef]>,
     layout: Box<[(u32, MapKind, usize)]>,
 }
 
@@ -186,7 +156,7 @@ struct Frozen {
 /// then `BPF_PROG_LOAD` verifies programs against the fd table, after
 /// which the table is effectively immutable — map *contents* stay mutable
 /// and atomic, but no fds appear or disappear. [`freeze`](Self::freeze)
-/// marks that point: the registry publishes a dense `Arc<[MapRef]>`
+/// marks that point: the registry publishes a dense `Box<[MapRef]>`
 /// snapshot and all fd resolution becomes lock-free. The `RwLock` then
 /// guards only registration-time writes; registering after the freeze
 /// panics (it would invalidate loaded programs' resolved fds).
@@ -218,8 +188,7 @@ impl MapRegistry {
     }
 
     /// Freeze the fd table into its immutable snapshot. Idempotent; called
-    /// implicitly by [`layout`](Self::layout) (program-load time) and by
-    /// the first frozen-table resolution.
+    /// implicitly by [`layout`](Self::layout) (program-load time).
     pub fn freeze(&self) {
         self.frozen.get_or_init(|| {
             let maps = self.maps.read().expect(POISONED);
@@ -236,18 +205,6 @@ impl MapRegistry {
                 layout,
             }
         });
-    }
-
-    /// True once the fd table has been frozen.
-    pub fn is_frozen(&self) -> bool {
-        self.frozen.get().is_some()
-    }
-
-    /// The frozen dense fd table, freezing on first use. Indexing this
-    /// slice is the lock-free hot path compiled bank steps run on.
-    pub fn frozen_table(&self) -> &Arc<[MapRef]> {
-        self.freeze();
-        &self.frozen.get().expect("frozen by freeze()").table
     }
 
     /// Resolve an fd: lock-free against the frozen table once frozen,
@@ -366,10 +323,8 @@ mod tests {
         let reg = MapRegistry::new();
         let a_fd = reg.register(MapRef::Array(Arc::new(ArrayMap::new(2))));
         let s_fd = reg.register(MapRef::SockArray(Arc::new(SockArrayMap::new(3))));
-        assert!(!reg.is_frozen());
         // layout() freezes implicitly and the cached slice is stable.
         let layout = reg.layout();
-        assert!(reg.is_frozen());
         assert_eq!(
             layout,
             &[(0, MapKind::Array, 2), (1, MapKind::SockArray, 3)]
@@ -379,10 +334,9 @@ mod tests {
         assert!(reg.array(a_fd).is_some());
         assert!(reg.sockarray(s_fd).is_some());
         assert!(reg.get(9).is_none());
-        assert_eq!(reg.frozen_table().len(), 2);
         // freeze() is idempotent.
         reg.freeze();
-        assert_eq!(reg.frozen_table().len(), 2);
+        assert_eq!(reg.layout().len(), 2);
     }
 
     #[test]

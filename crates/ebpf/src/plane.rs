@@ -14,7 +14,7 @@
 //! ```
 //!
 //! Userspace schedulers publish with [`sync`](DispatchPlane::sync); the
-//! runtime's driver (or the simulator's SYN path) places with
+//! simulator's SYN path places with
 //! [`dispatch`](DispatchPlane::dispatch) /
 //! [`dispatch_batch`](DispatchPlane::dispatch_batch). The {flat, grouped} ×
 //! {oracle, bytecode} cross product is matched here and nowhere else, the
@@ -58,7 +58,7 @@ pub struct DispatchPlane {
 }
 
 impl DispatchPlane {
-    /// The verified bytecode, attached and on the platform's ceiling tier:
+    /// The admitted bytecode, attached and run by the checked interpreter:
     /// the paper's flat program for one group, the §7 program for more.
     pub fn bytecode(groups: usize, group_size: usize) -> Self {
         let kernel = if groups == 1 {
@@ -127,8 +127,7 @@ impl DispatchPlane {
         placed
     }
 
-    /// Kernel-side placement of a whole arrival burst through one batched
-    /// run (bitmaps and map slots loaded once for the burst). Placements
+    /// Kernel-side placement of a whole arrival burst. Placements
     /// are appended to `out` in order and equal per-hash
     /// [`dispatch`](Self::dispatch) calls under the same bitmaps.
     pub fn dispatch_batch(&self, hashes: &[u32], out: &mut Vec<Placement>) {

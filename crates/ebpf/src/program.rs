@@ -24,7 +24,6 @@ use crate::asm::Assembler;
 use crate::helpers::{HELPER_MAP_LOOKUP, HELPER_RECIPROCAL_SCALE, HELPER_SK_SELECT_REUSEPORT};
 use crate::insn::{Alu, Cond, Insn, Reg};
 use crate::maps::{ArrayMap, MapRef, MapRegistry, SockArrayMap};
-use crate::validate::ValidationCert;
 use crate::vm::{ExecResult, ExecTier, Vm};
 use hermes_core::bitmap::WorkerBitmap;
 use hermes_core::dispatch::DispatchOutcome;
@@ -139,9 +138,9 @@ pub(crate) fn assemble(
     a.finish()
 }
 
-/// The flat Algorithm 2 program, as bytecode. Admission — analysis,
-/// translation validation, the tier ceiling — happens where the program is
-/// attached ([`ReuseportGroup::new`]) or loaded ([`Vm::load_analyzed`]).
+/// The flat Algorithm 2 program, as bytecode. Admission happens where the
+/// program is attached ([`ReuseportGroup::new`]), loaded
+/// ([`Vm::load_analyzed`]) or handed to the kernel ([`crate::kernel`]).
 pub struct DispatchProgram;
 
 impl DispatchProgram {
@@ -175,27 +174,16 @@ pub struct AttachedProgram {
 
 impl AttachedProgram {
     /// `BPF_PROG_LOAD` plus attach, and the one admission bar every
-    /// consumer serves behind: freeze `registry`'s fd table, prove `prog`
-    /// clean against it, require the translation validator's certificate
-    /// for the compiled artifact, lower to native code where the platform
-    /// has an emitter (so the first connection does not pay for emission),
-    /// and require the platform's ceiling tier. Anything less is a bug in
-    /// this crate's emitters, so it panics.
+    /// consumer serves behind: freeze `registry`'s fd table, admit `prog`
+    /// against it ([`crate::analyze`]) and require a clean report. Anything
+    /// less is a bug in this crate's emitter, so it panics.
     pub(crate) fn attach(registry: MapRegistry, prog: Vec<Insn>) -> Self {
         let ctx = AnalysisCtx::from_registry(&registry);
         let vm = Vm::load_analyzed(prog, &ctx).expect("dispatch program must analyze");
-        let proven = vm.validation().map_or(0, ValidationCert::blocks_proven);
         assert!(
-            proven > 0,
-            "compiled dispatch must carry a translation proof: {:?}\n{}",
-            vm.validation_error(),
+            vm.analysis().is_clean(),
+            "dispatch program must analyze clean:\n{}",
             vm.analysis().render(vm.program())
-        );
-        vm.prepare_jit(&registry);
-        assert_eq!(
-            vm.tier(),
-            ExecTier::native_ceiling(),
-            "dispatch program must reach the platform execution ceiling"
         );
         Self { registry, vm }
     }
@@ -210,28 +198,10 @@ impl AttachedProgram {
         self.vm.program()
     }
 
-    /// Execution tier the attached program runs on —
-    /// [`ExecTier::native_ceiling`] always, by construction: the jit tier
-    /// on x86-64 Linux, the compiled tier elsewhere.
+    /// Execution tier the attached program runs on: the checked
+    /// interpreter.
     pub fn tier(&self) -> ExecTier {
         self.vm.tier()
-    }
-
-    /// The translation-validation certificate the compiled tier was
-    /// admitted under — present always, by construction.
-    pub fn validation(&self) -> &ValidationCert {
-        self.vm.validation().expect("certified at construction")
-    }
-
-    /// The VM the program is loaded in (tier benchmarks and tests).
-    pub fn vm(&self) -> &Vm {
-        &self.vm
-    }
-
-    /// The map registry the program dispatches against (tier benchmarks
-    /// and tests).
-    pub fn registry(&self) -> &MapRegistry {
-        &self.registry
     }
 
     /// One program execution for a connection with 4-tuple hash `hash`.
@@ -241,8 +211,7 @@ impl AttachedProgram {
             .expect("admitted program cannot fault")
     }
 
-    /// One program execution per hash of an arrival burst, map slots
-    /// resolved once for the burst (see [`Vm::run_each`]).
+    /// One program execution per hash of an arrival burst.
     #[inline]
     pub(crate) fn run_each(&self, hashes: &[u32], each: impl FnMut(u32, ExecResult)) {
         self.vm
@@ -318,7 +287,7 @@ impl ReuseportGroup {
 
     /// Current bitmap (monitoring).
     pub fn bitmap(&self) -> WorkerBitmap {
-        WorkerBitmap(self.sel_map.lookup_fast(0))
+        WorkerBitmap(self.sel_map.lookup(0).expect("one element"))
     }
 
     /// Remove a worker's socket (crash/drain): the program will fall back
@@ -342,11 +311,9 @@ impl ReuseportGroup {
     }
 
     /// Kernel-side dispatch of a whole arrival burst: one program execution
-    /// per hash, with the compiled tier's constant-fd map slots resolved
-    /// **once for the batch** (see [`Vm::run_each`]). Decisions are
-    /// appended to `out` in order and are identical to per-hash
-    /// [`dispatch`](Self::dispatch) calls — the bitmap is read per
-    /// execution from the same atomic element, and userspace sync is
+    /// per hash. Decisions are appended to `out` in order and are identical
+    /// to per-hash [`dispatch`](Self::dispatch) calls — the bitmap is read
+    /// per execution from the same atomic element, and userspace sync is
     /// already asynchronous with respect to arrivals.
     pub fn dispatch_batch(&self, hashes: &[u32], out: &mut Vec<DispatchOutcome>) {
         out.reserve(hashes.len());
@@ -370,12 +337,6 @@ impl ReuseportGroup {
         } else {
             DispatchOutcome::Fallback(reciprocal_scale(hash, self.workers as u32) as WorkerId)
         }
-    }
-
-    /// Instructions executed for one dispatch at the current bitmap — the
-    /// Table 5 "dispatcher" overhead, in instruction counts.
-    pub fn dispatch_cost(&self, hash: u32) -> usize {
-        self.run(hash).insns_executed
     }
 }
 
@@ -429,11 +390,10 @@ mod tests {
     }
 
     #[test]
-    fn group_runs_on_the_native_ceiling_tier() {
-        use crate::vm::ExecTier;
+    fn group_attaches_clean_at_every_size() {
         for workers in [1usize, 2, 7, 32, 63, 64] {
             let g = ReuseportGroup::new(workers);
-            assert_eq!(g.tier(), ExecTier::native_ceiling(), "workers={workers}");
+            assert_eq!(g.tier().trace_code(), 0, "workers={workers}");
             assert!(g.analysis().is_clean());
             let len = g.program().len();
             assert!(len < 256, "program unexpectedly large: {len}");
@@ -460,7 +420,7 @@ mod tests {
     fn dispatch_cost_is_loop_free_bounded() {
         let g = ReuseportGroup::new(64);
         g.sync_bitmap(WorkerBitmap::all(64));
-        let cost = g.dispatch_cost(42);
+        let cost = g.run(42).insns_executed;
         // Straight-line program: cost can never exceed its length.
         assert!(cost <= DispatchProgram::build(0, 1, 64).len());
         assert!(cost > 50, "popcount + ladder should dominate, got {cost}");

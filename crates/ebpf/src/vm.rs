@@ -1,5 +1,5 @@
-//! The bytecode interpreter (the checked reference path) and the tier
-//! ladder above it.
+//! The bytecode interpreter: the one userspace execution of a dispatch
+//! program, and the reference the kernel's is compared against.
 //!
 //! Executes an *admitted* program against a map registry and a reuseport
 //! context. [`Vm::load_analyzed`] is the only constructor and
@@ -9,85 +9,34 @@
 //! (which indicate an analysis bug, not a program bug) surface as
 //! [`ExecError`] rather than being silently masked.
 //!
-//! When the analysis report is *clean* — every division proven nonzero,
-//! every shift proven `< 64`, every map index proven in bounds, no dead
-//! code — the bytecode is compiled once ([`crate::compile`]) into a stream
-//! that runs without the runtime checks the proofs made redundant, and,
-//! once the translation validator has certified that stream, lowered to
-//! native code ([`crate::jit`]). This mirrors how the kernel earns its
-//! in-kernel execution speed: the verifier pays at load time so the
-//! per-packet path doesn't. The ladder is Checked → Compiled → Jit.
+//! Nothing faster sits above it. What ships runs the same program in the
+//! kernel ([`crate::kernel`]: its verifier, its JIT); this interpreter is
+//! what the simulator's equivalence suites, the differential tests and
+//! `kernel_dispatch.rs`'s oracle execute, and every pc move, stack access
+//! and helper argument stays checked.
 
 use crate::analysis::{analyze, AnalysisCtx, AnalysisError, AnalysisReport};
-use crate::compile::CompiledProgram;
 use crate::disasm::disasm_insn;
 use crate::helpers::{call_helper, HelperCtx};
 use crate::insn::{Insn, Op, Reg, Src, NUM_REGS, STACK_SIZE};
-use crate::jit::JitProgram;
 use crate::maps::MapRegistry;
-use crate::validate::{validate, ValidationCert, ValidationError};
-use std::sync::{Arc, OnceLock};
 
-/// Execution tier a program qualifies for — the ladder the analysis pays
-/// for at load time. [`Vm::run`] always uses the highest available tier.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+/// How a loaded program executes: on the checked interpreter. (An enum of
+/// one: the end-to-end benchmark reads `tier().trace_code()`, and recorded
+/// traces carry the code in `EventKind::VmLoad`.)
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecTier {
     /// Checked reference interpreter: every pc move, stack access, and
     /// helper argument validated at run time.
     Checked,
-    /// Basic-block compiled stream ([`crate::compile`]): no per-insn
-    /// fetch/decode, fused popcounts, helper calls resolved to direct code
-    /// with constant-fd maps bound once per run (or batch).
-    Compiled,
-    /// Native x86-64 machine code ([`crate::jit`]): the compiled stream
-    /// lowered to an emitted function with map addresses baked in and
-    /// helpers inlined. Only available on x86-64 Linux, only for
-    /// translation-validated programs, and only after
-    /// [`Vm::prepare_jit`] baked the code against a frozen registry.
-    Jit,
 }
 
 impl ExecTier {
     /// Stable numeric code used in flight-recorder payloads
-    /// (`EventKind::VmLoad` payload `a`). 1 was the retired lowered
-    /// interpreter; recorded traces keep decoding.
+    /// (`EventKind::VmLoad` payload `a`). 1, 2 and 3 were the retired
+    /// lowered, compiled and jit tiers; recorded traces keep decoding.
     pub fn trace_code(self) -> u64 {
-        match self {
-            ExecTier::Checked => 0,
-            ExecTier::Compiled => 2,
-            ExecTier::Jit => 3,
-        }
-    }
-
-    /// The highest tier a certified dispatch program can reach on this
-    /// build target: [`ExecTier::Jit`] where the emitter exists, else
-    /// [`ExecTier::Compiled`]. The attach constructors assert it, so the
-    /// same check is strict on x86-64 Linux and portable elsewhere.
-    pub fn native_ceiling() -> ExecTier {
-        if cfg!(all(target_arch = "x86_64", target_os = "linux")) {
-            ExecTier::Jit
-        } else {
-            ExecTier::Compiled
-        }
-    }
-
-    /// Flight-recorder counter tallying executions on this tier.
-    fn run_counter(self) -> hermes_trace::CounterId {
-        match self {
-            ExecTier::Checked => hermes_trace::CounterId::VmRunsChecked,
-            ExecTier::Compiled => hermes_trace::CounterId::VmRunsCompiled,
-            ExecTier::Jit => hermes_trace::CounterId::VmRunsJit,
-        }
-    }
-}
-
-impl std::fmt::Display for ExecTier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExecTier::Checked => write!(f, "checked"),
-            ExecTier::Compiled => write!(f, "compiled"),
-            ExecTier::Jit => write!(f, "jit"),
-        }
+        0
     }
 }
 
@@ -159,66 +108,22 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// A loaded (analyzed) program plus its execution engine.
+/// A loaded (analyzed) program and the interpreter that runs it.
 #[derive(Clone, Debug)]
 pub struct Vm {
     prog: Vec<Insn>,
-    /// Basic-block compiled stream, built for programs the analysis proved
-    /// clean (see module docs) — and admitted only with its translation-
-    /// validation certificate. Pairing the program with the cert in one
-    /// `Option` makes certificate-free compiled execution unrepresentable:
-    /// there is no state where [`Vm::run`] could reach the compiled tier
-    /// without [`crate::validate::validate`] having proven it.
-    compiled: Option<(CompiledProgram, ValidationCert)>,
-    /// Why translation validation demoted this program off the compiled
-    /// tier, when it did (the program then runs on the checked tier).
-    validation_error: Option<ValidationError>,
     /// The report the program was admitted under.
     report: AnalysisReport,
-    /// Lazily-built native code ([`Vm::prepare_jit`]): `None` inside the
-    /// `OnceLock` records that emission was attempted and declined (wrong
-    /// target, unresolved fds), so the decision is made once. Only a
-    /// compiled-tier program — cert in hand — ever attempts emission,
-    /// extending the cert gate to the jit tier.
-    jit: OnceLock<Option<Arc<JitProgram>>>,
 }
 
 impl Vm {
     /// Load a program — mirroring `bpf(BPF_PROG_LOAD)`, which refuses what
     /// it cannot prove safe: run [`analyze`], binding map fds against
-    /// `ctx`. A clean report (no warnings) enables the proven tiers — the
-    /// block-compiled stream and the jit above it; otherwise, and when a
-    /// helper's fd operand is neither constant nor bank-bounded
-    /// (`CompiledProgram::compile` declines), execution stays on the
-    /// checked interpreter.
-    ///
-    /// The compiled tier is additionally gated on translation validation
-    /// ([`crate::validate`]): the compiled stream is admitted only with a
-    /// [`ValidationCert`] proving it bit-exactly equivalent to the checked
-    /// interpreter's semantics. A program that compiles but fails
-    /// validation is demoted to the checked tier and the first undischarged
-    /// obligation retained in [`Vm::validation_error`].
+    /// `ctx`. A report with warnings (a possibly oversized shift, dead
+    /// code) still loads; the attach constructors demand a clean one.
     pub fn load_analyzed(prog: Vec<Insn>, ctx: &AnalysisCtx) -> Result<Self, AnalysisError> {
         let report = analyze(&prog, ctx)?;
-        let mut validation_error = None;
-        let compiled = report
-            .is_clean()
-            .then(|| CompiledProgram::compile(&prog, ctx, &report))
-            .flatten()
-            .and_then(|cp| match validate(&prog, &cp, ctx, &report) {
-                Ok(cert) => Some((cp, cert)),
-                Err(e) => {
-                    validation_error = Some(e);
-                    None
-                }
-            });
-        let vm = Self {
-            prog,
-            compiled,
-            validation_error,
-            report,
-            jit: OnceLock::new(),
-        };
+        let vm = Self { prog, report };
         hermes_trace::trace_event!(
             0u64,
             hermes_trace::EventKind::VmLoad,
@@ -239,140 +144,13 @@ impl Vm {
         &self.prog
     }
 
-    /// Highest execution tier this program qualified for: a clean report
-    /// whose compiled stream validated yields [`ExecTier::Compiled`], a
-    /// successful [`Vm::prepare_jit`] lifts that to [`ExecTier::Jit`], and
-    /// anything less runs on [`ExecTier::Checked`].
+    /// The tier the program runs on: [`ExecTier::Checked`], always.
     pub fn tier(&self) -> ExecTier {
-        if matches!(self.jit.get(), Some(Some(_))) {
-            ExecTier::Jit
-        } else if self.compiled.is_some() {
-            ExecTier::Compiled
-        } else {
-            ExecTier::Checked
-        }
-    }
-
-    /// Lower the certified compiled stream to native code against `maps`
-    /// (freezing it if needed — this is load time, the `BPF_PROG_LOAD`
-    /// moment), or return the already-emitted code. Returns `None` when
-    /// the program lacks a [`ValidationCert`] (the jit inherits the
-    /// compiled tier's admission gate), when the target has no emitter, or
-    /// when the code was baked against a *different* frozen registry than
-    /// `maps` — all clean fallbacks to the compiled tier.
-    #[inline]
-    pub fn prepare_jit(&self, maps: &MapRegistry) -> Option<&JitProgram> {
-        let (cp, cert) = self.compiled.as_ref()?;
-        let jit = self
-            .jit
-            .get_or_init(|| match JitProgram::emit(cp, cert, maps) {
-                Ok(j) => {
-                    hermes_trace::trace_event!(
-                        0u64,
-                        hermes_trace::EventKind::JitLoad,
-                        hermes_trace::KERNEL_LANE,
-                        j.code_len(),
-                        j.block_count()
-                    );
-                    Some(Arc::new(j))
-                }
-                Err(_) => None,
-            });
-        let jit = jit.as_ref()?;
-        jit.table_matches(maps).then(|| &**jit)
-    }
-
-    /// The emitted native program, when [`Vm::prepare_jit`] succeeded.
-    pub fn jit(&self) -> Option<&JitProgram> {
-        self.jit.get()?.as_deref()
-    }
-
-    /// The compiled top-tier program, when the analysis earned it *and*
-    /// translation validation proved it.
-    pub fn compiled(&self) -> Option<&CompiledProgram> {
-        self.compiled.as_ref().map(|(cp, _)| cp)
-    }
-
-    /// The translation-validation certificate — present exactly when the
-    /// compiled tier is active. `vm.tier() == ExecTier::Compiled` implies
-    /// `vm.validation().is_some()` by construction.
-    pub fn validation(&self) -> Option<&ValidationCert> {
-        self.compiled.as_ref().map(|(_, cert)| cert)
-    }
-
-    /// Why translation validation demoted this program off the compiled
-    /// tier, if it did.
-    pub fn validation_error(&self) -> Option<&ValidationError> {
-        self.validation_error.as_ref()
-    }
-
-    /// Number of instructions in the loaded program.
-    pub fn len(&self) -> usize {
-        self.prog.len()
-    }
-
-    /// True when the program is empty (cannot happen: analysis refuses it).
-    pub fn is_empty(&self) -> bool {
-        self.prog.is_empty()
-    }
-
-    /// Run the program with `ctx_hash` in R1 (the kernel-precomputed
-    /// 4-tuple hash — our simplified `sk_reuseport_md`). Dispatches to the
-    /// highest tier the analysis earned: native code when the registry is
-    /// frozen and [`Vm::prepare_jit`] succeeds (the frozen-registry gate
-    /// keeps a bare `run` from freezing `maps` as a side effect), else
-    /// compiled → checked. The tier counter records the path actually
-    /// taken.
-    pub fn run(&self, ctx_hash: u32, maps: &MapRegistry) -> Result<ExecResult, ExecError> {
-        if maps.is_frozen() {
-            if let Some(jit) = self.prepare_jit(maps) {
-                hermes_trace::trace_count!(ExecTier::Jit.run_counter());
-                return Ok(jit.run(ctx_hash));
-            }
-        }
-        // Destructuring the pair is the admission check: the compiled
-        // stream is only reachable alongside its ValidationCert.
-        if let Some((compiled, _cert)) = &self.compiled {
-            hermes_trace::trace_count!(ExecTier::Compiled.run_counter());
-            return Ok(compiled.run(ctx_hash, maps));
-        }
-        hermes_trace::trace_count!(ExecTier::Checked.run_counter());
-        self.run_checked(ctx_hash, maps)
-    }
-
-    /// Run on a *specific* tier — the differential-testing and benchmark
-    /// entry point. Panics when `tier` exceeds what this program qualified
-    /// for (check [`Vm::tier`] first).
-    pub fn run_tier(
-        &self,
-        tier: ExecTier,
-        ctx_hash: u32,
-        maps: &MapRegistry,
-    ) -> Result<ExecResult, ExecError> {
-        hermes_trace::trace_count!(tier.run_counter());
-        match tier {
-            ExecTier::Checked => self.run_checked(ctx_hash, maps),
-            ExecTier::Compiled => {
-                let (compiled, _cert) = self
-                    .compiled
-                    .as_ref()
-                    .expect("program did not earn the compiled tier");
-                Ok(compiled.run(ctx_hash, maps))
-            }
-            ExecTier::Jit => {
-                let jit = self
-                    .prepare_jit(maps)
-                    .expect("program did not earn the jit tier");
-                Ok(jit.run(ctx_hash))
-            }
-        }
+        ExecTier::Checked
     }
 
     /// Run the program once per hash in `hashes`, handing each hash and its
-    /// result to `each` in order. On the compiled tier the constant-fd map
-    /// slots are resolved **once for the whole batch** — the per-connection
-    /// registry cost the batched dispatch path exists to amortize. Lower
-    /// tiers degrade to a per-hash loop with identical results.
+    /// result to `each` in order.
     #[inline]
     pub fn run_each(
         &self,
@@ -380,23 +158,6 @@ impl Vm {
         maps: &MapRegistry,
         mut each: impl FnMut(u32, ExecResult),
     ) -> Result<(), ExecError> {
-        if maps.is_frozen() {
-            if let Some(jit) = self.prepare_jit(maps) {
-                hermes_trace::trace_count!(hermes_trace::CounterId::VmRunsJit, hashes.len());
-                for &hash in hashes {
-                    each(hash, jit.run(hash));
-                }
-                return Ok(());
-            }
-        }
-        if let Some((compiled, _cert)) = &self.compiled {
-            hermes_trace::trace_count!(hermes_trace::CounterId::VmRunsCompiled, hashes.len());
-            let resolved = compiled.resolve(maps);
-            for &hash in hashes {
-                each(hash, compiled.exec(hash, &resolved));
-            }
-            return Ok(());
-        }
         for &hash in hashes {
             each(hash, self.run(hash, maps)?);
         }
@@ -414,9 +175,11 @@ impl Vm {
         self.run_each(hashes, maps, |_, result| out.push(result))
     }
 
-    /// The checked reference interpreter: every pc move, stack access, and
-    /// helper argument is validated at run time.
-    fn run_checked(&self, ctx_hash: u32, maps: &MapRegistry) -> Result<ExecResult, ExecError> {
+    /// Run the program with `ctx_hash` in R1 (the kernel-precomputed
+    /// 4-tuple hash — our simplified `sk_reuseport_md`): every pc move,
+    /// stack access, and helper argument is validated at run time.
+    pub fn run(&self, ctx_hash: u32, maps: &MapRegistry) -> Result<ExecResult, ExecError> {
+        hermes_trace::trace_count!(hermes_trace::CounterId::VmRunsChecked);
         let mut regs = [0u64; NUM_REGS];
         let mut stack = [0u8; STACK_SIZE];
         regs[Reg::R1.idx()] = ctx_hash as u64;
@@ -535,8 +298,7 @@ mod tests {
     /// What the checked interpreter makes of `prog`.
     fn run(prog: Vec<Insn>, hash: u32) -> ExecResult {
         let vm = Vm::load_analyzed(prog, &AnalysisCtx::new()).expect("analyzes");
-        vm.run_tier(ExecTier::Checked, hash, &MapRegistry::new())
-            .expect("executes")
+        vm.run(hash, &MapRegistry::new()).expect("executes")
     }
 
     #[test]
@@ -649,12 +411,12 @@ mod tests {
     }
 
     #[test]
-    fn analyzed_clean_program_takes_the_compiled_tier() {
+    fn a_proven_key_reads_the_element_it_names() {
         use crate::helpers::HELPER_MAP_LOOKUP;
         use crate::maps::{ArrayMap, MapKind, MapRef};
         use std::sync::Arc;
 
-        // hash & 7 indexes an 8-element array; provable, so compiled.
+        // hash & 7 indexes an 8-element array; provable, so clean.
         let maps = MapRegistry::new();
         let array = Arc::new(ArrayMap::new(8));
         for k in 0..8 {
@@ -673,31 +435,27 @@ mod tests {
 
         let ctx = AnalysisCtx::new().bind(fd, MapKind::Array, 8);
         let vm = Vm::load_analyzed(prog, &ctx).expect("clean");
-        assert_eq!(vm.tier(), ExecTier::Compiled);
         assert!(vm.analysis().is_clean());
+        assert_eq!(vm.tier().trace_code(), 0);
         for hash in [0u32, 1, 7, 8, 0xdead_beef, u32::MAX] {
-            assert_eq!(
-                vm.run(hash, &maps).unwrap(),
-                vm.run_tier(ExecTier::Checked, hash, &maps).unwrap(),
-                "compiled/checked divergence at hash {hash:#x}"
-            );
+            let want = (hash as u64 & 7) * 100;
+            assert_eq!(vm.run(hash, &maps).unwrap().return_value, want);
         }
     }
 
     #[test]
-    fn warned_program_falls_back_to_checked_path() {
-        // Shift by the raw hash: may exceed 63, warning → no proven tier,
-        // but execution still works (the checked VM masks the shift).
+    fn warned_program_loads_and_its_shift_is_masked() {
+        // Shift by the raw hash: may exceed 63, a warning, but execution
+        // still works (the interpreter masks the shift).
         let mut a = Assembler::new();
         a.mov_imm(Reg::R0, 1);
         a.mov(Reg::R2, Reg::R1);
         a.alu(Alu::Lsh, Reg::R0, Reg::R2);
         a.exit();
         let vm = Vm::load_analyzed(a.finish(), &AnalysisCtx::new()).expect("warns, loads");
-        assert_eq!(vm.tier(), ExecTier::Checked);
         assert!(!vm.analysis().is_clean());
         let r = vm.run(65, &MapRegistry::new()).unwrap();
-        assert_eq!(r.return_value, 2, "checked path masks the shift");
+        assert_eq!(r.return_value, 2, "the interpreter masks the shift");
     }
 
     #[test]
@@ -714,44 +472,7 @@ mod tests {
     }
 
     #[test]
-    fn tier_ladder_is_ordered() {
-        let mut a = Assembler::new();
-        a.mov_imm(Reg::R0, 7);
-        a.exit();
-        let compiled = Vm::load_analyzed(a.finish(), &AnalysisCtx::new()).unwrap();
-        assert_eq!(compiled.tier(), ExecTier::Compiled);
-        assert!(ExecTier::Checked < ExecTier::Compiled && ExecTier::Compiled < ExecTier::Jit);
-        assert!(ExecTier::native_ceiling() >= ExecTier::Compiled);
-    }
-
-    #[test]
-    fn run_tier_agrees_across_all_tiers() {
-        use crate::helpers::HELPER_RECIPROCAL_SCALE;
-
-        // Branchy program with a helper call: covers blocks + direct call.
-        let mut a = Assembler::new();
-        let fallback = a.label();
-        a.mov(Reg::R6, Reg::R1);
-        a.mov_imm(Reg::R2, 13);
-        a.call(HELPER_RECIPROCAL_SCALE);
-        a.jmp_imm(Cond::Eq, Reg::R0, 0, fallback);
-        a.alu(Alu::Add, Reg::R0, Reg::R6);
-        a.exit();
-        a.bind(fallback);
-        a.mov_imm(Reg::R0, 99);
-        a.exit();
-        let vm = Vm::load_analyzed(a.finish(), &AnalysisCtx::new()).expect("clean");
-        assert_eq!(vm.tier(), ExecTier::Compiled);
-        let maps = MapRegistry::new();
-        for hash in [0u32, 1, 1000, 0xdead_beef, u32::MAX] {
-            let checked = vm.run_tier(ExecTier::Checked, hash, &maps).unwrap();
-            let compiled = vm.run_tier(ExecTier::Compiled, hash, &maps).unwrap();
-            assert_eq!(checked, compiled, "checked/compiled at {hash:#x}");
-        }
-    }
-
-    #[test]
-    fn run_batch_matches_single_runs_and_resolves_once() {
+    fn run_batch_matches_single_runs() {
         use crate::helpers::HELPER_MAP_LOOKUP;
         use crate::maps::{ArrayMap, MapKind, MapRef};
         use std::sync::Arc;
@@ -826,10 +547,7 @@ mod tests {
         ];
         let vm = Vm {
             prog,
-            compiled: None,
-            validation_error: None,
             report: AnalysisReport::default(),
-            jit: OnceLock::new(),
         };
         let err = vm
             .run(0, &MapRegistry::new())
@@ -846,7 +564,7 @@ mod tests {
     }
 
     #[test]
-    fn compiled_tier_runs_sk_select_with_runtime_fallback() {
+    fn sk_select_commits_a_populated_slot_and_reports_an_empty_one() {
         use crate::helpers::{ENOENT_RET, HELPER_SK_SELECT_REUSEPORT};
         use crate::maps::{MapKind, MapRef, SockArrayMap};
         use std::sync::Arc;
@@ -864,12 +582,11 @@ mod tests {
         a.exit();
         let ctx = AnalysisCtx::new().bind(fd, MapKind::SockArray, 4);
         let vm = Vm::load_analyzed(a.finish(), &ctx).expect("clean");
-        assert_eq!(vm.tier(), ExecTier::Compiled);
         // Slot 2 is populated: success, socket committed.
         let hit = vm.run(2, &maps).unwrap();
         assert_eq!(hit.return_value, 0);
         assert_eq!(hit.selected_sock, Some(77));
-        // Slot 1 is empty: the proven tier keeps the runtime ENOENT check.
+        // Slot 1 is empty: a proven index still meets the runtime ENOENT check.
         let miss = vm.run(1, &maps).unwrap();
         assert_eq!(miss.return_value, ENOENT_RET);
         assert_eq!(miss.selected_sock, None);

@@ -4,8 +4,8 @@
 //! `dispatch.batched_flows` and the `bitmap.*` pair are tallied by
 //! [`DispatchPlane`] itself, once, whichever of {native, bytecode} ×
 //! {one group, many} executes the decision — the grouped shapes used to
-//! read 0. Requires the `trace` feature (ci.sh runs it in the jit-soundness
-//! step); the file holds exactly one test so the global counter deltas
+//! read 0. Requires the `trace` feature (ci.sh runs it in a lane of its
+//! own); the file holds exactly one test so the global counter deltas
 //! cannot race a sibling test in the same process.
 
 #![cfg(feature = "trace")]

@@ -1,8 +1,8 @@
 //! Soundness fuzzing for the abstract interpreter: any program
-//! [`Vm::load_analyzed`] accepts must never trap at run time, and when the
-//! report is clean the unchecked proven tiers must be observationally
-//! identical to the checked interpreter — across randomized context
-//! hashes, map contents, and socket registrations.
+//! [`Vm::load_analyzed`] accepts must never trap on the checked interpreter
+//! — across randomized context hashes, map contents, and socket
+//! registrations — and the two shipped dispatch programs, run by that
+//! interpreter, must decide exactly as core's native oracles do.
 //!
 //! The generator and the oracle are plain functions, driven by seeded cases
 //! from the workspace generator and by an older LCG sweep that also holds
@@ -13,7 +13,7 @@ use hermes_ebpf::helpers::{
 };
 use hermes_ebpf::insn::{Alu, Cond, Insn, Op, Reg, Src};
 use hermes_ebpf::maps::{ArrayMap, MapRef, MapRegistry, SockArrayMap};
-use hermes_ebpf::{AnalysisCtx, ExecTier, MapKind, Vm};
+use hermes_ebpf::{AnalysisCtx, MapKind, Vm};
 use hermes_metrics::rng::for_each_case;
 use std::sync::Arc;
 
@@ -228,11 +228,9 @@ fn gen_program(seed: &[u8]) -> Vec<Insn> {
 
 /// The soundness oracle. Returns whether the program was accepted.
 ///
-/// For accepted programs: no trap on any earned execution tier, every
-/// tier's `ExecResult` is byte-identical to the checked interpreter's
-/// (return value, selected socket, instruction count), batched execution
-/// equals the single-shot runs element-for-element, and instruction counts
-/// respect the no-loop bound.
+/// For accepted programs: no trap, instruction counts respect the no-loop
+/// bound, and batched execution equals the single-shot runs
+/// element-for-element.
 fn check_soundness(seed: &[u8], hashes: &[u32], vals: &[u64; ARRAY_SIZE], registered: u8) -> bool {
     let prog = gen_program(seed);
     let analyzed = match Vm::load_analyzed(prog.clone(), &test_ctx()) {
@@ -240,30 +238,14 @@ fn check_soundness(seed: &[u8], hashes: &[u32], vals: &[u64; ARRAY_SIZE], regist
         Err(_) => return false,
     };
     let registry = test_registry(vals, registered);
-    // Attempt native lowering: compiled-tier programs with constant map
-    // fds earn the jit tier on x86-64 Linux; everything else keeps its
-    // tier and the loop below skips the rungs it did not earn.
-    analyzed.prepare_jit(&registry);
-    let earned = analyzed.tier();
     let mut singles = Vec::with_capacity(hashes.len());
     for &hash in hashes {
         let c = analyzed
-            .run_tier(ExecTier::Checked, hash, &registry)
-            .unwrap_or_else(|e| panic!("accepted program trapped (checked): {e}"));
-        for tier in [ExecTier::Compiled, ExecTier::Jit] {
-            if tier > earned {
-                continue;
-            }
-            let r = analyzed
-                .run_tier(tier, hash, &registry)
-                .unwrap_or_else(|e| panic!("accepted program trapped ({tier}): {e}"));
-            assert_eq!(r, c, "{tier} tier diverged from checked on hash {hash:#x}");
-        }
+            .run(hash, &registry)
+            .unwrap_or_else(|e| panic!("accepted program trapped: {e}"));
         assert!(c.insns_executed <= prog.len(), "executed past the program");
         singles.push(c);
     }
-    // Batched execution amortizes map resolution but must not change a
-    // single decision.
     let mut batch = Vec::new();
     analyzed
         .run_batch(hashes, &registry, &mut batch)
@@ -345,8 +327,7 @@ fn negative_seeds_are_rejected() {
     assert!(Vm::load_analyzed(div_by_reg, &test_ctx()).is_err());
 }
 
-/// Random seeds: accepted programs never trap and both execution paths
-/// agree, whatever the maps hold.
+/// Random seeds: accepted programs never trap, whatever the maps hold.
 #[test]
 fn accepted_programs_never_trap() {
     for_each_case(256, |g| {
@@ -357,18 +338,8 @@ fn accepted_programs_never_trap() {
     });
 }
 
-/// The shipped dispatch program under the fuzz harness: every earned
-/// execution tier (jit included on x86-64) agrees for every bitmap,
-/// hash, and registration set.
-#[test]
-fn dispatch_program_tiers_match_checked() {
-    for_each_case(256, |g| {
-        check_dispatch_tiers(g.next_u64(), g.next_u64() as u32, 1 + g.index(64));
-    });
-}
-
-/// The grouped (bounded-dynamic-fd) program under the fuzz harness:
-/// every tier, the batched path, and the native two-level oracle agree
+/// The grouped (bounded-dynamic-fd) program under the fuzz harness: the
+/// interpreter, its batched path, and the native two-level oracle agree
 /// for random group shapes, bitmaps, and hashes.
 #[test]
 fn grouped_dispatch_matches_native_oracle() {
@@ -379,11 +350,14 @@ fn grouped_dispatch_matches_native_oracle() {
     });
 }
 
-/// Oracle shared by the seeded cases above and the deterministic sweep below:
-/// build the Algorithm 2 program for `workers`, load the bitmap, and
-/// assert every earned tier returns the checked interpreter's exact
-/// `ExecResult`.
-fn check_dispatch_tiers(bits: u64, hash: u32, workers: usize) {
+/// The shipped flat program loaded into a bare `Vm` against maps of the
+/// test's own: build it for `workers`, load the bitmap, and assert the
+/// interpreter's `ExecResult` names the worker (or the fallback)
+/// `ConnDispatcher` picks. (Seeded random cases of the same property, through
+/// `ReuseportGroup`, are `program.rs`'s `bytecode_matches_native_oracle`.)
+fn check_flat_dispatch(bits: u64, hash: u32, workers: usize) {
+    use hermes_core::dispatch::{ConnDispatcher, DispatchOutcome};
+    use hermes_core::WorkerBitmap;
     use hermes_ebpf::DispatchProgram;
     let prog = DispatchProgram::build(ARRAY_FD, SOCK_FD, workers);
     let ctx = AnalysisCtx::new().bind(ARRAY_FD, MapKind::Array, 1).bind(
@@ -392,11 +366,7 @@ fn check_dispatch_tiers(bits: u64, hash: u32, workers: usize) {
         workers,
     );
     let analyzed = Vm::load_analyzed(prog, &ctx).unwrap();
-    assert_eq!(
-        analyzed.tier(),
-        ExecTier::Compiled,
-        "Algorithm 2 must reach the top proven tier"
-    );
+    assert!(analyzed.analysis().is_clean(), "Algorithm 2 must be clean");
     let registry = MapRegistry::new();
     let arr = Arc::new(ArrayMap::new(1));
     arr.update(0, bits);
@@ -406,29 +376,22 @@ fn check_dispatch_tiers(bits: u64, hash: u32, workers: usize) {
         socks.register(w, w);
     }
     registry.register(MapRef::SockArray(socks));
-    analyzed.prepare_jit(&registry);
+    let ran = analyzed.run(hash, &registry).unwrap();
+    let picked = (ran.return_value != 0).then_some(ran.selected_sock);
+    let want = match ConnDispatcher::new(workers).dispatch(WorkerBitmap(bits), hash) {
+        DispatchOutcome::Directed(w) => Some(Some(w)),
+        DispatchOutcome::Fallback(_) => None,
+    };
     assert_eq!(
-        analyzed.tier(),
-        ExecTier::native_ceiling(),
-        "Algorithm 2 must reach the platform ceiling"
+        picked, want,
+        "bits {bits:#x} hash {hash:#x} workers {workers}"
     );
-    let c = analyzed
-        .run_tier(ExecTier::Checked, hash, &registry)
-        .unwrap();
-    for tier in [ExecTier::Compiled, ExecTier::Jit] {
-        if tier > analyzed.tier() {
-            continue;
-        }
-        let r = analyzed.run_tier(tier, hash, &registry).unwrap();
-        assert_eq!(r, c, "{tier} diverged on bits {bits:#x} hash {hash:#x}");
-    }
 }
 
-/// Deterministic three-tier differential over both Algorithm 2 programs:
-/// the flat program across group sizes and
-/// bitmaps, and the grouped (dynamic-fd) program batch-vs-single.
+/// Deterministic sweep of the flat differential across group sizes on
+/// either side of every rung count, with the degenerate bitmaps.
 #[test]
-fn dispatch_programs_are_tier_identical() {
+fn dispatch_program_differential_sweep() {
     let mut state = 0x9E37_79B9_7F4A_7C15u64;
     let mut lcg = move || {
         state = state
@@ -438,48 +401,19 @@ fn dispatch_programs_are_tier_identical() {
     };
     for workers in [1usize, 2, 3, 17, 64] {
         for _ in 0..40 {
-            check_dispatch_tiers(lcg(), lcg() as u32, workers);
+            check_flat_dispatch(lcg(), lcg() as u32, workers);
         }
-        check_dispatch_tiers(0, 0, workers);
-        check_dispatch_tiers(u64::MAX, u32::MAX, workers);
+        check_flat_dispatch(0, 0, workers);
+        check_flat_dispatch(u64::MAX, u32::MAX, workers);
     }
-    // The grouped program exercises the dynamic-fd compiled path; its
-    // batched runs must equal single-shot runs on every tier's oracle.
-    let grouped = hermes_ebpf::GroupedReuseportGroup::new(4, 16);
-    let vm = grouped.vm();
-    assert_eq!(vm.tier(), ExecTier::native_ceiling());
-    let hashes: Vec<u32> = (0..128u64).map(|_| lcg() as u32).collect();
-    let singles: Vec<_> = hashes
-        .iter()
-        .map(|&h| {
-            let c = vm
-                .run_tier(ExecTier::Checked, h, grouped.registry())
-                .unwrap();
-            for tier in [ExecTier::Compiled, ExecTier::Jit] {
-                if tier > vm.tier() {
-                    continue;
-                }
-                let r = vm.run_tier(tier, h, grouped.registry()).unwrap();
-                assert_eq!(r, c, "grouped {tier} diverged on hash {h:#x}");
-            }
-            c
-        })
-        .collect();
-    let mut batch = Vec::new();
-    vm.run_batch(&hashes, grouped.registry(), &mut batch)
-        .unwrap();
-    assert_eq!(batch, singles);
 }
 
 /// Grouped-dispatch differential oracle. Loads `bitmaps[g]` into group
-/// `g`'s selection map on both planes, then asserts for every hash:
-///
-/// * the checked interpreter, the compiled (pre-resolved bank) tier, and
-///   the jit (where earned) return byte-identical `ExecResult`s;
-/// * `run_batch` over the compiled tier equals the single-shot runs;
-/// * the bytecode decision (group, directed flag, flattened worker) equals the native [`GroupedConnDispatcher`] — the §7
-///   two-level composition the scheduler side publishes into — for both
-///   its single-shot and batched paths.
+/// `g`'s selection map on both planes, then asserts for every hash that the
+/// bytecode decision (group, directed flag, flattened worker) equals the
+/// native [`GroupedConnDispatcher`] — the §7 two-level composition the
+/// scheduler side publishes into — for both its single-shot and batched
+/// paths.
 fn check_grouped_dispatch(groups: usize, group_size: usize, bitmaps: &[u64], hashes: &[u32]) {
     use hermes_core::{GroupedConnDispatcher, SelMap, WorkerBitmap};
     use hermes_ebpf::GroupedReuseportGroup;
@@ -497,58 +431,28 @@ fn check_grouped_dispatch(groups: usize, group_size: usize, bitmaps: &[u64], has
     for (i, &b) in bitmaps.iter().enumerate() {
         g.sync_group_bitmap(i, WorkerBitmap(b));
     }
-    let vm = g.vm();
-    assert_eq!(
-        vm.tier(),
-        ExecTier::native_ceiling(),
-        "grouped program lost its tier"
-    );
-    let mut singles = Vec::with_capacity(hashes.len());
-    for &h in hashes {
-        let c = vm
-            .run_tier(ExecTier::Checked, h, g.registry())
-            .expect("interpreted grouped run trapped");
-        for tier in [ExecTier::Compiled, ExecTier::Jit] {
-            if tier > vm.tier() {
-                continue;
-            }
-            let r = vm.run_tier(tier, h, g.registry()).unwrap();
-            assert_eq!(r, c, "grouped {tier} diverged on hash {h:#x}");
-        }
-        let got = g.dispatch(h);
-        let want = oracle.dispatch(h);
-        assert_eq!(got.group, want.group, "level-1 group diverged on {h:#x}");
-        assert_eq!(
-            got.directed, want.directed,
-            "directed flag diverged on {h:#x}"
-        );
-        assert_eq!(
-            got.global(group_size),
-            want.worker,
-            "level-2 worker diverged on {h:#x}"
-        );
-        singles.push(c);
-    }
-    let mut batch = Vec::new();
-    vm.run_batch(hashes, g.registry(), &mut batch)
-        .expect("batched grouped run trapped");
-    assert_eq!(batch, singles, "run_batch diverged from single-shot runs");
-    let mut ebpf_outs = Vec::new();
+    let (mut ebpf_outs, mut native_outs) = (Vec::new(), Vec::new());
     g.dispatch_batch(hashes, &mut ebpf_outs);
-    let mut native_outs = Vec::new();
     oracle.dispatch_batch(hashes, &mut native_outs);
     assert_eq!(ebpf_outs.len(), native_outs.len());
-    for ((&h, e), n) in hashes.iter().zip(&ebpf_outs).zip(&native_outs) {
-        assert_eq!(e.group, n.group, "batched group diverged on {h:#x}");
+    for ((&h, batched), n) in hashes.iter().zip(&ebpf_outs).zip(&native_outs) {
         assert_eq!(
-            e.global(group_size),
-            n.worker,
-            "batched worker diverged on {h:#x}"
+            oracle.dispatch(h),
+            *n,
+            "the oracle's batch diverged on {h:#x}"
         );
-        assert_eq!(
-            e.directed, n.directed,
-            "batched directed flag diverged on {h:#x}"
-        );
+        for (path, e) in [("single", g.dispatch(h)), ("batched", *batched)] {
+            assert_eq!(e.group, n.group, "{path} group diverged on {h:#x}");
+            assert_eq!(
+                e.global(group_size),
+                n.worker,
+                "{path} worker diverged on {h:#x}"
+            );
+            assert_eq!(
+                e.directed, n.directed,
+                "{path} directed flag diverged on {h:#x}"
+            );
+        }
     }
 }
 

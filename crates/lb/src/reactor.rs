@@ -4,8 +4,8 @@
 //! reproduction touches *real* kernel readiness machinery — the very
 //! subsystem the paper is about. This module wraps exactly the
 //! primitives it needs, declared straight against the C runtime in the
-//! same hand-rolled style as the JIT's `execmem.rs` (no new crate
-//! dependencies):
+//! same hand-rolled style as `hermes_ebpf::kernel`'s `bpf(2)` calls (no new
+//! crate dependencies):
 //!
 //! * [`Reactor`] — an `epoll` instance plus an `eventfd` wake channel.
 //!   Relay sockets register **edge-triggered** (`EPOLLIN | EPOLLOUT |

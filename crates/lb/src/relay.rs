@@ -134,6 +134,10 @@ pub struct RelayStats {
     /// path's skipped userspace copies show up even on links (loopback)
     /// whose wall throughput is memcpy-bound at the endpoints.
     pub cpu_ns: AtomicU64,
+    /// Passes of the workers' Fig. 9 loop — each one `loop_top`, one
+    /// `events_fetched`, one scheduler pass and one bitmap sync — as the
+    /// worker sessions count them, folded in when a worker's loop ends.
+    pub loop_passes: AtomicU64,
     /// Relay connections established per backend (sized at startup).
     pub per_backend: Vec<AtomicU64>,
 }
@@ -834,6 +838,7 @@ impl<T: SyncTarget> ReactorWorker<T> {
     fn run(&mut self, shutdown: &AtomicBool) {
         let mut cpu = CpuMeter::new(Arc::clone(&self.rstats));
         let mut now_ns = self.now_ns();
+        let passes = self.session.sched_calls();
         loop {
             self.session.loop_top(now_ns);
             cpu.tick(now_ns);
@@ -851,10 +856,12 @@ impl<T: SyncTarget> ReactorWorker<T> {
                 // flag went up go to the next pass, not to a reset.
                 self.accept_burst();
                 if self.inbox.is_empty() {
-                    return;
+                    break;
                 }
             }
         }
+        let passes = self.session.sched_calls() - passes;
+        self.rstats.loop_passes.fetch_add(passes, Ordering::Relaxed);
     }
 
     /// Fig. 9 lines 13–14: wait for events, then publish how many this

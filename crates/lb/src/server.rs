@@ -239,7 +239,7 @@ impl TcpLb {
 }
 
 /// Largest burst a worker accepts in one pass — the workspace-wide batch
-/// geometry shared with the runtime driver.
+/// geometry.
 pub(crate) const ACCEPT_BURST: usize = hermes_core::DISPATCH_BATCH;
 
 /// How long a worker stays away from a listener whose `accept` ran out of

@@ -1,7 +1,7 @@
 //! Log-bucketed histogram with bounded relative error.
 //!
-//! Latency recording in the simulator and the threaded runtime happens on the
-//! per-event fast path, so the recorder must be O(1), allocation-free after
+//! Latency recording in the simulator and the benchmark harnesses happens on
+//! the per-event fast path, so the recorder must be O(1), allocation-free after
 //! construction, and compact. This histogram uses base-2 sub-bucketed buckets
 //! (the HdrHistogram layout): values are grouped by magnitude (leading zeros)
 //! and then linearly within a magnitude, giving a configurable worst-case

@@ -53,10 +53,8 @@ counters! {
     DispatchBatches => "dispatch.batches",
     /// Flows carried by those batches.
     BatchedFlows => "dispatch.batched_flows",
-    /// VM executions on the checked (interpreter) tier.
+    /// VM executions (the checked interpreter).
     VmRunsChecked => "vm.runs_checked",
-    /// VM executions on the compiled tier.
-    VmRunsCompiled => "vm.runs_compiled",
     /// Accept bursts drained by the lb server.
     AcceptBursts => "lb.accept_bursts",
     /// Connections accepted by the lb server.
@@ -80,17 +78,6 @@ counters! {
     /// Grouped workers that could not be assigned a trace lane (lane
     /// space is 64 wide; a 256-worker deployment overflows it).
     TraceLaneOverflows => "trace.lane_overflows",
-    /// Basic blocks proven equivalent by the translation validator.
-    ValidatorBlocksProven => "validate.blocks_proven",
-    /// Symbolic machine steps executed by the translation validator.
-    ValidatorSymbolicSteps => "validate.symbolic_steps",
-    /// Validation certificates issued (compiled-tier admissions proven).
-    ValidatorCertsIssued => "validate.certs_issued",
-    /// VM executions on the jit (native x86-64) tier.
-    VmRunsJit => "vm.runs_jit",
-    /// Constant-fd slot resolutions built from the registry (cache
-    /// misses); a warm frozen-registry dispatch loop holds this at one.
-    VmResolveBuilds => "vm.resolve_builds",
     /// Payload bytes moved by the relay loop (both directions).
     RelayBytes => "relay.bytes",
     /// Relay pump bursts (one per worker-loop iteration with active

@@ -61,8 +61,8 @@ event_kinds! {
     /// this one (monotone per lane).
     BitmapPublish = 3 => "bitmap.publish",
     /// A dispatch program was loaded/verified. `a` = exec tier code
-    /// (0 = Checked, 1 = Fast, 2 = Compiled, 3 = Jit), `b` = instruction
-    /// count.
+    /// (0 = Checked; 1 = Fast, 2 = Compiled and 3 = Jit in traces recorded
+    /// while those tiers existed), `b` = instruction count.
     VmLoad = 4 => "vm.load",
     /// A batch of flows went through `dispatch_batch`.
     /// `a` = batch length, `b` = directed (non-fallback) count.
@@ -91,7 +91,8 @@ event_kinds! {
     /// Grouped (two-level) dispatch decision.
     /// `a` = flow hash, `b` = `group << 32 | global_worker`.
     GroupDispatch = 15 => "dispatch.group",
-    /// A certified program was lowered to native code by the JIT.
+    /// A certified program was lowered to native code by the userspace JIT
+    /// (retired; kept so recorded traces decode).
     /// `a` = emitted code size in bytes, `b` = basic blocks lowered.
     JitLoad = 16 => "vm.jit_load",
     /// A backend entered service (`Healthy`/`Slow`).

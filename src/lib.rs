@@ -10,16 +10,14 @@
 //!   connection dispatch (Algorithm 2), two-level worker groups,
 //!   degradation policies, and the Fig. 12 cost model.
 //! * [`ebpf`] — the eBPF substrate: restricted ISA, assembler, verifier,
-//!   interpreter, maps, and the Algorithm 2 dispatch program as verified
-//!   bytecode attached to a [`ebpf::ReuseportGroup`].
+//!   interpreter, maps, the Algorithm 2 dispatch program as verified
+//!   bytecode attached to a [`ebpf::ReuseportGroup`], and its lowering to
+//!   kernel eBPF for real `SO_REUSEPORT` groups.
 //! * [`simnet`] — the discrete-event simulator of the kernel dispatch
 //!   path: epoll exclusive (LIFO), epoll-rr, wake-all, reuseport, Hermes,
 //!   and the userspace-dispatcher baseline.
 //! * [`workload`] — multi-tenant synthetic traffic: distributions fitted
 //!   to Table 1, the four Table 3 cases, region mixes, surges, probes.
-//! * [`runtime`] — a real multi-threaded Hermes deployment (worker
-//!   threads + shared atomic WST + bytecode dispatch) for the concurrency
-//!   claims and Table 5 overhead accounting.
 //! * [`metrics`] — histograms, percentiles, CDFs, time series, and the
 //!   text rendering used by the table/figure harnesses.
 //! * [`backend`] — the backend data plane: per-backend health state
@@ -27,8 +25,9 @@
 //!   snapshots, O(1) consistent selection, per-connection admission.
 //! * [`lb`] — a working multi-tenant L7 reverse proxy assembled from the
 //!   pieces: HTTP/1.1 parsing, routing rules, backend pools, a real
-//!   TCP server whose acceptor runs the verified dispatch program, and
-//!   a client↔backend byte relay over the versioned pools.
+//!   TCP server whose workers the kernel dispatches to through the
+//!   attached program, and a client↔backend byte relay over the versioned
+//!   pools.
 //!
 //! ## Quickstart
 //!
@@ -52,7 +51,6 @@ pub use hermes_core as core;
 pub use hermes_ebpf as ebpf;
 pub use hermes_lb as lb;
 pub use hermes_metrics as metrics;
-pub use hermes_runtime as runtime;
 pub use hermes_simnet as simnet;
 pub use hermes_workload as workload;
 
@@ -64,7 +62,6 @@ pub mod prelude {
     };
     pub use hermes_ebpf::ReuseportGroup;
     pub use hermes_metrics::{Cdf, Histogram, Summary};
-    pub use hermes_runtime::{ConnectionScript, LbRuntime, RuntimeConfig};
     pub use hermes_simnet::{DeviceReport, Mode, SimConfig, Simulator};
     pub use hermes_workload::{Case, CaseLoad, TenantProfile, TenantSet, Workload};
 }
