@@ -23,10 +23,4 @@ fn main() {
             hermes_simnet::run(&wl, SimConfig::new(4, mode)).completed_requests
         });
     }
-    // The fidelity tax of routing every dispatch through the bytecode VM.
-    let mut cfg = SimConfig::new(4, Mode::Hermes);
-    cfg.use_ebpf = true;
-    time_it("simulate_case1_light_1s/Hermes_ebpf_backed", || {
-        hermes_simnet::run(&wl, cfg.clone()).completed_requests
-    });
 }

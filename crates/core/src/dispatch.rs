@@ -103,42 +103,6 @@ impl ConnDispatcher {
         out
     }
 
-    /// Dispatch a whole arrival burst against one bitmap load: the mask,
-    /// candidate count, and guard are evaluated **once per batch** instead
-    /// of once per connection, then each hash takes only the rank-select
-    /// (or fallback scale). Decisions are appended to `out` in order and
-    /// are identical to per-hash [`dispatch`](Self::dispatch) calls with
-    /// the same bitmap.
-    pub fn dispatch_batch(
-        &self,
-        bitmap: WorkerBitmap,
-        hashes: &[u32],
-        out: &mut Vec<DispatchOutcome>,
-    ) {
-        let masked = WorkerBitmap(bitmap.0 & WorkerBitmap::all(self.workers).0);
-        let n = masked.count();
-        out.reserve(hashes.len());
-        hermes_trace::trace_count!(hermes_trace::CounterId::DispatchBatches);
-        hermes_trace::trace_count!(hermes_trace::CounterId::BatchedFlows, hashes.len());
-        if n <= self.min_candidates {
-            out.extend(
-                hashes
-                    .iter()
-                    .map(|&h| DispatchOutcome::Fallback(self.reuseport_select(h))),
-            );
-            hermes_trace::trace_count!(hermes_trace::CounterId::FallbackDispatches, hashes.len());
-            return;
-        }
-        out.extend(hashes.iter().map(|&h| {
-            let nth = reciprocal_scale(h, n) + 1;
-            let id = masked
-                .nth_set_bit(nth)
-                .expect("nth in 1..=count must exist");
-            DispatchOutcome::Directed(id)
-        }));
-        hermes_trace::trace_count!(hermes_trace::CounterId::DirectedDispatches, hashes.len());
-    }
-
     /// Algorithm 2 lines 2–7: Hermes selection only. `None` means the guard
     /// failed and the caller must fall back.
     pub fn select(&self, bitmap: WorkerBitmap, hash: u32) -> Option<WorkerId> {
@@ -225,26 +189,6 @@ mod tests {
         for (&w, &c) in &counts {
             let share = c as f64 / n as f64;
             assert!((share - 0.2).abs() < 0.02, "worker {w} share {share}");
-        }
-    }
-
-    #[test]
-    fn batch_dispatch_matches_per_connection() {
-        let d = ConnDispatcher::new(32);
-        let hashes: Vec<u32> = (0..512u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
-        for bm in [
-            WorkerBitmap::EMPTY,
-            WorkerBitmap::from_workers([5]),
-            WorkerBitmap::from_workers([1, 9, 17, 30]),
-            WorkerBitmap::all(32),
-            WorkerBitmap(u64::MAX), // out-of-group bits must mask identically
-        ] {
-            let mut batch = Vec::new();
-            d.dispatch_batch(bm, &hashes, &mut batch);
-            assert_eq!(batch.len(), hashes.len());
-            for (h, got) in hashes.iter().zip(&batch) {
-                assert_eq!(*got, d.dispatch(bm, *h), "bitmap {:#x} hash {h:#x}", bm.0);
-            }
         }
     }
 

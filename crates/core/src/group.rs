@@ -149,16 +149,9 @@ impl GroupScheduler {
     /// sees ([`SelMap::store_if_changed`]) — in steady state, per-group
     /// schedulers converge and re-publish nothing.
     pub fn schedule_group(&self, g: usize, now_ns: u64) -> SchedDecision {
-        let decision = self.schedule_only(g, now_ns);
+        let decision = self.scheduler.schedule(&self.groups[g].wst, now_ns);
         self.groups[g].sel.store_if_changed(decision.bitmap);
         decision
-    }
-
-    /// The scheduling half of [`schedule_group`](Self::schedule_group)
-    /// alone, for callers that publish somewhere other than the group's own
-    /// selection map (the simulator's dispatch plane).
-    pub fn schedule_only(&self, g: usize, now_ns: u64) -> SchedDecision {
-        self.scheduler.schedule(&self.groups[g].wst, now_ns)
     }
 
     /// Run the scheduler for every group (used by harnesses; production
@@ -193,11 +186,6 @@ impl GroupScheduler {
     }
 }
 
-/// Most groups a [`GroupedConnDispatcher`] will shard across. Bounds the
-/// per-batch stack state (one bitmap + count per group); 64 groups of 64
-/// workers is 4096 workers — far past the paper's 256-worker scale point.
-pub const MAX_DISPATCH_GROUPS: usize = 64;
-
 /// Where one new connection went.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Placement {
@@ -211,18 +199,16 @@ pub struct Placement {
 }
 
 /// Kernel-side two-level dispatch over per-group selection maps — the
-/// native counterpart of the grouped eBPF program, shaped for bursts, and
-/// with one group the counterpart of the flat one.
+/// native counterpart of the grouped eBPF program, and with one group the
+/// counterpart of the flat one.
 ///
 /// Holds one `(SelMap, ConnDispatcher)` pair per group. A new connection
 /// picks its group by `reciprocal_scale` over the flow hash (level 1), then
-/// runs Algorithm 2 against that group's bitmap (level 2).
-/// [`dispatch_batch`](Self::dispatch_batch) loads every group's bitmap,
-/// mask, and candidate count **once per burst**, so per-connection work is
-/// one scale plus one rank-select regardless of group count.
+/// runs Algorithm 2 against that group's bitmap (level 2): one decision per
+/// connection, as the reuseport hook runs it.
 ///
 /// A pure decision procedure: it touches no flight-recorder counter (the
-/// layer above tallies, once, whatever executes the decision).
+/// simulator, its one caller outside tests, tallies each placed SYN once).
 #[derive(Debug)]
 pub struct GroupedConnDispatcher {
     groups: Vec<(Arc<SelMap>, ConnDispatcher)>,
@@ -236,10 +222,7 @@ impl GroupedConnDispatcher {
     /// ids).
     pub fn new(sel_maps: Vec<Arc<SelMap>>, sizes: &[usize], group_size: usize) -> Self {
         assert_eq!(sel_maps.len(), sizes.len(), "one size per group");
-        assert!(
-            (1..=MAX_DISPATCH_GROUPS).contains(&sel_maps.len()),
-            "1..=64 dispatch groups"
-        );
+        assert!(!sel_maps.is_empty(), "need at least one group");
         let groups = sel_maps
             .into_iter()
             .zip(sizes)
@@ -264,12 +247,6 @@ impl GroupedConnDispatcher {
     /// Number of groups.
     pub fn group_count(&self) -> usize {
         self.groups.len()
-    }
-
-    /// Group `g`'s selection map — the publish side for that group's
-    /// scheduler (workers call [`SelMap::store_if_changed`] on it).
-    pub fn sel(&self, g: usize) -> &Arc<SelMap> {
-        &self.groups[g].0
     }
 
     /// Flattening stride (nominal workers per group).
@@ -300,39 +277,6 @@ impl GroupedConnDispatcher {
             worker: group * self.group_size + local,
             group,
             directed,
-        }
-    }
-
-    /// Dispatch a whole arrival burst: every group's bitmap is loaded and
-    /// masked **once**, then each hash costs one group scale plus one
-    /// rank-select (or the reuseport fallback). Decisions are appended to
-    /// `out` in arrival order and are identical to per-hash
-    /// [`dispatch`](Self::dispatch) calls under a stable bitmap.
-    pub fn dispatch_batch(&self, hashes: &[u32], out: &mut Vec<Placement>) {
-        let mut masked = [WorkerBitmap::EMPTY; MAX_DISPATCH_GROUPS];
-        let mut counts = [0u32; MAX_DISPATCH_GROUPS];
-        for (g, (sel, d)) in self.groups.iter().enumerate() {
-            let m = WorkerBitmap(sel.load().0 & WorkerBitmap::all(d.workers()).0);
-            masked[g] = m;
-            counts[g] = m.count();
-        }
-        out.reserve(hashes.len());
-        for &h in hashes {
-            let group = self.group_for(h);
-            let (local, directed) = if counts[group] > 1 {
-                let nth = reciprocal_scale(h, counts[group]) + 1;
-                let local = masked[group]
-                    .nth_set_bit(nth)
-                    .expect("nth in 1..=count must exist");
-                (local, true)
-            } else {
-                (self.groups[group].1.reuseport_select(h), false)
-            };
-            out.push(Placement {
-                worker: group * self.group_size + local,
-                group,
-                directed,
-            });
         }
     }
 }
@@ -452,25 +396,21 @@ mod tests {
     }
 
     #[test]
-    fn grouped_dispatcher_batch_matches_single_and_scheduler() {
+    fn grouped_dispatcher_places_through_the_schedulers_maps() {
         let gs = GroupScheduler::new(16, 4, GroupBy::FlowHash, cfg());
+        let d = GroupedConnDispatcher::from_scheduler(&gs);
+        assert_eq!(d.group_count(), 4);
+        assert_eq!(d.total_workers(), 16);
         for g in 0..4 {
             for w in 0..4 {
                 gs.group(g).wst().worker(w).enter_loop(1_000);
             }
             gs.group(g).wst().worker(1).conn_delta(1_000);
         }
+        // Published after the dispatcher was built: the maps are shared.
         gs.schedule_all(1_010);
-        let d = GroupedConnDispatcher::from_scheduler(&gs);
-        assert_eq!(d.group_count(), 4);
-        assert_eq!(d.total_workers(), 16);
-        let hashes: Vec<u32> = (0..512u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
-        let mut batch = Vec::new();
-        d.dispatch_batch(&hashes, &mut batch);
-        assert_eq!(batch.len(), hashes.len());
-        for (&h, got) in hashes.iter().zip(&batch) {
-            // Batch == single-shot == the scheduler's own two-level path.
-            assert_eq!(*got, d.dispatch(h), "hash {h:#x}");
+        for h in (0..512u32).map(|i| i.wrapping_mul(0x9E37_79B9)) {
+            let got = d.dispatch(h);
             assert_eq!(got.group, reciprocal_scale(h, 4) as usize);
             assert!(got.directed);
             assert_ne!(got.worker - got.group * 4, 1, "overloaded worker selected");
@@ -486,10 +426,8 @@ mod tests {
         }
         gs.schedule_all(1_010);
         let d = GroupedConnDispatcher::from_scheduler(&gs);
-        let mut batch = Vec::new();
-        let hashes: Vec<u32> = (0..256u32).map(|i| i.wrapping_mul(0x517C_C1B7)).collect();
-        d.dispatch_batch(&hashes, &mut batch);
-        for out in &batch {
+        for h in (0..256u32).map(|i| i.wrapping_mul(0x517C_C1B7)) {
+            let out = d.dispatch(h);
             assert_eq!(out.directed, out.group == 0, "empty bitmap must fall back");
             assert!(out.worker - out.group * 4 < 4);
         }

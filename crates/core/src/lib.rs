@@ -80,7 +80,7 @@ pub mod wst;
 
 pub use bitmap::{WorkerBitmap, MAX_WORKERS_PER_GROUP};
 pub use dispatch::ConnDispatcher;
-pub use group::{GroupedConnDispatcher, Placement, MAX_DISPATCH_GROUPS};
+pub use group::{GroupedConnDispatcher, Placement};
 pub use hash::FlowKey;
 pub use sched::{FilterStage, SchedConfig, SchedDecision, Scheduler, SnapshotCache};
 pub use sdk::{SyncTarget, WorkerSession};
@@ -91,8 +91,7 @@ pub use wst::Wst;
 /// Identifies a worker within one LB device (dense, 0-based).
 pub type WorkerId = usize;
 
-/// Shared batch geometry for the dispatch path: the lb workers drain up to
-/// this many accepts per burst, the dispatch plane's batches are tested at
-/// it, and flight-recorder batch events report lengths against it. One
-/// constant so the layers cannot drift apart.
+/// Accept-burst geometry: the lb workers drain up to this many accepts per
+/// listener wake-up (`ACCEPT_BURST`), and the end-to-end benchmark times
+/// the dispatch program over chunks of it.
 pub const DISPATCH_BATCH: usize = 64;

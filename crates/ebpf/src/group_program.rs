@@ -15,29 +15,10 @@ use crate::helpers::{HELPER_MAP_LOOKUP, HELPER_RECIPROCAL_SCALE};
 use crate::insn::{Alu, Insn, Reg};
 use crate::maps::{ArrayMap, MapRef, MapRegistry, SockArrayMap};
 use crate::program::{assemble, AttachedProgram};
-use crate::vm::ExecResult;
 use hermes_core::bitmap::WorkerBitmap;
 use hermes_core::hash::reciprocal_scale;
+use hermes_core::Placement;
 use std::sync::Arc;
-
-/// Outcome of a grouped dispatch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct GroupedOutcome {
-    /// Level-1 group index.
-    pub group: usize,
-    /// Worker index *within* the group.
-    pub local: usize,
-    /// Whether level 2 was directed by the bitmap (false ⇒ hash fallback
-    /// within the group).
-    pub directed: bool,
-}
-
-impl GroupedOutcome {
-    /// Flatten to a global worker id given the group size.
-    pub fn global(&self, group_size: usize) -> usize {
-        self.group * group_size + self.local
-    }
-}
 
 /// A reuseport deployment of `groups * group_size` workers with the
 /// two-level program attached.
@@ -132,47 +113,22 @@ impl GroupedReuseportGroup {
         hermes_trace::trace_count!(hermes_trace::CounterId::KernelBitmapSyncs);
     }
 
-    /// One group's current bitmap (monitoring).
-    pub fn group_bitmap(&self, group: usize) -> WorkerBitmap {
-        WorkerBitmap(self.sel_maps[group].lookup(0).expect("one element"))
-    }
-
     /// Kernel-side dispatch: run the program; on fallback, hash within
-    /// the (deterministically known) level-1 group.
-    pub fn dispatch(&self, hash: u32) -> GroupedOutcome {
-        self.outcome(hash, self.run(hash))
-    }
-
-    /// Dispatch a whole arrival burst, appending decisions (identical to
-    /// per-hash [`dispatch`](Self::dispatch)) to `out` in order.
-    pub fn dispatch_batch(&self, hashes: &[u32], out: &mut Vec<GroupedOutcome>) {
-        out.reserve(hashes.len());
-        self.dispatch_each(hashes, |outcome| out.push(outcome));
-    }
-
-    /// [`dispatch_batch`](Self::dispatch_batch) into a caller-chosen sink.
-    #[inline]
-    pub(crate) fn dispatch_each(&self, hashes: &[u32], mut each: impl FnMut(GroupedOutcome)) {
-        self.run_each(hashes, |hash, result| each(self.outcome(hash, result)));
-    }
-
-    /// Map a program execution result onto the grouped decision.
-    #[inline]
-    fn outcome(&self, hash: u32, result: ExecResult) -> GroupedOutcome {
+    /// the (deterministically known) level-1 group. Sockets are registered
+    /// under their global worker id, so a committed socket is the placement.
+    pub fn dispatch(&self, hash: u32) -> Placement {
+        let result = self.run(hash);
         let group = reciprocal_scale(hash, self.groups as u32) as usize;
-        if result.return_value != 0 {
-            let sock = result.selected_sock.expect("committed socket");
-            GroupedOutcome {
-                group,
-                local: sock - group * self.group_size,
-                directed: true,
-            }
+        let directed = result.return_value != 0;
+        let worker = if directed {
+            result.selected_sock.expect("committed socket")
         } else {
-            GroupedOutcome {
-                group,
-                local: reciprocal_scale(hash, self.group_size as u32) as usize,
-                directed: false,
-            }
+            group * self.group_size + reciprocal_scale(hash, self.group_size as u32) as usize
+        };
+        Placement {
+            worker,
+            group,
+            directed,
         }
     }
 }
@@ -200,21 +156,6 @@ mod tests {
     }
 
     #[test]
-    fn grouped_batch_matches_per_connection_dispatch() {
-        let g = GroupedReuseportGroup::new(4, 16);
-        for grp in 0..4 {
-            g.sync_group_bitmap(grp, WorkerBitmap::from_workers([0, 3, 7, 12]));
-        }
-        let hashes: Vec<u32> = (0..256u32).map(|i| i.wrapping_mul(0x517C_C1B7)).collect();
-        let mut batch = Vec::new();
-        g.dispatch_batch(&hashes, &mut batch);
-        assert_eq!(batch.len(), hashes.len());
-        for (h, got) in hashes.iter().zip(&batch) {
-            assert_eq!(*got, g.dispatch(*h), "hash {h:#x}");
-        }
-    }
-
-    #[test]
     fn level1_is_hash_stable_and_level2_respects_bitmap() {
         let g = GroupedReuseportGroup::new(4, 8);
         for grp in 0..4 {
@@ -226,9 +167,9 @@ mod tests {
             let b = g.dispatch(h);
             assert_eq!(a, b, "dispatch must be deterministic");
             assert!(a.directed);
-            assert!([1usize, 3, 5].contains(&a.local));
             assert!(a.group < 4);
-            assert_eq!(a.global(8), a.group * 8 + a.local);
+            assert_eq!(a.worker / 8, a.group);
+            assert!([1usize, 3, 5].contains(&(a.worker % 8)));
         }
     }
 
@@ -246,7 +187,7 @@ mod tests {
                 saw_directed = true;
             } else {
                 assert!(!out.directed);
-                assert!(out.local < 8);
+                assert_eq!(out.worker / 8, out.group);
                 saw_fallback = true;
             }
         }
@@ -270,7 +211,11 @@ mod tests {
             assert_eq!(out.group, expect_group, "hash {hash:#x} of {groups} groups");
             let native =
                 ConnDispatcher::new(group_size).dispatch(WorkerBitmap(bitmaps[expect_group]), hash);
-            assert_eq!(out.local, native.worker(), "hash {hash:#x} {bitmaps:x?}");
+            assert_eq!(
+                out.worker,
+                expect_group * group_size + native.worker(),
+                "hash {hash:#x} {bitmaps:x?}"
+            );
             assert_eq!(out.directed, native.is_directed());
         });
     }

@@ -389,10 +389,12 @@ impl SyncTarget for KernelDispatch {
     /// bitmap is skipped and counted, as `SelMap::store_if_changed` does.
     fn sync(&self, bitmap: WorkerBitmap) {
         let cell = &self.shared().bitmap;
-        crate::plane::publish(WorkerBitmap(cell.load(Ordering::Relaxed)), bitmap, || {
+        if cell.load(Ordering::Relaxed) == bitmap.0 {
+            hermes_trace::trace_count!(hermes_trace::CounterId::BitmapSyncSkips);
+        } else {
             cell.store(bitmap.0, Ordering::Release);
             hermes_trace::trace_count!(hermes_trace::CounterId::KernelBitmapSyncs);
-        });
+        }
     }
 }
 

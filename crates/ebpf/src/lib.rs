@@ -27,7 +27,8 @@
 //! * [`vm`] — [`Vm::load_analyzed`], the only way to load, and the checked
 //!   interpreter, with the per-connection reuseport context (the
 //!   kernel-precomputed 4-tuple hash) in R1 at entry: the one userspace
-//!   execution, and the reference every differential test compares against.
+//!   execution, and the reference every differential test compares against
+//!   (the simulator places through core's native oracle, not through here).
 //! * [`maps`] — `BPF_MAP_TYPE_ARRAY` (atomic u64 elements, shared with
 //!   userspace — the `M_Sel` map of Algorithm 1/2) and
 //!   `BPF_MAP_TYPE_REUSEPORT_SOCKARRAY` (`M_socket`).
@@ -37,9 +38,6 @@
 //!   from all of the above, plus [`program::ReuseportGroup`], the program
 //!   attached with its two maps; [`group_program`] — the §7 two-level
 //!   variant that picks its maps by group first.
-//! * [`plane`] — [`DispatchPlane`], the one attach point the simulator
-//!   places connections through, whichever program (or core's native
-//!   oracle) executes; the load balancers' test oracle.
 //! * [`kernel`] — the flat program lowered to kernel eBPF, loaded with raw
 //!   `bpf(2)` and attached to real listeners: the kernel's own verifier
 //!   and JIT are the execution engine of everything that ships.
@@ -65,15 +63,13 @@ pub mod insn;
 #[cfg(unix)]
 pub mod kernel;
 pub mod maps;
-pub mod plane;
 pub mod program;
 pub mod vm;
 
 pub use analysis::{analyze, AnalysisCtx, AnalysisError, AnalysisReport, FdRange};
 pub use asm::Assembler;
-pub use group_program::{GroupedOutcome, GroupedReuseportGroup};
+pub use group_program::GroupedReuseportGroup;
 pub use insn::{Insn, Op, Reg};
 pub use maps::{ArrayMap, MapKind, MapRegistry, SockArrayMap};
-pub use plane::{DispatchPlane, Placement};
 pub use program::{AttachedProgram, DispatchProgram, ReuseportGroup};
 pub use vm::{ExecError, ExecResult, ExecTier, Vm};

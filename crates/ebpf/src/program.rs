@@ -210,14 +210,6 @@ impl AttachedProgram {
             .run(hash, &self.registry)
             .expect("admitted program cannot fault")
     }
-
-    /// One program execution per hash of an arrival burst.
-    #[inline]
-    pub(crate) fn run_each(&self, hashes: &[u32], each: impl FnMut(u32, ExecResult)) {
-        self.vm
-            .run_each(hashes, &self.registry, each)
-            .expect("admitted program cannot fault")
-    }
 }
 
 /// A reuseport group with the Hermes program attached — the moral
@@ -303,32 +295,11 @@ impl ReuseportGroup {
 
     /// Kernel-side dispatch of one new connection with 4-tuple hash `hash`.
     ///
-    /// Runs the attached bytecode; on program fallback applies the default
-    /// reuseport selection (hash scaled over the group, skipping to the
-    /// program's behavior exactly matches `ConnDispatcher::dispatch`).
+    /// Runs the attached bytecode; when the program falls back, applies the
+    /// default reuseport selection (the hash scaled over the group), so the
+    /// outcome equals `ConnDispatcher::dispatch` on the same bitmap.
     pub fn dispatch(&self, hash: u32) -> DispatchOutcome {
-        self.outcome(hash, self.run(hash))
-    }
-
-    /// Kernel-side dispatch of a whole arrival burst: one program execution
-    /// per hash. Decisions are appended to `out` in order and are identical
-    /// to per-hash [`dispatch`](Self::dispatch) calls — the bitmap is read
-    /// per execution from the same atomic element, and userspace sync is
-    /// already asynchronous with respect to arrivals.
-    pub fn dispatch_batch(&self, hashes: &[u32], out: &mut Vec<DispatchOutcome>) {
-        out.reserve(hashes.len());
-        self.dispatch_each(hashes, |outcome| out.push(outcome));
-    }
-
-    /// [`dispatch_batch`](Self::dispatch_batch) into a caller-chosen sink.
-    #[inline]
-    pub(crate) fn dispatch_each(&self, hashes: &[u32], mut each: impl FnMut(DispatchOutcome)) {
-        self.run_each(hashes, |hash, result| each(self.outcome(hash, result)));
-    }
-
-    /// Map a program execution result onto the dispatch decision.
-    #[inline]
-    fn outcome(&self, hash: u32, result: ExecResult) -> DispatchOutcome {
+        let result = self.run(hash);
         if result.return_value != 0 {
             let sock = result
                 .selected_sock
@@ -337,6 +308,14 @@ impl ReuseportGroup {
         } else {
             DispatchOutcome::Fallback(reciprocal_scale(hash, self.workers as u32) as WorkerId)
         }
+    }
+
+    /// The end-to-end benchmark's shim (`benchmark/src/layers.rs` times it
+    /// as `ebpf.dispatch_batch_ns`): [`dispatch`](Self::dispatch) per hash,
+    /// appended to `out`. Goes with ROADMAP 3(d), when the benchmark stops
+    /// naming it.
+    pub fn dispatch_batch(&self, hashes: &[u32], out: &mut Vec<DispatchOutcome>) {
+        out.extend(hashes.iter().map(|&h| self.dispatch(h)));
     }
 }
 

@@ -11,9 +11,8 @@
 //!
 //! Nothing faster sits above it. What ships runs the same program in the
 //! kernel ([`crate::kernel`]: its verifier, its JIT); this interpreter is
-//! what the simulator's equivalence suites, the differential tests and
-//! `kernel_dispatch.rs`'s oracle execute, and every pc move, stack access
-//! and helper argument stays checked.
+//! what the differential tests and `kernel_dispatch.rs`'s oracle execute,
+//! and every pc move, stack access and helper argument stays checked.
 
 use crate::analysis::{analyze, AnalysisCtx, AnalysisError, AnalysisReport};
 use crate::disasm::disasm_insn;
@@ -147,32 +146,6 @@ impl Vm {
     /// The tier the program runs on: [`ExecTier::Checked`], always.
     pub fn tier(&self) -> ExecTier {
         ExecTier::Checked
-    }
-
-    /// Run the program once per hash in `hashes`, handing each hash and its
-    /// result to `each` in order.
-    #[inline]
-    pub fn run_each(
-        &self,
-        hashes: &[u32],
-        maps: &MapRegistry,
-        mut each: impl FnMut(u32, ExecResult),
-    ) -> Result<(), ExecError> {
-        for &hash in hashes {
-            each(hash, self.run(hash, maps)?);
-        }
-        Ok(())
-    }
-
-    /// [`run_each`](Self::run_each), appending the results to `out`.
-    pub fn run_batch(
-        &self,
-        hashes: &[u32],
-        maps: &MapRegistry,
-        out: &mut Vec<ExecResult>,
-    ) -> Result<(), ExecError> {
-        out.reserve(hashes.len());
-        self.run_each(hashes, maps, |_, result| out.push(result))
     }
 
     /// Run the program with `ctx_hash` in R1 (the kernel-precomputed
@@ -469,35 +442,6 @@ mod tests {
             Vm::load_analyzed(a.finish(), &AnalysisCtx::new()),
             Err(AnalysisError::DivByPossiblyZero { .. })
         ));
-    }
-
-    #[test]
-    fn run_batch_matches_single_runs() {
-        use crate::helpers::HELPER_MAP_LOOKUP;
-        use crate::maps::{ArrayMap, MapKind, MapRef};
-        use std::sync::Arc;
-
-        let maps = MapRegistry::new();
-        let array = Arc::new(ArrayMap::new(8));
-        for k in 0..8 {
-            array.update(k, (k as u64) * 11);
-        }
-        let fd = maps.register(MapRef::Array(array));
-        let mut a = Assembler::new();
-        a.mov(Reg::R2, Reg::R1);
-        a.alu_imm(Alu::And, Reg::R2, 7);
-        a.mov_imm(Reg::R1, fd as i64);
-        a.call(HELPER_MAP_LOOKUP);
-        a.exit();
-        let ctx = AnalysisCtx::new().bind(fd, MapKind::Array, 8);
-        let vm = Vm::load_analyzed(a.finish(), &ctx).expect("clean");
-        let hashes: Vec<u32> = (0..64u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
-        let mut batch = Vec::new();
-        vm.run_batch(&hashes, &maps, &mut batch).unwrap();
-        assert_eq!(batch.len(), hashes.len());
-        for (h, got) in hashes.iter().zip(&batch) {
-            assert_eq!(*got, vm.run(*h, &maps).unwrap());
-        }
     }
 
     #[test]

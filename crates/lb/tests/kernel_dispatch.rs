@@ -1,8 +1,9 @@
 //! The kernel against the oracle: the Algorithm 2 program attached to a
 //! real `SO_REUSEPORT` group must put every connection on the listener
-//! `DispatchPlane::bytecode` names for the hash the kernel dispatched on,
-//! run once per connection by the kernel's own count, and steer a whole
-//! load balancer's connections around a worker that is held.
+//! `ReuseportGroup` (the same program on the checked interpreter) names for
+//! the hash the kernel dispatched on, run once per connection by the
+//! kernel's own count, and steer a whole load balancer's connections around
+//! a worker that is held.
 //!
 //! Needs `bpf(2)`. Where the kernel refuses it a test prints
 //! `SKIP: bpf(2) refused (<errno>)` and returns: `scripts/ci.sh` turns that
@@ -12,7 +13,7 @@
 use hermes_core::sdk::SyncTarget;
 use hermes_core::WorkerBitmap;
 use hermes_ebpf::kernel::{enable_stats, refused, KernelDispatch};
-use hermes_ebpf::DispatchPlane;
+use hermes_ebpf::ReuseportGroup;
 use hermes_lb::reactor::{accept_nonblocking, listen_reuseport};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -63,10 +64,10 @@ fn the_kernel_places_where_the_oracle_says() {
     let Some((listeners, kernel)) = attached_group() else {
         return;
     };
-    let oracle = DispatchPlane::bytecode(1, WORKERS);
+    let oracle = ReuseportGroup::new(WORKERS);
     let publish = |bitmap: WorkerBitmap| {
         kernel.sync(bitmap);
-        oracle.sync(0, bitmap);
+        oracle.sync_bitmap(bitmap);
     };
 
     // Two or more candidates: the program selects, and selects the
@@ -86,10 +87,10 @@ fn the_kernel_places_where_the_oracle_says() {
         for _ in 0..CONNECTS {
             let took = connect_and_find(&listeners);
             let want = oracle.dispatch(kernel.last_hash());
-            assert!(want.directed, "{bitmap:?}: the oracle fell back");
+            assert!(want.is_directed(), "{bitmap:?}: the oracle fell back");
             assert_eq!(
                 took,
-                want.worker,
+                want.worker(),
                 "{bitmap:?} hash {:#x}",
                 kernel.last_hash()
             );
@@ -108,7 +109,7 @@ fn the_kernel_places_where_the_oracle_says() {
         let mut per_listener = [0usize; WORKERS];
         for _ in 0..CONNECTS {
             per_listener[connect_and_find(&listeners)] += 1;
-            assert!(!oracle.dispatch(kernel.last_hash()).directed);
+            assert!(!oracle.dispatch(kernel.last_hash()).is_directed());
         }
         assert!(
             per_listener.iter().all(|&n| n > 0),

@@ -131,9 +131,6 @@ pub struct SimConfig {
     pub costs: CostParams,
     /// Hermes scheduler tuning (θ, hang threshold, filter order).
     pub hermes: SchedConfig,
-    /// Route Hermes dispatch through the verified eBPF bytecode instead of
-    /// the native oracle (slower to simulate, byte-identical decisions).
-    pub use_ebpf: bool,
     /// Shard the Hermes plane into this many worker groups (§7 two-level
     /// dispatch: per-group WSTs, schedulers, and selection maps). One
     /// group, the default, is the flat plane. Ignored by non-Hermes modes.
@@ -191,7 +188,6 @@ impl SimConfig {
             max_events: 512,
             costs: CostParams::default(),
             hermes: SchedConfig::default(),
-            use_ebpf: false,
             groups: 1,
             sched_at_loop_start: false,
             engine: Engine::default(),

@@ -15,8 +15,9 @@
 //! * **reuseport** — per-worker sockets, stateless 4-tuple hashing at SYN
 //!   time (Fig. 2b);
 //! * **Hermes** — reuseport sockets with the userspace-directed bitmap
-//!   dispatch of Algorithms 1 and 2 behind `hermes_ebpf::DispatchPlane`,
-//!   executed by core's native oracle or the verified bytecode program;
+//!   dispatch of Algorithms 1 and 2: `hermes_core`'s group scheduler
+//!   publishes, its native oracle for the dispatch program places, one
+//!   decision per connection;
 //! * **userspace dispatcher** — the §2.2 workaround: one worker fetches all
 //!   events and re-distributes to the others.
 //!

@@ -11,12 +11,11 @@ use crate::metrics::SchedStats;
 use hermes_core::group::{GroupBy, GroupScheduler, GroupedWorker};
 use hermes_core::sched::SchedConfig;
 use hermes_core::status::WorkerStatus;
-use hermes_core::FlowKey;
-use hermes_ebpf::{DispatchPlane, Placement};
+use hermes_core::{FlowKey, GroupedConnDispatcher, Placement};
+use hermes_trace::CounterId;
 
 /// Hermes state bundle: per-group WSTs + scheduler + the kernel-side
-/// dispatch plane (native oracle or verified bytecode — decision-identical,
-/// tested so).
+/// dispatch decision, core's native oracle for the program the kernel runs.
 pub struct HermesState {
     /// §7 per-group WSTs and the scheduler that runs over each; the flat
     /// deployment is the one-group case.
@@ -24,29 +23,23 @@ pub struct HermesState {
     /// Group coordinates of every global worker id, so the WST hooks of
     /// every simulated loop pass resolve their row without a division.
     rows: Vec<GroupedWorker>,
-    /// Where bitmaps are published and SYNs placed.
-    plane: DispatchPlane,
+    /// Places SYNs from the selection maps `sched` publishes into.
+    dispatcher: GroupedConnDispatcher,
     /// Scheduler/dispatch statistics (Fig. 14).
     pub stats: SchedStats,
 }
 
 impl HermesState {
-    fn new(workers: usize, config: SchedConfig, use_ebpf: bool, group_count: usize) -> Self {
+    fn new(workers: usize, config: SchedConfig, group_count: usize) -> Self {
         assert!(
             group_count >= 1 && workers.is_multiple_of(group_count),
             "workers must divide evenly into groups"
         );
-        let group_size = workers / group_count;
-        let plane = if use_ebpf {
-            DispatchPlane::bytecode(group_count, group_size)
-        } else {
-            DispatchPlane::native(group_count, group_size)
-        };
-        let sched = GroupScheduler::new(workers, group_size, GroupBy::FlowHash, config);
+        let sched = GroupScheduler::new(workers, workers / group_count, GroupBy::FlowHash, config);
         Self {
             rows: (0..workers).map(|w| sched.locate(w)).collect(),
+            dispatcher: GroupedConnDispatcher::from_scheduler(&sched),
             sched,
-            plane,
             stats: SchedStats::default(),
         }
     }
@@ -62,11 +55,9 @@ impl HermesState {
     /// group's bitmap is maintained by its own workers, exactly as §7
     /// prescribes — and publish the bitmap to the kernel-visible map
     /// (redundant republishes are elided and counted, just like the real
-    /// runtime's sync path).
+    /// load balancer's sync path).
     pub fn schedule_and_sync(&mut self, worker: usize, now_ns: u64) {
-        let group = self.rows[worker].group;
-        let decision = self.sched.schedule_only(group, now_ns);
-        self.plane.sync(group, decision.bitmap);
+        let decision = self.sched.schedule_group(self.rows[worker].group, now_ns);
         self.stats.calls += 1;
         self.stats.selected_sum += u64::from(decision.bitmap.count());
         self.stats.alive_sum += u64::from(decision.alive.count());
@@ -75,44 +66,40 @@ impl HermesState {
     /// Boot-time sync: publish an initial bitmap for every group (one
     /// scheduler pass per group; a flat plane is one group).
     pub fn schedule_boot(&mut self, now_ns: u64) {
-        for g in 0..self.plane.groups() {
-            self.schedule_and_sync(g * self.plane.group_size(), now_ns);
+        for g in 0..self.dispatcher.group_count() {
+            self.schedule_and_sync(g * self.dispatcher.group_size(), now_ns);
         }
     }
 
     /// Kernel-side dispatch of one SYN (Algorithm 2; two-level when
-    /// sharded), returning the *global* worker id.
-    pub fn dispatch(&mut self, flow: &FlowKey) -> usize {
-        let placed = self.plane.dispatch(flow.hash());
-        self.tally(&[placed]);
-        placed.worker
-    }
-
-    /// Kernel-side dispatch of a same-instant SYN burst through one
-    /// batched program run: the availability bitmap and map registry are
-    /// loaded once for the whole burst. Decisions (and the Fig. 14
-    /// counters) are identical to per-SYN [`dispatch`](Self::dispatch)
-    /// calls — userspace cannot republish the bitmap between two events
-    /// carrying the same timestamp. Placements are appended to `out` in
-    /// arrival order.
-    pub fn dispatch_batch(&mut self, hashes: &[u32], out: &mut Vec<Placement>) {
-        let start = out.len();
-        self.plane.dispatch_batch(hashes, out);
-        self.tally(&out[start..]);
+    /// sharded): one decision per connection, as the reuseport hook runs
+    /// it. `worker` is the *global* worker id.
+    pub fn dispatch(&mut self, flow: &FlowKey) -> Placement {
+        let placed = self.dispatcher.dispatch(flow.hash());
+        self.tally(placed);
+        placed
     }
 
     /// Dispatch decision without touching the per-SYN statistics — used by
     /// degradation re-homing (Appendix C), which is not a new connection
     /// and must not inflate the Fig. 14 counters.
     pub fn redirect(&self, flow: &FlowKey) -> usize {
-        self.plane.dispatch(flow.hash()).worker
+        self.dispatcher.dispatch(flow.hash()).worker
     }
 
-    /// Fig. 14's directed/fallback split.
-    fn tally(&mut self, placed: &[Placement]) {
-        let directed = placed.iter().filter(|p| p.directed).count() as u64;
-        self.stats.directed_dispatches += directed;
-        self.stats.fallback_dispatches += placed.len() as u64 - directed;
+    /// Fig. 14's directed/fallback split, and the flight recorder's: the
+    /// one place a placed SYN is counted.
+    fn tally(&mut self, placed: Placement) {
+        if placed.directed {
+            self.stats.directed_dispatches += 1;
+            hermes_trace::trace_count!(CounterId::DirectedDispatches);
+        } else {
+            self.stats.fallback_dispatches += 1;
+            hermes_trace::trace_count!(CounterId::FallbackDispatches);
+        }
+        if self.dispatcher.group_count() > 1 {
+            hermes_trace::trace_count!(CounterId::GroupDispatches);
+        }
     }
 }
 
@@ -159,13 +146,7 @@ impl Dispatcher {
     /// Build the dispatcher for a mode, sharding the Hermes plane into
     /// `groups` worker groups (one is the flat plane; non-Hermes modes
     /// ignore it).
-    pub fn new(
-        mode: Mode,
-        workers: usize,
-        hermes: SchedConfig,
-        use_ebpf: bool,
-        groups: usize,
-    ) -> Self {
+    pub fn new(mode: Mode, workers: usize, hermes: SchedConfig, groups: usize) -> Self {
         match mode {
             Mode::ExclusiveLifo => Dispatcher::Shared {
                 order: WakeOrder::Lifo,
@@ -180,9 +161,7 @@ impl Dispatcher {
                 order: WakeOrder::Fifo,
             },
             Mode::Reuseport => Dispatcher::Reuseport { workers },
-            Mode::Hermes => Dispatcher::Hermes(Box::new(HermesState::new(
-                workers, hermes, use_ebpf, groups,
-            ))),
+            Mode::Hermes => Dispatcher::Hermes(Box::new(HermesState::new(workers, hermes, groups))),
             Mode::UserspaceDispatcher => Dispatcher::Userspace,
         }
     }
@@ -196,7 +175,7 @@ impl Dispatcher {
             Dispatcher::Reuseport { workers } => {
                 Some(hermes_core::hash::reciprocal_scale(flow.hash(), *workers as u32) as usize)
             }
-            Dispatcher::Hermes(h) => Some(h.dispatch(flow)),
+            Dispatcher::Hermes(h) => Some(h.dispatch(flow).worker),
             // All SYNs land on the dispatcher (worker 0); the backend is
             // chosen when the dispatcher accepts — but the choice only
             // depends on live counts, so pick now for simplicity.
@@ -290,7 +269,7 @@ mod tests {
 
     #[test]
     fn lifo_prefers_most_recently_registered() {
-        let mut d = Dispatcher::new(Mode::ExclusiveLifo, 4, cfg(), false, 1);
+        let mut d = Dispatcher::new(Mode::ExclusiveLifo, 4, cfg(), 1);
         assert_eq!(wake(&mut d, &[true, true, true, true]), vec![3]);
         assert_eq!(wake(&mut d, &[true, true, false, false]), vec![1]);
         assert!(wake(&mut d, &[false, false, false, false]).is_empty());
@@ -298,7 +277,7 @@ mod tests {
 
     #[test]
     fn fifo_prefers_first_registered() {
-        let mut d = Dispatcher::new(Mode::IoUringFifo, 4, cfg(), false, 1);
+        let mut d = Dispatcher::new(Mode::IoUringFifo, 4, cfg(), 1);
         assert_eq!(wake(&mut d, &[true, true, true, true]), vec![0]);
         assert_eq!(wake(&mut d, &[false, false, true, true]), vec![2]);
         assert!(wake(&mut d, &[false; 4]).is_empty());
@@ -306,7 +285,7 @@ mod tests {
 
     #[test]
     fn round_robin_rotates() {
-        let mut d = Dispatcher::new(Mode::RoundRobin, 3, cfg(), false, 1);
+        let mut d = Dispatcher::new(Mode::RoundRobin, 3, cfg(), 1);
         assert_eq!(wake(&mut d, &[true, true, true]), vec![0]);
         assert_eq!(wake(&mut d, &[true, true, true]), vec![1]);
         assert_eq!(wake(&mut d, &[true, true, true]), vec![2]);
@@ -318,13 +297,13 @@ mod tests {
 
     #[test]
     fn wake_all_wakes_every_idle_waiter() {
-        let mut d = Dispatcher::new(Mode::WakeAll, 4, cfg(), false, 1);
+        let mut d = Dispatcher::new(Mode::WakeAll, 4, cfg(), 1);
         assert_eq!(wake(&mut d, &[true, false, true, true]), vec![0, 2, 3]);
     }
 
     #[test]
     fn pick_wake_clears_the_reused_buffer() {
-        let mut d = Dispatcher::new(Mode::WakeAll, 4, cfg(), false, 1);
+        let mut d = Dispatcher::new(Mode::WakeAll, 4, cfg(), 1);
         let mut out = vec![99, 98];
         d.pick_wake(&[false, true, false, false], &mut out);
         assert_eq!(out, vec![1]);
@@ -334,7 +313,7 @@ mod tests {
 
     #[test]
     fn reuseport_assignment_is_sticky_and_in_range() {
-        let mut d = Dispatcher::new(Mode::Reuseport, 8, cfg(), false, 1);
+        let mut d = Dispatcher::new(Mode::Reuseport, 8, cfg(), 1);
         let flow = FlowKey::new(1, 2, 3, 4);
         let a = d.assign_at_syn(&flow, &[]).unwrap();
         let b = d.assign_at_syn(&flow, &[]).unwrap();
@@ -345,14 +324,14 @@ mod tests {
 
     #[test]
     fn shared_modes_defer_assignment() {
-        let mut d = Dispatcher::new(Mode::ExclusiveLifo, 4, cfg(), false, 1);
+        let mut d = Dispatcher::new(Mode::ExclusiveLifo, 4, cfg(), 1);
         assert_eq!(d.assign_at_syn(&FlowKey::new(1, 2, 3, 4), &[]), None);
         assert!(!d.assigns_at_syn());
     }
 
     #[test]
     fn userspace_picks_least_loaded_backend() {
-        let mut d = Dispatcher::new(Mode::UserspaceDispatcher, 4, cfg(), false, 1);
+        let mut d = Dispatcher::new(Mode::UserspaceDispatcher, 4, cfg(), 1);
         // conn_counts: dispatcher=0 (ignored), backends 1..: 5, 2, 9.
         let w = d.assign_at_syn(&FlowKey::new(1, 2, 3, 4), &[0, 5, 2, 9]);
         assert_eq!(w, Some(2));
@@ -360,7 +339,7 @@ mod tests {
 
     #[test]
     fn hermes_dispatch_tracks_stats_and_respects_bitmap() {
-        let mut d = Dispatcher::new(Mode::Hermes, 4, cfg(), false, 1);
+        let mut d = Dispatcher::new(Mode::Hermes, 4, cfg(), 1);
         {
             let h = d.hermes_mut();
             for w in 0..4 {
@@ -378,66 +357,5 @@ mod tests {
         }
         let h = d.hermes().unwrap();
         assert_eq!(h.stats.directed_dispatches, 100);
-    }
-
-    #[test]
-    fn hermes_batch_dispatch_matches_per_syn() {
-        for use_ebpf in [false, true] {
-            let mk = || {
-                let mut d = Dispatcher::new(Mode::Hermes, 8, cfg(), use_ebpf, 1);
-                {
-                    let h = d.hermes_mut();
-                    for w in 0..8 {
-                        h.worker(w).enter_loop(1_000_000);
-                    }
-                    h.worker(3).conn_delta(50);
-                    h.schedule_and_sync(0, 1_050_000);
-                }
-                d
-            };
-            let mut single = mk();
-            let mut batched = mk();
-            let flows: Vec<FlowKey> = (0..200u32)
-                .map(|i| FlowKey::new(i.wrapping_mul(13), i as u16, 1, 80))
-                .collect();
-            let hashes: Vec<u32> = flows.iter().map(|f| f.hash()).collect();
-            let singles: Vec<usize> = flows
-                .iter()
-                .map(|f| single.hermes_mut().dispatch(f))
-                .collect();
-            let mut batch = Vec::new();
-            batched.hermes_mut().dispatch_batch(&hashes, &mut batch);
-            let batch: Vec<usize> = batch.iter().map(|p| p.worker).collect();
-            assert_eq!(batch, singles, "use_ebpf={use_ebpf}");
-            let (s, b) = (single.hermes().unwrap(), batched.hermes().unwrap());
-            assert_eq!(s.stats.directed_dispatches, b.stats.directed_dispatches);
-            assert_eq!(s.stats.fallback_dispatches, b.stats.fallback_dispatches);
-        }
-    }
-
-    #[test]
-    fn hermes_ebpf_path_agrees_with_native() {
-        let mk = |ebpf| {
-            let mut d = Dispatcher::new(Mode::Hermes, 8, cfg(), ebpf, 1);
-            {
-                let h = d.hermes_mut();
-                for w in 0..8 {
-                    h.worker(w).enter_loop(1_000_000);
-                }
-                h.worker(2).conn_delta(50);
-                h.worker(5).conn_delta(50);
-                h.schedule_and_sync(0, 1_050_000);
-            }
-            d
-        };
-        let mut native = mk(false);
-        let mut ebpf = mk(true);
-        for i in 0..500u32 {
-            let flow = FlowKey::new(i * 7, i as u16, 1, 80);
-            assert_eq!(
-                native.assign_at_syn(&flow, &[]),
-                ebpf.assign_at_syn(&flow, &[])
-            );
-        }
     }
 }

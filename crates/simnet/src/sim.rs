@@ -102,8 +102,6 @@ pub struct Simulator<'w> {
     utils_buf: Vec<f64>,
     conns_buf: Vec<f64>,
     waiting_buf: Vec<(usize, u64)>,
-    syn_hash_buf: Vec<u32>,
-    syn_worker_buf: Vec<hermes_ebpf::Placement>,
     // Measurement state.
     events_processed: u64,
     worker_reports: Vec<WorkerReport>,
@@ -140,7 +138,7 @@ impl<'w> Simulator<'w> {
             wl.name
         );
         let n = cfg.workers;
-        let dispatcher = Dispatcher::new(cfg.mode, n, cfg.hermes.clone(), cfg.use_ebpf, cfg.groups);
+        let dispatcher = Dispatcher::new(cfg.mode, n, cfg.hermes.clone(), cfg.groups);
         // Dense port table from the workload, plus per-connection port
         // indices resolved once up front.
         let ports = PortTable::new(wl.conns.iter().map(|c| c.port));
@@ -174,8 +172,6 @@ impl<'w> Simulator<'w> {
             utils_buf: Vec::with_capacity(n),
             conns_buf: Vec::with_capacity(n),
             waiting_buf: Vec::new(),
-            syn_hash_buf: Vec::new(),
-            syn_worker_buf: Vec::new(),
             events_processed: 0,
             now: 0,
             request_latency: Histogram::latency(),
@@ -213,7 +209,7 @@ impl<'w> Simulator<'w> {
         self.device_lane.unwrap_or(w as u32)
     }
 
-    /// Flight-recorder lane for kernel-side events (SYN bursts, dispatch).
+    /// Flight-recorder lane for kernel-side events (SYN arrival, dispatch).
     #[inline]
     fn kernel_lane(&self) -> u32 {
         self.device_lane.unwrap_or(hermes_trace::KERNEL_LANE)
@@ -304,13 +300,6 @@ impl<'w> Simulator<'w> {
 
     /// Run to the horizon and produce the report.
     pub fn run(mut self) -> DeviceReport {
-        // In Hermes mode, consecutive SYNs carrying the same timestamp are
-        // drained into one burst and dispatched through a single batched
-        // Algorithm 2 run. Only the scripted stream is asked — a live event
-        // at this instant runs after every scripted one anyway — so nothing
-        // is popped ahead of its turn.
-        let mut syn_burst: Vec<ConnId> = Vec::new();
-        let batch_syns = self.dispatcher.hermes().is_some();
         while let Some((t, ev)) = self.next_event() {
             if t > self.wl.duration_ns {
                 break;
@@ -318,20 +307,6 @@ impl<'w> Simulator<'w> {
             self.now = t;
             self.events_processed += 1;
             match ev {
-                Ev::Syn(c) if batch_syns => {
-                    syn_burst.clear();
-                    syn_burst.push(c);
-                    while self.scripted_head() == Some((t, true)) {
-                        self.events_processed += 1;
-                        let Ev::Syn(c2) = self.release_scripted() else {
-                            unreachable!("step 0 is a Syn")
-                        };
-                        syn_burst.push(c2);
-                    }
-                    let burst = std::mem::take(&mut syn_burst);
-                    self.on_syn_burst(&burst);
-                    syn_burst = burst;
-                }
                 Ev::Syn(c) => self.on_syn(c),
                 Ev::RequestReady { conn, req } => self.on_request_ready(conn, req),
                 Ev::Wake { worker, generation } => self.on_wake(worker, generation),
@@ -383,6 +358,16 @@ impl<'w> Simulator<'w> {
                 c
             );
             hermes_trace::trace_count!(hermes_trace::CounterId::SimDispatches);
+            if self.cfg.groups > 1 && self.dispatcher.hermes().is_some() {
+                let group = w / (self.cfg.workers / self.cfg.groups);
+                hermes_trace::trace_event!(
+                    self.now,
+                    hermes_trace::EventKind::GroupDispatch,
+                    self.kernel_lane(),
+                    spec.flow.hash(),
+                    ((group as u64) << 32) | w as u64
+                );
+            }
             // The accept notification lands on the epoll instance that owns
             // the socket — the dispatcher worker (0) in userspace mode.
             let target = if matches!(self.dispatcher, Dispatcher::Userspace) {
@@ -405,63 +390,6 @@ impl<'w> Simulator<'w> {
             }
             self.wake_buf = wake;
         }
-    }
-
-    /// A same-instant SYN burst in Hermes mode: one batched Algorithm 2
-    /// run decides every connection, then each is delivered in arrival
-    /// order. Userspace cannot republish the bitmap between two events at
-    /// the same instant, so the decisions — and every downstream side
-    /// effect — are identical to per-SYN [`on_syn`](Self::on_syn) calls.
-    fn on_syn_burst(&mut self, burst: &[ConnId]) {
-        if burst.len() == 1 {
-            return self.on_syn(burst[0]);
-        }
-        self.syn_hash_buf.clear();
-        for &c in burst {
-            let spec = &self.wl.conns[c];
-            if self.nic.enabled() {
-                self.nic.record(&spec.flow, 2 + spec.requests.len() as u64);
-            }
-            self.conns.set_enqueue_ns(c, self.now);
-            self.syn_hash_buf.push(spec.flow.hash());
-        }
-        let mut placed = std::mem::take(&mut self.syn_worker_buf);
-        placed.clear();
-        self.dispatcher
-            .hermes_mut()
-            .dispatch_batch(&self.syn_hash_buf, &mut placed);
-        hermes_trace::trace_event!(
-            self.now,
-            hermes_trace::EventKind::SimSynBurst,
-            self.kernel_lane(),
-            burst.len(),
-            burst[0]
-        );
-        hermes_trace::trace_count!(hermes_trace::CounterId::SimSyns, burst.len());
-        for (&c, p) in burst.iter().zip(&placed) {
-            let w = p.worker;
-            self.conns.set_worker(c, w);
-            self.workers[w].pending.push_back(IoEvent::Accept(c));
-            self.notify(w);
-            hermes_trace::trace_event!(
-                self.now,
-                hermes_trace::EventKind::SimDispatch,
-                self.worker_lane(w),
-                self.wl.conns[c].flow.hash(),
-                c
-            );
-            hermes_trace::trace_count!(hermes_trace::CounterId::SimDispatches);
-            if self.cfg.groups > 1 {
-                hermes_trace::trace_event!(
-                    self.now,
-                    hermes_trace::EventKind::GroupDispatch,
-                    self.kernel_lane(),
-                    self.wl.conns[c].flow.hash(),
-                    ((p.group as u64) << 32) | w as u64
-                );
-            }
-        }
-        self.syn_worker_buf = placed;
     }
 
     fn on_request_ready(&mut self, conn: ConnId, req: usize) {
@@ -1444,7 +1372,7 @@ mod tests {
         for c in &mut wl.conns {
             c.requests[0].service_ns = 300_000;
         }
-        // The burst the run loop forms is the run of Syns at one instant.
+        // A clump is a run of Syns at one instant, placed one by one.
         let mut sim = Simulator::new(SimConfig::new(8, Mode::Hermes), &wl);
         let first: Vec<_> = pull(&mut sim, 1_000_000);
         assert_eq!(
@@ -1452,16 +1380,12 @@ mod tests {
             (0..6).map(|c| (1_000_000, Ev::Syn(c))).collect::<Vec<_>>()
         );
         // Per-worker accepts as recorded at the commit before scripted
-        // events left the queue (native and bytecode dispatch alike).
-        for use_ebpf in [false, true] {
-            let mut cfg = SimConfig::new(8, Mode::Hermes);
-            cfg.use_ebpf = use_ebpf;
-            let r = Simulator::new(cfg, &wl).run();
-            let accepted: Vec<u64> = r.workers.iter().map(|w| w.accepted).collect();
-            assert_eq!(accepted, [3, 3, 1, 2, 3, 1, 3, 2]);
-            assert_eq!(r.sched.directed_dispatches, 18);
-            assert_eq!(r.completed_requests, 18);
-        }
+        // events left the queue, when a clump was placed as one batch.
+        let r = Simulator::new(SimConfig::new(8, Mode::Hermes), &wl).run();
+        let accepted: Vec<u64> = r.workers.iter().map(|w| w.accepted).collect();
+        assert_eq!(accepted, [3, 3, 1, 2, 3, 1, 3, 2]);
+        assert_eq!(r.sched.directed_dispatches, 18);
+        assert_eq!(r.completed_requests, 18);
     }
 
     #[test]
@@ -1507,22 +1431,6 @@ mod tests {
         let b = run(Mode::Hermes, &wl, 4);
         assert_eq!(a.completed_requests, b.completed_requests);
         assert_eq!(a.request_latency.p99(), b.request_latency.p99());
-        assert_eq!(
-            a.workers.iter().map(|w| w.accepted).collect::<Vec<_>>(),
-            b.workers.iter().map(|w| w.accepted).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn ebpf_and_native_hermes_agree_end_to_end() {
-        let wl = uniform_workload(800, 400_000, 30_000);
-        let mut native_cfg = SimConfig::new(4, Mode::Hermes);
-        native_cfg.use_ebpf = false;
-        let mut ebpf_cfg = SimConfig::new(4, Mode::Hermes);
-        ebpf_cfg.use_ebpf = true;
-        let a = Simulator::new(native_cfg, &wl).run();
-        let b = Simulator::new(ebpf_cfg, &wl).run();
-        assert_eq!(a.completed_requests, b.completed_requests);
         assert_eq!(
             a.workers.iter().map(|w| w.accepted).collect::<Vec<_>>(),
             b.workers.iter().map(|w| w.accepted).collect::<Vec<_>>()

@@ -49,10 +49,6 @@ counters! {
     DirectedDispatches => "dispatch.directed",
     /// Flows that fell back to hashing over all alive workers.
     FallbackDispatches => "dispatch.fallback",
-    /// `dispatch_batch` invocations.
-    DispatchBatches => "dispatch.batches",
-    /// Flows carried by those batches.
-    BatchedFlows => "dispatch.batched_flows",
     /// VM executions (the checked interpreter).
     VmRunsChecked => "vm.runs_checked",
     /// Accept bursts drained by the lb server.

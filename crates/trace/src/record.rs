@@ -64,7 +64,8 @@ event_kinds! {
     /// (0 = Checked; 1 = Fast, 2 = Compiled and 3 = Jit in traces recorded
     /// while those tiers existed), `b` = instruction count.
     VmLoad = 4 => "vm.load",
-    /// A batch of flows went through `dispatch_batch`.
+    /// A batch of flows went through a batched dispatch call (retired with
+    /// the burst path; kept so recorded traces decode).
     /// `a` = batch length, `b` = directed (non-fallback) count.
     DispatchBatch = 5 => "dispatch.batch",
     /// A single flow was dispatched. `a` = flow hash, `b` = chosen worker.
@@ -81,7 +82,8 @@ event_kinds! {
     PacerMiss = 10 => "pacer.miss",
     /// Simulated SYN arrival. `a` = connection id, `b` = flow hash.
     SimSyn = 11 => "sim.syn",
-    /// Same-timestamp SYN burst drained as one batch.
+    /// Same-timestamp SYN burst drained as one batch (retired: the
+    /// simulator places one SYN at a time; kept so recorded traces decode).
     /// `a` = burst length, `b` = first connection id.
     SimSynBurst = 12 => "sim.syn_burst",
     /// Simulated worker wake (epoll return). `a` = events fetched, `b` = blocked ns.

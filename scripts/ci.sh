@@ -126,12 +126,12 @@ step "ebpf soundness (analyzer soundness; checked interpreter vs native oracle)"
 # this interpreter in the relay-reactor lane's steering tests.)
 cargo test --release -q -p hermes-ebpf --test soundness
 
-step "dispatch-plane counters (every shape visible to the counter registry)"
-# All four plane shapes — {native, bytecode} x {one group, many} — must
-# count each flow once as directed or fallback, each batch and its flows
-# once, and each bitmap publish as one store or one elided repeat. The
-# grouped shapes used to read 0. Needs the recorder compiled in.
-cargo test --release -q -p hermes-ebpf --features trace --test plane_counters
+step "dispatch-plane counters (each SYN counted once, no redirect counted)"
+# A Hermes run with degradation on, flat and two-group, must end with
+# dispatch.directed + dispatch.fallback == sim.syns == the Fig. 14 split:
+# the counters are tallied in one place (HermesState::tally), which
+# degradation re-homing bypasses. Needs the recorder compiled in.
+cargo test --release -q -p hermes-simnet --features trace --test dispatch_counters
 
 step "scheduler kernel (differential vs literal Algorithm 1, zero allocations)"
 # One scheduler read path, two proofs here: the mask kernel agrees with a
@@ -346,6 +346,11 @@ outside="$(cargo tree --workspace -e normal,dev,build --prefix none |
 [ "$outside" = "bytes " ] || { echo "packages from outside the workspace: $outside(want: bytes)"; exit 1; }
 named="$(grep -lE '^bytes\b' Cargo.toml crates/*/Cargo.toml | tr '\n' ' ')"
 [ "$named" = "Cargo.toml crates/lb/Cargo.toml " ] || { echo "bytes is named by: $named"; exit 1; }
+# The simulator places through hermes-core's native oracle and nothing of
+# the bytecode substrate: a second implementation of dispatch beside it
+# would come back in through this edge.
+sim_tree="$(cargo tree -p hermes-simnet -e normal,dev,build --prefix none)"
+case "$sim_tree" in *hermes-ebpf*) echo "hermes-simnet depends on hermes-ebpf"; exit 1 ;; esac
 
 close_lane
 [ "$FAILED_GATES" -eq 0 ] || { echo "$FAILED_GATES gate lane(s) FAILED."; exit 1; }
