@@ -13,7 +13,7 @@
 
 use crate::bitmap::WorkerBitmap;
 use crate::dispatch::{ConnDispatcher, DispatchOutcome};
-use crate::hash::{jhash_3words, reciprocal_scale, FlowKey};
+use crate::hash::{jhash_3words, level2_hash, reciprocal_scale, FlowKey};
 use crate::sched::{SchedConfig, SchedDecision, Scheduler};
 use crate::selmap::SelMap;
 use crate::wst::Wst;
@@ -166,8 +166,8 @@ impl GroupScheduler {
     pub fn dispatch(&self, flow: &FlowKey) -> (usize, DispatchOutcome) {
         let g = self.group_for(flow);
         let group = &self.groups[g];
-        let out = group.dispatcher.dispatch(group.sel.load(), flow.hash());
-        (g, out)
+        let hash = level2_hash(flow.hash(), self.groups.len());
+        (g, group.dispatcher.dispatch(group.sel.load(), hash))
     }
 
     /// Flatten a `(group, local)` outcome into the global worker id.
@@ -204,8 +204,9 @@ pub struct Placement {
 ///
 /// Holds one `(SelMap, ConnDispatcher)` pair per group. A new connection
 /// picks its group by `reciprocal_scale` over the flow hash (level 1), then
-/// runs Algorithm 2 against that group's bitmap (level 2): one decision per
-/// connection, as the reuseport hook runs it.
+/// runs Algorithm 2 against that group's bitmap on the bits level 1 did not
+/// use ([`level2_hash`], level 2): one decision per connection, as the
+/// reuseport hook runs it.
 ///
 /// A pure decision procedure: it touches no flight-recorder counter (the
 /// simulator, its one caller outside tests, tallies each placed SYN once).
@@ -268,6 +269,7 @@ impl GroupedConnDispatcher {
     /// Full two-level dispatch for one connection.
     pub fn dispatch(&self, hash: u32) -> Placement {
         let group = self.group_for(hash);
+        let hash = level2_hash(hash, self.groups.len());
         let (sel, d) = &self.groups[group];
         let (local, directed) = match d.select(sel.load(), hash) {
             Some(local) => (local, true),

@@ -85,6 +85,17 @@ pub fn reciprocal_scale(val: u32, ep_ro: u32) -> u32 {
     ((val as u64 * ep_ro as u64) >> 32) as u32
 }
 
+/// The hash level 2 of the §7 grouped decision scales. Level 1 keeps the
+/// high word of `hash * groups` ([`reciprocal_scale`]): every flow of group
+/// `g` has its hash in the `g`-th `groups`-th of the range, so scaling the
+/// same hash again could only reach the `g`-th `groups`-th of the group's
+/// candidates. This is the low word — the fraction level 1 discarded,
+/// uniform within each group — and `hash` itself when `groups == 1`.
+#[inline]
+pub fn level2_hash(hash: u32, groups: usize) -> u32 {
+    (hash as u64 * groups as u64) as u32
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

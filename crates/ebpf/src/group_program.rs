@@ -16,7 +16,7 @@ use crate::insn::{Alu, Insn, Reg};
 use crate::maps::{ArrayMap, MapRef, MapRegistry, SockArrayMap};
 use crate::program::{assemble, AttachedProgram};
 use hermes_core::bitmap::WorkerBitmap;
-use hermes_core::hash::reciprocal_scale;
+use hermes_core::hash::{level2_hash, reciprocal_scale};
 use hermes_core::Placement;
 use std::sync::Arc;
 
@@ -74,8 +74,9 @@ impl GroupedReuseportGroup {
 
     /// Assemble the two-level program: Algorithm 2 with the group index
     /// `g = reciprocal_scale(hash, groups)` parked in stack slot [fp-8],
-    /// the bitmap read from map fd `g` and the socket committed through
-    /// sockarray fd `groups + g`.
+    /// the saved hash replaced by `hash * groups` for level 2, the bitmap
+    /// read from map fd `g` and the socket committed through sockarray fd
+    /// `groups + g`.
     fn build_program(groups: usize, group_size: usize) -> Vec<Insn> {
         assemble(
             group_size,
@@ -85,6 +86,10 @@ impl GroupedReuseportGroup {
                 a.mov_imm(Reg::R2, groups as i64);
                 a.call(HELPER_RECIPROCAL_SCALE);
                 a.stx_stack(-8, Reg::R0);
+                // Level 2 scales the low word of hash * groups, the bits
+                // level 1 did not use (`level2_hash`); the helper reads
+                // its first argument as a u32.
+                a.alu_imm(Alu::Mul, Reg::R6, groups as i64);
                 // Level 2 lookup: C = map_lookup(sel_base + g, 0); sel_base = 0.
                 a.ldx_stack(Reg::R1, -8);
                 a.mov_imm(Reg::R2, 0);
@@ -123,6 +128,7 @@ impl GroupedReuseportGroup {
         let worker = if directed {
             result.selected_sock.expect("committed socket")
         } else {
+            let hash = level2_hash(hash, self.groups);
             group * self.group_size + reciprocal_scale(hash, self.group_size as u32) as usize
         };
         Placement {
@@ -194,8 +200,8 @@ mod tests {
         assert!(saw_directed && saw_fallback);
     }
 
-    /// The grouped bytecode agrees with the native composition:
-    /// level-1 reciprocal_scale + level-2 ConnDispatcher per group.
+    /// The grouped bytecode agrees with the native composition: level-1
+    /// reciprocal_scale + level-2 ConnDispatcher per group on `level2_hash`.
     #[test]
     fn grouped_bytecode_matches_native() {
         for_each_case(256, |g| {
@@ -209,8 +215,10 @@ mod tests {
             let out = grouped.dispatch(hash);
             let expect_group = reciprocal_scale(hash, groups as u32) as usize;
             assert_eq!(out.group, expect_group, "hash {hash:#x} of {groups} groups");
-            let native =
-                ConnDispatcher::new(group_size).dispatch(WorkerBitmap(bitmaps[expect_group]), hash);
+            let native = ConnDispatcher::new(group_size).dispatch(
+                WorkerBitmap(bitmaps[expect_group]),
+                level2_hash(hash, groups),
+            );
             assert_eq!(
                 out.worker,
                 expect_group * group_size + native.worker(),

@@ -458,3 +458,42 @@ fn grouped_dispatch_differential_sweep() {
         check_grouped_dispatch(groups, size, &vec![u64::MAX; groups], &[0, 1, u32::MAX]);
     }
 }
+
+/// Level 2 reaches every worker of the level-1 group: with full bitmaps,
+/// spread hashes give each global worker its `1/(groups·size)` share, on
+/// the native oracle and on the bytecode. (Scaling level 1's own hash again
+/// confined group `g` to the `g`-th `groups`-th of its candidates — half
+/// the workers of a 4×2 deployment accepted nothing.)
+#[test]
+fn grouped_dispatch_reaches_every_worker_evenly() {
+    use hermes_core::{GroupedConnDispatcher, SelMap, WorkerBitmap};
+    use hermes_ebpf::GroupedReuseportGroup;
+    const HASHES: u32 = 100_000;
+    for (groups, size) in [(2usize, 4usize), (4, 2), (4, 16)] {
+        let full = WorkerBitmap::all(size);
+        let bytecode = GroupedReuseportGroup::new(groups, size);
+        let sel_maps = (0..groups)
+            .map(|g| {
+                bytecode.sync_group_bitmap(g, full);
+                let s = SelMap::new();
+                s.store(full);
+                Arc::new(s)
+            })
+            .collect();
+        let native = GroupedConnDispatcher::new(sel_maps, &vec![size; groups], size);
+        let mut hits = vec![[0u32; 2]; groups * size];
+        for h in (0..HASHES).map(|i| i.wrapping_mul(0x9E37_79B9)) {
+            hits[native.dispatch(h).worker][0] += 1;
+            hits[bytecode.dispatch(h).worker][1] += 1;
+        }
+        let share = f64::from(HASHES) / (groups * size) as f64;
+        for (w, plane) in hits.iter().enumerate() {
+            for (&n, name) in plane.iter().zip(["native", "bytecode"]) {
+                assert!(
+                    (f64::from(n) - share).abs() <= 0.2 * share,
+                    "{groups}x{size} {name}: worker {w} took {n} of {HASHES}, fair share {share}"
+                );
+            }
+        }
+    }
+}

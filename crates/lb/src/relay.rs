@@ -32,8 +32,8 @@
 //! Consistency: a connection resolves its backend *once*, at admission,
 //! against the table version current at accept time. Later churn (drain,
 //! flap, scale) publishes new versions for *new* connections; established
-//! relays keep their TCP peer until either side closes. That is exactly
-//! the frozen-snapshot contract the simnet churn suite proves at scale.
+//! relays keep their TCP peer until either side closes: the contract this
+//! module's churn test and `hermes-backend`'s `tests/churn.rs` hold it to.
 //!
 //! Per-connection relay state handles the edges on either path alike:
 //! half-close (EOF on one side propagates `shutdown(Write)` to the
@@ -1312,11 +1312,10 @@ mod tests {
         })
     }
 
-    /// Connect through the relay, read the greeting, exchange one echo
-    /// round-trip, half-close, and drain to EOF. Returns the backend id
-    /// that greeted.
-    fn relay_round_trip(addr: SocketAddr, payload: &str) -> usize {
-        let mut s = TcpStream::connect(addr).expect("connect relay");
+    /// Connect through the relay and read the greeting: the stream, its
+    /// buffered reader and the backend id that greeted.
+    fn open_greeted(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>, usize) {
+        let s = TcpStream::connect(addr).expect("connect relay");
         s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         s.set_nodelay(true).unwrap();
         let mut r = BufReader::new(s.try_clone().unwrap());
@@ -1328,14 +1327,32 @@ mod tests {
             .unwrap_or_else(|| panic!("bad greeting {greeting:?}"))
             .parse()
             .unwrap();
+        (s, r, backend)
+    }
+
+    /// One echo round-trip on a greeted relay.
+    fn echo_line(s: &mut TcpStream, r: &mut BufReader<TcpStream>, payload: &str) {
         writeln!(s, "{payload}").unwrap();
         let mut echoed = String::new();
         r.read_line(&mut echoed).expect("echo");
         assert_eq!(echoed.trim(), payload);
+    }
+
+    /// Half-close a greeted relay and drain it to EOF.
+    fn close_greeted(s: TcpStream, mut r: BufReader<TcpStream>) {
         s.shutdown(Shutdown::Write).unwrap();
         let mut rest = String::new();
         let _ = r.read_to_string(&mut rest);
         assert!(rest.is_empty(), "unexpected trailing bytes {rest:?}");
+    }
+
+    /// Connect through the relay, read the greeting, exchange one echo
+    /// round-trip, half-close, and drain to EOF. Returns the backend id
+    /// that greeted.
+    fn relay_round_trip(addr: SocketAddr, payload: &str) -> usize {
+        let (mut s, mut r, backend) = open_greeted(addr);
+        echo_line(&mut s, &mut r, payload);
+        close_greeted(s, r);
         backend
     }
 
@@ -2199,17 +2216,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(15));
 
         // Open a long-lived relay and learn its backend.
-        let mut s = TcpStream::connect(addr).unwrap();
-        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let mut r = BufReader::new(s.try_clone().unwrap());
-        let mut greeting = String::new();
-        r.read_line(&mut greeting).unwrap();
-        let pinned: usize = greeting
-            .trim()
-            .strip_prefix("hello-")
-            .unwrap()
-            .parse()
-            .unwrap();
+        let (mut s, mut r, pinned) = open_greeted(addr);
 
         // Drain that backend: new admissions must avoid it…
         assert!(lb.pool().set_health(pinned, HealthState::Draining, 0));
@@ -2222,14 +2229,142 @@ mod tests {
             );
         }
         // …while the established relay keeps serving through it.
-        writeln!(s, "still-here").unwrap();
-        let mut echoed = String::new();
-        r.read_line(&mut echoed).unwrap();
-        assert_eq!(echoed.trim(), "still-here");
-        s.shutdown(Shutdown::Write).unwrap();
-        let mut rest = String::new();
-        let _ = r.read_to_string(&mut rest);
+        echo_line(&mut s, &mut r, "still-here");
+        close_greeted(s, r);
         lb.shutdown();
+        for (_, stop) in backends {
+            stop.store(true, Ordering::SeqCst);
+        }
+    }
+
+    /// The churn script of `hermes-backend`'s `tests/churn.rs`, compressed
+    /// (drains 150 ms apart, backend 6 `Down` for 600 ms) and played on
+    /// sockets while four clients keep opening short connections.
+    #[test]
+    fn rolling_drain_and_flap_under_connection_churn_misroute_nothing() {
+        const BACKENDS: usize = 8;
+        const CLIENTS: usize = 4;
+        const STEP: Duration = Duration::from_millis(150);
+        let backends: Vec<_> = (0..BACKENDS).map(spawn_echo_backend).collect();
+        let addrs: Vec<SocketAddr> = backends.iter().map(|(a, _)| *a).collect();
+        let lb = RelayLb::start("127.0.0.1:0", 4, addrs).expect("bind");
+        let addr = lb.local_addr();
+        std::thread::sleep(Duration::from_millis(15));
+
+        // Two long-lived relays opened before any churn: one on a backend
+        // the rolling drain visits, one on the flap victim.
+        let mut probes = 0u64;
+        let mut held = [None, None];
+        while held.iter().any(Option::is_none) {
+            assert!(probes < 400, "400 connections missed backends 0..=5 or 6");
+            let (s, r, backend) = open_greeted(addr);
+            probes += 1;
+            let slot = &mut held[usize::from(backend == 6)];
+            if backend <= 6 && slot.is_none() {
+                *slot = Some((s, r));
+            } else {
+                close_greeted(s, r);
+            }
+        }
+        let mut held = held.map(Option::unwrap);
+
+        // Steps 0..=5 drain backend `step` and bring back the one before
+        // it; backend 6 is down from step 2 to step 6.
+        let mut script = Vec::new();
+        for b in 0..6 {
+            script.push((b as u32, b, HealthState::Draining));
+            script.push((b as u32 + 1, b, HealthState::Healthy));
+        }
+        script.push((2, 6, HealthState::Down));
+        script.push((6, 6, HealthState::Healthy));
+        script.sort_by_key(|&(step, ..)| step);
+
+        let done = AtomicBool::new(false);
+        // Per short connection: connect() began, greeting read, greeter.
+        // Per outage: backend, `set_health(out)` returned, about to call
+        // `set_health(Healthy)`.
+        let (served, outages) = std::thread::scope(|scope| {
+            let clients: Vec<_> = (0..CLIENTS)
+                .map(|c| {
+                    let done = &done;
+                    scope.spawn(move || {
+                        let mut served = Vec::new();
+                        while served.len() < 500 || !done.load(Ordering::SeqCst) {
+                            let begun = Instant::now();
+                            let (mut s, mut r, backend) = open_greeted(addr);
+                            let greeted = Instant::now();
+                            echo_line(&mut s, &mut r, &format!("c{c}-{}", served.len()));
+                            close_greeted(s, r);
+                            served.push((begun, greeted, backend));
+                            // Pacing only: every connection leaves the
+                            // client a TIME_WAIT port.
+                            std::thread::sleep(Duration::from_micros(500));
+                        }
+                        served
+                    })
+                })
+                .collect();
+            let start = Instant::now();
+            let mut out_since = [None; BACKENDS];
+            let mut outages = Vec::new();
+            for (step, b, to) in script {
+                std::thread::sleep((start + STEP * step).saturating_duration_since(Instant::now()));
+                let called = Instant::now();
+                assert!(lb.pool().set_health(b, to, 0), "{b} -> {to:?}");
+                match to {
+                    HealthState::Healthy => {
+                        outages.push((b, out_since[b].take().expect("was out"), called));
+                    }
+                    _ => out_since[b] = Some(Instant::now()),
+                }
+                // Established relays keep their peer through every version.
+                for (s, r) in &mut held {
+                    echo_line(s, r, &format!("held-at-{step}-{b}"));
+                }
+            }
+            done.store(true, Ordering::SeqCst);
+            let served: Vec<_> = clients
+                .into_iter()
+                .flat_map(|h| h.join().expect("client thread"))
+                .collect();
+            (served, outages)
+        });
+        assert_eq!(lb.pool().version(), 15);
+        for (mut s, mut r) in held {
+            echo_line(&mut s, &mut r, "held-after-recovery");
+            close_greeted(s, r);
+        }
+
+        assert!(served.len() >= 2_000, "{} connections", served.len());
+        for &(b, out, back) in &outages {
+            let inside =
+                |&&(begun, greeted, _): &&(Instant, Instant, usize)| begun > out && greeted < back;
+            let window: Vec<_> = served.iter().filter(inside).collect();
+            assert!(!window.is_empty(), "no connection fell inside {b}'s outage");
+            let misrouted = window.iter().filter(|&&&(.., by)| by == b).count();
+            assert_eq!(
+                misrouted,
+                0,
+                "of {} connections inside backend {b}'s outage",
+                window.len()
+            );
+        }
+
+        let made = probes + served.len() as u64;
+        let rstats = Arc::clone(lb.relay_stats());
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while rstats.relayed.load(Ordering::Relaxed) < made && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        lb.shutdown();
+        assert_eq!(rstats.failed_connects.load(Ordering::Relaxed), 0);
+        assert_eq!(rstats.relayed.load(Ordering::Relaxed), made);
+        let landed: u64 = rstats
+            .per_backend
+            .iter()
+            .map(|a| a.load(Ordering::Relaxed))
+            .sum();
+        assert_eq!(landed, made);
         for (_, stop) in backends {
             stop.store(true, Ordering::SeqCst);
         }

@@ -116,6 +116,15 @@ pub enum Fault {
     },
 }
 
+/// `epoll_wait` timeout (the paper sets 5 ms).
+pub const EPOLL_TIMEOUT_NS: u64 = 5 * NANOS_PER_MILLI;
+/// Max events returned per `epoll_wait` (MAX_EVENTS in Fig. A1).
+pub const MAX_EVENTS: usize = 512;
+/// Metrics sampling interval (CPU util, connection counts).
+pub const SAMPLE_INTERVAL_NS: u64 = 100 * NANOS_PER_MILLI;
+/// CPU cost of answering one probe.
+pub const PROBE_SERVICE_NS: u64 = 10_000;
+
 /// Full simulator configuration.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
@@ -123,10 +132,6 @@ pub struct SimConfig {
     pub workers: usize,
     /// Dispatch mode under test.
     pub mode: Mode,
-    /// `epoll_wait` timeout (the paper sets 5 ms).
-    pub epoll_timeout_ns: u64,
-    /// Max events returned per `epoll_wait` (MAX_EVENTS in Fig. A1).
-    pub max_events: usize,
     /// Kernel/userspace cost model.
     pub costs: CostParams,
     /// Hermes scheduler tuning (θ, hang threshold, filter order).
@@ -143,8 +148,6 @@ pub struct SimConfig {
     /// benchmarking). Behaviourally identical by construction and by the
     /// `engine_equivalence` suite.
     pub engine: Engine,
-    /// Metrics sampling interval (CPU util, connection counts).
-    pub sample_interval_ns: u64,
     /// Injected faults.
     pub faults: Vec<Fault>,
     /// NIC RSS queues to model for the Fig. 7 tap (0 disables).
@@ -155,8 +158,6 @@ pub struct SimConfig {
     /// at this interval (Fig. 11's per-worker probing; the LB contains no
     /// probe logic beyond echoing, so delay ⇒ an unresponsive worker).
     pub probe_interval_ns: Option<u64>,
-    /// CPU cost of answering one probe.
-    pub probe_service_ns: u64,
     /// Proactive service degradation (Appendix C exception case 1): when
     /// a worker stays hot, RST a slice of its connections so clients
     /// reconnect and get rescheduled to healthy workers. Evaluated at
@@ -170,12 +171,6 @@ pub struct SimConfig {
     /// of which pool thread runs the device. `None` (single-device runs)
     /// keeps the per-worker lane mapping.
     pub device_index: Option<u32>,
-    /// Backend plane: when set, every processed request is forwarded to a
-    /// backend chosen through the versioned-pool data plane of
-    /// `hermes_backend` and only completes when the response returns.
-    /// `None` (the default) keeps the LB-only model where processing a
-    /// request completes it.
-    pub backend: Option<crate::backend::BackendSimConfig>,
 }
 
 impl SimConfig {
@@ -184,22 +179,17 @@ impl SimConfig {
         Self {
             workers,
             mode,
-            epoll_timeout_ns: 5 * NANOS_PER_MILLI,
-            max_events: 512,
             costs: CostParams::default(),
             hermes: SchedConfig::default(),
             groups: 1,
             sched_at_loop_start: false,
             engine: Engine::default(),
-            sample_interval_ns: 100 * NANOS_PER_MILLI,
             faults: Vec::new(),
             nic_queues: 0,
             trace_port: None,
             probe_interval_ns: None,
-            probe_service_ns: 10_000,
             degrade: None,
             device_index: None,
-            backend: None,
         }
     }
 
@@ -208,12 +198,6 @@ impl SimConfig {
         assert!(
             (1..=64).contains(&self.workers),
             "1..=64 workers per simulated device"
-        );
-        assert!(self.epoll_timeout_ns > 0, "epoll timeout must be positive");
-        assert!(self.max_events >= 1, "max_events must be >= 1");
-        assert!(
-            self.sample_interval_ns > 0,
-            "sampling interval must be positive"
         );
         assert!((1..=64).contains(&self.groups), "1..=64 worker groups");
         assert!(
@@ -226,9 +210,6 @@ impl SimConfig {
                 "userspace dispatcher needs a dispatcher plus >= 1 backend"
             );
         }
-        if let Some(b) = &self.backend {
-            b.validate();
-        }
     }
 }
 
@@ -239,8 +220,8 @@ mod tests {
     #[test]
     fn default_config_is_paperlike() {
         let c = SimConfig::new(32, Mode::Hermes);
-        assert_eq!(c.epoll_timeout_ns, 5_000_000);
-        assert_eq!(c.max_events, 512);
+        assert_eq!(EPOLL_TIMEOUT_NS, 5_000_000);
+        assert_eq!(MAX_EVENTS, 512);
         assert_eq!(c.hermes.theta_frac, 0.5);
         c.validate();
     }

@@ -26,11 +26,15 @@
 //! hangs are *emergent* (a long request simply keeps the loop from
 //! re-entering, which stalls the loop-entry timestamp Hermes watches).
 //!
+//! The model ends at the worker: a request completes when its last event
+//! has been processed. What happens behind the load balancer — backend
+//! selection under pool churn, the byte relay — is `hermes-backend`'s and
+//! `hermes-lb`'s, and is tested there on the code that ships.
+//!
 //! The simulator is deterministic: same workload + config ⇒ identical
 //! results, which is what lets Table 3 run the *same* captured traffic
 //! under each mode.
 
-pub mod backend;
 pub mod cluster;
 pub mod config;
 pub mod event_queue;
@@ -41,7 +45,6 @@ pub mod ports;
 pub mod sim;
 pub mod state;
 
-pub use backend::{BackendChurnEvent, BackendSimConfig};
 pub use cluster::{run_cluster, run_cluster_threaded, run_fleet_with, ClusterReport};
 pub use config::{CostParams, Fault, Mode, SimConfig};
 pub use event_queue::{Engine, EventQueue, HeapQueue, TimerWheel};

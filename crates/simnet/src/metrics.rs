@@ -6,6 +6,7 @@
 //! per-port traces (Fig. 3), Hermes scheduler statistics (Fig. 14), and
 //! probe delays (Fig. 11).
 
+use crate::config::SAMPLE_INTERVAL_NS;
 use hermes_metrics::{timeseries::Agg, Cdf, Histogram, TimeSeries, Welford};
 
 /// Per-worker measurement block.
@@ -92,33 +93,6 @@ pub struct BalanceStats {
     pub series: Vec<(u64, f64, f64)>,
 }
 
-/// Backend-plane routing counters (the churn-consistency evidence): how
-/// every request was routed relative to its connection's admitted table
-/// version. `misroutes` and `dropped_responses` are the invariants the
-/// versioned-table design guarantees are zero under drain and flap.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct BackendReport {
-    /// Table versions published over the run (1 + churn transitions applied).
-    pub versions_published: u64,
-    /// Connections that captured an admission at accept time.
-    pub admitted: u64,
-    /// Requests served by their admitted backend.
-    pub pinned: u64,
-    /// Requests retried to a sibling in the *admitted* table because the
-    /// pinned backend stopped serving (flap), still version-consistent.
-    pub retried: u64,
-    /// Requests that fell back to the live table (admitted version fully
-    /// expired — every backend of that cohort down).
-    pub fell_back: u64,
-    /// Requests routed away from a pinned backend that was still serving.
-    /// Structurally impossible in the frozen-table design; asserted zero.
-    pub misroutes: u64,
-    /// Requests that found no serving backend at all (response lost).
-    pub dropped_responses: u64,
-    /// Responses returned per backend (service-share evidence).
-    pub per_backend_completed: Vec<u64>,
-}
-
 /// The complete result of one simulation run.
 #[derive(Clone, Debug)]
 pub struct DeviceReport {
@@ -171,9 +145,6 @@ pub struct DeviceReport {
     /// streamed past it — so this tracks workers and open connections, not
     /// the workload's length.
     pub peak_pending_events: u64,
-    /// Backend-plane routing counters; `None` when the run had no backend
-    /// plane configured.
-    pub backend: Option<BackendReport>,
 }
 
 /// Per-port time series for the Fig. 3 lag-effect plot.
@@ -188,11 +159,11 @@ pub struct PortTrace {
 }
 
 impl PortTrace {
-    pub(crate) fn new(port: u16, sample_interval_ns: u64) -> Self {
+    pub(crate) fn new(port: u16) -> Self {
         Self {
             port,
-            connections: TimeSeries::new(0, sample_interval_ns, Agg::Last),
-            requests: TimeSeries::new(0, sample_interval_ns, Agg::Sum),
+            connections: TimeSeries::new(0, SAMPLE_INTERVAL_NS, Agg::Last),
+            requests: TimeSeries::new(0, SAMPLE_INTERVAL_NS, Agg::Sum),
         }
     }
 }
@@ -289,7 +260,6 @@ mod tests {
             rst_reschedules: 0,
             conn_table_bytes: 0,
             peak_pending_events: 0,
-            backend: None,
         }
     }
 

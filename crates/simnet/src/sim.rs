@@ -26,7 +26,9 @@
 //! /wake/waiting lists live in scratch buffers owned by the simulator,
 //! and port lookup is a dense-array index ([`crate::ports::PortTable`]).
 
-use crate::config::{Fault, SimConfig};
+use crate::config::{
+    Fault, SimConfig, EPOLL_TIMEOUT_NS, MAX_EVENTS, PROBE_SERVICE_NS, SAMPLE_INTERVAL_NS,
+};
 use crate::event_queue::EventQueue;
 use crate::metrics::{BalanceStats, DeviceReport, PortTrace, WorkerReport};
 use crate::modes::Dispatcher;
@@ -57,15 +59,6 @@ enum Ev {
     FaultAt(usize),
     /// Per-worker health-probe injection tick (Fig. 11).
     ProbeTick,
-    /// Scripted backend health transition (index into the churn script).
-    BackendChurn(usize),
-    /// Backend finished serving request `req` of `conn`: the response
-    /// arrives back at the LB and the request completes.
-    BackendDone {
-        conn: ConnId,
-        req: usize,
-        backend: u32,
-    },
 }
 
 /// The simulator for one device run.
@@ -117,8 +110,6 @@ pub struct Simulator<'w> {
     /// Appendix C degradation: monitor + count of RST-rescheduled conns.
     degrade: Option<hermes_core::degrade::DegradeMonitor>,
     rst_reschedules: u64,
-    /// Backend plane: versioned-pool routing + service-time modeling.
-    backend: Option<crate::backend::BackendPlane>,
 }
 
 impl<'w> Simulator<'w> {
@@ -148,9 +139,7 @@ impl<'w> Simulator<'w> {
             .map(|c| ports.index_of(c.port).expect("registered port") as u32)
             .collect();
         let conns = ConnTable::new(wl.conns.iter().map(|c| c.requests.iter().map(|r| r.events)));
-        let port_trace = cfg
-            .trace_port
-            .map(|p| PortTrace::new(p, cfg.sample_interval_ns));
+        let port_trace = cfg.trace_port.map(PortTrace::new);
         let nic = NicRss::new(cfg.nic_queues);
         let mut sim = Self {
             workers: (0..n).map(|_| WorkerState::new()).collect(),
@@ -165,7 +154,7 @@ impl<'w> Simulator<'w> {
             conn_port,
             queue: EventQueue::new(cfg.engine),
             scripted: BinaryHeap::new(),
-            batch_buf: Vec::with_capacity(cfg.max_events),
+            batch_buf: Vec::with_capacity(MAX_EVENTS),
             counts_buf: Vec::with_capacity(n),
             idle_buf: Vec::with_capacity(n),
             wake_buf: Vec::with_capacity(n),
@@ -186,10 +175,6 @@ impl<'w> Simulator<'w> {
                 .degrade
                 .map(|d| hermes_core::degrade::DegradeMonitor::new(n, d)),
             rst_reschedules: 0,
-            backend: cfg
-                .backend
-                .as_ref()
-                .map(|b| crate::backend::BackendPlane::new(b, wl.conns.len())),
             cfg,
             wl,
         };
@@ -261,7 +246,7 @@ impl<'w> Simulator<'w> {
     }
 
     /// Seed the first arrival, and the queue: worker boot, sampling, faults,
-    /// probes, backend churn.
+    /// probes.
     fn prime(&mut self) {
         if let Some(first) = self.wl.conns.first() {
             self.scripted.push(Reverse((first.arrival_ns, 0, 0)));
@@ -278,10 +263,10 @@ impl<'w> Simulator<'w> {
         if let Dispatcher::Hermes(h) = &mut self.dispatcher {
             h.schedule_boot(0);
         }
-        let mut t = self.cfg.sample_interval_ns;
+        let mut t = SAMPLE_INTERVAL_NS;
         while t <= self.wl.duration_ns {
             self.push(t, Ev::Sample);
-            t += self.cfg.sample_interval_ns;
+            t += SAMPLE_INTERVAL_NS;
         }
         for i in 0..self.cfg.faults.len() {
             let at = match self.cfg.faults[i] {
@@ -291,10 +276,6 @@ impl<'w> Simulator<'w> {
         }
         if let Some(interval) = self.cfg.probe_interval_ns {
             self.push(interval, Ev::ProbeTick);
-        }
-        for i in 0..self.backend.as_ref().map_or(0, |p| p.churn_len()) {
-            let at = self.backend.as_ref().expect("plane present").churn_at(i);
-            self.push(at, Ev::BackendChurn(i));
         }
     }
 
@@ -315,8 +296,6 @@ impl<'w> Simulator<'w> {
                 Ev::Sample => self.on_sample(),
                 Ev::FaultAt(i) => self.on_fault(i),
                 Ev::ProbeTick => self.on_probe_tick(),
-                Ev::BackendChurn(i) => self.on_backend_churn(i),
-                Ev::BackendDone { conn, req, backend } => self.on_backend_done(conn, req, backend),
             }
         }
         self.finish()
@@ -452,7 +431,7 @@ impl<'w> Simulator<'w> {
         ws.wake_scheduled = false;
         let gen = ws.generation;
         self.push(
-            at + self.cfg.epoll_timeout_ns,
+            at + EPOLL_TIMEOUT_NS,
             Ev::Wake {
                 worker: w,
                 generation: gen,
@@ -485,10 +464,9 @@ impl<'w> Simulator<'w> {
     /// Collect a batch (epoll_wait return) and schedule its completion.
     /// The batch lives in a scratch buffer reused across every wake.
     fn start_batch(&mut self, w: usize) {
-        let max_events = self.cfg.max_events;
         let mut batch = std::mem::take(&mut self.batch_buf);
         batch.clear();
-        while batch.len() < max_events {
+        while batch.len() < MAX_EVENTS {
             match self.workers[w].pending.pop_front() {
                 Some(e) => batch.push(e),
                 None => break,
@@ -498,7 +476,7 @@ impl<'w> Simulator<'w> {
         // batch (O(1) per connection via the ready list; stale fronts
         // retire inside `pop_ready`).
         if !self.dispatcher.assigns_at_syn() {
-            while batch.len() < max_events {
+            while batch.len() < MAX_EVENTS {
                 match self.ports.pop_ready() {
                     Some(c) => batch.push(IoEvent::Accept(c)),
                     None => break,
@@ -591,7 +569,7 @@ impl<'w> Simulator<'w> {
                     t += duration_ns;
                 }
                 IoEvent::Probe { submitted_ns } => {
-                    t += self.cfg.probe_service_ns;
+                    t += PROBE_SERVICE_NS;
                     self.probe_latency.record(t.saturating_sub(submitted_ns));
                 }
             }
@@ -632,12 +610,6 @@ impl<'w> Simulator<'w> {
                 tr.connections.record(self.now, live as f64);
             }
         }
-        // Backend plane: the connection captures an admission against the
-        // table version current *now* — every request it ever carries
-        // resolves against this frozen version, never a later one.
-        if let Some(plane) = &mut self.backend {
-            plane.admit(c, self.wl.conns[c].flow.hash());
-        }
         // Requests that arrived while the connection waited in the accept
         // queue become deliverable now. The list is drained through a
         // scratch buffer and its pooled nodes recycle onto the table's
@@ -658,9 +630,7 @@ impl<'w> Simulator<'w> {
     }
 
     /// One of a request's events finished at `t`. When the last event of a
-    /// request lands, the LB is done *processing* it: without a backend
-    /// plane the request completes here; with one it is forwarded upstream
-    /// and completes when the response returns ([`Ev::BackendDone`]).
+    /// request lands, the LB is done processing it and the request completes.
     fn complete_request_event(&mut self, conn: ConnId, req: usize, t: u64) {
         if self.conns.closed(conn) {
             return;
@@ -668,46 +638,7 @@ impl<'w> Simulator<'w> {
         if self.conns.dec_event(conn, req) > 0 {
             return;
         }
-        if self.backend.is_some() {
-            self.forward_to_backend(conn, req, t);
-        } else {
-            self.finish_request(conn, req, t);
-        }
-    }
-
-    /// Forward a fully-processed request to its backend: route through the
-    /// connection's admitted table version and schedule the response. A
-    /// request that finds no serving backend is dropped (stays incomplete);
-    /// the churn-consistency suite asserts that never happens under drain
-    /// or flap.
-    fn forward_to_backend(&mut self, conn: ConnId, req: usize, t: u64) {
-        let hash = self.wl.conns[conn].flow.hash();
-        let plane = self.backend.as_mut().expect("plane present");
-        if let Some((backend, service_ns)) = plane.route(conn, hash, req) {
-            hermes_trace::trace_count!(
-                hermes_trace::CounterId::RelayBytes,
-                self.wl.conns[conn].requests[req].size_bytes
-            );
-            self.push(
-                t.saturating_add(service_ns),
-                Ev::BackendDone {
-                    conn,
-                    req,
-                    backend: backend as u32,
-                },
-            );
-        }
-    }
-
-    /// A backend response arrived: the request completes now.
-    fn on_backend_done(&mut self, conn: ConnId, req: usize, backend: u32) {
-        if self.conns.closed(conn) {
-            return;
-        }
-        if let Some(plane) = &mut self.backend {
-            plane.complete(backend as usize);
-        }
-        self.finish_request(conn, req, self.now);
+        self.finish_request(conn, req, t);
     }
 
     /// Request `req` of `conn` fully completed at `t`: record end-to-end
@@ -791,7 +722,7 @@ impl<'w> Simulator<'w> {
     }
 
     fn on_sample(&mut self) {
-        let interval = self.cfg.sample_interval_ns as f64;
+        let interval = SAMPLE_INTERVAL_NS as f64;
         let mut utils = std::mem::take(&mut self.utils_buf);
         let mut conns = std::mem::take(&mut self.conns_buf);
         utils.clear();
@@ -864,15 +795,6 @@ impl<'w> Simulator<'w> {
                 self.rst_reschedules += 1;
                 shed += 1;
             }
-        }
-    }
-
-    /// Apply scripted backend churn event `i` (health transition + new
-    /// table version).
-    fn on_backend_churn(&mut self, i: usize) {
-        let now = self.now;
-        if let Some(plane) = &mut self.backend {
-            plane.apply_churn(i, now);
         }
     }
 
@@ -953,7 +875,6 @@ impl<'w> Simulator<'w> {
             rst_reschedules: self.rst_reschedules,
             conn_table_bytes: self.conns.memory_bytes(),
             peak_pending_events: self.queue.peak_len() as u64,
-            backend: self.backend.as_ref().map(|p| p.report()),
         }
     }
 }
@@ -1189,54 +1110,6 @@ mod tests {
         let r = Simulator::new(cfg, &wl).run();
         let total: u64 = r.nic_queue_packets.iter().sum();
         assert_eq!(total, 100 * 3); // 2 + 1 scripted request each
-    }
-
-    #[test]
-    fn backend_plane_completes_requests_with_service_latency() {
-        use crate::backend::BackendSimConfig;
-        let wl = uniform_workload(500, 500_000, 20_000);
-        let mut plain_cfg = SimConfig::new(4, Mode::Hermes);
-        plain_cfg.backend = None;
-        let mut backend_cfg = SimConfig::new(4, Mode::Hermes);
-        backend_cfg.backend = Some(BackendSimConfig::steady(4, 300_000));
-        let plain = Simulator::new(plain_cfg, &wl).run();
-        let with_backend = Simulator::new(backend_cfg, &wl).run();
-        assert_eq!(with_backend.completed_requests, 500);
-        let b = with_backend.backend.as_ref().expect("plane report");
-        assert_eq!(b.admitted, 500);
-        assert_eq!(b.pinned, 500);
-        assert_eq!(b.misroutes, 0);
-        assert_eq!(b.dropped_responses, 0);
-        assert_eq!(b.per_backend_completed.iter().sum::<u64>(), 500);
-        assert!(plain.backend.is_none());
-        // End-to-end latency must now include the backend service time.
-        assert!(
-            with_backend.request_latency.mean() > plain.request_latency.mean() + 100_000.0,
-            "backend {} vs LB-only {}",
-            with_backend.request_latency.mean(),
-            plain.request_latency.mean()
-        );
-    }
-
-    #[test]
-    fn backend_flap_retries_but_never_misroutes() {
-        use crate::backend::BackendSimConfig;
-        let wl = uniform_workload(2_000, 200_000, 20_000);
-        let mut cfg = SimConfig::new(4, Mode::Hermes);
-        // Victim down over the middle of the arrival window.
-        cfg.backend = Some(BackendSimConfig::flap(
-            4,
-            200_000,
-            1,
-            100_000_000,
-            300_000_000,
-        ));
-        let r = Simulator::new(cfg, &wl).run();
-        let b = r.backend.as_ref().expect("plane report");
-        assert_eq!(b.misroutes, 0);
-        assert_eq!(b.dropped_responses, 0);
-        assert_eq!(b.versions_published, 3);
-        assert_eq!(r.completed_requests, 2_000, "flap must not lose requests");
     }
 
     /// Connections `(arrival, request offsets)`, one cheap two-event

@@ -23,11 +23,8 @@
 //!   Table 4 case mix.
 //! * [`scenario`] — composite scenarios: the Fig. 3 long-lived-connection
 //!   surge, probe streams (Fig. 11), and the Fig. A5 rules-per-port model.
-//! * [`backend`] — backend service-time profiles (stateless exponential
-//!   draws) for end-to-end latency modeling in the simnet backend plane.
 
 pub mod arrival;
-pub mod backend;
 pub mod cases;
 pub mod distr;
 pub mod regions;
@@ -37,7 +34,6 @@ pub mod tenant;
 pub mod trace;
 
 pub use arrival::ArrivalProcess;
-pub use backend::BackendServiceProfile;
 pub use cases::{Case, CaseLoad};
 pub use distr::Distribution;
 pub use spec::{ConnectionSpec, RequestSpec, Workload};

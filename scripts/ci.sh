@@ -122,8 +122,11 @@ step "ebpf soundness (analyzer soundness; checked interpreter vs native oracle)"
 # interpreter, decide as core's native oracles do — flat against
 # ConnDispatcher at group sizes 1, 2, 3, 17 and 64 with the degenerate
 # bitmaps, grouped against GroupedConnDispatcher over swept shapes and
-# bitmaps, single-shot and batched. (The kernel's execution of the same program is checked against
-# this interpreter in the relay-reactor lane's steering tests.)
+# bitmaps, single-shot and batched; and under full bitmaps both grouped
+# planes give every worker of every group its even share (level 2 scales
+# the bits level 1 did not use). (The kernel's execution of the same program
+# is checked against this interpreter in the relay-reactor lane's steering
+# tests.)
 cargo test --release -q -p hermes-ebpf --test soundness
 
 step "dispatch-plane counters (each SYN counted once, no redirect counted)"
@@ -152,9 +155,9 @@ step "event merge (pop_before model, scripted/live tie-break; both feature state
 # clock-clamp and strict-limit traps as named schedules); the tie-break
 # rule, the sealed-workload panics and the live-only queue population on
 # the simulator itself; and whole runs of every shape (Case 1 and Case 3
-# traffic, faults, probes, backend churn, two groups, reuseport and
-# exclusive) against constants recorded before the change — with the
-# recorder compiled in here; "cargo test" above ran them without it.
+# traffic, faults, probes, two groups, reuseport and exclusive) against
+# constants recorded before the change — with the recorder compiled in
+# here; "cargo test" above ran them without it.
 cargo test --release -q -p hermes-simnet --lib event_queue
 cargo test --release -q -p hermes-simnet --lib sim::tests
 cargo test --release -q -p hermes-simnet --features trace --lib event_queue
@@ -189,13 +192,17 @@ step "fleet_throughput --smoke (fleet determinism, memory and pool gates)"
 gate --bin fleet_throughput
 
 step "backend-churn consistency (versioned tables under drain + flap)"
-# The backend data plane's acceptance property: 12k in-flight connections
-# ride out a rolling drain plus a backend flap with zero misroutes (no
-# request leaves a still-serving pinned backend), zero dropped responses,
-# and zero live-table fallbacks — and the whole scenario is byte-identical
-# across fleet thread counts. A steady pool, a drain-only script and one
-# backend at 8x service time displace nothing.
-cargo test --release -q -p hermes-simnet --test backend_churn
+# The backend data plane's acceptance property, on the crate that owns
+# `resolve` and on the relay that ships. hermes-backend: 12k admissions ride
+# out a rolling drain plus a backend flap on a scripted clock with zero
+# misroutes (no resolve leaves a still-serving pinned backend) and zero
+# expired versions; a steady pool, a drain-everything script and one backend
+# `Slow` displace nothing. RelayLb on sockets: the same script compressed
+# under >= 2 000 short connections from four clients — every one greeted and
+# echoed, none greeted by a backend that was out when it connected, no failed
+# connect, and the relays held open across the script keep their peer.
+cargo test --release -q -p hermes-backend --test churn
+cargo test --release -q -p hermes-lb --lib rolling_drain_and_flap_under_connection_churn_misroute_nothing
 
 step "relay-reactor (epoll reactor + splice data plane suite, both feature states)"
 # The relay engine: the raw-syscall reactor module (epoll/eventfd/pipe/
@@ -351,6 +358,9 @@ named="$(grep -lE '^bytes\b' Cargo.toml crates/*/Cargo.toml | tr '\n' ' ')"
 # would come back in through this edge.
 sim_tree="$(cargo tree -p hermes-simnet -e normal,dev,build --prefix none)"
 case "$sim_tree" in *hermes-ebpf*) echo "hermes-simnet depends on hermes-ebpf"; exit 1 ;; esac
+# Nor does it model the relay: backend selection is tested on hermes-backend
+# and on hermes-lb's sockets (the backend-churn lane), not on a simulated copy.
+case "$sim_tree" in *hermes-backend*) echo "hermes-simnet depends on hermes-backend"; exit 1 ;; esac
 
 close_lane
 [ "$FAILED_GATES" -eq 0 ] || { echo "$FAILED_GATES gate lane(s) FAILED."; exit 1; }
