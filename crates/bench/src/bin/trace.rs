@@ -5,7 +5,7 @@
 //!
 //!   trace export --chrome [--out PATH]   chrome://tracing JSON (stdout
 //!                                        unless --out)
-//!   trace summary                        ASCII per-kind table + counters
+//!   trace summary                        ASCII per-kind table + drops
 //!
 //! Options: --workers N (default 8), --seed N (default 42), --duration-ms N
 //! (default 2000). Requires a build with `--features trace`; without it
@@ -80,7 +80,6 @@ fn main() {
     let report = Simulator::new(SimConfig::new(workers, Mode::Hermes), &wl).run();
 
     let records = hermes_trace::drain();
-    let counters = hermes_trace::counters_snapshot();
     let dropped = hermes_trace::dropped_events();
     eprintln!(
         "trace: {} sim events over {duration_ms} ms sim time, {} connections, {} dropped records",
@@ -101,7 +100,7 @@ fn main() {
             }
         }
         "summary" => {
-            print!("{}", hermes_trace::summary(&records, &counters, dropped));
+            print!("{}", hermes_trace::summary(&records, dropped));
         }
         _ => unreachable!(),
     }

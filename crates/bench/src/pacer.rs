@@ -108,8 +108,6 @@ impl Pacer {
             overshoot_ns,
             self.missed
         );
-        hermes_trace::trace_count!(hermes_trace::CounterId::PacerDeadlineMisses);
-        hermes_trace::trace_count_max!(hermes_trace::CounterId::PacerMaxOvershootNs, overshoot_ns);
         Err(overshoot)
     }
 

@@ -119,10 +119,19 @@ impl Scheduler {
     /// copied once into a 64-row scratch on the stack, so a pass allocates
     /// nothing and is cheap enough for the end of *every* event loop
     /// iteration (§5.3.2). There is no cache in front of the copy: every
-    /// loop-resident caller has just written its own row.
+    /// loop-resident caller has just written its own row. The pass's trace
+    /// events go to `hermes_trace::CONTROL_LANE`.
     pub fn schedule(&self, wst: &Wst, now_ns: u64) -> SchedDecision {
+        self.schedule_on_lane(wst, now_ns, hermes_trace::CONTROL_LANE)
+    }
+
+    /// [`schedule`](Self::schedule) as run from the event loop that owns
+    /// flight-recorder lane `lane`: the pass's trace events go there. A
+    /// ring has one producer, so concurrent workers' passes must not share
+    /// a lane.
+    pub fn schedule_on_lane(&self, wst: &Wst, now_ns: u64, lane: u32) -> SchedDecision {
         let mut rows = [WorkerSnapshot::default(); MAX_WORKERS_PER_GROUP];
-        self.schedule_from_snapshot(wst.snapshot_into(&mut rows), now_ns)
+        self.cascade(wst.snapshot_into(&mut rows), now_ns, lane)
     }
 
     /// [`schedule`](Self::schedule) under the name and signature the
@@ -137,19 +146,24 @@ impl Scheduler {
         self.schedule(wst, now_ns)
     }
 
-    /// Run the cascade over an already-taken snapshot of at most 64 rows —
-    /// the one scheduler kernel; every other entry point ends here.
+    /// Run the cascade over an already-taken snapshot of at most 64 rows,
+    /// tracing on `hermes_trace::CONTROL_LANE`.
+    pub fn schedule_from_snapshot(&self, rows: &[WorkerSnapshot], now_ns: u64) -> SchedDecision {
+        self.cascade(rows, now_ns, hermes_trace::CONTROL_LANE)
+    }
+
+    /// The one scheduler kernel; every entry point ends here, tracing on
+    /// `lane`.
     ///
     /// Each stage is a branch-free sweep over the rows that builds a `u64`
     /// lane mask, so the working set of a pass is the snapshot and one
     /// word. The counters are taken to be counts (below 2⁵³, as any `Wst`
     /// reports them): that is what makes the integer sums exact.
-    pub fn schedule_from_snapshot(&self, rows: &[WorkerSnapshot], now_ns: u64) -> SchedDecision {
+    fn cascade(&self, rows: &[WorkerSnapshot], now_ns: u64, lane: u32) -> SchedDecision {
         assert!(rows.len() <= MAX_WORKERS_PER_GROUP, "at most 64 rows");
         let mut selected = WorkerBitmap::all(rows.len()).0;
         let mut alive = selected;
         for (stage_idx, stage) in self.config.stages.iter().enumerate() {
-            let before = selected;
             let stage_code = match stage {
                 FilterStage::Time => {
                     selected &= self.fresh(rows, now_ns);
@@ -168,13 +182,9 @@ impl Scheduler {
             hermes_trace::trace_event!(
                 now_ns,
                 hermes_trace::EventKind::SchedStage,
-                hermes_trace::CONTROL_LANE,
+                lane,
                 ((stage_idx as u64) << 32) | stage_code,
                 selected
-            );
-            hermes_trace::trace_count!(
-                hermes_trace::CounterId::SchedStageRejects,
-                u64::from(before.count_ones() - selected.count_ones())
             );
         }
         if !self.has_time_stage {
@@ -183,11 +193,10 @@ impl Scheduler {
         hermes_trace::trace_event!(
             now_ns,
             hermes_trace::EventKind::SchedDecision,
-            hermes_trace::CONTROL_LANE,
+            lane,
             selected,
             alive
         );
-        hermes_trace::trace_count!(hermes_trace::CounterId::SchedPasses);
         SchedDecision {
             bitmap: WorkerBitmap(selected),
             alive: WorkerBitmap(alive),

@@ -68,9 +68,10 @@ pub struct WorkerSession<T: SyncTarget> {
     /// [`sync_only`](Self::sync_only) can stamp its publish event with the
     /// loop iteration's time rather than 0.
     last_now_ns: u64,
-    /// Flight-recorder lane for this session's publish events. Defaults to
-    /// the worker id; grouped deployments override it with the flattened
-    /// global id so lanes stay unique across groups.
+    /// Flight-recorder lane for this session's scheduler passes and
+    /// publish events. Defaults to the worker id; grouped deployments
+    /// override it with the flattened global id so lanes stay unique
+    /// across groups.
     trace_lane: u32,
 }
 
@@ -90,7 +91,7 @@ impl<T: SyncTarget> WorkerSession<T> {
         }
     }
 
-    /// Override the flight-recorder lane for this session's publish events
+    /// Override the flight-recorder lane for this session's events
     /// (grouped deployments: `hermes_trace::grouped_lane(group, size, id)`).
     pub fn with_trace_lane(mut self, lane: u32) -> Self {
         self.trace_lane = lane;
@@ -140,7 +141,9 @@ impl<T: SyncTarget> WorkerSession<T> {
     /// Fig. 9 line 20: run Algorithm 1 over the whole table and publish
     /// the bitmap. Returns the decision for the caller's own telemetry.
     pub fn schedule_and_sync(&mut self, now_ns: u64) -> SchedDecision {
-        let decision = self.scheduler.schedule(&self.wst, now_ns);
+        let decision = self
+            .scheduler
+            .schedule_on_lane(&self.wst, now_ns, self.trace_lane);
         self.last_now_ns = now_ns;
         self.target.sync(decision.bitmap);
         self.publish_trace(now_ns, decision.bitmap);
@@ -158,7 +161,8 @@ impl<T: SyncTarget> WorkerSession<T> {
     /// separately (Table 5's "Scheduler" vs "System call" columns).
     pub fn schedule_only(&mut self, now_ns: u64) -> SchedDecision {
         self.last_now_ns = now_ns;
-        self.scheduler.schedule(&self.wst, now_ns)
+        self.scheduler
+            .schedule_on_lane(&self.wst, now_ns, self.trace_lane)
     }
 
     /// The publish half: push a previously computed bitmap.
@@ -180,7 +184,6 @@ impl<T: SyncTarget> WorkerSession<T> {
             bitmap.0,
             self.sched_calls
         );
-        hermes_trace::trace_count!(hermes_trace::CounterId::BitmapPublishes);
     }
 }
 

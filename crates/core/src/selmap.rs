@@ -44,7 +44,6 @@ impl SelMap {
     pub fn store(&self, bitmap: WorkerBitmap) {
         self.bits.store(bitmap.0, Ordering::Release);
         self.updates.fetch_add(1, Ordering::Relaxed);
-        hermes_trace::trace_count!(hermes_trace::CounterId::KernelBitmapSyncs);
     }
 
     /// Publish a scheduling decision only when it differs from what the
@@ -59,7 +58,6 @@ impl SelMap {
     pub fn store_if_changed(&self, bitmap: WorkerBitmap) -> bool {
         if self.bits.load(Ordering::Relaxed) == bitmap.0 {
             self.skipped.fetch_add(1, Ordering::Relaxed);
-            hermes_trace::trace_count!(hermes_trace::CounterId::BitmapSyncSkips);
             return false;
         }
         self.store(bitmap);

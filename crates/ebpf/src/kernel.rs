@@ -381,15 +381,12 @@ impl KernelDispatch {
     }
 
     /// Algorithm 1 line 8 for group `group`: one store into its mapped
-    /// word. An unchanged bitmap is skipped and counted, as
-    /// `SelMap::store_if_changed` does.
+    /// word. An unchanged bitmap is skipped, as `SelMap::store_if_changed`
+    /// does.
     pub fn publish(&self, group: usize, bitmap: WorkerBitmap) {
         let cell = &self.bitmaps.words()[group];
-        if cell.load(Ordering::Relaxed) == bitmap.0 {
-            hermes_trace::trace_count!(hermes_trace::CounterId::BitmapSyncSkips);
-        } else {
+        if cell.load(Ordering::Relaxed) != bitmap.0 {
             cell.store(bitmap.0, Ordering::Release);
-            hermes_trace::trace_count!(hermes_trace::CounterId::KernelBitmapSyncs);
         }
     }
 

@@ -243,7 +243,6 @@ impl ReuseportGroup {
     /// line 8).
     pub fn publish(&self, group: usize, bitmap: WorkerBitmap) {
         self.sel.update(group, bitmap.0);
-        hermes_trace::trace_count!(hermes_trace::CounterId::KernelBitmapSyncs);
     }
 
     /// [`publish`](Self::publish) `bitmap` as every group's: the one

@@ -24,8 +24,8 @@ use crate::insn::{Insn, Op, Reg, Src, NUM_REGS, STACK_SIZE};
 use crate::maps::{ArrayMap, SockArrayMap};
 
 /// How a loaded program executes: on the checked interpreter. (An enum of
-/// one: the end-to-end benchmark reads `tier().trace_code()`, and recorded
-/// traces carry the code in `EventKind::VmLoad`.)
+/// one: the end-to-end benchmark reads `tier().trace_code()`, and traces
+/// carry the code in `EventKind::VmLoad`.)
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecTier {
     /// Checked reference interpreter: every pc move, stack access, and
@@ -35,8 +35,7 @@ pub enum ExecTier {
 
 impl ExecTier {
     /// Stable numeric code used in flight-recorder payloads
-    /// (`EventKind::VmLoad` payload `a`). 1, 2 and 3 were the retired
-    /// lowered, compiled and jit tiers; recorded traces keep decoding.
+    /// (`EventKind::VmLoad` payload `a`).
     pub fn trace_code(self) -> u64 {
         0
     }
@@ -161,7 +160,6 @@ impl Vm {
         sel: &ArrayMap,
         socks: &SockArrayMap,
     ) -> Result<ExecResult, ExecError> {
-        hermes_trace::trace_count!(hermes_trace::CounterId::VmRunsChecked);
         let mut regs = [0u64; NUM_REGS];
         let mut stack = [0u8; STACK_SIZE];
         regs[Reg::R1.idx()] = ctx_hash as u64;

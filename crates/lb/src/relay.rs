@@ -166,12 +166,6 @@ impl RelayStats {
             }
         }
     }
-
-    /// Count a connect attempt beyond the pinned candidate.
-    fn note_retry(&self) {
-        self.connect_retries.fetch_add(1, Ordering::Relaxed);
-        hermes_trace::trace_count!(hermes_trace::CounterId::BackendRetries);
-    }
 }
 
 /// A running TCP relay LB.
@@ -305,8 +299,6 @@ impl Drop for CpuMeter {
 enum Pump {
     /// Still alive.
     Progress {
-        /// Bytes delivered this pass; `0` means both sides would block.
-        moved: u64,
         /// The pass stopped at the fairness cap with work left: under
         /// edge-triggered epoll no new event will announce it, so the
         /// worker must re-pump without waiting.
@@ -725,20 +717,17 @@ impl RelayConn {
         let spliced = u.spliced + d.spliced;
         if spliced > 0 {
             rstats.splice_bytes.fetch_add(spliced, Ordering::Relaxed);
-            hermes_trace::trace_count!(hermes_trace::CounterId::SpliceBytes, spliced);
         }
         let fallbacks = u.fallbacks + d.fallbacks;
         if fallbacks > 0 {
             rstats
                 .splice_fallbacks
                 .fetch_add(fallbacks, Ordering::Relaxed);
-            hermes_trace::trace_count!(hermes_trace::CounterId::SpliceFallbacks, fallbacks);
         }
         if self.up.done() && self.down.done() {
             Pump::Done
         } else {
             Pump::Progress {
-                moved: u.moved + d.moved,
                 more: u.more || d.more,
             }
         }
@@ -917,11 +906,8 @@ impl<T: SyncTarget> ReactorWorker<T> {
         } else {
             0
         };
-        let fetched = self.reactor.wait(&mut self.events, timeout).unwrap_or(0);
+        let _ = self.reactor.wait(&mut self.events, timeout);
         self.now = Instant::now();
-        if fetched > 0 {
-            hermes_trace::trace_count!(hermes_trace::CounterId::ReactorWakeups);
-        }
 
         // Readiness → owed service: note what each event says is now
         // possible, and mark its slot due.
@@ -1007,8 +993,6 @@ impl<T: SyncTarget> ReactorWorker<T> {
                 burst,
                 self.listener.stats.accepted[self.listener.id].load(Ordering::Relaxed)
             );
-            hermes_trace::trace_count!(hermes_trace::CounterId::AcceptBursts);
-            hermes_trace::trace_count!(hermes_trace::CounterId::AcceptedConns, burst);
         }
     }
 
@@ -1038,9 +1022,8 @@ impl<T: SyncTarget> ReactorWorker<T> {
             self.session.event_handled();
         }
         self.inbox = inbox;
-        let mut moved = 0u64;
         for i in 0..self.due.len() {
-            moved += self.service(self.due[i]);
+            self.service(self.due[i]);
             self.session.event_handled();
         }
         if !self.events.is_empty() {
@@ -1051,10 +1034,6 @@ impl<T: SyncTarget> ReactorWorker<T> {
                 self.events.len(),
                 self.due.len()
             );
-        }
-        if moved > 0 || accepted > 0 {
-            hermes_trace::trace_count!(hermes_trace::CounterId::RelayBursts);
-            hermes_trace::trace_count!(hermes_trace::CounterId::RelayBytes, moved);
         }
     }
 
@@ -1081,7 +1060,7 @@ impl<T: SyncTarget> ReactorWorker<T> {
     fn connect(&mut self, slot: usize, client: TcpStream, adm: Admission, mut attempt: usize) {
         while let Some(backend_id) = adm.candidate(attempt) {
             if attempt > 0 {
-                self.rstats.note_retry();
+                self.rstats.connect_retries.fetch_add(1, Ordering::Relaxed);
             }
             // A candidate beyond the startup address list (a late table
             // version referencing backends this process never learned
@@ -1174,26 +1153,21 @@ impl<T: SyncTarget> ReactorWorker<T> {
     /// it, but only at the next wait, and the client's first bytes are
     /// usually already there. (That report is also why the client leg's
     /// first read may stop short with no event yet seen: a FIN or urgent
-    /// mark it left behind is announced at the next wait.) Returns the
-    /// bytes moved.
-    fn service(&mut self, slot: usize) -> u64 {
+    /// mark it left behind is announced at the next wait.)
+    fn service(&mut self, slot: usize) {
         if matches!(self.slots[slot], Some(Slot::Connecting(_))) && !self.finish_connect(slot) {
-            return 0;
+            return;
         }
         let Some(Slot::Relay(conn)) = self.slots[slot].as_mut() else {
-            return 0;
+            return;
         };
         match conn.pump(self.now, &mut self.scratch, &mut self.pipes, &self.rstats) {
-            Pump::Progress { moved, more } => {
+            Pump::Progress { more } => {
                 if more {
                     self.ready.push(slot);
                 }
-                moved
             }
-            Pump::Done | Pump::Dead => {
-                self.finish_relay(slot);
-                0
-            }
+            Pump::Done | Pump::Dead => self.finish_relay(slot),
         }
     }
 

@@ -363,7 +363,6 @@ fn worker_loop<T: SyncTarget>(
                     stats.accepted[listener.id].load(Ordering::Relaxed),
                     0u64
                 );
-                hermes_trace::trace_count!(hermes_trace::CounterId::AcceptedConns);
                 serve_connection(stream, &mut proxy, &stats);
                 session.event_handled();
                 session.conn_closed();
@@ -374,7 +373,6 @@ fn worker_loop<T: SyncTarget>(
                     stats.requests.load(Ordering::Relaxed),
                     0u64
                 );
-                hermes_trace::trace_count!(hermes_trace::CounterId::ProxiedConns);
             }
             // Stop only once an accept has found the queue empty:
             // connections queued before the flag went up are still served.

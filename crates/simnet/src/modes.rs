@@ -11,7 +11,6 @@ use crate::metrics::SchedStats;
 use hermes_core::sched::SchedConfig;
 use hermes_core::status::WorkerStatus;
 use hermes_core::{FlowKey, GroupedConnDispatcher, Placement, Scheduler, SelMap, Wst};
-use hermes_trace::CounterId;
 use std::sync::Arc;
 
 /// Hermes state bundle: the WST, the scheduler that runs over it, and the
@@ -51,9 +50,10 @@ impl HermesState {
     /// `schedule_and_sync` (Algorithm 1) as run from a worker's event loop:
     /// run the cascade and publish the bitmap to the kernel-visible map
     /// (redundant republishes are elided and counted, just like the real
-    /// load balancer's sync path).
-    pub fn schedule_and_sync(&mut self, now_ns: u64) {
-        let decision = self.scheduler.schedule(&self.wst, now_ns);
+    /// load balancer's sync path). The pass traces on `lane`, the running
+    /// worker's.
+    pub fn schedule_and_sync(&mut self, now_ns: u64, lane: u32) {
+        let decision = self.scheduler.schedule_on_lane(&self.wst, now_ns, lane);
         self.sel.store_if_changed(decision.bitmap);
         self.stats.calls += 1;
         self.stats.selected_sum += u64::from(decision.bitmap.count());
@@ -75,15 +75,13 @@ impl HermesState {
         self.dispatcher.dispatch(flow.hash()).worker
     }
 
-    /// Fig. 14's directed/fallback split, and the flight recorder's: the
-    /// one place a placed SYN is counted.
+    /// Fig. 14's directed/fallback split: the one place a placed SYN is
+    /// counted.
     fn tally(&mut self, placed: Placement) {
         if placed.directed {
             self.stats.directed_dispatches += 1;
-            hermes_trace::trace_count!(CounterId::DirectedDispatches);
         } else {
             self.stats.fallback_dispatches += 1;
-            hermes_trace::trace_count!(CounterId::FallbackDispatches);
         }
     }
 }
@@ -329,7 +327,7 @@ mod tests {
                 h.worker(w).enter_loop(1_000_000);
             }
             h.worker(0).conn_delta(1_000); // overload worker 0
-            h.schedule_and_sync(1_100_000);
+            h.schedule_and_sync(1_100_000, 0);
             assert_eq!(h.stats.calls, 1);
             assert_eq!(h.stats.selected_sum, 3);
         }
@@ -351,12 +349,12 @@ mod tests {
         }
         // The first pass publishes; nine steady-state repeats publish nothing.
         for round in 0..10 {
-            h.schedule_and_sync(1_000_010 + round);
+            h.schedule_and_sync(1_000_010 + round, 0);
         }
         assert_eq!((h.sel.update_count(), h.sel.skipped_count()), (1, 9));
         // A load change re-publishes exactly once more.
         h.worker(0).conn_delta(1_000);
-        h.schedule_and_sync(1_000_030);
+        h.schedule_and_sync(1_000_030, 0);
         assert_eq!(h.sel.update_count(), 2);
         assert_eq!(h.stats.calls, 11);
     }

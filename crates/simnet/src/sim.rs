@@ -250,15 +250,17 @@ impl<'w> Simulator<'w> {
         }
         // Workers boot idle at t=0: loop entry recorded, timeout armed,
         // and (for Hermes) an initial all-available bitmap synced — the
-        // workers were looping long before the first connection arrives.
+        // workers were looping long before the first connection arrives;
+        // worker 0's loop runs that pass.
         for w in 0..self.cfg.workers {
             if let Some(h) = self.dispatcher.hermes() {
                 h.worker(w).enter_loop(0);
             }
             self.block_worker(w, 0);
         }
+        let lane = self.worker_lane(0);
         if let Dispatcher::Hermes(h) = &mut self.dispatcher {
-            h.schedule_and_sync(0);
+            h.schedule_and_sync(0, lane);
         }
         let mut t = SAMPLE_INTERVAL_NS;
         while t <= self.wl.duration_ns {
@@ -319,7 +321,6 @@ impl<'w> Simulator<'w> {
             c,
             spec.flow.hash()
         );
-        hermes_trace::trace_count!(hermes_trace::CounterId::SimSyns);
         if self.dispatcher.assigns_at_syn() {
             // Only the userspace dispatcher's least-connections pick reads
             // the live counts.
@@ -340,7 +341,6 @@ impl<'w> Simulator<'w> {
                 spec.flow.hash(),
                 c
             );
-            hermes_trace::trace_count!(hermes_trace::CounterId::SimDispatches);
             // The accept notification lands on the epoll instance that owns
             // the socket — the dispatcher worker (0) in userspace mode.
             let target = if matches!(self.dispatcher, Dispatcher::Userspace) {
@@ -452,7 +452,6 @@ impl<'w> Simulator<'w> {
             self.workers[w].pending.len(),
             blocked
         );
-        hermes_trace::trace_count!(hermes_trace::CounterId::SimWakes);
         self.start_batch(w);
     }
 
@@ -642,19 +641,20 @@ impl<'w> Simulator<'w> {
         self.workers[w].busy_ns += batch_cost;
         let sched_at_start = self.cfg.sched_at_loop_start;
         let drained = std::mem::take(&mut self.workers[w].in_flight_events);
+        let lane = self.worker_lane(w);
         if let Dispatcher::Hermes(h) = &mut self.dispatcher {
             // Per-event decrements of Fig. 9 line 18, applied at batch end.
             h.worker(w).add_pending(-drained);
             if !sched_at_start {
                 // schedule_and_sync at the end of the loop (Fig. 9 line 20).
-                h.schedule_and_sync(self.now);
+                h.schedule_and_sync(self.now, lane);
             }
             // Loop top: shm_avail_update(current_time).
             h.worker(w).enter_loop(self.now);
             if sched_at_start {
                 // Ablation: schedule before epoll_wait, observing pre-batch
                 // (possibly stale) status.
-                h.schedule_and_sync(self.now);
+                h.schedule_and_sync(self.now, lane);
             }
         }
         // epoll_wait: immediate return if events are pending, else block.

@@ -10,7 +10,6 @@
 
 use hermes_metrics::{fmt_nanos, table::Table, Histogram};
 
-use crate::counters::CounterId;
 use crate::record::{EventKind, TraceRecord};
 
 /// Render records as chrome://tracing JSON (instant events, thread scope).
@@ -40,8 +39,8 @@ pub fn chrome_json(records: &[TraceRecord]) -> String {
 }
 
 /// Render an ASCII summary: one row per event kind (count, lane spread,
-/// time range, p50/p99 inter-event gap) plus every non-zero counter.
-pub fn summary(records: &[TraceRecord], counters: &[(CounterId, u64)], dropped: u64) -> String {
+/// time range, p50/p99 inter-event gap) under the event and drop totals.
+pub fn summary(records: &[TraceRecord], dropped: u64) -> String {
     let mut events = Table::new(format!(
         "Flight recorder: {} events, {} dropped",
         records.len(),
@@ -87,18 +86,7 @@ pub fn summary(records: &[TraceRecord], counters: &[(CounterId, u64)], dropped: 
             gap(0.99),
         ]);
     }
-    let mut out = events.render();
-    let mut ctab = Table::new("Counters").header(["counter", "value"]);
-    for (id, v) in counters {
-        if *v != 0 {
-            ctab.row([id.name().to_string(), v.to_string()]);
-        }
-    }
-    if ctab.row_count() > 0 {
-        out.push('\n');
-        out.push_str(&ctab.render());
-    }
-    out
+    events.render()
 }
 
 #[cfg(test)]
@@ -130,23 +118,17 @@ mod tests {
     }
 
     #[test]
-    fn summary_lists_kinds_and_nonzero_counters() {
+    fn summary_lists_kinds_and_totals() {
         let records = vec![
             rec(100, EventKind::SimSyn, 64, 1, 11),
             rec(200, EventKind::SimSyn, 64, 2, 22),
             rec(300, EventKind::SimWake, 3, 4, 0),
         ];
-        let counters = [
-            (CounterId::SimSyns, 2),
-            (CounterId::SimWakes, 1),
-            (CounterId::FallbackDispatches, 0),
-        ];
-        let s = summary(&records, &counters, 5);
+        let s = summary(&records, 5);
         assert!(s.contains("3 events, 5 dropped"));
         assert!(s.contains("sim.syn"));
         assert!(s.contains("sim.wake"));
-        assert!(s.contains("sim.syns"));
-        // Zero counters are suppressed.
-        assert!(!s.contains("dispatch.fallback"));
+        // Kinds with no record get no row.
+        assert!(!s.contains("dispatch.one"));
     }
 }

@@ -11,17 +11,19 @@
 //!   payload). A push is a bounds check plus four relaxed stores and a
 //!   release cursor bump; a full ring drops (saturating counter), never
 //!   blocks.
-//! * [`CounterId`] / cache-line-padded monotonic counters for rates that
-//!   would flood the rings (per-dispatch tier tallies, snapshot hits, ...).
-//! * [`trace_event!`] / [`trace_count!`] / [`trace_count_max!`] — the only
-//!   way instrumented crates emit. With the `trace` cargo feature **off**
-//!   (the default) [`ENABLED`] is `false` and the macros expand to
-//!   `if false { .. }`: arguments still type-check, then the whole call is
-//!   dead-code eliminated — the hot paths pay literally nothing. With the
-//!   feature **on**, each macro is one runtime-switch branch plus the ring
-//!   write (gated at ≤ 14 ns, ~8 measured; see `results/BENCH_trace.json`).
+//! * [`trace_event!`] — the only way instrumented crates emit. With the
+//!   `trace` cargo feature **off** (the default) [`ENABLED`] is `false` and
+//!   the macro expands to `if false { .. }`: arguments still type-check,
+//!   then the whole call is dead-code eliminated — the hot paths pay
+//!   literally nothing. With the feature **on**, it is one runtime-switch
+//!   branch plus the ring write (gated at ≤ 14 ns, ~8 measured; see
+//!   `results/BENCH_trace.json`).
 //! * [`chrome_json`] / [`summary`] — drain/export into chrome://tracing
 //!   JSON or an ASCII per-kind table.
+//!
+//! The recorder keeps no counts of its own beyond ring drops: a count lives
+//! with the code that owns the fact (`LbStats`, `RelayStats`, `SelMap`,
+//! `SchedStats`, ...), and a rate the event stream gives is read off it.
 //!
 //! Determinism: tracing observes, never steers. Simnet emits with simulated
 //! time, so a traced run produces byte-identical reports *and* byte-identical
@@ -29,14 +31,12 @@
 //! enforces the report half of that contract with the recorder both on and
 //! off.
 
-mod counters;
 mod export;
 mod record;
 mod ring;
 mod sync;
 mod tracer;
 
-pub use counters::{CounterId, CounterRegistry};
 pub use export::{chrome_json, summary};
 pub use record::{EventKind, TraceRecord};
 pub use ring::{TraceRing, DEFAULT_RING_CAPACITY};
@@ -57,28 +57,6 @@ pub const ENABLED: bool = cfg!(feature = "trace") && !cfg!(loom);
 #[inline]
 pub fn emit(ts: u64, kind: EventKind, lane: u32, a: u64, b: u64) {
     global().emit(ts, kind, lane, a, b);
-}
-
-/// Add `n` to a global monotonic counter.
-#[inline]
-pub fn counter_add(id: CounterId, n: u64) {
-    global().counter_add(id, n);
-}
-
-/// Ratchet a global max-style counter.
-#[inline]
-pub fn counter_max(id: CounterId, v: u64) {
-    global().counter_max(id, v);
-}
-
-/// Current value of a global counter.
-pub fn counter_get(id: CounterId) -> u64 {
-    global().counter_get(id)
-}
-
-/// Snapshot every global counter.
-pub fn counters_snapshot() -> [(CounterId, u64); CounterId::COUNT] {
-    global().counters_snapshot()
 }
 
 /// Flip the global runtime recording switch (no-op semantics when the
@@ -103,8 +81,8 @@ pub fn dropped_events() -> u64 {
     global().dropped_events()
 }
 
-/// Clear the global recorder's records, counters and drop accounting, and
-/// re-enable recording.
+/// Clear the global recorder's records and drop accounting, and re-enable
+/// recording.
 pub fn reset() {
     global().reset();
 }
@@ -128,31 +106,6 @@ macro_rules! trace_event {
     };
 }
 
-/// Bump a monotonic counter: `trace_count!(id)` or `trace_count!(id, n)`.
-/// Compiles to nothing when the `trace` feature is off.
-#[macro_export]
-macro_rules! trace_count {
-    ($id:expr) => {
-        $crate::trace_count!($id, 1u64)
-    };
-    ($id:expr, $n:expr) => {
-        if $crate::ENABLED {
-            $crate::counter_add($id, ($n) as u64);
-        }
-    };
-}
-
-/// Ratchet a max-style counter: `trace_count_max!(id, v)`.
-/// Compiles to nothing when the `trace` feature is off.
-#[macro_export]
-macro_rules! trace_count_max {
-    ($id:expr, $v:expr) => {
-        if $crate::ENABLED {
-            $crate::counter_max($id, ($v) as u64);
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,8 +122,5 @@ mod tests {
         let lane: usize = 3;
         let a: u16 = 9;
         trace_event!(ts, EventKind::SimWake, lane, a, 0i64);
-        trace_count!(CounterId::SimWakes);
-        trace_count!(CounterId::SimWakes, 2u32);
-        trace_count_max!(CounterId::PacerMaxOvershootNs, 77u128);
     }
 }

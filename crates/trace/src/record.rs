@@ -11,7 +11,8 @@
 /// and `name()` from one list, so a kind is added on one line. The
 /// discriminants are written out because they are the wire format: a kind
 /// keeps its number for good, and a deleted kind's number is never reused
-/// (15 was the grouped simulator's `dispatch.group`).
+/// (5 was `dispatch.batch`, 12 `sim.syn_burst`, 15 the grouped simulator's
+/// `dispatch.group` and 16 `vm.jit_load`; they now decode as `Unknown`).
 macro_rules! event_kinds {
     ($($(#[$doc:meta])* $kind:ident = $wire:literal => $name:literal,)+) => {
         /// What happened. The discriminant is the on-wire `u16` stored in the ring.
@@ -62,13 +63,8 @@ event_kinds! {
     /// this one (monotone per lane).
     BitmapPublish = 3 => "bitmap.publish",
     /// A dispatch program was loaded/verified. `a` = exec tier code
-    /// (0 = Checked; 1 = Fast, 2 = Compiled and 3 = Jit in traces recorded
-    /// while those tiers existed), `b` = instruction count.
+    /// (0 = Checked), `b` = instruction count.
     VmLoad = 4 => "vm.load",
-    /// A batch of flows went through a batched dispatch call (retired with
-    /// the burst path; kept so recorded traces decode).
-    /// `a` = batch length, `b` = directed (non-fallback) count.
-    DispatchBatch = 5 => "dispatch.batch",
     /// A single flow was dispatched. `a` = flow hash, `b` = chosen worker.
     Dispatch = 6 => "dispatch.one",
     /// The lb acceptor drained one accept burst.
@@ -83,18 +79,10 @@ event_kinds! {
     PacerMiss = 10 => "pacer.miss",
     /// Simulated SYN arrival. `a` = connection id, `b` = flow hash.
     SimSyn = 11 => "sim.syn",
-    /// Same-timestamp SYN burst drained as one batch (retired: the
-    /// simulator places one SYN at a time; kept so recorded traces decode).
-    /// `a` = burst length, `b` = first connection id.
-    SimSynBurst = 12 => "sim.syn_burst",
     /// Simulated worker wake (epoll return). `a` = events fetched, `b` = blocked ns.
     SimWake = 13 => "sim.wake",
     /// Simulated dispatch decision. `a` = flow hash, `b` = chosen worker.
     SimDispatch = 14 => "sim.dispatch",
-    /// A certified program was lowered to native code by the userspace JIT
-    /// (retired; kept so recorded traces decode).
-    /// `a` = emitted code size in bytes, `b` = basic blocks lowered.
-    JitLoad = 16 => "vm.jit_load",
     /// A backend entered service (`Healthy`/`Slow`).
     /// `a` = backend id, `b` = published table version.
     BackendUp = 17 => "backend.up",
@@ -171,17 +159,18 @@ mod tests {
     #[test]
     fn all_kinds_round_trip_and_have_unique_names() {
         // One macro row per kind: the wire numbers are 1..=20 in order with
-        // the one retired gap, and everything else decodes to `Unknown`.
-        assert_eq!(EventKind::ALL.len(), 19);
+        // the retired gaps, and everything else decodes to `Unknown`.
+        const RETIRED: [u16; 4] = [5, 12, 15, 16];
+        assert_eq!(EventKind::ALL.len(), 16);
         let mut names = std::collections::HashSet::from(["unknown"]);
-        let wires = (1..=20u16).filter(|&w| w != 15);
+        let wires = (1..=20u16).filter(|w| !RETIRED.contains(w));
         for (wire, k) in wires.zip(EventKind::ALL) {
             assert_eq!(k as u16, wire);
             assert_eq!(EventKind::from_u16(k as u16), k);
             assert!(names.insert(k.name()), "duplicate name {}", k.name());
         }
         assert_eq!(EventKind::Unknown.name(), "unknown");
-        for wire in [0, 15, 21, 22, u16::MAX] {
+        for wire in RETIRED.into_iter().chain([0, 21, 22, u16::MAX]) {
             assert_eq!(EventKind::from_u16(wire), EventKind::Unknown);
         }
     }

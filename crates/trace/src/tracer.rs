@@ -1,4 +1,4 @@
-//! The global flight recorder: one ring per lane plus the counter registry.
+//! The global flight recorder: one ring per lane.
 //!
 //! Lanes 0..=63 belong to workers (one producer each — the worker thread).
 //! Lane [`KERNEL_LANE`] carries the acceptor/dispatch path and lane
@@ -9,7 +9,6 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
-use crate::counters::{CounterId, CounterRegistry};
 use crate::record::{EventKind, TraceRecord};
 use crate::ring::{TraceRing, DEFAULT_RING_CAPACITY};
 
@@ -25,7 +24,6 @@ pub const LANES: usize = MAX_WORKER_LANES + 2;
 /// A multi-lane flight recorder.
 pub struct Tracer {
     lanes: Vec<TraceRing>,
-    counters: CounterRegistry,
     /// Runtime switch layered under the compile-time `trace` feature, so one
     /// binary can compare enabled-vs-disabled behaviour (the determinism
     /// suite flips it). Recording starts on.
@@ -44,7 +42,6 @@ impl Tracer {
             lanes: (0..LANES)
                 .map(|_| TraceRing::with_capacity(capacity))
                 .collect(),
-            counters: CounterRegistry::new(),
             on: AtomicBool::new(true),
         }
     }
@@ -76,34 +73,6 @@ impl Tracer {
         });
     }
 
-    /// Add `n` to a monotonic counter.
-    #[inline]
-    pub fn counter_add(&self, id: CounterId, n: u64) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.counters.add(id, n);
-    }
-
-    /// Ratchet a max-style counter.
-    #[inline]
-    pub fn counter_max(&self, id: CounterId, v: u64) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.counters.max(id, v);
-    }
-
-    /// Current counter value.
-    pub fn counter_get(&self, id: CounterId) -> u64 {
-        self.counters.get(id)
-    }
-
-    /// Snapshot of every counter.
-    pub fn counters_snapshot(&self) -> [(CounterId, u64); CounterId::COUNT] {
-        self.counters.snapshot()
-    }
-
     /// Total events dropped across all lanes because a ring was full.
     pub fn dropped_events(&self) -> u64 {
         self.lanes.iter().map(TraceRing::dropped).sum()
@@ -121,13 +90,12 @@ impl Tracer {
         out
     }
 
-    /// Discard buffered records, zero counters and drop accounting, and
-    /// re-enable recording. Used between comparison runs.
+    /// Discard buffered records and drop accounting, and re-enable
+    /// recording. Used between comparison runs.
     pub fn reset(&self) {
         for lane in &self.lanes {
             lane.clear();
         }
-        self.counters.reset();
         self.set_enabled(true);
     }
 
@@ -156,16 +124,13 @@ impl std::fmt::Debug for Tracer {
 /// Map a grouped worker onto a flight-recorder lane: `group * group_size +
 /// local`, the flattened global worker id. Deployments wider than
 /// [`MAX_WORKER_LANES`] workers (e.g. 256 workers in 4 groups) overflow the
-/// lane table; overflowing workers share [`CONTROL_LANE`], and each such
-/// mapping bumps [`CounterId::TraceLaneOverflows`] so the aliasing is
-/// visible in the counter export rather than silent.
+/// lane table; overflowing workers share [`CONTROL_LANE`].
 #[inline]
 pub fn grouped_lane(group: usize, group_size: usize, local: usize) -> u32 {
     let global = group * group_size + local;
     if global < MAX_WORKER_LANES {
         global as u32
     } else {
-        crate::trace_count!(CounterId::TraceLaneOverflows);
         CONTROL_LANE
     }
 }
@@ -176,15 +141,13 @@ pub fn grouped_lane(group: usize, group_size: usize, local: usize) -> u32 {
 /// keying lanes by thread id would shuffle every device's events across
 /// lanes from run to run (and alias devices sharing a thread). Keying by
 /// device index keeps the trace layout deterministic at any thread count.
-/// Fleets wider than [`MAX_WORKER_LANES`] devices clamp to [`CONTROL_LANE`]
-/// and bump [`CounterId::TraceLaneOverflows`], the same overflow policy as
-/// [`grouped_lane`].
+/// Fleets wider than [`MAX_WORKER_LANES`] devices clamp to [`CONTROL_LANE`],
+/// the same overflow policy as [`grouped_lane`].
 #[inline]
 pub fn device_lane(device: usize) -> u32 {
     if device < MAX_WORKER_LANES {
         device as u32
     } else {
-        crate::trace_count!(CounterId::TraceLaneOverflows);
         CONTROL_LANE
     }
 }
@@ -241,9 +204,7 @@ mod tests {
         let t = Tracer::with_ring_capacity(8);
         t.set_enabled(false);
         t.emit(1, EventKind::Dispatch, 0, 0, 0);
-        t.counter_add(CounterId::SimSyns, 5);
         assert!(t.drain().is_empty());
-        assert_eq!(t.counter_get(CounterId::SimSyns), 0);
         t.set_enabled(true);
         t.emit(2, EventKind::Dispatch, 0, 0, 0);
         assert_eq!(t.drain().len(), 1);
@@ -265,16 +226,14 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_records_counters_and_drops() {
+    fn reset_clears_records_and_drops() {
         let t = Tracer::with_ring_capacity(2);
         for i in 0..5 {
             t.emit(i, EventKind::Dispatch, 0, 0, 0);
         }
-        t.counter_add(CounterId::SimSyns, 1);
         assert!(t.dropped_events() > 0);
         t.reset();
         assert_eq!(t.dropped_events(), 0);
         assert!(t.drain().is_empty());
-        assert_eq!(t.counter_get(CounterId::SimSyns), 0);
     }
 }

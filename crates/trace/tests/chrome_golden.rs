@@ -252,7 +252,7 @@ fn global_recorder_round_trips_through_the_exporter() {
     let drained = hermes_trace::drain();
     assert_eq!(drained.len(), 5);
     assert_eq!(chrome_json(&drained), GOLDEN);
-    let s = hermes_trace::summary(&drained, &hermes_trace::counters_snapshot(), 0);
+    let s = hermes_trace::summary(&drained, 0);
     assert!(s.contains("sim.syn"));
     assert!(s.contains("5 events"));
 }

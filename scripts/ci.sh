@@ -139,14 +139,6 @@ step "ebpf soundness (checked interpreter total; the one dispatch program at eve
 # steering tests.)
 cargo test --release -q -p hermes-ebpf --test soundness
 
-step "dispatch-plane counters (each SYN counted once, no redirect counted)"
-# A Hermes run with degradation on must end with
-# dispatch.directed + dispatch.fallback == sim.syns == the Fig. 14 split:
-# the counters are tallied in one place (HermesState::tally), which
-# degradation re-homing bypasses, and the native dispatch oracles tally
-# nothing. Needs the recorder compiled in.
-cargo test --release -q -p hermes-simnet --features trace --test dispatch_counters
-
 step "scheduler kernel (differential vs literal Algorithm 1, zero allocations)"
 # One scheduler read path, two proofs here: the mask kernel agrees with a
 # per-id f64 Algorithm 1 on every table shape and stage order; a counting
@@ -155,9 +147,12 @@ step "scheduler kernel (differential vs literal Algorithm 1, zero allocations)"
 # whole simulator runs reproduce the decision sums recorded before the
 # kernel was fused — is golden_fingerprint, which runs once per feature
 # state: in "cargo test" above and with the recorder compiled in below.
+# With the recorder compiled in, two workers scheduling at once each trace
+# every pass on their own lane (a ring has one producer) and lose nothing.
 cargo test --release -q -p hermes-core --test sched_differential
 cargo test --release -q -p hermes-core --test no_alloc
 cargo test --release -q -p hermes-core --features trace --test no_alloc
+cargo test --release -q -p hermes-core --features trace --test sched_lanes
 
 step "workload stream (recorded Case 1 stream, guide-table Zipf = binary search, request extents)"
 # Every simulated number starts here. The sim_case1 input (Case 1 heavy, seed
@@ -243,7 +238,7 @@ step "relay-reactor (epoll reactor + splice data plane suite, both feature state
 # per_backend clamp, the ten socket calls a connection costs beyond its
 # pumps, and a listener's backlog served (not reset) at shutdown. The suite
 # is Linux-only by cfg, not by self-skip. Both filters run with trace on
-# too so the RelayWakeup/SpliceBytes/AcceptBurst instrumentation never rots
+# too so the relay's RelayWakeup/AcceptBurst/ConnClose events never rot
 # in either feature state. Then the drain rule's three guards, 20 times in
 # each feature state: a short copy-path read ends a direction's reading
 # except behind a pending urgent mark, behind a pending FIN, and on the

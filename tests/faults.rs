@@ -134,6 +134,17 @@ fn degradation_reschedules_connections_in_simulation() {
         "degradation never fired (hot worker util too low?)"
     );
     assert_eq!(without.rst_reschedules, 0);
+    // Fig. 14's split counts each SYN the run placed once: a re-home
+    // (`redirect`) places an existing connection, not a SYN.
+    let syns = wl
+        .conns
+        .iter()
+        .filter(|c| c.arrival_ns <= wl.duration_ns)
+        .count() as u64;
+    assert_eq!(
+        with.sched.directed_dispatches + with.sched.fallback_dispatches,
+        syns
+    );
     // Re-homing must not lose work: completions stay in the same ballpark
     // or better.
     assert!(
