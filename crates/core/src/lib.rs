@@ -89,7 +89,8 @@ pub use wst::Wst;
 /// Identifies a worker within one LB device (dense, 0-based).
 pub type WorkerId = usize;
 
-/// Accept-burst geometry: the lb workers drain up to this many accepts per
-/// listener wake-up (`ACCEPT_BURST`), and the end-to-end benchmark times
-/// the dispatch program over chunks of it.
+/// Batch geometry of the end-to-end benchmark, which times the dispatch
+/// program over chunks of this many flow hashes. It is no accept burst:
+/// both load balancers accept one connection per report of a worker's
+/// listener.
 pub const DISPATCH_BATCH: usize = 64;

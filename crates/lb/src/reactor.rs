@@ -8,14 +8,21 @@
 //! crate dependencies):
 //!
 //! * [`Reactor`] — an `epoll` instance plus an `eventfd` wake channel.
-//!   Relay sockets register **edge-triggered** (`EPOLLIN | EPOLLPRI |
-//!   EPOLLOUT | EPOLLRDHUP | EPOLLET`): the kernel raises an edge for every
-//!   segment that lands, so the owning worker may stop reading once a read
-//!   comes back short — unless the event said a FIN or an urgent mark is
-//!   queued behind the bytes, which no later edge will announce ([`Event`]
-//!   carries both). Listeners register **level-triggered**
-//!   read-only, so an undrained accept backlog keeps their worker awake —
-//!   and can be disarmed while `accept` is failing for want of fds.
+//!   Relay sockets register **edge-triggered** for their read side
+//!   (`EPOLLIN | EPOLLPRI | EPOLLRDHUP | EPOLLET`): the kernel raises an
+//!   edge for every segment that lands, so the owning worker may stop
+//!   reading once a read comes back short — unless the event said a FIN or
+//!   an urgent mark is queued behind the bytes, which no later edge will
+//!   announce ([`Event`] carries both). Write edges (`EPOLLOUT`) are asked
+//!   for only where a write may wait: a backend leg from its registration
+//!   on, because its nonblocking connect completes as one, and a client
+//!   leg from the first flush into it that met `EAGAIN`
+//!   ([`Reactor::watch_writes`], whose `EPOLL_CTL_MOD` re-polls the socket,
+//!   so room that opened before it is still reported). Listeners register
+//!   **level-triggered** read-only, so a non-empty accept backlog is
+//!   reported again at every wait — their worker accepts one connection per
+//!   report — and can be disarmed while `accept` is failing for want of
+//!   fds.
 //! * [`Waker`] — the cross-thread half of the eventfd: shutdown rings it
 //!   so a worker asleep in `epoll_wait` sees the flag now, not at its next
 //!   timeout. The fd is shared by `Arc`, so a waker can never write into a
@@ -55,6 +62,9 @@ mod imp {
     const EPOLLHUP: u32 = 0x010;
     const EPOLLRDHUP: u32 = 0x2000;
     const EPOLLET: u32 = 1 << 31;
+    /// A relay socket's read side, edge-triggered: bytes, urgent marks and
+    /// peer half-close.
+    const RELAY_EDGES: u32 = EPOLLIN | EPOLLPRI | EPOLLRDHUP | EPOLLET;
     const EFD_CLOEXEC: i32 = 0o2000000;
     const EFD_NONBLOCK: i32 = 0o4000;
     const O_NONBLOCK: i32 = 0o4000;
@@ -119,9 +129,10 @@ mod imp {
         Ok(unsafe { OwnedFd::from_raw_fd(fd) })
     }
 
-    /// Number of ready events fetched per `epoll_wait` — sized to the
-    /// workspace dispatch batch (64 connections → 128 relay legs) plus
-    /// the wake channel and the listener.
+    /// Most ready events one `epoll_wait` takes: both legs of 64 relays,
+    /// plus the wake channel and the listener. It bounds one pass's work,
+    /// not what can be ready: events past it stay on the kernel's ready
+    /// list for the next wait.
     const EVENTS_PER_WAIT: usize = 130;
 
     /// One decoded readiness event.
@@ -218,27 +229,34 @@ mod imp {
             Waker(Arc::clone(&self.wake))
         }
 
-        /// Register a relay socket edge-triggered for both directions,
-        /// urgent marks and peer half-close. After an event the owner reads
-        /// until a read comes back short or `EAGAIN` — to `EAGAIN` when the
-        /// event said `closed` or `urgent`, and always on a splice — or
-        /// that event's bytes are stranded: that is the contract the
-        /// relay's pump loop keeps. A registration reports readiness that
-        /// predates it at the next wait. There is no deregistration:
-        /// closing an fd (one that was never duplicated) drops it from the
-        /// set, which is how the relay retires its sockets.
-        pub fn register(&self, fd: RawFd, token: u64) -> io::Result<()> {
-            self.ctl(
-                EPOLL_CTL_ADD,
-                fd,
-                EPOLLIN | EPOLLPRI | EPOLLOUT | EPOLLRDHUP | EPOLLET,
-                token,
-            )
+        /// Register a relay socket edge-triggered for bytes, urgent marks
+        /// and peer half-close, and with `writes` for send-buffer room too.
+        /// After an event the owner reads until a read comes back short or
+        /// `EAGAIN` — to `EAGAIN` when the event said `closed` or `urgent`,
+        /// and always on a splice — or that event's bytes are stranded:
+        /// that is the contract the relay's pump loop keeps. A registration
+        /// reports readiness that predates it at the next wait. There is no
+        /// deregistration: closing an fd (one that was never duplicated)
+        /// drops it from the set, which is how the relay retires its
+        /// sockets.
+        pub fn register(&self, fd: RawFd, token: u64, writes: bool) -> io::Result<()> {
+            let out = if writes { EPOLLOUT } else { 0 };
+            self.ctl(EPOLL_CTL_ADD, fd, RELAY_EDGES | out, token)
+        }
+
+        /// Add write edges to a [`register`]ed socket registered without
+        /// them. `EPOLL_CTL_MOD` polls the socket again, so room that
+        /// opened after the write that met `EAGAIN` and before this call is
+        /// reported at the next wait: no edge is lost in between.
+        ///
+        /// [`register`]: Reactor::register
+        pub fn watch_writes(&self, fd: RawFd, token: u64) -> io::Result<()> {
+            self.ctl(EPOLL_CTL_MOD, fd, RELAY_EDGES | EPOLLOUT, token)
         }
 
         /// Register a listener level-triggered read-only: the reactor
-        /// stays ready while the accept backlog is non-empty, so a
-        /// burst-capped accept pass never strands connections.
+        /// reports it at every wait while the accept backlog is non-empty,
+        /// so a pass that accepts one connection strands none.
         pub fn register_read(&self, fd: RawFd, token: u64) -> io::Result<()> {
             self.ctl(EPOLL_CTL_ADD, fd, EPOLLIN, token)
         }
@@ -709,7 +727,12 @@ mod imp {
         }
 
         /// Unreachable on non-Linux targets.
-        pub fn register(&self, _fd: RawFd, _token: u64) -> io::Result<()> {
+        pub fn register(&self, _fd: RawFd, _token: u64, _writes: bool) -> io::Result<()> {
+            match self.0 {}
+        }
+
+        /// Unreachable on non-Linux targets.
+        pub fn watch_writes(&self, _fd: RawFd, _token: u64) -> io::Result<()> {
             match self.0 {}
         }
 
@@ -846,7 +869,7 @@ mod tests {
         server.set_nonblocking(true).unwrap();
 
         let mut r = Reactor::new().expect("epoll");
-        r.register(server.as_raw_fd(), 7).unwrap();
+        r.register(server.as_raw_fd(), 7, true).unwrap();
         let mut events = Vec::new();
         // Registration reports the initial writable edge.
         let n = r.wait(&mut events, 1000).unwrap();
@@ -865,6 +888,47 @@ mod tests {
     }
 
     #[test]
+    fn write_edges_are_reported_only_once_watched() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut server, _) = listener.accept().unwrap();
+        server.set_nonblocking(true).unwrap();
+        let mut r = Reactor::new().expect("epoll");
+        r.register(server.as_raw_fd(), 7, false).unwrap();
+        let mut events = Vec::new();
+        // Room in the send buffer is no news to a read-side registration.
+        assert_eq!(r.wait(&mut events, 50).unwrap(), 0);
+        // Watching re-polls: room that was already there is reported.
+        r.watch_writes(server.as_raw_fd(), 7).unwrap();
+        assert_eq!(r.wait(&mut events, 1000).unwrap(), 1);
+        assert!(events[0].token == 7 && events[0].writable);
+
+        // Fill the send buffer: no room, no edge — until the peer reads.
+        let chunk = [0x42u8; 64 * 1024];
+        let mut sent = 0;
+        loop {
+            match server.write(&chunk) {
+                Ok(n) => sent += n,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) => panic!("write: {e}"),
+            }
+        }
+        assert_eq!(r.wait(&mut events, 50).unwrap(), 0, "writable while full");
+        let reader = std::thread::spawn(move || {
+            let mut got = 0;
+            let mut buf = vec![0u8; 64 * 1024];
+            while let Ok(n @ 1..) = (&client).read(&mut buf) {
+                got += n;
+            }
+            got
+        });
+        assert!(r.wait(&mut events, 5000).unwrap() >= 1, "no edge for room");
+        assert!(events.iter().all(|e| e.token == 7) && events.iter().any(|e| e.writable));
+        drop(server);
+        assert_eq!(reader.join().unwrap(), sent);
+    }
+
+    #[test]
     fn listener_registration_is_level_triggered() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         listener.set_nonblocking(true).unwrap();
@@ -874,7 +938,7 @@ mod tests {
         let _c = TcpStream::connect(addr).unwrap();
         let mut events = Vec::new();
         // Level-triggered: while the backlog is non-empty, every wait
-        // reports readiness — an accept burst cap can't strand it.
+        // reports readiness — accepting one per report strands nothing.
         for _ in 0..2 {
             let n = r.wait(&mut events, 1000).unwrap();
             assert_eq!(n, 1);
@@ -942,7 +1006,7 @@ mod tests {
             let addr = listener.local_addr().unwrap();
             let mut r = Reactor::new().expect("epoll");
             let out = connect_nonblocking(&addr).expect("connect starts");
-            r.register(out.as_raw_fd(), 9).unwrap();
+            r.register(out.as_raw_fd(), 9, true).unwrap();
             let mut events = Vec::new();
             // Success is an event, never a blocked call.
             assert!(r.wait(&mut events, 1000).unwrap() >= 1);
@@ -971,7 +1035,7 @@ mod tests {
             let err = match connect_nonblocking(&addr) {
                 Err(e) => e,
                 Ok(out) => {
-                    r.register(out.as_raw_fd(), 11).unwrap();
+                    r.register(out.as_raw_fd(), 11, true).unwrap();
                     loop {
                         assert!(r.wait(&mut events, 1000).unwrap() >= 1, "no refusal event");
                         if events.iter().any(|e| e.token == 11 && e.closed) {

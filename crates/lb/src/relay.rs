@@ -9,9 +9,10 @@
 //! Each worker owns an epoll set ([`crate::reactor`]) and is the Fig. 9
 //! loop with a real `epoll_wait` in it: its listener — the one the kernel
 //! dispatches its connections to ([`crate::server`]) — registers
-//! level-triggered and is accepted from in bursts, both relay legs
-//! register edge-triggered, the backend leg is opened with a nonblocking
-//! connect that completes as an event,
+//! level-triggered and yields one connection each time a wait reports it,
+//! both relay legs register edge-triggered, the backend leg is opened with
+//! a nonblocking connect that completes as an event, the client leg asks
+//! for write edges only once a flush into it has met a full send buffer,
 //! and the worker issues exactly the I/O the kernel reported possible — a
 //! direction is read only while its source may be readable, flushed only
 //! while it holds bytes. A copy-path read that comes back short ends the
@@ -51,9 +52,7 @@
 //! a hard per-connection deadline.
 
 use crate::reactor::{self, PipePair, Reactor, Splice, LISTEN_TOKEN, WAKE_TOKEN};
-use crate::server::{
-    AcceptFailure, Dispatch, LbStats, Listener, Running, ACCEPT_BACKOFF, ACCEPT_BURST,
-};
+use crate::server::{AcceptFailure, Dispatch, LbStats, Listener, Running, ACCEPT_BACKOFF};
 use hermes_backend::{Admission, BackendId, BackendPool, TableCache};
 use hermes_core::sdk::{SyncTarget, WorkerSession};
 use std::collections::VecDeque;
@@ -96,9 +95,10 @@ const REACTOR_WAIT_MS: i32 = 25;
 /// fires for a silent peer, so expiry is clocked, not event-driven.
 const SWEEP_INTERVAL: Duration = Duration::from_secs(1);
 
-/// Pipes kept for reuse per worker (one per bulk direction); beyond this
-/// they are closed instead, bounding idle fd consumption.
-const PIPE_POOL_CAP: usize = 2 * ACCEPT_BURST;
+/// Pipes kept for reuse per worker (one per bulk direction, so 64 bulk
+/// relays' worth); beyond this they are closed instead, bounding idle fd
+/// consumption.
+const PIPE_POOL_CAP: usize = 128;
 
 /// Minimum spacing of a worker's thread-CPU-clock reads.
 const CPU_SAMPLE_NS: u64 = 1_000_000;
@@ -148,6 +148,11 @@ pub struct RelayStats {
     /// `events_fetched`, one scheduler pass and one bitmap sync — as the
     /// worker sessions count them, folded in when a worker's loop ends.
     pub loop_passes: AtomicU64,
+    /// Client legs that started watching for write edges: a flush into
+    /// the client met a full send buffer, for the first time in its relay
+    /// (one `EPOLL_CTL_MOD` each). A relay whose client keeps up never
+    /// adds one.
+    pub write_watches: AtomicU64,
     /// Relay connections established per backend (sized at startup).
     pub per_backend: Vec<AtomicU64>,
 }
@@ -303,6 +308,10 @@ enum Pump {
         /// edge-triggered epoll no new event will announce it, so the
         /// worker must re-pump without waiting.
         more: bool,
+        /// A flush into the client met a full send buffer for the first
+        /// time: the client leg must now watch for write edges, or the
+        /// room that opens later is announced by nothing.
+        watch_client_writes: bool,
     },
     /// Both directions saw EOF and every buffered byte was delivered.
     Done,
@@ -335,6 +344,8 @@ struct DirPass {
     io_calls: u64,
     /// Of `io_calls`, those that returned `EAGAIN`.
     would_block: u64,
+    /// A flush stopped at a full destination, with bytes still staged.
+    blocked: bool,
     /// Stopped at the fairness cap, not on would-block (see [`Pump`]).
     more: bool,
     /// Splice fallbacks: the kernel refused and the direction was
@@ -565,7 +576,10 @@ impl Direction {
         loop {
             match self.store.flush(dst, &mut pass)? {
                 Flushed::Drained => {}
-                Flushed::Blocked => break,
+                Flushed::Blocked => {
+                    pass.blocked = true;
+                    break;
+                }
                 Flushed::Unsupported => {
                     self.demote(scratch, &mut pass)?;
                     continue;
@@ -642,6 +656,12 @@ struct RelayConn {
     up: Direction,
     /// Backend → client.
     down: Direction,
+    /// The client leg watches for write edges too. It is registered for
+    /// read edges only — a client that keeps up never fills its send
+    /// buffer, and a bare `writable` report would end a wait with nothing
+    /// to do — and starts watching at the first flush into it that
+    /// blocks. The backend leg watches from its connect on.
+    client_writes: bool,
     bytes_up: u64,
     bytes_down: u64,
     deadline: Instant,
@@ -663,6 +683,7 @@ impl RelayConn {
                 ..Direction::new()
             },
             down: c.down,
+            client_writes: false,
             bytes_up: 0,
             bytes_down: 0,
             deadline: Instant::now() + RELAY_DEADLINE,
@@ -727,8 +748,11 @@ impl RelayConn {
         if self.up.done() && self.down.done() {
             Pump::Done
         } else {
+            let watch_client_writes = d.blocked && !self.client_writes;
+            self.client_writes |= d.blocked;
             Pump::Progress {
                 more: u.more || d.more,
+                watch_client_writes,
             }
         }
     }
@@ -809,9 +833,6 @@ struct ReactorWorker<T: SyncTarget> {
     ready: Vec<usize>,
     /// Slots owed service this pass.
     due: Vec<usize>,
-    /// Connections accepted this pass (stream and flow hash), not yet
-    /// admitted.
-    inbox: Vec<(TcpStream, u32)>,
     /// The clock as read when this pass's wait returned: what every
     /// deadline in the pass is compared against.
     now: Instant,
@@ -851,7 +872,6 @@ impl<T: SyncTarget> ReactorWorker<T> {
             events: Vec::new(),
             ready: Vec::new(),
             due: Vec::new(),
-            inbox: Vec::with_capacity(ACCEPT_BURST),
             now: Instant::now(),
             accept_resume: None,
             last_sweep: Instant::now(),
@@ -885,11 +905,11 @@ impl<T: SyncTarget> ReactorWorker<T> {
             self.session.sync_only(decision.bitmap);
             if shutdown.load(Ordering::SeqCst) && self.live == 0 {
                 // Leave only once a look at the listener finds nothing
-                // queued: connections the kernel placed here before the
-                // flag went up go to the next pass, not to a reset.
-                self.accept_burst();
-                if self.inbox.is_empty() {
-                    break;
+                // queued: a connection the kernel placed here before the
+                // flag went up is admitted, not reset, and the loop goes on.
+                match self.accept() {
+                    Some(conn) => self.admit(conn),
+                    None => break,
                 }
             }
         }
@@ -898,10 +918,12 @@ impl<T: SyncTarget> ReactorWorker<T> {
     }
 
     /// Fig. 9 lines 13–14: wait for events, then publish how many this
-    /// pass owes — accepted connections plus slots due service — so the WST
-    /// shows a busy worker as busy. Returns the connections to admit.
-    fn fetch(&mut self) -> usize {
-        let timeout = if self.ready.is_empty() && self.inbox.is_empty() {
+    /// pass owes — the connection accepted plus slots due service — so the
+    /// WST shows a busy worker as busy. Returns the connection to admit:
+    /// one per report of the listener, whose level-triggered registration
+    /// reports a backlog left behind again at the next wait.
+    fn fetch(&mut self) -> Option<(TcpStream, u32)> {
+        let timeout = if self.ready.is_empty() {
             self.idle_timeout_ms()
         } else {
             0
@@ -955,11 +977,9 @@ impl<T: SyncTarget> ReactorWorker<T> {
             self.accept_resume = None;
             let _ = self.arm_listener(true);
         }
-        if queued {
-            self.accept_burst();
-        }
-        let accepted = self.inbox.len();
-        self.session.events_fetched(accepted + self.due.len());
+        let accepted = if queued { self.accept() } else { None };
+        self.session
+            .events_fetched(usize::from(accepted.is_some()) + self.due.len());
         accepted
     }
 
@@ -968,14 +988,21 @@ impl<T: SyncTarget> ReactorWorker<T> {
         self.reactor.arm_read(fd, LISTEN_TOKEN, armed)
     }
 
-    /// Accept what the kernel queued on this worker's listener into the
-    /// inbox, up to one burst: the level-triggered registration announces
-    /// what a capped burst leaves behind.
-    fn accept_burst(&mut self) {
-        let queued = self.inbox.len();
-        while self.accept_resume.is_none() && self.inbox.len() < ACCEPT_BURST {
+    /// Take one connection the kernel queued on this worker's listener:
+    /// `None` once the backlog is empty, or while `accept` is backing off.
+    fn accept(&mut self) -> Option<(TcpStream, u32)> {
+        while self.accept_resume.is_none() {
             match self.listener.accept(true) {
-                Ok(conn) => self.inbox.push(conn),
+                Ok(conn) => {
+                    hermes_trace::trace_event!(
+                        self.now_ns(),
+                        hermes_trace::EventKind::AcceptBurst,
+                        self.lane(),
+                        1u64,
+                        self.listener.stats.accepted[self.listener.id].load(Ordering::Relaxed)
+                    );
+                    return Some(conn);
+                }
                 Err(AcceptFailure::NextConn) => {}
                 Err(AcceptFailure::Drained) => break,
                 Err(AcceptFailure::BackOff) => {
@@ -984,16 +1011,7 @@ impl<T: SyncTarget> ReactorWorker<T> {
                 }
             }
         }
-        let burst = self.inbox.len() - queued;
-        if burst > 0 {
-            hermes_trace::trace_event!(
-                self.now_ns(),
-                hermes_trace::EventKind::AcceptBurst,
-                self.lane(),
-                burst,
-                self.listener.stats.accepted[self.listener.id].load(Ordering::Relaxed)
-            );
-        }
+        None
     }
 
     /// How long an idle wait may last: the regular idle wait, cut short
@@ -1014,14 +1032,13 @@ impl<T: SyncTarget> ReactorWorker<T> {
     }
 
     /// Fig. 9 lines 15–19: handle what [`fetch`](Self::fetch) reported,
-    /// one `event_handled` per connection admitted and per slot serviced.
-    fn handle(&mut self, accepted: usize) {
-        let mut inbox = std::mem::take(&mut self.inbox);
-        for conn in inbox.drain(..accepted) {
+    /// one `event_handled` for the connection admitted and per slot
+    /// serviced.
+    fn handle(&mut self, accepted: Option<(TcpStream, u32)>) {
+        if let Some(conn) = accepted {
             self.admit(conn);
             self.session.event_handled();
         }
-        self.inbox = inbox;
         for i in 0..self.due.len() {
             self.service(self.due[i]);
             self.session.event_handled();
@@ -1071,7 +1088,7 @@ impl<T: SyncTarget> ReactorWorker<T> {
                 .and_then(|addr| reactor::connect_nonblocking(addr).ok())
                 .filter(|b| {
                     self.reactor
-                        .register(b.as_raw_fd(), slot as u64 * 2 + 1)
+                        .register(b.as_raw_fd(), slot as u64 * 2 + 1, true)
                         .is_ok()
                 });
             if let Some(backend) = started {
@@ -1126,7 +1143,7 @@ impl<T: SyncTarget> ReactorWorker<T> {
         }
         if self
             .reactor
-            .register(c.client.as_raw_fd(), slot as u64 * 2)
+            .register(c.client.as_raw_fd(), slot as u64 * 2, false)
             .is_err()
         {
             self.rstats.failed_connects.fetch_add(1, Ordering::Relaxed);
@@ -1162,7 +1179,20 @@ impl<T: SyncTarget> ReactorWorker<T> {
             return;
         };
         match conn.pump(self.now, &mut self.scratch, &mut self.pipes, &self.rstats) {
-            Pump::Progress { more } => {
+            Pump::Progress {
+                more,
+                watch_client_writes,
+            } => {
+                if watch_client_writes {
+                    self.rstats.write_watches.fetch_add(1, Ordering::Relaxed);
+                    let fd = conn.client.as_raw_fd();
+                    if self.reactor.watch_writes(fd, slot as u64 * 2).is_err() {
+                        // No edge would ever announce the room: the
+                        // relay would sit out its deadline.
+                        self.finish_relay(slot);
+                        return;
+                    }
+                }
                 if more {
                     self.ready.push(slot);
                 }
@@ -1504,10 +1534,10 @@ mod tests {
         let (echo, stop) = spawn_echo_backend(0);
         let mut worker = reactor_rig(vec![echo]);
         let addr = worker.listener.local;
-        // More than one burst, all queued by the kernel on the worker's
+        // 72 connections, all queued by the kernel on the worker's
         // listener before the worker takes a single step; then the flag
         // goes up. Each must still get its greeting and its echo.
-        let queued = ACCEPT_BURST + 8;
+        let queued = 72;
         let clients: Vec<TcpStream> = (0..queued)
             .map(|_| TcpStream::connect(addr).expect("queued by the kernel"))
             .collect();
@@ -1544,8 +1574,11 @@ mod tests {
         let wst = Arc::clone(worker.session.wst());
         let pending = || wst.worker(0).snapshot().pending_events;
 
-        // A burst of three connections, then stop the worker between
-        // "events fetched" and "events handled": the row must say three.
+        // Three connections queued before the first step are taken one per
+        // fetch: the level-triggered listener is reported again while its
+        // backlog is non-empty. Stop the worker between "events fetched"
+        // and "events handled": the row must say what the pass owes, the
+        // connection accepted plus the slots due service.
         let mut waiting: Vec<TcpStream> = (0..3)
             .map(|_| {
                 let c = TcpStream::connect(worker.listener.local).unwrap();
@@ -1553,15 +1586,22 @@ mod tests {
                 c
             })
             .collect();
-        let accepted = worker.fetch();
-        assert_eq!(accepted, 3);
-        assert_eq!(pending(), 3, "connections accepted but not yet admitted");
-        worker.handle(accepted);
-        assert_eq!(pending(), 0, "row not back to zero at loop end");
+        let mut readiness_shown = 0;
+        for i in 0..3 {
+            let accepted = worker.fetch();
+            assert!(accepted.is_some(), "fetch {i} accepted nothing");
+            assert_eq!(
+                pending() as usize,
+                1 + worker.due.len(),
+                "fetch {i}: connection accepted but not yet admitted"
+            );
+            readiness_shown += worker.due.len();
+            worker.handle(accepted);
+            assert_eq!(pending(), 0, "row not back to zero at loop end");
+        }
 
         // From here on nothing arrives at the listener: connect completions
         // and greetings are readiness events, and they must show too.
-        let mut readiness_shown = 0;
         let deadline = Instant::now() + Duration::from_secs(5);
         while !waiting.is_empty() {
             assert!(
@@ -1569,7 +1609,7 @@ mod tests {
                 "clients never got their greetings"
             );
             let accepted = worker.fetch();
-            assert_eq!(accepted, 0);
+            assert!(accepted.is_none(), "the backlog held three");
             assert_eq!(pending() as usize, worker.due.len());
             readiness_shown += worker.due.len();
             worker.handle(accepted);
@@ -1909,7 +1949,7 @@ mod tests {
             .expect("SO_ERROR was read");
         assert_eq!(unread.kind(), ErrorKind::ConnectionRefused);
         worker.finish_relay(0);
-        worker.handle(0);
+        worker.handle(None);
         // Left as the kernel reported it, the same event is asked about.
         let _third = TcpStream::connect(addr).unwrap();
         while worker.rstats.failed_connects.load(Ordering::Relaxed) == 0 {
@@ -2261,6 +2301,56 @@ mod tests {
             value.unwrap_or(default)
         };
         sysctl("tcp_wmem", 2, 4 << 20) + sysctl("tcp_rmem", 1, 128 << 10)
+    }
+
+    #[test]
+    fn client_legs_watch_write_edges_only_once_a_flush_blocks() {
+        // `churn` in small: 64 B echoed, the client closes first. A client
+        // that reads what it asked for never fills its send buffer, so its
+        // leg never asks for write edges.
+        let (addr, stop) = spawn_backend(|mut s| {
+            let mut chunk = [0u8; 64];
+            while let Ok(n @ 1..) = s.read(&mut chunk) {
+                if s.write_all(&chunk[..n]).is_err() {
+                    break;
+                }
+            }
+        });
+        let lb = RelayLb::start("127.0.0.1:0", 1, vec![addr]).expect("bind");
+        let (ping, mut pong) = ([0x5Au8; 64], [0u8; 64]);
+        for _ in 0..100 {
+            let mut s = TcpStream::connect(lb.local_addr()).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            s.write_all(&ping).unwrap();
+            s.read_exact(&mut pong).unwrap();
+            assert_eq!(pong, ping);
+        }
+        let rstats = Arc::clone(lb.relay_stats());
+        lb.shutdown();
+        assert_eq!(rstats.relayed.load(Ordering::Relaxed), 100);
+        assert_eq!(rstats.write_watches.load(Ordering::Relaxed), 0);
+        stop.store(true, Ordering::SeqCst);
+
+        // A download to a client that reads nothing for 200 ms: a MiB more
+        // than its sockets can hold, so a flush into it blocks and the leg
+        // starts watching, once. The room its reads open later is then
+        // announced, or the download stalls.
+        let len = unread_capacity() + (1 << 20);
+        let payload: Arc<Vec<u8>> = Arc::new((0..len).map(|i| (i % 251) as u8).collect());
+        let (addr, stop) = spawn_source_backend(Arc::clone(&payload));
+        let lb = RelayLb::start("127.0.0.1:0", 1, vec![addr]).expect("bind");
+        let mut s = TcpStream::connect(lb.local_addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        std::thread::sleep(Duration::from_millis(200));
+        let mut got = Vec::with_capacity(len);
+        s.read_to_end(&mut got).expect("download stalled");
+        assert_eq!(got.len(), len, "bytes lost");
+        assert!(got == *payload, "download corrupted");
+        drop(s); // the relay ends with the client's FIN, not its deadline
+        let rstats = Arc::clone(lb.relay_stats());
+        lb.shutdown();
+        assert_eq!(rstats.write_watches.load(Ordering::Relaxed), 1);
+        stop.store(true, Ordering::SeqCst);
     }
 
     #[test]

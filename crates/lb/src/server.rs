@@ -255,20 +255,16 @@ impl TcpLb {
     }
 }
 
-/// Largest burst a worker accepts in one pass — the workspace-wide batch
-/// geometry.
-pub(crate) const ACCEPT_BURST: usize = hermes_core::DISPATCH_BATCH;
-
 /// How long a worker stays away from a listener whose `accept` ran out of
 /// fds or memory. The listener is level-triggered, so waiting on it would
 /// return at once and spin; a clocked pause lets closes land.
 pub(crate) const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 
-/// What a failed `accept` means for the burst being drained. No errno
-/// ends a worker's accepting: an LB that stops accepting is down for good.
+/// What a failed `accept` means for the worker's listener. No errno ends
+/// a worker's accepting: an LB that stops accepting is down for good.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) enum AcceptFailure {
-    /// `EAGAIN`: the backlog is empty, the burst is complete.
+    /// `EAGAIN`: the backlog is empty.
     Drained,
     /// `ECONNABORTED` (the client reset before it was accepted) or
     /// `EINTR`: that call produced nothing, the next one may.

@@ -67,8 +67,10 @@ event_kinds! {
     VmLoad = 4 => "vm.load",
     /// A single flow was dispatched. `a` = flow hash, `b` = chosen worker.
     Dispatch = 6 => "dispatch.one",
-    /// The lb acceptor drained one accept burst.
-    /// `a` = burst length, `b` = directed count.
+    /// A relay worker picked up a connection from its listener: the
+    /// worker-pickup stamp of a connection's path. `a` = connections taken
+    /// (always 1: a worker accepts one per report of its listener),
+    /// `b` = connections that listener has accepted so far.
     AcceptBurst = 7 => "lb.accept_burst",
     /// A proxied connection was handed to a worker. `a` = connection token.
     ConnOpen = 8 => "lb.conn_open",

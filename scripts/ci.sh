@@ -221,7 +221,7 @@ step "backend-churn consistency (versioned tables under drain + flap)"
 cargo test --release -q -p hermes-backend --test churn
 cargo test --release -q -p hermes-lb --lib rolling_drain_and_flap_under_connection_churn_misroute_nothing
 
-step "relay-reactor (epoll reactor + splice data plane suite, both feature states; drain-rule guards x20)"
+step "relay-reactor (epoll reactor + splice data plane suite, both feature states; stall guards x20)"
 # The relay engine: the raw-syscall reactor module (epoll/eventfd/pipe/
 # splice contracts, accept4 and the nonblocking connect in both address
 # families), half-close in all three orders, slow-reader backpressure
@@ -233,18 +233,25 @@ step "relay-reactor (epoll reactor + splice data plane suite, both feature state
 # a TCP urgent byte relayed in band, the
 # event-driven connect (a never-answering candidate stalls neither its
 # worker's established relays nor the retry), the WST row showing
-# readiness events while they are pending, the idle-CPU property (zero
-# pump passes across an idle second), and the late-table-version
-# per_backend clamp, the ten socket calls a connection costs beyond its
-# pumps, and a listener's backlog served (not reset) at shutdown. The suite
+# readiness events while they are pending (one connection accepted per
+# report of the listener), the idle-CPU property (zero pump passes across
+# an idle second), the late-table-version per_backend clamp, three socket
+# calls a connection no longer pays (TCP_NODELAY on the client leg,
+# SO_ERROR after a writable connect, a second shutdown), a client leg
+# that asks for write edges only once a flush into it blocks, and a
+# listener's backlog served (not reset) at shutdown. The suite
 # is Linux-only by cfg, not by self-skip. Both filters run with trace on
 # too so the relay's RelayWakeup/AcceptBurst/ConnClose events never rot
-# in either feature state. Then the drain rule's three guards, 20 times in
-# each feature state: a short copy-path read ends a direction's reading
-# except behind a pending urgent mark, behind a pending FIN, and on the
-# splice path. A wrong rule fails as a stall, not as a wrong byte, and a
-# stall can be rare, so one pass proves little; each test fails on the
-# first run that exceeds its time bound (1 s, 1 s, 5 s per download).
+# in either feature state. Then four stall guards, 20 times in each
+# feature state. Three guard the drain rule: a short copy-path read ends a
+# direction's reading except behind a pending urgent mark, behind a
+# pending FIN, and on the splice path. The fourth guards the client leg's
+# write edges: a `churn` connection never asks for them, and a download
+# to a client that stops reading for 200 ms asks once and still arrives
+# whole. A wrong rule or a lost edge fails as a stall, not as a wrong
+# byte, and a stall can be rare, so one pass proves little; each test
+# fails on the first run that exceeds its time bound (1 s, 1 s, 5 s per
+# download, 5 s per read).
 # Then the accept path's own tests, in whichever
 # dispatch mode the host offers (first row of this table): the kernel's
 # verifier admitting the shipped program at every group size, at one group
@@ -264,14 +271,15 @@ cargo test --release -q -p hermes-lb reactor
 cargo test --release -q -p hermes-lb relay
 cargo test --release -q -p hermes-lb --features trace reactor
 cargo test --release -q -p hermes-lb --features trace relay
-drain_guards=(
+stall_guards=(
   relay::tests::an_urgent_mark_strands_no_bytes
   relay::tests::data_and_fin_in_one_burst_half_close_at_once
   relay::tests::splice_downloads_never_stop_at_a_short_move
+  relay::tests::client_legs_watch_write_edges_only_once_a_flush_blocks
 )
 for features in "" trace; do
   for _ in $(seq 20); do
-    cargo test --release -q -p hermes-lb --features "$features" --lib -- --exact "${drain_guards[@]}"
+    cargo test --release -q -p hermes-lb --features "$features" --lib -- --exact "${stall_guards[@]}"
   done
 done
 steering -p hermes-ebpf --test kernel_verifier
