@@ -11,14 +11,7 @@ use hermes_workload::{Case, CaseLoad};
 
 fn main() {
     let wl = Case::Case1.workload(CaseLoad::Light, 4, 1_000_000_000, 99);
-    for mode in [
-        Mode::ExclusiveLifo,
-        Mode::RoundRobin,
-        Mode::WakeAll,
-        Mode::Reuseport,
-        Mode::Hermes,
-        Mode::UserspaceDispatcher,
-    ] {
+    for mode in Mode::paper_trio() {
         time_it(&format!("simulate_case1_light_1s/{mode:?}"), || {
             hermes_simnet::run(&wl, SimConfig::new(4, mode)).completed_requests
         });

@@ -158,14 +158,21 @@ impl<T: SyncTarget> WorkerSession<T> {
 
     /// The scheduling half of [`schedule_and_sync`](Self::schedule_and_sync)
     /// alone — for callers that instrument the scheduler and the map sync
-    /// separately (Table 5's "Scheduler" vs "System call" columns).
+    /// separately (Table 5's "Scheduler" vs "System call" columns). Both
+    /// load balancers call `schedule_and_sync`; the split pair stays for
+    /// the callers that time a half alone: `repro table5` and the
+    /// end-to-end benchmark harness (benchmark/README.md, "Public items
+    /// the harness calls").
     pub fn schedule_only(&mut self, now_ns: u64) -> SchedDecision {
         self.last_now_ns = now_ns;
         self.scheduler
             .schedule_on_lane(&self.wst, now_ns, self.trace_lane)
     }
 
-    /// The publish half: push a previously computed bitmap.
+    /// The publish half: push a previously computed bitmap. Like
+    /// [`schedule_only`](Self::schedule_only), kept for the callers that
+    /// time a half alone; the load balancers call
+    /// [`schedule_and_sync`](Self::schedule_and_sync).
     pub fn sync_only(&mut self, bitmap: WorkerBitmap) {
         self.target.sync(bitmap);
         self.publish_trace(self.last_now_ns, bitmap);

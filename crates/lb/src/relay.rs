@@ -49,7 +49,8 @@
 //! other once buffered bytes drain), strict backpressure (a side is read
 //! only when its forwarding buffer — userspace or pipe — is empty),
 //! connect failure (retry the next candidate in the admitted table), and
-//! a hard per-connection deadline.
+//! a per-connection idle deadline (a relay that delivers nothing in either
+//! direction for `RELAY_DEADLINE`, 30 s, is torn down).
 
 use crate::reactor::{self, PipePair, Reactor, Splice, LISTEN_TOKEN, WAKE_TOKEN};
 use crate::server::{AcceptFailure, Dispatch, LbStats, Listener, Running, ACCEPT_BACKOFF};
@@ -68,8 +69,11 @@ use std::time::{Duration, Instant};
 /// well under a second.
 const CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
 
-/// Hard ceiling on one relay's lifetime: a stuck peer must not pin worker
-/// state forever (the relay analogue of the front end's slow-loris guard).
+/// Idle ceiling on one relay: a relay that delivers no byte in either
+/// direction for this long is torn down, so a stuck peer must not pin
+/// worker state forever (the relay analogue of the front end's slow-loris
+/// guard). Every pump pass that delivers bytes pushes the deadline out
+/// again, so a long-lived connection that keeps talking is never cut.
 const RELAY_DEADLINE: Duration = Duration::from_secs(30);
 
 /// Scratch buffer size for copy-path byte moves (shared per worker across
@@ -703,7 +707,9 @@ impl RelayConn {
 
     /// Move bytes in both directions until the sockets would block (or
     /// the per-pump cap). Returns the relay's life status. `now` is the
-    /// caller's clock for the deadline check (one read serves a pass).
+    /// caller's clock for the deadline check (one read serves a pass); a
+    /// pass that delivers bytes pushes the deadline to `now +`
+    /// [`RELAY_DEADLINE`].
     fn pump(
         &mut self,
         now: Instant,
@@ -727,6 +733,9 @@ impl RelayConn {
         };
         self.bytes_up += u.moved;
         self.bytes_down += d.moved;
+        if u.moved + d.moved > 0 {
+            self.deadline = now + RELAY_DEADLINE;
+        }
         let io_calls = u.io_calls + d.io_calls;
         if io_calls > 0 {
             rstats.io_calls.fetch_add(io_calls, Ordering::Relaxed);
@@ -901,8 +910,7 @@ impl<T: SyncTarget> ReactorWorker<T> {
             // The end of this pass is the top of the next: one clock
             // read stamps both the schedule and the loop entry.
             now_ns = self.now_ns();
-            let decision = self.session.schedule_only(now_ns);
-            self.session.sync_only(decision.bitmap);
+            self.session.schedule_and_sync(now_ns);
             if shutdown.load(Ordering::SeqCst) && self.live == 0 {
                 // Leave only once a look at the listener finds nothing
                 // queued: a connection the kernel placed here before the
@@ -1861,6 +1869,60 @@ mod tests {
             assert_eq!(echoed, payload.as_bytes(), "connection {i}");
         }
         assert_eq!(worker.rstats.relayed.load(Ordering::Relaxed), 200);
+        stop.store(true, Ordering::SeqCst);
+    }
+
+    /// Pull the deadline of the rig's one live relay in to `after` from now.
+    fn pull_deadline_in<T: SyncTarget>(worker: &mut ReactorWorker<T>, after: Duration) {
+        let mut relays = worker.slots.iter_mut().flatten().filter_map(|s| match s {
+            Slot::Relay(conn) => Some(conn),
+            Slot::Connecting(_) => None,
+        });
+        let conn = relays.next().expect("a live relay");
+        assert!(relays.next().is_none(), "the rig holds one relay");
+        conn.deadline = Instant::now() + after;
+    }
+
+    #[test]
+    fn the_relay_deadline_is_an_idle_deadline() {
+        // A relay that keeps delivering outlives its deadline; one that
+        // goes silent is reaped at it. The deadline is pulled in to
+        // 100 ms so the test need not wait RELAY_DEADLINE out.
+        let (echo, stop) = spawn_echo_backend(0);
+        let mut worker = reactor_rig(vec![echo]);
+        let mut c = stepped_client(&worker);
+        let limit = Duration::from_secs(5);
+        assert_eq!(
+            step_until_read(&mut worker, &mut c, 8, false, limit),
+            b"hello-0\n"
+        );
+        pull_deadline_in(&mut worker, Duration::from_millis(100));
+        let start = Instant::now();
+        let mut i = 0u8;
+        while start.elapsed() < Duration::from_millis(300) {
+            std::thread::sleep(Duration::from_millis(30));
+            c.write_all(&[b'a' + i % 26]).unwrap();
+            let echoed = step_until_read(&mut worker, &mut c, 1, false, limit);
+            assert_eq!(echoed, [b'a' + i % 26], "echo {i}");
+            i += 1;
+        }
+        assert_eq!(worker.live, 1, "a talking relay was cut at its deadline");
+
+        // Silence: nothing moves either way, and the sweep reaps the relay.
+        let silent = Instant::now();
+        pull_deadline_in(&mut worker, Duration::from_millis(100));
+        while worker.live > 0 {
+            assert!(silent.elapsed() < limit, "the idle relay was never reaped");
+            step(&mut worker);
+            worker.sweep();
+        }
+        assert!(
+            silent.elapsed() >= Duration::from_millis(100),
+            "reaped early"
+        );
+        assert_eq!(step_until_read(&mut worker, &mut c, 0, true, limit), b"");
+        assert_eq!(worker.rstats.relayed.load(Ordering::Relaxed), 1);
+        assert_eq!(worker.rstats.bytes_up.load(Ordering::Relaxed), u64::from(i));
         stop.store(true, Ordering::SeqCst);
     }
 

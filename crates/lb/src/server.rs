@@ -377,8 +377,7 @@ fn worker_loop<T: SyncTarget>(
             // Nothing else to do on this thread: sleep the back-off out.
             Err(AcceptFailure::BackOff) => std::thread::sleep(ACCEPT_BACKOFF),
         }
-        let decision = session.schedule_only(now_ns());
-        session.sync_only(decision.bitmap);
+        session.schedule_and_sync(now_ns());
     }
 }
 

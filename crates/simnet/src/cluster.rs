@@ -207,7 +207,7 @@ mod tests {
             Mode::Reuseport,
             Mode::Hermes,
             Mode::Hermes,
-            Mode::RoundRobin,
+            Mode::ExclusiveLifo,
         ];
         let build = |d: usize| {
             let wl = fleet_device_case(Case::Case2, CaseLoad::Light, 4, 500_000_000, 11, d);

@@ -2,26 +2,22 @@
 //!
 //! A discrete-event simulator of the Linux connection-dispatch path that the
 //! Hermes evaluation exercises: SYN arrival → handshake → accept-queue →
-//! I/O event notification → userspace worker processing, under every
-//! dispatch discipline the paper compares (§2.2, §6):
+//! I/O event notification → userspace worker processing, under the three
+//! dispatch disciplines the paper's evaluation compares (§6):
 //!
 //! * **epoll exclusive** — shared per-port accept queues; wait-queue walk
 //!   wakes the first idle worker in LIFO registration order (the
 //!   connection-concentration pathology of Fig. 2a);
-//! * **epoll round-robin** — the unmerged community patch: the awakened
-//!   worker rotates to the tail;
-//! * **wake-all** — pre-4.5 epoll thundering herd (every idle waiter pays a
-//!   wakeup);
-//! * **io_uring FIFO** — io_uring's default interrupt mode (§8): a shared
-//!   queue whose fixed wake order prefers the *first*-registered waiter;
 //! * **reuseport** — per-worker sockets, stateless 4-tuple hashing at SYN
 //!   time (Fig. 2b);
 //! * **Hermes** — reuseport sockets with the userspace-directed bitmap
 //!   dispatch of Algorithms 1 and 2: `hermes_core`'s `Scheduler` publishes
 //!   the device's one §7 group, and `GroupedConnDispatcher`, the native
-//!   oracle for the dispatch program, places, one decision per connection;
-//! * **userspace dispatcher** — the §2.2 workaround: one worker fetches all
-//!   events and re-distributes to the others.
+//!   oracle for the dispatch program, places, one decision per connection.
+//!
+//! The disciplines the paper discusses but does not measure — epoll
+//! round-robin, wake-all and the userspace dispatcher (§2.2), io_uring's
+//! FIFO wakeup (§8) — are not modelled.
 //!
 //! Workers are run-to-completion epoll event loops with a 5 ms
 //! `epoll_wait` timeout, exactly the structure of Fig. 9/Fig. A1; worker

@@ -22,14 +22,14 @@
 //! every mode.
 //!
 //! The hot path is allocation-free in steady state: events recycle
-//! through the wheel's arena, the per-`epoll_wait` batch and the sampling
-//! and wake lists live in scratch buffers owned by the simulator,
+//! through the wheel's arena, the per-`epoll_wait` batch, the sampling
+//! lists and the idle flags live in scratch buffers owned by the simulator,
 //! connection slots recycle through [`ConnTable`]'s ring, and port lookup
 //! is a dense-array index ([`crate::ports::PortTable`]).
 
 use crate::config::{
-    Fault, SimConfig, ACCEPT_NS, COUNTER_NS, DISPATCH_US_NS, EPOLL_TIMEOUT_NS, EPOLL_WAIT_NS,
-    MAX_EVENTS, PER_PORT_POLL_NS, PROBE_SERVICE_NS, SAMPLE_INTERVAL_NS, SCHED_NS, SYNC_NS, WAKE_NS,
+    Fault, SimConfig, ACCEPT_NS, COUNTER_NS, EPOLL_TIMEOUT_NS, EPOLL_WAIT_NS, MAX_EVENTS,
+    PER_PORT_POLL_NS, PROBE_SERVICE_NS, SAMPLE_INTERVAL_NS, SCHED_NS, SYNC_NS, WAKE_NS,
 };
 use crate::event_queue::TimerWheel;
 use crate::metrics::{BalanceStats, DeviceReport, PortTrace, WorkerReport};
@@ -87,9 +87,7 @@ pub struct Simulator<'w> {
     // Scratch buffers: reused across events so the steady-state hot path
     // allocates nothing.
     batch_buf: Vec<IoEvent>,
-    counts_buf: Vec<i64>,
     idle_buf: Vec<bool>,
-    wake_buf: Vec<usize>,
     utils_buf: Vec<f64>,
     conns_buf: Vec<f64>,
     // Measurement state.
@@ -154,9 +152,7 @@ impl<'w> Simulator<'w> {
             queue: TimerWheel::new(),
             scripted: BinaryHeap::new(),
             batch_buf: Vec::with_capacity(MAX_EVENTS),
-            counts_buf: Vec::with_capacity(n),
             idle_buf: Vec::with_capacity(n),
-            wake_buf: Vec::with_capacity(n),
             utils_buf: Vec::with_capacity(n),
             conns_buf: Vec::with_capacity(n),
             events_processed: 0,
@@ -322,16 +318,9 @@ impl<'w> Simulator<'w> {
             spec.flow.hash()
         );
         if self.dispatcher.assigns_at_syn() {
-            // Only the userspace dispatcher's least-connections pick reads
-            // the live counts.
-            self.counts_buf.clear();
-            if matches!(self.dispatcher, Dispatcher::Userspace) {
-                self.counts_buf
-                    .extend(self.workers.iter().map(|w| w.connections));
-            }
             let w = self
                 .dispatcher
-                .assign_at_syn(&spec.flow, &self.counts_buf)
+                .assign_at_syn(&spec.flow)
                 .expect("per-socket modes always assign");
             self.conns.set_worker(c, w);
             hermes_trace::trace_event!(
@@ -342,26 +331,18 @@ impl<'w> Simulator<'w> {
                 c
             );
             // The accept notification lands on the epoll instance that owns
-            // the socket — the dispatcher worker (0) in userspace mode.
-            let target = if matches!(self.dispatcher, Dispatcher::Userspace) {
-                0
-            } else {
-                w
-            };
-            self.workers[target].pending.push_back(IoEvent::Accept(c));
-            self.notify(target);
+            // the socket.
+            self.workers[w].pending.push_back(IoEvent::Accept(c));
+            self.notify(w);
         } else {
             let pidx = self.port_index(c);
             self.ports.enqueue(pidx, c);
             self.idle_buf.clear();
             self.idle_buf
                 .extend(self.workers.iter().map(|w| w.is_idle() && !w.crashed));
-            let mut wake = std::mem::take(&mut self.wake_buf);
-            self.dispatcher.pick_wake(&self.idle_buf, &mut wake);
-            for &w in &wake {
+            if let Some(w) = self.dispatcher.pick_wake(&self.idle_buf) {
                 self.notify(w);
             }
-            self.wake_buf = wake;
         }
     }
 
@@ -379,25 +360,18 @@ impl<'w> Simulator<'w> {
     /// Push a ready request's events onto the owning epoll instance.
     fn deliver_request(&mut self, conn: ConnId, req: usize) {
         let owner = self.conns.worker(conn).expect("accepted conn has owner");
-        // In userspace-dispatcher mode all epoll events flow through the
-        // dispatcher first.
-        let target = if matches!(self.dispatcher, Dispatcher::Userspace) {
-            0
-        } else {
-            owner
-        };
         let spec = &self.wl.requests_of(&self.wl.conns[conn])[req];
         let per_event = spec.service_per_event_ns().max(1);
         let events = spec.events.max(1);
         for i in 1..=events {
-            self.workers[target].pending.push_back(IoEvent::Request {
+            self.workers[owner].pending.push_back(IoEvent::Request {
                 conn,
                 req,
                 service_ns: per_event,
                 last: i == events,
             });
         }
-        self.notify(target);
+        self.notify(owner);
     }
 
     /// An event arrived for worker `w`: wake it if it is blocked.
@@ -480,7 +454,6 @@ impl<'w> Simulator<'w> {
 
         let is_shared = !self.dispatcher.assigns_at_syn();
         let is_hermes = self.dispatcher.hermes().is_some();
-        let is_dispatcher_mode = matches!(self.dispatcher, Dispatcher::Userspace);
         let mut cost = EPOLL_WAIT_NS;
         // §6.2 Case 1's dispatch-overhead asymmetry: shared-queue modes
         // register every port's listening socket with every epoll instance,
@@ -543,19 +516,9 @@ impl<'w> Simulator<'w> {
                     service_ns,
                     last,
                 } => {
-                    if is_dispatcher_mode && w == 0 {
-                        // Forwarding stub: dispatcher pays redistribution
-                        // cost and the backend gets the real event, in
-                        // order, so the last stays last.
-                        t += DISPATCH_US_NS;
-                        let backend = self.conns.worker(conn).expect("owned");
-                        self.workers[backend].pending.push_back(ev);
-                        self.notify(backend);
-                    } else {
-                        t += service_ns;
-                        if last {
-                            self.finish_request(conn, req, t);
-                        }
+                    t += service_ns;
+                    if last {
+                        self.finish_request(conn, req, t);
                     }
                 }
                 IoEvent::Poison { duration_ns } => {
@@ -879,14 +842,7 @@ mod tests {
     #[test]
     fn all_requests_complete_under_light_load() {
         let wl = uniform_workload(500, 1_000_000, 50_000);
-        for mode in [
-            Mode::ExclusiveLifo,
-            Mode::RoundRobin,
-            Mode::WakeAll,
-            Mode::Reuseport,
-            Mode::Hermes,
-            Mode::UserspaceDispatcher,
-        ] {
+        for mode in Mode::paper_trio() {
             let r = run(mode, &wl, 4);
             assert_eq!(
                 r.completed_requests, 500,
@@ -932,19 +888,6 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_balances_accepts() {
-        let wl = uniform_workload(800, 500_000, 20_000);
-        let r = run(Mode::RoundRobin, &wl, 4);
-        for w in &r.workers {
-            assert!(
-                (w.accepted as i64 - 200).abs() < 40,
-                "rr accepted {}",
-                w.accepted
-            );
-        }
-    }
-
-    #[test]
     fn hermes_balances_connections_and_uses_directed_path() {
         let wl = uniform_workload(4_000, 200_000, 30_000);
         let r = run(Mode::Hermes, &wl, 8);
@@ -959,33 +902,6 @@ mod tests {
         let min = r.workers.iter().map(|w| w.accepted).min().unwrap();
         assert!(max < 2 * min.max(1), "hermes accept spread {min}..{max}");
         assert!(r.sched.calls > 0);
-    }
-
-    #[test]
-    fn iouring_fifo_concentrates_on_first_worker() {
-        // §8: io_uring's fixed FIFO wakeup causes the mirror image of
-        // exclusive's concentration — on the *first*-registered worker.
-        let wl = uniform_workload(2_000, 500_000, 20_000);
-        let r = run(Mode::IoUringFifo, &wl, 8);
-        assert!(
-            r.workers[0].accepted as f64 > 0.8 * 2_000.0,
-            "first worker only accepted {}",
-            r.workers[0].accepted
-        );
-        assert_eq!(r.completed_requests, 2_000);
-    }
-
-    #[test]
-    fn wake_all_pays_empty_wakes() {
-        let wl = uniform_workload(300, 2_000_000, 20_000);
-        let herd = run(Mode::WakeAll, &wl, 8);
-        let excl = run(Mode::ExclusiveLifo, &wl, 8);
-        let herd_empty: u64 = herd.workers.iter().map(|w| w.empty_wakes).sum();
-        let excl_empty: u64 = excl.workers.iter().map(|w| w.empty_wakes).sum();
-        assert!(
-            herd_empty > excl_empty + 300,
-            "herd {herd_empty} vs exclusive {excl_empty}"
-        );
     }
 
     #[test]

@@ -74,15 +74,7 @@ where
 
 #[test]
 fn every_mode_is_merge_order_independent() {
-    for mode in [
-        Mode::ExclusiveLifo,
-        Mode::RoundRobin,
-        Mode::WakeAll,
-        Mode::IoUringFifo,
-        Mode::Reuseport,
-        Mode::Hermes,
-        Mode::UserspaceDispatcher,
-    ] {
+    for mode in Mode::paper_trio() {
         assert_thread_count_independent(&format!("{mode:?}"), |threads| {
             run_fleet_with(5, threads, |d| {
                 let wl = fleet_device_case(Case::Case3, CaseLoad::Light, 4, 500_000_000, 21, d);
@@ -100,8 +92,8 @@ fn mixed_mode_cluster_is_merge_order_independent() {
         Mode::Reuseport,
         Mode::Hermes,
         Mode::Hermes,
-        Mode::UserspaceDispatcher,
-        Mode::RoundRobin,
+        Mode::Reuseport,
+        Mode::ExclusiveLifo,
     ];
     assert_thread_count_independent("mixed-mode", |threads| {
         run_fleet_with(modes.len(), threads, |d| {

@@ -22,11 +22,8 @@
 //! over open connection ids, so that change is checked against the table it
 //! replaced.
 //!
-//! Case 3's shape also runs under every other dispatch mode. The
-//! round-robin, wake-all, io_uring FIFO and userspace-dispatcher goldens
-//! were recorded while the simulator still carried a second event queue (a
-//! binary heap) that every mode was compared against, so the one queue
-//! left is checked against the runs both agreed on.
+//! Case 3's shape also runs under reuseport and epoll exclusive, the
+//! other two modes the paper compares.
 
 use hermes_core::FlowKey;
 use hermes_metrics::SplitMix64;
@@ -232,22 +229,6 @@ fn case3_shape_matches_the_recorded_runs() {
         run_cfg(&wl, SimConfig::new(WORKERS, Mode::ExclusiveLifo)),
         CASE3_EXCLUSIVE
     );
-    assert_eq!(
-        run_cfg(&wl, SimConfig::new(WORKERS, Mode::RoundRobin)),
-        CASE3_ROUNDROBIN
-    );
-    assert_eq!(
-        run_cfg(&wl, SimConfig::new(WORKERS, Mode::WakeAll)),
-        CASE3_WAKEALL
-    );
-    assert_eq!(
-        run_cfg(&wl, SimConfig::new(WORKERS, Mode::IoUringFifo)),
-        CASE3_IOURING_FIFO
-    );
-    assert_eq!(
-        run_cfg(&wl, SimConfig::new(WORKERS, Mode::UserspaceDispatcher)),
-        CASE3_USERSPACE
-    );
 }
 
 #[test]
@@ -356,54 +337,6 @@ const CASE3_EXCLUSIVE: Golden = Golden {
     selected_sum: 0,
     alive_sum: 0,
     incomplete_requests: 47_965,
-    unaccepted_connections: 0,
-    rst_reschedules: 0,
-};
-
-const CASE3_ROUNDROBIN: Golden = Golden {
-    events_processed: 343_996,
-    completed_requests: 195_840,
-    p99_ns: 3_571_712,
-    sched_calls: 0,
-    selected_sum: 0,
-    alive_sum: 0,
-    incomplete_requests: 47_960,
-    unaccepted_connections: 0,
-    rst_reschedules: 0,
-};
-
-const CASE3_WAKEALL: Golden = Golden {
-    events_processed: 329_855,
-    completed_requests: 195_818,
-    p99_ns: 11_075_584,
-    sched_calls: 0,
-    selected_sum: 0,
-    alive_sum: 0,
-    incomplete_requests: 47_982,
-    unaccepted_connections: 0,
-    rst_reschedules: 0,
-};
-
-const CASE3_IOURING_FIFO: Golden = Golden {
-    events_processed: 285_855,
-    completed_requests: 195_835,
-    p99_ns: 11_075_584,
-    sched_calls: 0,
-    selected_sum: 0,
-    alive_sum: 0,
-    incomplete_requests: 47_965,
-    unaccepted_connections: 0,
-    rst_reschedules: 0,
-};
-
-const CASE3_USERSPACE: Golden = Golden {
-    events_processed: 616_193,
-    completed_requests: 195_854,
-    p99_ns: 239_616,
-    sched_calls: 0,
-    selected_sum: 0,
-    alive_sum: 0,
-    incomplete_requests: 47_946,
     unaccepted_connections: 0,
     rst_reschedules: 0,
 };

@@ -45,7 +45,7 @@ fn report_is_byte_identical_with_tracing_on_and_off() {
         (Mode::Hermes, 42u64),
         (Mode::Hermes, 7),
         (Mode::Reuseport, 42),
-        (Mode::UserspaceDispatcher, 13),
+        (Mode::ExclusiveLifo, 13),
     ] {
         reset_recorder();
         hermes_trace::set_enabled(true);

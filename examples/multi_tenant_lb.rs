@@ -1,8 +1,7 @@
 //! A multi-tenant L7 LB day-in-the-life: Zipf-skewed tenants with mixed
 //! profiles (cheap HTTP, SSL-heavy, WebSocket-ish long-lived) on one
-//! simulated 8-worker device, compared across all six dispatch modes —
-//! including the baselines the paper discusses but does not tabulate
-//! (wake-all thundering herd, epoll-rr, userspace dispatcher).
+//! simulated 8-worker device, compared across the three dispatch modes the
+//! paper measures: epoll exclusive, reuseport and Hermes.
 //!
 //! Run with: `cargo run --release --example multi_tenant_lb`
 
@@ -63,14 +62,7 @@ fn main() {
         "{:<22} {:>9} {:>9} {:>10} {:>12} {:>12}",
         "mode", "avg ms", "p99 ms", "thr kRPS", "conn SD", "empty wakes"
     );
-    for mode in [
-        Mode::WakeAll,
-        Mode::ExclusiveLifo,
-        Mode::RoundRobin,
-        Mode::Reuseport,
-        Mode::UserspaceDispatcher,
-        Mode::Hermes,
-    ] {
+    for mode in Mode::paper_trio() {
         let r = hermes::simnet::run(&wl, SimConfig::new(workers, mode));
         let empty: u64 = r.workers.iter().map(|w| w.empty_wakes).sum();
         println!(
@@ -83,7 +75,9 @@ fn main() {
             empty,
         );
     }
-    println!("\nThings to notice: wake-all burns empty wakeups; exclusive shows the");
-    println!("largest connection SD; the userspace dispatcher works but spends a");
-    println!("core on forwarding; Hermes balances without either cost.");
+    println!("\nThings to notice: exclusive piles the long-lived connections on its");
+    println!("last-registered workers and shows the largest connection SD; reuseport");
+    println!("spreads them by hash but keeps feeding workers stuck in SSL-heavy");
+    println!("requests; Hermes steers new connections to free workers and keeps the");
+    println!("lowest tail.");
 }

@@ -15,9 +15,9 @@
 //!   eBPF for real `SO_REUSEPORT` groups, where the kernel's verifier
 //!   admits it.
 //! * [`simnet`] — the discrete-event simulator of the kernel dispatch
-//!   path: epoll exclusive (LIFO), epoll-rr, wake-all, io_uring FIFO,
-//!   reuseport, Hermes, and the userspace-dispatcher baseline, with fault
-//!   injection and Appendix C's connection-reset degradation.
+//!   path under the three modes the paper measures: epoll exclusive
+//!   (LIFO), reuseport and Hermes, with fault injection and Appendix C's
+//!   connection-reset degradation.
 //! * [`workload`] — multi-tenant synthetic traffic: distributions fitted
 //!   to Table 1, the four Table 3 cases, region mixes, fleet shards, surges.
 //! * [`metrics`] — histograms, percentiles, CDFs, time series, and the

@@ -117,30 +117,3 @@ fn sched_timing_ablation_loop_end_beats_loop_start() {
         start.p99_latency_ms()
     );
 }
-
-#[test]
-fn userspace_dispatcher_bottlenecks_at_high_cps() {
-    // §2.2: a userspace dispatcher on the critical path saturates under
-    // high-CPS traffic while in-kernel dispatch (Hermes) does not. The
-    // effect needs the paper's O(100K) CPS scale: every accept and every
-    // event funnels through one worker.
-    use hermes::workload::arrival::ArrivalProcess;
-    let mut rng = hermes::workload::rng(31);
-    let tenants = TenantSet::new(vec![TenantProfile::simple_http(10_000.0)], 0.0, 30_000);
-    let wl = tenants.workload(
-        "highcps",
-        &ArrivalProcess::Poisson {
-            rate_per_sec: 170_000.0,
-        },
-        2 * SECOND,
-        &mut rng,
-    );
-    let disp = hermes::simnet::run(&wl, SimConfig::new(WORKERS, Mode::UserspaceDispatcher));
-    let herm = hermes::simnet::run(&wl, SimConfig::new(WORKERS, Mode::Hermes));
-    assert!(
-        disp.avg_latency_ms() > 2.0 * herm.avg_latency_ms(),
-        "dispatcher {} vs hermes {}",
-        disp.avg_latency_ms(),
-        herm.avg_latency_ms()
-    );
-}
