@@ -8,9 +8,7 @@
 //!   trace summary                        ASCII per-kind table + drops
 //!
 //! Options: --workers N (default 8), --seed N (default 42), --duration-ms N
-//! (default 2000). Requires a build with `--features trace`; without it
-//! the recorder compiles to nothing and this tool exits loudly rather
-//! than silently exporting an empty trace.
+//! (default 2000). The recorder is switched on for the run only.
 
 use hermes_simnet::{Mode, SimConfig, Simulator};
 use hermes_workload::{Case, CaseLoad};
@@ -24,15 +22,6 @@ fn usage() -> ! {
 }
 
 fn main() {
-    if !hermes_trace::ENABLED {
-        eprintln!(
-            "trace: this binary was built WITHOUT the `trace` feature — the \
-             flight recorder is compiled out and there is nothing to export.\n\
-             Rebuild with: cargo run --release -p hermes-bench --features trace --bin trace"
-        );
-        std::process::exit(2);
-    }
-
     let mut args = std::env::args().skip(1);
     let cmd = args.next().unwrap_or_else(|| usage());
     let mut chrome = false;
@@ -73,11 +62,11 @@ fn main() {
 
     // One deterministic instrumented run: the benchmark scenario the rest
     // of the harness uses (Case 3, medium load) under Hermes dispatch.
-    hermes_trace::reset();
-    hermes_trace::set_enabled(true);
     let duration_ns = duration_ms * 1_000_000;
     let wl = Case::Case3.workload(CaseLoad::Medium, workers, duration_ns, seed);
+    hermes_trace::set_enabled(true);
     let report = Simulator::new(SimConfig::new(workers, Mode::Hermes), &wl).run();
+    hermes_trace::set_enabled(false);
 
     let records = hermes_trace::drain();
     let dropped = hermes_trace::dropped_events();

@@ -182,7 +182,7 @@ impl<T: SyncTarget> WorkerSession<T> {
     /// Flight-recorder hook for a bitmap publish: records the bitmap next
     /// to the number of passes this session had published before it
     /// (monotone per lane), so a trace can answer "how many passes behind
-    /// was the kernel's view". Compiles out without the `trace` feature.
+    /// was the kernel's view". One relaxed load while recording is off.
     fn publish_trace(&self, now_ns: u64, bitmap: WorkerBitmap) {
         hermes_trace::trace_event!(
             now_ns,

@@ -4,7 +4,8 @@
 //! pass that touches the allocator is a per-loop tax (before the fused
 //! kernel, a grouped deployment's pass paid a `Vec` per call). A counting
 //! global allocator pins every loop-resident entry point at zero
-//! allocations once warm.
+//! allocations once warm, with the flight recorder switched off and again
+//! switched on (the first warm-up then creates its rings).
 
 use hermes_core::{SchedConfig, Scheduler, SelMap, WorkerSession, Wst};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -66,12 +67,9 @@ fn running_table(workers: usize) -> Arc<Wst> {
     wst
 }
 
-// One test function: the counter is per thread, and so must the passes be.
-#[test]
-fn scheduler_passes_do_not_allocate() {
-    // The counter counts: a control that must allocate.
-    assert_eq!(allocations_during(|i| drop(black_box(Box::new(i)))), CALLS);
-
+/// Every loop-resident entry point, counted; `recording` names the
+/// recorder's state in the failure message.
+fn assert_passes_do_not_allocate(recording: &str) {
     for workers in [8, 64] {
         let wst = running_table(workers);
         let scheduler = Scheduler::new(SchedConfig::default());
@@ -80,7 +78,7 @@ fn scheduler_passes_do_not_allocate() {
             wst.worker(i as usize % workers).enter_loop(now);
             black_box(scheduler.schedule(&wst, now));
         });
-        assert_eq!(n, 0, "Scheduler::schedule over {workers} rows");
+        assert_eq!(n, 0, "Scheduler::schedule over {workers} rows, {recording}");
     }
 
     let mut session = WorkerSession::new(
@@ -96,5 +94,22 @@ fn scheduler_passes_do_not_allocate() {
         session.event_handled();
         black_box(session.schedule_and_sync(now));
     });
-    assert_eq!(n, 0, "WorkerSession::schedule_and_sync");
+    assert_eq!(n, 0, "WorkerSession::schedule_and_sync, {recording}");
+}
+
+// One test function: the counter is per thread, and so must the passes be;
+// and the recorder's switch is process-wide.
+#[test]
+fn scheduler_passes_do_not_allocate() {
+    // The counter counts: a control that must allocate.
+    assert_eq!(allocations_during(|i| drop(black_box(Box::new(i)))), CALLS);
+
+    assert_passes_do_not_allocate("recording off");
+    hermes_trace::set_enabled(true);
+    assert_passes_do_not_allocate("recording on");
+    hermes_trace::set_enabled(false);
+    assert!(
+        !hermes_trace::drain().is_empty(),
+        "the recording pass recorded nothing"
+    );
 }

@@ -3,10 +3,8 @@
 //! A flight-recorder ring has one producer. Workers that run
 //! `schedule_and_sync` at the same time must not share a lane: two pushes
 //! that read the same head write one slot, and a record is lost with no
-//! drop counted. Requires the `trace` feature; the file holds one test, so
-//! it owns the global recorder.
-
-#![cfg(feature = "trace")]
+//! drop counted. The file holds one test, so it owns the global recorder
+//! and switches recording on.
 
 use hermes_core::{SchedConfig, SelMap, WorkerSession, Wst};
 use hermes_trace::{EventKind, CONTROL_LANE};
@@ -16,7 +14,7 @@ const PASSES: u64 = 200;
 
 #[test]
 fn concurrent_sessions_trace_their_passes_on_their_own_lanes() {
-    hermes_trace::reset();
+    hermes_trace::set_enabled(true);
     let wst = Arc::new(Wst::new(2));
     let sel = Arc::new(SelMap::new());
     std::thread::scope(|s| {

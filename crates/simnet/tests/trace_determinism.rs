@@ -1,23 +1,23 @@
 //! Tracing must be an observer, never an actor: a simulation produces a
 //! byte-identical [`hermes_simnet::DeviceReport`] whether the flight
-//! recorder is recording or not, and (with the `trace` feature on) the
-//! recorded event stream itself is reproducible run-over-run because every
-//! simnet record is stamped with deterministic sim time, not wall time.
+//! recorder is recording or not, every whole-run golden holds with it
+//! recording, and the recorded event stream itself is reproducible
+//! run-over-run because every simnet record is stamped with deterministic
+//! sim time, not wall time.
 //!
-//! The enabled/disabled comparison runs in one process against the same
-//! binary: the recorder's runtime switch (`hermes_trace::set_enabled`)
-//! flips between runs, which exercises the exact code path the `trace`
-//! feature compiles in. With the feature off both runs are trivially the
-//! compiled-out path — the test then pins that the macros really are
-//! behavior-free no-ops.
+//! Every comparison runs in one process: the recorder's process-wide
+//! switch (`hermes_trace::set_enabled`) flips between runs, and each test
+//! leaves it off.
+
+mod golden;
 
 use hermes_simnet::{DeviceReport, Mode, SimConfig, Simulator};
 use hermes_workload::{Case, CaseLoad};
 use std::sync::Mutex;
 
-/// The recorder is process-global and these tests flip its runtime
-/// switch; serialize them so the harness's parallel test threads cannot
-/// observe each other's state.
+/// The recorder is process-global and these tests flip its switch;
+/// serialize them so the harness's parallel test threads cannot observe
+/// each other's state.
 static RECORDER: Mutex<()> = Mutex::new(());
 
 /// Same fingerprint the run-determinism suite uses: `Debug` covers
@@ -32,10 +32,16 @@ fn run_case(mode: Mode, workers: usize, seed: u64) -> DeviceReport {
     Simulator::new(cfg, &wl).run()
 }
 
-/// Drain and reset the global recorder so one run's events (and ring-full
-/// drops) cannot leak into the next measurement.
-fn reset_recorder() {
+/// `run` with recording switched on, then the records it left, the
+/// recorder emptied and switched off again.
+fn recorded<T>(run: impl FnOnce() -> T) -> (T, Vec<hermes_trace::TraceRecord>) {
     hermes_trace::reset();
+    hermes_trace::set_enabled(true);
+    let out = run();
+    hermes_trace::set_enabled(false);
+    let records = hermes_trace::drain();
+    hermes_trace::reset();
+    (out, records)
 }
 
 #[test]
@@ -47,17 +53,8 @@ fn report_is_byte_identical_with_tracing_on_and_off() {
         (Mode::Reuseport, 42),
         (Mode::ExclusiveLifo, 13),
     ] {
-        reset_recorder();
-        hermes_trace::set_enabled(true);
-        let traced = run_case(mode, 6, seed);
-
-        reset_recorder();
-        hermes_trace::set_enabled(false);
+        let (traced, _) = recorded(|| run_case(mode, 6, seed));
         let silent = run_case(mode, 6, seed);
-
-        hermes_trace::set_enabled(true);
-        reset_recorder();
-
         assert_eq!(
             fingerprint(&traced),
             fingerprint(&silent),
@@ -66,21 +63,23 @@ fn report_is_byte_identical_with_tracing_on_and_off() {
     }
 }
 
+/// `golden_fingerprint`'s recorded runs, recording: the recorder moves no
+/// figure a run is pinned by.
+#[test]
+fn recorded_runs_match_their_goldens_while_recording() {
+    let _guard = RECORDER.lock().unwrap();
+    for (what, workload, cfg, want) in golden::recorded_runs() {
+        let workload = workload();
+        let (got, records) = recorded(|| golden::run_cfg(&workload, cfg));
+        assert!(!records.is_empty(), "{what}: nothing recorded");
+        assert_eq!(got, want, "{what}, recording");
+    }
+}
+
 #[test]
 fn traced_event_stream_is_reproducible() {
     let _guard = RECORDER.lock().unwrap();
-    if !hermes_trace::ENABLED {
-        // Feature off: the recorder never sees events; nothing to compare.
-        return;
-    }
-    let collect = || {
-        reset_recorder();
-        hermes_trace::set_enabled(true);
-        let _ = run_case(Mode::Hermes, 4, 99);
-        let records = hermes_trace::drain();
-        reset_recorder();
-        records
-    };
+    let collect = || recorded(|| run_case(Mode::Hermes, 4, 99)).1;
     let a = collect();
     let b = collect();
     assert!(
@@ -96,16 +95,11 @@ fn traced_event_stream_is_reproducible() {
 #[test]
 fn disabled_recorder_stays_empty() {
     let _guard = RECORDER.lock().unwrap();
-    reset_recorder();
-    hermes_trace::set_enabled(false);
+    hermes_trace::reset();
     let _ = run_case(Mode::Hermes, 4, 5);
-    let records = hermes_trace::drain();
-    let dropped = hermes_trace::dropped_events();
-    hermes_trace::set_enabled(true);
-    reset_recorder();
     assert!(
-        records.is_empty(),
-        "runtime-disabled recorder caught events"
+        hermes_trace::drain().is_empty(),
+        "switched-off recorder caught events"
     );
-    assert_eq!(dropped, 0);
+    assert_eq!(hermes_trace::dropped_events(), 0);
 }

@@ -1,4 +1,4 @@
-//! Lock-free flight-recorder tracing for the Hermes dispatch pipeline.
+//! Flight-recorder tracing for the Hermes dispatch pipeline.
 //!
 //! Hermes's premise is that userspace knows best: workers export loop-entry
 //! timestamps, pending-event counts and connection counts into the WST so
@@ -11,12 +11,12 @@
 //!   payload). A push is a bounds check plus four relaxed stores and a
 //!   release cursor bump; a full ring drops (saturating counter), never
 //!   blocks.
-//! * [`trace_event!`] — the only way instrumented crates emit. With the
-//!   `trace` cargo feature **off** (the default) [`ENABLED`] is `false` and
-//!   the macro expands to `if false { .. }`: arguments still type-check,
-//!   then the whole call is dead-code eliminated — the hot paths pay
-//!   literally nothing. With the feature **on**, it is one runtime-switch
-//!   branch plus the ring write (gated at ≤ 14 ns, ~8 measured; see
+//! * [`trace_event!`] — the only way instrumented crates emit. Every build
+//!   carries it; one process-wide switch ([`set_enabled`]) decides whether
+//!   it records. Switched off (the start state) an event is one relaxed
+//!   load and a branch not taken (gated at ≤ 3 ns), and no ring exists
+//!   until something switches recording on. Switched on, it is that
+//!   branch plus the ring write (gated at ≤ 14 ns; see
 //!   `results/BENCH_trace.json`).
 //! * [`chrome_json`] / [`summary`] — drain/export into chrome://tracing
 //!   JSON or an ASCII per-kind table.
@@ -28,8 +28,8 @@
 //! Determinism: tracing observes, never steers. Simnet emits with simulated
 //! time, so a traced run produces byte-identical reports *and* byte-identical
 //! traces across repeats; the `trace_determinism` suite in `hermes-simnet`
-//! enforces the report half of that contract with the recorder both on and
-//! off.
+//! enforces both halves of that contract, comparing runs with the recorder
+//! switched on and off.
 
 mod export;
 mod record;
@@ -44,57 +44,59 @@ pub use tracer::{
     device_lane, global, grouped_lane, Tracer, CONTROL_LANE, KERNEL_LANE, LANES, MAX_WORKER_LANES,
 };
 
-/// Compile-time master switch. `true` iff this crate was built with the
-/// `trace` cargo feature. The macros below branch on this constant, so with
-/// the feature off every instrumentation site compiles to nothing.
-///
-/// Forced off under `--cfg loom` so model-checked structures (the SPSC ring,
-/// `hermes-core`'s `SelMap`) never drag the global recorder's non-loom
-/// atomics into a loom model.
-pub const ENABLED: bool = cfg!(feature = "trace") && !cfg!(loom);
+use std::sync::atomic::{AtomicBool, Ordering};
+use tracer::global_if_created;
 
-/// Record one event on the global recorder.
+/// The process-wide recording switch. Starts off.
+static RECORDING: AtomicBool = AtomicBool::new(false);
+
+/// Record one event on the global recorder, creating its rings on first
+/// use. [`trace_event!`] calls this only while recording is switched on.
 #[inline]
 pub fn emit(ts: u64, kind: EventKind, lane: u32, a: u64, b: u64) {
     global().emit(ts, kind, lane, a, b);
 }
 
-/// Flip the global runtime recording switch (no-op semantics when the
-/// `trace` feature is off: nothing records either way).
+/// Switch recording on or off for the whole process.
 pub fn set_enabled(on: bool) {
-    global().set_enabled(on);
+    RECORDING.store(on, Ordering::Relaxed);
 }
 
-/// Whether the global recorder currently accepts events. Always `false` in
-/// practice when [`ENABLED`] is `false` because no macro ever emits.
+/// Whether [`trace_event!`] records: one relaxed load. Always `false`
+/// under `--cfg loom`, so model-checked structures (the SPSC ring,
+/// `hermes-core`'s `SelMap`) never drag the global recorder's non-loom
+/// atomics into a loom model.
+#[inline]
 pub fn is_enabled() -> bool {
-    ENABLED && global().is_enabled()
+    !cfg!(loom) && RECORDING.load(Ordering::Relaxed)
 }
 
 /// Drain the global recorder: all lanes, sorted by (timestamp, lane).
 pub fn drain() -> Vec<TraceRecord> {
-    global().drain()
+    global_if_created().map_or_else(Vec::new, Tracer::drain)
 }
 
 /// Total events dropped by full rings on the global recorder.
 pub fn dropped_events() -> u64 {
-    global().dropped_events()
+    global_if_created().map_or(0, Tracer::dropped_events)
 }
 
-/// Clear the global recorder's records and drop accounting, and re-enable
-/// recording.
+/// Clear the global recorder's records and drop accounting. The switch
+/// is left as it is.
 pub fn reset() {
-    global().reset();
+    if let Some(tracer) = global_if_created() {
+        tracer.reset();
+    }
 }
 
 /// Record a flight-recorder event: `trace_event!(ts, kind, lane, a, b)`.
 ///
 /// `ts`, `lane`, `a`, `b` are cast with `as u64`/`as u32`, so any integer
-/// type goes. Compiles to nothing when the `trace` feature is off.
+/// type goes. The arguments are evaluated only while recording is on.
 #[macro_export]
 macro_rules! trace_event {
     ($ts:expr, $kind:expr, $lane:expr, $a:expr, $b:expr) => {
-        if $crate::ENABLED {
+        if $crate::is_enabled() {
             $crate::emit(
                 ($ts) as u64,
                 $kind,
@@ -111,16 +113,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn enabled_tracks_the_cargo_feature() {
-        assert_eq!(ENABLED, cfg!(feature = "trace") && !cfg!(loom));
-    }
-
-    #[test]
     fn macros_type_check_mixed_integer_widths() {
-        // Must compile regardless of feature state; records only when on.
         let ts: u32 = 5;
         let lane: usize = 3;
         let a: u16 = 9;
         trace_event!(ts, EventKind::SimWake, lane, a, 0i64);
+    }
+
+    /// No test in this binary switches recording on, so the process never
+    /// records: an emit, a drain and a reset leave the recorder uncreated
+    /// (66 rings of 4 096 records are 8.6 MiB a process would otherwise
+    /// carry).
+    #[test]
+    fn switched_off_process_creates_no_ring() {
+        assert!(!is_enabled());
+        trace_event!(1u64, EventKind::Dispatch, 0u32, 0u64, 0u64);
+        reset();
+        assert!(drain().is_empty());
+        assert_eq!(dropped_events(), 0);
+        assert!(global_if_created().is_none());
     }
 }

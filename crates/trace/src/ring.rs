@@ -8,10 +8,11 @@
 //! and bumps the counter instead of waiting.
 //!
 //! The slots are plain `AtomicU64` words rather than a `&mut`-based ring so
-//! that *accidental* concurrent producers (e.g. parallel tests sharing the
-//! global recorder's control lane) stay memory-safe: the worst outcome is a
-//! torn record, which the decoder tolerates via [`EventKind::Unknown`],
-//! never undefined behaviour.
+//! that *accidental* concurrent producers (e.g. two threads handed one
+//! worker lane) stay memory-safe: the worst outcome is a lost or torn
+//! record, which the decoder tolerates via [`EventKind::Unknown`], never
+//! undefined behaviour. The one lane with many producers by design, the
+//! recorder's control lane, is serialised by the recorder.
 
 use crate::record::TraceRecord;
 use crate::sync::{AtomicU64, Ordering};

@@ -5,9 +5,12 @@
 //! [`CONTROL_LANE`] carries scheduler/driver events. Events whose lane id
 //! exceeds the table are clamped into the control lane rather than dropped,
 //! so a misconfigured worker id can never index out of bounds.
+//!
+//! The control lane is the one lane with many producers (the backend pool,
+//! pacers, and every worker or device past the table), so its pushes take
+//! a lock; every other lane's push stays lock-free.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use crate::record::{EventKind, TraceRecord};
 use crate::ring::{TraceRing, DEFAULT_RING_CAPACITY};
@@ -24,10 +27,10 @@ pub const LANES: usize = MAX_WORKER_LANES + 2;
 /// A multi-lane flight recorder.
 pub struct Tracer {
     lanes: Vec<TraceRing>,
-    /// Runtime switch layered under the compile-time `trace` feature, so one
-    /// binary can compare enabled-vs-disabled behaviour (the determinism
-    /// suite flips it). Recording starts on.
-    on: AtomicBool,
+    /// Held around each push onto [`CONTROL_LANE`]: a ring has one
+    /// producer, and two pushes that read one head would write one slot
+    /// and count no drop.
+    control: Mutex<()>,
 }
 
 impl Tracer {
@@ -42,35 +45,24 @@ impl Tracer {
             lanes: (0..LANES)
                 .map(|_| TraceRing::with_capacity(capacity))
                 .collect(),
-            on: AtomicBool::new(true),
+            control: Mutex::new(()),
         }
-    }
-
-    /// Whether the recorder is currently accepting events.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.on.load(Ordering::Relaxed)
-    }
-
-    /// Flip the runtime recording switch.
-    pub fn set_enabled(&self, on: bool) {
-        self.on.store(on, Ordering::Relaxed);
     }
 
     /// Record one event on `lane` (clamped into the lane table).
     #[inline]
     pub fn emit(&self, ts: u64, kind: EventKind, lane: u32, a: u64, b: u64) {
-        if !self.is_enabled() {
-            return;
-        }
         let idx = (lane as usize).min(LANES - 1);
-        self.lanes[idx].push(TraceRecord {
+        let record = TraceRecord {
             ts,
             kind,
             worker: lane,
             a,
             b,
-        });
+        };
+        let _one_producer = (idx == CONTROL_LANE as usize)
+            .then(|| self.control.lock().unwrap_or_else(PoisonError::into_inner));
+        self.lanes[idx].push(record);
     }
 
     /// Total events dropped across all lanes because a ring was full.
@@ -90,13 +82,12 @@ impl Tracer {
         out
     }
 
-    /// Discard buffered records and drop accounting, and re-enable
-    /// recording. Used between comparison runs.
+    /// Discard buffered records and drop accounting. Used between
+    /// comparison runs.
     pub fn reset(&self) {
         for lane in &self.lanes {
             lane.clear();
         }
-        self.set_enabled(true);
     }
 
     /// Direct access to one lane's ring (benchmarks).
@@ -115,7 +106,6 @@ impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tracer")
             .field("lanes", &self.lanes.len())
-            .field("enabled", &self.is_enabled())
             .field("dropped", &self.dropped_events())
             .finish()
     }
@@ -124,7 +114,8 @@ impl std::fmt::Debug for Tracer {
 /// Map a grouped worker onto a flight-recorder lane: `group * group_size +
 /// local`, the flattened global worker id. Deployments wider than
 /// [`MAX_WORKER_LANES`] workers (e.g. 256 workers in 4 groups) overflow the
-/// lane table; overflowing workers share [`CONTROL_LANE`].
+/// lane table; overflowing workers share [`CONTROL_LANE`], whose pushes
+/// take a lock.
 #[inline]
 pub fn grouped_lane(group: usize, group_size: usize, local: usize) -> u32 {
     let global = group * group_size + local;
@@ -154,9 +145,14 @@ pub fn device_lane(device: usize) -> u32 {
 
 static GLOBAL: OnceLock<Tracer> = OnceLock::new();
 
-/// The process-wide recorder, created on first use.
+/// The process-wide recorder, its rings created on first use.
 pub fn global() -> &'static Tracer {
     GLOBAL.get_or_init(Tracer::new)
+}
+
+/// The process-wide recorder if anything has created it yet.
+pub(crate) fn global_if_created() -> Option<&'static Tracer> {
+    GLOBAL.get()
 }
 
 #[cfg(test)]
@@ -200,17 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_recorder_records_nothing() {
-        let t = Tracer::with_ring_capacity(8);
-        t.set_enabled(false);
-        t.emit(1, EventKind::Dispatch, 0, 0, 0);
-        assert!(t.drain().is_empty());
-        t.set_enabled(true);
-        t.emit(2, EventKind::Dispatch, 0, 0, 0);
-        assert_eq!(t.drain().len(), 1);
-    }
-
-    #[test]
     fn drain_sorts_by_timestamp_then_lane() {
         let t = Tracer::with_ring_capacity(8);
         t.emit(30, EventKind::SimWake, 2, 0, 0);
@@ -235,5 +220,46 @@ mod tests {
         t.reset();
         assert_eq!(t.dropped_events(), 0);
         assert!(t.drain().is_empty());
+    }
+
+    /// Workers past the lane table share the control lane, each from its
+    /// own thread, while a reader drains it. A ring has one producer, so the
+    /// recorder serialises that lane's pushes: every emit is drained or
+    /// counted as dropped. Unserialised, two pushes that read one head write
+    /// one slot and count no drop.
+    #[test]
+    fn control_lane_producers_lose_no_record() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        const EMITS: u64 = 1 << 20;
+        let lanes = [grouped_lane(1, 64, 0), grouped_lane(1, 64, 1)];
+        assert_eq!(lanes, [CONTROL_LANE; 2]);
+        let (t, finished) = (&Tracer::with_ring_capacity(1 << 14), &AtomicUsize::new(0));
+        let drained = std::thread::scope(|s| {
+            for lane in lanes {
+                s.spawn(move || {
+                    for i in 0..EMITS {
+                        t.emit(i, EventKind::SchedDecision, lane, i, 0);
+                    }
+                    finished.fetch_add(1, Ordering::Release);
+                });
+            }
+            let (mut buf, mut drained) = (Vec::new(), 0u64);
+            loop {
+                let last = finished.load(Ordering::Acquire) == lanes.len();
+                buf.clear();
+                t.lane(CONTROL_LANE).drain_into(&mut buf);
+                drained += buf.len() as u64;
+                if last {
+                    break drained;
+                }
+            }
+        });
+        let dropped = t.dropped_events();
+        assert_eq!(
+            drained + dropped,
+            2 * EMITS,
+            "{drained} drained + {dropped} dropped of {} emitted",
+            2 * EMITS
+        );
     }
 }

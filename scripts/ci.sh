@@ -101,10 +101,6 @@ cargo clippy --workspace --all-targets -- -D warnings
 step "cargo build --release --locked (the committed Cargo.lock is current)"
 cargo build --workspace --release --locked
 
-step "cargo build --release --features trace (flight recorder compiled in)"
-# The trace feature must never rot: both feature states build release.
-cargo build --workspace --release --features trace
-
 step "cargo test"
 cargo test --workspace -q
 
@@ -145,14 +141,14 @@ step "scheduler kernel (differential vs literal Algorithm 1, zero allocations)"
 # global allocator sees no allocation across 10 000 loop-resident passes
 # (Scheduler::schedule, WorkerSession::schedule_and_sync). The third —
 # whole simulator runs reproduce the decision sums recorded before the
-# kernel was fused — is golden_fingerprint, which runs once per feature
-# state: in "cargo test" above and with the recorder compiled in below.
-# With the recorder compiled in, two workers scheduling at once each trace
-# every pass on their own lane (a ring has one producer) and lose nothing.
+# kernel was fused — is golden_fingerprint, which runs in "cargo test"
+# above, and with the recorder recording in the trace-determinism lane.
+# no_alloc counts with recording switched off and again switched on. With
+# recording on, two workers scheduling at once each trace every pass on
+# their own lane (a ring has one producer) and lose nothing.
 cargo test --release -q -p hermes-core --test sched_differential
 cargo test --release -q -p hermes-core --test no_alloc
-cargo test --release -q -p hermes-core --features trace --test no_alloc
-cargo test --release -q -p hermes-core --features trace --test sched_lanes
+cargo test --release -q -p hermes-core --test sched_lanes
 
 step "workload stream (recorded Case 1 stream, guide-table Zipf = binary search, request extents)"
 # Every simulated number starts here. The sim_case1 input (Case 1 heavy, seed
@@ -165,7 +161,7 @@ step "workload stream (recorded Case 1 stream, guide-table Zipf = binary search,
 cargo test --release -q -p hermes-workload
 cargo test --release -q -p hermes-simnet --lib cluster
 
-step "event merge (pop_before model, scripted/live tie-break; both feature states; golden fingerprints with trace)"
+step "event merge (pop_before model, scripted/live tie-break)"
 # Scripted arrivals are streamed from the sorted workload and merged with
 # the live event queue. Three proofs that the merge is the order one queue
 # gave: the timer wheel's `pop_before` against a sorted-Vec model (with the
@@ -173,13 +169,11 @@ step "event merge (pop_before model, scripted/live tie-break; both feature state
 # rule, the sealed-workload panics and the live-only queue population on
 # the simulator itself; and whole runs of every shape (Case 1 and Case 3
 # traffic, faults, probes, degradation, reuseport and exclusive) against
-# constants recorded before the change — with the recorder compiled in
-# here; "cargo test" above ran them without it.
+# constants recorded before the change — golden_fingerprint, which "cargo
+# test" above ran with the recorder switched off and the trace-determinism
+# lane runs with it recording.
 cargo test --release -q -p hermes-simnet --lib event_queue
 cargo test --release -q -p hermes-simnet --lib sim::tests
-cargo test --release -q -p hermes-simnet --features trace --lib event_queue
-cargo test --release -q -p hermes-simnet --features trace --lib sim::tests
-cargo test --release -q -p hermes-simnet --features trace --test golden_fingerprint
 
 step "simnet_throughput --smoke (per-loop Hermes tax gate)"
 # One gate, the median of 16 alternating rounds: Case 1 heavy under Hermes
@@ -221,7 +215,7 @@ step "backend-churn consistency (versioned tables under drain + flap)"
 cargo test --release -q -p hermes-backend --test churn
 cargo test --release -q -p hermes-lb --lib rolling_drain_and_flap_under_connection_churn_misroute_nothing
 
-step "relay-reactor (epoll reactor + splice data plane suite, both feature states; stall guards x20)"
+step "relay-reactor (epoll reactor + splice data plane suite, traced lifecycle events; stall guards x40)"
 # The relay engine: the raw-syscall reactor module (epoll/eventfd/pipe/
 # splice contracts, accept4 and the nonblocking connect in both address
 # families), half-close in all three orders, slow-reader backpressure
@@ -240,10 +234,12 @@ step "relay-reactor (epoll reactor + splice data plane suite, both feature state
 # SO_ERROR after a writable connect, a second shutdown), a client leg
 # that asks for write edges only once a flush into it blocks, and a
 # listener's backlog served (not reset) at shutdown. The suite
-# is Linux-only by cfg, not by self-skip. Both filters run with trace on
-# too so the relay's RelayWakeup/AcceptBurst/ConnClose events never rot
-# in either feature state. Then four stall guards, 20 times in each
-# feature state. Three guard the drain rule: a short copy-path read ends a
+# is Linux-only by cfg, not by self-skip. The `relay` filter also takes in
+# tests/trace_events.rs: a 4-worker RelayLb recording over 200 connections
+# traces one AcceptBurst per accept, one ConnOpen and one ConnClose per
+# relayed connection and its RelayWakeups, each on the worker's own lane,
+# and drops nothing. Then four stall guards, 40 times each. Three guard
+# the drain rule: a short copy-path read ends a
 # direction's reading except behind a pending urgent mark, behind a
 # pending FIN, and on the splice path. The fourth guards the client leg's
 # write edges: a `churn` connection never asks for them, and a download
@@ -269,18 +265,14 @@ step "relay-reactor (epoll reactor + splice data plane suite, both feature state
 # relays.
 cargo test --release -q -p hermes-lb reactor
 cargo test --release -q -p hermes-lb relay
-cargo test --release -q -p hermes-lb --features trace reactor
-cargo test --release -q -p hermes-lb --features trace relay
 stall_guards=(
   relay::tests::an_urgent_mark_strands_no_bytes
   relay::tests::data_and_fin_in_one_burst_half_close_at_once
   relay::tests::splice_downloads_never_stop_at_a_short_move
   relay::tests::client_legs_watch_write_edges_only_once_a_flush_blocks
 )
-for features in "" trace; do
-  for _ in $(seq 20); do
-    cargo test --release -q -p hermes-lb --features "$features" --lib -- --exact "${stall_guards[@]}"
-  done
+for _ in $(seq 40); do
+  cargo test --release -q -p hermes-lb --lib -- --exact "${stall_guards[@]}"
 done
 steering -p hermes-ebpf --test kernel_verifier
 steering -p hermes-lb --test kernel_dispatch
@@ -315,23 +307,20 @@ if grep -q 'n/a (hash-only' "$log"; then
 fi
 rm -f "$log"
 
-step "trace determinism (simulation byte-identical with recorder on/off)"
+step "trace determinism (simulation byte-identical with recorder on/off; whole-run goldens while recording)"
 # Tracing is an observer, never an actor: the simnet report must not
-# change when the flight recorder runs, and the recorded stream must be
-# reproducible run-over-run (sim-time stamps, no wall clock).
-cargo test --release -q -p hermes-simnet --features trace --test trace_determinism
+# change when the flight recorder records, every golden_fingerprint run
+# reproduces its recorded figures while recording, and the recorded stream
+# must be reproducible run-over-run (sim-time stamps, no wall clock).
+cargo test --release -q -p hermes-simnet --test trace_determinism
 
-step "trace_overhead --smoke --features trace (flight-recorder producer cost)"
+step "trace_overhead --smoke (flight-recorder producer cost, recording and switched off)"
 # Gates, each the median of 8 alternating rounds against the same loop without
 # the macro, with nothing reading the rings while the clock runs: one recorded
-# event costs the producer <= 14 ns, one runtime-disabled event <= 3 ns, and
-# every event emitted was drained with none dropped. The figure beside a
-# concurrent drainer is printed and gates nothing.
-gate --features trace --bin trace_overhead
-
-step "trace_overhead --smoke (feature off: records nothing, costs nothing)"
-# Gates: the same macros compiled out cost <= 3 ns over the plain loop (timer
-# noise) and the recorder holds no event afterwards.
+# event costs the producer <= 14 ns, one switched-off event <= 3 ns, every
+# event emitted was drained with none dropped, and a switched-off pass left
+# no record. The figure beside a concurrent drainer is printed and gates
+# nothing.
 gate --bin trace_overhead
 
 step "aarch64 cross-check (kernel.rs SYS_BPF arms + reactor packed-struct lane)"
