@@ -10,7 +10,7 @@
 //! store into the kernel's own map instead (`hermes_ebpf::kernel`, one
 //! mmap'd word per group) with the same compare-then-store; the
 //! worker-to-socket `BPF_MAP_TYPE_REUSEPORT_SOCKARRAY` exists only there and
-//! as the interpreter's `SockArrayMap`.
+//! and in the interpreter's `Maps`.
 
 use crate::bitmap::WorkerBitmap;
 use crate::sync::{AtomicU64, Ordering};

@@ -1,261 +1,146 @@
-//! The instruction set: a compact eBPF-like register machine.
+//! Kernel eBPF instructions, `struct bpf_insn`, and the opcode pieces the
+//! dispatch program is written in (`linux/bpf_common.h`, `linux/bpf.h`).
 //!
 //! Eleven 64-bit registers. By eBPF convention: R0 holds return values,
-//! R1–R5 carry helper-call arguments (and R1 the program context at entry),
+//! R1–R5 carry helper-call arguments (and R1 the context pointer at entry),
 //! R6–R9 are callee-saved scratch, R10 is the read-only frame pointer.
-//! Conditional jumps carry a *relative forward* offset; the interpreter
-//! traps a taken backward jump, which is what rules loops out.
+//! A jump's offset counts slots from the one after it; `ld_imm64` fills two
+//! slots, the second carrying the immediate's high word.
 
-/// A register name.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct Reg(pub u8);
-
-impl Reg {
-    /// Return-value / scratch register.
-    pub const R0: Reg = Reg(0);
-    /// First argument / context register.
-    pub const R1: Reg = Reg(1);
-    /// Second argument register.
-    pub const R2: Reg = Reg(2);
-    /// Third argument register.
-    pub const R3: Reg = Reg(3);
-    /// Fourth argument register.
-    pub const R4: Reg = Reg(4);
-    /// Fifth argument register.
-    pub const R5: Reg = Reg(5);
-    /// Callee-saved scratch.
-    pub const R6: Reg = Reg(6);
-    /// Callee-saved scratch.
-    pub const R7: Reg = Reg(7);
-    /// Callee-saved scratch.
-    pub const R8: Reg = Reg(8);
-    /// Callee-saved scratch.
-    pub const R9: Reg = Reg(9);
-    /// Frame pointer (read-only).
-    pub const R10: Reg = Reg(10);
-
-    /// Register index as usize.
-    #[inline]
-    pub fn idx(self) -> usize {
-        self.0 as usize
-    }
+/// One kernel eBPF instruction: opcode, `dst_reg` (low nibble) and
+/// `src_reg` (high nibble), offset, immediate — eight bytes, laid out as
+/// the kernel reads them.
+#[repr(C)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Insn {
+    /// Opcode: class | size/op | mode/source.
+    pub code: u8,
+    /// `dst_reg | src_reg << 4`.
+    pub regs: u8,
+    /// Memory offset, or a jump's offset in slots.
+    pub off: i16,
+    /// Immediate.
+    pub imm: i32,
 }
 
-/// Source operand: another register or a 64-bit immediate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Src {
-    /// Register operand.
-    Reg(Reg),
-    /// Immediate operand.
-    Imm(i64),
-}
-
-/// Comparison condition for conditional jumps (unsigned unless noted).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Cond {
-    /// `dst == src`
-    Eq,
-    /// `dst != src`
-    Ne,
-    /// `dst > src` (unsigned)
-    Gt,
-    /// `dst >= src` (unsigned)
-    Ge,
-    /// `dst < src` (unsigned)
-    Lt,
-    /// `dst <= src` (unsigned)
-    Le,
-}
-
-impl Cond {
-    /// Evaluate the condition over unsigned 64-bit operands.
-    #[inline]
-    pub fn eval(self, dst: u64, src: u64) -> bool {
-        match self {
-            Cond::Eq => dst == src,
-            Cond::Ne => dst != src,
-            Cond::Gt => dst > src,
-            Cond::Ge => dst >= src,
-            Cond::Lt => dst < src,
-            Cond::Le => dst <= src,
+impl Insn {
+    /// `struct bpf_insn { code, dst, src, off, imm }`.
+    pub const fn new(code: u8, dst: u8, src: u8, off: i16, imm: i32) -> Insn {
+        Insn {
+            code,
+            regs: dst | src << 4,
+            off,
+            imm,
         }
     }
-}
 
-/// ALU operation kind.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Alu {
-    /// `dst = src`
-    Mov,
-    /// `dst += src` (wrapping)
-    Add,
-    /// `dst -= src` (wrapping)
-    Sub,
-    /// `dst *= src` (wrapping)
-    Mul,
-    /// `dst &= src`
-    And,
-    /// `dst |= src`
-    Or,
-    /// `dst ^= src`
-    Xor,
-    /// `dst <<= src & 63`
-    Lsh,
-    /// `dst >>= src & 63` (logical)
-    Rsh,
-    /// `dst >>= src & 63` (arithmetic: sign-extending)
-    Arsh,
-    /// `dst /= src` (unsigned; BPF semantics: division by zero yields 0)
-    Div,
-    /// `dst %= src` (unsigned; BPF semantics: modulo zero leaves dst)
-    Mod,
-}
+    /// Destination register.
+    pub fn dst(self) -> u8 {
+        self.regs & 0xf
+    }
 
-impl Alu {
-    /// Apply the operation.
-    #[inline]
-    pub fn eval(self, dst: u64, src: u64) -> u64 {
-        match self {
-            Alu::Mov => src,
-            Alu::Add => dst.wrapping_add(src),
-            Alu::Sub => dst.wrapping_sub(src),
-            Alu::Mul => dst.wrapping_mul(src),
-            Alu::And => dst & src,
-            Alu::Or => dst | src,
-            Alu::Xor => dst ^ src,
-            Alu::Lsh => dst << (src & 63),
-            Alu::Rsh => dst >> (src & 63),
-            Alu::Arsh => ((dst as i64) >> (src & 63)) as u64,
-            // BPF runtime semantics (since v5.x the verifier patches in
-            // these totalizing behaviours rather than trapping):
-            Alu::Div => dst.checked_div(src).unwrap_or(0),
-            Alu::Mod => {
-                if src == 0 {
-                    dst
-                } else {
-                    dst % src
-                }
-            }
-        }
+    /// Source register (for `ld_imm64`, its pseudo kind).
+    pub fn src(self) -> u8 {
+        self.regs >> 4
+    }
+
+    /// The eight bytes the kernel loads (little-endian fields).
+    pub fn to_bytes(self) -> [u8; 8] {
+        let [o0, o1] = self.off.to_le_bytes();
+        let [i0, i1, i2, i3] = self.imm.to_le_bytes();
+        [self.code, self.regs, o0, o1, i0, i1, i2, i3]
     }
 }
 
-/// One instruction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Op {
-    /// 64-bit ALU: `dst = dst <op> src` (Mov replaces).
-    Alu {
-        /// Operation kind.
-        op: Alu,
-        /// Destination register.
-        dst: Reg,
-        /// Source operand.
-        src: Src,
-    },
-    /// Unconditional relative jump (`pc += off + 1`).
-    Ja {
-        /// Relative offset from the following instruction.
-        off: i32,
-    },
-    /// Conditional relative jump: `if dst <cond> src { pc += off + 1 }`.
-    Jmp {
-        /// Condition.
-        cond: Cond,
-        /// Left operand register.
-        dst: Reg,
-        /// Right operand.
-        src: Src,
-        /// Relative offset from the following instruction.
-        off: i32,
-    },
-    /// Store a 64-bit register to the stack at `fp + off` (off negative).
-    StxStack {
-        /// Byte offset from the frame pointer (must be in `-512..=-8`).
-        off: i32,
-        /// Source register.
-        src: Reg,
-    },
-    /// Load 64 bits from the stack at `fp + off` into `dst`.
-    LdxStack {
-        /// Destination register.
-        dst: Reg,
-        /// Byte offset from the frame pointer (must be in `-512..=-8`).
-        off: i32,
-    },
-    /// Call a helper function by id; args in R1–R5, result in R0.
-    /// R1–R5 are clobbered by the call, as in eBPF.
-    Call {
-        /// Helper function id (see [`crate::helpers`]).
-        helper: u32,
-    },
-    /// Return from the program with R0 as the result.
-    Exit,
-}
+// Classes.
+pub const LD: u8 = 0x00; // Wide immediate loads (`ld_imm64`).
+pub const LDX: u8 = 0x01; // Loads from memory.
+pub const STX: u8 = 0x03; // Stores of a register to memory (and atomics).
+pub const ALU: u8 = 0x04; // 32-bit ALU: operands truncated, result zero-extended.
+pub const JMP: u8 = 0x05; // Jumps, calls and exit.
+pub const ALU64: u8 = 0x07; // 64-bit ALU.
 
-/// A single instruction (newtype over [`Op`] so a `Vec<Insn>` reads as a
-/// program).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Insn(pub Op);
+// Access sizes.
+pub const W: u8 = 0x00; // 4 bytes.
+pub const H: u8 = 0x08; // 2 bytes.
+pub const B: u8 = 0x10; // 1 byte.
+pub const DW: u8 = 0x18; // 8 bytes.
 
-/// Stack size available to a program, in bytes (eBPF's 512).
-pub const STACK_SIZE: usize = 512;
+// Modes.
+pub const IMM: u8 = 0x00; // Immediate (`ld_imm64`).
+pub const MEM: u8 = 0x60; // Memory at `reg + off`.
+pub const ATOMIC: u8 = 0xc0; // Read-modify-write at `reg + off`, `imm` the operation.
 
-/// Number of architectural registers.
-pub const NUM_REGS: usize = 11;
+// Operand source.
+pub const K: u8 = 0x00; // The immediate.
+pub const X: u8 = 0x08; // The source register.
+
+// ALU operations.
+pub const ADD: u8 = 0x00; // `dst += src` (wrapping).
+pub const SUB: u8 = 0x10; // `dst -= src` (wrapping).
+pub const MUL: u8 = 0x20; // `dst *= src` (wrapping).
+pub const DIV: u8 = 0x30; // `dst /= src` (unsigned; division by zero yields 0).
+pub const OR: u8 = 0x40; // `dst |= src`.
+pub const AND: u8 = 0x50; // `dst &= src`.
+pub const LSH: u8 = 0x60; // `dst <<= src` (amount masked to the width).
+pub const RSH: u8 = 0x70; // `dst >>= src`, logical.
+pub const MOD: u8 = 0x90; // `dst %= src` (unsigned; modulo zero keeps `dst`).
+pub const XOR: u8 = 0xa0; // `dst ^= src`.
+pub const MOV: u8 = 0xb0; // `dst = src`.
+pub const ARSH: u8 = 0xc0; // `dst >>= src`, arithmetic.
+
+// Jump operations (unsigned comparisons).
+pub const JA: u8 = 0x00; // Unconditional.
+pub const JEQ: u8 = 0x10; // `dst == src`.
+pub const JGT: u8 = 0x20; // `dst > src`.
+pub const JGE: u8 = 0x30; // `dst >= src`.
+pub const JNE: u8 = 0x50; // `dst != src`.
+pub const CALL: u8 = 0x80; // Helper call, id in `imm`.
+pub const EXIT: u8 = 0x90; // Return R0.
+pub const JLT: u8 = 0xa0; // `dst < src`.
+pub const JLE: u8 = 0xb0; // `dst <= src`.
+
+/// `ld_imm64`, two slots. Its source register says what the immediate is:
+/// 0 a constant, [`PSEUDO_MAP_FD`] a map (a helper's map argument),
+/// [`PSEUDO_MAP_VALUE`] a pointer into an array map's first value, the
+/// second slot's `imm` the offset.
+pub const LD_IMM64: u8 = LD | DW | IMM;
+pub const PSEUDO_MAP_FD: u8 = 1;
+pub const PSEUDO_MAP_VALUE: u8 = 2;
+
+/// Helper `bpf_map_lookup_elem(map, &key)`: a pointer to the value, or null.
+pub const FN_MAP_LOOKUP_ELEM: i32 = 1;
+/// Helper `bpf_sk_select_reuseport(ctx, map, &key, flags)`: 0, or a
+/// negative errno with no socket selected.
+pub const FN_SK_SELECT_REUSEPORT: i32 = 82;
+
+/// `offsetof(struct sk_reuseport_md, hash)`: the one context field the
+/// dispatch program reads, 4 bytes wide.
+pub const MD_HASH: i16 = 32;
+pub const SK_PASS: i32 = 1; // Return value that lets the kernel place the connection.
+pub const STACK_SIZE: usize = 512; // Stack bytes below the frame pointer.
+
+pub const R0: u8 = 0; // Return value / scratch.
+pub const R1: u8 = 1; // Context pointer at entry; first helper argument.
+pub const R2: u8 = 2; // Second helper argument.
+pub const R3: u8 = 3; // Third helper argument.
+pub const R4: u8 = 4; // Fourth helper argument.
+pub const R5: u8 = 5; // Fifth helper argument.
+pub const R6: u8 = 6; // Callee-saved scratch.
+pub const R7: u8 = 7; // Callee-saved scratch.
+pub const R8: u8 = 8; // Callee-saved scratch.
+pub const R9: u8 = 9; // Callee-saved scratch.
+pub const R10: u8 = 10; // Frame pointer (read-only), one past the top of the stack.
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn cond_eval_unsigned_semantics() {
-        assert!(Cond::Gt.eval(u64::MAX, 0)); // -1 as unsigned is max
-        assert!(!Cond::Lt.eval(u64::MAX, 0));
-        assert!(Cond::Eq.eval(5, 5));
-        assert!(Cond::Ne.eval(5, 6));
-        assert!(Cond::Ge.eval(5, 5));
-        assert!(Cond::Le.eval(5, 5));
-    }
-
-    #[test]
-    fn alu_eval_wrapping_and_shifts() {
-        assert_eq!(Alu::Add.eval(u64::MAX, 1), 0);
-        assert_eq!(Alu::Sub.eval(0, 1), u64::MAX);
-        assert_eq!(Alu::Mul.eval(1 << 63, 2), 0);
-        assert_eq!(Alu::Lsh.eval(1, 64), 1); // shift masked to 0
-        assert_eq!(Alu::Rsh.eval(0x8000_0000_0000_0000, 63), 1);
-        assert_eq!(Alu::Mov.eval(123, 7), 7);
-        assert_eq!(Alu::Xor.eval(0b1010, 0b0110), 0b1100);
-    }
-
-    #[test]
-    fn alu_eval_div_mod_arsh_bpf_semantics() {
-        assert_eq!(Alu::Div.eval(10, 3), 3);
-        assert_eq!(Alu::Div.eval(10, 0), 0, "BPF div-by-zero yields 0");
-        assert_eq!(Alu::Mod.eval(10, 3), 1);
-        assert_eq!(Alu::Mod.eval(10, 0), 10, "BPF mod-zero keeps dst");
-        assert_eq!(Alu::Arsh.eval((-8i64) as u64, 1), (-4i64) as u64);
-        assert_eq!(Alu::Arsh.eval(8, 1), 4);
-        assert_eq!(Alu::Arsh.eval(u64::MAX, 63), u64::MAX); // sign fill
-    }
-
-    #[test]
-    fn reg_constants_are_distinct() {
-        let regs = [
-            Reg::R0,
-            Reg::R1,
-            Reg::R2,
-            Reg::R3,
-            Reg::R4,
-            Reg::R5,
-            Reg::R6,
-            Reg::R7,
-            Reg::R8,
-            Reg::R9,
-            Reg::R10,
-        ];
-        for (i, r) in regs.iter().enumerate() {
-            assert_eq!(r.idx(), i);
-        }
+    fn an_insn_is_the_kernels_eight_bytes() {
+        assert_eq!(std::mem::size_of::<Insn>(), 8);
+        let i = Insn::new(STX | DW | MEM, R10, R1, -8, 0x0102_0304);
+        assert_eq!((i.dst(), i.src()), (10, 1));
+        assert_eq!(i.to_bytes(), [0x7b, 0x1a, 0xf8, 0xff, 4, 3, 2, 1]);
     }
 }

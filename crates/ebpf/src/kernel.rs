@@ -1,36 +1,28 @@
 //! Algorithm 2 in the real kernel, at any group count (§7).
 //!
-//! The program [`DispatchProgram::build`] emits — the one this crate's
-//! interpreter executes in the differential tests — is lowered here to
-//! kernel eBPF, loaded with raw `bpf(2)` as `BPF_PROG_TYPE_SK_REUSEPORT`
-//! (the kernel's verifier is the one admission it meets) and attached to a
-//! group of `SO_REUSEPORT` listeners, one per worker, in ⌈workers/64⌉
-//! equal groups. It picks among them by the bitmaps the workers' schedulers
-//! store into its mmap'd array, one word per group (the picture is in
-//! DESIGN.md, "Dispatch plane: in the kernel").
+//! The program [`DispatchProgram::build`] emits — the bytes this crate's
+//! interpreter executes in the differential tests — is loaded here with raw
+//! `bpf(2)` as `BPF_PROG_TYPE_SK_REUSEPORT` (the kernel's verifier is the
+//! one admission it meets) and attached to a group of `SO_REUSEPORT`
+//! listeners, one per worker, in ⌈workers/64⌉ equal groups. It picks among
+//! them by the bitmaps the workers' schedulers store into its mmap'd array,
+//! one word per group (the picture is in DESIGN.md, "Dispatch plane: in the
+//! kernel").
 //!
-//! What the lowering changes, and nothing else: the context is a pointer
-//! (`hash` is loaded from `sk_reuseport_md`), `bpf_map_lookup_elem` takes
-//! a key pointer and returns a value pointer, `reciprocal_scale` is not a
-//! kernel helper and becomes a multiply and a shift, immediates beyond 32
-//! bits travel through `ld_imm64`, `bpf_sk_select_reuseport` takes the
-//! context and a key pointer, and jumps are re-offset over the expansion.
-//! A helper names its map by what it is: the lookup reads the array, the
-//! select commits through the socket array — a [`LoadedProgram`] has one
-//! map of each kind.
-//! Every exit returns `SK_PASS`: with a socket selected the kernel uses
-//! it, without one it places by its own reuseport hash over every listener.
+//! Loading changes one thing: each `ld_imm64` that names a map by index
+//! ([`SEL`](crate::program::SEL), [`SOCKS`](crate::program::SOCKS),
+//! [`RECORD`](crate::program::RECORD)) is relocated to that map's fd. Every
+//! exit returns `SK_PASS`: with a socket selected the kernel uses it,
+//! without one it places by its own reuseport hash over every listener.
 //! That is Algorithm 2's `n <= 1` branch at one group; at several, the
 //! program commits its own pick within the group first. On its way in the
 //! program records `ctx->hash`, on its way out it counts the path taken,
-//! both in a record of its own: a one-element array, the only kind
-//! `BPF_PSEUDO_MAP_VALUE` may point into. The bitmaps and the record are
-//! `BPF_F_MMAPABLE` arrays, so a scheduler's sync stays a plain store and
-//! reading the counters a plain load.
+//! both in its record. The bitmaps and the record are `BPF_F_MMAPABLE`
+//! arrays, so a scheduler's sync stays a plain store and reading the
+//! counters a plain load.
 
-use crate::helpers::{HELPER_MAP_LOOKUP, HELPER_RECIPROCAL_SCALE, HELPER_SK_SELECT_REUSEPORT};
-use crate::insn::{Alu, Cond, Insn, Op, Reg, Src};
-use crate::program::{DispatchProgram, SEL_FD, SOCK_FD};
+use crate::insn::{Insn, LD_IMM64, PSEUDO_MAP_FD, PSEUDO_MAP_VALUE};
+use crate::program::{DispatchProgram, DIRECTED, FALLBACK, HASH, RECORD_WORDS};
 use hermes_core::group::worker_groups;
 use hermes_core::sdk::SyncTarget;
 use hermes_core::WorkerBitmap;
@@ -40,200 +32,20 @@ use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One kernel eBPF instruction, `struct bpf_insn`: opcode, `dst_reg` (low
-/// nibble) and `src_reg` (high nibble), offset, immediate.
-#[repr(C)]
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct KInsn(u8, u8, i16, i32);
-
-const fn k(code: u8, dst: u8, src: u8, off: i16, imm: i32) -> KInsn {
-    KInsn(code, dst | src << 4, off, imm)
-}
-
-// Opcode pieces (`linux/bpf_common.h`, `linux/bpf.h`).
-const LD_IMM64: u8 = 0x18;
-const LDX_W: u8 = 0x61;
-const LDX_DW: u8 = 0x79;
-const STX_W: u8 = 0x63;
-const STX_DW: u8 = 0x7b;
-const ATOMIC_ADD_DW: u8 = 0xdb;
-const ALU64: u8 = 0x07;
-const MOV32_X: u8 = 0xbc;
-const JMP: u8 = 0x05;
-const X: u8 = 0x08;
-const MOV: u8 = 0xb0;
-const JA: u8 = 0x00;
-const JEQ: u8 = 0x10;
-const CALL: u8 = 0x80;
-const EXIT: u8 = 0x90;
-const PSEUDO_MAP_FD: u8 = 1;
-const PSEUDO_MAP_VALUE: u8 = 2;
-const FN_MAP_LOOKUP_ELEM: i32 = 1;
-const FN_SK_SELECT_REUSEPORT: i32 = 82;
-const SK_PASS: i32 = 1;
-const MD_HASH: i16 = 32; // offsetof(struct sk_reuseport_md, hash)
-
-/// Registers the lowering keeps for itself: R5 carries wide immediates,
-/// R4 the flags of `bpf_sk_select_reuseport`. The emitter never names them.
-const SCRATCH: u8 = 5;
-/// Stack slots of the lowering: the spilled context and a helper's key.
-const CTX_SLOT: i16 = -8;
-const KEY_SLOT: i16 = -12;
-
-/// Words in the program's record — what it reports back, at the byte
-/// offsets below — which is the one value of a map of its own, off the
-/// pages the schedulers store into.
-const RECORD_WORDS: usize = 3;
-const DIRECTED: i16 = 0;
-const FALLBACK: i16 = 8;
-const HASH: i16 = 16;
-/// Where [`lower`] finds the record's map, after the program's two.
-const RECORD: usize = 2;
-
-fn ld64(dst: u8, pseudo: u8, v: i64) -> [KInsn; 2] {
-    let (lo, hi) = (v as i32, (v >> 32) as i32);
-    [k(LD_IMM64, dst, pseudo, 0, lo), k(0, 0, 0, 0, hi)]
-}
-
-/// R2's low word onto the stack as a helper's key, its address in `ptr`.
-fn key_ptr(ptr: u8) -> [KInsn; 3] {
-    let (fp, slot) = (k(ALU64 | MOV | X, ptr, 10, 0, 0), KEY_SLOT as i32);
-    [k(STX_W, 10, 2, KEY_SLOT, 0), fp, k(ALU64, ptr, 0, 0, slot)]
-}
-
-/// Lower `prog` to kernel eBPF against the kernel maps `maps`: the two the
-/// program names, indexed by in-repo fd ([`SEL_FD`], [`SOCK_FD`]), then the
-/// record. `InvalidInput` for what the dispatch program never does: the
-/// stack, R4/R5, a jump out of the program.
-fn lower(prog: &[Insn], maps: [RawFd; 3]) -> io::Result<Vec<KInsn>> {
-    let (sel, socks) = (maps[SEL_FD as usize] as i64, maps[SOCK_FD as usize] as i64);
-    let record = maps[RECORD] as i64;
-    // Entry: spill the context, record its hash, and leave the hash in R1
-    // — the in-repo program's entry state.
-    let mut out = vec![k(STX_DW, 10, 1, CTX_SLOT, 0), k(LDX_W, 1, 1, MD_HASH, 0)];
-    out.extend(ld64(2, PSEUDO_MAP_VALUE, record));
-    out.push(k(STX_DW, 2, 1, HASH, 0));
-
-    let mut at = Vec::with_capacity(prog.len() + 1);
-    let mut jumps = Vec::new();
-    for (i, Insn(op)) in prog.iter().enumerate() {
-        let err = |why| io::Error::new(io::ErrorKind::InvalidInput, format!("insn {i}: {why}"));
-        let reg = |r: Reg| match r.0 {
-            r @ (0..=3 | 6..=10) => Ok(r),
-            _ => Err(err("R4/R5 are reserved by the lowering")),
-        };
-        // `(X, register)` for a register or wide operand, `(0, 0)` with
-        // the immediate for a narrow one; a wide one is loaded first.
-        let operand = |src: Src, out: &mut Vec<KInsn>| match src {
-            Src::Reg(r) => reg(r).map(|r| (X, r, 0)),
-            Src::Imm(v) => Ok(match i32::try_from(v) {
-                Ok(imm) => (0, 0, imm),
-                Err(_) => {
-                    out.extend(ld64(SCRATCH, 0, v));
-                    (X, SCRATCH, 0)
-                }
-            }),
-        };
-        let target = |off: i32| match usize::try_from(i as i64 + 1 + off as i64) {
-            Ok(to) if to <= prog.len() => Ok(to),
-            _ => Err(err("jump leaves the program")),
-        };
-        at.push(out.len());
-        match *op {
-            Op::Alu { op, dst, src } => {
-                let (x, src, imm) = operand(src, &mut out)?;
-                out.push(k(ALU64 | alu_code(op) | x, reg(dst)?, src, 0, imm));
-            }
-            Op::Ja { off } => {
-                jumps.push((out.len(), target(off)?));
-                out.push(k(JMP | JA, 0, 0, 0, 0));
-            }
-            Op::Jmp {
-                cond,
-                dst,
-                src,
-                off,
-            } => {
-                let (x, src, imm) = operand(src, &mut out)?;
-                jumps.push((out.len(), target(off)?));
-                out.push(k(JMP | cond_code(cond) | x, reg(dst)?, src, 0, imm));
-            }
-            Op::Call { helper } => match helper {
-                // (map, &key); a missing element reads as 0, as the
-                // in-repo helper's does.
-                HELPER_MAP_LOOKUP => {
-                    out.extend(key_ptr(2));
-                    out.extend(ld64(1, PSEUDO_MAP_FD, sel));
-                    out.push(k(JMP | CALL, 0, 0, 0, FN_MAP_LOOKUP_ELEM));
-                    out.extend([k(JMP | JEQ, 0, 0, 1, 0), k(LDX_DW, 0, 0, 0, 0)]);
-                }
-                // ((u32)R1 * (u32)R2) >> 32: 32-bit moves zero-extend.
-                HELPER_RECIPROCAL_SCALE => out.extend([
-                    k(MOV32_X, 0, 1, 0, 0),
-                    k(MOV32_X, 2, 2, 0, 0),
-                    k(ALU64 | alu_code(Alu::Mul) | X, 0, 2, 0, 0),
-                    k(ALU64 | alu_code(Alu::Rsh), 0, 0, 0, 32),
-                ]),
-                // (ctx, map, &key, flags); 0 or a negative errno in R0.
-                HELPER_SK_SELECT_REUSEPORT => {
-                    out.extend(key_ptr(3));
-                    out.extend(ld64(2, PSEUDO_MAP_FD, socks));
-                    out.extend([k(LDX_DW, 1, 10, CTX_SLOT, 0), k(ALU64 | MOV, 4, 0, 0, 0)]);
-                    out.push(k(JMP | CALL, 0, 0, 0, FN_SK_SELECT_REUSEPORT));
-                }
-                _ => return Err(err("no kernel lowering for this helper")),
-            },
-            // Count the path the in-repo return value names, then pass:
-            // the kernel drops the connection on anything else.
-            Op::Exit => {
-                out.extend(ld64(1, PSEUDO_MAP_VALUE, record));
-                out.extend([
-                    k(ALU64 | MOV, 2, 0, 0, 1),
-                    k(JMP | JEQ, 0, 0, 2, 0),
-                    k(ATOMIC_ADD_DW, 1, 2, DIRECTED, 0),
-                    k(JMP | JA, 0, 0, 1, 0),
-                    k(ATOMIC_ADD_DW, 1, 2, FALLBACK, 0),
-                    k(ALU64 | MOV, 0, 0, 0, SK_PASS),
-                    k(JMP | EXIT, 0, 0, 0, 0),
-                ]);
-            }
-            _ => return Err(err("the stack belongs to the lowering")),
+/// `prog` with the map index of each map-naming `ld_imm64` replaced by
+/// `maps[index]`; `InvalidInput` for an index past `maps`.
+fn relocate(prog: &[Insn], maps: [RawFd; 3]) -> io::Result<Vec<Insn>> {
+    let named = |i: &Insn| matches!(i.src(), PSEUDO_MAP_FD | PSEUDO_MAP_VALUE);
+    let relocated = |(at, &insn): (usize, &Insn)| match insn {
+        Insn { code: LD_IMM64, .. } if named(&insn) => {
+            let fd = usize::try_from(insn.imm).ok().and_then(|i| maps.get(i));
+            let why = || format!("insn {at}: no map {}", insn.imm);
+            let fd = fd.ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, why()))?;
+            Ok(Insn { imm: *fd, ..insn })
         }
-    }
-    at.push(out.len());
-    for (jump, target) in jumps {
-        let off = at[target] as i64 - jump as i64 - 1;
-        out[jump].2 = i16::try_from(off).expect("program fits i16");
-    }
-    Ok(out)
-}
-
-fn alu_code(op: Alu) -> u8 {
-    match op {
-        Alu::Add => 0x00,
-        Alu::Sub => 0x10,
-        Alu::Mul => 0x20,
-        Alu::Div => 0x30,
-        Alu::Or => 0x40,
-        Alu::And => 0x50,
-        Alu::Lsh => 0x60,
-        Alu::Rsh => 0x70,
-        Alu::Mod => 0x90,
-        Alu::Xor => 0xa0,
-        Alu::Mov => MOV,
-        Alu::Arsh => 0xc0,
-    }
-}
-
-fn cond_code(cond: Cond) -> u8 {
-    match cond {
-        Cond::Eq => JEQ,
-        Cond::Gt => 0x20,
-        Cond::Ge => 0x30,
-        Cond::Ne => 0x50,
-        Cond::Lt => 0xa0,
-        Cond::Le => 0xb0,
-    }
+        _ => Ok(insn),
+    };
+    prog.iter().enumerate().map(relocated).collect()
 }
 
 /// A program the kernel's verifier admitted, with its three maps. Dropping
@@ -248,7 +60,7 @@ pub struct LoadedProgram {
 
 impl LoadedProgram {
     /// Create the maps — `groups` bitmap words, `groups·size` socket slots
-    /// and the program's record — lower `prog` against them and
+    /// and the program's record — relocate `prog`'s map indices to them and
     /// `BPF_PROG_LOAD` it. `Err` is the kernel's errno, or — not a
     /// [`refused`] `bpf(2)` — `InvalidData` and its verifier's log.
     pub fn new(prog: &[Insn], groups: usize, size: usize) -> io::Result<LoadedProgram> {
@@ -261,7 +73,7 @@ impl LoadedProgram {
         let mut single = [MAP_TYPE_ARRAY, 4, 8 * RECORD_WORDS as u32, 1, F_MMAPABLE];
         let record = bpf_fd(BPF_MAP_CREATE, &mut single)?;
         let maps = [&sel, &socks, &record].map(AsRawFd::as_raw_fd);
-        let insns = lower(prog, maps)?;
+        let insns = relocate(prog, maps)?;
         let (len, insns) = (insns.len() as u32, insns.as_ptr() as u64);
         let gpl = c"GPL".as_ptr() as u64;
         let mut load = ProgLoad(PROG_TYPE_SK_REUSEPORT, len, insns, gpl, 0, 0, 0);
@@ -291,7 +103,7 @@ impl LoadedProgram {
 
     /// The Algorithm 2 program for `groups` groups of `size` sockets:
     /// assembled ([`DispatchProgram::build`], which panics on a shape outside
-    /// `1..=64` of each), lowered, admitted by the kernel.
+    /// `1..=64` of each), relocated, admitted by the kernel.
     pub fn dispatch(groups: usize, size: usize) -> io::Result<LoadedProgram> {
         LoadedProgram::new(&DispatchProgram::build(groups, size), groups, size)
     }
@@ -513,27 +325,48 @@ fn bpf_fd<T>(cmd: i64, attr: &mut T) -> io::Result<OwnedFd> {
 mod tests {
     use super::*;
 
-    /// What ships, pinned without `bpf(2)`: the program lowered against
-    /// three stand-in map fds. Its length is what the kernel's verifier
-    /// walks, and each helper call names its own map: the lookup the array
-    /// (100), each select the socket array (101) — at `G > 1` the fallback
-    /// arm's too.
+    /// What ships, byte for byte, pinned without `bpf(2)`: the program at
+    /// four shapes with its maps relocated to three stand-in fds (100, 101,
+    /// 102), against `tests/golden/` — the bytes the kernel's verifier
+    /// admits at those shapes (its log counts the same instructions), one
+    /// slot per line as the kernel reads it.
     #[test]
-    fn the_lowered_flat_program_is_pinned() {
-        let shapes = [(1, 4, 147), (1, 8, 178), (1, 64, 273), (2, 64, 297)];
-        for (groups, size, len) in shapes {
-            let prog = DispatchProgram::build(groups, size);
-            let lowered = lower(&prog, [100, 101, 102]).expect("the program lowers");
-            assert_eq!(lowered.len(), len, "{groups}x{size}");
-            let maps: Vec<_> = lowered
-                .iter()
-                .filter(|i| i.0 == LD_IMM64 && i.1 >> 4 == PSEUDO_MAP_FD)
-                .map(|i| i.3)
-                .collect();
-            let selects = if groups > 1 { 2 } else { 1 };
-            let want: Vec<_> = [100].into_iter().chain([101].repeat(selects)).collect();
-            assert_eq!(maps, want, "{groups}x{size}");
+    fn the_shipped_bytes_are_pinned() {
+        let golden = [
+            (1, 4, 147, include_str!("../tests/golden/dispatch_1x4.hex")),
+            (1, 8, 178, include_str!("../tests/golden/dispatch_1x8.hex")),
+            (
+                1,
+                64,
+                273,
+                include_str!("../tests/golden/dispatch_1x64.hex"),
+            ),
+            (
+                2,
+                64,
+                297,
+                include_str!("../tests/golden/dispatch_2x64.hex"),
+            ),
+        ];
+        for (groups, size, len, want) in golden {
+            let built = DispatchProgram::build(groups, size);
+            let prog = relocate(&built, [100, 101, 102]).expect("every map index resolves");
+            let want: Vec<&str> = want.lines().collect();
+            assert_eq!((prog.len(), want.len()), (len, len), "{groups}x{size}");
+            for (at, (insn, want)) in prog.iter().zip(want).enumerate() {
+                let got: String = insn.to_bytes().iter().map(|b| format!("{b:02x}")).collect();
+                let text = crate::disasm::disasm_insn(at, insn);
+                assert_eq!(got, want, "{groups}x{size}: `{text}`");
+            }
         }
+    }
+
+    #[test]
+    fn relocation_refuses_a_map_index_it_has_no_fd_for() {
+        let mut a = crate::Assembler::new();
+        a.ld_imm64(1, PSEUDO_MAP_FD, 3).exit();
+        let err = relocate(&a.finish(), [100, 101, 102]).expect_err("map 3 does not exist");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
     }
 
     #[test]

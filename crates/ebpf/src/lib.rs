@@ -1,69 +1,55 @@
 //! # hermes-ebpf
 //!
-//! A from-scratch, minimal eBPF-subset substrate, standing in for the Linux
-//! `SO_ATTACH_REUSEPORT_EBPF` machinery the paper attaches its dispatch
-//! program to (§3, §5.4).
+//! The Algorithm 2 dispatch program in kernel eBPF, the Linux
+//! `SO_ATTACH_REUSEPORT_EBPF` machinery the paper attaches it to (§3,
+//! §5.4), and a checked interpreter that runs the same bytes in userspace.
 //!
-//! Why build this instead of calling the native dispatch code? Because a
-//! central claim of the paper is that the kernel-side stage must live within
-//! eBPF's *limited programmability* — no loops, no complex hash
+//! A central claim of the paper is that the kernel-side stage must live
+//! within eBPF's *limited programmability* — no loops, no complex hash
 //! computations, bounded program size — which forces the bit-twiddling
 //! implementation of `CountNonZeroBits` (SWAR popcount) and
-//! `FindNthNonZeroBit` (branchless rank-select ladder). This crate
-//! reproduces those constraints honestly:
+//! `FindNthNonZeroBit` (branchless rank-select ladder). This crate meets
+//! those constraints where they are enforced, in the kernel's verifier, and
+//! every test runs the program the kernel loads:
 //!
-//! * [`insn`] — a register-machine ISA mirroring eBPF: 11 registers
-//!   (R0–R10, R10 = read-only frame pointer), 64-bit ALU, forward
-//!   conditional jumps, helper calls, a 512-byte stack.
+//! * [`insn`] — `struct bpf_insn` and the opcodes: 11 registers (R0–R10,
+//!   R10 = read-only frame pointer), 64- and 32-bit ALU, jumps, helper
+//!   calls, `ld_imm64` with map pseudo-sources, a 512-byte stack.
 //! * [`asm`] — a label-based assembler for building programs.
-//! * [`vm`] — [`Vm::new`] and the checked interpreter, with the
-//!   per-connection reuseport context (the kernel-precomputed 4-tuple hash)
-//!   in R1 at entry and the program's two maps beside it: the one userspace
-//!   execution, and the reference every differential test compares against
-//!   (the simulator places through core's native oracle, not through here).
-//!   It admits nothing up front and traps at run time instead: a pc that
-//!   leaves the program, a stack access outside the frame, an unknown helper
-//!   and a taken backward jump (**no back-edges**, the classic-verifier loop
-//!   ban the paper works under), so every run ends within the program's
-//!   length.
-//! * [`maps`] — `BPF_MAP_TYPE_ARRAY` (atomic u64 elements, shared with
-//!   userspace — the `M_Sel` map of Algorithm 1/2, one bitmap per group) and
-//!   `BPF_MAP_TYPE_REUSEPORT_SOCKARRAY` (`M_socket`).
-//! * [`helpers`] — the kernel-provided functions the paper names:
-//!   `bpf_map_lookup_elem`, `reciprocal_scale`, `bpf_sk_select_reuseport`.
-//! * [`program`] — the Algorithm 2 connection-dispatch program assembled
-//!   from all of the above, at any group count `G` (§7: level 1 picks the
-//!   group by hash, `G == 1` is the flat program), plus
-//!   [`program::ReuseportGroup`], the program attached with its two maps.
-//! * [`kernel`] — the same program lowered to kernel eBPF, loaded with raw
-//!   `bpf(2)` and attached to real listeners: the kernel's own verifier
-//!   admits, and its JIT runs, everything that ships.
+//! * [`vm`] — [`Vm::new`] and the checked interpreter, with the program's
+//!   two shared maps ([`vm::Maps`]: the `M_Sel` bitmaps, one word per
+//!   group, and the `M_socket` socket array): the one userspace execution,
+//!   and the reference every differential test compares against (the
+//!   simulator places through core's native oracle, not through here). A
+//!   register holds a scalar or a pointer into the context, the stack, a
+//!   bitmap or the program's record; what the kernel's verifier refuses at
+//!   load traps at run time — a pc that leaves the program, a taken
+//!   backward jump (**no back-edges**, the classic-verifier loop ban the
+//!   paper works under), an access out of bounds, misaligned, through a
+//!   lookup result not yet null-checked or into an unreadable context
+//!   field, pointer arithmetic other than ± a scalar, a write to R10, a
+//!   read of anything never written, a helper argument of the wrong type —
+//!   so every run ends within the program's length.
+//! * [`program`] — the Algorithm 2 program at any group count `G` (§7:
+//!   level 1 picks the group by hash, `G == 1` is the flat program), plus
+//!   [`program::ReuseportGroup`], the program attached with its maps.
+//! * [`kernel`] — the same bytes loaded with raw `bpf(2)`, map indices
+//!   relocated to the kernel maps' fds, and attached to real listeners: the
+//!   kernel's own verifier admits, and its JIT runs, everything that ships.
 //!
-//! The bytecode program is property-tested for exact equivalence with the
-//! native oracles `hermes_core::ConnDispatcher` and
+//! The program is property-tested for exact equivalence with the native
+//! oracles `hermes_core::ConnDispatcher` and
 //! `hermes_core::GroupedConnDispatcher` over all bitmaps and hashes.
-//!
-//! ## Documented simplifications ([`kernel`] undoes both when it lowers)
-//!
-//! * `bpf_map_lookup_elem` returns the element *value* in R0 rather than a
-//!   pointer into map memory, so the interpreter has no pointers to check.
-//!   Atomicity of the underlying element is preserved.
-//! * The context (R1) is the 32-bit connection hash itself rather than a
-//!   pointer to `sk_reuseport_md`; the hash is the only context field the
-//!   dispatch program reads.
 
 pub mod asm;
 pub mod disasm;
-pub mod helpers;
 pub mod insn;
 #[cfg(unix)]
 pub mod kernel;
-pub mod maps;
 pub mod program;
 pub mod vm;
 
 pub use asm::Assembler;
-pub use insn::{Insn, Op, Reg};
-pub use maps::{ArrayMap, SockArrayMap};
+pub use insn::Insn;
 pub use program::{DispatchProgram, ReuseportGroup};
-pub use vm::{ExecError, ExecResult, ExecTier, Vm};
+pub use vm::{ExecError, ExecResult, ExecTier, Maps, Trap, Vm};

@@ -1,5 +1,5 @@
-//! The Algorithm 2 connection-dispatch program, in bytecode, at any group
-//! count `G` (§7), plus the reuseport attach point.
+//! The Algorithm 2 connection-dispatch program, in kernel eBPF encoding, at
+//! any group count `G` (§7), plus the reuseport attach point.
 //!
 //! The program mirrors the paper's `conn_dispatch_socket_select`, with §7's
 //! level 1 — "select a worker group using a simple 4-tuple hash" — in
@@ -11,7 +11,7 @@
 //! C   <- bpf_map_lookup_elem(M_Sel, g)       // group g's bitmap
 //! n   <- CountNonZeroBits(C)                 // SWAR popcount, straight-line
 //! if n > 1:
-//!     Nth <- reciprocal_scale(h, n) + 1      // helper
+//!     Nth <- reciprocal_scale(h, n) + 1      // multiply and shift
 //!     ID  <- FindNthNonZeroBit(C, Nth)       // branchless rank-select ladder
 //!     return bpf_sk_select_reuseport(M_socket, g·size + ID)
 //! else if G > 1: bpf_sk_select_reuseport(M_socket, g·size + reciprocal_scale(h, size))
@@ -19,70 +19,145 @@
 //! ```
 //!
 //! At `G == 1`, `g` is 0 and `h` the hash, and the emitter leaves level 1
-//! out: what comes out is the flat program, instruction for instruction. At
+//! out: what comes out is the flat program, byte for byte. At
 //! `G > 1` the program makes the fallback pick itself, inside group `g`,
 //! because the kernel's own would hash over every group's sockets.
 //!
 //! `CountNonZeroBits` and `FindNthNonZeroBit` cannot be helpers — the paper
 //! implements them "based on [Bit Twiddling Hacks / Hamming weight]" because
 //! the verifier forbids loops. Here they are emitted as straight-line SWAR
-//! popcount and a forward-branching rank-select ladder of at most six rungs, and the
-//! kernel's verifier admits the whole program at every shape
-//! (`tests/kernel_verifier.rs`).
+//! popcount and a forward-branching rank-select ladder of at most six rungs,
+//! and the kernel's verifier admits the whole program at every shape
+//! (`tests/kernel_verifier.rs`). The bytes that ship at four shapes are
+//! pinned by `kernel.rs`'s tests.
 
 use crate::asm::Assembler;
-use crate::helpers::{HELPER_MAP_LOOKUP, HELPER_RECIPROCAL_SCALE, HELPER_SK_SELECT_REUSEPORT};
-use crate::insn::{Alu, Cond, Insn, Reg};
-use crate::maps::{ArrayMap, SockArrayMap};
-use crate::vm::{ExecResult, ExecTier, Vm};
+use crate::insn::*;
+use crate::vm::{ExecResult, ExecTier, Maps, Vm};
 use hermes_core::bitmap::{WorkerBitmap, MAX_WORKERS_PER_GROUP};
 use hermes_core::dispatch::DispatchOutcome;
 use hermes_core::group::worker_groups;
 use hermes_core::hash::reciprocal_scale;
 use hermes_core::WorkerId;
 
-/// Fd by which a dispatch program names its bitmap array (`M_Sel`).
-pub const SEL_FD: u32 = 0;
-/// Fd by which it names its socket array (`M_socket`).
-pub const SOCK_FD: u32 = 1;
+/// Map index (the `imm` of an `ld_imm64`, relocated to an fd at load) of
+/// the bitmap array, `M_Sel`: one word per group.
+pub const SEL: i32 = 0;
+/// Map index of the socket array, `M_socket`: `G·size` slots.
+pub const SOCKS: i32 = 1;
+/// Map index of the program's record: a one-element array, the only kind
+/// `BPF_PSEUDO_MAP_VALUE` may point into, off the pages the schedulers
+/// store into. Its value is `RECORD_WORDS` words at the byte offsets below.
+pub const RECORD: i32 = 2;
+/// Words in the record.
+pub const RECORD_WORDS: usize = 3;
+/// Record offset: runs that selected a socket through a bitmap.
+pub const DIRECTED: i16 = 0;
+/// Record offset: runs that fell back.
+pub const FALLBACK: i16 = 8;
+/// Record offset: `ctx->hash` of the latest run.
+pub const HASH: i16 = 16;
+
+/// Stack slots: the spilled context, and a helper's 4-byte key.
+const CTX_SLOT: i16 = -8;
+const KEY_SLOT: i16 = -12;
 
 /// Emit SWAR popcount of `x` into `x` itself, using `scratch` (clobbered).
-fn emit_popcount(a: &mut Assembler, x: Reg, scratch: Reg) {
+fn emit_popcount(a: &mut Assembler, x: u8, scratch: u8) {
     // x -= (x >> 1) & 0x5555...
     a.mov(scratch, x);
-    a.alu_imm(Alu::Rsh, scratch, 1);
-    a.alu_imm(Alu::And, scratch, 0x5555_5555_5555_5555u64 as i64);
-    a.alu(Alu::Sub, x, scratch);
+    a.alu_imm(RSH, scratch, 1);
+    a.alu_imm(AND, scratch, 0x5555_5555_5555_5555);
+    a.alu(SUB, x, scratch);
     // x = (x & 0x3333...) + ((x >> 2) & 0x3333...)
     a.mov(scratch, x);
-    a.alu_imm(Alu::Rsh, scratch, 2);
-    a.alu_imm(Alu::And, scratch, 0x3333_3333_3333_3333u64 as i64);
-    a.alu_imm(Alu::And, x, 0x3333_3333_3333_3333u64 as i64);
-    a.alu(Alu::Add, x, scratch);
+    a.alu_imm(RSH, scratch, 2);
+    a.alu_imm(AND, scratch, 0x3333_3333_3333_3333);
+    a.alu_imm(AND, x, 0x3333_3333_3333_3333);
+    a.alu(ADD, x, scratch);
     // x = (x + (x >> 4)) & 0x0f0f...
     a.mov(scratch, x);
-    a.alu_imm(Alu::Rsh, scratch, 4);
-    a.alu(Alu::Add, x, scratch);
-    a.alu_imm(Alu::And, x, 0x0f0f_0f0f_0f0f_0f0fu64 as i64);
+    a.alu_imm(RSH, scratch, 4);
+    a.alu(ADD, x, scratch);
+    a.alu_imm(AND, x, 0x0f0f_0f0f_0f0f_0f0f);
     // x = (x * 0x0101...) >> 56
-    a.alu_imm(Alu::Mul, x, 0x0101_0101_0101_0101u64 as i64);
-    a.alu_imm(Alu::Rsh, x, 56);
+    a.alu_imm(MUL, x, 0x0101_0101_0101_0101);
+    a.alu_imm(RSH, x, 56);
 }
 
-/// The Algorithm 2 program, as bytecode. The kernel's verifier admits it
-/// where it ships ([`crate::kernel`]); userspace runs it on the checked
-/// interpreter ([`ReuseportGroup`], [`Vm::new`]).
+/// `R0 = reciprocal_scale(R1, R2)`, `((u32)R1 * (u32)R2) >> 32` — not a
+/// kernel helper, so a multiply and a shift; 32-bit moves zero-extend.
+fn emit_reciprocal_scale(a: &mut Assembler) {
+    a.emit(ALU | MOV | X, R0, R1, 0, 0);
+    a.emit(ALU | MOV | X, R2, R2, 0, 0);
+    a.alu(MUL, R0, R2);
+    a.alu_imm(RSH, R0, 32);
+}
+
+/// `R2`'s low word onto the stack as a helper's key, its address in `ptr`.
+fn emit_key_ptr(a: &mut Assembler, ptr: u8) {
+    a.stx(W, R10, R2, KEY_SLOT);
+    a.mov(ptr, R10);
+    a.alu_imm(ADD, ptr, KEY_SLOT as i64);
+}
+
+/// `R0 = M_Sel[R2]`: the lookup returns a pointer to the value, or null
+/// for a key past the array's end, which reads as an empty bitmap.
+fn emit_lookup(a: &mut Assembler) {
+    let null = a.label();
+    emit_key_ptr(a, R2);
+    a.ld_imm64(R1, PSEUDO_MAP_FD, SEL as i64);
+    a.call(FN_MAP_LOOKUP_ELEM);
+    a.jmp_imm(JEQ, R0, 0, null);
+    a.ldx(DW, R0, R0, 0);
+    a.bind(null);
+}
+
+/// `R0 = bpf_sk_select_reuseport(ctx, M_socket, &R2, 0)`: 0, or a negative
+/// errno (`ENOENT`: the slot is empty).
+fn emit_select(a: &mut Assembler) {
+    emit_key_ptr(a, R3);
+    a.ld_imm64(R2, PSEUDO_MAP_FD, SOCKS as i64);
+    a.ldx(DW, R1, R10, CTX_SLOT);
+    a.mov_imm(R4, 0);
+    a.call(FN_SK_SELECT_REUSEPORT);
+}
+
+/// Exit with `SK_PASS`, counting the path R0 names (non-zero: directed) in
+/// the record: the kernel drops the connection on any other return value.
+fn emit_exit(a: &mut Assembler) {
+    let (fell, pass) = (a.label(), a.label());
+    a.ld_imm64(R1, PSEUDO_MAP_VALUE, RECORD as i64);
+    a.mov_imm(R2, 1);
+    a.jmp_imm(JEQ, R0, 0, fell);
+    a.emit(STX | DW | ATOMIC, R1, R2, DIRECTED, ADD as i32);
+    a.ja(pass);
+    a.bind(fell);
+    a.emit(STX | DW | ATOMIC, R1, R2, FALLBACK, ADD as i32);
+    a.bind(pass);
+    a.mov_imm(R0, SK_PASS as i64);
+    a.exit();
+}
+
+/// The Algorithm 2 program, in kernel encoding: the kernel's verifier
+/// admits these bytes where they ship ([`crate::kernel`]), and userspace
+/// runs the same bytes on the checked interpreter ([`ReuseportGroup`],
+/// [`Vm::new`]).
 pub struct DispatchProgram;
 
 impl DispatchProgram {
     /// Assemble Algorithm 2 for `groups` groups of `size` sockets each,
-    /// reading group `g`'s bitmap from key `g` of array [`SEL_FD`] and
-    /// committing socket `g·size + pos` through socket array [`SOCK_FD`].
+    /// reading group `g`'s bitmap from key `g` of map [`SEL`] and
+    /// committing socket `g·size + pos` through map [`SOCKS`].
     ///
-    /// Register plan: R6 = hash·G — its high word is level 1's `g`
+    /// Entry spills the context to the stack and records its hash. Register
+    /// plan: R6 = hash·G — its high word is level 1's `g`
     /// (`reciprocal_scale`), its low word level 2's hash (`level2_hash`, the
-    /// one word the helper reads), the hash itself at `G == 1` — R7 = bitmap
-    /// C, R8 = n then pos, R9 = remaining rank r, R2/R3 = scratch. No stack.
+    /// one word the scale reads), the hash itself at `G == 1` — R7 = bitmap
+    /// C, R8 = n then pos, R9 = remaining rank r, R2/R3 = scratch, R5 the
+    /// assembler's wide immediates. R1 is set before each helper call to
+    /// the map index the call's `ld_imm64` then names: dead, but part of
+    /// the bytes the kernel's verifier has walked since they shipped.
     ///
     /// For single-socket groups the `n > 1` guard can never pass (the masked
     /// bitmap has at most one set bit), so only the fallback is emitted —
@@ -94,99 +169,103 @@ impl DispatchProgram {
         let grouped = groups > 1;
         // R2 <- g, the high word of hash·G.
         let group = |a: &mut Assembler| {
-            a.mov(Reg::R2, Reg::R6);
-            a.alu_imm(Alu::Rsh, Reg::R2, 32);
+            a.mov(R2, R6);
+            a.alu_imm(RSH, R2, 32);
         };
         // R2 <- the socket-array key of slot `pos` of group g.
-        let key = |a: &mut Assembler, pos: Reg| {
+        let key = |a: &mut Assembler, pos: u8| {
             if grouped {
                 group(a);
-                a.alu_imm(Alu::Mul, Reg::R2, size as i64);
-                a.alu(Alu::Add, Reg::R2, pos);
+                a.alu_imm(MUL, R2, size as i64);
+                a.alu(ADD, R2, pos);
             } else {
-                a.mov(Reg::R2, pos);
+                a.mov(R2, pos);
             }
         };
         let mut a = Assembler::new();
         let fallback = a.label();
+        a.stx(DW, R10, R1, CTX_SLOT);
+        a.ldx(W, R1, R1, MD_HASH);
+        a.ld_imm64(R2, PSEUDO_MAP_VALUE, RECORD as i64);
+        a.stx(DW, R2, R1, HASH);
         if grouped || size > 1 {
-            a.mov(Reg::R6, Reg::R1);
+            a.mov(R6, R1);
         }
         if grouped {
             // Levels 1 and 2 at once: g in the high word, h in the low.
-            a.alu_imm(Alu::Mul, Reg::R6, groups as i64);
+            a.alu_imm(MUL, R6, groups as i64);
         }
         if size > 1 {
             // C = M_Sel[g].
-            a.mov_imm(Reg::R1, SEL_FD as i64);
+            a.mov_imm(R1, SEL as i64);
             if grouped {
                 group(&mut a);
             } else {
-                a.mov_imm(Reg::R2, 0);
+                a.mov_imm(R2, 0);
             }
-            a.call(HELPER_MAP_LOOKUP);
-            a.mov(Reg::R7, Reg::R0);
+            emit_lookup(&mut a);
+            a.mov(R7, R0);
             // Defensive mask: never select past the group.
-            a.alu_imm(Alu::And, Reg::R7, WorkerBitmap::all(size).0 as i64);
+            a.alu_imm(AND, R7, WorkerBitmap::all(size).0 as i64);
 
             // n = popcount(C) in R8.
-            a.mov(Reg::R8, Reg::R7);
-            emit_popcount(&mut a, Reg::R8, Reg::R3);
+            a.mov(R8, R7);
+            emit_popcount(&mut a, R8, R3);
 
             // Guard: if n <= 1 fall back (two-stage filtering, §5.3.2).
-            a.jmp_imm(Cond::Le, Reg::R8, 1, fallback);
+            a.jmp_imm(JLE, R8, 1, fallback);
 
             // Nth = reciprocal_scale(h, n) + 1, in R9.
-            a.mov(Reg::R1, Reg::R6);
-            a.mov(Reg::R2, Reg::R8);
-            a.call(HELPER_RECIPROCAL_SCALE);
-            a.mov(Reg::R9, Reg::R0);
-            a.alu_imm(Alu::Add, Reg::R9, 1);
+            a.mov(R1, R6);
+            a.mov(R2, R8);
+            emit_reciprocal_scale(&mut a);
+            a.mov(R9, R0);
+            a.alu_imm(ADD, R9, 1);
 
             // FindNthNonZeroBit(C, Nth): pos = 0 in R8 (n no longer needed);
             // rungs of widths 32..1, each counting the set bits of the low half
             // of the remaining window and branching forward — only those
             // narrower than the group: C is masked to `size` bits, so a
             // wider rung always finds all n bits in its low half and keeps pos.
-            a.mov_imm(Reg::R8, 0);
+            a.mov_imm(R8, 0);
             let reach = size.next_power_of_two() as i64;
             for width in [32i64, 16, 8, 4, 2, 1].into_iter().filter(|&w| w < reach) {
                 let skip = a.label();
                 // low = popcount((C >> pos) & ((1 << width) - 1))
-                a.mov(Reg::R2, Reg::R7);
-                a.alu(Alu::Rsh, Reg::R2, Reg::R8);
-                a.alu_imm(Alu::And, Reg::R2, ((1u64 << width) - 1) as i64);
-                emit_popcount(&mut a, Reg::R2, Reg::R3);
+                a.mov(R2, R7);
+                a.alu(RSH, R2, R8);
+                a.alu_imm(AND, R2, (1i64 << width) - 1);
+                emit_popcount(&mut a, R2, R3);
                 // if low >= r: answer is in the low half, keep pos.
-                a.jmp(Cond::Ge, Reg::R2, Reg::R9, skip);
+                a.jmp(JGE, R2, R9, skip);
                 // else r -= low; pos += width.
-                a.alu(Alu::Sub, Reg::R9, Reg::R2);
-                a.alu_imm(Alu::Add, Reg::R8, width);
+                a.alu(SUB, R9, R2);
+                a.alu_imm(ADD, R8, width);
                 a.bind(skip);
             }
 
             // Commit: bpf_sk_select_reuseport(M_socket, g·size + pos).
-            a.mov_imm(Reg::R1, SOCK_FD as i64);
-            key(&mut a, Reg::R8);
-            a.call(HELPER_SK_SELECT_REUSEPORT);
+            a.mov_imm(R1, SOCKS as i64);
+            key(&mut a, R8);
+            emit_select(&mut a);
             // Non-zero return (ENOENT: socket slot empty) ⇒ fall back.
-            a.jmp_imm(Cond::Ne, Reg::R0, 0, fallback);
-            a.mov_imm(Reg::R0, 1);
-            a.exit();
+            a.jmp_imm(JNE, R0, 0, fallback);
+            a.mov_imm(R0, 1);
+            emit_exit(&mut a);
         }
         a.bind(fallback);
         if grouped {
             // The kernel's fallback would hash over all G·size sockets:
             // commit group g's reuseport pick, reciprocal_scale(h, size).
-            a.mov(Reg::R1, Reg::R6);
-            a.mov_imm(Reg::R2, size as i64);
-            a.call(HELPER_RECIPROCAL_SCALE);
-            key(&mut a, Reg::R0);
-            a.mov_imm(Reg::R1, SOCK_FD as i64);
-            a.call(HELPER_SK_SELECT_REUSEPORT);
+            a.mov(R1, R6);
+            a.mov_imm(R2, size as i64);
+            emit_reciprocal_scale(&mut a);
+            key(&mut a, R0);
+            a.mov_imm(R1, SOCKS as i64);
+            emit_select(&mut a);
         }
-        a.mov_imm(Reg::R0, 0);
-        a.exit();
+        a.mov_imm(R0, 0);
+        emit_exit(&mut a);
         a.finish()
     }
 }
@@ -211,8 +290,7 @@ impl DispatchProgram {
 #[derive(Debug)]
 pub struct ReuseportGroup {
     vm: Vm,
-    sel: ArrayMap,
-    socks: SockArrayMap,
+    maps: Maps,
 }
 
 impl ReuseportGroup {
@@ -228,41 +306,38 @@ impl ReuseportGroup {
 
     /// The same, at any shape the emitter takes: `groups` groups of `size`.
     pub fn with_groups(groups: usize, size: usize) -> Self {
-        let socks = SockArrayMap::new(groups * size);
-        for w in 0..socks.len() {
-            socks.register(w, w);
-        }
+        let maps = Maps::new(groups, groups * size);
+        (0..maps.slots()).for_each(|w| maps.register(w, w));
         Self {
             vm: Vm::new(DispatchProgram::build(groups, size)),
-            sel: ArrayMap::new(groups),
-            socks,
+            maps,
         }
     }
 
     /// Userspace sync: store group `group`'s scheduling bitmap (Algorithm 1
     /// line 8).
     pub fn publish(&self, group: usize, bitmap: WorkerBitmap) {
-        self.sel.update(group, bitmap.0);
+        self.maps.publish(group, bitmap.0);
     }
 
     /// [`publish`](Self::publish) `bitmap` as every group's: the one
     /// group's at `G == 1`.
     pub fn sync_bitmap(&self, bitmap: WorkerBitmap) {
-        (0..self.sel.len()).for_each(|g| self.publish(g, bitmap));
+        (0..self.maps.groups()).for_each(|g| self.publish(g, bitmap));
     }
 
     /// Remove a worker's socket (crash/drain): the program will fall back
     /// if it selects this slot, and default hashing skips it too.
     pub fn unregister_socket(&self, worker: WorkerId) {
-        self.socks.unregister(worker);
+        self.maps.unregister(worker);
     }
 
     /// Re-register a worker's socket (restart).
     pub fn register_socket(&self, worker: WorkerId) {
-        self.socks.register(worker, worker);
+        self.maps.register(worker, worker);
     }
 
-    /// The attached bytecode.
+    /// The attached program.
     pub fn program(&self) -> &[Insn] {
         self.vm.program()
     }
@@ -276,14 +351,15 @@ impl ReuseportGroup {
     /// One program execution for a connection with 4-tuple hash `hash`.
     fn run(&self, hash: u32) -> ExecResult {
         self.vm
-            .run(hash, &self.sel, &self.socks)
+            .run(hash, &self.maps)
             .expect("the dispatch program never traps")
     }
 
     /// Kernel-side dispatch of one new connection with 4-tuple hash `hash`.
     ///
-    /// Runs the attached bytecode. A socket the program committed is the
-    /// placement, directed or — at `G > 1` — its own in-group fallback;
+    /// Runs the attached program. A socket it committed is the placement,
+    /// directed (the run counted itself in the record's [`DIRECTED`] word)
+    /// or — at `G > 1` — its own in-group fallback;
     /// with none, the kernel's default reuseport selection applies (the
     /// hash scaled over every socket). So the outcome equals
     /// `ConnDispatcher::dispatch` on the same bitmap at `G == 1`, and
@@ -291,17 +367,17 @@ impl ReuseportGroup {
     pub fn dispatch(&self, hash: u32) -> DispatchOutcome {
         let ran = self.run(hash);
         match ran.selected_sock {
-            Some(sock) if ran.return_value != 0 => DispatchOutcome::Directed(sock),
+            Some(sock) if ran.record[DIRECTED as usize / 8] != 0 => DispatchOutcome::Directed(sock),
             Some(sock) => DispatchOutcome::Fallback(sock),
             None => DispatchOutcome::Fallback(
-                reciprocal_scale(hash, self.socks.len() as u32) as WorkerId
+                reciprocal_scale(hash, self.maps.slots() as u32) as WorkerId
             ),
         }
     }
 
     /// The end-to-end benchmark's shim (`benchmark/src/layers.rs` times it
     /// as `ebpf.dispatch_batch_ns`): [`dispatch`](Self::dispatch) per hash,
-    /// appended to `out`. Goes with ROADMAP 3(d), when the benchmark stops
+    /// appended to `out`. Goes with ROADMAP 1(c), when the benchmark stops
     /// naming it.
     pub fn dispatch_batch(&self, hashes: &[u32], out: &mut Vec<DispatchOutcome>) {
         out.extend(hashes.iter().map(|&h| self.dispatch(h)));

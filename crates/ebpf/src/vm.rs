@@ -1,35 +1,46 @@
-//! The bytecode interpreter: the one userspace execution of a dispatch
-//! program, and the reference the kernel's is compared against.
+//! The interpreter: the one userspace execution of kernel-encoded programs,
+//! and the reference the kernel's is compared against.
+//!
+//! It runs the bytes [`crate::kernel`] loads, concretely: a register holds
+//! nothing yet, a scalar, a map (a helper's argument), or a pointer — a
+//! region and a byte offset into it. There are four regions: the context
+//! (`sk_reuseport_md`, of which only the 4-byte `hash` at offset 32 is
+//! readable), the 512-byte stack below R10, the bitmap array's values (map
+//! [`SEL`], 8 bytes each) and the program's record (map [`RECORD`]'s one
+//! value, zeroed at each run). A lookup's result is a pointer that may be
+//! null until a `jeq`/`jne` against 0 tells which it is. This is the
+//! execution model of a verifier's abstract interpreter with a value in
+//! place of each value set.
 //!
 //! [`Vm::new`] admits nothing: what ships is admitted by the kernel's
-//! verifier ([`crate::kernel`]), and this interpreter is the safety net
-//! for everything else. Every pc move, stack access and helper argument is
-//! checked as it happens, and what the kernel's verifier would refuse up
-//! front traps here instead, as an [`ExecError`] naming the faulting
-//! instruction: a pc that leaves the program, a stack access outside the
-//! frame, an unknown helper, and a taken jump whose target is not after it.
-//! What the kernel defines at run time is defined the same way here: shifts
-//! mask their amount, division by zero yields 0, modulo zero keeps the
-//! dividend, and a map key out of range reads as a missing element. With
-//! backward jumps trapped the pc only moves forward, so every run ends
-//! within `prog.len()` steps.
+//! verifier, and what that verifier would refuse at load traps here when a
+//! run reaches it, as an [`ExecError`] naming the faulting slot ([`Trap`]
+//! lists them). What the kernel defines at run time is defined the same way
+//! here: shifts mask their amount, division by zero yields 0, modulo zero
+//! keeps the dividend, a lookup past the array's end returns null and a
+//! select of an empty slot `-ENOENT`. With backward jumps trapped the pc
+//! only moves forward, so every run ends within `prog.len()` steps.
 //!
-//! Nothing faster sits above it. What ships runs the same program in the
-//! kernel (its verifier, its JIT); this interpreter is what the
-//! differential tests and `kernel_dispatch.rs`'s oracle execute.
+//! The model is stricter than the kernel's verifier where that costs the
+//! dispatch program nothing: an opcode it never uses (`neg`, byte swaps,
+//! signed and 32-bit jumps, atomics other than `add`) is [`Trap::BadInsn`];
+//! context fields other than `hash` are refused; every access is aligned to
+//! its size; a null check refines only the register it tests; and a pointer
+//! takes part in no comparison but a null check and in no store but an
+//! 8-byte spill to the stack.
 
 use crate::disasm::disasm_insn;
-use crate::helpers::{call_helper, HelperCtx};
-use crate::insn::{Insn, Op, Reg, Src, NUM_REGS, STACK_SIZE};
-use crate::maps::{ArrayMap, SockArrayMap};
+use crate::insn::*;
+use crate::program::{RECORD, RECORD_WORDS, SEL, SOCKS};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// How a loaded program executes: on the checked interpreter. (An enum of
 /// one: the end-to-end benchmark reads `tier().trace_code()`, and traces
 /// carry the code in `EventKind::VmLoad`.)
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecTier {
-    /// Checked reference interpreter: every pc move, stack access, and
-    /// helper argument validated at run time.
+    /// Checked reference interpreter: every pc move, register, memory
+    /// access and helper argument validated at run time.
     Checked,
 }
 
@@ -44,80 +55,126 @@ impl ExecTier {
 /// Result of one program execution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExecResult {
-    /// R0 at `exit` — for reuseport programs, nonzero means "selection
-    /// committed" and zero means "fall back to default hashing".
+    /// R0 at `exit`.
     pub return_value: u64,
     /// Socket committed via `bpf_sk_select_reuseport`, if any.
     pub selected_sock: Option<usize>,
+    /// The program's record after the run, one `u64` per 8 bytes.
+    pub record: [u64; RECORD_WORDS],
     /// Instructions retired (bounded by program length: no loops).
     pub insns_executed: usize,
 }
 
-/// Runtime trap: the interpreter's verdict on what the kernel's verifier
-/// would have refused to load (the shipped programs never hit one). Each
-/// variant pins the faulting instruction so the `Display` rendering names
-/// the exact site — index plus disassembled mnemonic — instead of a bare
-/// offset.
+/// What stopped a run: each is a rule the kernel's verifier enforces at
+/// load, met here when a run breaks it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExecError {
-    /// Program counter left the program without `exit`.
-    PcOutOfBounds {
-        /// The out-of-range program counter.
-        pc: i64,
-        /// Program length the pc escaped.
-        len: usize,
-    },
-    /// A helper id unknown at run time.
-    UnknownHelper {
-        /// The unknown helper id.
-        helper: u32,
-        /// Index of the faulting `call` instruction.
-        at: usize,
-        /// The faulting instruction, for disassembly.
-        insn: Insn,
-    },
-    /// Stack access outside the frame.
-    StackOutOfBounds {
-        /// The offending frame-pointer-relative byte offset.
-        off: i32,
-        /// Index of the faulting load/store.
-        at: usize,
-        /// The faulting instruction, for disassembly.
-        insn: Insn,
-    },
+pub enum Trap {
+    /// A jump or a fall-through left the program.
+    PcOutOfBounds,
+    /// An opcode, register, map or `ld_imm64` pair the model does not know.
+    BadInsn,
+    /// A helper id the program type may not call.
+    UnknownHelper,
     /// A taken jump whose target is not after it: a loop.
-    BackEdge {
-        /// Index of the faulting jump.
-        at: usize,
-        /// The faulting instruction, for disassembly.
-        insn: Insn,
-    },
+    BackEdge,
+    /// A read of a register nothing wrote (or a call clobbered).
+    UninitReg,
+    /// A read of stack bytes nothing wrote.
+    UninitStack,
+    /// An access outside its region.
+    OutOfBounds,
+    /// An access not aligned to its size.
+    Misaligned,
+    /// A context access other than the 4-byte read of `hash`.
+    Context,
+    /// A use of a lookup's result before its null check.
+    NullDeref,
+    /// Pointer arithmetic other than ± a scalar, or another use of a
+    /// pointer the model does not follow.
+    PointerOp,
+    /// A memory access through a scalar or a map.
+    NotAPointer,
+    /// A write to the frame pointer.
+    FrameWrite,
+    /// A helper argument of the wrong type.
+    HelperArg,
+}
+
+/// A trap at slot `at`, which holds `insn`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ExecError {
+    /// What the run broke.
+    pub trap: Trap,
+    /// The faulting slot.
+    pub at: usize,
+    /// The faulting instruction, for disassembly.
+    pub insn: Insn,
 }
 
 impl std::fmt::Display for ExecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExecError::PcOutOfBounds { pc, len } => {
-                write!(f, "pc {pc} out of bounds (program length {len})")
-            }
-            ExecError::UnknownHelper { helper, at, insn } => {
-                write!(f, "unknown helper {helper} at `{}`", disasm_insn(*at, insn))
-            }
-            ExecError::StackOutOfBounds { off, at, insn } => {
-                write!(
-                    f,
-                    "stack offset {off} out of bounds at `{}`",
-                    disasm_insn(*at, insn)
-                )
-            }
-            ExecError::BackEdge { at, insn } => {
-                write!(f, "backward jump taken at `{}`", disasm_insn(*at, insn))
-            }
-        }
+        write!(
+            f,
+            "{:?} at `{}`",
+            self.trap,
+            disasm_insn(self.at, &self.insn)
+        )
     }
 }
 
 impl std::error::Error for ExecError {}
+
+/// An empty socket-array slot.
+const NO_SOCK: usize = usize::MAX;
+/// `-ENOENT`, `bpf_sk_select_reuseport` on an empty slot.
+const ENOENT: u64 = (-2i64) as u64;
+
+/// The two maps a dispatch program shares with userspace: map [`SEL`], one
+/// bitmap word per group (`BPF_MAP_TYPE_ARRAY`, Algorithm 1's `M_Sel`),
+/// and map [`SOCKS`], the socket array (`BPF_MAP_TYPE_REUSEPORT_SOCKARRAY`,
+/// `M_socket`). Userspace stores into both while programs run.
+#[derive(Debug)]
+pub struct Maps {
+    bitmaps: Box<[AtomicU64]>,
+    socks: Box<[AtomicUsize]>,
+}
+
+impl Maps {
+    /// `groups` zeroed bitmap words and `slots` empty socket slots.
+    pub fn new(groups: usize, slots: usize) -> Maps {
+        assert!(groups > 0 && slots > 0, "each map needs an element");
+        Maps {
+            bitmaps: (0..groups).map(|_| AtomicU64::new(0)).collect(),
+            socks: (0..slots).map(|_| AtomicUsize::new(NO_SOCK)).collect(),
+        }
+    }
+
+    /// Number of bitmap words.
+    pub fn groups(&self) -> usize {
+        self.bitmaps.len()
+    }
+
+    /// Number of socket slots.
+    pub fn slots(&self) -> usize {
+        self.socks.len()
+    }
+
+    /// `bpf_map_update_elem` on the bitmap array: store group `group`'s word.
+    pub fn publish(&self, group: usize, bitmap: u64) {
+        self.bitmaps[group].store(bitmap, Ordering::Release);
+    }
+
+    /// Put socket handle `sock` in slot `slot` (program init, restart).
+    pub fn register(&self, slot: usize, sock: usize) {
+        assert_ne!(sock, NO_SOCK, "socket handle collides with the empty slot");
+        self.socks[slot].store(sock, Ordering::Release);
+    }
+
+    /// Empty slot `slot` (crash, drain).
+    pub fn unregister(&self, slot: usize) {
+        self.socks[slot].store(NO_SOCK, Ordering::Release);
+    }
+}
 
 /// A loaded program and the interpreter that runs it.
 #[derive(Clone, Debug)]
@@ -140,7 +197,7 @@ impl Vm {
         vm
     }
 
-    /// The loaded bytecode.
+    /// The loaded instructions.
     pub fn program(&self) -> &[Insn] {
         &self.prog
     }
@@ -150,130 +207,409 @@ impl Vm {
         ExecTier::Checked
     }
 
-    /// Run the program with `ctx_hash` in R1 (the kernel-precomputed
-    /// 4-tuple hash — our simplified `sk_reuseport_md`) against its two
-    /// maps, the bitmap array `sel` and the socket array `socks`: every pc
-    /// move, stack access, and helper argument is validated at run time.
-    pub fn run(
-        &self,
-        ctx_hash: u32,
-        sel: &ArrayMap,
-        socks: &SockArrayMap,
-    ) -> Result<ExecResult, ExecError> {
-        let mut regs = [0u64; NUM_REGS];
-        let mut stack = [0u8; STACK_SIZE];
-        regs[Reg::R1.idx()] = ctx_hash as u64;
-        // R10 points one past the top of the stack; slots are addressed by
-        // negative offsets.
-        regs[Reg::R10.idx()] = STACK_SIZE as u64;
-        let mut helper_ctx = HelperCtx::default();
-        let mut pc: i64 = 0;
-        let mut executed = 0usize;
-
+    /// Run the program for a connection whose `sk_reuseport_md.hash` is
+    /// `hash`, against `maps` and a zeroed record.
+    pub fn run(&self, hash: u32, maps: &Maps) -> Result<ExecResult, ExecError> {
+        let mut m = Machine::new(maps, hash);
+        let (mut pc, mut executed) = (0, 0);
         loop {
-            if pc < 0 || pc as usize >= self.prog.len() {
-                return Err(ExecError::PcOutOfBounds {
-                    pc,
-                    len: self.prog.len(),
-                });
-            }
             executed += 1;
-            let at = pc as usize;
-            let insn = self.prog[at];
-            pc += 1;
-            match insn.0 {
-                Op::Alu { op, dst, src } => {
-                    let s = match src {
-                        Src::Reg(r) => regs[r.idx()],
-                        Src::Imm(i) => i as u64,
-                    };
-                    regs[dst.idx()] = op.eval(regs[dst.idx()], s);
-                }
-                Op::Ja { off } => {
-                    pc = Self::forward(pc, off, at, insn)?;
-                }
-                Op::Jmp {
-                    cond,
-                    dst,
-                    src,
-                    off,
-                } => {
-                    let s = match src {
-                        Src::Reg(r) => regs[r.idx()],
-                        Src::Imm(i) => i as u64,
-                    };
-                    if cond.eval(regs[dst.idx()], s) {
-                        pc = Self::forward(pc, off, at, insn)?;
+            let trap = |trap| ExecError {
+                trap,
+                at: pc,
+                insn: self.prog[pc],
+            };
+            match m.step(&self.prog, pc).map_err(trap)? {
+                Flow::Next(to) if to < self.prog.len() => pc = to,
+                Flow::Next(_) => return Err(trap(Trap::PcOutOfBounds)),
+                Flow::Exit(return_value) => {
+                    let mut record = [0; RECORD_WORDS];
+                    for (word, bytes) in record.iter_mut().zip(m.record.chunks(8)) {
+                        *word = le(bytes);
                     }
-                }
-                Op::StxStack { off, src } => {
-                    let base = Self::stack_base(off).ok_or(ExecError::StackOutOfBounds {
-                        off,
-                        at,
-                        insn,
-                    })?;
-                    stack[base..base + 8].copy_from_slice(&regs[src.idx()].to_le_bytes());
-                }
-                Op::LdxStack { dst, off } => {
-                    let base = Self::stack_base(off).ok_or(ExecError::StackOutOfBounds {
-                        off,
-                        at,
-                        insn,
-                    })?;
-                    let mut buf = [0u8; 8];
-                    buf.copy_from_slice(&stack[base..base + 8]);
-                    regs[dst.idx()] = u64::from_le_bytes(buf);
-                }
-                Op::Call { helper } => {
-                    let args = [
-                        regs[Reg::R1.idx()],
-                        regs[Reg::R2.idx()],
-                        regs[Reg::R3.idx()],
-                        regs[Reg::R4.idx()],
-                        regs[Reg::R5.idx()],
-                    ];
-                    let ret =
-                        call_helper(helper, args, sel, socks, &mut helper_ctx).map_err(|e| {
-                            ExecError::UnknownHelper {
-                                helper: e.0,
-                                at,
-                                insn,
-                            }
-                        })?;
-                    regs[Reg::R0.idx()] = ret;
-                    // Clobber caller-saved registers as the ABI declares, so
-                    // no program can rely on stale argument values.
-                    regs[1..=5].fill(0);
-                }
-                Op::Exit => {
                     return Ok(ExecResult {
-                        return_value: regs[Reg::R0.idx()],
-                        selected_sock: helper_ctx.selected_sock,
+                        return_value,
+                        selected_sock: m.selected,
+                        record,
                         insns_executed: executed,
                     });
                 }
             }
         }
     }
+}
 
-    /// Translate a frame-pointer-relative byte offset into a stack index;
-    /// `off` must be negative and the 8-byte access must stay in frame.
-    /// `None` means out of frame — the caller attaches the faulting site.
-    fn stack_base(off: i32) -> Option<usize> {
-        let addr = STACK_SIZE as i64 + off as i64;
-        if off >= 0 || addr < 0 || (addr as usize) + 8 > STACK_SIZE {
-            return None;
+/// Memory a pointer points into.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Region {
+    Ctx,
+    Stack,
+    Bitmap(usize),
+    Record,
+}
+
+/// What a register (or a spilled stack slot) holds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Val {
+    Uninit,
+    Scalar(u64),
+    Ptr(Region, i64),
+    /// A lookup's result before its null check: a value, or null.
+    OrNull(Option<Region>),
+    /// A map, by index: a helper's argument only.
+    Map(i32),
+}
+
+enum Flow {
+    Next(usize),
+    Exit(u64),
+}
+
+/// One run's state.
+struct Machine<'a> {
+    maps: &'a Maps,
+    hash: u32,
+    regs: [Val; 11],
+    stack: [u8; STACK_SIZE],
+    written: [bool; STACK_SIZE],
+    /// Pointers spilled to the stack, per 8-byte slot.
+    spilled: [Option<Val>; STACK_SIZE / 8],
+    record: [u8; RECORD_WORDS * 8],
+    selected: Option<usize>,
+}
+
+/// A little-endian value of up to 8 bytes.
+fn le(bytes: &[u8]) -> u64 {
+    bytes.iter().rev().fold(0, |v, &b| v << 8 | b as u64)
+}
+
+/// A scalar ALU operation, 64 bits wide or 32 (operands truncated, result
+/// zero-extended); `None` for an operation the model does not know.
+fn scalar_op(op: u8, wide: bool, a: u64, b: u64) -> Option<u64> {
+    let (a, b, shift) = match wide {
+        true => (a, b, b & 63),
+        false => (a as u32 as u64, b as u32 as u64, b & 31),
+    };
+    let r = match op {
+        ADD => a.wrapping_add(b),
+        SUB => a.wrapping_sub(b),
+        MUL => a.wrapping_mul(b),
+        DIV => a.checked_div(b).unwrap_or(0),
+        MOD => a.checked_rem(b).unwrap_or(a),
+        OR => a | b,
+        AND => a & b,
+        XOR => a ^ b,
+        LSH => a << shift,
+        RSH => a >> shift,
+        ARSH if wide => ((a as i64) >> shift) as u64,
+        ARSH => ((a as u32 as i32 as i64) >> shift) as u64,
+        _ => return None,
+    };
+    Some(if wide { r } else { r as u32 as u64 })
+}
+
+impl<'a> Machine<'a> {
+    fn new(maps: &'a Maps, hash: u32) -> Self {
+        let mut regs = [Val::Uninit; 11];
+        regs[R1 as usize] = Val::Ptr(Region::Ctx, 0);
+        regs[R10 as usize] = Val::Ptr(Region::Stack, STACK_SIZE as i64);
+        Machine {
+            maps,
+            hash,
+            regs,
+            stack: [0; STACK_SIZE],
+            written: [false; STACK_SIZE],
+            spilled: [None; STACK_SIZE / 8],
+            record: [0; RECORD_WORDS * 8],
+            selected: None,
         }
-        Some(addr as usize)
     }
 
-    /// The pc after jump `insn` at `at` is taken by `off`, from `pc` (the
-    /// instruction after it). A target not after the jump is a loop: trap.
-    fn forward(pc: i64, off: i32, at: usize, insn: Insn) -> Result<i64, ExecError> {
-        if off < 0 {
-            return Err(ExecError::BackEdge { at, insn });
+    fn read(&self, r: usize) -> Result<Val, Trap> {
+        match self.regs[r] {
+            Val::Uninit => Err(Trap::UninitReg),
+            v => Ok(v),
         }
-        Ok(pc + off as i64)
+    }
+
+    fn write(&mut self, r: usize, v: Val) -> Result<(), Trap> {
+        if r == R10 as usize {
+            return Err(Trap::FrameWrite);
+        }
+        self.regs[r] = v;
+        Ok(())
+    }
+
+    /// Execute the instruction at `pc`.
+    fn step(&mut self, prog: &[Insn], pc: usize) -> Result<Flow, Trap> {
+        let insn = prog[pc];
+        let (code, off, imm) = (insn.code, insn.off, insn.imm);
+        let (dst, src) = (insn.dst() as usize, insn.src() as usize);
+        if dst > 10 || src > 10 {
+            return Err(Trap::BadInsn);
+        }
+        let size = [4, 2, 1, 8][(code >> 3 & 3) as usize];
+        let operand = || match code & X {
+            0 => Ok(Val::Scalar(imm as i64 as u64)),
+            _ => self.read(src),
+        };
+        match code & 7 {
+            ALU | ALU64 if off == 0 => {
+                let value = self.alu(code, dst, operand()?)?;
+                self.write(dst, value)?;
+            }
+            JMP if code == JMP | CALL && insn.regs == 0 => {
+                let ret = self.call(imm)?;
+                self.regs[0] = ret;
+                self.regs[1..=5].fill(Val::Uninit);
+            }
+            JMP if code == JMP | EXIT && insn.regs == 0 => {
+                return match self.read(0)? {
+                    Val::Scalar(v) => Ok(Flow::Exit(v)),
+                    _ => Err(Trap::PointerOp),
+                };
+            }
+            JMP => {
+                let taken = match code & 0xf0 {
+                    JA if code & X == 0 => true,
+                    op => self.compare(op, dst, operand()?, code & X == 0)?,
+                };
+                if taken && off < 0 {
+                    return Err(Trap::BackEdge);
+                }
+                return Ok(Flow::Next(pc + 1 + if taken { off as usize } else { 0 }));
+            }
+            LDX if code & 0xe0 == MEM => {
+                let (region, at) = self.pointee(src, off)?;
+                let value = self.load(region, at, size)?;
+                self.write(dst, value)?;
+            }
+            STX if code & 0xe0 == MEM => {
+                let (region, at) = self.pointee(dst, off)?;
+                self.store(region, at, size, self.read(src)?)?;
+            }
+            // `lock *(size *)(dst + off) += src`, 4 or 8 bytes.
+            STX if code & 0xe0 == ATOMIC && imm == ADD as i32 && size >= 4 => {
+                let (region, at) = self.pointee(dst, off)?;
+                let (Val::Scalar(old), Val::Scalar(add)) =
+                    (self.load(region, at, size)?, self.read(src)?)
+                else {
+                    return Err(Trap::PointerOp);
+                };
+                self.store(region, at, size, Val::Scalar(old.wrapping_add(add)))?;
+            }
+            LD if code == LD_IMM64 => {
+                let value = match prog.get(pc + 1) {
+                    Some(hi) if hi.code == 0 && hi.regs == 0 && hi.off == 0 && off == 0 => {
+                        self.wide(src as u8, imm, hi.imm)?
+                    }
+                    _ => return Err(Trap::BadInsn),
+                };
+                self.write(dst, value)?;
+                return Ok(Flow::Next(pc + 2));
+            }
+            _ => return Err(Trap::BadInsn),
+        }
+        Ok(Flow::Next(pc + 1))
+    }
+
+    /// `dst op operand`, with pointer arithmetic limited to ± a scalar.
+    fn alu(&self, code: u8, dst: usize, operand: Val) -> Result<Val, Trap> {
+        let (op, wide) = (code & 0xf0, code & 7 == ALU64);
+        if op == MOV {
+            return match operand {
+                Val::Scalar(v) if !wide => Ok(Val::Scalar(v as u32 as u64)),
+                v if wide => Ok(v),
+                _ => Err(Trap::PointerOp),
+            };
+        }
+        match (self.read(dst)?, operand) {
+            (Val::Scalar(a), Val::Scalar(b)) => scalar_op(op, wide, a, b)
+                .map(Val::Scalar)
+                .ok_or(Trap::BadInsn),
+            (Val::Ptr(r, o), Val::Scalar(b)) if wide && op == ADD => {
+                Ok(Val::Ptr(r, o.wrapping_add(b as i64)))
+            }
+            (Val::Ptr(r, o), Val::Scalar(b)) if wide && op == SUB => {
+                Ok(Val::Ptr(r, o.wrapping_sub(b as i64)))
+            }
+            (Val::Scalar(a), Val::Ptr(r, o)) if wide && op == ADD => {
+                Ok(Val::Ptr(r, o.wrapping_add(a as i64)))
+            }
+            _ => Err(Trap::PointerOp),
+        }
+    }
+
+    /// Whether jump `op` is taken. A pointer may only be tested against an
+    /// immediate 0, which settles a lookup's result either way.
+    fn compare(&mut self, op: u8, dst: usize, operand: Val, imm: bool) -> Result<bool, Trap> {
+        match (self.read(dst)?, operand) {
+            (Val::Scalar(a), Val::Scalar(b)) => match op {
+                JEQ => Ok(a == b),
+                JGT => Ok(a > b),
+                JGE => Ok(a >= b),
+                JNE => Ok(a != b),
+                JLT => Ok(a < b),
+                JLE => Ok(a <= b),
+                _ => Err(Trap::BadInsn),
+            },
+            (v @ (Val::Ptr(..) | Val::OrNull(_)), Val::Scalar(0))
+                if imm && (op == JEQ || op == JNE) =>
+            {
+                let null = v == Val::OrNull(None);
+                self.regs[dst] = match v {
+                    Val::OrNull(None) => Val::Scalar(0),
+                    Val::OrNull(Some(r)) => Val::Ptr(r, 0),
+                    v => v,
+                };
+                Ok(null == (op == JEQ))
+            }
+            _ => Err(Trap::PointerOp),
+        }
+    }
+
+    /// The value `ld_imm64` loads: a constant, a map or a pointer into an
+    /// array map's first value.
+    fn wide(&self, pseudo: u8, lo: i32, hi: i32) -> Result<Val, Trap> {
+        match (pseudo, lo) {
+            (0, _) => Ok(Val::Scalar((hi as u64) << 32 | lo as u32 as u64)),
+            (PSEUDO_MAP_FD, SEL | SOCKS | RECORD) => Ok(Val::Map(lo)),
+            (PSEUDO_MAP_VALUE, SEL) => Ok(Val::Ptr(Region::Bitmap(0), hi as i64)),
+            (PSEUDO_MAP_VALUE, RECORD) => Ok(Val::Ptr(Region::Record, hi as i64)),
+            _ => Err(Trap::BadInsn),
+        }
+    }
+
+    /// Helper `id` on R1–R5.
+    fn call(&mut self, id: i32) -> Result<Val, Trap> {
+        match id {
+            FN_MAP_LOOKUP_ELEM => {
+                let map = self.read(1)?;
+                let key = self.key(2)?;
+                let value = match map {
+                    Val::Map(SEL) => (key < self.maps.groups()).then_some(Region::Bitmap(key)),
+                    Val::Map(RECORD) => (key == 0).then_some(Region::Record),
+                    _ => return Err(Trap::HelperArg),
+                };
+                Ok(Val::OrNull(value))
+            }
+            FN_SK_SELECT_REUSEPORT => {
+                let (ctx, map) = (self.read(1)?, self.read(2)?);
+                let key = self.key(3)?;
+                let flags = self.read(4)?;
+                if ctx != Val::Ptr(Region::Ctx, 0) || map != Val::Map(SOCKS) {
+                    return Err(Trap::HelperArg);
+                }
+                let Val::Scalar(_) = flags else {
+                    return Err(Trap::HelperArg);
+                };
+                let slot = self.maps.socks.get(key);
+                match slot.map(|s| s.load(Ordering::Acquire)) {
+                    Some(sock) if sock != NO_SOCK => {
+                        self.selected = Some(sock);
+                        Ok(Val::Scalar(0))
+                    }
+                    _ => Ok(Val::Scalar(ENOENT)),
+                }
+            }
+            _ => Err(Trap::UnknownHelper),
+        }
+    }
+
+    /// The 4-byte map key register `r` points at, on the stack or in a map
+    /// value.
+    fn key(&self, r: usize) -> Result<usize, Trap> {
+        match self.read(r)? {
+            Val::Ptr(region, at) if region != Region::Ctx => match self.load(region, at, 4)? {
+                Val::Scalar(key) => Ok(key as usize),
+                _ => Err(Trap::HelperArg),
+            },
+            _ => Err(Trap::HelperArg),
+        }
+    }
+
+    /// The region and offset `base + off` points at; what register `base`
+    /// holds must be a pointer.
+    fn pointee(&self, base: usize, off: i16) -> Result<(Region, i64), Trap> {
+        match self.read(base)? {
+            Val::Ptr(region, at) => Ok((region, at.wrapping_add(off as i64))),
+            Val::OrNull(_) => Err(Trap::NullDeref),
+            _ => Err(Trap::NotAPointer),
+        }
+    }
+
+    /// Whether `size` bytes at `at` are in bounds and aligned.
+    fn check(&self, region: Region, at: i64, size: usize) -> Result<(), Trap> {
+        let len = match region {
+            Region::Ctx if at == MD_HASH as i64 && size == 4 => return Ok(()),
+            Region::Ctx => return Err(Trap::Context),
+            Region::Stack => STACK_SIZE,
+            Region::Bitmap(_) => 8,
+            Region::Record => RECORD_WORDS * 8,
+        };
+        if at < 0 || at as usize + size > len {
+            return Err(Trap::OutOfBounds);
+        }
+        if !(at as usize).is_multiple_of(size) {
+            return Err(Trap::Misaligned);
+        }
+        Ok(())
+    }
+
+    fn load(&self, region: Region, at: i64, size: usize) -> Result<Val, Trap> {
+        self.check(region, at, size)?;
+        let a = at as usize;
+        let bytes = |b: &[u8]| Val::Scalar(le(&b[a..a + size]));
+        Ok(match region {
+            Region::Ctx => Val::Scalar(self.hash as u64),
+            // A spilled pointer fills back whole, or not at all.
+            Region::Stack => match self.spilled[a / 8] {
+                Some(v) if size == 8 => v,
+                Some(_) => return Err(Trap::PointerOp),
+                None if self.written[a..a + size].contains(&false) => {
+                    return Err(Trap::UninitStack)
+                }
+                None => bytes(&self.stack),
+            },
+            Region::Bitmap(k) => bytes(&self.maps.bitmaps[k].load(Ordering::Acquire).to_le_bytes()),
+            Region::Record => bytes(&self.record),
+        })
+    }
+
+    fn store(&mut self, region: Region, at: i64, size: usize, value: Val) -> Result<(), Trap> {
+        self.check(region, at, size)?;
+        let a = at as usize;
+        let v = match (region, value) {
+            (Region::Ctx, _) => return Err(Trap::Context),
+            (Region::Stack, Val::Scalar(v)) => {
+                // Overwriting part of a spilled pointer leaves the rest unwritten.
+                if self.spilled[a / 8].take().is_some() {
+                    self.written[a / 8 * 8..a / 8 * 8 + 8].fill(false);
+                }
+                v
+            }
+            (Region::Stack, v) if size == 8 => {
+                self.spilled[a / 8] = Some(v);
+                return Ok(());
+            }
+            (_, Val::Scalar(v)) => v,
+            _ => return Err(Trap::PointerOp),
+        };
+        let new = &v.to_le_bytes()[..size];
+        match region {
+            Region::Bitmap(k) => {
+                let word = &self.maps.bitmaps[k];
+                let mut bytes = word.load(Ordering::Acquire).to_le_bytes();
+                bytes[a..a + size].copy_from_slice(new);
+                word.store(u64::from_le_bytes(bytes), Ordering::Release);
+            }
+            Region::Record => self.record[a..a + size].copy_from_slice(new),
+            _ => {
+                self.stack[a..a + size].copy_from_slice(new);
+                self.written[a..a + size].fill(true);
+            }
+        }
+        Ok(())
     }
 }
 
@@ -281,31 +617,39 @@ impl Vm {
 mod tests {
     use super::*;
     use crate::asm::Assembler;
-    use crate::helpers::HELPER_RECIPROCAL_SCALE;
-    use crate::insn::{Alu, Cond};
 
-    /// What the checked interpreter makes of `prog`.
     fn run(prog: Vec<Insn>, hash: u32) -> ExecResult {
         try_run(prog, hash).expect("executes")
     }
 
     fn try_run(prog: Vec<Insn>, hash: u32) -> Result<ExecResult, ExecError> {
-        Vm::new(prog).run(hash, &ArrayMap::new(1), &SockArrayMap::new(1))
+        Vm::new(prog).run(hash, &Maps::new(1, 1))
+    }
+
+    /// The trap a program ends in, on hash 0.
+    fn trap(build: impl FnOnce(&mut Assembler)) -> Trap {
+        let mut a = Assembler::new();
+        build(&mut a);
+        try_run(a.finish(), 0).expect_err("traps").trap
+    }
+
+    /// `R2 = &key` on the stack, for a helper.
+    fn key_on_stack(a: &mut Assembler, key: i64) {
+        a.mov_imm(R2, key).stx(W, R10, R2, -4);
+        a.mov(R2, R10).alu_imm(ADD, R2, -4);
     }
 
     #[test]
     fn returns_r0() {
         let mut a = Assembler::new();
-        a.mov_imm(Reg::R0, 42);
-        a.exit();
+        a.mov_imm(R0, 42).exit();
         assert_eq!(run(a.finish(), 0).return_value, 42);
     }
 
     #[test]
-    fn context_hash_arrives_in_r1() {
+    fn the_hash_is_read_through_the_context() {
         let mut a = Assembler::new();
-        a.mov(Reg::R0, Reg::R1);
-        a.exit();
+        a.ldx(W, R0, R1, MD_HASH).exit();
         assert_eq!(run(a.finish(), 0xdead_beef).return_value, 0xdead_beef);
     }
 
@@ -313,13 +657,13 @@ mod tests {
     fn arithmetic_and_branches() {
         // R0 = (hash > 100) ? 1 : 2
         let mut a = Assembler::new();
-        let big = a.label();
-        let done = a.label();
-        a.jmp_imm(Cond::Gt, Reg::R1, 100, big);
-        a.mov_imm(Reg::R0, 2);
+        let (big, done) = (a.label(), a.label());
+        a.ldx(W, R1, R1, MD_HASH);
+        a.jmp_imm(JGT, R1, 100, big);
+        a.mov_imm(R0, 2);
         a.ja(done);
         a.bind(big);
-        a.mov_imm(Reg::R0, 1);
+        a.mov_imm(R0, 1);
         a.bind(done);
         a.exit();
         let prog = a.finish();
@@ -328,78 +672,90 @@ mod tests {
     }
 
     #[test]
-    fn stack_round_trip() {
+    fn the_stack_round_trips_scalars_and_spilled_pointers() {
         let mut a = Assembler::new();
-        a.mov_imm(Reg::R6, 0x1234_5678_9abc_def0u64 as i64);
-        a.stx_stack(-16, Reg::R6);
-        a.ldx_stack(Reg::R0, -16);
-        a.exit();
-        assert_eq!(run(a.finish(), 0).return_value, 0x1234_5678_9abc_def0);
+        a.ld_imm64(R6, 0, 0x1234_5678_9abc_def0);
+        a.stx(DW, R10, R6, -16).ldx(DW, R0, R10, -16);
+        a.stx(DW, R10, R1, -8).ldx(DW, R1, R10, -8);
+        a.ldx(W, R1, R1, MD_HASH).alu(ADD, R0, R1).exit();
+        assert_eq!(run(a.finish(), 1).return_value, 0x1234_5678_9abc_def1);
     }
 
     #[test]
-    fn helper_call_and_clobber() {
-        // reciprocal_scale(hash, 8) via helper; R1/R2 die after the call.
+    fn thirty_two_bit_alu_zero_extends() {
+        // reciprocal_scale(hash, range) as the dispatch program inlines it:
+        // 32-bit moves zero-extend both operands before a 64-bit multiply.
         let mut a = Assembler::new();
-        a.mov_imm(Reg::R2, 8);
-        a.call(HELPER_RECIPROCAL_SCALE);
-        a.exit();
-        let r = run(a.finish(), u32::MAX);
-        assert_eq!(r.return_value, 7);
-    }
-
-    #[test]
-    fn swar_popcount_in_bytecode() {
-        // The CountNonZeroBits kernel of Algorithm 2, straight-line SWAR:
-        // x -= (x >> 1) & 0x5555...; x = (x & 0x3333) + ((x>>2) & 0x3333);
-        // x = (x + (x >> 4)) & 0x0f0f...; x = (x * 0x0101...) >> 56.
-        let mut a = Assembler::new();
-        a.mov(Reg::R6, Reg::R1); // x
-        a.mov(Reg::R7, Reg::R6);
-        a.alu_imm(Alu::Rsh, Reg::R7, 1);
-        a.alu_imm(Alu::And, Reg::R7, 0x5555_5555_5555_5555u64 as i64);
-        a.alu(Alu::Sub, Reg::R6, Reg::R7);
-        a.mov(Reg::R7, Reg::R6);
-        a.alu_imm(Alu::Rsh, Reg::R7, 2);
-        a.alu_imm(Alu::And, Reg::R7, 0x3333_3333_3333_3333u64 as i64);
-        a.alu_imm(Alu::And, Reg::R6, 0x3333_3333_3333_3333u64 as i64);
-        a.alu(Alu::Add, Reg::R6, Reg::R7);
-        a.mov(Reg::R7, Reg::R6);
-        a.alu_imm(Alu::Rsh, Reg::R7, 4);
-        a.alu(Alu::Add, Reg::R6, Reg::R7);
-        a.alu_imm(Alu::And, Reg::R6, 0x0f0f_0f0f_0f0f_0f0fu64 as i64);
-        a.alu_imm(Alu::Mul, Reg::R6, 0x0101_0101_0101_0101u64 as i64);
-        a.alu_imm(Alu::Rsh, Reg::R6, 56);
-        a.mov(Reg::R0, Reg::R6);
-        a.exit();
-        let prog = a.finish();
-        for x in [0u32, 1, 0b1011, u32::MAX, 0x8000_0001] {
+        a.ldx(W, R1, R1, MD_HASH).mov_imm(R2, -8);
+        a.emit(ALU | MOV | X, R0, R1, 0, 0);
+        a.emit(ALU | MOV | X, R2, R2, 0, 0);
+        a.alu(MUL, R0, R2).alu_imm(RSH, R0, 32).exit();
+        let vm = Vm::new(a.finish());
+        for hash in [0, 1, 0x8000_0000, u32::MAX] {
+            let want = hermes_core::hash::reciprocal_scale(hash, -8i32 as u32);
             assert_eq!(
-                run(prog.clone(), x).return_value,
-                x.count_ones() as u64,
-                "popcount({x:#x})"
+                vm.run(hash, &Maps::new(1, 1)).unwrap().return_value,
+                want as u64
             );
         }
+        assert_eq!(scalar_op(ARSH, false, 0x8000_0000, 4), Some(0xf800_0000));
+        assert_eq!(scalar_op(LSH, false, 1, 33), Some(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "each map needs an element")]
+    fn a_map_without_elements_is_refused() {
+        Maps::new(0, 1);
+    }
+
+    #[test]
+    fn a_lookup_never_reads_a_torn_bitmap() {
+        // The M_Sel pattern: userspace publishers, one program reading.
+        let maps = std::sync::Arc::new(Maps::new(1, 1));
+        let mut a = Assembler::new();
+        key_on_stack(&mut a, 0);
+        a.ld_imm64(R1, PSEUDO_MAP_FD, SEL as i64)
+            .call(FN_MAP_LOOKUP_ELEM);
+        let null = a.label();
+        a.jmp_imm(JEQ, R0, 0, null).ldx(DW, R0, R0, 0);
+        a.bind(null);
+        a.exit();
+        let vm = Vm::new(a.finish());
+        let writers: Vec<_> = (1..=3u64)
+            .map(|v| {
+                let maps = std::sync::Arc::clone(&maps);
+                std::thread::spawn(move || {
+                    (0..10_000).for_each(|_| maps.publish(0, v * 0x1111_1111_1111_1111))
+                })
+            })
+            .collect();
+        for _ in 0..10_000 {
+            let v = vm.run(0, &maps).unwrap().return_value;
+            assert!(v.is_multiple_of(0x1111_1111_1111_1111), "torn read {v:#x}");
+        }
+        writers.into_iter().for_each(|w| w.join().unwrap());
+    }
+
+    #[test]
+    fn an_oversized_shift_is_masked_and_division_by_zero_is_defined() {
+        assert_eq!(scalar_op(LSH, true, 1, 65), Some(2));
+        assert_eq!(scalar_op(ARSH, true, u64::MAX, 63), Some(u64::MAX));
+        assert_eq!(scalar_op(DIV, true, 10, 0), Some(0));
+        assert_eq!(scalar_op(MOD, true, 10, 0), Some(10));
+        assert_eq!(
+            scalar_op(MOD, false, 10, 1 << 32),
+            Some(10),
+            "the divisor truncates to 0"
+        );
+        assert_eq!(scalar_op(0x80, true, 1, 1), None, "neg is not modelled");
     }
 
     #[test]
     fn insn_count_is_bounded_by_program_length() {
         let mut a = Assembler::new();
-        a.mov_imm(Reg::R0, 1);
-        a.mov_imm(Reg::R0, 2);
-        a.exit();
-        let r = run(a.finish(), 0);
-        assert_eq!(r.insns_executed, 3);
-    }
-
-    #[test]
-    fn a_backward_jump_traps() {
-        // `ja -1` jumps to itself: without the trap, `run` never returns.
-        let ja = Insn(Op::Ja { off: -1 });
-        assert_eq!(
-            try_run(vec![ja, Insn(Op::Exit)], 0),
-            Err(ExecError::BackEdge { at: 0, insn: ja })
-        );
+        a.ld_imm64(R0, 0, 1).mov_imm(R0, 2).exit();
+        let prog = a.finish();
+        assert_eq!((prog.len(), run(prog, 0).insns_executed), (4, 3));
     }
 
     #[test]
@@ -407,155 +763,141 @@ mod tests {
         // A backward branch not taken is harmless; taken, it traps.
         let mut a = Assembler::new();
         let top = a.label();
+        a.ldx(W, R1, R1, MD_HASH);
         a.bind(top);
-        a.mov_imm(Reg::R0, 7);
-        a.jmp_imm(Cond::Eq, Reg::R1, 0, top);
+        a.mov_imm(R0, 7);
+        a.jmp_imm(JEQ, R1, 0, top);
         a.exit();
         let prog = a.finish();
         assert_eq!(run(prog.clone(), 1).return_value, 7);
         let err = try_run(prog, 0).expect_err("the taken back-edge traps");
-        assert!(matches!(err, ExecError::BackEdge { at: 1, .. }), "{err}");
+        assert_eq!((err.trap, err.at), (Trap::BackEdge, 2));
     }
 
     #[test]
-    fn a_map_key_reads_its_element_and_out_of_range_reads_zero() {
-        use crate::helpers::HELPER_MAP_LOOKUP;
-        use crate::program::SEL_FD;
-
+    fn a_lookup_returns_a_value_pointer_or_null() {
         // The low 4 bits of the hash index an 8-element array: keys 8..=15
-        // are out of range and read as a missing element, 0.
-        let array = ArrayMap::new(8);
-        for k in 0..8 {
-            array.update(k, (k as u64 + 1) * 100);
-        }
+        // are past its end, and the lookup returns null.
+        let maps = Maps::new(8, 1);
+        (0..8).for_each(|k| maps.publish(k, (k as u64 + 1) * 100));
         let mut a = Assembler::new();
-        a.mov(Reg::R2, Reg::R1);
-        a.alu_imm(Alu::And, Reg::R2, 15);
-        a.mov_imm(Reg::R1, SEL_FD as i64);
-        a.call(HELPER_MAP_LOOKUP);
-        a.stx_stack(-8, Reg::R0);
-        a.ldx_stack(Reg::R0, -8);
+        let null = a.label();
+        a.ldx(W, R2, R1, MD_HASH)
+            .alu_imm(AND, R2, 15)
+            .stx(W, R10, R2, -4);
+        a.mov(R2, R10).alu_imm(ADD, R2, -4);
+        a.ld_imm64(R1, PSEUDO_MAP_FD, SEL as i64);
+        a.call(FN_MAP_LOOKUP_ELEM);
+        a.jmp_imm(JEQ, R0, 0, null);
+        a.ldx(DW, R0, R0, 0);
+        a.bind(null);
         a.exit();
         let vm = Vm::new(a.finish());
-        assert_eq!(vm.tier().trace_code(), 0);
         for hash in [0u32, 1, 7, 8, 15, 0xdead_beef, u32::MAX] {
             let key = hash as u64 & 15;
             let want = if key < 8 { (key + 1) * 100 } else { 0 };
-            let ran = vm.run(hash, &array, &SockArrayMap::new(1)).unwrap();
-            assert_eq!(ran.return_value, want);
+            assert_eq!(vm.run(hash, &maps).unwrap().return_value, want);
         }
     }
 
     #[test]
-    fn an_oversized_shift_is_masked() {
-        // Shift by the raw hash: 65 shifts by 65 & 63 = 1.
+    fn sk_select_commits_a_populated_slot_and_reports_an_empty_one() {
+        let maps = Maps::new(1, 4);
+        maps.register(2, 77);
+        // Select slot = hash & 3.
         let mut a = Assembler::new();
-        a.mov_imm(Reg::R0, 1);
-        a.mov(Reg::R2, Reg::R1);
-        a.alu(Alu::Lsh, Reg::R0, Reg::R2);
-        a.exit();
-        assert_eq!(run(a.finish(), 65).return_value, 2);
+        a.ldx(W, R3, R1, MD_HASH)
+            .alu_imm(AND, R3, 3)
+            .stx(W, R10, R3, -4);
+        a.mov(R3, R10).alu_imm(ADD, R3, -4);
+        a.ld_imm64(R2, PSEUDO_MAP_FD, SOCKS as i64).mov_imm(R4, 0);
+        a.call(FN_SK_SELECT_REUSEPORT).exit();
+        let vm = Vm::new(a.finish());
+        let hit = vm.run(2, &maps).unwrap();
+        assert_eq!((hit.return_value, hit.selected_sock), (0, Some(77)));
+        let miss = vm.run(1, &maps).unwrap();
+        assert_eq!((miss.return_value, miss.selected_sock), (ENOENT, None));
     }
 
     #[test]
-    fn division_by_a_zero_register_yields_zero_and_modulo_keeps_the_dividend() {
-        for (op, at_zero, at_three) in [(Alu::Div, 0, 3), (Alu::Mod, 10, 1)] {
-            let mut a = Assembler::new();
-            a.mov_imm(Reg::R0, 10);
-            a.mov(Reg::R2, Reg::R1);
-            a.alu(op, Reg::R0, Reg::R2);
-            a.exit();
-            let prog = a.finish();
-            assert_eq!(run(prog.clone(), 0).return_value, at_zero, "{op:?} by 0");
-            assert_eq!(run(prog, 3).return_value, at_three, "{op:?} by 3");
+    fn the_record_is_written_through_a_map_value_pointer() {
+        let mut a = Assembler::new();
+        a.ld_imm64(R2, PSEUDO_MAP_VALUE, RECORD as i64 | 8 << 32)
+            .mov_imm(R3, 5);
+        a.emit(STX | DW | ATOMIC, R2, R3, 8, ADD as i32);
+        a.emit(STX | DW | ATOMIC, R2, R3, 8, ADD as i32);
+        a.mov_imm(R0, 0).exit();
+        assert_eq!(run(a.finish(), 0).record, [0, 0, 10]);
+    }
+
+    /// Each rule the kernel's verifier checks at load, broken once.
+    #[test]
+    fn each_verifier_rule_traps() {
+        type Build = fn(&mut Assembler);
+        let cases: [(Trap, Build); 14] = [
+            (Trap::PcOutOfBounds, |a| {
+                a.mov_imm(R0, 0);
+            }),
+            (Trap::BadInsn, |a| {
+                a.emit(0x06, 0, 0, 0, 0); // a 32-bit jump
+            }),
+            (Trap::UnknownHelper, |a| {
+                a.call(2);
+            }),
+            (Trap::BackEdge, |a| {
+                a.emit(JMP | JA, 0, 0, -1, 0);
+            }),
+            (Trap::UninitReg, |a| {
+                // A call leaves R1–R5 unwritten.
+                key_on_stack(a, 0);
+                a.ld_imm64(R1, PSEUDO_MAP_FD, SEL as i64)
+                    .call(FN_MAP_LOOKUP_ELEM);
+                a.mov(R0, R2);
+            }),
+            (Trap::UninitStack, |a| {
+                a.mov_imm(R0, 0).stx(W, R10, R0, -8).ldx(DW, R0, R10, -8);
+            }),
+            (Trap::OutOfBounds, |a| {
+                a.mov_imm(R0, 0).stx(DW, R10, R0, -520);
+            }),
+            (Trap::Misaligned, |a| {
+                a.mov_imm(R0, 0).stx(DW, R10, R0, -12);
+            }),
+            (Trap::Context, |a| {
+                a.ldx(DW, R0, R1, MD_HASH);
+            }),
+            (Trap::NullDeref, |a| {
+                key_on_stack(a, 0);
+                a.ld_imm64(R1, PSEUDO_MAP_FD, SEL as i64)
+                    .call(FN_MAP_LOOKUP_ELEM);
+                a.ldx(DW, R0, R0, 0);
+            }),
+            (Trap::PointerOp, |a| {
+                a.alu_imm(MUL, R1, 2);
+            }),
+            (Trap::NotAPointer, |a| {
+                a.mov_imm(R2, 64).ldx(DW, R0, R2, 0);
+            }),
+            (Trap::FrameWrite, |a| {
+                a.alu_imm(ADD, R10, -8);
+            }),
+            (Trap::HelperArg, |a| {
+                key_on_stack(a, 0);
+                a.ld_imm64(R1, PSEUDO_MAP_FD, SOCKS as i64)
+                    .call(FN_MAP_LOOKUP_ELEM);
+            }),
+        ];
+        for (want, build) in cases {
+            assert_eq!(trap(build), want);
         }
     }
 
     #[test]
     fn exec_error_display_names_the_faulting_insn() {
-        // Construct error values directly, so each rendering is checked
-        // without a program that reaches it.
-        let stx = Insn(Op::StxStack {
-            off: -1024,
-            src: Reg::R6,
-        });
-        let e = ExecError::StackOutOfBounds {
-            off: -1024,
-            at: 3,
-            insn: stx,
-        };
-        let msg = e.to_string();
-        assert!(msg.contains("-1024"), "offset in {msg:?}");
-        assert!(msg.contains("3: stx"), "index + mnemonic in {msg:?}");
-
-        let call = Insn(Op::Call { helper: 42 });
-        let e = ExecError::UnknownHelper {
-            helper: 42,
-            at: 7,
-            insn: call,
-        };
-        let msg = e.to_string();
-        assert!(msg.contains("helper 42"), "helper id in {msg:?}");
-        assert!(msg.contains("7: call #42"), "index + mnemonic in {msg:?}");
-
-        let e = ExecError::PcOutOfBounds { pc: 12, len: 5 };
-        let msg = e.to_string();
-        assert!(msg.contains("12") && msg.contains("5"), "{msg:?}");
-
-        let e = ExecError::BackEdge {
-            at: 4,
-            insn: Insn(Op::Ja { off: -3 }),
-        };
-        let msg = e.to_string();
-        assert!(msg.contains("4: ja -> 2"), "index + mnemonic in {msg:?}");
-    }
-
-    #[test]
-    fn checked_interpreter_reports_faulting_site() {
-        // The checked interpreter pins the faulting instruction index.
-        let prog = vec![
-            Insn(Op::Alu {
-                op: Alu::Mov,
-                dst: Reg::R6,
-                src: Src::Imm(1),
-            }),
-            Insn(Op::Call { helper: 999 }),
-            Insn(Op::Exit),
-        ];
-        let err = try_run(prog, 0).expect_err("unknown helper must fault");
-        assert_eq!(
-            err,
-            ExecError::UnknownHelper {
-                helper: 999,
-                at: 1,
-                insn: Insn(Op::Call { helper: 999 }),
-            }
-        );
-        assert!(err.to_string().contains("1: call #999"), "{err}");
-    }
-
-    #[test]
-    fn sk_select_commits_a_populated_slot_and_reports_an_empty_one() {
-        use crate::helpers::{ENOENT_RET, HELPER_SK_SELECT_REUSEPORT};
-        use crate::program::SOCK_FD;
-
-        let (sel, socks) = (ArrayMap::new(1), SockArrayMap::new(4));
-        socks.register(2, 77);
-        // Select slot = hash & 3.
         let mut a = Assembler::new();
-        a.mov(Reg::R2, Reg::R1);
-        a.alu_imm(Alu::And, Reg::R2, 3);
-        a.mov_imm(Reg::R1, SOCK_FD as i64);
-        a.call(HELPER_SK_SELECT_REUSEPORT);
-        a.exit();
-        let vm = Vm::new(a.finish());
-        // Slot 2 is populated: success, socket committed.
-        let hit = vm.run(2, &sel, &socks).unwrap();
-        assert_eq!(hit.return_value, 0);
-        assert_eq!(hit.selected_sock, Some(77));
-        // Slot 1 is empty: an in-range index still meets the ENOENT check.
-        let miss = vm.run(1, &sel, &socks).unwrap();
-        assert_eq!(miss.return_value, ENOENT_RET);
-        assert_eq!(miss.selected_sock, None);
+        a.mov_imm(R6, 1).call(999).exit();
+        let err = try_run(a.finish(), 0).expect_err("unknown helper must fault");
+        assert_eq!((err.trap, err.at), (Trap::UnknownHelper, 1));
+        assert_eq!(err.to_string(), "UnknownHelper at `1: call 999`");
     }
 }

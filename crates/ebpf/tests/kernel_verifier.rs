@@ -1,7 +1,7 @@
-//! The one admission: the kernel's own verifier, on programs lowered by
+//! The one admission: the kernel's own verifier, on programs loaded by
 //! `hermes_ebpf::kernel`. It admits the shipped program at every group
 //! size, at one group and at several, and refuses malformed ones with its
-//! own verdict.
+//! own verdict — each of which the interpreter traps too.
 //!
 //! Every test here needs `bpf(2)`. Where the kernel refuses it (`EPERM`
 //! without `CAP_BPF` + `CAP_NET_ADMIN`, `ENOSYS`) a test prints
@@ -9,9 +9,9 @@
 //! line into a SKIP row, it is not a pass.
 #![cfg(target_os = "linux")]
 
-use hermes_ebpf::insn::{Cond, Reg};
+use hermes_ebpf::insn::{JEQ, MD_HASH, R0, R1, R7, W};
 use hermes_ebpf::kernel::{refused, LoadedProgram};
-use hermes_ebpf::{Assembler, Insn};
+use hermes_ebpf::{Assembler, Insn, Maps, Trap, Vm};
 
 /// `false` (after printing the SKIP line) when this host refuses `bpf(2)`.
 /// Any other failure of the one-worker program fails the test.
@@ -54,38 +54,11 @@ fn the_kernel_refuses_malformed_programs_with_its_own_verdict() {
     if !bpf_allowed() {
         return;
     }
-    // None calls a helper; each lowers and reaches the verifier, which
-    // answers with its log (`InvalidData`), not with a refused `bpf(2)`.
-    // (A loop *with* a bound the kernel has admitted since 5.3; the
-    // interpreter traps every taken back-edge, the classic verifier's ban
-    // the paper worked under.)
-    let rejected: [(&str, Vec<Insn>); 3] = [
-        ("reads a register nothing wrote", {
-            let mut a = Assembler::new();
-            a.mov(Reg::R0, Reg::R7);
-            a.exit();
-            a.finish()
-        }),
-        ("loops forever", {
-            let mut a = Assembler::new();
-            let top = a.label();
-            a.mov_imm(Reg::R0, 0);
-            a.bind(top);
-            a.jmp_imm(Cond::Eq, Reg::R0, 0, top);
-            a.exit();
-            a.finish()
-        }),
-        ("returns a value written on one path only", {
-            let mut a = Assembler::new();
-            let join = a.label();
-            a.jmp_imm(Cond::Eq, Reg::R1, 0, join);
-            a.mov_imm(Reg::R0, 1);
-            a.bind(join);
-            a.exit();
-            a.finish()
-        }),
-    ];
-    for (what, prog) in rejected {
+    // None calls a helper; each reaches the verifier, which answers with
+    // its log (`InvalidData`), not with a refused `bpf(2)`. (A loop *with* a
+    // bound the kernel has admitted since 5.3; the interpreter traps every
+    // taken back-edge, the classic verifier's ban the paper worked under.)
+    for (what, prog, _) in rejected() {
         let verdict = LoadedProgram::new(&prog, 1, 1)
             .expect_err(&format!("the kernel admitted a program that {what}"));
         assert!(
@@ -94,5 +67,56 @@ fn the_kernel_refuses_malformed_programs_with_its_own_verdict() {
         );
         assert_eq!(verdict.kind(), std::io::ErrorKind::InvalidData, "{verdict}");
         println!("{what}: {verdict}");
+    }
+}
+
+/// Programs the kernel's verifier refuses, with the trap the interpreter
+/// meets each at on hash 0.
+fn rejected() -> [(&'static str, Vec<Insn>, Trap); 3] {
+    [
+        (
+            "reads a register nothing wrote",
+            {
+                let mut a = Assembler::new();
+                a.mov(R0, R7).exit();
+                a.finish()
+            },
+            Trap::UninitReg,
+        ),
+        (
+            "loops forever",
+            {
+                let mut a = Assembler::new();
+                let top = a.label();
+                a.mov_imm(R0, 0);
+                a.bind(top);
+                a.jmp_imm(JEQ, R0, 0, top);
+                a.exit();
+                a.finish()
+            },
+            Trap::BackEdge,
+        ),
+        (
+            "returns a value written on one path only",
+            {
+                let mut a = Assembler::new();
+                let join = a.label();
+                a.ldx(W, R1, R1, MD_HASH);
+                a.jmp_imm(JEQ, R1, 0, join);
+                a.mov_imm(R0, 1);
+                a.bind(join);
+                a.exit();
+                a.finish()
+            },
+            Trap::UninitReg,
+        ),
+    ]
+}
+
+#[test]
+fn the_interpreter_traps_what_the_kernel_refuses() {
+    for (what, prog, trap) in rejected() {
+        let err = Vm::new(prog).run(0, &Maps::new(1, 1)).expect_err(what);
+        assert_eq!(err.trap, trap, "a program that {what}: {err}");
     }
 }

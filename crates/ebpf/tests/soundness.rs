@@ -1,183 +1,232 @@
-//! The checked interpreter is total, and the shipped programs decide as
+//! The checked interpreter is total, and the shipped program decides as
 //! core's native oracles do.
 //!
-//! Totality: every generated program — loops, out-of-frame stack accesses,
-//! unknown helpers, jumps past the end, zero divisors and oversized keys
-//! included — run on random hashes, map contents and socket registrations,
-//! returns `Ok` or a named [`ExecError`] and never panics, and an `Ok` run
-//! retires at most `prog.len()` instructions. No admission stands in front
-//! of [`Vm::new`]; this is what makes that safe. The differential half holds
-//! the one dispatch program, run by that interpreter, against
+//! Totality: every generated program, run on random hashes, map contents
+//! and socket registrations, returns `Ok` or a named `Trap` and never
+//! panics, and an `Ok` run retires at most `prog.len()` instructions. The
+//! programs are kernel encoding, plausible and not: loops, jumps past the
+//! end or into an `ld_imm64`, unknown opcodes, stack accesses out of frame,
+//! misaligned or of bytes never written, context fields other than `hash`,
+//! lookup results used before their null check, pointer arithmetic, writes
+//! to R10, unknown helpers and helper arguments of the wrong type, beside
+//! what the kernel defines at run time: zero divisors, any shift amount and
+//! keys past a map's end. No admission stands in front of [`Vm::new`]; this
+//! is what makes that safe. The differential half holds the one dispatch
+//! program — the bytes the kernel loads — run by that interpreter, against
 //! `ConnDispatcher` at one group and `GroupedConnDispatcher` at any number.
 //!
 //! The generator and the oracles are plain functions, driven by seeded cases
 //! from the workspace generator and by an LCG sweep that also holds a floor
 //! asserting the property is not vacuous.
 
-use hermes_ebpf::helpers::{
-    HELPER_MAP_LOOKUP, HELPER_RECIPROCAL_SCALE, HELPER_SK_SELECT_REUSEPORT,
-};
-use hermes_ebpf::insn::{Alu, Cond, Insn, Op, Reg, Src};
-use hermes_ebpf::maps::{ArrayMap, SockArrayMap};
-use hermes_ebpf::{ExecError, Vm};
+use hermes_ebpf::insn::*;
+use hermes_ebpf::program::{RECORD, SEL, SOCKS};
+use hermes_ebpf::{ExecError, Insn, Maps, Vm};
 use hermes_metrics::rng::for_each_case;
 use std::sync::Arc;
 
-const ARRAY_SIZE: usize = 4;
-const SOCKS: usize = 8;
+const GROUPS: usize = 4;
+const SLOTS: usize = 8;
 
-/// A program's two maps: array contents from `vals`, sockarray slots
-/// registered per the low bits of `registered`.
-fn test_maps(vals: &[u64; ARRAY_SIZE], registered: u8) -> (ArrayMap, SockArrayMap) {
-    let arr = ArrayMap::new(ARRAY_SIZE);
-    for (i, &v) in vals.iter().enumerate() {
-        arr.update(i, v);
+/// A program's two maps: bitmap words from `vals`, socket slots registered
+/// per the bits of `registered`.
+fn test_maps(vals: &[u64; GROUPS], registered: u8) -> Maps {
+    let maps = Maps::new(GROUPS, SLOTS);
+    for (g, &v) in vals.iter().enumerate() {
+        maps.publish(g, v);
     }
-    let socks = SockArrayMap::new(SOCKS);
-    for w in 0..SOCKS {
-        if (registered >> w) & 1 == 1 {
-            socks.register(w, w);
-        }
+    for w in (0..SLOTS).filter(|w| (registered >> w) & 1 == 1) {
+        maps.register(w, w);
     }
-    (arr, socks)
+    maps
 }
 
 /// Where a generated jump goes, fixed once the program's length is known.
 enum Jump {
-    /// Forward by up to this many instructions, clamped to the final exit.
-    Forward(i32),
+    /// Forward by up to this many slots, clamped to the final exit.
+    Forward(i16),
     /// Backward: a loop, if taken.
-    Back(i32),
+    Back(i16),
     /// Past the final exit, if taken.
-    Escape(i32),
+    Escape(i16),
 }
 
-/// Expand a seed byte stream into a program, plausible and not: most
-/// instructions are ones the dispatch programs use, and a few are what the
-/// kernel's verifier would refuse — backward jumps, jumps past the end,
-/// stack accesses outside the frame, unknown helper ids — beside what the
-/// kernel defines at run time: register divisors that may be zero, shifts
-/// by any amount, map keys past the end and map fds of the wrong kind.
+/// Expand a seed byte stream into a program. A fixed prologue spills the
+/// context to `fp-8`, writes the three stack slots below it and gives R0
+/// and R2–R5 values; then each three bytes make one piece, most of them
+/// what the dispatch program does and a few what the kernel's verifier
+/// refuses.
 fn gen_program(seed: &[u8]) -> Vec<Insn> {
-    let mut body: Vec<Op> = Vec::new();
+    let i = Insn::new;
+    let mut body = vec![
+        i(STX | DW | MEM, R10, R1, -8, 0),
+        i(ALU64 | MOV | K, R0, 0, 0, 0),
+        i(LDX | W | MEM, R2, R1, MD_HASH, 0),
+        i(ALU64 | MOV | K, R3, 0, 0, 1),
+        i(ALU64 | MOV | K, R4, 0, 0, 2),
+        i(ALU64 | MOV | K, R5, 0, 0, 3),
+        i(STX | DW | MEM, R10, R0, -16, 0),
+        i(STX | DW | MEM, R10, R0, -24, 0),
+        i(STX | DW | MEM, R10, R0, -32, 0),
+    ];
     let mut jumps: Vec<(usize, Jump)> = Vec::new();
     let mut bytes = seed.iter().copied();
     while let (Some(a), Some(b), Some(c)) = (bytes.next(), bytes.next(), bytes.next()) {
-        let dst = Reg(a % 6);
+        let dst = [R0, R2, R3, R4, R5][(a >> 4) as usize % 5];
+        let ops = [ADD, SUB, MUL, AND, OR, XOR, MOV];
+        let op = ops[(b >> 1) as usize % ops.len()];
+        // A register source (one in sixteen a pointer) or a small immediate.
+        let (x, src, imm) = match (b & 1, c % 16) {
+            (0, 15) => (X, [R1, R10][c as usize / 16 % 2], 0),
+            (0, _) => (X, [R0, R2, R3, R4, R5][c as usize % 5], 0),
+            _ => (K, 0, c as i8 as i32),
+        };
+        // A written stack slot below the spilled context; one access in
+        // thirty-two out of frame, one misaligned, one through a register
+        // of any kind, one at the spilled context.
+        let (base, off) = match c % 32 {
+            0 => (R10, -520),
+            1 => (R10, 0),
+            2 => (R10, -13),
+            3 => (b % 6, 0),
+            4 => (R10, -8),
+            _ => (R10, -8 * (b as i16 % 3 + 2)),
+        };
+        let size = [W, DW, B, H][(c >> 4) as usize % 4];
         match a % 16 {
-            0..=6 => {
-                let ops = [
-                    Alu::Add,
-                    Alu::Sub,
-                    Alu::Mul,
-                    Alu::And,
-                    Alu::Or,
-                    Alu::Xor,
-                    Alu::Mov,
-                ];
-                let src = if b % 2 == 0 {
-                    Src::Reg(Reg(b % 6))
-                } else {
-                    Src::Imm(c as i64 - 128)
-                };
-                body.push(Op::Alu {
-                    op: ops[(a % 7) as usize],
-                    dst,
-                    src,
+            0..=3 => body.push(i(ALU64 | op | x, dst, src, 0, imm)),
+            4 => body.push(i(ALU | op | x, dst, src, 0, imm)),
+            5 => {
+                // Shifts by a bounded immediate or a register of any value.
+                let op = [LSH, RSH, ARSH][b as usize % 3];
+                let class = if b & 4 == 0 { ALU64 } else { ALU };
+                body.push(match c % 4 {
+                    0 => i(class | op | X, dst, c % 6, 0, 0),
+                    _ => i(class | op | K, dst, 0, 0, (c % 64) as i32),
                 });
             }
-            7 | 8 => {
-                // Shifts: usually a bounded immediate, sometimes a register
-                // of any value (the interpreter masks the amount).
-                let op = match b % 3 {
-                    0 => Alu::Lsh,
-                    1 => Alu::Rsh,
-                    _ => Alu::Arsh,
-                };
-                let src = if c % 4 == 0 {
-                    Src::Reg(Reg(c % 6))
-                } else {
-                    Src::Imm((c % 64) as i64)
-                };
-                body.push(Op::Alu { op, dst, src });
-            }
-            9 => {
-                // Division: usually a nonzero immediate, sometimes an
-                // unguarded register that may be zero.
-                let op = if b % 2 == 0 { Alu::Div } else { Alu::Mod };
-                let src = if c % 8 == 0 {
-                    Src::Reg(Reg(c % 6))
-                } else {
-                    Src::Imm((c | 1) as i64)
-                };
-                body.push(Op::Alu { op, dst, src });
-            }
-            10 | 11 => {
-                // One of four slots, written or not; one access in sixteen
-                // leaves the frame (or straddles its top).
-                let off = if c % 16 == 0 {
-                    [0, -4, 8, -520][(c / 16 % 4) as usize]
-                } else {
-                    -8 * (b as i32 % 4 + 1)
-                };
-                body.push(if a % 16 == 10 {
-                    Op::StxStack { off, src: dst }
-                } else {
-                    Op::LdxStack { dst, off }
+            6 => {
+                // Division by a nonzero immediate or a register that may be 0.
+                let op = if b % 2 == 0 { DIV } else { MOD };
+                body.push(match c % 8 {
+                    0 => i(ALU64 | op | X, dst, c % 6, 0, 0),
+                    _ => i(ALU64 | op | K, dst, 0, 0, (c | 1) as i32),
                 });
             }
-            12 | 13 => {
-                // A conditional jump: one in eight backward, one in eight
-                // past the end, the rest forward.
-                let jump = match c % 8 {
-                    0 => Jump::Back(-1 - (c / 8 % 4) as i32),
-                    1 => Jump::Escape((c / 8 % 4) as i32),
-                    _ => Jump::Forward((c % 4) as i32 + 1),
+            7 | 14 => {
+                // An access through a pointer in R5 — into the stack,
+                // usually in frame, or into a map's value (the socket array
+                // has none: a bad instruction) — then R5 is a scalar again.
+                if a % 16 == 7 {
+                    let by = if c % 16 == 15 {
+                        8
+                    } else {
+                        -8 * (c as i32 % 3 + 2)
+                    };
+                    body.push(i(ALU64 | MOV | X, R5, R10, 0, 0));
+                    body.push(i(ALU64 | ADD | K, R5, 0, 0, by));
+                } else {
+                    let map =
+                        [SEL, RECORD, SEL, RECORD, SEL, RECORD, SEL, SOCKS][(b >> 1) as usize % 8];
+                    body.push(i(LD_IMM64, R5, PSEUDO_MAP_VALUE, 0, map));
+                    body.push(i(0, 0, 0, 0, if c % 16 == 15 { 24 } else { 0 }));
+                }
+                let val = [R0, R2, R3, R4][(a >> 4) as usize % 4];
+                body.push(match b & 1 {
+                    0 => i(STX | size | MEM, R5, val, 0, 0),
+                    _ => i(LDX | size | MEM, val, R5, 0, 0),
+                });
+                body.push(i(ALU64 | MOV | K, R5, 0, 0, c as i32));
+            }
+            8 | 9 => body.push(i(STX | size | MEM, base, dst, off, 0)),
+            10 if c % 8 == 4 => body.extend([
+                i(LDX | DW | MEM, R1, R10, -8, 0),
+                i(LDX | size | MEM, dst, R1, MD_HASH, 0),
+            ]),
+            10 => body.push(i(LDX | size | MEM, dst, base, off, 0)),
+            11 | 12 => {
+                // One in sixteen backward, one past the end.
+                let jump = match c % 16 {
+                    0 => Jump::Back(-1 - (c / 16 % 4) as i16),
+                    1 => Jump::Escape((c / 16 % 4) as i16),
+                    _ => Jump::Forward((c % 4) as i16 + 1),
                 };
                 jumps.push((body.len(), jump));
-                let conds = [Cond::Eq, Cond::Ne, Cond::Gt, Cond::Ge, Cond::Lt, Cond::Le];
-                body.push(Op::Jmp {
-                    cond: conds[(b % 6) as usize],
-                    dst,
-                    src: Src::Imm(c as i64),
-                    off: 0,
-                });
+                let op = [JEQ, JNE, JGT, JGE, JLT, JLE][b as usize % 6];
+                body.push(i(JMP | op | x, dst, src, 0, imm & 7));
             }
-            _ => {
-                // A helper call with its arguments set up. The map helpers
-                // take fd `c % 3`: `SEL_FD`, `SOCK_FD` or none — their own
-                // map, the other kind, or none.
-                let (r1, r2, helper) = match b % 16 {
-                    0..=4 => (c % 3, c % 8, HELPER_MAP_LOOKUP),
-                    5..=9 => (c, c % 65, HELPER_RECIPROCAL_SCALE),
-                    10..=14 => (c % 3, c % 16, HELPER_SK_SELECT_REUSEPORT),
-                    _ => (c, c, 4 + c as u32),
+            13 => {
+                // A helper call with its arguments set up: a key on the
+                // stack, and a map — one in four of the wrong kind.
+                let (key_reg, helper) = match b % 8 {
+                    0..=3 => (R2, FN_MAP_LOOKUP_ELEM),
+                    4..=6 => (R3, FN_SK_SELECT_REUSEPORT),
+                    _ => (R2, 4 + c as i32),
                 };
-                for (r, v) in [(1u8, r1), (2, r2)] {
-                    body.push(Op::Alu {
-                        op: Alu::Mov,
-                        dst: Reg(r),
-                        src: Src::Imm(v as i64),
+                let map = match (c % 4, helper) {
+                    (3, _) => [SEL, SOCKS, RECORD][c as usize / 4 % 3],
+                    (_, FN_SK_SELECT_REUSEPORT) => SOCKS,
+                    (0, _) => RECORD,
+                    _ => SEL,
+                };
+                body.push(i(ALU64 | MOV | K, key_reg, 0, 0, (c / 3 % 8) as i32));
+                body.push(i(STX | W | MEM, R10, key_reg, -16, 0));
+                body.push(i(ALU64 | MOV | X, key_reg, R10, 0, 0));
+                body.push(i(ALU64 | ADD | K, key_reg, 0, 0, -16));
+                let map_reg = if helper == FN_SK_SELECT_REUSEPORT {
+                    R2
+                } else {
+                    R1
+                };
+                body.extend([i(LD_IMM64, map_reg, PSEUDO_MAP_FD, 0, map), Insn::default()]);
+                if helper == FN_SK_SELECT_REUSEPORT {
+                    body.push(i(LDX | DW | MEM, R1, R10, -8, 0));
+                    body.push(i(ALU64 | MOV | K, R4, 0, 0, 0));
+                }
+                body.push(i(JMP | CALL, 0, 0, 0, helper));
+                // A lookup's result used: after its null check, or (one in
+                // four) before it, or dropped; the arguments set again, or
+                // (one in four) not.
+                if helper == FN_MAP_LOOKUP_ELEM {
+                    body.extend(match b / 8 % 4 {
+                        0 => vec![i(LDX | DW | MEM, R0, R0, 0, 0)],
+                        1 | 2 => vec![
+                            i(JMP | JEQ | K, R0, 0, 1, 0),
+                            i(LDX | DW | MEM, R0, R0, 0, 0),
+                        ],
+                        _ => vec![i(ALU64 | MOV | K, R0, 0, 0, 0)],
                     });
                 }
-                body.push(Op::Call { helper });
+                if b & 0x60 != 0 {
+                    body.extend(
+                        [R1, R2, R3, R4, R5].map(|r| i(ALU64 | MOV | K, r, 0, 0, c as i32)),
+                    );
+                }
             }
+            _ => match b % 8 {
+                // A 64-bit constant.
+                0 | 1 => body.extend([i(LD_IMM64, dst, 0, 0, b as i32), i(0, 0, 0, 0, c as i32)]),
+                // A write to R10.
+                2 => body.push(i(ALU64 | ADD | K, R10, 0, 0, 8)),
+                // Anything at all.
+                3 => body.push(i(c, a, b, (b as i16) - 128, c as i32)),
+                // An atomic add into the stack (the spilled context's slot
+                // too) or through a register.
+                _ => body.push(i(STX | DW | ATOMIC, base, dst, off & !7, ADD as i32)),
+            },
         }
     }
-    let end = body.len() as i32; // index of the final exit
+    let end = body.len() as i16; // slot of the final exit
     for (at, jump) in jumps {
-        let next = at as i32 + 1;
-        let off = match jump {
+        let next = at as i16 + 1;
+        body[at].off = match jump {
             Jump::Forward(skip) => skip.min(end - next),
             Jump::Back(off) => off,
             Jump::Escape(extra) => end - next + 1 + extra,
         };
-        if let Op::Jmp { off: o, .. } = &mut body[at] {
-            *o = off;
-        }
     }
-    body.push(Op::Exit);
-    body.into_iter().map(Insn).collect()
+    body.push(Insn::new(JMP | EXIT, 0, 0, 0, 0));
+    body
 }
 
 /// The totality oracle: run `seed`'s program on every hash and return how
@@ -186,16 +235,16 @@ fn gen_program(seed: &[u8]) -> Vec<Insn> {
 fn check_total(
     seed: &[u8],
     hashes: &[u32],
-    vals: &[u64; ARRAY_SIZE],
+    vals: &[u64; GROUPS],
     registered: u8,
 ) -> Vec<Result<(), ExecError>> {
     let prog = gen_program(seed);
     let vm = Vm::new(prog.clone());
-    let (sel, socks) = test_maps(vals, registered);
+    let maps = test_maps(vals, registered);
     hashes
         .iter()
         .map(|&hash| {
-            let ran = vm.run(hash, &sel, &socks)?;
+            let ran = vm.run(hash, &maps)?;
             assert!(
                 ran.insns_executed <= prog.len(),
                 "retired {} of a {}-insn program",
@@ -219,7 +268,7 @@ fn lcg_sweep_every_program_exits_or_traps() {
             .wrapping_add(1442695040888963407);
         (state >> 33) as u32
     };
-    let (mut exited, mut traps) = (0usize, [0usize; 4]);
+    let (mut exited, mut traps) = (0usize, [0usize; 14]);
     for _ in 0..600 {
         let len = (lcg() % 120) as usize;
         let seed: Vec<u8> = (0..len).map(|_| lcg() as u8).collect();
@@ -228,12 +277,7 @@ fn lcg_sweep_every_program_exits_or_traps() {
         let runs = check_total(&seed, &hashes, &vals, lcg() as u8);
         exited += runs.iter().all(Result::is_ok) as usize;
         for e in runs.into_iter().filter_map(Result::err) {
-            traps[match e {
-                ExecError::PcOutOfBounds { .. } => 0,
-                ExecError::UnknownHelper { .. } => 1,
-                ExecError::StackOutOfBounds { .. } => 2,
-                ExecError::BackEdge { .. } => 3,
-            }] += 1;
+            traps[e.trap as usize] += 1;
         }
     }
     assert!(
@@ -242,7 +286,7 @@ fn lcg_sweep_every_program_exits_or_traps() {
     );
     assert!(
         traps.iter().all(|&n| n > 0),
-        "runs per trap (pc, helper, stack, back-edge): {traps:?}"
+        "runs per trap, in `Trap`'s order: {traps:?}"
     );
 }
 
@@ -252,7 +296,7 @@ fn every_program_exits_or_traps() {
     for_each_case(256, |g| {
         let seed: Vec<u8> = (0..g.index(120)).map(|_| g.next_u64() as u8).collect();
         let hashes: Vec<u32> = (0..1 + g.index(5)).map(|_| g.next_u64() as u32).collect();
-        let vals = [(); ARRAY_SIZE].map(|()| g.next_u64());
+        let vals = [(); GROUPS].map(|()| g.next_u64());
         check_total(&seed, &hashes, &vals, g.next_u64() as u8);
     });
 }
@@ -271,22 +315,24 @@ fn grouped_dispatch_matches_native_oracle() {
 
 /// The shipped program at one group loaded into a bare `Vm` against maps of
 /// the test's own: build it for `workers`, load the bitmap, and assert the
-/// interpreter's `ExecResult` names the worker (or the fallback)
-/// `ConnDispatcher` picks. (Seeded random cases of the same property, through
+/// interpreter's `ExecResult` names the worker `ConnDispatcher` picks, its
+/// record counting the run as directed (or the fallback, counted as such). (Seeded random cases of the same property, through
 /// `ReuseportGroup`, are `program.rs`'s `bytecode_matches_native_oracle`.)
 fn check_flat_dispatch(bits: u64, hash: u32, workers: usize) {
     use hermes_core::dispatch::{ConnDispatcher, DispatchOutcome};
     use hermes_core::WorkerBitmap;
+    use hermes_ebpf::program::{DIRECTED, FALLBACK, HASH};
     use hermes_ebpf::DispatchProgram;
     let vm = Vm::new(DispatchProgram::build(1, workers));
-    let arr = ArrayMap::new(1);
-    arr.update(0, bits);
-    let socks = SockArrayMap::new(workers);
-    for w in 0..workers {
-        socks.register(w, w);
-    }
-    let ran = vm.run(hash, &arr, &socks).unwrap();
-    let picked = (ran.return_value != 0).then_some(ran.selected_sock);
+    let maps = Maps::new(1, workers);
+    maps.publish(0, bits);
+    (0..workers).for_each(|w| maps.register(w, w));
+    let ran = vm.run(hash, &maps).unwrap();
+    assert_eq!(ran.return_value, SK_PASS as u64);
+    let [directed, fallback, recorded] =
+        [DIRECTED, FALLBACK, HASH].map(|o| ran.record[o as usize / 8]);
+    assert_eq!((directed + fallback, recorded), (1, hash as u64));
+    let picked = (directed == 1).then_some(ran.selected_sock);
     let want = match ConnDispatcher::new(workers).dispatch(WorkerBitmap(bits), hash) {
         DispatchOutcome::Directed(w) => Some(Some(w)),
         DispatchOutcome::Fallback(_) => None,

@@ -611,10 +611,12 @@ mod imp {
     /// Start a TCP connect that never blocks: `socket(SOCK_NONBLOCK |
     /// SOCK_CLOEXEC)`, `SO_OOBINLINE` (a backend's urgent byte stays in
     /// the stream), then `connect`, where `EINPROGRESS` is success.
-    /// The caller registers the stream with its [`Reactor`] and reads
-    /// the verdict with [`TcpStream::take_error`] (`SO_ERROR`) on the
-    /// first writable/closed event — which also fires for a connect
-    /// that completed before registration, so both cases take one path.
+    /// The caller registers the stream with its [`Reactor`] and settles
+    /// it at its first event, which also fires for a connect that
+    /// completed before registration, so both cases take one path:
+    /// writable and not closed is success, and only an event carrying
+    /// `closed` asks [`TcpStream::take_error`] (`SO_ERROR`) for the
+    /// verdict (DESIGN.md, "What a connection costs").
     pub fn connect_nonblocking(addr: &SocketAddr) -> io::Result<TcpStream> {
         let (sa, len) = SockAddr::encode(addr);
         let stream = TcpStream::from(tcp_socket(addr)?);

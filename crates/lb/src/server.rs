@@ -3,7 +3,7 @@
 //! Shape: every worker owns a listening socket of one `SO_REUSEPORT`
 //! group, and the kernel's reuseport hook places each SYN on one of them.
 //! What runs at the hook is the paper's Algorithm 2 — this workspace's
-//! dispatch program, lowered and loaded by [`hermes_ebpf::kernel`] —
+//! dispatch program, loaded by [`hermes_ebpf::kernel`] —
 //! reading the bitmaps the workers' schedulers store into its mmap'd map:
 //!
 //! ```text

@@ -7,6 +7,16 @@
 //! when the consumer has fallen a full capacity behind it drops the event
 //! and bumps the counter instead of waiting.
 //!
+//! Memory order, the SPSC argument, both ways round. The producer's
+//! `Release` store of `head` orders its slot stores before it, and the
+//! consumer's `Acquire` load of `head` orders its slot loads after them: a
+//! drained record is the one pushed. The consumer's slot loads come before
+//! its `Release` store of `tail`, and the producer's `Acquire` load of
+//! `tail` in [`push`](TraceRing::push) orders its overwrite of a freed
+//! slot after them: a push never writes a slot the consumer is still
+//! reading. An `Acquire` load is a plain load on x86; the second half
+//! matters on a weakly ordered CPU.
+//!
 //! The slots are plain `AtomicU64` words rather than a `&mut`-based ring so
 //! that *accidental* concurrent producers (e.g. two threads handed one
 //! worker lane) stay memory-safe: the worst outcome is a lost or torn
@@ -83,7 +93,9 @@ impl TraceRing {
     #[inline]
     pub fn push(&self, r: TraceRecord) -> bool {
         let head = self.head.load(Ordering::Relaxed);
-        let tail = self.tail.load(Ordering::Relaxed);
+        // Acquire: the consumer's reads of the slots it freed happen before
+        // this push overwrites one (module docs).
+        let tail = self.tail.load(Ordering::Acquire);
         if head.wrapping_sub(tail) > self.mask {
             // Full: drop, saturating so the counter never wraps to "clean".
             let d = self.dropped.load(Ordering::Relaxed);

@@ -116,23 +116,30 @@ step "cache_locality example (Appendix C: a DIP&Dport level 1 pins each tenant t
 # where the 4-tuple hash would spray it across several.
 cargo run --release -q --example cache_locality
 
-step "ebpf soundness (checked interpreter total; the one dispatch program at every group count vs native oracles)"
+step "ebpf soundness (the kernel-encoding interpreter total; the bytes that ship pinned and, run by it, equal to the native oracles at every group count)"
 # What is left to trust in userspace, with no admission in front of it: the
-# checked interpreter is total — every generated program (back-edges, jumps
-# past the end, out-of-frame stack accesses, unknown helpers, zero divisors,
-# oversized keys and wrong-kind map fds included), whatever the maps hold,
-# exits within its own length or traps with a named ExecError, never a
-# panic, and every trap occurs in the sweep; the one shipped program
-# (DispatchProgram::build(groups, size), where one group is the flat
-# program), run by that interpreter, decides as core's native oracles do —
-# at one group against ConnDispatcher at group sizes 1, 2, 3, 17 and 64 with
-# the degenerate bitmaps, at any group count against GroupedConnDispatcher
-# over swept shapes and bitmaps; and under full bitmaps both planes give
-# every worker of every group its even share (level 2 scales the bits level
-# 1 did not use).
+# checked interpreter runs kernel `struct bpf_insn` and is total — every
+# generated program, whatever the maps hold, exits within its own length or
+# traps with a named Trap, never a panic, and every trap occurs in the
+# sweep. It traps what the kernel's verifier refuses at load: a pc that
+# leaves the program or lands inside an ld_imm64, a taken back-edge, an
+# unknown opcode or helper, a read of a register or of stack bytes never
+# written, an access out of its region or misaligned, a context access other
+# than the 4-byte read of `hash`, a lookup result used before its null
+# check, pointer arithmetic other than ± a scalar, a write to R10 and a
+# helper argument of the wrong type. The program (DispatchProgram::build,
+# where one group is the flat program) is the bytes the kernel loads:
+# `the_shipped_bytes_are_pinned` holds them byte for byte at 1x4, 1x8, 1x64
+# and 2x64 (map fds relocated to stand-ins). Run by the interpreter it
+# decides as core's native oracles do — at one group against ConnDispatcher
+# at group sizes 1, 2, 3, 17 and 64 with the degenerate bitmaps, at any group
+# count against GroupedConnDispatcher over swept shapes and bitmaps; and
+# under full bitmaps both planes give every worker of every group its even
+# share (level 2 scales the bits level 1 did not use).
 # (The kernel's verifier admits what ships, and its execution of the same
-# program is checked against this interpreter, in the relay-reactor lane's
+# bytes is checked against this interpreter, in the relay-reactor lane's
 # steering tests.)
+cargo test --release -q -p hermes-ebpf --lib the_shipped_bytes_are_pinned
 cargo test --release -q -p hermes-ebpf --test soundness
 
 step "scheduler kernel (differential vs literal Algorithm 1, zero allocations)"

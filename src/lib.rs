@@ -9,11 +9,11 @@
 //!   cascading-filter scheduler (Algorithm 1), worker bitmap, kernel-side
 //!   connection dispatch (Algorithm 2), two-level worker groups (§7), and
 //!   the worker SDK.
-//! * [`ebpf`] — the eBPF substrate: restricted ISA, assembler, checked
-//!   interpreter, maps, the Algorithm 2 dispatch program as bytecode
-//!   attached to a [`ebpf::ReuseportGroup`], and its lowering to kernel
-//!   eBPF for real `SO_REUSEPORT` groups, where the kernel's verifier
-//!   admits it.
+//! * [`ebpf`] — the Algorithm 2 dispatch program in kernel eBPF encoding:
+//!   assembler, disassembler, a checked interpreter of those bytes with the
+//!   program's maps (attached as a [`ebpf::ReuseportGroup`]), and the same
+//!   bytes loaded with `bpf(2)` onto real `SO_REUSEPORT` groups, where the
+//!   kernel's verifier admits them.
 //! * [`simnet`] — the discrete-event simulator of the kernel dispatch
 //!   path under the three modes the paper measures: epoll exclusive
 //!   (LIFO), reuseport and Hermes, with fault injection and Appendix C's
