@@ -27,7 +27,11 @@
 //! context fields other than `hash` are refused; every access is aligned to
 //! its size; a null check refines only the register it tests; and a pointer
 //! takes part in no comparison but a null check and in no store but an
-//! 8-byte spill to the stack.
+//! 8-byte spill to the stack. The bitmap values are read-only: the program
+//! only reads `M_Sel`, and a store into a word userspace publishes
+//! concurrently could lose a publish, so a store or an atomic add through a
+//! bitmap pointer is [`Trap::PointerOp`] and `ld_imm64` names a map value
+//! only in the record.
 
 use crate::disasm::disasm_insn;
 use crate::insn::*;
@@ -217,7 +221,7 @@ impl Vm {
             let trap = |trap| ExecError {
                 trap,
                 at: pc,
-                insn: self.prog[pc],
+                insn: self.prog.get(pc).copied().unwrap_or_default(),
             };
             match m.step(&self.prog, pc).map_err(trap)? {
                 Flow::Next(to) if to < self.prog.len() => pc = to,
@@ -342,7 +346,7 @@ impl<'a> Machine<'a> {
 
     /// Execute the instruction at `pc`.
     fn step(&mut self, prog: &[Insn], pc: usize) -> Result<Flow, Trap> {
-        let insn = prog[pc];
+        let insn = *prog.get(pc).ok_or(Trap::PcOutOfBounds)?;
         let (code, off, imm) = (insn.code, insn.off, insn.imm);
         let (dst, src) = (insn.dst() as usize, insn.src() as usize);
         if dst > 10 || src > 10 {
@@ -468,13 +472,12 @@ impl<'a> Machine<'a> {
         }
     }
 
-    /// The value `ld_imm64` loads: a constant, a map or a pointer into an
-    /// array map's first value.
+    /// The value `ld_imm64` loads: a constant, a map or a pointer into the
+    /// record.
     fn wide(&self, pseudo: u8, lo: i32, hi: i32) -> Result<Val, Trap> {
         match (pseudo, lo) {
             (0, _) => Ok(Val::Scalar((hi as u64) << 32 | lo as u32 as u64)),
             (PSEUDO_MAP_FD, SEL | SOCKS | RECORD) => Ok(Val::Map(lo)),
-            (PSEUDO_MAP_VALUE, SEL) => Ok(Val::Ptr(Region::Bitmap(0), hi as i64)),
             (PSEUDO_MAP_VALUE, RECORD) => Ok(Val::Ptr(Region::Record, hi as i64)),
             _ => Err(Trap::BadInsn),
         }
@@ -581,6 +584,7 @@ impl<'a> Machine<'a> {
         let a = at as usize;
         let v = match (region, value) {
             (Region::Ctx, _) => return Err(Trap::Context),
+            (Region::Bitmap(_), _) => return Err(Trap::PointerOp),
             (Region::Stack, Val::Scalar(v)) => {
                 // Overwriting part of a spilled pointer leaves the rest unwritten.
                 if self.spilled[a / 8].take().is_some() {
@@ -596,18 +600,11 @@ impl<'a> Machine<'a> {
             _ => return Err(Trap::PointerOp),
         };
         let new = &v.to_le_bytes()[..size];
-        match region {
-            Region::Bitmap(k) => {
-                let word = &self.maps.bitmaps[k];
-                let mut bytes = word.load(Ordering::Acquire).to_le_bytes();
-                bytes[a..a + size].copy_from_slice(new);
-                word.store(u64::from_le_bytes(bytes), Ordering::Release);
-            }
-            Region::Record => self.record[a..a + size].copy_from_slice(new),
-            _ => {
-                self.stack[a..a + size].copy_from_slice(new);
-                self.written[a..a + size].fill(true);
-            }
+        if region == Region::Record {
+            self.record[a..a + size].copy_from_slice(new);
+        } else {
+            self.stack[a..a + size].copy_from_slice(new);
+            self.written[a..a + size].fill(true);
         }
         Ok(())
     }
@@ -669,6 +666,30 @@ mod tests {
         let prog = a.finish();
         assert_eq!(run(prog.clone(), 101).return_value, 1);
         assert_eq!(run(prog, 100).return_value, 2);
+    }
+
+    #[test]
+    fn comparisons_are_unsigned() {
+        // u64::MAX against 0, by register and by immediate (an immediate
+        // sign-extends, so -1 is u64::MAX too): a signed compare flips each.
+        let taken = |op, a: i64, b: i64, by_reg: bool| {
+            let mut asm = Assembler::new();
+            let yes = asm.label();
+            asm.mov_imm(R2, a).mov_imm(R3, b).mov_imm(R0, 1);
+            match by_reg {
+                true => asm.jmp(op, R2, R3, yes),
+                false => asm.jmp_imm(op, R2, b as i32, yes),
+            };
+            asm.mov_imm(R0, 0).bind(yes);
+            asm.exit();
+            run(asm.finish(), 0).return_value == 1
+        };
+        for by_reg in [true, false] {
+            for (op, max_vs_zero) in [(JGT, true), (JGE, true), (JLT, false), (JLE, false)] {
+                assert_eq!(taken(op, -1, 0, by_reg), max_vs_zero, "{op:#x} MAX, 0");
+                assert_eq!(taken(op, 0, -1, by_reg), !max_vs_zero, "{op:#x} 0, MAX");
+            }
+        }
     }
 
     #[test]
@@ -890,6 +911,36 @@ mod tests {
         for (want, build) in cases {
             assert_eq!(trap(build), want);
         }
+    }
+
+    #[test]
+    fn an_empty_program_traps() {
+        let err = try_run(vec![], 0).expect_err("nothing to run");
+        assert_eq!((err.trap, err.at), (Trap::PcOutOfBounds, 0));
+    }
+
+    #[test]
+    fn the_bitmap_values_are_read_only() {
+        // The program reads M_Sel; a store or an atomic add through a
+        // lookup's bitmap pointer traps, and `ld_imm64` points only into
+        // the record.
+        for (mode, imm) in [(MEM, 0), (ATOMIC, ADD as i32)] {
+            let err = trap(|a| {
+                key_on_stack(a, 0);
+                a.ld_imm64(R1, PSEUDO_MAP_FD, SEL as i64)
+                    .call(FN_MAP_LOOKUP_ELEM);
+                let null = a.label();
+                a.jmp_imm(JEQ, R0, 0, null).mov_imm(R1, 1);
+                a.emit(STX | DW | mode, R0, R1, 0, imm);
+                a.bind(null);
+                a.exit();
+            });
+            assert_eq!(err, Trap::PointerOp, "{mode:#x}");
+        }
+        let err = trap(|a| {
+            a.ld_imm64(R2, PSEUDO_MAP_VALUE, SEL as i64);
+        });
+        assert_eq!(err, Trap::BadInsn);
     }
 
     #[test]

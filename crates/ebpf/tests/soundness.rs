@@ -115,8 +115,9 @@ fn gen_program(seed: &[u8]) -> Vec<Insn> {
             }
             7 | 14 => {
                 // An access through a pointer in R5 — into the stack,
-                // usually in frame, or into a map's value (the socket array
-                // has none: a bad instruction) — then R5 is a scalar again.
+                // usually in frame, or into the record (the bitmap array and
+                // the socket array name no value: a bad instruction) — then
+                // R5 is a scalar again.
                 if a % 16 == 7 {
                     let by = if c % 16 == 15 {
                         8
@@ -126,8 +127,8 @@ fn gen_program(seed: &[u8]) -> Vec<Insn> {
                     body.push(i(ALU64 | MOV | X, R5, R10, 0, 0));
                     body.push(i(ALU64 | ADD | K, R5, 0, 0, by));
                 } else {
-                    let map =
-                        [SEL, RECORD, SEL, RECORD, SEL, RECORD, SEL, SOCKS][(b >> 1) as usize % 8];
+                    let map = [RECORD, RECORD, RECORD, RECORD, RECORD, RECORD, SEL, SOCKS]
+                        [(b >> 1) as usize % 8];
                     body.push(i(LD_IMM64, R5, PSEUDO_MAP_VALUE, 0, map));
                     body.push(i(0, 0, 0, 0, if c % 16 == 15 { 24 } else { 0 }));
                 }
@@ -184,15 +185,21 @@ fn gen_program(seed: &[u8]) -> Vec<Insn> {
                     body.push(i(ALU64 | MOV | K, R4, 0, 0, 0));
                 }
                 body.push(i(JMP | CALL, 0, 0, 0, helper));
-                // A lookup's result used: after its null check, or (one in
-                // four) before it, or dropped; the arguments set again, or
-                // (one in four) not.
+                // A lookup's result used: read after its null check, or
+                // stored through after it (a bitmap word is read-only: a
+                // trap), or (one in four) read before it, or dropped; the
+                // arguments set again, or (one in four) not.
                 if helper == FN_MAP_LOOKUP_ELEM {
                     body.extend(match b / 8 % 4 {
                         0 => vec![i(LDX | DW | MEM, R0, R0, 0, 0)],
-                        1 | 2 => vec![
+                        1 => vec![
                             i(JMP | JEQ | K, R0, 0, 1, 0),
                             i(LDX | DW | MEM, R0, R0, 0, 0),
+                        ],
+                        2 => vec![
+                            i(JMP | JEQ | K, R0, 0, 2, 0),
+                            i(ALU64 | MOV | K, R1, 0, 0, c as i32),
+                            i(STX | DW | MEM, R0, R1, 0, 0),
                         ],
                         _ => vec![i(ALU64 | MOV | K, R0, 0, 0, 0)],
                     });

@@ -127,7 +127,8 @@ step "ebpf soundness (the kernel-encoding interpreter total; the bytes that ship
 # written, an access out of its region or misaligned, a context access other
 # than the 4-byte read of `hash`, a lookup result used before its null
 # check, pointer arithmetic other than ± a scalar, a write to R10 and a
-# helper argument of the wrong type. The program (DispatchProgram::build,
+# helper argument of the wrong type; and, stricter than the verifier, a
+# store into the read-only bitmap words. The program (DispatchProgram::build,
 # where one group is the flat program) is the bytes the kernel loads:
 # `the_shipped_bytes_are_pinned` holds them byte for byte at 1x4, 1x8, 1x64
 # and 2x64 (map fds relocated to stand-ins). Run by the interpreter it
