@@ -254,6 +254,88 @@ mod tests {
         assert_eq!(hashes, 4_330_749_438_573_108);
     }
 
+    /// Every case's stream at a short horizon, pinned field by field
+    /// (`Workload::stream_sums`): a change to what a generator draws, or to
+    /// the order it draws in, moves one of these.
+    #[test]
+    fn every_case_draws_its_recorded_stream() {
+        let pinned = [
+            (
+                Case::Case1,
+                CaseLoad::Light,
+                4,
+                1,
+                (2_849, 2_849),
+                [
+                    2_750_782_871_294_649,
+                    8_704_119_812_939_620,
+                    1_310_054_239,
+                    0,
+                    0,
+                    1_516_044_526_989,
+                    8_119_650,
+                ],
+            ),
+            (
+                Case::Case2,
+                CaseLoad::Heavy,
+                4,
+                2,
+                (2_858, 2_858),
+                [
+                    5_406_709_367_195_636,
+                    8_617_989_341_371_813,
+                    1_335_978_698,
+                    0,
+                    0,
+                    10_556_583_426_972,
+                    8_171_022,
+                ],
+            ),
+            (
+                Case::Case3,
+                CaseLoad::Light,
+                4,
+                2,
+                (195, 58_500),
+                [
+                    27_714_301_999_583,
+                    36_923_173_512_015,
+                    5_531_435,
+                    38_220_000_000_000,
+                    11_511_024_485_674_659_374,
+                    59_736_177_763_835,
+                    1_711_154_250,
+                ],
+            ),
+            (
+                Case::Case4,
+                CaseLoad::Heavy,
+                8,
+                4,
+                (295, 590),
+                [
+                    119_416_381_618_609,
+                    88_387_409_952_790,
+                    13_028_069,
+                    43_660_000_000_000,
+                    13_553_802_439_016,
+                    7_984_897_542_788,
+                    348_690,
+                ],
+            ),
+        ];
+        for (case, load, workers, secs, counts, sums) in pinned {
+            let wl = case.workload(load, workers, secs * NANOS_PER_SEC, 42);
+            assert_eq!(
+                (wl.connection_count(), wl.request_count()),
+                counts,
+                "{case:?}"
+            );
+            assert_eq!(wl.stream_sums(), sums, "{case:?}");
+        }
+    }
+
     #[test]
     fn workloads_are_deterministic_per_seed() {
         let a = Case::Case2.workload(CaseLoad::Medium, 4, NANOS_PER_SEC, 42);

@@ -282,6 +282,49 @@ mod tests {
         assert!(case1 > case3);
     }
 
+    /// The region mix's and the surge's streams, pinned field by field
+    /// (`Workload::stream_sums`).
+    #[test]
+    fn region_mix_and_surge_draw_their_recorded_streams() {
+        let mix = region_mix(
+            &Region::all()[0],
+            4,
+            CaseLoad::Medium,
+            2 * NANOS_PER_SEC,
+            42,
+        );
+        assert_eq!(
+            (mix.connection_count(), mix.request_count()),
+            (2_455, 84_687)
+        );
+        assert_eq!(
+            mix.stream_sums(),
+            [
+                3_995_281_195_748_931,
+                6_278_968_466_023_758,
+                722_216,
+                697_614_000_000_000,
+                4_945_834_729_012_666_890,
+                177_534_636_644_568,
+                3_676_520_406,
+            ]
+        );
+        let s = surge(SurgeConfig::default(), 42);
+        assert_eq!((s.connection_count(), s.request_count()), (2_000, 14_000));
+        assert_eq!(
+            s.stream_sums(),
+            [
+                6_692_503_065_851_597,
+                4_229_749_801_201_537,
+                0,
+                10_005_000_000_000_000,
+                580_103_505_109_834_532,
+                34_122_363_393_676,
+                98_007_000,
+            ]
+        );
+    }
+
     #[test]
     fn surge_deterministic_per_seed() {
         let a = surge(SurgeConfig::default(), 9);

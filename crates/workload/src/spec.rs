@@ -192,6 +192,36 @@ impl Workload {
     }
 }
 
+/// Test-only fingerprint of a generated stream: one wrapping sum per field
+/// the simulator reads, each value weighted by its position (connection
+/// order, then each connection's requests in order), so a reordered draw
+/// shows as well as a changed one. The generator tests pin these figures.
+#[cfg(test)]
+impl Workload {
+    /// `[arrival, flow hash, tenant, linger]` over connections, then
+    /// `[offset, service, events]` over requests.
+    pub(crate) fn stream_sums(&self) -> [u64; 7] {
+        let mut sums = [0u64; 7];
+        let mut add = |field: usize, position: usize, value: u64| {
+            sums[field] = sums[field].wrapping_add(value.wrapping_mul(position as u64 + 1));
+        };
+        let mut j = 0;
+        for (i, c) in self.conns.iter().enumerate() {
+            add(0, i, c.arrival_ns);
+            add(1, i, u64::from(c.flow.hash()));
+            add(2, i, u64::from(c.tenant));
+            add(3, i, c.linger_ns);
+            for r in self.requests_of(c) {
+                add(4, j, r.start_offset_ns);
+                add(5, j, r.service_ns);
+                add(6, j, u64::from(r.events));
+                j += 1;
+            }
+        }
+        sums
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
