@@ -37,7 +37,7 @@ use crate::modes::Dispatcher;
 use crate::ports::PortTable;
 use crate::state::{ConnId, ConnTable, IoEvent, Phase, WorkerState};
 use hermes_metrics::Histogram;
-use hermes_workload::Workload;
+use hermes_workload::{ConnectionSpec, Workload};
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
@@ -132,7 +132,7 @@ impl<'w> Simulator<'w> {
         );
         let n = cfg.workers;
         let dispatcher = Dispatcher::new(cfg.mode, n, cfg.hermes.clone());
-        let ports = PortTable::new(wl.conns.iter().map(|c| c.port));
+        let ports = PortTable::new(wl.conns.iter().map(ConnectionSpec::port));
         if let Some(port) = cfg.trace_port {
             assert!(
                 ports.index_of(port).is_some(),
@@ -303,7 +303,7 @@ impl<'w> Simulator<'w> {
     /// Dense port index of connection `c`'s listening port.
     #[inline]
     fn port_index(&self, c: ConnId) -> usize {
-        let port = self.wl.conns[c].port;
+        let port = self.wl.conns[c].port();
         self.ports.index_of(port).expect("registered port")
     }
 
@@ -360,9 +360,11 @@ impl<'w> Simulator<'w> {
     /// Push a ready request's events onto the owning epoll instance.
     fn deliver_request(&mut self, conn: ConnId, req: usize) {
         let owner = self.conns.worker(conn).expect("accepted conn has owner");
-        let spec = &self.wl.requests_of(&self.wl.conns[conn])[req];
-        let per_event = spec.service_per_event_ns().max(1);
-        let events = spec.events.max(1);
+        let spec = &self.wl.conns[conn];
+        let per_event = spec
+            .service_per_event_ns(&self.wl.requests_of(spec)[req])
+            .max(1);
+        let events = spec.events_per_request.max(1);
         for i in 1..=events {
             self.workers[owner].pending.push_back(IoEvent::Request {
                 conn,
@@ -562,7 +564,7 @@ impl<'w> Simulator<'w> {
         let pidx = self.port_index(c);
         let live = self.ports.live_delta(pidx, 1);
         if let Some(tr) = &mut self.port_trace {
-            if tr.port == self.wl.conns[c].port {
+            if tr.port == self.wl.conns[c].port() {
                 tr.connections.record(self.now, live as f64);
             }
         }
@@ -588,7 +590,7 @@ impl<'w> Simulator<'w> {
         self.request_latency.record(t.saturating_sub(ready));
         self.completed_requests += 1;
         if let Some(tr) = &mut self.port_trace {
-            if tr.port == spec.port {
+            if tr.port == spec.port() {
                 tr.requests.record(t.min(self.wl.duration_ns), 1.0);
             }
         }
@@ -645,7 +647,7 @@ impl<'w> Simulator<'w> {
         let pidx = self.port_index(c);
         let live = self.ports.live_delta(pidx, -1);
         if let Some(tr) = &mut self.port_trace {
-            if tr.port == self.wl.conns[c].port {
+            if tr.port == self.wl.conns[c].port() {
                 tr.connections.record(self.now, live as f64);
             }
         }
@@ -822,13 +824,11 @@ mod tests {
         let request = RequestSpec {
             start_offset_ns: 0,
             service_ns: service,
-            events: 2,
-            size_bytes: 100,
         };
         for i in 0..n {
             let flow = FlowKey::new(0x0a000000 + i as u32, (i % 60_000) as u16, 1, 443);
             w.push(
-                ConnectionSpec::new(i as u64 * gap, flow, 0, 443, 0),
+                ConnectionSpec::new(i as u64 * gap, flow, 0, 2, 0),
                 [request],
             );
         }
@@ -989,11 +989,9 @@ mod tests {
             let request = |&start_offset_ns| RequestSpec {
                 start_offset_ns,
                 service_ns: 20_000,
-                events: 2,
-                size_bytes: 100,
             };
             let flow = FlowKey::new(0x0a00_0000 + i as u32 * 7919, 1000 + i as u16, 1, 443);
-            let conn = ConnectionSpec::new(arrival_ns, flow, 0, 443, 0);
+            let conn = ConnectionSpec::new(arrival_ns, flow, 0, 2, 0);
             w.push(conn, offsets.iter().map(request));
         }
         w

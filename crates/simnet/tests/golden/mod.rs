@@ -40,10 +40,8 @@ pub fn case1_heavy_shaped() -> Workload {
         let request = RequestSpec {
             start_offset_ns: 0,
             service_ns: exp_ns(380_000, &mut rng).max(1),
-            events: 2,
-            size_bytes: 300,
         };
-        wl.push(ConnectionSpec::new(at, flow, tenant, port, 0), [request]);
+        wl.push(ConnectionSpec::new(at, flow, tenant, 2, 0), [request]);
     }
     wl.seal()
 }
@@ -142,12 +140,10 @@ pub fn case3_shaped() -> Workload {
                 RequestSpec {
                     start_offset_ns: offset,
                     service_ns: exp_ns(35_000, &mut rng).max(1),
-                    events: 1,
-                    size_bytes: 600,
                 }
             });
             let flow = FlowKey::new((r >> 32) as u32, (r >> 16) as u16, 0x0a00_0001, port);
-            let conn = ConnectionSpec::new(at, flow, tenant, port, 50_000_000);
+            let conn = ConnectionSpec::new(at, flow, tenant, 1, 50_000_000);
             wl.push(conn, requests);
         }
     }

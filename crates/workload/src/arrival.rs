@@ -19,21 +19,25 @@ pub enum ArrivalProcess {
 }
 
 impl ArrivalProcess {
-    /// Generate arrival timestamps in `[0, duration_ns)`.
-    pub fn generate(&self, duration_ns: u64, rng: &mut crate::Rng) -> Vec<u64> {
+    /// Arrival timestamps in `[0, duration_ns)`, in order, each drawn from
+    /// `rng` as it is asked for: a generator writes each one into the
+    /// connection it starts and keeps no list of them. The draw that passes
+    /// the horizon ends the stream.
+    pub fn arrivals<'r>(
+        &self,
+        duration_ns: u64,
+        rng: &'r mut crate::Rng,
+    ) -> impl Iterator<Item = u64> + 'r {
         let ArrivalProcess::Poisson { rate_per_sec } = *self;
         assert!(rate_per_sec > 0.0, "rate must be positive");
         let inter = Exp::new(rate_per_sec / NANOS_PER_SEC as f64);
-        let mut out = Vec::new();
         let mut t = 0.0;
-        loop {
+        std::iter::repeat_with(move || {
             t += inter.sample(rng);
-            if t >= duration_ns as f64 {
-                break;
-            }
-            out.push(t as u64);
-        }
-        out
+            t
+        })
+        .take_while(move |&t| t < duration_ns as f64)
+        .map(|t| t as u64)
     }
 }
 
@@ -47,11 +51,28 @@ mod tests {
             rate_per_sec: 1_000.0,
         };
         let mut rng = crate::rng(11);
-        let arrivals = p.generate(20 * NANOS_PER_SEC, &mut rng);
+        let arrivals: Vec<u64> = p.arrivals(20 * NANOS_PER_SEC, &mut rng).collect();
         let rate = arrivals.len() as f64 / 20.0;
         assert!((rate - 1_000.0).abs() < 30.0, "rate {rate}");
         assert!(arrivals.windows(2).all(|w| w[0] <= w[1]));
         assert!(*arrivals.last().unwrap() < 20 * NANOS_PER_SEC);
+    }
+
+    /// The stream's last draw is the one past the horizon, however often
+    /// it is asked again: what a generator draws next does not depend on
+    /// how it read the arrivals.
+    #[test]
+    fn an_ended_stream_draws_nothing_more() {
+        let p = ArrivalProcess::Poisson {
+            rate_per_sec: 1_000.0,
+        };
+        let (mut a, mut b) = (crate::rng(12), crate::rng(12));
+        let n = p.arrivals(NANOS_PER_SEC, &mut a).count();
+        let mut stream = p.arrivals(NANOS_PER_SEC, &mut b);
+        assert_eq!(stream.by_ref().count(), n);
+        assert_eq!((stream.next(), stream.next()), (None, None));
+        drop(stream);
+        assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]
@@ -60,6 +81,6 @@ mod tests {
             rate_per_sec: 100.0,
         };
         let mut rng = crate::rng(16);
-        assert!(p.generate(0, &mut rng).is_empty());
+        assert_eq!(p.arrivals(0, &mut rng).count(), 0);
     }
 }

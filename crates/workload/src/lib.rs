@@ -13,9 +13,10 @@
 //!   they can be property-tested (exponential, lognormal, Pareto, Zipf,
 //!   constant, two-component mixture).
 //! * [`arrival`] — the arrival process every generator draws from: Poisson
-//!   at a connections-per-second rate.
-//! * [`spec`] — the workload data model handed to the simulator:
-//!   connections carrying requests with service times and event counts.
+//!   at a connections-per-second rate, read lazily.
+//! * [`spec`] — the workload data model handed to the simulator, holding
+//!   only what it reads: connections (flow, tenant, events per request,
+//!   linger) carrying requests (start offset, service time).
 //! * [`tenant`] — multi-tenant composition: ports, Zipf-weighted tenant
 //!   shares, per-tenant traffic profiles.
 //! * [`cases`] — the four Table 3 cases at light/medium/heavy load.

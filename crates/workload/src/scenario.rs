@@ -67,15 +67,11 @@ pub fn surge(config: SurgeConfig, seed: u64) -> Workload {
         let handshake = RequestSpec {
             start_offset_ns: 0,
             service_ns: 20_000,
-            events: 1,
-            size_bytes: 200,
         };
         let fire_offset = fire_at.saturating_sub(arrival);
         let burst = (0..u64::from(config.burst_requests)).map(|k| RequestSpec {
             start_offset_ns: fire_offset + k * 1_000_000, // 1 ms pacing inside the burst
             service_ns: service.sample(&mut rng).max(1.0) as u64,
-            events: 1,
-            size_bytes: 500,
         });
         let flow = FlowKey::new(
             0x0b00_0000 + i as u32,
@@ -83,7 +79,7 @@ pub fn surge(config: SurgeConfig, seed: u64) -> Workload {
             0x0aff_0001,
             9000,
         );
-        let conn = ConnectionSpec::new(arrival, flow, 0, 9000, config.drain_ns);
+        let conn = ConnectionSpec::new(arrival, flow, 0, 1, config.drain_ns);
         w.push(conn, std::iter::once(handshake).chain(burst));
     }
     w.seal()
@@ -124,14 +120,15 @@ pub fn region_mix(
         if cps < 0.5 {
             continue;
         }
+        // One tenant per case, so each case listens on its own port; the
+        // connections carry the case's index as their tenant.
         let tenants = TenantSet::new(vec![case.profile()], 0.0, 20_000 + (i as u16) * 100);
-        let arrivals =
-            (ArrivalProcess::Poisson { rate_per_sec: cps }).generate(duration_ns, &mut rng);
-        tenants.reserve(&mut w, arrivals.len());
-        for t in arrivals {
-            tenants.push_connection(&mut w, t, seq, &mut rng).tenant = i as u16;
-            seq = seq.wrapping_add(1);
+        let process = ArrivalProcess::Poisson { rate_per_sec: cps };
+        let conns = tenants.append(&mut w, &process, duration_ns, seq, &mut rng);
+        for c in conns.iter_mut() {
+            c.tenant = i as u16;
         }
+        seq = seq.wrapping_add(conns.len() as u32);
     }
     w.seal()
 }

@@ -1,12 +1,15 @@
 //! The workload data model consumed by the simulator.
 //!
 //! A [`Workload`] is a time-ordered list of [`ConnectionSpec`]s and one flat
-//! table of [`RequestSpec`]s. Each connection carries its flow identity (for
-//! reuseport hashing), its tenant and port (for multi-tenant accounting), and
-//! the extent of its script in the request table — a `u32` start and count,
-//! not a `Vec` of its own: when each request arrives relative to connection
-//! establishment, how many I/O events it triggers, and how much worker CPU
-//! time it costs. [`Workload::push`] is the one way in and
+//! table of [`RequestSpec`]s, and it holds only what the simulator reads.
+//! Each connection carries its flow identity (for reuseport hashing; its
+//! destination port is the tenant's listening port), its tenant (for
+//! multi-tenant accounting), how many I/O events each of its requests
+//! triggers, and the extent of its script in the request table — a `u32`
+//! start and count, not a `Vec` of its own. A request is when it arrives
+//! relative to connection establishment and how much worker CPU time it
+//! costs: 16 bytes, so Case 1 heavy's two million connections cost 40 + 16
+//! bytes each. [`Workload::push`] is the one way in and
 //! [`Workload::requests_of`] the one way out, so a generator writes every
 //! request into the table in place and a million connections cost two
 //! allocations, not a million. Keeping requests scripted (rather than
@@ -23,22 +26,10 @@ pub struct RequestSpec {
     /// connection establishment (ns).
     pub start_offset_ns: u64,
     /// Total worker CPU time to process the request (ns) — the paper's
-    /// "processing time", covering parsing/SSL/compression.
+    /// "processing time", covering parsing/SSL/compression. It is split
+    /// evenly across the connection's
+    /// [`events_per_request`](ConnectionSpec::events_per_request).
     pub service_ns: u64,
-    /// Number of epoll events the request generates (≥1): header readable,
-    /// body readable, upstream writable, ... Service time is split evenly
-    /// across events.
-    pub events: u32,
-    /// Request size in bytes (Table 1's request-size dimension; drives
-    /// buffer accounting, not CPU cost).
-    pub size_bytes: u32,
-}
-
-impl RequestSpec {
-    /// CPU time consumed by each of the request's events.
-    pub fn service_per_event_ns(&self) -> u64 {
-        self.service_ns / u64::from(self.events.max(1))
-    }
 }
 
 /// One client connection through the LB.
@@ -46,12 +37,14 @@ impl RequestSpec {
 pub struct ConnectionSpec {
     /// SYN arrival time (ns from experiment start).
     pub arrival_ns: u64,
-    /// Flow 4-tuple (gives the kernel its precomputed hash).
+    /// Flow 4-tuple (gives the kernel its precomputed hash); its
+    /// destination port is the LB-side port, [`port`](Self::port).
     pub flow: FlowKey,
     /// Owning tenant (dense id).
     pub tenant: u16,
-    /// LB-side destination port (the tenant's rewritten Dport).
-    pub port: u16,
+    /// Number of epoll events each of the connection's requests generates
+    /// (≥1): header readable, body readable, upstream writable, ...
+    pub events_per_request: u16,
     /// Connection closes this long after its last request completes; 0
     /// closes it right after the last request (short-lived).
     pub linger_ns: u64,
@@ -65,21 +58,44 @@ pub struct ConnectionSpec {
 impl ConnectionSpec {
     /// A connection with no requests yet: [`Workload::push`] gives it its
     /// script.
-    pub fn new(arrival_ns: u64, flow: FlowKey, tenant: u16, port: u16, linger_ns: u64) -> Self {
+    pub fn new(
+        arrival_ns: u64,
+        flow: FlowKey,
+        tenant: u16,
+        events_per_request: u16,
+        linger_ns: u64,
+    ) -> Self {
         Self {
             arrival_ns,
             flow,
             tenant,
-            port,
+            events_per_request,
             linger_ns,
             first_request: 0,
             requests: 0,
         }
     }
 
+    /// A row that holds only its arrival: a generator writes one per
+    /// arrival as it draws them and fills in the rest with
+    /// [`Workload::script`].
+    pub(crate) fn arriving(arrival_ns: u64) -> Self {
+        Self::new(arrival_ns, FlowKey::new(0, 0, 0, 0), 0, 0, 0)
+    }
+
+    /// LB-side destination port (the tenant's rewritten Dport).
+    pub fn port(&self) -> u16 {
+        self.flow.dst_port
+    }
+
     /// Number of scripted requests.
     pub fn request_count(&self) -> usize {
         self.requests as usize
+    }
+
+    /// CPU time each event of `request`, one of this connection's, consumes.
+    pub fn service_per_event_ns(&self, request: &RequestSpec) -> u64 {
+        request.service_ns / u64::from(self.events_per_request.max(1))
     }
 }
 
@@ -119,15 +135,27 @@ impl Workload {
     /// already be sorted by start offset.
     pub fn push(
         &mut self,
-        mut conn: ConnectionSpec,
+        conn: ConnectionSpec,
+        requests: impl IntoIterator<Item = RequestSpec>,
+    ) -> &mut ConnectionSpec {
+        self.conns.push(conn);
+        self.script(self.conns.len() - 1, requests)
+    }
+
+    /// Append `requests` to the table as connection `index`'s script and
+    /// return the connection: how a generator that wrote its rows first
+    /// (one arrival each) fills them in, in order.
+    pub(crate) fn script(
+        &mut self,
+        index: usize,
         requests: impl IntoIterator<Item = RequestSpec>,
     ) -> &mut ConnectionSpec {
         let first = self.requests.len();
         self.requests.extend(requests);
+        let conn = &mut self.conns[index];
         conn.first_request = u32::try_from(first).expect("u32 request handles");
         conn.requests = u32::try_from(self.requests.len() - first).expect("u32 request handles");
-        self.conns.push(conn);
-        self.conns.last_mut().expect("just pushed")
+        conn
     }
 
     /// `conn`'s requests, sorted by start offset. `conn` must be one of this
@@ -198,6 +226,11 @@ impl Workload {
 /// shows as well as a changed one. The generator tests pin these figures.
 #[cfg(test)]
 impl Workload {
+    /// Requests the table has room for.
+    pub(crate) fn request_capacity(&self) -> usize {
+        self.requests.capacity()
+    }
+
     /// `[arrival, flow hash, tenant, linger]` over connections, then
     /// `[offset, service, events]` over requests.
     pub(crate) fn stream_sums(&self) -> [u64; 7] {
@@ -214,7 +247,7 @@ impl Workload {
             for r in self.requests_of(c) {
                 add(4, j, r.start_offset_ns);
                 add(5, j, r.service_ns);
-                add(6, j, u64::from(r.events));
+                add(6, j, u64::from(c.events_per_request));
                 j += 1;
             }
         }
@@ -230,32 +263,38 @@ mod tests {
         RequestSpec {
             start_offset_ns,
             service_ns,
-            events: 2,
-            size_bytes: 100,
         }
     }
 
     fn conn(arrival: u64) -> ConnectionSpec {
-        ConnectionSpec::new(arrival, FlowKey::new(1, 2, 3, 4), 0, 1000, 0)
+        ConnectionSpec::new(arrival, FlowKey::new(1, 2, 3, 4), 0, 2, 0)
     }
 
     #[test]
     fn service_per_event_splits_evenly() {
-        let r = RequestSpec {
-            start_offset_ns: 0,
-            service_ns: 100,
-            events: 4,
-            size_bytes: 0,
+        let c = ConnectionSpec {
+            events_per_request: 4,
+            ..conn(0)
         };
-        assert_eq!(r.service_per_event_ns(), 25);
-        let degenerate = RequestSpec { events: 0, ..r };
-        assert_eq!(degenerate.service_per_event_ns(), 100);
+        assert_eq!(c.service_per_event_ns(&request(0, 100)), 25);
+        let degenerate = ConnectionSpec {
+            events_per_request: 0,
+            ..c
+        };
+        assert_eq!(degenerate.service_per_event_ns(&request(0, 100)), 100);
     }
 
-    /// Case 1 heavy holds two million of these for a 30 s device run.
+    /// Case 1 heavy holds two million of these for a 30 s device run: a
+    /// field added later shows here as a reviewed number.
     #[test]
     fn a_connection_is_forty_bytes() {
         assert_eq!(std::mem::size_of::<ConnectionSpec>(), 40);
+    }
+
+    /// Case 1 heavy's two million connections hold one request each.
+    #[test]
+    fn a_request_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<RequestSpec>(), 16);
     }
 
     #[test]

@@ -19,7 +19,10 @@ pub struct TenantProfile {
     pub name: String,
     /// Request processing-time distribution (ns).
     pub service_ns: Arc<dyn Distribution>,
-    /// Request size distribution (bytes).
+    /// Request size distribution (bytes, Table 1's request-size
+    /// dimension). Drawn once per request and dropped: the simulator reads
+    /// no size, and the draw keeps every seed's stream the one its recorded
+    /// results came from.
     pub size_bytes: Arc<dyn Distribution>,
     /// Requests per connection (1 = short-lived HTTP; large = keep-alive /
     /// WebSocket-ish).
@@ -27,7 +30,7 @@ pub struct TenantProfile {
     /// Gap between consecutive requests on a connection (ns).
     pub think_time_ns: Arc<dyn Distribution>,
     /// Events per request (epoll readiness notifications).
-    pub events_per_request: u32,
+    pub events_per_request: u16,
     /// How long the connection lingers after its last request (ns); `None`
     /// closes immediately.
     pub linger_ns: Option<u64>,
@@ -92,11 +95,11 @@ impl TenantSet {
         self.skew.pmf(tenant + 1)
     }
 
-    /// Make room in `w` for `conns` more connections of this set: the
-    /// request count is the Zipf-weighted mean per connection, exact when
-    /// every profile's count is constant. An unbounded mean reserves no
-    /// requests; the table then grows as it fills.
-    pub(crate) fn reserve(&self, w: &mut Workload, conns: usize) {
+    /// Make room in `w`'s request table for `conns` more connections of
+    /// this set: the Zipf-weighted mean per connection, exact when every
+    /// profile's count is constant. An unbounded mean reserves nothing; the
+    /// table then grows as it fills.
+    fn reserve_requests(&self, w: &mut Workload, conns: usize) {
         let per_conn: f64 = self
             .tenants
             .iter()
@@ -109,29 +112,46 @@ impl TenantSet {
         } else {
             0
         };
-        w.reserve(conns, requests);
+        w.reserve(0, requests);
     }
 
-    /// Append one connection arriving at `arrival_ns` for a Zipf-sampled
-    /// tenant to `w`. `conn_seq` individualizes the flow 4-tuple.
-    pub fn push_connection<'w>(
+    /// Append a connection to `w` for every arrival `process` draws over
+    /// `duration_ns` and return them; `first_seq` numbers the first one's
+    /// flow. Each arrival goes straight into the row it starts, and once the
+    /// stream ends the rows are filled in order, each from a Zipf-sampled
+    /// tenant: every arrival is drawn before any connection's script, the
+    /// order every recorded result was drawn in.
+    pub(crate) fn append<'w>(
         &self,
         w: &'w mut Workload,
-        arrival_ns: u64,
-        conn_seq: u32,
+        process: &ArrivalProcess,
+        duration_ns: u64,
+        first_seq: u32,
         rng: &mut crate::Rng,
-    ) -> &'w mut ConnectionSpec {
-        let tenant = self.skew.sample_index(rng);
-        self.push_connection_for(w, tenant, arrival_ns, conn_seq, rng)
+    ) -> &'w mut [ConnectionSpec] {
+        let first = w.conns.len();
+        w.conns.extend(
+            process
+                .arrivals(duration_ns, rng)
+                .map(ConnectionSpec::arriving),
+        );
+        w.conns.shrink_to_fit();
+        self.reserve_requests(w, w.conns.len() - first);
+        for (index, seq) in (first..w.conns.len()).zip(first_seq..) {
+            let tenant = self.skew.sample_index(rng);
+            self.fill(w, index, tenant, seq, rng);
+        }
+        &mut w.conns[first..]
     }
 
-    /// Append a connection for a specific tenant to `w`; its requests are
-    /// drawn straight into the workload's table.
-    pub fn push_connection_for<'w>(
+    /// Make row `index` of `w`, which holds only its arrival, a connection
+    /// of `tenant`: its requests are drawn straight into the workload's
+    /// table. `conn_seq` individualizes the flow 4-tuple.
+    fn fill<'w>(
         &self,
         w: &'w mut Workload,
+        index: usize,
         tenant: usize,
-        arrival_ns: u64,
         conn_seq: u32,
         rng: &mut crate::Rng,
     ) -> &'w mut ConnectionSpec {
@@ -142,24 +162,26 @@ impl TenantSet {
             if i > 0 {
                 offset += profile.think_time_ns.sample(rng).max(0.0) as u64;
             }
+            let service_ns = profile.service_ns.sample(rng).max(1.0) as u64;
+            // Nothing reads a request's size, but it is still drawn: every
+            // recorded result comes from the stream with this draw in it.
+            profile.size_bytes.sample(rng);
             RequestSpec {
                 start_offset_ns: offset,
-                service_ns: profile.service_ns.sample(rng).max(1.0) as u64,
-                events: profile.events_per_request,
-                size_bytes: profile.size_bytes.sample(rng).max(1.0) as u32,
+                service_ns,
             }
         });
+        let conn = w.script(index, requests);
         // Synthetic client identity: distinct src ip/port per connection so
-        // reuseport hashing sees fresh tuples.
+        // reuseport hashing sees fresh tuples. The source-port jitter is the
+        // draw after the requests'.
         let src_ip = 0x0a00_0000 | (conn_seq >> 8);
-        let src_port = 1024u16.wrapping_add((conn_seq as u16).wrapping_mul(13));
-        let port = self.port_of(tenant);
-        let flow = FlowKey::new(src_ip, src_port, self.vip, port);
-        let linger = profile.linger_ns.unwrap_or(0);
-        let conn = ConnectionSpec::new(arrival_ns, flow, tenant as u16, port, linger);
-        let conn = w.push(conn, requests);
-        // The source-port jitter is the draw after the requests'.
-        conn.flow.src_port ^= rng.u16() & 0x3ff;
+        let src_port =
+            1024u16.wrapping_add((conn_seq as u16).wrapping_mul(13)) ^ (rng.u16() & 0x3ff);
+        conn.flow = FlowKey::new(src_ip, src_port, self.vip, self.port_of(tenant));
+        conn.tenant = tenant as u16;
+        conn.events_per_request = profile.events_per_request;
+        conn.linger_ns = profile.linger_ns.unwrap_or(0);
         conn
     }
 
@@ -173,11 +195,7 @@ impl TenantSet {
         rng: &mut crate::Rng,
     ) -> Workload {
         let mut w = Workload::new(name, duration_ns);
-        let arrivals = process.generate(duration_ns, rng);
-        self.reserve(&mut w, arrivals.len());
-        for (seq, t) in arrivals.into_iter().enumerate() {
-            self.push_connection(&mut w, t, seq as u32, rng);
-        }
+        self.append(&mut w, process, duration_ns, 0, rng);
         w.seal()
     }
 }
@@ -223,16 +241,30 @@ mod tests {
         assert!((ts.share_of(1) - 1.0 / 3.0).abs() < 1e-12);
     }
 
+    /// Row `index` of `w`, written at `arrival_ns`, filled for `tenant`.
+    fn filled(
+        ts: &TenantSet,
+        w: &mut Workload,
+        tenant: usize,
+        arrival_ns: u64,
+        conn_seq: u32,
+        rng: &mut crate::Rng,
+    ) -> ConnectionSpec {
+        w.conns.push(ConnectionSpec::arriving(arrival_ns));
+        *ts.fill(w, w.conns.len() - 1, tenant, conn_seq, rng)
+    }
+
     #[test]
     fn generated_connection_matches_profile() {
         let ts = two_tenants();
         let mut rng = crate::rng(21);
         let mut w = Workload::new("t", NANOS_PER_SEC);
-        let c = *ts.push_connection_for(&mut w, 1, 500, 7, &mut rng);
+        let c = filled(&ts, &mut w, 1, 500, 7, &mut rng);
         assert_eq!(c.tenant, 1);
-        assert_eq!(c.port, 10_001);
+        assert_eq!(c.port(), 10_001);
         assert_eq!(c.arrival_ns, 500);
         assert_eq!(c.linger_ns, 5 * NANOS_PER_SEC);
+        assert_eq!(c.events_per_request, 2);
         let requests = w.requests_of(&c);
         assert_eq!(requests.len(), 3);
         assert_eq!(requests[0].service_ns, 50_000_000);
@@ -246,13 +278,14 @@ mod tests {
         let ts = two_tenants();
         let mut rng = crate::rng(22);
         let mut w = Workload::new("t", NANOS_PER_SEC);
-        let a = ts.push_connection_for(&mut w, 0, 0, 1, &mut rng).flow;
-        let b = ts.push_connection_for(&mut w, 0, 0, 2, &mut rng).flow;
+        let a = filled(&ts, &mut w, 0, 0, 1, &mut rng).flow;
+        let b = filled(&ts, &mut w, 0, 0, 2, &mut rng).flow;
         assert_ne!(a, b);
     }
 
-    /// Generation reserves from the arrival count, so the connection column
-    /// never regrows.
+    /// The connection rows are trimmed to the arrivals once they are all
+    /// drawn and the request table is reserved from their count, so neither
+    /// holds room that nothing fills.
     #[test]
     fn workload_generation_fills_its_reservation_exactly() {
         let ts = TenantSet::new(vec![TenantProfile::simple_http(1.0); 9], 0.9, 1);
@@ -264,6 +297,7 @@ mod tests {
         assert!(w.connection_count() > 4_500, "{}", w.connection_count());
         assert_eq!(w.conns.capacity(), w.connection_count());
         assert_eq!(w.request_count(), w.connection_count());
+        assert_eq!(w.request_capacity(), w.request_count());
     }
 
     #[test]

@@ -38,11 +38,10 @@ fn flow_hitting(target: usize, mut seed: u32) -> FlowKey {
 fn push(wl: &mut Workload, flow: FlowKey, arrival_ns: u64, per_event_ns: u64) {
     let request = RequestSpec {
         start_offset_ns: 0,
-        service_ns: per_event_ns * 2, // two events per request
-        events: 2,
-        size_bytes: 100,
+        service_ns: per_event_ns * 2,
     };
-    wl.push(ConnectionSpec::new(arrival_ns, flow, 0, PORT, 0), [request]);
+    // Two events per request.
+    wl.push(ConnectionSpec::new(arrival_ns, flow, 0, 2, 0), [request]);
 }
 
 fn main() {

@@ -158,14 +158,19 @@ cargo test --release -q -p hermes-core --test sched_differential
 cargo test --release -q -p hermes-core --test no_alloc
 cargo test --release -q -p hermes-core --test sched_lanes
 
-step "workload stream (recorded Case 1 stream, guide-table Zipf = binary search, request extents)"
+step "workload stream (recorded streams of every generator, row layout, guide-table Zipf = binary search, request extents)"
 # Every simulated number starts here. The sim_case1 input (Case 1 heavy, seed
 # 42, 2 016 205 connections) sums to the constants recorded when the results
-# were made; the guide-table Zipf draw returns the rank the binary search of
-# the cumulative weights returns, at every guide-bucket edge and over 10^6
-# draws, and no draw lands past the last rank; each connection's extent in the
-# flat request table survives `seal`. Per-device streams reach the simulator
-# through `cluster::run_fleet_with`, whose unit tests live in hermes-simnet.
+# were made, and every generator (each case at a short horizon, the
+# region mix, the surge) to a field-by-field fingerprint of its stream:
+# arrival, flow hash, tenant and linger of each connection, offset, service
+# and event count of each request. A connection row is 40 B and a request row
+# 16 B, and generation leaves no unused capacity in either column; the
+# guide-table Zipf draw returns the rank the binary search of the cumulative
+# weights returns, at every guide-bucket edge and over 10^6 draws, and no
+# draw lands past the last rank; each connection's extent in the flat request
+# table survives `seal`. Per-device streams reach the simulator through
+# `cluster::run_fleet_with`, whose unit tests live in hermes-simnet.
 cargo test --release -q -p hermes-workload
 cargo test --release -q -p hermes-simnet --lib cluster
 
