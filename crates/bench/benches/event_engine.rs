@@ -1,13 +1,17 @@
-//! The simulator's event queue, the timer wheel, isolated from the rest of
-//! the simulator.
+//! The simulator's event queue, the two-tier calendar, isolated from the
+//! rest of the simulator.
 //!
-//! Two workloads:
+//! Three workloads:
 //!
-//! * **steady churn** — hold `n` pending events and repeatedly pop the
-//!   earliest, rescheduling it a pseudo-random think-time ahead. This is
-//!   the simulator's steady state (every live connection keeps exactly
-//!   one timer pending); the wheel's pop is amortized O(1), so sweeping `n`
-//!   shows what cascades and cache misses cost as the population grows.
+//! * **Case 3 churn** — hold `n` pending events and repeatedly pop the
+//!   earliest, rescheduling it a pseudo-random think-time ahead (1 µs to
+//!   67 ms, like Case 3's long-lived connections' timers), so most events
+//!   land in the coarse ring and move into the near ring before they pop;
+//!   sweeping `n` shows what the moves and cache misses cost as the
+//!   population grows.
+//! * **Case 1 churn** — the same loop with what a Case 1 worker schedules:
+//!   a 3 µs wake, a batch completion microseconds to a millisecond out, or
+//!   a 5 ms `epoll_wait` timeout. Nearly everything lands in the near ring.
 //! * **same-tick burst** — dispatch batches land many events on one
 //!   timestamp; the tie-break (FIFO by insertion sequence) must stay
 //!   cheap, not degenerate into sorting.
@@ -16,7 +20,7 @@
 //! this bench explains *why* it moves.
 
 use hermes_bench::time_it;
-use hermes_simnet::TimerWheel;
+use hermes_simnet::CalendarQueue;
 use std::hint::black_box;
 
 /// Deterministic, stateless 64-bit mix (splitmix64's finaliser).
@@ -28,12 +32,27 @@ fn mix(x: u64) -> u64 {
 }
 
 /// Think-time-shaped delta: 1 µs – ~67 ms, like Case-3 connection timers.
-fn delta(seed: u64) -> u64 {
+fn case3_delta(seed: u64) -> u64 {
     1_000 + mix(seed) % 67_000_000
 }
 
-fn churn(pending: usize, ops: usize) -> u64 {
-    let mut q = TimerWheel::new();
+/// What a Case 1 worker schedules: a quarter 3 µs wakes, a quarter 5 ms
+/// `epoll_wait` timeouts, half batch completions spread evenly over the
+/// powers of two from 2 µs to 1 ms.
+fn case1_delta(seed: u64) -> u64 {
+    let r = mix(seed);
+    match r % 4 {
+        0 => 3_000,
+        1 => 5_000_000,
+        _ => {
+            let scale = 1u64 << (11 + (r >> 8) % 10);
+            scale + (r >> 16) % scale
+        }
+    }
+}
+
+fn churn(pending: usize, ops: usize, delta: fn(u64) -> u64) -> u64 {
+    let mut q = CalendarQueue::new();
     for i in 0..pending {
         q.push(delta(i as u64), i as u32);
     }
@@ -47,7 +66,7 @@ fn churn(pending: usize, ops: usize) -> u64 {
 }
 
 fn burst(width: usize, rounds: usize) -> u64 {
-    let mut q = TimerWheel::new();
+    let mut q = CalendarQueue::new();
     let mut acc = 0u64;
     let mut now = 0u64;
     for r in 0..rounds {
@@ -64,8 +83,14 @@ fn burst(width: usize, rounds: usize) -> u64 {
 
 fn main() {
     for pending in [64usize, 4_096, 65_536] {
-        let name = format!("event_engine/churn/wheel/{pending}");
-        time_it(&name, || churn(black_box(pending), 10_000));
+        let name = format!("event_engine/churn_case3/calendar/{pending}");
+        time_it(&name, || churn(black_box(pending), 10_000, case3_delta));
     }
-    time_it("event_engine/burst512/wheel", || burst(black_box(512), 16));
+    for pending in [64usize, 512, 4_096] {
+        let name = format!("event_engine/churn_case1/calendar/{pending}");
+        time_it(&name, || churn(black_box(pending), 10_000, case1_delta));
+    }
+    time_it("event_engine/burst512/calendar", || {
+        burst(black_box(512), 16)
+    });
 }

@@ -146,10 +146,18 @@ impl Scheduler {
         self.schedule(wst, now_ns)
     }
 
-    /// Run the cascade over an already-taken snapshot of at most 64 rows,
-    /// tracing on `hermes_trace::CONTROL_LANE`.
-    pub fn schedule_from_snapshot(&self, rows: &[WorkerSnapshot], now_ns: u64) -> SchedDecision {
-        self.cascade(rows, now_ns, hermes_trace::CONTROL_LANE)
+    /// Run the cascade over at most 64 rows the caller holds, tracing on
+    /// `lane`: the flight-recorder lane of the loop that runs the pass. The
+    /// simulator keeps its worker table as plain rows and calls this with
+    /// the running worker's lane; a caller with no loop of its own passes
+    /// `hermes_trace::CONTROL_LANE`.
+    pub fn schedule_from_snapshot(
+        &self,
+        rows: &[WorkerSnapshot],
+        now_ns: u64,
+        lane: u32,
+    ) -> SchedDecision {
+        self.cascade(rows, now_ns, lane)
     }
 
     /// The one scheduler kernel; every entry point ends here, tracing on
@@ -272,6 +280,7 @@ impl SnapshotCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hermes_trace::CONTROL_LANE;
 
     fn snap(loop_enter_ns: u64, pending: i64, conns: i64) -> WorkerSnapshot {
         WorkerSnapshot {
@@ -293,7 +302,7 @@ mod tests {
     fn all_fresh_idle_workers_selected() {
         let s = sched();
         let snaps = vec![snap(1_000, 0, 0); 4];
-        let d = s.schedule_from_snapshot(&snaps, 1_050);
+        let d = s.schedule_from_snapshot(&snaps, 1_050, CONTROL_LANE);
         assert_eq!(d.bitmap, WorkerBitmap::all(4));
         assert_eq!(d.alive, WorkerBitmap::all(4));
     }
@@ -306,7 +315,7 @@ mod tests {
             snap(500, 0, 0), // stale by 550 >= threshold 100 ⇒ hung
             snap(1_000, 0, 0),
         ];
-        let d = s.schedule_from_snapshot(&snaps, 1_050);
+        let d = s.schedule_from_snapshot(&snaps, 1_050, CONTROL_LANE);
         assert!(!d.bitmap.contains(1));
         assert!(!d.alive.contains(1));
         assert!(d.bitmap.contains(0) && d.bitmap.contains(2));
@@ -318,10 +327,10 @@ mod tests {
         // Worker 0 reads as entered-at-0; at now=1010 with threshold 100
         // it is stale and filtered.
         let snaps = vec![snap(0, 0, 0), snap(1_000, 0, 0)];
-        let d = s.schedule_from_snapshot(&snaps, 1_010);
+        let d = s.schedule_from_snapshot(&snaps, 1_010, CONTROL_LANE);
         assert_eq!(d.bitmap.iter().collect::<Vec<_>>(), vec![1]);
         // Early on (now < threshold) it still counts as available.
-        let d = s.schedule_from_snapshot(&snaps, 50);
+        let d = s.schedule_from_snapshot(&snaps, 50, CONTROL_LANE);
         assert!(d.bitmap.contains(0));
     }
 
@@ -330,7 +339,7 @@ mod tests {
         let s = sched();
         // avg conns = (0+0+12)/3 = 4, θ = 2 ⇒ keep conns < 6.
         let snaps = vec![snap(1_000, 0, 0), snap(1_000, 0, 0), snap(1_000, 0, 12)];
-        let d = s.schedule_from_snapshot(&snaps, 1_010);
+        let d = s.schedule_from_snapshot(&snaps, 1_010, CONTROL_LANE);
         assert_eq!(d.bitmap.iter().collect::<Vec<_>>(), vec![0, 1]);
         // But the overloaded worker is still alive.
         assert!(d.alive.contains(2));
@@ -342,7 +351,7 @@ mod tests {
         // Worker 2 has huge conns (dropped in stage 2). Among {0,1}, worker 1
         // has pending=10 vs avg (0+10)/2=5, θ=2.5 ⇒ keep pending < 7.5 ⇒ {0}.
         let snaps = vec![snap(1_000, 0, 1), snap(1_000, 10, 1), snap(1_000, 0, 50)];
-        let d = s.schedule_from_snapshot(&snaps, 1_010);
+        let d = s.schedule_from_snapshot(&snaps, 1_010, CONTROL_LANE);
         assert_eq!(d.bitmap.iter().collect::<Vec<_>>(), vec![0]);
     }
 
@@ -356,7 +365,7 @@ mod tests {
             ..SchedConfig::default()
         });
         let snaps = vec![snap(1_000, 5, 7); 8];
-        let d = s.schedule_from_snapshot(&snaps, 1_010);
+        let d = s.schedule_from_snapshot(&snaps, 1_010, CONTROL_LANE);
         assert_eq!(d.bitmap, WorkerBitmap::all(8));
     }
 
@@ -376,14 +385,16 @@ mod tests {
         });
         assert_eq!(
             tight
-                .schedule_from_snapshot(&snaps, 1_010)
+                .schedule_from_snapshot(&snaps, 1_010, CONTROL_LANE)
                 .bitmap
                 .iter()
                 .collect::<Vec<_>>(),
             vec![0]
         );
         assert_eq!(
-            loose.schedule_from_snapshot(&snaps, 1_010).bitmap,
+            loose
+                .schedule_from_snapshot(&snaps, 1_010, CONTROL_LANE)
+                .bitmap,
             WorkerBitmap::all(3)
         );
     }
@@ -403,8 +414,8 @@ mod tests {
                 FilterStage::Time,
             ],
         });
-        let a = paper_order.schedule_from_snapshot(&snaps, 1_010);
-        let b = reversed.schedule_from_snapshot(&snaps, 1_010);
+        let a = paper_order.schedule_from_snapshot(&snaps, 1_010, CONTROL_LANE);
+        let b = reversed.schedule_from_snapshot(&snaps, 1_010, CONTROL_LANE);
         // Paper order: hung dropped first, avg conns over {0,1} = 2, θ=1 ⇒
         // keep < 3 ⇒ {0}. Reversed: avg over all = 34.67, θ=17.3 ⇒ {0,1}
         // survive the load filter, then hung dropped ⇒ {0,1}.
@@ -450,7 +461,7 @@ mod tests {
             stages: vec![FilterStage::Connections],
         });
         let snaps = vec![snap(1_000, 0, 0), snap(1, 0, 0)];
-        let d = s.schedule_from_snapshot(&snaps, 2_000);
+        let d = s.schedule_from_snapshot(&snaps, 2_000, CONTROL_LANE);
         // Stage list has no Time filter, so the hung worker can pass the
         // bitmap, but `alive` still reflects hang detection.
         assert!(d.bitmap.contains(1));
@@ -472,7 +483,7 @@ mod tests {
         // the alert system takes over; the scheduler just reports honestly.
         let s = sched();
         let snaps = vec![snap(1, 0, 0); 4];
-        let d = s.schedule_from_snapshot(&snaps, 1_000_000);
+        let d = s.schedule_from_snapshot(&snaps, 1_000_000, CONTROL_LANE);
         assert!(d.bitmap.is_empty());
         assert!(d.alive.is_empty());
     }

@@ -15,6 +15,7 @@
 use hermes_core::{FilterStage, SchedConfig, SchedDecision, Scheduler, WorkerBitmap};
 use hermes_core::{WorkerSnapshot, Wst};
 use hermes_metrics::SplitMix64;
+use hermes_trace::CONTROL_LANE;
 
 use FilterStage::{Connections, PendingEvents, Time};
 
@@ -209,7 +210,7 @@ fn kernel_matches_algorithm_1_on_snapshots() {
                 for theta_frac in thetas(&mut rng) {
                     for stages in STAGE_ORDERS {
                         let (kernel, reference) = pair(theta_frac, stages);
-                        let got = kernel.schedule_from_snapshot(&rows, NOW_NS);
+                        let got = kernel.schedule_from_snapshot(&rows, NOW_NS, CONTROL_LANE);
                         let want = reference.schedule(&rows, NOW_NS);
                         assert_eq!(
                             got, want,
@@ -278,18 +279,18 @@ fn full_width_table_reaches_lane_63() {
     ];
     // θ = 0: the limit is the plain average.
     let (kernel, reference) = pair(0.0, &[Time, Connections, PendingEvents]);
-    let d = kernel.schedule_from_snapshot(&rows, NOW_NS);
+    let d = kernel.schedule_from_snapshot(&rows, NOW_NS, CONTROL_LANE);
     assert_eq!(d.bitmap, WorkerBitmap::all(64));
     assert_eq!(d, reference.schedule(&rows, NOW_NS));
     // Only lane 63 is below the average; then only lane 63 is hung.
     for row in &mut rows[..63] {
         row.connections = 100;
     }
-    let d = kernel.schedule_from_snapshot(&rows, NOW_NS);
+    let d = kernel.schedule_from_snapshot(&rows, NOW_NS, CONTROL_LANE);
     assert_eq!(d.bitmap.0, 1 << 63);
     assert_eq!(d, reference.schedule(&rows, NOW_NS));
     rows[63].loop_enter_ns = 0;
-    let d = kernel.schedule_from_snapshot(&rows, NOW_NS);
+    let d = kernel.schedule_from_snapshot(&rows, NOW_NS, CONTROL_LANE);
     assert_eq!(d.alive.0, u64::MAX >> 1);
     assert_eq!(d, reference.schedule(&rows, NOW_NS));
 }

@@ -333,18 +333,18 @@ mod tests {
     #[test]
     fn the_shipped_bytes_are_pinned() {
         let golden = [
-            (1, 4, 147, include_str!("../tests/golden/dispatch_1x4.hex")),
-            (1, 8, 178, include_str!("../tests/golden/dispatch_1x8.hex")),
+            (1, 4, 137, include_str!("../tests/golden/dispatch_1x4.hex")),
+            (1, 8, 168, include_str!("../tests/golden/dispatch_1x8.hex")),
             (
                 1,
                 64,
-                273,
+                263,
                 include_str!("../tests/golden/dispatch_1x64.hex"),
             ),
             (
                 2,
                 64,
-                297,
+                286,
                 include_str!("../tests/golden/dispatch_2x64.hex"),
             ),
         ];

@@ -123,18 +123,14 @@ fn emit_select(a: &mut Assembler) {
     a.call(FN_SK_SELECT_REUSEPORT);
 }
 
-/// Exit with `SK_PASS`, counting the path R0 names (non-zero: directed) in
-/// the record: the kernel drops the connection on any other return value.
-fn emit_exit(a: &mut Assembler) {
-    let (fell, pass) = (a.label(), a.label());
+/// Exit with `SK_PASS`, counting the path in the record word at `counter`
+/// ([`DIRECTED`] or [`FALLBACK`]): the kernel drops the connection on any
+/// other return value. Each exit site knows its path, so it emits its own
+/// count.
+fn emit_exit(a: &mut Assembler, counter: i16) {
     a.ld_imm64(R1, PSEUDO_MAP_VALUE, RECORD as i64);
     a.mov_imm(R2, 1);
-    a.jmp_imm(JEQ, R0, 0, fell);
-    a.emit(STX | DW | ATOMIC, R1, R2, DIRECTED, ADD as i32);
-    a.ja(pass);
-    a.bind(fell);
-    a.emit(STX | DW | ATOMIC, R1, R2, FALLBACK, ADD as i32);
-    a.bind(pass);
+    a.emit(STX | DW | ATOMIC, R1, R2, counter, ADD as i32);
     a.mov_imm(R0, SK_PASS as i64);
     a.exit();
 }
@@ -155,9 +151,8 @@ impl DispatchProgram {
     /// (`reciprocal_scale`), its low word level 2's hash (`level2_hash`, the
     /// one word the scale reads), the hash itself at `G == 1` — R7 = bitmap
     /// C, R8 = n then pos, R9 = remaining rank r, R2/R3 = scratch, R5 the
-    /// assembler's wide immediates. R1 is set before each helper call to
-    /// the map index the call's `ld_imm64` then names: dead, but part of
-    /// the bytes the kernel's verifier has walked since they shipped.
+    /// assembler's wide immediates. Each helper call's `ld_imm64` loads the
+    /// map it names straight into its argument register.
     ///
     /// For single-socket groups the `n > 1` guard can never pass (the masked
     /// bitmap has at most one set bit), so only the fallback is emitted —
@@ -197,7 +192,6 @@ impl DispatchProgram {
         }
         if size > 1 {
             // C = M_Sel[g].
-            a.mov_imm(R1, SEL as i64);
             if grouped {
                 group(&mut a);
             } else {
@@ -245,13 +239,11 @@ impl DispatchProgram {
             }
 
             // Commit: bpf_sk_select_reuseport(M_socket, g·size + pos).
-            a.mov_imm(R1, SOCKS as i64);
             key(&mut a, R8);
             emit_select(&mut a);
             // Non-zero return (ENOENT: socket slot empty) ⇒ fall back.
             a.jmp_imm(JNE, R0, 0, fallback);
-            a.mov_imm(R0, 1);
-            emit_exit(&mut a);
+            emit_exit(&mut a, DIRECTED);
         }
         a.bind(fallback);
         if grouped {
@@ -261,11 +253,9 @@ impl DispatchProgram {
             a.mov_imm(R2, size as i64);
             emit_reciprocal_scale(&mut a);
             key(&mut a, R0);
-            a.mov_imm(R1, SOCKS as i64);
             emit_select(&mut a);
         }
-        a.mov_imm(R0, 0);
-        emit_exit(&mut a);
+        emit_exit(&mut a, FALLBACK);
         a.finish()
     }
 }

@@ -15,127 +15,117 @@ fn flat_program_disasm_snapshot() {
 2: lddw r2, map 2 value+0
 4: stxdw [r2+16], r1
 5: mov r6, r1
-6: mov r1, 0
-7: mov r2, 0
-8: stxw [r10-12], r2
-9: mov r2, r10
-10: add r2, -12
-11: lddw r1, map 0
-13: call 1
-14: jeq r0, 0 -> 16
-15: ldxdw r0, [r0+0]
-16: mov r7, r0
-17: and r7, 15
-18: mov r8, r7
-19: mov r3, r8
-20: rsh r3, 1
-21: lddw r5, 0x5555555555555555
-23: and r3, r5
-24: sub r8, r3
-25: mov r3, r8
-26: rsh r3, 2
-27: lddw r5, 0x3333333333333333
-29: and r3, r5
-30: lddw r5, 0x3333333333333333
-32: and r8, r5
-33: add r8, r3
-34: mov r3, r8
-35: rsh r3, 4
-36: add r8, r3
-37: lddw r5, 0xf0f0f0f0f0f0f0f
-39: and r8, r5
-40: lddw r5, 0x101010101010101
-42: mul r8, r5
-43: rsh r8, 56
-44: jle r8, 1 -> 137
-45: mov r1, r6
-46: mov r2, r8
-47: mov32 r0, r1
-48: mov32 r2, r2
-49: mul r0, r2
-50: rsh r0, 32
-51: mov r9, r0
-52: add r9, 1
-53: mov r8, 0
-54: mov r2, r7
-55: rsh r2, r8
-56: and r2, 3
-57: mov r3, r2
-58: rsh r3, 1
-59: lddw r5, 0x5555555555555555
-61: and r3, r5
-62: sub r2, r3
-63: mov r3, r2
-64: rsh r3, 2
-65: lddw r5, 0x3333333333333333
-67: and r3, r5
-68: lddw r5, 0x3333333333333333
-70: and r2, r5
-71: add r2, r3
-72: mov r3, r2
-73: rsh r3, 4
-74: add r2, r3
-75: lddw r5, 0xf0f0f0f0f0f0f0f
-77: and r2, r5
-78: lddw r5, 0x101010101010101
-80: mul r2, r5
-81: rsh r2, 56
-82: jge r2, r9 -> 85
-83: sub r9, r2
-84: add r8, 2
-85: mov r2, r7
-86: rsh r2, r8
-87: and r2, 1
-88: mov r3, r2
-89: rsh r3, 1
-90: lddw r5, 0x5555555555555555
-92: and r3, r5
-93: sub r2, r3
-94: mov r3, r2
-95: rsh r3, 2
-96: lddw r5, 0x3333333333333333
-98: and r3, r5
-99: lddw r5, 0x3333333333333333
-101: and r2, r5
-102: add r2, r3
-103: mov r3, r2
-104: rsh r3, 4
-105: add r2, r3
-106: lddw r5, 0xf0f0f0f0f0f0f0f
-108: and r2, r5
-109: lddw r5, 0x101010101010101
-111: mul r2, r5
-112: rsh r2, 56
-113: jge r2, r9 -> 116
-114: sub r9, r2
-115: add r8, 1
-116: mov r1, 1
-117: mov r2, r8
-118: stxw [r10-12], r2
-119: mov r3, r10
-120: add r3, -12
-121: lddw r2, map 1
-123: ldxdw r1, [r10-8]
-124: mov r4, 0
-125: call 82
-126: jne r0, 0 -> 137
-127: mov r0, 1
-128: lddw r1, map 2 value+0
-130: mov r2, 1
-131: jeq r0, 0 -> 134
-132: xadddw [r1+0], r2
-133: ja -> 135
+6: mov r2, 0
+7: stxw [r10-12], r2
+8: mov r2, r10
+9: add r2, -12
+10: lddw r1, map 0
+12: call 1
+13: jeq r0, 0 -> 15
+14: ldxdw r0, [r0+0]
+15: mov r7, r0
+16: and r7, 15
+17: mov r8, r7
+18: mov r3, r8
+19: rsh r3, 1
+20: lddw r5, 0x5555555555555555
+22: and r3, r5
+23: sub r8, r3
+24: mov r3, r8
+25: rsh r3, 2
+26: lddw r5, 0x3333333333333333
+28: and r3, r5
+29: lddw r5, 0x3333333333333333
+31: and r8, r5
+32: add r8, r3
+33: mov r3, r8
+34: rsh r3, 4
+35: add r8, r3
+36: lddw r5, 0xf0f0f0f0f0f0f0f
+38: and r8, r5
+39: lddw r5, 0x101010101010101
+41: mul r8, r5
+42: rsh r8, 56
+43: jle r8, 1 -> 131
+44: mov r1, r6
+45: mov r2, r8
+46: mov32 r0, r1
+47: mov32 r2, r2
+48: mul r0, r2
+49: rsh r0, 32
+50: mov r9, r0
+51: add r9, 1
+52: mov r8, 0
+53: mov r2, r7
+54: rsh r2, r8
+55: and r2, 3
+56: mov r3, r2
+57: rsh r3, 1
+58: lddw r5, 0x5555555555555555
+60: and r3, r5
+61: sub r2, r3
+62: mov r3, r2
+63: rsh r3, 2
+64: lddw r5, 0x3333333333333333
+66: and r3, r5
+67: lddw r5, 0x3333333333333333
+69: and r2, r5
+70: add r2, r3
+71: mov r3, r2
+72: rsh r3, 4
+73: add r2, r3
+74: lddw r5, 0xf0f0f0f0f0f0f0f
+76: and r2, r5
+77: lddw r5, 0x101010101010101
+79: mul r2, r5
+80: rsh r2, 56
+81: jge r2, r9 -> 84
+82: sub r9, r2
+83: add r8, 2
+84: mov r2, r7
+85: rsh r2, r8
+86: and r2, 1
+87: mov r3, r2
+88: rsh r3, 1
+89: lddw r5, 0x5555555555555555
+91: and r3, r5
+92: sub r2, r3
+93: mov r3, r2
+94: rsh r3, 2
+95: lddw r5, 0x3333333333333333
+97: and r3, r5
+98: lddw r5, 0x3333333333333333
+100: and r2, r5
+101: add r2, r3
+102: mov r3, r2
+103: rsh r3, 4
+104: add r2, r3
+105: lddw r5, 0xf0f0f0f0f0f0f0f
+107: and r2, r5
+108: lddw r5, 0x101010101010101
+110: mul r2, r5
+111: rsh r2, 56
+112: jge r2, r9 -> 115
+113: sub r9, r2
+114: add r8, 1
+115: mov r2, r8
+116: stxw [r10-12], r2
+117: mov r3, r10
+118: add r3, -12
+119: lddw r2, map 1
+121: ldxdw r1, [r10-8]
+122: mov r4, 0
+123: call 82
+124: jne r0, 0 -> 131
+125: lddw r1, map 2 value+0
+127: mov r2, 1
+128: xadddw [r1+0], r2
+129: mov r0, 1
+130: exit
+131: lddw r1, map 2 value+0
+133: mov r2, 1
 134: xadddw [r1+8], r2
 135: mov r0, 1
-136: exit
-137: mov r0, 0
-138: lddw r1, map 2 value+0
-140: mov r2, 1
-141: jeq r0, 0 -> 144
-142: xadddw [r1+0], r2
-143: ja -> 145
-144: xadddw [r1+8], r2
-145: mov r0, 1
-146: exit";
+136: exit";
     assert_eq!(disasm(&DispatchProgram::build(1, 4)), expected);
 }

@@ -6,77 +6,191 @@
 //! `pop_before(limit)`, which lets it merge the queue with the workload's
 //! scripted arrivals (never queued) without disturbing the queue's clock.
 //!
-//! [`TimerWheel`] implements it: a hierarchical timing wheel
-//! (Varghese–Lauck style, as in kernel timers and tokio) whose 11 levels of
-//! 64 slots each cover the full `u64` nanosecond range at 1 ns near-wheel
-//! granularity. Schedule and pop are amortized O(1); nodes live in a
-//! single arena and are recycled through a free list, so a steady-state run
-//! allocates nothing per event. The contract's reference is a sorted `Vec`
-//! (the `Model` in this module's tests), which the wheel is run against in
-//! lockstep.
+//! [`CalendarQueue`] implements it in two tiers of buckets and a heap,
+//! sized for the delays the simulator schedules — microsecond wakes,
+//! microsecond-to-millisecond batch completions, 5 ms `epoll_wait`
+//! timeouts, seconds of linger:
+//!
+//! - the **near ring**: 8 192 buckets of 2¹¹ ns (2 µs) over two periods of
+//!   2²³ ns (8.4 ms), the period the clock is in and the next. A bucket is
+//!   a list kept in `(time, insertion)` order, so the head of the first
+//!   occupied bucket at or after the clock is the next event;
+//! - the **coarse ring**: 4 096 unsorted buckets of one period each, from
+//!   the end of the near ring out to 2³⁵ ns (34 s) ahead. When the clock
+//!   enters the near ring's second period, the ring moves on by a period
+//!   and the coarse bucket that becomes its new second period is sorted
+//!   into it;
+//! - a binary **heap** for anything later, which feeds the ring the same
+//!   way.
+//!
+//! An event is handled a bounded number of times: once when pushed, at
+//! most once more when its period reaches the near ring, once when popped.
+//! Nodes live in a single arena and recycle through a free list, so a
+//! steady-state run allocates nothing per event. The contract's reference
+//! is a sorted `Vec` (the `Model` in this module's tests), which the queue
+//! is run against in lockstep.
 //!
 //! Timestamp ties break by insertion sequence (FIFO), which is what makes
-//! replays deterministic. The wheel gets FIFO order for free: level 0 has
-//! 1 ns granularity, so every slot list holds exactly one timestamp and
-//! append order *is* sequence order; cascades from overflow levels drain
-//! their slot lists in FIFO order into lower levels, preserving it.
+//! replays deterministic. A near bucket inserts a node after every node of
+//! its time or earlier, so within the ring insertion order is sequence
+//! order. An event reaches the ring from further out only in the move that
+//! opens its period, and that move runs in sequence order too: first the
+//! heap's events of the period (pushed while it lay beyond the coarse
+//! ring; the heap breaks ties on a push counter), then its coarse bucket's
+//! list (appended while it lay in the coarse ring), into buckets that hold
+//! nothing of that period yet.
 
-/// Bits of the timestamp consumed per wheel level (64 slots).
-const SLOT_BITS: usize = 6;
-/// Slots per level.
-const SLOTS: usize = 1 << SLOT_BITS;
-/// Slot-index mask.
-const SLOT_MASK: u64 = (SLOTS - 1) as u64;
-/// Levels needed to cover all 64 timestamp bits (11 × 6 = 66 ≥ 64).
-const LEVELS: usize = 64usize.div_ceil(SLOT_BITS);
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// log₂ of a near bucket's width in ns (2 048 ns).
+const FINE_BITS: u32 = 11;
+/// log₂ of a period, a coarse bucket's width, in ns (8.4 ms).
+const PERIOD_BITS: u32 = 23;
+/// Near buckets: two periods.
+const NEAR: usize = 2 << (PERIOD_BITS - FINE_BITS);
+/// Coarse buckets: periods past the near ring before the heap takes over.
+const COARSE: u64 = 1 << 12;
 /// Null arena index.
 const NIL: u32 = u32::MAX;
 
-/// One pending event in the wheel arena, linked into a slot list.
+/// One pending event in the arena, linked into a bucket list. `prev` is
+/// kept only in near buckets, and only behind the head.
 #[derive(Clone, Copy, Debug)]
 struct Node<E> {
     t: u64,
     ev: E,
     next: u32,
+    prev: u32,
 }
 
-/// Hierarchical timing wheel over `u64` nanosecond timestamps.
-///
-/// Level `l` spans `64^(l+1)` ns in 64 slots of `64^l` ns each. An event
-/// lives at the lowest level whose slot width still separates it from the
-/// current time (`elapsed`); popping past a level-`l` slot boundary
-/// cascades that slot's events down to finer levels. Nodes are recycled
-/// through a free list, so arena size tracks the *peak* number of pending
-/// events, not the total pushed.
+/// A bucket: an intrusive list of arena nodes, linked by `next` (and, in a
+/// near bucket, back by `prev`).
+#[derive(Clone, Copy, Debug)]
+struct List {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY: List = List {
+    head: NIL,
+    tail: NIL,
+};
+
+/// Which buckets of a ring hold events: a bit per bucket, and a summary
+/// bit per word of those, so finding the next one costs a few word scans.
 #[derive(Debug)]
-pub struct TimerWheel<E> {
+struct Occupancy {
+    words: Box<[u64]>,
+    summary: Box<[u64]>,
+}
+
+impl Occupancy {
+    fn new(buckets: usize) -> Self {
+        let words = buckets / 64;
+        Self {
+            words: vec![0; words].into_boxed_slice(),
+            summary: vec![0; words.div_ceil(64)].into_boxed_slice(),
+        }
+    }
+
+    #[inline]
+    fn set(&mut self, i: usize) {
+        let w = i / 64;
+        self.words[w] |= 1 << (i % 64);
+        self.summary[w / 64] |= 1 << (w % 64);
+    }
+
+    #[inline]
+    fn clear(&mut self, i: usize) {
+        let w = i / 64;
+        self.words[w] &= !(1 << (i % 64));
+        if self.words[w] == 0 {
+            self.summary[w / 64] &= !(1 << (w % 64));
+        }
+    }
+
+    #[inline]
+    fn is_empty(&self) -> bool {
+        self.summary.iter().all(|&s| s == 0)
+    }
+
+    /// The first occupied bucket at or after `i`.
+    #[inline]
+    fn first_from(&self, i: usize) -> Option<usize> {
+        let w = i / 64;
+        let here = self.words[w] & (!0u64 << (i % 64));
+        if here != 0 {
+            return Some(w * 64 + here.trailing_zeros() as usize);
+        }
+        let from = w + 1;
+        let mut s = from / 64;
+        let mut mask = *self.summary.get(s)? & (!0u64 << (from % 64));
+        while mask == 0 {
+            s += 1;
+            mask = *self.summary.get(s)?;
+        }
+        let w = s * 64 + mask.trailing_zeros() as usize;
+        Some(w * 64 + self.words[w].trailing_zeros() as usize)
+    }
+
+    /// The first occupied bucket at or after `i`, going round the ring.
+    #[inline]
+    fn first_cyclic(&self, i: usize) -> Option<usize> {
+        self.first_from(i).or_else(|| self.first_from(0))
+    }
+}
+
+/// Two-tier calendar queue over `u64` nanosecond timestamps.
+///
+/// The near ring holds periods `period` and `period + 1`, the coarse ring
+/// the next [`COARSE`] periods, the heap the rest. The clock (`elapsed`:
+/// the last popped time, or the start of the period the ring last jumped
+/// to) always lies in `period`, and every pending event is at or after
+/// it. Nodes are recycled through a free list, so arena
+/// size tracks the *peak* number of pending events, not the total pushed.
+#[derive(Debug)]
+pub struct CalendarQueue<E> {
     nodes: Vec<Node<E>>,
     free_head: u32,
-    /// Slot list heads/tails, flattened `[level][slot]`.
-    heads: Box<[u32]>,
-    tails: Box<[u32]>,
-    /// Per-level occupancy bitmap (bit = slot has a non-empty list).
-    occ: [u64; LEVELS],
-    /// Timestamp of the most recent pop (the wheel's notion of "now").
+    /// Near buckets: bucket `(t >> FINE_BITS) % NEAR`, each in
+    /// `(time, insertion)` order.
+    near: Box<[List]>,
+    near_occ: Occupancy,
+    /// Coarse buckets: bucket `(t >> PERIOD_BITS) % COARSE`, in push order.
+    coarse: Box<[List]>,
+    coarse_occ: Occupancy,
+    /// Events past the coarse ring, `(time, push count, node)`.
+    far: BinaryHeap<Reverse<(u64, u64, u32)>>,
+    /// Pushes into `far`: its tie-break.
+    far_pushes: u64,
+    /// The near ring's first period.
+    period: u64,
+    /// The queue's notion of "now": the most recent pop's time, or the
+    /// start of the period a jump moved the ring to, whichever is later.
     elapsed: u64,
     len: usize,
 }
 
-impl<E: Copy> Default for TimerWheel<E> {
+impl<E: Copy> Default for CalendarQueue<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E: Copy> TimerWheel<E> {
-    /// An empty wheel at time 0.
+impl<E: Copy> CalendarQueue<E> {
+    /// An empty queue at time 0.
     pub fn new() -> Self {
         Self {
             nodes: Vec::new(),
             free_head: NIL,
-            heads: vec![NIL; LEVELS * SLOTS].into_boxed_slice(),
-            tails: vec![NIL; LEVELS * SLOTS].into_boxed_slice(),
-            occ: [0; LEVELS],
+            near: vec![EMPTY; NEAR].into_boxed_slice(),
+            near_occ: Occupancy::new(NEAR),
+            coarse: vec![EMPTY; COARSE as usize].into_boxed_slice(),
+            coarse_occ: Occupancy::new(COARSE as usize),
+            far: BinaryHeap::new(),
+            far_pushes: 0,
+            period: 0,
             elapsed: 0,
             len: 0,
         }
@@ -100,46 +214,134 @@ impl<E: Copy> TimerWheel<E> {
 
     /// Schedule `ev` at time `t`. Times earlier than the last pop are
     /// clamped to it (the simulator never schedules into the past; the
-    /// clamp keeps the wheel's window invariants unconditionally sound).
+    /// clamp keeps the rings' window invariants unconditionally sound).
     pub fn push(&mut self, t: u64, ev: E) {
         let t = t.max(self.elapsed);
         let idx = match self.free_head {
             NIL => {
-                self.nodes.push(Node { t, ev, next: NIL });
+                self.nodes.push(Node {
+                    t,
+                    ev,
+                    next: NIL,
+                    prev: NIL,
+                });
                 (self.nodes.len() - 1) as u32
             }
             idx => {
                 self.free_head = self.nodes[idx as usize].next;
-                self.nodes[idx as usize] = Node { t, ev, next: NIL };
+                self.nodes[idx as usize] = Node {
+                    t,
+                    ev,
+                    next: NIL,
+                    prev: NIL,
+                };
                 idx
             }
         };
-        self.link(idx, t);
         self.len += 1;
-    }
-
-    /// Lowest level whose slot width separates `t` from `elapsed`: the
-    /// position of the highest differing bit, in units of [`SLOT_BITS`].
-    /// The `| SLOT_MASK` forces level 0 when the times share a slot.
-    #[inline]
-    fn level_for(elapsed: u64, t: u64) -> usize {
-        let distinct = (elapsed ^ t) | SLOT_MASK;
-        ((63 - distinct.leading_zeros()) / SLOT_BITS as u32) as usize
-    }
-
-    /// Append node `idx` (timestamp `t`) to its slot list.
-    #[inline]
-    fn link(&mut self, idx: u32, t: u64) {
-        let level = Self::level_for(self.elapsed, t);
-        let slot = ((t >> (SLOT_BITS * level)) & SLOT_MASK) as usize;
-        let s = level * SLOTS + slot;
-        if self.heads[s] == NIL {
-            self.heads[s] = idx;
+        let ahead = (t >> PERIOD_BITS) - self.period;
+        if ahead < 2 {
+            self.insert_near(idx, t);
+        } else if ahead < 2 + COARSE {
+            let c = ((t >> PERIOD_BITS) % COARSE) as usize;
+            match self.coarse[c].tail {
+                NIL => {
+                    self.coarse[c].head = idx;
+                    self.coarse_occ.set(c);
+                }
+                tail => self.nodes[tail as usize].next = idx,
+            }
+            self.coarse[c].tail = idx;
         } else {
-            self.nodes[self.tails[s] as usize].next = idx;
+            self.far_pushes += 1;
+            self.far.push(Reverse((t, self.far_pushes, idx)));
         }
-        self.tails[s] = idx;
-        self.occ[level] |= 1 << slot;
+    }
+
+    /// Link node `idx` (timestamp `t`, in the near ring's two periods) into
+    /// its bucket after every node at `t` or earlier.
+    #[inline]
+    fn insert_near(&mut self, idx: u32, t: u64) {
+        let b = (t >> FINE_BITS) as usize % NEAR;
+        let List { head, tail } = self.near[b];
+        if head == NIL {
+            self.near[b] = List {
+                head: idx,
+                tail: idx,
+            };
+            self.near_occ.set(b);
+        } else if self.nodes[tail as usize].t <= t {
+            self.nodes[tail as usize].next = idx;
+            self.nodes[idx as usize].prev = tail;
+            self.near[b].tail = idx;
+        } else if t < self.nodes[head as usize].t {
+            self.nodes[idx as usize].next = head;
+            self.nodes[head as usize].prev = idx;
+            self.near[b].head = idx;
+        } else {
+            // The head is at or before `t` and the tail after it. Walk in
+            // from both ends at once, so the walk costs twice the shorter
+            // side however long a run of one timestamp the other holds.
+            let (mut early, mut late) = (head, tail);
+            let after = loop {
+                let next = self.nodes[early as usize].next;
+                if self.nodes[next as usize].t > t {
+                    break early;
+                }
+                early = next;
+                let prev = self.nodes[late as usize].prev;
+                if self.nodes[prev as usize].t <= t {
+                    break prev;
+                }
+                late = prev;
+            };
+            let next = self.nodes[after as usize].next;
+            self.nodes[idx as usize].next = next;
+            self.nodes[idx as usize].prev = after;
+            self.nodes[next as usize].prev = idx;
+            self.nodes[after as usize].next = idx;
+        }
+    }
+
+    /// Sort period `p`'s events into the near ring, whose buckets for it
+    /// are empty: the heap's first (pushed before `p` entered the coarse
+    /// ring), then the coarse bucket's, each in push order.
+    fn open_period(&mut self, p: u64) {
+        while let Some(&Reverse((t, _, idx))) = self.far.peek() {
+            if t >> PERIOD_BITS != p {
+                break;
+            }
+            self.far.pop();
+            self.insert_near(idx, t);
+        }
+        let c = (p % COARSE) as usize;
+        let mut idx = std::mem::replace(&mut self.coarse[c], EMPTY).head;
+        if idx != NIL {
+            self.coarse_occ.clear(c);
+        }
+        while idx != NIL {
+            let node = &mut self.nodes[idx as usize];
+            let (next, t) = (node.next, node.t);
+            node.next = NIL;
+            self.insert_near(idx, t);
+            idx = next;
+        }
+    }
+
+    /// The earliest period past the near ring holding an event, from the
+    /// coarse ring or the heap. The queue must hold one there.
+    fn next_far_period(&self) -> u64 {
+        let first = self.period + 2;
+        let start = (first % COARSE) as usize;
+        let coarse = self
+            .coarse_occ
+            .first_cyclic(start)
+            .map(|c| first + (c as u64 + COARSE - start as u64) % COARSE);
+        let far = self.far.peek().map(|&Reverse((t, ..))| t >> PERIOD_BITS);
+        match (coarse, far) {
+            (Some(c), Some(f)) => c.min(f),
+            (c, f) => c.or(f).expect("a pending event past the near ring"),
+        }
     }
 
     /// Remove and return the earliest event (FIFO among equal times).
@@ -148,90 +350,60 @@ impl<E: Copy> TimerWheel<E> {
     }
 
     /// [`pop`](Self::pop), but only an event strictly earlier than `limit`.
-    /// A refusal leaves the wheel clock short of `limit`, so the caller can
-    /// handle something of its own at `limit` and push from there unclamped.
+    /// A refusal leaves the queue's clock short of `limit`, so the caller
+    /// can handle something of its own at `limit` and push from there
+    /// unclamped.
     pub fn pop_before(&mut self, limit: u64) -> Option<(u64, E)> {
         self.pop_through(limit.checked_sub(1)?)
     }
 
-    /// The earliest event if its time is `<= last`. It refuses before it
-    /// changes anything: an overflow slot starting after `last` is not
-    /// cascaded (that would advance the clock to its start), a near-wheel
-    /// node later than `last` is not unlinked.
+    /// The earliest event if its time is `<= last`. A refusal changes
+    /// nothing but, when the near ring is empty and the next event's period
+    /// starts at or before `last`, the ring's position: the clock moves to
+    /// that period's start, short of `last`.
     fn pop_through(&mut self, last: u64) -> Option<(u64, E)> {
         if self.len == 0 {
             return None;
         }
-        loop {
-            // Level 0 slots each hold exactly one timestamp within the
-            // current 64 ns window; the lowest occupied slot at or after
-            // the cursor is the global minimum.
-            let cursor0 = self.elapsed & SLOT_MASK;
-            let pending0 = self.occ[0] & (!0u64 << cursor0);
-            if pending0 != 0 {
-                let slot = pending0.trailing_zeros() as usize;
-                let idx = self.heads[slot] as usize;
-                let node = self.nodes[idx];
-                if node.t > last {
-                    return None;
-                }
-                self.heads[slot] = node.next;
-                if node.next == NIL {
-                    self.tails[slot] = NIL;
-                    self.occ[0] &= !(1 << slot);
-                }
-                self.nodes[idx].next = self.free_head;
-                self.free_head = idx as u32;
-                self.len -= 1;
-                debug_assert!(node.t >= self.elapsed);
-                self.elapsed = node.t;
-                return Some((node.t, node.ev));
-            }
-            // Near wheel exhausted: advance to the next occupied slot of
-            // the lowest pending overflow level and cascade it downward.
-            // Draining in FIFO order re-links same-timestamp runs in their
-            // original sequence, preserving the tie-break.
-            let mut cascaded = false;
-            for level in 1..LEVELS {
-                let shift = SLOT_BITS * level;
-                let cursor = (self.elapsed >> shift) & SLOT_MASK;
-                let pending = self.occ[level] & (!0u64 << cursor);
-                if pending == 0 {
-                    continue;
-                }
-                let slot = pending.trailing_zeros() as u64;
-                let upper_shift = shift + SLOT_BITS;
-                let upper = if upper_shift >= 64 {
-                    0
-                } else {
-                    (self.elapsed >> upper_shift) << upper_shift
-                };
-                let slot_start = upper | (slot << shift);
-                debug_assert!(slot_start >= self.elapsed);
-                if slot_start > last {
-                    return None;
-                }
-                self.elapsed = slot_start;
-                let s = level * SLOTS + slot as usize;
-                let mut idx = self.heads[s];
-                self.heads[s] = NIL;
-                self.tails[s] = NIL;
-                self.occ[level] &= !(1 << slot);
-                while idx != NIL {
-                    let next = self.nodes[idx as usize].next;
-                    self.nodes[idx as usize].next = NIL;
-                    let t = self.nodes[idx as usize].t;
-                    self.link(idx, t);
-                    idx = next;
-                }
-                cascaded = true;
-                break;
-            }
-            debug_assert!(cascaded, "non-empty wheel failed to make progress");
-            if !cascaded {
+        if self.near_occ.is_empty() {
+            // Both near periods are spent: move the ring to the next
+            // period holding an event, if the clock may reach its start.
+            let p = self.next_far_period();
+            if p << PERIOD_BITS > last {
                 return None;
             }
+            self.period = p;
+            self.elapsed = self.elapsed.max(p << PERIOD_BITS);
+            self.open_period(p);
+            self.open_period(p + 1);
         }
+        let cursor = (self.elapsed >> FINE_BITS) as usize % NEAR;
+        let b = self
+            .near_occ
+            .first_cyclic(cursor)
+            .expect("an occupied near bucket");
+        let idx = self.near[b].head;
+        let node = self.nodes[idx as usize];
+        if node.t > last {
+            return None;
+        }
+        if node.t >> PERIOD_BITS != self.period {
+            // The clock enters the ring's second period, so the first is
+            // spent: the ring moves on by one and opens the period after.
+            self.period += 1;
+            self.open_period(self.period + 1);
+        }
+        self.near[b].head = node.next;
+        if node.next == NIL {
+            self.near[b].tail = NIL;
+            self.near_occ.clear(b);
+        }
+        self.nodes[idx as usize].next = self.free_head;
+        self.free_head = idx;
+        self.len -= 1;
+        debug_assert!(node.t >= self.elapsed);
+        self.elapsed = node.t;
+        Some((node.t, node.ev))
     }
 }
 
@@ -240,6 +412,12 @@ mod tests {
     use super::*;
     use hermes_metrics::SplitMix64;
 
+    /// A near bucket's width, a period (a coarse bucket's width), and the
+    /// distance from the clock's period start to the heap.
+    const BUCKET: u64 = 1 << FINE_BITS;
+    const PERIOD: u64 = 1 << PERIOD_BITS;
+    const HEAP: u64 = (2 + COARSE) * PERIOD;
+
     /// The queue's contract as a sorted `Vec`: `(t, seq)` order, pushes
     /// clamped to the last popped time.
     #[derive(Default)]
@@ -247,7 +425,7 @@ mod tests {
         items: Vec<(u64, u64, u32)>,
         seq: u64,
         elapsed: u64,
-        /// Most events ever pending at once (the wheel's `arena_size`).
+        /// Most events ever pending at once (the queue's `arena_size`).
         peak: usize,
     }
 
@@ -268,42 +446,42 @@ mod tests {
         }
     }
 
-    /// Push to, and pop from, the model and the wheel in lockstep.
+    /// Push to, and pop from, the model and the queue in lockstep.
     #[derive(Default)]
     struct Lockstep {
         model: Model,
-        wheel: TimerWheel<u32>,
+        queue: CalendarQueue<u32>,
     }
 
     impl Lockstep {
         fn push(&mut self, t: u64, ev: u32) {
             self.model.push(t, ev);
-            self.wheel.push(t, ev);
+            self.queue.push(t, ev);
         }
 
         fn pop_before(&mut self, limit: u64) -> Option<(u64, u32)> {
             let want = self.model.pop_before(limit);
-            assert_eq!(self.wheel.pop_before(limit), want, "limit {limit}");
+            assert_eq!(self.queue.pop_before(limit), want, "limit {limit}");
             want
         }
 
         fn pop(&mut self) -> Option<(u64, u32)> {
             let want = self.model.pop_before(u64::MAX);
-            assert_eq!(self.wheel.pop(), want, "pop");
+            assert_eq!(self.queue.pop(), want, "pop");
             want
         }
 
         /// Pop everything, then check both are empty and peaked alike.
         fn drain(&mut self) {
             while self.pop().is_some() {}
-            assert!(self.wheel.is_empty());
-            assert_eq!(self.wheel.arena_size(), self.model.peak, "peak population");
+            assert!(self.queue.is_empty());
+            assert_eq!(self.queue.arena_size(), self.model.peak, "peak population");
         }
     }
 
     #[test]
     fn pops_in_time_order() {
-        let mut w = TimerWheel::new();
+        let mut w = CalendarQueue::new();
         for &t in &[5u64, 1, 9, 3, 7, 2, 8, 0, 6, 4] {
             w.push(t, t as u32);
         }
@@ -318,9 +496,9 @@ mod tests {
 
     #[test]
     fn equal_times_pop_fifo() {
-        // Ties at a far-future timestamp survive one or more cascades.
+        // Ties at a far-future timestamp survive the moves into the ring.
         for &t in &[0u64, 63, 64, 4096, 1 << 30, u64::MAX / 2] {
-            let mut w = TimerWheel::new();
+            let mut w = CalendarQueue::new();
             for i in 0..100u32 {
                 w.push(t, i);
             }
@@ -347,7 +525,7 @@ mod tests {
         let mut now = 0u64;
         for round in 0..20_000 {
             let r = rng.next_u64();
-            if r % 3 < 2 || q.wheel.is_empty() {
+            if r % 3 < 2 || q.queue.is_empty() {
                 // Push at now + a delta spanning many magnitudes.
                 let exp = (r >> 8) % 40;
                 let delta = (r >> 16) % (1 << exp).max(1);
@@ -385,7 +563,7 @@ mod tests {
                     },
                     _ => now = q.pop().map_or(now, |(t, _)| t),
                 }
-                assert_eq!(q.wheel.len(), q.model.items.len());
+                assert_eq!(q.queue.len(), q.model.items.len());
             }
             assert!(
                 refused > 1_000 && popped > 1_000,
@@ -396,23 +574,24 @@ mod tests {
     }
 
     #[test]
-    fn refused_pop_does_not_clamp_a_push_before_the_refused_slot() {
-        // The clock-clamp trap. 1000 lives in an overflow slot starting at
-        // 960; refusing it must not cascade that slot, which would move the
-        // clock to 960 and deliver the push at 700 late.
+    fn refused_pop_does_not_clamp_a_push_before_the_refused_period() {
+        // The clock-clamp trap. 3·P + 1000 lies in the coarse ring; refusing
+        // it must not move the ring to its period, which would move the
+        // clock to 3·P and deliver the push at 700 late.
         let mut q = Lockstep::default();
-        q.push(1_000, 1);
+        let far = 3 * PERIOD + 1_000;
+        q.push(far, 1);
         assert_eq!(q.pop_before(500), None);
         q.push(700, 2);
         q.push(500, 3);
-        assert_eq!(q.pop_before(1_000), Some((500, 3)));
+        assert_eq!(q.pop_before(far), Some((500, 3)));
         assert_eq!(q.pop(), Some((700, 2)));
-        // A limit inside the refused event's slot may cascade it (clock to
-        // 960, short of the limit) and must still refuse the event.
-        assert_eq!(q.pop_before(980), None);
-        q.push(980, 4);
-        assert_eq!(q.pop(), Some((980, 4)));
-        assert_eq!(q.pop(), Some((1_000, 1)));
+        // A limit inside the refused event's period may move the ring there
+        // (clock to 3·P, short of the limit) and must still refuse the event.
+        assert_eq!(q.pop_before(far - 20), None);
+        q.push(far - 20, 4);
+        assert_eq!(q.pop(), Some((far - 20, 4)));
+        assert_eq!(q.pop(), Some((far, 1)));
     }
 
     #[test]
@@ -430,7 +609,7 @@ mod tests {
 
     #[test]
     fn extreme_timestamps() {
-        let mut w = TimerWheel::new();
+        let mut w = CalendarQueue::new();
         w.push(u64::MAX, 1u32);
         w.push(0, 2);
         w.push(u64::MAX - 1, 3);
@@ -456,7 +635,7 @@ mod tests {
 
     #[test]
     fn arena_recycles_nodes() {
-        let mut w = TimerWheel::new();
+        let mut w = CalendarQueue::new();
         // Steady state: never more than 8 pending, over many churns.
         let mut t = 0u64;
         for i in 0..10_000u64 {
@@ -474,7 +653,7 @@ mod tests {
 
     #[test]
     fn empty_pop_is_none_and_queue_reusable() {
-        let mut w = TimerWheel::new();
+        let mut w = CalendarQueue::new();
         assert!(w.is_empty());
         assert_eq!(w.pop(), None);
         w.push(7, 'x');
@@ -486,12 +665,188 @@ mod tests {
     }
 
     #[test]
-    fn dense_same_window_burst() {
-        // Everything lands inside one 64 ns level-0 window.
+    fn dense_same_bucket_burst() {
+        // Everything lands in one near bucket, in no order: the bucket
+        // sorts on insert.
         let mut q = Lockstep::default();
         let mut rng = SplitMix64::from_state(42);
         for i in 0..1_000u32 {
-            q.push(rng.next_u64() % 64, i);
+            q.push(rng.next_u64() % BUCKET, i);
+        }
+        q.drain();
+    }
+
+    /// A bucket holding a long run of one timestamp at either end, and
+    /// pushes landing between the run and the bucket's other end.
+    #[test]
+    fn inserts_between_a_run_of_one_timestamp_and_the_other_end() {
+        let mut q = Lockstep::default();
+        let base = 7 * BUCKET;
+        for i in 0..300u32 {
+            q.push(base + 10, i); // a run at the bucket's head
+        }
+        q.push(base + 1_000, 300);
+        q.push(base + 2_000, 301); // the tail
+        for i in 0..50u32 {
+            q.push(base + 10 + u64::from(i % 3) * 500, 400 + i);
+        }
+        let base = 9 * BUCKET;
+        q.push(base, 500); // the head
+        for i in 0..300u32 {
+            q.push(base + 2_000, 600 + i); // a run at the bucket's tail
+        }
+        for i in 0..50u32 {
+            q.push(base + u64::from(i % 4) * 600, 1_000 + i);
+        }
+        q.drain();
+    }
+
+    /// Times on either side of every seam — a near bucket's edge, a
+    /// period's (a coarse bucket's), the near ring's end, the coarse ring's
+    /// end — pushed out of order, each twice, then popped with pushes at
+    /// the same seams from the moving clock.
+    #[test]
+    fn seams_between_buckets_and_tiers_keep_the_order() {
+        let edges = [
+            BUCKET,
+            5 * BUCKET,
+            PERIOD - BUCKET,
+            PERIOD,
+            2 * PERIOD,
+            3 * PERIOD,
+            HEAP - PERIOD,
+            HEAP,
+            HEAP + PERIOD,
+        ];
+        let mut times: Vec<u64> = edges.iter().flat_map(|&e| [e - 1, e, e + 1]).collect();
+        let mut rng = SplitMix64::from_state(3);
+        for i in (1..times.len()).rev() {
+            times.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+        }
+        let mut q = Lockstep::default();
+        for (i, &t) in times.iter().enumerate() {
+            q.push(t, i as u32);
+            q.push(t, 100 + i as u32);
+        }
+        for (round, &e) in edges.iter().cycle().take(3 * times.len()).enumerate() {
+            let now = q.pop().expect("pending").0;
+            q.push(now + e - 1, 200 + round as u32);
+            q.push(now + e, 400 + round as u32);
+        }
+        q.drain();
+    }
+
+    /// With nothing nearer, the ring jumps to the first period that holds
+    /// an event: in the coarse ring, or past it in the heap.
+    #[test]
+    fn a_jump_past_the_coarse_ring_reaches_the_heap() {
+        let mut q = Lockstep::default();
+        q.push(10, 0);
+        q.push(HEAP + 5, 1); // the first period past the coarse ring
+        q.push(40 * HEAP + 7, 2); // far past it
+        q.push(HEAP - 1, 3); // the coarse ring's last nanosecond
+        assert_eq!(q.pop(), Some((10, 0)));
+        // The ring jumps to the coarse event's period, and the heap's
+        // event, one period on, comes into the ring with it.
+        assert_eq!(q.pop(), Some((HEAP - 1, 3)));
+        q.push(HEAP + 5, 4);
+        assert_eq!(q.pop(), Some((HEAP + 5, 1)));
+        assert_eq!(q.pop(), Some((HEAP + 5, 4)));
+        // Nothing in the coarse ring: straight to the heap's next period.
+        assert_eq!(q.pop(), Some((40 * HEAP + 7, 2)));
+        q.push(40 * HEAP + 7, 5);
+        q.push(41 * HEAP, 6);
+        q.drain();
+    }
+
+    /// A refused `pop_before` whose limit lies in a nearer tier than the
+    /// event leaves the queue able to take pushes at the limit.
+    #[test]
+    fn a_refusal_with_its_limit_in_another_tier() {
+        // (event, limit): the event one tier further out than the limit.
+        let cases = [
+            // the near ring's second period; the limit in its first
+            (PERIOD + 9, PERIOD - 9),
+            // the coarse ring; the limit in the near ring
+            (3 * PERIOD, PERIOD + 1),
+            // the heap; the limit in the coarse ring
+            (HEAP + 3, 5 * PERIOD),
+            // the heap; the limit in its own period, so the ring moves
+            // there and the clock to the period's start, short of the limit
+            (HEAP + 3 * PERIOD + 10, HEAP + 3 * PERIOD + 5),
+        ];
+        for (at, limit) in cases {
+            let mut q = Lockstep::default();
+            q.push(at, 1);
+            assert_eq!(q.pop_before(limit), None, "event {at}, limit {limit}");
+            // The caller runs its own event at `limit` and pushes from there.
+            q.push(limit, 2);
+            q.push(limit + 1, 3);
+            assert_eq!(q.pop_before(at), Some((limit, 2)));
+            assert_eq!(q.pop_before(at), Some((limit + 1, 3)));
+            assert_eq!(q.pop_before(at), None);
+            assert_eq!(q.pop(), Some((at, 1)));
+        }
+    }
+
+    /// One nanosecond pushed from the heap's range, then the coarse ring's,
+    /// then the near ring's as the clock closes in: the moves into the ring
+    /// keep the three in push order.
+    #[test]
+    fn a_far_push_tied_by_later_nearer_pushes_keeps_sequence_order() {
+        let at = HEAP + 100 * PERIOD + 77;
+        let mut q = Lockstep::default();
+        q.push(at, 1); // the heap
+        q.push(150 * PERIOD, 0);
+        assert_eq!(q.pop(), Some((150 * PERIOD, 0)));
+        q.push(at, 2); // the coarse ring now
+        q.push(at - PERIOD - 5, 0);
+        // The ring jumps to the period before `at`'s and opens `at`'s:
+        // the heap's event first, then the coarse bucket's.
+        assert_eq!(q.pop(), Some((at - PERIOD - 5, 0)));
+        q.push(at, 3); // the near ring
+        assert_eq!(q.pop(), Some((at, 1)));
+        assert_eq!(q.pop(), Some((at, 2)));
+        assert_eq!(q.pop(), Some((at, 3)));
+
+        // The same through the one-period move, as the clock steps from
+        // the ring's first period into its second.
+        let mut q = Lockstep::default();
+        let at = 2 * PERIOD + 5;
+        q.push(at, 1); // the coarse ring
+        q.push(PERIOD + 3, 0);
+        assert_eq!(q.pop(), Some((PERIOD + 3, 0)));
+        q.push(at, 2); // the near ring
+        q.push(at - 1, 3);
+        assert_eq!(q.pop(), Some((at - 1, 3)));
+        assert_eq!(q.pop(), Some((at, 1)));
+        assert_eq!(q.pop(), Some((at, 2)));
+    }
+
+    /// Random pushes and limits a few nanoseconds either side of multiples
+    /// of each seam's width, against the model.
+    #[test]
+    fn random_seam_deltas_match_the_model() {
+        let mut q = Lockstep::default();
+        let mut rng = SplitMix64::from_state(0xCA1E_4DA2);
+        let mut now = 0u64;
+        let seam = |r: u64| {
+            let width = [BUCKET, PERIOD, HEAP][(r % 3) as usize];
+            (width * ((r >> 2) % 4))
+                .saturating_add((r >> 8) % 9)
+                .saturating_sub(4)
+        };
+        for round in 0..40_000u32 {
+            let r = rng.next_u64();
+            let delta = seam(r >> 8);
+            match r % 8 {
+                0..=3 => q.push(now + delta, round),
+                4..=6 => match q.pop_before(now + delta) {
+                    Some((t, _)) => now = t,
+                    None => now += delta,
+                },
+                _ => now = q.pop().map_or(now, |(t, _)| t),
+            }
         }
         q.drain();
     }

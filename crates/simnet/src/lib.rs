@@ -45,7 +45,7 @@ pub mod state;
 
 pub use cluster::{run_fleet_with, ClusterReport};
 pub use config::{Fault, Mode, SimConfig};
-pub use event_queue::TimerWheel;
+pub use event_queue::CalendarQueue;
 pub use metrics::{DeviceReport, WorkerReport};
 pub use ports::PortTable;
 pub use sim::Simulator;

@@ -9,18 +9,29 @@
 use crate::config::Mode;
 use crate::metrics::SchedStats;
 use hermes_core::sched::SchedConfig;
-use hermes_core::status::WorkerStatus;
-use hermes_core::{FlowKey, GroupedConnDispatcher, Placement, Scheduler, SelMap, Wst};
+use hermes_core::{FlowKey, GroupedConnDispatcher, Placement, Scheduler, SelMap, WorkerSnapshot};
 use std::sync::Arc;
 
-/// Hermes state bundle: the WST, the scheduler that runs over it, and the
-/// kernel-side dispatch decision, core's native oracle for the program the
-/// kernel runs. A simulated device has at most 64 workers, so it is one
-/// group (§7, `hermes_core::group::worker_groups`).
+/// Hermes state bundle: the worker table, the scheduler that runs over it,
+/// and the kernel-side dispatch decision, core's native oracle for the
+/// program the kernel runs. A simulated device has at most 64 workers, so
+/// it is one group (§7, `hermes_core::group::worker_groups`).
+///
+/// The table is plain [`WorkerSnapshot`] rows, not a `hermes_core::Wst`.
+/// A `Wst` is built for threads: each row is three atomics on a 128-byte
+/// line of its own, every counter update is a locked read-modify-write, and
+/// every pass copies the table out with clamping loads. The simulator runs
+/// every simulated worker on one thread, one event at a time, so nothing
+/// reads a row while it is written; the scheduler runs its one cascade
+/// (`Scheduler::schedule_from_snapshot`) on the rows in place. The rows
+/// carry the values a `Wst` would report, because they never go negative
+/// (checked in debug builds), so `WorkerStatus`'s clamp at zero has
+/// nothing to do.
 pub struct HermesState {
-    /// The worker status table every simulated loop pass writes.
-    wst: Wst,
-    /// Algorithm 1 over `wst`.
+    /// The worker status table every simulated loop pass writes: row `w`
+    /// is worker `w`'s loop entry, pending events and connections.
+    rows: Vec<WorkerSnapshot>,
+    /// Algorithm 1 over `rows`.
     scheduler: Scheduler,
     /// The kernel-visible bitmap `scheduler` publishes into.
     sel: Arc<SelMap>,
@@ -34,7 +45,7 @@ impl HermesState {
     fn new(workers: usize, config: SchedConfig) -> Self {
         let sel = Arc::new(SelMap::new());
         Self {
-            wst: Wst::new(workers),
+            rows: vec![WorkerSnapshot::default(); workers],
             scheduler: Scheduler::new(config),
             dispatcher: GroupedConnDispatcher::new(vec![Arc::clone(&sel)], workers),
             sel,
@@ -42,9 +53,31 @@ impl HermesState {
         }
     }
 
-    /// Status cell for worker `w`.
-    pub fn worker(&self, w: usize) -> &WorkerStatus {
-        self.wst.worker(w)
+    /// `shm_avail_update(now)`: worker `w` entered its event loop.
+    #[inline]
+    pub fn enter_loop(&mut self, w: usize, now_ns: u64) {
+        self.rows[w].loop_enter_ns = now_ns;
+    }
+
+    /// `shm_busy_count(n)`: `n` events added to (negative: handled by)
+    /// worker `w`.
+    #[inline]
+    pub fn add_pending(&mut self, w: usize, n: i64) {
+        let pending = &mut self.rows[w].pending_events;
+        *pending += n;
+        debug_assert!(*pending >= 0, "worker {w}: {} pending events", *pending);
+    }
+
+    /// `shm_conn_count(delta)`: worker `w` gained or lost connections.
+    #[inline]
+    pub fn conn_delta(&mut self, w: usize, delta: i64) {
+        let connections = &mut self.rows[w].connections;
+        *connections += delta;
+        debug_assert!(
+            *connections >= 0,
+            "worker {w}: {} connections",
+            *connections
+        );
     }
 
     /// `schedule_and_sync` (Algorithm 1) as run from a worker's event loop:
@@ -53,7 +86,9 @@ impl HermesState {
     /// load balancer's sync path). The pass traces on `lane`, the running
     /// worker's.
     pub fn schedule_and_sync(&mut self, now_ns: u64, lane: u32) {
-        let decision = self.scheduler.schedule_on_lane(&self.wst, now_ns, lane);
+        let decision = self
+            .scheduler
+            .schedule_from_snapshot(&self.rows, now_ns, lane);
         self.sel.store_if_changed(decision.bitmap);
         self.stats.calls += 1;
         self.stats.selected_sum += u64::from(decision.bitmap.count());
@@ -160,6 +195,8 @@ impl Dispatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hermes_core::Wst;
+    use hermes_metrics::rng::for_each_case;
 
     fn cfg() -> SchedConfig {
         SchedConfig::default()
@@ -198,9 +235,9 @@ mod tests {
         {
             let h = d.hermes_mut();
             for w in 0..4 {
-                h.worker(w).enter_loop(1_000_000);
+                h.enter_loop(w, 1_000_000);
             }
-            h.worker(0).conn_delta(1_000); // overload worker 0
+            h.conn_delta(0, 1_000); // overload worker 0
             h.schedule_and_sync(1_100_000, 0);
             assert_eq!(h.stats.calls, 1);
             assert_eq!(h.stats.selected_sum, 3);
@@ -219,7 +256,7 @@ mod tests {
         let mut d = Dispatcher::new(Mode::Hermes, 4, cfg());
         let h = d.hermes_mut();
         for w in 0..4 {
-            h.worker(w).enter_loop(1_000_000);
+            h.enter_loop(w, 1_000_000);
         }
         // The first pass publishes; nine steady-state repeats publish nothing.
         for round in 0..10 {
@@ -227,9 +264,79 @@ mod tests {
         }
         assert_eq!((h.sel.update_count(), h.sel.skipped_count()), (1, 9));
         // A load change re-publishes exactly once more.
-        h.worker(0).conn_delta(1_000);
+        h.conn_delta(0, 1_000);
         h.schedule_and_sync(1_000_030, 0);
         assert_eq!(h.sel.update_count(), 2);
         assert_eq!(h.stats.calls, 11);
+    }
+
+    /// The plain rows read what a `Wst` fed the same updates reports, and
+    /// the one cascade decides alike over both.
+    #[test]
+    fn plain_rows_match_a_wst_fed_the_same_updates() {
+        for_each_case(64, |g| {
+            let workers = 1 + g.index(64);
+            let mut d = Dispatcher::new(Mode::Hermes, workers, cfg());
+            let h = d.hermes_mut();
+            let wst = Wst::new(workers);
+            let scheduler = Scheduler::new(cfg());
+            let mut now = 0u64;
+            for _ in 0..200 {
+                let w = g.index(workers);
+                now += g.next_u64() % 20_000_000;
+                match g.index(4) {
+                    0 => {
+                        h.enter_loop(w, now);
+                        wst.worker(w).enter_loop(now);
+                    }
+                    1 => {
+                        let n = 1 + g.index(512) as i64;
+                        h.add_pending(w, n);
+                        wst.worker(w).add_pending(n);
+                    }
+                    2 if h.rows[w].pending_events > 0 => {
+                        let n = h.rows[w].pending_events;
+                        h.add_pending(w, -n);
+                        wst.worker(w).add_pending(-n);
+                    }
+                    _ => {
+                        let delta = if h.rows[w].connections > 0 && g.index(2) == 0 {
+                            -1
+                        } else {
+                            1
+                        };
+                        h.conn_delta(w, delta);
+                        wst.worker(w).conn_delta(delta);
+                    }
+                }
+                for (v, row) in h.rows.iter().enumerate() {
+                    assert_eq!(*row, wst.worker(v).snapshot(), "worker {v}");
+                }
+                assert_eq!(
+                    scheduler.schedule_from_snapshot(&h.rows, now, 0),
+                    scheduler.schedule(&wst, now)
+                );
+            }
+        });
+    }
+
+    /// The rows skip `WorkerStatus`'s clamp at zero, so a count that would
+    /// go negative is a simulator bug, caught where it happens.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "pending events")]
+    fn a_pending_count_never_goes_negative() {
+        let mut d = Dispatcher::new(Mode::Hermes, 2, cfg());
+        let h = d.hermes_mut();
+        h.add_pending(1, 3);
+        h.add_pending(1, -4);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "connections")]
+    fn a_connection_count_never_goes_negative() {
+        let mut d = Dispatcher::new(Mode::Hermes, 2, cfg());
+        d.hermes_mut().conn_delta(0, -1);
     }
 }

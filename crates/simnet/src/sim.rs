@@ -22,16 +22,23 @@
 //! every mode.
 //!
 //! The hot path is allocation-free in steady state: events recycle
-//! through the wheel's arena, the per-`epoll_wait` batch, the sampling
+//! through the queue's arena, the per-`epoll_wait` batch, the sampling
 //! lists and the idle flags live in scratch buffers owned by the simulator,
 //! connection slots recycle through [`ConnTable`]'s ring, and port lookup
 //! is a dense-array index ([`crate::ports::PortTable`]).
+//!
+//! One thread runs the whole device, every simulated worker included, one
+//! event at a time. So the Hermes hooks (Fig. 9's `shm_*` calls) write the
+//! worker table with plain stores, not the atomics a `hermes_core::Wst`
+//! shares between real worker threads, and the scheduler reads the rows in
+//! place (`crate::modes::HermesState`); what it decides is what a `Wst`
+//! fed the same updates would give.
 
 use crate::config::{
     Fault, SimConfig, ACCEPT_NS, COUNTER_NS, EPOLL_TIMEOUT_NS, EPOLL_WAIT_NS, MAX_EVENTS,
     PER_PORT_POLL_NS, PROBE_SERVICE_NS, SAMPLE_INTERVAL_NS, SCHED_NS, SYNC_NS, WAKE_NS,
 };
-use crate::event_queue::TimerWheel;
+use crate::event_queue::CalendarQueue;
 use crate::metrics::{BalanceStats, DeviceReport, PortTrace, WorkerReport};
 use crate::modes::Dispatcher;
 use crate::ports::PortTable;
@@ -67,7 +74,7 @@ pub struct Simulator<'w> {
     cfg: SimConfig,
     wl: &'w Workload,
     /// Live events only; scripted ones come from `scripted`.
-    queue: TimerWheel<Ev>,
+    queue: CalendarQueue<Ev>,
     /// `(time, conn, step)` of the next scripted event of each connection in
     /// play — the next one to arrive (`wl.conns` is sorted) and every arrived
     /// one whose script is not exhausted. Step 0 is the `Syn`, step `r + 1`
@@ -149,7 +156,7 @@ impl<'w> Simulator<'w> {
             dispatcher,
             device_lane,
             ports,
-            queue: TimerWheel::new(),
+            queue: CalendarQueue::new(),
             scripted: BinaryHeap::new(),
             batch_buf: Vec::with_capacity(MAX_EVENTS),
             idle_buf: Vec::with_capacity(n),
@@ -249,8 +256,8 @@ impl<'w> Simulator<'w> {
         // workers were looping long before the first connection arrives;
         // worker 0's loop runs that pass.
         for w in 0..self.cfg.workers {
-            if let Some(h) = self.dispatcher.hermes() {
-                h.worker(w).enter_loop(0);
+            if let Dispatcher::Hermes(h) = &mut self.dispatcher {
+                h.enter_loop(w, 0);
             }
             self.block_worker(w, 0);
         }
@@ -493,7 +500,7 @@ impl<'w> Simulator<'w> {
         if is_hermes {
             // shm_busy_count(event_num) + per-event decrement + scheduler.
             let h = self.dispatcher.hermes_mut();
-            h.worker(w).add_pending(batch.len() as i64);
+            h.add_pending(w, batch.len() as i64);
             cost += COUNTER_NS * (1 + batch.len() as u64) + SCHED_NS + SYNC_NS;
         }
 
@@ -558,8 +565,8 @@ impl<'w> Simulator<'w> {
         self.workers[owner].connections += 1;
         self.workers[owner].accepted_total += 1;
         self.accepted_connections += 1;
-        if let Some(h) = self.dispatcher.hermes() {
-            h.worker(owner).conn_delta(1);
+        if let Dispatcher::Hermes(h) = &mut self.dispatcher {
+            h.conn_delta(owner, 1);
         }
         let pidx = self.port_index(c);
         let live = self.ports.live_delta(pidx, 1);
@@ -609,13 +616,13 @@ impl<'w> Simulator<'w> {
         let lane = self.worker_lane(w);
         if let Dispatcher::Hermes(h) = &mut self.dispatcher {
             // Per-event decrements of Fig. 9 line 18, applied at batch end.
-            h.worker(w).add_pending(-drained);
+            h.add_pending(w, -drained);
             if !sched_at_start {
                 // schedule_and_sync at the end of the loop (Fig. 9 line 20).
                 h.schedule_and_sync(self.now, lane);
             }
             // Loop top: shm_avail_update(current_time).
-            h.worker(w).enter_loop(self.now);
+            h.enter_loop(w, self.now);
             if sched_at_start {
                 // Ablation: schedule before epoll_wait, observing pre-batch
                 // (possibly stale) status.
@@ -641,8 +648,8 @@ impl<'w> Simulator<'w> {
         let owner = self.conns.worker(c).expect("accepted conn has owner");
         self.conns.close(c);
         self.workers[owner].connections -= 1;
-        if let Some(h) = self.dispatcher.hermes() {
-            h.worker(owner).conn_delta(-1);
+        if let Dispatcher::Hermes(h) = &mut self.dispatcher {
+            h.conn_delta(owner, -1);
         }
         let pidx = self.port_index(c);
         let live = self.ports.live_delta(pidx, -1);
@@ -719,10 +726,9 @@ impl<'w> Simulator<'w> {
                 self.conns.set_worker(c, new_owner);
                 self.workers[victim].connections -= 1;
                 self.workers[new_owner].connections += 1;
-                if let Some(h) = self.dispatcher.hermes() {
-                    h.worker(victim).conn_delta(-1);
-                    h.worker(new_owner).conn_delta(1);
-                }
+                let h = self.dispatcher.hermes_mut();
+                h.conn_delta(victim, -1);
+                h.conn_delta(new_owner, 1);
                 self.rst_reschedules += 1;
                 shed += 1;
             }
@@ -1049,8 +1055,8 @@ mod tests {
 
     #[test]
     fn a_handler_at_a_scripted_instant_can_schedule_right_after_it() {
-        // The wheel holds one far event; refusing it for the scripted head
-        // must not move the wheel clock past that head, or the wake the
+        // The queue holds one far event; refusing it for the scripted head
+        // must not move the queue's clock past that head, or the wake the
         // head's handler pushes (now + wake_ns) would be clamped later.
         let wl = scripted_workload(&[(1_000, &[0])]).seal();
         let mut sim = Simulator::new(SimConfig::new(1, Mode::Reuseport), &wl);

@@ -92,6 +92,28 @@ fn traced_event_stream_is_reproducible() {
     assert!(a.iter().all(|r| r.ts <= 1_500_000_000));
 }
 
+/// A simulated worker's scheduler pass traces on that worker's lane, as a
+/// load balancer worker's does: the pass runs from the worker's loop, and
+/// `CONTROL_LANE` is for callers with no loop of their own.
+#[test]
+fn scheduler_passes_trace_on_the_running_workers_lane() {
+    let _guard = RECORDER.lock().unwrap();
+    let (_, records) = recorded(|| run_case(Mode::Hermes, 4, 42));
+    let passes: Vec<u32> = records
+        .iter()
+        .filter(|r| r.kind == hermes_trace::EventKind::SchedDecision)
+        .map(|r| r.worker)
+        .collect();
+    assert!(!passes.is_empty(), "a Hermes run traces its passes");
+    for lane in 0..4 {
+        assert!(passes.contains(&lane), "no pass on worker {lane}'s lane");
+    }
+    assert!(
+        passes.iter().all(|&lane| lane < 4),
+        "a pass traced off the worker lanes"
+    );
+}
+
 #[test]
 fn disabled_recorder_stays_empty() {
     let _guard = RECORDER.lock().unwrap();

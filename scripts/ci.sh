@@ -174,10 +174,12 @@ step "workload stream (recorded streams of every generator, row layout, guide-ta
 cargo test --release -q -p hermes-workload
 cargo test --release -q -p hermes-simnet --lib cluster
 
-step "event merge (pop_before model, scripted/live tie-break)"
+step "event queue and merge (calendar tiers and seams against a sorted-Vec model, scripted/live tie-break)"
 # Scripted arrivals are streamed from the sorted workload and merged with
 # the live event queue. Three proofs that the merge is the order one queue
-# gave: the timer wheel's `pop_before` against a sorted-Vec model (with the
+# gave: the calendar queue's push, pop and `pop_before` against a
+# sorted-Vec model (with its bucket, period and tier seams, a tie carried
+# from the heap through the coarse ring into the near ring, and the
 # clock-clamp and strict-limit traps as named schedules); the tie-break
 # rule, the sealed-workload panics and the live-only queue population on
 # the simulator itself; and whole runs of every shape (Case 1 and Case 3
@@ -191,7 +193,7 @@ cargo test --release -q -p hermes-simnet --lib sim::tests
 step "simnet_throughput --smoke (per-loop Hermes tax gate)"
 # One gate, the median of 16 alternating rounds: Case 1 heavy under Hermes
 # costs <= 2.3x its wall time under reuseport (the per-loop tax: WST hooks,
-# Algorithm 1, bitmap sync, Algorithm 2; ~1.9-2.1x today, 2.65x before the
+# Algorithm 1, bitmap sync, Algorithm 2; ~2.0x today, 2.65x before the
 # fused scheduler kernel).
 gate --bin simnet_throughput
 
