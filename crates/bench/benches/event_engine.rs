@@ -6,7 +6,7 @@
 //! * **Case 3 churn** — hold `n` pending events and repeatedly pop the
 //!   earliest, rescheduling it a pseudo-random think-time ahead (1 µs to
 //!   67 ms, like Case 3's long-lived connections' timers), so most events
-//!   land in the coarse ring and move into the near ring before they pop;
+//!   land in the heap and move into the near ring before they pop;
 //!   sweeping `n` shows what the moves and cache misses cost as the
 //!   population grows.
 //! * **Case 1 churn** — the same loop with what a Case 1 worker schedules:

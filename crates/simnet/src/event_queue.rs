@@ -6,22 +6,17 @@
 //! `pop_before(limit)`, which lets it merge the queue with the workload's
 //! scripted arrivals (never queued) without disturbing the queue's clock.
 //!
-//! [`CalendarQueue`] implements it in two tiers of buckets and a heap,
-//! sized for the delays the simulator schedules — microsecond wakes,
-//! microsecond-to-millisecond batch completions, 5 ms `epoll_wait`
-//! timeouts, seconds of linger:
+//! [`CalendarQueue`] implements it in two tiers, sized for the delays the
+//! simulator schedules — microsecond wakes, microsecond-to-millisecond
+//! batch completions, 5 ms `epoll_wait` timeouts, seconds of linger:
 //!
 //! - the **near ring**: 8 192 buckets of 2¹¹ ns (2 µs) over two periods of
 //!   2²³ ns (8.4 ms), the period the clock is in and the next. A bucket is
 //!   a list kept in `(time, insertion)` order, so the head of the first
 //!   occupied bucket at or after the clock is the next event;
-//! - the **coarse ring**: 4 096 unsorted buckets of one period each, from
-//!   the end of the near ring out to 2³⁵ ns (34 s) ahead. When the clock
-//!   enters the near ring's second period, the ring moves on by a period
-//!   and the coarse bucket that becomes its new second period is sorted
-//!   into it;
-//! - a binary **heap** for anything later, which feeds the ring the same
-//!   way.
+//! - a binary **heap** for anything later. When the clock enters the near
+//!   ring's second period, the ring moves on by a period and the heap's
+//!   events of its new second period are sorted into it.
 //!
 //! An event is handled a bounded number of times: once when pushed, at
 //! most once more when its period reaches the near ring, once when popped.
@@ -33,39 +28,32 @@
 //! Timestamp ties break by insertion sequence (FIFO), which is what makes
 //! replays deterministic. A near bucket inserts a node after every node of
 //! its time or earlier, so within the ring insertion order is sequence
-//! order. An event reaches the ring from further out only in the move that
-//! opens its period, and that move runs in sequence order too: first the
-//! heap's events of the period (pushed while it lay beyond the coarse
-//! ring; the heap breaks ties on a push counter), then its coarse bucket's
-//! list (appended while it lay in the coarse ring), into buckets that hold
-//! nothing of that period yet.
+//! order. An event reaches the ring from the heap only in the move that
+//! opens its period, into buckets that hold nothing of that period yet,
+//! and the heap yields equal times in push order (it breaks ties on a
+//! push counter).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// log₂ of a near bucket's width in ns (2 048 ns).
 const FINE_BITS: u32 = 11;
-/// log₂ of a period, a coarse bucket's width, in ns (8.4 ms).
+/// log₂ of a period, half the near ring, in ns (8.4 ms).
 const PERIOD_BITS: u32 = 23;
 /// Near buckets: two periods.
 const NEAR: usize = 2 << (PERIOD_BITS - FINE_BITS);
-/// Coarse buckets: periods past the near ring before the heap takes over.
-const COARSE: u64 = 1 << 12;
 /// Null arena index.
 const NIL: u32 = u32::MAX;
 
-/// One pending event in the arena, linked into a bucket list. `prev` is
-/// kept only in near buckets, and only behind the head.
+/// One pending event in the arena, linked into a near bucket's list.
 #[derive(Clone, Copy, Debug)]
 struct Node<E> {
     t: u64,
     ev: E,
     next: u32,
-    prev: u32,
 }
 
-/// A bucket: an intrusive list of arena nodes, linked by `next` (and, in a
-/// near bucket, back by `prev`).
+/// A near bucket: an intrusive list of arena nodes, linked by `next`.
 #[derive(Clone, Copy, Debug)]
 struct List {
     head: u32,
@@ -77,8 +65,8 @@ const EMPTY: List = List {
     tail: NIL,
 };
 
-/// Which buckets of a ring hold events: a bit per bucket, and a summary
-/// bit per word of those, so finding the next one costs a few word scans.
+/// Which near buckets hold events: a bit per bucket, and a summary bit per
+/// word of those, so finding the next one costs a few word scans.
 #[derive(Debug)]
 struct Occupancy {
     words: Box<[u64]>,
@@ -143,12 +131,12 @@ impl Occupancy {
 
 /// Two-tier calendar queue over `u64` nanosecond timestamps.
 ///
-/// The near ring holds periods `period` and `period + 1`, the coarse ring
-/// the next [`COARSE`] periods, the heap the rest. The clock (`elapsed`:
-/// the last popped time, or the start of the period the ring last jumped
-/// to) always lies in `period`, and every pending event is at or after
-/// it. Nodes are recycled through a free list, so arena
-/// size tracks the *peak* number of pending events, not the total pushed.
+/// The near ring holds periods `period` and `period + 1`, the heap
+/// everything later. The clock (`elapsed`: the last popped time, or the
+/// start of the period the ring last jumped to) always lies in `period`,
+/// and every pending event is at or after it. Nodes are recycled through a
+/// free list, so arena size tracks the *peak* number of pending events,
+/// not the total pushed.
 #[derive(Debug)]
 pub struct CalendarQueue<E> {
     nodes: Vec<Node<E>>,
@@ -157,10 +145,7 @@ pub struct CalendarQueue<E> {
     /// `(time, insertion)` order.
     near: Box<[List]>,
     near_occ: Occupancy,
-    /// Coarse buckets: bucket `(t >> PERIOD_BITS) % COARSE`, in push order.
-    coarse: Box<[List]>,
-    coarse_occ: Occupancy,
-    /// Events past the coarse ring, `(time, push count, node)`.
+    /// Events past the near ring, `(time, push count, node)`.
     far: BinaryHeap<Reverse<(u64, u64, u32)>>,
     /// Pushes into `far`: its tie-break.
     far_pushes: u64,
@@ -186,8 +171,6 @@ impl<E: Copy> CalendarQueue<E> {
             free_head: NIL,
             near: vec![EMPTY; NEAR].into_boxed_slice(),
             near_occ: Occupancy::new(NEAR),
-            coarse: vec![EMPTY; COARSE as usize].into_boxed_slice(),
-            coarse_occ: Occupancy::new(COARSE as usize),
             far: BinaryHeap::new(),
             far_pushes: 0,
             period: 0,
@@ -214,44 +197,24 @@ impl<E: Copy> CalendarQueue<E> {
 
     /// Schedule `ev` at time `t`. Times earlier than the last pop are
     /// clamped to it (the simulator never schedules into the past; the
-    /// clamp keeps the rings' window invariants unconditionally sound).
+    /// clamp keeps the ring's window invariants unconditionally sound).
     pub fn push(&mut self, t: u64, ev: E) {
         let t = t.max(self.elapsed);
+        let node = Node { t, ev, next: NIL };
         let idx = match self.free_head {
             NIL => {
-                self.nodes.push(Node {
-                    t,
-                    ev,
-                    next: NIL,
-                    prev: NIL,
-                });
+                self.nodes.push(node);
                 (self.nodes.len() - 1) as u32
             }
             idx => {
                 self.free_head = self.nodes[idx as usize].next;
-                self.nodes[idx as usize] = Node {
-                    t,
-                    ev,
-                    next: NIL,
-                    prev: NIL,
-                };
+                self.nodes[idx as usize] = node;
                 idx
             }
         };
         self.len += 1;
-        let ahead = (t >> PERIOD_BITS) - self.period;
-        if ahead < 2 {
+        if (t >> PERIOD_BITS) - self.period < 2 {
             self.insert_near(idx, t);
-        } else if ahead < 2 + COARSE {
-            let c = ((t >> PERIOD_BITS) % COARSE) as usize;
-            match self.coarse[c].tail {
-                NIL => {
-                    self.coarse[c].head = idx;
-                    self.coarse_occ.set(c);
-                }
-                tail => self.nodes[tail as usize].next = idx,
-            }
-            self.coarse[c].tail = idx;
         } else {
             self.far_pushes += 1;
             self.far.push(Reverse((t, self.far_pushes, idx)));
@@ -272,40 +235,27 @@ impl<E: Copy> CalendarQueue<E> {
             self.near_occ.set(b);
         } else if self.nodes[tail as usize].t <= t {
             self.nodes[tail as usize].next = idx;
-            self.nodes[idx as usize].prev = tail;
             self.near[b].tail = idx;
         } else if t < self.nodes[head as usize].t {
             self.nodes[idx as usize].next = head;
-            self.nodes[head as usize].prev = idx;
             self.near[b].head = idx;
         } else {
-            // The head is at or before `t` and the tail after it. Walk in
-            // from both ends at once, so the walk costs twice the shorter
-            // side however long a run of one timestamp the other holds.
-            let (mut early, mut late) = (head, tail);
-            let after = loop {
-                let next = self.nodes[early as usize].next;
+            // The head is at or before `t` and the tail after it.
+            let mut after = head;
+            loop {
+                let next = self.nodes[after as usize].next;
                 if self.nodes[next as usize].t > t {
-                    break early;
+                    break;
                 }
-                early = next;
-                let prev = self.nodes[late as usize].prev;
-                if self.nodes[prev as usize].t <= t {
-                    break prev;
-                }
-                late = prev;
-            };
-            let next = self.nodes[after as usize].next;
-            self.nodes[idx as usize].next = next;
-            self.nodes[idx as usize].prev = after;
-            self.nodes[next as usize].prev = idx;
+                after = next;
+            }
+            self.nodes[idx as usize].next = self.nodes[after as usize].next;
             self.nodes[after as usize].next = idx;
         }
     }
 
-    /// Sort period `p`'s events into the near ring, whose buckets for it
-    /// are empty: the heap's first (pushed before `p` entered the coarse
-    /// ring), then the coarse bucket's, each in push order.
+    /// Sort the heap's events of period `p` into the near ring, whose
+    /// buckets for it are empty.
     fn open_period(&mut self, p: u64) {
         while let Some(&Reverse((t, _, idx))) = self.far.peek() {
             if t >> PERIOD_BITS != p {
@@ -313,34 +263,6 @@ impl<E: Copy> CalendarQueue<E> {
             }
             self.far.pop();
             self.insert_near(idx, t);
-        }
-        let c = (p % COARSE) as usize;
-        let mut idx = std::mem::replace(&mut self.coarse[c], EMPTY).head;
-        if idx != NIL {
-            self.coarse_occ.clear(c);
-        }
-        while idx != NIL {
-            let node = &mut self.nodes[idx as usize];
-            let (next, t) = (node.next, node.t);
-            node.next = NIL;
-            self.insert_near(idx, t);
-            idx = next;
-        }
-    }
-
-    /// The earliest period past the near ring holding an event, from the
-    /// coarse ring or the heap. The queue must hold one there.
-    fn next_far_period(&self) -> u64 {
-        let first = self.period + 2;
-        let start = (first % COARSE) as usize;
-        let coarse = self
-            .coarse_occ
-            .first_cyclic(start)
-            .map(|c| first + (c as u64 + COARSE - start as u64) % COARSE);
-        let far = self.far.peek().map(|&Reverse((t, ..))| t >> PERIOD_BITS);
-        match (coarse, far) {
-            (Some(c), Some(f)) => c.min(f),
-            (c, f) => c.or(f).expect("a pending event past the near ring"),
         }
     }
 
@@ -366,9 +288,10 @@ impl<E: Copy> CalendarQueue<E> {
             return None;
         }
         if self.near_occ.is_empty() {
-            // Both near periods are spent: move the ring to the next
-            // period holding an event, if the clock may reach its start.
-            let p = self.next_far_period();
+            // Both near periods are spent: move the ring to the heap's
+            // first period, if the clock may reach its start.
+            let &Reverse((t, ..)) = self.far.peek().expect("pending events are in the heap");
+            let p = t >> PERIOD_BITS;
             if p << PERIOD_BITS > last {
                 return None;
             }
@@ -390,6 +313,9 @@ impl<E: Copy> CalendarQueue<E> {
         if node.t >> PERIOD_BITS != self.period {
             // The clock enters the ring's second period, so the first is
             // spent: the ring moves on by one and opens the period after.
+            // Without the move, a push into that period would wait in the
+            // heap until the ring empties (EXPERIMENTS.md "Near ring and
+            // heap").
             self.period += 1;
             self.open_period(self.period + 1);
         }
@@ -412,11 +338,11 @@ mod tests {
     use super::*;
     use hermes_metrics::SplitMix64;
 
-    /// A near bucket's width, a period (a coarse bucket's width), and the
-    /// distance from the clock's period start to the heap.
+    /// A near bucket's width, a period, and the distance from the clock's
+    /// period start to the heap.
     const BUCKET: u64 = 1 << FINE_BITS;
     const PERIOD: u64 = 1 << PERIOD_BITS;
-    const HEAP: u64 = (2 + COARSE) * PERIOD;
+    const HEAP: u64 = 2 * PERIOD;
 
     /// The queue's contract as a sorted `Vec`: `(t, seq)` order, pushes
     /// clamped to the last popped time.
@@ -575,7 +501,7 @@ mod tests {
 
     #[test]
     fn refused_pop_does_not_clamp_a_push_before_the_refused_period() {
-        // The clock-clamp trap. 3·P + 1000 lies in the coarse ring; refusing
+        // The clock-clamp trap. 3·P + 1000 lies in the heap; refusing
         // it must not move the ring to its period, which would move the
         // clock to 3·P and deliver the push at 700 late.
         let mut q = Lockstep::default();
@@ -702,9 +628,9 @@ mod tests {
     }
 
     /// Times on either side of every seam — a near bucket's edge, a
-    /// period's (a coarse bucket's), the near ring's end, the coarse ring's
-    /// end — pushed out of order, each twice, then popped with pushes at
-    /// the same seams from the moving clock.
+    /// period's, the near ring's end, a period far into the heap — pushed
+    /// out of order, each twice, then popped with pushes at the same seams
+    /// from the moving clock.
     #[test]
     fn seams_between_buckets_and_tiers_keep_the_order() {
         let edges = [
@@ -712,11 +638,10 @@ mod tests {
             5 * BUCKET,
             PERIOD - BUCKET,
             PERIOD,
-            2 * PERIOD,
-            3 * PERIOD,
-            HEAP - PERIOD,
             HEAP,
             HEAP + PERIOD,
+            40 * PERIOD,
+            41 * PERIOD,
         ];
         let mut times: Vec<u64> = edges.iter().flat_map(|&e| [e - 1, e, e + 1]).collect();
         let mut rng = SplitMix64::from_state(3);
@@ -736,41 +661,42 @@ mod tests {
         q.drain();
     }
 
-    /// With nothing nearer, the ring jumps to the first period that holds
-    /// an event: in the coarse ring, or past it in the heap.
+    /// Events reach the ring from the heap by the one-period move and, with
+    /// the near ring spent, by a jump to the heap's first period however
+    /// far it is.
     #[test]
-    fn a_jump_past_the_coarse_ring_reaches_the_heap() {
+    fn a_jump_past_the_near_ring_reaches_the_heap() {
         let mut q = Lockstep::default();
         q.push(10, 0);
-        q.push(HEAP + 5, 1); // the first period past the coarse ring
+        q.push(HEAP + 5, 1); // the first period past the near ring
         q.push(40 * HEAP + 7, 2); // far past it
-        q.push(HEAP - 1, 3); // the coarse ring's last nanosecond
+        q.push(HEAP - 1, 3); // the near ring's last nanosecond
         assert_eq!(q.pop(), Some((10, 0)));
-        // The ring jumps to the coarse event's period, and the heap's
-        // event, one period on, comes into the ring with it.
+        // The clock enters the ring's second period, and the heap's event,
+        // one period on, comes into the ring with the move.
         assert_eq!(q.pop(), Some((HEAP - 1, 3)));
         q.push(HEAP + 5, 4);
         assert_eq!(q.pop(), Some((HEAP + 5, 1)));
         assert_eq!(q.pop(), Some((HEAP + 5, 4)));
-        // Nothing in the coarse ring: straight to the heap's next period.
+        // The ring is spent: straight to the heap's next period.
         assert_eq!(q.pop(), Some((40 * HEAP + 7, 2)));
         q.push(40 * HEAP + 7, 5);
         q.push(41 * HEAP, 6);
         q.drain();
     }
 
-    /// A refused `pop_before` whose limit lies in a nearer tier than the
-    /// event leaves the queue able to take pushes at the limit.
+    /// A refused `pop_before` whose limit lies nearer than the event leaves
+    /// the queue able to take pushes at the limit.
     #[test]
     fn a_refusal_with_its_limit_in_another_tier() {
-        // (event, limit): the event one tier further out than the limit.
+        // (event, limit): the limit nearer than the event.
         let cases = [
             // the near ring's second period; the limit in its first
             (PERIOD + 9, PERIOD - 9),
-            // the coarse ring; the limit in the near ring
-            (3 * PERIOD, PERIOD + 1),
-            // the heap; the limit in the coarse ring
-            (HEAP + 3, 5 * PERIOD),
+            // the heap; the limit in the near ring
+            (HEAP + 3, PERIOD + 1),
+            // the heap; the limit in an empty period past the near ring
+            (40 * PERIOD, 5 * PERIOD),
             // the heap; the limit in its own period, so the ring moves
             // there and the clock to the period's start, short of the limit
             (HEAP + 3 * PERIOD + 10, HEAP + 3 * PERIOD + 5),
@@ -789,20 +715,19 @@ mod tests {
         }
     }
 
-    /// One nanosecond pushed from the heap's range, then the coarse ring's,
-    /// then the near ring's as the clock closes in: the moves into the ring
-    /// keep the three in push order.
+    /// One nanosecond pushed twice into the heap, then into the near ring as
+    /// the clock closes in: the moves out of the heap keep the three in
+    /// push order.
     #[test]
     fn a_far_push_tied_by_later_nearer_pushes_keeps_sequence_order() {
-        let at = HEAP + 100 * PERIOD + 77;
+        let at = 100 * PERIOD + 77;
         let mut q = Lockstep::default();
         q.push(at, 1); // the heap
-        q.push(150 * PERIOD, 0);
-        assert_eq!(q.pop(), Some((150 * PERIOD, 0)));
-        q.push(at, 2); // the coarse ring now
+        q.push(50 * PERIOD, 0);
+        assert_eq!(q.pop(), Some((50 * PERIOD, 0)));
+        q.push(at, 2); // the heap, from a ring 50 periods on
         q.push(at - PERIOD - 5, 0);
-        // The ring jumps to the period before `at`'s and opens `at`'s:
-        // the heap's event first, then the coarse bucket's.
+        // The ring jumps to the period before `at`'s and opens `at`'s.
         assert_eq!(q.pop(), Some((at - PERIOD - 5, 0)));
         q.push(at, 3); // the near ring
         assert_eq!(q.pop(), Some((at, 1)));
@@ -813,7 +738,7 @@ mod tests {
         // the ring's first period into its second.
         let mut q = Lockstep::default();
         let at = 2 * PERIOD + 5;
-        q.push(at, 1); // the coarse ring
+        q.push(at, 1); // the heap
         q.push(PERIOD + 3, 0);
         assert_eq!(q.pop(), Some((PERIOD + 3, 0)));
         q.push(at, 2); // the near ring
@@ -831,7 +756,7 @@ mod tests {
         let mut rng = SplitMix64::from_state(0xCA1E_4DA2);
         let mut now = 0u64;
         let seam = |r: u64| {
-            let width = [BUCKET, PERIOD, HEAP][(r % 3) as usize];
+            let width = [BUCKET, PERIOD, 40 * PERIOD][(r % 3) as usize];
             (width * ((r >> 2) % 4))
                 .saturating_add((r >> 8) % 9)
                 .saturating_sub(4)

@@ -179,14 +179,14 @@ step "event queue and merge (calendar tiers and seams against a sorted-Vec model
 # the live event queue. Three proofs that the merge is the order one queue
 # gave: the calendar queue's push, pop and `pop_before` against a
 # sorted-Vec model (with its bucket, period and tier seams, a tie carried
-# from the heap through the coarse ring into the near ring, and the
-# clock-clamp and strict-limit traps as named schedules); the tie-break
-# rule, the sealed-workload panics and the live-only queue population on
-# the simulator itself; and whole runs of every shape (Case 1 and Case 3
-# traffic, faults, probes, degradation, reuseport and exclusive) against
-# constants recorded before the change — golden_fingerprint, which "cargo
-# test" above ran with the recorder switched off and the trace-determinism
-# lane runs with it recording.
+# from the heap into the near ring, and the clock-clamp and strict-limit
+# traps as named schedules); the tie-break rule, the sealed-workload
+# panics and the live-only queue population on the simulator itself; and
+# whole runs of every shape (Case 1 and Case 3 traffic, faults, probes,
+# degradation, reuseport and exclusive) against constants recorded before
+# the change — golden_fingerprint, which "cargo test" above ran with the
+# recorder switched off and the trace-determinism lane runs with it
+# recording.
 cargo test --release -q -p hermes-simnet --lib event_queue
 cargo test --release -q -p hermes-simnet --lib sim::tests
 
