@@ -13,13 +13,13 @@
 
 use hermes_bench::time_it;
 use hermes_core::sched::{FilterStage, SchedConfig, Scheduler};
-use hermes_core::selmap::SelMap;
 use hermes_core::wst::Wst;
 use hermes_core::{
     ConnDispatcher, GroupedConnDispatcher, WorkerBitmap, WorkerSnapshot, MAX_WORKERS_PER_GROUP,
 };
 use std::hint::black_box;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// The rejected alternative to the lock-free WST: one mutex around a
 /// plain table (what "just use a lock" would look like).
@@ -102,10 +102,10 @@ fn ablation_wst_lock() {
 
 /// The rejected alternative to the u64 bitmap: a locked boolean array.
 fn ablation_bitmap() {
-    let sel = SelMap::new();
+    let word = AtomicU64::new(0);
     time_it("ablation_bitmap_sync/atomic_u64_bitmap", || {
-        sel.store(WorkerBitmap(black_box(0xF0F0)));
-        sel.load()
+        word.store(black_box(0xF0F0), Ordering::Release);
+        WorkerBitmap(word.load(Ordering::Acquire))
     });
     let locked: Mutex<Vec<bool>> = Mutex::new(vec![false; 64]);
     time_it("ablation_bitmap_sync/locked_bool_array", || {
@@ -147,21 +147,13 @@ fn ablation_filter_order() {
 
 fn ablation_groups() {
     let single = ConnDispatcher::new(64);
-    let sel = SelMap::new();
-    sel.store(WorkerBitmap::all(64));
+    let bitmaps = [WorkerBitmap::all(64); 2];
     time_it("ablation_groups/single_level_64", || {
-        single.dispatch(sel.load(), black_box(0xABCD_EF01))
+        single.dispatch(black_box(bitmaps[0]), black_box(0xABCD_EF01))
     });
-    let maps = (0..2)
-        .map(|_| {
-            let sel = SelMap::new();
-            sel.store(WorkerBitmap::all(64));
-            Arc::new(sel)
-        })
-        .collect();
-    let two_level = GroupedConnDispatcher::new(maps, 64);
+    let two_level = GroupedConnDispatcher::new(64);
     time_it("ablation_groups/two_level_128", || {
-        two_level.dispatch(black_box(0xABCD_EF01))
+        two_level.dispatch(black_box(&bitmaps), black_box(0xABCD_EF01))
     });
 }
 

@@ -11,10 +11,10 @@ use hermes_bench::time_it;
 use hermes_core::dispatch::ConnDispatcher;
 use hermes_core::hash::{jhash_3words, reciprocal_scale, FlowKey};
 use hermes_core::sched::{SchedConfig, Scheduler};
-use hermes_core::selmap::SelMap;
 use hermes_core::wst::Wst;
 use hermes_core::{WorkerBitmap, WorkerSnapshot, MAX_WORKERS_PER_GROUP};
 use std::hint::black_box;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 fn bench_wst() {
     let wst = Wst::new(32);
@@ -70,15 +70,18 @@ fn bench_bitmap_and_hash() {
 }
 
 fn bench_dispatch() {
-    let sel = SelMap::new();
-    sel.store(WorkerBitmap(0x0000_F0F0_A5A5_3C3C));
     let native = ConnDispatcher::new(64);
     time_it("dispatch/native_algorithm2", || {
-        native.dispatch(sel.load(), black_box(0x1234_5678))
+        native.dispatch(
+            WorkerBitmap(black_box(0x0000_F0F0_A5A5_3C3C)),
+            black_box(0x1234_5678),
+        )
     });
-    time_it("dispatch/selmap_store_load", || {
-        sel.store(WorkerBitmap(black_box(0xFFu64)));
-        sel.load()
+    // The kernel's map value: one 64-bit word, stored and read back.
+    let word = AtomicU64::new(0);
+    time_it("dispatch/bitmap_word_store_load", || {
+        word.store(black_box(0xFFu64), Ordering::Release);
+        WorkerBitmap(word.load(Ordering::Acquire))
     });
 }
 

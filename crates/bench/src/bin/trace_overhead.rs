@@ -57,7 +57,7 @@ fn work(i: u64) -> u64 {
 #[inline(always)]
 fn traced(i: u64) -> u64 {
     let v = work(i);
-    hermes_trace::trace_event!(i, EventKind::Dispatch, (i & 63) as u32, v, i);
+    hermes_trace::trace_event!(i, EventKind::SimDispatch, (i & 63) as u32, v, i);
     v
 }
 

@@ -16,8 +16,9 @@
 //!    ([`Scheduler::schedule`]): drop hung workers by loop-entry timestamp,
 //!    then keep workers whose connection count and pending-event count are
 //!    below `average + θ`. The surviving set is encoded as a 64-bit
-//!    [`WorkerBitmap`] and stored into a [`SelMap`] — the stand-in for the
-//!    `BPF_MAP_TYPE_ARRAY` element the kernel reads (§5.3).
+//!    [`WorkerBitmap`] and stored into the `BPF_MAP_TYPE_ARRAY` element the
+//!    kernel reads (§5.3): the load balancers store into the kernel's own
+//!    map word, the simulator keeps the bitmap as a plain value.
 //! 3. **Connection dispatch** — for each new connection the kernel-side
 //!    program of Algorithm 2 ([`dispatch::ConnDispatcher`]) counts the set
 //!    bits, scales the precomputed 4-tuple hash into `1..=n` with
@@ -27,8 +28,8 @@
 //!
 //! Scaling beyond 64 workers uses the two-level dispatch of §7:
 //! [`group::worker_groups`] splits a deployment into ⌈workers/64⌉ equal
-//! groups, each with its own [`Wst`], [`Scheduler`] pass and [`SelMap`], and
-//! [`GroupedConnDispatcher`] places over their maps. One group is the flat
+//! groups, each with its own [`Wst`], [`Scheduler`] pass and bitmap, and
+//! [`GroupedConnDispatcher`] places over their bitmaps. One group is the flat
 //! plane, so the simulator and every deployment of up to 64 workers run the
 //! same decision procedure as a 128-worker one.
 //!
@@ -39,12 +40,11 @@
 //! ## Quick example
 //!
 //! ```
-//! use hermes_core::{Wst, Scheduler, SchedConfig, dispatch::ConnDispatcher, SelMap};
+//! use hermes_core::{Wst, Scheduler, SchedConfig, dispatch::ConnDispatcher};
 //! use std::sync::Arc;
 //!
 //! let workers = 4;
 //! let wst = Arc::new(Wst::new(workers));
-//! let sel = Arc::new(SelMap::new());
 //!
 //! // Workers publish status from their event loops (Fig. 9 hooks):
 //! wst.worker(0).enter_loop(1_000);     // shm_avail_update(now)
@@ -57,11 +57,11 @@
 //! // Any worker runs schedule_and_sync at the end of its loop:
 //! let sched = Scheduler::new(SchedConfig::default());
 //! let decision = sched.schedule(&wst, 2_000);
-//! sel.store(decision.bitmap);
 //!
-//! // Kernel-side dispatch for a new connection with some 4-tuple hash:
+//! // Kernel-side dispatch for a new connection with some 4-tuple hash,
+//! // over the bitmap the scheduler published:
 //! let dispatcher = ConnDispatcher::new(workers);
-//! let worker = dispatcher.select(sel.load(), 0xdead_beef);
+//! let worker = dispatcher.select(decision.bitmap, 0xdead_beef);
 //! assert!(worker.is_some());
 //! ```
 
@@ -71,9 +71,7 @@ pub mod group;
 pub mod hash;
 pub mod sched;
 pub mod sdk;
-pub mod selmap;
 pub mod status;
-pub(crate) mod sync;
 pub mod wst;
 
 pub use bitmap::{WorkerBitmap, MAX_WORKERS_PER_GROUP};
@@ -81,8 +79,7 @@ pub use dispatch::ConnDispatcher;
 pub use group::{GroupedConnDispatcher, Placement};
 pub use hash::FlowKey;
 pub use sched::{FilterStage, SchedConfig, SchedDecision, Scheduler, SnapshotCache};
-pub use sdk::{SyncTarget, WorkerSession};
-pub use selmap::SelMap;
+pub use sdk::WorkerSession;
 pub use status::{WorkerSnapshot, WorkerStatus};
 pub use wst::Wst;
 

@@ -113,9 +113,9 @@ impl Scheduler {
 
     /// Run the cascade over the table as it reads at `now_ns`.
     ///
-    /// This is `schedule_and_sync` minus the sync: the caller stores
-    /// `decision.bitmap` into a [`crate::SelMap`] (and, in the eBPF-backed
-    /// deployments, into the `BPF_MAP_TYPE_ARRAY` slot). The table is
+    /// This is `schedule_and_sync` minus the sync: the caller publishes
+    /// `decision.bitmap` (the load balancers into the kernel's
+    /// `BPF_MAP_TYPE_ARRAY` slot, the simulator as a plain value). The table is
     /// copied once into a 64-row scratch on the stack, so a pass allocates
     /// nothing and is cheap enough for the end of *every* event loop
     /// iteration (§5.3.2). There is no cache in front of the copy: every

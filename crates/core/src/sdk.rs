@@ -24,45 +24,24 @@
 //! }
 //! ```
 //!
-//! The sync target is pluggable ([`SyncTarget`]) so the same session works
-//! against the native [`SelMap`] cell, the eBPF-backed map, or anything
-//! else that accepts a bitmap.
+//! The session publishes each bitmap through a closure it is given, the map
+//! update of Algorithm 1. The load balancers' closure stores it into the
+//! kernel's map word of the worker's group
+//! (`hermes_ebpf::kernel::KernelDispatch::publish`).
 
 use crate::bitmap::WorkerBitmap;
 use crate::sched::{SchedConfig, SchedDecision, Scheduler};
-use crate::selmap::SelMap;
 use crate::wst::Wst;
 use crate::WorkerId;
 use std::sync::Arc;
 
-/// Where scheduling decisions are published.
-pub trait SyncTarget: Send + Sync {
-    /// Publish a bitmap (the `BPF_MAP_UPDATE` of Algorithm 1).
-    fn sync(&self, bitmap: WorkerBitmap);
-}
-
-impl SyncTarget for SelMap {
-    fn sync(&self, bitmap: WorkerBitmap) {
-        // Steady-state schedulers recompute the same bitmap every loop;
-        // publishing it again would be a pure cache-line ping. The elision
-        // is counted separately so Fig. 14's sync frequency stays honest.
-        self.store_if_changed(bitmap);
-    }
-}
-
-impl<F: Fn(WorkerBitmap) + Send + Sync> SyncTarget for F {
-    fn sync(&self, bitmap: WorkerBitmap) {
-        self(bitmap);
-    }
-}
-
 /// One worker's handle onto the shared Hermes state: the five Fig. 9
-/// hooks plus `schedule_and_sync`.
-pub struct WorkerSession<T: SyncTarget> {
+/// hooks plus `schedule_and_sync`, publishing each bitmap through `F`.
+pub struct WorkerSession<F: Fn(WorkerBitmap) + Send + Sync> {
     wst: Arc<Wst>,
     id: WorkerId,
     scheduler: Scheduler,
-    target: Arc<T>,
+    target: Arc<F>,
     sched_calls: u64,
     /// Timestamp of the most recent schedule call, so a split
     /// [`sync_only`](Self::sync_only) can stamp its publish event with the
@@ -75,10 +54,10 @@ pub struct WorkerSession<T: SyncTarget> {
     trace_lane: u32,
 }
 
-impl<T: SyncTarget> WorkerSession<T> {
+impl<F: Fn(WorkerBitmap) + Send + Sync> WorkerSession<F> {
     /// Create a session for worker `id` over the shared table, publishing
-    /// to `target`.
-    pub fn new(wst: Arc<Wst>, id: WorkerId, config: SchedConfig, target: Arc<T>) -> Self {
+    /// through `target`.
+    pub fn new(wst: Arc<Wst>, id: WorkerId, config: SchedConfig, target: Arc<F>) -> Self {
         assert!(id < wst.workers(), "worker id out of range");
         Self {
             wst,
@@ -101,6 +80,12 @@ impl<T: SyncTarget> WorkerSession<T> {
     /// This worker's id.
     pub fn id(&self) -> WorkerId {
         self.id
+    }
+
+    /// The flight-recorder lane of this session's events: the worker's one
+    /// lane, for every event its loop records.
+    pub fn trace_lane(&self) -> u32 {
+        self.trace_lane
     }
 
     /// The shared table (e.g. for spawning sibling sessions).
@@ -145,7 +130,7 @@ impl<T: SyncTarget> WorkerSession<T> {
             .scheduler
             .schedule_on_lane(&self.wst, now_ns, self.trace_lane);
         self.last_now_ns = now_ns;
-        self.target.sync(decision.bitmap);
+        (self.target)(decision.bitmap);
         self.publish_trace(now_ns, decision.bitmap);
         self.sched_calls += 1;
         decision
@@ -174,7 +159,7 @@ impl<T: SyncTarget> WorkerSession<T> {
     /// time a half alone; the load balancers call
     /// [`schedule_and_sync`](Self::schedule_and_sync).
     pub fn sync_only(&mut self, bitmap: WorkerBitmap) {
-        self.target.sync(bitmap);
+        (self.target)(bitmap);
         self.publish_trace(self.last_now_ns, bitmap);
         self.sched_calls += 1;
     }
@@ -199,11 +184,15 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
 
+    /// A session target that keeps nothing.
+    fn discard() -> Arc<impl Fn(WorkerBitmap) + Send + Sync> {
+        Arc::new(|_: WorkerBitmap| {})
+    }
+
     #[test]
     fn hooks_drive_the_shared_table() {
         let wst = Arc::new(Wst::new(2));
-        let sel = Arc::new(SelMap::new());
-        let s = WorkerSession::new(Arc::clone(&wst), 0, SchedConfig::default(), sel);
+        let s = WorkerSession::new(Arc::clone(&wst), 0, SchedConfig::default(), discard());
         s.loop_top(1_000);
         s.events_fetched(3);
         s.event_handled();
@@ -223,16 +212,13 @@ mod tests {
             wst.worker(w).enter_loop(1_000_000);
         }
         wst.worker(2).conn_delta(100);
-        let sel = Arc::new(SelMap::new());
-        let mut s = WorkerSession::new(
-            Arc::clone(&wst),
-            0,
-            SchedConfig::default(),
-            Arc::clone(&sel),
-        );
+        let sel = Arc::new(AtomicU64::new(0));
+        let word = Arc::clone(&sel);
+        let target = Arc::new(move |bm: WorkerBitmap| word.store(bm.0, Ordering::Relaxed));
+        let mut s = WorkerSession::new(Arc::clone(&wst), 0, SchedConfig::default(), target);
         let d = s.schedule_and_sync(1_100_000);
-        assert_eq!(sel.load(), d.bitmap);
-        assert!(!sel.load().contains(2));
+        assert_eq!(WorkerBitmap(sel.load(Ordering::Relaxed)), d.bitmap);
+        assert!(!d.bitmap.contains(2));
         assert_eq!(s.sched_calls(), 1);
     }
 
@@ -254,14 +240,14 @@ mod tests {
     #[test]
     fn sibling_sessions_share_one_table() {
         let wst = Arc::new(Wst::new(4));
-        let sel = Arc::new(SelMap::new());
+        let target = discard();
         let sessions: Vec<_> = (0..4)
             .map(|w| {
                 WorkerSession::new(
                     Arc::clone(&wst),
                     w,
                     SchedConfig::default(),
-                    Arc::clone(&sel),
+                    Arc::clone(&target),
                 )
             })
             .collect();
@@ -279,7 +265,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn rejects_out_of_range_worker() {
         let wst = Arc::new(Wst::new(2));
-        let sel = Arc::new(SelMap::new());
-        WorkerSession::new(wst, 2, SchedConfig::default(), sel);
+        WorkerSession::new(wst, 2, SchedConfig::default(), discard());
     }
 }

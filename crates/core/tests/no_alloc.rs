@@ -7,10 +7,11 @@
 //! allocations once warm, with the flight recorder switched off and again
 //! switched on (the first warm-up then creates its rings).
 
-use hermes_core::{SchedConfig, Scheduler, SelMap, WorkerSession, Wst};
+use hermes_core::{SchedConfig, Scheduler, WorkerBitmap, WorkerSession, Wst};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 thread_local! {
@@ -81,12 +82,9 @@ fn assert_passes_do_not_allocate(recording: &str) {
         assert_eq!(n, 0, "Scheduler::schedule over {workers} rows, {recording}");
     }
 
-    let mut session = WorkerSession::new(
-        running_table(8),
-        0,
-        SchedConfig::default(),
-        Arc::new(SelMap::new()),
-    );
+    let word = AtomicU64::new(0);
+    let publish = Arc::new(move |bm: WorkerBitmap| word.store(bm.0, Ordering::Release));
+    let mut session = WorkerSession::new(running_table(8), 0, SchedConfig::default(), publish);
     let n = allocations_during(|i| {
         let now = 1_000_000 + i;
         session.loop_top(now);

@@ -6,8 +6,9 @@
 //! drop counted. The file holds one test, so it owns the global recorder
 //! and switches recording on.
 
-use hermes_core::{SchedConfig, SelMap, WorkerSession, Wst};
+use hermes_core::{SchedConfig, WorkerBitmap, WorkerSession, Wst};
 use hermes_trace::{EventKind, CONTROL_LANE};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const PASSES: u64 = 200;
@@ -16,11 +17,14 @@ const PASSES: u64 = 200;
 fn concurrent_sessions_trace_their_passes_on_their_own_lanes() {
     hermes_trace::set_enabled(true);
     let wst = Arc::new(Wst::new(2));
-    let sel = Arc::new(SelMap::new());
+    // Both sessions publish into one word, as into the kernel's map.
+    let word = Arc::new(AtomicU64::new(0));
+    let publish = Arc::new(move |bm: WorkerBitmap| word.store(bm.0, Ordering::Release));
     std::thread::scope(|s| {
         for id in 0..2 {
             let config = SchedConfig::default();
-            let mut session = WorkerSession::new(Arc::clone(&wst), id, config, Arc::clone(&sel));
+            let mut session =
+                WorkerSession::new(Arc::clone(&wst), id, config, Arc::clone(&publish));
             s.spawn(move || {
                 for i in 0..PASSES {
                     session.loop_top(1_000 + i);

@@ -24,7 +24,6 @@
 use crate::insn::{Insn, LD_IMM64, PSEUDO_MAP_FD, PSEUDO_MAP_VALUE};
 use crate::program::{DispatchProgram, DIRECTED, FALLBACK, HASH, RECORD_WORDS};
 use hermes_core::group::worker_groups;
-use hermes_core::sdk::SyncTarget;
 use hermes_core::WorkerBitmap;
 use std::ffi::c_void;
 use std::io;
@@ -193,13 +192,20 @@ impl KernelDispatch {
     }
 
     /// Algorithm 1 line 8 for group `group`: one store into its mapped
-    /// word. An unchanged bitmap is skipped, as `SelMap::store_if_changed`
-    /// does.
+    /// word. An unchanged bitmap is skipped: a steady-state scheduler
+    /// recomputes the same bitmap every loop, and storing it again would
+    /// move the word's cache line between cores for nothing.
     pub fn publish(&self, group: usize, bitmap: WorkerBitmap) {
         let cell = &self.bitmaps.words()[group];
         if cell.load(Ordering::Relaxed) != bitmap.0 {
             cell.store(bitmap.0, Ordering::Release);
         }
+    }
+
+    /// [`publish`](Self::publish) `bitmap` as every group's: the one
+    /// group's at `G == 1`.
+    pub fn sync_bitmap(&self, bitmap: WorkerBitmap) {
+        (0..self.bitmaps.len).for_each(|g| self.publish(g, bitmap));
     }
 
     /// `(directed, fallback)`: program runs that selected a socket through
@@ -240,14 +246,6 @@ impl KernelDispatch {
 /// for as long as the returned fd stays open (`BPF_ENABLE_STATS`).
 pub fn enable_stats() -> io::Result<OwnedFd> {
     bpf_fd(BPF_ENABLE_STATS, &mut [STATS_RUN_TIME])
-}
-
-impl SyncTarget for KernelDispatch {
-    /// [`publish`](Self::publish) `bitmap` as every group's: the one
-    /// group's at `G == 1`.
-    fn sync(&self, bitmap: WorkerBitmap) {
-        (0..self.bitmaps.len).for_each(|g| self.publish(g, bitmap));
-    }
 }
 
 /// Whether `e` is the host refusing `bpf(2)` itself — `EPERM` without

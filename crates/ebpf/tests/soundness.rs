@@ -23,7 +23,6 @@ use hermes_ebpf::insn::*;
 use hermes_ebpf::program::{RECORD, SEL, SOCKS};
 use hermes_ebpf::{ExecError, Insn, Maps, Vm};
 use hermes_metrics::rng::for_each_case;
-use std::sync::Arc;
 
 const GROUPS: usize = 4;
 const SLOTS: usize = 8;
@@ -378,24 +377,17 @@ fn dispatch_program_differential_sweep() {
 /// places through.
 fn check_grouped_dispatch(groups: usize, group_size: usize, bitmaps: &[u64], hashes: &[u32]) {
     use hermes_core::dispatch::DispatchOutcome;
-    use hermes_core::{GroupedConnDispatcher, SelMap, WorkerBitmap};
+    use hermes_core::{GroupedConnDispatcher, WorkerBitmap};
     use hermes_ebpf::ReuseportGroup;
     assert_eq!(bitmaps.len(), groups);
     let g = ReuseportGroup::with_groups(groups, group_size);
-    let sel_maps: Vec<Arc<SelMap>> = bitmaps
-        .iter()
-        .map(|&b| {
-            let s = SelMap::new();
-            s.store(WorkerBitmap(b));
-            Arc::new(s)
-        })
-        .collect();
-    let oracle = GroupedConnDispatcher::new(sel_maps, group_size);
+    let bitmaps: Vec<WorkerBitmap> = bitmaps.iter().map(|&b| WorkerBitmap(b)).collect();
+    let oracle = GroupedConnDispatcher::new(group_size);
     for (i, &b) in bitmaps.iter().enumerate() {
-        g.publish(i, WorkerBitmap(b));
+        g.publish(i, b);
     }
     for &h in hashes {
-        let want = DispatchOutcome::from(oracle.dispatch(h));
+        let want = DispatchOutcome::from(oracle.dispatch(&bitmaps, h));
         assert_eq!(g.dispatch(h), want, "diverged on {h:#x}");
     }
 }
@@ -439,24 +431,17 @@ fn grouped_dispatch_differential_sweep() {
 /// the workers of a 4×2 deployment accepted nothing.)
 #[test]
 fn grouped_dispatch_reaches_every_worker_evenly() {
-    use hermes_core::{GroupedConnDispatcher, SelMap, WorkerBitmap};
+    use hermes_core::{GroupedConnDispatcher, WorkerBitmap};
     use hermes_ebpf::ReuseportGroup;
     const HASHES: u32 = 100_000;
     for (groups, size) in [(2usize, 4usize), (4, 2), (4, 16)] {
-        let full = WorkerBitmap::all(size);
+        let full = vec![WorkerBitmap::all(size); groups];
         let bytecode = ReuseportGroup::with_groups(groups, size);
-        let sel_maps = (0..groups)
-            .map(|g| {
-                bytecode.publish(g, full);
-                let s = SelMap::new();
-                s.store(full);
-                Arc::new(s)
-            })
-            .collect();
-        let native = GroupedConnDispatcher::new(sel_maps, size);
+        (0..groups).for_each(|g| bytecode.publish(g, full[g]));
+        let native = GroupedConnDispatcher::new(size);
         let mut hits = vec![[0u32; 2]; groups * size];
         for h in (0..HASHES).map(|i| i.wrapping_mul(0x9E37_79B9)) {
-            hits[native.dispatch(h).worker][0] += 1;
+            hits[native.dispatch(&full, h).worker][0] += 1;
             hits[bytecode.dispatch(h).worker()][1] += 1;
         }
         let share = f64::from(HASHES) / (groups * size) as f64;

@@ -55,7 +55,8 @@
 use crate::reactor::{self, PipePair, Reactor, Splice, LISTEN_TOKEN, WAKE_TOKEN};
 use crate::server::{AcceptFailure, Dispatch, LbStats, Listener, Running, ACCEPT_BACKOFF};
 use hermes_backend::{Admission, BackendId, BackendPool, TableCache};
-use hermes_core::sdk::{SyncTarget, WorkerSession};
+use hermes_core::sdk::WorkerSession;
+use hermes_core::WorkerBitmap;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
@@ -805,12 +806,12 @@ struct Connecting {
 /// and its listener's backlog are the only things that move it, and
 /// it is the only call that blocks. Idle connections cost nothing; an
 /// idle worker sleeps in the kernel.
-struct ReactorWorker<T: SyncTarget> {
+struct ReactorWorker<F: Fn(WorkerBitmap) + Send + Sync> {
     /// The listener the kernel places this worker's connections on,
     /// registered level-triggered under [`LISTEN_TOKEN`].
     listener: Listener,
     reactor: Reactor,
-    session: WorkerSession<T>,
+    session: WorkerSession<F>,
     pool: Arc<BackendPool>,
     backends: Arc<Vec<SocketAddr>>,
     rstats: Arc<RelayStats>,
@@ -853,11 +854,11 @@ struct ReactorWorker<T: SyncTarget> {
     last_sweep: Instant,
 }
 
-impl<T: SyncTarget> ReactorWorker<T> {
+impl<F: Fn(WorkerBitmap) + Send + Sync> ReactorWorker<F> {
     fn new(
         listener: Listener,
         reactor: Reactor,
-        session: WorkerSession<T>,
+        session: WorkerSession<F>,
         pool: Arc<BackendPool>,
         backends: Arc<Vec<SocketAddr>>,
         rstats: Arc<RelayStats>,
@@ -891,8 +892,9 @@ impl<T: SyncTarget> ReactorWorker<T> {
         self.epoch.elapsed().as_nanos() as u64
     }
 
+    /// The worker's one flight-recorder lane, its session's.
     fn lane(&self) -> u32 {
-        self.listener.id as u32
+        self.session.trace_lane()
     }
 
     /// Loop until `shutdown` is set and the listener and every relay
@@ -1430,8 +1432,10 @@ mod tests {
     /// reuseport group of one, so the kernel has one place to put a
     /// connection), that the test steps (or runs) itself, so its private
     /// state can be read between steps.
-    fn reactor_rig(backends: Vec<SocketAddr>) -> ReactorWorker<fn(hermes_core::WorkerBitmap)> {
-        fn publish_nowhere(_: hermes_core::WorkerBitmap) {}
+    type Rig = ReactorWorker<fn(WorkerBitmap)>;
+
+    fn reactor_rig(backends: Vec<SocketAddr>) -> Rig {
+        fn publish_nowhere(_: WorkerBitmap) {}
         let socket = reactor::listen_reuseport(&"127.0.0.1:0".parse().unwrap()).expect("bind rig");
         let reactor = Reactor::new().expect("epoll");
         reactor
@@ -1451,7 +1455,7 @@ mod tests {
             Arc::new(Wst::new(1)),
             0,
             SchedConfig::default(),
-            Arc::new(publish_nowhere as fn(hermes_core::WorkerBitmap)),
+            Arc::new(publish_nowhere as fn(WorkerBitmap)),
         );
         let rstats = Arc::new(RelayStats {
             per_backend: (0..backends.len()).map(|_| AtomicU64::new(0)).collect(),
@@ -1468,13 +1472,13 @@ mod tests {
     }
 
     /// One pass of a stepped worker's loop.
-    fn step<T: SyncTarget>(worker: &mut ReactorWorker<T>) {
+    fn step(worker: &mut Rig) {
         let accepted = worker.fetch();
         worker.handle(accepted);
     }
 
     /// A nonblocking client of the stepped `worker`'s listener.
-    fn stepped_client<T: SyncTarget>(worker: &ReactorWorker<T>) -> TcpStream {
+    fn stepped_client(worker: &Rig) -> TcpStream {
         let c = TcpStream::connect(worker.listener.local).unwrap();
         c.set_nodelay(true).unwrap();
         c.set_nonblocking(true).unwrap();
@@ -1485,8 +1489,8 @@ mod tests {
     /// bytes and, with `eof`, end-of-stream after them. Panics if that
     /// takes longer than `limit`: bytes left queued at the relay after
     /// its last edge are moved by nothing but the relay's deadline.
-    fn step_until_read<T: SyncTarget>(
-        worker: &mut ReactorWorker<T>,
+    fn step_until_read(
+        worker: &mut Rig,
         client: &mut TcpStream,
         want: usize,
         eof: bool,
@@ -1639,7 +1643,7 @@ mod tests {
         let (addr, waker) = (worker.listener.local, worker.reactor.waker());
         // Run the worker's real loop over `n` connections, then stop it so
         // its pipe pool can be looked at.
-        let serve = |worker: &mut ReactorWorker<_>, n: usize, payload: &str| {
+        let serve = |worker: &mut Rig, n: usize, payload: &str| {
             let shutdown = AtomicBool::new(false);
             std::thread::scope(|s| {
                 s.spawn(|| worker.run(&shutdown));
@@ -1873,7 +1877,7 @@ mod tests {
     }
 
     /// Pull the deadline of the rig's one live relay in to `after` from now.
-    fn pull_deadline_in<T: SyncTarget>(worker: &mut ReactorWorker<T>, after: Duration) {
+    fn pull_deadline_in(worker: &mut Rig, after: Duration) {
         let mut relays = worker.slots.iter_mut().flatten().filter_map(|s| match s {
             Slot::Relay(conn) => Some(conn),
             Slot::Connecting(_) => None,
@@ -2088,7 +2092,7 @@ mod tests {
         let mut worker = reactor_rig(vec![hole_addr, live_addr]);
         let addr = worker.listener.local;
         let rstats = Arc::clone(&worker.rstats);
-        let connecting_to_hole = |worker: &ReactorWorker<_>| {
+        let connecting_to_hole = |worker: &Rig| {
             let mut slots = worker.slots.iter().flatten();
             slots.any(|s| matches!(s, Slot::Connecting(c) if c.backend_id == 0))
         };

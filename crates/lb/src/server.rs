@@ -30,7 +30,7 @@ use crate::proxy::Proxy;
 use crate::reactor::{self, Reactor, Waker, LISTEN_TOKEN};
 use hermes_core::group::worker_groups;
 use hermes_core::sched::SchedConfig;
-use hermes_core::sdk::{SyncTarget, WorkerSession};
+use hermes_core::sdk::WorkerSession;
 use hermes_core::wst::Wst;
 use hermes_core::{FlowKey, WorkerBitmap};
 use hermes_ebpf::kernel::{self, KernelDispatch};
@@ -169,7 +169,7 @@ impl Running {
 
     /// Worker `id`'s handle on its group's WST, publishing its group's
     /// word of the dispatch.
-    pub(crate) fn session(&self, id: usize) -> WorkerSession<impl SyncTarget> {
+    pub(crate) fn session(&self, id: usize) -> WorkerSession<impl Fn(WorkerBitmap) + Send + Sync> {
         let size = self.wsts[0].workers();
         let (group, local) = (id / size, id % size);
         let dispatch = Arc::clone(&self.dispatch);
@@ -330,16 +330,16 @@ fn flow_hash(peer: &SocketAddr, local: &SocketAddr) -> u32 {
 }
 
 /// One worker: Fig. 9's loop over its own listener.
-fn worker_loop<T: SyncTarget>(
+fn worker_loop<F: Fn(WorkerBitmap) + Send + Sync>(
     listener: Listener,
     mut reactor: Reactor,
-    mut session: WorkerSession<T>,
+    mut session: WorkerSession<F>,
     mut proxy: Proxy,
     shutdown: Arc<AtomicBool>,
 ) {
     let epoch = std::time::Instant::now();
     let now_ns = move || epoch.elapsed().as_nanos() as u64;
-    let (stats, lane) = (Arc::clone(&listener.stats), listener.id as u32);
+    let (stats, lane) = (Arc::clone(&listener.stats), session.trace_lane());
     let mut events = Vec::new();
     loop {
         session.loop_top(now_ns());

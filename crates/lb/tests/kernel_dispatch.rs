@@ -12,8 +12,7 @@
 #![cfg(target_os = "linux")]
 
 use hermes_core::hash::reciprocal_scale;
-use hermes_core::sdk::SyncTarget;
-use hermes_core::{GroupedConnDispatcher, SelMap, WorkerBitmap};
+use hermes_core::{GroupedConnDispatcher, WorkerBitmap};
 use hermes_ebpf::kernel::{enable_stats, refused, KernelDispatch};
 use hermes_ebpf::ReuseportGroup;
 use hermes_lb::reactor::{accept_nonblocking, listen_reuseport};
@@ -98,7 +97,7 @@ fn the_kernel_places_where_the_oracle_says() {
     };
     let oracle = ReuseportGroup::new(WORKERS);
     let publish = |bitmap: WorkerBitmap| {
-        kernel.sync(bitmap);
+        kernel.sync_bitmap(bitmap);
         oracle.sync_bitmap(bitmap);
     };
 
@@ -165,12 +164,10 @@ fn the_kernel_places_two_groups_where_both_oracles_say() {
         return;
     };
     let bytecode = ReuseportGroup::new(LISTENERS);
-    let sel: Vec<Arc<SelMap>> = (0..2).map(|_| Arc::new(SelMap::new())).collect();
-    let native = GroupedConnDispatcher::new(sel.clone(), SIZE);
+    let native = GroupedConnDispatcher::new(SIZE);
     let publish = |group: usize, bitmap: WorkerBitmap| {
         kernel.publish(group, bitmap);
         bytecode.publish(group, bitmap);
-        sel[group].store(bitmap);
     };
 
     // Per-group steering, one group at a time down to a single candidate.
@@ -193,7 +190,7 @@ fn the_kernel_places_two_groups_where_both_oracles_say() {
         for _ in 0..CONNECTS {
             let took = connect_and_find(&listeners);
             let hash = kernel.last_hash();
-            let (want, placed) = (bytecode.dispatch(hash), native.dispatch(hash));
+            let (want, placed) = (bytecode.dispatch(hash), native.dispatch(&bitmaps, hash));
             assert_eq!(took, want.worker(), "{bitmaps:?} hash {hash:#x}");
             assert_eq!((took, want.is_directed()), (placed.worker, placed.directed));
             if want.is_directed() {
@@ -206,7 +203,7 @@ fn the_kernel_places_two_groups_where_both_oracles_say() {
     }
 
     // Full bitmaps: every listener of both groups is reached.
-    kernel.sync(WorkerBitmap::all(SIZE));
+    kernel.sync_bitmap(WorkerBitmap::all(SIZE));
     let mut per_listener = [0usize; LISTENERS];
     for _ in 0..2_000 {
         per_listener[connect_and_find(&listeners)] += 1;
@@ -218,7 +215,7 @@ fn the_kernel_places_two_groups_where_both_oracles_say() {
 
     // No candidates anywhere: every placement stays in its level-1 group,
     // and each is counted as a fallback.
-    kernel.sync(WorkerBitmap::EMPTY);
+    kernel.sync_bitmap(WorkerBitmap::EMPTY);
     let (directed, fallback) = kernel.counters();
     for _ in 0..CONNECTS {
         let took = connect_and_find(&listeners);
@@ -241,7 +238,7 @@ fn the_kernel_counts_one_run_per_connection() {
     let _stats = enable_stats().expect("bpf(2) is allowed, BPF_ENABLE_STATS is not");
     assert_eq!(kernel.run_stats().expect("bpf_prog_info"), (0, 0));
     for bitmap in [WorkerBitmap::all(WORKERS), WorkerBitmap::EMPTY] {
-        kernel.sync(bitmap);
+        kernel.sync_bitmap(bitmap);
         for _ in 0..CONNECTS {
             connect_and_find(&listeners);
         }

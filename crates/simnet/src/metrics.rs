@@ -50,6 +50,10 @@ impl WorkerReport {
 pub struct SchedStats {
     /// `schedule_and_sync` invocations across all workers.
     pub calls: u64,
+    /// Passes whose bitmap differed from the published one and replaced
+    /// it: the syncs that reach the kernel's map word. The other
+    /// `calls - publishes` passes were elided.
+    pub publishes: u64,
     /// Sum over calls of workers passing the coarse filter.
     pub selected_sum: u64,
     /// Sum over calls of alive (non-hung) workers.
@@ -275,6 +279,7 @@ mod tests {
     fn sched_stats_ratios() {
         let s = SchedStats {
             calls: 100,
+            publishes: 20,
             selected_sum: 600,
             alive_sum: 800,
             directed_dispatches: 90,

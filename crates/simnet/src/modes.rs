@@ -9,8 +9,9 @@
 use crate::config::Mode;
 use crate::metrics::SchedStats;
 use hermes_core::sched::SchedConfig;
-use hermes_core::{FlowKey, GroupedConnDispatcher, Placement, Scheduler, SelMap, WorkerSnapshot};
-use std::sync::Arc;
+use hermes_core::{
+    FlowKey, GroupedConnDispatcher, Placement, Scheduler, WorkerBitmap, WorkerSnapshot,
+};
 
 /// Hermes state bundle: the worker table, the scheduler that runs over it,
 /// and the kernel-side dispatch decision, core's native oracle for the
@@ -33,9 +34,11 @@ pub struct HermesState {
     rows: Vec<WorkerSnapshot>,
     /// Algorithm 1 over `rows`.
     scheduler: Scheduler,
-    /// The kernel-visible bitmap `scheduler` publishes into.
-    sel: Arc<SelMap>,
-    /// Places SYNs from `sel`.
+    /// The bitmap the kernel sees: the last one `scheduler` published. A
+    /// plain value, as the rows are; the load balancers publish into the
+    /// kernel's own map word.
+    published: WorkerBitmap,
+    /// Places SYNs from `published`.
     dispatcher: GroupedConnDispatcher,
     /// Scheduler/dispatch statistics (Fig. 14).
     pub stats: SchedStats,
@@ -43,12 +46,11 @@ pub struct HermesState {
 
 impl HermesState {
     fn new(workers: usize, config: SchedConfig) -> Self {
-        let sel = Arc::new(SelMap::new());
         Self {
             rows: vec![WorkerSnapshot::default(); workers],
             scheduler: Scheduler::new(config),
-            dispatcher: GroupedConnDispatcher::new(vec![Arc::clone(&sel)], workers),
-            sel,
+            published: WorkerBitmap::EMPTY,
+            dispatcher: GroupedConnDispatcher::new(workers),
             stats: SchedStats::default(),
         }
     }
@@ -81,15 +83,19 @@ impl HermesState {
     }
 
     /// `schedule_and_sync` (Algorithm 1) as run from a worker's event loop:
-    /// run the cascade and publish the bitmap to the kernel-visible map
-    /// (redundant republishes are elided and counted, just like the real
-    /// load balancer's sync path). The pass traces on `lane`, the running
-    /// worker's.
+    /// run the cascade and publish the bitmap. Only a bitmap that differs
+    /// from the published one replaces it, as `KernelDispatch::publish`
+    /// stores into the kernel's word only then, and each replacement is
+    /// counted in `stats.publishes`. The pass traces on `lane`, the
+    /// running worker's.
     pub fn schedule_and_sync(&mut self, now_ns: u64, lane: u32) {
         let decision = self
             .scheduler
             .schedule_from_snapshot(&self.rows, now_ns, lane);
-        self.sel.store_if_changed(decision.bitmap);
+        if decision.bitmap != self.published {
+            self.published = decision.bitmap;
+            self.stats.publishes += 1;
+        }
         self.stats.calls += 1;
         self.stats.selected_sum += u64::from(decision.bitmap.count());
         self.stats.alive_sum += u64::from(decision.alive.count());
@@ -98,7 +104,7 @@ impl HermesState {
     /// Kernel-side dispatch of one SYN (Algorithm 2): one decision per
     /// connection, as the reuseport hook runs it.
     pub fn dispatch(&mut self, flow: &FlowKey) -> Placement {
-        let placed = self.dispatcher.dispatch(flow.hash());
+        let placed = self.dispatcher.dispatch(&[self.published], flow.hash());
         self.tally(placed);
         placed
     }
@@ -107,7 +113,9 @@ impl HermesState {
     /// degradation re-homing (Appendix C), which is not a new connection
     /// and must not inflate the Fig. 14 counters.
     pub fn redirect(&self, flow: &FlowKey) -> usize {
-        self.dispatcher.dispatch(flow.hash()).worker
+        self.dispatcher
+            .dispatch(&[self.published], flow.hash())
+            .worker
     }
 
     /// Fig. 14's directed/fallback split: the one place a placed SYN is
@@ -262,12 +270,13 @@ mod tests {
         for round in 0..10 {
             h.schedule_and_sync(1_000_010 + round, 0);
         }
-        assert_eq!((h.sel.update_count(), h.sel.skipped_count()), (1, 9));
+        assert_eq!((h.stats.calls, h.stats.publishes), (10, 1));
+        assert_eq!(h.published, WorkerBitmap::all(4));
         // A load change re-publishes exactly once more.
         h.conn_delta(0, 1_000);
         h.schedule_and_sync(1_000_030, 0);
-        assert_eq!(h.sel.update_count(), 2);
-        assert_eq!(h.stats.calls, 11);
+        assert_eq!((h.stats.calls, h.stats.publishes), (11, 2));
+        assert!(!h.published.contains(0));
     }
 
     /// The plain rows read what a `Wst` fed the same updates reports, and

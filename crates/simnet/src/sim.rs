@@ -910,6 +910,16 @@ mod tests {
         assert!(r.sched.calls > 0);
     }
 
+    /// The report carries the syncs that reached the kernel's word: at
+    /// least the first, at most one per pass, and none outside Hermes.
+    #[test]
+    fn a_hermes_run_reports_its_publishes() {
+        let wl = uniform_workload(4_000, 200_000, 30_000);
+        let s = run(Mode::Hermes, &wl, 8).sched;
+        assert!(0 < s.publishes && s.publishes <= s.calls, "{s:?}");
+        assert_eq!(run(Mode::Reuseport, &wl, 8).sched.publishes, 0);
+    }
+
     #[test]
     fn crashed_reuseport_worker_strands_connections() {
         let mut cfg = SimConfig::new(4, Mode::Reuseport);

@@ -129,6 +129,6 @@ mod tests {
         assert!(s.contains("sim.syn"));
         assert!(s.contains("sim.wake"));
         // Kinds with no record get no row.
-        assert!(!s.contains("dispatch.one"));
+        assert!(!s.contains("sim.dispatch"));
     }
 }

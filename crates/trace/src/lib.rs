@@ -22,8 +22,8 @@
 //!   JSON or an ASCII per-kind table.
 //!
 //! The recorder keeps no counts of its own beyond ring drops: a count lives
-//! with the code that owns the fact (`LbStats`, `RelayStats`, `SelMap`,
-//! `SchedStats`, ...), and a rate the event stream gives is read off it.
+//! with the code that owns the fact (`LbStats`, `RelayStats`, `SchedStats`,
+//! ...), and a rate the event stream gives is read off it.
 //!
 //! Determinism: tracing observes, never steers. Simnet emits with simulated
 //! time, so a traced run produces byte-identical reports *and* byte-identical
@@ -63,9 +63,8 @@ pub fn set_enabled(on: bool) {
 }
 
 /// Whether [`trace_event!`] records: one relaxed load. Always `false`
-/// under `--cfg loom`, so model-checked structures (the SPSC ring,
-/// `hermes-core`'s `SelMap`) never drag the global recorder's non-loom
-/// atomics into a loom model.
+/// under `--cfg loom`, so the model-checked SPSC ring never drags the
+/// global recorder's non-loom atomics into a loom model.
 #[inline]
 pub fn is_enabled() -> bool {
     !cfg!(loom) && RECORDING.load(Ordering::Relaxed)
@@ -127,7 +126,7 @@ mod tests {
     #[test]
     fn switched_off_process_creates_no_ring() {
         assert!(!is_enabled());
-        trace_event!(1u64, EventKind::Dispatch, 0u32, 0u64, 0u64);
+        trace_event!(1u64, EventKind::SimDispatch, 0u32, 0u64, 0u64);
         reset();
         assert!(drain().is_empty());
         assert_eq!(dropped_events(), 0);

@@ -11,8 +11,9 @@
 /// and `name()` from one list, so a kind is added on one line. The
 /// discriminants are written out because they are the wire format: a kind
 /// keeps its number for good, and a deleted kind's number is never reused
-/// (5 was `dispatch.batch`, 12 `sim.syn_burst`, 15 the grouped simulator's
-/// `dispatch.group` and 16 `vm.jit_load`; they now decode as `Unknown`).
+/// (5 was `dispatch.batch`, 6 `dispatch.one`, 12 `sim.syn_burst`, 15 the
+/// grouped simulator's `dispatch.group` and 16 `vm.jit_load`; they now
+/// decode as `Unknown`).
 macro_rules! event_kinds {
     ($($(#[$doc:meta])* $kind:ident = $wire:literal => $name:literal,)+) => {
         /// What happened. The discriminant is the on-wire `u16` stored in the ring.
@@ -65,8 +66,6 @@ event_kinds! {
     /// A dispatch program was loaded/verified. `a` = exec tier code
     /// (0 = Checked), `b` = instruction count.
     VmLoad = 4 => "vm.load",
-    /// A single flow was dispatched. `a` = flow hash, `b` = chosen worker.
-    Dispatch = 6 => "dispatch.one",
     /// A relay worker picked up a connection from its listener: the
     /// worker-pickup stamp of a connection's path. `a` = connections taken
     /// (always 1: a worker accepts one per report of its listener),
@@ -162,8 +161,8 @@ mod tests {
     fn all_kinds_round_trip_and_have_unique_names() {
         // One macro row per kind: the wire numbers are 1..=20 in order with
         // the retired gaps, and everything else decodes to `Unknown`.
-        const RETIRED: [u16; 4] = [5, 12, 15, 16];
-        assert_eq!(EventKind::ALL.len(), 16);
+        const RETIRED: [u16; 5] = [5, 6, 12, 15, 16];
+        assert_eq!(EventKind::ALL.len(), 15);
         let mut names = std::collections::HashSet::from(["unknown"]);
         let wires = (1..=20u16).filter(|w| !RETIRED.contains(w));
         for (wire, k) in wires.zip(EventKind::ALL) {

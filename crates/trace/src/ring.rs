@@ -166,7 +166,7 @@ mod loom_tests {
     fn rec(ts: u64) -> TraceRecord {
         TraceRecord {
             ts,
-            kind: EventKind::Dispatch,
+            kind: EventKind::SimDispatch,
             worker: 7,
             a: ts * 2,
             b: ts * 3,
@@ -240,7 +240,7 @@ mod tests {
     fn rec(ts: u64) -> TraceRecord {
         TraceRecord {
             ts,
-            kind: EventKind::Dispatch,
+            kind: EventKind::SimDispatch,
             worker: 7,
             a: ts * 2,
             b: ts * 3,

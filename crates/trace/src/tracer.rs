@@ -162,7 +162,7 @@ mod tests {
     #[test]
     fn lanes_clamp_instead_of_panicking() {
         let t = Tracer::with_ring_capacity(8);
-        t.emit(1, EventKind::Dispatch, 9999, 0, 0);
+        t.emit(1, EventKind::SimDispatch, 9999, 0, 0);
         let recs = t.drain();
         assert_eq!(recs.len(), 1);
         // The original lane id is preserved in the record even when clamped.
@@ -214,7 +214,7 @@ mod tests {
     fn reset_clears_records_and_drops() {
         let t = Tracer::with_ring_capacity(2);
         for i in 0..5 {
-            t.emit(i, EventKind::Dispatch, 0, 0, 0);
+            t.emit(i, EventKind::SimDispatch, 0, 0, 0);
         }
         assert!(t.dropped_events() > 0);
         t.reset();

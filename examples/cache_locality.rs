@@ -5,7 +5,7 @@
 //! a group ⇒ locality); level 2 runs ordinary Hermes inside the group
 //! (⇒ balance). One group degenerates to standard Hermes; one worker per
 //! group degenerates to pure reuseport. A group is the flat plane's parts:
-//! a `Wst`, a `Scheduler` pass, a `SelMap` and a `ConnDispatcher`.
+//! a `Wst`, a `Scheduler` pass, its bitmap and a `ConnDispatcher`.
 //!
 //! Run with: `cargo run --example cache_locality`
 
@@ -13,10 +13,10 @@ use hermes::core::hash::{jhash_3words, level2_hash, reciprocal_scale};
 use hermes::prelude::*;
 use std::collections::{HashMap, HashSet};
 
-/// One worker group: its own status table, bitmap and Algorithm 2.
+/// One worker group: the bitmap its own status table scheduled, and
+/// Algorithm 2.
 struct Group {
-    wst: Wst,
-    sel: SelMap,
+    bitmap: WorkerBitmap,
     dispatcher: ConnDispatcher,
 }
 
@@ -35,20 +35,19 @@ fn main() {
         ("locality/balance trade (4 groups of 4)", 4),
         ("pure reuseport (16 groups of 1)", 1),
     ] {
+        // Bring all workers up; each group schedules its own bitmap.
         let groups: Vec<Group> = (0..total_workers / group_size)
-            .map(|_| Group {
-                wst: Wst::new(group_size),
-                sel: SelMap::new(),
-                dispatcher: ConnDispatcher::new(group_size),
+            .map(|_| {
+                let wst = Wst::new(group_size);
+                for w in 0..group_size {
+                    wst.worker(w).enter_loop(1_000_000);
+                }
+                Group {
+                    bitmap: scheduler.schedule(&wst, 1_500_000).bitmap,
+                    dispatcher: ConnDispatcher::new(group_size),
+                }
             })
             .collect();
-        // Bring all workers up; each group schedules its own bitmap.
-        for g in &groups {
-            for w in 0..group_size {
-                g.wst.worker(w).enter_loop(1_000_000);
-            }
-            g.sel.store(scheduler.schedule(&g.wst, 1_500_000).bitmap);
-        }
 
         // Two tenants, many client flows each. `sprayed` is where §7's
         // 4-tuple level 1 would have sent the same flows.
@@ -65,7 +64,7 @@ fn main() {
                 );
                 let g = tenant_group(&flow, groups.len());
                 let hash = level2_hash(flow.hash(), groups.len());
-                let out = groups[g].dispatcher.dispatch(groups[g].sel.load(), hash);
+                let out = groups[g].dispatcher.dispatch(groups[g].bitmap, hash);
                 tenant_groups.entry(tenant_port).or_default().insert(g);
                 sprayed
                     .entry(tenant_port)

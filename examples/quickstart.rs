@@ -29,9 +29,6 @@ fn main() {
         decision.bitmap.iter().collect::<Vec<_>>()
     );
 
-    let sel = SelMap::new();
-    sel.store(decision.bitmap);
-
     // Stage 3: kernel-side dispatch (Algorithm 2) — here the native
     // oracle; swap in `ReuseportGroup` for the verified eBPF bytecode.
     let dispatcher = ConnDispatcher::new(workers);
@@ -43,7 +40,7 @@ fn main() {
             0x0aff_0001,
             443,
         );
-        let outcome = dispatcher.dispatch(sel.load(), flow.hash());
+        let outcome = dispatcher.dispatch(decision.bitmap, flow.hash());
         per_worker[outcome.worker()] += 1;
     }
     println!("connections per worker: {per_worker:?}");

@@ -367,7 +367,7 @@ while IFS=: read -r file line _; do
 done < <(grep -rn --include='*.rs' -E '(^|[^a-zA-Z0-9_"])unsafe[[:space:]]*(\{|fn|impl)' crates/ src/ 2>/dev/null || true)
 [ "$bad" -eq 0 ] || { echo "undocumented unsafe gate failed"; exit 1; }
 
-step "miri (nightly): lock-free ring / selmap under the interpreter"
+step "miri (nightly): lock-free trace ring under the interpreter"
 # Scoped to the concurrency-bearing modules: full-workspace miri would take
 # hours and trips on FFI-free but slow seeded-case suites. Skipped tests
 # (documented, not silent):
@@ -377,8 +377,6 @@ step "miri (nightly): lock-free ring / selmap under the interpreter"
 if rustup run nightly cargo miri --version >/dev/null 2>&1; then
   MIRIFLAGS="-Zmiri-disable-isolation" rustup run nightly cargo miri test \
     -p hermes-trace --lib ring -- --skip concurrent_producer_consumer_loses_nothing
-  MIRIFLAGS="-Zmiri-disable-isolation" rustup run nightly cargo miri test \
-    -p hermes-core --lib selmap
 else
   skip "miri unavailable (install: rustup component add miri --toolchain nightly)"
 fi
@@ -395,18 +393,16 @@ else
   skip "nightly rust-src unavailable (install: rustup component add rust-src --toolchain nightly)"
 fi
 
-step "loom model checking: SPSC trace ring + SelMap elision"
-# The loom tests live behind cfg(loom) in crates/trace/src/ring.rs and
-# crates/core/src/selmap.rs. Loom is not a workspace dependency (the
-# dependency-closure lane below refuses it, so the wiring cannot be
-# committed), and this lane runs only when it has been wired up locally:
-# add `loom = "0.7"` to [dependencies] of hermes-trace and hermes-core,
-# then re-run this script.
-if grep -q '^loom' crates/trace/Cargo.toml crates/core/Cargo.toml 2>/dev/null; then
+step "loom model checking: SPSC trace ring"
+# The loom tests live behind cfg(loom) in crates/trace/src/ring.rs. Loom
+# is not a workspace dependency (the dependency-closure lane below refuses
+# it, so the wiring cannot be committed), and this lane runs only when it
+# has been wired up locally: add `loom = "0.7"` to [dependencies] of
+# hermes-trace, then re-run this script.
+if grep -q '^loom' crates/trace/Cargo.toml 2>/dev/null; then
   RUSTFLAGS="--cfg loom" cargo test -p hermes-trace --lib --release loom_
-  RUSTFLAGS="--cfg loom" cargo test -p hermes-core --lib --release loom_
 else
-  skip "loom not wired up (add loom = \"0.7\" to hermes-trace and hermes-core [dependencies])"
+  skip "loom not wired up (add loom = \"0.7\" to hermes-trace [dependencies])"
 fi
 
 step "dependency closure (std and the workspace)"

@@ -60,7 +60,7 @@ pub use hermes_workload as workload;
 pub mod prelude {
     pub use hermes_backend::{Admission, BackendPool, BackendTable, HealthState, TableCache};
     pub use hermes_core::{
-        ConnDispatcher, FlowKey, SchedConfig, SchedDecision, Scheduler, SelMap, WorkerBitmap, Wst,
+        ConnDispatcher, FlowKey, SchedConfig, SchedDecision, Scheduler, WorkerBitmap, Wst,
     };
     pub use hermes_ebpf::ReuseportGroup;
     pub use hermes_metrics::{Cdf, Histogram, Summary};

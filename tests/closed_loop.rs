@@ -22,12 +22,10 @@ fn status_to_dispatch_round_trip() {
     assert!(!decision.bitmap.contains(6));
     assert_eq!(decision.alive, WorkerBitmap::all(workers));
 
-    let sel = SelMap::new();
-    sel.store(decision.bitmap);
     let dispatcher = ConnDispatcher::new(workers);
     for i in 0..2_000u32 {
         let flow = FlowKey::new(i, (i % 1_000) as u16, 42, 443);
-        let out = dispatcher.dispatch(sel.load(), flow.hash());
+        let out = dispatcher.dispatch(decision.bitmap, flow.hash());
         assert!(out.is_directed());
         assert_ne!(out.worker(), 1);
         assert_ne!(out.worker(), 6);
@@ -77,7 +75,6 @@ fn native_and_bytecode_agree_under_scheduler_driven_bitmaps() {
     let sched = Scheduler::new(SchedConfig::default());
     let group = ReuseportGroup::new(workers);
     let native = ConnDispatcher::new(workers);
-    let sel = SelMap::new();
     for round in 0u64..50 {
         for w in 0..workers {
             wst.worker(w).enter_loop(round * 1_000_000);
@@ -85,12 +82,11 @@ fn native_and_bytecode_agree_under_scheduler_driven_bitmaps() {
                 .conn_delta(((round as usize + w) % 5) as i64 - 2);
         }
         let bm = sched.schedule(&wst, round * 1_000_000 + 500_000).bitmap;
-        sel.store(bm);
         group.sync_bitmap(bm);
         for i in 0..50u32 {
             let hash = FlowKey::new(i, round as u16, 9, 80).hash();
             assert_eq!(
-                native.dispatch(sel.load(), hash),
+                native.dispatch(bm, hash),
                 group.dispatch(hash),
                 "divergence at round {round}, flow {i}"
             );
