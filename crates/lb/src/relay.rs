@@ -139,9 +139,6 @@ pub struct RelayStats {
     /// Relay directions demoted from splice to the copy path, or kept on
     /// it because no pipe could be opened.
     pub splice_fallbacks: AtomicU64,
-    /// Relays whose backend id had no `per_backend` slot (late table
-    /// versions can reference backends added after startup sizing).
-    pub unindexed_backends: AtomicU64,
     /// Thread CPU nanoseconds burned by relay workers, read from
     /// `CLOCK_THREAD_CPUTIME_ID` at most once per millisecond of a
     /// worker's loop and once more when it exits. Dividing bytes relayed
@@ -158,24 +155,10 @@ pub struct RelayStats {
     /// (one `EPOLL_CTL_MOD` each). A relay whose client keeps up never
     /// adds one.
     pub write_watches: AtomicU64,
-    /// Relay connections established per backend (sized at startup).
+    /// Relay connections established per backend, indexed by backend id:
+    /// sized, like the pool and the address list, from the backends given
+    /// at start, so every id a table names has a slot.
     pub per_backend: Vec<AtomicU64>,
-}
-
-impl RelayStats {
-    /// Count an established relay against its backend, clamping against
-    /// table versions that grew past the startup-sized vector: a late
-    /// backend id lands in `unindexed_backends` instead of panicking.
-    fn note_backend(&self, b: BackendId) {
-        match self.per_backend.get(b) {
-            Some(slot) => {
-                slot.fetch_add(1, Ordering::Relaxed);
-            }
-            None => {
-                self.unindexed_backends.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
 }
 
 /// A running TCP relay LB.
@@ -1089,13 +1072,8 @@ impl<F: Fn(WorkerBitmap) + Send + Sync> ReactorWorker<F> {
             if attempt > 0 {
                 self.rstats.connect_retries.fetch_add(1, Ordering::Relaxed);
             }
-            // A candidate beyond the startup address list (a late table
-            // version referencing backends this process never learned
-            // addresses for) is skipped like a failed connect.
-            let started = self
-                .backends
-                .get(backend_id)
-                .and_then(|addr| reactor::connect_nonblocking(addr).ok())
+            let started = reactor::connect_nonblocking(&self.backends[backend_id])
+                .ok()
                 .filter(|b| {
                     self.reactor
                         .register(b.as_raw_fd(), slot as u64 * 2 + 1, true)
@@ -1161,7 +1139,7 @@ impl<F: Fn(WorkerBitmap) + Send + Sync> ReactorWorker<F> {
             return false;
         }
         let _ = c.backend.set_nodelay(true);
-        self.rstats.note_backend(c.backend_id);
+        self.rstats.per_backend[c.backend_id].fetch_add(1, Ordering::Relaxed);
         self.session.conn_opened();
         hermes_trace::trace_event!(
             self.now_ns(),
@@ -2541,23 +2519,6 @@ mod tests {
             DirBuf::Copy(buf) => assert_eq!(&buf[..], b"must-not-be-dropped"),
             DirBuf::Splice { .. } => panic!("demote left the splice path in place"),
         }
-    }
-
-    #[test]
-    fn late_backend_ids_clamp_instead_of_panicking() {
-        // Regression: per_backend is sized at startup; a later table
-        // version can reference backend ids past the vector. Those must
-        // clamp into unindexed_backends, not index out of bounds.
-        let rstats = RelayStats {
-            per_backend: (0..2).map(|_| AtomicU64::new(0)).collect(),
-            ..RelayStats::default()
-        };
-        rstats.note_backend(1);
-        rstats.note_backend(7);
-        rstats.note_backend(2);
-        assert_eq!(rstats.per_backend[1].load(Ordering::Relaxed), 1);
-        assert_eq!(rstats.per_backend[0].load(Ordering::Relaxed), 0);
-        assert_eq!(rstats.unindexed_backends.load(Ordering::Relaxed), 2);
     }
 
     #[test]

@@ -352,22 +352,26 @@ fn worker_loop<F: Fn(WorkerBitmap) + Send + Sync>(
         match accepted {
             Ok((stream, _hash)) => {
                 session.conn_opened();
+                // The connection's token is its listener's accept count.
+                // Only this worker moves it, and it accepts nothing while it
+                // serves, so the close reads the open's token again.
+                let token = || stats.accepted[listener.id].load(Ordering::Relaxed);
                 hermes_trace::trace_event!(
                     now_ns(),
                     hermes_trace::EventKind::ConnOpen,
                     lane,
-                    stats.accepted[listener.id].load(Ordering::Relaxed),
+                    token(),
                     0u64
                 );
-                serve_connection(stream, &mut proxy, &stats);
+                let served = serve_connection(stream, &mut proxy, &stats);
                 session.event_handled();
                 session.conn_closed();
                 hermes_trace::trace_event!(
                     now_ns(),
                     hermes_trace::EventKind::ConnClose,
                     lane,
-                    stats.requests.load(Ordering::Relaxed),
-                    0u64
+                    token(),
+                    served
                 );
             }
             // Stop only once an accept has found the queue empty:
@@ -382,8 +386,8 @@ fn worker_loop<F: Fn(WorkerBitmap) + Send + Sync>(
 }
 
 /// Run-to-completion connection handling: keep-alive until EOF, error, or
-/// idle timeout.
-fn serve_connection(mut stream: TcpStream, proxy: &mut Proxy, stats: &LbStats) {
+/// idle timeout. Returns the number of requests answered.
+fn serve_connection(mut stream: TcpStream, proxy: &mut Proxy, stats: &LbStats) -> u64 {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
     let mut buf = Vec::with_capacity(4096);
     let mut chunk = [0u8; 4096];
@@ -391,9 +395,10 @@ fn serve_connection(mut stream: TcpStream, proxy: &mut Proxy, stats: &LbStats) {
     // the read timeout must not pin this worker (slow-loris) or stall
     // shutdown joins indefinitely.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let mut served = 0;
     loop {
         if std::time::Instant::now() >= deadline {
-            return;
+            return served;
         }
         // Serve every complete request already buffered. Only *protocol*
         // errors (400: the byte stream is unparseable) close the
@@ -403,17 +408,18 @@ fn serve_connection(mut stream: TcpStream, proxy: &mut Proxy, stats: &LbStats) {
             buf.drain(..used);
             let protocol_error = response.starts_with(b"HTTP/1.1 400");
             if stream.write_all(&response).is_err() {
-                return;
+                return served;
             }
+            served += 1;
             stats.requests.fetch_add(1, Ordering::Relaxed);
             if protocol_error {
-                return;
+                return served;
             }
         }
         match stream.read(&mut chunk) {
-            Ok(0) => return, // client closed
+            Ok(0) => return served, // client closed
             Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(_) => return, // timeout or reset: drop the connection
+            Err(_) => return served, // timeout or reset: drop the connection
         }
     }
 }

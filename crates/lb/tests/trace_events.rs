@@ -1,8 +1,10 @@
 //! The load balancers' lifecycle events, asserted on sockets: a 4-worker
 //! `RelayLb` records one `AcceptBurst` per connection its worker accepted,
 //! one `ConnOpen` and one `ConnClose` per connection it relayed, and
-//! `RelayWakeup`s, each on the worker's own lane, with nothing dropped;
-//! and past 64 workers no worker's event lands on `KERNEL_LANE`.
+//! `RelayWakeup`s, each on the worker's own lane, with nothing dropped; a
+//! `TcpLb` connection's close carries its open's token and the requests
+//! it answered; and past 64 workers no worker's event lands on
+//! `KERNEL_LANE`.
 //!
 //! The tests share the global recorder, so each holds `RECORDER` while it
 //! records.
@@ -110,6 +112,41 @@ fn relay_workers_trace_their_connections_on_their_own_lanes() {
         .filter(|r| r.kind == EventKind::RelayWakeup)
         .count() as u64;
     assert!(wakeups <= relay.loop_passes.load(Ordering::Relaxed));
+}
+
+/// A `TcpLb` connection's `ConnClose` carries its `ConnOpen`'s token and
+/// the requests answered on it: here two, pipelined in one write.
+#[test]
+fn tcp_lb_close_carries_its_open_token_and_the_requests_answered() {
+    let _recorder = RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
+    hermes_trace::reset();
+    hermes_trace::set_enabled(true);
+    let mut router = Router::new();
+    router.add_rule(Rule::new().pool("web"));
+    let mut proxy = Proxy::new(router);
+    proxy.add_pool("web", vec![Box::new(EchoUpstream::new("web-0"))]);
+    let lb = TcpLb::start("127.0.0.1:0", 1, proxy).unwrap();
+    let mut s = TcpStream::connect(lb.local_addr()).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    s.write_all(b"GET /a HTTP/1.1\r\nHost: t\r\n\r\nGET /b HTTP/1.1\r\nHost: t\r\n\r\n")
+        .unwrap();
+    s.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut out = String::new();
+    let _ = s.read_to_string(&mut out);
+    assert_eq!(out.matches("HTTP/1.1 200 OK").count(), 2, "{out}");
+    lb.shutdown();
+    hermes_trace::set_enabled(false);
+
+    let records = hermes_trace::drain();
+    let of = |kind| records.iter().filter(move |r| r.kind == kind);
+    let [open] = of(EventKind::ConnOpen).collect::<Vec<_>>()[..] else {
+        panic!("one ConnOpen: {records:?}")
+    };
+    let [close] = of(EventKind::ConnClose).collect::<Vec<_>>()[..] else {
+        panic!("one ConnClose: {records:?}")
+    };
+    assert_eq!(close.a, open.a, "a close carries its open's token");
+    assert_eq!(close.b, 2, "requests answered on the connection");
 }
 
 /// Connect to `addr` through `exchange` until worker 64, the first of the

@@ -335,7 +335,7 @@ impl<'w> Simulator<'w> {
                 hermes_trace::EventKind::SimDispatch,
                 self.worker_lane(w),
                 spec.flow.hash(),
-                c
+                w
             );
             // The accept notification lands on the epoll instance that owns
             // the socket.

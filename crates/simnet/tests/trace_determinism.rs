@@ -114,6 +114,28 @@ fn scheduler_passes_trace_on_the_running_workers_lane() {
     );
 }
 
+/// A dispatch record carries the flow hash and the worker the decision
+/// chose, as `EventKind::SimDispatch` documents: in a fleet run its lane is
+/// the device's, so the payload is the only place the worker is kept.
+#[test]
+fn dispatch_records_carry_the_chosen_worker() {
+    let _guard = RECORDER.lock().unwrap();
+    let (_, records) = recorded(|| run_case(Mode::Hermes, 4, 42));
+    let dispatches: Vec<_> = records
+        .iter()
+        .filter(|r| r.kind == hermes_trace::EventKind::SimDispatch)
+        .collect();
+    assert!(!dispatches.is_empty(), "a Hermes run traces its dispatches");
+    for r in dispatches {
+        assert!(r.b < 4, "dispatch to worker {} of 4", r.b);
+        assert_eq!(
+            r.b,
+            u64::from(r.worker),
+            "dispatch traced on another worker's lane"
+        );
+    }
+}
+
 #[test]
 fn disabled_recorder_stays_empty() {
     let _guard = RECORDER.lock().unwrap();

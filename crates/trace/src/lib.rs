@@ -10,7 +10,11 @@
 //!   records (`u64` timestamp, `u16` kind, `u32` worker id, 2×`u64`
 //!   payload). A push is a bounds check plus four relaxed stores and a
 //!   release cursor bump; a full ring drops (saturating counter), never
-//!   blocks.
+//!   blocks. The ring's protocol, and the lock that keeps the control
+//!   lane to one producer at a time, are checked under every schedule of
+//!   up to two preemptions by an interleaving checker that exists only in
+//!   this crate's test build (`check.rs`; `sync.rs` routes the atomics
+//!   and the lock through it there, and every other build uses `std`'s).
 //! * [`trace_event!`] — the only way instrumented crates emit. Every build
 //!   carries it; one process-wide switch ([`set_enabled`]) decides whether
 //!   it records. Switched off (the start state) an event is one relaxed
@@ -62,12 +66,10 @@ pub fn set_enabled(on: bool) {
     RECORDING.store(on, Ordering::Relaxed);
 }
 
-/// Whether [`trace_event!`] records: one relaxed load. Always `false`
-/// under `--cfg loom`, so the model-checked SPSC ring never drags the
-/// global recorder's non-loom atomics into a loom model.
+/// Whether [`trace_event!`] records: one relaxed load.
 #[inline]
 pub fn is_enabled() -> bool {
-    !cfg!(loom) && RECORDING.load(Ordering::Relaxed)
+    RECORDING.load(Ordering::Relaxed)
 }
 
 /// Drain the global recorder: all lanes, sorted by (timestamp, lane).
@@ -106,6 +108,9 @@ macro_rules! trace_event {
         }
     };
 }
+
+#[cfg(test)]
+mod check;
 
 #[cfg(test)]
 mod tests {

@@ -71,9 +71,14 @@ event_kinds! {
     /// (always 1: a worker accepts one per report of its listener),
     /// `b` = connections that listener has accepted so far.
     AcceptBurst = 7 => "lb.accept_burst",
-    /// A proxied connection was handed to a worker. `a` = connection token.
+    /// A worker took a connection. `TcpLb`: `a` = connection token (its
+    /// listener's accept count: the n-th connection that worker took),
+    /// `b` = 0. `RelayLb`, once the backend leg is up: `a` = backend id,
+    /// `b` = the table version the connection was admitted on.
     ConnOpen = 8 => "lb.conn_open",
-    /// A proxied connection finished. `a` = connection token, `b` = requests served.
+    /// A connection finished. `TcpLb`: `a` = its `ConnOpen`'s token, `b` =
+    /// requests answered on it. `RelayLb`: `a` = backend id, `b` = the
+    /// admitted table version, as at its `ConnOpen`.
     ConnClose = 9 => "lb.conn_close",
     /// A `Pacer` deadline was already in the past on entry.
     /// `a` = overshoot in nanoseconds, `b` = total misses so far.

@@ -23,6 +23,15 @@
 //! record, which the decoder tolerates via [`EventKind::Unknown`], never
 //! undefined behaviour. The one lane with many producers by design, the
 //! recorder's control lane, is serialised by the recorder.
+//!
+//! What is checked: the `models` tests run push and drain under the
+//! crate's interleaving checker (`check.rs`), every sequentially
+//! consistent schedule of up to two preemptions, on fresh capacity-2
+//! rings: no record is torn, lost or reordered, and every record emitted
+//! is drained or counted as dropped. The memory-order half above is out
+//! of the checker's reach (every operation it runs is sequentially
+//! consistent), so the `Acquire` on `tail` rests on the argument, not on
+//! a run.
 
 use crate::record::TraceRecord;
 use crate::sync::{AtomicU64, Ordering};
@@ -152,16 +161,15 @@ impl std::fmt::Debug for TraceRing {
     }
 }
 
-#[cfg(all(test, loom))]
-mod loom_tests {
-    //! Exhaustive interleaving checks for the SPSC protocol. These run only
-    //! under `RUSTFLAGS="--cfg loom"` (see the loom lane in scripts/ci.sh);
-    //! keep rings tiny (capacity 2) and op counts small so the state space
-    //! stays tractable.
+#[cfg(test)]
+mod models {
+    //! The ring's protocol under every schedule of up to [`PREEMPTIONS`]
+    //! preemptions (`crate::check`), on rings of capacity 2, so that the
+    //! full ring and the wrap come up within a few operations. Each thread
+    //! returns the records it pushed or drained.
     use super::*;
+    use crate::check::{explore, PREEMPTIONS};
     use crate::record::EventKind;
-    use loom::sync::Arc;
-    use loom::thread;
 
     fn rec(ts: u64) -> TraceRecord {
         TraceRecord {
@@ -173,66 +181,99 @@ mod loom_tests {
         }
     }
 
+    /// Push `ts` in order; the records the ring took.
+    fn push(ring: &TraceRing, ts: std::ops::RangeInclusive<u64>) -> Vec<TraceRecord> {
+        ts.map(rec).filter(|&r| ring.push(r)).collect()
+    }
+
+    /// `drains` drains; the records they returned.
+    fn drain(ring: &TraceRing, drains: usize) -> Vec<TraceRecord> {
+        let mut got = Vec::new();
+        for _ in 0..drains {
+            ring.drain_into(&mut got);
+        }
+        got
+    }
+
     /// Every interleaving of one producer pushing three records against a
     /// concurrently draining consumer: no record is ever torn (payload
     /// words always match the timestamp they were written with), accepted
     /// records drain in push order, and push + drop accounting is exact.
     #[test]
     fn spsc_push_drain_never_tears_and_loses_nothing() {
-        loom::model(|| {
-            let ring = Arc::new(TraceRing::with_capacity(2));
-            let producer = {
-                let ring = Arc::clone(&ring);
-                thread::spawn(move || {
-                    let mut pushed = 0u64;
-                    for i in 1..=3u64 {
-                        if ring.push(rec(i)) {
-                            pushed += 1;
-                        }
-                    }
-                    pushed
-                })
-            };
-            let mut got = Vec::new();
-            ring.drain_into(&mut got);
-            let pushed = producer.join().unwrap();
-            ring.drain_into(&mut got);
-            for r in &got {
-                assert!((1..=3).contains(&r.ts), "phantom record ts={}", r.ts);
-                assert_eq!(r.a, r.ts * 2, "torn payload a for ts={}", r.ts);
-                assert_eq!(r.b, r.ts * 3, "torn payload b for ts={}", r.ts);
-            }
-            for w in got.windows(2) {
-                assert!(w[0].ts < w[1].ts, "records drained out of order");
-            }
-            assert_eq!(got.len() as u64, pushed, "accepted records must drain");
-            assert_eq!(pushed + ring.dropped(), 3, "push/drop accounting");
-        });
+        let schedules = explore(
+            PREEMPTIONS,
+            || TraceRing::with_capacity(2),
+            &[|ring| push(ring, 1..=3), |ring| drain(ring, 1)],
+            |ring, results| {
+                let [pushed, mut got] = <[_; 2]>::try_from(results).unwrap();
+                let pushed = pushed.len() as u64;
+                ring.drain_into(&mut got);
+                for r in &got {
+                    assert!((1..=3).contains(&r.ts), "phantom record ts={}", r.ts);
+                    assert_eq!(r.a, r.ts * 2, "torn payload a for ts={}", r.ts);
+                    assert_eq!(r.b, r.ts * 3, "torn payload b for ts={}", r.ts);
+                }
+                for w in got.windows(2) {
+                    assert!(w[0].ts < w[1].ts, "records drained out of order");
+                }
+                assert_eq!(got.len() as u64, pushed, "accepted records must drain");
+                assert_eq!(pushed + ring.dropped(), 3, "push/drop accounting");
+            },
+        );
+        assert!(schedules >= 149, "{schedules} schedules explored");
     }
 
     /// A full capacity-2 ring drops rather than blocks in every
     /// interleaving, and the drop counter never double-counts.
     #[test]
     fn full_ring_drop_accounting_is_exact_under_races() {
-        loom::model(|| {
-            let ring = Arc::new(TraceRing::with_capacity(2));
-            assert!(ring.push(rec(1)));
-            assert!(ring.push(rec(2)));
-            let producer = {
-                let ring = Arc::clone(&ring);
-                thread::spawn(move || ring.push(rec(3)) as u64)
-            };
-            let mut got = Vec::new();
-            ring.drain_into(&mut got);
-            let pushed = 2 + producer.join().unwrap();
-            ring.drain_into(&mut got);
-            assert_eq!(got.len() as u64, pushed);
-            assert_eq!(pushed + ring.dropped(), 3);
-        });
+        let schedules = explore(
+            PREEMPTIONS,
+            || {
+                let ring = TraceRing::with_capacity(2);
+                assert!(ring.push(rec(1)));
+                assert!(ring.push(rec(2)));
+                ring
+            },
+            &[|ring| push(ring, 3..=3), |ring| drain(ring, 1)],
+            |ring, results| {
+                let [pushed, mut got] = <[_; 2]>::try_from(results).unwrap();
+                let pushed = 2 + pushed.len() as u64;
+                ring.drain_into(&mut got);
+                assert_eq!(got.len() as u64, pushed);
+                assert_eq!(pushed + ring.dropped(), 3);
+            },
+        );
+        assert!(schedules >= 75, "{schedules} schedules explored");
+    }
+
+    /// The count the recorder's users read, from the ring alone: a
+    /// producer emits four records into two slots while the consumer
+    /// drains twice, so slots are freed and reused mid-push; every record
+    /// emitted is drained or counted as dropped, whatever the schedule.
+    #[test]
+    fn drained_plus_dropped_is_emitted() {
+        const EMITTED: u64 = 4;
+        let schedules = explore(
+            PREEMPTIONS,
+            || TraceRing::with_capacity(2),
+            &[|ring| push(ring, 1..=EMITTED), |ring| drain(ring, 2)],
+            |ring, results| {
+                let drained = (results[1].len() + drain(ring, 1).len()) as u64;
+                let dropped = ring.dropped();
+                assert_eq!(
+                    drained + dropped,
+                    EMITTED,
+                    "{drained} drained + {dropped} dropped of {EMITTED} emitted"
+                );
+            },
+        );
+        assert!(schedules >= 330, "{schedules} schedules explored");
     }
 }
 
-#[cfg(all(test, not(loom)))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::record::EventKind;

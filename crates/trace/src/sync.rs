@@ -1,14 +1,14 @@
-//! Atomics facade for the model-checked structures in this crate.
+//! The ring's atomics and the control lane's lock.
 //!
-//! Normal builds re-export `std::sync::atomic`; building with
-//! `RUSTFLAGS="--cfg loom"` swaps in loom's model-checked atomics so the
-//! `loom_tests` modules can exhaustively explore interleavings of the SPSC
-//! ring. Loom is deliberately **not** a listed dependency (the workspace
-//! builds offline); the loom lane in `scripts/ci.sh` documents how to wire
-//! it up locally. Everything here is `pub(crate)` so the facade never leaks
-//! into the public API.
+//! Every build but this crate's own tests uses `std`'s types. This crate's
+//! test build takes both from `check`, the interleaving checker, whose
+//! types are `std`'s with a scheduling point before each operation: in one
+//! of its runs every load, store, lock and unlock is a step whose order it
+//! chooses, and outside one they pass straight through.
 
-#[cfg(loom)]
-pub(crate) use loom::sync::atomic::{AtomicU64, Ordering};
-#[cfg(not(loom))]
-pub(crate) use std::sync::atomic::{AtomicU64, Ordering};
+pub(crate) use std::sync::atomic::Ordering;
+#[cfg(not(test))]
+pub(crate) use std::sync::{atomic::AtomicU64, Mutex};
+
+#[cfg(test)]
+pub(crate) use crate::check::{AtomicU64, Mutex};

@@ -10,10 +10,11 @@
 //! pacers, and every worker or device past the table), so its pushes take
 //! a lock; every other lane's push stays lock-free.
 
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{OnceLock, PoisonError};
 
 use crate::record::{EventKind, TraceRecord};
 use crate::ring::{TraceRing, DEFAULT_RING_CAPACITY};
+use crate::sync::Mutex;
 
 /// Worker lanes 0..MAX_WORKER_LANES map 1:1 to Hermes worker ids.
 pub const MAX_WORKER_LANES: usize = 64;
@@ -153,6 +154,65 @@ pub fn global() -> &'static Tracer {
 /// The process-wide recorder if anything has created it yet.
 pub(crate) fn global_if_created() -> Option<&'static Tracer> {
     GLOBAL.get()
+}
+
+#[cfg(test)]
+mod models {
+    use super::*;
+    use crate::check::{explore, PREEMPTIONS};
+
+    /// Two workers past the lane table emit onto [`CONTROL_LANE`] while a
+    /// reader drains it, over rings of two records, under every schedule
+    /// of up to [`PREEMPTIONS`] preemptions (`crate::check`). The lock
+    /// keeps the lane's one producer one at a time: every record emitted
+    /// is drained or counted as dropped. Without it, two pushes that read
+    /// one head write one slot, and the record under the other is lost.
+    #[test]
+    fn control_lane_producers_lose_no_record_in_any_schedule() {
+        fn emit(t: &Tracer, local: usize) -> Vec<TraceRecord> {
+            for i in 0..2 {
+                let a = (local * 10 + i) as u64;
+                t.emit(
+                    a,
+                    EventKind::SchedDecision,
+                    grouped_lane(1, 64, local),
+                    a,
+                    0,
+                );
+            }
+            Vec::new()
+        }
+        const EMITTED: [u64; 4] = [0, 1, 10, 11];
+        let schedules = explore(
+            PREEMPTIONS,
+            || Tracer::with_ring_capacity(2),
+            &[
+                |t| emit(t, 0),
+                |t| emit(t, 1),
+                |t| {
+                    let mut got = Vec::new();
+                    t.lane(CONTROL_LANE).drain_into(&mut got);
+                    got
+                },
+            ],
+            |t, results| {
+                let mut got = results.concat();
+                t.lane(CONTROL_LANE).drain_into(&mut got);
+                let (drained, dropped) = (got.len() as u64, t.dropped_events());
+                let lost: Vec<u64> = EMITTED
+                    .into_iter()
+                    .filter(|a| !got.iter().any(|r| r.a == *a))
+                    .collect();
+                assert_eq!(
+                    drained + dropped,
+                    EMITTED.len() as u64,
+                    "{drained} drained + {dropped} dropped of {} emitted; not drained: {lost:?}",
+                    EMITTED.len()
+                );
+            },
+        );
+        assert!(schedules >= 1084, "{schedules} schedules explored");
+    }
 }
 
 #[cfg(test)]

@@ -244,7 +244,7 @@ step "relay-reactor (epoll reactor + splice data plane suite, traced lifecycle e
 # worker's established relays nor the retry), the WST row showing
 # readiness events while they are pending (one connection accepted per
 # report of the listener), the idle-CPU property (zero pump passes across
-# an idle second), the late-table-version per_backend clamp, three socket
+# an idle second), three socket
 # calls a connection no longer pays (TCP_NODELAY on the client leg,
 # SO_ERROR after a writable connect, a second shutdown), a client leg
 # that asks for write edges only once a flush into it blocks, and a
@@ -368,48 +368,61 @@ done < <(grep -rn --include='*.rs' -E '(^|[^a-zA-Z0-9_"])unsafe[[:space:]]*(\{|f
 [ "$bad" -eq 0 ] || { echo "undocumented unsafe gate failed"; exit 1; }
 
 step "miri (nightly): lock-free trace ring under the interpreter"
-# Scoped to the concurrency-bearing modules: full-workspace miri would take
-# hours and trips on FFI-free but slow seeded-case suites. Skipped tests
-# (documented, not silent):
+# Scoped to the ring's own unit tests (`ring::tests`): full-workspace miri
+# would take hours and trips on FFI-free but slow seeded-case suites, and
+# the interleaving checker's schedule sweeps (`ring::models`, the next
+# lane's) start two threads for each of hundreds of schedules. Skipped
+# tests (documented, not silent):
 #   - ring::tests::concurrent_producer_consumer_loses_nothing — 100k-op
-#     stress loop; minutes under the interpreter, and the loom lane covers
-#     the same protocol exhaustively at small scale.
+#     stress loop; minutes under the interpreter, and the checker's models
+#     cover the same protocol under every schedule at small scale.
 if rustup run nightly cargo miri --version >/dev/null 2>&1; then
   MIRIFLAGS="-Zmiri-disable-isolation" rustup run nightly cargo miri test \
-    -p hermes-trace --lib ring -- --skip concurrent_producer_consumer_loses_nothing
+    -p hermes-trace --lib ring::tests -- --skip concurrent_producer_consumer_loses_nothing
 else
   skip "miri unavailable (install: rustup component add miri --toolchain nightly)"
 fi
 
 step "thread sanitizer (nightly): trace + core test suites"
-# TSan needs -Zbuild-std (instrumented std), which needs rust-src.
+# TSan needs -Zbuild-std (instrumented std), which needs rust-src. The
+# interleaving checker's sweeps (`models::`, and its own tests, `check::`)
+# run one thread at a time and are the next lane's; the ring's and the
+# recorder's stress tests, which race for real, stay in.
 host="$(rustc -vV | sed -n 's/^host: //p')"
 if rustup run nightly rustc --print sysroot >/dev/null 2>&1 \
    && [ -d "$(rustup run nightly rustc --print sysroot)/lib/rustlib/src/rust/library" ]; then
   RUSTFLAGS="-Zsanitizer=thread" RUSTDOCFLAGS="-Zsanitizer=thread" \
     rustup run nightly cargo test -Zbuild-std --target "$host" \
-    -p hermes-trace -p hermes-core --lib -q
+    -p hermes-trace -p hermes-core --lib -q -- --skip models:: --skip check::
 else
   skip "nightly rust-src unavailable (install: rustup component add rust-src --toolchain nightly)"
 fi
 
-step "loom model checking: SPSC trace ring"
-# The loom tests live behind cfg(loom) in crates/trace/src/ring.rs. Loom
-# is not a workspace dependency (the dependency-closure lane below refuses
-# it, so the wiring cannot be committed), and this lane runs only when it
-# has been wired up locally: add `loom = "0.7"` to [dependencies] of
-# hermes-trace, then re-run this script.
-if grep -q '^loom' crates/trace/Cargo.toml 2>/dev/null; then
-  RUSTFLAGS="--cfg loom" cargo test -p hermes-trace --lib --release loom_
-else
-  skip "loom not wired up (add loom = \"0.7\" to hermes-trace [dependencies])"
-fi
+step "interleaving checker (the trace ring and the control lane's lock under every schedule of <= 2 preemptions)"
+# hermes-trace's test build routes each ring atomic and the control lane's
+# lock through its own checker (`crates/trace/src/check.rs`): two or three
+# threads run one at a time, every schedule of up to two preemptions is
+# run on fresh state, and each end state is checked. The four models by
+# name: no record torn, lost or reordered under one producer and a drain;
+# a full ring's drops counted once; drained + dropped == emitted with
+# slots reused mid-push; and two producers on CONTROL_LANE behind its lock
+# beside a drain. Each asserts a floor on the schedules it ran. Then the
+# checker's own tests: exact schedule counts for models counted by hand, a
+# lost update and a deadlock found. Sequentially consistent interleavings
+# only: a weak-memory reordering is out of its reach (DESIGN.md).
+models=(
+  ring::models::spsc_push_drain_never_tears_and_loses_nothing
+  ring::models::full_ring_drop_accounting_is_exact_under_races
+  ring::models::drained_plus_dropped_is_emitted
+  tracer::models::control_lane_producers_lose_no_record_in_any_schedule
+)
+cargo test --release -q -p hermes-trace --lib -- --exact "${models[@]}"
+cargo test --release -q -p hermes-trace --lib check::tests
 
 step "dependency closure (std and the workspace)"
 # The build's trust argument: nothing from outside this repository is
-# compiled in. A third-party crate in any manifest, used or not, fails here
-# — including a locally wired `loom`, which is why this lane comes after
-# that one — and so does a lock file that records one.
+# compiled in. A third-party crate in any manifest, used or not, fails here,
+# and so does a lock file that records one.
 outside="$(cargo tree --workspace -e normal,dev,build --prefix none |
   awk -v root="$PWD" 'NF && !index($0, "(" root "/crates/") && !index($0, "(" root ")") { print $1 }' |
   sort -u | tr '\n' ' ')"
