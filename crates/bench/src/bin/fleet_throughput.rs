@@ -9,7 +9,9 @@
 //!
 //!   * every pass, at every thread count, produces the same fleet report —
 //!     the merge-order-independence property, on a digest of every device;
-//!   * no device's connection table exceeds its 256 KiB budget;
+//!   * no device's connection table exceeds its 256 KiB budget (the
+//!     process's peak resident set, which holds every device's report, is
+//!     printed and recorded beside it);
 //!   * a full run holds ≥ 1 M live connections at the horizon and completes
 //!     the requests per second `fig12` calibrates its cost model on;
 //!   * the pool costs the fleet nothing: pooled events/sec over the same
@@ -56,6 +58,18 @@ struct Pass {
     max_device_conn_table_bytes: u64,
     /// FNV over each device's Debug bytes in device-index order.
     fingerprint: u64,
+}
+
+/// This process's peak resident set (`VmHWM` in `/proc/self/status`), KiB;
+/// 0 where the kernel reports none.
+fn peak_rss_kib() -> u64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+            line.trim().trim_end_matches("kB").trim().parse().ok()
+        })
+        .unwrap_or(0)
 }
 
 impl Pass {
@@ -145,6 +159,11 @@ fn main() {
             fleet.max_device_conn_table_bytes
         ),
     );
+    let peak_rss_kib = peak_rss_kib();
+    gates.report(
+        "process peak RSS (VmHWM)",
+        format!("{:.1} MiB", peak_rss_kib as f64 / 1024.0),
+    );
     let live = format!("{} live connections", fleet.live_connections);
     if gates.smoke() {
         gates.report("live at the horizon (floor is a full run's)", live);
@@ -192,6 +211,7 @@ fn main() {
                 fleet.max_device_conn_table_bytes,
             )
             .int("mem_cap_bytes", MEM_CAP_BYTES)
+            .int("peak_rss_kib", peak_rss_kib)
             .block("sweeps", sweeps)
             .timed("pool_4_over_serial", &mut pool_over_serial),
     )

@@ -1,11 +1,22 @@
 //! Log-bucketed histogram with bounded relative error.
 //!
 //! Latency recording in the simulator and the benchmark harnesses happens on
-//! the per-event fast path, so the recorder must be O(1), allocation-free after
-//! construction, and compact. This histogram uses base-2 sub-bucketed buckets
-//! (the HdrHistogram layout): values are grouped by magnitude (leading zeros)
-//! and then linearly within a magnitude, giving a configurable worst-case
-//! relative error of `2^-sub_bucket_bits`.
+//! the per-event fast path, so the recorder must be O(1) and compact. This
+//! histogram uses base-2 sub-bucketed buckets (the HdrHistogram layout):
+//! values are grouped by magnitude (leading zeros) and then linearly within a
+//! magnitude, giving a configurable worst-case relative error of
+//! `2^-sub_bucket_bits`.
+//!
+//! Storage holds only what has been recorded: `u32` counts, grown one
+//! magnitude (`2^sub_bucket_bits` buckets) at a time up to the largest bucket
+//! recorded, not all 59 magnitudes of the `u64` range at construction. A
+//! latency histogram that sees at most 10 ms holds 2 304 buckets (9 KiB)
+//! where the whole range is 7 552 `u64`s (59 KiB), which counts where many
+//! are kept: a fleet run keeps every device's report, 2 + 3 × workers
+//! histograms each. A bucket that would pass `u32::MAX` panics rather than
+//! wraps.
+
+const OVERFLOW: &str = "histogram bucket passed u32::MAX";
 
 /// A histogram over `u64` values (typically nanoseconds) with bounded
 /// relative quantile error.
@@ -13,8 +24,9 @@
 pub struct Histogram {
     /// `log2` of the number of linear sub-buckets per power-of-two magnitude.
     sub_bucket_bits: u32,
-    /// Bucket counts, laid out magnitude-major.
-    counts: Vec<u64>,
+    /// Bucket counts, laid out magnitude-major, up to the end of the
+    /// magnitude of the largest bucket recorded (empty until then).
+    counts: Vec<u32>,
     /// Total number of recorded values.
     total: u64,
     /// Running sum for mean computation (saturating).
@@ -26,6 +38,7 @@ pub struct Histogram {
 impl Histogram {
     /// Create a histogram with `sub_bucket_bits` bits of sub-bucket
     /// resolution (relative error `2^-sub_bucket_bits`; 7 bits ≈ 0.8 %).
+    /// It allocates at its first record.
     pub fn new(sub_bucket_bits: u32) -> Self {
         assert!(
             (1..=16).contains(&sub_bucket_bits),
@@ -33,12 +46,12 @@ impl Histogram {
         );
         // Layout: the first 2*S buckets (S = 2^bits) are exact (width 1) and
         // cover [0, 2S). Every binary magnitude m >= bits+1 then contributes
-        // S buckets of width 2^(m-bits). Magnitudes run up to 63, so
-        // S*(66-bits) buckets cover the whole u64 range with slack.
-        let sub_buckets = 1usize << sub_bucket_bits;
+        // S buckets of width 2^(m-bits), up to magnitude 63: S*(65-bits)
+        // buckets cover the whole u64 range, and `counts` holds a prefix of
+        // them a multiple of S long.
         Self {
             sub_bucket_bits,
-            counts: vec![0; sub_buckets * (66 - sub_bucket_bits as usize)],
+            counts: Vec::new(),
             total: 0,
             sum: 0,
             min: u64::MAX,
@@ -83,11 +96,28 @@ impl Histogram {
         }
     }
 
+    /// Add `n` to the bucket at `index`, growing the storage to the end of
+    /// its magnitude first. Panics if the bucket would pass `u32::MAX`.
+    #[inline]
+    fn add(&mut self, index: usize, n: u64) {
+        if index >= self.counts.len() {
+            self.grow(index);
+        }
+        let count = &mut self.counts[index];
+        *count = u32::try_from(u64::from(*count) + n).expect(OVERFLOW);
+    }
+
+    #[cold]
+    fn grow(&mut self, index: usize) {
+        let sub_buckets = 1usize << self.sub_bucket_bits;
+        self.counts
+            .resize((index / sub_buckets + 1) * sub_buckets, 0);
+    }
+
     /// Record a single value.
     #[inline]
     pub fn record(&mut self, value: u64) {
-        let idx = self.index_of(value);
-        self.counts[idx] += 1;
+        self.add(self.index_of(value), 1);
         self.total += 1;
         self.sum += value as u128;
         self.min = self.min.min(value);
@@ -99,8 +129,7 @@ impl Histogram {
         if n == 0 {
             return;
         }
-        let idx = self.index_of(value);
-        self.counts[idx] += n;
+        self.add(self.index_of(value), n);
         self.total += n;
         self.sum += value as u128 * n as u128;
         self.min = self.min.min(value);
@@ -153,7 +182,7 @@ impl Histogram {
             if c == 0 {
                 continue;
             }
-            seen += c;
+            seen += u64::from(c);
             if seen >= rank {
                 // Clamp into the observed range so P0/P100 are exact.
                 return self.bucket_floor(idx).clamp(self.min, self.max);
@@ -185,8 +214,11 @@ impl Histogram {
             self.sub_bucket_bits, other.sub_bucket_bits,
             "cannot merge histograms with different resolutions"
         );
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += *b;
+        if other.counts.len() > self.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
+        for (a, &b) in self.counts.iter_mut().zip(&other.counts) {
+            *a = a.checked_add(b).expect(OVERFLOW);
         }
         self.total += other.total;
         self.sum += other.sum;
@@ -196,7 +228,7 @@ impl Histogram {
 
     /// Reset all recorded state, keeping the allocation.
     pub fn clear(&mut self) {
-        self.counts.fill(0);
+        self.counts.clear();
         self.total = 0;
         self.sum = 0;
         self.min = u64::MAX;
@@ -209,7 +241,7 @@ impl Histogram {
             .iter()
             .enumerate()
             .filter(|(_, &c)| c > 0)
-            .map(move |(i, &c)| (self.bucket_floor(i), c))
+            .map(move |(i, &c)| (self.bucket_floor(i), u64::from(c)))
     }
 }
 
@@ -326,6 +358,42 @@ mod tests {
         }
     }
 
+    /// A latency histogram holds the magnitudes up to its largest value,
+    /// not the whole `u64` range: 10 ms is magnitude 23, the end of bucket
+    /// 2 304 (9 KiB of counts) where the whole range is 7 552.
+    #[test]
+    fn storage_ends_at_the_largest_magnitude_recorded() {
+        let mut h = Histogram::latency();
+        assert_eq!(h.counts.len(), 0);
+        h.record(5);
+        assert_eq!(h.counts.len(), 128);
+        for v in (0..=10_000_000).step_by(997) {
+            h.record(v);
+        }
+        h.record(10_000_000);
+        assert_eq!(h.counts.len(), 2_304);
+        assert_eq!(std::mem::size_of_val(h.counts.as_slice()), 9 * 1024);
+        assert_eq!(Histogram::latency().counts.capacity(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "histogram bucket passed u32::MAX")]
+    fn a_bucket_past_u32_max_panics() {
+        let mut h = Histogram::latency();
+        h.record_n(1_000, u64::from(u32::MAX));
+        h.record(1_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "histogram bucket passed u32::MAX")]
+    fn merging_past_u32_max_panics() {
+        let mut a = Histogram::latency();
+        a.record_n(7, u64::from(u32::MAX));
+        let mut b = Histogram::latency();
+        b.record(7);
+        a.merge(&b);
+    }
+
     #[test]
     fn iter_buckets_covers_all_counts() {
         let mut h = Histogram::latency();
@@ -415,6 +483,123 @@ mod properties {
                     "q={q} exact={exact} approx={approx}"
                 );
             }
+        });
+    }
+
+    /// The layout's every bucket, counted in `u64`: what a histogram held
+    /// before its storage grew with what it recorded.
+    struct Dense {
+        h: Histogram,
+        counts: Vec<u64>,
+    }
+
+    impl Dense {
+        fn new() -> Self {
+            Dense {
+                h: Histogram::latency(),
+                counts: vec![0; 128 * (66 - 7)],
+            }
+        }
+
+        fn record(&mut self, v: u64) {
+            self.counts[self.h.index_of(v)] += 1;
+            self.h.total += 1;
+            self.h.sum += u128::from(v);
+            self.h.min = self.h.min.min(v);
+            self.h.max = self.h.max.max(v);
+        }
+
+        fn merge(&mut self, other: &Dense) {
+            for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+                *a += b;
+            }
+            self.h.total += other.h.total;
+            self.h.sum += other.h.sum;
+            self.h.min = self.h.min.min(other.h.min);
+            self.h.max = self.h.max.max(other.h.max);
+        }
+
+        fn value_at_quantile(&self, q: f64) -> u64 {
+            if self.h.total == 0 {
+                return 0;
+            }
+            let rank = ((q.clamp(0.0, 1.0) * self.h.total as f64).ceil() as u64).max(1);
+            let mut seen = 0;
+            for (i, &c) in self.counts.iter().enumerate() {
+                seen += c;
+                if c > 0 && seen >= rank {
+                    return self.h.bucket_floor(i).clamp(self.h.min, self.h.max);
+                }
+            }
+            self.h.max
+        }
+
+        fn buckets(&self) -> Vec<(u64, u64)> {
+            (0..self.counts.len())
+                .filter(|&i| self.counts[i] > 0)
+                .map(|i| (self.h.bucket_floor(i), self.counts[i]))
+                .collect()
+        }
+    }
+
+    /// `n` values whose magnitudes spread over the whole `u64` range, below
+    /// `2^max_bits`.
+    fn spread(g: &mut SplitMix64, n: usize, max_bits: usize) -> Vec<u64> {
+        (0..n)
+            .map(|_| g.next_u64() >> (64 - 1 - g.index(max_bits)))
+            .collect()
+    }
+
+    fn assert_agrees(h: &Histogram, dense: &Dense) {
+        assert_eq!(h.count(), dense.h.count());
+        assert_eq!(h.min(), dense.h.min());
+        assert_eq!(h.max(), dense.h.max());
+        assert_eq!(h.mean().to_bits(), dense.h.mean().to_bits());
+        for q in [0.0, 0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0] {
+            assert_eq!(h.value_at_quantile(q), dense.value_at_quantile(q), "q={q}");
+        }
+        assert_eq!(h.iter_buckets().collect::<Vec<_>>(), dense.buckets());
+        let s = 1 << h.sub_bucket_bits;
+        assert_eq!(h.counts.len() % s, 0);
+        let last = h
+            .iter_buckets()
+            .last()
+            .map_or(0, |(v, _)| h.index_of(v) + 1);
+        assert_eq!(
+            h.counts.len(),
+            last.div_ceil(s) * s,
+            "storage past its largest bucket"
+        );
+    }
+
+    /// Growing storage with `u32` counts answers every query as the dense
+    /// `u64` layout does, alone and merged either way between two
+    /// histograms whose storage lengths differ.
+    #[test]
+    fn grown_storage_answers_as_the_dense_layout() {
+        for_each_case(256, |g| {
+            let (mut small, mut dense_small) = (Histogram::latency(), Dense::new());
+            let (mut large, mut dense_large) = (Histogram::latency(), Dense::new());
+            let n = g.index(200);
+            for v in spread(g, n, 24) {
+                small.record(v);
+                dense_small.record(v);
+            }
+            let n = g.index(200);
+            for v in spread(g, n, 64) {
+                large.record(v);
+                dense_large.record(v);
+            }
+            assert_agrees(&small, &dense_small);
+            assert_agrees(&large, &dense_large);
+
+            let mut up = small.clone();
+            up.merge(&large);
+            let mut down = large.clone();
+            down.merge(&small);
+            dense_small.merge(&dense_large);
+            assert_agrees(&up, &dense_small);
+            assert_agrees(&down, &dense_small);
         });
     }
 

@@ -158,6 +158,8 @@ pub struct PortTrace {
     pub connections: TimeSeries,
     /// Request events processed per bucket (rate when divided by width).
     pub requests: TimeSeries,
+    /// Live (accepted, unclosed) connections through the port now.
+    live: i64,
 }
 
 impl PortTrace {
@@ -166,7 +168,15 @@ impl PortTrace {
             port,
             connections: TimeSeries::new(0, SAMPLE_INTERVAL_NS, Agg::Last),
             requests: TimeSeries::new(0, SAMPLE_INTERVAL_NS, Agg::Sum),
+            live: 0,
         }
+    }
+
+    /// One of the port's connections was accepted (`+1`) or closed (`-1`)
+    /// at `now`: the gauge records the new live count.
+    pub(crate) fn conn_delta(&mut self, now: u64, delta: i64) {
+        self.live += delta;
+        self.connections.record(now, self.live as f64);
     }
 }
 

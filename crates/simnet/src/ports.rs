@@ -5,9 +5,9 @@
 //! list. [`PortTable`] packs the whole structure behind a dense index:
 //! port number → index is a flat 65536-entry array (the former
 //! `HashMap<u16, usize>` lookup was a per-SYN hash on the hot path), and
-//! the simulator reads it ([`PortTable::index_of`]) each time it needs a
-//! connection's port — at enqueue, accept and close — rather than keeping
-//! a port index per connection. It is built from one connection's port at
+//! the simulator reads it ([`PortTable::index_of`]) when it parks a SYN
+//! in its port's accept queue rather than keeping a port index per
+//! connection. It is built from one connection's port at
 //! a time through a 65 536-bit presence set (8 KiB), read back in port
 //! order — a device's two million connections are never collected and
 //! sorted to find its few thousand ports. The ready list maintains three
@@ -44,8 +44,6 @@ pub struct PortTable {
     ready: VecDeque<u32>,
     /// Membership flags for `ready` (invariant 2).
     ready_flag: Vec<bool>,
-    /// Live (accepted, unclosed) connections per port.
-    live: Vec<i64>,
 }
 
 impl PortTable {
@@ -70,7 +68,6 @@ impl PortTable {
             queues: vec![VecDeque::new(); n],
             ready: VecDeque::new(),
             ready_flag: vec![false; n],
-            live: vec![0; n],
         }
     }
 
@@ -130,12 +127,6 @@ impl PortTable {
     /// possibly-spurious readiness).
     pub fn has_ready(&self) -> bool {
         !self.ready.is_empty()
-    }
-
-    /// Adjust port `idx`'s live-connection gauge and return the new value.
-    pub fn live_delta(&mut self, idx: usize, delta: i64) -> i64 {
-        self.live[idx] += delta;
-        self.live[idx]
     }
 
     /// Check the three ready-list invariants; panics with a diagnostic on
@@ -253,13 +244,5 @@ mod tests {
         assert_eq!(queued, drained);
         t.check_invariants();
         assert!(!t.has_ready());
-    }
-
-    #[test]
-    fn live_gauge_tracks_deltas() {
-        let mut t = PortTable::new([443u16]);
-        assert_eq!(t.live_delta(0, 1), 1);
-        assert_eq!(t.live_delta(0, 1), 2);
-        assert_eq!(t.live_delta(0, -1), 1);
     }
 }

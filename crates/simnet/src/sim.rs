@@ -307,13 +307,6 @@ impl<'w> Simulator<'w> {
     // Event handlers
     // ------------------------------------------------------------------
 
-    /// Dense port index of connection `c`'s listening port.
-    #[inline]
-    fn port_index(&self, c: ConnId) -> usize {
-        let port = self.wl.conns[c].port();
-        self.ports.index_of(port).expect("registered port")
-    }
-
     fn on_syn(&mut self, c: ConnId) {
         let spec = &self.wl.conns[c];
         self.conns.open(c, spec.request_count());
@@ -342,7 +335,7 @@ impl<'w> Simulator<'w> {
             self.workers[w].pending.push_back(IoEvent::Accept(c));
             self.notify(w);
         } else {
-            let pidx = self.port_index(c);
+            let pidx = self.ports.index_of(spec.port()).expect("registered port");
             self.ports.enqueue(pidx, c);
             self.idle_buf.clear();
             self.idle_buf
@@ -568,11 +561,9 @@ impl<'w> Simulator<'w> {
         if let Dispatcher::Hermes(h) = &mut self.dispatcher {
             h.conn_delta(owner, 1);
         }
-        let pidx = self.port_index(c);
-        let live = self.ports.live_delta(pidx, 1);
         if let Some(tr) = &mut self.port_trace {
             if tr.port == self.wl.conns[c].port() {
-                tr.connections.record(self.now, live as f64);
+                tr.conn_delta(self.now, 1);
             }
         }
         // Requests that arrived while the connection waited in the accept
@@ -582,7 +573,7 @@ impl<'w> Simulator<'w> {
         }
         // A connection with no scripted requests closes after linger.
         if self.conns.remaining_requests(c) == 0 {
-            let linger = self.wl.conns[c].linger_ns;
+            let linger = self.wl.linger_of(&self.wl.conns[c]);
             self.push(self.now + linger, Ev::Close(c));
         }
     }
@@ -602,7 +593,7 @@ impl<'w> Simulator<'w> {
             }
         }
         if self.conns.complete_request(conn) == 0 {
-            self.push(t + spec.linger_ns, Ev::Close(conn));
+            self.push(t + self.wl.linger_of(spec), Ev::Close(conn));
         }
     }
 
@@ -651,11 +642,9 @@ impl<'w> Simulator<'w> {
         if let Dispatcher::Hermes(h) = &mut self.dispatcher {
             h.conn_delta(owner, -1);
         }
-        let pidx = self.port_index(c);
-        let live = self.ports.live_delta(pidx, -1);
         if let Some(tr) = &mut self.port_trace {
             if tr.port == self.wl.conns[c].port() {
-                tr.connections.record(self.now, live as f64);
+                tr.conn_delta(self.now, -1);
             }
         }
     }
@@ -833,10 +822,7 @@ mod tests {
         };
         for i in 0..n {
             let flow = FlowKey::new(0x0a000000 + i as u32, (i % 60_000) as u16, 1, 443);
-            w.push(
-                ConnectionSpec::new(i as u64 * gap, flow, 0, 2, 0),
-                [request],
-            );
+            w.push(ConnectionSpec::new(i as u64 * gap, flow, 0, 2), [request]);
         }
         w.seal()
     }
@@ -989,12 +975,17 @@ mod tests {
     fn port_trace_records_gauge_and_rate() {
         let mut cfg = SimConfig::new(2, Mode::Reuseport);
         cfg.trace_port = Some(443);
-        let wl = uniform_workload(100, 1_000_000, 20_000);
+        let mut wl = uniform_workload(100, 1_000_000, 20_000);
+        wl.set_linger(0, 10_000_000);
         let r = Simulator::new(cfg, &wl).run();
         let tr = r.port_trace.expect("trace enabled");
         assert_eq!(tr.port, 443);
         let total_reqs: f64 = tr.requests.points().iter().map(|(_, v)| v).sum();
         assert_eq!(total_reqs as u64, 100);
+        // One arrival a millisecond, each open 10 ms: ten live at the first
+        // sample's end, none once the last has closed.
+        let gauge: Vec<f64> = tr.connections.points().iter().map(|&(_, v)| v).collect();
+        assert_eq!(gauge, [10.0, 0.0]);
     }
 
     /// Connections `(arrival, request offsets)`, one cheap two-event
@@ -1007,7 +998,7 @@ mod tests {
                 service_ns: 20_000,
             };
             let flow = FlowKey::new(0x0a00_0000 + i as u32 * 7919, 1000 + i as u16, 1, 443);
-            let conn = ConnectionSpec::new(arrival_ns, flow, 0, 2, 0);
+            let conn = ConnectionSpec::new(arrival_ns, flow, 0, 2);
             w.push(conn, offsets.iter().map(request));
         }
         w

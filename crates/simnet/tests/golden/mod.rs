@@ -41,7 +41,7 @@ pub fn case1_heavy_shaped() -> Workload {
             start_offset_ns: 0,
             service_ns: exp_ns(380_000, &mut rng).max(1),
         };
-        wl.push(ConnectionSpec::new(at, flow, tenant, 2, 0), [request]);
+        wl.push(ConnectionSpec::new(at, flow, tenant, 2), [request]);
     }
     wl.seal()
 }
@@ -118,6 +118,9 @@ pub fn case3_shaped() -> Workload {
     const GRID_NS: u64 = 100_000;
     let mut rng = SplitMix64::from_state(SEED ^ 3);
     let mut wl = Workload::new("case3-shaped", HORIZON_NS);
+    for tenant in 0..200 {
+        wl.set_linger(tenant, 50_000_000);
+    }
     let mut at = 0u64;
     loop {
         at += exp_ns(1_250_000, &mut rng).div_ceil(GRID_NS) * GRID_NS;
@@ -143,7 +146,7 @@ pub fn case3_shaped() -> Workload {
                 }
             });
             let flow = FlowKey::new((r >> 32) as u32, (r >> 16) as u16, 0x0a00_0001, port);
-            let conn = ConnectionSpec::new(at, flow, tenant, 1, 50_000_000);
+            let conn = ConnectionSpec::new(at, flow, tenant, 1);
             wl.push(conn, requests);
         }
     }

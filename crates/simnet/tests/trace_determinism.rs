@@ -13,11 +13,12 @@ mod golden;
 
 use hermes_simnet::{DeviceReport, Mode, SimConfig, Simulator};
 use hermes_workload::{Case, CaseLoad};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// The recorder is process-global and these tests flip its switch;
 /// serialize them so the harness's parallel test threads cannot observe
-/// each other's state.
+/// each other's state. A failing test poisons the lock; the others take it
+/// anyway, so one failure reads as one failure.
 static RECORDER: Mutex<()> = Mutex::new(());
 
 /// Same fingerprint the run-determinism suite uses: `Debug` covers
@@ -46,7 +47,7 @@ fn recorded<T>(run: impl FnOnce() -> T) -> (T, Vec<hermes_trace::TraceRecord>) {
 
 #[test]
 fn report_is_byte_identical_with_tracing_on_and_off() {
-    let _guard = RECORDER.lock().unwrap();
+    let _guard = RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
     for (mode, seed) in [
         (Mode::Hermes, 42u64),
         (Mode::Hermes, 7),
@@ -67,7 +68,7 @@ fn report_is_byte_identical_with_tracing_on_and_off() {
 /// figure a run is pinned by.
 #[test]
 fn recorded_runs_match_their_goldens_while_recording() {
-    let _guard = RECORDER.lock().unwrap();
+    let _guard = RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
     for (what, workload, cfg, want) in golden::recorded_runs() {
         let workload = workload();
         let (got, records) = recorded(|| golden::run_cfg(&workload, cfg));
@@ -78,7 +79,7 @@ fn recorded_runs_match_their_goldens_while_recording() {
 
 #[test]
 fn traced_event_stream_is_reproducible() {
-    let _guard = RECORDER.lock().unwrap();
+    let _guard = RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
     let collect = || recorded(|| run_case(Mode::Hermes, 4, 99)).1;
     let a = collect();
     let b = collect();
@@ -97,7 +98,7 @@ fn traced_event_stream_is_reproducible() {
 /// `CONTROL_LANE` is for callers with no loop of their own.
 #[test]
 fn scheduler_passes_trace_on_the_running_workers_lane() {
-    let _guard = RECORDER.lock().unwrap();
+    let _guard = RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
     let (_, records) = recorded(|| run_case(Mode::Hermes, 4, 42));
     let passes: Vec<u32> = records
         .iter()
@@ -119,7 +120,7 @@ fn scheduler_passes_trace_on_the_running_workers_lane() {
 /// the device's, so the payload is the only place the worker is kept.
 #[test]
 fn dispatch_records_carry_the_chosen_worker() {
-    let _guard = RECORDER.lock().unwrap();
+    let _guard = RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
     let (_, records) = recorded(|| run_case(Mode::Hermes, 4, 42));
     let dispatches: Vec<_> = records
         .iter()
@@ -138,7 +139,7 @@ fn dispatch_records_carry_the_chosen_worker() {
 
 #[test]
 fn disabled_recorder_stays_empty() {
-    let _guard = RECORDER.lock().unwrap();
+    let _guard = RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
     hermes_trace::reset();
     let _ = run_case(Mode::Hermes, 4, 5);
     assert!(

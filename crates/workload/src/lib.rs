@@ -15,8 +15,9 @@
 //! * [`arrival`] — the arrival process every generator draws from: Poisson
 //!   at a connections-per-second rate, read lazily.
 //! * [`spec`] — the workload data model handed to the simulator, holding
-//!   only what it reads: connections (flow, tenant, events per request,
-//!   linger) carrying requests (start offset, service time).
+//!   only what it reads: connections (flow, tenant, events per request)
+//!   carrying requests (start offset, service time), and each tenant's
+//!   linger.
 //! * [`tenant`] — multi-tenant composition: ports, Zipf-weighted tenant
 //!   shares, per-tenant traffic profiles.
 //! * [`cases`] — the four Table 3 cases at light/medium/heavy load.

@@ -58,6 +58,7 @@ pub fn surge(config: SurgeConfig, seed: u64) -> Workload {
     let horizon = surge_at + config.surge_window_ns + config.drain_ns;
     let service = Exp::with_mean(config.burst_service_ns);
     let mut w = Workload::new("fig3-surge", horizon);
+    w.set_linger(0, config.drain_ns);
     let per_conn = config.burst_requests as usize + 1;
     w.reserve(config.connections, config.connections * per_conn);
     for i in 0..config.connections {
@@ -79,7 +80,7 @@ pub fn surge(config: SurgeConfig, seed: u64) -> Workload {
             0x0aff_0001,
             9000,
         );
-        let conn = ConnectionSpec::new(arrival, flow, 0, 1, config.drain_ns);
+        let conn = ConnectionSpec::new(arrival, flow, 0, 1);
         w.push(conn, std::iter::once(handshake).chain(burst));
     }
     w.seal()
@@ -121,8 +122,11 @@ pub fn region_mix(
             continue;
         }
         // One tenant per case, so each case listens on its own port; the
-        // connections carry the case's index as their tenant.
-        let tenants = TenantSet::new(vec![case.profile()], 0.0, 20_000 + (i as u16) * 100);
+        // connections carry the case's index as their tenant, and linger as
+        // its profile says.
+        let profile = case.profile();
+        w.set_linger(i as u16, profile.linger_ns.unwrap_or(0));
+        let tenants = TenantSet::new(vec![profile], 0.0, 20_000 + (i as u16) * 100);
         let process = ArrivalProcess::Poisson { rate_per_sec: cps };
         let conns = tenants.append(&mut w, &process, duration_ns, seq, &mut rng);
         for c in conns.iter_mut() {

@@ -117,7 +117,7 @@ impl TenantSet {
 
     /// Append a connection to `w` for every arrival `process` draws over
     /// `duration_ns` and return them; `first_seq` numbers the first one's
-    /// flow. Each arrival goes straight into the row it starts, and once the
+    /// flow. The caller sets the tenants' lingers. Each arrival goes straight into the row it starts, and once the
     /// stream ends the rows are filled in order, each from a Zipf-sampled
     /// tenant: every arrival is drawn before any connection's script, the
     /// order every recorded result was drawn in.
@@ -181,12 +181,12 @@ impl TenantSet {
         conn.flow = FlowKey::new(src_ip, src_port, self.vip, self.port_of(tenant));
         conn.tenant = tenant as u16;
         conn.events_per_request = profile.events_per_request;
-        conn.linger_ns = profile.linger_ns.unwrap_or(0);
         conn
     }
 
     /// Build a full workload: arrivals from `process` over `duration_ns`,
-    /// tenant drawn per connection.
+    /// tenant drawn per connection, each tenant lingering as its profile
+    /// says.
     pub fn workload(
         &self,
         name: impl Into<String>,
@@ -195,6 +195,9 @@ impl TenantSet {
         rng: &mut crate::Rng,
     ) -> Workload {
         let mut w = Workload::new(name, duration_ns);
+        for (tenant, profile) in self.tenants.iter().enumerate() {
+            w.set_linger(tenant as u16, profile.linger_ns.unwrap_or(0));
+        }
         self.append(&mut w, process, duration_ns, 0, rng);
         w.seal()
     }
@@ -263,7 +266,6 @@ mod tests {
         assert_eq!(c.tenant, 1);
         assert_eq!(c.port(), 10_001);
         assert_eq!(c.arrival_ns, 500);
-        assert_eq!(c.linger_ns, 5 * NANOS_PER_SEC);
         assert_eq!(c.events_per_request, 2);
         let requests = w.requests_of(&c);
         assert_eq!(requests.len(), 3);
@@ -271,6 +273,22 @@ mod tests {
         // Think time spaces the scripted requests.
         assert_eq!(requests[1].start_offset_ns, 1_000_000);
         assert_eq!(requests[2].start_offset_ns, 2_000_000);
+    }
+
+    /// Every connection lingers as its tenant's profile says.
+    #[test]
+    fn workload_connections_linger_as_their_profiles() {
+        let ts = two_tenants();
+        let process = ArrivalProcess::Poisson {
+            rate_per_sec: 500.0,
+        };
+        let w = ts.workload("linger", &process, NANOS_PER_SEC, &mut crate::rng(25));
+        assert!(w.conns.iter().any(|c| c.tenant == 0));
+        assert!(w.conns.iter().any(|c| c.tenant == 1));
+        for c in &w.conns {
+            let want = [0, 5 * NANOS_PER_SEC][usize::from(c.tenant)];
+            assert_eq!(w.linger_of(c), want);
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ fn push(wl: &mut Workload, flow: FlowKey, arrival_ns: u64, per_event_ns: u64) {
         service_ns: per_event_ns * 2,
     };
     // Two events per request.
-    wl.push(ConnectionSpec::new(arrival_ns, flow, 0, 2, 0), [request]);
+    wl.push(ConnectionSpec::new(arrival_ns, flow, 0, 2), [request]);
 }
 
 fn main() {

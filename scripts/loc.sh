@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Non-test lines of Rust per crate: for every .rs file, the lines above its
 # first `#[cfg(test)]` / `#[cfg(all(test…` line (the whole file when it has
-# none). Blank lines and comments count — deleting them is not a reduction.
+# none), and none of a file its parent declares `#[cfg(test)] mod x;`.
+# Blank lines and comments count — deleting them is not a reduction.
 #
 #   scripts/loc.sh                 one row per crates/*/src, plus the root src/
 #   scripts/loc.sh --json          the same as one JSON object, for diffing
@@ -21,8 +22,27 @@ if [ ${#paths[@]} -eq 0 ]; then
   paths=(crates/*/src src)
 fi
 
+# Files their parent declares as `#[cfg(test)] mod x;` (or `x/mod.rs`): test
+# code from the first line.
+test_files() {
+  find "$1" -type f -name '*.rs' | sort | xargs -r awk '
+    FNR == 1 {
+      dir = FILENAME; sub(/\/[^\/]*$/, "", dir)
+      stem = FILENAME; sub(/^.*\//, "", stem); sub(/\.rs$/, "", stem)
+      if (stem != "lib" && stem != "main" && stem != "mod") dir = dir "/" stem
+      gated = 0
+    }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { gated = 1 }
+    gated && /^[[:space:]]*(#\[cfg\(test\)\][[:space:]]*)?(pub(\([a-z]+\))?[[:space:]]+)?mod[[:space:]]+[A-Za-z0-9_]+[[:space:]]*;/ {
+      name = $0; sub(/[[:space:]]*;.*$/, "", name); sub(/^.*mod[[:space:]]+/, "", name)
+      print dir "/" name ".rs"; print dir "/" name "/mod.rs"
+    }
+    !/^[[:space:]]*#\[/ { gated = 0 }'
+}
+
 count() { # lines above the first test-module marker, summed over .rs files
-  find "$1" -type f -name '*.rs' -print0 | sort -z | xargs -0 -r awk '
+  find "$1" -type f -name '*.rs' | sort | { grep -vxF -f <(test_files "$1") || true; } |
+    xargs -r awk '
     FNR == 1 { counting = 1 }
     /^[[:space:]]*#\[cfg\((test\)|all\(test)/ { counting = 0 }
     counting { n++ }
