@@ -32,12 +32,7 @@ fn wavy_workload(waves: u64, conns_per_wave: usize, seed: u64) -> Workload {
     let wave_period = 6 * NANOS_PER_SEC;
     let mut wl = Workload::new("fig11-waves", waves * wave_period + 2 * NANOS_PER_SEC);
     for k in 0..waves {
-        let s = surge(cfg, seed.wrapping_add(k));
-        wl.reserve(s.connection_count(), s.request_count());
-        for c in &s.conns {
-            let requests = s.requests_of(c).iter().copied();
-            wl.push(*c, requests).arrival_ns += k * wave_period;
-        }
+        wl.extend_from(&surge(cfg, seed.wrapping_add(k)), k * wave_period);
     }
     wl.seal()
 }

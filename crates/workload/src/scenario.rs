@@ -122,16 +122,10 @@ pub fn region_mix(
             continue;
         }
         // One tenant per case, so each case listens on its own port; the
-        // connections carry the case's index as their tenant, and linger as
-        // its profile says.
-        let profile = case.profile();
-        w.set_linger(i as u16, profile.linger_ns.unwrap_or(0));
-        let tenants = TenantSet::new(vec![profile], 0.0, 20_000 + (i as u16) * 100);
+        // connections carry the case's index as their tenant.
+        let tenants = TenantSet::new(vec![case.profile()], 0.0, 20_000 + (i as u16) * 100);
         let process = ArrivalProcess::Poisson { rate_per_sec: cps };
-        let conns = tenants.append(&mut w, &process, duration_ns, seq, &mut rng);
-        for c in conns.iter_mut() {
-            c.tenant = i as u16;
-        }
+        let conns = tenants.append(&mut w, i as u16, &process, duration_ns, seq, &mut rng);
         seq = seq.wrapping_add(conns.len() as u32);
     }
     w.seal()

@@ -10,7 +10,8 @@
 //! after its last request is its tenant's, held once per tenant by the
 //! workload ([`Workload::linger_of`]). A request is when it arrives relative
 //! to connection establishment and how much worker CPU time it costs: 16
-//! bytes, so Case 1 heavy's two million connections cost 32 + 16 bytes each. [`Workload::push`] is the one way in and
+//! bytes, so Case 1 heavy's two million connections cost 32 + 16 bytes
+//! each. [`Workload::push`] is the one way in and
 //! [`Workload::requests_of`] the one way out, so a generator writes every
 //! request into the table in place and a million connections cost two
 //! allocations, not a million. Keeping requests scripted (rather than
@@ -170,6 +171,28 @@ impl Workload {
         self.lingers[tenant] = linger_ns;
     }
 
+    /// Append every connection of `other` with its requests, `shift_ns`
+    /// later, and take the lingers of its tenants, so a copied row lingers
+    /// as it did. Panics if a tenant already lingers differently here.
+    pub fn extend_from(&mut self, other: &Workload, shift_ns: u64) {
+        for (tenant, &linger_ns) in other.lingers.iter().enumerate() {
+            let mine = self.lingers.get(tenant).copied().unwrap_or(0);
+            assert!(
+                mine == 0 || linger_ns == 0 || mine == linger_ns,
+                "tenant {tenant} lingers {mine} ns here and {linger_ns} ns in {}",
+                other.name
+            );
+            if linger_ns != 0 {
+                self.set_linger(tenant as u16, linger_ns);
+            }
+        }
+        self.reserve(other.connection_count(), other.request_count());
+        for c in &other.conns {
+            let requests = other.requests_of(c).iter().copied();
+            self.push(*c, requests).arrival_ns += shift_ns;
+        }
+    }
+
     /// How long `conn` lingers after its last request: its tenant's
     /// [`set_linger`](Self::set_linger).
     pub fn linger_of(&self, conn: &ConnectionSpec) -> u64 {
@@ -315,6 +338,35 @@ mod tests {
         let w = w.seal();
         let lingers: Vec<u64> = w.conns.iter().map(|c| w.linger_of(c)).collect();
         assert_eq!(lingers, [500, 0, 0]);
+    }
+
+    #[test]
+    fn extend_from_copies_rows_with_their_lingers() {
+        let mut a = Workload::new("a", 1_000);
+        a.set_linger(1, 700);
+        a.push(conn(5), [request(0, 10), request(3, 20)]).tenant = 1;
+        a.push(conn(9), [request(0, 30)]);
+        let a = a.seal();
+        let mut w = Workload::new("w", 2_000);
+        w.extend_from(&a, 0);
+        w.extend_from(&a, 1_000);
+        let w = w.seal();
+        let arrivals: Vec<u64> = w.conns.iter().map(|c| c.arrival_ns).collect();
+        assert_eq!(arrivals, [5, 9, 1_005, 1_009]);
+        for (c, src) in w.conns.iter().zip(a.conns.iter().cycle()) {
+            assert_eq!(w.linger_of(c), a.linger_of(src));
+            assert_eq!(w.requests_of(c), a.requests_of(src));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "tenant 1 lingers")]
+    fn extend_from_refuses_a_second_linger_for_a_tenant() {
+        let mut a = Workload::new("a", 1_000);
+        a.set_linger(1, 700);
+        let mut w = Workload::new("w", 1_000);
+        w.set_linger(1, 300);
+        w.extend_from(&a, 0);
     }
 
     #[test]

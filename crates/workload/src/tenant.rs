@@ -117,18 +117,24 @@ impl TenantSet {
 
     /// Append a connection to `w` for every arrival `process` draws over
     /// `duration_ns` and return them; `first_seq` numbers the first one's
-    /// flow. The caller sets the tenants' lingers. Each arrival goes straight into the row it starts, and once the
-    /// stream ends the rows are filled in order, each from a Zipf-sampled
-    /// tenant: every arrival is drawn before any connection's script, the
-    /// order every recorded result was drawn in.
+    /// flow. Tenant `i` of this set is tenant `first_tenant + i` of `w`,
+    /// and lingers as its profile says. Each arrival goes straight into the
+    /// row it starts, and once the stream ends the rows are filled in
+    /// order, each from a Zipf-sampled tenant: every arrival is drawn
+    /// before any connection's script, the order every recorded result was
+    /// drawn in.
     pub(crate) fn append<'w>(
         &self,
         w: &'w mut Workload,
+        first_tenant: u16,
         process: &ArrivalProcess,
         duration_ns: u64,
         first_seq: u32,
         rng: &mut crate::Rng,
     ) -> &'w mut [ConnectionSpec] {
+        for (i, profile) in self.tenants.iter().enumerate() {
+            w.set_linger(first_tenant + i as u16, profile.linger_ns.unwrap_or(0));
+        }
         let first = w.conns.len();
         w.conns.extend(
             process
@@ -139,7 +145,7 @@ impl TenantSet {
         self.reserve_requests(w, w.conns.len() - first);
         for (index, seq) in (first..w.conns.len()).zip(first_seq..) {
             let tenant = self.skew.sample_index(rng);
-            self.fill(w, index, tenant, seq, rng);
+            self.fill(w, index, tenant, seq, rng).tenant += first_tenant;
         }
         &mut w.conns[first..]
     }
@@ -195,10 +201,7 @@ impl TenantSet {
         rng: &mut crate::Rng,
     ) -> Workload {
         let mut w = Workload::new(name, duration_ns);
-        for (tenant, profile) in self.tenants.iter().enumerate() {
-            w.set_linger(tenant as u16, profile.linger_ns.unwrap_or(0));
-        }
-        self.append(&mut w, process, duration_ns, 0, rng);
+        self.append(&mut w, 0, process, duration_ns, 0, rng);
         w.seal()
     }
 }
