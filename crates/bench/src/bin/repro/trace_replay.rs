@@ -7,20 +7,19 @@
 use hermes_bench::{banner, fmt, run_mode, WORKERS};
 use hermes_metrics::table::Table;
 use hermes_simnet::Mode;
-use hermes_workload::{Case, CaseLoad, Workload};
+use hermes_workload::{Case, CaseLoad, RequestSpec, Workload};
 
 /// Replay a trace at `speedup`× by compressing every timestamp (the
 /// paper's replay-rate knob).
 fn compress(wl: &Workload, speedup: u64) -> Workload {
-    let mut out = wl.clone();
-    out.name = format!("{}@{speedup}x", wl.name);
-    out.duration_ns /= speedup;
-    for i in 0..out.conns.len() {
-        out.conns[i].arrival_ns /= speedup;
-        let c = out.conns[i];
-        for r in out.requests_of_mut(&c) {
-            r.start_offset_ns /= speedup;
-        }
+    let mut out = Workload::new(format!("{}@{speedup}x", wl.name), wl.duration_ns / speedup);
+    for c in &wl.conns {
+        out.set_linger(c.tenant, wl.linger_of(c));
+        let requests = wl.requests_of(c).iter().map(|r| RequestSpec {
+            start_offset_ns: r.start_offset_ns / speedup,
+            ..r
+        });
+        out.push(*c, requests).arrival_ns /= speedup;
     }
     out.seal()
 }

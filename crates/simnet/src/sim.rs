@@ -127,10 +127,7 @@ impl<'w> Simulator<'w> {
     pub(crate) fn on_lane(cfg: SimConfig, wl: &'w Workload, device_lane: Option<u32>) -> Self {
         cfg.validate();
         let sealed = wl.conns.is_sorted_by_key(|c| c.arrival_ns)
-            && wl
-                .conns
-                .iter()
-                .all(|c| wl.requests_of(c).is_sorted_by_key(|r| r.start_offset_ns));
+            && wl.conns.iter().all(|c| wl.requests_of(c).is_sorted());
         assert!(
             sealed,
             "workload `{}` is not sealed: connections must be sorted by arrival \
@@ -361,9 +358,12 @@ impl<'w> Simulator<'w> {
     fn deliver_request(&mut self, conn: ConnId, req: usize) {
         let owner = self.conns.worker(conn).expect("accepted conn has owner");
         let spec = &self.wl.conns[conn];
-        let per_event = spec
-            .service_per_event_ns(&self.wl.requests_of(spec)[req])
-            .max(1);
+        let request = self
+            .wl
+            .requests_of(spec)
+            .get(req)
+            .expect("a scripted request");
+        let per_event = spec.service_per_event_ns(&request).max(1);
         let events = spec.events_per_request.max(1);
         for i in 1..=events {
             self.workers[owner].pending.push_back(IoEvent::Request {
@@ -584,7 +584,12 @@ impl<'w> Simulator<'w> {
     fn finish_request(&mut self, conn: ConnId, req: usize, t: u64) {
         // Request complete: latency from readiness to final event.
         let spec = &self.wl.conns[conn];
-        let ready = spec.arrival_ns + self.wl.requests_of(spec)[req].start_offset_ns;
+        let request = self
+            .wl
+            .requests_of(spec)
+            .get(req)
+            .expect("a scripted request");
+        let ready = spec.arrival_ns + request.start_offset_ns;
         self.request_latency.record(t.saturating_sub(ready));
         self.completed_requests += 1;
         if let Some(tr) = &mut self.port_trace {
@@ -991,11 +996,16 @@ mod tests {
     /// Connections `(arrival, request offsets)`, one cheap two-event
     /// request per offset; ids are positions (arrivals must be sorted).
     fn scripted_workload(conns: &[(u64, &[u64])]) -> Workload {
+        scripted_workload_costing(conns, 20_000)
+    }
+
+    /// [`scripted_workload`] with every request costing `service_ns`.
+    fn scripted_workload_costing(conns: &[(u64, &[u64])], service_ns: u64) -> Workload {
         let mut w = Workload::new("scripted", NANOS_PER_SEC);
         for (i, &(arrival_ns, offsets)) in conns.iter().enumerate() {
             let request = |&start_offset_ns| RequestSpec {
                 start_offset_ns,
-                service_ns: 20_000,
+                service_ns,
             };
             let flow = FlowKey::new(0x0a00_0000 + i as u32 * 7919, 1000 + i as u16, 1, 443);
             let conn = ConnectionSpec::new(arrival_ns, flow, 0, 2);
@@ -1109,11 +1119,8 @@ mod tests {
         let conns: Vec<(u64, &[u64])> = (0..18)
             .map(|i| (1_000_000 + (i / 6) * 100_000_000, offsets))
             .collect();
-        let mut wl = scripted_workload(&conns).seal();
+        let mut wl = scripted_workload_costing(&conns, 300_000).seal();
         wl.duration_ns = 400_000_000;
-        for c in wl.conns.clone() {
-            wl.requests_of_mut(&c)[0].service_ns = 300_000;
-        }
         // A clump is a run of Syns at one instant, placed one by one.
         let mut sim = Simulator::new(SimConfig::new(8, Mode::Hermes), &wl);
         let first: Vec<_> = pull(&mut sim, 1_000_000);
@@ -1149,9 +1156,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "requests by start offset")]
     fn unsorted_request_offsets_are_rejected() {
-        let mut wl = scripted_workload(&[(1_000, &[0, 50])]).seal();
-        let c = wl.conns[0];
-        wl.requests_of_mut(&c)[0].start_offset_ns = 100;
+        // One connection is sorted by arrival; `seal` is skipped because it
+        // checks request offsets too (in debug builds).
+        let wl = scripted_workload(&[(1_000, &[100, 50])]);
         Simulator::new(SimConfig::new(2, Mode::Hermes), &wl);
     }
 

@@ -66,10 +66,13 @@ fn case3_shape_matches_the_recorded_runs() {
         .conns
         .windows(2)
         .any(|w| w[0].arrival_ns == w[1].arrival_ns));
-    assert!(wl.conns.iter().any(|c| wl
-        .requests_of(c)
-        .windows(2)
-        .any(|w| w[0].start_offset_ns == w[1].start_offset_ns)));
+    assert!(wl.conns.iter().any(|c| {
+        let requests = wl.requests_of(c);
+        requests
+            .iter()
+            .zip(requests.iter().skip(1))
+            .any(|(a, b)| a.start_offset_ns == b.start_offset_ns)
+    }));
 
     assert_eq!(
         run_cfg(&wl, SimConfig::new(WORKERS, Mode::Hermes)),

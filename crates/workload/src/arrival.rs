@@ -39,6 +39,15 @@ impl ArrivalProcess {
         .take_while(move |&t| t < duration_ns as f64)
         .map(|t| t as u64)
     }
+
+    /// Room for the arrivals over `duration_ns`: the mean count and four
+    /// standard deviations of it, which a Poisson count passes about once
+    /// in 30 000 draws.
+    pub(crate) fn room_for(&self, duration_ns: u64) -> usize {
+        let ArrivalProcess::Poisson { rate_per_sec } = *self;
+        let mean = rate_per_sec * duration_ns as f64 / NANOS_PER_SEC as f64;
+        (mean + 4.0 * mean.sqrt()).ceil() as usize
+    }
 }
 
 #[cfg(test)]
@@ -73,6 +82,19 @@ mod tests {
         assert_eq!((stream.next(), stream.next()), (None, None));
         drop(stream);
         assert_eq!(a.next_u64(), b.next_u64());
+    }
+
+    #[test]
+    fn room_for_holds_the_arrivals_it_is_sized_for() {
+        let p = ArrivalProcess::Poisson {
+            rate_per_sec: 1_000.0,
+        };
+        assert_eq!(p.room_for(0), 0);
+        // 1 000 arrivals expected: 1 000 + 4 × √1 000.
+        assert_eq!(p.room_for(NANOS_PER_SEC), 1_127);
+        hermes_metrics::rng::for_each_case(200, |g| {
+            assert!(p.arrivals(NANOS_PER_SEC, g).count() <= p.room_for(NANOS_PER_SEC));
+        });
     }
 
     #[test]

@@ -243,12 +243,15 @@ mod tests {
         for c in &wl.conns {
             arrivals = arrivals.wrapping_add(c.arrival_ns);
             hashes = hashes.wrapping_add(u64::from(c.flow.hash()));
-            for r in wl.requests_of(c) {
+            for r in wl.requests_of(c).iter() {
                 services = services.wrapping_add(r.service_ns);
             }
         }
         assert_eq!(wl.conns.len(), 2_016_205);
         assert_eq!(wl.request_count(), 2_016_205);
+        // Every script is one request at offset 0, held in its row.
+        let table = wl.request_table();
+        assert_eq!((table.len(), table.capacity()), (0, 0));
         assert_eq!(arrivals, 30_277_221_829_750_652);
         assert_eq!(services, 766_552_550_388);
         assert_eq!(hashes, 4_330_749_438_573_108);

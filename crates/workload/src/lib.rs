@@ -17,7 +17,9 @@
 //! * [`spec`] — the workload data model handed to the simulator, holding
 //!   only what it reads: connections (flow, tenant, events per request)
 //!   carrying requests (start offset, service time), and each tenant's
-//!   linger.
+//!   linger. A connection whose script is one request at offset 0 — every
+//!   Case 1 and Case 2 connection — holds it in its own 32-byte row; any
+//!   other script is an extent of the workload's one request table.
 //! * [`tenant`] — multi-tenant composition: ports, Zipf-weighted tenant
 //!   shares, per-tenant traffic profiles.
 //! * [`cases`] — the four Table 3 cases at light/medium/heavy load.

@@ -59,8 +59,12 @@ pub fn surge(config: SurgeConfig, seed: u64) -> Workload {
     let service = Exp::with_mean(config.burst_service_ns);
     let mut w = Workload::new("fig3-surge", horizon);
     w.set_linger(0, config.drain_ns);
-    let per_conn = config.burst_requests as usize + 1;
-    w.reserve(config.connections, config.connections * per_conn);
+    // The handshake alone is one request at offset 0, held in its row.
+    let in_table = match config.burst_requests {
+        0 => 0,
+        burst => burst as usize + 1,
+    };
+    w.reserve(config.connections, config.connections * in_table);
     for i in 0..config.connections {
         let arrival = (config.ramp_ns as f64 * rng.f64()) as u64;
         let fire_at = surge_at + (config.surge_window_ns as f64 * rng.f64()) as u64;
@@ -232,7 +236,7 @@ mod tests {
         // All burst requests land in the surge window (±1ms pacing slack).
         let surge_at = cfg.ramp_ns + cfg.quiet_ns;
         for c in &w.conns {
-            for r in &w.requests_of(c)[1..] {
+            for r in w.requests_of(c).iter().skip(1) {
                 let fire = c.arrival_ns + r.start_offset_ns;
                 assert!(
                     fire >= surge_at && fire <= surge_at + cfg.surge_window_ns + 10_000_000,
@@ -244,7 +248,7 @@ mod tests {
         // + small epsilon and surge start.
         let quiet_mid = cfg.ramp_ns + cfg.quiet_ns / 2;
         for c in &w.conns {
-            for r in w.requests_of(c) {
+            for r in w.requests_of(c).iter() {
                 let fire = c.arrival_ns + r.start_offset_ns;
                 assert!(
                     fire < cfg.ramp_ns || fire >= surge_at || fire < quiet_mid,

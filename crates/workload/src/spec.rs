@@ -5,21 +5,24 @@
 //! Each connection carries its flow identity (for reuseport hashing; its
 //! destination port is the tenant's listening port), its tenant (for
 //! multi-tenant accounting), how many I/O events each of its requests
-//! triggers, and the extent of its script in the request table — a `u32`
-//! start and count, not a `Vec` of its own. How long a connection lingers
+//! triggers, and its script in 8 bytes: a script of one request at offset 0
+//! (every Case 1 and Case 2 connection's) holds that request's service time
+//! in the row itself, and any other script is a `u32` start and count in the
+//! request table, which holds only those. How long a connection lingers
 //! after its last request is its tenant's, held once per tenant by the
 //! workload ([`Workload::linger_of`]). A request is when it arrives relative
 //! to connection establishment and how much worker CPU time it costs: 16
-//! bytes, so Case 1 heavy's two million connections cost 32 + 16 bytes
-//! each. [`Workload::push`] is the one way in and
-//! [`Workload::requests_of`] the one way out, so a generator writes every
-//! request into the table in place and a million connections cost two
-//! allocations, not a million. Keeping requests scripted (rather than
-//! generated inside the simulator) makes every experiment replayable and lets
-//! the *same* workload be run under every dispatch mode — the comparison
-//! structure of Table 3.
+//! bytes, so Case 1 heavy's two million connections cost 32 bytes each and
+//! its table is empty. [`Workload::push`] is the one way in, picking each
+//! script's form from its requests, and [`Workload::requests_of`] the one
+//! way out, so a generator writes every request in place and a million
+//! connections cost at most two allocations, not a million. Keeping
+//! requests scripted (rather than generated inside the simulator) makes
+//! every experiment replayable and lets the *same* workload be run under
+//! every dispatch mode — the comparison structure of Table 3.
 
 use hermes_core::FlowKey;
+use std::ops::Range;
 
 /// One application-layer request on a connection.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,11 +51,9 @@ pub struct ConnectionSpec {
     /// Number of epoll events each of the connection's requests generates
     /// (≥1): header readable, body readable, upstream writable, ...
     pub events_per_request: u16,
-    /// First of the connection's requests in its workload's table; set by
+    /// The connection's requests, sorted by `start_offset_ns`; set by
     /// [`Workload::push`].
-    first_request: u32,
-    /// Number of the connection's requests, sorted by `start_offset_ns`.
-    requests: u32,
+    script: Script,
 }
 
 // Case 1 heavy holds two million connections for a 30 s device run, each
@@ -60,6 +61,103 @@ pub struct ConnectionSpec {
 // a reviewed number.
 const _: () = assert!(std::mem::size_of::<ConnectionSpec>() == 32);
 const _: () = assert!(std::mem::size_of::<RequestSpec>() == 16);
+
+/// A connection's script in one word. With [`IN_ROW`](Self::IN_ROW) set it
+/// is one request at offset 0 and the other 63 bits are its service time;
+/// otherwise it is an extent of the workload's request table, its start in
+/// the low 32 bits and its count in the next 31. [`Workload::script`] picks
+/// the form, so a script's form follows from its requests alone.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Script(u64);
+
+impl Script {
+    /// Set on a script held in the row.
+    const IN_ROW: u64 = 1 << 63;
+
+    /// `request` held in the row, if it can be: it starts at offset 0 and
+    /// its service time leaves the top bit clear.
+    fn in_row(request: RequestSpec) -> Option<Self> {
+        (request.start_offset_ns == 0 && request.service_ns & Self::IN_ROW == 0)
+            .then_some(Self(Self::IN_ROW | request.service_ns))
+    }
+
+    /// `count` requests of the table from `start` on.
+    fn table(start: usize, count: usize) -> Self {
+        let start = u32::try_from(start).expect("u32 request table");
+        let count = u32::try_from(count)
+            .ok()
+            .filter(|&n| n < 1 << 31)
+            .expect("fewer than 2^31 requests per connection");
+        Self(u64::from(count) << 32 | u64::from(start))
+    }
+
+    /// The request an in-row script holds, or a table script's extent.
+    fn decode(self) -> Result<RequestSpec, Range<usize>> {
+        if self.0 & Self::IN_ROW != 0 {
+            let service_ns = self.0 & !Self::IN_ROW;
+            return Ok(RequestSpec {
+                start_offset_ns: 0,
+                service_ns,
+            });
+        }
+        let start = self.0 as u32 as usize;
+        Err(start..start + (self.0 >> 32) as usize)
+    }
+}
+
+/// One connection's requests, sorted by start offset, as
+/// [`Workload::requests_of`] reads them: the request its row holds, or its
+/// run of the request table.
+#[derive(Clone, Copy, Debug)]
+pub struct Requests<'a> {
+    /// The request an in-row script holds.
+    in_row: Option<RequestSpec>,
+    /// A table script's requests; empty for an in-row one.
+    table: &'a [RequestSpec],
+}
+
+impl<'a> Requests<'a> {
+    /// Number of requests.
+    pub fn len(self) -> usize {
+        usize::from(self.in_row.is_some()) + self.table.len()
+    }
+
+    /// True for a connection with no requests.
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// Request `index`, if there is one.
+    #[inline]
+    pub fn get(self, index: usize) -> Option<RequestSpec> {
+        match self.in_row {
+            Some(request) => (index == 0).then_some(request),
+            None => self.table.get(index).copied(),
+        }
+    }
+
+    /// True when the requests are sorted by start offset, as
+    /// [`Workload::seal`] and the simulator require. A script held in its
+    /// row is one request, so only a table script can be out of order.
+    pub fn is_sorted(self) -> bool {
+        self.table.is_sorted_by_key(|r| r.start_offset_ns)
+    }
+
+    /// The requests in order.
+    pub fn iter(self) -> impl Iterator<Item = RequestSpec> + 'a {
+        self.in_row.into_iter().chain(self.table.iter().copied())
+    }
+}
+
+/// Two scripts are equal when they hold the same requests, whichever form
+/// each is in.
+impl PartialEq for Requests<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Requests<'_> {}
 
 impl ConnectionSpec {
     /// A connection with no requests yet: [`Workload::push`] gives it its
@@ -70,8 +168,7 @@ impl ConnectionSpec {
             flow,
             tenant,
             events_per_request,
-            first_request: 0,
-            requests: 0,
+            script: Script::table(0, 0),
         }
     }
 
@@ -89,7 +186,9 @@ impl ConnectionSpec {
 
     /// Number of scripted requests.
     pub fn request_count(&self) -> usize {
-        self.requests as usize
+        self.script
+            .decode()
+            .map_or_else(|extent| extent.len(), |_| 1)
     }
 
     /// CPU time each event of `request`, one of this connection's, consumes.
@@ -105,7 +204,8 @@ pub struct Workload {
     pub name: String,
     /// Connections sorted by `arrival_ns`.
     pub conns: Vec<ConnectionSpec>,
-    /// Every connection's requests, each connection's in one run.
+    /// The requests of every script not held in its row, each connection's
+    /// in one run.
     requests: Vec<RequestSpec>,
     /// How long a connection lingers after its last request, by tenant
     /// ([`set_linger`](Self::set_linger)).
@@ -125,16 +225,21 @@ impl Workload {
         }
     }
 
-    /// Make room for `conns` more connections carrying `requests` more
-    /// requests, so a generator that knows its counts never regrows.
+    /// Make room for `conns` more connections whose scripts put `requests`
+    /// more requests in the table, so a generator that knows its counts
+    /// never regrows. A one-request script at offset 0 takes no room there,
+    /// only the one slot each such request passes through on its way to
+    /// its row ([`push`](Self::push)), which is kept free beyond `requests`
+    /// and returned by [`seal`](Self::seal).
     pub fn reserve(&mut self, conns: usize, requests: usize) {
         self.conns.reserve_exact(conns);
-        self.requests.reserve_exact(requests);
+        self.requests.reserve_exact(requests + 1);
     }
 
     /// Append a connection with its requests (kept sorted on
     /// [`seal`](Self::seal)) and return it in place. Its requests must
-    /// already be sorted by start offset.
+    /// already be sorted by start offset. One request at offset 0 is held
+    /// in the row; any other script goes to the request table.
     pub fn push(
         &mut self,
         conn: ConnectionSpec,
@@ -144,19 +249,35 @@ impl Workload {
         self.script(self.conns.len() - 1, requests)
     }
 
-    /// Append `requests` to the table as connection `index`'s script and
-    /// return the connection: how a generator that wrote its rows first
-    /// (one arrival each) fills them in, in order.
+    /// Make `requests` connection `index`'s script and return the
+    /// connection: how a generator that wrote its rows first (one arrival
+    /// each) fills them in, in order. The requests are drawn straight into
+    /// the table in one pass, the order every recorded stream was drawn in,
+    /// and a lone request the row can hold is then taken back out, so the
+    /// table keeps only the scripts the rows cannot hold. (Pulling the
+    /// requests one by one to decide first generates Case 1 about a fifth
+    /// slower.) [`reserve`](Self::reserve) keeps the slot a lone request
+    /// passes through free, and [`seal`](Self::seal) returns it.
     pub(crate) fn script(
         &mut self,
         index: usize,
         requests: impl IntoIterator<Item = RequestSpec>,
     ) -> &mut ConnectionSpec {
-        let first = self.requests.len();
+        let start = self.requests.len();
         self.requests.extend(requests);
+        let in_row = match self.requests[start..] {
+            [one] => Script::in_row(one),
+            _ => None,
+        };
+        let script = match in_row {
+            Some(script) => {
+                self.requests.truncate(start);
+                script
+            }
+            None => Script::table(start, self.requests.len() - start),
+        };
         let conn = &mut self.conns[index];
-        conn.first_request = u32::try_from(first).expect("u32 request handles");
-        conn.requests = u32::try_from(self.requests.len() - first).expect("u32 request handles");
+        conn.script = script;
         conn
     }
 
@@ -186,10 +307,9 @@ impl Workload {
                 self.set_linger(tenant as u16, linger_ns);
             }
         }
-        self.reserve(other.connection_count(), other.request_count());
+        self.reserve(other.connection_count(), other.requests.len());
         for c in &other.conns {
-            let requests = other.requests_of(c).iter().copied();
-            self.push(*c, requests).arrival_ns += shift_ns;
+            self.push(*c, other.requests_of(c).iter()).arrival_ns += shift_ns;
         }
     }
 
@@ -204,27 +324,29 @@ impl Workload {
 
     /// `conn`'s requests, sorted by start offset. `conn` must be one of this
     /// workload's connections.
-    pub fn requests_of(&self, conn: &ConnectionSpec) -> &[RequestSpec] {
-        let first = conn.first_request as usize;
-        &self.requests[first..first + conn.request_count()]
+    #[inline]
+    pub fn requests_of(&self, conn: &ConnectionSpec) -> Requests<'_> {
+        match conn.script.decode() {
+            Ok(one) => Requests {
+                in_row: Some(one),
+                table: &[],
+            },
+            Err(extent) => Requests {
+                in_row: None,
+                table: &self.requests[extent],
+            },
+        }
     }
 
-    /// [`requests_of`](Self::requests_of), to rewrite in place (offsets must
-    /// stay sorted).
-    pub fn requests_of_mut(&mut self, conn: &ConnectionSpec) -> &mut [RequestSpec] {
-        let first = conn.first_request as usize;
-        &mut self.requests[first..first + conn.request_count()]
-    }
-
-    /// Sort connections by arrival and validate invariants. Call once after
-    /// generation; the simulator requires sealed workloads. The request
-    /// table does not move: each connection keeps its extent.
+    /// Sort connections by arrival, return the room the request table does
+    /// not use, and validate invariants. Call once after generation; the
+    /// simulator requires sealed workloads. The requests do not move: each
+    /// script moves with its row.
     pub fn seal(mut self) -> Self {
         self.conns.sort_by_key(|c| c.arrival_ns);
+        self.requests.shrink_to_fit();
         debug_assert!(
-            self.conns
-                .iter()
-                .all(|c| self.requests_of(c).is_sorted_by_key(|r| r.start_offset_ns)),
+            self.conns.iter().all(|c| self.requests_of(c).is_sorted()),
             "requests must be sorted by start offset"
         );
         self
@@ -249,7 +371,7 @@ impl Workload {
         let total: u64 = self
             .conns
             .iter()
-            .flat_map(|c| self.requests_of(c))
+            .flat_map(|c| self.requests_of(c).iter())
             .map(|r| r.service_ns)
             .sum();
         total as f64 / self.duration_ns as f64
@@ -270,9 +392,24 @@ impl Workload {
 /// shows as well as a changed one. The generator tests pin these figures.
 #[cfg(test)]
 impl Workload {
-    /// Requests the table has room for.
-    pub(crate) fn request_capacity(&self) -> usize {
-        self.requests.capacity()
+    /// The request table: the scripts not held in their rows.
+    pub(crate) fn request_table(&self) -> &Vec<RequestSpec> {
+        &self.requests
+    }
+
+    /// A copy with every script in the table, in row order: the reference
+    /// the in-row form is checked against.
+    pub(crate) fn table_only(&self) -> Workload {
+        let mut copy = Workload {
+            requests: Vec::new(),
+            ..self.clone()
+        };
+        for c in &mut copy.conns {
+            let start = copy.requests.len();
+            copy.requests.extend(self.requests_of(c).iter());
+            c.script = Script::table(start, copy.requests.len() - start);
+        }
+        copy
     }
 
     /// `[arrival, flow hash, tenant, linger]` over connections, then
@@ -288,7 +425,7 @@ impl Workload {
             add(1, i, u64::from(c.flow.hash()));
             add(2, i, u64::from(c.tenant));
             add(3, i, self.linger_of(c));
-            for r in self.requests_of(c) {
+            for r in self.requests_of(c).iter() {
                 add(4, j, r.start_offset_ns);
                 add(5, j, r.service_ns);
                 add(6, j, u64::from(c.events_per_request));
@@ -405,34 +542,174 @@ mod tests {
         assert_eq!(w.mean_cps(), 0.0);
     }
 
-    /// Extents outlive the reordering `seal` does, and a rewrite through
-    /// `requests_of_mut` touches one connection's requests only.
+    /// The table, as `(length, capacity)`.
+    fn table(w: &Workload) -> (usize, usize) {
+        (w.request_table().len(), w.request_table().capacity())
+    }
+
     #[test]
-    fn extents_survive_seal_and_rewrites_stay_in_them() {
+    fn one_request_at_offset_zero_lives_in_the_row() {
+        let mut w = Workload::new("t", 1_000);
+        for service_ns in [0, 7, (1 << 63) - 1] {
+            let c = *w.push(conn(0), [request(0, service_ns)]);
+            assert_eq!(c.script.decode(), Ok(request(0, service_ns)));
+            let requests = w.requests_of(&c);
+            assert_eq!((requests.len(), c.request_count()), (1, 1));
+            assert_eq!(requests.get(0), Some(request(0, service_ns)));
+            assert_eq!(requests.get(1), None);
+            assert_eq!(
+                requests.iter().collect::<Vec<_>>(),
+                [request(0, service_ns)]
+            );
+        }
+        assert_eq!(w.request_table().len(), 0);
+        // `seal` returns the slot each request passed through on its way to
+        // its row.
+        assert_eq!(table(&w.seal()), (0, 0));
+    }
+
+    #[test]
+    fn every_other_script_stays_in_the_table() {
+        let scripts: [&[RequestSpec]; 5] = [
+            &[request(5, 7)],
+            &[request(0, 1), request(0, 2)],
+            &[],
+            &[request(0, 1 << 63)],
+            &[request(0, u64::MAX)],
+        ];
+        let mut w = Workload::new("t", 1_000);
+        for (i, &script) in scripts.iter().enumerate() {
+            let c = *w.push(conn(i as u64), script.iter().copied());
+            assert!(c.script.decode().is_err(), "script {i}");
+            let requests = w.requests_of(&c);
+            assert_eq!(requests.iter().collect::<Vec<_>>(), script, "script {i}");
+            assert_eq!(
+                (requests.len(), c.request_count()),
+                (script.len(), script.len())
+            );
+            assert_eq!(requests.get(script.len()), None);
+            assert_eq!(requests.is_empty(), script.is_empty());
+        }
+        assert_eq!(w.request_table().len(), 5);
+        assert_eq!(w.request_count(), 5);
+    }
+
+    /// Scripts move with their rows when `seal` reorders them, and
+    /// `extend_from` copies each in the form it had: the copy's table holds
+    /// the table scripts only.
+    #[test]
+    fn seal_and_extend_from_keep_each_form() {
         let mut w = Workload::new("t", 1_000);
         w.push(conn(300), [request(0, 1), request(5, 2), request(9, 3)]);
         w.push(conn(100), []);
-        w.push(conn(200), [request(7, 4)]).tenant = 7;
-        let mut w = w.seal();
+        w.push(conn(200), [request(0, 4)]).tenant = 7;
+        w.push(conn(50), [request(6, 5)]);
+        let w = w.seal();
         let arrivals: Vec<u64> = w.conns.iter().map(|c| c.arrival_ns).collect();
-        assert_eq!(arrivals, [100, 200, 300]);
+        assert_eq!(arrivals, [50, 100, 200, 300]);
         let services = |w: &Workload, i: usize| -> Vec<u64> {
             w.requests_of(&w.conns[i])
                 .iter()
                 .map(|r| r.service_ns)
                 .collect()
         };
-        assert_eq!(services(&w, 0), [] as [u64; 0]);
-        assert_eq!(services(&w, 1), [4]);
-        assert_eq!(services(&w, 2), [1, 2, 3]);
-        assert_eq!(w.conns[1].tenant, 7);
-        assert_eq!(w.conns[2].request_count(), 3);
-        assert_eq!(w.request_count(), 4);
+        let in_row = |w: &Workload| -> Vec<bool> {
+            w.conns.iter().map(|c| c.script.decode().is_ok()).collect()
+        };
+        assert_eq!(services(&w, 0), [5]);
+        assert_eq!(services(&w, 1), [] as [u64; 0]);
+        assert_eq!(services(&w, 2), [4]);
+        assert_eq!(services(&w, 3), [1, 2, 3]);
+        assert_eq!(in_row(&w), [false, false, true, false]);
+        assert_eq!(w.conns[2].tenant, 7);
+        assert_eq!(w.conns[3].request_count(), 3);
+        assert_eq!(w.request_count(), 5);
+        assert_eq!(w.request_table().len(), 4);
+        assert!((w.offered_load() - 15.0 / 1_000.0).abs() < 1e-12);
 
-        let c = w.conns[1];
-        w.requests_of_mut(&c)[0].service_ns = 40;
-        assert_eq!(services(&w, 1), [40]);
-        assert_eq!(services(&w, 2), [1, 2, 3]);
-        assert!((w.offered_load() - 46.0 / 1_000.0).abs() < 1e-12);
+        let mut copy = Workload::new("copy", 2_000);
+        copy.extend_from(&w, 1_000);
+        assert_eq!(in_row(&copy), in_row(&w));
+        // The reservation and the slot a lone request passes through.
+        assert_eq!(table(&copy), (4, 5));
+        let copy = copy.seal();
+        assert_eq!(table(&copy), (4, 4));
+        for i in 0..w.conns.len() {
+            assert_eq!(services(&copy, i), services(&w, i));
+        }
+    }
+
+    /// Every generator, at a few seeds: each script reads back the requests
+    /// of a copy that holds every script in the table, the table holds only
+    /// the scripts that are not in their rows, and a row holds exactly the
+    /// scripts of one request at offset 0.
+    #[test]
+    fn every_generator_reads_back_its_table_only_copy() {
+        use crate::cases::{Case, CaseLoad};
+        use crate::regions::Region;
+        use crate::scenario::{region_mix, surge, SurgeConfig};
+        use crate::tenant::{TenantProfile, TenantSet};
+        use crate::ArrivalProcess;
+        use hermes_metrics::NANOS_PER_SEC;
+
+        hermes_metrics::rng::for_each_case(3, |g| {
+            let seed = g.next_u64();
+            let mut workloads: Vec<Workload> = Case::all()
+                .into_iter()
+                .map(|case| case.workload(CaseLoad::Light, 2, NANOS_PER_SEC, seed))
+                .collect();
+            workloads.extend(
+                Region::all()
+                    .iter()
+                    .map(|region| region_mix(region, 2, CaseLoad::Light, NANOS_PER_SEC, seed)),
+            );
+            let config = SurgeConfig {
+                connections: 200,
+                ..SurgeConfig::default()
+            };
+            workloads.push(surge(config, seed));
+            workloads.push(surge(
+                SurgeConfig {
+                    burst_requests: 0,
+                    ..config
+                },
+                seed,
+            ));
+            let mut keepalive = TenantProfile::simple_http(50_000.0);
+            keepalive.requests_per_conn = std::sync::Arc::new(crate::distr::Exp::with_mean(2.0));
+            let mixed = TenantSet::new(vec![TenantProfile::simple_http(1.0e6), keepalive], 1.0, 1);
+            let process = ArrivalProcess::Poisson {
+                rate_per_sec: 2_000.0,
+            };
+            workloads.push(mixed.workload("mixed", &process, NANOS_PER_SEC, &mut crate::rng(seed)));
+
+            for w in &workloads {
+                let reference = w.table_only();
+                assert_eq!(
+                    reference.request_table().len(),
+                    w.request_count(),
+                    "{}",
+                    w.name
+                );
+                let mut in_table = 0;
+                for (c, r) in w.conns.iter().zip(&reference.conns) {
+                    let requests = w.requests_of(c);
+                    assert_eq!(requests, reference.requests_of(r), "{}", w.name);
+                    let one = requests.len() == 1 && requests.get(0).unwrap().start_offset_ns == 0;
+                    assert_eq!(c.script.decode().is_ok(), one, "{}", w.name);
+                    if !one {
+                        in_table += requests.len();
+                    }
+                }
+                assert_eq!(w.request_table().len(), in_table, "{}", w.name);
+                assert_eq!(w.stream_sums(), reference.stream_sums(), "{}", w.name);
+            }
+            // Both forms are exercised: Case 1 is all rows, Case 3 all table.
+            assert!(workloads[0].request_table().is_empty());
+            assert!(workloads[2]
+                .conns
+                .iter()
+                .all(|c| c.script.decode().is_err()));
+        });
     }
 }

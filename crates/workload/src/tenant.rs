@@ -96,17 +96,27 @@ impl TenantSet {
     }
 
     /// Make room in `w`'s request table for `conns` more connections of
-    /// this set: the Zipf-weighted mean per connection, exact when every
-    /// profile's count is constant. An unbounded mean reserves nothing; the
-    /// table then grows as it fills.
+    /// this set: the Zipf-weighted mean per connection of the profiles
+    /// whose scripts go to the table, exact when every profile draws the
+    /// same constant count (rounded, as the shares sum to 1 only up to float
+    /// error). A profile of one request per connection reserves nothing:
+    /// its first request is at offset 0, so its rows hold their scripts. An
+    /// unbounded mean reserves nothing; the table then grows as it fills.
     fn reserve_requests(&self, w: &mut Workload, conns: usize) {
         let per_conn: f64 = self
             .tenants
             .iter()
             .enumerate()
-            .map(|(i, p)| self.share_of(i) * p.requests_per_conn.mean().round().max(1.0))
+            .map(|(i, p)| {
+                let count = p.requests_per_conn.mean().round().max(1.0);
+                if count > 1.0 {
+                    self.share_of(i) * count
+                } else {
+                    0.0
+                }
+            })
             .sum();
-        let requests = (conns as f64 * per_conn).ceil();
+        let requests = (conns as f64 * per_conn).round();
         let requests = if requests.is_finite() {
             requests as usize
         } else {
@@ -136,6 +146,11 @@ impl TenantSet {
             w.set_linger(first_tenant + i as u16, profile.linger_ns.unwrap_or(0));
         }
         let first = w.conns.len();
+        // One allocation for the rows, not a doubling series: an outgrown
+        // buffer the allocator served from its heap stays resident after it
+        // is freed (glibc's does so from its second large workload in a
+        // process on), and the trim below returns the room left over.
+        w.conns.reserve_exact(process.room_for(duration_ns));
         w.conns.extend(
             process
                 .arrivals(duration_ns, rng)
@@ -270,7 +285,7 @@ mod tests {
         assert_eq!(c.port(), 10_001);
         assert_eq!(c.arrival_ns, 500);
         assert_eq!(c.events_per_request, 2);
-        let requests = w.requests_of(&c);
+        let requests: Vec<RequestSpec> = w.requests_of(&c).iter().collect();
         assert_eq!(requests.len(), 3);
         assert_eq!(requests[0].service_ns, 50_000_000);
         // Think time spaces the scripted requests.
@@ -306,19 +321,31 @@ mod tests {
 
     /// The connection rows are trimmed to the arrivals once they are all
     /// drawn and the request table is reserved from their count, so neither
-    /// holds room that nothing fills.
+    /// holds room that nothing fills: the table reserves exactly the
+    /// multi-request scripts, and nothing for one-request profiles, whose
+    /// rows hold their scripts, beyond the one slot a lone request passes
+    /// through on its way to its row; `seal` returns that slot.
     #[test]
     fn workload_generation_fills_its_reservation_exactly() {
-        let ts = TenantSet::new(vec![TenantProfile::simple_http(1.0); 9], 0.9, 1);
-        let mut rng = crate::rng(24);
-        let process = ArrivalProcess::Poisson {
-            rate_per_sec: 5_000.0,
-        };
-        let w = ts.workload("poisson", &process, NANOS_PER_SEC, &mut rng);
-        assert!(w.connection_count() > 4_500, "{}", w.connection_count());
-        assert_eq!(w.conns.capacity(), w.connection_count());
-        assert_eq!(w.request_count(), w.connection_count());
-        assert_eq!(w.request_capacity(), w.request_count());
+        let mut three = TenantProfile::simple_http(1.0);
+        three.requests_per_conn = Arc::new(Constant(3.0));
+        for (profile, per_conn, in_table) in
+            [(TenantProfile::simple_http(1.0), 1, 0), (three, 3, 3)]
+        {
+            let ts = TenantSet::new(vec![profile; 9], 0.9, 1);
+            let process = ArrivalProcess::Poisson {
+                rate_per_sec: 5_000.0,
+            };
+            let mut w = Workload::new("poisson", NANOS_PER_SEC);
+            ts.append(&mut w, 0, &process, NANOS_PER_SEC, 0, &mut crate::rng(24));
+            let conns = w.connection_count();
+            assert!(conns > 4_500, "{conns}");
+            assert_eq!(w.conns.capacity(), conns);
+            assert_eq!(w.request_count(), per_conn * conns);
+            let table = |w: &Workload| (w.request_table().len(), w.request_table().capacity());
+            assert_eq!(table(&w), (in_table * conns, in_table * conns + 1));
+            assert_eq!(table(&w.seal()), (in_table * conns, in_table * conns));
+        }
     }
 
     #[test]

@@ -164,13 +164,17 @@ step "workload stream (recorded streams of every generator, row layout, guide-ta
 # were made, and every generator (each case at a short horizon, the
 # region mix, the surge) to a field-by-field fingerprint of its stream:
 # arrival, flow hash, tenant and linger of each connection, offset, service
-# and event count of each request. A connection row is 40 B and a request row
-# 16 B, and generation leaves no unused capacity in either column; the
-# guide-table Zipf draw returns the rank the binary search of the cumulative
-# weights returns, at every guide-bucket edge and over 10^6 draws, and no
-# draw lands past the last rank; each connection's extent in the flat request
-# table survives `seal`. Per-device streams reach the simulator through
-# `cluster::run_fleet_with`, whose unit tests live in hermes-simnet.
+# and event count of each request. A connection row is 32 B and a request row
+# 16 B. A script of one request at offset 0 is held in its row, so the
+# sim_case1 input's request table is empty; any other script is an extent of
+# the request table, which generation reserves for exactly those scripts.
+# Every generator's scripts read back the requests of a copy that holds them
+# all in the table, and each script keeps its form through `seal` and
+# `extend_from`. The guide-table Zipf draw returns the rank the binary search
+# of the cumulative weights returns, at every guide-bucket edge and over 10^6
+# draws, and no draw lands past the last rank. Per-device streams reach the
+# simulator through `cluster::run_fleet_with`, whose unit tests live in
+# hermes-simnet.
 cargo test --release -q -p hermes-workload
 cargo test --release -q -p hermes-simnet --lib cluster
 
