@@ -11,7 +11,10 @@
 //!     the merge-order-independence property, on a digest of every device;
 //!   * no device's connection table exceeds its 256 KiB budget (the
 //!     process's peak resident set, which holds every device's report, is
-//!     printed and recorded beside it);
+//!     printed and recorded beside it: once after the serial passes that
+//!     run before any pool pass, a figure a workload change moves, and once
+//!     at the end, where the pool threads' allocator arenas spread it by
+//!     several MiB run to run);
 //!   * a full run holds ≥ 1 M live connections at the horizon and completes
 //!     the requests per second `fig12` calibrates its cost model on;
 //!   * the pool costs the fleet nothing: pooled events/sec over the same
@@ -29,7 +32,7 @@ use hermes_metrics::NANOS_PER_SEC;
 use hermes_simnet::{run_fleet_with, ClusterReport, Mode, SimConfig};
 use hermes_workload::scenario::fleet_device_case;
 use hermes_workload::{Case, CaseLoad};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 
 const FLEET_SEED: u64 = 363;
 const WORKERS_PER_DEVICE: usize = 8;
@@ -105,6 +108,12 @@ fn main() {
 
     let passes = RefCell::new(Vec::new());
     let every_pass = &passes;
+    // `VmHWM` after each serial pass until a pool pass has run: the warm-up
+    // round runs the serial side first, so this is the peak of serial
+    // passes alone.
+    let serial_peak_rss_kib = Cell::new(0);
+    let pool_ran = Cell::new(false);
+    let (serial_peak, pool_ran) = (&serial_peak_rss_kib, &pool_ran);
     let names: Vec<String> = thread_counts
         .iter()
         .map(|t| format!("threads_{t}"))
@@ -124,7 +133,14 @@ fn main() {
                     );
                     (SimConfig::new(WORKERS_PER_DEVICE, Mode::Hermes), wl)
                 });
-                clock.untimed(|| every_pass.borrow_mut().push(Pass::of(&report)));
+                clock.untimed(|| {
+                    every_pass.borrow_mut().push(Pass::of(&report));
+                    if threads > 1 {
+                        pool_ran.set(true);
+                    } else if !pool_ran.get() {
+                        serial_peak.set(peak_rss_kib());
+                    }
+                });
             }
         })
         .collect();
@@ -158,6 +174,11 @@ fn main() {
             "max {} bytes <= {MEM_CAP_BYTES}",
             fleet.max_device_conn_table_bytes
         ),
+    );
+    let serial_peak_rss_kib = serial_peak_rss_kib.get();
+    gates.report(
+        "process peak RSS before any pool pass (VmHWM)",
+        format!("{:.1} MiB", serial_peak_rss_kib as f64 / 1024.0),
     );
     let peak_rss_kib = peak_rss_kib();
     gates.report(
@@ -211,6 +232,7 @@ fn main() {
                 fleet.max_device_conn_table_bytes,
             )
             .int("mem_cap_bytes", MEM_CAP_BYTES)
+            .int("serial_peak_rss_kib", serial_peak_rss_kib)
             .int("peak_rss_kib", peak_rss_kib)
             .block("sweeps", sweeps)
             .timed("pool_4_over_serial", &mut pool_over_serial),

@@ -9,9 +9,7 @@
 use crate::config::Mode;
 use crate::metrics::SchedStats;
 use hermes_core::sched::SchedConfig;
-use hermes_core::{
-    FlowKey, GroupedConnDispatcher, Placement, Scheduler, WorkerBitmap, WorkerSnapshot,
-};
+use hermes_core::{GroupedConnDispatcher, Placement, Scheduler, WorkerBitmap, WorkerSnapshot};
 
 /// Hermes state bundle: the worker table, the scheduler that runs over it,
 /// and the kernel-side dispatch decision, core's native oracle for the
@@ -101,10 +99,10 @@ impl HermesState {
         self.stats.alive_sum += u64::from(decision.alive.count());
     }
 
-    /// Kernel-side dispatch of one SYN (Algorithm 2): one decision per
-    /// connection, as the reuseport hook runs it.
-    pub fn dispatch(&mut self, flow: &FlowKey) -> Placement {
-        let placed = self.dispatcher.dispatch(&[self.published], flow.hash());
+    /// Kernel-side dispatch of one SYN (Algorithm 2) by its flow's kernel
+    /// hash: one decision per connection, as the reuseport hook runs it.
+    pub fn dispatch(&mut self, flow_hash: u32) -> Placement {
+        let placed = self.dispatcher.dispatch(&[self.published], flow_hash);
         self.tally(placed);
         placed
     }
@@ -112,9 +110,9 @@ impl HermesState {
     /// Dispatch decision without touching the per-SYN statistics — used by
     /// degradation re-homing (Appendix C), which is not a new connection
     /// and must not inflate the Fig. 14 counters.
-    pub fn redirect(&self, flow: &FlowKey) -> usize {
+    pub fn redirect(&self, flow_hash: u32) -> usize {
         self.dispatcher
-            .dispatch(&[self.published], flow.hash())
+            .dispatch(&[self.published], flow_hash)
             .worker
     }
 
@@ -153,15 +151,16 @@ impl Dispatcher {
         }
     }
 
-    /// Socket/worker assignment at SYN time. `None` ⇒ shared accept queue
-    /// (wakeup order decides the acceptor later).
-    pub fn assign_at_syn(&mut self, flow: &FlowKey) -> Option<usize> {
+    /// Socket/worker assignment at SYN time, by the flow's kernel hash.
+    /// `None` ⇒ shared accept queue (wakeup order decides the acceptor
+    /// later).
+    pub fn assign_at_syn(&mut self, flow_hash: u32) -> Option<usize> {
         match self {
             Dispatcher::Shared => None,
             Dispatcher::Reuseport { workers } => {
-                Some(hermes_core::hash::reciprocal_scale(flow.hash(), *workers as u32) as usize)
+                Some(hermes_core::hash::reciprocal_scale(flow_hash, *workers as u32) as usize)
             }
-            Dispatcher::Hermes(h) => Some(h.dispatch(flow).worker),
+            Dispatcher::Hermes(h) => Some(h.dispatch(flow_hash).worker),
         }
     }
 
@@ -203,7 +202,7 @@ impl Dispatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hermes_core::Wst;
+    use hermes_core::{FlowKey, Wst};
     use hermes_metrics::rng::for_each_case;
 
     fn cfg() -> SchedConfig {
@@ -222,9 +221,9 @@ mod tests {
     #[test]
     fn reuseport_assignment_is_sticky_and_in_range() {
         let mut d = Dispatcher::new(Mode::Reuseport, 8, cfg());
-        let flow = FlowKey::new(1, 2, 3, 4);
-        let a = d.assign_at_syn(&flow).unwrap();
-        let b = d.assign_at_syn(&flow).unwrap();
+        let flow = FlowKey::new(1, 2, 3, 4).hash();
+        let a = d.assign_at_syn(flow).unwrap();
+        let b = d.assign_at_syn(flow).unwrap();
         assert_eq!(a, b);
         assert!(a < 8);
         assert!(d.assigns_at_syn());
@@ -233,7 +232,7 @@ mod tests {
     #[test]
     fn shared_modes_defer_assignment() {
         let mut d = Dispatcher::new(Mode::ExclusiveLifo, 4, cfg());
-        assert_eq!(d.assign_at_syn(&FlowKey::new(1, 2, 3, 4)), None);
+        assert_eq!(d.assign_at_syn(FlowKey::new(1, 2, 3, 4).hash()), None);
         assert!(!d.assigns_at_syn());
     }
 
@@ -251,8 +250,8 @@ mod tests {
             assert_eq!(h.stats.selected_sum, 3);
         }
         for i in 0..100u32 {
-            let flow = FlowKey::new(i, i as u16, 9, 443);
-            let w = d.assign_at_syn(&flow).unwrap();
+            let flow = FlowKey::new(i, i as u16, 9, 443).hash();
+            let w = d.assign_at_syn(flow).unwrap();
             assert_ne!(w, 0, "overloaded worker got a connection");
         }
         let h = d.hermes().unwrap();

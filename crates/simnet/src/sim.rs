@@ -44,7 +44,7 @@ use crate::modes::Dispatcher;
 use crate::ports::PortTable;
 use crate::state::{ConnId, ConnTable, IoEvent, Phase, WorkerState};
 use hermes_metrics::Histogram;
-use hermes_workload::{ConnectionSpec, Workload};
+use hermes_workload::Workload;
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
@@ -126,8 +126,14 @@ impl<'w> Simulator<'w> {
     /// trace routing depends on the device, never on the pool thread.
     pub(crate) fn on_lane(cfg: SimConfig, wl: &'w Workload, device_lane: Option<u32>) -> Self {
         cfg.validate();
-        let sealed = wl.conns.is_sorted_by_key(|c| c.arrival_ns)
-            && wl.conns.iter().all(|c| wl.requests_of(c).is_sorted());
+        // One walk over the rows checks both orders and collects the ports.
+        let mut sealed = true;
+        let mut last_arrival = 0;
+        let ports = PortTable::new(wl.conns.iter().map(|c| {
+            sealed &= last_arrival <= c.arrival_ns && wl.requests_of(c).is_sorted();
+            last_arrival = c.arrival_ns;
+            c.port()
+        }));
         assert!(
             sealed,
             "workload `{}` is not sealed: connections must be sorted by arrival \
@@ -136,7 +142,6 @@ impl<'w> Simulator<'w> {
         );
         let n = cfg.workers;
         let dispatcher = Dispatcher::new(cfg.mode, n, cfg.hermes.clone());
-        let ports = PortTable::new(wl.conns.iter().map(ConnectionSpec::port));
         if let Some(port) = cfg.trace_port {
             assert!(
                 ports.index_of(port).is_some(),
@@ -317,7 +322,7 @@ impl<'w> Simulator<'w> {
         if self.dispatcher.assigns_at_syn() {
             let w = self
                 .dispatcher
-                .assign_at_syn(&spec.flow)
+                .assign_at_syn(spec.flow.hash())
                 .expect("per-socket modes always assign");
             self.conns.set_worker(c, w);
             hermes_trace::trace_event!(
@@ -363,8 +368,8 @@ impl<'w> Simulator<'w> {
             .requests_of(spec)
             .get(req)
             .expect("a scripted request");
-        let per_event = spec.service_per_event_ns(&request).max(1);
-        let events = spec.events_per_request.max(1);
+        let per_event = self.wl.service_per_event_ns(spec, &request).max(1);
+        let events = self.wl.events_of(spec);
         for i in 1..=events {
             self.workers[owner].pending.push_back(IoEvent::Request {
                 conn,
@@ -712,8 +717,8 @@ impl<'w> Simulator<'w> {
                 {
                     continue;
                 }
-                let flow = self.wl.conns[c].flow;
-                let new_owner = self.dispatcher.hermes_mut().redirect(&flow);
+                let flow_hash = self.wl.conns[c].flow.hash();
+                let new_owner = self.dispatcher.hermes_mut().redirect(flow_hash);
                 if new_owner == victim {
                     continue; // fallback hashed straight back: skip
                 }
@@ -821,13 +826,14 @@ mod tests {
     /// arriving every `gap` ns.
     fn uniform_workload(n: usize, gap: u64, service: u64) -> Workload {
         let mut w = Workload::new("uniform", n as u64 * gap + NANOS_PER_SEC);
+        w.set_events_per_request(0, 2);
         let request = RequestSpec {
             start_offset_ns: 0,
             service_ns: service,
         };
         for i in 0..n {
             let flow = FlowKey::new(0x0a000000 + i as u32, (i % 60_000) as u16, 1, 443);
-            w.push(ConnectionSpec::new(i as u64 * gap, flow, 0, 2), [request]);
+            w.push(ConnectionSpec::new(i as u64 * gap, flow, 0), [request]);
         }
         w.seal()
     }
@@ -1002,13 +1008,14 @@ mod tests {
     /// [`scripted_workload`] with every request costing `service_ns`.
     fn scripted_workload_costing(conns: &[(u64, &[u64])], service_ns: u64) -> Workload {
         let mut w = Workload::new("scripted", NANOS_PER_SEC);
+        w.set_events_per_request(0, 2);
         for (i, &(arrival_ns, offsets)) in conns.iter().enumerate() {
             let request = |&start_offset_ns| RequestSpec {
                 start_offset_ns,
                 service_ns,
             };
             let flow = FlowKey::new(0x0a00_0000 + i as u32 * 7919, 1000 + i as u16, 1, 443);
-            let conn = ConnectionSpec::new(arrival_ns, flow, 0, 2);
+            let conn = ConnectionSpec::new(arrival_ns, flow, 0);
             w.push(conn, offsets.iter().map(request));
         }
         w

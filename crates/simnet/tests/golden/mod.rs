@@ -27,6 +27,9 @@ pub fn case1_heavy_shaped() -> Workload {
     let mut rng = SplitMix64::from_state(SEED);
     let gap_ns = 1_000_000_000 / (2_100 * WORKERS as u64);
     let mut wl = Workload::new("case1-heavy-shaped", HORIZON_NS);
+    for tenant in 0..2_000 {
+        wl.set_events_per_request(tenant, 2);
+    }
     let mut at = 0u64;
     loop {
         at += exp_ns(gap_ns, &mut rng);
@@ -41,7 +44,7 @@ pub fn case1_heavy_shaped() -> Workload {
             start_offset_ns: 0,
             service_ns: exp_ns(380_000, &mut rng).max(1),
         };
-        wl.push(ConnectionSpec::new(at, flow, tenant, 2), [request]);
+        wl.push(ConnectionSpec::new(at, flow, tenant), [request]);
     }
     wl.seal()
 }
@@ -146,7 +149,7 @@ pub fn case3_shaped() -> Workload {
                 }
             });
             let flow = FlowKey::new((r >> 32) as u32, (r >> 16) as u16, 0x0a00_0001, port);
-            let conn = ConnectionSpec::new(at, flow, tenant, 1);
+            let conn = ConnectionSpec::new(at, flow, tenant);
             wl.push(conn, requests);
         }
     }

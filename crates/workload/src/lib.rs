@@ -15,11 +15,12 @@
 //! * [`arrival`] — the arrival process every generator draws from: Poisson
 //!   at a connections-per-second rate, read lazily.
 //! * [`spec`] — the workload data model handed to the simulator, holding
-//!   only what it reads: connections (flow, tenant, events per request)
-//!   carrying requests (start offset, service time), and each tenant's
-//!   linger. A connection whose script is one request at offset 0 — every
-//!   Case 1 and Case 2 connection — holds it in its own 32-byte row; any
-//!   other script is an extent of the workload's one request table.
+//!   only what it reads: connections (flow hash, port, tenant) carrying
+//!   requests (start offset, service time), and each tenant's linger and
+//!   events per request. A connection whose script is one request at
+//!   offset 0 — every Case 1 and Case 2 connection — holds it in its own
+//!   24-byte row; any other script is an extent of the workload's one
+//!   request table.
 //! * [`tenant`] — multi-tenant composition: ports, Zipf-weighted tenant
 //!   shares, per-tenant traffic profiles.
 //! * [`cases`] — the four Table 3 cases at light/medium/heavy load.
@@ -41,7 +42,7 @@ pub mod tenant;
 pub use arrival::ArrivalProcess;
 pub use cases::{Case, CaseLoad};
 pub use distr::Distribution;
-pub use spec::{ConnectionSpec, RequestSpec, Workload};
+pub use spec::{ConnectionSpec, FlowHash, RequestSpec, Workload};
 pub use tenant::{TenantProfile, TenantSet};
 
 /// Deterministic RNG used across all generators: experiments must be

@@ -84,7 +84,7 @@ pub fn surge(config: SurgeConfig, seed: u64) -> Workload {
             0x0aff_0001,
             9000,
         );
-        let conn = ConnectionSpec::new(arrival, flow, 0, 1);
+        let conn = ConnectionSpec::new(arrival, flow, 0);
         w.push(conn, std::iter::once(handshake).chain(burst));
     }
     w.seal()

@@ -2,24 +2,26 @@
 //!
 //! A [`Workload`] is a time-ordered list of [`ConnectionSpec`]s and one flat
 //! table of [`RequestSpec`]s, and it holds only what the simulator reads.
-//! Each connection carries its flow identity (for reuseport hashing; its
-//! destination port is the tenant's listening port), its tenant (for
-//! multi-tenant accounting), how many I/O events each of its requests
-//! triggers, and its script in 8 bytes: a script of one request at offset 0
-//! (every Case 1 and Case 2 connection's) holds that request's service time
-//! in the row itself, and any other script is a `u32` start and count in the
-//! request table, which holds only those. How long a connection lingers
-//! after its last request is its tenant's, held once per tenant by the
-//! workload ([`Workload::linger_of`]). A request is when it arrives relative
-//! to connection establishment and how much worker CPU time it costs: 16
-//! bytes, so Case 1 heavy's two million connections cost 32 bytes each and
-//! its table is empty. [`Workload::push`] is the one way in, picking each
-//! script's form from its requests, and [`Workload::requests_of`] the one
-//! way out, so a generator writes every request in place and a million
-//! connections cost at most two allocations, not a million. Keeping
-//! requests scripted (rather than generated inside the simulator) makes
-//! every experiment replayable and lets the *same* workload be run under
-//! every dispatch mode — the comparison structure of Table 3.
+//! Each connection carries its flow's kernel hash (for reuseport hashing,
+//! computed once from the 4-tuple when the row is made), its destination
+//! port (the tenant's listening port), its tenant (for multi-tenant
+//! accounting), and its script in 8 bytes: a script of one request at
+//! offset 0 (every Case 1 and Case 2 connection's) holds that request's
+//! service time in the row itself, and any other script is a `u32` start and
+//! count in the request table, which holds only those. How long a
+//! connection lingers after its last request and how many I/O events each
+//! of its requests triggers are its tenant's, held once per tenant by the
+//! workload ([`Workload::linger_of`], [`Workload::events_of`]). A request is
+//! when it arrives relative to connection establishment and how much worker
+//! CPU time it costs: 16 bytes, so Case 1 heavy's two million connections
+//! cost 24 bytes each and its table is empty. [`Workload::push`] is the one
+//! way in, picking each script's form from its requests, and
+//! [`Workload::requests_of`] the one way out, so a generator writes every
+//! request in place and a million connections cost at most two
+//! allocations, not a million. Keeping requests scripted (rather than
+//! generated inside the simulator) makes every experiment replayable and
+//! lets the *same* workload be run under every dispatch mode — the
+//! comparison structure of Table 3.
 
 use hermes_core::FlowKey;
 use std::ops::Range;
@@ -32,9 +34,23 @@ pub struct RequestSpec {
     pub start_offset_ns: u64,
     /// Total worker CPU time to process the request (ns) — the paper's
     /// "processing time", covering parsing/SSL/compression. It is split
-    /// evenly across the connection's
-    /// [`events_per_request`](ConnectionSpec::events_per_request).
+    /// evenly across the connection's events
+    /// ([`Workload::service_per_event_ns`]).
     pub service_ns: u64,
+}
+
+/// A connection's flow as the kernel's reuseport program reads it: the hash
+/// the kernel precomputes over the 4-tuple, taken once from a
+/// [`FlowKey`] when the row is made.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FlowHash(u32);
+
+impl FlowHash {
+    /// The kernel-precomputed connection hash (jhash over the 4-tuple).
+    #[inline]
+    pub fn hash(self) -> u32 {
+        self.0
+    }
 }
 
 /// One client connection through the LB.
@@ -42,24 +58,26 @@ pub struct RequestSpec {
 pub struct ConnectionSpec {
     /// SYN arrival time (ns from experiment start).
     pub arrival_ns: u64,
-    /// Flow 4-tuple (gives the kernel its precomputed hash); its
-    /// destination port is the LB-side port, [`port`](Self::port).
-    pub flow: FlowKey,
-    /// Owning tenant (dense id), for multi-tenant accounting and the
-    /// connection's linger ([`Workload::linger_of`]).
-    pub tenant: u16,
-    /// Number of epoll events each of the connection's requests generates
-    /// (≥1): header readable, body readable, upstream writable, ...
-    pub events_per_request: u16,
     /// The connection's requests, sorted by `start_offset_ns`; set by
     /// [`Workload::push`].
     script: Script,
+    /// The flow's kernel hash. The 4-tuple it came from is not kept: the
+    /// simulator reads only the hash and the destination port.
+    pub flow: FlowHash,
+    /// LB-side destination port (the tenant's rewritten Dport),
+    /// [`port`](Self::port). A field of its own: beside the hash in one
+    /// struct it would pad to 8 bytes.
+    dst_port: u16,
+    /// Owning tenant (dense id), for multi-tenant accounting and the
+    /// connection's linger and events per request
+    /// ([`Workload::linger_of`], [`Workload::events_of`]).
+    pub tenant: u16,
 }
 
 // Case 1 heavy holds two million connections for a 30 s device run, each
 // with one request: a field added later fails the build here, so its cost is
 // a reviewed number.
-const _: () = assert!(std::mem::size_of::<ConnectionSpec>() == 32);
+const _: () = assert!(std::mem::size_of::<ConnectionSpec>() == 24);
 const _: () = assert!(std::mem::size_of::<RequestSpec>() == 16);
 
 /// A connection's script in one word. With [`IN_ROW`](Self::IN_ROW) set it
@@ -160,28 +178,39 @@ impl PartialEq for Requests<'_> {
 impl Eq for Requests<'_> {}
 
 impl ConnectionSpec {
-    /// A connection with no requests yet: [`Workload::push`] gives it its
-    /// script.
-    pub fn new(arrival_ns: u64, flow: FlowKey, tenant: u16, events_per_request: u16) -> Self {
-        Self {
-            arrival_ns,
-            flow,
-            tenant,
-            events_per_request,
-            script: Script::table(0, 0),
-        }
+    /// A connection of `flow` with no requests yet: [`Workload::push`]
+    /// gives it its script. The row keeps the flow's hash and destination
+    /// port.
+    pub fn new(arrival_ns: u64, flow: FlowKey, tenant: u16) -> Self {
+        let mut conn = Self::arriving(arrival_ns);
+        conn.set_flow(flow);
+        conn.tenant = tenant;
+        conn
     }
 
     /// A row that holds only its arrival: a generator writes one per
     /// arrival as it draws them and fills in the rest with
-    /// [`Workload::script`].
+    /// [`Workload::script`] and [`set_flow`](Self::set_flow).
     pub(crate) fn arriving(arrival_ns: u64) -> Self {
-        Self::new(arrival_ns, FlowKey::new(0, 0, 0, 0), 0, 0)
+        Self {
+            arrival_ns,
+            script: Script::table(0, 0),
+            flow: FlowHash(0),
+            dst_port: 0,
+            tenant: 0,
+        }
+    }
+
+    /// Make `flow` the connection's: its hash, computed here once, and its
+    /// destination port.
+    pub(crate) fn set_flow(&mut self, flow: FlowKey) {
+        self.flow = FlowHash(flow.hash());
+        self.dst_port = flow.dst_port;
     }
 
     /// LB-side destination port (the tenant's rewritten Dport).
     pub fn port(&self) -> u16 {
-        self.flow.dst_port
+        self.dst_port
     }
 
     /// Number of scripted requests.
@@ -189,11 +218,6 @@ impl ConnectionSpec {
         self.script
             .decode()
             .map_or_else(|extent| extent.len(), |_| 1)
-    }
-
-    /// CPU time each event of `request`, one of this connection's, consumes.
-    pub fn service_per_event_ns(&self, request: &RequestSpec) -> u64 {
-        request.service_ns / u64::from(self.events_per_request.max(1))
     }
 }
 
@@ -208,8 +232,12 @@ pub struct Workload {
     /// in one run.
     requests: Vec<RequestSpec>,
     /// How long a connection lingers after its last request, by tenant
-    /// ([`set_linger`](Self::set_linger)).
+    /// ([`set_linger`](Self::set_linger)); 0 where unset.
     lingers: Vec<u64>,
+    /// How many I/O events each request of a connection triggers, by
+    /// tenant ([`set_events_per_request`](Self::set_events_per_request));
+    /// 0 where unset.
+    events: Vec<u16>,
     /// Experiment horizon (ns): the simulator runs to this time even after
     /// the last arrival, letting queues drain.
     pub duration_ns: u64,
@@ -285,26 +313,37 @@ impl Workload {
     /// completes; 0 closes them right after it (short-lived), as it does
     /// for a tenant never set.
     pub fn set_linger(&mut self, tenant: u16, linger_ns: u64) {
-        let tenant = usize::from(tenant);
-        if tenant >= self.lingers.len() {
-            self.lingers.resize(tenant + 1, 0);
-        }
-        self.lingers[tenant] = linger_ns;
+        *slot(&mut self.lingers, tenant.into()) = linger_ns;
+    }
+
+    /// Each request of a connection of `tenant` triggers `events` I/O
+    /// events (header readable, body readable, upstream writable, ...),
+    /// over which its service time is split; 0 reads as one, as does a
+    /// tenant never set.
+    pub fn set_events_per_request(&mut self, tenant: u16, events: u16) {
+        *slot(&mut self.events, tenant.into()) = events;
     }
 
     /// Append every connection of `other` with its requests, `shift_ns`
-    /// later, and take the lingers of its tenants, so a copied row lingers
-    /// as it did. Panics if a tenant already lingers differently here.
+    /// later, and take the lingers and events per request its tenants set,
+    /// so a copied row of such a tenant runs as it did; a value a tenant
+    /// leaves unset there reads as this workload's. Panics if a tenant
+    /// already lingers differently here, or has other events per request.
     pub fn extend_from(&mut self, other: &Workload, shift_ns: u64) {
         for (tenant, &linger_ns) in other.lingers.iter().enumerate() {
-            let mine = self.lingers.get(tenant).copied().unwrap_or(0);
-            assert!(
-                mine == 0 || linger_ns == 0 || mine == linger_ns,
-                "tenant {tenant} lingers {mine} ns here and {linger_ns} ns in {}",
-                other.name
-            );
-            if linger_ns != 0 {
-                self.set_linger(tenant as u16, linger_ns);
+            if let Err(mine) = adopt(&mut self.lingers, tenant, linger_ns) {
+                panic!(
+                    "tenant {tenant} lingers {mine} ns here and {linger_ns} ns in {}",
+                    other.name
+                );
+            }
+        }
+        for (tenant, &events) in other.events.iter().enumerate() {
+            if let Err(mine) = adopt(&mut self.events, tenant, events) {
+                panic!(
+                    "tenant {tenant} has {mine} events per request here and {events} in {}",
+                    other.name
+                );
             }
         }
         self.reserve(other.connection_count(), other.requests.len());
@@ -320,6 +359,22 @@ impl Workload {
             .get(usize::from(conn.tenant))
             .copied()
             .unwrap_or(0)
+    }
+
+    /// How many I/O events each of `conn`'s requests triggers: its
+    /// tenant's [`set_events_per_request`](Self::set_events_per_request),
+    /// at least one.
+    #[inline]
+    pub fn events_of(&self, conn: &ConnectionSpec) -> u16 {
+        self.events
+            .get(usize::from(conn.tenant))
+            .map_or(1, |&events| events.max(1))
+    }
+
+    /// CPU time each event of `request`, one of `conn`'s, consumes: its
+    /// service time split evenly over [`events_of`](Self::events_of).
+    pub fn service_per_event_ns(&self, conn: &ConnectionSpec, request: &RequestSpec) -> u64 {
+        request.service_ns / u64::from(self.events_of(conn))
     }
 
     /// `conn`'s requests, sorted by start offset. `conn` must be one of this
@@ -386,6 +441,37 @@ impl Workload {
     }
 }
 
+/// `tenant`'s entry in a per-tenant table, grown with unset entries
+/// (`T::default()`) to reach it.
+fn slot<T: Copy + Default>(table: &mut Vec<T>, tenant: usize) -> &mut T {
+    if tenant >= table.len() {
+        table.resize(tenant + 1, T::default());
+    }
+    &mut table[tenant]
+}
+
+/// Give `tenant` `value` in a per-tenant table where it is unset. An unset
+/// `value` changes nothing; a set one that differs from the table's is
+/// refused with the table's value.
+fn adopt<T: Copy + Default + PartialEq>(
+    table: &mut Vec<T>,
+    tenant: usize,
+    value: T,
+) -> Result<(), T> {
+    if value == T::default() {
+        return Ok(());
+    }
+    let mine = slot(table, tenant);
+    if *mine == T::default() {
+        *mine = value;
+    }
+    if *mine == value {
+        Ok(())
+    } else {
+        Err(*mine)
+    }
+}
+
 /// Test-only fingerprint of a generated stream: one wrapping sum per field
 /// the simulator reads, each value weighted by its position (connection
 /// order, then each connection's requests in order), so a reordered draw
@@ -428,7 +514,7 @@ impl Workload {
             for r in self.requests_of(c).iter() {
                 add(4, j, r.start_offset_ns);
                 add(5, j, r.service_ns);
-                add(6, j, u64::from(c.events_per_request));
+                add(6, j, u64::from(self.events_of(c)));
                 j += 1;
             }
         }
@@ -448,21 +534,47 @@ mod tests {
     }
 
     fn conn(arrival: u64) -> ConnectionSpec {
-        ConnectionSpec::new(arrival, FlowKey::new(1, 2, 3, 4), 0, 2)
+        ConnectionSpec::new(arrival, FlowKey::new(1, 2, 3, 4), 0)
     }
 
     #[test]
     fn service_per_event_splits_evenly() {
-        let c = ConnectionSpec {
-            events_per_request: 4,
-            ..conn(0)
-        };
-        assert_eq!(c.service_per_event_ns(&request(0, 100)), 25);
-        let degenerate = ConnectionSpec {
-            events_per_request: 0,
-            ..c
-        };
-        assert_eq!(degenerate.service_per_event_ns(&request(0, 100)), 100);
+        let mut w = Workload::new("t", 1_000);
+        w.set_events_per_request(0, 4);
+        let c = conn(0);
+        assert_eq!(w.service_per_event_ns(&c, &request(0, 100)), 25);
+        w.set_events_per_request(0, 0);
+        assert_eq!(w.service_per_event_ns(&c, &request(0, 100)), 100);
+    }
+
+    #[test]
+    fn a_row_keeps_its_tuples_hash_and_port() {
+        let key = FlowKey::new(0x0a00_0102, 40_000, 0x0aff_0001, 8443);
+        let c = ConnectionSpec::new(7, key, 3);
+        assert_eq!(c.flow.hash(), key.hash());
+        assert_eq!(c.port(), key.dst_port);
+        assert_eq!((c.arrival_ns, c.tenant, c.request_count()), (7, 3, 0));
+        // Two tuples that differ only in their source port differ in hash.
+        let other = ConnectionSpec::new(7, FlowKey::new(0x0a00_0102, 40_001, 0x0aff_0001, 8443), 3);
+        assert_ne!(c.flow, other.flow);
+        assert_eq!(c.port(), other.port());
+    }
+
+    /// A tenant never set, or set to zero, reads as one event per request:
+    /// what the simulator made of a zero when the count was in the row.
+    #[test]
+    fn events_per_request_are_the_tenants_and_one_when_unset() {
+        let mut w = Workload::new("t", 1_000);
+        w.set_events_per_request(2, 3);
+        w.set_events_per_request(4, 0);
+        for tenant in 0..6 {
+            w.push(conn(tenant), []).tenant = tenant as u16;
+        }
+        let w = w.seal();
+        let events: Vec<u16> = w.conns.iter().map(|c| w.events_of(c)).collect();
+        assert_eq!(events, [1, 1, 3, 1, 1, 1]);
+        assert_eq!(w.service_per_event_ns(&w.conns[2], &request(0, 9)), 3);
+        assert_eq!(w.service_per_event_ns(&w.conns[5], &request(0, 9)), 9);
     }
 
     #[test]
@@ -494,6 +606,35 @@ mod tests {
             assert_eq!(w.linger_of(c), a.linger_of(src));
             assert_eq!(w.requests_of(c), a.requests_of(src));
         }
+    }
+
+    /// A copied row keeps its tenant's events per request, and a tenant
+    /// unset on either side takes the other's.
+    #[test]
+    fn extend_from_carries_events_per_request() {
+        let mut a = Workload::new("a", 1_000);
+        a.set_events_per_request(1, 3);
+        a.push(conn(5), [request(0, 30)]).tenant = 1;
+        a.push(conn(6), [request(0, 30)]).tenant = 2;
+        let a = a.seal();
+        let mut w = Workload::new("w", 1_000);
+        w.set_events_per_request(2, 4);
+        w.extend_from(&a, 0);
+        w.extend_from(&a, 100);
+        let w = w.seal();
+        let events: Vec<u16> = w.conns.iter().map(|c| w.events_of(c)).collect();
+        assert_eq!(events, [3, 4, 3, 4]);
+        assert_eq!(a.events_of(&a.conns[1]), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "tenant 1 has 2 events per request here and 3 in a")]
+    fn extend_from_refuses_second_events_per_request_for_a_tenant() {
+        let mut a = Workload::new("a", 1_000);
+        a.set_events_per_request(1, 3);
+        let mut w = Workload::new("w", 1_000);
+        w.set_events_per_request(1, 2);
+        w.extend_from(&a, 0);
     }
 
     #[test]

@@ -29,7 +29,8 @@ pub struct TenantProfile {
     pub requests_per_conn: Arc<dyn Distribution>,
     /// Gap between consecutive requests on a connection (ns).
     pub think_time_ns: Arc<dyn Distribution>,
-    /// Events per request (epoll readiness notifications).
+    /// Events per request (epoll readiness notifications); the workload
+    /// holds it once per tenant ([`Workload::events_of`]).
     pub events_per_request: u16,
     /// How long the connection lingers after its last request (ns); `None`
     /// closes immediately.
@@ -128,7 +129,7 @@ impl TenantSet {
     /// Append a connection to `w` for every arrival `process` draws over
     /// `duration_ns` and return them; `first_seq` numbers the first one's
     /// flow. Tenant `i` of this set is tenant `first_tenant + i` of `w`,
-    /// and lingers as its profile says. Each arrival goes straight into the
+    /// and lingers and has the events per request its profile says. Each arrival goes straight into the
     /// row it starts, and once the stream ends the rows are filled in
     /// order, each from a Zipf-sampled tenant: every arrival is drawn
     /// before any connection's script, the order every recorded result was
@@ -143,7 +144,9 @@ impl TenantSet {
         rng: &mut crate::Rng,
     ) -> &'w mut [ConnectionSpec] {
         for (i, profile) in self.tenants.iter().enumerate() {
-            w.set_linger(first_tenant + i as u16, profile.linger_ns.unwrap_or(0));
+            let tenant = first_tenant + i as u16;
+            w.set_linger(tenant, profile.linger_ns.unwrap_or(0));
+            w.set_events_per_request(tenant, profile.events_per_request);
         }
         let first = w.conns.len();
         // One allocation for the rows, not a doubling series: an outgrown
@@ -167,7 +170,8 @@ impl TenantSet {
 
     /// Make row `index` of `w`, which holds only its arrival, a connection
     /// of `tenant`: its requests are drawn straight into the workload's
-    /// table. `conn_seq` individualizes the flow 4-tuple.
+    /// table, and its row keeps the flow's hash. `conn_seq` individualizes
+    /// the flow 4-tuple.
     fn fill<'w>(
         &self,
         w: &'w mut Workload,
@@ -199,15 +203,19 @@ impl TenantSet {
         let src_ip = 0x0a00_0000 | (conn_seq >> 8);
         let src_port =
             1024u16.wrapping_add((conn_seq as u16).wrapping_mul(13)) ^ (rng.u16() & 0x3ff);
-        conn.flow = FlowKey::new(src_ip, src_port, self.vip, self.port_of(tenant));
+        conn.set_flow(FlowKey::new(
+            src_ip,
+            src_port,
+            self.vip,
+            self.port_of(tenant),
+        ));
         conn.tenant = tenant as u16;
-        conn.events_per_request = profile.events_per_request;
         conn
     }
 
     /// Build a full workload: arrivals from `process` over `duration_ns`,
-    /// tenant drawn per connection, each tenant lingering as its profile
-    /// says.
+    /// tenant drawn per connection, each tenant lingering and having the
+    /// events per request its profile says.
     pub fn workload(
         &self,
         name: impl Into<String>,
@@ -284,7 +292,6 @@ mod tests {
         assert_eq!(c.tenant, 1);
         assert_eq!(c.port(), 10_001);
         assert_eq!(c.arrival_ns, 500);
-        assert_eq!(c.events_per_request, 2);
         let requests: Vec<RequestSpec> = w.requests_of(&c).iter().collect();
         assert_eq!(requests.len(), 3);
         assert_eq!(requests[0].service_ns, 50_000_000);
@@ -306,6 +313,34 @@ mod tests {
         for c in &w.conns {
             let want = [0, 5 * NANOS_PER_SEC][usize::from(c.tenant)];
             assert_eq!(w.linger_of(c), want);
+        }
+    }
+
+    /// `append` gives every profile's events per request to the tenant id
+    /// it assigns that profile, past `first_tenant`.
+    #[test]
+    fn append_sets_each_profiles_events_under_its_tenant_id() {
+        let mut profiles = vec![TenantProfile::simple_http(1_000.0); 3];
+        for (profile, events) in profiles.iter_mut().zip([3, 1, 5]) {
+            profile.events_per_request = events;
+        }
+        let ts = TenantSet::new(profiles, 0.5, 1);
+        let process = ArrivalProcess::Poisson {
+            rate_per_sec: 2_000.0,
+        };
+        let mut w = Workload::new("events", NANOS_PER_SEC);
+        let mut rng = crate::rng(26);
+        ts.append(&mut w, 4, &process, NANOS_PER_SEC, 0, &mut rng);
+        let w = w.seal();
+        for tenant in 4..7 {
+            assert!(
+                w.conns.iter().any(|c| c.tenant == tenant),
+                "tenant {tenant}"
+            );
+        }
+        for c in &w.conns {
+            let want = [3, 1, 5][usize::from(c.tenant - 4)];
+            assert_eq!(w.events_of(c), want);
         }
     }
 

@@ -33,15 +33,14 @@ fn flow_hitting(target: usize, mut seed: u32) -> FlowKey {
     }
 }
 
-/// Append a one-request connection whose two events cost `per_event_ns`
-/// each.
+/// Append a one-request connection whose two events (the workload's one
+/// tenant has two per request) cost `per_event_ns` each.
 fn push(wl: &mut Workload, flow: FlowKey, arrival_ns: u64, per_event_ns: u64) {
     let request = RequestSpec {
         start_offset_ns: 0,
         service_ns: per_event_ns * 2,
     };
-    // Two events per request.
-    wl.push(ConnectionSpec::new(arrival_ns, flow, 0, 2), [request]);
+    wl.push(ConnectionSpec::new(arrival_ns, flow, 0), [request]);
 }
 
 fn main() {
@@ -49,6 +48,7 @@ fn main() {
     let a_flow = flow_hitting(0, 1);
     let w_a = 0;
     let mut wl = Workload::new("walkthrough", 1_000_000_000);
+    wl.set_events_per_request(0, 2);
     push(&mut wl, a_flow, 0, 2 * t);
     // b1, b2 collide onto a's worker under reuseport; b3, b4 hash away.
     push(&mut wl, flow_hitting(w_a, 500), 1_500_000, t);

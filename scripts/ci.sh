@@ -164,10 +164,14 @@ step "workload stream (recorded streams of every generator, row layout, guide-ta
 # were made, and every generator (each case at a short horizon, the
 # region mix, the surge) to a field-by-field fingerprint of its stream:
 # arrival, flow hash, tenant and linger of each connection, offset, service
-# and event count of each request. A connection row is 32 B and a request row
-# 16 B. A script of one request at offset 0 is held in its row, so the
-# sim_case1 input's request table is empty; any other script is an extent of
-# the request table, which generation reserves for exactly those scripts.
+# and event count of each request. A connection row is 24 B: arrival, script,
+# the flow's kernel hash (computed once from the 4-tuple, which the row does
+# not keep; the hash sums prove it is the tuple's), Dport and tenant. Linger
+# and events per request are held once per tenant, and `extend_from` carries
+# both. A request row is 16 B. A script of one request at offset 0 is held in
+# its row, so the sim_case1 input's request table is empty; any other script
+# is an extent of the request table, which generation reserves for exactly
+# those scripts.
 # Every generator's scripts read back the requests of a copy that holds them
 # all in the table, and each script keeps its form through `seal` and
 # `extend_from`. The guide-table Zipf draw returns the rank the binary search
