@@ -8,6 +8,11 @@
 //! bitmap sync and Algorithm 2 cost the simulator. Each side's events per
 //! second is the simulator's own throughput on that traffic.
 //!
+//! The run also reports, without gating it, what generating that input
+//! costs: nanoseconds per connection at the median of as many rounds, each
+//! regenerating the workload, so a change to the generator has a figure
+//! that does not ride on the end-to-end benchmark's `setup_s`.
+//!
 //! Flags: `--smoke` (3 s horizon and 16 rounds for a full run's 5 s and 32;
 //! never writes), `--out PATH`.
 //! EXPERIMENTS.md "Gates that measure both sides" has the runs the bound
@@ -57,9 +62,26 @@ fn main() {
     ]);
     let [hermes, reuseport] = [hermes, reuseport].map(|r| r.expect("every side ran"));
 
+    let generation = gates.alternate(&mut [("case1_generate", &mut |_| {
+        std::hint::black_box(Case::Case1.workload(CaseLoad::Heavy, WORKERS, horizon_ns, SEED));
+    })]);
+
     println!(" Case1-Heavy / {WORKERS} workers, Hermes against reuseport:");
     let mode_rows = row(Json::new(), "case1_hermes", &modes, &hermes);
     let mode_rows = row(mode_rows, "case1_reuseport", &modes, &reuseport);
+    let conns = case1.connection_count() as u64;
+    let mut generate_secs = generation.of("case1_generate");
+    let generate_row = Json::throughput("case1_generate", "connection", conns, &mut generate_secs);
+    gates.report(
+        "Case 1 heavy generation, ns per connection",
+        format!(
+            "{:.1}  (q1 {:.1}, q3 {:.1}, n {})",
+            generate_secs.p50() * 1e9 / conns as f64,
+            generate_secs.quantile(0.25) * 1e9 / conns as f64,
+            generate_secs.quantile(0.75) * 1e9 / conns as f64,
+            generate_secs.count()
+        ),
+    );
 
     let mut hermes_over_reuseport = modes.ratio("case1_hermes", "case1_reuseport");
     gates.at_most(
@@ -72,7 +94,10 @@ fn main() {
             .int("workers", WORKERS as u64)
             .int("seed", SEED)
             .int("horizon_ns", horizon_ns)
-            .block("case1_heavy", mode_rows)
+            .block(
+                "case1_heavy",
+                mode_rows.block("case1_generate", generate_row),
+            )
             .timed(
                 "wall_ratio_hermes_over_reuseport",
                 &mut hermes_over_reuseport,

@@ -10,6 +10,14 @@ pub trait Distribution: Send + Sync + std::fmt::Debug {
     /// Draw one sample.
     fn sample(&self, rng: &mut crate::Rng) -> f64;
 
+    /// Advance `rng` exactly as [`sample`](Self::sample) would, without
+    /// computing the value: for a draw the stream keeps and nothing reads.
+    /// By default it samples and drops the value, so every implementation
+    /// skips correctly; the ones here draw only the uniforms they consume.
+    fn skip(&self, rng: &mut crate::Rng) {
+        self.sample(rng);
+    }
+
     /// Analytic mean where defined (used by load calibration).
     fn mean(&self) -> f64;
 }
@@ -22,6 +30,7 @@ impl Distribution for Constant {
     fn sample(&self, _rng: &mut crate::Rng) -> f64 {
         self.0
     }
+    fn skip(&self, _rng: &mut crate::Rng) {}
     fn mean(&self) -> f64 {
         self.0
     }
@@ -52,6 +61,9 @@ impl Distribution for Exp {
         // Inverse CDF; 1-U avoids ln(0).
         let u = rng.f64();
         -(1.0 - u).ln() / self.lambda
+    }
+    fn skip(&self, rng: &mut crate::Rng) {
+        rng.next_u64();
     }
     fn mean(&self) -> f64 {
         1.0 / self.lambda
@@ -113,6 +125,9 @@ impl Distribution for LogNormal {
     fn sample(&self, rng: &mut crate::Rng) -> f64 {
         (self.mu + self.sigma * sample_std_normal(rng)).exp()
     }
+    fn skip(&self, rng: &mut crate::Rng) {
+        while polar_pair(rng).is_none() {}
+    }
     fn mean(&self) -> f64 {
         (self.mu + self.sigma * self.sigma / 2.0).exp()
     }
@@ -121,13 +136,20 @@ impl Distribution for LogNormal {
 /// One standard-normal draw (Marsaglia polar method).
 fn sample_std_normal(rng: &mut crate::Rng) -> f64 {
     loop {
-        let u: f64 = 2.0 * rng.f64() - 1.0;
-        let v: f64 = 2.0 * rng.f64() - 1.0;
-        let s = u * u + v * v;
-        if s > 0.0 && s < 1.0 {
+        if let Some((u, s)) = polar_pair(rng) {
             return u * ((-2.0 * s.ln()) / s).sqrt();
         }
     }
+}
+
+/// One of the polar method's uniform pairs `(u, v)` in the square
+/// `[-1, 1)²`, as `(u, u² + v²)` when it falls inside the unit circle and
+/// off its centre, else `None`: the method draws pairs until one is kept.
+fn polar_pair(rng: &mut crate::Rng) -> Option<(f64, f64)> {
+    let u: f64 = 2.0 * rng.f64() - 1.0;
+    let v: f64 = 2.0 * rng.f64() - 1.0;
+    let s = u * u + v * v;
+    (s > 0.0 && s < 1.0).then_some((u, s))
 }
 
 /// Pareto (type I): heavy-tailed sizes/durations. `scale` is the minimum
@@ -154,6 +176,9 @@ impl Distribution for Pareto {
         let u = rng.f64();
         self.scale / (1.0 - u).powf(1.0 / self.alpha)
     }
+    fn skip(&self, rng: &mut crate::Rng) {
+        rng.next_u64();
+    }
     fn mean(&self) -> f64 {
         if self.alpha <= 1.0 {
             f64::INFINITY
@@ -165,20 +190,29 @@ impl Distribution for Pareto {
 
 /// Zipf over ranks `1..=n` with exponent `s` — tenant traffic skew ("the
 /// top three tenants account for 40 %, 28 %, and 22 %...", §7). Sampling by
-/// precomputed cumulative weights, entered through a guide table: a draw
-/// `u` starts at the first rank whose cumulative weight reaches
-/// `⌊u·G⌋ / G` and scans forward, so Case 1's 2 000 tenants cost about one
-/// comparison a draw instead of a binary search's eleven.
+/// precomputed cumulative weights, entered through a guide table indexed by
+/// the top bits of the raw 64-bit draw: a draw starts at the first rank
+/// whose cumulative weight reaches the start of its guide bucket and scans
+/// forward. The guide has about 16 entries a rank (at most 2¹⁶), so a
+/// bucket almost never holds a rank boundary and a draw is one table read
+/// and one comparison, not a binary search's eleven for Case 1's 2 000
+/// tenants.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Zipf {
     cumulative: Vec<f64>,
     /// `guide[j]` is the first index whose cumulative weight is at least
-    /// `j / GUIDE`.
+    /// `j / guide.len()`; its length is a power of two.
     guide: Box<[u32]>,
+    /// `64 − log₂(guide.len())`: a raw draw shifted right by this is its
+    /// guide bucket.
+    shift: u32,
 }
 
-/// Guide-table entries: a power of two, so `u · GUIDE` is exact.
-const GUIDE: usize = 4_096;
+/// Guide entries per rank, before rounding up to a power of two.
+const GUIDE_PER_RANK: usize = 16;
+/// The guide's largest size, 2¹⁶ entries (256 KiB), whatever the rank count:
+/// a fleet builds many tenant sets.
+const GUIDE_MAX_BITS: u32 = 16;
 
 impl Zipf {
     /// Zipf over `n` ranks with exponent `s`.
@@ -198,16 +232,26 @@ impl Zipf {
         // The running sum can end a rounding short of 1.0, and a draw above
         // it would index past the last rank.
         cumulative[n - 1] = 1.0;
+        let bits = n
+            .saturating_mul(GUIDE_PER_RANK)
+            .next_power_of_two()
+            .trailing_zeros()
+            .min(GUIDE_MAX_BITS);
+        let size = 1usize << bits;
         let mut i = 0;
-        let guide = (0..GUIDE)
+        let guide = (0..size)
             .map(|j| {
-                while cumulative[i] < j as f64 / GUIDE as f64 {
+                while cumulative[i] < j as f64 / size as f64 {
                     i += 1;
                 }
                 u32::try_from(i).expect("u32 ranks")
             })
             .collect();
-        Self { cumulative, guide }
+        Self {
+            cumulative,
+            guide,
+            shift: 64 - bits,
+        }
     }
 
     /// Probability mass of rank `k` (1-based).
@@ -220,13 +264,18 @@ impl Zipf {
 
     /// Sample a rank in `0..n` (0-based, convenient as an index).
     pub fn sample_index(&self, rng: &mut crate::Rng) -> usize {
-        self.index_for(rng.f64())
+        self.index_for(rng.next_u64())
     }
 
-    /// The rank a uniform draw `u` in `[0, 1)` selects: the first index
-    /// whose cumulative weight is at least `u`.
-    fn index_for(&self, u: f64) -> usize {
-        let mut i = self.guide[(u * GUIDE as f64) as usize] as usize;
+    /// The rank raw draw `x` selects: the first index whose cumulative
+    /// weight is at least `u`, the uniform `Rng::f64` makes of `x` (its top
+    /// 53 bits over 2⁵³). Its guide bucket, `x`'s top bits, is `⌊u·G⌋`
+    /// exactly for a guide of `G ≤ 2⁵³` entries, so the scan from it ends
+    /// where a binary search of the whole table would.
+    #[inline]
+    fn index_for(&self, x: u64) -> usize {
+        let u = (x >> 11) as f64 / (1u64 << 53) as f64;
+        let mut i = self.guide[(x >> self.shift) as usize] as usize;
         while self.cumulative[i] < u {
             i += 1;
         }
@@ -237,6 +286,9 @@ impl Zipf {
 impl Distribution for Zipf {
     fn sample(&self, rng: &mut crate::Rng) -> f64 {
         (self.sample_index(rng) + 1) as f64
+    }
+    fn skip(&self, rng: &mut crate::Rng) {
+        rng.next_u64();
     }
     fn mean(&self) -> f64 {
         self.cumulative
@@ -275,6 +327,13 @@ impl Distribution for Mixture {
             self.heavy.sample(rng)
         } else {
             self.base.sample(rng)
+        }
+    }
+    fn skip(&self, rng: &mut crate::Rng) {
+        if rng.f64() < self.p_heavy {
+            self.heavy.skip(rng)
+        } else {
+            self.base.skip(rng)
         }
     }
     fn mean(&self) -> f64 {
@@ -402,9 +461,18 @@ mod tests {
         z.cumulative.partition_point(|&c| c < u)
     }
 
+    /// The uniform `Rng::f64` makes of raw draw `x`.
+    fn unit(x: u64) -> f64 {
+        (x >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// One rank more than the largest guide has entries.
+    const ABOVE_GUIDE: usize = (1 << GUIDE_MAX_BITS) + 1;
+
     /// `(n, s)` shapes for the Zipf checks: tiny and large supports, flat
-    /// and steep exponents, and the two whose running sum ends short of 1.0.
-    const ZIPF_GRID: [(usize, f64); 9] = [
+    /// and steep exponents, the two whose running sum ends short of 1.0,
+    /// and rank counts whose guide is capped, one of them above its size.
+    const ZIPF_GRID: [(usize, f64); 10] = [
         (1, 0.0),
         (2, 1.0),
         (7, 0.0),
@@ -414,18 +482,21 @@ mod tests {
         (5_000, 0.0),
         (9_000, 3.0),
         (20_000, 0.5),
+        (ABOVE_GUIDE, 1.0),
     ];
 
     /// The last cumulative weight is exactly 1.0, so no draw — not even the
-    /// largest `f64` below 1.0 — lands past the last rank.
+    /// largest, whose uniform is the largest `f64` below 1.0 — lands past
+    /// the last rank.
     #[test]
     fn zipf_draw_never_indexes_past_the_last_rank() {
         let top = 1.0 - f64::EPSILON / 2.0;
         assert!(top < 1.0 && top.next_up() == 1.0);
+        assert_eq!(unit(u64::MAX), top);
         for (n, s) in ZIPF_GRID {
             let z = Zipf::new(n, s);
             assert_eq!(z.cumulative[n - 1], 1.0, "n {n} s {s}");
-            assert_eq!(z.index_for(top), n - 1, "n {n} s {s}");
+            assert_eq!(z.index_for(u64::MAX), n - 1, "n {n} s {s}");
         }
         // The running sum of `Zipf::new(7, 0.0)` ends at
         // 0.9999999999999998: `top` fell in the gap above it.
@@ -433,37 +504,134 @@ mod tests {
         assert!(sum < top, "the gap this test feeds is empty");
     }
 
-    /// The guide-table draw returns what the binary search returns, at
-    /// every guide-bucket edge and its neighbours, and over a million draws
-    /// per shape.
+    /// The draw entered at a raw draw's top bits returns what the binary
+    /// search of the uniform `Rng::f64` makes of it returns: at both ends
+    /// of the draw range, on both sides of every guide-bucket edge, on both
+    /// sides of every rank's cumulative weight, and over a million seeded
+    /// draws per rank count.
     #[test]
-    fn zipf_guide_table_equals_the_binary_search() {
+    fn zipf_top_bits_guide_equals_the_binary_search() {
         for (n, s) in ZIPF_GRID {
             let z = Zipf::new(n, s);
-            for j in 0..GUIDE {
-                let edge = j as f64 / GUIDE as f64;
-                for u in [edge, edge.next_up(), edge.next_down()] {
-                    if (0.0..1.0).contains(&u) {
-                        assert_eq!(z.index_for(u), partition_point_index(&z, u), "n {n} u {u}");
-                    }
-                }
+            let check = |x: u64| {
+                let want = partition_point_index(&z, unit(x));
+                assert_eq!(z.index_for(x), want, "n {n} s {s} x {x:#x}");
+            };
+            check(0);
+            check(u64::MAX);
+            for j in 1..z.guide.len() as u64 {
+                let edge = j << z.shift;
+                check(edge);
+                check(edge - 1);
             }
+            // `k / 2⁵³` is the first uniform at or above the weight `c`,
+            // and the lowest and highest draws give every uniform.
             for &c in &z.cumulative {
-                for u in [c, c.next_up(), c.next_down()] {
-                    if (0.0..1.0).contains(&u) {
-                        assert_eq!(z.index_for(u), partition_point_index(&z, u), "n {n} u {u}");
+                let k = (c * (1u64 << 53) as f64).ceil() as u64;
+                for k in [k.saturating_sub(1), k, k + 1] {
+                    if k < 1 << 53 {
+                        check(k << 11);
+                        check(k << 11 | 0x7ff);
                     }
                 }
             }
         }
-        let mut rng = crate::rng(10);
-        for (n, s) in [(7, 0.0), (100, 1.2), (2_000, 0.9)] {
-            let z = Zipf::new(n, s);
+        for n in [1, 2, 2_000, ABOVE_GUIDE] {
+            let z = Zipf::new(n, 0.9);
+            let (mut draws, mut uniforms) = (crate::rng(10), crate::rng(10));
             for _ in 0..1_000_000 {
-                let u = rng.f64();
-                assert_eq!(z.index_for(u), partition_point_index(&z, u), "n {n} u {u}");
+                let u = uniforms.f64();
+                assert_eq!(
+                    z.sample_index(&mut draws),
+                    partition_point_index(&z, u),
+                    "n {n} u {u}"
+                );
             }
         }
+    }
+
+    /// The guide has about 16 entries a rank, and never more than 2¹⁶
+    /// (256 KiB), however many ranks: a fleet builds many tenant sets.
+    #[test]
+    fn zipf_guide_is_sized_to_the_ranks_and_bounded() {
+        for n in [1, 2, 2_000, ABOVE_GUIDE, 1 << 20] {
+            let z = Zipf::new(n, 1.0);
+            let entries = z.guide.len();
+            assert!(entries.is_power_of_two(), "n {n}: {entries}");
+            assert_eq!(entries, 1 << (64 - z.shift), "n {n}");
+            assert!(
+                entries >= (GUIDE_PER_RANK * n).min(1 << GUIDE_MAX_BITS),
+                "n {n}"
+            );
+            assert!(entries < 2 * GUIDE_PER_RANK * n, "n {n}: {entries}");
+            assert!(std::mem::size_of_val(&*z.guide) <= 256 * 1024, "n {n}");
+        }
+    }
+
+    /// A distribution with no `skip` of its own: it relies on the trait's
+    /// default.
+    #[derive(Debug)]
+    struct Defaulted(Exp);
+
+    impl Distribution for Defaulted {
+        fn sample(&self, rng: &mut crate::Rng) -> f64 {
+            self.0.sample(rng)
+        }
+        fn mean(&self) -> f64 {
+            self.0.mean()
+        }
+    }
+
+    /// One of each distribution, with parameters from `g`.
+    fn each_distribution(g: &mut crate::Rng) -> Vec<Box<dyn Distribution>> {
+        let mean = 0.1 + 1e6 * g.f64();
+        vec![
+            Box::new(Constant(mean)),
+            Box::new(Exp::with_mean(mean)),
+            Box::new(LogNormal::from_p50_p99(mean, mean * 50.0)),
+            Box::new(LogNormal::new(0.0, 0.0)),
+            Box::new(LogNormal::new(-3.0, 40.0 * g.f64())),
+            Box::new(Pareto::new(mean, 0.5 + 2.0 * g.f64())),
+            Box::new(Zipf::new(1 + g.index(3_000), 2.0 * g.f64())),
+            Box::new(Defaulted(Exp::with_mean(mean))),
+        ]
+    }
+
+    /// `skip` leaves the stream where `sample` does: from equal seeds, the
+    /// next raw draw after each is the same, draw after draw, for every
+    /// distribution, a mixture of each with the next, and one that skips
+    /// by the trait's default.
+    #[test]
+    fn skip_leaves_the_stream_where_sample_does() {
+        for_each_case(64, |g| {
+            let mut all = each_distribution(g);
+            let heavy = each_distribution(g);
+            let mut base = each_distribution(g);
+            base.rotate_left(1);
+            for (heavy, base) in heavy.into_iter().zip(base) {
+                all.push(Box::new(Mixture::new(heavy, base, g.f64())));
+            }
+            let seed = g.next_u64();
+            for d in &all {
+                let (mut sampled, mut skipped) = (crate::rng(seed), crate::rng(seed));
+                for i in 0..100 {
+                    d.sample(&mut sampled);
+                    d.skip(&mut skipped);
+                    assert_eq!(
+                        sampled.clone().next_u64(),
+                        skipped.clone().next_u64(),
+                        "{d:?}: draw {i}"
+                    );
+                }
+            }
+        });
+        // The polar method keeps a pair with probability π/4 whatever σ is,
+        // so the log-normals' 100 draws each take the rejecting branch too.
+        let mut rng = crate::rng(0);
+        let rejected = (0..100)
+            .map(|_| std::iter::from_fn(|| polar_pair(&mut rng).is_none().then_some(())).count())
+            .sum::<usize>();
+        assert!(rejected > 0, "no pair rejected");
     }
 
     /// Zipf indexes stay in range.

@@ -11,7 +11,10 @@
 //!
 //! * [`distr`] — the statistical distributions, implemented from scratch so
 //!   they can be property-tested (exponential, lognormal, Pareto, Zipf,
-//!   constant, two-component mixture).
+//!   constant, two-component mixture). Each can also skip a draw: advance
+//!   the RNG as a sample would without computing the value, which is how a
+//!   request's size, drawn only to keep every seed's stream, costs one raw
+//!   draw instead of a logarithm.
 //! * [`arrival`] — the arrival process every generator draws from: Poisson
 //!   at a connections-per-second rate, read lazily.
 //! * [`spec`] — the workload data model handed to the simulator, holding
@@ -19,8 +22,8 @@
 //!   requests (start offset, service time), and each tenant's linger and
 //!   events per request. A connection whose script is one request at
 //!   offset 0 — every Case 1 and Case 2 connection — holds it in its own
-//!   24-byte row; any other script is an extent of the workload's one
-//!   request table.
+//!   24-byte row, where the generator writes it directly; any other script
+//!   is an extent of the workload's one request table.
 //! * [`tenant`] — multi-tenant composition: ports, Zipf-weighted tenant
 //!   shares, per-tenant traffic profiles.
 //! * [`cases`] — the four Table 3 cases at light/medium/heavy load.

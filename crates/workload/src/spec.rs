@@ -16,12 +16,12 @@
 //! CPU time it costs: 16 bytes, so Case 1 heavy's two million connections
 //! cost 24 bytes each and its table is empty. [`Workload::push`] is the one
 //! way in, picking each script's form from its requests, and
-//! [`Workload::requests_of`] the one way out, so a generator writes every
-//! request in place and a million connections cost at most two
-//! allocations, not a million. Keeping requests scripted (rather than
-//! generated inside the simulator) makes every experiment replayable and
-//! lets the *same* workload be run under every dispatch mode — the
-//! comparison structure of Table 3.
+//! [`Workload::requests_of`] the one way out; a generator writes every
+//! request in place, a lone one straight into its row, and a million
+//! connections cost at most two allocations, not a million. Keeping
+//! requests scripted (rather than generated inside the simulator) makes
+//! every experiment replayable and lets the *same* workload be run under
+//! every dispatch mode — the comparison structure of Table 3.
 
 use hermes_core::FlowKey;
 use std::ops::Range;
@@ -83,8 +83,9 @@ const _: () = assert!(std::mem::size_of::<RequestSpec>() == 16);
 /// A connection's script in one word. With [`IN_ROW`](Self::IN_ROW) set it
 /// is one request at offset 0 and the other 63 bits are its service time;
 /// otherwise it is an extent of the workload's request table, its start in
-/// the low 32 bits and its count in the next 31. [`Workload::script`] picks
-/// the form, so a script's form follows from its requests alone.
+/// the low 32 bits and its count in the next 31. [`Workload::script`] and
+/// [`Workload::script_one`] pick the form, so a script's form follows from
+/// its requests alone.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Script(u64);
 
@@ -190,7 +191,8 @@ impl ConnectionSpec {
 
     /// A row that holds only its arrival: a generator writes one per
     /// arrival as it draws them and fills in the rest with
-    /// [`Workload::script`] and [`set_flow`](Self::set_flow).
+    /// [`Workload::script_one`] or [`Workload::script`] and
+    /// [`set_flow`](Self::set_flow).
     pub(crate) fn arriving(arrival_ns: u64) -> Self {
         Self {
             arrival_ns,
@@ -232,12 +234,13 @@ pub struct Workload {
     /// in one run.
     requests: Vec<RequestSpec>,
     /// How long a connection lingers after its last request, by tenant
-    /// ([`set_linger`](Self::set_linger)); 0 where unset.
-    lingers: Vec<u64>,
+    /// ([`set_linger`](Self::set_linger)); `None` where never set, which
+    /// reads as 0.
+    lingers: Vec<Option<u64>>,
     /// How many I/O events each request of a connection triggers, by
-    /// tenant ([`set_events_per_request`](Self::set_events_per_request));
-    /// 0 where unset.
-    events: Vec<u16>,
+    /// tenant ([`set_events_per_request`](Self::set_events_per_request)),
+    /// at least one; `None` where never set, which reads as one.
+    events: Vec<Option<u16>>,
     /// Experiment horizon (ns): the simulator runs to this time even after
     /// the last arrival, letting queues drain.
     pub duration_ns: u64,
@@ -255,13 +258,11 @@ impl Workload {
 
     /// Make room for `conns` more connections whose scripts put `requests`
     /// more requests in the table, so a generator that knows its counts
-    /// never regrows. A one-request script at offset 0 takes no room there,
-    /// only the one slot each such request passes through on its way to
-    /// its row ([`push`](Self::push)), which is kept free beyond `requests`
-    /// and returned by [`seal`](Self::seal).
+    /// never regrows. A one-request script at offset 0 takes no room there:
+    /// it goes straight to its row.
     pub fn reserve(&mut self, conns: usize, requests: usize) {
         self.conns.reserve_exact(conns);
-        self.requests.reserve_exact(requests + 1);
+        self.requests.reserve_exact(requests);
     }
 
     /// Append a connection with its requests (kept sorted on
@@ -279,41 +280,49 @@ impl Workload {
 
     /// Make `requests` connection `index`'s script and return the
     /// connection: how a generator that wrote its rows first (one arrival
-    /// each) fills them in, in order. The requests are drawn straight into
-    /// the table in one pass, the order every recorded stream was drawn in,
-    /// and a lone request the row can hold is then taken back out, so the
-    /// table keeps only the scripts the rows cannot hold. (Pulling the
-    /// requests one by one to decide first generates Case 1 about a fifth
-    /// slower.) [`reserve`](Self::reserve) keeps the slot a lone request
-    /// passes through free, and [`seal`](Self::seal) returns it.
+    /// each) fills them in, in order. The first two requests are drawn to
+    /// tell a lone request from a longer script; a longer one is then drawn
+    /// straight into the table, in the order every recorded stream was
+    /// drawn in, and a lone one goes to [`script_one`](Self::script_one).
     pub(crate) fn script(
         &mut self,
         index: usize,
         requests: impl IntoIterator<Item = RequestSpec>,
     ) -> &mut ConnectionSpec {
-        let start = self.requests.len();
-        self.requests.extend(requests);
-        let in_row = match self.requests[start..] {
-            [one] => Script::in_row(one),
-            _ => None,
-        };
-        let script = match in_row {
-            Some(script) => {
-                self.requests.truncate(start);
-                script
-            }
-            None => Script::table(start, self.requests.len() - start),
+        let mut requests = requests.into_iter();
+        let first = requests.next();
+        let script = match (first, requests.next()) {
+            (Some(one), None) => return self.script_one(index, one),
+            (first, second) => self.in_table(first.into_iter().chain(second).chain(requests)),
         };
         let conn = &mut self.conns[index];
         conn.script = script;
         conn
     }
 
+    /// Make `request` connection `index`'s whole script and return the
+    /// connection: held in the row when it can be, so a generator of
+    /// one-request connections (every Case 1 and Case 2 connection) writes
+    /// each straight into its row and never touches the table.
+    pub(crate) fn script_one(&mut self, index: usize, request: RequestSpec) -> &mut ConnectionSpec {
+        let script = Script::in_row(request).unwrap_or_else(|| self.in_table([request]));
+        let conn = &mut self.conns[index];
+        conn.script = script;
+        conn
+    }
+
+    /// Append `requests` to the table as one script.
+    fn in_table(&mut self, requests: impl IntoIterator<Item = RequestSpec>) -> Script {
+        let start = self.requests.len();
+        self.requests.extend(requests);
+        Script::table(start, self.requests.len() - start)
+    }
+
     /// Connections of `tenant` close `linger_ns` after their last request
     /// completes; 0 closes them right after it (short-lived), as it does
     /// for a tenant never set.
     pub fn set_linger(&mut self, tenant: u16, linger_ns: u64) {
-        *slot(&mut self.lingers, tenant.into()) = linger_ns;
+        *slot(&mut self.lingers, tenant.into()) = Some(linger_ns);
     }
 
     /// Each request of a connection of `tenant` triggers `events` I/O
@@ -321,24 +330,34 @@ impl Workload {
     /// over which its service time is split; 0 reads as one, as does a
     /// tenant never set.
     pub fn set_events_per_request(&mut self, tenant: u16, events: u16) {
-        *slot(&mut self.events, tenant.into()) = events;
+        *slot(&mut self.events, tenant.into()) = Some(events.max(1));
     }
 
     /// Append every connection of `other` with its requests, `shift_ns`
-    /// later, and take the lingers and events per request its tenants set,
-    /// so a copied row of such a tenant runs as it did; a value a tenant
-    /// leaves unset there reads as this workload's. Panics if a tenant
-    /// already lingers differently here, or has other events per request.
+    /// later, so each copied row runs as it did there: every tenant with a
+    /// row or a value set in `other` lingers and has the events per request
+    /// it reads there, unset ones included, and a tenant unset here takes
+    /// them. Panics if such a tenant reads differently here.
     pub fn extend_from(&mut self, other: &Workload, shift_ns: u64) {
-        for (tenant, &linger_ns) in other.lingers.iter().enumerate() {
+        let mut in_use = vec![false; other.lingers.len().max(other.events.len())];
+        for (tenant, linger) in other.lingers.iter().enumerate() {
+            in_use[tenant] |= linger.is_some();
+        }
+        for (tenant, events) in other.events.iter().enumerate() {
+            in_use[tenant] |= events.is_some();
+        }
+        for c in &other.conns {
+            *slot(&mut in_use, c.tenant.into()) = true;
+        }
+        for tenant in (0..in_use.len()).filter(|&t| in_use[t]) {
+            let linger_ns = other.linger_of_tenant(tenant);
             if let Err(mine) = adopt(&mut self.lingers, tenant, linger_ns) {
                 panic!(
                     "tenant {tenant} lingers {mine} ns here and {linger_ns} ns in {}",
                     other.name
                 );
             }
-        }
-        for (tenant, &events) in other.events.iter().enumerate() {
+            let events = other.events_of_tenant(tenant);
             if let Err(mine) = adopt(&mut self.events, tenant, events) {
                 panic!(
                     "tenant {tenant} has {mine} events per request here and {events} in {}",
@@ -355,10 +374,7 @@ impl Workload {
     /// How long `conn` lingers after its last request: its tenant's
     /// [`set_linger`](Self::set_linger).
     pub fn linger_of(&self, conn: &ConnectionSpec) -> u64 {
-        self.lingers
-            .get(usize::from(conn.tenant))
-            .copied()
-            .unwrap_or(0)
+        self.linger_of_tenant(conn.tenant.into())
     }
 
     /// How many I/O events each of `conn`'s requests triggers: its
@@ -366,9 +382,16 @@ impl Workload {
     /// at least one.
     #[inline]
     pub fn events_of(&self, conn: &ConnectionSpec) -> u16 {
-        self.events
-            .get(usize::from(conn.tenant))
-            .map_or(1, |&events| events.max(1))
+        self.events_of_tenant(conn.tenant.into())
+    }
+
+    fn linger_of_tenant(&self, tenant: usize) -> u64 {
+        self.lingers.get(tenant).copied().flatten().unwrap_or(0)
+    }
+
+    #[inline]
+    fn events_of_tenant(&self, tenant: usize) -> u16 {
+        self.events.get(tenant).copied().flatten().unwrap_or(1)
     }
 
     /// CPU time each event of `request`, one of `conn`'s, consumes: its
@@ -394,7 +417,8 @@ impl Workload {
     }
 
     /// Sort connections by arrival, return the room the request table does
-    /// not use, and validate invariants. Call once after generation; the
+    /// not use (a reservation from mean request counts can overshoot), and
+    /// validate invariants. Call once after generation; the
     /// simulator requires sealed workloads. The requests do not move: each
     /// script moves with its row.
     pub fn seal(mut self) -> Self {
@@ -450,25 +474,20 @@ fn slot<T: Copy + Default>(table: &mut Vec<T>, tenant: usize) -> &mut T {
     &mut table[tenant]
 }
 
-/// Give `tenant` `value` in a per-tenant table where it is unset. An unset
-/// `value` changes nothing; a set one that differs from the table's is
-/// refused with the table's value.
-fn adopt<T: Copy + Default + PartialEq>(
-    table: &mut Vec<T>,
+/// Give `tenant` `value` in a per-tenant table where it is unset; a value
+/// set there that differs is refused with that value.
+fn adopt<T: Copy + PartialEq>(
+    table: &mut Vec<Option<T>>,
     tenant: usize,
     value: T,
 ) -> Result<(), T> {
-    if value == T::default() {
-        return Ok(());
-    }
-    let mine = slot(table, tenant);
-    if *mine == T::default() {
-        *mine = value;
-    }
-    if *mine == value {
-        Ok(())
-    } else {
-        Err(*mine)
+    match slot(table, tenant) {
+        Some(mine) if *mine != value => Err(*mine),
+        Some(_) => Ok(()),
+        unset => {
+            *unset = Some(value);
+            Ok(())
+        }
     }
 }
 
@@ -608,8 +627,9 @@ mod tests {
         }
     }
 
-    /// A copied row keeps its tenant's events per request, and a tenant
-    /// unset on either side takes the other's.
+    /// A copied row keeps its tenant's events per request and linger,
+    /// those a tenant leaves unset included, and a tenant unset here takes
+    /// them.
     #[test]
     fn extend_from_carries_events_per_request() {
         let mut a = Workload::new("a", 1_000);
@@ -618,13 +638,46 @@ mod tests {
         a.push(conn(6), [request(0, 30)]).tenant = 2;
         let a = a.seal();
         let mut w = Workload::new("w", 1_000);
-        w.set_events_per_request(2, 4);
+        w.set_events_per_request(3, 4);
         w.extend_from(&a, 0);
         w.extend_from(&a, 100);
         let w = w.seal();
         let events: Vec<u16> = w.conns.iter().map(|c| w.events_of(c)).collect();
-        assert_eq!(events, [3, 4, 3, 4]);
+        assert_eq!(events, [3, 1, 3, 1]);
         assert_eq!(a.events_of(&a.conns[1]), 1);
+        // Tenant 2 now reads as set here, to what its copied rows read.
+        assert_eq!((w.events[2], w.lingers[2]), (Some(1), Some(0)));
+        assert_eq!((w.events[3], w.lingers.get(3)), (Some(4), None));
+    }
+
+    /// A tenant `a` leaves unset reads one event per request there, so its
+    /// copied rows cannot run at another count here.
+    #[test]
+    #[should_panic(expected = "tenant 2 has 4 events per request here and 1 in a")]
+    fn extend_from_refuses_events_a_copied_row_did_not_have() {
+        let mut a = Workload::new("a", 1_000);
+        a.set_events_per_request(1, 3);
+        a.push(conn(5), [request(0, 30)]).tenant = 1;
+        a.push(conn(6), [request(0, 30)]).tenant = 2;
+        let a = a.seal();
+        let mut w = Workload::new("w", 1_000);
+        w.set_events_per_request(2, 4);
+        w.extend_from(&a, 0);
+    }
+
+    /// Rows copied from a tenant that closes at once fix its linger at 0
+    /// here: a later copy that lingers is refused, not adopted under them.
+    #[test]
+    #[should_panic(expected = "tenant 0 lingers 0 ns here and 700 ns in lingering")]
+    fn extend_from_refuses_a_linger_after_rows_that_closed_at_once() {
+        let mut closes = Workload::new("closes", 1_000);
+        closes.push(conn(5), [request(0, 30)]);
+        let mut lingering = Workload::new("lingering", 1_000);
+        lingering.set_linger(0, 700);
+        lingering.push(conn(6), [request(0, 30)]);
+        let mut w = Workload::new("w", 1_000);
+        w.extend_from(&closes, 0);
+        w.extend_from(&lingering, 0);
     }
 
     #[test]
@@ -703,10 +756,8 @@ mod tests {
                 [request(0, service_ns)]
             );
         }
-        assert_eq!(w.request_table().len(), 0);
-        // `seal` returns the slot each request passed through on its way to
-        // its row.
-        assert_eq!(table(&w.seal()), (0, 0));
+        // No request passed through the table on its way to its row.
+        assert_eq!(table(&w), (0, 0));
     }
 
     #[test]
@@ -771,8 +822,8 @@ mod tests {
         let mut copy = Workload::new("copy", 2_000);
         copy.extend_from(&w, 1_000);
         assert_eq!(in_row(&copy), in_row(&w));
-        // The reservation and the slot a lone request passes through.
-        assert_eq!(table(&copy), (4, 5));
+        // The reservation, exactly: the lone request went to its row.
+        assert_eq!(table(&copy), (4, 4));
         let copy = copy.seal();
         assert_eq!(table(&copy), (4, 4));
         for i in 0..w.conns.len() {

@@ -20,8 +20,9 @@ pub struct TenantProfile {
     /// Request processing-time distribution (ns).
     pub service_ns: Arc<dyn Distribution>,
     /// Request size distribution (bytes, Table 1's request-size
-    /// dimension). Drawn once per request and dropped: the simulator reads
-    /// no size, and the draw keeps every seed's stream the one its recorded
+    /// dimension). Skipped once per request ([`Distribution::skip`]): the
+    /// simulator reads no size, so no value is computed, but the stream
+    /// advances as a draw would and stays the one every seed's recorded
     /// results came from.
     pub size_bytes: Arc<dyn Distribution>,
     /// Requests per connection (1 = short-lived HTTP; large = keep-alive /
@@ -101,7 +102,7 @@ impl TenantSet {
     /// whose scripts go to the table, exact when every profile draws the
     /// same constant count (rounded, as the shares sum to 1 only up to float
     /// error). A profile of one request per connection reserves nothing:
-    /// its first request is at offset 0, so its rows hold their scripts. An
+    /// its request is at offset 0, so its rows hold their scripts. An
     /// unbounded mean reserves nothing; the table then grows as it fills.
     fn reserve_requests(&self, w: &mut Workload, conns: usize) {
         let per_conn: f64 = self
@@ -169,9 +170,9 @@ impl TenantSet {
     }
 
     /// Make row `index` of `w`, which holds only its arrival, a connection
-    /// of `tenant`: its requests are drawn straight into the workload's
-    /// table, and its row keeps the flow's hash. `conn_seq` individualizes
-    /// the flow 4-tuple.
+    /// of `tenant`: a lone request goes straight into the row, a longer
+    /// script straight into the workload's table, and the row keeps the
+    /// flow's hash. `conn_seq` individualizes the flow 4-tuple.
     fn fill<'w>(
         &self,
         w: &'w mut Workload,
@@ -181,22 +182,19 @@ impl TenantSet {
         rng: &mut crate::Rng,
     ) -> &'w mut ConnectionSpec {
         let profile = &self.tenants[tenant];
-        let n_requests = (profile.requests_per_conn.sample(rng).round() as usize).max(1);
-        let mut offset = 0u64;
-        let requests = (0..n_requests).map(|i| {
-            if i > 0 {
-                offset += profile.think_time_ns.sample(rng).max(0.0) as u64;
-            }
-            let service_ns = profile.service_ns.sample(rng).max(1.0) as u64;
-            // Nothing reads a request's size, but it is still drawn: every
-            // recorded result comes from the stream with this draw in it.
-            profile.size_bytes.sample(rng);
-            RequestSpec {
-                start_offset_ns: offset,
-                service_ns,
-            }
-        });
-        let conn = w.script(index, requests);
+        let n_requests = (round(profile.requests_per_conn.sample(rng)) as usize).max(1);
+        let conn = if n_requests == 1 {
+            w.script_one(index, request(profile, 0, rng))
+        } else {
+            let mut offset = 0u64;
+            let requests = (0..n_requests).map(|i| {
+                if i > 0 {
+                    offset += profile.think_time_ns.sample(rng).max(0.0) as u64;
+                }
+                request(profile, offset, rng)
+            });
+            w.script(index, requests)
+        };
         // Synthetic client identity: distinct src ip/port per connection so
         // reuseport hashing sees fresh tuples. The source-port jitter is the
         // draw after the requests'.
@@ -227,6 +225,39 @@ impl TenantSet {
         self.append(&mut w, 0, process, duration_ns, 0, rng);
         w.seal()
     }
+}
+
+/// One of `profile`'s requests, starting `start_offset_ns` into its
+/// connection: its service time is drawn, then its size is skipped. Nothing
+/// reads a request's size, but every recorded result comes from the stream
+/// with that draw in it.
+fn request(profile: &TenantProfile, start_offset_ns: u64, rng: &mut crate::Rng) -> RequestSpec {
+    let service_ns = profile.service_ns.sample(rng).max(1.0) as u64;
+    profile.size_bytes.skip(rng);
+    RequestSpec {
+        start_offset_ns,
+        service_ns,
+    }
+}
+
+/// `x.round()` (half away from zero), inline: `f64::round` is a libm call
+/// on baseline x86-64, which has no `roundsd`, and every connection's
+/// request count is rounded. Agrees with it bit for bit, signed zeros,
+/// infinities and NaN included.
+#[inline]
+fn round(x: f64) -> f64 {
+    // From 2⁵² on every float is an integer, and NaN fails the test.
+    if x.abs() < 4_503_599_627_370_496.0 {
+        // Below 2⁵² the conversions truncate exactly, and so does `x - t`.
+        let t = x as i64 as f64;
+        let r = if (x - t).abs() >= 0.5 {
+            t + 1f64.copysign(x)
+        } else {
+            t
+        };
+        return r.copysign(x);
+    }
+    x
 }
 
 #[cfg(test)]
@@ -358,8 +389,7 @@ mod tests {
     /// drawn and the request table is reserved from their count, so neither
     /// holds room that nothing fills: the table reserves exactly the
     /// multi-request scripts, and nothing for one-request profiles, whose
-    /// rows hold their scripts, beyond the one slot a lone request passes
-    /// through on its way to its row; `seal` returns that slot.
+    /// requests go straight to their rows.
     #[test]
     fn workload_generation_fills_its_reservation_exactly() {
         let mut three = TenantProfile::simple_http(1.0);
@@ -378,7 +408,7 @@ mod tests {
             assert_eq!(w.conns.capacity(), conns);
             assert_eq!(w.request_count(), per_conn * conns);
             let table = |w: &Workload| (w.request_table().len(), w.request_table().capacity());
-            assert_eq!(table(&w), (in_table * conns, in_table * conns + 1));
+            assert_eq!(table(&w), (in_table * conns, in_table * conns));
             assert_eq!(table(&w.seal()), (in_table * conns, in_table * conns));
         }
     }
@@ -403,6 +433,56 @@ mod tests {
         // Tenant 0 (rank 1) should dominate per Zipf.
         let t0 = w.conns.iter().filter(|c| c.tenant == 0).count();
         assert!(t0 as f64 / w.connection_count() as f64 > 0.55);
+    }
+
+    /// The inline rounding is `f64::round`, bit for bit: at halves and
+    /// their neighbours, around 2⁵² and the end of `i64`, at signed zeros,
+    /// subnormals, infinities and NaN, and over random bit patterns and
+    /// counts.
+    #[test]
+    fn inline_round_is_f64_round() {
+        let same = |x: f64| {
+            let (mine, libm) = (round(x), x.round());
+            assert!(
+                mine.to_bits() == libm.to_bits() || (mine.is_nan() && libm.is_nan()),
+                "{x:e}: {mine:e}, not {libm:e}"
+            );
+        };
+        let edges = [
+            0.0,
+            0.5,
+            1.0,
+            1.5,
+            2.5,
+            0.499_999_999_999_999_94,
+            4_503_599_627_370_495.5,
+            4_503_599_627_370_496.0,
+            9_223_372_036_854_775_808.0,
+            f64::MIN_POSITIVE,
+            5e-324,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for x in edges {
+            for x in [x, x.next_up(), x.next_down()] {
+                same(x);
+                same(-x);
+            }
+        }
+        for k in 0..10_000 {
+            let half = f64::from(k) + 0.5;
+            for x in [half, half.next_up(), half.next_down()] {
+                same(x);
+                same(-x);
+            }
+        }
+        hermes_metrics::rng::for_each_case(64, |g| {
+            for _ in 0..10_000 {
+                same(f64::from_bits(g.next_u64()));
+                same(1_000.0 * g.f64());
+            }
+        });
     }
 
     #[test]

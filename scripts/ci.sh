@@ -158,7 +158,7 @@ cargo test --release -q -p hermes-core --test sched_differential
 cargo test --release -q -p hermes-core --test no_alloc
 cargo test --release -q -p hermes-core --test sched_lanes
 
-step "workload stream (recorded streams of every generator, row layout, guide-table Zipf = binary search, request extents)"
+step "workload stream (recorded streams of every generator, row layout, skip = sample's stream, top-bits Zipf guide = binary search, request extents)"
 # Every simulated number starts here. The sim_case1 input (Case 1 heavy, seed
 # 42, 2 016 205 connections) sums to the constants recorded when the results
 # were made, and every generator (each case at a short horizon, the
@@ -167,18 +167,24 @@ step "workload stream (recorded streams of every generator, row layout, guide-ta
 # and event count of each request. A connection row is 24 B: arrival, script,
 # the flow's kernel hash (computed once from the 4-tuple, which the row does
 # not keep; the hash sums prove it is the tuple's), Dport and tenant. Linger
-# and events per request are held once per tenant, and `extend_from` carries
-# both. A request row is 16 B. A script of one request at offset 0 is held in
-# its row, so the sim_case1 input's request table is empty; any other script
-# is an extent of the request table, which generation reserves for exactly
-# those scripts.
+# and events per request are held once per tenant, and `extend_from` copies
+# both as each copied row read them, refusing a tenant that reads otherwise.
+# A request row is 16 B. A script of one request at offset 0 is written
+# straight into its row and never passes through the request table, so the
+# sim_case1 input's table is empty; any other script is an extent of the
+# table, which generation reserves for exactly those scripts.
 # Every generator's scripts read back the requests of a copy that holds them
 # all in the table, and each script keeps its form through `seal` and
-# `extend_from`. The guide-table Zipf draw returns the rank the binary search
-# of the cumulative weights returns, at every guide-bucket edge and over 10^6
-# draws, and no draw lands past the last rank. Per-device streams reach the
-# simulator through `cluster::run_fleet_with`, whose unit tests live in
-# hermes-simnet.
+# `extend_from`. A request's size is skipped, not drawn: every distribution's
+# `skip` leaves the RNG where `sample` does (skip_leaves_the_stream_where_
+# sample_does), and the inline rounding of request counts is `f64::round`
+# bit for bit. The Zipf draw enters a guide at the raw draw's top bits and
+# returns the rank the binary search of the cumulative weights returns, at
+# both ends, both sides of every guide-bucket edge and rank boundary and
+# over 10^6 draws (zipf_top_bits_guide_equals_the_binary_search); no draw
+# lands past the last rank, and the guide stays within 256 KiB. Per-device
+# streams reach the simulator through `cluster::run_fleet_with`, whose unit
+# tests live in hermes-simnet.
 cargo test --release -q -p hermes-workload
 cargo test --release -q -p hermes-simnet --lib cluster
 
