@@ -16,9 +16,9 @@ use hermes_workload::{CaseLoad, Workload};
 /// ones whose SYN the simulator runs.
 fn rss_queue_packets(wl: &Workload, queues: usize) -> Vec<u64> {
     let mut packets = vec![0; queues];
-    for c in wl.conns.iter().filter(|c| c.arrival_ns <= wl.duration_ns) {
+    for c in wl.conns.iter().filter(|c| c.arrival_ns() <= wl.duration_ns) {
         let q = reciprocal_scale(c.flow.hash(), queues as u32) as usize;
-        packets[q] += 2 + c.request_count() as u64;
+        packets[q] += 2 + wl.requests_of(c).len() as u64;
     }
     packets
 }
@@ -80,10 +80,13 @@ mod tests {
         let arrived: Vec<_> = wl
             .conns
             .iter()
-            .filter(|c| c.arrival_ns <= wl.duration_ns)
+            .filter(|c| c.arrival_ns() <= wl.duration_ns)
             .collect();
         assert!(arrived.len() < wl.connection_count());
-        let want: u64 = arrived.iter().map(|c| 2 + c.request_count() as u64).sum();
+        let want: u64 = arrived
+            .iter()
+            .map(|c| 2 + wl.requests_of(c).len() as u64)
+            .sum();
         let packets = rss_queue_packets(&wl, 4);
         assert_eq!(packets.len(), 4);
         assert_eq!(packets.iter().sum::<u64>(), want);

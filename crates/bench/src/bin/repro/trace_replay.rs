@@ -14,13 +14,13 @@ use hermes_workload::{Case, CaseLoad, RequestSpec, Workload};
 fn compress(wl: &Workload, speedup: u64) -> Workload {
     let mut out = Workload::new(format!("{}@{speedup}x", wl.name), wl.duration_ns / speedup);
     for c in &wl.conns {
-        out.set_linger(c.tenant, wl.linger_of(c));
-        out.set_events_per_request(c.tenant, wl.events_of(c));
+        out.set_linger(c.tenant(), wl.linger_of(c));
+        out.set_events_per_request(c.tenant(), wl.events_of(c));
         let requests = wl.requests_of(c).iter().map(|r| RequestSpec {
             start_offset_ns: r.start_offset_ns / speedup,
             ..r
         });
-        out.push(*c, requests).arrival_ns /= speedup;
+        out.push_copy(wl, c, c.arrival_ns() / speedup, requests);
     }
     out.seal()
 }

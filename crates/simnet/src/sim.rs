@@ -116,7 +116,9 @@ pub struct Simulator<'w> {
 impl<'w> Simulator<'w> {
     /// Build a simulator over a sealed workload. Panics on an unsealed one:
     /// scripted events stream in workload order, so it would run reordered.
-    /// Panics too when `cfg.trace_port` is a port no connection uses.
+    /// Panics too when a connection's tenant has no port
+    /// ([`Workload::port_of`]), and when `cfg.trace_port` is a port no
+    /// connection uses.
     pub fn new(cfg: SimConfig, wl: &'w Workload) -> Self {
         Self::on_lane(cfg, wl, None)
     }
@@ -130,9 +132,15 @@ impl<'w> Simulator<'w> {
         let mut sealed = true;
         let mut last_arrival = 0;
         let ports = PortTable::new(wl.conns.iter().map(|c| {
-            sealed &= last_arrival <= c.arrival_ns && wl.requests_of(c).is_sorted();
-            last_arrival = c.arrival_ns;
-            c.port()
+            sealed &= last_arrival <= c.arrival_ns() && wl.requests_of(c).is_sorted();
+            last_arrival = c.arrival_ns();
+            wl.port_of(c).unwrap_or_else(|| {
+                panic!(
+                    "workload `{}`: tenant {} has a connection and no port",
+                    wl.name,
+                    c.tenant()
+                )
+            })
         }));
         assert!(
             sealed,
@@ -219,7 +227,7 @@ impl<'w> Simulator<'w> {
         let spec = &wl.conns[conn];
         match wl.requests_of(spec).get(step) {
             Some(r) => {
-                let at = spec.arrival_ns.saturating_add(r.start_offset_ns);
+                let at = spec.arrival_ns().saturating_add(r.start_offset_ns);
                 *head = Reverse((at, conn, step + 1));
                 drop(head);
             }
@@ -229,7 +237,8 @@ impl<'w> Simulator<'w> {
             return Ev::RequestReady { conn, req };
         }
         if let Some(next) = wl.conns.get(conn + 1) {
-            self.scripted.push(Reverse((next.arrival_ns, conn + 1, 0)));
+            self.scripted
+                .push(Reverse((next.arrival_ns(), conn + 1, 0)));
         }
         Ev::Syn(conn)
     }
@@ -251,7 +260,7 @@ impl<'w> Simulator<'w> {
     /// probes.
     fn prime(&mut self) {
         if let Some(first) = self.wl.conns.first() {
-            self.scripted.push(Reverse((first.arrival_ns, 0, 0)));
+            self.scripted.push(Reverse((first.arrival_ns(), 0, 0)));
         }
         // Workers boot idle at t=0: loop entry recorded, timeout armed,
         // and (for Hermes) an initial all-available bitmap synced — the
@@ -311,7 +320,7 @@ impl<'w> Simulator<'w> {
 
     fn on_syn(&mut self, c: ConnId) {
         let spec = &self.wl.conns[c];
-        self.conns.open(c, spec.request_count());
+        self.conns.open(c, self.wl.requests_of(spec).len());
         hermes_trace::trace_event!(
             self.now,
             hermes_trace::EventKind::SimSyn,
@@ -337,7 +346,8 @@ impl<'w> Simulator<'w> {
             self.workers[w].pending.push_back(IoEvent::Accept(c));
             self.notify(w);
         } else {
-            let pidx = self.ports.index_of(spec.port()).expect("registered port");
+            let port = self.wl.port_of(spec).expect("a tenant's port");
+            let pidx = self.ports.index_of(port).expect("registered port");
             self.ports.enqueue(pidx, c);
             self.idle_buf.clear();
             self.idle_buf
@@ -567,7 +577,7 @@ impl<'w> Simulator<'w> {
             h.conn_delta(owner, 1);
         }
         if let Some(tr) = &mut self.port_trace {
-            if tr.port == self.wl.conns[c].port() {
+            if Some(tr.port) == self.wl.port_of(&self.wl.conns[c]) {
                 tr.conn_delta(self.now, 1);
             }
         }
@@ -594,11 +604,11 @@ impl<'w> Simulator<'w> {
             .requests_of(spec)
             .get(req)
             .expect("a scripted request");
-        let ready = spec.arrival_ns + request.start_offset_ns;
+        let ready = spec.arrival_ns() + request.start_offset_ns;
         self.request_latency.record(t.saturating_sub(ready));
         self.completed_requests += 1;
         if let Some(tr) = &mut self.port_trace {
-            if tr.port == spec.port() {
+            if Some(tr.port) == self.wl.port_of(spec) {
                 tr.requests.record(t.min(self.wl.duration_ns), 1.0);
             }
         }
@@ -653,7 +663,7 @@ impl<'w> Simulator<'w> {
             h.conn_delta(owner, -1);
         }
         if let Some(tr) = &mut self.port_trace {
-            if tr.port == self.wl.conns[c].port() {
+            if Some(tr.port) == self.wl.port_of(&self.wl.conns[c]) {
                 tr.conn_delta(self.now, -1);
             }
         }
@@ -820,7 +830,7 @@ mod tests {
     use crate::config::Mode;
     use hermes_core::FlowKey;
     use hermes_metrics::{NANOS_PER_MILLI, NANOS_PER_SEC};
-    use hermes_workload::{Case, CaseLoad, ConnectionSpec, RequestSpec};
+    use hermes_workload::{Case, CaseLoad, RequestSpec};
 
     /// A workload of `n` one-request connections, `service` ns each,
     /// arriving every `gap` ns.
@@ -833,7 +843,7 @@ mod tests {
         };
         for i in 0..n {
             let flow = FlowKey::new(0x0a000000 + i as u32, (i % 60_000) as u16, 1, 443);
-            w.push(ConnectionSpec::new(i as u64 * gap, flow, 0), [request]);
+            w.push(i as u64 * gap, flow, 0, [request]);
         }
         w.seal()
     }
@@ -1015,8 +1025,7 @@ mod tests {
                 service_ns,
             };
             let flow = FlowKey::new(0x0a00_0000 + i as u32 * 7919, 1000 + i as u16, 1, 443);
-            let conn = ConnectionSpec::new(arrival_ns, flow, 0);
-            w.push(conn, offsets.iter().map(request));
+            w.push(arrival_ns, flow, 0, offsets.iter().map(request));
         }
         w
     }
@@ -1158,6 +1167,23 @@ mod tests {
         let mut cfg = SimConfig::new(2, Mode::Hermes);
         cfg.trace_port = Some(9000);
         Simulator::new(cfg, &wl);
+    }
+
+    /// A row copied in from another workload brings its tenant id, not the
+    /// tenant's port (its script is held in the row, so it reads the same
+    /// here): with no port to queue its SYN on, the run is refused.
+    #[test]
+    #[should_panic(expected = "workload `scripted`: tenant 3 has a connection and no port")]
+    fn a_connection_whose_tenant_has_no_port_is_rejected() {
+        let mut other = Workload::new("other", NANOS_PER_SEC);
+        let request = RequestSpec {
+            start_offset_ns: 0,
+            service_ns: 20_000,
+        };
+        let stray = other.push(2_000, FlowKey::new(1, 2, 3, 80), 3, [request]);
+        let mut wl = scripted_workload(&[(1_000, &[0])]);
+        wl.conns.push(stray);
+        Simulator::new(SimConfig::new(2, Mode::Hermes), &wl.seal());
     }
 
     #[test]

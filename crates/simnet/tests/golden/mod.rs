@@ -8,7 +8,7 @@ use hermes_core::FlowKey;
 use hermes_metrics::SplitMix64;
 use hermes_simnet::degrade::DegradeConfig;
 use hermes_simnet::{Fault, Mode, SimConfig, Simulator};
-use hermes_workload::{Case, CaseLoad, ConnectionSpec, RequestSpec, Workload};
+use hermes_workload::{Case, CaseLoad, RequestSpec, Workload};
 
 pub const WORKERS: usize = 32;
 pub const HORIZON_NS: u64 = 1_000_000_000;
@@ -44,7 +44,7 @@ pub fn case1_heavy_shaped() -> Workload {
             start_offset_ns: 0,
             service_ns: exp_ns(380_000, &mut rng).max(1),
         };
-        wl.push(ConnectionSpec::new(at, flow, tenant), [request]);
+        wl.push(at, flow, tenant, [request]);
     }
     wl.seal()
 }
@@ -149,8 +149,7 @@ pub fn case3_shaped() -> Workload {
                 }
             });
             let flow = FlowKey::new((r >> 32) as u32, (r >> 16) as u16, 0x0a00_0001, port);
-            let conn = ConnectionSpec::new(at, flow, tenant);
-            wl.push(conn, requests);
+            wl.push(at, flow, tenant, requests);
         }
     }
     wl.seal()

@@ -47,7 +47,7 @@ fn generated_case1_heavy_matches_the_recorded_run() {
     // The traffic fact the one-decision-per-connection dispatch path rests
     // on (EXPERIMENTS.md, "Traffic that was guessed"): arrivals all but
     // never share an instant, so there is no burst to batch.
-    let at = |i: usize| wl.conns.get(i).map(|c| c.arrival_ns);
+    let at = |i: usize| wl.conns.get(i).map(|c| c.arrival_ns());
     let sharing = (0..wl.conns.len())
         .filter(|&i| at(i) == at(i + 1) || (i > 0 && at(i) == at(i - 1)))
         .count();
@@ -65,7 +65,7 @@ fn case3_shape_matches_the_recorded_runs() {
     assert!(wl
         .conns
         .windows(2)
-        .any(|w| w[0].arrival_ns == w[1].arrival_ns));
+        .any(|w| w[0].arrival_ns() == w[1].arrival_ns()));
     assert!(wl.conns.iter().any(|c| {
         let requests = wl.requests_of(c);
         requests

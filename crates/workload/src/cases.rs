@@ -241,7 +241,7 @@ mod tests {
         let wl = Case::Case1.workload(CaseLoad::Heavy, 32, 30 * NANOS_PER_SEC, 42);
         let (mut arrivals, mut services, mut hashes) = (0u64, 0u64, 0u64);
         for c in &wl.conns {
-            arrivals = arrivals.wrapping_add(c.arrival_ns);
+            arrivals = arrivals.wrapping_add(c.arrival_ns());
             hashes = hashes.wrapping_add(u64::from(c.flow.hash()));
             for r in wl.requests_of(c).iter() {
                 services = services.wrapping_add(r.service_ns);
@@ -252,6 +252,7 @@ mod tests {
         // Every script is one request at offset 0, held in its row.
         let table = wl.request_table();
         assert_eq!((table.len(), table.capacity()), (0, 0));
+        assert_eq!(wl.run_count(), 0);
         assert_eq!(arrivals, 30_277_221_829_750_652);
         assert_eq!(services, 766_552_550_388);
         assert_eq!(hashes, 4_330_749_438_573_108);

@@ -18,12 +18,13 @@
 //! * [`arrival`] — the arrival process every generator draws from: Poisson
 //!   at a connections-per-second rate, read lazily.
 //! * [`spec`] — the workload data model handed to the simulator, holding
-//!   only what it reads: connections (flow hash, port, tenant) carrying
-//!   requests (start offset, service time), and each tenant's linger and
-//!   events per request. A connection whose script is one request at
-//!   offset 0 — every Case 1 and Case 2 connection — holds it in its own
-//!   24-byte row, where the generator writes it directly; any other script
-//!   is an extent of the workload's one request table.
+//!   only what it reads: connections (arrival and tenant in one word, flow
+//!   hash) carrying requests (start offset, service time), and each
+//!   tenant's Dport, linger and events per request. A connection whose
+//!   script is one request at offset 0 below 2.1 s — every Case 1
+//!   connection — holds it in its own 16-byte row, where the generator
+//!   writes it directly; any other script is a run of the workload's one
+//!   request table.
 //! * [`tenant`] — multi-tenant composition: ports, Zipf-weighted tenant
 //!   shares, per-tenant traffic profiles.
 //! * [`cases`] — the four Table 3 cases at light/medium/heavy load.

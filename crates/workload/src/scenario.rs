@@ -11,7 +11,7 @@ use crate::arrival::ArrivalProcess;
 use crate::cases::{Case, CaseLoad};
 use crate::distr::{Distribution, Exp, Pareto};
 use crate::regions::Region;
-use crate::spec::{ConnectionSpec, RequestSpec, Workload};
+use crate::spec::{RequestSpec, Workload};
 use crate::tenant::TenantSet;
 use hermes_core::FlowKey;
 use hermes_metrics::NANOS_PER_SEC;
@@ -59,12 +59,17 @@ pub fn surge(config: SurgeConfig, seed: u64) -> Workload {
     let service = Exp::with_mean(config.burst_service_ns);
     let mut w = Workload::new("fig3-surge", horizon);
     w.set_linger(0, config.drain_ns);
-    // The handshake alone is one request at offset 0, held in its row.
-    let in_table = match config.burst_requests {
-        0 => 0,
-        burst => burst as usize + 1,
+    // The handshake alone is one request at offset 0, held in its row; with
+    // a burst, each connection's script is one run of the table.
+    let (runs, in_table) = match config.burst_requests {
+        0 => (0, 0),
+        burst => (1, burst as usize + 1),
     };
-    w.reserve(config.connections, config.connections * in_table);
+    w.reserve(
+        config.connections,
+        config.connections * runs,
+        config.connections * in_table,
+    );
     for i in 0..config.connections {
         let arrival = (config.ramp_ns as f64 * rng.f64()) as u64;
         let fire_at = surge_at + (config.surge_window_ns as f64 * rng.f64()) as u64;
@@ -84,8 +89,7 @@ pub fn surge(config: SurgeConfig, seed: u64) -> Workload {
             0x0aff_0001,
             9000,
         );
-        let conn = ConnectionSpec::new(arrival, flow, 0);
-        w.push(conn, std::iter::once(handshake).chain(burst));
+        w.push(arrival, flow, 0, std::iter::once(handshake).chain(burst));
     }
     w.seal()
 }
@@ -206,7 +210,7 @@ mod tests {
         assert_eq!(a.connection_count(), b.connection_count());
         assert!(a.connection_count() > 0);
         for (x, y) in a.conns.iter().zip(&b.conns).take(20) {
-            assert_eq!(x.arrival_ns, y.arrival_ns);
+            assert_eq!(x.arrival_ns(), y.arrival_ns());
             assert_eq!(x.flow, y.flow);
         }
         // A different device position draws a different stream.
@@ -216,7 +220,7 @@ mod tests {
             .iter()
             .zip(&c.conns)
             .take(20)
-            .filter(|(x, y)| x.arrival_ns == y.arrival_ns)
+            .filter(|(x, y)| x.arrival_ns() == y.arrival_ns())
             .count();
         assert!(same < 20, "device 3 and 4 streams identical");
 
@@ -232,12 +236,12 @@ mod tests {
         let w = surge(cfg, 1);
         assert_eq!(w.connection_count(), cfg.connections);
         // All arrivals within the ramp.
-        assert!(w.conns.iter().all(|c| c.arrival_ns < cfg.ramp_ns));
+        assert!(w.conns.iter().all(|c| c.arrival_ns() < cfg.ramp_ns));
         // All burst requests land in the surge window (±1ms pacing slack).
         let surge_at = cfg.ramp_ns + cfg.quiet_ns;
         for c in &w.conns {
             for r in w.requests_of(c).iter().skip(1) {
-                let fire = c.arrival_ns + r.start_offset_ns;
+                let fire = c.arrival_ns() + r.start_offset_ns;
                 assert!(
                     fire >= surge_at && fire <= surge_at + cfg.surge_window_ns + 10_000_000,
                     "request fires at {fire}"
@@ -249,7 +253,7 @@ mod tests {
         let quiet_mid = cfg.ramp_ns + cfg.quiet_ns / 2;
         for c in &w.conns {
             for r in w.requests_of(c).iter() {
-                let fire = c.arrival_ns + r.start_offset_ns;
+                let fire = c.arrival_ns() + r.start_offset_ns;
                 assert!(
                     fire < cfg.ramp_ns || fire >= surge_at || fire < quiet_mid,
                     "unexpected mid-quiet request"
@@ -273,8 +277,8 @@ mod tests {
         let region = &Region::all()[0]; // Region1: case3-dominant
         let w = region_mix(region, 4, CaseLoad::Light, 2 * NANOS_PER_SEC, 4);
         assert!(w.connection_count() > 100);
-        let case1 = w.conns.iter().filter(|c| c.tenant == 0).count() as f64;
-        let case3 = w.conns.iter().filter(|c| c.tenant == 2).count() as f64;
+        let case1 = w.conns.iter().filter(|c| c.tenant() == 0).count() as f64;
+        let case3 = w.conns.iter().filter(|c| c.tenant() == 2).count() as f64;
         // Case 1's CPS base is much higher than case 3's, so counts are not
         // directly the mix weights; but case1 (19% weight at 700 cps)
         // should outnumber case3 (66% weight at 25 cps).

@@ -2,29 +2,31 @@
 //!
 //! A [`Workload`] is a time-ordered list of [`ConnectionSpec`]s and one flat
 //! table of [`RequestSpec`]s, and it holds only what the simulator reads.
-//! Each connection carries its flow's kernel hash (for reuseport hashing,
-//! computed once from the 4-tuple when the row is made), its destination
-//! port (the tenant's listening port), its tenant (for multi-tenant
-//! accounting), and its script in 8 bytes: a script of one request at
-//! offset 0 (every Case 1 and Case 2 connection's) holds that request's
-//! service time in the row itself, and any other script is a `u32` start and
-//! count in the request table, which holds only those. How long a
-//! connection lingers after its last request and how many I/O events each
-//! of its requests triggers are its tenant's, held once per tenant by the
-//! workload ([`Workload::linger_of`], [`Workload::events_of`]). A request is
-//! when it arrives relative to connection establishment and how much worker
-//! CPU time it costs: 16 bytes, so Case 1 heavy's two million connections
-//! cost 24 bytes each and its table is empty. [`Workload::push`] is the one
-//! way in, picking each script's form from its requests, and
+//! A connection row is 16 bytes: its arrival and its tenant in one word
+//! (48 bits of nanoseconds, 78 hours, and a 16-bit dense tenant id), its
+//! script in four bytes, and its flow's kernel hash (for reuseport hashing,
+//! computed once from the 4-tuple when the row is made). A script of one
+//! request at offset 0 whose service time is below 2³¹ ns (2.1 s) — every
+//! Case 1 connection's, and nearly every Case 2 one's — holds that service
+//! time in the row itself; any other script is an index into the
+//! workload's table of runs, each a `u32` start and count in the request
+//! table, which holds only those scripts. A connection's destination port
+//! (its tenant's Dport, §2.1), how long it lingers after its last request
+//! and how many I/O events each of its requests triggers are its tenant's,
+//! held once per tenant by the workload ([`Workload::port_of`],
+//! [`Workload::linger_of`], [`Workload::events_of`]). A request is when it
+//! arrives relative to connection establishment and how much worker CPU
+//! time it costs: 16 bytes, so Case 1 heavy's two million connections cost
+//! 16 bytes each and its tables are empty. [`Workload::push`] is the one way
+//! in, picking each script's form from its requests, and
 //! [`Workload::requests_of`] the one way out; a generator writes every
 //! request in place, a lone one straight into its row, and a million
-//! connections cost at most two allocations, not a million. Keeping
+//! connections cost at most three allocations, not a million. Keeping
 //! requests scripted (rather than generated inside the simulator) makes
 //! every experiment replayable and lets the *same* workload be run under
 //! every dispatch mode — the comparison structure of Table 3.
 
 use hermes_core::FlowKey;
-use std::ops::Range;
 
 /// One application-layer request on a connection.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,75 +55,77 @@ impl FlowHash {
     }
 }
 
-/// One client connection through the LB.
+/// The latest arrival a row holds: 2⁴⁸ − 1 ns, 78 hours.
+pub const MAX_ARRIVAL_NS: u64 = (1 << 48) - 1;
+
+/// One client connection through the LB, made by [`Workload::push`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ConnectionSpec {
-    /// SYN arrival time (ns from experiment start).
-    pub arrival_ns: u64,
+    /// SYN arrival time (ns from experiment start) in the low 48 bits
+    /// ([`arrival_ns`](Self::arrival_ns)), owning tenant in the high 16
+    /// ([`tenant`](Self::tenant)).
+    stamp: u64,
     /// The connection's requests, sorted by `start_offset_ns`; set by
     /// [`Workload::push`].
     script: Script,
     /// The flow's kernel hash. The 4-tuple it came from is not kept: the
-    /// simulator reads only the hash and the destination port.
+    /// simulator reads only the hash, and the destination port is the
+    /// tenant's ([`Workload::port_of`]).
     pub flow: FlowHash,
-    /// LB-side destination port (the tenant's rewritten Dport),
-    /// [`port`](Self::port). A field of its own: beside the hash in one
-    /// struct it would pad to 8 bytes.
-    dst_port: u16,
-    /// Owning tenant (dense id), for multi-tenant accounting and the
-    /// connection's linger and events per request
-    /// ([`Workload::linger_of`], [`Workload::events_of`]).
-    pub tenant: u16,
 }
 
 // Case 1 heavy holds two million connections for a 30 s device run, each
-// with one request: a field added later fails the build here, so its cost is
-// a reviewed number.
-const _: () = assert!(std::mem::size_of::<ConnectionSpec>() == 24);
+// with one request: 8 B of stamp, 4 of script and 4 of hash, with no padding.
+// A field added later fails the build here, so its cost is a reviewed number.
+const _: () = assert!(std::mem::size_of::<ConnectionSpec>() == 16);
 const _: () = assert!(std::mem::size_of::<RequestSpec>() == 16);
 
-/// A connection's script in one word. With [`IN_ROW`](Self::IN_ROW) set it
-/// is one request at offset 0 and the other 63 bits are its service time;
-/// otherwise it is an extent of the workload's request table, its start in
-/// the low 32 bits and its count in the next 31. [`Workload::script`] and
-/// [`Workload::script_one`] pick the form, so a script's form follows from
-/// its requests alone.
+/// A connection's script in four bytes. With [`IN_ROW`](Self::IN_ROW) set
+/// it is one request at offset 0 and the other 31 bits are its service
+/// time; otherwise it is an index into the workload's runs, each an extent
+/// of its request table. [`Workload::script`] and [`Workload::script_one`]
+/// pick the form, so a script's form follows from its requests alone.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Script(u64);
+struct Script(u32);
 
 impl Script {
     /// Set on a script held in the row.
-    const IN_ROW: u64 = 1 << 63;
+    const IN_ROW: u32 = 1 << 31;
 
     /// `request` held in the row, if it can be: it starts at offset 0 and
-    /// its service time leaves the top bit clear.
+    /// its service time is below 2³¹ ns.
     fn in_row(request: RequestSpec) -> Option<Self> {
-        (request.start_offset_ns == 0 && request.service_ns & Self::IN_ROW == 0)
-            .then_some(Self(Self::IN_ROW | request.service_ns))
+        (request.start_offset_ns == 0 && request.service_ns < u64::from(Self::IN_ROW))
+            .then_some(Self(Self::IN_ROW | request.service_ns as u32))
     }
 
-    /// `count` requests of the table from `start` on.
-    fn table(start: usize, count: usize) -> Self {
-        let start = u32::try_from(start).expect("u32 request table");
-        let count = u32::try_from(count)
+    /// Run `index` of the workload's runs.
+    fn run(index: usize) -> Self {
+        let index = u32::try_from(index)
             .ok()
-            .filter(|&n| n < 1 << 31)
-            .expect("fewer than 2^31 requests per connection");
-        Self(u64::from(count) << 32 | u64::from(start))
+            .filter(|&i| i < Self::IN_ROW)
+            .expect("fewer than 2^31 scripts in the request table");
+        Self(index)
     }
 
-    /// The request an in-row script holds, or a table script's extent.
-    fn decode(self) -> Result<RequestSpec, Range<usize>> {
+    /// The request an in-row script holds, or a table script's run.
+    #[inline]
+    fn decode(self) -> Result<RequestSpec, usize> {
         if self.0 & Self::IN_ROW != 0 {
-            let service_ns = self.0 & !Self::IN_ROW;
             return Ok(RequestSpec {
                 start_offset_ns: 0,
-                service_ns,
+                service_ns: u64::from(self.0 & !Self::IN_ROW),
             });
         }
-        let start = self.0 as u32 as usize;
-        Err(start..start + (self.0 >> 32) as usize)
+        Err(self.0 as usize)
     }
+}
+
+/// One table script: `count` requests of the request table from `start` on.
+#[derive(Clone, Copy, Debug)]
+struct Run {
+    start: u32,
+    count: u32,
 }
 
 /// One connection's requests, sorted by start offset, as
@@ -179,60 +183,74 @@ impl PartialEq for Requests<'_> {
 impl Eq for Requests<'_> {}
 
 impl ConnectionSpec {
-    /// A connection of `flow` with no requests yet: [`Workload::push`]
-    /// gives it its script. The row keeps the flow's hash and destination
-    /// port.
-    pub fn new(arrival_ns: u64, flow: FlowKey, tenant: u16) -> Self {
-        let mut conn = Self::arriving(arrival_ns);
-        conn.set_flow(flow);
-        conn.tenant = tenant;
-        conn
-    }
-
-    /// A row that holds only its arrival: a generator writes one per
-    /// arrival as it draws them and fills in the rest with
-    /// [`Workload::script_one`] or [`Workload::script`] and
-    /// [`set_flow`](Self::set_flow).
-    pub(crate) fn arriving(arrival_ns: u64) -> Self {
+    /// A row of `workload` that holds only its arrival, tenant 0's until
+    /// [`set_tenant`](Self::set_tenant), and no script until one is
+    /// written: a generator writes one per arrival as it draws them and
+    /// fills in the rest with [`Workload::script_one`] or
+    /// [`Workload::script`], [`set_flow`](Self::set_flow) and `set_tenant`.
+    /// Panics, naming `workload`, on an arrival past [`MAX_ARRIVAL_NS`].
+    #[inline]
+    pub(crate) fn arriving(workload: &str, arrival_ns: u64) -> Self {
+        assert!(
+            arrival_ns <= MAX_ARRIVAL_NS,
+            "{workload}: arrival at {arrival_ns} ns is past the 2^48 ns (78 h) a row holds"
+        );
         Self {
-            arrival_ns,
-            script: Script::table(0, 0),
+            stamp: arrival_ns,
+            script: Script::run(0),
             flow: FlowHash(0),
-            dst_port: 0,
-            tenant: 0,
         }
     }
 
-    /// Make `flow` the connection's: its hash, computed here once, and its
-    /// destination port.
+    /// SYN arrival time (ns from experiment start).
+    #[inline]
+    pub fn arrival_ns(&self) -> u64 {
+        self.stamp & MAX_ARRIVAL_NS
+    }
+
+    /// Owning tenant (dense id), for multi-tenant accounting and the
+    /// connection's port, linger and events per request
+    /// ([`Workload::port_of`], [`Workload::linger_of`],
+    /// [`Workload::events_of`]).
+    #[inline]
+    pub fn tenant(&self) -> u16 {
+        (self.stamp >> 48) as u16
+    }
+
+    /// Make the connection `tenant`'s.
+    pub(crate) fn set_tenant(&mut self, tenant: u16) {
+        self.stamp = self.arrival_ns() | u64::from(tenant) << 48;
+    }
+
+    /// Make `flow`'s hash, computed here once, the connection's. Its
+    /// destination port is its tenant's, filed by the workload.
     pub(crate) fn set_flow(&mut self, flow: FlowKey) {
         self.flow = FlowHash(flow.hash());
-        self.dst_port = flow.dst_port;
-    }
-
-    /// LB-side destination port (the tenant's rewritten Dport).
-    pub fn port(&self) -> u16 {
-        self.dst_port
-    }
-
-    /// Number of scripted requests.
-    pub fn request_count(&self) -> usize {
-        self.script
-            .decode()
-            .map_or_else(|extent| extent.len(), |_| 1)
     }
 }
 
-/// A complete experiment input.
+/// A complete experiment input: the connection rows, the requests and runs
+/// of the scripts the rows do not hold, and each tenant's port, linger and
+/// events per request. A row's script indexes its own workload's runs, so
+/// rows are made by [`push`](Self::push), [`push_copy`](Self::push_copy) and
+/// [`extend_from`](Self::extend_from): a row put into another workload's
+/// `conns` by hand reads its script there only if the row holds it.
 #[derive(Clone, Debug, Default)]
 pub struct Workload {
     /// Human-readable name (appears in harness output).
     pub name: String,
-    /// Connections sorted by `arrival_ns`.
+    /// Connections sorted by arrival.
     pub conns: Vec<ConnectionSpec>,
     /// The requests of every script not held in its row, each connection's
     /// in one run.
     requests: Vec<RequestSpec>,
+    /// The scripts not held in their rows, each an extent of `requests`; a
+    /// row's script indexes it.
+    runs: Vec<Run>,
+    /// Each tenant's LB-side destination port (its rewritten Dport), filed
+    /// by [`push`](Self::push), and by a tenant set for each of its
+    /// tenants; `None` where neither filed one.
+    ports: Vec<Option<u16>>,
     /// How long a connection lingers after its last request, by tenant
     /// ([`set_linger`](Self::set_linger)); `None` where never set, which
     /// reads as 0.
@@ -256,26 +274,59 @@ impl Workload {
         }
     }
 
-    /// Make room for `conns` more connections whose scripts put `requests`
-    /// more requests in the table, so a generator that knows its counts
-    /// never regrows. A one-request script at offset 0 takes no room there:
-    /// it goes straight to its row.
-    pub fn reserve(&mut self, conns: usize, requests: usize) {
+    /// Make room for `conns` more connections, `scripts` more of which hold
+    /// their scripts in the table, with `requests` more requests in all
+    /// there, so a generator that knows its counts never regrows. A
+    /// one-request script at offset 0 below 2³¹ ns takes no room in either
+    /// table: it goes straight to its row.
+    pub fn reserve(&mut self, conns: usize, scripts: usize, requests: usize) {
         self.conns.reserve_exact(conns);
+        self.runs.reserve_exact(scripts);
         self.requests.reserve_exact(requests);
     }
 
-    /// Append a connection with its requests (kept sorted on
-    /// [`seal`](Self::seal)) and return it in place. Its requests must
-    /// already be sorted by start offset. One request at offset 0 is held
-    /// in the row; any other script goes to the request table.
+    /// Append a connection of `flow` (its hash, computed here once) that
+    /// arrives at `arrival_ns` for `tenant` with `requests` (kept sorted on
+    /// [`seal`](Self::seal)), and return its row. Its requests must already
+    /// be sorted by start offset. One request at offset 0 below 2³¹ ns is
+    /// held in the row; any other script goes to the request table. The
+    /// flow's destination port is filed as the tenant's. Panics on an
+    /// arrival past [`MAX_ARRIVAL_NS`] and when `tenant` already listens
+    /// on another port.
     pub fn push(
         &mut self,
-        conn: ConnectionSpec,
+        arrival_ns: u64,
+        flow: FlowKey,
+        tenant: u16,
         requests: impl IntoIterator<Item = RequestSpec>,
-    ) -> &mut ConnectionSpec {
+    ) -> ConnectionSpec {
+        self.file_port(tenant, flow.dst_port);
+        let mut conn = ConnectionSpec::arriving(&self.name, arrival_ns);
+        conn.set_flow(flow);
+        conn.set_tenant(tenant);
         self.conns.push(conn);
-        self.script(self.conns.len() - 1, requests)
+        *self.script(self.conns.len() - 1, requests)
+    }
+
+    /// Append a copy of `conn`, one of `other`'s rows, that arrives at
+    /// `arrival_ns` with `requests` instead of its own, and return it: its
+    /// flow and tenant are `conn`'s, and the tenant's port is filed here as
+    /// `other` has it. Panics as [`push`](Self::push) does.
+    pub fn push_copy(
+        &mut self,
+        other: &Workload,
+        conn: &ConnectionSpec,
+        arrival_ns: u64,
+        requests: impl IntoIterator<Item = RequestSpec>,
+    ) -> ConnectionSpec {
+        if let Some(port) = other.port_of(conn) {
+            self.file_port(conn.tenant(), port);
+        }
+        let mut copy = ConnectionSpec::arriving(&self.name, arrival_ns);
+        copy.flow = conn.flow;
+        copy.set_tenant(conn.tenant());
+        self.conns.push(copy);
+        *self.script(self.conns.len() - 1, requests)
     }
 
     /// Make `requests` connection `index`'s script and return the
@@ -303,7 +354,7 @@ impl Workload {
     /// Make `request` connection `index`'s whole script and return the
     /// connection: held in the row when it can be, so a generator of
     /// one-request connections (every Case 1 and Case 2 connection) writes
-    /// each straight into its row and never touches the table.
+    /// each straight into its row and never touches the tables.
     pub(crate) fn script_one(&mut self, index: usize, request: RequestSpec) -> &mut ConnectionSpec {
         let script = Script::in_row(request).unwrap_or_else(|| self.in_table([request]));
         let conn = &mut self.conns[index];
@@ -315,7 +366,22 @@ impl Workload {
     fn in_table(&mut self, requests: impl IntoIterator<Item = RequestSpec>) -> Script {
         let start = self.requests.len();
         self.requests.extend(requests);
-        Script::table(start, self.requests.len() - start)
+        let run = Run {
+            start: u32::try_from(start).expect("u32 request table"),
+            count: u32::try_from(self.requests.len() - start).expect("u32 requests a script"),
+        };
+        self.runs.push(run);
+        Script::run(self.runs.len() - 1)
+    }
+
+    /// File `port` as `tenant`'s. Panics if the tenant listens on another.
+    pub(crate) fn file_port(&mut self, tenant: u16, port: u16) {
+        if let Err(mine) = adopt(&mut self.ports, tenant.into(), port) {
+            panic!(
+                "tenant {tenant} listens on port {mine} here and {port} on a new row of {}",
+                self.name
+            );
+        }
     }
 
     /// Connections of `tenant` close `linger_ns` after their last request
@@ -335,11 +401,16 @@ impl Workload {
 
     /// Append every connection of `other` with its requests, `shift_ns`
     /// later, so each copied row runs as it did there: every tenant with a
-    /// row or a value set in `other` lingers and has the events per request
-    /// it reads there, unset ones included, and a tenant unset here takes
-    /// them. Panics if such a tenant reads differently here.
+    /// row or a value set in `other` listens on the port, lingers and has
+    /// the events per request it reads there, unset ones included, and a
+    /// tenant unset here takes them. Panics if such a tenant reads
+    /// differently here, and on a shifted arrival past [`MAX_ARRIVAL_NS`].
     pub fn extend_from(&mut self, other: &Workload, shift_ns: u64) {
-        let mut in_use = vec![false; other.lingers.len().max(other.events.len())];
+        let tables = [other.ports.len(), other.lingers.len(), other.events.len()];
+        let mut in_use = vec![false; tables.into_iter().max().unwrap_or(0)];
+        for (tenant, port) in other.ports.iter().enumerate() {
+            in_use[tenant] |= port.is_some();
+        }
         for (tenant, linger) in other.lingers.iter().enumerate() {
             in_use[tenant] |= linger.is_some();
         }
@@ -347,9 +418,17 @@ impl Workload {
             in_use[tenant] |= events.is_some();
         }
         for c in &other.conns {
-            *slot(&mut in_use, c.tenant.into()) = true;
+            *slot(&mut in_use, c.tenant().into()) = true;
         }
         for tenant in (0..in_use.len()).filter(|&t| in_use[t]) {
+            if let Some(port) = other.ports.get(tenant).copied().flatten() {
+                if let Err(mine) = adopt(&mut self.ports, tenant, port) {
+                    panic!(
+                        "tenant {tenant} listens on port {mine} here and {port} in {}",
+                        other.name
+                    );
+                }
+            }
             let linger_ns = other.linger_of_tenant(tenant);
             if let Err(mine) = adopt(&mut self.lingers, tenant, linger_ns) {
                 panic!(
@@ -365,16 +444,33 @@ impl Workload {
                 );
             }
         }
-        self.reserve(other.connection_count(), other.requests.len());
+        self.reserve(
+            other.connection_count(),
+            other.runs.len(),
+            other.requests.len(),
+        );
         for c in &other.conns {
-            self.push(*c, other.requests_of(c).iter()).arrival_ns += shift_ns;
+            let arrival_ns = c.arrival_ns().saturating_add(shift_ns);
+            self.push_copy(other, c, arrival_ns, other.requests_of(c).iter());
         }
+    }
+
+    /// `conn`'s LB-side destination port: its tenant's rewritten Dport,
+    /// filed by [`push`](Self::push). `None` for a tenant no port was filed
+    /// for (a row copied into `conns` by hand), which the simulator
+    /// refuses.
+    #[inline]
+    pub fn port_of(&self, conn: &ConnectionSpec) -> Option<u16> {
+        self.ports
+            .get(usize::from(conn.tenant()))
+            .copied()
+            .flatten()
     }
 
     /// How long `conn` lingers after its last request: its tenant's
     /// [`set_linger`](Self::set_linger).
     pub fn linger_of(&self, conn: &ConnectionSpec) -> u64 {
-        self.linger_of_tenant(conn.tenant.into())
+        self.linger_of_tenant(conn.tenant().into())
     }
 
     /// How many I/O events each of `conn`'s requests triggers: its
@@ -382,7 +478,7 @@ impl Workload {
     /// at least one.
     #[inline]
     pub fn events_of(&self, conn: &ConnectionSpec) -> u16 {
-        self.events_of_tenant(conn.tenant.into())
+        self.events_of_tenant(conn.tenant().into())
     }
 
     fn linger_of_tenant(&self, tenant: usize) -> u64 {
@@ -409,20 +505,25 @@ impl Workload {
                 in_row: Some(one),
                 table: &[],
             },
-            Err(extent) => Requests {
-                in_row: None,
-                table: &self.requests[extent],
-            },
+            Err(run) => {
+                let Run { start, count } = self.runs[run];
+                let start = start as usize;
+                Requests {
+                    in_row: None,
+                    table: &self.requests[start..start + count as usize],
+                }
+            }
         }
     }
 
-    /// Sort connections by arrival, return the room the request table does
-    /// not use (a reservation from mean request counts can overshoot), and
-    /// validate invariants. Call once after generation; the
-    /// simulator requires sealed workloads. The requests do not move: each
-    /// script moves with its row.
+    /// Sort connections by arrival, return the room the tables do not use
+    /// (a reservation from mean request counts can overshoot), and
+    /// validate invariants. Call once after generation; the simulator
+    /// requires sealed workloads. The requests do not move: each script
+    /// moves with its row.
     pub fn seal(mut self) -> Self {
-        self.conns.sort_by_key(|c| c.arrival_ns);
+        self.conns.sort_by_key(ConnectionSpec::arrival_ns);
+        self.runs.shrink_to_fit();
         self.requests.shrink_to_fit();
         debug_assert!(
             self.conns.iter().all(|c| self.requests_of(c).is_sorted()),
@@ -438,7 +539,7 @@ impl Workload {
 
     /// Total requests across connections.
     pub fn request_count(&self) -> usize {
-        self.conns.iter().map(ConnectionSpec::request_count).sum()
+        self.conns.iter().map(|c| self.requests_of(c).len()).sum()
     }
 
     /// Aggregate offered CPU load (total service time / horizon) — the
@@ -507,14 +608,19 @@ impl Workload {
     pub(crate) fn table_only(&self) -> Workload {
         let mut copy = Workload {
             requests: Vec::new(),
+            runs: Vec::new(),
             ..self.clone()
         };
-        for c in &mut copy.conns {
-            let start = copy.requests.len();
-            copy.requests.extend(self.requests_of(c).iter());
-            c.script = Script::table(start, copy.requests.len() - start);
+        for i in 0..copy.conns.len() {
+            let script = copy.in_table(self.requests_of(&self.conns[i]).iter());
+            copy.conns[i].script = script;
         }
         copy
+    }
+
+    /// The runs of the request table, one per script held there.
+    pub(crate) fn run_count(&self) -> usize {
+        self.runs.len()
     }
 
     /// `[arrival, flow hash, tenant, linger]` over connections, then
@@ -526,9 +632,9 @@ impl Workload {
         };
         let mut j = 0;
         for (i, c) in self.conns.iter().enumerate() {
-            add(0, i, c.arrival_ns);
+            add(0, i, c.arrival_ns());
             add(1, i, u64::from(c.flow.hash()));
-            add(2, i, u64::from(c.tenant));
+            add(2, i, u64::from(c.tenant()));
             add(3, i, self.linger_of(c));
             for r in self.requests_of(c).iter() {
                 add(4, j, r.start_offset_ns);
@@ -552,31 +658,156 @@ mod tests {
         }
     }
 
-    fn conn(arrival: u64) -> ConnectionSpec {
-        ConnectionSpec::new(arrival, FlowKey::new(1, 2, 3, 4), 0)
+    /// A connection of `tenant` arriving at `arrival` with `requests`, on
+    /// port 4.
+    fn push(
+        w: &mut Workload,
+        arrival: u64,
+        tenant: u16,
+        requests: impl IntoIterator<Item = RequestSpec>,
+    ) -> ConnectionSpec {
+        w.push(arrival, FlowKey::new(1, 2, 3, 4), tenant, requests)
     }
 
     #[test]
     fn service_per_event_splits_evenly() {
         let mut w = Workload::new("t", 1_000);
         w.set_events_per_request(0, 4);
-        let c = conn(0);
+        let c = push(&mut w, 0, 0, []);
         assert_eq!(w.service_per_event_ns(&c, &request(0, 100)), 25);
         w.set_events_per_request(0, 0);
         assert_eq!(w.service_per_event_ns(&c, &request(0, 100)), 100);
     }
 
     #[test]
-    fn a_row_keeps_its_tuples_hash_and_port() {
+    fn a_row_keeps_its_tuples_hash_and_its_tenant_the_port() {
+        let mut w = Workload::new("t", 1_000);
         let key = FlowKey::new(0x0a00_0102, 40_000, 0x0aff_0001, 8443);
-        let c = ConnectionSpec::new(7, key, 3);
+        let c = w.push(7, key, 3, []);
         assert_eq!(c.flow.hash(), key.hash());
-        assert_eq!(c.port(), key.dst_port);
-        assert_eq!((c.arrival_ns, c.tenant, c.request_count()), (7, 3, 0));
+        assert_eq!(w.port_of(&c), Some(key.dst_port));
+        assert_eq!(
+            (c.arrival_ns(), c.tenant(), w.requests_of(&c).len()),
+            (7, 3, 0)
+        );
         // Two tuples that differ only in their source port differ in hash.
-        let other = ConnectionSpec::new(7, FlowKey::new(0x0a00_0102, 40_001, 0x0aff_0001, 8443), 3);
+        let other = w.push(
+            7,
+            FlowKey::new(0x0a00_0102, 40_001, 0x0aff_0001, 8443),
+            3,
+            [],
+        );
         assert_ne!(c.flow, other.flow);
-        assert_eq!(c.port(), other.port());
+        assert_eq!(w.port_of(&other), Some(8443));
+        // A tenant listens on one port, which its every row reads.
+        let mut w = w.seal();
+        w.conns.push(w.conns[0]);
+        assert!(w.conns.iter().all(|c| w.port_of(c) == Some(8443)));
+    }
+
+    /// A row whose tenant no push filed a port for reads none.
+    #[test]
+    fn a_tenant_never_pushed_has_no_port() {
+        let mut a = Workload::new("a", 1_000);
+        let c = push(&mut a, 0, 5, []);
+        let mut w = Workload::new("w", 1_000);
+        push(&mut w, 0, 0, []);
+        w.conns.push(c);
+        assert_eq!(w.port_of(&w.conns[0]), Some(4));
+        assert_eq!(w.port_of(&w.conns[1]), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "tenant 1 listens on port 80 here and 81 on a new row of w")]
+    fn push_refuses_a_second_port_for_a_tenant() {
+        let mut w = Workload::new("w", 1_000);
+        w.push(0, FlowKey::new(1, 2, 3, 80), 1, []);
+        w.push(0, FlowKey::new(1, 2, 3, 443), 2, []);
+        w.push(5, FlowKey::new(1, 2, 3, 81), 1, []);
+    }
+
+    #[test]
+    #[should_panic(expected = "tenant 1 listens on port 81 here and 80 in a")]
+    fn extend_from_refuses_a_second_port_for_a_tenant() {
+        let mut a = Workload::new("a", 1_000);
+        a.push(0, FlowKey::new(1, 2, 3, 80), 1, [request(0, 30)]);
+        let mut w = Workload::new("w", 1_000);
+        w.push(0, FlowKey::new(1, 2, 3, 81), 1, [request(0, 30)]);
+        w.extend_from(&a, 0);
+    }
+
+    /// The arrival and the tenant share one word: each reads back exactly
+    /// at the other's extremes, and `seal` sorts by arrival alone, stably.
+    #[test]
+    fn arrival_and_tenant_share_a_word_without_bleeding() {
+        let mut w = Workload::new("t", 1_000);
+        let cases = [
+            (MAX_ARRIVAL_NS, u16::MAX),
+            (MAX_ARRIVAL_NS, 0),
+            (0, u16::MAX),
+            (0, 0),
+            (1 << 47, 1),
+            (MAX_ARRIVAL_NS - 1, 1 << 15),
+        ];
+        for (arrival, tenant) in cases {
+            let c = push(&mut w, arrival, tenant, [request(0, 9)]);
+            assert_eq!((c.arrival_ns(), c.tenant()), (arrival, tenant));
+            assert_eq!(w.requests_of(&c).get(0), Some(request(0, 9)));
+        }
+        let w = w.seal();
+        let rows: Vec<(u64, u16)> = w
+            .conns
+            .iter()
+            .map(|c| (c.arrival_ns(), c.tenant()))
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                (0, u16::MAX),
+                (0, 0),
+                (1 << 47, 1),
+                (MAX_ARRIVAL_NS - 1, 1 << 15),
+                (MAX_ARRIVAL_NS, u16::MAX),
+                (MAX_ARRIVAL_NS, 0),
+            ]
+        );
+        // Every tenant at the extremes reads its own linger and events.
+        let mut w = w;
+        w.set_linger(u16::MAX, 11);
+        w.set_events_per_request(u16::MAX, 3);
+        assert_eq!(
+            (w.linger_of(&w.conns[0]), w.events_of(&w.conns[0])),
+            (11, 3)
+        );
+        assert_eq!((w.linger_of(&w.conns[1]), w.events_of(&w.conns[1])), (0, 1));
+        assert_eq!(w.port_of(&w.conns[0]), Some(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "big: arrival at 281474976710656 ns is past the 2^48 ns")]
+    fn push_refuses_an_arrival_past_48_bits() {
+        let mut w = Workload::new("big", 1_000);
+        push(&mut w, MAX_ARRIVAL_NS + 1, u16::MAX, []);
+    }
+
+    #[test]
+    #[should_panic(expected = "shifted: arrival at 281474976710656 ns is past the 2^48 ns")]
+    fn extend_from_refuses_a_shift_past_48_bits() {
+        let mut a = Workload::new("a", 1_000);
+        push(&mut a, 1, 0, [request(0, 30)]);
+        let mut w = Workload::new("shifted", 1_000);
+        w.extend_from(&a, MAX_ARRIVAL_NS - 1);
+        assert_eq!(w.conns[0].arrival_ns(), MAX_ARRIVAL_NS);
+        w.extend_from(&a, MAX_ARRIVAL_NS);
+    }
+
+    #[test]
+    #[should_panic(expected = "shifted: arrival at 18446744073709551615 ns")]
+    fn extend_from_refuses_a_shift_past_u64() {
+        let mut a = Workload::new("a", 1_000);
+        push(&mut a, 1, 0, []);
+        let mut w = Workload::new("shifted", 1_000);
+        w.extend_from(&a, u64::MAX);
     }
 
     /// A tenant never set, or set to zero, reads as one event per request:
@@ -587,7 +818,7 @@ mod tests {
         w.set_events_per_request(2, 3);
         w.set_events_per_request(4, 0);
         for tenant in 0..6 {
-            w.push(conn(tenant), []).tenant = tenant as u16;
+            push(&mut w, tenant.into(), tenant, []);
         }
         let w = w.seal();
         let events: Vec<u16> = w.conns.iter().map(|c| w.events_of(c)).collect();
@@ -600,9 +831,9 @@ mod tests {
     fn linger_is_the_tenants_and_zero_when_unset() {
         let mut w = Workload::new("t", 1_000);
         w.set_linger(2, 500);
-        w.push(conn(0), []).tenant = 2;
-        w.push(conn(1), []).tenant = 1;
-        w.push(conn(2), []).tenant = 3;
+        push(&mut w, 0, 2, []);
+        push(&mut w, 1, 1, []);
+        push(&mut w, 2, 3, []);
         let w = w.seal();
         let lingers: Vec<u64> = w.conns.iter().map(|c| w.linger_of(c)).collect();
         assert_eq!(lingers, [500, 0, 0]);
@@ -612,19 +843,41 @@ mod tests {
     fn extend_from_copies_rows_with_their_lingers() {
         let mut a = Workload::new("a", 1_000);
         a.set_linger(1, 700);
-        a.push(conn(5), [request(0, 10), request(3, 20)]).tenant = 1;
-        a.push(conn(9), [request(0, 30)]);
+        push(&mut a, 5, 1, [request(0, 10), request(3, 20)]);
+        push(&mut a, 9, 0, [request(0, 30)]);
         let a = a.seal();
         let mut w = Workload::new("w", 2_000);
         w.extend_from(&a, 0);
         w.extend_from(&a, 1_000);
         let w = w.seal();
-        let arrivals: Vec<u64> = w.conns.iter().map(|c| c.arrival_ns).collect();
+        let arrivals: Vec<u64> = w.conns.iter().map(|c| c.arrival_ns()).collect();
         assert_eq!(arrivals, [5, 9, 1_005, 1_009]);
         for (c, src) in w.conns.iter().zip(a.conns.iter().cycle()) {
+            assert_eq!((c.tenant(), c.flow), (src.tenant(), src.flow));
             assert_eq!(w.linger_of(c), a.linger_of(src));
             assert_eq!(w.requests_of(c), a.requests_of(src));
         }
+    }
+
+    /// Each tenant keeps its port through `extend_from`, a tenant with a
+    /// port and no row in the copied workload included.
+    #[test]
+    fn extend_from_copies_each_tenants_port() {
+        let mut a = Workload::new("a", 1_000);
+        a.push(5, FlowKey::new(1, 2, 3, 80), 1, [request(0, 10)]);
+        a.push(
+            6,
+            FlowKey::new(1, 2, 3, 90),
+            2,
+            [request(0, 10), request(1, 2)],
+        );
+        a.file_port(3, 100);
+        let mut w = Workload::new("w", 1_000);
+        w.push(0, FlowKey::new(1, 2, 3, 70), 0, []);
+        w.extend_from(&a, 10);
+        let ports: Vec<Option<u16>> = w.conns.iter().map(|c| w.port_of(c)).collect();
+        assert_eq!(ports, [Some(70), Some(80), Some(90)]);
+        assert_eq!(w.ports, [Some(70), Some(80), Some(90), Some(100)]);
     }
 
     /// A copied row keeps its tenant's events per request and linger,
@@ -634,8 +887,8 @@ mod tests {
     fn extend_from_carries_events_per_request() {
         let mut a = Workload::new("a", 1_000);
         a.set_events_per_request(1, 3);
-        a.push(conn(5), [request(0, 30)]).tenant = 1;
-        a.push(conn(6), [request(0, 30)]).tenant = 2;
+        push(&mut a, 5, 1, [request(0, 30)]);
+        push(&mut a, 6, 2, [request(0, 30)]);
         let a = a.seal();
         let mut w = Workload::new("w", 1_000);
         w.set_events_per_request(3, 4);
@@ -657,8 +910,8 @@ mod tests {
     fn extend_from_refuses_events_a_copied_row_did_not_have() {
         let mut a = Workload::new("a", 1_000);
         a.set_events_per_request(1, 3);
-        a.push(conn(5), [request(0, 30)]).tenant = 1;
-        a.push(conn(6), [request(0, 30)]).tenant = 2;
+        push(&mut a, 5, 1, [request(0, 30)]);
+        push(&mut a, 6, 2, [request(0, 30)]);
         let a = a.seal();
         let mut w = Workload::new("w", 1_000);
         w.set_events_per_request(2, 4);
@@ -671,10 +924,10 @@ mod tests {
     #[should_panic(expected = "tenant 0 lingers 0 ns here and 700 ns in lingering")]
     fn extend_from_refuses_a_linger_after_rows_that_closed_at_once() {
         let mut closes = Workload::new("closes", 1_000);
-        closes.push(conn(5), [request(0, 30)]);
+        push(&mut closes, 5, 0, [request(0, 30)]);
         let mut lingering = Workload::new("lingering", 1_000);
         lingering.set_linger(0, 700);
-        lingering.push(conn(6), [request(0, 30)]);
+        push(&mut lingering, 6, 0, [request(0, 30)]);
         let mut w = Workload::new("w", 1_000);
         w.extend_from(&closes, 0);
         w.extend_from(&lingering, 0);
@@ -703,10 +956,10 @@ mod tests {
     #[test]
     fn seal_sorts_by_arrival() {
         let mut w = Workload::new("t", 1_000);
-        w.push(conn(500), [request(0, 10)]);
-        w.push(conn(100), [request(0, 10)]);
+        push(&mut w, 500, 0, [request(0, 10)]);
+        push(&mut w, 100, 0, [request(0, 10)]);
         let w = w.seal();
-        assert_eq!(w.conns[0].arrival_ns, 100);
+        assert_eq!(w.conns[0].arrival_ns(), 100);
         assert_eq!(w.connection_count(), 2);
         assert_eq!(w.request_count(), 2);
     }
@@ -714,8 +967,8 @@ mod tests {
     #[test]
     fn offered_load_is_service_over_horizon() {
         let mut w = Workload::new("t", 1_000);
-        w.push(conn(0), [request(0, 250)]);
-        w.push(conn(10), [request(0, 250)]);
+        push(&mut w, 0, 0, [request(0, 250)]);
+        push(&mut w, 10, 0, [request(0, 250)]);
         let w = w.seal();
         assert!((w.offered_load() - 0.5).abs() < 1e-12);
     }
@@ -724,7 +977,7 @@ mod tests {
     fn mean_cps_over_horizon() {
         let mut w = Workload::new("t", hermes_metrics::NANOS_PER_SEC);
         for i in 0..100 {
-            w.push(conn(i), [request(0, 1)]);
+            push(&mut w, i, 0, [request(0, 1)]);
         }
         assert!((w.seal().mean_cps() - 100.0).abs() < 1e-9);
     }
@@ -741,14 +994,19 @@ mod tests {
         (w.request_table().len(), w.request_table().capacity())
     }
 
+    /// The runs, as `(length, capacity)`.
+    fn runs(w: &Workload) -> (usize, usize) {
+        (w.runs.len(), w.runs.capacity())
+    }
+
     #[test]
     fn one_request_at_offset_zero_lives_in_the_row() {
         let mut w = Workload::new("t", 1_000);
-        for service_ns in [0, 7, (1 << 63) - 1] {
-            let c = *w.push(conn(0), [request(0, service_ns)]);
+        for service_ns in [0, 7, (1 << 31) - 1] {
+            let c = push(&mut w, 0, 0, [request(0, service_ns)]);
             assert_eq!(c.script.decode(), Ok(request(0, service_ns)));
             let requests = w.requests_of(&c);
-            assert_eq!((requests.len(), c.request_count()), (1, 1));
+            assert_eq!(requests.len(), 1);
             assert_eq!(requests.get(0), Some(request(0, service_ns)));
             assert_eq!(requests.get(1), None);
             assert_eq!(
@@ -757,47 +1015,52 @@ mod tests {
             );
         }
         // No request passed through the table on its way to its row.
-        assert_eq!(table(&w), (0, 0));
+        assert_eq!((table(&w), runs(&w)), ((0, 0), (0, 0)));
     }
 
     #[test]
     fn every_other_script_stays_in_the_table() {
-        let scripts: [&[RequestSpec]; 5] = [
+        let scripts: [&[RequestSpec]; 7] = [
             &[request(5, 7)],
+            &[request(1, 0)],
             &[request(0, 1), request(0, 2)],
             &[],
-            &[request(0, 1 << 63)],
+            &[request(0, 1 << 31)],
+            &[request(0, 1 << 32 | 5)],
             &[request(0, u64::MAX)],
         ];
         let mut w = Workload::new("t", 1_000);
         for (i, &script) in scripts.iter().enumerate() {
-            let c = *w.push(conn(i as u64), script.iter().copied());
-            assert!(c.script.decode().is_err(), "script {i}");
+            let c = push(&mut w, i as u64, 0, script.iter().copied());
+            assert_eq!(c.script.decode(), Err(i), "script {i}");
             let requests = w.requests_of(&c);
             assert_eq!(requests.iter().collect::<Vec<_>>(), script, "script {i}");
-            assert_eq!(
-                (requests.len(), c.request_count()),
-                (script.len(), script.len())
-            );
+            assert_eq!(requests.len(), script.len());
             assert_eq!(requests.get(script.len()), None);
             assert_eq!(requests.is_empty(), script.is_empty());
         }
-        assert_eq!(w.request_table().len(), 5);
-        assert_eq!(w.request_count(), 5);
+        assert_eq!(w.request_table().len(), 7);
+        assert_eq!(w.run_count(), 7);
+        assert_eq!(w.request_count(), 7);
     }
 
     /// Scripts move with their rows when `seal` reorders them, and
-    /// `extend_from` copies each in the form it had: the copy's table holds
+    /// `extend_from` copies each in the form it had: the copy's tables hold
     /// the table scripts only.
     #[test]
     fn seal_and_extend_from_keep_each_form() {
         let mut w = Workload::new("t", 1_000);
-        w.push(conn(300), [request(0, 1), request(5, 2), request(9, 3)]);
-        w.push(conn(100), []);
-        w.push(conn(200), [request(0, 4)]).tenant = 7;
-        w.push(conn(50), [request(6, 5)]);
+        push(
+            &mut w,
+            300,
+            0,
+            [request(0, 1), request(5, 2), request(9, 3)],
+        );
+        push(&mut w, 100, 0, []);
+        push(&mut w, 200, 7, [request(0, 4)]);
+        push(&mut w, 50, 0, [request(6, 5)]);
         let w = w.seal();
-        let arrivals: Vec<u64> = w.conns.iter().map(|c| c.arrival_ns).collect();
+        let arrivals: Vec<u64> = w.conns.iter().map(|c| c.arrival_ns()).collect();
         assert_eq!(arrivals, [50, 100, 200, 300]);
         let services = |w: &Workload, i: usize| -> Vec<u64> {
             w.requests_of(&w.conns[i])
@@ -813,8 +1076,8 @@ mod tests {
         assert_eq!(services(&w, 2), [4]);
         assert_eq!(services(&w, 3), [1, 2, 3]);
         assert_eq!(in_row(&w), [false, false, true, false]);
-        assert_eq!(w.conns[2].tenant, 7);
-        assert_eq!(w.conns[3].request_count(), 3);
+        assert_eq!(w.conns[2].tenant(), 7);
+        assert_eq!(w.requests_of(&w.conns[3]).len(), 3);
         assert_eq!(w.request_count(), 5);
         assert_eq!(w.request_table().len(), 4);
         assert!((w.offered_load() - 15.0 / 1_000.0).abs() < 1e-12);
@@ -823,11 +1086,12 @@ mod tests {
         copy.extend_from(&w, 1_000);
         assert_eq!(in_row(&copy), in_row(&w));
         // The reservation, exactly: the lone request went to its row.
-        assert_eq!(table(&copy), (4, 4));
+        assert_eq!((table(&copy), runs(&copy)), ((4, 4), (3, 3)));
         let copy = copy.seal();
-        assert_eq!(table(&copy), (4, 4));
+        assert_eq!((table(&copy), runs(&copy)), ((4, 4), (3, 3)));
         for i in 0..w.conns.len() {
             assert_eq!(services(&copy, i), services(&w, i));
+            assert_eq!(copy.conns[i].tenant(), w.conns[i].tenant());
         }
     }
 

@@ -97,40 +97,40 @@ impl TenantSet {
         self.skew.pmf(tenant + 1)
     }
 
-    /// Make room in `w`'s request table for `conns` more connections of
-    /// this set: the Zipf-weighted mean per connection of the profiles
-    /// whose scripts go to the table, exact when every profile draws the
-    /// same constant count (rounded, as the shares sum to 1 only up to float
-    /// error). A profile of one request per connection reserves nothing:
-    /// its request is at offset 0, so its rows hold their scripts. An
+    /// Make room in `w`'s tables for `conns` more connections of this set:
+    /// the Zipf-weighted share of the connections whose scripts go to the
+    /// table, and their mean request count there, exact when every profile
+    /// draws the same constant count (rounded, as the shares sum to 1 only
+    /// up to float error). A profile of one request per connection reserves
+    /// nothing: its request is at offset 0, so its rows hold their scripts
+    /// (but for one of 2.1 s or more, which goes to the table as it comes). An
     /// unbounded mean reserves nothing; the table then grows as it fills.
     fn reserve_requests(&self, w: &mut Workload, conns: usize) {
-        let per_conn: f64 = self
-            .tenants
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let count = p.requests_per_conn.mean().round().max(1.0);
-                if count > 1.0 {
-                    self.share_of(i) * count
-                } else {
-                    0.0
-                }
-            })
-            .sum();
-        let requests = (conns as f64 * per_conn).round();
-        let requests = if requests.is_finite() {
-            requests as usize
-        } else {
-            0
+        let (mut in_table, mut per_conn) = (0.0, 0.0);
+        for (i, p) in self.tenants.iter().enumerate() {
+            let count = p.requests_per_conn.mean().round().max(1.0);
+            if count > 1.0 {
+                in_table += self.share_of(i);
+                per_conn += self.share_of(i) * count;
+            }
+        }
+        let room = |per_conn: f64| {
+            let room = (conns as f64 * per_conn).round();
+            if room.is_finite() {
+                room as usize
+            } else {
+                0
+            }
         };
-        w.reserve(0, requests);
+        let (scripts, requests) = (room(in_table), room(per_conn));
+        w.reserve(0, scripts, requests);
     }
 
     /// Append a connection to `w` for every arrival `process` draws over
     /// `duration_ns` and return them; `first_seq` numbers the first one's
     /// flow. Tenant `i` of this set is tenant `first_tenant + i` of `w`,
-    /// and lingers and has the events per request its profile says. Each arrival goes straight into the
+    /// listens on [`port_of`](Self::port_of)`(i)`, and lingers and has the
+    /// events per request its profile says. Each arrival goes straight into the
     /// row it starts, and once the stream ends the rows are filled in
     /// order, each from a Zipf-sampled tenant: every arrival is drawn
     /// before any connection's script, the order every recorded result was
@@ -146,6 +146,7 @@ impl TenantSet {
     ) -> &'w mut [ConnectionSpec] {
         for (i, profile) in self.tenants.iter().enumerate() {
             let tenant = first_tenant + i as u16;
+            w.file_port(tenant, self.port_of(i));
             w.set_linger(tenant, profile.linger_ns.unwrap_or(0));
             w.set_events_per_request(tenant, profile.events_per_request);
         }
@@ -155,24 +156,27 @@ impl TenantSet {
         // is freed (glibc's does so from its second large workload in a
         // process on), and the trim below returns the room left over.
         w.conns.reserve_exact(process.room_for(duration_ns));
+        let name = &w.name;
         w.conns.extend(
             process
                 .arrivals(duration_ns, rng)
-                .map(ConnectionSpec::arriving),
+                .map(|arrival_ns| ConnectionSpec::arriving(name, arrival_ns)),
         );
         w.conns.shrink_to_fit();
         self.reserve_requests(w, w.conns.len() - first);
         for (index, seq) in (first..w.conns.len()).zip(first_seq..) {
             let tenant = self.skew.sample_index(rng);
-            self.fill(w, index, tenant, seq, rng).tenant += first_tenant;
+            self.fill(w, index, tenant, seq, rng)
+                .set_tenant(first_tenant + tenant as u16);
         }
         &mut w.conns[first..]
     }
 
     /// Make row `index` of `w`, which holds only its arrival, a connection
-    /// of `tenant`: a lone request goes straight into the row, a longer
-    /// script straight into the workload's table, and the row keeps the
-    /// flow's hash. `conn_seq` individualizes the flow 4-tuple.
+    /// of the set's `tenant`: a lone request goes straight into the row, a
+    /// longer script straight into the workload's table, and the row keeps
+    /// the flow's hash; the caller gives it its tenant id in the workload.
+    /// `conn_seq` individualizes the flow 4-tuple.
     fn fill<'w>(
         &self,
         w: &'w mut Workload,
@@ -207,7 +211,6 @@ impl TenantSet {
             self.vip,
             self.port_of(tenant),
         ));
-        conn.tenant = tenant as u16;
         conn
     }
 
@@ -301,7 +304,8 @@ mod tests {
         assert!((ts.share_of(1) - 1.0 / 3.0).abs() < 1e-12);
     }
 
-    /// Row `index` of `w`, written at `arrival_ns`, filled for `tenant`.
+    /// A row of `w`, written at `arrival_ns`, filled for `tenant`, which
+    /// listens on its port.
     fn filled(
         ts: &TenantSet,
         w: &mut Workload,
@@ -310,8 +314,11 @@ mod tests {
         conn_seq: u32,
         rng: &mut crate::Rng,
     ) -> ConnectionSpec {
-        w.conns.push(ConnectionSpec::arriving(arrival_ns));
-        *ts.fill(w, w.conns.len() - 1, tenant, conn_seq, rng)
+        w.file_port(tenant as u16, ts.port_of(tenant));
+        w.conns.push(ConnectionSpec::arriving(&w.name, arrival_ns));
+        let conn = ts.fill(w, w.conns.len() - 1, tenant, conn_seq, rng);
+        conn.set_tenant(tenant as u16);
+        *conn
     }
 
     #[test]
@@ -320,9 +327,9 @@ mod tests {
         let mut rng = crate::rng(21);
         let mut w = Workload::new("t", NANOS_PER_SEC);
         let c = filled(&ts, &mut w, 1, 500, 7, &mut rng);
-        assert_eq!(c.tenant, 1);
-        assert_eq!(c.port(), 10_001);
-        assert_eq!(c.arrival_ns, 500);
+        assert_eq!(c.tenant(), 1);
+        assert_eq!(w.port_of(&c), Some(10_001));
+        assert_eq!(c.arrival_ns(), 500);
         let requests: Vec<RequestSpec> = w.requests_of(&c).iter().collect();
         assert_eq!(requests.len(), 3);
         assert_eq!(requests[0].service_ns, 50_000_000);
@@ -339,10 +346,10 @@ mod tests {
             rate_per_sec: 500.0,
         };
         let w = ts.workload("linger", &process, NANOS_PER_SEC, &mut crate::rng(25));
-        assert!(w.conns.iter().any(|c| c.tenant == 0));
-        assert!(w.conns.iter().any(|c| c.tenant == 1));
+        assert!(w.conns.iter().any(|c| c.tenant() == 0));
+        assert!(w.conns.iter().any(|c| c.tenant() == 1));
         for c in &w.conns {
-            let want = [0, 5 * NANOS_PER_SEC][usize::from(c.tenant)];
+            let want = [0, 5 * NANOS_PER_SEC][usize::from(c.tenant())];
             assert_eq!(w.linger_of(c), want);
         }
     }
@@ -365,13 +372,14 @@ mod tests {
         let w = w.seal();
         for tenant in 4..7 {
             assert!(
-                w.conns.iter().any(|c| c.tenant == tenant),
+                w.conns.iter().any(|c| c.tenant() == tenant),
                 "tenant {tenant}"
             );
         }
         for c in &w.conns {
-            let want = [3, 1, 5][usize::from(c.tenant - 4)];
+            let want = [3, 1, 5][usize::from(c.tenant() - 4)];
             assert_eq!(w.events_of(c), want);
+            assert_eq!(w.port_of(c), Some(c.tenant() - 3));
         }
     }
 
@@ -409,6 +417,7 @@ mod tests {
             assert_eq!(w.request_count(), per_conn * conns);
             let table = |w: &Workload| (w.request_table().len(), w.request_table().capacity());
             assert_eq!(table(&w), (in_table * conns, in_table * conns));
+            assert_eq!(w.run_count(), in_table.min(1) * conns);
             assert_eq!(table(&w.seal()), (in_table * conns, in_table * conns));
         }
     }
@@ -429,9 +438,9 @@ mod tests {
         assert!(w
             .conns
             .windows(2)
-            .all(|p| p[0].arrival_ns <= p[1].arrival_ns));
+            .all(|p| p[0].arrival_ns() <= p[1].arrival_ns()));
         // Tenant 0 (rank 1) should dominate per Zipf.
-        let t0 = w.conns.iter().filter(|c| c.tenant == 0).count();
+        let t0 = w.conns.iter().filter(|c| c.tenant() == 0).count();
         assert!(t0 as f64 / w.connection_count() as f64 > 0.55);
     }
 

@@ -11,7 +11,7 @@
 
 use hermes::core::hash::reciprocal_scale;
 use hermes::prelude::*;
-use hermes::workload::{ConnectionSpec, RequestSpec};
+use hermes::workload::RequestSpec;
 
 const WORKERS: usize = 3;
 const VIP: u32 = 0x0aff_0001;
@@ -40,7 +40,7 @@ fn push(wl: &mut Workload, flow: FlowKey, arrival_ns: u64, per_event_ns: u64) {
         start_offset_ns: 0,
         service_ns: per_event_ns * 2,
     };
-    wl.push(ConnectionSpec::new(arrival_ns, flow, 0), [request]);
+    wl.push(arrival_ns, flow, 0, [request]);
 }
 
 fn main() {

@@ -164,15 +164,19 @@ step "workload stream (recorded streams of every generator, row layout, skip = s
 # were made, and every generator (each case at a short horizon, the
 # region mix, the surge) to a field-by-field fingerprint of its stream:
 # arrival, flow hash, tenant and linger of each connection, offset, service
-# and event count of each request. A connection row is 24 B: arrival, script,
-# the flow's kernel hash (computed once from the 4-tuple, which the row does
-# not keep; the hash sums prove it is the tuple's), Dport and tenant. Linger
-# and events per request are held once per tenant, and `extend_from` copies
-# both as each copied row read them, refusing a tenant that reads otherwise.
-# A request row is 16 B. A script of one request at offset 0 is written
-# straight into its row and never passes through the request table, so the
-# sim_case1 input's table is empty; any other script is an extent of the
-# table, which generation reserves for exactly those scripts.
+# and event count of each request. A connection row is 16 B: arrival (48
+# bits) and tenant (16) in one word, with no bleed between them at either
+# field's extreme, a 4-byte script, and the flow's kernel hash (computed
+# once from the 4-tuple, which the row does not keep; the hash sums prove it
+# is the tuple's). Dport, linger and events per request are held once per
+# tenant: `push` files a row's Dport under its tenant and refuses a second
+# one, and `extend_from` copies all three as each copied row read them,
+# refusing a tenant that reads otherwise; an arrival past 2^48 - 1 ns is
+# refused, naming the workload. A request row is 16 B. A script of one
+# request at offset 0 below 2^31 ns is written straight into its row and
+# never passes through the tables, so the sim_case1 input's tables are
+# empty; any other script is a run (start, count) of the request table,
+# which generation reserves for exactly those scripts.
 # Every generator's scripts read back the requests of a copy that holds them
 # all in the table, and each script keeps its form through `seal` and
 # `extend_from`. A request's size is skipped, not drawn: every distribution's

@@ -139,7 +139,7 @@ fn degradation_reschedules_connections_in_simulation() {
     let syns = wl
         .conns
         .iter()
-        .filter(|c| c.arrival_ns <= wl.duration_ns)
+        .filter(|c| c.arrival_ns() <= wl.duration_ns)
         .count() as u64;
     assert_eq!(
         with.sched.directed_dispatches + with.sched.fallback_dispatches,
