@@ -13,7 +13,7 @@
 use hermes_bench::{banner, WORKERS};
 use hermes_metrics::{NANOS_PER_MILLI, NANOS_PER_SEC};
 use hermes_simnet::{Mode, SimConfig};
-use hermes_workload::scenario::{surge, SurgeConfig};
+use hermes_workload::scenario::{surge_into, SurgeConfig};
 use hermes_workload::Workload;
 
 /// Several surge waves over the horizon: long-lived connections build up,
@@ -32,7 +32,7 @@ fn wavy_workload(waves: u64, conns_per_wave: usize, seed: u64) -> Workload {
     let wave_period = 6 * NANOS_PER_SEC;
     let mut wl = Workload::new("fig11-waves", waves * wave_period + 2 * NANOS_PER_SEC);
     for k in 0..waves {
-        wl.extend_from(&surge(cfg, seed.wrapping_add(k)), k * wave_period);
+        surge_into(&mut wl, cfg, seed.wrapping_add(k), k * wave_period);
     }
     wl.seal()
 }

@@ -35,13 +35,7 @@ pub fn run() {
         // by dead air and distort the averages).
         let mut wl = Case::Case1.workload(load, WORKERS, DURATION_NS, SEED);
         if scale < 1.0 {
-            let stride = (1.0 / scale).round() as usize;
-            let mut i = 0usize;
-            wl.conns.retain(|_| {
-                i += 1;
-                i.is_multiple_of(stride)
-            });
-            wl = wl.seal();
+            wl.thin((1.0 / scale).round() as usize);
         }
         let r = hermes_simnet::run(&wl, SimConfig::new(WORKERS, Mode::Hermes));
         let directed_pct = r.sched.directed_dispatches as f64

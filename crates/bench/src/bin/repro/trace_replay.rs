@@ -7,23 +7,7 @@
 use hermes_bench::{banner, fmt, run_mode, WORKERS};
 use hermes_metrics::table::Table;
 use hermes_simnet::Mode;
-use hermes_workload::{Case, CaseLoad, RequestSpec, Workload};
-
-/// Replay a trace at `speedup`× by compressing every timestamp (the
-/// paper's replay-rate knob).
-fn compress(wl: &Workload, speedup: u64) -> Workload {
-    let mut out = Workload::new(format!("{}@{speedup}x", wl.name), wl.duration_ns / speedup);
-    for c in &wl.conns {
-        out.set_linger(c.tenant(), wl.linger_of(c));
-        out.set_events_per_request(c.tenant(), wl.events_of(c));
-        let requests = wl.requests_of(c).iter().map(|r| RequestSpec {
-            start_offset_ns: r.start_offset_ns / speedup,
-            ..r
-        });
-        out.push_copy(wl, c, c.arrival_ns() / speedup, requests);
-    }
-    out.seal()
-}
+use hermes_workload::{Case, CaseLoad};
 
 pub fn run() {
     banner(
@@ -37,15 +21,22 @@ pub fn run() {
         captured.request_count()
     );
 
+    let mut rows: Vec<Vec<String>> = Mode::paper_trio()
+        .into_iter()
+        .map(|mode| vec![mode.name().to_string()])
+        .collect();
+    // Replay at `speedup`x by compressing every timestamp (the paper's
+    // replay-rate knob): one replay per rate, run under every mode.
+    for speedup in [1u64, 2, 3] {
+        let mut wl = captured.clone();
+        wl.compress(speedup);
+        for (row, mode) in rows.iter_mut().zip(Mode::paper_trio()) {
+            row.push(fmt(run_mode(&wl, mode, WORKERS).avg_latency_ms()));
+        }
+    }
     let mut t = Table::new("replayed trace: Avg latency ms (1x / 2x / 3x)")
         .header(["Mode", "1x", "2x", "3x"]);
-    for mode in Mode::paper_trio() {
-        let mut row = vec![mode.name().to_string()];
-        for speedup in [1u64, 2, 3] {
-            let wl = compress(&captured, speedup);
-            let r = run_mode(&wl, mode, WORKERS);
-            row.push(fmt(r.avg_latency_ms()));
-        }
+    for row in rows {
         t.row(row);
     }
     println!("{t}");

@@ -2,7 +2,8 @@
 //!
 //! * [`surge`] — the Fig. 3 lag effect: long-lived connections accumulate
 //!   quietly, then fire simultaneously; uneven *connection* placement
-//!   becomes uneven *CPU* load much later.
+//!   becomes uneven *CPU* load much later. [`surge_into`] appends one such
+//!   wave to a workload, so repeated waves are one workload.
 //! * [`rules_per_port`] — the Fig. A5 forwarding-rule-count model.
 //! * [`region_mix`] — a production-like blend of the four cases in a
 //!   region's Table 4 proportions (drives Fig. 13 / Table 2).
@@ -53,11 +54,21 @@ impl Default for SurgeConfig {
 /// burst (quantitative trading's "sudden traffic bursts if certain trading
 /// conditions are met").
 pub fn surge(config: SurgeConfig, seed: u64) -> Workload {
+    let horizon = config.ramp_ns + config.quiet_ns + config.surge_window_ns + config.drain_ns;
+    let mut w = Workload::new("fig3-surge", horizon);
+    surge_into(&mut w, config, seed, 0);
+    w.seal()
+}
+
+/// Append one [`surge`] wave, drawn from `seed`, to `w` with every arrival
+/// `shift_ns` later; its connections are tenant 0's, which lingers
+/// `config.drain_ns`. Rows go in unsorted: [`Workload::seal`] `w` once
+/// after its last wave. Panics, naming `w`, on a shifted arrival past
+/// [`crate::spec::MAX_ARRIVAL_NS`].
+pub fn surge_into(w: &mut Workload, config: SurgeConfig, seed: u64, shift_ns: u64) {
     let mut rng = crate::rng(seed);
     let surge_at = config.ramp_ns + config.quiet_ns;
-    let horizon = surge_at + config.surge_window_ns + config.drain_ns;
     let service = Exp::with_mean(config.burst_service_ns);
-    let mut w = Workload::new("fig3-surge", horizon);
     w.set_linger(0, config.drain_ns);
     // The handshake alone is one request at offset 0, held in its row; with
     // a burst, each connection's script is one run of the table.
@@ -89,9 +100,13 @@ pub fn surge(config: SurgeConfig, seed: u64) -> Workload {
             0x0aff_0001,
             9000,
         );
-        w.push(arrival, flow, 0, std::iter::once(handshake).chain(burst));
+        w.push(
+            arrival.saturating_add(shift_ns),
+            flow,
+            0,
+            std::iter::once(handshake).chain(burst),
+        );
     }
-    w.seal()
 }
 
 /// Fig. A5: number of forwarding rules per port across a region. Most ports
@@ -134,7 +149,7 @@ pub fn region_mix(
         let tenants = TenantSet::new(vec![case.profile()], 0.0, 20_000 + (i as u16) * 100);
         let process = ArrivalProcess::Poisson { rate_per_sec: cps };
         let conns = tenants.append(&mut w, i as u16, &process, duration_ns, seq, &mut rng);
-        seq = seq.wrapping_add(conns.len() as u32);
+        seq = seq.wrapping_add(conns as u32);
     }
     w.seal()
 }
@@ -326,6 +341,31 @@ mod tests {
                 98_007_000,
             ]
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "shifted: arrival at 281474976710656 ns is past the 2^48 ns")]
+    fn surge_into_refuses_a_shift_past_48_bits() {
+        let config = SurgeConfig {
+            connections: 1,
+            ..SurgeConfig::default()
+        };
+        let arrival = surge(config, 3).conns[0].arrival_ns();
+        let mut w = Workload::new("shifted", 1_000);
+        surge_into(&mut w, config, 3, crate::spec::MAX_ARRIVAL_NS - arrival);
+        assert_eq!(w.conns[0].arrival_ns(), crate::spec::MAX_ARRIVAL_NS);
+        surge_into(&mut w, config, 3, crate::spec::MAX_ARRIVAL_NS - arrival + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "shifted: arrival at 18446744073709551615 ns")]
+    fn surge_into_refuses_a_shift_past_u64() {
+        let config = SurgeConfig {
+            connections: 1,
+            ..SurgeConfig::default()
+        };
+        let mut w = Workload::new("shifted", 1_000);
+        surge_into(&mut w, config, 3, u64::MAX);
     }
 
     #[test]

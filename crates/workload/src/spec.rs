@@ -21,7 +21,10 @@
 //! in, picking each script's form from its requests, and
 //! [`Workload::requests_of`] the one way out; a generator writes every
 //! request in place, a lone one straight into its row, and a million
-//! connections cost at most three allocations, not a million. Keeping
+//! connections cost at most three allocations, not a million. A variant
+//! of a workload is that workload transformed in place
+//! ([`Workload::compress`], [`Workload::thin`], or one more
+//! [`crate::scenario::surge_into`] wave), never a copy of its rows. Keeping
 //! requests scripted (rather than generated inside the simulator) makes
 //! every experiment replayable and lets the *same* workload be run under
 //! every dispatch mode — the comparison structure of Table 3.
@@ -232,9 +235,10 @@ impl ConnectionSpec {
 /// A complete experiment input: the connection rows, the requests and runs
 /// of the scripts the rows do not hold, and each tenant's port, linger and
 /// events per request. A row's script indexes its own workload's runs, so
-/// rows are made by [`push`](Self::push), [`push_copy`](Self::push_copy) and
-/// [`extend_from`](Self::extend_from): a row put into another workload's
-/// `conns` by hand reads its script there only if the row holds it.
+/// rows are made by [`push`](Self::push), and a workload changes in place
+/// ([`compress`](Self::compress), [`thin`](Self::thin)): a row put into
+/// another workload's `conns` by hand reads its script there only if the
+/// row holds it.
 #[derive(Clone, Debug, Default)]
 pub struct Workload {
     /// Human-readable name (appears in harness output).
@@ -252,13 +256,12 @@ pub struct Workload {
     /// tenants; `None` where neither filed one.
     ports: Vec<Option<u16>>,
     /// How long a connection lingers after its last request, by tenant
-    /// ([`set_linger`](Self::set_linger)); `None` where never set, which
-    /// reads as 0.
-    lingers: Vec<Option<u64>>,
+    /// ([`set_linger`](Self::set_linger)); 0 where never set.
+    lingers: Vec<u64>,
     /// How many I/O events each request of a connection triggers, by
     /// tenant ([`set_events_per_request`](Self::set_events_per_request)),
-    /// at least one; `None` where never set, which reads as one.
-    events: Vec<Option<u16>>,
+    /// at least one; one where never set.
+    events: Vec<u16>,
     /// Experiment horizon (ns): the simulator runs to this time even after
     /// the last arrival, letting queues drain.
     pub duration_ns: u64,
@@ -305,27 +308,6 @@ impl Workload {
         conn.set_flow(flow);
         conn.set_tenant(tenant);
         self.conns.push(conn);
-        *self.script(self.conns.len() - 1, requests)
-    }
-
-    /// Append a copy of `conn`, one of `other`'s rows, that arrives at
-    /// `arrival_ns` with `requests` instead of its own, and return it: its
-    /// flow and tenant are `conn`'s, and the tenant's port is filed here as
-    /// `other` has it. Panics as [`push`](Self::push) does.
-    pub fn push_copy(
-        &mut self,
-        other: &Workload,
-        conn: &ConnectionSpec,
-        arrival_ns: u64,
-        requests: impl IntoIterator<Item = RequestSpec>,
-    ) -> ConnectionSpec {
-        if let Some(port) = other.port_of(conn) {
-            self.file_port(conn.tenant(), port);
-        }
-        let mut copy = ConnectionSpec::arriving(&self.name, arrival_ns);
-        copy.flow = conn.flow;
-        copy.set_tenant(conn.tenant());
-        self.conns.push(copy);
         *self.script(self.conns.len() - 1, requests)
     }
 
@@ -376,11 +358,12 @@ impl Workload {
 
     /// File `port` as `tenant`'s. Panics if the tenant listens on another.
     pub(crate) fn file_port(&mut self, tenant: u16, port: u16) {
-        if let Err(mine) = adopt(&mut self.ports, tenant.into(), port) {
-            panic!(
+        match slot(&mut self.ports, tenant.into(), None) {
+            Some(mine) if *mine != port => panic!(
                 "tenant {tenant} listens on port {mine} here and {port} on a new row of {}",
                 self.name
-            );
+            ),
+            filed => *filed = Some(port),
         }
     }
 
@@ -388,7 +371,7 @@ impl Workload {
     /// completes; 0 closes them right after it (short-lived), as it does
     /// for a tenant never set.
     pub fn set_linger(&mut self, tenant: u16, linger_ns: u64) {
-        *slot(&mut self.lingers, tenant.into()) = Some(linger_ns);
+        *slot(&mut self.lingers, tenant.into(), 0) = linger_ns;
     }
 
     /// Each request of a connection of `tenant` triggers `events` I/O
@@ -396,63 +379,7 @@ impl Workload {
     /// over which its service time is split; 0 reads as one, as does a
     /// tenant never set.
     pub fn set_events_per_request(&mut self, tenant: u16, events: u16) {
-        *slot(&mut self.events, tenant.into()) = Some(events.max(1));
-    }
-
-    /// Append every connection of `other` with its requests, `shift_ns`
-    /// later, so each copied row runs as it did there: every tenant with a
-    /// row or a value set in `other` listens on the port, lingers and has
-    /// the events per request it reads there, unset ones included, and a
-    /// tenant unset here takes them. Panics if such a tenant reads
-    /// differently here, and on a shifted arrival past [`MAX_ARRIVAL_NS`].
-    pub fn extend_from(&mut self, other: &Workload, shift_ns: u64) {
-        let tables = [other.ports.len(), other.lingers.len(), other.events.len()];
-        let mut in_use = vec![false; tables.into_iter().max().unwrap_or(0)];
-        for (tenant, port) in other.ports.iter().enumerate() {
-            in_use[tenant] |= port.is_some();
-        }
-        for (tenant, linger) in other.lingers.iter().enumerate() {
-            in_use[tenant] |= linger.is_some();
-        }
-        for (tenant, events) in other.events.iter().enumerate() {
-            in_use[tenant] |= events.is_some();
-        }
-        for c in &other.conns {
-            *slot(&mut in_use, c.tenant().into()) = true;
-        }
-        for tenant in (0..in_use.len()).filter(|&t| in_use[t]) {
-            if let Some(port) = other.ports.get(tenant).copied().flatten() {
-                if let Err(mine) = adopt(&mut self.ports, tenant, port) {
-                    panic!(
-                        "tenant {tenant} listens on port {mine} here and {port} in {}",
-                        other.name
-                    );
-                }
-            }
-            let linger_ns = other.linger_of_tenant(tenant);
-            if let Err(mine) = adopt(&mut self.lingers, tenant, linger_ns) {
-                panic!(
-                    "tenant {tenant} lingers {mine} ns here and {linger_ns} ns in {}",
-                    other.name
-                );
-            }
-            let events = other.events_of_tenant(tenant);
-            if let Err(mine) = adopt(&mut self.events, tenant, events) {
-                panic!(
-                    "tenant {tenant} has {mine} events per request here and {events} in {}",
-                    other.name
-                );
-            }
-        }
-        self.reserve(
-            other.connection_count(),
-            other.runs.len(),
-            other.requests.len(),
-        );
-        for c in &other.conns {
-            let arrival_ns = c.arrival_ns().saturating_add(shift_ns);
-            self.push_copy(other, c, arrival_ns, other.requests_of(c).iter());
-        }
+        *slot(&mut self.events, tenant.into(), 1) = events.max(1);
     }
 
     /// `conn`'s LB-side destination port: its tenant's rewritten Dport,
@@ -470,7 +397,10 @@ impl Workload {
     /// How long `conn` lingers after its last request: its tenant's
     /// [`set_linger`](Self::set_linger).
     pub fn linger_of(&self, conn: &ConnectionSpec) -> u64 {
-        self.linger_of_tenant(conn.tenant().into())
+        self.lingers
+            .get(usize::from(conn.tenant()))
+            .copied()
+            .unwrap_or(0)
     }
 
     /// How many I/O events each of `conn`'s requests triggers: its
@@ -478,16 +408,10 @@ impl Workload {
     /// at least one.
     #[inline]
     pub fn events_of(&self, conn: &ConnectionSpec) -> u16 {
-        self.events_of_tenant(conn.tenant().into())
-    }
-
-    fn linger_of_tenant(&self, tenant: usize) -> u64 {
-        self.lingers.get(tenant).copied().flatten().unwrap_or(0)
-    }
-
-    #[inline]
-    fn events_of_tenant(&self, tenant: usize) -> u16 {
-        self.events.get(tenant).copied().flatten().unwrap_or(1)
+        self.events
+            .get(usize::from(conn.tenant()))
+            .copied()
+            .unwrap_or(1)
     }
 
     /// CPU time each event of `request`, one of `conn`'s, consumes: its
@@ -532,6 +456,33 @@ impl Workload {
         self
     }
 
+    /// Replay the workload `speedup` times faster: every arrival, every
+    /// table request's offset and the horizon are divided by `speedup`, and
+    /// service times stay. Division is monotone, so sorted rows and scripts
+    /// stay sorted; a script held in its row starts at offset 0 and does
+    /// not change.
+    pub fn compress(&mut self, speedup: u64) {
+        for c in &mut self.conns {
+            c.stamp = (c.stamp & !MAX_ARRIVAL_NS) | (c.arrival_ns() / speedup);
+        }
+        for r in &mut self.requests {
+            r.start_offset_ns /= speedup;
+        }
+        self.duration_ns /= speedup;
+    }
+
+    /// Keep every `stride`-th connection (the `stride`-th, the
+    /// `2·stride`-th, ...) and drop the rest: the same arrival process's
+    /// shape over the same horizon at `1/stride` of its rate. The dropped
+    /// rows' table scripts stay in the tables, unread.
+    pub fn thin(&mut self, stride: usize) {
+        let mut i = 0usize;
+        self.conns.retain(|_| {
+            i += 1;
+            i.is_multiple_of(stride)
+        });
+    }
+
     /// Number of connections.
     pub fn connection_count(&self) -> usize {
         self.conns.len()
@@ -566,30 +517,13 @@ impl Workload {
     }
 }
 
-/// `tenant`'s entry in a per-tenant table, grown with unset entries
-/// (`T::default()`) to reach it.
-fn slot<T: Copy + Default>(table: &mut Vec<T>, tenant: usize) -> &mut T {
+/// `tenant`'s entry in a per-tenant table, grown with `unset` entries to
+/// reach it.
+fn slot<T: Copy>(table: &mut Vec<T>, tenant: usize, unset: T) -> &mut T {
     if tenant >= table.len() {
-        table.resize(tenant + 1, T::default());
+        table.resize(tenant + 1, unset);
     }
     &mut table[tenant]
-}
-
-/// Give `tenant` `value` in a per-tenant table where it is unset; a value
-/// set there that differs is refused with that value.
-fn adopt<T: Copy + PartialEq>(
-    table: &mut Vec<Option<T>>,
-    tenant: usize,
-    value: T,
-) -> Result<(), T> {
-    match slot(table, tenant) {
-        Some(mine) if *mine != value => Err(*mine),
-        Some(_) => Ok(()),
-        unset => {
-            *unset = Some(value);
-            Ok(())
-        }
-    }
 }
 
 /// Test-only fingerprint of a generated stream: one wrapping sum per field
@@ -726,18 +660,9 @@ mod tests {
         w.push(5, FlowKey::new(1, 2, 3, 81), 1, []);
     }
 
-    #[test]
-    #[should_panic(expected = "tenant 1 listens on port 81 here and 80 in a")]
-    fn extend_from_refuses_a_second_port_for_a_tenant() {
-        let mut a = Workload::new("a", 1_000);
-        a.push(0, FlowKey::new(1, 2, 3, 80), 1, [request(0, 30)]);
-        let mut w = Workload::new("w", 1_000);
-        w.push(0, FlowKey::new(1, 2, 3, 81), 1, [request(0, 30)]);
-        w.extend_from(&a, 0);
-    }
-
     /// The arrival and the tenant share one word: each reads back exactly
-    /// at the other's extremes, and `seal` sorts by arrival alone, stably.
+    /// at the other's extremes, `seal` sorts by arrival alone, stably, and
+    /// `compress` divides the arrival and leaves the tenant beside it.
     #[test]
     fn arrival_and_tenant_share_a_word_without_bleeding() {
         let mut w = Workload::new("t", 1_000);
@@ -754,14 +679,15 @@ mod tests {
             assert_eq!((c.arrival_ns(), c.tenant()), (arrival, tenant));
             assert_eq!(w.requests_of(&c).get(0), Some(request(0, 9)));
         }
-        let w = w.seal();
-        let rows: Vec<(u64, u16)> = w
-            .conns
-            .iter()
-            .map(|c| (c.arrival_ns(), c.tenant()))
-            .collect();
+        let mut w = w.seal();
+        let rows = |w: &Workload| -> Vec<(u64, u16)> {
+            w.conns
+                .iter()
+                .map(|c| (c.arrival_ns(), c.tenant()))
+                .collect()
+        };
         assert_eq!(
-            rows,
+            rows(&w),
             [
                 (0, u16::MAX),
                 (0, 0),
@@ -772,7 +698,6 @@ mod tests {
             ]
         );
         // Every tenant at the extremes reads its own linger and events.
-        let mut w = w;
         w.set_linger(u16::MAX, 11);
         w.set_events_per_request(u16::MAX, 3);
         assert_eq!(
@@ -781,6 +706,20 @@ mod tests {
         );
         assert_eq!((w.linger_of(&w.conns[1]), w.events_of(&w.conns[1])), (0, 1));
         assert_eq!(w.port_of(&w.conns[0]), Some(4));
+        w.compress(3);
+        assert_eq!(
+            rows(&w),
+            [
+                (0, u16::MAX),
+                (0, 0),
+                ((1 << 47) / 3, 1),
+                ((MAX_ARRIVAL_NS - 1) / 3, 1 << 15),
+                (MAX_ARRIVAL_NS / 3, u16::MAX),
+                (MAX_ARRIVAL_NS / 3, 0),
+            ]
+        );
+        assert_eq!(w.linger_of(&w.conns[4]), 11);
+        assert_eq!(w.requests_of(&w.conns[4]).get(0), Some(request(0, 9)));
     }
 
     #[test]
@@ -788,26 +727,6 @@ mod tests {
     fn push_refuses_an_arrival_past_48_bits() {
         let mut w = Workload::new("big", 1_000);
         push(&mut w, MAX_ARRIVAL_NS + 1, u16::MAX, []);
-    }
-
-    #[test]
-    #[should_panic(expected = "shifted: arrival at 281474976710656 ns is past the 2^48 ns")]
-    fn extend_from_refuses_a_shift_past_48_bits() {
-        let mut a = Workload::new("a", 1_000);
-        push(&mut a, 1, 0, [request(0, 30)]);
-        let mut w = Workload::new("shifted", 1_000);
-        w.extend_from(&a, MAX_ARRIVAL_NS - 1);
-        assert_eq!(w.conns[0].arrival_ns(), MAX_ARRIVAL_NS);
-        w.extend_from(&a, MAX_ARRIVAL_NS);
-    }
-
-    #[test]
-    #[should_panic(expected = "shifted: arrival at 18446744073709551615 ns")]
-    fn extend_from_refuses_a_shift_past_u64() {
-        let mut a = Workload::new("a", 1_000);
-        push(&mut a, 1, 0, []);
-        let mut w = Workload::new("shifted", 1_000);
-        w.extend_from(&a, u64::MAX);
     }
 
     /// A tenant never set, or set to zero, reads as one event per request:
@@ -837,120 +756,6 @@ mod tests {
         let w = w.seal();
         let lingers: Vec<u64> = w.conns.iter().map(|c| w.linger_of(c)).collect();
         assert_eq!(lingers, [500, 0, 0]);
-    }
-
-    #[test]
-    fn extend_from_copies_rows_with_their_lingers() {
-        let mut a = Workload::new("a", 1_000);
-        a.set_linger(1, 700);
-        push(&mut a, 5, 1, [request(0, 10), request(3, 20)]);
-        push(&mut a, 9, 0, [request(0, 30)]);
-        let a = a.seal();
-        let mut w = Workload::new("w", 2_000);
-        w.extend_from(&a, 0);
-        w.extend_from(&a, 1_000);
-        let w = w.seal();
-        let arrivals: Vec<u64> = w.conns.iter().map(|c| c.arrival_ns()).collect();
-        assert_eq!(arrivals, [5, 9, 1_005, 1_009]);
-        for (c, src) in w.conns.iter().zip(a.conns.iter().cycle()) {
-            assert_eq!((c.tenant(), c.flow), (src.tenant(), src.flow));
-            assert_eq!(w.linger_of(c), a.linger_of(src));
-            assert_eq!(w.requests_of(c), a.requests_of(src));
-        }
-    }
-
-    /// Each tenant keeps its port through `extend_from`, a tenant with a
-    /// port and no row in the copied workload included.
-    #[test]
-    fn extend_from_copies_each_tenants_port() {
-        let mut a = Workload::new("a", 1_000);
-        a.push(5, FlowKey::new(1, 2, 3, 80), 1, [request(0, 10)]);
-        a.push(
-            6,
-            FlowKey::new(1, 2, 3, 90),
-            2,
-            [request(0, 10), request(1, 2)],
-        );
-        a.file_port(3, 100);
-        let mut w = Workload::new("w", 1_000);
-        w.push(0, FlowKey::new(1, 2, 3, 70), 0, []);
-        w.extend_from(&a, 10);
-        let ports: Vec<Option<u16>> = w.conns.iter().map(|c| w.port_of(c)).collect();
-        assert_eq!(ports, [Some(70), Some(80), Some(90)]);
-        assert_eq!(w.ports, [Some(70), Some(80), Some(90), Some(100)]);
-    }
-
-    /// A copied row keeps its tenant's events per request and linger,
-    /// those a tenant leaves unset included, and a tenant unset here takes
-    /// them.
-    #[test]
-    fn extend_from_carries_events_per_request() {
-        let mut a = Workload::new("a", 1_000);
-        a.set_events_per_request(1, 3);
-        push(&mut a, 5, 1, [request(0, 30)]);
-        push(&mut a, 6, 2, [request(0, 30)]);
-        let a = a.seal();
-        let mut w = Workload::new("w", 1_000);
-        w.set_events_per_request(3, 4);
-        w.extend_from(&a, 0);
-        w.extend_from(&a, 100);
-        let w = w.seal();
-        let events: Vec<u16> = w.conns.iter().map(|c| w.events_of(c)).collect();
-        assert_eq!(events, [3, 1, 3, 1]);
-        assert_eq!(a.events_of(&a.conns[1]), 1);
-        // Tenant 2 now reads as set here, to what its copied rows read.
-        assert_eq!((w.events[2], w.lingers[2]), (Some(1), Some(0)));
-        assert_eq!((w.events[3], w.lingers.get(3)), (Some(4), None));
-    }
-
-    /// A tenant `a` leaves unset reads one event per request there, so its
-    /// copied rows cannot run at another count here.
-    #[test]
-    #[should_panic(expected = "tenant 2 has 4 events per request here and 1 in a")]
-    fn extend_from_refuses_events_a_copied_row_did_not_have() {
-        let mut a = Workload::new("a", 1_000);
-        a.set_events_per_request(1, 3);
-        push(&mut a, 5, 1, [request(0, 30)]);
-        push(&mut a, 6, 2, [request(0, 30)]);
-        let a = a.seal();
-        let mut w = Workload::new("w", 1_000);
-        w.set_events_per_request(2, 4);
-        w.extend_from(&a, 0);
-    }
-
-    /// Rows copied from a tenant that closes at once fix its linger at 0
-    /// here: a later copy that lingers is refused, not adopted under them.
-    #[test]
-    #[should_panic(expected = "tenant 0 lingers 0 ns here and 700 ns in lingering")]
-    fn extend_from_refuses_a_linger_after_rows_that_closed_at_once() {
-        let mut closes = Workload::new("closes", 1_000);
-        push(&mut closes, 5, 0, [request(0, 30)]);
-        let mut lingering = Workload::new("lingering", 1_000);
-        lingering.set_linger(0, 700);
-        push(&mut lingering, 6, 0, [request(0, 30)]);
-        let mut w = Workload::new("w", 1_000);
-        w.extend_from(&closes, 0);
-        w.extend_from(&lingering, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "tenant 1 has 2 events per request here and 3 in a")]
-    fn extend_from_refuses_second_events_per_request_for_a_tenant() {
-        let mut a = Workload::new("a", 1_000);
-        a.set_events_per_request(1, 3);
-        let mut w = Workload::new("w", 1_000);
-        w.set_events_per_request(1, 2);
-        w.extend_from(&a, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "tenant 1 lingers")]
-    fn extend_from_refuses_a_second_linger_for_a_tenant() {
-        let mut a = Workload::new("a", 1_000);
-        a.set_linger(1, 700);
-        let mut w = Workload::new("w", 1_000);
-        w.set_linger(1, 300);
-        w.extend_from(&a, 0);
     }
 
     #[test]
@@ -1045,10 +850,10 @@ mod tests {
     }
 
     /// Scripts move with their rows when `seal` reorders them, and
-    /// `extend_from` copies each in the form it had: the copy's tables hold
-    /// the table scripts only.
+    /// `compress` divides every arrival, table offset and the horizon in
+    /// place: each script keeps its form, its tables and its service times.
     #[test]
-    fn seal_and_extend_from_keep_each_form() {
+    fn seal_and_compress_keep_each_form() {
         let mut w = Workload::new("t", 1_000);
         push(
             &mut w,
@@ -1082,16 +887,26 @@ mod tests {
         assert_eq!(w.request_table().len(), 4);
         assert!((w.offered_load() - 15.0 / 1_000.0).abs() < 1e-12);
 
-        let mut copy = Workload::new("copy", 2_000);
-        copy.extend_from(&w, 1_000);
-        assert_eq!(in_row(&copy), in_row(&w));
-        // The reservation, exactly: the lone request went to its row.
-        assert_eq!((table(&copy), runs(&copy)), ((4, 4), (3, 3)));
-        let copy = copy.seal();
-        assert_eq!((table(&copy), runs(&copy)), ((4, 4), (3, 3)));
+        let mut fast = w.clone();
+        fast.compress(2);
+        assert_eq!(in_row(&fast), in_row(&w));
+        assert_eq!((table(&fast), runs(&fast)), ((4, 4), (3, 3)));
+        let arrivals: Vec<u64> = fast.conns.iter().map(|c| c.arrival_ns()).collect();
+        assert_eq!((arrivals, fast.duration_ns), (vec![25, 50, 100, 150], 500));
+        let offsets: Vec<Vec<u64>> = fast
+            .conns
+            .iter()
+            .map(|c| {
+                fast.requests_of(c)
+                    .iter()
+                    .map(|r| r.start_offset_ns)
+                    .collect()
+            })
+            .collect();
+        assert_eq!(offsets, [vec![3], vec![], vec![0], vec![0, 2, 4]]);
         for i in 0..w.conns.len() {
-            assert_eq!(services(&copy, i), services(&w, i));
-            assert_eq!(copy.conns[i].tenant(), w.conns[i].tenant());
+            assert_eq!(services(&fast, i), services(&w, i));
+            assert_eq!(fast.conns[i].tenant(), w.conns[i].tenant());
         }
     }
 
@@ -1103,7 +918,7 @@ mod tests {
     fn every_generator_reads_back_its_table_only_copy() {
         use crate::cases::{Case, CaseLoad};
         use crate::regions::Region;
-        use crate::scenario::{region_mix, surge, SurgeConfig};
+        use crate::scenario::{region_mix, surge, surge_into, SurgeConfig};
         use crate::tenant::{TenantProfile, TenantSet};
         use crate::ArrivalProcess;
         use hermes_metrics::NANOS_PER_SEC;
@@ -1138,6 +953,18 @@ mod tests {
                 rate_per_sec: 2_000.0,
             };
             workloads.push(mixed.workload("mixed", &process, NANOS_PER_SEC, &mut crate::rng(seed)));
+            // And each in-place transform: two surge waves, the second
+            // shifted; a compressed replay; a thinned load.
+            let mut waves = Workload::new("waves", 20 * NANOS_PER_SEC);
+            surge_into(&mut waves, config, seed, 0);
+            surge_into(&mut waves, config, seed.wrapping_add(1), 6 * NANOS_PER_SEC);
+            workloads.push(waves.seal());
+            let mut replay = Case::Case2.workload(CaseLoad::Light, 2, NANOS_PER_SEC, seed);
+            replay.compress(3);
+            workloads.push(replay);
+            let mut thinned = Case::Case1.workload(CaseLoad::Light, 2, NANOS_PER_SEC, seed);
+            thinned.thin(2);
+            workloads.push(thinned);
 
             for w in &workloads {
                 let reference = w.table_only();

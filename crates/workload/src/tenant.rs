@@ -127,7 +127,7 @@ impl TenantSet {
     }
 
     /// Append a connection to `w` for every arrival `process` draws over
-    /// `duration_ns` and return them; `first_seq` numbers the first one's
+    /// `duration_ns` and return how many; `first_seq` numbers the first one's
     /// flow. Tenant `i` of this set is tenant `first_tenant + i` of `w`,
     /// listens on [`port_of`](Self::port_of)`(i)`, and lingers and has the
     /// events per request its profile says. Each arrival goes straight into the
@@ -135,15 +135,15 @@ impl TenantSet {
     /// order, each from a Zipf-sampled tenant: every arrival is drawn
     /// before any connection's script, the order every recorded result was
     /// drawn in.
-    pub(crate) fn append<'w>(
+    pub(crate) fn append(
         &self,
-        w: &'w mut Workload,
+        w: &mut Workload,
         first_tenant: u16,
         process: &ArrivalProcess,
         duration_ns: u64,
         first_seq: u32,
         rng: &mut crate::Rng,
-    ) -> &'w mut [ConnectionSpec] {
+    ) -> usize {
         for (i, profile) in self.tenants.iter().enumerate() {
             let tenant = first_tenant + i as u16;
             w.file_port(tenant, self.port_of(i));
@@ -169,7 +169,7 @@ impl TenantSet {
             self.fill(w, index, tenant, seq, rng)
                 .set_tenant(first_tenant + tenant as u16);
         }
-        &mut w.conns[first..]
+        w.conns.len() - first
     }
 
     /// Make row `index` of `w`, which holds only its arrival, a connection

@@ -170,16 +170,16 @@ step "workload stream (recorded streams of every generator, row layout, skip = s
 # once from the 4-tuple, which the row does not keep; the hash sums prove it
 # is the tuple's). Dport, linger and events per request are held once per
 # tenant: `push` files a row's Dport under its tenant and refuses a second
-# one, and `extend_from` copies all three as each copied row read them,
-# refusing a tenant that reads otherwise; an arrival past 2^48 - 1 ns is
-# refused, naming the workload. A request row is 16 B. A script of one
+# one; an arrival past 2^48 - 1 ns is refused, naming the workload, also
+# when a surge wave's shift carries it there. A request row is 16 B. A script of one
 # request at offset 0 below 2^31 ns is written straight into its row and
 # never passes through the tables, so the sim_case1 input's tables are
 # empty; any other script is a run (start, count) of the request table,
 # which generation reserves for exactly those scripts.
 # Every generator's scripts read back the requests of a copy that holds them
-# all in the table, and each script keeps its form through `seal` and
-# `extend_from`. A request's size is skipped, not drawn: every distribution's
+# all in the table, so do two shifted surge waves, a compressed replay and a
+# thinned load, and each script keeps its form through `seal` and
+# `compress`. A request's size is skipped, not drawn: every distribution's
 # `skip` leaves the RNG where `sample` does (skip_leaves_the_stream_where_
 # sample_does), and the inline rounding of request counts is `f64::round`
 # bit for bit. The Zipf draw enters a guide at the raw draw's top bits and
