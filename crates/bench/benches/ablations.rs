@@ -14,9 +14,7 @@
 use hermes_bench::time_it;
 use hermes_core::sched::{FilterStage, SchedConfig, Scheduler};
 use hermes_core::wst::Wst;
-use hermes_core::{
-    ConnDispatcher, GroupedConnDispatcher, WorkerBitmap, WorkerSnapshot, MAX_WORKERS_PER_GROUP,
-};
+use hermes_core::{ConnDispatcher, WorkerBitmap, WorkerSnapshot, MAX_WORKERS_PER_GROUP};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -146,14 +144,13 @@ fn ablation_filter_order() {
 }
 
 fn ablation_groups() {
-    let single = ConnDispatcher::new(64);
+    let dispatcher = ConnDispatcher::new(64);
     let bitmaps = [WorkerBitmap::all(64); 2];
     time_it("ablation_groups/single_level_64", || {
-        single.dispatch(black_box(bitmaps[0]), black_box(0xABCD_EF01))
+        dispatcher.dispatch(black_box(&bitmaps[..1]), black_box(0xABCD_EF01))
     });
-    let two_level = GroupedConnDispatcher::new(64);
     time_it("ablation_groups/two_level_128", || {
-        two_level.dispatch(black_box(&bitmaps), black_box(0xABCD_EF01))
+        dispatcher.dispatch(black_box(&bitmaps), black_box(0xABCD_EF01))
     });
 }
 

@@ -73,7 +73,7 @@ fn bench_dispatch() {
     let native = ConnDispatcher::new(64);
     time_it("dispatch/native_algorithm2", || {
         native.dispatch(
-            WorkerBitmap(black_box(0x0000_F0F0_A5A5_3C3C)),
+            &[WorkerBitmap(black_box(0x0000_F0F0_A5A5_3C3C))],
             black_box(0x1234_5678),
         )
     });

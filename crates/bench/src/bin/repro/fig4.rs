@@ -5,7 +5,7 @@
 
 use hermes_bench::{banner, DURATION_NS, SEED, WORKERS};
 use hermes_metrics::ascii::line_plot;
-use hermes_metrics::{Cdf, Histogram};
+use hermes_metrics::{Histogram, Summary};
 use hermes_simnet::{DeviceReport, Mode, SimConfig};
 use hermes_workload::regions::Region;
 use hermes_workload::scenario::region_mix;
@@ -27,11 +27,11 @@ pub fn region_mix_exclusive() -> (DeviceReport, [usize; 4]) {
 /// The CDF of `h`'s samples, each divided by `unit`, at `steps + 1` evenly
 /// spaced points of `[0, xmax]`.
 pub fn cdf_points(h: &Histogram, unit: f64, xmax: f64, steps: u32) -> Vec<(f64, f64)> {
-    let samples: Vec<f64> = h
-        .iter_buckets()
-        .flat_map(|(v, c)| std::iter::repeat_n(v as f64 / unit, c as usize))
-        .collect();
-    let cdf = Cdf::from_samples(samples);
+    let mut cdf = Summary::new();
+    cdf.extend(
+        h.iter_buckets()
+            .flat_map(|(v, c)| std::iter::repeat_n(v as f64 / unit, c as usize)),
+    );
     (0..=steps)
         .map(|i| {
             let x = xmax * i as f64 / steps as f64;

@@ -5,7 +5,7 @@
 
 use hermes_bench::banner;
 use hermes_metrics::ascii::line_plot;
-use hermes_metrics::Cdf;
+use hermes_metrics::Summary;
 use hermes_workload::scenario::rules_per_port;
 
 pub fn run() {
@@ -14,7 +14,8 @@ pub fn run() {
         "Appendix C 'CDF of #forwarding rules per port in a region'",
     );
     let rules = rules_per_port(20_000, 42);
-    let cdf = Cdf::from_samples(rules.iter().map(|&r| r as f64));
+    let mut cdf = Summary::with_capacity(rules.len());
+    cdf.extend(rules.iter().map(|&r| r as f64));
     // Log-spaced x-axis (the figure's interesting range spans decades).
     let pts: Vec<(f64, f64)> = (0..=24)
         .map(|i| {

@@ -1,22 +1,27 @@
-//! Kernel-side connection dispatch (Algorithm 2), native reference
-//! implementation.
+//! Kernel-side connection dispatch (Algorithm 2 in §7's two-level form),
+//! native reference implementation.
 //!
 //! For each incoming SYN the reuseport group's attached program:
 //!
-//! 1. loads the userspace bitmap from the array map,
-//! 2. counts available workers `n`; if `n <= 1` it returns *fallback* and
-//!    the kernel keeps its default hash-based reuseport selection (this is
-//!    the overload guard of §5.3.2's two-stage filtering),
-//! 3. otherwise scales the precomputed 4-tuple hash into `1..=n` with
-//!    `reciprocal_scale` and picks the Nth set bit — fine-grained filtering
-//!    that spreads new connections *across* the coarse candidate set instead
-//!    of hammering one worker.
+//! 1. picks one of the `G` worker groups by `reciprocal_scale` over the
+//!    precomputed 4-tuple hash (level 1, §7; `G == 1` is the flat plane,
+//!    where level 1 always picks group 0),
+//! 2. loads that group's userspace bitmap from the array map,
+//! 3. counts available workers `n`; if `n <= 1` it returns *fallback* and
+//!    the kernel keeps its default hash-based reuseport selection within
+//!    the group (this is the overload guard of §5.3.2's two-stage
+//!    filtering),
+//! 4. otherwise scales the bits level 1 did not use ([`level2_hash`]) into
+//!    `1..=n` with `reciprocal_scale` and picks the Nth set bit —
+//!    fine-grained filtering that spreads new connections *across* the
+//!    coarse candidate set instead of hammering one worker.
 //!
 //! `hermes-ebpf` executes the same logic as verified bytecode;
-//! [`ConnDispatcher::select`] is the semantics oracle it is tested against.
+//! [`ConnDispatcher::dispatch`] is the semantics oracle it is tested
+//! against at every group count.
 
 use crate::bitmap::{WorkerBitmap, MAX_WORKERS_PER_GROUP};
-use crate::hash::reciprocal_scale;
+use crate::hash::{level2_hash, reciprocal_scale};
 use crate::WorkerId;
 
 /// Outcome of a dispatch decision.
@@ -24,8 +29,8 @@ use crate::WorkerId;
 pub enum DispatchOutcome {
     /// Hermes selected this worker from the userspace bitmap.
     Directed(WorkerId),
-    /// Too few candidates — fall back to default reuseport hashing over all
-    /// workers.
+    /// Too few candidates — fall back to default reuseport hashing over the
+    /// group's sockets.
     Fallback(WorkerId),
 }
 
@@ -43,77 +48,74 @@ impl DispatchOutcome {
     }
 }
 
-/// The eBPF dispatch program's decision procedure, natively.
+/// The eBPF dispatch program's decision procedure, natively, at any group
+/// count: one decision per connection, as the reuseport hook runs it.
+///
+/// A pure decision procedure over the bitmaps each call is given: it holds
+/// no map and touches no flight-recorder counter.
 ///
 /// ```
 /// use hermes_core::{ConnDispatcher, WorkerBitmap};
 /// let d = ConnDispatcher::new(8);
 /// let bm = WorkerBitmap::from_workers([2, 5]);
-/// let out = d.dispatch(bm, 0xDEAD_BEEF);
+/// let out = d.dispatch(&[bm], 0xDEAD_BEEF);
 /// assert!(out.is_directed());
 /// assert!(bm.contains(out.worker()));
 /// // A singleton candidate set trips the n>1 guard and falls back:
-/// assert!(!d.dispatch(WorkerBitmap::from_workers([2]), 1).is_directed());
+/// assert!(!d.dispatch(&[WorkerBitmap::from_workers([2])], 1).is_directed());
+/// // Two groups of 8: the worker id is global, `group * 8 + local`.
+/// assert!(d.dispatch(&[bm, bm], 0xDEAD_BEEF).worker() < 16);
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct ConnDispatcher {
-    /// Total workers in the reuseport group (fallback hashes over these).
-    workers: usize,
+    /// Sockets per group: group `g` holds the global ids
+    /// `g·size .. (g+1)·size`, and a fallback hashes over its `size`.
+    size: usize,
 }
 
 impl ConnDispatcher {
-    /// Dispatcher for a reuseport group of `workers` sockets, with
-    /// Algorithm 2's `n > 1` guard.
-    pub fn new(workers: usize) -> Self {
+    /// Dispatcher over groups of `size` workers each, with Algorithm 2's
+    /// `n > 1` guard.
+    pub fn new(size: usize) -> Self {
         assert!(
-            (1..=MAX_WORKERS_PER_GROUP).contains(&workers),
+            (1..=MAX_WORKERS_PER_GROUP).contains(&size),
             "1..=64 workers per group"
         );
-        Self { workers }
+        Self { size }
     }
 
-    /// Number of workers in the group.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Full dispatch: Hermes selection with reuseport fallback.
-    /// `hash` is the kernel-precomputed 4-tuple hash. A pure decision
-    /// procedure: it touches no flight-recorder counter.
-    pub fn dispatch(&self, bitmap: WorkerBitmap, hash: u32) -> DispatchOutcome {
-        match self.select(bitmap, hash) {
-            Some(w) => DispatchOutcome::Directed(w),
-            None => DispatchOutcome::Fallback(self.reuseport_select(hash)),
-        }
-    }
-
-    /// Algorithm 2 lines 2–7: Hermes selection only. `None` means the guard
-    /// failed and the caller must fall back.
-    pub fn select(&self, bitmap: WorkerBitmap, hash: u32) -> Option<WorkerId> {
-        // Mask out ids beyond this group (defensive: userspace bugs must
+    /// Full dispatch over `bitmaps`, one per group (at least one:
+    /// `reciprocal_scale` panics on an empty range): level 1 picks the
+    /// group, then Hermes selection within it with the reuseport fallback.
+    /// `hash` is the kernel-precomputed 4-tuple hash.
+    pub fn dispatch(&self, bitmaps: &[WorkerBitmap], hash: u32) -> DispatchOutcome {
+        let groups = bitmaps.len();
+        let group = reciprocal_scale(hash, groups as u32) as usize;
+        let hash = level2_hash(hash, groups);
+        let base = group * self.size;
+        // Mask out ids beyond the group (defensive: userspace bugs must
         // not direct traffic at nonexistent sockets).
-        let masked = WorkerBitmap(bitmap.0 & WorkerBitmap::all(self.workers).0);
+        let masked = WorkerBitmap(bitmaps[group].0 & WorkerBitmap::all(self.size).0);
         let n = masked.count();
         if n <= 1 {
-            return None;
+            // Reuseport hashing over the group's sockets: the kernel's own
+            // at one group, the program's in-group pick at more.
+            let local = reciprocal_scale(hash, self.size as u32) as WorkerId;
+            return DispatchOutcome::Fallback(base + local);
         }
         let nth = reciprocal_scale(hash, n) + 1; // 1..=n
         let id = masked
             .nth_set_bit(nth)
             .expect("nth in 1..=count must exist");
-        Some(id)
-    }
-
-    /// The kernel's default reuseport selection: hash modulo the socket
-    /// count (Linux uses `reciprocal_scale` over the group size).
-    pub fn reuseport_select(&self, hash: u32) -> WorkerId {
-        reciprocal_scale(hash, self.workers as u32) as WorkerId
+        DispatchOutcome::Directed(base + id)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::{SchedConfig, Scheduler};
+    use crate::wst::Wst;
     use hermes_metrics::rng::for_each_case;
 
     #[test]
@@ -121,7 +123,7 @@ mod tests {
         let d = ConnDispatcher::new(8);
         let bm = WorkerBitmap::from_workers([1, 3, 6]);
         for h in 0..1_000u32 {
-            let out = d.dispatch(bm, h.wrapping_mul(2654435761));
+            let out = d.dispatch(&[bm], h.wrapping_mul(2654435761));
             assert!(out.is_directed());
             assert!(bm.contains(out.worker()));
         }
@@ -133,7 +135,7 @@ mod tests {
         // to it, so the guard requires n > 1.
         let d = ConnDispatcher::new(8);
         let bm = WorkerBitmap::from_workers([5]);
-        let out = d.dispatch(bm, 42);
+        let out = d.dispatch(&[bm], 42);
         assert!(!out.is_directed());
         assert!(out.worker() < 8);
     }
@@ -141,7 +143,7 @@ mod tests {
     #[test]
     fn empty_bitmap_falls_back() {
         let d = ConnDispatcher::new(4);
-        let out = d.dispatch(WorkerBitmap::EMPTY, 7);
+        let out = d.dispatch(&[WorkerBitmap::EMPTY], 7);
         assert!(!out.is_directed());
     }
 
@@ -151,7 +153,7 @@ mod tests {
         // Bits 10 and 20 point past the group; only 1 and 2 are real.
         let bm = WorkerBitmap::from_workers([1, 2, 10, 20]);
         for h in 0..200u32 {
-            let out = d.dispatch(bm, h.wrapping_mul(0x9E3779B9));
+            let out = d.dispatch(&[bm], h.wrapping_mul(0x9E3779B9));
             assert!(out.is_directed());
             assert!([1usize, 2].contains(&out.worker()));
         }
@@ -167,7 +169,7 @@ mod tests {
         let n = 50_000u32;
         for i in 0..n {
             let h = crate::hash::jhash_3words(i, 77, 0, 3);
-            *counts.entry(d.dispatch(bm, h).worker()).or_insert(0u32) += 1;
+            *counts.entry(d.dispatch(&[bm], h).worker()).or_insert(0u32) += 1;
         }
         assert_eq!(counts.len(), 5);
         for (&w, &c) in &counts {
@@ -182,7 +184,7 @@ mod tests {
         // bitmap — dispatch is deterministic, there is no per-packet RNG.
         let d = ConnDispatcher::new(32);
         let bm = WorkerBitmap::all(32);
-        assert_eq!(d.dispatch(bm, 12345), d.dispatch(bm, 12345));
+        assert_eq!(d.dispatch(&[bm], 12345), d.dispatch(&[bm], 12345));
     }
 
     #[test]
@@ -197,7 +199,7 @@ mod tests {
         for_each_case(256, |g| {
             let (bm, hash) = (WorkerBitmap::arbitrary(g), g.next_u64() as u32);
             let workers = 1 + g.index(64);
-            let out = ConnDispatcher::new(workers).dispatch(bm, hash);
+            let out = ConnDispatcher::new(workers).dispatch(&[bm], hash);
             assert!(out.worker() < workers, "{bm:?} hash {hash} of {workers}");
             if out.is_directed() {
                 assert!(bm.contains(out.worker()), "{bm:?} hash {hash}");
@@ -213,10 +215,63 @@ mod tests {
         let mut fallbacks = 0;
         for_each_case(256, |g| {
             let (bm, hash) = (WorkerBitmap::arbitrary(g), g.next_u64() as u32);
-            let out = d.dispatch(bm, hash);
+            let out = d.dispatch(&[bm], hash);
             assert_eq!(out.is_directed(), bm.count() > 1, "{bm:?} hash {hash}");
             fallbacks += u32::from(!out.is_directed());
         });
         assert!(fallbacks > 0, "no case had fewer than two candidates");
+    }
+
+    #[test]
+    fn grouped_dispatcher_places_through_the_schedulers_bitmaps() {
+        // Four groups of four, each with its own WST and scheduler; worker 1
+        // of every group is overloaded.
+        let d = ConnDispatcher::new(4);
+        let sched = Scheduler::new(SchedConfig {
+            hang_threshold_ns: 100,
+            ..SchedConfig::default()
+        });
+        let bitmaps: Vec<WorkerBitmap> = (0..4)
+            .map(|_| {
+                let wst = Wst::new(4);
+                for w in 0..4 {
+                    wst.worker(w).enter_loop(1_000);
+                }
+                wst.worker(1).conn_delta(1_000);
+                sched.schedule(&wst, 1_010).bitmap
+            })
+            .collect();
+        for h in (0..512u32).map(|i| i.wrapping_mul(0x9E37_79B9)) {
+            let out = d.dispatch(&bitmaps, h);
+            let group = out.worker() / 4;
+            assert_eq!(group, reciprocal_scale(h, 4) as usize);
+            assert!(out.is_directed());
+            assert_ne!(out.worker() % 4, 1, "overloaded worker selected");
+        }
+    }
+
+    #[test]
+    fn grouped_dispatcher_falls_back_per_group() {
+        // Only group 0 has candidates; group 1's bitmap stays empty.
+        let bitmaps = [WorkerBitmap::all(4), WorkerBitmap::EMPTY];
+        let d = ConnDispatcher::new(4);
+        for h in (0..256u32).map(|i| i.wrapping_mul(0x517C_C1B7)) {
+            let out = d.dispatch(&bitmaps, h);
+            let group = out.worker() / 4;
+            assert_eq!(group, reciprocal_scale(h, 2) as usize);
+            assert_eq!(out.is_directed(), group == 0, "empty bitmap must fall back");
+        }
+    }
+
+    #[test]
+    fn one_worker_groups_are_pure_reuseport() {
+        // Every group has a single candidate, so the n > 1 guard always
+        // fails and placement is level-1 hashing alone.
+        let d = ConnDispatcher::new(1);
+        for h in (0..256u32).map(|i| i.wrapping_mul(0x9E37_79B9)) {
+            let out = d.dispatch(&[WorkerBitmap::all(1); 8], h);
+            assert!(!out.is_directed());
+            assert_eq!(out.worker(), reciprocal_scale(h, 8) as usize);
+        }
     }
 }

@@ -20,8 +20,8 @@
 //!    kernel reads (§5.3): the load balancers store into the kernel's own
 //!    map word, the simulator keeps the bitmap as a plain value.
 //! 3. **Connection dispatch** — for each new connection the kernel-side
-//!    program of Algorithm 2 ([`dispatch::ConnDispatcher`]) counts the set
-//!    bits, scales the precomputed 4-tuple hash into `1..=n` with
+//!    program of Algorithm 2 ([`ConnDispatcher`]) counts the set bits,
+//!    scales the precomputed 4-tuple hash into `1..=n` with
 //!    `reciprocal_scale`, picks the Nth set bit, and selects that worker's
 //!    reuseport socket; with too few candidates it falls back to plain
 //!    reuseport hashing (§5.3.2, §5.4).
@@ -29,9 +29,10 @@
 //! Scaling beyond 64 workers uses the two-level dispatch of §7:
 //! [`group::worker_groups`] splits a deployment into ⌈workers/64⌉ equal
 //! groups, each with its own [`Wst`], [`Scheduler`] pass and bitmap, and
-//! [`GroupedConnDispatcher`] places over their bitmaps. One group is the flat
-//! plane, so the simulator and every deployment of up to 64 workers run the
-//! same decision procedure as a 128-worker one.
+//! [`ConnDispatcher`] first picks a group by the flow hash, then runs
+//! Algorithm 2 over that group's bitmap. One group is the flat plane, so the
+//! simulator and every deployment of up to 64 workers run the same decision
+//! procedure as a 128-worker one.
 //!
 //! The crate is deliberately runtime-agnostic: the discrete-event simulator
 //! (`hermes-simnet`), the load balancers' worker threads (`hermes-lb`), and
@@ -59,10 +60,10 @@
 //! let decision = sched.schedule(&wst, 2_000);
 //!
 //! // Kernel-side dispatch for a new connection with some 4-tuple hash,
-//! // over the bitmap the scheduler published:
+//! // over the bitmap the scheduler published (one group: the flat plane):
 //! let dispatcher = ConnDispatcher::new(workers);
-//! let worker = dispatcher.select(decision.bitmap, 0xdead_beef);
-//! assert!(worker.is_some());
+//! let out = dispatcher.dispatch(&[decision.bitmap], 0xdead_beef);
+//! assert!(out.is_directed());
 //! ```
 
 pub mod bitmap;
@@ -76,7 +77,6 @@ pub mod wst;
 
 pub use bitmap::{WorkerBitmap, MAX_WORKERS_PER_GROUP};
 pub use dispatch::ConnDispatcher;
-pub use group::{GroupedConnDispatcher, Placement};
 pub use hash::FlowKey;
 pub use sched::{FilterStage, SchedConfig, SchedDecision, Scheduler, SnapshotCache};
 pub use sdk::WorkerSession;

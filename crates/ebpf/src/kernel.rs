@@ -208,6 +208,12 @@ impl KernelDispatch {
         (0..self.bitmaps.len).for_each(|g| self.publish(g, bitmap));
     }
 
+    /// Group `group`'s bitmap as the program reads it now: an `Acquire`
+    /// load of its mapped word.
+    pub fn bitmap(&self, group: usize) -> WorkerBitmap {
+        WorkerBitmap(self.bitmaps.words()[group].load(Ordering::Acquire))
+    }
+
     /// `(directed, fallback)`: program runs that selected a socket through
     /// a bitmap, and runs that fell back — to the kernel's hash, or at
     /// `G > 1` to the program's own pick within the group.

@@ -38,8 +38,8 @@
 //!   kernel's own verifier admits, and its JIT runs, everything that ships.
 //!
 //! The program is property-tested for exact equivalence with the native
-//! oracles `hermes_core::ConnDispatcher` and
-//! `hermes_core::GroupedConnDispatcher` over all bitmaps and hashes.
+//! oracle `hermes_core::ConnDispatcher` over all bitmaps and hashes, at one
+//! group and at many.
 
 pub mod asm;
 pub mod disasm;

@@ -352,8 +352,7 @@ impl ReuseportGroup {
     /// or — at `G > 1` — its own in-group fallback;
     /// with none, the kernel's default reuseport selection applies (the
     /// hash scaled over every socket). So the outcome equals
-    /// `ConnDispatcher::dispatch` on the same bitmap at `G == 1`, and
-    /// `GroupedConnDispatcher::dispatch` at any `G`.
+    /// `ConnDispatcher::dispatch` over the same bitmaps at any `G`.
     pub fn dispatch(&self, hash: u32) -> DispatchOutcome {
         let ran = self.run(hash);
         match ran.selected_sock {
@@ -449,7 +448,8 @@ mod tests {
     }
 
     /// The bytecode program agrees with the native oracle
-    /// `ConnDispatcher` on every bitmap/hash/group-size combination.
+    /// `ConnDispatcher` on every bitmap/hash/group-size combination at
+    /// `G == 1`.
     #[test]
     fn bytecode_matches_native_oracle() {
         for_each_case(256, |g| {
@@ -462,7 +462,7 @@ mod tests {
             let (hash, workers) = (g.next_u64() as u32, 1 + g.index(64));
             let group = ReuseportGroup::new(workers);
             group.sync_bitmap(WorkerBitmap(bits));
-            let native = ConnDispatcher::new(workers).dispatch(WorkerBitmap(bits), hash);
+            let native = ConnDispatcher::new(workers).dispatch(&[WorkerBitmap(bits)], hash);
             assert_eq!(
                 native,
                 group.dispatch(hash),

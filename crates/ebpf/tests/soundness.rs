@@ -1,5 +1,5 @@
 //! The checked interpreter is total, and the shipped program decides as
-//! core's native oracles do.
+//! core's native oracle does.
 //!
 //! Totality: every generated program, run on random hashes, map contents
 //! and socket registrations, returns `Ok` or a named `Trap` and never
@@ -13,7 +13,7 @@
 //! keys past a map's end. No admission stands in front of [`Vm::new`]; this
 //! is what makes that safe. The differential half holds the one dispatch
 //! program — the bytes the kernel loads — run by that interpreter, against
-//! `ConnDispatcher` at one group and `GroupedConnDispatcher` at any number.
+//! `ConnDispatcher` at one group and at many.
 //!
 //! The generator and the oracles are plain functions, driven by seeded cases
 //! from the workspace generator and by an LCG sweep that also holds a floor
@@ -339,7 +339,7 @@ fn check_flat_dispatch(bits: u64, hash: u32, workers: usize) {
         [DIRECTED, FALLBACK, HASH].map(|o| ran.record[o as usize / 8]);
     assert_eq!((directed + fallback, recorded), (1, hash as u64));
     let picked = (directed == 1).then_some(ran.selected_sock);
-    let want = match ConnDispatcher::new(workers).dispatch(WorkerBitmap(bits), hash) {
+    let want = match ConnDispatcher::new(workers).dispatch(&[WorkerBitmap(bits)], hash) {
         DispatchOutcome::Directed(w) => Some(Some(w)),
         DispatchOutcome::Fallback(_) => None,
     };
@@ -372,22 +372,21 @@ fn dispatch_program_differential_sweep() {
 /// Grouped-dispatch differential oracle. Loads `bitmaps[g]` into group
 /// `g`'s selection map on both planes, then asserts for every hash that the
 /// bytecode decision (directed flag, flattened worker, and so the group)
-/// equals the native [`GroupedConnDispatcher`] — the §7 two-level
+/// equals the native `ConnDispatcher` — the §7 two-level
 /// composition the scheduler side publishes into, and what the simulator
 /// places through.
 fn check_grouped_dispatch(groups: usize, group_size: usize, bitmaps: &[u64], hashes: &[u32]) {
-    use hermes_core::dispatch::DispatchOutcome;
-    use hermes_core::{GroupedConnDispatcher, WorkerBitmap};
+    use hermes_core::{ConnDispatcher, WorkerBitmap};
     use hermes_ebpf::ReuseportGroup;
     assert_eq!(bitmaps.len(), groups);
     let g = ReuseportGroup::with_groups(groups, group_size);
     let bitmaps: Vec<WorkerBitmap> = bitmaps.iter().map(|&b| WorkerBitmap(b)).collect();
-    let oracle = GroupedConnDispatcher::new(group_size);
+    let oracle = ConnDispatcher::new(group_size);
     for (i, &b) in bitmaps.iter().enumerate() {
         g.publish(i, b);
     }
     for &h in hashes {
-        let want = DispatchOutcome::from(oracle.dispatch(&bitmaps, h));
+        let want = oracle.dispatch(&bitmaps, h);
         assert_eq!(g.dispatch(h), want, "diverged on {h:#x}");
     }
 }
@@ -431,17 +430,17 @@ fn grouped_dispatch_differential_sweep() {
 /// the workers of a 4×2 deployment accepted nothing.)
 #[test]
 fn grouped_dispatch_reaches_every_worker_evenly() {
-    use hermes_core::{GroupedConnDispatcher, WorkerBitmap};
+    use hermes_core::{ConnDispatcher, WorkerBitmap};
     use hermes_ebpf::ReuseportGroup;
     const HASHES: u32 = 100_000;
     for (groups, size) in [(2usize, 4usize), (4, 2), (4, 16)] {
         let full = vec![WorkerBitmap::all(size); groups];
         let bytecode = ReuseportGroup::with_groups(groups, size);
         (0..groups).for_each(|g| bytecode.publish(g, full[g]));
-        let native = GroupedConnDispatcher::new(size);
+        let native = ConnDispatcher::new(size);
         let mut hits = vec![[0u32; 2]; groups * size];
         for h in (0..HASHES).map(|i| i.wrapping_mul(0x9E37_79B9)) {
-            hits[native.dispatch(&full, h).worker][0] += 1;
+            hits[native.dispatch(&full, h).worker()][0] += 1;
             hits[bytecode.dispatch(h).worker()][1] += 1;
         }
         let share = f64::from(HASHES) / (groups * size) as f64;

@@ -2,7 +2,7 @@
 //! real `SO_REUSEPORT` group must put every connection on the listener
 //! `ReuseportGroup` (the same program on the checked interpreter) names for
 //! the hash the kernel dispatched on — at one group, and at two (§7), where
-//! `GroupedConnDispatcher` names the same one — run once per connection by
+//! the native `ConnDispatcher` names the same one — run once per connection by
 //! the kernel's own count, steer a whole load balancer's connections around
 //! a worker that is held, and carry a 128-worker one's through both groups.
 //!
@@ -12,7 +12,7 @@
 #![cfg(target_os = "linux")]
 
 use hermes_core::hash::reciprocal_scale;
-use hermes_core::{GroupedConnDispatcher, WorkerBitmap};
+use hermes_core::{ConnDispatcher, WorkerBitmap};
 use hermes_ebpf::kernel::{enable_stats, refused, KernelDispatch};
 use hermes_ebpf::ReuseportGroup;
 use hermes_lb::reactor::{accept_nonblocking, listen_reuseport};
@@ -164,7 +164,7 @@ fn the_kernel_places_two_groups_where_both_oracles_say() {
         return;
     };
     let bytecode = ReuseportGroup::new(LISTENERS);
-    let native = GroupedConnDispatcher::new(SIZE);
+    let native = ConnDispatcher::new(SIZE);
     let publish = |group: usize, bitmap: WorkerBitmap| {
         kernel.publish(group, bitmap);
         bytecode.publish(group, bitmap);
@@ -192,7 +192,7 @@ fn the_kernel_places_two_groups_where_both_oracles_say() {
             let hash = kernel.last_hash();
             let (want, placed) = (bytecode.dispatch(hash), native.dispatch(&bitmaps, hash));
             assert_eq!(took, want.worker(), "{bitmaps:?} hash {hash:#x}");
-            assert_eq!((took, want.is_directed()), (placed.worker, placed.directed));
+            assert_eq!(want, placed, "{bitmaps:?} hash {hash:#x}");
             if want.is_directed() {
                 assert!(bitmaps[took / SIZE].contains(took % SIZE));
                 steered += 1;
@@ -386,12 +386,35 @@ fn a_held_worker_is_steered_around() {
         }
         std::thread::yield_now();
     };
-    let before = placed();
+    let (before, held_at) = (placed(), Instant::now());
 
-    // One hang threshold and one scheduler period (an idle worker's wait
-    // is bounded at 5 ms) later, every bitmap published leaves `held` out.
+    // `held`'s one connection already puts it over the average + θ, so its
+    // bit is clear from the first pass after the accept; only its hang keeps
+    // it out once the free workers carry connections too. From a hang
+    // threshold after the accept, every pass of a free worker's scheduler
+    // leaves it out as hung. Empty the word then, so that the next word a
+    // scheduler stores (an idle worker's wait is bounded at 5 ms) is one of
+    // those passes', and wait for a word without `held`'s bit and with the
+    // free workers in it (at most one candidate would fall back to the
+    // kernel's hash).
+    let Dispatch::Ebpf(kernel) = lb.dispatch() else {
+        unreachable!("the program is attached")
+    };
     let hang = Duration::from_nanos(SchedConfig::default().hang_threshold_ns);
-    std::thread::sleep(hang + Duration::from_millis(5));
+    std::thread::sleep(hang);
+    kernel.publish(0, WorkerBitmap::EMPTY);
+    loop {
+        let word = kernel.bitmap(0);
+        if !word.contains(held) && word.count() > 1 {
+            break;
+        }
+        assert!(
+            held_at.elapsed() < Duration::from_secs(2),
+            "2 s after worker {held} was held the program reads {word}: \
+             bit {held} set, or at most one candidate"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
     for i in 0..64 {
         let mut s = TcpStream::connect(addr).unwrap();
         s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
@@ -440,7 +463,21 @@ fn a_128_worker_relay_steers_through_both_groups() {
             }
         }
     });
-    std::thread::sleep(Duration::from_millis(30)); // first bitmaps
+    // The first bitmaps: each group's word is non-empty once one of its
+    // workers' schedulers has stored.
+    let Dispatch::Ebpf(kernel) = lb.dispatch() else {
+        unreachable!("the program is attached")
+    };
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while kernel.bitmap(0).is_empty() || kernel.bitmap(1).is_empty() {
+        assert!(
+            Instant::now() < deadline,
+            "a group's bitmap is still empty after 2 s: {} {}",
+            kernel.bitmap(0),
+            kernel.bitmap(1)
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
     for i in 0..CONNECTIONS {
         let mut s = TcpStream::connect(lb.local_addr()).unwrap();
         s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();

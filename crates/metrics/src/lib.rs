@@ -8,9 +8,9 @@
 //!
 //! * [`Histogram`] — a log-bucketed value histogram with bounded relative
 //!   error, suitable for latency recording at high rates.
-//! * [`Summary`] — exact order statistics over a retained sample.
+//! * [`Summary`] — exact order statistics over a retained sample, and its
+//!   empirical CDF.
 //! * [`Welford`] — streaming mean/variance for imbalance (stddev) metrics.
-//! * [`Cdf`] — empirical CDF construction and fixed-grid evaluation.
 //! * [`TimeSeries`] — time-bucketed counters/gauges for rate and utilization
 //!   traces (Fig. 3, Fig. 13).
 //! * [`table`] — aligned plain-text table rendering for regenerated tables.
@@ -22,7 +22,6 @@
 //! measurement path takes a lock.
 
 pub mod ascii;
-pub mod cdf;
 pub mod histogram;
 pub mod rng;
 pub mod summary;
@@ -30,7 +29,6 @@ pub mod table;
 pub mod timeseries;
 pub mod welford;
 
-pub use cdf::Cdf;
 pub use histogram::Histogram;
 pub use rng::SplitMix64;
 pub use summary::Summary;

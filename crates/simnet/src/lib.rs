@@ -12,8 +12,8 @@
 //!   time (Fig. 2b);
 //! * **Hermes** — reuseport sockets with the userspace-directed bitmap
 //!   dispatch of Algorithms 1 and 2: `hermes_core`'s `Scheduler` publishes
-//!   the device's one §7 group, and `GroupedConnDispatcher`, the native
-//!   oracle for the dispatch program, places, one decision per connection.
+//!   the device's one §7 group, and `ConnDispatcher`, the native oracle for
+//!   the dispatch program, places, one decision per connection.
 //!
 //! The disciplines the paper discusses but does not measure — epoll
 //! round-robin, wake-all and the userspace dispatcher (§2.2), io_uring's

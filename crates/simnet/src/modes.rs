@@ -8,8 +8,9 @@
 
 use crate::config::Mode;
 use crate::metrics::SchedStats;
+use hermes_core::dispatch::DispatchOutcome;
 use hermes_core::sched::SchedConfig;
-use hermes_core::{GroupedConnDispatcher, Placement, Scheduler, WorkerBitmap, WorkerSnapshot};
+use hermes_core::{ConnDispatcher, Scheduler, WorkerBitmap, WorkerSnapshot};
 
 /// Hermes state bundle: the worker table, the scheduler that runs over it,
 /// and the kernel-side dispatch decision, core's native oracle for the
@@ -37,7 +38,7 @@ pub struct HermesState {
     /// kernel's own map word.
     published: WorkerBitmap,
     /// Places SYNs from `published`.
-    dispatcher: GroupedConnDispatcher,
+    dispatcher: ConnDispatcher,
     /// Scheduler/dispatch statistics (Fig. 14).
     pub stats: SchedStats,
 }
@@ -48,7 +49,7 @@ impl HermesState {
             rows: vec![WorkerSnapshot::default(); workers],
             scheduler: Scheduler::new(config),
             published: WorkerBitmap::EMPTY,
-            dispatcher: GroupedConnDispatcher::new(workers),
+            dispatcher: ConnDispatcher::new(workers),
             stats: SchedStats::default(),
         }
     }
@@ -101,7 +102,7 @@ impl HermesState {
 
     /// Kernel-side dispatch of one SYN (Algorithm 2) by its flow's kernel
     /// hash: one decision per connection, as the reuseport hook runs it.
-    pub fn dispatch(&mut self, flow_hash: u32) -> Placement {
+    pub fn dispatch(&mut self, flow_hash: u32) -> DispatchOutcome {
         let placed = self.dispatcher.dispatch(&[self.published], flow_hash);
         self.tally(placed);
         placed
@@ -113,13 +114,13 @@ impl HermesState {
     pub fn redirect(&self, flow_hash: u32) -> usize {
         self.dispatcher
             .dispatch(&[self.published], flow_hash)
-            .worker
+            .worker()
     }
 
     /// Fig. 14's directed/fallback split: the one place a placed SYN is
     /// counted.
-    fn tally(&mut self, placed: Placement) {
-        if placed.directed {
+    fn tally(&mut self, placed: DispatchOutcome) {
+        if placed.is_directed() {
             self.stats.directed_dispatches += 1;
         } else {
             self.stats.fallback_dispatches += 1;
@@ -160,7 +161,7 @@ impl Dispatcher {
             Dispatcher::Reuseport { workers } => {
                 Some(hermes_core::hash::reciprocal_scale(flow_hash, *workers as u32) as usize)
             }
-            Dispatcher::Hermes(h) => Some(h.dispatch(flow_hash).worker),
+            Dispatcher::Hermes(h) => Some(h.dispatch(flow_hash).worker()),
         }
     }
 

@@ -64,7 +64,7 @@ fn main() {
                 );
                 let g = tenant_group(&flow, groups.len());
                 let hash = level2_hash(flow.hash(), groups.len());
-                let out = groups[g].dispatcher.dispatch(groups[g].bitmap, hash);
+                let out = groups[g].dispatcher.dispatch(&[groups[g].bitmap], hash);
                 tenant_groups.entry(tenant_port).or_default().insert(g);
                 sprayed
                     .entry(tenant_port)

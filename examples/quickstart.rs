@@ -40,7 +40,7 @@ fn main() {
             0x0aff_0001,
             443,
         );
-        let outcome = dispatcher.dispatch(decision.bitmap, flow.hash());
+        let outcome = dispatcher.dispatch(&[decision.bitmap], flow.hash());
         per_worker[outcome.worker()] += 1;
     }
     println!("connections per worker: {per_worker:?}");

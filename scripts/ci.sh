@@ -132,9 +132,9 @@ step "ebpf soundness (the kernel-encoding interpreter total; the bytes that ship
 # where one group is the flat program) is the bytes the kernel loads:
 # `the_shipped_bytes_are_pinned` holds them byte for byte at 1x4, 1x8, 1x64
 # and 2x64 (map fds relocated to stand-ins). Run by the interpreter it
-# decides as core's native oracles do — at one group against ConnDispatcher
-# at group sizes 1, 2, 3, 17 and 64 with the degenerate bitmaps, at any group
-# count against GroupedConnDispatcher over swept shapes and bitmaps; and
+# decides as core's native oracle, ConnDispatcher, does — at one group at
+# group sizes 1, 2, 3, 17 and 64 with the degenerate bitmaps, at any group
+# count over swept shapes and bitmaps; and
 # under full bitmaps both planes give every worker of every group its even
 # share (level 2 scales the bits level 1 did not use).
 # (The kernel's verifier admits what ships, and its execution of the same
@@ -287,8 +287,8 @@ step "relay-reactor (epoll reactor + splice data plane suite, traced lifecycle e
 # and at 2x64, 3x5 and 4x16, and refusing three malformed ones with its own
 # log; kernel placements against a ReuseportGroup on the checked
 # interpreter, on the hashes the program recorded, at 8 listeners and at
-# 96 (two groups of 48, where GroupedConnDispatcher names the same
-# listener, fallbacks stay in their level-1 group and every listener is
+# 96 (two groups of 48, where ConnDispatcher names the same outcome,
+# fallbacks stay in their level-1 group and every listener is
 # reached), the kernel's run count against the program's own two counters,
 # a 4-worker LB steering 64 connections around a worker a trickling client
 # holds, a 128-worker RelayLb echoing 500 connections through both groups,
@@ -310,6 +310,40 @@ done
 steering -p hermes-ebpf --test kernel_verifier
 steering -p hermes-lb --test kernel_dispatch
 steering -p hermes-lb --test fds
+
+step "held worker under contention (a_held_worker_is_steered_around x20 beside two busy loops)"
+# The steering test waits for the word the program reads to leave the held
+# worker out, then expects all 64 connections served by the free workers. A
+# loaded host stretches every wait in it, so it runs 20 times here while two
+# busy-loop child processes of this lane compete for the host's CPUs (two
+# on the reference host). Nothing else changes: no cgroup, priority or
+# affinity. The children die with the lane's subshell, however it exits.
+# Every run must pass; the lane prints the count.
+if [ "$mode" != ebpf ]; then
+  skip "the test steers through the attached program (kernel dispatch: ${mode:-probe did not run})"
+else
+  (
+    spin() { while :; do :; done; }
+    spin &
+    a=$!
+    spin &
+    b=$!
+    log="$(mktemp)"
+    trap 'kill "$a" "$b" 2>/dev/null || true; rm -f "$log"' EXIT
+    trap 'exit 130' INT TERM
+    passes=0
+    for _ in $(seq 20); do
+      if cargo test --release -q -p hermes-lb --test kernel_dispatch -- --exact \
+        a_held_worker_is_steered_around >"$log" 2>&1; then
+        passes=$((passes + 1))
+      else
+        cat "$log"
+      fi
+    done
+    echo "a_held_worker_is_steered_around: $passes/20 passed beside two busy loops"
+    [ "$passes" -eq 20 ]
+  )
+fi
 
 step "repro (every simulated exhibit prints its results/<name>.txt byte for byte)"
 # The names come from `repro` itself, so an exhibit added there is checked

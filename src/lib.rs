@@ -63,7 +63,7 @@ pub mod prelude {
         ConnDispatcher, FlowKey, SchedConfig, SchedDecision, Scheduler, WorkerBitmap, Wst,
     };
     pub use hermes_ebpf::ReuseportGroup;
-    pub use hermes_metrics::{Cdf, Histogram, Summary};
+    pub use hermes_metrics::{Histogram, Summary};
     pub use hermes_simnet::{DeviceReport, Mode, SimConfig, Simulator};
     pub use hermes_workload::{Case, CaseLoad, TenantProfile, TenantSet, Workload};
 }

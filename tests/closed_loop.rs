@@ -25,7 +25,7 @@ fn status_to_dispatch_round_trip() {
     let dispatcher = ConnDispatcher::new(workers);
     for i in 0..2_000u32 {
         let flow = FlowKey::new(i, (i % 1_000) as u16, 42, 443);
-        let out = dispatcher.dispatch(decision.bitmap, flow.hash());
+        let out = dispatcher.dispatch(&[decision.bitmap], flow.hash());
         assert!(out.is_directed());
         assert_ne!(out.worker(), 1);
         assert_ne!(out.worker(), 6);
@@ -86,7 +86,7 @@ fn native_and_bytecode_agree_under_scheduler_driven_bitmaps() {
         for i in 0..50u32 {
             let hash = FlowKey::new(i, round as u16, 9, 80).hash();
             assert_eq!(
-                native.dispatch(bm, hash),
+                native.dispatch(&[bm], hash),
                 group.dispatch(hash),
                 "divergence at round {round}, flow {i}"
             );

@@ -16,7 +16,11 @@ fn bytecode_oracle_equivalence() {
         group.sync_bitmap(bm);
         for _ in 0..1 + g.index(19) {
             let h = g.next_u64() as u32;
-            assert_eq!(native.dispatch(bm, h), group.dispatch(h), "{bm:?} {h:#x}");
+            assert_eq!(
+                native.dispatch(&[bm], h),
+                group.dispatch(h),
+                "{bm:?} {h:#x}"
+            );
         }
     });
 }
