@@ -116,7 +116,7 @@ step "cache_locality example (Appendix C: a DIP&Dport level 1 pins each tenant t
 # where the 4-tuple hash would spray it across several.
 cargo run --release -q --example cache_locality
 
-step "ebpf soundness (the kernel-encoding interpreter total; the bytes that ship pinned and, run by it, equal to the native oracles at every group count)"
+step "ebpf soundness (the kernel-encoding interpreter total; the bytes that ship pinned and, run by it, equal to the native oracle at every group count)"
 # What is left to trust in userspace, with no admission in front of it: the
 # checked interpreter runs kernel `struct bpf_insn` and is total — every
 # generated program, whatever the maps hold, exits within its own length or
