@@ -72,12 +72,6 @@ impl BackendTable {
         self.version
     }
 
-    /// Total backends in the pool this table was published from.
-    #[inline]
-    pub fn pool_len(&self) -> usize {
-        self.health.len()
-    }
-
     /// Backends admitting new connections at publish time.
     #[inline]
     pub fn admit_len(&self) -> usize {
@@ -246,7 +240,6 @@ mod tests {
         assert_eq!(t.select(42), None);
         assert!(t.admit(42).is_none());
         assert_eq!(t.admit_len(), 0);
-        assert_eq!(t.pool_len(), 3);
     }
 
     #[test]

@@ -2201,7 +2201,6 @@ mod tests {
         let addrs: Vec<SocketAddr> = backends.iter().map(|(a, _)| *a).collect();
         let lb = RelayLb::start("127.0.0.1:0", 4, addrs).expect("bind");
         let addr = lb.local_addr();
-        std::thread::sleep(Duration::from_millis(15)); // first bitmaps
         let mut used = std::collections::HashSet::new();
         for i in 0..24 {
             used.insert(relay_round_trip(addr, &format!("ping-{i}")));
@@ -2242,7 +2241,6 @@ mod tests {
         // shuts its write side, then the relay drains and closes.
         let (echo_addr, echo_stop) = spawn_echo_backend(0);
         let lb = RelayLb::start("127.0.0.1:0", 1, vec![echo_addr]).expect("bind");
-        std::thread::sleep(Duration::from_millis(15));
         relay_round_trip(lb.local_addr(), "client-eof-first");
         lb.shutdown();
         echo_stop.store(true, Ordering::SeqCst);
@@ -2251,7 +2249,6 @@ mod tests {
         // client must still be able to push bytes upstream afterwards.
         let (addr, stop, received) = spawn_closer_backend();
         let lb = RelayLb::start("127.0.0.1:0", 1, vec![addr]).expect("bind");
-        std::thread::sleep(Duration::from_millis(15));
         let mut s = TcpStream::connect(lb.local_addr()).unwrap();
         s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         let mut down = Vec::new();
@@ -2269,7 +2266,6 @@ mod tests {
         // other; every byte in flight must still be delivered.
         let (addr, stop, received) = spawn_closer_backend();
         let lb = RelayLb::start("127.0.0.1:0", 1, vec![addr]).expect("bind");
-        std::thread::sleep(Duration::from_millis(15));
         let mut s = TcpStream::connect(lb.local_addr()).unwrap();
         s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         s.write_all(b"both-sides-close").unwrap();
@@ -2410,7 +2406,6 @@ mod tests {
         let payload: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
         let (addr, stop) = spawn_echo_backend(0);
         let lb = RelayLb::start("127.0.0.1:0", 1, vec![addr]).expect("bind");
-        std::thread::sleep(Duration::from_millis(15));
         let s = TcpStream::connect(lb.local_addr()).unwrap();
         let got = echo_past_slow_reader(s, &payload);
         let rstats = Arc::clone(lb.relay_stats());
@@ -2467,7 +2462,6 @@ mod tests {
     fn reactor_worker_idles_without_pumping() {
         let (addr, stop) = spawn_echo_backend(0);
         let lb = RelayLb::start("127.0.0.1:0", 1, vec![addr]).expect("bind");
-        std::thread::sleep(Duration::from_millis(15));
         // Hold one live but idle relay open across the measurement.
         let mut s = TcpStream::connect(lb.local_addr()).unwrap();
         s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();

@@ -491,7 +491,22 @@ mod tests {
     fn many_clients_spread_across_workers() {
         let lb = TcpLb::start("127.0.0.1:0", 4, demo_proxy()).expect("bind");
         let addr = lb.local_addr();
-        std::thread::sleep(Duration::from_millis(15)); // first bitmaps
+        // The first bitmap: the word is non-empty once a worker's scheduler
+        // has stored (the kernel's hash alone has nothing to wait for).
+        if let Dispatch::Ebpf(kernel) = lb.dispatch() {
+            let deadline = std::time::Instant::now() + Duration::from_secs(2);
+            loop {
+                let word = kernel.bitmap(0);
+                if !word.is_empty() {
+                    break;
+                }
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "the program reads {word} after 2 s"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
         let clients: Vec<_> = (0..32)
             .map(|i| {
                 std::thread::spawn(move || {

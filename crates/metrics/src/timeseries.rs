@@ -75,11 +75,6 @@ impl TimeSeries {
         self.buckets.is_empty()
     }
 
-    /// Width of each bucket in clock ticks.
-    pub fn bucket_width(&self) -> u64 {
-        self.bucket_width
-    }
-
     /// Value of bucket `i` after aggregation (0.0 for empty buckets).
     pub fn value(&self, i: usize) -> f64 {
         match self.buckets.get(i) {

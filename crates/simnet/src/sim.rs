@@ -7,7 +7,7 @@
 //! SYN ──(assign socket / enqueue shared)──► accept queue
 //!      ──(wake order / bitmap dispatch)───► worker epoll_wait returns
 //!      ──(run-to-completion batch)────────► request completions
-//!      ──(Hermes hooks: WST + schedule_and_sync)──► next loop iteration
+//!      ──(status row + Hermes schedule_and_sync)──► next loop iteration
 //! ```
 //!
 //! *Scripted* events — every `Syn` and `RequestReady` the workload
@@ -22,17 +22,20 @@
 //! every mode.
 //!
 //! The hot path is allocation-free in steady state: events recycle
-//! through the queue's arena, the per-`epoll_wait` batch, the sampling
-//! lists and the idle flags live in scratch buffers owned by the simulator,
-//! connection slots recycle through [`ConnTable`]'s ring, and port lookup
-//! is a dense-array index ([`crate::ports::PortTable`]).
+//! through the queue's arena, the per-`epoll_wait` batch and the sampling
+//! lists live in scratch buffers owned by the simulator, connection slots
+//! recycle through [`ConnTable`]'s ring, and port lookup is a dense-array
+//! index ([`crate::ports::PortTable`]).
 //!
-//! One thread runs the whole device, every simulated worker included, one
-//! event at a time. So the Hermes hooks (Fig. 9's `shm_*` calls) write the
-//! worker table with plain stores, not the atomics a `hermes_core::Wst`
-//! shares between real worker threads, and the scheduler reads the rows in
-//! place (`crate::modes::HermesState`); what it decides is what a `Wst`
-//! fed the same updates would give.
+//! Each worker fact is kept once. The worker status table (`rows`, one
+//! [`WorkerSnapshot`] per worker, in every mode) is written where Fig. 9's
+//! `shm_*` calls write it: a batch's start sets its pending events, its
+//! end zeroes them and stamps the loop entry, and accepts, closes and
+//! re-homes move connections. One thread runs every simulated worker, one
+//! event at a time, so these are plain stores, not a `hermes_core::Wst`'s
+//! atomics, and the Hermes scheduler reads the rows in place
+//! (`crate::modes::HermesState`). Run totals (busy time, accepts, empty
+//! wakes) are counted straight into each [`WorkerReport`].
 
 use crate::config::{
     Fault, SimConfig, ACCEPT_NS, COUNTER_NS, EPOLL_TIMEOUT_NS, EPOLL_WAIT_NS, MAX_EVENTS,
@@ -43,6 +46,7 @@ use crate::metrics::{BalanceStats, DeviceReport, PortTrace, WorkerReport};
 use crate::modes::Dispatcher;
 use crate::ports::PortTable;
 use crate::state::{ConnId, ConnTable, IoEvent, Phase, WorkerState};
+use hermes_core::WorkerSnapshot;
 use hermes_metrics::Histogram;
 use hermes_workload::Workload;
 use std::cmp::Reverse;
@@ -82,6 +86,9 @@ pub struct Simulator<'w> {
     scripted: BinaryHeap<Reverse<(u64, ConnId, usize)>>,
     now: u64,
     workers: Vec<WorkerState>,
+    /// The worker status table: row `w` is worker `w`'s loop entry, the
+    /// events of its current batch and its live connections.
+    rows: Vec<WorkerSnapshot>,
     conns: ConnTable,
     dispatcher: Dispatcher,
     /// Flight-recorder lane override for fleet runs: a stable lane derived
@@ -94,7 +101,6 @@ pub struct Simulator<'w> {
     // Scratch buffers: reused across events so the steady-state hot path
     // allocates nothing.
     batch_buf: Vec<IoEvent>,
-    idle_buf: Vec<bool>,
     utils_buf: Vec<f64>,
     conns_buf: Vec<f64>,
     // Measurement state.
@@ -102,8 +108,6 @@ pub struct Simulator<'w> {
     worker_reports: Vec<WorkerReport>,
     request_latency: Histogram,
     probe_latency: Histogram,
-    completed_requests: u64,
-    accepted_connections: u64,
     probes_sent: u64,
     balance: BalanceStats,
     busy_at_last_sample: Vec<u64>,
@@ -160,6 +164,7 @@ impl<'w> Simulator<'w> {
         let port_trace = cfg.trace_port.map(PortTrace::new);
         let mut sim = Self {
             workers: (0..n).map(|_| WorkerState::new()).collect(),
+            rows: vec![WorkerSnapshot::default(); n],
             worker_reports: (0..n).map(|_| WorkerReport::new()).collect(),
             busy_at_last_sample: vec![0; n],
             conns: ConnTable::new(),
@@ -169,15 +174,12 @@ impl<'w> Simulator<'w> {
             queue: CalendarQueue::new(),
             scripted: BinaryHeap::new(),
             batch_buf: Vec::with_capacity(MAX_EVENTS),
-            idle_buf: Vec::with_capacity(n),
             utils_buf: Vec::with_capacity(n),
             conns_buf: Vec::with_capacity(n),
             events_processed: 0,
             now: 0,
             request_latency: Histogram::latency(),
             probe_latency: Histogram::latency(),
-            completed_requests: 0,
-            accepted_connections: 0,
             probes_sent: 0,
             balance: BalanceStats::default(),
             port_trace,
@@ -208,6 +210,22 @@ impl<'w> Simulator<'w> {
     #[inline]
     fn kernel_lane(&self) -> u32 {
         self.device_lane.unwrap_or(hermes_trace::KERNEL_LANE)
+    }
+
+    /// `schedule_and_sync` from worker `w`'s loop: under Hermes, one
+    /// Algorithm 1 pass over the status table, traced on `w`'s lane.
+    fn schedule_and_sync(&mut self, w: usize) {
+        let lane = self.worker_lane(w);
+        if let Dispatcher::Hermes(h) = &mut self.dispatcher {
+            h.schedule_and_sync(&self.rows, self.now, lane);
+        }
+    }
+
+    /// Worker `w` lost one of its connections: a close or a re-home.
+    fn drop_connection(&mut self, w: usize) {
+        let connections = &mut self.rows[w].connections;
+        *connections -= 1;
+        debug_assert!(*connections >= 0, "worker {w}: {connections} connections");
     }
 
     /// Time of the earliest scripted event still to run, and whether it is
@@ -262,20 +280,14 @@ impl<'w> Simulator<'w> {
         if let Some(first) = self.wl.conns.first() {
             self.scripted.push(Reverse((first.arrival_ns(), 0, 0)));
         }
-        // Workers boot idle at t=0: loop entry recorded, timeout armed,
-        // and (for Hermes) an initial all-available bitmap synced — the
-        // workers were looping long before the first connection arrives;
-        // worker 0's loop runs that pass.
+        // Workers boot idle at t=0: loop entry 0 (the rows' default),
+        // timeout armed, and (for Hermes) an initial all-available bitmap
+        // synced — the workers were looping long before the first
+        // connection arrives; worker 0's loop runs that pass.
         for w in 0..self.cfg.workers {
-            if let Dispatcher::Hermes(h) = &mut self.dispatcher {
-                h.enter_loop(w, 0);
-            }
             self.block_worker(w, 0);
         }
-        let lane = self.worker_lane(0);
-        if let Dispatcher::Hermes(h) = &mut self.dispatcher {
-            h.schedule_and_sync(0, lane);
-        }
+        self.schedule_and_sync(0);
         let mut t = SAMPLE_INTERVAL_NS;
         while t <= self.wl.duration_ns {
             self.push(t, Ev::Sample);
@@ -349,10 +361,11 @@ impl<'w> Simulator<'w> {
             let port = self.wl.port_of(spec).expect("a tenant's port");
             let pidx = self.ports.index_of(port).expect("registered port");
             self.ports.enqueue(pidx, c);
-            self.idle_buf.clear();
-            self.idle_buf
-                .extend(self.workers.iter().map(|w| w.is_idle() && !w.crashed));
-            if let Some(w) = self.dispatcher.pick_wake(&self.idle_buf) {
+            // epoll exclusive wakes one idle waiter in LIFO order: the
+            // waiter list's head is the most recently registered worker,
+            // and registration order is 0..n.
+            let idle = self.workers.iter().rposition(|w| w.is_idle() && !w.crashed);
+            if let Some(w) = idle {
                 self.notify(w);
             }
         }
@@ -483,10 +496,15 @@ impl<'w> Simulator<'w> {
                 0
             };
 
+        // shm_busy_count(event_num). The count stays up until the batch
+        // completes (the per-event decrements of Fig. 9 line 18 land at
+        // BatchDone), so concurrent schedulers see this worker as busy for
+        // the whole batch.
+        self.rows[w].pending_events = batch.len() as i64;
         if batch.is_empty() {
             // Timeout / lost race: empty loop iteration.
             self.batch_buf = batch;
-            self.workers[w].empty_wakes += 1;
+            self.worker_reports[w].empty_wakes += 1;
             self.worker_reports[w].events_per_wait.record(0);
             if is_hermes {
                 cost += COUNTER_NS + SCHED_NS + SYNC_NS;
@@ -507,16 +525,10 @@ impl<'w> Simulator<'w> {
             .record(batch.len() as u64);
         if is_hermes {
             // shm_busy_count(event_num) + per-event decrement + scheduler.
-            let h = self.dispatcher.hermes_mut();
-            h.add_pending(w, batch.len() as i64);
             cost += COUNTER_NS * (1 + batch.len() as u64) + SCHED_NS + SYNC_NS;
         }
 
-        // Walk the batch accumulating completion times. The WST pending
-        // count stays elevated until the batch completes (the per-event
-        // decrements of Fig. 9 line 18 land at BatchDone), so concurrent
-        // schedulers see this worker as busy for the whole batch.
-        self.workers[w].in_flight_events = batch.len() as i64;
+        // Walk the batch accumulating completion times.
         let mut t = self.now + cost;
         for ev in batch.drain(..) {
             match ev {
@@ -570,12 +582,8 @@ impl<'w> Simulator<'w> {
             self.conns.set_worker(c, w);
         }
         let owner = self.conns.worker(c).expect("assigned");
-        self.workers[owner].connections += 1;
-        self.workers[owner].accepted_total += 1;
-        self.accepted_connections += 1;
-        if let Dispatcher::Hermes(h) = &mut self.dispatcher {
-            h.conn_delta(owner, 1);
-        }
+        self.rows[owner].connections += 1;
+        self.worker_reports[owner].accepted += 1;
         if let Some(tr) = &mut self.port_trace {
             if Some(tr.port) == self.wl.port_of(&self.wl.conns[c]) {
                 tr.conn_delta(self.now, 1);
@@ -606,7 +614,6 @@ impl<'w> Simulator<'w> {
             .expect("a scripted request");
         let ready = spec.arrival_ns() + request.start_offset_ns;
         self.request_latency.record(t.saturating_sub(ready));
-        self.completed_requests += 1;
         if let Some(tr) = &mut self.port_trace {
             if Some(tr.port) == self.wl.port_of(spec) {
                 tr.requests.record(t.min(self.wl.duration_ns), 1.0);
@@ -621,24 +628,20 @@ impl<'w> Simulator<'w> {
         if self.workers[w].crashed {
             return;
         }
-        self.workers[w].busy_ns += batch_cost;
+        self.worker_reports[w].busy_ns += batch_cost;
         let sched_at_start = self.cfg.sched_at_loop_start;
-        let drained = std::mem::take(&mut self.workers[w].in_flight_events);
-        let lane = self.worker_lane(w);
-        if let Dispatcher::Hermes(h) = &mut self.dispatcher {
-            // Per-event decrements of Fig. 9 line 18, applied at batch end.
-            h.add_pending(w, -drained);
-            if !sched_at_start {
-                // schedule_and_sync at the end of the loop (Fig. 9 line 20).
-                h.schedule_and_sync(self.now, lane);
-            }
-            // Loop top: shm_avail_update(current_time).
-            h.enter_loop(w, self.now);
-            if sched_at_start {
-                // Ablation: schedule before epoll_wait, observing pre-batch
-                // (possibly stale) status.
-                h.schedule_and_sync(self.now, lane);
-            }
+        // Per-event decrements of Fig. 9 line 18, applied at batch end.
+        self.rows[w].pending_events = 0;
+        if !sched_at_start {
+            // schedule_and_sync at the end of the loop (Fig. 9 line 20).
+            self.schedule_and_sync(w);
+        }
+        // Loop top: shm_avail_update(current_time).
+        self.rows[w].loop_enter_ns = self.now;
+        if sched_at_start {
+            // Ablation: schedule before epoll_wait, observing pre-batch
+            // (possibly stale) status.
+            self.schedule_and_sync(w);
         }
         // epoll_wait: immediate return if events are pending, else block.
         // Possibly-stale ready entries cost at most one empty batch, which
@@ -658,10 +661,7 @@ impl<'w> Simulator<'w> {
         }
         let owner = self.conns.worker(c).expect("accepted conn has owner");
         self.conns.close(c);
-        self.workers[owner].connections -= 1;
-        if let Dispatcher::Hermes(h) = &mut self.dispatcher {
-            h.conn_delta(owner, -1);
-        }
+        self.drop_connection(owner);
         if let Some(tr) = &mut self.port_trace {
             if Some(tr.port) == self.wl.port_of(&self.wl.conns[c]) {
                 tr.conn_delta(self.now, -1);
@@ -675,11 +675,11 @@ impl<'w> Simulator<'w> {
         let mut conns = std::mem::take(&mut self.conns_buf);
         utils.clear();
         conns.clear();
-        for (w, ws) in self.workers.iter().enumerate() {
-            let delta = ws.busy_ns.saturating_sub(self.busy_at_last_sample[w]);
-            self.busy_at_last_sample[w] = ws.busy_ns;
+        for (w, (r, row)) in self.worker_reports.iter().zip(&self.rows).enumerate() {
+            let delta = r.busy_ns.saturating_sub(self.busy_at_last_sample[w]);
+            self.busy_at_last_sample[w] = r.busy_ns;
             utils.push(((delta as f64 / interval) * 100.0).min(100.0));
-            conns.push(ws.connections as f64);
+            conns.push(row.connections as f64);
         }
         let cpu_sd = hermes_metrics::welford::stddev_of(&utils);
         let conn_sd = hermes_metrics::welford::stddev_of(&conns);
@@ -702,8 +702,8 @@ impl<'w> Simulator<'w> {
             return;
         };
         let mut resets: Vec<(usize, usize)> = Vec::new();
-        for (w, ws) in self.workers.iter().enumerate() {
-            let live = ws.connections.max(0) as usize;
+        for (w, row) in self.rows.iter().enumerate() {
+            let live = row.connections.max(0) as usize;
             if let DegradeAction::ResetConnections { count, .. } =
                 monitor.observe(w, utils[w] / 100.0, live)
             {
@@ -733,11 +733,8 @@ impl<'w> Simulator<'w> {
                     continue; // fallback hashed straight back: skip
                 }
                 self.conns.set_worker(c, new_owner);
-                self.workers[victim].connections -= 1;
-                self.workers[new_owner].connections += 1;
-                let h = self.dispatcher.hermes_mut();
-                h.conn_delta(victim, -1);
-                h.conn_delta(new_owner, 1);
+                self.drop_connection(victim);
+                self.rows[new_owner].connections += 1;
                 self.rst_reschedules += 1;
                 shed += 1;
             }
@@ -789,13 +786,9 @@ impl<'w> Simulator<'w> {
             }
             incomplete += u64::from(self.conns.remaining_requests(c));
         }
-        for (w, ws) in self.workers.iter().enumerate() {
-            let r = &mut self.worker_reports[w];
-            r.busy_ns = ws.busy_ns;
-            r.accepted = ws.accepted_total;
-            r.final_connections = ws.connections;
-            r.empty_wakes = ws.empty_wakes;
-            r.utilization = (ws.busy_ns as f64 / horizon as f64).min(1.0);
+        for (r, row) in self.worker_reports.iter_mut().zip(&self.rows) {
+            r.final_connections = row.connections;
+            r.utilization = (r.busy_ns as f64 / horizon as f64).min(1.0);
         }
         let sched = self
             .dispatcher
@@ -806,12 +799,12 @@ impl<'w> Simulator<'w> {
             label: format!("{} [{}]", self.wl.name, self.cfg.mode.name()),
             horizon_ns: horizon,
             events_processed: self.events_processed,
+            completed_requests: self.request_latency.count(),
             request_latency: self.request_latency,
             probe_latency: self.probe_latency,
             probes_sent: self.probes_sent,
-            completed_requests: self.completed_requests,
             incomplete_requests: incomplete,
-            accepted_connections: self.accepted_connections,
+            accepted_connections: self.worker_reports.iter().map(|r| r.accepted).sum(),
             unaccepted_connections: unaccepted,
             workers: self.worker_reports,
             balance: self.balance,
@@ -898,6 +891,16 @@ mod tests {
             "reuseport top worker {top_reuse}"
         );
         assert!(excl.accepted_sd() > 5.0 * reuse.accepted_sd());
+    }
+
+    /// epoll exclusive's waiter list is LIFO and workers register in id
+    /// order, so with every worker idle the last one takes the connection.
+    #[test]
+    fn exclusive_wakes_the_most_recently_registered_idle_worker() {
+        let wl = uniform_workload(1, 1_000_000, 20_000);
+        let r = run(Mode::ExclusiveLifo, &wl, 3);
+        let accepted: Vec<u64> = r.workers.iter().map(|w| w.accepted).collect();
+        assert_eq!(accepted, [0, 0, 1]);
     }
 
     #[test]

@@ -67,7 +67,9 @@ pub enum Phase {
     Running,
 }
 
-/// Per-worker runtime state.
+/// Per-worker loop state. What the worker status table holds (loop entry,
+/// pending events, connections) is the simulator's `rows`, and what the
+/// worker counts over the run is its `WorkerReport`.
 #[derive(Debug)]
 pub struct WorkerState {
     /// Events delivered to this worker's epoll instance, awaiting the next
@@ -81,19 +83,8 @@ pub struct WorkerState {
     /// Whether a wake event is already in flight for the current
     /// generation (avoid flooding the queue with redundant wakes).
     pub wake_scheduled: bool,
-    /// Total CPU time consumed (ns).
-    pub busy_ns: u64,
-    /// Live connections owned by this worker.
-    pub connections: i64,
-    /// Total connections ever accepted.
-    pub accepted_total: u64,
     /// Crashed workers stop processing forever.
     pub crashed: bool,
-    /// `epoll_wait` calls that returned zero events.
-    pub empty_wakes: u64,
-    /// Events in the batch currently being processed (their WST pending
-    /// decrements land when the batch completes).
-    pub in_flight_events: i64,
 }
 
 impl WorkerState {
@@ -104,12 +95,7 @@ impl WorkerState {
             phase: Phase::Idle { since: 0 },
             generation: 0,
             wake_scheduled: false,
-            busy_ns: 0,
-            connections: 0,
-            accepted_total: 0,
             crashed: false,
-            empty_wakes: 0,
-            in_flight_events: 0,
         }
     }
 

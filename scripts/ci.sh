@@ -311,14 +311,17 @@ steering -p hermes-ebpf --test kernel_verifier
 steering -p hermes-lb --test kernel_dispatch
 steering -p hermes-lb --test fds
 
-step "held worker under contention (a_held_worker_is_steered_around x20 beside two busy loops)"
+step "held worker under contention (a_held_worker_is_steered_around x20, then hermes-lb's tests x10, beside two busy loops)"
 # The steering test waits for the word the program reads to leave the held
 # worker out, then expects all 64 connections served by the free workers. A
 # loaded host stretches every wait in it, so it runs 20 times here while two
 # busy-loop child processes of this lane compete for the host's CPUs (two
-# on the reference host). Nothing else changes: no cgroup, priority or
-# affinity. The children die with the lane's subshell, however it exits.
-# Every run must pass; the lane prints the count.
+# on the reference host). Then all of hermes-lb's tests run 10 times beside
+# the same two loops: every real-socket test that waits for a bitmap, a
+# relay or a backend waits with a deadline, and a loaded host is where a
+# deadline too tight for it shows. Nothing else changes: no cgroup, priority
+# or affinity. The children die with the lane's subshell, however it exits.
+# Every run must pass; the lane prints both counts.
 if [ "$mode" != ebpf ]; then
   skip "the test steers through the attached program (kernel dispatch: ${mode:-probe did not run})"
 else
@@ -341,7 +344,16 @@ else
       fi
     done
     echo "a_held_worker_is_steered_around: $passes/20 passed beside two busy loops"
-    [ "$passes" -eq 20 ]
+    suites=0
+    for _ in $(seq 10); do
+      if cargo test --release -q -p hermes-lb >"$log" 2>&1; then
+        suites=$((suites + 1))
+      else
+        cat "$log"
+      fi
+    done
+    echo "hermes-lb tests: $suites/10 runs passed beside two busy loops"
+    [ "$passes" -eq 20 ] && [ "$suites" -eq 10 ]
   )
 fi
 
@@ -470,6 +482,39 @@ models=(
 )
 cargo test --release -q -p hermes-trace --lib -- --exact "${models[@]}"
 cargo test --release -q -p hermes-trace --lib check::tests
+
+step "bench records (report only: each results/BENCH_*.json's commit, and whether what it times changed since)"
+# A record is one full run of a gate binary at one commit, never an input.
+# One row per record names that commit and whether the bench crate or the
+# crate the binary times (with its workspace dependencies) has changed
+# since, so a stale record shows. The rows gate nothing. A record taken
+# from a dirty tree is compared with the commit under it.
+records=()
+for rec in results/BENCH_*.json; do
+  [ -e "$rec" ] || continue
+  bench="$(sed -n 's/^  "benchmark": "\(.*\)",$/\1/p' "$rec")"
+  commit="$(sed -n 's/^  "commit": "\(.*\)",$/\1/p' "$rec")"
+  case "$bench" in
+    simnet_throughput | fleet_throughput) timed=hermes-simnet ;;
+    trace_overhead) timed=hermes-trace ;;
+    *) timed="" ;;
+  esac
+  if [ -z "$timed" ]; then
+    state="no timed crate named for $bench here"
+  elif ! git rev-parse -q --verify "${commit%-dirty}^{commit}" >/dev/null; then
+    state="commit not in this checkout's history"
+  else
+    paths="$(cargo tree -p "$timed" -e normal --prefix none |
+      sed -n "s|^[^(]*($PWD/\([^)]*\)).*|\1|p" | sort -u) crates/bench"
+    # shellcheck disable=SC2086 # one path per word
+    changed="$(git diff --name-only "${commit%-dirty}" -- $paths | cut -d/ -f1-2 | sort -u | paste -sd ' ' -)"
+    state="${changed:+changed since: $changed}"
+    state="${state:-unchanged since}"
+  fi
+  records+=("----"$'\t'"$rec ($bench) at $commit: $state")
+done
+close_lane
+LANES+=("${records[@]}")
 
 step "dependency closure (std and the workspace)"
 # The build's trust argument: nothing from outside this repository is

@@ -3,11 +3,12 @@
 //! stack from paper model to bytes on a socket.
 
 use hermes::lb::prelude::*;
+use hermes::lb::server::Dispatch;
 use hermes::workload::distr::Zipf;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn build_proxy(pools: usize, servers_per_pool: usize) -> Proxy {
     let mut router = Router::new();
@@ -46,7 +47,22 @@ fn zipf_skewed_tenants_over_real_tcp() {
     let pools = 6;
     let lb = TcpLb::start("127.0.0.1:0", 4, build_proxy(pools, 2)).expect("bind");
     let addr = lb.local_addr();
-    std::thread::sleep(Duration::from_millis(15));
+    // The first bitmap: the word is non-empty once a worker's scheduler has
+    // stored (the kernel's hash alone has nothing to wait for).
+    if let Dispatch::Ebpf(kernel) = lb.dispatch() {
+        let deadline = Instant::now() + Duration::from_secs(2);
+        loop {
+            let word = kernel.bitmap(0);
+            if !word.is_empty() {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "the program reads {word} after 2 s"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
 
     let zipf = Zipf::new(pools, 1.0);
     let mut rng = hermes::workload::rng(404);
