@@ -34,6 +34,14 @@
 //! simulator and every deployment of up to 64 workers run the same decision
 //! procedure as a 128-worker one.
 //!
+//! A caller that runs every worker on one thread keeps its table as a
+//! single-owner [`StatusTable`] of plain rows instead of a [`Wst`], and
+//! [`Scheduler::schedule_table`] runs the same cascade over it
+//! incrementally: the table's writers keep each count's sum, the rows
+//! written since the last pass and a floor under the loop-entry stamps, so a
+//! pass re-reads only what its loop wrote and decides exactly what a full
+//! pass would.
+//!
 //! The crate is deliberately runtime-agnostic: the discrete-event simulator
 //! (`hermes-simnet`), the load balancers' worker threads (`hermes-lb`), and
 //! the eBPF-bytecode dispatch program (`hermes-ebpf`) all consume these types.
@@ -73,6 +81,7 @@ pub mod hash;
 pub mod sched;
 pub mod sdk;
 pub mod status;
+pub mod table;
 pub mod wst;
 
 pub use bitmap::{WorkerBitmap, MAX_WORKERS_PER_GROUP};
@@ -81,6 +90,7 @@ pub use hash::FlowKey;
 pub use sched::{FilterStage, SchedConfig, SchedDecision, Scheduler, SnapshotCache};
 pub use sdk::WorkerSession;
 pub use status::{WorkerSnapshot, WorkerStatus};
+pub use table::{StatusTable, Sweeps};
 pub use wst::Wst;
 
 /// Identifies a worker within one LB device (dense, 0-based).

@@ -18,6 +18,7 @@
 
 use crate::bitmap::{WorkerBitmap, MAX_WORKERS_PER_GROUP};
 use crate::status::WorkerSnapshot;
+use crate::table::{lanes, Count, StatusTable};
 use crate::wst::Wst;
 
 /// One stage of the cascade; reorderable for the filter-order ablation.
@@ -131,7 +132,10 @@ impl Scheduler {
     /// a lane.
     pub fn schedule_on_lane(&self, wst: &Wst, now_ns: u64, lane: u32) -> SchedDecision {
         let mut rows = [WorkerSnapshot::default(); MAX_WORKERS_PER_GROUP];
-        self.cascade(wst.snapshot_into(&mut rows), now_ns, lane)
+        let rows = wst.snapshot_into(&mut rows);
+        let decision = self.decide_rows(rows, now_ns, trace_stage(now_ns, lane));
+        trace_decision(now_ns, lane, decision);
+        decision
     }
 
     /// [`schedule`](Self::schedule) under the name and signature the
@@ -146,65 +150,112 @@ impl Scheduler {
         self.schedule(wst, now_ns)
     }
 
-    /// Run the cascade over at most 64 rows the caller holds, tracing on
+    /// Run the cascade over a single-owner [`StatusTable`], tracing on
     /// `lane`: the flight-recorder lane of the loop that runs the pass. The
-    /// simulator keeps its worker table as plain rows and calls this with
-    /// the running worker's lane; a caller with no loop of its own passes
-    /// `hermes_trace::CONTROL_LANE`.
-    pub fn schedule_from_snapshot(
+    /// simulator keeps its worker table this way and calls this from the
+    /// running worker's loop.
+    ///
+    /// The pass decides exactly what [`schedule`](Self::schedule) decides
+    /// over the same rows, and traces the same records, but reads only
+    /// what changed since the table's last pass:
+    ///
+    /// - FilterTime reads no stamp while `now_ns` is within the hang
+    ///   threshold of the table's stamp floor;
+    /// - a count stage takes the sum over its input as the all-row sum
+    ///   minus the rows outside it, turns `avg + θ·avg` into the integer
+    ///   threshold `t` (`threshold`), and masks its input with the rows
+    ///   below `t`. The table caches that mask over all rows, so while `t`
+    ///   stays put only the rows written since the last pass are compared
+    ///   again.
+    ///
+    /// In debug builds every pass asserts that its decision equals the full
+    /// cascade's over the table's rows.
+    pub fn schedule_table(&self, table: &mut StatusTable, now_ns: u64, lane: u32) -> SchedDecision {
+        let hang = self.config.hang_threshold_ns;
+        table.begin_pass();
+        let decision = self.decide(
+            table.all(),
+            |stage, input| match stage {
+                FilterStage::Time => table.fresh(now_ns, hang),
+                FilterStage::Connections => {
+                    self.below_average_cached(table, Count::Connections, input)
+                }
+                FilterStage::PendingEvents => {
+                    self.below_average_cached(table, Count::Pending, input)
+                }
+            },
+            trace_stage(now_ns, lane),
+        );
+        table.end_pass();
+        trace_decision(now_ns, lane, decision);
+        debug_assert_eq!(
+            decision,
+            self.decide_rows(table.rows(), now_ns, |_, _, _| {}),
+            "incremental pass at {now_ns} differs from the cascade over {:?}",
+            table.rows()
+        );
+        decision
+    }
+
+    /// The full cascade: every stage sweeps every row. `on_stage` sees each
+    /// stage's output.
+    fn decide_rows(
         &self,
         rows: &[WorkerSnapshot],
         now_ns: u64,
-        lane: u32,
+        on_stage: impl FnMut(usize, u64, u64),
     ) -> SchedDecision {
-        self.cascade(rows, now_ns, lane)
+        self.decide(
+            WorkerBitmap::all(rows.len()).0,
+            |stage, input| match stage {
+                FilterStage::Time => self.fresh(rows, now_ns),
+                FilterStage::Connections => self.below_average(rows, input, |r| r.connections),
+                FilterStage::PendingEvents => self.below_average(rows, input, |r| r.pending_events),
+            },
+            on_stage,
+        )
     }
 
-    /// The one scheduler kernel; every entry point ends here, tracing on
-    /// `lane`.
+    /// Algorithm 1's cascade in the configured order over the rows in
+    /// `all`, each stage a `u64` lane mask. `filter(stage, input)` is the
+    /// stage's output for input set `input`; for FilterTime, the fresh rows
+    /// among all of them. `on_stage(index, code, selected)` sees each
+    /// stage's output, where `code` is 0, 1, 2 for Time, Connections,
+    /// PendingEvents.
     ///
-    /// Each stage is a branch-free sweep over the rows that builds a `u64`
-    /// lane mask, so the working set of a pass is the snapshot and one
-    /// word. The counters are taken to be counts (below 2⁵³, as any `Wst`
-    /// reports them): that is what makes the integer sums exact.
-    fn cascade(&self, rows: &[WorkerSnapshot], now_ns: u64, lane: u32) -> SchedDecision {
-        assert!(rows.len() <= MAX_WORKERS_PER_GROUP, "at most 64 rows");
-        let mut selected = WorkerBitmap::all(rows.len()).0;
+    /// The counters are taken to be counts (below 2⁵³, as any `Wst` or
+    /// [`StatusTable`] reports them): that is what makes the integer sums
+    /// exact.
+    #[inline]
+    fn decide(
+        &self,
+        all: u64,
+        mut filter: impl FnMut(FilterStage, u64) -> u64,
+        mut on_stage: impl FnMut(usize, u64, u64),
+    ) -> SchedDecision {
+        let mut selected = all;
         let mut alive = selected;
-        for (stage_idx, stage) in self.config.stages.iter().enumerate() {
+        for (stage_idx, &stage) in self.config.stages.iter().enumerate() {
             let stage_code = match stage {
                 FilterStage::Time => {
-                    selected &= self.fresh(rows, now_ns);
+                    selected &= filter(stage, selected);
                     alive = selected;
                     0u64
                 }
                 FilterStage::Connections => {
-                    selected = self.below_average(rows, selected, |r| r.connections);
+                    selected = filter(stage, selected);
                     1
                 }
                 FilterStage::PendingEvents => {
-                    selected = self.below_average(rows, selected, |r| r.pending_events);
+                    selected = filter(stage, selected);
                     2
                 }
             };
-            hermes_trace::trace_event!(
-                now_ns,
-                hermes_trace::EventKind::SchedStage,
-                lane,
-                ((stage_idx as u64) << 32) | stage_code,
-                selected
-            );
+            on_stage(stage_idx, stage_code, selected);
         }
         if !self.has_time_stage {
-            alive = self.fresh(rows, now_ns);
+            alive = filter(FilterStage::Time, all);
         }
-        hermes_trace::trace_event!(
-            now_ns,
-            hermes_trace::EventKind::SchedDecision,
-            lane,
-            selected,
-            alive
-        );
         SchedDecision {
             bitmap: WorkerBitmap(selected),
             alive: WorkerBitmap(alive),
@@ -241,28 +292,92 @@ impl Scheduler {
         let (sum, _) = rows.iter().fold((0i64, input), |(sum, rest), row| {
             (sum + (metric(row) & -((rest & 1) as i64)), rest >> 1)
         });
-        let avg = sum as f64 / f64::from(survivors);
-        let limit = avg + self.config.theta_frac * avg;
+        let limit = self.limit(sum, survivors);
         // Strict `<` per Algorithm 1 line 13 (`R_i < Avg + θ`).
         let below = lanes(rows, |row| (metric(row) as f64) < limit) & input;
-        if below == 0 {
-            // Every survivor has the identical value (avg + θ == value, θ
-            // possibly 0): the filter would empty the set for no
-            // informational gain, so an all-equal set passes through.
-            input
-        } else {
-            below
+        all_equal_escape(below, input)
+    }
+
+    /// [`below_average`](Self::below_average) from the table's caches: the
+    /// same sum, limit and escape, with the limit compared as the integer
+    /// threshold `threshold` against the table's cached mask. A stage
+    /// with no input returns before it refreshes its cache, and the pass's
+    /// end invalidates that cache.
+    #[inline]
+    fn below_average_cached(&self, table: &mut StatusTable, count: Count, input: u64) -> u64 {
+        let survivors = input.count_ones();
+        if survivors == 0 {
+            return input;
         }
+        let limit = self.limit(table.sum_over(count, input), survivors);
+        let below = table.mask_below(count, threshold(limit)) & input;
+        all_equal_escape(below, input)
+    }
+
+    /// `Avg + θ` of Algorithm 1 line 13 for `survivors` rows summing to
+    /// `sum`, with θ = `theta_frac · Avg`.
+    #[inline]
+    fn limit(&self, sum: i64, survivors: u32) -> f64 {
+        let avg = sum as f64 / f64::from(survivors);
+        avg + self.config.theta_frac * avg
     }
 }
 
-/// Lane mask of a per-row predicate: bit `i` is `keep(&rows[i])`. Folds from
-/// the last row down, so each step shifts the mask by one rather than a bit
-/// by its lane id.
-fn lanes(rows: &[WorkerSnapshot], keep: impl Fn(&WorkerSnapshot) -> bool) -> u64 {
-    rows.iter()
-        .rev()
-        .fold(0, |mask, row| mask << 1 | u64::from(keep(row)))
+/// The integer threshold of a count stage's `limit`: ⌈limit⌉, the smallest
+/// integer not below it (saturated to the `i64` range), so that for every
+/// count `m` below 2⁵³ in magnitude `m < t ⇔ (m as f64) < limit`.
+///
+/// Why that is exact: such an `m` converts to `f64` without rounding, and
+/// for an integer `m`, `m < ⌈x⌉ ⇔ m < x`. `limit as i64` truncates toward
+/// zero; the truncation `T` converts back exactly (below 2⁵³ because every
+/// integer there is an `f64`, above it because the limit is then itself an
+/// integer and `T` is the limit), so `T < limit` decides whether to step up
+/// by one. Beyond the `i64` range the saturated `t` still splits the counts
+/// as the limit does: all of them below `i64::MAX`, none below `i64::MIN`.
+#[inline]
+fn threshold(limit: f64) -> i64 {
+    let t = limit as i64;
+    t.saturating_add(i64::from((t as f64) < limit))
+}
+
+/// The all-equal escape of a count stage: when no row of `input` is below
+/// the limit, every survivor has the identical value (avg + θ == value, θ
+/// possibly 0), and the filter would empty the set for no informational
+/// gain, so an all-equal set passes through.
+#[inline]
+fn all_equal_escape(below: u64, input: u64) -> u64 {
+    if below == 0 {
+        input
+    } else {
+        below
+    }
+}
+
+/// The `on_stage` of a traced pass: one `SchedStage` record per stage on
+/// `lane`.
+#[inline]
+fn trace_stage(now_ns: u64, lane: u32) -> impl FnMut(usize, u64, u64) {
+    move |stage_idx, stage_code, selected| {
+        hermes_trace::trace_event!(
+            now_ns,
+            hermes_trace::EventKind::SchedStage,
+            lane,
+            ((stage_idx as u64) << 32) | stage_code,
+            selected
+        );
+    }
+}
+
+/// A traced pass's closing `SchedDecision` record.
+#[inline]
+fn trace_decision(now_ns: u64, lane: u32, decision: SchedDecision) {
+    hermes_trace::trace_event!(
+        now_ns,
+        hermes_trace::EventKind::SchedDecision,
+        lane,
+        decision.bitmap.0,
+        decision.alive.0
+    );
 }
 
 /// Placeholder for the third argument of [`Scheduler::schedule_into`]; it
@@ -290,6 +405,22 @@ mod tests {
         }
     }
 
+    /// The rows as a status table, written through its writers.
+    fn table_of(snaps: &[WorkerSnapshot]) -> StatusTable {
+        let mut table = StatusTable::new(snaps.len());
+        for (w, s) in snaps.iter().enumerate() {
+            table.enter_loop(w, s.loop_enter_ns);
+            table.set_pending(w, s.pending_events);
+            table.add_connections(w, s.connections);
+        }
+        table
+    }
+
+    /// One pass over a fresh table of `snaps`.
+    fn pass(s: &Scheduler, snaps: &[WorkerSnapshot], now_ns: u64) -> SchedDecision {
+        s.schedule_table(&mut table_of(snaps), now_ns, CONTROL_LANE)
+    }
+
     fn sched() -> Scheduler {
         Scheduler::new(SchedConfig {
             hang_threshold_ns: 100,
@@ -302,7 +433,7 @@ mod tests {
     fn all_fresh_idle_workers_selected() {
         let s = sched();
         let snaps = vec![snap(1_000, 0, 0); 4];
-        let d = s.schedule_from_snapshot(&snaps, 1_050, CONTROL_LANE);
+        let d = pass(&s, &snaps, 1_050);
         assert_eq!(d.bitmap, WorkerBitmap::all(4));
         assert_eq!(d.alive, WorkerBitmap::all(4));
     }
@@ -315,7 +446,7 @@ mod tests {
             snap(500, 0, 0), // stale by 550 >= threshold 100 ⇒ hung
             snap(1_000, 0, 0),
         ];
-        let d = s.schedule_from_snapshot(&snaps, 1_050, CONTROL_LANE);
+        let d = pass(&s, &snaps, 1_050);
         assert!(!d.bitmap.contains(1));
         assert!(!d.alive.contains(1));
         assert!(d.bitmap.contains(0) && d.bitmap.contains(2));
@@ -327,10 +458,10 @@ mod tests {
         // Worker 0 reads as entered-at-0; at now=1010 with threshold 100
         // it is stale and filtered.
         let snaps = vec![snap(0, 0, 0), snap(1_000, 0, 0)];
-        let d = s.schedule_from_snapshot(&snaps, 1_010, CONTROL_LANE);
+        let d = pass(&s, &snaps, 1_010);
         assert_eq!(d.bitmap.iter().collect::<Vec<_>>(), vec![1]);
         // Early on (now < threshold) it still counts as available.
-        let d = s.schedule_from_snapshot(&snaps, 50, CONTROL_LANE);
+        let d = pass(&s, &snaps, 50);
         assert!(d.bitmap.contains(0));
     }
 
@@ -339,7 +470,7 @@ mod tests {
         let s = sched();
         // avg conns = (0+0+12)/3 = 4, θ = 2 ⇒ keep conns < 6.
         let snaps = vec![snap(1_000, 0, 0), snap(1_000, 0, 0), snap(1_000, 0, 12)];
-        let d = s.schedule_from_snapshot(&snaps, 1_010, CONTROL_LANE);
+        let d = pass(&s, &snaps, 1_010);
         assert_eq!(d.bitmap.iter().collect::<Vec<_>>(), vec![0, 1]);
         // But the overloaded worker is still alive.
         assert!(d.alive.contains(2));
@@ -351,7 +482,7 @@ mod tests {
         // Worker 2 has huge conns (dropped in stage 2). Among {0,1}, worker 1
         // has pending=10 vs avg (0+10)/2=5, θ=2.5 ⇒ keep pending < 7.5 ⇒ {0}.
         let snaps = vec![snap(1_000, 0, 1), snap(1_000, 10, 1), snap(1_000, 0, 50)];
-        let d = s.schedule_from_snapshot(&snaps, 1_010, CONTROL_LANE);
+        let d = pass(&s, &snaps, 1_010);
         assert_eq!(d.bitmap.iter().collect::<Vec<_>>(), vec![0]);
     }
 
@@ -365,7 +496,7 @@ mod tests {
             ..SchedConfig::default()
         });
         let snaps = vec![snap(1_000, 5, 7); 8];
-        let d = s.schedule_from_snapshot(&snaps, 1_010, CONTROL_LANE);
+        let d = pass(&s, &snaps, 1_010);
         assert_eq!(d.bitmap, WorkerBitmap::all(8));
     }
 
@@ -384,19 +515,13 @@ mod tests {
             ..SchedConfig::default()
         });
         assert_eq!(
-            tight
-                .schedule_from_snapshot(&snaps, 1_010, CONTROL_LANE)
+            pass(&tight, &snaps, 1_010)
                 .bitmap
                 .iter()
                 .collect::<Vec<_>>(),
             vec![0]
         );
-        assert_eq!(
-            loose
-                .schedule_from_snapshot(&snaps, 1_010, CONTROL_LANE)
-                .bitmap,
-            WorkerBitmap::all(3)
-        );
+        assert_eq!(pass(&loose, &snaps, 1_010).bitmap, WorkerBitmap::all(3));
     }
 
     #[test]
@@ -414,8 +539,8 @@ mod tests {
                 FilterStage::Time,
             ],
         });
-        let a = paper_order.schedule_from_snapshot(&snaps, 1_010, CONTROL_LANE);
-        let b = reversed.schedule_from_snapshot(&snaps, 1_010, CONTROL_LANE);
+        let a = pass(&paper_order, &snaps, 1_010);
+        let b = pass(&reversed, &snaps, 1_010);
         // Paper order: hung dropped first, avg conns over {0,1} = 2, θ=1 ⇒
         // keep < 3 ⇒ {0}. Reversed: avg over all = 34.67, θ=17.3 ⇒ {0,1}
         // survive the load filter, then hung dropped ⇒ {0,1}.
@@ -461,7 +586,7 @@ mod tests {
             stages: vec![FilterStage::Connections],
         });
         let snaps = vec![snap(1_000, 0, 0), snap(1, 0, 0)];
-        let d = s.schedule_from_snapshot(&snaps, 2_000, CONTROL_LANE);
+        let d = pass(&s, &snaps, 2_000);
         // Stage list has no Time filter, so the hung worker can pass the
         // bitmap, but `alive` still reflects hang detection.
         assert!(d.bitmap.contains(1));
@@ -483,7 +608,7 @@ mod tests {
         // the alert system takes over; the scheduler just reports honestly.
         let s = sched();
         let snaps = vec![snap(1, 0, 0); 4];
-        let d = s.schedule_from_snapshot(&snaps, 1_000_000, CONTROL_LANE);
+        let d = pass(&s, &snaps, 1_000_000);
         assert!(d.bitmap.is_empty());
         assert!(d.alive.is_empty());
     }

@@ -2521,7 +2521,6 @@ mod tests {
         let addrs: Vec<SocketAddr> = backends.iter().map(|(a, _)| *a).collect();
         let lb = RelayLb::start("127.0.0.1:0", 2, addrs).expect("bind");
         let addr = lb.local_addr();
-        std::thread::sleep(Duration::from_millis(15));
 
         // Open a long-lived relay and learn its backend.
         let (mut s, mut r, pinned) = open_greeted(addr);
@@ -2557,7 +2556,6 @@ mod tests {
         let addrs: Vec<SocketAddr> = backends.iter().map(|(a, _)| *a).collect();
         let lb = RelayLb::start("127.0.0.1:0", 4, addrs).expect("bind");
         let addr = lb.local_addr();
-        std::thread::sleep(Duration::from_millis(15));
 
         // Two long-lived relays opened before any churn: one on a backend
         // the rolling drain visits, one on the flap victim.
@@ -2693,7 +2691,6 @@ mod tests {
         let (live_addr, stop) = spawn_echo_backend(1);
         let lb = RelayLb::start("127.0.0.1:0", 2, vec![dead_addr, live_addr]).expect("bind");
         let addr = lb.local_addr();
-        std::thread::sleep(Duration::from_millis(15));
         for i in 0..16 {
             assert_eq!(relay_round_trip(addr, &format!("retry-{i}")), 1);
         }
@@ -2714,7 +2711,6 @@ mod tests {
         let (live_addr, stop) = spawn_echo_backend(0);
         let lb = RelayLb::start("127.0.0.1:0", 1, vec![live_addr]).expect("bind");
         let addr = lb.local_addr();
-        std::thread::sleep(Duration::from_millis(15));
         assert!(lb.pool().set_health(0, HealthState::Down, 0));
         let mut s = TcpStream::connect(addr).unwrap();
         s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
@@ -2745,7 +2741,6 @@ mod tests {
         let (live_addr, stop) = spawn_echo_backend(0);
         let lb = RelayLb::start("127.0.0.1:0", 1, vec![live_addr]).expect("bind");
         let addr = lb.local_addr();
-        std::thread::sleep(Duration::from_millis(15));
         let payload = vec![0xA5u8; 64 * 1024];
         let mut s = TcpStream::connect(addr).unwrap();
         s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();

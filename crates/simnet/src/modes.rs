@@ -12,15 +12,15 @@ use crate::config::Mode;
 use crate::metrics::SchedStats;
 use hermes_core::dispatch::DispatchOutcome;
 use hermes_core::sched::SchedConfig;
-use hermes_core::{ConnDispatcher, Scheduler, WorkerBitmap, WorkerSnapshot};
+use hermes_core::{ConnDispatcher, Scheduler, StatusTable, WorkerBitmap};
 
 /// Hermes state bundle: the scheduler, the bitmap it last published and
 /// the kernel-side dispatch decision, core's native oracle for the program
 /// the kernel runs. A simulated device has at most 64 workers, so it is one
 /// group (§7, `hermes_core::group::worker_groups`).
 ///
-/// The worker status table it schedules over is the simulator's: plain
-/// [`WorkerSnapshot`] rows, not a `hermes_core::Wst`, whose atomics on
+/// The worker status table it schedules over is the simulator's: a
+/// [`StatusTable`] of plain rows, not a `hermes_core::Wst`, whose atomics on
 /// lines of their own, locked updates and clamping copy-out serve threads.
 /// The simulator runs every worker on one thread, one event at a time, and
 /// its rows never go negative (checked in debug builds), so they read what
@@ -49,13 +49,13 @@ impl HermesState {
     }
 
     /// `schedule_and_sync` (Algorithm 1) as run from a worker's event loop:
-    /// run the cascade over the status table `rows` and publish the bitmap.
+    /// run the cascade over the status table and publish the bitmap.
     /// Only a bitmap that differs from the published one replaces it, as
     /// `KernelDispatch::publish` stores into the kernel's word only then,
     /// and each replacement is counted in `stats.publishes`. The pass
     /// traces on `lane`, the running worker's.
-    pub fn schedule_and_sync(&mut self, rows: &[WorkerSnapshot], now_ns: u64, lane: u32) {
-        let decision = self.scheduler.schedule_from_snapshot(rows, now_ns, lane);
+    pub fn schedule_and_sync(&mut self, table: &mut StatusTable, now_ns: u64, lane: u32) {
+        let decision = self.scheduler.schedule_table(table, now_ns, lane);
         if decision.bitmap != self.published {
             self.published = decision.bitmap;
             self.stats.publishes += 1;
@@ -161,6 +161,15 @@ mod tests {
         SchedConfig::default()
     }
 
+    /// A table of `n` idle workers, each having entered its loop at `at`.
+    fn entered(n: usize, at: u64) -> StatusTable {
+        let mut table = StatusTable::new(n);
+        for w in 0..n {
+            table.enter_loop(w, at);
+        }
+        table
+    }
+
     #[test]
     fn reuseport_assignment_is_sticky_and_in_range() {
         let mut d = Dispatcher::new(Mode::Reuseport, 8, cfg());
@@ -182,14 +191,11 @@ mod tests {
     #[test]
     fn hermes_dispatch_tracks_stats_and_respects_bitmap() {
         let mut d = Dispatcher::new(Mode::Hermes, 4, cfg());
-        let mut rows = [WorkerSnapshot {
-            loop_enter_ns: 1_000_000,
-            ..WorkerSnapshot::default()
-        }; 4];
-        rows[0].connections = 1_000; // overload worker 0
+        let mut table = entered(4, 1_000_000);
+        table.add_connections(0, 1_000); // overload worker 0
         {
             let h = d.hermes_mut();
-            h.schedule_and_sync(&rows, 1_100_000, 0);
+            h.schedule_and_sync(&mut table, 1_100_000, 0);
             assert_eq!(h.stats.calls, 1);
             assert_eq!(h.stats.selected_sum, 3);
         }
@@ -206,19 +212,16 @@ mod tests {
     fn schedule_and_sync_elides_steady_state_syncs() {
         let mut d = Dispatcher::new(Mode::Hermes, 4, cfg());
         let h = d.hermes_mut();
-        let mut rows = [WorkerSnapshot {
-            loop_enter_ns: 1_000_000,
-            ..WorkerSnapshot::default()
-        }; 4];
+        let mut table = entered(4, 1_000_000);
         // The first pass publishes; nine steady-state repeats publish nothing.
         for round in 0..10 {
-            h.schedule_and_sync(&rows, 1_000_010 + round, 0);
+            h.schedule_and_sync(&mut table, 1_000_010 + round, 0);
         }
         assert_eq!((h.stats.calls, h.stats.publishes), (10, 1));
         assert_eq!(h.published, WorkerBitmap::all(4));
         // A load change re-publishes exactly once more.
-        rows[0].connections = 1_000;
-        h.schedule_and_sync(&rows, 1_000_030, 0);
+        table.add_connections(0, 1_000);
+        h.schedule_and_sync(&mut table, 1_000_030, 0);
         assert_eq!((h.stats.calls, h.stats.publishes), (11, 2));
         assert!(!h.published.contains(0));
     }

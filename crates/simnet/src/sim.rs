@@ -27,15 +27,17 @@
 //! recycle through [`ConnTable`]'s ring, and port lookup is a dense-array
 //! index ([`crate::ports::PortTable`]).
 //!
-//! Each worker fact is kept once. The worker status table (`rows`, one
-//! [`WorkerSnapshot`] per worker, in every mode) is written where Fig. 9's
-//! `shm_*` calls write it: a batch's start sets its pending events, its
-//! end zeroes them and stamps the loop entry, and accepts, closes and
-//! re-homes move connections. One thread runs every simulated worker, one
-//! event at a time, so these are plain stores, not a `hermes_core::Wst`'s
-//! atomics, and the Hermes scheduler reads the rows in place
-//! (`crate::modes::HermesState`). Run totals (busy time, accepts, empty
-//! wakes) are counted straight into each [`WorkerReport`].
+//! Each worker fact is kept once. The worker status table (`rows`, a
+//! [`StatusTable`] of one row per worker, in every mode) is written where
+//! Fig. 9's `shm_*` calls write it: a batch's start sets its pending
+//! events, its end zeroes them and stamps the loop entry, and accepts,
+//! closes and re-homes move connections. One thread runs every simulated
+//! worker, one event at a time, so these are plain stores through the
+//! table's writers, not a `hermes_core::Wst`'s atomics, and the Hermes
+//! scheduler's pass (`crate::modes::HermesState`) reads the table in place,
+//! re-reading only the rows written since its last pass. Run totals (busy
+//! time, accepts, empty wakes) are counted straight into each
+//! [`WorkerReport`].
 
 use crate::config::{
     Fault, SimConfig, ACCEPT_NS, COUNTER_NS, EPOLL_TIMEOUT_NS, EPOLL_WAIT_NS, MAX_EVENTS,
@@ -46,7 +48,7 @@ use crate::metrics::{BalanceStats, DeviceReport, PortTrace, WorkerReport};
 use crate::modes::Dispatcher;
 use crate::ports::PortTable;
 use crate::state::{ConnId, ConnTable, IoEvent, Phase, WorkerState};
-use hermes_core::WorkerSnapshot;
+use hermes_core::StatusTable;
 use hermes_metrics::Histogram;
 use hermes_workload::Workload;
 use std::cmp::Reverse;
@@ -88,7 +90,7 @@ pub struct Simulator<'w> {
     workers: Vec<WorkerState>,
     /// The worker status table: row `w` is worker `w`'s loop entry, the
     /// events of its current batch and its live connections.
-    rows: Vec<WorkerSnapshot>,
+    rows: StatusTable,
     conns: ConnTable,
     dispatcher: Dispatcher,
     /// Flight-recorder lane override for fleet runs: a stable lane derived
@@ -164,7 +166,7 @@ impl<'w> Simulator<'w> {
         let port_trace = cfg.trace_port.map(PortTrace::new);
         let mut sim = Self {
             workers: (0..n).map(|_| WorkerState::new()).collect(),
-            rows: vec![WorkerSnapshot::default(); n],
+            rows: StatusTable::new(n),
             worker_reports: (0..n).map(|_| WorkerReport::new()).collect(),
             busy_at_last_sample: vec![0; n],
             conns: ConnTable::new(),
@@ -217,15 +219,8 @@ impl<'w> Simulator<'w> {
     fn schedule_and_sync(&mut self, w: usize) {
         let lane = self.worker_lane(w);
         if let Dispatcher::Hermes(h) = &mut self.dispatcher {
-            h.schedule_and_sync(&self.rows, self.now, lane);
+            h.schedule_and_sync(&mut self.rows, self.now, lane);
         }
-    }
-
-    /// Worker `w` lost one of its connections: a close or a re-home.
-    fn drop_connection(&mut self, w: usize) {
-        let connections = &mut self.rows[w].connections;
-        *connections -= 1;
-        debug_assert!(*connections >= 0, "worker {w}: {connections} connections");
     }
 
     /// Time of the earliest scripted event still to run, and whether it is
@@ -312,18 +307,24 @@ impl<'w> Simulator<'w> {
             }
             self.now = t;
             self.events_processed += 1;
-            match ev {
-                Ev::Syn(c) => self.on_syn(c),
-                Ev::RequestReady { conn, req } => self.on_request_ready(conn, req),
-                Ev::Wake { worker, generation } => self.on_wake(worker, generation),
-                Ev::BatchDone { worker, batch_cost } => self.on_batch_done(worker, batch_cost),
-                Ev::Close(c) => self.on_close(c),
-                Ev::Sample => self.on_sample(),
-                Ev::FaultAt(i) => self.on_fault(i),
-                Ev::ProbeTick => self.on_probe_tick(),
-            }
+            self.handle(ev);
         }
         self.finish()
+    }
+
+    /// Run one event at `self.now`.
+    #[inline]
+    fn handle(&mut self, ev: Ev) {
+        match ev {
+            Ev::Syn(c) => self.on_syn(c),
+            Ev::RequestReady { conn, req } => self.on_request_ready(conn, req),
+            Ev::Wake { worker, generation } => self.on_wake(worker, generation),
+            Ev::BatchDone { worker, batch_cost } => self.on_batch_done(worker, batch_cost),
+            Ev::Close(c) => self.on_close(c),
+            Ev::Sample => self.on_sample(),
+            Ev::FaultAt(i) => self.on_fault(i),
+            Ev::ProbeTick => self.on_probe_tick(),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -500,7 +501,7 @@ impl<'w> Simulator<'w> {
         // completes (the per-event decrements of Fig. 9 line 18 land at
         // BatchDone), so concurrent schedulers see this worker as busy for
         // the whole batch.
-        self.rows[w].pending_events = batch.len() as i64;
+        self.rows.set_pending(w, batch.len() as i64);
         if batch.is_empty() {
             // Timeout / lost race: empty loop iteration.
             self.batch_buf = batch;
@@ -582,7 +583,7 @@ impl<'w> Simulator<'w> {
             self.conns.set_worker(c, w);
         }
         let owner = self.conns.worker(c).expect("assigned");
-        self.rows[owner].connections += 1;
+        self.rows.add_connections(owner, 1);
         self.worker_reports[owner].accepted += 1;
         if let Some(tr) = &mut self.port_trace {
             if Some(tr.port) == self.wl.port_of(&self.wl.conns[c]) {
@@ -631,13 +632,13 @@ impl<'w> Simulator<'w> {
         self.worker_reports[w].busy_ns += batch_cost;
         let sched_at_start = self.cfg.sched_at_loop_start;
         // Per-event decrements of Fig. 9 line 18, applied at batch end.
-        self.rows[w].pending_events = 0;
+        self.rows.set_pending(w, 0);
         if !sched_at_start {
             // schedule_and_sync at the end of the loop (Fig. 9 line 20).
             self.schedule_and_sync(w);
         }
         // Loop top: shm_avail_update(current_time).
-        self.rows[w].loop_enter_ns = self.now;
+        self.rows.enter_loop(w, self.now);
         if sched_at_start {
             // Ablation: schedule before epoll_wait, observing pre-batch
             // (possibly stale) status.
@@ -661,7 +662,7 @@ impl<'w> Simulator<'w> {
         }
         let owner = self.conns.worker(c).expect("accepted conn has owner");
         self.conns.close(c);
-        self.drop_connection(owner);
+        self.rows.add_connections(owner, -1);
         if let Some(tr) = &mut self.port_trace {
             if Some(tr.port) == self.wl.port_of(&self.wl.conns[c]) {
                 tr.conn_delta(self.now, -1);
@@ -675,7 +676,7 @@ impl<'w> Simulator<'w> {
         let mut conns = std::mem::take(&mut self.conns_buf);
         utils.clear();
         conns.clear();
-        for (w, (r, row)) in self.worker_reports.iter().zip(&self.rows).enumerate() {
+        for (w, (r, row)) in self.worker_reports.iter().zip(self.rows.rows()).enumerate() {
             let delta = r.busy_ns.saturating_sub(self.busy_at_last_sample[w]);
             self.busy_at_last_sample[w] = r.busy_ns;
             utils.push(((delta as f64 / interval) * 100.0).min(100.0));
@@ -702,7 +703,7 @@ impl<'w> Simulator<'w> {
             return;
         };
         let mut resets: Vec<(usize, usize)> = Vec::new();
-        for (w, row) in self.rows.iter().enumerate() {
+        for (w, row) in self.rows.rows().iter().enumerate() {
             let live = row.connections.max(0) as usize;
             if let DegradeAction::ResetConnections { count, .. } =
                 monitor.observe(w, utils[w] / 100.0, live)
@@ -733,8 +734,8 @@ impl<'w> Simulator<'w> {
                     continue; // fallback hashed straight back: skip
                 }
                 self.conns.set_worker(c, new_owner);
-                self.drop_connection(victim);
-                self.rows[new_owner].connections += 1;
+                self.rows.add_connections(victim, -1);
+                self.rows.add_connections(new_owner, 1);
                 self.rst_reschedules += 1;
                 shed += 1;
             }
@@ -786,7 +787,7 @@ impl<'w> Simulator<'w> {
             }
             incomplete += u64::from(self.conns.remaining_requests(c));
         }
-        for (r, row) in self.worker_reports.iter_mut().zip(&self.rows) {
+        for (r, row) in self.worker_reports.iter_mut().zip(self.rows.rows()) {
             r.final_connections = row.connections;
             r.utilization = (r.busy_ns as f64 / horizon as f64).min(1.0);
         }
@@ -1048,6 +1049,53 @@ mod tests {
 
     fn ready(conn: ConnId, req: usize) -> Ev {
         Ev::RequestReady { conn, req }
+    }
+
+    /// A batch's end zeroes its worker's pending events (Fig. 9 line 18's
+    /// decrements) before the loop entry is stamped. One connection runs
+    /// two batches on its owner, its accept and its two-event request; the
+    /// connection closes as the request completes. After each batch the
+    /// owner's row holds nothing pending, stamped at the batch's end, and
+    /// the other worker's row is untouched.
+    #[test]
+    fn a_batch_end_zeroes_its_workers_pending_events() {
+        let wl = scripted_workload(&[(1_000, &[1_000_000])]).seal();
+        let mut sim = Simulator::new(SimConfig::new(2, Mode::Hermes), &wl);
+        let mut owner = None;
+        let mut batches = Vec::new();
+        // Both batches end well before the 5 ms boot timeouts.
+        while batches.len() < 2 {
+            let (t, ev) = sim.next_event().expect("an event");
+            assert!(t < 2_000_000, "{ev:?} at {t}");
+            sim.now = t;
+            sim.handle(ev);
+            if let Ev::Syn(c) = ev {
+                owner = sim.conns.worker(c);
+            }
+            let w = owner.expect("the SYN runs first");
+            let row = sim.rows.rows()[w];
+            if let Ev::BatchDone { worker, .. } = ev {
+                assert_eq!(worker, w);
+                assert!(sim.workers[w].is_idle(), "nothing more to run");
+                let connections = [1, 0][batches.len()];
+                assert_eq!(
+                    (row.loop_enter_ns, row.pending_events, row.connections),
+                    (t, 0, connections),
+                    "after batch {}",
+                    batches.len()
+                );
+                let other = sim.rows.rows()[1 - w];
+                assert_eq!(
+                    (other.loop_enter_ns, other.pending_events, other.connections),
+                    (0, 0, 0)
+                );
+                batches.push(t);
+            } else if !sim.workers[w].is_idle() {
+                // Mid-batch the row holds the batch's length.
+                assert_eq!(row.pending_events, [1, 2][batches.len()]);
+            }
+        }
+        assert!(batches[0] < 1_001_000 && 1_001_000 < batches[1]);
     }
 
     #[test]

@@ -143,10 +143,16 @@ step "ebpf soundness (the kernel-encoding interpreter total; the bytes that ship
 cargo test --release -q -p hermes-ebpf --lib the_shipped_bytes_are_pinned
 cargo test --release -q -p hermes-ebpf --test soundness
 
-step "scheduler kernel (differential vs literal Algorithm 1, zero allocations)"
-# One scheduler read path, two proofs here: the mask kernel agrees with a
-# per-id f64 Algorithm 1 on every table shape and stage order; a counting
-# global allocator sees no allocation across 10 000 loop-resident passes
+step "scheduler kernel (full and incremental passes differential vs literal Algorithm 1, zero allocations)"
+# Two scheduler read paths over one cascade, two proofs here. The mask
+# kernel agrees with a per-id f64 Algorithm 1 on every table shape and stage
+# order, and so does the incremental pass the simulator runs
+# (Scheduler::schedule_table over a StatusTable: cached integer thresholds
+# and masks, only the rows written since the last pass re-read), in
+# sched_differential's writer-driven histories across all 15 stage orders
+# and θ ∈ {0, 0.5, 2}, with a row held stale across the hang threshold and
+# every row hung at times. A counting global allocator sees no allocation
+# across 10 000 loop-resident passes
 # (Scheduler::schedule, WorkerSession::schedule_and_sync). The third —
 # whole simulator runs reproduce the decision sums recorded before the
 # kernel was fused — is golden_fingerprint, which runs in "cargo test"
