@@ -7,7 +7,7 @@
 //! allocations once warm, with the flight recorder switched off and again
 //! switched on (the first warm-up then creates its rings).
 
-use hermes_core::{SchedConfig, Scheduler, WorkerBitmap, WorkerSession, Wst};
+use hermes_core::{SchedConfig, Scheduler, StatusTable, WorkerBitmap, WorkerSession, Wst};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
@@ -80,6 +80,19 @@ fn assert_passes_do_not_allocate(recording: &str) {
             black_box(scheduler.schedule(&wst, now));
         });
         assert_eq!(n, 0, "Scheduler::schedule over {workers} rows, {recording}");
+        let mut table = StatusTable::new(workers);
+        let n = allocations_during(|i| {
+            let now = 1_000_000 + i;
+            let w = i as usize % workers;
+            table.set_pending(w, 0);
+            table.enter_loop(w, now);
+            table.add_connections(w, 1);
+            black_box(scheduler.schedule_table(&mut table, now, 0));
+        });
+        assert_eq!(
+            n, 0,
+            "Scheduler::schedule_table over {workers} rows, {recording}"
+        );
     }
 
     let word = AtomicU64::new(0);
