@@ -217,8 +217,9 @@ cargo test --release -q -p hermes-simnet --lib sim::tests
 step "simnet_throughput --smoke (per-loop Hermes tax gate)"
 # One gate, the median of 16 alternating rounds: Case 1 heavy under Hermes
 # costs <= 2.3x its wall time under reuseport (the per-loop tax: WST hooks,
-# Algorithm 1, bitmap sync, Algorithm 2; ~2.0x today, 2.65x before the
-# fused scheduler kernel).
+# Algorithm 1, bitmap sync, Algorithm 2; 1.63x in the full run recorded in
+# results/BENCH_simnet.json since the incremental scheduler pass, 2.03x
+# before it and 2.65x before the fused scheduler kernel).
 gate --bin simnet_throughput
 
 step "fleet-determinism (merge-order independence of the device pool)"
